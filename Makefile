@@ -1,15 +1,10 @@
 GO ?= go
-SMOKE_OUT ?= /tmp/aggregathor-scenario-smoke.json
-TCP_SMOKE_OUT ?= /tmp/aggregathor-scenario-tcp-smoke.json
-UDP_SMOKE_OUT ?= /tmp/aggregathor-scenario-udp-smoke.json
-MODEL_LOSS_SMOKE_OUT ?= /tmp/aggregathor-scenario-model-loss-smoke.json
-WIRE_SMOKE_OUT ?= /tmp/aggregathor-scenario-wire-smoke.json
-ASYNC_SMOKE_OUT ?= /tmp/aggregathor-scenario-async-smoke.json
-CHURN_SMOKE_OUT ?= /tmp/aggregathor-scenario-churn-smoke.json
+SMOKE_DIR ?= /tmp/aggregathor-smoke
+SMOKE_GOLDEN := internal/scenario/testdata/smoke.sha256
 
 BENCH_JSON_DIR ?= .
 
-.PHONY: all vet lint escape-check guard-matrix-check directives check build test race fuzz smoke smoke-tcp smoke-udp smoke-model-loss smoke-wire smoke-async smoke-churn bench-json ci clean
+.PHONY: all vet lint escape-check guard-matrix-check directives check build test race fuzz smoke bench-json ci clean
 
 all: ci
 
@@ -51,62 +46,33 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short coverage of the transport codec and reassembler fuzz targets beyond
-# the seed corpus.
+# Short coverage of the transport codec and reassembler, round-engine
+# settlement and churn-membership fuzz targets beyond the seed corpus.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzReassembler -fuzztime=20s
-	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzQuorumAdmission -fuzztime=20s
+	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzRound -fuzztime=20s
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzMembershipTracker -fuzztime=20s
 
-# Run the built-in scenario campaign (4 GARs x 3 attacks + baseline x 2
-# network conditions) and write the deterministic results JSON.
+# The refactoring safety net. Run every built-in campaign the golden file
+# names (smoke, tcp-smoke, udp-smoke, model-loss-smoke, wire-smoke,
+# async-smoke, churn-smoke; ~8 s together) twice, require the rerun to be
+# byte-identical — campaigns are deterministic by contract, on every backend,
+# at any drop rate — and check the bytes against the committed sha256
+# (linux/amd64): a change that moves one byte of any campaign's JSON fails
+# here. After an intentional change, regenerate the golden file with
+#   cd $(SMOKE_DIR) && sha256sum *.json > $(CURDIR)/$(SMOKE_GOLDEN)
+# and say in the PR exactly which bytes changed and why.
 smoke:
-	$(GO) run ./cmd/scenario -out $(SMOKE_OUT)
-
-# Run the built-in socket-distributed campaign: the same cells in-process and
-# over real localhost TCP, with byte-reproducible JSON for both.
-smoke-tcp:
-	$(GO) run ./cmd/scenario -builtin tcp-smoke -out $(TCP_SMOKE_OUT)
-
-# Run the built-in lossy-datagram campaign: the same cells in-process, over
-# real UDP sockets on a perfect link, and at 10% seeded packet loss — all
-# with byte-reproducible JSON.
-smoke-udp:
-	$(GO) run ./cmd/scenario -builtin udp-smoke -out $(UDP_SMOKE_OUT)
-
-# Run the built-in lossy-model-broadcast campaign (footnote 12): the same
-# cells with a perfect model channel and with 10% scheduled downlink loss
-# under the skip and stale recoup policies — all byte-reproducible.
-smoke-model-loss:
-	$(GO) run ./cmd/scenario -builtin model-loss-smoke -out $(MODEL_LOSS_SMOKE_OUT)
-
-# Run the built-in wire-format campaign (float64 vs float32 over UDP, perfect
-# and 10%-lossy links) twice and require byte-identical JSON: the float32 wire
-# must be exactly as deterministic as the float64 one.
-smoke-wire:
-	$(GO) run ./cmd/scenario -builtin wire-smoke -out $(WIRE_SMOKE_OUT)
-	$(GO) run ./cmd/scenario -builtin wire-smoke -out $(WIRE_SMOKE_OUT).rerun
-	cmp $(WIRE_SMOKE_OUT) $(WIRE_SMOKE_OUT).rerun
-
-# Run the built-in asynchronous-round campaign (quorum + bounded staleness
-# under a deterministic slow-worker schedule, on all three backends) twice and
-# require byte-identical JSON: the quorum settlement must be as deterministic
-# as lockstep.
-smoke-async:
-	$(GO) run ./cmd/scenario -builtin async-smoke -out $(ASYNC_SMOKE_OUT)
-	$(GO) run ./cmd/scenario -builtin async-smoke -out $(ASYNC_SMOKE_OUT).rerun
-	cmp $(ASYNC_SMOKE_OUT) $(ASYNC_SMOKE_OUT).rerun
-
-# Run the built-in worker-churn campaign (seeded crash/rejoin schedules with
-# reconnect backoff and below-bound degradation, on both socket backends plus
-# a lossy-uplink cell) twice and require byte-identical JSON: every churn
-# counter is a pure function of the seed, never of socket timing.
-smoke-churn:
-	$(GO) run ./cmd/scenario -builtin churn-smoke -out $(CHURN_SMOKE_OUT)
-	$(GO) run ./cmd/scenario -builtin churn-smoke -out $(CHURN_SMOKE_OUT).rerun
-	cmp $(CHURN_SMOKE_OUT) $(CHURN_SMOKE_OUT).rerun
+	mkdir -p $(SMOKE_DIR)
+	$(GO) build -o $(SMOKE_DIR)/scenario ./cmd/scenario
+	for f in $$(awk '{print $$2}' $(SMOKE_GOLDEN)); do \
+		$(SMOKE_DIR)/scenario -builtin $${f%.json} -out $(SMOKE_DIR)/$$f > /dev/null && \
+		$(SMOKE_DIR)/scenario -builtin $${f%.json} -out $(SMOKE_DIR)/$$f.rerun > /dev/null && \
+		cmp $(SMOKE_DIR)/$$f $(SMOKE_DIR)/$$f.rerun || exit 1; \
+	done
+	cd $(SMOKE_DIR) && sha256sum -c $(CURDIR)/$(SMOKE_GOLDEN)
 
 # Time the GAR kernel engine (fresh + workspace aggregation, distance
 # schedules) and write BENCH_aggregation.json — the perf trajectory to diff
@@ -114,11 +80,8 @@ smoke-churn:
 bench-json:
 	$(GO) run ./cmd/bench -json -out $(BENCH_JSON_DIR)
 
-ci: vet lint escape-check guard-matrix-check build race smoke smoke-tcp smoke-udp smoke-model-loss smoke-wire smoke-async smoke-churn
+ci: vet lint escape-check guard-matrix-check build race smoke
 
 clean:
 	$(GO) clean ./...
-	rm -f $(SMOKE_OUT) $(TCP_SMOKE_OUT) $(UDP_SMOKE_OUT) $(MODEL_LOSS_SMOKE_OUT) \
-		$(WIRE_SMOKE_OUT) $(WIRE_SMOKE_OUT).rerun \
-		$(ASYNC_SMOKE_OUT) $(ASYNC_SMOKE_OUT).rerun \
-		$(CHURN_SMOKE_OUT) $(CHURN_SMOKE_OUT).rerun
+	rm -rf $(SMOKE_DIR)

@@ -28,8 +28,8 @@
 //     gradients and, per footnote 12, downlink model broadcasts) and recoup
 //     values are pure functions of (seed, step, worker).
 //
-// See README.md for a tour and EXPERIMENTS.md for the paper-figure
-// reproduction index.
+// See README.md for a tour; bench_test.go indexes the paper's tables and
+// figures (one benchmark per exhibit) and cmd/bench prints them.
 package aggregathor
 
 import (

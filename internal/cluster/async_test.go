@@ -283,7 +283,7 @@ func TestUDPAsyncByzantineStalenessMatrix(t *testing.T) {
 								continue
 							}
 							if tag < s {
-								mask := udpDropSchedule(seed, s, id, pktCount, dropRate)
+								mask := ps.UplinkDrops(rand.New(rand.NewSource(seed)), make([]bool, pktCount), seed, s, id, dropRate)
 								if transport.CountSurvivors(mask, pktCount) > 0 {
 									wantStale++
 								}

@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	"aggregathor/internal/attack"
-	"aggregathor/internal/ps"
 	"aggregathor/internal/tensor"
 	"aggregathor/internal/transport"
 )
 
 // Worker churn plumbing shared by both socket backends: the bounded
-// retry/backoff reconnect dialers a crashed worker comes back through, the
-// TCP rejoin handshake frame, and the churn-specific validation guards.
-// The schedule itself (who crashes when, who rejoins when) lives in
-// ps.ChurnConfig / ps.MembershipTracker and is evaluated at both endpoints;
+// retry/backoff reconnect dialers a crashed worker comes back through, and
+// the TCP rejoin handshake frame. The schedule itself (who crashes when, who
+// rejoins when) lives in ps.ChurnConfig and is evaluated at both endpoints;
 // nothing here draws randomness.
 
 // Reconnect backoff ladder: a deterministic doubling schedule from
@@ -29,56 +26,46 @@ const (
 	reconnectMaxDelay    = 500 * time.Millisecond
 )
 
-// dialTCPWithBackoff dials the server through the bounded backoff ladder and
-// reports how many attempts the connect took — the count the rejoin
-// handshake carries to the server's MembershipTracker.
-func dialTCPWithBackoff(addr string, codec transport.Codec) (*transport.TCPConn, int, error) {
+// dialWithBackoff dials through the bounded backoff ladder and reports how
+// many attempts the connect took — the count the TCP rejoin handshake
+// carries to the server.
+func dialWithBackoff[C any](what, addr string, dial func() (C, error)) (C, int, error) {
 	var lastErr error
 	delay := reconnectBaseDelay
 	for attempt := 1; attempt <= reconnectMaxAttempts; attempt++ {
-		conn, err := transport.DialTCP(addr, codec)
+		conn, err := dial()
 		if err == nil {
 			return conn, attempt, nil
 		}
 		lastErr = err
 		if attempt < reconnectMaxAttempts {
 			reconnectPause(delay)
-			delay *= 2
-			if delay > reconnectMaxDelay {
-				delay = reconnectMaxDelay
-			}
+			delay = min(2*delay, reconnectMaxDelay)
 		}
 	}
-	return nil, reconnectMaxAttempts, fmt.Errorf("cluster: reconnect to %s failed after %d attempts (backoff %v doubling to %v): %w",
-		addr, reconnectMaxAttempts, reconnectBaseDelay, reconnectMaxDelay, lastErr)
+	var none C
+	return none, reconnectMaxAttempts, fmt.Errorf("cluster: reconnect %s to %s failed after %d attempts (backoff %v doubling to %v): %w",
+		what, addr, reconnectMaxAttempts, reconnectBaseDelay, reconnectMaxDelay, lastErr)
 }
 
-// dialUDPWithBackoff is dialTCPWithBackoff's datagram twin: it re-dials the
-// worker's gradient sender toward the server's gradient endpoint. UDP
-// "connects" locally, so on any healthy host the first attempt succeeds —
-// the ladder guards against transient local socket exhaustion.
+// dialTCPWithBackoff redials the server's listener.
+func dialTCPWithBackoff(addr string, codec transport.Codec) (*transport.TCPConn, int, error) {
+	return dialWithBackoff("connection", addr, func() (*transport.TCPConn, error) {
+		return transport.DialTCP(addr, codec)
+	})
+}
+
+// dialUDPWithBackoff re-dials the worker's gradient sender toward the
+// server's gradient endpoint. UDP "connects" locally, so on any healthy host
+// the first attempt succeeds — the ladder guards against transient local
+// socket exhaustion.
 func dialUDPWithBackoff(addr string, codec transport.Codec, mtu int) (*transport.UDPSender, int, error) {
-	var lastErr error
-	delay := reconnectBaseDelay
-	for attempt := 1; attempt <= reconnectMaxAttempts; attempt++ {
+	return dialWithBackoff("gradient sender", addr, func() (*transport.UDPSender, error) {
 		// Gradient loss is injected by the shared schedule, not the
 		// sender's own rng: drop rate 0, as on the Start dial path.
 		//aggrevet:lineage drop rate 0: the sender's rng is never drawn, loss comes from the shared seeded schedule
-		send, err := transport.DialUDP(addr, codec, mtu, 0, 0)
-		if err == nil {
-			return send, attempt, nil
-		}
-		lastErr = err
-		if attempt < reconnectMaxAttempts {
-			reconnectPause(delay)
-			delay *= 2
-			if delay > reconnectMaxDelay {
-				delay = reconnectMaxDelay
-			}
-		}
-	}
-	return nil, reconnectMaxAttempts, fmt.Errorf("cluster: reconnect gradient sender to %s failed after %d attempts (backoff %v doubling to %v): %w",
-		addr, reconnectMaxAttempts, reconnectBaseDelay, reconnectMaxDelay, lastErr)
+		return transport.DialUDP(addr, codec, mtu, 0, 0)
+	})
 }
 
 // rejoinHello builds the handshake frame a reconnecting TCP worker sends
@@ -93,37 +80,4 @@ func rejoinHello(worker, rejoinStep, attempts int) *transport.GradientMsg {
 		Loss:   float64(attempts),
 		Grad:   tensor.Vector{0},
 	}
-}
-
-// churnParticipates reports whether a phase submits a gradient this round
-// (live or rejoining). Crashed and down workers' slots are dropped by
-// design: never awaited, never recouped — the churn twin of the async
-// schedule's too-stale drop.
-func churnParticipates(p ps.ChurnPhase) bool {
-	return p == ps.ChurnLive || p == ps.ChurnRejoin
-}
-
-// rejectInformedWithChurn enforces the informed-attack × churn-schedule
-// incompatibility at cluster construction: an informed attack recomputes the
-// honest workers' gradients from the run seed assuming every peer samples
-// once per round — a churn schedule breaks that oracle, because a crashed
-// honest worker's sampler stream pauses while it is down and the shared-seed
-// replica cannot track membership (mirroring rejectInformedWithSlow and the
-// informed × lossy-model-broadcast rule).
-func rejectInformedWithChurn(byzantine map[int]string, churn ps.ChurnConfig) error {
-	if !churn.Enabled() {
-		return nil
-	}
-	for _, id := range sortedIDs(byzantine) {
-		name := byzantine[id]
-		atk, err := attack.New(name)
-		if err != nil {
-			continue // reported by the caller's own attack validation
-		}
-		if inf, ok := atk.(attack.Informed); ok && inf.RequiresHonest() {
-			return fmt.Errorf("cluster: attack %q on worker %d (churn rate %v): %w",
-				name, id, churn.Rate, ps.ErrInformedChurn)
-		}
-	}
-	return nil
 }

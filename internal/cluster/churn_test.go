@@ -14,6 +14,7 @@ import (
 	"aggregathor/internal/opt"
 	"aggregathor/internal/ps"
 	"aggregathor/internal/tensor"
+	"aggregathor/internal/transport"
 )
 
 // churnDeployment builds the 7-worker TCP fixture for the churn tests: the
@@ -121,6 +122,56 @@ func TestTCPClusterChurnConvergence(t *testing.T) {
 	model.SetParamsVector(params)
 	if acc := model.Accuracy(test.X, test.Y); acc < 0.7 {
 		t.Fatalf("churn run converged to accuracy %v, want >= 0.7", acc)
+	}
+}
+
+// TestTCPClusterChurnReleasesCrashedConnections is the regression test for
+// the server-side socket leak: a crashed worker's connection used to stay
+// open (and in the broadcast set) until Close, and every rejoin appended one
+// more. With DownSteps 1 a worker rejoins the round after its crash — before
+// the dead connection's reader has necessarily reported — which is the worst
+// case for the one-live-connection-per-worker rule. The broadcast set must
+// never exceed Workers, never hold two connections for one worker, and every
+// connection a crash retired must be closed before Close.
+func TestTCPClusterChurnReleasesCrashedConnections(t *testing.T) {
+	churn := ps.ChurnConfig{Rate: 0.05, DownSteps: 1, MaxRejoins: 50}
+	const seed, steps, workers = 13, 80, 7
+	crashes, rejoins, _ := churnExpectation(churn, seed, steps, workers, 0)
+	if crashes < 5 || crashes != rejoins {
+		t.Fatalf("fixture drift: want several crashes, all rejoined within the run; schedule has %d crashes / %d rejoins", crashes, rejoins)
+	}
+	cl, _, _ := churnDeployment(t, gar.Average{}, nil, churn, seed)
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	seen := map[*tcpPeer]bool{}
+	for s := 0; s < steps; s++ {
+		if _, err := cl.Step(); err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+		if len(cl.peers) > workers {
+			t.Fatalf("step %d: broadcast set holds %d connections for %d workers", s, len(cl.peers), workers)
+		}
+		holder := map[int]bool{}
+		for _, p := range cl.peers {
+			if holder[p.worker] {
+				t.Fatalf("step %d: two live connections for worker %d", s, p.worker)
+			}
+			holder[p.worker] = true
+			seen[p] = true
+		}
+	}
+	for _, p := range cl.peers {
+		delete(seen, p)
+	}
+	if len(seen) != crashes {
+		t.Fatalf("%d connections retired over %d crashes", len(seen), crashes)
+	}
+	for p := range seen {
+		if err := p.conn.SendModel(&transport.ModelMsg{Params: tensor.Vector{0}}); err == nil {
+			t.Fatalf("worker %d's pre-crash connection is still open server-side", p.worker)
+		}
 	}
 }
 

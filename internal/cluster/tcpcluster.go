@@ -1,20 +1,17 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"aggregathor/internal/attack"
 	"aggregathor/internal/data"
 	"aggregathor/internal/gar"
 	"aggregathor/internal/nn"
 	"aggregathor/internal/opt"
 	"aggregathor/internal/ps"
-	"aggregathor/internal/tensor"
 	"aggregathor/internal/transport"
 )
 
@@ -27,58 +24,52 @@ import (
 type TCPClusterConfig struct {
 	// Addr is the server bind address ("127.0.0.1:0" picks a free port).
 	Addr string
-	// ModelFactory builds the network replicas.
+	// ModelFactory builds the network replicas: one for the server, one per
+	// worker.
 	ModelFactory func() *nn.Network
-	// Workers is n.
+	// Workers is n; each worker draws Batch-sized mini-batches from Train.
 	Workers int
-	// GAR aggregates each round.
-	GAR gar.GAR
-	// Optimizer applies updates.
+	Batch   int
+	Train   *data.Dataset
+	// GAR aggregates each round and Optimizer applies the result.
+	GAR       gar.GAR
 	Optimizer opt.Optimizer
-	// Batch is the per-worker mini-batch.
-	Batch int
-	// Train provides worker samplers.
-	Train *data.Dataset
 	// Codec selects the wire coordinate width.
 	Codec transport.Codec
 	// RoundTimeout bounds the collection phase (the paper's fix for
 	// TensorFlow waiting indefinitely on unresponsive nodes). Zero means
-	// 30 seconds.
+	// 30 seconds. Only a genuinely unresponsive worker ever pays it.
 	RoundTimeout time.Duration
 	// Byzantine maps worker ids to attack names. A Byzantine worker forges
 	// its wire submission; omniscient attacks are honoured by recomputing
-	// the honest gradients from the shared run seed (see tcpWorker).
+	// the honest gradients from the shared run seed (see clusterWorker).
 	Byzantine map[int]string
 	// Unresponsive marks worker ids that receive broadcasts but never
 	// submit a gradient — the paper's unresponsive node, which vanilla
 	// TensorFlow waits on forever and AggregaThor bounds with the round
 	// timeout.
 	Unresponsive map[int]bool
-	// Seed is the run seed. Worker sampler and attack RNG seeds are
-	// derived from it with the same ps.SamplerSeed/ps.AttackSeed formulas
-	// the in-process backend uses, so identical configurations produce
-	// identical gradient streams over either backend.
+	// Seed is the run seed. Sampler, attack, schedule and recoup randomness
+	// all derive from it through the shared ps formulas, so identical
+	// configurations produce identical gradient streams over any backend.
 	Seed int64
 	// L1, L2 are the regularisation weights.
 	L1, L2 float64
-	// Recoup selects the policy for slots whose gradient missed the round
-	// deadline: DropGradient (default) proceeds without them, FillNaN
-	// submits a non-finite vector in their place (the GAR must contain
-	// it), FillRandom substitutes a seed-derived random vector. All three
-	// are deterministic functions of (seed, step, worker id).
+	// Recoup selects the policy for gradient data the round ends without —
+	// a slot that missed the deadline, or coordinates lost in flight:
+	// DropGradient (default) discards the gradient, FillNaN marks the
+	// missing coordinates NaN (the GAR must contain them), FillRandom
+	// substitutes seed-derived random values — the AggregaThor way. All
+	// three are deterministic functions of (Seed, step, worker id).
 	Recoup transport.RecoupPolicy
-	// Async configures asynchronous bounded-staleness rounds. The slow
-	// schedule is evaluated at both endpoints (ps.SlowSeed), so the server
-	// knows which step tag every slot will carry — a round settles the
-	// moment the scheduled quorum is in, with no deadline involved.
+	// Async configures asynchronous bounded-staleness rounds (ps.SlowSeed).
+	// Incompatible with lossy model broadcasts and informed attacks.
 	Async ps.AsyncConfig
 	// Churn configures the deterministic worker crash/rejoin schedule
-	// (ps.ChurnSeed), evaluated at both endpoints: a scheduled worker
-	// receives the broadcast, tears its connection down without
-	// submitting, and reconnects through the backoff dialer at its
-	// scheduled rejoin round — the server's MembershipTracker knows which
-	// slots can never arrive and settles rounds without deadline waits.
-	// Incompatible with Async, Unresponsive and informed attacks.
+	// (ps.ChurnSeed): a scheduled worker receives the broadcast, tears its
+	// connection down without submitting, and reconnects through the
+	// backoff dialer at its scheduled rejoin round. Incompatible with
+	// Async, lossy model broadcasts, Unresponsive and informed attacks.
 	Churn ps.ChurnConfig
 
 	// testAbruptClose (tests only) makes the given worker close its
@@ -89,140 +80,79 @@ type TCPClusterConfig struct {
 	testAbruptClose map[int]int
 }
 
-// recvEvent is one message from a connection reader: a gradient, or the
-// reader's terminal error. worker is the id the connection last identified
-// itself as, -1 if it died before sending anything.
-type recvEvent struct {
-	msg    *transport.GradientMsg
+// tcpPeer is one server-side worker connection. worker is the id the
+// connection last identified itself as (-1 until its first frame); only the
+// Step goroutine touches it.
+type tcpPeer struct {
+	conn   *transport.TCPConn
 	worker int
-	err    error
+}
+
+// recvEvent is one thing a connection delivered: the accepted connection
+// itself, a frame (a gradient, or a fresh reconnect's rejoin handshake), or
+// the terminal error of its accept or read.
+type recvEvent struct {
+	peer *tcpPeer
+	msg  *transport.GradientMsg
+	err  error
 }
 
 // TCPCluster is a running socket-distributed deployment that implements
-// ps.Trainer: Start accepts the workers once, then each Step broadcasts the
-// model, collects id-slotted gradients under the round timeout, aggregates
-// and applies the optimizer.
+// ps.Trainer. It is the round engine's TCP adapter: it owns the listener,
+// the connections and their readers, and the rejoin handshakes; what a round
+// waits for and what it aggregates is the engine's business.
 type TCPCluster struct {
-	cfg        TCPClusterConfig
-	ln         *transport.TCPListener
-	conns      []*transport.TCPConn
-	inbox      chan recvEvent
-	workerWG   sync.WaitGroup
-	readerWG   sync.WaitGroup
-	workerErrs chan error
+	socketServer
+	pub TCPClusterConfig // as given: what each worker node is launched from
+	ln  *transport.TCPListener
+	// peers is the broadcast set: the live connections, at most one per
+	// worker. A connection leaves it (and is closed) when its reader reports
+	// its terminal error or its worker rejoins on a fresh one.
+	peers    []*tcpPeer
+	inbox    chan recvEvent
+	readerWG sync.WaitGroup
 
-	server *nn.Network
-	params tensor.Vector
-	ws     *gar.Workspace // per-cluster aggregation scratch arena
-	step   int
-
-	// dead marks identified workers whose connection is gone; suspected
-	// marks workers that missed a round deadline and are no longer waited
-	// for (a late gradient for the current step re-admits them).
-	dead      map[int]bool
-	suspected map[int]bool
-
-	// Churn state (nil/unused when the schedule is disabled): the
-	// membership tracker, the handshake channel the churn accept loop
-	// feeds, a stash for handshakes that arrived ahead of their scheduled
-	// rejoin round, a stop signal for in-flight handshake readers, and the
-	// accept-loop waitgroup.
-	membership  *ps.MembershipTracker
-	rejoinCh    chan tcpRejoin
-	rejoinStash []tcpRejoin
+	// Churn plumbing (nil/unused when the schedule is disabled): the
+	// handshake channel the rejoin accept loop feeds, a stash for handshakes
+	// that arrived ahead of their scheduled rejoin round, a stop signal for
+	// in-flight handshake readers, and the accept-loop waitgroup.
+	rejoinCh    chan recvEvent
+	rejoinStash []recvEvent
 	stop        chan struct{}
 	acceptWG    sync.WaitGroup
-
-	started bool
-	closed  bool
-}
-
-// tcpRejoin pairs a freshly accepted reconnect with its handshake frame.
-type tcpRejoin struct {
-	conn  *transport.TCPConn
-	hello *transport.GradientMsg
 }
 
 var _ ps.Trainer = (*TCPCluster)(nil)
 
+// socket maps the public config onto the shared deployment description.
+func (cfg *TCPClusterConfig) socket() socketConfig {
+	return socketConfig{
+		Addr: cfg.Addr, ModelFactory: cfg.ModelFactory, Workers: cfg.Workers, GAR: cfg.GAR,
+		Optimizer: cfg.Optimizer, Batch: cfg.Batch, Train: cfg.Train, Codec: cfg.Codec,
+		RoundTimeout: cfg.RoundTimeout, Byzantine: cfg.Byzantine, Unresponsive: cfg.Unresponsive,
+		Seed: cfg.Seed, L1: cfg.L1, L2: cfg.L2, Recoup: cfg.Recoup, Async: cfg.Async, Churn: cfg.Churn,
+	}
+}
+
 // NewTCPCluster validates the configuration and builds the (not yet
-// listening) cluster. Attack names are resolved here so a misconfigured
-// deployment fails before any socket is opened.
+// listening) cluster.
 func NewTCPCluster(cfg TCPClusterConfig) (*TCPCluster, error) {
-	if cfg.ModelFactory == nil || cfg.GAR == nil || cfg.Optimizer == nil || cfg.Train == nil {
-		return nil, errors.New("cluster: TCPCluster config missing required field")
-	}
-	if cfg.Workers <= 0 || cfg.Batch <= 0 {
-		return nil, fmt.Errorf("cluster: bad sizes workers=%d batch=%d", cfg.Workers, cfg.Batch)
-	}
-	if cfg.RoundTimeout <= 0 {
-		cfg.RoundTimeout = 30 * time.Second
-	}
-	if info, ok := cfg.GAR.(gar.ByzantineInfo); ok {
-		if cfg.Workers < info.MinWorkers() {
-			return nil, fmt.Errorf("cluster: %s(f=%d) needs %d workers, got %d",
-				cfg.GAR.Name(), info.F(), info.MinWorkers(), cfg.Workers)
-		}
-	}
-	for _, id := range sortedIDs(cfg.Byzantine) {
-		if id < 0 || id >= cfg.Workers {
-			return nil, fmt.Errorf("cluster: Byzantine worker id %d outside [0, %d)", id, cfg.Workers)
-		}
-		if _, err := attack.New(cfg.Byzantine[id]); err != nil {
-			return nil, fmt.Errorf("cluster: worker %d: %w", id, err)
-		}
-	}
-	for _, id := range sortedIDs(cfg.Unresponsive) {
-		if id < 0 || id >= cfg.Workers {
-			return nil, fmt.Errorf("cluster: unresponsive worker id %d outside [0, %d)", id, cfg.Workers)
-		}
-	}
-	if err := cfg.Async.Validate(cfg.Workers); err != nil {
-		return nil, err
-	}
-	if err := rejectInformedWithSlow(cfg.Byzantine, cfg.Async); err != nil {
-		return nil, err
-	}
-	if err := cfg.Churn.Validate(); err != nil {
+	c := &TCPCluster{pub: cfg}
+	if err := c.setup(cfg.socket()); err != nil {
 		return nil, err
 	}
 	if cfg.Churn.Enabled() {
-		if cfg.Async.Enabled() {
-			return nil, fmt.Errorf("cluster: %w (quorum %d with churn rate %v)",
-				ps.ErrChurnAsync, cfg.Async.Quorum, cfg.Churn.Rate)
-		}
-		if ids := sortedIDs(cfg.Unresponsive); len(ids) > 0 {
-			return nil, fmt.Errorf("cluster: unresponsive worker %d cannot compose with churn: it never identifies on the wire, so a scheduled teardown cannot be told from a failure", ids[0])
-		}
-		if err := rejectInformedWithChurn(cfg.Byzantine, cfg.Churn); err != nil {
-			return nil, err
-		}
-	}
-	c := &TCPCluster{
-		cfg:        cfg,
-		server:     cfg.ModelFactory(),
-		workerErrs: make(chan error, cfg.Workers),
-		dead:       map[int]bool{},
-		suspected:  map[int]bool{},
-		ws:         gar.NewWorkspace(),
-	}
-	if cfg.Churn.Enabled() {
-		c.membership = ps.NewMembershipTracker(cfg.Churn, cfg.Seed, cfg.Workers)
-		c.rejoinCh = make(chan tcpRejoin, cfg.Workers)
+		c.rejoinCh = make(chan recvEvent, cfg.Workers)
 		c.stop = make(chan struct{})
 	}
-	c.params = c.server.ParamsVector()
 	return c, nil
 }
 
 // Start binds the listener, launches the worker goroutines and accepts their
 // connections. It must be called exactly once before Step.
 func (c *TCPCluster) Start() error {
-	if c.started {
-		return errors.New("cluster: Start called twice")
-	}
-	if c.closed {
-		return errors.New("cluster: Start after Close")
+	if err := c.canStart(); err != nil {
+		return err
 	}
 	ln, err := transport.ListenTCP(c.cfg.Addr, c.cfg.Codec)
 	if err != nil {
@@ -233,7 +163,7 @@ func (c *TCPCluster) Start() error {
 		c.workerWG.Add(1)
 		go func(id int) {
 			defer c.workerWG.Done()
-			if err := runTCPClusterWorker(ln.Addr(), id, &c.cfg); err != nil {
+			if err := runTCPClusterWorker(ln.Addr(), id, &c.pub); err != nil {
 				c.workerErrs <- fmt.Errorf("worker %d: %w", id, err)
 			}
 		}(id)
@@ -241,23 +171,18 @@ func (c *TCPCluster) Start() error {
 	// Accept every worker, but watch for worker startup failures (a dial
 	// error) so a worker that never connects fails Start instead of
 	// leaving Accept waiting forever for the nth connection.
-	type acceptResult struct {
-		conn *transport.TCPConn
-		err  error
-	}
-	acceptCh := make(chan acceptResult, c.cfg.Workers)
+	acceptCh := make(chan recvEvent, c.cfg.Workers)
 	//aggrevet:goro exits after n accepts or the first error; abortStart closes the listener to unblock a pending Accept
 	go func() {
 		for i := 0; i < c.cfg.Workers; i++ {
 			conn, err := ln.Accept()
-			acceptCh <- acceptResult{conn: conn, err: err}
+			acceptCh <- recvEvent{peer: &tcpPeer{conn: conn, worker: -1}, err: err}
 			if err != nil {
 				return
 			}
 		}
 	}()
-	c.conns = make([]*transport.TCPConn, 0, c.cfg.Workers)
-	for len(c.conns) < c.cfg.Workers {
+	for len(c.peers) < c.cfg.Workers {
 		//aggrevet:select startup-only race: a ready workerErrs means the run is already doomed, and either order reaches the same abort
 		select {
 		case r := <-acceptCh:
@@ -265,7 +190,7 @@ func (c *TCPCluster) Start() error {
 				c.abortStart()
 				return r.err
 			}
-			c.conns = append(c.conns, r.conn)
+			c.peers = append(c.peers, r.peer)
 		case err := <-c.workerErrs:
 			c.abortStart()
 			return fmt.Errorf("cluster: worker failed during startup: %w", err)
@@ -273,33 +198,29 @@ func (c *TCPCluster) Start() error {
 	}
 	// One persistent reader per connection: gradients from every round —
 	// including late straggler submissions — funnel into the inbox, where
-	// Step slots them by self-declared worker id.
+	// Step offers them to the round by self-declared worker id.
 	c.inbox = make(chan recvEvent, 2*c.cfg.Workers)
-	for _, conn := range c.conns {
-		c.startReader(conn, -1)
+	for _, p := range c.peers {
+		c.startReader(p)
 	}
-	if c.cfg.Churn.Enabled() {
+	if c.rejoinCh != nil {
 		c.acceptRejoins()
 	}
 	c.started = true
 	return nil
 }
 
-// startReader launches the persistent reader for one connection. worker is
-// the id the connection is already known to speak for (-1 for the initial
-// anonymous accepts; the rejoin handshake identifies reconnects up front).
-func (c *TCPCluster) startReader(conn *transport.TCPConn, worker int) {
+// startReader launches the persistent reader for one connection.
+func (c *TCPCluster) startReader(p *tcpPeer) {
 	c.readerWG.Add(1)
 	go func() {
 		defer c.readerWG.Done()
 		for {
-			msg, err := conn.RecvGradient()
+			msg, err := p.conn.RecvGradient()
+			c.inbox <- recvEvent{peer: p, msg: msg, err: err}
 			if err != nil {
-				c.inbox <- recvEvent{worker: worker, err: err}
 				return
 			}
-			worker = msg.Worker
-			c.inbox <- recvEvent{msg: msg, worker: msg.Worker}
 		}
 	}()
 }
@@ -307,8 +228,8 @@ func (c *TCPCluster) startReader(conn *transport.TCPConn, worker int) {
 // acceptRejoins keeps the listener accepting after startup (churn only): a
 // crashed worker dials back through the backoff ladder whenever its schedule
 // says, sends the rejoin handshake as its first frame, and the connection is
-// handed to Step — which admits it through the MembershipTracker at the
-// scheduled rejoin round. The loop exits when Close releases the listener.
+// handed to Step — which offers it to the round at the scheduled rejoin
+// round. The loop exits when Close releases the listener.
 func (c *TCPCluster) acceptRejoins() {
 	c.acceptWG.Add(1)
 	go func() {
@@ -327,7 +248,7 @@ func (c *TCPCluster) acceptRejoins() {
 					return
 				}
 				select {
-				case c.rejoinCh <- tcpRejoin{conn: conn, hello: hello}:
+				case c.rejoinCh <- recvEvent{peer: &tcpPeer{conn: conn, worker: hello.Worker}, msg: hello}:
 				case <-c.stop:
 					conn.Close()
 				}
@@ -343,240 +264,101 @@ func (c *TCPCluster) acceptRejoins() {
 // safe no-op.
 func (c *TCPCluster) abortStart() {
 	c.closed = true
-	for _, conn := range c.conns {
-		conn.Close()
+	for _, p := range c.peers {
+		p.conn.Close()
 	}
 	c.ln.Close()
 	c.workerWG.Wait()
 }
 
-// Step runs one synchronous round over the sockets.
+// Step runs one synchronous round over the sockets: install the scheduled
+// reconnects, broadcast, then feed the round whatever the readers deliver
+// until nothing is outstanding or the deadline passes.
 func (c *TCPCluster) Step() (*ps.StepResult, error) {
-	if !c.started {
-		return nil, errors.New("cluster: Step before Start")
+	if err := c.canStep(); err != nil {
+		return nil, err
 	}
-	if c.closed {
-		return nil, errors.New("cluster: Step after Close")
+	round := c.eng.Begin()
+	if err := c.admitRejoins(round); err != nil {
+		return nil, err
 	}
-	n := c.cfg.Workers
-	res := &ps.StepResult{Step: c.step}
-
-	// Asynchronous schedule: the same ps.SlowSeed evaluation the workers
-	// perform, so the server knows which step tag every slot will carry
-	// this round and which slots will never be filled (expect -1).
-	var expect []int
-	if c.cfg.Async.Enabled() {
-		expect = make([]int, n)
-		for id := range expect {
-			expect[id] = c.cfg.Async.ExpectedTag(c.cfg.Seed, c.step, id)
-			if expect[id] < 0 {
-				res.DroppedStale++
-			}
-		}
-	}
-
-	// Churn schedule: the same ps.ChurnSeed evaluation the workers
-	// perform. Scheduled rejoins are admitted before the broadcast so a
-	// reconnected worker receives this round's model; crashed and down
-	// workers' slots are dropped by design — never awaited, never
-	// recouped.
-	var phases []ps.ChurnPhase
-	if c.membership != nil {
-		phases = c.membership.BeginRound(c.step)
-		if err := c.admitRejoins(); err != nil {
-			return nil, err
-		}
-		res.Crashes = c.membership.RoundCrashes()
-		res.Rejoins = c.membership.RoundRejoins()
-		res.ReconnectAttempts = c.membership.RoundReconnectAttempts()
-	}
-
-	// Broadcast phase (parallel sends). Suspected workers are included — a
-	// straggler that recovers can rejoin the round. Sends to dead
-	// connections fail harmlessly; their readers already reported.
-	var sendWG sync.WaitGroup
-	var liveSends int64
-	var liveMu sync.Mutex
-	for _, conn := range c.conns {
-		sendWG.Add(1)
-		go func(conn *transport.TCPConn) {
-			defer sendWG.Done()
-			if err := conn.SendModel(&transport.ModelMsg{Step: c.step, Params: c.params}); err == nil {
-				liveMu.Lock()
-				liveSends++
-				liveMu.Unlock()
-			}
-		}(conn)
-	}
-	sendWG.Wait()
-	if liveSends == 0 {
-		return nil, fmt.Errorf("cluster: no live worker connections at step %d", c.step)
-	}
-
-	// Collection phase: wait for every live, unsuspected worker's gradient
-	// or the round deadline, whichever comes first. Gradients are slotted
-	// by self-declared worker id — accept order is a race, and aggregating
-	// in a scheduling-dependent order would make even all-honest
-	// distributed runs non-reproducible (floating-point summation is
-	// order-sensitive).
-	grads := make([]tensor.Vector, n)
-	losses := make([]float64, n)
-	got := make([]bool, n)
-	outstanding := func() int {
-		m := 0
-		for id := 0; id < n; id++ {
-			if expect != nil && expect[id] < 0 {
-				continue // scheduled too-stale: the slot will never fill
-			}
-			if phases != nil && !churnParticipates(phases[id]) {
-				continue // scheduled crash/down: the slot will never fill
-			}
-			if !got[id] && !c.dead[id] && !c.suspected[id] {
-				m++
-			}
-		}
-		return m
+	if err := c.broadcast(round); err != nil {
+		return nil, err
 	}
 	timer := newRoundTimer(c.cfg.RoundTimeout)
 	defer timer.Stop()
-	for outstanding() > 0 {
-		//aggrevet:select a ready timer means a missed deadline that aborts the round loudly; healthy gathers never race it
+	for round.Outstanding() > 0 {
+		//aggrevet:select a ready timer means a missed deadline that the round absorbs through recoup; healthy gathers never race it
 		select {
 		case ev := <-c.inbox:
-			if ev.err != nil {
-				if ev.worker < 0 {
-					// A connection that dies before its worker ever
-					// identified itself is a deployment failure (a healthy
-					// worker only disconnects after the server hangs up),
-					// not Byzantine behaviour to tolerate.
-					return nil, fmt.Errorf("cluster: worker connection lost before first gradient at step %d: %w",
-						c.step, c.workerFailure(ev.err))
-				}
-				if c.membership != nil && c.membership.Churned(ev.worker) {
-					// A scheduled teardown: the worker closed its side per
-					// the churn schedule (or its pre-crash connection's
-					// reader is winding down). Not a death — it rejoins on
-					// a fresh connection at its scheduled round.
-					continue
-				}
-				c.dead[ev.worker] = true
-				continue
+			if err := c.deliver(round, ev); err != nil {
+				return nil, err
 			}
-			msg := ev.msg
-			if msg.Worker < 0 || msg.Worker >= n {
-				return nil, fmt.Errorf("cluster: gradient from out-of-range worker id %d", msg.Worker)
-			}
-			want := c.step
-			if expect != nil {
-				want = expect[msg.Worker]
-			}
-			if msg.Step != want {
-				if msg.Step < c.step {
-					continue // stale straggler submission from an earlier round
-				}
-				return nil, fmt.Errorf("cluster: gradient for future step %d at step %d", msg.Step, c.step)
-			}
-			if got[msg.Worker] {
-				// A lying worker reusing another id must fail loudly, not
-				// silently shrink the honest set.
-				return nil, fmt.Errorf("cluster: duplicate gradient for worker id %d at step %d", msg.Worker, c.step)
-			}
-			if msg.Step < c.step {
-				res.AdmittedStale++
-			}
-			got[msg.Worker] = true
-			grads[msg.Worker] = msg.Grad
-			losses[msg.Worker] = msg.Loss
-			delete(c.suspected, msg.Worker) // recovered straggler rejoins the quorum
 		case <-timer.C:
-			// Deadline: the round proceeds with whatever arrived (the
-			// paper's bounded waiting). Missing workers are suspected and
-			// not waited for in later rounds, so one unresponsive node
-			// costs one timeout, not one per round.
-			for id := 0; id < n; id++ {
-				if !got[id] && !c.dead[id] && !c.suspected[id] {
-					c.suspected[id] = true
-				}
+			round.Expire()
+		}
+	}
+	return round.Finish()
+}
+
+// broadcast sends the round's model to every live connection in parallel.
+// Suspected workers are included — a straggler that recovers can rejoin the
+// round. A send to a connection whose peer is gone fails harmlessly; its
+// reader reports the loss.
+func (c *TCPCluster) broadcast(round *ps.Round) error {
+	model := &transport.ModelMsg{Step: round.Step(), Params: round.Params()}
+	var wg sync.WaitGroup
+	var delivered atomic.Int64
+	for _, p := range c.peers {
+		wg.Add(1)
+		go func(conn *transport.TCPConn) {
+			defer wg.Done()
+			if conn.SendModel(model) == nil {
+				delivered.Add(1)
 			}
-		}
+		}(p.conn)
 	}
+	wg.Wait()
+	if delivered.Load() == 0 {
+		return fmt.Errorf("cluster: no live worker connections at step %d", round.Step())
+	}
+	return nil
+}
 
-	// Recoup phase: absent slots are handled by the configured policy, a
-	// deterministic function of (seed, step, worker id).
-	received := make([]tensor.Vector, 0, n)
-	for id := 0; id < n; id++ {
-		if got[id] {
-			received = append(received, grads[id])
-			continue
+// deliver hands one reader event to the round. A stream connection
+// authenticates its frames' order, so what the round rejects is a lying
+// peer and fails loudly — except a straggler's submission from an earlier
+// round, which is protocol-normal and ignored.
+func (c *TCPCluster) deliver(round *ps.Round, ev recvEvent) error {
+	if ev.err != nil {
+		c.hangUp(ev.peer)
+		if ev.peer.worker < 0 {
+			// A connection that dies before its worker ever identified
+			// itself is a deployment failure (a healthy worker only
+			// disconnects after the server hangs up), not Byzantine
+			// behaviour to tolerate.
+			return fmt.Errorf("cluster: worker connection lost before first gradient at step %d: %w",
+				round.Step(), c.workerFailure(ev.err))
 		}
-		if expect != nil && expect[id] < 0 {
-			continue // scheduled too-stale: dropped by design, never recouped
-		}
-		if phases != nil && !churnParticipates(phases[id]) {
-			continue // scheduled crash/down: dropped by design, never recouped
-		}
-		if v := c.recoupSlot(id); v != nil {
-			received = append(received, v)
-		}
+		round.Disconnected(ev.peer.worker)
+		return nil
 	}
-	res.Received = len(received)
+	msg := ev.msg
+	ev.peer.worker = msg.Worker
+	v := round.Offer(msg.Worker, msg.Step, msg.Grad, msg.Loss)
+	if v.Admitted() || msg.Step < round.Step() && (v == ps.RejectTooStale || v == ps.RejectWrongTag) {
+		return nil // admitted, or a straggler's frame from an earlier round
+	}
+	return fmt.Errorf("cluster: gradient from worker %d tagged step %d at step %d: %v",
+		msg.Worker, msg.Step, round.Step(), v)
+}
 
-	// Mean honest loss (diagnostic only; Byzantine losses are excluded).
-	var lossSum float64
-	var lossN int
-	for id := 0; id < n; id++ {
-		if !got[id] {
-			continue
-		}
-		if _, byz := c.cfg.Byzantine[id]; byz {
-			continue
-		}
-		lossSum += losses[id]
-		lossN++
+// hangUp closes a worker connection and takes it out of the broadcast set.
+func (c *TCPCluster) hangUp(p *tcpPeer) {
+	p.conn.Close()
+	if i := slices.Index(c.peers, p); i >= 0 {
+		c.peers = slices.Delete(c.peers, i, i+1)
 	}
-	if lossN > 0 {
-		res.Loss = lossSum / float64(lossN)
-	}
-
-	// Quorum gate: an asynchronous round below the scheduled quorum is
-	// skipped rather than waited on, mirroring the in-process Cluster.
-	if c.cfg.Async.Enabled() && len(received) < c.cfg.Async.EffectiveQuorum(n) {
-		res.Skipped = true
-		c.step++
-		return res, nil
-	}
-
-	// Below-bound gate: when churn shrinks live membership under the
-	// GAR's Byzantine safety bound (n_live < MinWorkers, e.g. 2f+3 for
-	// Krum-family rules), aggregating would be unsafe — the rule's
-	// resilience proof no longer holds for the configured f. The round is
-	// skipped explicitly, without calling the GAR, and counted.
-	if c.membership != nil {
-		if info, ok := c.cfg.GAR.(gar.ByzantineInfo); ok && c.membership.Live() < info.MinWorkers() {
-			res.BelowBound = true
-			res.Skipped = true
-			c.step++
-			return res, nil
-		}
-	}
-
-	// Aggregation + descent phase, mirroring the in-process Cluster: a
-	// round whose survivor count violates the GAR's quorum is skipped, not
-	// deadlocked.
-	agg, err := gar.AggregateInto(c.ws, c.cfg.GAR, received)
-	if err != nil {
-		if errors.Is(err, gar.ErrTooFewWorkers) || errors.Is(err, gar.ErrNoGradients) {
-			res.Skipped = true
-			c.step++
-			return res, nil
-		}
-		return nil, fmt.Errorf("cluster: aggregation at step %d: %w", c.step, err)
-	}
-	opt.Regularize(agg, c.params, c.cfg.L1, c.cfg.L2)
-	c.cfg.Optimizer.Step(c.step, c.params, agg)
-	c.server.SetParamsVector(c.params)
-	c.step++
-	return res, nil
 }
 
 // admitRejoins installs this round's scheduled reconnects before the
@@ -585,84 +367,58 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 // crashes, not at its rejoin round, so early handshakes wait in the stash;
 // a handshake that fails to appear by the round timeout is a loud error —
 // the schedule said the worker would be back.
-func (c *TCPCluster) admitRejoins() error {
-	stash := c.rejoinStash[:0]
-	for _, rj := range c.rejoinStash {
-		if rj.hello.Step < c.step {
-			rj.conn.Close()
-			return fmt.Errorf("cluster: stale rejoin handshake for worker %d (step %d) at step %d",
-				rj.hello.Worker, rj.hello.Step, c.step)
+func (c *TCPCluster) admitRejoins(round *ps.Round) error {
+	stashed := c.rejoinStash
+	c.rejoinStash = c.rejoinStash[:0]
+	for _, rj := range stashed {
+		if err := c.offerRejoin(round, rj); err != nil {
+			return err
 		}
-		if rj.hello.Step == c.step {
-			if err := c.installRejoin(rj); err != nil {
-				return err
-			}
-			continue
-		}
-		stash = append(stash, rj)
 	}
-	c.rejoinStash = stash
-	if c.membership.PendingRejoins() == 0 {
+	if round.PendingRejoins() == 0 {
 		return nil
 	}
 	timer := newRoundTimer(c.cfg.RoundTimeout)
 	defer timer.Stop()
-	for c.membership.PendingRejoins() > 0 {
+	for round.PendingRejoins() > 0 {
 		//aggrevet:select a ready timer means a missed rejoin deadline that aborts the round loudly; healthy rejoins never race it
 		select {
 		case rj := <-c.rejoinCh:
-			if rj.hello.Step > c.step {
-				c.rejoinStash = append(c.rejoinStash, rj)
-				continue
-			}
-			if err := c.installRejoin(rj); err != nil {
+			if err := c.offerRejoin(round, rj); err != nil {
 				return err
 			}
 		case <-timer.C:
 			return fmt.Errorf("cluster: %d scheduled rejoin handshake(s) missing at step %d after %v",
-				c.membership.PendingRejoins(), c.step, c.cfg.RoundTimeout)
+				round.PendingRejoins(), round.Step(), c.cfg.RoundTimeout)
 		}
 	}
 	return nil
 }
 
-// installRejoin offers one handshake to the MembershipTracker and, on
-// admission, installs the fresh connection: it joins the broadcast set and
-// gets a persistent reader pre-identified by the handshake.
-func (c *TCPCluster) installRejoin(rj tcpRejoin) error {
-	hello := rj.hello
-	if v := c.membership.Admit(hello.Worker, hello.Step, int(hello.Loss)); v != ps.RejoinAdmit {
-		rj.conn.Close()
-		return fmt.Errorf("cluster: rejoin handshake for worker %d (step %d) rejected at step %d: %v",
-			hello.Worker, hello.Step, c.step, v)
-	}
-	delete(c.dead, hello.Worker)
-	delete(c.suspected, hello.Worker)
-	c.conns = append(c.conns, rj.conn)
-	c.startReader(rj.conn, hello.Worker)
-	return nil
-}
-
-// recoupSlot produces the stand-in gradient for a slot that missed the round
-// deadline, per the configured recoup policy. nil means the slot is dropped.
-func (c *TCPCluster) recoupSlot(id int) tensor.Vector {
-	switch c.cfg.Recoup {
-	case transport.FillNaN:
-		v := tensor.NewVector(c.params.Dim())
-		for i := range v {
-			v[i] = math.NaN()
-		}
-		return v
-	case transport.FillRandom:
-		rng := rand.New(rand.NewSource(ps.RecoupSeed(c.cfg.Seed, c.step, id)))
-		v := tensor.NewVector(c.params.Dim())
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		return v
-	default: // DropGradient: proceed without the slot
+// offerRejoin stashes a handshake that is ahead of its round and offers any
+// other to the round; on admission the fresh connection replaces whatever
+// connection the worker held before its crash and gets a persistent reader
+// pre-identified by the handshake.
+func (c *TCPCluster) offerRejoin(round *ps.Round, rj recvEvent) error {
+	hello := rj.msg
+	if hello.Step > round.Step() {
+		c.rejoinStash = append(c.rejoinStash, rj)
 		return nil
 	}
+	if v := round.Rejoin(hello.Worker, hello.Step, int(hello.Loss)); v != ps.RejoinAdmit {
+		rj.peer.conn.Close()
+		return fmt.Errorf("cluster: rejoin handshake for worker %d (step %d) rejected at step %d: %v",
+			hello.Worker, hello.Step, round.Step(), v)
+	}
+	for _, p := range c.peers {
+		if p.worker == hello.Worker {
+			c.hangUp(p) // its reader has not reported the teardown yet
+			break
+		}
+	}
+	c.peers = append(c.peers, rj.peer)
+	c.startReader(rj.peer)
+	return nil
 }
 
 // workerFailure surfaces the root cause of an anonymous connection loss: the
@@ -678,16 +434,6 @@ func (c *TCPCluster) workerFailure(readErr error) error {
 	}
 }
 
-// Model returns the server's evaluation replica, synchronised with the
-// current parameters.
-func (c *TCPCluster) Model() *nn.Network { return c.server }
-
-// Params returns a copy of the current model parameters.
-func (c *TCPCluster) Params() tensor.Vector { return c.params.Clone() }
-
-// StepCount returns the number of rounds run so far.
-func (c *TCPCluster) StepCount() int { return c.step }
-
 // Close hangs up every worker connection, waits for the workers and readers
 // to exit, and releases the listener. It is idempotent.
 func (c *TCPCluster) Close() error {
@@ -699,16 +445,13 @@ func (c *TCPCluster) Close() error {
 		close(c.stop) // release hello goroutines blocked on rejoinCh
 	}
 	if !c.started {
-		if c.ln != nil {
-			c.ln.Close()
-		}
-		return nil
+		return nil // nothing bound: a failed Start releases its own sockets
 	}
-	for _, conn := range c.conns {
-		conn.Close()
+	for _, p := range c.peers {
+		p.conn.Close()
 	}
 	for _, rj := range c.rejoinStash {
-		rj.conn.Close()
+		rj.peer.conn.Close()
 	}
 	// Drain reader events until every reader has exited, so none blocks on
 	// a full inbox while shutting down; workers exit on the closed
@@ -733,7 +476,7 @@ func (c *TCPCluster) Close() error {
 	for churnDrained := false; !churnDrained; {
 		select {
 		case rj := <-c.rejoinCh:
-			rj.conn.Close()
+			rj.peer.conn.Close()
 		default:
 			churnDrained = true
 		}
@@ -742,34 +485,20 @@ func (c *TCPCluster) Close() error {
 	return err
 }
 
-// workerSpec extracts the backend-independent worker description (shared
-// with the UDP backend — see worker.go).
-func (cfg *TCPClusterConfig) workerSpec() workerSpec {
-	return workerSpec{
-		ModelFactory: cfg.ModelFactory,
-		Train:        cfg.Train,
-		Batch:        cfg.Batch,
-		Workers:      cfg.Workers,
-		Byzantine:    cfg.Byzantine,
-		Unresponsive: cfg.Unresponsive,
-		Seed:         cfg.Seed,
-		Async:        cfg.Async,
-	}
-}
-
 // runTCPClusterWorker is the worker main loop: dial, then model→gradient
-// until the server hangs up. Under a churn schedule the worker evaluates
-// the same seeded draws as the server: on a scheduled crash it tears the
-// socket down without a goodbye, dials back through the bounded backoff
-// ladder, and opens the fresh connection with a rejoin handshake the server
-// holds until the scheduled rejoin round.
+// until the server hangs up. Under a churn schedule the worker evaluates the same
+// seeded draws as the server: on a scheduled crash it tears the socket down
+// without a goodbye, dials back through the bounded backoff ladder, and
+// opens the fresh connection with a rejoin handshake the server holds until
+// the scheduled rejoin round.
 func runTCPClusterWorker(addr string, id int, cfg *TCPClusterConfig) error {
 	conn, err := transport.DialTCP(addr, cfg.Codec)
 	if err != nil {
 		return err
 	}
 	defer func() { conn.Close() }()
-	w, err := newClusterWorker(id, cfg.workerSpec())
+	sc := cfg.socket()
+	w, err := newClusterWorker(id, &sc)
 	if err != nil {
 		return err
 	}

@@ -33,7 +33,7 @@ func TestUDPClusterChurnByzantineMatrix(t *testing.T) {
 	participants := make([]int, steps)
 	for s := 0; s < steps; s++ {
 		for w := 0; w < workers; w++ {
-			if churnParticipates(churn.Phase(seed, s, w)) {
+			if churn.Phase(seed, s, w).Participates() {
 				participants[s]++
 			}
 		}

@@ -432,7 +432,7 @@ func TestUDPClusterSurvivesGradientSpoofCensorship(t *testing.T) {
 			t.Fatalf("step %d: spoofed loss metadata leaked into the round mean (%v)", step, sr.Loss)
 		}
 	}
-	if ev := cl.recv.Reassembler().Evictions(); ev == 0 {
+	if ev := cl.eng.Evictions(); ev == 0 {
 		t.Fatal("no evictions recorded; the spoofs never raced the honest packets and the test lost its teeth")
 	}
 }

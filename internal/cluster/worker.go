@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
 
 	"aggregathor/internal/attack"
@@ -12,28 +11,11 @@ import (
 	"aggregathor/internal/transport"
 )
 
-// workerSpec is the backend-independent description of one cluster worker:
-// everything a node needs to turn a model broadcast into a wire submission,
-// regardless of whether that submission then travels a TCP stream or a burst
-// of UDP datagrams. Both socket backends derive it from their configs so the
-// gradient streams — and therefore the trajectories — are identical across
-// transports.
-type workerSpec struct {
-	ModelFactory func() *nn.Network
-	Train        *data.Dataset
-	Batch        int
-	Workers      int
-	Byzantine    map[int]string
-	Unresponsive map[int]bool
-	Seed         int64
-	Async        ps.AsyncConfig
-}
-
 // clusterWorker is one worker node's state: its model replica, seeded
 // sampler, attack RNG, and — for Byzantine workers — the omniscient oracle.
 type clusterWorker struct {
 	id      int
-	spec    workerSpec
+	cfg     *socketConfig
 	replica *nn.Network
 	sampler data.Sampler
 	rng     *rand.Rand
@@ -57,10 +39,13 @@ type clusterWorker struct {
 	hist []tensor.Vector
 }
 
-func newClusterWorker(id int, spec workerSpec) (*clusterWorker, error) {
+// newClusterWorker builds worker id's node from the deployment description
+// shared by both socket backends, so the gradient streams — and therefore
+// the trajectories — are identical across transports.
+func newClusterWorker(id int, spec *socketConfig) (*clusterWorker, error) {
 	w := &clusterWorker{
 		id:      id,
-		spec:    spec,
+		cfg:     spec,
 		replica: spec.ModelFactory(),
 		sampler: data.NewUniformSampler(spec.Train, ps.SamplerSeed(spec.Seed, id)),
 		rng:     rand.New(rand.NewSource(ps.AttackSeed(spec.Seed, id))),
@@ -92,14 +77,14 @@ func newClusterWorker(id int, spec workerSpec) (*clusterWorker, error) {
 // attack.Context the in-process backend builds.
 func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.GradientMsg {
 	w.replica.SetParamsVector(model.Params)
-	x, y := w.sampler.Sample(w.spec.Batch)
+	x, y := w.sampler.Sample(w.cfg.Batch)
 	loss, grad := w.replica.Gradient(x, y)
 	if w.atk != nil {
 		var honest []tensor.Vector
 		if len(w.peers) > 0 {
 			w.peerReplica.SetParamsVector(model.Params)
 			for _, p := range w.peers {
-				px, py := w.peerSamplers[p].Sample(w.spec.Batch)
+				px, py := w.peerSamplers[p].Sample(w.cfg.Batch)
 				_, pg := w.peerReplica.Gradient(px, py)
 				honest = append(honest, pg.Clone())
 			}
@@ -108,8 +93,8 @@ func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.Gradien
 			Step:   model.Step,
 			Honest: honest,
 			Own:    grad,
-			N:      w.spec.Workers,
-			F:      len(w.spec.Byzantine),
+			N:      w.cfg.Workers,
+			F:      len(w.cfg.Byzantine),
 			Dim:    grad.Dim(),
 			Rng:    w.rng,
 		})
@@ -129,10 +114,10 @@ func (w *clusterWorker) roundSubmission(model *transport.ModelMsg) *transport.Gr
 	if w.hist != nil {
 		w.hist[model.Step%len(w.hist)] = model.Params.Clone()
 	}
-	if !w.spec.Async.Enabled() {
+	if !w.cfg.Async.Enabled() {
 		return w.submission(model)
 	}
-	tag := w.spec.Async.ExpectedTag(w.spec.Seed, model.Step, w.id)
+	tag := w.cfg.Async.ExpectedTag(w.cfg.Seed, model.Step, w.id)
 	switch {
 	case tag < 0:
 		return nil
@@ -141,27 +126,4 @@ func (w *clusterWorker) roundSubmission(model *transport.ModelMsg) *transport.Gr
 	default:
 		return w.submission(&transport.ModelMsg{Step: tag, Params: w.hist[tag%len(w.hist)]})
 	}
-}
-
-// rejectInformedWithSlow enforces the informed-attack × slow-schedule
-// incompatibility at cluster construction: an informed attack recomputes the
-// honest workers' gradients from the broadcast model, which assumes every
-// peer trained fresh — a slow-worker schedule breaks that oracle (mirroring
-// the informed × lossy-model-broadcast rule on the UDP backend).
-func rejectInformedWithSlow(byzantine map[int]string, async ps.AsyncConfig) error {
-	if async.SlowRate <= 0 {
-		return nil
-	}
-	for _, id := range sortedIDs(byzantine) {
-		name := byzantine[id]
-		atk, err := attack.New(name)
-		if err != nil {
-			continue // reported by the caller's own attack validation
-		}
-		if inf, ok := atk.(attack.Informed); ok && inf.RequiresHonest() {
-			return fmt.Errorf("cluster: attack %q on worker %d (slowRate %v): %w",
-				name, id, async.SlowRate, ps.ErrInformedSlow)
-		}
-	}
-	return nil
 }

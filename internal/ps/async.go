@@ -99,8 +99,8 @@ func (a AsyncConfig) ExpectedTag(runSeed int64, step, worker int) int {
 	return step - lag
 }
 
-// Admission classifies one gradient arrival against the quorum tracker's
-// expectations.
+// Admission classifies one gradient arrival against the round plan (see
+// Round.Offer).
 type Admission int
 
 const (
@@ -109,16 +109,23 @@ const (
 	// AdmitStale admits a gradient tagged within the staleness bound, as
 	// scheduled for that worker.
 	AdmitStale
-	// RejectDuplicate rejects a second arrival for an already-admitted slot.
+	// RejectDuplicate rejects an arrival for a slot that is already settled.
 	RejectDuplicate
 	// RejectTooStale rejects a tag older than the staleness bound.
 	RejectTooStale
 	// RejectWrongTag rejects a tag inside the staleness window that does not
-	// match the worker's scheduled tag (or any future tag).
+	// match the worker's scheduled tag (or any future tag), and any tag for
+	// a slot the schedules took out of the round.
 	RejectWrongTag
 	// RejectUnknownWorker rejects a worker id outside [0, n).
 	RejectUnknownWorker
+	// RejectMalformed rejects a packet claiming a gradient dimension other
+	// than the model's.
+	RejectMalformed
 )
+
+// Admitted reports whether the verdict let the arrival into the round.
+func (a Admission) Admitted() bool { return a == AdmitFresh || a == AdmitStale }
 
 // String renders the admission verdict for diagnostics.
 func (a Admission) String() string {
@@ -135,88 +142,9 @@ func (a Admission) String() string {
 		return "reject-wrong-tag"
 	case RejectUnknownWorker:
 		return "reject-unknown-worker"
+	case RejectMalformed:
+		return "reject-malformed"
 	default:
 		return fmt.Sprintf("admission(%d)", int(a))
 	}
-}
-
-// QuorumTracker drives staleness admission for one asynchronous round. It is
-// constructed from the schedule's expected tag per worker (-1 = scheduled
-// too-stale, the slot will never fill) and admits arrivals one at a time;
-// the round may aggregate once QuorumMet and stops waiting once Settled.
-// The tracker is deliberately free of I/O so arbitrary arrival sequences can
-// be fuzzed against its invariants.
-type QuorumTracker struct {
-	step      int
-	staleness int
-	quorum    int
-	expect    []int
-	admitted  []bool
-
-	admittedCount int
-	admittedStale int
-	droppedStale  int
-}
-
-// NewQuorumTracker builds the tracker for one round. expect holds the
-// scheduled step tag per worker (from AsyncConfig.ExpectedTag); slots whose
-// tag is -1 are counted dropped-too-stale immediately — the schedule says
-// their gradients would breach the staleness bound, so the server never
-// waits for them.
-func NewQuorumTracker(step int, expect []int, quorum, staleness int) *QuorumTracker {
-	t := &QuorumTracker{
-		step:      step,
-		staleness: staleness,
-		quorum:    quorum,
-		expect:    expect,
-		admitted:  make([]bool, len(expect)),
-	}
-	for _, tag := range expect {
-		if tag < 0 {
-			t.droppedStale++
-		}
-	}
-	return t
-}
-
-// Admit classifies one (worker, tag) arrival. Only AdmitFresh and AdmitStale
-// mutate the tracker; every rejection leaves it unchanged.
-func (t *QuorumTracker) Admit(worker, tag int) Admission {
-	if worker < 0 || worker >= len(t.expect) {
-		return RejectUnknownWorker
-	}
-	if t.admitted[worker] {
-		return RejectDuplicate
-	}
-	if tag < t.step-t.staleness {
-		return RejectTooStale
-	}
-	if tag != t.expect[worker] {
-		return RejectWrongTag
-	}
-	t.admitted[worker] = true
-	t.admittedCount++
-	if tag == t.step {
-		return AdmitFresh
-	}
-	t.admittedStale++
-	return AdmitStale
-}
-
-// Admitted reports how many slots have been admitted so far.
-func (t *QuorumTracker) Admitted() int { return t.admittedCount }
-
-// AdmittedStale reports how many admitted slots carried an older tag.
-func (t *QuorumTracker) AdmittedStale() int { return t.admittedStale }
-
-// DroppedStale reports how many slots the schedule dropped as too stale.
-func (t *QuorumTracker) DroppedStale() int { return t.droppedStale }
-
-// QuorumMet reports whether enough slots are admitted to aggregate.
-func (t *QuorumTracker) QuorumMet() bool { return t.admittedCount >= t.quorum }
-
-// Settled reports whether every slot that can still arrive has been
-// admitted — the round has nothing left to wait for.
-func (t *QuorumTracker) Settled() bool {
-	return t.admittedCount+t.droppedStale == len(t.expect)
 }

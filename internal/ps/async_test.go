@@ -107,57 +107,6 @@ func TestAsyncSchedulePureFunction(t *testing.T) {
 	}
 }
 
-// TestQuorumTrackerAdmission scripts one round against the tracker: every
-// verdict in the Admission enum, the quorum transition, and settlement.
-func TestQuorumTrackerAdmission(t *testing.T) {
-	// step 5, τ=2: expected tags one fresh, one lag-1, one lag-2, one
-	// scheduled drop, one fresh.
-	expect := []int{5, 4, 3, -1, 5}
-	tr := NewQuorumTracker(5, expect, 3, 2)
-	if tr.DroppedStale() != 1 {
-		t.Fatalf("construction counted %d dropped slots, want 1", tr.DroppedStale())
-	}
-	if tr.QuorumMet() || tr.Settled() {
-		t.Fatal("empty tracker reports quorum met or settled")
-	}
-	steps := []struct {
-		worker, tag int
-		want        Admission
-	}{
-		{0, 5, AdmitFresh},
-		{0, 5, RejectDuplicate},
-		{1, 4, AdmitStale},
-		{2, 2, RejectTooStale},  // 2 < step-τ = 3
-		{2, 4, RejectWrongTag},  // in-window but not worker 2's scheduled tag
-		{3, 5, RejectWrongTag},  // scheduled-dropped slot never admits
-		{-1, 5, RejectUnknownWorker},
-		{5, 5, RejectUnknownWorker},
-		{2, 3, AdmitStale},
-		{4, 5, AdmitFresh},
-	}
-	for i, s := range steps {
-		if got := tr.Admit(s.worker, s.tag); got != s.want {
-			t.Fatalf("arrival %d (worker %d, tag %d): verdict %v, want %v", i, s.worker, s.tag, got, s.want)
-		}
-	}
-	if tr.Admitted() != 4 || tr.AdmittedStale() != 2 || tr.DroppedStale() != 1 {
-		t.Fatalf("counters admitted=%d stale=%d dropped=%d, want 4/2/1",
-			tr.Admitted(), tr.AdmittedStale(), tr.DroppedStale())
-	}
-	if !tr.QuorumMet() {
-		t.Fatal("4 admitted >= quorum 3 but QuorumMet is false")
-	}
-	if !tr.Settled() {
-		t.Fatal("every fillable slot admitted but Settled is false")
-	}
-	for _, a := range []Admission{AdmitFresh, AdmitStale, RejectDuplicate,
-		RejectTooStale, RejectWrongTag, RejectUnknownWorker, Admission(42)} {
-		if a.String() == "" {
-			t.Fatalf("Admission(%d) renders empty", int(a))
-		}
-	}
-}
-
 // TestAsyncLockstepBitIdentical is the parity half of the tentpole contract:
 // an async configuration demanding every slot fresh (Quorum = n, τ = 0, no
 // slow schedule) must walk exactly the plain cluster's trajectory, round by
@@ -318,117 +267,4 @@ func TestAsyncInformedAttackRejected(t *testing.T) {
 	if err := build(AsyncConfig{}); err != nil {
 		t.Fatalf("informed attack rejected in lockstep: %v", err)
 	}
-}
-
-// FuzzQuorumAdmission fuzzes arbitrary arrival sequences against the
-// tracker's invariants: no double admission, no admission outside the
-// staleness window or off the scheduled tag, rejections never mutate state,
-// and the quorum/settlement/counter readouts stay consistent with the
-// verdicts it handed out.
-func FuzzQuorumAdmission(f *testing.F) {
-	f.Add([]byte{6, 2, 9, 4, 0, 1, 2, 3, 9, 9, 0, 9, 1, 8, 2, 7, 5, 9})
-	f.Add([]byte{1, 0, 0, 1, 0, 0, 0})
-	f.Add([]byte{15, 3, 19, 16, 0, 1, 2, 3, 4, 4, 3, 2, 1, 0, 200, 0, 7, 19})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
-		}
-		n := int(data[0]%16) + 1
-		staleness := int(data[1] % 4)
-		step := int(data[2] % 24)
-		quorum := int(data[3]) % (n + 1)
-		data = data[4:]
-		if len(data) < n {
-			return
-		}
-		// Expected tags in the shape the schedule produces: step-lag for an
-		// admissible lag (clamped to the steps that exist), -1 for a
-		// scheduled drop.
-		expect := make([]int, n)
-		wantDropped := 0
-		for i := 0; i < n; i++ {
-			lag := int(data[i]) % (staleness + 2)
-			if lag > step {
-				lag = step
-			}
-			if lag > staleness {
-				expect[i] = -1
-				wantDropped++
-			} else {
-				expect[i] = step - lag
-			}
-		}
-		data = data[n:]
-
-		tr := NewQuorumTracker(step, expect, quorum, staleness)
-		if tr.DroppedStale() != wantDropped {
-			t.Fatalf("construction: dropped %d, schedule has %d negative tags", tr.DroppedStale(), wantDropped)
-		}
-		admitted := make([]bool, n)
-		admitCount, staleCount := 0, 0
-		for len(data) >= 2 {
-			worker := int(data[0]) - 2 // exercise out-of-range ids on both sides
-			tag := step - 4 + int(data[1]%10)
-			data = data[2:]
-			before := tr.Admitted()
-			v := tr.Admit(worker, tag)
-			switch v {
-			case AdmitFresh, AdmitStale:
-				if worker < 0 || worker >= n {
-					t.Fatalf("admitted out-of-range worker %d", worker)
-				}
-				if admitted[worker] {
-					t.Fatalf("worker %d admitted twice", worker)
-				}
-				if tag != expect[worker] {
-					t.Fatalf("worker %d admitted with tag %d, scheduled %d", worker, tag, expect[worker])
-				}
-				if tag < step-staleness {
-					t.Fatalf("admitted tag %d beyond the staleness bound (step %d, τ %d)", tag, step, staleness)
-				}
-				if (v == AdmitFresh) != (tag == step) {
-					t.Fatalf("verdict %v for tag %d at step %d", v, tag, step)
-				}
-				admitted[worker] = true
-				admitCount++
-				if v == AdmitStale {
-					staleCount++
-				}
-				if tr.Admitted() != before+1 {
-					t.Fatalf("admission did not increment the count: %d -> %d", before, tr.Admitted())
-				}
-			case RejectDuplicate:
-				if worker < 0 || worker >= n || !admitted[worker] {
-					t.Fatalf("duplicate verdict for never-admitted worker %d", worker)
-				}
-			case RejectUnknownWorker:
-				if worker >= 0 && worker < n {
-					t.Fatalf("in-range worker %d rejected as unknown", worker)
-				}
-			case RejectTooStale:
-				if tag >= step-staleness {
-					t.Fatalf("in-window tag %d rejected as too stale (step %d, τ %d)", tag, step, staleness)
-				}
-			case RejectWrongTag:
-				if worker < 0 || worker >= n || tag == expect[worker] {
-					t.Fatalf("scheduled tag %d for worker %d rejected as wrong", tag, worker)
-				}
-			default:
-				t.Fatalf("unknown verdict %v", v)
-			}
-			if v != AdmitFresh && v != AdmitStale && tr.Admitted() != before {
-				t.Fatalf("rejection %v mutated the tracker", v)
-			}
-			if tr.QuorumMet() != (admitCount >= quorum) {
-				t.Fatalf("QuorumMet %v with %d admitted against quorum %d", tr.QuorumMet(), admitCount, quorum)
-			}
-			if tr.Settled() != (admitCount+wantDropped == n) {
-				t.Fatalf("Settled %v with %d admitted + %d dropped of %d slots", tr.Settled(), admitCount, wantDropped, n)
-			}
-		}
-		if tr.Admitted() != admitCount || tr.AdmittedStale() != staleCount || tr.DroppedStale() != wantDropped {
-			t.Fatalf("final counters %d/%d/%d, verdicts say %d/%d/%d",
-				tr.Admitted(), tr.AdmittedStale(), tr.DroppedStale(), admitCount, staleCount, wantDropped)
-		}
-	})
 }

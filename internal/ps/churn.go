@@ -93,6 +93,12 @@ const (
 	ChurnRejoin
 )
 
+// Participates reports whether a worker in this phase submits a gradient
+// this round (live or rejoining). Crashed and down workers' slots are
+// dropped by design: never awaited, never recouped — the churn twin of the
+// async schedule's too-stale drop.
+func (p ChurnPhase) Participates() bool { return p == ChurnLive || p == ChurnRejoin }
+
 func (p ChurnPhase) String() string {
 	switch p {
 	case ChurnLive:
@@ -174,7 +180,7 @@ func (c ChurnConfig) Permanent(runSeed int64, step, worker int) bool {
 }
 
 // RejoinVerdict is the typed outcome of one rejoin handshake offered to the
-// MembershipTracker — the membership twin of the quorum tracker's Admission.
+// MembershipTracker — the membership twin of Admission.
 type RejoinVerdict int
 
 const (
@@ -217,12 +223,12 @@ func (v RejoinVerdict) String() string {
 	}
 }
 
-// MembershipTracker is the server-side state machine for the churn schedule
-// — the membership twin of QuorumTracker. It is pure and I/O-free: the
-// server calls BeginRound once per round to advance the schedule and learn
-// each worker's phase, offers rejoin handshakes to Admit for a typed
-// verdict, and reads the per-round and run-total counters that flow into
-// StepResult and campaign JSON. Only admissions mutate admission state;
+// MembershipTracker is the server-side state machine for the churn schedule,
+// driven by the round engine. It is pure and I/O-free: the engine calls
+// BeginRound once per round to advance the schedule and learn each worker's
+// phase, offers rejoin handshakes to Admit for a typed verdict, and reads
+// the per-round and run-total counters that flow into StepResult and
+// campaign JSON. Only admissions mutate admission state;
 // rejected handshakes leave the tracker untouched.
 type MembershipTracker struct {
 	cfg  ChurnConfig
@@ -336,8 +342,8 @@ func (t *MembershipTracker) Admit(worker, step, attempts int) RejoinVerdict {
 // against.
 func (t *MembershipTracker) Live() int {
 	live := 0
-	for w := 0; w < t.n; w++ {
-		if t.phases[w] == ChurnLive || t.phases[w] == ChurnRejoin {
+	for _, p := range t.phases {
+		if p.Participates() {
 			live++
 		}
 	}

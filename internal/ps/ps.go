@@ -96,16 +96,15 @@ type Config struct {
 	Async AsyncConfig
 }
 
-// Cluster is an assembled synchronous training deployment.
+// Cluster is an assembled synchronous training deployment: the round engine
+// plus the in-process workers — their replicas, attack RNGs and links.
 type Cluster struct {
+	*Server
 	cfg      Config
-	server   *nn.Network // parameter authority + evaluation replica
-	params   tensor.Vector
+	eng      *Engine
 	replicas []*nn.Network
 	rngs     []*rand.Rand
-	ws       *gar.Workspace // per-trainer aggregation scratch arena
 	history  []tensor.Vector // model snapshots per round, ring of τ+1 (async)
-	step     int
 	hijacked bool
 }
 
@@ -193,11 +192,18 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	c := &Cluster{cfg: cfg, server: cfg.ModelFactory(), ws: gar.NewWorkspace()}
+	byzantine := make([]bool, len(cfg.Workers))
+	for i, w := range cfg.Workers {
+		byzantine[i] = w.Attack != nil
+	}
+	eng := NewEngine(EngineConfig{
+		Model: cfg.ModelFactory(), Workers: len(cfg.Workers), GAR: cfg.GAR, Optimizer: cfg.Optimizer,
+		L1: cfg.L1, L2: cfg.L2, Seed: cfg.Seed, Byzantine: byzantine, Async: cfg.Async,
+	})
+	c := &Cluster{Server: &eng.Server, cfg: cfg, eng: eng}
 	if cfg.Async.Enabled() && cfg.Async.Staleness > 0 {
 		c.history = make([]tensor.Vector, cfg.Async.Staleness+1)
 	}
-	c.params = c.server.ParamsVector()
 	c.replicas = make([]*nn.Network, len(cfg.Workers))
 	c.rngs = make([]*rand.Rand, len(cfg.Workers))
 	for i, w := range cfg.Workers {
@@ -205,23 +211,111 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("ps: worker %d has no sampler and no attack", i)
 		}
 		c.replicas[i] = cfg.ModelFactory()
-		if c.replicas[i].NumParams() != c.server.NumParams() {
+		if c.replicas[i].NumParams() != c.net.NumParams() {
 			return nil, fmt.Errorf("ps: worker %d replica dimension %d != server %d",
-				i, c.replicas[i].NumParams(), c.server.NumParams())
+				i, c.replicas[i].NumParams(), c.net.NumParams())
 		}
 		c.rngs[i] = rand.New(rand.NewSource(w.Seed + int64(i)*7919))
 	}
 	return c, nil
 }
 
-// Step runs one synchronous round.
+// Step runs one synchronous round: the workers compute and forge, every
+// submission traverses its link, and the round engine settles, aggregates
+// and descends.
 func (c *Cluster) Step() (*StepResult, error) {
 	n := len(c.cfg.Workers)
-	res := &StepResult{Step: c.step}
+	hijacked := c.hijackPhase()
+	round := c.eng.Begin()
+	step := round.Step()
+	// Retain the round's broadcast model so workers the slow schedule marks
+	// stale in later rounds can train on it.
+	if len(c.history) > 0 {
+		c.history[step%len(c.history)] = c.params.Clone()
+	}
 
-	// Hijack phase: in Vanilla mode a Byzantine worker's remote write
-	// lands before aggregation even starts (this is how the TensorFlow
-	// distributed example shares parameters).
+	// Broadcast + honest compute phase (parallel, one goroutine per
+	// worker, each on its own replica). round.Tag is the worker's half of
+	// the shared schedule: the current step when fresh, an older one to
+	// train on the retained model, -1 to sit the round out.
+	honest := make([]tensor.Vector, n)
+	losses := make([]float64, n)
+	var wg sync.WaitGroup
+	for i := range c.cfg.Workers {
+		w := &c.cfg.Workers[i]
+		if w.Silent || w.Sampler == nil || round.Tag(i) < 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			params := c.params
+			if tag := round.Tag(i); tag < step {
+				params = c.history[tag%len(c.history)]
+			}
+			c.replicas[i].SetParamsVector(params)
+			x, y := c.cfg.Workers[i].Sampler.Sample(c.cfg.Batch)
+			loss, grad := c.replicas[i].Gradient(x, y)
+			honest[i], losses[i] = grad.Clone(), loss
+		}(i)
+	}
+	wg.Wait()
+
+	// Forge phase: Byzantine workers see every correct gradient (§3.1's
+	// omniscient adversary) before crafting their submission.
+	var correct []tensor.Vector
+	byzCount := 0
+	for i, w := range c.cfg.Workers {
+		if w.Attack != nil {
+			byzCount++
+		} else if honest[i] != nil {
+			correct = append(correct, honest[i])
+		}
+	}
+	for i := range c.cfg.Workers {
+		w, tag := &c.cfg.Workers[i], round.Tag(i)
+		if w.Silent || tag < 0 {
+			continue
+		}
+		g := honest[i]
+		if w.Attack != nil {
+			g = w.Attack.Forge(&attack.Context{
+				Step: tag, Honest: correct, Own: honest[i],
+				N: n, F: byzCount, Dim: c.params.Dim(), Rng: c.rngs[i],
+			})
+		}
+		if g == nil {
+			continue
+		}
+		// Collection: the submission traverses its link. A worker's loss
+		// never travels the link, so it is noted even when the gradient is
+		// dropped whole.
+		pipe := w.Pipe
+		if pipe == nil {
+			pipe = transport.PerfectPipe{}
+		}
+		if out, ok := pipe.Transfer(&transport.GradientMsg{Worker: i, Step: tag, Grad: g}); !ok {
+			if honest[i] != nil {
+				round.NoteLoss(i, losses[i])
+			}
+		} else if v := round.Offer(i, out.Step, out.Grad, losses[i]); !v.Admitted() {
+			return nil, fmt.Errorf("ps: worker %d submission tagged %d at step %d: %v", i, out.Step, step, v)
+		}
+	}
+	res, err := round.Finish()
+	if err != nil {
+		return nil, err
+	}
+	res.Hijacked = hijacked
+	return res, nil
+}
+
+// hijackPhase is the Vanilla-mode vulnerability: a Byzantine worker's remote
+// write lands before aggregation even starts (this is how the TensorFlow
+// distributed example shares parameters). It reports whether any write
+// succeeded.
+func (c *Cluster) hijackPhase() bool {
+	hijacked := false
 	for i, w := range c.cfg.Workers {
 		if !w.HijackParams {
 			continue
@@ -231,171 +325,10 @@ func (c *Cluster) Step() (*StepResult, error) {
 			garbage[j] = c.rngs[i].NormFloat64() * 1e3
 		}
 		if err := c.RemoteAssign(garbage); err == nil {
-			res.Hijacked = true
+			hijacked = true
 		}
 	}
-
-	// Asynchronous schedule: resolve each worker's step tag for this round
-	// (c.step = fresh, older = train on the retained model and submit with
-	// that tag, -1 = the scheduled lag breaches τ and the worker sits the
-	// round out) and retain the round's broadcast model so stale workers of
-	// later rounds can train on it. Both sides of the socket backends
-	// evaluate the same schedule, so this loop is the single source of truth
-	// for which slots a round waits on.
-	var expect []int
-	if c.cfg.Async.Enabled() {
-		expect = make([]int, n)
-		for i := range expect {
-			expect[i] = c.cfg.Async.ExpectedTag(c.cfg.Seed, c.step, i)
-			if expect[i] < 0 {
-				res.DroppedStale++
-			}
-		}
-	}
-	if len(c.history) > 0 {
-		c.history[c.step%len(c.history)] = c.params.Clone()
-	}
-
-	// Broadcast + honest compute phase (parallel, one goroutine per
-	// worker, each on its own replica).
-	honest := make([]tensor.Vector, n)
-	losses := make([]float64, n)
-	hasLoss := make([]bool, n)
-	var wg sync.WaitGroup
-	for i := range c.cfg.Workers {
-		w := &c.cfg.Workers[i]
-		if w.Silent || w.Sampler == nil {
-			continue
-		}
-		if expect != nil && expect[i] < 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			replica := c.replicas[i]
-			params := c.params
-			if expect != nil && expect[i] < c.step {
-				params = c.history[expect[i]%len(c.history)]
-			}
-			replica.SetParamsVector(params)
-			x, y := c.cfg.Workers[i].Sampler.Sample(c.cfg.Batch)
-			loss, grad := replica.Gradient(x, y)
-			honest[i] = grad.Clone()
-			losses[i] = loss
-			hasLoss[i] = true
-		}(i)
-	}
-	wg.Wait()
-
-	// Forge phase: Byzantine workers see every correct gradient (§3.1's
-	// omniscient adversary) before crafting their submission.
-	var correct []tensor.Vector
-	for i, w := range c.cfg.Workers {
-		if w.Attack == nil && honest[i] != nil {
-			correct = append(correct, honest[i])
-		}
-	}
-	submissions := make([]*transport.GradientMsg, n)
-	byzCount := 0
-	for _, w := range c.cfg.Workers {
-		if w.Attack != nil {
-			byzCount++
-		}
-	}
-	for i := range c.cfg.Workers {
-		w := &c.cfg.Workers[i]
-		if w.Silent {
-			continue
-		}
-		tag := c.step
-		if expect != nil {
-			if expect[i] < 0 {
-				continue
-			}
-			tag = expect[i]
-		}
-		var g tensor.Vector
-		if w.Attack != nil {
-			g = w.Attack.Forge(&attack.Context{
-				Step:   tag,
-				Honest: correct,
-				Own:    honest[i],
-				N:      n,
-				F:      byzCount,
-				Dim:    c.params.Dim(),
-				Rng:    c.rngs[i],
-			})
-		} else {
-			g = honest[i]
-		}
-		if g == nil {
-			continue
-		}
-		submissions[i] = &transport.GradientMsg{Worker: i, Step: tag, Grad: g}
-	}
-
-	// Collection phase: every submission traverses its link.
-	var received []tensor.Vector
-	for i, msg := range submissions {
-		if msg == nil {
-			continue
-		}
-		pipe := c.cfg.Workers[i].Pipe
-		if pipe == nil {
-			pipe = transport.PerfectPipe{}
-		}
-		out, ok := pipe.Transfer(msg)
-		if !ok {
-			continue
-		}
-		if out.Step < c.step {
-			res.AdmittedStale++
-		}
-		received = append(received, out.Grad)
-	}
-	res.Received = len(received)
-
-	// Mean honest loss (diagnostic only; Byzantine losses are excluded).
-	var lossSum float64
-	var lossN int
-	for i := range losses {
-		if hasLoss[i] && c.cfg.Workers[i].Attack == nil {
-			lossSum += losses[i]
-			lossN++
-		}
-	}
-	if lossN > 0 {
-		res.Loss = lossSum / float64(lossN)
-	}
-
-	// Quorum gate: an asynchronous round whose survivor count falls below
-	// the scheduled quorum is skipped (the model is left unchanged) rather
-	// than waited on — stragglers never gate the round.
-	if c.cfg.Async.Enabled() && len(received) < c.cfg.Async.EffectiveQuorum(n) {
-		res.Skipped = true
-		c.step++
-		return res, nil
-	}
-
-	// Aggregation + descent phase. The workspace-backed kernels reuse the
-	// cluster's scratch arena, so the steady-state aggregation performs no
-	// heap allocations; agg aliases the workspace and is consumed (applied
-	// to the params) before the next round touches it.
-	agg, err := gar.AggregateInto(c.ws, c.cfg.GAR, received)
-	if err != nil {
-		if errors.Is(err, gar.ErrTooFewWorkers) || errors.Is(err, gar.ErrNoGradients) {
-			res.Skipped = true
-			c.step++
-			return res, nil
-		}
-		return nil, fmt.Errorf("ps: aggregation failed at step %d: %w", c.step, err)
-	}
-	opt.Regularize(agg, c.params, c.cfg.L1, c.cfg.L2)
-	c.cfg.Optimizer.Step(c.step, c.params, agg)
-	c.server.SetParamsVector(c.params)
-	c.step++
-	return res, nil
+	return hijacked
 }
 
 // RemoteAssign is the remote parameter-write RPC: a Vanilla server applies
@@ -407,33 +340,9 @@ func (c *Cluster) RemoteAssign(params tensor.Vector) error {
 	if params.Dim() != c.params.Dim() {
 		return fmt.Errorf("ps: remote assign dimension %d, want %d", params.Dim(), c.params.Dim())
 	}
-	copy(c.params, params)
-	c.server.SetParamsVector(c.params)
 	c.hijacked = true
-	return nil
+	return c.SetParams(params)
 }
-
-// Params returns a copy of the current model parameters.
-func (c *Cluster) Params() tensor.Vector { return c.params.Clone() }
-
-// SetParams overwrites the model parameters (checkpoint restore / warm
-// start). Unlike RemoteAssign this is a local trusted-operator action and is
-// permitted in any security mode.
-func (c *Cluster) SetParams(v tensor.Vector) error {
-	if v.Dim() != c.params.Dim() {
-		return fmt.Errorf("ps: SetParams dimension %d, want %d", v.Dim(), c.params.Dim())
-	}
-	copy(c.params, v)
-	c.server.SetParamsVector(c.params)
-	return nil
-}
-
-// Model returns the server's evaluation replica, synchronised with the
-// current parameters.
-func (c *Cluster) Model() *nn.Network { return c.server }
-
-// StepCount returns the number of rounds run so far.
-func (c *Cluster) StepCount() int { return c.step }
 
 // Hijacked reports whether any remote write has ever succeeded.
 func (c *Cluster) Hijacked() bool { return c.hijacked }

@@ -1,0 +1,438 @@
+package ps
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"aggregathor/internal/gar"
+	"aggregathor/internal/nn"
+	"aggregathor/internal/opt"
+	"aggregathor/internal/tensor"
+	"aggregathor/internal/transport"
+)
+
+// firstRule is a stub GAR that returns its first input: allocation-free, so
+// the engine's own allocations are all a test sees.
+type firstRule struct{}
+
+func (firstRule) Name() string { return "first" }
+func (firstRule) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
+	if len(grads) == 0 {
+		return nil, gar.ErrNoGradients
+	}
+	return grads[0], nil
+}
+
+// roundTestMTU fits three float64 coordinates per packet, so the 10-parameter
+// test model splits into four packets.
+var roundTestMTU = transport.Codec{}.MinMTU() + 16
+
+func roundTestEngine(cfg EngineConfig) *Engine {
+	cfg.Model = nn.NewMLP(4, nil, 2, rand.New(rand.NewSource(3)))
+	if cfg.GAR == nil {
+		cfg.GAR = firstRule{}
+	}
+	cfg.Optimizer = &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}}
+	return NewEngine(cfg)
+}
+
+func randomGrads(rng *rand.Rand, n, dim int) []tensor.Vector {
+	grads := make([]tensor.Vector, n)
+	for i := range grads {
+		grads[i] = tensor.NewVector(dim)
+		for j := range grads[i] {
+			grads[i][j] = rng.NormFloat64()
+		}
+	}
+	return grads
+}
+
+// TestRoundOfferOrderInvariance proves the id-slotting argument once, for
+// every backend: the order in which a round's submissions arrive — a race on
+// any real transport — cannot reach the result. Any permutation of the same
+// offers yields a bit-identical StepResult and parameter vector, including
+// under Average, whose floating-point sum is order-sensitive.
+func TestRoundOfferOrderInvariance(t *testing.T) {
+	const n, rounds = 7, 4
+	for _, rule := range []gar.GAR{gar.Average{}, gar.Median{}} {
+		run := func(permSeed int64) ([]*StepResult, tensor.Vector) {
+			e := roundTestEngine(EngineConfig{Workers: n, GAR: rule, Seed: 5,
+				Async: AsyncConfig{Quorum: 4, Staleness: 2, SlowRate: 0.3}})
+			gradRng := rand.New(rand.NewSource(11))
+			permRng := rand.New(rand.NewSource(permSeed))
+			var results []*StepResult
+			for s := 0; s < rounds; s++ {
+				grads := randomGrads(gradRng, n, e.params.Dim())
+				round := e.Begin()
+				for _, id := range permRng.Perm(n) {
+					if round.Tag(id) >= 0 {
+						round.Offer(id, round.Tag(id), grads[id], float64(id))
+					}
+				}
+				if round.Outstanding() != 0 {
+					t.Fatalf("step %d: %d slots outstanding after every scheduled offer", s, round.Outstanding())
+				}
+				res, err := round.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = append(results, res)
+			}
+			return results, e.Params()
+		}
+		wantRes, wantParams := run(0)
+		for perm := int64(1); perm <= 20; perm++ {
+			res, params := run(perm)
+			if !reflect.DeepEqual(res, wantRes) {
+				t.Fatalf("%s: permutation %d changed the step results", rule.Name(), perm)
+			}
+			for i := range params {
+				if math.Float64bits(params[i]) != math.Float64bits(wantParams[i]) {
+					t.Fatalf("%s: permutation %d changed parameter %d: %v vs %v", rule.Name(), perm, i, params[i], wantParams[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRoundSteadyStateAllocs pins the engine's scratch ownership: a
+// steady-state Begin → Offer×n → Finish allocates only the returned
+// StepResult, with and without scheduled loss on both links (drop masks,
+// recoup fills and whole-slot stand-ins all live in engine-owned scratch).
+// The evaluation replica's sync allocates inside nn (one slice per
+// parameterised layer); it is measured on its own and subtracted.
+func TestRoundSteadyStateAllocs(t *testing.T) {
+	const n = 9
+	for _, link := range []Link{{}, {MTU: roundTestMTU, GradLoss: 0.4, ModelLoss: 0.2, StaleModels: true}} {
+		e := roundTestEngine(EngineConfig{Workers: n, Seed: 7, Recoup: transport.FillRandom, Link: link})
+		grads := randomGrads(rand.New(rand.NewSource(1)), n, e.params.Dim())
+		recouped := 0
+		step := func() {
+			round := e.Begin()
+			for id := 0; id < n; id++ {
+				if v := round.Offer(id, round.Tag(id), grads[id], 1); v == RejectDuplicate {
+					recouped++ // every packet scheduled away: settled at Begin
+				}
+			}
+			if _, err := round.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			step() // warm-up: every slot has been wholly recouped at least once
+		}
+		if link.GradLoss > 0 && recouped == 0 {
+			t.Fatal("dead fixture: the lossy link never scheduled a whole slot away")
+		}
+		sync := testing.AllocsPerRun(100, func() { e.net.SetParamsVector(e.params) })
+		if allocs := testing.AllocsPerRun(100, step) - sync; allocs > 1 {
+			t.Errorf("link %+v: %v engine allocs per round, want <= 1 (the StepResult)", link, allocs)
+		}
+	}
+}
+
+// dropPipe loses every submission whole.
+type dropPipe struct{}
+
+func (dropPipe) Transfer(*transport.GradientMsg) (*transport.GradientMsg, bool) { return nil, false }
+
+// TestLossCountsWithoutGradientInProcessOnly pins a backend quirk the engine
+// keeps on purpose. In-process, a worker's loss never travels the link, so
+// it counts toward StepResult.Loss even when its Pipe dropped the gradient
+// (NoteLoss); a socket backend learns a loss only from metadata that
+// arrived, so a slot nothing arrived for contributes none.
+func TestLossCountsWithoutGradientInProcessOnly(t *testing.T) {
+	train, _, factory := testFixture(9)
+	build := func(pipe transport.Pipe) *Cluster {
+		workers := honestWorkers(train, 3)
+		workers[2].Pipe = pipe
+		c, err := New(Config{ModelFactory: factory, Workers: workers, GAR: gar.Average{},
+			Optimizer: &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}}, Batch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	whole, err := build(nil).Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped, err := build(dropPipe{}).Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Received != 3 || dropped.Received != 2 {
+		t.Fatalf("received %d and %d gradients, want 3 and 2", whole.Received, dropped.Received)
+	}
+	if dropped.Loss != whole.Loss {
+		t.Fatalf("in-process loss mean %v with a dropped gradient, want all three workers' mean %v", dropped.Loss, whole.Loss)
+	}
+
+	// The socket contract, at the engine: worker 2 is never heard from.
+	e := roundTestEngine(EngineConfig{Workers: 3, Seed: 1})
+	round := e.Begin()
+	g := tensor.NewVector(e.params.Dim())
+	round.Offer(0, 0, g, 1)
+	round.Offer(1, 0, g, 2)
+	round.Expire()
+	res, err := round.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Loss != 1.5 || res.Received != 2 {
+		t.Fatalf("loss %v over %d gradients, want 1.5 over 2 (the silent slot has no loss)", res.Loss, res.Received)
+	}
+}
+
+// roundSnapshot captures everything an offer may change.
+func roundSnapshot(r *Round) string {
+	return fmt.Sprint(r.e.slots, r.e.asm.Pending())
+}
+
+// FuzzRound drives arbitrary arrival sequences — whole gradients, single
+// packets, disconnects, deadlines — against plans drawn from every schedule
+// the engine knows, and checks the settlement invariants: rejections never
+// mutate the round, Outstanding only shrinks, every slot ends settled in a
+// way the schedules allow, and the counters equal an independent evaluation
+// of the seeded schedules.
+func FuzzRound(f *testing.F) {
+	f.Add([]byte{6, 0, 0, 9, 3, 0, 1, 0, 1, 1, 0, 2, 2, 0, 0, 9, 0})
+	f.Add([]byte{5, 1, 2, 7, 3, 0, 0, 1, 1, 0, 9, 2, 1, 0, 3, 3, 2, 4, 0, 1})
+	f.Add([]byte{7, 2, 1, 3, 4, 1, 0, 0, 1, 2, 0, 2, 1, 3, 3, 0, 5, 0, 6, 2})
+	f.Add([]byte{4, 3, 2, 5, 3, 1, 1, 0, 1, 0, 2, 1, 1, 1, 3, 0, 2, 2, 1, 3})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 5 {
+			return
+		}
+		n := int(in[0]%8) + 1
+		cfg := EngineConfig{Workers: n, Seed: int64(in[3]), Recoup: transport.RecoupPolicy(in[2] % 3)}
+		link := Link{MTU: roundTestMTU}
+		switch in[1] % 4 {
+		case 1:
+			cfg.Async = AsyncConfig{Quorum: n/2 + 1, Staleness: 2, SlowRate: 0.4}
+		case 2:
+			cfg.Churn = ChurnConfig{Rate: 0.3, DownSteps: 1 + int(in[2]%2), MaxRejoins: 2}
+		case 3:
+			link.ModelLoss, link.StaleModels = 0.3, in[2]%2 == 0
+		}
+		if in[1]&4 != 0 {
+			link.GradLoss = 0.3
+		}
+		cfg.Link = link
+		rounds := int(in[4]%4) + 1
+		in = in[5:]
+
+		e := roundTestEngine(cfg)
+		dim := e.params.Dim()
+		pkts := link.Codec.PacketsPerTransfer(dim, link.MTU)
+		grad := randomGrads(rand.New(rand.NewSource(2)), 1, dim)[0]
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		lastComplete := make([]int, n)
+		for id := range lastComplete {
+			lastComplete[id] = -1
+		}
+		for step := 0; step < rounds; step++ {
+			// Independent evaluation of the schedules for this step.
+			wantTag := make([]int, n)
+			var wantDropped, wantCrashes, wantRejoins int
+			for id := range wantTag {
+				wantTag[id] = step
+				switch phase := cfg.Churn.Phase(cfg.Seed, step, id); {
+				case phase == ChurnCrash:
+					wantCrashes++
+					wantTag[id] = -1
+				case phase == ChurnDown:
+					wantTag[id] = -1
+				case phase == ChurnRejoin:
+					wantRejoins++
+				}
+				if cfg.Async.Enabled() {
+					if wantTag[id] = cfg.Async.ExpectedTag(cfg.Seed, step, id); wantTag[id] < 0 {
+						wantDropped++
+					}
+				}
+				if mask := DownlinkDrops(rng, make([]bool, pkts), cfg.Seed, step, id, link.ModelLoss); mask != nil {
+					switch surv := transport.CountSurvivors(mask, pkts); {
+					case surv == pkts:
+						lastComplete[id] = step
+					case surv > 0 && link.StaleModels && lastComplete[id] >= 0:
+						wantTag[id] = lastComplete[id]
+					default:
+						wantTag[id] = -1
+					}
+				}
+			}
+
+			round := e.Begin()
+			round.AdmitRejoins()
+			for id := range wantTag {
+				if round.Tag(id) != wantTag[id] {
+					t.Fatalf("step %d: slot %d plans tag %d, schedules say %d", step, id, round.Tag(id), wantTag[id])
+				}
+			}
+			outstanding := round.Outstanding()
+			for ; len(in) >= 3 && in[0] != 0xff; in = in[3:] {
+				id := int(in[1]) - 1 // exercise out-of-range ids on both sides
+				tag := step - 3 + int(in[2]%6)
+				before := roundSnapshot(round)
+				var v Admission
+				switch in[0] % 4 {
+				case 0:
+					v = round.Offer(id, tag, grad, 1)
+				case 1:
+					pkt := link.Codec.Split(&transport.GradientMsg{Worker: id, Step: tag, Loss: 1, Grad: grad}, link.MTU)[int(in[2])%pkts]
+					v = round.OfferPacket(&pkt)
+				case 2:
+					if id >= 0 && id < n {
+						round.Disconnected(id)
+					}
+					v = AdmitFresh // not an offer: exempt from the rejection check
+				case 3:
+					round.Expire()
+					v = AdmitFresh
+				}
+				if !v.Admitted() && roundSnapshot(round) != before {
+					t.Fatalf("step %d: rejection %v of (%d, %d) mutated the round", step, v, id, tag)
+				}
+				inRange := id >= 0 && id < n
+				switch {
+				case in[0]%4 >= 2:
+				case v.Admitted():
+					if !inRange || tag != wantTag[id] || (v == AdmitFresh) != (tag == step) {
+						t.Fatalf("step %d: %v for (%d, %d), scheduled tags %v", step, v, id, tag, wantTag)
+					}
+				case v == RejectUnknownWorker:
+					if inRange {
+						t.Fatalf("step %d: in-range worker %d rejected as unknown", step, id)
+					}
+				case v == RejectDuplicate:
+					if !inRange || tag != wantTag[id] {
+						t.Fatalf("step %d: duplicate verdict for (%d, %d), scheduled tags %v", step, id, tag, wantTag)
+					}
+				case v == RejectTooStale:
+					if tag >= step-cfg.Async.Staleness {
+						t.Fatalf("step %d: in-window tag %d rejected as too stale", step, tag)
+					}
+				case v == RejectWrongTag:
+					if inRange && tag == wantTag[id] && tag >= 0 {
+						t.Fatalf("step %d: scheduled tag %d of worker %d rejected as wrong", step, tag, id)
+					}
+				default:
+					t.Fatalf("step %d: unexpected verdict %v", step, v)
+				}
+				if now := round.Outstanding(); now > outstanding {
+					t.Fatalf("step %d: Outstanding grew from %d to %d", step, outstanding, now)
+				} else {
+					outstanding = now
+				}
+			}
+			if len(in) > 0 {
+				in = in[1:] // the round separator
+			}
+			if round.Outstanding() > 0 {
+				round.Expire()
+			}
+			res, err := round.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Step != step || res.DroppedStale != wantDropped || res.Crashes != wantCrashes || res.Rejoins != wantRejoins {
+				t.Fatalf("step %d: counters %+v, schedules say dropped=%d crashes=%d rejoins=%d", step, res, wantDropped, wantCrashes, wantRejoins)
+			}
+			filled, stale := 0, 0
+			for id := range e.slots {
+				s := e.slots[id].state
+				scheduledOut := wantTag[id] < 0 && link.ModelLoss == 0
+				switch {
+				case s == slotOpen:
+					t.Fatalf("step %d: slot %d still open after Finish", step, id)
+				case scheduledOut && s != slotEmpty:
+					t.Fatalf("step %d: slot %d is scheduled out but ended in state %d", step, id, s)
+				case !scheduledOut && s == slotEmpty && cfg.Recoup != transport.DropGradient:
+					t.Fatalf("step %d: slot %d ended empty under recoup policy %v", step, id, cfg.Recoup)
+				case s == slotRecouped && cfg.Recoup == transport.DropGradient:
+					t.Fatalf("step %d: slot %d recouped under DropGradient", step, id)
+				case s == slotGot && wantTag[id] != step:
+					stale++
+				}
+				if s == slotGot || s == slotRecouped {
+					filled++
+				}
+			}
+			if res.Received != filled || res.AdmittedStale+res.Stale != stale {
+				t.Fatalf("step %d: result %+v, slots say received=%d stale=%d", step, res, filled, stale)
+			}
+		}
+	})
+}
+
+// TestRoundAdmission scripts every verdict of the Admission enum against one
+// plan: an asynchronous round (τ = 2) with at least one scheduled-stale slot.
+func TestRoundAdmission(t *testing.T) {
+	const n = 7
+	e := roundTestEngine(EngineConfig{Workers: n, Seed: 5, Async: AsyncConfig{Quorum: 3, Staleness: 2, SlowRate: 0.5}})
+	g := tensor.NewVector(e.params.Dim())
+	var round *Round
+	fresh, slow, out := -1, -1, -1
+	for fresh < 0 || slow < 0 || out < 0 {
+		if round != nil {
+			if _, err := round.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e.step > 50 {
+			t.Fatal("dead fixture: no round with a fresh, a stale and a too-stale slot")
+		}
+		round = e.Begin()
+		fresh, slow, out = -1, -1, -1
+		for id := 0; id < n; id++ {
+			switch tag := round.Tag(id); {
+			case tag < 0:
+				out = id
+			case tag < e.step:
+				slow = id
+			default:
+				fresh = id
+			}
+		}
+	}
+	step := e.step
+	pkt := transport.Packet{Worker: fresh, Step: step, Dim: e.params.Dim() + 1}
+	if v := round.OfferPacket(&pkt); v != RejectMalformed {
+		t.Fatalf("wrong-dimension packet: verdict %v, want %v", v, RejectMalformed)
+	}
+	script := []struct {
+		id, tag int
+		want    Admission
+	}{
+		{fresh, step, AdmitFresh},
+		{fresh, step, RejectDuplicate},
+		{slow, step - 3, RejectTooStale},
+		{slow, step, RejectWrongTag}, // in-window but not the scheduled tag
+		{slow, step + 1, RejectWrongTag},
+		{out, step, RejectWrongTag}, // a scheduled-out slot never admits
+		{-1, step, RejectUnknownWorker},
+		{n, step, RejectUnknownWorker},
+		{slow, round.Tag(slow), AdmitStale},
+	}
+	for i, s := range script {
+		if got := round.Offer(s.id, s.tag, g, 0); got != s.want {
+			t.Fatalf("arrival %d (worker %d, tag %d at step %d): verdict %v, want %v", i, s.id, s.tag, step, got, s.want)
+		}
+	}
+	res, err := round.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Received != 2 || res.AdmittedStale != 1 || res.DroppedStale == 0 {
+		t.Fatalf("result %+v, want 2 received, 1 admitted stale, >= 1 dropped", res)
+	}
+	for a := AdmitFresh; a <= RejectMalformed+1; a++ {
+		if a.String() == "" {
+			t.Fatalf("Admission(%d) renders empty", int(a))
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package ps
 
+import "math/rand"
+
 // Seed derivation for per-worker randomness. Every deployment flavour — the
 // in-process Cluster, the socket-distributed cluster.TCPCluster and the core
 // experiment runner — must derive worker sampler and attack seeds from the
@@ -30,58 +32,71 @@ func RecoupSeed(runSeed int64, step, worker int) int64 {
 	return runSeed ^ (int64(step)*1000003 + int64(worker)*7907)
 }
 
-// DropSeed derives the RNG seed for the artificial packet-loss schedule of
-// one worker's gradient at one step on the lossy UDP backend. Keyed per
-// (step, worker) — never a per-sender stream — so the set of dropped packets
-// is a pure function of the run configuration that BOTH endpoints can
-// evaluate: the worker to drop before the socket write, the server to know
-// exactly which packets will never arrive (which is what makes lossy rounds
-// both deterministic and deadline-free).
+// The four schedule seeds below are each keyed per (step, worker) — never a
+// per-endpoint stream — so the schedule is a pure function of the run
+// configuration that BOTH endpoints evaluate: the worker to act on it, the
+// server to know exactly which packets or slots will never arrive. That shared
+// knowledge is what makes scheduled rounds deterministic and deadline-free: a
+// round settles the moment everything the schedules leave is in. The linear
+// forms use fresh primes and the 1<<60..62 offsets keep the four lattices
+// disjoint for every reachable (step, worker): two linear forms alone collide
+// (e.g. step 60 / worker 3 under un-offset constants), which would make one
+// schedule's draws bit-identical to another's.
+
+// DropSeed seeds the packet-loss schedule of one worker's gradient datagrams
+// at one step (UplinkDrops).
 func DropSeed(runSeed int64, step, worker int) int64 {
 	return runSeed ^ (int64(step)*999983 + int64(worker)*6007 + 11)
 }
 
-// ModelDropSeed derives the RNG seed for the artificial packet-loss schedule
-// of the server→worker model broadcast at one step on the lossy UDP backend
-// (footnote 12's unreliable model channel). Like DropSeed it is keyed per
-// (step, worker) and evaluated at BOTH endpoints: the server drops the
-// scheduled packets before the socket write, and the worker therefore knows
-// exactly which model packets can never arrive — it settles a torn broadcast
-// the moment its surviving packets are in, with no deadline. The 1<<62
-// offset keeps the downlink seed disjoint from DropSeed's for every
-// reachable (step, worker): two linear forms alone collide on a lattice
-// (e.g. step 60 / worker 3 under the un-offset constants), which would
-// make a round's model drop mask bit-identical to its gradient drop mask.
+// ModelDropSeed seeds the packet-loss schedule of the server→worker model
+// broadcast at one step (DownlinkDrops, footnote 12's unreliable model
+// channel).
 func ModelDropSeed(runSeed int64, step, worker int) int64 {
 	return runSeed ^ (int64(step)*1000033 + int64(worker)*5003 + 23 + 1<<62)
 }
 
-// ChurnSeed derives the RNG seed for the worker crash/rejoin schedule at one
-// (step, worker) — the membership twin of DropSeed and SlowSeed. The schedule
-// decides which live workers crash this round and is evaluated at BOTH
-// endpoints: the worker to know when to tear its sockets down (and when its
-// scheduled rejoin round arrives), the server to know exactly which slots
-// will never be filled — so a round settles the moment the live membership's
-// gradients are in, with no deadline, and the crash/rejoin/below-bound
-// counters stay pure functions of the run seed. The 1<<60 offset keeps the
-// stream disjoint from DropSeed's, ModelDropSeed's and SlowSeed's lattices,
-// and the primes are fresh so no (step, worker) pair aliases another
-// schedule.
+// ChurnSeed seeds the worker crash/rejoin schedule (ChurnConfig): which live
+// workers crash this round, and thereby when each rejoins.
 func ChurnSeed(runSeed int64, step, worker int) int64 {
 	return runSeed ^ (int64(step)*1000151 + int64(worker)*6983 + 41 + 1<<60)
 }
 
-// SlowSeed derives the RNG seed for the asynchronous-round slow-worker
-// schedule at one (step, worker). The schedule decides which workers lag this
-// round (and by how many steps) and is evaluated at BOTH endpoints — the
-// worker to know which historical model to train on (or to sit the round out
-// entirely), the server to know exactly which step tag each slot will carry
-// and which slots will never be filled. That shared knowledge is what lets an
-// asynchronous round settle the moment the scheduled quorum is in, with no
-// deadline, and keeps the admitted-gradient set a pure function of the run
-// seed. The 1<<61 offset keeps the stream disjoint from DropSeed's and
-// ModelDropSeed's lattices, and the primes are fresh so no (step, worker)
-// pair aliases another schedule.
+// SlowSeed seeds the asynchronous-round slow-worker schedule (AsyncConfig):
+// which workers lag this round and by how many steps.
 func SlowSeed(runSeed int64, step, worker int) int64 {
 	return runSeed ^ (int64(step)*1000121 + int64(worker)*4999 + 37 + 1<<61)
+}
+
+// UplinkDrops evaluates the artificial-loss schedule of worker's gradient
+// datagrams at step into mask — one entry per packet, true meaning the
+// packet is dropped before the socket write — and returns it; at rate 0 it
+// returns nil, which every consumer reads as "nothing dropped". Both
+// endpoints call this one function: the worker to drop, the server to know
+// which packets will never arrive. rng is caller-owned scratch, reseeded
+// here, so steady-state evaluation allocates nothing.
+func UplinkDrops(rng *rand.Rand, mask []bool, runSeed int64, step, worker int, rate float64) []bool {
+	return drawDrops(rng, mask, DropSeed(runSeed, step, worker), rate)
+}
+
+// DownlinkDrops is UplinkDrops' twin for the server→worker model broadcast
+// (footnote 12's unreliable model channel), keyed on ModelDropSeed: the
+// server drops the scheduled packets before the write, and the worker
+// settles a torn broadcast the moment its scheduled survivors are in.
+func DownlinkDrops(rng *rand.Rand, mask []bool, runSeed int64, step, worker int, rate float64) []bool {
+	return drawDrops(rng, mask, ModelDropSeed(runSeed, step, worker), rate)
+}
+
+// drawDrops draws one drop mask from a derived seed — the single
+// implementation behind both schedules, so uplink and downlink loss
+// semantics can never drift apart.
+func drawDrops(rng *rand.Rand, mask []bool, seed int64, rate float64) []bool {
+	if rate <= 0 {
+		return nil
+	}
+	rng.Seed(seed)
+	for i := range mask {
+		mask[i] = rng.Float64() < rate
+	}
+	return mask
 }

@@ -253,7 +253,7 @@ func MeasureAggregation(g gar.GAR, n, dim, rounds int, seed int64) (time.Duratio
 // TensorFlow-based systems independent of f. Real Go-kernel measurements
 // (MeasureAggregation) have different constants — notably coordinate-wise
 // median is slower than MULTI-KRUM in pure Go — which is recorded in
-// EXPERIMENTS.md.
+// BENCH_aggregation.json (make bench-json).
 func ModelAggregation(name string, n, f, dim int) time.Duration {
 	nf, df := float64(n), float64(dim)
 	m := float64(n - f - 2)
