@@ -4,7 +4,7 @@ SMOKE_GOLDEN := internal/scenario/testdata/smoke.sha256
 
 BENCH_JSON_DIR ?= .
 
-.PHONY: all vet lint escape-check guard-matrix-check directives check build test race fuzz smoke bench-json ci clean
+.PHONY: all vet lint escape-check guard-matrix-check directives check build test race fuzz smoke bench-json bench-compare ci clean
 
 all: ci
 
@@ -47,13 +47,15 @@ race:
 	$(GO) test -race ./...
 
 # Short coverage of the transport codec and reassembler, round-engine
-# settlement and churn-membership fuzz targets beyond the seed corpus.
+# settlement, churn-membership and column-pass fuzz targets beyond the seed
+# corpus.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzReassembler -fuzztime=20s
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzRound -fuzztime=20s
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzMembershipTracker -fuzztime=20s
+	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzColumnPass -fuzztime=20s
 
 # The refactoring safety net. Run every built-in campaign the golden file
 # names (smoke, tcp-smoke, udp-smoke, model-loss-smoke, wire-smoke,
@@ -79,6 +81,34 @@ smoke:
 # across commits on the same machine.
 bench-json:
 	$(GO) run ./cmd/bench -json -out $(BENCH_JSON_DIR)
+
+# benchmark/README.md's comparison of two commits: ten alternating pairs of
+# untraced runs, this checkout (B) against the one in PARENT (A, a clone of
+# the parent commit), each side accumulating into its own -out directory,
+# then the verdict table. WORKLOAD narrows the runs to one workload; a
+# single-workload run leaves one report and no results.json, so those reports
+# are gathered into the file -compare reads (same schema string as
+# benchmark/main.go), and since -compare exits 1 over the workloads that did
+# not run, only a "regressed" row fails the target then.
+#   make bench-compare PARENT=/root/scratch/parent WORKLOAD=inproc-bulyan-100k
+BENCH_CMP_DIR ?= $(CURDIR)/.bench_build/compare
+# $(call bench_run,<checkout>,<side>): one run of a checkout into its side.
+bench_run = (cd $(1) && bash benchmark/run.sh -trace 0 -out $(BENCH_CMP_DIR)/$(2) $(if $(WORKLOAD),\
+	-workload $(WORKLOAD) && cat $(BENCH_CMP_DIR)/$(2)/run-$(WORKLOAD)-e2e.json >> $(BENCH_CMP_DIR)/$(2)/runs && echo >> $(BENCH_CMP_DIR)/$(2)/runs))
+bench-compare:
+	test -d "$(PARENT)/benchmark" || { echo "usage: make bench-compare PARENT=<checkout of the parent commit> [WORKLOAD=<name>]"; exit 2; }
+	rm -rf $(BENCH_CMP_DIR)
+	for i in 1 2 3 4 5; do \
+		$(call bench_run,$(PARENT),A) && $(call bench_run,$(CURDIR),B) && \
+		$(call bench_run,$(CURDIR),B) && $(call bench_run,$(PARENT),A) || exit 1; \
+	done
+ifdef WORKLOAD
+	for side in A B; do \
+		printf '{"schema":"aggregathor-benchmark/1","runs":[%s]}\n' "$$(paste -sd, $(BENCH_CMP_DIR)/$$side/runs)" > $(BENCH_CMP_DIR)/$$side/results.json; \
+	done
+endif
+	bash benchmark/run.sh -compare $(BENCH_CMP_DIR)/A/results.json $(BENCH_CMP_DIR)/B/results.json $(if $(WORKLOAD),\
+		| { tee $(BENCH_CMP_DIR)/table; ! grep -q regressed $(BENCH_CMP_DIR)/table; })
 
 ci: vet lint escape-check guard-matrix-check build race smoke
 

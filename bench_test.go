@@ -472,54 +472,52 @@ func BenchmarkAblation_BlockedDistances(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_SelectMedian compares the selection/sorting-network
-// median kernel against the previous sort.Float64s path over per-coordinate
-// columns at the paper's n=19 and a wide n=99 deployment. The measured
-// per-column cost is extrapolated to the Table-1 dimension and reported as
-// the modelled Fig-4 median-GAR seconds.
+// BenchmarkAblation_SelectMedian compares the column engine's tile-wide
+// sorting-network median against the per-column quickselect kernel and the
+// previous sort.Float64s path, at the paper's n=19 and a wide n=99
+// deployment (too tall for a network: the engine itself falls back to
+// quickselect there). One op is a pass over every column; the per-column
+// cost is extrapolated to the Table-1 dimension and reported as the
+// modelled Fig-4 median-GAR seconds.
 func BenchmarkAblation_SelectMedian(b *testing.B) {
 	const cols, dFull = 100_000, 1_756_426
 	for _, n := range []int{19, 99} {
-		data := make([]float64, cols*n)
-		rng := rand.New(rand.NewSource(16))
-		for i := range data {
-			data[i] = rng.NormFloat64()
-		}
+		grads := randGrads(16, n, cols)
+		out := tensor.NewVector(cols)
 		scratch := make([]float64, n)
-		net := tensor.SortNetPairs(n)
+		perColumn := func(median func(col []float64) float64) func() {
+			return func() {
+				for j := range out {
+					for i, g := range grads {
+						scratch[i] = g[j]
+					}
+					out[j] = median(scratch)
+				}
+			}
+		}
+		var engine tensor.ColumnEngine
 		for _, cfg := range []struct {
 			name string
-			run  func(col []float64) float64
+			pass func()
 		}{
-			{"quickselect", func(col []float64) float64 {
-				copy(scratch, col)
-				return tensor.MedianInPlace(scratch)
-			}},
-			{"sortnet", func(col []float64) float64 {
-				copy(scratch, col)
-				ctx := tensor.ColumnKernelCtx{Col: scratch, Net: net}
-				return tensor.MedianKernel(&ctx, 0, 0)
-			}},
-			{"sort", func(col []float64) float64 {
-				copy(scratch, col)
-				sort.Float64s(scratch)
+			{"quickselect", perColumn(tensor.MedianInPlace)},
+			{"tile-sortnet", func() { engine.Run(out, grads, 0, tensor.MedianKernel, false) }},
+			{"sort", perColumn(func(col []float64) float64 {
+				sort.Float64s(col)
 				mid := n / 2
 				if n%2 == 1 {
-					return scratch[mid]
+					return col[mid]
 				}
-				return scratch[mid-1]/2 + scratch[mid]/2
-			}},
+				return col[mid-1]/2 + col[mid]/2
+			})},
 		} {
 			cfg := cfg
 			b.Run(fmt.Sprintf("%s/n%d", cfg.name, n), func(b *testing.B) {
-				var sink float64
 				for i := 0; i < b.N; i++ {
-					col := data[(i%cols)*n : (i%cols+1)*n]
-					sink = cfg.run(col)
+					cfg.pass()
 				}
 				b.StopTimer()
-				_ = sink
-				perCol := float64(b.Elapsed()) / float64(b.N)
+				perCol := float64(b.Elapsed()) / float64(b.N) / cols
 				b.ReportMetric(perCol, "ns_per_column")
 				b.ReportMetric(perCol*dFull/1e9, "fig4_median_agg_s")
 			})

@@ -130,3 +130,41 @@ func TestAttackWireParity(t *testing.T) {
 		})
 	}
 }
+
+// TestBlindAttackBuildsNoOracle: only an attack that reads Context.Honest
+// pays for the honest-gradient oracle. A Byzantine socket worker running a
+// blind attack holds no peer replica or samplers (it used to recompute every
+// honest peer's gradient each round and discard them); an informed one still
+// replicates every honest, responsive peer.
+func TestBlindAttackBuildsNoOracle(t *testing.T) {
+	ds := data.SyntheticFeatures(40, 6, 3, 9)
+	spec := &socketConfig{
+		ModelFactory: func() *nn.Network { return nn.NewMLP(6, []int{4}, 3, rand.New(rand.NewSource(1))) },
+		Workers:      7,
+		Batch:        4,
+		Train:        ds,
+		Byzantine:    map[int]string{5: "reversed", 6: "omniscient"},
+		Unresponsive: map[int]bool{0: true},
+		Seed:         3,
+	}
+	blind, err := newClusterWorker(5, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blind.atk == nil || blind.peerReplica != nil || len(blind.peers) != 0 || len(blind.peerSamplers) != 0 {
+		t.Errorf("reversed worker built an oracle: replica %v, %d peers, %d samplers",
+			blind.peerReplica != nil, len(blind.peers), len(blind.peerSamplers))
+	}
+	informed, err := newClusterWorker(6, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if informed.peerReplica == nil || len(informed.peers) != 4 || len(informed.peerSamplers) != 4 {
+		t.Errorf("omniscient worker: replica %v, peers %v, %d samplers; want honest peers 1-4",
+			informed.peerReplica != nil, informed.peers, len(informed.peerSamplers))
+	}
+	msg := blind.submission(&transport.ModelMsg{Step: 0, Params: spec.ModelFactory().ParamsVector()})
+	if msg == nil || msg.Grad.Dim() == 0 {
+		t.Fatal("reversed worker submitted nothing")
+	}
+}

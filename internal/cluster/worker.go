@@ -28,7 +28,9 @@ type clusterWorker struct {
 	// dataset and the model, it replicates every honest worker's sampler
 	// and derives the exact gradients the server is about to receive. This
 	// keeps informed attacks (omniscient, little-is-enough, ...) available
-	// over the wire and bit-identical to the in-process backend.
+	// over the wire and bit-identical to the in-process backend. Built only
+	// for attacks that read Context.Honest: a blind attack (reversed,
+	// random, non-finite) has no oracle and recomputes nothing.
 	peers        []int
 	peerReplica  *nn.Network
 	peerSamplers map[int]data.Sampler
@@ -59,14 +61,16 @@ func newClusterWorker(id int, spec *socketConfig) (*clusterWorker, error) {
 			return nil, err
 		}
 		w.atk = atk
-		w.peerReplica = spec.ModelFactory()
-		w.peerSamplers = map[int]data.Sampler{}
-		for p := 0; p < spec.Workers; p++ {
-			if _, byz := spec.Byzantine[p]; byz || spec.Unresponsive[p] {
-				continue
+		if inf, ok := atk.(attack.Informed); ok && inf.RequiresHonest() {
+			w.peerReplica = spec.ModelFactory()
+			w.peerSamplers = map[int]data.Sampler{}
+			for p := 0; p < spec.Workers; p++ {
+				if _, byz := spec.Byzantine[p]; byz || spec.Unresponsive[p] {
+					continue
+				}
+				w.peers = append(w.peers, p)
+				w.peerSamplers[p] = data.NewUniformSampler(spec.Train, ps.SamplerSeed(spec.Seed, p))
 			}
-			w.peers = append(w.peers, p)
-			w.peerSamplers[p] = data.NewUniformSampler(spec.Train, ps.SamplerSeed(spec.Seed, p))
 		}
 	}
 	return w, nil
@@ -86,7 +90,7 @@ func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.Gradien
 			for _, p := range w.peers {
 				px, py := w.peerSamplers[p].Sample(w.cfg.Batch)
 				_, pg := w.peerReplica.Gradient(px, py)
-				honest = append(honest, pg.Clone())
+				honest = append(honest, pg)
 			}
 		}
 		grad = w.atk.Forge(&attack.Context{

@@ -123,8 +123,8 @@ func (m Median) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
 	return aggregateFresh(m, grads)
 }
 
-// AggregateInto implements WorkspaceGAR: the per-coordinate median runs as
-// a selection (not a sort) on the blocked column engine.
+// AggregateInto implements WorkspaceGAR: the median is the middle row of
+// each tile the blocked column engine sorts.
 func (Median) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
 	if err := checkUniform(grads); err != nil {
 		return nil, err
@@ -156,8 +156,8 @@ func (t TrimmedMean) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
 	return aggregateFresh(t, grads)
 }
 
-// AggregateInto implements WorkspaceGAR: the per-coordinate trim runs as a
-// selection (not a sort) on the blocked column engine.
+// AggregateInto implements WorkspaceGAR: the kept window is rows b…n−b−1 of
+// each tile the blocked column engine sorts, added in ascending order.
 func (t TrimmedMean) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
 	if err := checkUniform(grads); err != nil {
 		return nil, err

@@ -125,21 +125,26 @@ func TestAggregateIntoFallback(t *testing.T) {
 // are the steady-state contract; parallel sweeps additionally pay O(workers)
 // goroutine spawns.
 func TestWorkspaceZeroSteadyStateAllocs(t *testing.T) {
-	const n, d = 11, 2048
-	grads := randVectors(26, n, d, 0)
-	for _, rule := range workspaceRules(t) {
-		ws := NewWorkspace()
-		wg := rule.(WorkspaceGAR)
-		if _, err := wg.AggregateInto(ws, grads); err != nil { // warm the arena
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := wg.AggregateInto(ws, grads); err != nil {
+	const d = 2048
+	// Finite tiles are sorted tile-wide; the NaN sends its tile through the
+	// per-column kernels; the even height adds the midpoint ties.
+	poisoned := randVectors(26, 11, d, 0)
+	poisoned[3][700] = math.NaN()
+	for _, grads := range [][]tensor.Vector{randVectors(26, 11, d, 0), poisoned, randVectors(26, 12, d, 0)} {
+		for _, rule := range workspaceRules(t) {
+			ws := NewWorkspace()
+			wg := rule.(WorkspaceGAR)
+			if _, err := wg.AggregateInto(ws, grads); err != nil { // warm the arena
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs per warm workspace aggregation, want 0", rule.Name(), allocs)
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := wg.AggregateInto(ws, grads); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s n=%d: %v allocs per warm workspace aggregation, want 0", rule.Name(), len(grads), allocs)
+			}
 		}
 	}
 }
@@ -172,24 +177,30 @@ func TestWorkspaceReuseAcrossShapes(t *testing.T) {
 // distances, column engine) must produce bit-identical aggregates at
 // GOMAXPROCS=1 and GOMAXPROCS=8, above the parallel thresholds.
 func TestWorkspaceRulesGOMAXPROCSParity(t *testing.T) {
-	const n, d = 19, 2*distParallelMin + 13
-	grads := randVectors(28, n, d, 0.001)
-	rules := []GAR{Median{}, TrimmedMean{Beta: 4}, NewMeanAroundMedian(4),
-		SelectiveAverage{}, NewMultiKrum(4), NewBulyan(4),
-		NewGeoMedian(4), NewGenericBulyan(Median{}, 4)}
-	for _, rule := range rules {
-		run := func(procs int) tensor.Vector {
-			old := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(old)
-			out, err := AggregateInto(NewWorkspace(), rule, grads)
-			if err != nil {
-				t.Fatal(err)
+	const d = 2*distParallelMin + 13
+	// At pBad 0.001 nearly every tile of the column pass holds a non-finite
+	// value and takes the per-column kernels; at 1e-6 nearly every tile is
+	// sorted tile-wide, the even height with its midpoint ties.
+	for _, grads := range [][]tensor.Vector{
+		randVectors(28, 19, d, 0.001), randVectors(28, 19, d, 1e-6), randVectors(28, 20, d, 1e-6),
+	} {
+		rules := []GAR{Median{}, TrimmedMean{Beta: 4}, NewMeanAroundMedian(4),
+			SelectiveAverage{}, NewMultiKrum(4), NewBulyan(4),
+			NewGeoMedian(4), NewGenericBulyan(Median{}, 4)}
+		for _, rule := range rules {
+			run := func(procs int) tensor.Vector {
+				old := runtime.GOMAXPROCS(procs)
+				defer runtime.GOMAXPROCS(old)
+				out, err := AggregateInto(NewWorkspace(), rule, grads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out.Clone()
 			}
-			return out.Clone()
-		}
-		a, b := run(1), run(8)
-		if !vecEq(a, b) {
-			t.Errorf("%s: aggregate depends on GOMAXPROCS", rule.Name())
+			a, b := run(1), run(8)
+			if !vecEq(a, b) {
+				t.Errorf("%s n=%d: aggregate depends on GOMAXPROCS", rule.Name(), len(grads))
+			}
 		}
 	}
 }

@@ -96,8 +96,10 @@ func (n *Network) GradsVector() tensor.Vector {
 	return out
 }
 
-// Gradient computes the mini-batch loss and fills the flat gradient: one
-// worker step (forward, softmax cross-entropy, backward).
+// Gradient computes the mini-batch loss and the flat gradient: one worker
+// step (forward, softmax cross-entropy, backward). The returned vector is
+// caller-owned: freshly allocated by GradsVector, never aliased by the
+// network or overwritten by a later call.
 func (n *Network) Gradient(x *tensor.Matrix, labels []int) (loss float64, grad tensor.Vector) {
 	logits := n.Forward(x, true)
 	loss, dLogits := SoftmaxCrossEntropy(logits, labels)

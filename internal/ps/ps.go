@@ -256,7 +256,7 @@ func (c *Cluster) Step() (*StepResult, error) {
 			c.replicas[i].SetParamsVector(params)
 			x, y := c.cfg.Workers[i].Sampler.Sample(c.cfg.Batch)
 			loss, grad := c.replicas[i].Gradient(x, y)
-			honest[i], losses[i] = grad.Clone(), loss
+			honest[i], losses[i] = grad, loss
 		}(i)
 	}
 	wg.Wait()

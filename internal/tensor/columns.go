@@ -9,16 +9,26 @@ import (
 // coordinate-wise aggregation rule (median, trimmed mean, NaN-mean,
 // mean-around-median, Bulyan's second phase). Instead of walking all n
 // vectors once per coordinate — n strided cache misses per output value —
-// the engine gathers a tile of colTileCoords coordinates × n values with one
-// sequential pass over each vector, then runs the per-coordinate kernel on
-// the cache-resident tile. Tiles are independent, so the pass parallelises
-// over fixed tile indexes with bit-identical output regardless of
-// GOMAXPROCS: each output coordinate is written by exactly one kernel
-// invocation on exactly the same gathered column.
+// the engine fills a row-major tile of n vectors × colTileCoords coordinates
+// with one sequential pass over each vector and sorts the whole tile at
+// once: each compare-exchange of the n-input sorting network runs over two
+// whole rows, so every column is sorted by the same branch-free loop and the
+// order statistics are read back as rows. The tile holds sort keys, not
+// floats (see sortKey): an integer min/max is a compare and two conditional
+// moves where the float builtins cost three times that. Tiles are
+// independent, so the pass parallelises over fixed tile indexes with
+// bit-identical output regardless of GOMAXPROCS.
+//
+// The tile-wide pass covers finite tiles of at most maxSortNet rows. A tile
+// holding a NaN or ±Inf, a taller column, the NaN-mean (which ranks nothing)
+// and a mean-around-median coordinate whose summation order hangs on the
+// worker order (see meanAroundSorted) take the exact per-column selection
+// kernels instead. Both routes compute the same function of a column's bit
+// patterns, so which one ran never shows in the output.
 
 const (
-	// colTileCoords is the tile width: 128 coordinates × n≈19 workers × 8
-	// bytes ≈ 19KB, sized to keep the gathered tile L1-resident.
+	// colTileCoords is the tile width: n≈19 rows × 128 coordinates × 8
+	// bytes ≈ 19KB, sized to keep the sorted tile L1-resident.
 	colTileCoords = 128
 	// colParallelMin is the dimension below which the pass stays on the
 	// calling goroutine: spawning workers costs more than the pass itself
@@ -26,43 +36,68 @@ const (
 	colParallelMin = 1 << 14
 )
 
-// ColumnKernelCtx is the per-worker scratch handed to a ColumnKernel. All
-// slices have length n (the number of input vectors) except Col, which is
-// the gathered column itself. Kernels may freely mutate every buffer.
-type ColumnKernelCtx struct {
-	// Col holds the n values of the current coordinate, Col[i] = vs[i][j].
-	Col []float64
-	// Tmp is a second n-value buffer for kernels that need a pristine copy
-	// of Col after a mutating selection (mean-around-median).
-	Tmp []float64
-	// Dist is distance scratch for ClosestToPivotInto.
-	Dist []float64
-	// Idx is index scratch for SmallestKInto / ClosestToPivotInto.
-	Idx []int
-	// Net is the n-input sorting network (nil when n > maxSortNet):
-	// kernels sort NaN-free columns branchlessly with it.
-	Net [][2]int
+// ColumnKernel names the per-coordinate reduction of a column pass. The rule
+// parameter (trim width, keep count) travels beside it as Run's arg.
+type ColumnKernel int
+
+const (
+	// MedianKernel is the coordinate-wise median: the Median GAR.
+	MedianKernel ColumnKernel = iota
+	// TrimmedMeanKernel drops the arg smallest and arg largest values (NaN
+	// ordered first, as sort.Float64s does) and averages the rest in
+	// ascending order: the TrimmedMean GAR.
+	TrimmedMeanKernel
+	// NaNMeanKernel averages the non-NaN values of the column (0 when every
+	// value is NaN): the §3.3 selective-averaging GAR.
+	NaNMeanKernel
+	// MeanAroundMedianKernel averages the arg values closest to the column
+	// median, skipping non-finite values (median fallback when none are
+	// finite, 0 when the median itself is NaN): the MeanAroundMedian GAR
+	// and Bulyan's second phase.
+	MeanAroundMedianKernel
+)
+
+// sortsTile reports whether the kernel reads order statistics of n-value
+// columns and arg is in the range its row reduction accepts; an out-of-range
+// arg is left to the per-column kernel to reject as it always has.
+func (k ColumnKernel) sortsTile(n, arg int) bool {
+	switch k {
+	case MedianKernel:
+		return true
+	case TrimmedMeanKernel:
+		return arg >= 0 && 2*arg < n
+	case MeanAroundMedianKernel:
+		return arg >= 1 && arg <= n
+	}
+	return false
 }
 
-// ColumnKernel computes one output coordinate from the gathered column
-// ctx.Col. arg carries the rule parameter (trim width, keep count, …) so
-// kernels can be package-level functions — converting those to func values
-// does not allocate, which keeps the steady-state column pass at zero heap
-// allocations.
-type ColumnKernel func(ctx *ColumnKernelCtx, j int, arg int) float64
+// sortKey maps the bits of a float64 to an int64 that orders as the float
+// does with -0 before +0 — the order the min/max builtins give floats — and
+// NaNs beyond the infinities at either end. It is its own inverse.
+func sortKey(bits int64) int64 { return bits ^ (bits>>63)&math.MaxInt64 }
+
+// keyFloat is the float64 behind a sort key.
+func keyFloat(key int64) float64 { return math.Float64frombits(uint64(sortKey(key))) }
+
+// colScratch is one worker's buffers: the row-major tile of sort keys, and
+// for the per-column kernels the gathered column col[i] = vs[i][j], a second
+// copy of it and ClosestToPivotInto's distance and index scratch.
+type colScratch struct {
+	tile           []int64
+	col, tmp, dist []float64
+	idx            []int
+}
 
 // ColumnEngine owns the reusable tile and scratch buffers of a blocked
 // column pass. The zero value is ready to use; buffers grow on demand and
 // are retained across runs, so a warm engine performs no allocations.
 // An engine must not be shared by concurrent Run calls.
 type ColumnEngine struct {
-	tiles []float64
-	tmp   []float64
-	dist  []float64
-	idx   []int
-	ctxs  []ColumnKernelCtx
-	netN  int
-	net   [][2]int
+	tiles   []int64
+	floats  []float64
+	idx     []int
+	scratch []colScratch
 	// nets caches the sorting network per column size: composite rules
 	// (generic BULYAN) cycle n every call as their candidate set shrinks,
 	// and rebuilding the network on each size change would break the
@@ -70,41 +105,36 @@ type ColumnEngine struct {
 	nets [][][2]int
 }
 
-// ensure sizes the scratch for w workers over n-vector columns.
-func (e *ColumnEngine) ensure(w, n int) {
-	if need := w * colTileCoords * n; cap(e.tiles) < need {
-		e.tiles = make([]float64, need)
+// ensure sizes the scratch for w workers over n-vector columns and returns
+// the n-input sorting network, nil when n > maxSortNet.
+func (e *ColumnEngine) ensure(w, n int) [][2]int {
+	if cap(e.idx) < w*n {
+		e.tiles = make([]int64, w*n*colTileCoords)
+		e.floats = make([]float64, w*n*3)
+		e.idx = make([]int, w*n)
 	}
-	if need := w * n; cap(e.tmp) < need {
-		e.tmp = make([]float64, need)
-		e.dist = make([]float64, need)
-		e.idx = make([]int, need)
+	if cap(e.scratch) < w {
+		e.scratch = make([]colScratch, w)
 	}
-	if cap(e.ctxs) < w {
-		e.ctxs = make([]ColumnKernelCtx, w)
-	}
-	if e.netN != n {
-		e.net = nil
-		if n <= maxSortNet {
-			if e.nets == nil {
-				e.nets = make([][][2]int, maxSortNet+1)
-			}
-			if e.nets[n] == nil {
-				e.nets[n] = SortNetPairs(n)
-			}
-			e.net = e.nets[n]
-		}
-		e.netN = n
-	}
-	e.ctxs = e.ctxs[:w]
-	for i := range e.ctxs {
-		e.ctxs[i] = ColumnKernelCtx{
-			Tmp:  e.tmp[i*n : (i+1)*n],
-			Dist: e.dist[i*n : (i+1)*n],
-			Idx:  e.idx[i*n : (i+1)*n],
-			Net:  e.net,
+	e.scratch = e.scratch[:w]
+	for i := range e.scratch {
+		f := e.floats[i*n*3 : (i+1)*n*3]
+		e.scratch[i] = colScratch{
+			tile: e.tiles[i*n*colTileCoords : (i+1)*n*colTileCoords],
+			col:  f[:n], tmp: f[n : 2*n], dist: f[2*n:],
+			idx: e.idx[i*n : (i+1)*n],
 		}
 	}
+	if n > maxSortNet {
+		return nil
+	}
+	if e.nets == nil {
+		e.nets = make([][][2]int, maxSortNet+1)
+	}
+	if e.nets[n] == nil {
+		e.nets[n] = SortNetPairs(n)
+	}
+	return e.nets[n]
 }
 
 // Run executes kernel over every coordinate of vs, writing out[j] for each.
@@ -122,85 +152,211 @@ func (e *ColumnEngine) Run(out Vector, vs []Vector, arg int, kernel ColumnKernel
 	if workers > nTiles {
 		workers = nTiles
 	}
-	if !parallel || workers <= 1 || d < colParallelMin {
-		e.ensure(1, n)
+	if !parallel || d < colParallelMin {
+		workers = 1
+	}
+	net := e.ensure(workers, n)
+	if !kernel.sortsTile(n, arg) {
+		net = nil
+	}
+	if workers <= 1 {
 		for t := 0; t < nTiles; t++ {
-			e.runTile(&e.ctxs[0], e.tiles[:colTileCoords*n], out, vs, t, arg, kernel)
+			runTile(&e.scratch[0], net, out, vs, t, arg, kernel)
 		}
 		return
 	}
-	e.ensure(workers, n)
 	ParallelFor(nTiles, workers, func(w, t int) {
-		tile := e.tiles[w*colTileCoords*n : (w+1)*colTileCoords*n]
-		e.runTile(&e.ctxs[w], tile, out, vs, t, arg, kernel)
+		runTile(&e.scratch[w], net, out, vs, t, arg, kernel)
 	})
 }
 
-// runTile gathers tile t and applies the kernel to each of its columns.
-func (e *ColumnEngine) runTile(ctx *ColumnKernelCtx, tile []float64, out Vector, vs []Vector, t, arg int, kernel ColumnKernel) {
+// runTile computes the output coordinates of tile t. net is the n-input
+// sorting network, nil when the tile-wide pass does not apply (columns too
+// tall for a network, a kernel or argument it does not serve).
+func runTile(s *colScratch, net [][2]int, out Vector, vs []Vector, t, arg int, kernel ColumnKernel) {
 	n := len(vs)
 	lo := t * colTileCoords
-	hi := lo + colTileCoords
-	if hi > len(out) {
-		hi = len(out)
+	hi := min(lo+colTileCoords, len(out))
+	o := out[lo:hi]
+	w := len(o)
+	tile := s.tile[:n*w]
+	sorted := net != nil
+	if sorted {
+		// Row i of the tile is vs[i][lo:hi] as sort keys. An exponent of
+		// all ones is a NaN or ±Inf.
+		const expMask = 0x7FF << 52
+		for i, v := range vs {
+			row := tile[i*w : (i+1)*w]
+			for k, x := range v[lo:hi] {
+				bits := int64(math.Float64bits(x))
+				if bits&expMask == expMask {
+					sorted = false
+				}
+				row[k] = sortKey(bits)
+			}
+		}
 	}
+	if !sorted {
+		for k := range o {
+			o[k] = kernel.column(s, vs, lo+k, arg)
+		}
+		return
+	}
+	sortRows(tile, w, net)
+	mid := tile[n/2*w : (n/2+1)*w]
+	switch kernel {
+	case MedianKernel:
+		for k, key := range mid {
+			o[k] = keyFloat(key)
+		}
+		if n%2 == 0 {
+			for k, key := range tile[(n/2-1)*w : n/2*w] {
+				o[k] = midpoint(keyFloat(key), o[k])
+			}
+		}
+	case TrimmedMeanKernel:
+		clear(o)
+		for r := arg; r < n-arg; r++ {
+			for k, key := range tile[r*w : (r+1)*w] {
+				o[k] += keyFloat(key)
+			}
+		}
+		for k := range o {
+			o[k] /= float64(n - 2*arg)
+		}
+	case MeanAroundMedianKernel:
+		for k := range o {
+			mean, ok := meanAroundSorted(tile[k:], w, n, arg)
+			if !ok {
+				mean = kernel.column(s, vs, lo+k, arg)
+			}
+			o[k] = mean
+		}
+	}
+}
+
+// sortRows sorts every column of the row-major tile (rows of w keys)
+// ascending, replaying each compare-exchange of the network over two whole
+// rows.
+func sortRows(tile []int64, w int, net [][2]int) {
+	for _, pr := range net {
+		a := tile[pr[0]*w : pr[0]*w+w]
+		b := tile[pr[1]*w : pr[1]*w+w]
+		for k, x := range a {
+			y := b[k]
+			a[k] = min(x, y)
+			b[k] = max(x, y)
+		}
+	}
+}
+
+// rankAt returns the rank-i value of a sorted tile column (col[i*w]) and its
+// distance to med; past either end of the column the distance is +Inf.
+func rankAt(col []int64, w, n, i int, med float64) (x, dist float64) {
+	if uint(i) >= uint(n) {
+		return 0, math.Inf(1)
+	}
+	x = keyFloat(col[i*w])
+	return x, math.Abs(x - med)
+}
+
+// meanAroundSorted is the mean-around-median of one column of a sorted,
+// finite tile. It walks outward from the median adding the nearer neighbour
+// first, which is the order the per-column kernel sums in: by distance, ties
+// by worker index. A sorted column no longer carries that index, so ok is
+// false wherever it could decide the result: two distinct values at exactly
+// equal distance — unless they are the only two that far out, both are kept
+// and the sum so far is +0, since 0+a+b == 0+b+a (every even-height column
+// may start this way: the midpoint is equidistant from the two middle rows).
+// Equal values at equal distance are interchangeable, and the sign of a zero
+// cannot move a sum that starts at +0.
+func meanAroundSorted(col []int64, w, n, keep int) (mean float64, ok bool) {
+	l, r := n/2, n/2+1 // the nearest ranks not taken yet, downward and upward
+	med := keyFloat(col[l*w])
+	if n%2 == 0 {
+		l, r = l-1, l
+		med = midpoint(keyFloat(col[l*w]), med)
+	}
+	xl, dl := rankAt(col, w, n, l, med)
+	xr, dr := rankAt(col, w, n, r, med)
+	var s float64
+	lastX, lastD := 0.0, -1.0 // the value taken last and its distance
+	for taken := 0; taken < keep; {
+		if dl == dr && xl != xr {
+			nl, ndl := rankAt(col, w, n, l-1, med)
+			nr, ndr := rankAt(col, w, n, r+1, med)
+			// +Inf here is |x−med| overflowing (or one side run out
+			// against it): such distances no longer rank anything.
+			if math.IsInf(dl, 1) || s != 0 || taken+2 > keep || ndl == dl || ndr == dl {
+				return 0, false
+			}
+			s = xl + xr
+			lastX, lastD = xr, dl
+			l, xl, dl = l-1, nl, ndl
+			r, xr, dr = r+1, nr, ndr
+			taken += 2
+			continue
+		}
+		x, d := xl, dl
+		if dl <= dr {
+			l--
+			xl, dl = rankAt(col, w, n, l, med)
+		} else {
+			x, d = xr, dr
+			r++
+			xr, dr = rankAt(col, w, n, r, med)
+		}
+		if d == lastD && x != lastX {
+			return 0, false
+		}
+		s += x
+		lastX, lastD = x, d
+		taken++
+	}
+	// Values as far out as the last one taken but left behind: which of
+	// them is kept is again the worker order's call, unless all are equal.
+	for ; dl == lastD; xl, dl = rankAt(col, w, n, l, med) {
+		if xl != lastX {
+			return 0, false
+		}
+		l--
+	}
+	for ; dr == lastD; xr, dr = rankAt(col, w, n, r, med) {
+		if xr != lastX {
+			return 0, false
+		}
+		r++
+	}
+	return s / float64(keep), true
+}
+
+// column gathers coordinate j of vs and runs the exact per-column kernel.
+// Each reproduces its sort-based definition bit for bit (same candidate
+// multiset, same ascending summation order), NaN and ±Inf included.
+func (k ColumnKernel) column(s *colScratch, vs []Vector, j, arg int) float64 {
+	col := s.col
 	for i, v := range vs {
-		blk := v[lo:hi]
-		for jj, x := range blk {
-			tile[jj*n+i] = x
-		}
+		col[i] = v[j]
 	}
-	for jj := 0; jj < hi-lo; jj++ {
-		ctx.Col = tile[jj*n : (jj+1)*n]
-		out[lo+jj] = kernel(ctx, lo+jj, arg)
+	switch k {
+	case MedianKernel:
+		return MedianInPlace(col)
+	case TrimmedMeanKernel:
+		return trimmedMeanColumn(col, arg)
+	case NaNMeanKernel:
+		return nanMeanColumn(col)
 	}
+	return meanAroundMedianColumn(s, arg)
 }
 
-// The shared column kernels. Each reproduces its previous sort-based
-// counterpart bit-for-bit (same candidate multiset, same ascending summation
-// order), which is what keeps the campaign byte-reproducibility and
-// socket-parity suites unchanged across the selection rewrite.
-
-// MedianKernel is the coordinate-wise median: the Median GAR. NaN-free
-// columns (the overwhelmingly common case) sort branchlessly on the fixed
-// network; NaN-laced ones fall back to the selection path.
-func MedianKernel(ctx *ColumnKernelCtx, _ int, _ int) float64 {
-	col := ctx.Col
-	nn := moveNaNsFront(col)
-	clean := col[nn:]
-	m := len(clean)
-	if m == 0 {
-		return math.NaN()
-	}
-	if nn == 0 && ctx.Net != nil {
-		ApplySortNet(col, ctx.Net)
-		if m%2 == 1 {
-			return col[m/2]
-		}
-		return midpoint(col[m/2-1], col[m/2])
-	}
-	return medianCleanSelect(clean)
-}
-
-// TrimmedMeanKernel drops the arg smallest and arg largest values (NaN
-// ordered first, as sort.Float64s does) and averages the rest in ascending
-// order: the TrimmedMean GAR.
-func TrimmedMeanKernel(ctx *ColumnKernelCtx, _ int, b int) float64 {
-	col := ctx.Col
+// trimmedMeanColumn is TrimmedMeanKernel on one gathered column.
+func trimmedMeanColumn(col []float64, b int) float64 {
 	n := len(col)
 	nn := moveNaNsFront(col)
 	if nn > b {
 		// NaNs rank first, so they spill past the low trim into the
 		// kept window: the sort-based reference sums them, yielding NaN.
 		return math.NaN()
-	}
-	if nn == 0 && ctx.Net != nil {
-		ApplySortNet(col, ctx.Net)
-		var s float64
-		for _, x := range col[b : n-b] {
-			s += x
-		}
-		return s / float64(n-2*b)
 	}
 	// The kept window is ranks [b, n−b) of the NaN-first sorted column;
 	// with nn NaNs swapped out that is ranks [b−nn, n−b−nn) of the clean
@@ -218,12 +374,11 @@ func TrimmedMeanKernel(ctx *ColumnKernelCtx, _ int, b int) float64 {
 	return s / float64(len(kept))
 }
 
-// NaNMeanKernel averages the non-NaN values of the column (0 when every
-// value is NaN): the §3.3 selective-averaging GAR.
-func NaNMeanKernel(ctx *ColumnKernelCtx, _ int, _ int) float64 {
+// nanMeanColumn is NaNMeanKernel on one gathered column.
+func nanMeanColumn(col []float64) float64 {
 	var s float64
 	var n int
-	for _, x := range ctx.Col {
+	for _, x := range col {
 		if !math.IsNaN(x) {
 			s += x
 			n++
@@ -235,49 +390,29 @@ func NaNMeanKernel(ctx *ColumnKernelCtx, _ int, _ int) float64 {
 	return s / float64(n)
 }
 
-// MeanAroundMedianKernel averages the arg values closest to the column
-// median, skipping non-finite values (median fallback when none are finite,
-// 0 when the median itself is NaN): the MeanAroundMedian GAR and Bulyan's
-// second phase.
-func MeanAroundMedianKernel(ctx *ColumnKernelCtx, _ int, keep int) float64 {
-	col := ctx.Col
-	tmp := ctx.Tmp[:len(col)]
-	copy(tmp, col)
-	nn := moveNaNsFront(tmp)
-	clean := tmp[nn:]
-	m := len(clean)
-	if m == 0 {
-		return 0 // every value NaN: the median is NaN, a null update
-	}
-	var med float64
-	if nn == 0 && ctx.Net != nil {
-		ApplySortNet(tmp, ctx.Net)
-		if m%2 == 1 {
-			med = tmp[m/2]
-		} else {
-			med = midpoint(tmp[m/2-1], tmp[m/2])
-		}
-	} else {
-		med = medianCleanSelect(clean)
-	}
+// meanAroundMedianColumn is MeanAroundMedianKernel on the gathered s.col.
+func meanAroundMedianColumn(s *colScratch, keep int) float64 {
+	col := s.col
+	copy(s.tmp, col)
+	med := MedianInPlace(s.tmp)
 	if math.IsNaN(med) {
-		// The median itself can compute to NaN without any NaN input:
-		// midpoint(-Inf, +Inf). No usable pivot exists, so emit the
-		// null update rather than let NaN reach the parameters.
+		// Every value NaN, or midpoint(-Inf, +Inf) without any NaN
+		// input: no usable pivot exists, so emit the null update rather
+		// than let NaN reach the parameters.
 		return 0
 	}
-	closest := ClosestToPivotInto(ctx.Idx, ctx.Dist, col, med, keep)
-	var s float64
+	closest := ClosestToPivotInto(s.idx, s.dist, col, med, keep)
+	var sum float64
 	var cnt int
 	for _, idx := range closest {
 		x := col[idx]
 		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			s += x
+			sum += x
 			cnt++
 		}
 	}
 	if cnt == 0 {
 		return med
 	}
-	return s / float64(cnt)
+	return sum / float64(cnt)
 }

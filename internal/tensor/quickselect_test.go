@@ -93,7 +93,7 @@ func trimmedMeanSortRef(col []float64, b int) float64 {
 	return s / float64(len(kept))
 }
 
-func TestTrimmedMeanKernelMatchesSortReference(t *testing.T) {
+func TestTrimmedMeanColumnMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5000; trial++ {
 		n := 3 + rng.Intn(37)
@@ -104,13 +104,9 @@ func TestTrimmedMeanKernelMatchesSortReference(t *testing.T) {
 		pBad := []float64{0, 0.2, 0.9}[trial%3]
 		xs := adversarialSlice(rng, n, pBad)
 		want := trimmedMeanSortRef(xs, b)
-		ctx := &ColumnKernelCtx{Col: append([]float64(nil), xs...)}
-		if trial%2 == 0 {
-			ctx.Net = SortNetPairs(n)
-		}
-		got := TrimmedMeanKernel(ctx, 0, b)
+		got := trimmedMeanColumn(append([]float64(nil), xs...), b)
 		if !eqFloat(got, want) {
-			t.Fatalf("trial %d: TrimmedMeanKernel(b=%d)=%v want %v for %v", trial, b, got, want, xs)
+			t.Fatalf("trial %d: trimmedMeanColumn(b=%d)=%v want %v for %v", trial, b, got, want, xs)
 		}
 	}
 }
@@ -215,9 +211,10 @@ func TestSortNetSortsEverySupportedSize(t *testing.T) {
 			}
 			want := append([]float64(nil), xs...)
 			sort.Float64s(want)
-			ApplySortNet(xs, pairs)
+			keys := sortKeys(xs...)
+			sortRows(keys, 1, pairs)
 			for i := range want {
-				if xs[i] != want[i] {
+				if xs[i] = keyFloat(keys[i]); xs[i] != want[i] {
 					t.Fatalf("n=%d trial %d: network produced %v want %v", n, trial, xs, want)
 				}
 			}
@@ -252,48 +249,52 @@ func setGOMAXPROCS(t *testing.T, n int) {
 // TestColumnEngineGOMAXPROCSParity proves the blocked column pass is
 // scheduler-independent: the same kernels over the same vectors produce
 // bit-identical output at GOMAXPROCS=1 and GOMAXPROCS=8, sequential or
-// parallel, for a dimension well past the parallel threshold.
+// parallel, for a dimension well past the parallel threshold. The first and
+// last tiles hold a non-finite value and take the per-column kernels, the
+// rest are sorted tile-wide; the even height has the midpoint ties.
 func TestColumnEngineGOMAXPROCSParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	const n, d = 19, 3 * colParallelMin
-	vs := make([]Vector, n)
-	for i := range vs {
-		v := NewVector(d)
-		for j := range v {
-			v[j] = rng.NormFloat64()
+	const d = 3 * colParallelMin
+	for _, n := range []int{19, 18} {
+		vs := make([]Vector, n)
+		for i := range vs {
+			v := NewVector(d)
+			for j := range v {
+				v[j] = rng.NormFloat64()
+			}
+			if i == 3 {
+				v[7] = math.NaN()
+				v[d-1] = math.Inf(1)
+			}
+			vs[i] = v
 		}
-		if i == 3 {
-			v[7] = math.NaN()
-			v[d-1] = math.Inf(1)
+		run := func(procs int, parallel bool, kernel ColumnKernel, arg int) Vector {
+			old := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(old)
+			out := NewVector(d)
+			var e ColumnEngine
+			e.Run(out, vs, arg, kernel, parallel)
+			return out
 		}
-		vs[i] = v
-	}
-	run := func(procs int, parallel bool, kernel ColumnKernel, arg int) Vector {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		out := NewVector(d)
-		var e ColumnEngine
-		e.Run(out, vs, arg, kernel, parallel)
-		return out
-	}
-	kernels := []struct {
-		name   string
-		kernel ColumnKernel
-		arg    int
-	}{
-		{"median", MedianKernel, 0},
-		{"trimmed-mean", TrimmedMeanKernel, 4},
-		{"nan-mean", NaNMeanKernel, 0},
-		{"mean-around-median", MeanAroundMedianKernel, 11},
-	}
-	for _, k := range kernels {
-		base := run(1, false, k.kernel, k.arg)
-		for _, procs := range []int{1, 8} {
-			got := run(procs, true, k.kernel, k.arg)
-			for j := range base {
-				if !eqFloat(got[j], base[j]) {
-					t.Fatalf("%s: GOMAXPROCS=%d parallel diverges at %d: %v vs %v",
-						k.name, procs, j, got[j], base[j])
+		kernels := []struct {
+			name   string
+			kernel ColumnKernel
+			arg    int
+		}{
+			{"median", MedianKernel, 0},
+			{"trimmed-mean", TrimmedMeanKernel, 4},
+			{"nan-mean", NaNMeanKernel, 0},
+			{"mean-around-median", MeanAroundMedianKernel, 11},
+		}
+		for _, k := range kernels {
+			base := run(1, false, k.kernel, k.arg)
+			for _, procs := range []int{1, 8} {
+				got := run(procs, true, k.kernel, k.arg)
+				for j := range base {
+					if math.Float64bits(got[j]) != math.Float64bits(base[j]) {
+						t.Fatalf("%s n=%d: GOMAXPROCS=%d parallel diverges at %d: %v vs %v",
+							k.name, n, procs, j, got[j], base[j])
+					}
 				}
 			}
 		}

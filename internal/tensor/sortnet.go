@@ -3,12 +3,13 @@ package tensor
 // Branchless sorting networks for the tiny per-coordinate columns of the
 // GAR kernels. At the paper's n≈19 worker count a comparison sort spends
 // most of its time in branch mispredictions — random data mispredicts about
-// once per element per pass — so the column kernels instead replay a fixed
+// once per element per pass — so the column engine instead replays a fixed
 // Batcher odd-even merge network whose compare-exchange sequence depends
 // only on n: each step is two loads, a min, a max and two stores, with no
-// data-dependent control flow at all. The pair list is built once per n and
-// cached by the column engine, so steady-state sorting performs no
-// allocations and, being a fixed sequence, is trivially deterministic.
+// data-dependent control flow at all, and sortRows applies it to every
+// column of a tile at once. The pair list is built once per n and cached by
+// the column engine, so steady-state sorting performs no allocations and,
+// being a fixed sequence, is trivially deterministic.
 
 // maxSortNet is the largest column size served by a network: the
 // O(n log²n) compare-exchange count overtakes partition-based selection
@@ -33,15 +34,4 @@ func SortNetPairs(n int) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// ApplySortNet sorts xs ascending by replaying the network pairs. The
-// min/max builtins order -0 before +0 and are only NaN-correct on NaN-free
-// input, which is what the kernels guarantee (NaNs are swapped out first).
-func ApplySortNet(xs []float64, pairs [][2]int) {
-	for _, pr := range pairs {
-		a, b := xs[pr[0]], xs[pr[1]]
-		xs[pr[0]] = min(a, b)
-		xs[pr[1]] = max(a, b)
-	}
 }
