@@ -704,6 +704,60 @@ func BenchmarkTransport_SendAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkTransport_RecvAllocs pins the receive half of the same contract:
+// a paced sender on its own goroutine, as a cluster worker is, and a
+// RecvPacket loop that takes one d=200k transfer per op — recvmmsg, decode
+// into the receiver's one packet — with zero steady-state allocations. The
+// reported allocs/op must be 0.
+func BenchmarkTransport_RecvAllocs(b *testing.B) {
+	grad := randGrads(20, 1, 200_000)[0]
+	codec := transport.Codec{Float32: true}
+	recv, err := transport.ListenUDP("127.0.0.1:0", codec, transport.DropGradient, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer recv.Close()
+	send, err := transport.DialUDP(recv.Addr(), codec, transport.DefaultMTU, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer send.Close()
+	send.SetPacing(128<<10, time.Millisecond)
+	pkts := codec.PacketsPerTransfer(len(grad), transport.DefaultMTU)
+	msg := &transport.GradientMsg{Worker: 1, Grad: grad}
+	transfers, sendErr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		defer close(sendErr)
+		for range transfers {
+			if err := send.SendGradient(msg); err != nil {
+				sendErr <- err
+				return
+			}
+		}
+	}()
+	defer func() { close(transfers); <-sendErr }()
+	transfer := func() {
+		transfers <- struct{}{}
+		for got := 0; got < pkts; got++ {
+			if _, err := recv.RecvPacket(time.Second); err != nil {
+				select {
+				case err = <-sendErr:
+				default:
+				}
+				b.Fatalf("after %d of %d packets: %v", got, pkts, err)
+			}
+		}
+	}
+	transfer() // warm the sender's arena and the receiver's packet
+	b.SetBytes(int64(len(grad) * 8))
+	b.ReportMetric(float64(pkts), "pkts/op")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		transfer()
+	}
+}
+
 // BenchmarkAblation_SelectionSize quantifies the appendix's slowdown claim:
 // convergence goes as O(1/√m), so Krum (m=1) needs more steps than
 // Multi-Krum at the maximal m = n−f−2 to reach the same target. Reported as

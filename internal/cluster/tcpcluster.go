@@ -301,19 +301,19 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 	return round.Finish()
 }
 
-// broadcast sends the round's model to every live connection in parallel.
-// Suspected workers are included — a straggler that recovers can rejoin the
-// round. A send to a connection whose peer is gone fails harmlessly; its
-// reader reports the loss.
+// broadcast sends the round's model, encoded once, to every live connection
+// in parallel. Suspected workers are included — a straggler that recovers can
+// rejoin the round. A send to a connection whose peer is gone fails
+// harmlessly; its reader reports the loss.
 func (c *TCPCluster) broadcast(round *ps.Round) error {
-	model := &transport.ModelMsg{Step: round.Step(), Params: round.Params()}
+	frame := c.cfg.Codec.EncodeModel(&transport.ModelMsg{Step: round.Step(), Params: round.Params()})
 	var wg sync.WaitGroup
 	var delivered atomic.Int64
 	for _, p := range c.peers {
 		wg.Add(1)
 		go func(conn *transport.TCPConn) {
 			defer wg.Done()
-			if conn.SendModel(model) == nil {
+			if conn.SendEncodedModel(frame) == nil {
 				delivered.Add(1)
 			}
 		}(p.conn)

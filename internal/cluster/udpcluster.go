@@ -106,12 +106,16 @@ func (p ModelRecoupPolicy) String() string {
 // timeout is a backstop against a server that vanished without Close.
 const udpWorkerIdleTimeout = time.Hour
 
-// udpPaceBurst/udpPaceDelay rate-limit every cluster sender: after each
-// 128 KB of datagram payload the sender sleeps 1 ms so the receiver drains
-// its kernel buffer. At the paper scale (d = 1.75M ≈ 14 MB of datagrams per
-// transfer) an unpaced burst overflows any realistic SO_RCVBUF and the
-// kernel silently discards the excess — the wedge the bounded broadcast
-// wait then has to clean up. Pacing changes timing only, never content.
+// udpPaceBurst/udpPaceDelay rate-limit what every cluster sender puts on any
+// one destination socket: after each 128 KB of datagram payload toward a
+// destination the sender sleeps 1 ms so that receiver drains its kernel
+// buffer. The invariant is per destination socket: a worker's gradient sender
+// has one destination, and the server's model fan-out counts the bytes each
+// worker endpoint was sent, not their sum over the workers. At the paper
+// scale (d = 1.75M ≈ 14 MB of datagrams per transfer) an unpaced burst
+// overflows any realistic SO_RCVBUF and the kernel silently discards the
+// excess — the wedge the bounded broadcast wait then has to clean up. Pacing
+// changes timing only, never content.
 const (
 	udpPaceBurst = 128 << 10
 	udpPaceDelay = time.Millisecond
@@ -124,11 +128,11 @@ const (
 // outstanding.
 type UDPCluster struct {
 	socketServer
-	recv         *transport.UDPReceiver   // gradient endpoint (server)
-	modelRecvs   []*transport.UDPReceiver // per-worker model endpoints
-	modelSenders []*transport.UDPSender   // server → worker model channels
-	gradSenders  []*transport.UDPSender   // worker → server gradient channels
-	gradMu       sync.Mutex               // guards gradSenders slots (churn re-dials swap them)
+	recv        *transport.UDPReceiver   // gradient endpoint (server)
+	modelRecvs  []*transport.UDPReceiver // per-worker model endpoints
+	models      *transport.UDPFanOut     // server → worker model channels, by worker id
+	gradSenders []*transport.UDPSender   // worker → server gradient channels
+	gradMu      sync.Mutex               // guards gradSenders slots (churn re-dials swap them)
 	// modelPktScratch is the broadcast split scratch, reused every round.
 	modelPktScratch []transport.Packet
 }
@@ -168,6 +172,7 @@ func (c *UDPCluster) Start() error {
 		return err
 	}
 	c.recv = recv
+	c.models = transport.NewUDPFanOut(c.cfg.Codec, c.cfg.MTU, udpPaceBurst, udpPaceDelay)
 	dim := c.Model().NumParams()
 	// abort releases every socket the failed Start opened; no worker
 	// goroutine has launched yet, so there is nothing to wait for.
@@ -207,13 +212,9 @@ func (c *UDPCluster) Start() error {
 		// header can neither allocate beyond it nor evict a pending partial.
 		mrecv.Reassembler().SetExpectDim(dim)
 		c.modelRecvs = append(c.modelRecvs, mrecv)
-		//aggrevet:lineage drop rate 0: the sender's rng is never drawn, model loss comes from the shared seeded schedule
-		msend, err := transport.DialUDP(mrecv.Addr(), c.cfg.Codec, c.cfg.MTU, 0, 0)
-		if err != nil {
+		if err := c.models.Dial(mrecv.Addr()); err != nil {
 			return abort(err)
 		}
-		msend.SetPacing(udpPaceBurst, udpPaceDelay)
-		c.modelSenders = append(c.modelSenders, msend)
 		if workers[id], err = newClusterWorker(id, &c.cfg); err != nil {
 			return abort(err)
 		}
@@ -377,20 +378,13 @@ func (c *UDPCluster) Step() (*ps.StepResult, error) {
 
 	// Broadcast phase. Suspected workers are included — a straggler that
 	// recovers can rejoin the round. Scheduled downlink drops are applied
-	// before the write (SendPackets takes the mask), mirroring the uplink
-	// design. Paced writes to a live socket never block for long, so
-	// sequential sends are fine.
+	// before the write (the fan-out takes each worker's mask), mirroring the
+	// uplink design.
 	c.modelPktScratch = c.cfg.Codec.SplitInto(c.modelPktScratch[:0], &transport.GradientMsg{
 		Worker: transport.ModelWorkerID, Step: round.Step(), Grad: round.Params(),
 	}, c.cfg.MTU)
-	for id, s := range c.modelSenders {
-		mask, send := round.Downlink(id)
-		if !send {
-			continue
-		}
-		if err := s.SendPackets(c.modelPktScratch, mask); err != nil {
-			return nil, fmt.Errorf("cluster: model broadcast to worker %d at step %d: %w", id, round.Step(), err)
-		}
+	if err := c.models.Broadcast(c.modelPktScratch, round.Downlink); err != nil {
+		return nil, fmt.Errorf("cluster: model broadcast at step %d: %w", round.Step(), err)
 	}
 
 	// Collection phase. Datagrams are unauthenticated, so whatever the round
@@ -441,9 +435,7 @@ func (c *UDPCluster) closeSockets() error {
 	for _, r := range c.modelRecvs {
 		r.Close()
 	}
-	for _, s := range c.modelSenders {
-		s.Close()
-	}
+	c.models.Close()
 	c.gradMu.Lock()
 	for _, s := range c.gradSenders {
 		if s != nil {

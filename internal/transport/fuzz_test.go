@@ -14,6 +14,9 @@ import (
 // the exact input bytes (decode is the inverse of encode on its image), and
 // anything accepted under one width must be rejected by the opposite-width
 // codec with ErrWireFormat — the loud mismatch the width byte exists for.
+// Every input is also decoded with DecodePacketInto over a packet that just
+// held a longer one: the same error and an empty packet, or field for field
+// the packet a fresh decode gives — nothing of the previous datagram.
 func FuzzDecodePacket(f *testing.F) {
 	for _, c := range []Codec{{Float32: true}, {Float32: false}} {
 		msg := &GradientMsg{Worker: 3, Step: 41, Grad: tensor.Vector{1.5, -2.25, math.Pi, 0}}
@@ -32,11 +35,26 @@ func FuzzDecodePacket(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, float32Wire bool) {
 		c := Codec{Float32: float32Wire}
 		p, err := c.DecodePacket(data)
+		used := &Packet{}
+		previous := c.EncodePacket(&Packet{Worker: 7, Step: 7, Loss: 7, Dim: 77, Offset: 7, Coords: make(tensor.Vector, 70)})
+		if err := c.DecodePacketInto(used, previous); err != nil {
+			t.Fatal(err)
+		}
+		reuseErr := c.DecodePacketInto(used, data)
 		if err != nil {
 			if p != nil {
 				t.Fatal("decoder returned both a packet and an error")
 			}
+			if reuseErr == nil || reuseErr.Error() != err.Error() {
+				t.Fatalf("decode into a used packet: error %v, a fresh decode fails with %v", reuseErr, err)
+			}
+			if !samePacket(used, &Packet{}) {
+				t.Fatalf("a failed decode left %+v in the packet", used)
+			}
 			return
+		}
+		if reuseErr != nil || !samePacket(used, p) {
+			t.Fatalf("decode into a used packet: %+v (error %v), a fresh decode gives %+v", used, reuseErr, p)
 		}
 		if p.Offset < 0 || p.Offset+len(p.Coords) > p.Dim {
 			t.Fatalf("accepted packet with range [%d,%d) outside dim %d", p.Offset, p.Offset+len(p.Coords), p.Dim)

@@ -92,7 +92,11 @@ type ModelCollector struct {
 	pktCount int
 	expected int
 	pending  map[int]*modelPending
-	queue    []ModelEvent
+	// queue holds settled broadcasts not handed out yet, oldest at head;
+	// ev is the event Next hands out.
+	queue []ModelEvent
+	head  int
+	ev    ModelEvent
 	// deadline is the wall-clock bound on the in-flight expected broadcast
 	// (zero = unarmed). It is a real deadline, not a per-read quiet period:
 	// unrelated traffic — later broadcasts, spoofed or gradient-tagged
@@ -182,13 +186,17 @@ func (mc *ModelCollector) advance() {
 // Next blocks until the next broadcast settles and returns it. Broadcasts
 // are reported in step order; fully-scheduled-away steps are skipped
 // silently. The error is ErrTimeout when the idle timeout passes with no
-// broadcast in flight, or the socket error when the endpoint is closed.
+// broadcast in flight, or the socket error when the endpoint is closed. The
+// returned event is the collector's own and is valid until the next call
+// (its Params vector is the caller's to keep).
 func (mc *ModelCollector) Next() (*ModelEvent, error) {
 	for {
-		if len(mc.queue) > 0 {
-			ev := mc.queue[0]
-			mc.queue = mc.queue[1:]
-			return &ev, nil
+		if mc.head < len(mc.queue) {
+			mc.ev, mc.queue[mc.head] = mc.queue[mc.head], ModelEvent{}
+			if mc.head++; mc.head == len(mc.queue) {
+				mc.queue, mc.head = mc.queue[:0], 0 // drained: the capacity serves the next broadcast
+			}
+			return &mc.ev, nil
 		}
 		mc.advance()
 		timeout := mc.cfg.IdleTimeout

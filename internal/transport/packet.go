@@ -157,38 +157,53 @@ func (c Codec) EncodePacket(p *Packet) []byte {
 	return c.AppendPacket(make([]byte, 0, c.PacketWireLen(p)), p)
 }
 
-// DecodePacket parses EncodePacket output.
+// DecodePacket parses EncodePacket output into a fresh packet.
 func (c Codec) DecodePacket(buf []byte) (*Packet, error) {
+	p := &Packet{}
+	if err := c.DecodePacketInto(p, buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodePacketInto parses EncodePacket output into p, reusing the capacity
+// of p.Coords: a receiver that decodes every datagram into one Packet
+// allocates nothing at steady state. Nothing of p's previous content
+// survives — on an error p is left empty (zero header, no coordinates).
+func (c Codec) DecodePacketInto(p *Packet, buf []byte) error {
+	*p = Packet{Coords: p.Coords[:0]}
 	if len(buf) < packetHeaderLen {
-		return nil, fmt.Errorf("%w: packet too short (%d bytes)", ErrBadFrame, len(buf))
+		return fmt.Errorf("%w: packet too short (%d bytes)", ErrBadFrame, len(buf))
 	}
 	if binary.LittleEndian.Uint32(buf[0:]) != Magic {
-		return nil, fmt.Errorf("%w: bad packet magic", ErrBadFrame)
+		return fmt.Errorf("%w: bad packet magic", ErrBadFrame)
 	}
 	if buf[4] != Version {
-		return nil, fmt.Errorf("%w: unsupported packet version %d", ErrBadFrame, buf[4])
+		return fmt.Errorf("%w: unsupported packet version %d", ErrBadFrame, buf[4])
 	}
 	if err := c.checkWidth(buf[5]); err != nil {
-		return nil, err
+		return err
 	}
 	count := int(binary.LittleEndian.Uint32(buf[34:]))
 	want := packetHeaderLen + count*c.BytesPerCoord()
 	if len(buf) != want {
-		return nil, fmt.Errorf("%w: packet %d bytes, want %d", ErrBadFrame, len(buf), want)
+		return fmt.Errorf("%w: packet %d bytes, want %d", ErrBadFrame, len(buf), want)
 	}
-	p := &Packet{
-		Worker: int(binary.LittleEndian.Uint32(buf[6:])),
-		Step:   int(binary.LittleEndian.Uint64(buf[10:])),
-		Loss:   math.Float64frombits(binary.LittleEndian.Uint64(buf[18:])),
-		Dim:    int(binary.LittleEndian.Uint32(buf[26:])),
-		Offset: int(binary.LittleEndian.Uint32(buf[30:])),
-		Coords: tensor.NewVector(count),
+	dim := int(binary.LittleEndian.Uint32(buf[26:]))
+	offset := int(binary.LittleEndian.Uint32(buf[30:]))
+	if offset < 0 || offset+count > dim {
+		return fmt.Errorf("%w: packet range [%d,%d) outside dim %d", ErrBadFrame, offset, offset+count, dim)
 	}
-	if p.Offset < 0 || p.Offset+count > p.Dim {
-		return nil, fmt.Errorf("%w: packet range [%d,%d) outside dim %d", ErrBadFrame, p.Offset, p.Offset+count, p.Dim)
+	p.Worker = int(binary.LittleEndian.Uint32(buf[6:]))
+	p.Step = int(binary.LittleEndian.Uint64(buf[10:]))
+	p.Loss = math.Float64frombits(binary.LittleEndian.Uint64(buf[18:]))
+	p.Dim, p.Offset = dim, offset
+	if cap(p.Coords) < count {
+		p.Coords = tensor.NewVector(count)
 	}
+	p.Coords = p.Coords[:count]
 	c.getCoords(buf[packetHeaderLen:], p.Coords)
-	return p, nil
+	return nil
 }
 
 // RecoupPolicy selects what the receive endpoint does about coordinates

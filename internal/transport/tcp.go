@@ -102,7 +102,14 @@ func (c *TCPConn) RecvGradient() (*GradientMsg, error) {
 
 // SendModel writes one model broadcast.
 func (c *TCPConn) SendModel(m *ModelMsg) error {
-	return c.writeFrame(c.codec.EncodeModel(m))
+	return c.SendEncodedModel(c.codec.EncodeModel(m))
+}
+
+// SendEncodedModel writes a model broadcast that Codec.EncodeModel already
+// rendered under this connection's codec. The frame is only read, so a
+// broadcast encodes once and every connection writes the same bytes.
+func (c *TCPConn) SendEncodedModel(frame []byte) error {
+	return c.writeFrame(frame)
 }
 
 // RecvModel reads one model broadcast.

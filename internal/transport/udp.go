@@ -240,6 +240,86 @@ func (s *UDPSender) flush() error {
 // Close releases the socket.
 func (s *UDPSender) Close() error { return s.conn.Close() }
 
+// UDPFanOut sends one split transfer to many destinations as a single
+// operation with a single pacing clock — the server's model broadcast. The
+// packets are walked in chunks of at most udpBatch; each chunk goes to every
+// destination in turn (one sendmmsg each), and the fan-out sleeps once when
+// the bytes sent to each destination since the last sleep reach the burst.
+// The pacing invariant is per destination socket — no receiver sees more
+// than burstBytes per delay, which is all pacing is for (see
+// UDPSender.SetPacing) — so the sleeps of a broadcast do not multiply with
+// the number of destinations, and every destination starts receiving at
+// once instead of waiting for the ones before it to be served in full.
+type UDPFanOut struct {
+	codec     Codec
+	mtu       int
+	dests     []*UDPSender
+	paceBurst int
+	paceDelay time.Duration
+	burstAcc  int                 // bytes per destination since the last sleep; carries across broadcasts
+	sleep     func(time.Duration) // time.Sleep; tests count the calls
+}
+
+// NewUDPFanOut builds a fan-out with no destinations yet (see Dial).
+// burstBytes <= 0 disables pacing.
+func NewUDPFanOut(codec Codec, mtu, burstBytes int, delay time.Duration) *UDPFanOut {
+	return &UDPFanOut{codec: codec, mtu: mtu, paceBurst: burstBytes, paceDelay: delay, sleep: time.Sleep}
+}
+
+// Dial adds a destination; its index in Broadcast's plan is the number of
+// destinations dialled before it.
+func (f *UDPFanOut) Dial(addr string) error {
+	// Unpaced and loss-free: the fan-out paces, and a broadcast loses exactly
+	// the packets its plan masks.
+	//aggrevet:lineage drop rate 0: the sender's rng is never drawn, loss comes from the plan's masks
+	s, err := DialUDP(addr, f.codec, f.mtu, 0, 0)
+	if err != nil {
+		return err
+	}
+	f.dests = append(f.dests, s)
+	return nil
+}
+
+// Broadcast writes pkts to every destination. plan says, per destination,
+// which packet indexes to withhold (as in UDPSender.SendPackets) and whether
+// to send to it at all. A chunk is accounted at its unmasked size, an upper
+// bound on what any one destination received of it.
+func (f *UDPFanOut) Broadcast(pkts []Packet, plan func(dest int) (dropped []bool, send bool)) error {
+	for lo := 0; lo < len(pkts); {
+		// The chunk ends at the batch size or at the packet that reaches the
+		// burst, whichever comes first — the same two boundaries at which a
+		// paced UDPSender flushes.
+		hi, bytes := lo, 0
+		for hi < len(pkts) && hi-lo < udpBatch && (f.paceBurst <= 0 || f.burstAcc+bytes < f.paceBurst) {
+			bytes += f.codec.PacketWireLen(&pkts[hi])
+			hi++
+		}
+		for id, s := range f.dests {
+			dropped, send := plan(id)
+			if !send {
+				continue
+			}
+			if err := s.SendPackets(pkts[lo:hi], dropped[min(lo, len(dropped)):]); err != nil {
+				return fmt.Errorf("destination %d: %w", id, err)
+			}
+		}
+		f.burstAcc += bytes
+		if f.paceBurst > 0 && f.burstAcc >= f.paceBurst {
+			f.burstAcc = 0
+			f.sleep(f.paceDelay)
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// Close releases every destination's socket.
+func (f *UDPFanOut) Close() {
+	for _, s := range f.dests {
+		s.Close()
+	}
+}
+
 // UDPReceiver assembles datagrams back into gradients with a recoup policy —
 // the lossyMPI receive endpoint. Datagrams are drained from the kernel in
 // recvmmsg batches and handed out one at a time.
@@ -250,6 +330,9 @@ type UDPReceiver struct {
 	batcher *recvBatcher
 	batched int // datagrams in the current batch
 	next    int // next undelivered datagram in the batch
+	// pkt is the one packet every datagram is decoded into, so a receive
+	// allocates nothing at steady state.
+	pkt Packet
 
 	wireMismatches int
 	strictWire     bool
@@ -325,12 +408,13 @@ func (r *UDPReceiver) readDatagram(deadline time.Time) ([]byte, error) {
 	return buf, nil
 }
 
-// decode parses one datagram, tracking wire-format mismatches. skip=true
-// means the datagram was invalid and the caller should read the next one.
+// decode parses one datagram into the receiver's packet, tracking
+// wire-format mismatches. skip=true means the datagram was invalid and the
+// caller should read the next one.
 func (r *UDPReceiver) decode(buf []byte) (pkt *Packet, skip bool, err error) {
-	pkt, derr := r.codec.DecodePacket(buf)
+	derr := r.codec.DecodePacketInto(&r.pkt, buf)
 	if derr == nil {
-		return pkt, false, nil
+		return &r.pkt, false, nil
 	}
 	if errors.Is(derr, ErrWireFormat) {
 		r.wireMismatches++
@@ -404,6 +488,10 @@ func (r *UDPReceiver) flushAny() (*GradientMsg, error) {
 // drive reassembly explicitly (cluster.UDPCluster slots gradients by worker
 // id and recoups scheduled losses deterministically) pair RecvPacket with
 // Reassembler().Offer.
+//
+// The returned packet is the receiver's own and is valid until the next
+// RecvPacket, RecvGradient or RecvModel call, which decodes over it; a caller
+// that keeps coordinates beyond that copies them (Reassembler.Offer does).
 func (r *UDPReceiver) RecvPacket(timeout time.Duration) (*Packet, error) {
 	deadline := time.Now().Add(timeout)
 	for {
