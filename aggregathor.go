@@ -16,7 +16,7 @@
 //
 //   - Distributed mode. NewTCPCluster builds a real socket-distributed
 //     deployment driven round-by-round (server and workers speak the binary
-//     wire protocol over TCP); TCPTrain is the one-shot convenience wrapper.
+//     wire protocol over TCP).
 //     NewUDPCluster builds the paper's lossyMPI deployment instead:
 //     gradients travel real UDP datagrams with seeded per-packet drop
 //     injection, and the coordinates lost in flight are recouped by a §3.3
@@ -53,9 +53,6 @@ type Result = core.Result
 
 // Experiment is a model+dataset preset.
 type Experiment = core.Experiment
-
-// TCPTrainConfig describes a one-shot socket-distributed deployment.
-type TCPTrainConfig = cluster.TCPTrainConfig
 
 // TCPClusterConfig describes a round-driveable socket-distributed
 // deployment.
@@ -102,12 +99,6 @@ func RunCampaign(spec CampaignSpec) (*Campaign, error) { return scenario.Execute
 // SmokeCampaignSpec returns the built-in demonstration sweep (4 GARs ×
 // 3 attacks + baseline × 2 network conditions).
 func SmokeCampaignSpec() CampaignSpec { return scenario.SmokeSpec() }
-
-// TCPTrain runs a socket-distributed synchronous training session.
-func TCPTrain(cfg TCPTrainConfig) ([]float64, error) {
-	params, err := cluster.TCPTrain(cfg)
-	return params, err
-}
 
 // NewTCPCluster builds a socket-distributed cluster to drive round-by-round.
 // Call Start once, Step per synchronous round, and Close to hang up. Rounds

@@ -86,6 +86,25 @@ func TestPublicRunSmoke(t *testing.T) {
 	}
 }
 
+// tcpTrain drives a TCPCluster built through the facade for a fixed number
+// of rounds.
+func tcpTrain(cfg TCPClusterConfig, steps int) ([]float64, error) {
+	cl, err := NewTCPCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := cl.Start(); err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	for step := 0; step < steps; step++ {
+		if _, err := cl.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return cl.Params(), nil
+}
+
 func TestPublicTCPTrain(t *testing.T) {
 	// The facade path: a socket-distributed session through the public API.
 	var exp Experiment
@@ -108,7 +127,7 @@ func TestPublicTCPTrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params, err := TCPTrain(TCPTrainConfig{
+	params, err := tcpTrain(TCPClusterConfig{
 		Addr:         "127.0.0.1:0",
 		ModelFactory: factory,
 		Workers:      5,
@@ -116,8 +135,7 @@ func TestPublicTCPTrain(t *testing.T) {
 		Optimizer:    optimizer,
 		Batch:        32,
 		Train:        train,
-		Steps:        60,
-	})
+	}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // Command aggrevet machine-checks the repo's reproducibility contract: it
 // runs the internal/analysis suite — five per-package syntax checks
-// (maporder, wallclock, seededrand, sortdet, hotalloc) and five module-wide
-// dataflow/structure checks (seedflow, guardparity, selectdet, goroleak,
-// errdet) — over the named packages and exits non-zero on any finding. It
+// (maporder, wallclock, seededrand, sortdet, hotalloc) and four dataflow and
+// structure checks (seedflow, selectdet, goroleak, errdet) — over the named packages and exits non-zero on any finding. It
 // is the `make lint` workhorse and runs in CI on every push.
 //
 // Usage:
@@ -10,8 +9,6 @@
 //	aggrevet [packages]          # analyze (default ./...)
 //	aggrevet -escape             # diff the hot-path escape baseline
 //	aggrevet -escape -write      # regenerate the committed baseline
-//	aggrevet -guard-matrix       # diff the guard-parity golden matrix
-//	aggrevet -guard-matrix -write# regenerate the committed matrix
 //	aggrevet -directives         # audit every //aggrevet:* justification
 //
 // The escape mode complements hotalloc's syntactic pass: it captures the
@@ -20,12 +17,6 @@
 // baseline (internal/analysis/escape_baseline.txt) — so an edit that makes
 // a workspace kernel's local escape to the heap fails CI even when no new
 // allocation expression was written.
-//
-// The guard-matrix mode renders the config-axis × layer rejection matrix
-// that the guardparity analyzer reconciles (see
-// internal/analysis/guard_matrix.txt for the row grammar, including
-// reviewed "!layer" hole markers) and diffs it against the committed
-// golden, so adding an axis or a guard is always a visible golden diff.
 //
 // The directives mode lists the repo's full suppression audit trail — every
 // //aggrevet:<name> comment with its file:line and justification — and
@@ -60,11 +51,10 @@ const baselinePath = "internal/analysis/escape_baseline.txt"
 
 func main() {
 	escape := flag.Bool("escape", false, "diff the hot-path gcflags=-m escape baseline instead of running the analyzers")
-	guardMatrix := flag.Bool("guard-matrix", false, "diff the committed guard-parity matrix instead of running the analyzers")
 	directives := flag.Bool("directives", false, "audit every //aggrevet:* suppression directive instead of running the analyzers")
-	write := flag.Bool("write", false, "with -escape or -guard-matrix: rewrite the committed golden file")
+	write := flag.Bool("write", false, "with -escape: rewrite the committed baseline")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: aggrevet [-escape [-write] | -guard-matrix [-write] | -directives] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: aggrevet [-escape [-write] | -directives] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -76,9 +66,6 @@ func main() {
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if *guardMatrix {
-		os.Exit(runGuardMatrix(*write, patterns))
 	}
 	if *directives {
 		os.Exit(runDirectives(patterns))
@@ -96,39 +83,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aggrevet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// runGuardMatrix renders the guard-parity matrix over the loaded packages
-// and either writes the committed golden (-write) or diffs against it.
-func runGuardMatrix(write bool, patterns []string) int {
-	pkgs, err := analysis.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aggrevet -guard-matrix:", err)
-		return 2
-	}
-	matrix := analysis.RenderGuardMatrix(pkgs)
-	if write {
-		if err := os.WriteFile(analysis.GuardMatrixFile, []byte(matrix), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "aggrevet -guard-matrix:", err)
-			return 2
-		}
-		fmt.Printf("aggrevet: wrote %s (%d rows) — review any \"!layer\" hole markers\n",
-			analysis.GuardMatrixFile, strings.Count(matrix, "\n")-4)
-		return 0
-	}
-	want, err := os.ReadFile(analysis.GuardMatrixFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aggrevet -guard-matrix:", err)
-		return 2
-	}
-	if string(want) == matrix {
-		fmt.Println("aggrevet: guard matrix clean")
-		return 0
-	}
-	fmt.Fprintln(os.Stderr, "aggrevet: guard-parity matrix drifted from", analysis.GuardMatrixFile)
-	printProfileDiff(string(want), matrix)
-	fmt.Fprintln(os.Stderr, "aggrevet: if the change is intended, regenerate with: go run ./cmd/aggrevet -guard-matrix -write")
-	return 1
 }
 
 // minJustification is the shortest justification -directives accepts; below

@@ -78,7 +78,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	params, err := cluster.TCPTrain(cluster.TCPTrainConfig{
+	cl, err := cluster.NewTCPCluster(cluster.TCPClusterConfig{
 		Addr:         "127.0.0.1:0",
 		ModelFactory: factory,
 		Workers:      *workers,
@@ -86,12 +86,21 @@ func main() {
 		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}, Momentum: 0.9},
 		Batch:        *batch,
 		Train:        train,
-		Steps:        *steps,
 		Seed:         *seed,
 	})
 	if err != nil {
 		fatal(err)
 	}
+	if err := cl.Start(); err != nil {
+		fatal(err)
+	}
+	defer cl.Close()
+	for step := 0; step < *steps; step++ {
+		if _, err := cl.Step(); err != nil {
+			fatal(err)
+		}
+	}
+	params := cl.Params()
 	model := factory()
 	model.SetParamsVector(params)
 	fmt.Printf("trained over real sockets; test accuracy: %.4f\n", model.Accuracy(test.X, test.Y))

@@ -41,16 +41,14 @@ import (
 // either per-package (Run set: one pass per package, no cross-package view)
 // or module-wide (RunModule set: one pass over the whole loaded module, for
 // invariants that live in interprocedural dataflow or cross-package
-// structure — seed lineage, guard parity).
+// structure — seed lineage).
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, e.g. "maporder".
 	Name string
 	// Doc is a one-paragraph description of the invariant.
 	Doc string
 	// Directive is the suppression directive name that justifies an
-	// intentional violation, e.g. "ordered" for //aggrevet:ordered. Empty
-	// for analyzers whose findings have no per-site suppression (guard
-	// parity is accepted through the golden matrix instead).
+	// intentional violation, e.g. "ordered" for //aggrevet:ordered.
 	Directive string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
@@ -94,13 +92,6 @@ func (mp *ModulePass) Reportf(fset *token.FileSet, pos token.Pos, format string,
 			return
 		}
 	}
-	mp.reportAt(position, format, args...)
-}
-
-// ReportAt reports a finding at an explicit position, bypassing scope and
-// directive lookup — for diagnostics that do not anchor to a source line
-// (golden-file drift, a matrix row with no declaration site).
-func (mp *ModulePass) ReportAt(position token.Position, format string, args ...any) {
 	mp.reportAt(position, format, args...)
 }
 

@@ -121,89 +121,6 @@ func TestSelectDetFixture(t *testing.T)  { checkFixture(t, SelectDet, "selectdet
 func TestGoroLeakFixture(t *testing.T)   { checkFixture(t, GoroLeak, "goroleak", nil) }
 func TestErrDetFixture(t *testing.T)     { checkFixture(t, ErrDet, "errdet", nil) }
 
-// TestGuardParityFixture drives the cross-package analyzer over its four
-// fixture layers against a fixture golden that encodes one of each failure
-// mode: an undeclared parity hole (core), golden drift (scenario now
-// enforces a guard its row omits), a stale row naming a ghost sentinel, a
-// declared "!ps" hole (quiet) and an exactly-matching row (quiet).
-func TestGuardParityFixture(t *testing.T) {
-	pkgs, err := Load(".", "./testdata/src/guardparity/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 4 {
-		t.Fatalf("loaded %d fixture layers, want 4", len(pkgs))
-	}
-	golden, err := filepath.Abs("testdata/src/guardparity/guard_matrix.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	guardMatrixOverride = golden
-	defer func() { guardMatrixOverride = "" }()
-
-	diags := RunSuite([]ScopedAnalyzer{{Analyzer: GuardParity}}, pkgs)
-	want := []string{
-		`guard matrix drift: churn×async (ps.ErrChurnAsync) is now enforced at scenario`,
-		`guard parity hole: churn×async (ps.ErrChurnAsync) is enforced at [scenario cluster] but core can express both axes`,
-		`stale golden row: matrix declares guard churn×model-loss (ps.ErrChurnModelLoss)`,
-	}
-	if len(diags) != len(want) {
-		for _, d := range diags {
-			t.Log(d)
-		}
-		t.Fatalf("got %d diagnostics, want %d", len(diags), len(want))
-	}
-	for _, w := range want {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, w) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			for _, d := range diags {
-				t.Log(d)
-			}
-			t.Fatalf("no diagnostic contains %q", w)
-		}
-	}
-}
-
-// TestGuardParityFixtureRender pins the golden syntax the -guard-matrix
-// mode emits: rows sorted by axis pair, enforced layers in chain order, and
-// computed "!" hole markers for expected-but-unenforced layers.
-func TestGuardParityFixtureRender(t *testing.T) {
-	pkgs, err := Load(".", "./testdata/src/guardparity/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := RenderGuardMatrix(pkgs)
-	for _, row := range []string{
-		"churn×async (ps.ErrChurnAsync): scenario !core cluster !ps\n",
-		"informed×slow (ps.ErrInformedSlow): cluster ps\n",
-	} {
-		if !strings.Contains(got, row) {
-			t.Fatalf("rendered matrix missing row %q:\n%s", row, got)
-		}
-	}
-}
-
-// TestGuardParityGoldenMissing pins the bootstrap diagnostic: sentinels
-// with no committed matrix demand a -write run instead of silently passing.
-func TestGuardParityGoldenMissing(t *testing.T) {
-	pkgs, err := Load(".", "./testdata/src/guardparity/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	guardMatrixOverride = filepath.Join(t.TempDir(), "absent.txt")
-	defer func() { guardMatrixOverride = "" }()
-	diags := RunSuite([]ScopedAnalyzer{{Analyzer: GuardParity}}, pkgs)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "golden matrix missing") {
-		t.Fatalf("want the single golden-missing diagnostic, got %v", diags)
-	}
-}
-
 // TestDirectivesAccessor pins the -directives audit surface: every
 // //aggrevet: comment of the fixture comes back in position order with its
 // name and justification text.
@@ -227,13 +144,13 @@ func TestDirectivesAccessor(t *testing.T) {
 	}
 }
 
-// TestDefaultSuiteHasTenAnalyzers pins the suite composition after the v2
-// expansion: five per-package passes and five module/dataflow passes, with
-// no duplicate names or directive collisions.
-func TestDefaultSuiteHasTenAnalyzers(t *testing.T) {
+// TestDefaultSuiteHasNineAnalyzers pins the suite composition: five syntax
+// passes and four dataflow/structure passes, with no duplicate names or
+// directive collisions.
+func TestDefaultSuiteHasNineAnalyzers(t *testing.T) {
 	suite := DefaultSuite()
-	if len(suite) != 10 {
-		t.Fatalf("default suite has %d analyzers, want 10", len(suite))
+	if len(suite) != 9 {
+		t.Fatalf("default suite has %d analyzers, want 9", len(suite))
 	}
 	names := map[string]bool{}
 	directives := map[string]bool{}
@@ -259,8 +176,8 @@ func TestDefaultSuiteHasTenAnalyzers(t *testing.T) {
 			t.Fatalf("analyzer %q must set exactly one of Run and RunModule", a.Name)
 		}
 	}
-	if perPkg != 8 || module != 2 {
-		t.Fatalf("suite split per-package=%d module=%d, want 8 and 2", perPkg, module)
+	if perPkg != 8 || module != 1 {
+		t.Fatalf("suite split per-package=%d module=%d, want 8 and 1", perPkg, module)
 	}
 }
 

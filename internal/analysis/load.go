@@ -21,9 +21,6 @@ type Package struct {
 	PkgPath string
 	Name    string
 	Dir     string
-	// ModRoot is the filesystem root of the owning module (empty when the
-	// go tool reports none) — where module-level golden files live.
-	ModRoot string
 
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -44,7 +41,6 @@ type listedPackage struct {
 	Standard   bool
 	Incomplete bool
 	Error      *struct{ Err string }
-	Module     *struct{ Path, Dir string }
 }
 
 // Load lists the packages matching patterns from dir with `go list -export
@@ -143,15 +139,10 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Pac
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", lp.ImportPath, err)
 	}
-	modRoot := ""
-	if lp.Module != nil {
-		modRoot = lp.Module.Dir
-	}
 	return &Package{
 		PkgPath:    lp.ImportPath,
 		Name:       lp.Name,
 		Dir:        lp.Dir,
-		ModRoot:    modRoot,
 		Fset:       fset,
 		Files:      files,
 		Types:      tpkg,

@@ -8,16 +8,13 @@ import (
 	"strings"
 )
 
-// Module is the whole-module view the interprocedural analyzers (seedflow,
-// guardparity) run over: every loaded package plus a cross-package function
+// Module is the whole-module view the interprocedural analyzer (seedflow)
+// runs over: every loaded package plus a cross-package function
 // index and a call graph. Per-package analyzers see one package at a time;
 // the bugs that shipped in PRs 3, 7 and 9 lived in dataflow and structure
 // that spans packages, which is what this index makes visible.
 type Module struct {
 	Pkgs []*Package
-	// Root is the module's filesystem root (where committed golden files
-	// like the guard-parity matrix live).
-	Root string
 
 	// funcs indexes every function and method declaration in the loaded
 	// packages by its stable key (see funcKey).
@@ -47,9 +44,6 @@ func NewModule(pkgs []*Package) *Module {
 		pkgByFile: map[string]*Package{},
 	}
 	for _, pkg := range pkgs {
-		if m.Root == "" {
-			m.Root = pkg.ModRoot
-		}
 		for _, f := range pkg.Files {
 			m.pkgByFile[pkg.Fset.Position(f.Pos()).Filename] = pkg
 			for _, decl := range f.Decls {

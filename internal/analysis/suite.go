@@ -34,15 +34,6 @@ var goroutinePackages = []string{
 	"internal/transport",
 }
 
-// guardLayerPackages are the four config layers whose cross-axis rejection
-// guards GuardParity reconciles.
-var guardLayerPackages = []string{
-	"internal/ps",
-	"internal/cluster",
-	"internal/core",
-	"internal/scenario",
-}
-
 // wallclockAllowFiles is the explicit allowlist of deadline/pacing files —
 // the only places in the critical packages permitted to read the wall
 // clock. Keep this list a handful of files: new wall-clock needs should
@@ -90,12 +81,12 @@ func (s ScopedAnalyzer) Allowed(filename string) bool {
 	return false
 }
 
-// DefaultSuite is the aggrevet configuration: the ten analyzers scoped to
+// DefaultSuite is the aggrevet configuration: the nine analyzers scoped to
 // the packages whose invariants they enforce. Five are per-package syntax
-// checks (PR 8); five are the v2 dataflow and cross-package structure
-// checks — seedflow (interprocedural seed lineage), guardparity (cross-layer
-// rejection matrix), selectdet (deterministic select resolution), goroleak
-// (joined goroutines) and errdet (deterministic error strings).
+// checks (PR 8); four are the v2 dataflow and structure checks — seedflow
+// (interprocedural seed lineage), selectdet (deterministic select
+// resolution), goroleak (joined goroutines) and errdet (deterministic error
+// strings).
 func DefaultSuite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{Analyzer: MapOrder, pkgSuffixes: criticalPackages},
@@ -104,7 +95,6 @@ func DefaultSuite() []ScopedAnalyzer {
 		{Analyzer: SortDet, pkgSuffixes: criticalPackages},
 		{Analyzer: HotAlloc, pkgSuffixes: hotAllocPackages},
 		{Analyzer: SeedFlow, pkgSuffixes: seededRandPackages},
-		{Analyzer: GuardParity, pkgSuffixes: guardLayerPackages},
 		{Analyzer: SelectDet, pkgSuffixes: criticalPackages},
 		{Analyzer: GoroLeak, pkgSuffixes: goroutinePackages},
 		{Analyzer: ErrDet, pkgSuffixes: criticalPackages},

@@ -63,6 +63,14 @@ type Informed interface {
 	RequiresHonest() bool
 }
 
+// NeedsHonest reports whether a is an informed attack: one whose forgeries
+// are only right when Context.Honest is exactly what the honest workers
+// submit. A nil attack (an honest worker) needs nothing.
+func NeedsHonest(a Attack) bool {
+	inf, ok := a.(Informed)
+	return ok && inf.RequiresHonest()
+}
+
 // Random submits large Gaussian noise, the classic blind poisoning attack:
 // a single such worker is enough to derail plain averaging.
 type Random struct {

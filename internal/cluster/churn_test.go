@@ -329,20 +329,20 @@ func TestTCPClusterAbruptDisconnectSettlesViaRecoup(t *testing.T) {
 	ds.MinMaxScale()
 	train, _ := ds.Split(0.8)
 	cl, err := NewTCPCluster(TCPClusterConfig{
-		Addr:            "127.0.0.1:0",
-		ModelFactory:    func() *nn.Network { return nn.NewMLP(6, []int{8}, 3, rand.New(rand.NewSource(10))) },
-		Workers:         5,
-		GAR:             gar.Median{},
-		Optimizer:       &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
-		Batch:           8,
-		Train:           train,
-		RoundTimeout:    30 * time.Second,
-		Seed:            21,
-		testAbruptClose: map[int]int{2: crashStep},
+		Addr:         "127.0.0.1:0",
+		ModelFactory: func() *nn.Network { return nn.NewMLP(6, []int{8}, 3, rand.New(rand.NewSource(10))) },
+		Workers:      5,
+		GAR:          gar.Median{},
+		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
+		Batch:        8,
+		Train:        train,
+		RoundTimeout: 30 * time.Second,
+		Seed:         21,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl.testAbruptClose = map[int]int{2: crashStep}
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"aggregathor/internal/gar"
 	"aggregathor/internal/nn"
 	"aggregathor/internal/opt"
+	"aggregathor/internal/tensor"
 	"aggregathor/internal/transport"
 )
 
@@ -136,6 +137,25 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
+// tcpTrain drives a TCPCluster for a fixed number of rounds and returns the
+// trained parameters.
+func tcpTrain(cfg TCPClusterConfig, steps int) (tensor.Vector, error) {
+	cl, err := NewTCPCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := cl.Start(); err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	for step := 0; step < steps; step++ {
+		if _, err := cl.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return cl.Params(), nil
+}
+
 // Full socket-distributed training over localhost: model broadcasts and
 // gradients all travel real TCP connections, the GAR aggregates, and the
 // model learns.
@@ -146,7 +166,7 @@ func TestTCPTrainEndToEnd(t *testing.T) {
 	factory := func() *nn.Network {
 		return nn.NewMLP(10, []int{16}, 3, rand.New(rand.NewSource(42)))
 	}
-	params, err := TCPTrain(TCPTrainConfig{
+	params, err := tcpTrain(TCPClusterConfig{
 		Addr:         "127.0.0.1:0",
 		ModelFactory: factory,
 		Workers:      5,
@@ -154,9 +174,8 @@ func TestTCPTrainEndToEnd(t *testing.T) {
 		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.3}},
 		Batch:        32,
 		Train:        train,
-		Steps:        120,
 		RoundTimeout: 10 * time.Second,
-	})
+	}, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +193,7 @@ func TestTCPTrainFloat32Wire(t *testing.T) {
 	factory := func() *nn.Network {
 		return nn.NewMLP(8, []int{12}, 2, rand.New(rand.NewSource(44)))
 	}
-	params, err := TCPTrain(TCPTrainConfig{
+	params, err := tcpTrain(TCPClusterConfig{
 		Addr:         "127.0.0.1:0",
 		ModelFactory: factory,
 		Workers:      3,
@@ -182,9 +201,8 @@ func TestTCPTrainFloat32Wire(t *testing.T) {
 		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.3}},
 		Batch:        16,
 		Train:        train,
-		Steps:        80,
 		Codec:        transport.Codec{Float32: true},
-	})
+	}, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +214,11 @@ func TestTCPTrainFloat32Wire(t *testing.T) {
 }
 
 func TestTCPTrainValidation(t *testing.T) {
-	if _, err := TCPTrain(TCPTrainConfig{}); err == nil {
+	if _, err := tcpTrain(TCPClusterConfig{}, 1); err == nil {
 		t.Fatal("empty config accepted")
 	}
 	ds := data.SyntheticFeatures(50, 4, 2, 45)
-	cfg := TCPTrainConfig{
+	cfg := TCPClusterConfig{
 		Addr:         "127.0.0.1:0",
 		ModelFactory: func() *nn.Network { return nn.NewMLP(4, nil, 2, rand.New(rand.NewSource(1))) },
 		Workers:      0,
@@ -208,9 +226,24 @@ func TestTCPTrainValidation(t *testing.T) {
 		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
 		Batch:        8,
 		Train:        ds,
-		Steps:        1,
 	}
-	if _, err := TCPTrain(cfg); err == nil {
+	if _, err := tcpTrain(cfg, 1); err == nil {
 		t.Fatal("zero workers accepted")
+	}
+	// A stream has no datagram link: the datagram-only axes fail loudly
+	// instead of being silently ignored.
+	for i, mutate := range []func(*TCPClusterConfig){
+		func(c *TCPClusterConfig) { c.DropRate = 0.1 },
+		func(c *TCPClusterConfig) { c.ModelDropRate = 0.1 },
+		func(c *TCPClusterConfig) { c.ModelRecoup = ModelRecoupStale },
+		func(c *TCPClusterConfig) { c.MTU = 1400 },
+		func(c *TCPClusterConfig) { c.WorkerBindHost = "127.0.0.1" },
+	} {
+		bad := cfg
+		bad.Workers = 2
+		mutate(&bad)
+		if _, err := NewTCPCluster(bad); err == nil {
+			t.Fatalf("datagram-only field %d accepted by NewTCPCluster", i)
+		}
 	}
 }

@@ -7,35 +7,147 @@ import (
 	"time"
 
 	"aggregathor/internal/attack"
+	"aggregathor/internal/data"
 	"aggregathor/internal/gar"
+	"aggregathor/internal/nn"
+	"aggregathor/internal/opt"
 	"aggregathor/internal/ps"
 	"aggregathor/internal/transport"
 )
 
-// socketConfig is the one description of a socket deployment that
-// validation, the round engine and the worker nodes read. The datagram config
-// is the superset — a TCP deployment is the same description with the
-// datagram axes zero, which validates (and plans) as a loss-free link — so
-// NewTCPCluster maps its fields onto it and NewUDPCluster uses its own.
-type socketConfig = UDPClusterConfig
+// UDPClusterConfig is the one description of a socket deployment — one
+// parameter server and n worker goroutines speaking the transport wire
+// protocol over real sockets — that validation, the round engine and the
+// worker nodes read. TCPClusterConfig is the same struct: a TCP deployment is
+// the same description with the datagram axes zero (NewTCPCluster rejects them
+// otherwise), which plans as a loss-free link.
+type UDPClusterConfig struct {
+	// Addr is the server bind address ("127.0.0.1:0" picks a free port): the
+	// TCP listener, or the UDP gradient endpoint (each datagram worker
+	// additionally binds its own model endpoint on a kernel-chosen port).
+	Addr string
+	// ModelFactory builds the network replicas: one for the server, one per
+	// worker.
+	ModelFactory func() *nn.Network
+	// Workers is n; each worker draws Batch-sized mini-batches from Train.
+	Workers int
+	Batch   int
+	Train   *data.Dataset
+	// GAR aggregates each round and Optimizer applies the result.
+	GAR       gar.GAR
+	Optimizer opt.Optimizer
+	// Codec selects the wire coordinate width (zero value = lossless
+	// float64, which is what the bit-for-bit parity guarantee needs).
+	Codec transport.Codec
+	// RoundTimeout bounds the collection phase (the paper's fix for
+	// TensorFlow waiting indefinitely on unresponsive nodes). Zero means
+	// 30 seconds. Only a genuinely unresponsive worker ever pays it.
+	RoundTimeout time.Duration
+	// Byzantine maps worker ids to attack names. A Byzantine worker forges
+	// its wire submission; omniscient attacks are honoured by recomputing
+	// the honest gradients from the shared run seed (see clusterWorker).
+	Byzantine map[int]string
+	// Unresponsive marks worker ids that receive broadcasts but never
+	// submit a gradient — the paper's unresponsive node, which vanilla
+	// TensorFlow waits on forever and AggregaThor bounds with the round
+	// timeout.
+	Unresponsive map[int]bool
+	// Seed is the run seed. Sampler, attack, schedule and recoup randomness
+	// all derive from it through the shared ps formulas, so identical
+	// configurations produce identical gradient streams over any backend.
+	Seed int64
+	// L1, L2 are the regularisation weights.
+	L1, L2 float64
+	// Recoup selects the policy for gradient data the round ends without —
+	// a slot that missed the deadline, or coordinates lost in flight:
+	// DropGradient (default) discards the gradient, FillNaN marks the
+	// missing coordinates NaN (the GAR must contain them), FillRandom
+	// substitutes seed-derived random values — the AggregaThor way. All
+	// three are deterministic functions of (Seed, step, worker id).
+	Recoup transport.RecoupPolicy
+	// Async configures asynchronous bounded-staleness rounds (ps.SlowSeed).
+	Async ps.AsyncConfig
+	// Churn configures the deterministic worker crash/rejoin schedule
+	// (ps.ChurnSeed): a scheduled worker receives the broadcast, tears its
+	// sockets down without submitting, and comes back through the backoff
+	// dialer at its scheduled rejoin round. Which axes compose is
+	// ps.RoundConfig.Validate's business.
+	Churn ps.ChurnConfig
+
+	// The datagram axes: the lossyMPI deployment of §3.3, every gradient
+	// chunked into MTU-sized packets and an artificial per-packet drop
+	// schedule standing in for the paper's tc-based loss injection. Lost
+	// coordinates are recouped by Recoup and absorbed by the
+	// Byzantine-resilient GAR upstairs, which is the paper's headline
+	// systems bet.
+
+	// WorkerBindHost, when set, is the host each worker binds its model
+	// endpoint on. When empty the host is derived from the worker's
+	// gradient-dial interface toward Addr — the interface that can reach the
+	// server can be reached by it.
+	WorkerBindHost string
+	// MTU is the datagram payload budget; zero means transport.DefaultMTU.
+	MTU int
+	// DropRate is the per-packet artificial loss probability in [0, 1) on
+	// worker→server gradient datagrams. Which packets drop is keyed on
+	// (Seed, step, worker), never on a per-sender stream, and planned at
+	// BOTH endpoints — so the server knows exactly which packets will never
+	// arrive and recoups a slot the moment its surviving packets are all
+	// in: lossy rounds are deterministic and deadline-free by construction.
+	DropRate float64
+	// ModelDropRate is the same on server→worker model broadcasts —
+	// footnote 12's unreliable model channel: the server drops before the
+	// write, and the worker settles a torn broadcast the moment its
+	// scheduled survivors are in.
+	ModelDropRate float64
+	// ModelRecoup selects the worker-side policy for a torn model
+	// broadcast.
+	ModelRecoup ModelRecoupPolicy
+}
+
+// TCPClusterConfig describes a TCPCluster: a UDPClusterConfig whose datagram
+// axes are zero.
+type TCPClusterConfig = UDPClusterConfig
+
+// ModelRecoupPolicy selects what a worker does about a torn model broadcast
+// (some packets scheduled to drop on the downlink).
+type ModelRecoupPolicy int
+
+const (
+	// ModelRecoupSkip consumes the surviving packets and submits nothing
+	// for the round. The server, evaluating the same schedule, knows not
+	// to wait and recoups the slot per the gradient Recoup policy.
+	ModelRecoupSkip ModelRecoupPolicy = iota
+	// ModelRecoupStale trains on the last complete model the worker holds
+	// and submits a gradient tagged with that stale step; the server
+	// accepts it into the current round.
+	ModelRecoupStale
+)
+
+// String implements fmt.Stringer.
+func (p ModelRecoupPolicy) String() string {
+	switch p {
+	case ModelRecoupSkip:
+		return "skip"
+	case ModelRecoupStale:
+		return "stale"
+	default:
+		return fmt.Sprintf("ModelRecoupPolicy(%d)", int(p))
+	}
+}
 
 // validate applies the defaults (RoundTimeout 30 s, MTU
-// transport.DefaultMTU) and checks the configuration, so a misconfigured
-// deployment fails before any socket is opened. It is the cluster layer's
-// single copy of every cross-axis rule: each forbidden pair wraps its ps.Err*
-// sentinel.
-func (sc *socketConfig) validate() error {
+// transport.DefaultMTU) and checks what is the socket layer's own — required
+// fields, sizes, the datagram budget, that the GAR fits the cluster and the
+// attack names resolve — so a misconfigured deployment fails before any
+// socket is opened. How the scheduled axes compose is not checked here:
+// ps.NewEngine validates the RoundConfig this description maps onto.
+func (sc *UDPClusterConfig) validate() error {
 	if sc.ModelFactory == nil || sc.GAR == nil || sc.Optimizer == nil || sc.Train == nil {
 		return errors.New("cluster: config missing required field")
 	}
 	if sc.Workers <= 0 || sc.Batch <= 0 {
 		return fmt.Errorf("cluster: bad sizes workers=%d batch=%d", sc.Workers, sc.Batch)
-	}
-	if sc.DropRate < 0 || sc.DropRate >= 1 {
-		return fmt.Errorf("cluster: drop rate %v out of [0,1)", sc.DropRate)
-	}
-	if sc.ModelDropRate < 0 || sc.ModelDropRate >= 1 {
-		return fmt.Errorf("cluster: model drop rate %v out of [0,1)", sc.ModelDropRate)
 	}
 	if sc.ModelRecoup != ModelRecoupSkip && sc.ModelRecoup != ModelRecoupStale {
 		return fmt.Errorf("cluster: unknown model recoup policy %v", sc.ModelRecoup)
@@ -56,72 +168,45 @@ func (sc *socketConfig) validate() error {
 		return fmt.Errorf("cluster: %s(f=%d) needs %d workers, got %d",
 			sc.GAR.Name(), info.F(), info.MinWorkers(), sc.Workers)
 	}
-	if err := sc.Async.Validate(sc.Workers); err != nil {
-		return err
-	}
-	if err := sc.Churn.Validate(); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
 	for _, id := range sortedIDs(sc.Byzantine) {
-		name := sc.Byzantine[id]
 		if id < 0 || id >= sc.Workers {
 			return fmt.Errorf("cluster: Byzantine worker id %d outside [0, %d)", id, sc.Workers)
 		}
-		atk, err := attack.New(name)
-		if err != nil {
+		if _, err := attack.New(sc.Byzantine[id]); err != nil {
 			return fmt.Errorf("cluster: worker %d: %w", id, err)
-		}
-		// An informed attack recomputes the honest workers' gradients from
-		// the shared seed, which assumes every honest peer samples once per
-		// round on the broadcast model. Torn broadcasts, a slow schedule and
-		// a churn schedule each break that oracle — the attack would
-		// silently forge from wrong gradients — so each is rejected.
-		if inf, ok := atk.(attack.Informed); !ok || !inf.RequiresHonest() {
-			continue
-		}
-		switch {
-		case sc.ModelDropRate > 0:
-			return fmt.Errorf("cluster: informed attack %q (ModelDropRate %v): %w", name, sc.ModelDropRate, ps.ErrInformedModelLoss)
-		case sc.Async.SlowRate > 0:
-			return fmt.Errorf("cluster: attack %q on worker %d (slowRate %v): %w", name, id, sc.Async.SlowRate, ps.ErrInformedSlow)
-		case sc.Churn.Enabled():
-			return fmt.Errorf("cluster: attack %q on worker %d (churn rate %v): %w", name, id, sc.Churn.Rate, ps.ErrInformedChurn)
-		}
-	}
-	unresponsive := sortedIDs(sc.Unresponsive)
-	for _, id := range unresponsive {
-		if id < 0 || id >= sc.Workers {
-			return fmt.Errorf("cluster: unresponsive worker id %d outside [0, %d)", id, sc.Workers)
-		}
-	}
-	// Deadline-free settlement needs a missing slot to mean exactly one
-	// thing, so the schedules that empty slots do not compose.
-	if sc.Async.Enabled() && sc.ModelDropRate > 0 {
-		return fmt.Errorf("cluster: %w (ModelDropRate %v)", ps.ErrAsyncModelLoss, sc.ModelDropRate)
-	}
-	if sc.Churn.Enabled() {
-		switch {
-		case sc.Async.Enabled():
-			return fmt.Errorf("cluster: %w (quorum %d with churn rate %v)",
-				ps.ErrChurnAsync, sc.Async.EffectiveQuorum(sc.Workers), sc.Churn.Rate)
-		case sc.ModelDropRate > 0:
-			return fmt.Errorf("cluster: %w (ModelDropRate %v with churn rate %v)",
-				ps.ErrChurnModelLoss, sc.ModelDropRate, sc.Churn.Rate)
-		case len(unresponsive) > 0:
-			return fmt.Errorf("cluster: unresponsive worker %d cannot follow a churn schedule (rate %v): it would neither crash nor rejoin on cue",
-				unresponsive[0], sc.Churn.Rate)
 		}
 	}
 	return nil
 }
 
+// round maps a validated socket description onto the round description the
+// engine and every worker plan from — the socket layer's one translation.
+func (sc *UDPClusterConfig) round() ps.RoundConfig {
+	rc := ps.RoundConfig{
+		Workers: sc.Workers, Seed: sc.Seed, Async: sc.Async, Churn: sc.Churn, Recoup: sc.Recoup,
+		Link: ps.Link{
+			Codec: sc.Codec, MTU: sc.MTU, GradLoss: sc.DropRate, ModelLoss: sc.ModelDropRate,
+			StaleModels: sc.ModelRecoup == ModelRecoupStale,
+		},
+		Unresponsive: sortedIDs(sc.Unresponsive),
+	}
+	for _, id := range sortedIDs(sc.Byzantine) {
+		if atk, _ := attack.New(sc.Byzantine[id]); rc.Informed == "" && attack.NeedsHonest(atk) {
+			rc.Informed = sc.Byzantine[id]
+		}
+	}
+	return rc
+}
+
 // socketServer is the half of a socket cluster that is the same on both
-// transports: the validated deployment description, the round engine (whose
-// Server supplies Model, Params and StepCount), the worker goroutines'
-// bookkeeping and the Start → Step → Close lifecycle.
+// transports: the validated deployment description and the round description
+// it maps onto, the round engine (whose Server supplies Model, Params and
+// StepCount), the worker goroutines' bookkeeping and the Start → Step →
+// Close lifecycle.
 type socketServer struct {
 	*ps.Server
-	cfg        socketConfig
+	cfg        UDPClusterConfig
+	rounds     ps.RoundConfig
 	eng        *ps.Engine
 	workerWG   sync.WaitGroup
 	workerErrs chan error
@@ -130,13 +215,24 @@ type socketServer struct {
 }
 
 // setup validates the deployment and builds its engine.
-func (s *socketServer) setup(cfg socketConfig) error {
+func (s *socketServer) setup(cfg UDPClusterConfig) error {
 	s.cfg = cfg
 	if err := s.cfg.validate(); err != nil {
 		return err
 	}
-	s.eng = s.cfg.engine()
-	s.Server = &s.eng.Server
+	s.rounds = s.cfg.round()
+	byzantine := make([]bool, cfg.Workers)
+	for _, id := range sortedIDs(cfg.Byzantine) {
+		byzantine[id] = true
+	}
+	eng, err := ps.NewEngine(ps.EngineConfig{
+		RoundConfig: s.rounds, Model: cfg.ModelFactory(), GAR: cfg.GAR, Optimizer: cfg.Optimizer,
+		L1: cfg.L1, L2: cfg.L2, Byzantine: byzantine,
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	s.eng, s.Server = eng, &eng.Server
 	s.workerErrs = make(chan error, cfg.Workers)
 	return nil
 }
@@ -161,21 +257,4 @@ func (s *socketServer) canStep() error {
 		return errors.New("cluster: Step after Close")
 	}
 	return nil
-}
-
-// engine builds the deployment's round engine.
-func (sc *socketConfig) engine() *ps.Engine {
-	byzantine := make([]bool, sc.Workers)
-	for _, id := range sortedIDs(sc.Byzantine) {
-		byzantine[id] = true
-	}
-	return ps.NewEngine(ps.EngineConfig{
-		Model: sc.ModelFactory(), Workers: sc.Workers, GAR: sc.GAR, Optimizer: sc.Optimizer,
-		L1: sc.L1, L2: sc.L2, Seed: sc.Seed, Byzantine: byzantine,
-		Async: sc.Async, Churn: sc.Churn, Recoup: sc.Recoup,
-		Link: ps.Link{
-			Codec: sc.Codec, MTU: sc.MTU, GradLoss: sc.DropRate, ModelLoss: sc.ModelDropRate,
-			StaleModels: sc.ModelRecoup == ModelRecoupStale,
-		},
-	})
 }

@@ -20,7 +20,7 @@ func TestTCPTrainSurvivesByzantineWorkers(t *testing.T) {
 	factory := func() *nn.Network {
 		return nn.NewMLP(10, []int{16}, 3, rand.New(rand.NewSource(51)))
 	}
-	params, err := TCPTrain(TCPTrainConfig{
+	params, err := tcpTrain(TCPClusterConfig{
 		Addr:         "127.0.0.1:0",
 		ModelFactory: factory,
 		Workers:      9,
@@ -28,9 +28,8 @@ func TestTCPTrainSurvivesByzantineWorkers(t *testing.T) {
 		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.3}},
 		Batch:        32,
 		Train:        train,
-		Steps:        120,
 		Byzantine:    map[int]string{2: "non-finite", 6: "random"},
-	})
+	}, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestTCPTrainAveragingFallsToByzantine(t *testing.T) {
 	factory := func() *nn.Network {
 		return nn.NewMLP(8, []int{12}, 2, rand.New(rand.NewSource(53)))
 	}
-	params, err := TCPTrain(TCPTrainConfig{
+	params, err := tcpTrain(TCPClusterConfig{
 		Addr:         "127.0.0.1:0",
 		ModelFactory: factory,
 		Workers:      5,
@@ -61,9 +60,8 @@ func TestTCPTrainAveragingFallsToByzantine(t *testing.T) {
 		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.3}},
 		Batch:        16,
 		Train:        train,
-		Steps:        10,
 		Byzantine:    map[int]string{1: "non-finite"},
-	})
+	}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +77,7 @@ func TestTCPTrainUnknownAttackFailsLoudly(t *testing.T) {
 	}
 	// Attack names are validated at cluster construction, before any
 	// socket is opened — the run must error, not hang (bounded waiting).
-	_, err := TCPTrain(TCPTrainConfig{
+	_, err := tcpTrain(TCPClusterConfig{
 		Addr:         "127.0.0.1:0",
 		ModelFactory: factory,
 		Workers:      2,
@@ -87,9 +85,8 @@ func TestTCPTrainUnknownAttackFailsLoudly(t *testing.T) {
 		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
 		Batch:        8,
 		Train:        ds,
-		Steps:        3,
 		Byzantine:    map[int]string{0: "no-such-attack"},
-	})
+	}, 3)
 	if err == nil {
 		t.Fatal("unknown attack should fail the run")
 	}

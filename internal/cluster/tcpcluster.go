@@ -1,84 +1,16 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"aggregathor/internal/data"
-	"aggregathor/internal/gar"
-	"aggregathor/internal/nn"
-	"aggregathor/internal/opt"
 	"aggregathor/internal/ps"
 	"aggregathor/internal/transport"
 )
-
-// TCPClusterConfig describes a socket-distributed synchronous deployment:
-// one parameter server and n worker goroutines, each speaking the transport
-// wire protocol over its own TCP connection. Unlike the one-shot TCPTrain
-// helper, a TCPCluster is driven round-by-round through the ps.Trainer
-// surface, which is what lets core.runTraining and the scenario campaign
-// engine treat a socket deployment exactly like an in-process one.
-type TCPClusterConfig struct {
-	// Addr is the server bind address ("127.0.0.1:0" picks a free port).
-	Addr string
-	// ModelFactory builds the network replicas: one for the server, one per
-	// worker.
-	ModelFactory func() *nn.Network
-	// Workers is n; each worker draws Batch-sized mini-batches from Train.
-	Workers int
-	Batch   int
-	Train   *data.Dataset
-	// GAR aggregates each round and Optimizer applies the result.
-	GAR       gar.GAR
-	Optimizer opt.Optimizer
-	// Codec selects the wire coordinate width.
-	Codec transport.Codec
-	// RoundTimeout bounds the collection phase (the paper's fix for
-	// TensorFlow waiting indefinitely on unresponsive nodes). Zero means
-	// 30 seconds. Only a genuinely unresponsive worker ever pays it.
-	RoundTimeout time.Duration
-	// Byzantine maps worker ids to attack names. A Byzantine worker forges
-	// its wire submission; omniscient attacks are honoured by recomputing
-	// the honest gradients from the shared run seed (see clusterWorker).
-	Byzantine map[int]string
-	// Unresponsive marks worker ids that receive broadcasts but never
-	// submit a gradient — the paper's unresponsive node, which vanilla
-	// TensorFlow waits on forever and AggregaThor bounds with the round
-	// timeout.
-	Unresponsive map[int]bool
-	// Seed is the run seed. Sampler, attack, schedule and recoup randomness
-	// all derive from it through the shared ps formulas, so identical
-	// configurations produce identical gradient streams over any backend.
-	Seed int64
-	// L1, L2 are the regularisation weights.
-	L1, L2 float64
-	// Recoup selects the policy for gradient data the round ends without —
-	// a slot that missed the deadline, or coordinates lost in flight:
-	// DropGradient (default) discards the gradient, FillNaN marks the
-	// missing coordinates NaN (the GAR must contain them), FillRandom
-	// substitutes seed-derived random values — the AggregaThor way. All
-	// three are deterministic functions of (Seed, step, worker id).
-	Recoup transport.RecoupPolicy
-	// Async configures asynchronous bounded-staleness rounds (ps.SlowSeed).
-	// Incompatible with lossy model broadcasts and informed attacks.
-	Async ps.AsyncConfig
-	// Churn configures the deterministic worker crash/rejoin schedule
-	// (ps.ChurnSeed): a scheduled worker receives the broadcast, tears its
-	// connection down without submitting, and reconnects through the
-	// backoff dialer at its scheduled rejoin round. Incompatible with
-	// Async, lossy model broadcasts, Unresponsive and informed attacks.
-	Churn ps.ChurnConfig
-
-	// testAbruptClose (tests only) makes the given worker close its
-	// connection without submitting as soon as it receives the broadcast
-	// for the given step — the abrupt, unscheduled mid-round disconnect
-	// the dead-marking path must absorb by settling the round via recoup
-	// instead of wedging until RoundTimeout.
-	testAbruptClose map[int]int
-}
 
 // tcpPeer is one server-side worker connection. worker is the id the
 // connection last identified itself as (-1 until its first frame); only the
@@ -103,8 +35,7 @@ type recvEvent struct {
 // waits for and what it aggregates is the engine's business.
 type TCPCluster struct {
 	socketServer
-	pub TCPClusterConfig // as given: what each worker node is launched from
-	ln  *transport.TCPListener
+	ln *transport.TCPListener
 	// peers is the broadcast set: the live connections, at most one per
 	// worker. A connection leaves it (and is closed) when its reader reports
 	// its terminal error or its worker rejoins on a fresh one.
@@ -120,25 +51,26 @@ type TCPCluster struct {
 	rejoinStash []recvEvent
 	stop        chan struct{}
 	acceptWG    sync.WaitGroup
+
+	// testAbruptClose (tests only) makes the given worker close its
+	// connection without submitting as soon as it receives the broadcast
+	// for the given step — the abrupt, unscheduled mid-round disconnect
+	// the dead-marking path must absorb by settling the round via recoup
+	// instead of wedging until RoundTimeout.
+	testAbruptClose map[int]int
 }
 
 var _ ps.Trainer = (*TCPCluster)(nil)
 
-// socket maps the public config onto the shared deployment description.
-func (cfg *TCPClusterConfig) socket() socketConfig {
-	return socketConfig{
-		Addr: cfg.Addr, ModelFactory: cfg.ModelFactory, Workers: cfg.Workers, GAR: cfg.GAR,
-		Optimizer: cfg.Optimizer, Batch: cfg.Batch, Train: cfg.Train, Codec: cfg.Codec,
-		RoundTimeout: cfg.RoundTimeout, Byzantine: cfg.Byzantine, Unresponsive: cfg.Unresponsive,
-		Seed: cfg.Seed, L1: cfg.L1, L2: cfg.L2, Recoup: cfg.Recoup, Async: cfg.Async, Churn: cfg.Churn,
-	}
-}
-
 // NewTCPCluster validates the configuration and builds the (not yet
-// listening) cluster.
+// listening) cluster. A stream has no datagrams to size or lose: the
+// datagram axes must be zero, rather than silently ignored.
 func NewTCPCluster(cfg TCPClusterConfig) (*TCPCluster, error) {
-	c := &TCPCluster{pub: cfg}
-	if err := c.setup(cfg.socket()); err != nil {
+	if cfg.WorkerBindHost != "" || cfg.MTU != 0 || cfg.DropRate != 0 || cfg.ModelDropRate != 0 || cfg.ModelRecoup != ModelRecoupSkip {
+		return nil, errors.New("cluster: WorkerBindHost, MTU, DropRate, ModelDropRate and ModelRecoup describe a datagram link; a TCP cluster has none (use NewUDPCluster)")
+	}
+	c := &TCPCluster{}
+	if err := c.setup(cfg); err != nil {
 		return nil, err
 	}
 	if cfg.Churn.Enabled() {
@@ -163,7 +95,7 @@ func (c *TCPCluster) Start() error {
 		c.workerWG.Add(1)
 		go func(id int) {
 			defer c.workerWG.Done()
-			if err := runTCPClusterWorker(ln.Addr(), id, &c.pub); err != nil {
+			if err := c.runWorker(ln.Addr(), id); err != nil {
 				c.workerErrs <- fmt.Errorf("worker %d: %w", id, err)
 			}
 		}(id)
@@ -485,20 +417,20 @@ func (c *TCPCluster) Close() error {
 	return err
 }
 
-// runTCPClusterWorker is the worker main loop: dial, then model→gradient
-// until the server hangs up. Under a churn schedule the worker evaluates the same
-// seeded draws as the server: on a scheduled crash it tears the socket down
-// without a goodbye, dials back through the bounded backoff ladder, and
-// opens the fresh connection with a rejoin handshake the server holds until
-// the scheduled rejoin round.
-func runTCPClusterWorker(addr string, id int, cfg *TCPClusterConfig) error {
+// runWorker is the worker main loop: dial, then model→gradient
+// until the server hangs up, doing at each broadcast what its slot's plan
+// says. On a scheduled crash it tears the socket down without a goodbye,
+// dials back through the bounded backoff ladder, and opens the fresh
+// connection with a rejoin handshake the server holds until the scheduled
+// rejoin round.
+func (c *TCPCluster) runWorker(addr string, id int) error {
+	cfg := &c.cfg
 	conn, err := transport.DialTCP(addr, cfg.Codec)
 	if err != nil {
 		return err
 	}
 	defer func() { conn.Close() }()
-	sc := cfg.socket()
-	w, err := newClusterWorker(id, &sc)
+	w, err := newClusterWorker(id, cfg, &c.rounds)
 	if err != nil {
 		return err
 	}
@@ -507,37 +439,35 @@ func runTCPClusterWorker(addr string, id int, cfg *TCPClusterConfig) error {
 		if err != nil {
 			return nil // server hung up: normal termination
 		}
-		if cfg.Churn.Enabled() {
-			switch cfg.Churn.Phase(cfg.Seed, model.Step, id) {
-			case ps.ChurnCrash:
-				conn.Close() // abrupt teardown: no goodbye, no submission
-				if cfg.Churn.Permanent(cfg.Seed, model.Step, id) {
-					return nil // rejoin budget exhausted: gone for good
-				}
-				// Dial back immediately; the handshake waits server-side
-				// until the scheduled rejoin round admits it.
-				fresh, attempts, err := dialTCPWithBackoff(addr, cfg.Codec)
-				if err != nil {
-					return err
-				}
-				conn = fresh
-				hello := rejoinHello(id, model.Step+cfg.Churn.DownSteps, attempts)
-				if err := conn.SendGradient(hello); err != nil {
-					return err
-				}
-				continue
-			case ps.ChurnDown:
-				continue // defensive: a down worker holds no connection
+		plan := w.plan.At(model.Step, id)
+		switch plan.Phase {
+		case ps.ChurnCrash:
+			conn.Close() // abrupt teardown: no goodbye, no submission
+			if plan.Gone() {
+				return nil // rejoin budget exhausted: gone for good
 			}
+			// Dial back immediately; the handshake waits server-side
+			// until the scheduled rejoin round admits it.
+			fresh, attempts, err := dialTCPWithBackoff(addr, cfg.Codec)
+			if err != nil {
+				return err
+			}
+			conn = fresh
+			if err := conn.SendGradient(rejoinHello(id, plan.Rejoin, attempts)); err != nil {
+				return err
+			}
+			continue
+		case ps.ChurnDown:
+			continue // defensive: a down worker holds no connection
 		}
-		if s, ok := cfg.testAbruptClose[id]; ok && model.Step == s {
+		if s, ok := c.testAbruptClose[id]; ok && model.Step == s {
 			conn.Close() // test hook: vanish between broadcast and submit
 			return nil
 		}
 		if cfg.Unresponsive[id] {
 			continue // consume the broadcast, never answer (crashed node)
 		}
-		sub := w.roundSubmission(model)
+		sub := w.roundSubmission(model.Step, model.Params, plan)
 		if sub == nil {
 			continue // scheduled too-stale: the worker sits the round out
 		}

@@ -3,103 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
-	"aggregathor/internal/data"
-	"aggregathor/internal/gar"
-	"aggregathor/internal/nn"
-	"aggregathor/internal/opt"
 	"aggregathor/internal/ps"
-	"aggregathor/internal/tensor"
 	"aggregathor/internal/transport"
 )
-
-// UDPClusterConfig describes a socket-distributed synchronous deployment
-// whose gradients travel real UDP datagrams — the lossyMPI deployment of
-// §3.3: one parameter server, n worker goroutines, every gradient chunked
-// into MTU-sized packets, and an artificial per-packet drop schedule standing
-// in for the paper's tc-based loss injection. Lost coordinates are recouped
-// by the configured policy and absorbed by the Byzantine-resilient GAR
-// upstairs, which is the paper's headline systems bet. Fields shared with
-// TCPClusterConfig mean exactly what they mean there; only the datagram axes
-// are documented here.
-type UDPClusterConfig struct {
-	// Addr is the server's gradient-endpoint bind address ("127.0.0.1:0"
-	// picks a free port). Each worker additionally binds its own model
-	// endpoint on a kernel-chosen port.
-	Addr string
-	// WorkerBindHost, when set, is the host each worker binds its model
-	// endpoint on. When empty the host is derived from the worker's
-	// gradient-dial interface toward Addr — the interface that can reach the
-	// server can be reached by it.
-	WorkerBindHost string
-	ModelFactory   func() *nn.Network
-	Workers        int
-	GAR            gar.GAR
-	Optimizer      opt.Optimizer
-	Batch          int
-	Train          *data.Dataset
-	// Codec selects the wire coordinate width (zero value = lossless
-	// float64, which is what the bit-for-bit parity guarantee needs).
-	Codec transport.Codec
-	// MTU is the datagram payload budget; zero means transport.DefaultMTU.
-	MTU          int
-	RoundTimeout time.Duration
-	// DropRate is the per-packet artificial loss probability in [0, 1) on
-	// worker→server gradient datagrams. Which packets drop is decided by
-	// ps.UplinkDrops — keyed on (Seed, step, worker), never on a per-sender
-	// stream, and evaluated at BOTH endpoints — so the server knows exactly
-	// which packets will never arrive and recoups a slot the moment its
-	// surviving packets are all in: lossy rounds are deterministic and
-	// deadline-free by construction.
-	DropRate float64
-	// ModelDropRate is the same on server→worker model broadcasts
-	// (ps.DownlinkDrops) — footnote 12's unreliable model channel: the
-	// server drops before the write, and the worker settles a torn
-	// broadcast the moment its scheduled survivors are in. Requires a
-	// lockstep, churn-free deployment without informed attacks.
-	ModelDropRate float64
-	// ModelRecoup selects the worker-side policy for a torn model
-	// broadcast.
-	ModelRecoup  ModelRecoupPolicy
-	Recoup       transport.RecoupPolicy
-	Byzantine    map[int]string
-	Unresponsive map[int]bool
-	Seed         int64
-	L1, L2       float64
-	Async        ps.AsyncConfig
-	Churn        ps.ChurnConfig
-}
-
-// ModelRecoupPolicy selects what a worker does about a torn model broadcast
-// (some packets scheduled to drop on the downlink).
-type ModelRecoupPolicy int
-
-const (
-	// ModelRecoupSkip consumes the surviving packets and submits nothing
-	// for the round. The server, evaluating the same schedule, knows not
-	// to wait and recoups the slot per the gradient Recoup policy.
-	ModelRecoupSkip ModelRecoupPolicy = iota
-	// ModelRecoupStale trains on the last complete model the worker holds
-	// and submits a gradient tagged with that stale step; the server
-	// accepts it into the current round.
-	ModelRecoupStale
-)
-
-// String implements fmt.Stringer.
-func (p ModelRecoupPolicy) String() string {
-	switch p {
-	case ModelRecoupSkip:
-		return "skip"
-	case ModelRecoupStale:
-		return "stale"
-	default:
-		return fmt.Sprintf("ModelRecoupPolicy(%d)", int(p))
-	}
-}
 
 // udpWorkerIdleTimeout bounds a worker's wait for the next model broadcast.
 // The normal exit path is the server closing the worker's model socket; the
@@ -215,7 +125,7 @@ func (c *UDPCluster) Start() error {
 		if err := c.models.Dial(mrecv.Addr()); err != nil {
 			return abort(err)
 		}
-		if workers[id], err = newClusterWorker(id, &c.cfg); err != nil {
+		if workers[id], err = newClusterWorker(id, &c.cfg, &c.rounds); err != nil {
 			return abort(err)
 		}
 	}
@@ -233,46 +143,22 @@ func (c *UDPCluster) Start() error {
 }
 
 // runWorker is the worker main loop: model broadcasts in (possibly torn by
-// the shared downlink schedule), scheduled-loss gradient datagrams out,
-// until the server closes the model socket. dim is the deployment's model
-// dimension, read once under Start so the goroutine never touches the
-// server's live parameter vector.
+// the scheduled downlink loss), scheduled-loss gradient datagrams out, until
+// the server closes the model socket — doing at each settled broadcast what
+// its slot's plan says. dim is the deployment's model dimension, read once
+// under Start so the goroutine never touches the server's live parameter
+// vector.
 func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver, send *transport.UDPSender, dim int) error {
-	pktCount := c.cfg.Codec.PacketsPerTransfer(dim, c.cfg.MTU)
-	// The worker's half of the shared loss schedules (the server's is in the
-	// round engine): scratch for the uplink mask, fresh masks for the
-	// downlink — the collector retains one per buffered broadcast.
-	dropRng := rand.New(rand.NewSource(c.cfg.Seed))
-	uplinkDrops := make([]bool, pktCount)
+	// The collector settles a torn broadcast the moment its scheduled
+	// survivors are in, so it needs the downlink mask of any broadcast it
+	// buffers — including ones ahead of the step the worker has reached,
+	// whose step tag is an unauthenticated wire field. That mask is keyed per
+	// (step, worker), so the planner answers for any step in O(packets), and
+	// on a loss-free downlink the collector gets no hook. The timeline (At)
+	// only sees settled steps, which the collector's horizon keeps in reach.
 	var schedule func(step int) []bool
 	if c.cfg.ModelDropRate > 0 {
-		schedule = func(step int) []bool {
-			return ps.DownlinkDrops(dropRng, make([]bool, pktCount), c.cfg.Seed, step, w.id, c.cfg.ModelDropRate)
-		}
-	}
-	if c.cfg.Churn.Enabled() {
-		// The server never broadcasts to a down worker, and the worker
-		// replays the same schedule — so down steps are fully-scheduled-away
-		// broadcasts the collector skips silently. Without this the collector
-		// would stash the rejoin broadcast as a future step and sit out the
-		// whole BroadcastTimeout waiting for a down-step broadcast that by
-		// construction never comes. Only BOUNDED downtime is scheduled away:
-		// a permanently-down worker's phase is ChurnDown for every later
-		// step, and skipping those would spin the collector's advance loop
-		// forever instead of letting the worker exit on its final crash
-		// event. (Churn composes with gradient loss only; the churn ×
-		// model-loss guard keeps ModelDropRate at zero here.)
-		allDropped := make([]bool, pktCount)
-		for i := range allDropped {
-			allDropped[i] = true
-		}
-		schedule = func(step int) []bool {
-			if c.cfg.Churn.Phase(c.cfg.Seed, step, w.id) == ps.ChurnDown &&
-				!c.cfg.Churn.Permanent(c.cfg.Seed, step, w.id) {
-				return allDropped
-			}
-			return nil
-		}
+		schedule = func(step int) []bool { return w.plan.Downlink(step, w.id) }
 	}
 	col := transport.NewModelCollector(mrecv, transport.ModelCollectorConfig{
 		Dim:              dim,
@@ -282,78 +168,58 @@ func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver, s
 		BroadcastTimeout: c.cfg.RoundTimeout,
 		IdleTimeout:      udpWorkerIdleTimeout,
 	})
-	lastStep := -1 // last complete model held (mirrors the engine's lastComplete)
-	var lastParams tensor.Vector
 	var pktScratch []transport.Packet // split scratch, reused every round
 	for {
 		ev, err := col.Next()
 		if err != nil {
 			return nil // socket closed by the server (or idle timeout): termination
 		}
-		if c.cfg.Churn.Enabled() {
-			switch c.cfg.Churn.Phase(c.cfg.Seed, ev.Step, w.id) {
-			case ps.ChurnCrash:
-				// Scheduled crash: tear the gradient sender down abruptly,
-				// submitting nothing. The model endpoint stays bound — it is
-				// the worker's stable address — but the server, replaying
-				// the same schedule, stops broadcasting to it while down.
-				send.Close()
-				send = nil
-				c.setGradSender(w.id, nil)
-				if c.cfg.Churn.Permanent(c.cfg.Seed, ev.Step, w.id) {
-					return nil // rejoin budget exhausted: gone for good
-				}
-				continue
-			case ps.ChurnDown:
-				continue // defensive: no broadcast reaches a down worker
+		plan := w.plan.At(ev.Step, w.id)
+		switch plan.Phase {
+		case ps.ChurnCrash:
+			// Scheduled crash: tear the gradient sender down abruptly,
+			// submitting nothing. The model endpoint stays bound — it is
+			// the worker's stable address — but the server, reading the
+			// same plan, stops broadcasting to it while down, so the
+			// collector moves straight on to the rejoin round instead of
+			// waiting out the BroadcastTimeout on down-step broadcasts that
+			// by construction never come.
+			send.Close()
+			send = nil
+			c.setGradSender(w.id, nil)
+			if plan.Gone() {
+				return nil // rejoin budget exhausted: gone for good
 			}
-			// Live or rejoining without a sender (the rejoin round itself,
-			// or recovery from a missed rejoin broadcast): re-dial through
-			// the bounded backoff ladder before submitting.
-			if send == nil {
-				fresh, _, err := dialUDPWithBackoff(c.recv.Addr(), c.cfg.Codec, c.cfg.MTU)
-				if err != nil {
-					return err
-				}
-				fresh.SetPacing(udpPaceBurst, udpPaceDelay)
-				send = fresh
-				c.setGradSender(w.id, fresh)
-			}
-		}
-		var model *transport.ModelMsg
-		switch {
-		case ev.Complete:
-			lastStep, lastParams = ev.Step, ev.Params
-			model = &transport.ModelMsg{Step: ev.Step, Params: ev.Params}
-		case ev.Torn && c.cfg.ModelRecoup == ModelRecoupStale && lastStep >= 0:
-			// Stale recoup: train on the last complete model; the gradient
-			// is tagged with the stale step and the server — which knows
-			// the same schedule — accepts it into the current round.
-			model = &transport.ModelMsg{Step: lastStep, Params: lastParams}
-		default:
-			// Skip policy, a torn broadcast before any complete model, or
-			// a genuinely lost one: consume and submit nothing. The server
-			// recoups the slot (per schedule for the first two, per round
-			// deadline for the last).
+			col.SkipTo(plan.Rejoin)
 			continue
+		case ps.ChurnDown:
+			continue // defensive: no broadcast reaches a down worker
+		}
+		// Rejoining without a sender (the rejoin round itself, or recovery
+		// from a missed rejoin broadcast): re-dial through the bounded
+		// backoff ladder before submitting.
+		if send == nil {
+			fresh, _, err := dialUDPWithBackoff(c.recv.Addr(), c.cfg.Codec, c.cfg.MTU)
+			if err != nil {
+				return err
+			}
+			fresh.SetPacing(udpPaceBurst, udpPaceDelay)
+			send = fresh
+			c.setGradSender(w.id, fresh)
 		}
 		if c.cfg.Unresponsive[w.id] {
 			continue // consume the broadcast, never answer (crashed node)
 		}
-		// roundSubmission resolves the asynchronous slow schedule (retaining
-		// the broadcast model, training stale, or sitting the round out); in
-		// lockstep it is a plain submission. Async requires a loss-free model
-		// channel, so here model.Step == ev.Step always — the two staleness
-		// regimes never compose.
-		msg := w.roundSubmission(model)
+		// A torn or genuinely lost broadcast carries no model: the worker
+		// answers on a retained one if the plan tags one, else sits out (the
+		// server recoups the slot — per plan, or per round deadline for a
+		// genuine loss).
+		msg := w.roundSubmission(ev.Step, ev.Params, plan)
 		if msg == nil {
-			continue // scheduled too-stale: the worker sits the round out
+			continue
 		}
 		pktScratch = c.cfg.Codec.SplitInto(pktScratch[:0], msg, c.cfg.MTU)
-		// The uplink schedule is keyed on the round (ev.Step), not the stale
-		// tag — the same evaluation the round plan makes server-side.
-		drop := ps.UplinkDrops(dropRng, uplinkDrops[:len(pktScratch)], c.cfg.Seed, ev.Step, w.id, c.cfg.DropRate)
-		if err := send.SendPackets(pktScratch, drop); err != nil {
+		if err := send.SendPackets(pktScratch, plan.Uplink); err != nil {
 			return err
 		}
 	}

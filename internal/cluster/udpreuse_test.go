@@ -106,11 +106,15 @@ func TestRecvPacketReuseDoesNotAliasReassembly(t *testing.T) {
 	t.Run("Round.OfferPacket", func(t *testing.T) {
 		const n = 3
 		engine := func() *ps.Engine {
-			return ps.NewEngine(ps.EngineConfig{
-				Model:   nn.NewMLP(6, []int{8}, 3, rand.New(rand.NewSource(10))),
-				Workers: n, GAR: gar.Average{}, Optimizer: &opt.SGD{Schedule: opt.Fixed{Rate: 0.2}},
-				Link: ps.Link{Codec: codec, MTU: mtu},
+			e, err := ps.NewEngine(ps.EngineConfig{
+				RoundConfig: ps.RoundConfig{Workers: n, Link: ps.Link{Codec: codec, MTU: mtu}},
+				Model:       nn.NewMLP(6, []int{8}, 3, rand.New(rand.NewSource(10))),
+				GAR:         gar.Average{}, Optimizer: &opt.SGD{Schedule: opt.Fixed{Rate: 0.2}},
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
 		}
 		packets, whole := engine(), engine()
 		for step := 0; step < 2; step++ {

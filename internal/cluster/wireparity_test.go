@@ -20,7 +20,7 @@ import (
 // pipeline an in-process ps.Cluster runs (honest peers' gradients in
 // ascending worker order, the worker's own honest gradient, the attack RNG
 // derived via ps.AttackSeed); the actual side exercises the real
-// runTCPClusterWorker code path and the real wire. Two rounds are compared
+// TCPCluster.runWorker code path and the real wire. Two rounds are compared
 // so stateful attacks (stale) and RNG advancement are covered too.
 func TestAttackWireParity(t *testing.T) {
 	const (
@@ -94,7 +94,9 @@ func TestAttackWireParity(t *testing.T) {
 			}
 			defer ln.Close()
 			done := make(chan error, 1)
-			go func() { done <- runTCPClusterWorker(ln.Addr(), byzID, cfg) }()
+			cl := &TCPCluster{}
+			cl.cfg, cl.rounds = *cfg, cfg.round()
+			go func() { done <- cl.runWorker(ln.Addr(), byzID) }()
 			conn, err := ln.Accept()
 			if err != nil {
 				t.Fatal(err)
@@ -138,7 +140,7 @@ func TestAttackWireParity(t *testing.T) {
 // replicates every honest, responsive peer.
 func TestBlindAttackBuildsNoOracle(t *testing.T) {
 	ds := data.SyntheticFeatures(40, 6, 3, 9)
-	spec := &socketConfig{
+	spec := &UDPClusterConfig{
 		ModelFactory: func() *nn.Network { return nn.NewMLP(6, []int{4}, 3, rand.New(rand.NewSource(1))) },
 		Workers:      7,
 		Batch:        4,
@@ -147,7 +149,8 @@ func TestBlindAttackBuildsNoOracle(t *testing.T) {
 		Unresponsive: map[int]bool{0: true},
 		Seed:         3,
 	}
-	blind, err := newClusterWorker(5, spec)
+	rc := spec.round()
+	blind, err := newClusterWorker(5, spec, &rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +158,7 @@ func TestBlindAttackBuildsNoOracle(t *testing.T) {
 		t.Errorf("reversed worker built an oracle: replica %v, %d peers, %d samplers",
 			blind.peerReplica != nil, len(blind.peers), len(blind.peerSamplers))
 	}
-	informed, err := newClusterWorker(6, spec)
+	informed, err := newClusterWorker(6, spec, &rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,24 @@ import (
 )
 
 // clusterWorker is one worker node's state: its model replica, seeded
-// sampler, attack RNG, and — for Byzantine workers — the omniscient oracle.
+// sampler, attack RNG, its own slot's plan and — for Byzantine workers — the
+// omniscient oracle.
 type clusterWorker struct {
 	id      int
-	cfg     *socketConfig
+	cfg     *UDPClusterConfig
 	replica *nn.Network
 	sampler data.Sampler
 	rng     *rand.Rand
 	atk     attack.Attack
+
+	// plan is the worker's half of "both endpoints, one function": the same
+	// ps.Planner the server's engine runs over all n slots, here over this
+	// worker's own, from the same round description. The worker loops read
+	// it — when to crash and come back, which model to train on, which
+	// packets the link eats — and evaluate no schedule themselves. models
+	// holds the broadcasts a later step's plan can still tag.
+	plan   *ps.Planner
+	models *ps.Models
 
 	// Omniscient oracle. The paper's threat model (§3.1) gives colluders
 	// every correct gradient before the server sees them (arbitrarily fast
@@ -34,17 +44,12 @@ type clusterWorker struct {
 	peers        []int
 	peerReplica  *nn.Network
 	peerSamplers map[int]data.Sampler
-
-	// hist retains the last τ+1 complete model broadcasts so a round the
-	// slow schedule marks stale can train on the model from lag steps ago —
-	// the socket-side twin of the in-process Cluster's history ring.
-	hist []tensor.Vector
 }
 
-// newClusterWorker builds worker id's node from the deployment description
-// shared by both socket backends, so the gradient streams — and therefore
-// the trajectories — are identical across transports.
-func newClusterWorker(id int, spec *socketConfig) (*clusterWorker, error) {
+// newClusterWorker builds worker id's node from the deployment and round
+// descriptions shared by both socket backends, so the gradient streams — and
+// therefore the trajectories — are identical across transports.
+func newClusterWorker(id int, spec *UDPClusterConfig, rounds *ps.RoundConfig) (*clusterWorker, error) {
 	w := &clusterWorker{
 		id:      id,
 		cfg:     spec,
@@ -52,16 +57,15 @@ func newClusterWorker(id int, spec *socketConfig) (*clusterWorker, error) {
 		sampler: data.NewUniformSampler(spec.Train, ps.SamplerSeed(spec.Seed, id)),
 		rng:     rand.New(rand.NewSource(ps.AttackSeed(spec.Seed, id))),
 	}
-	if spec.Async.Enabled() && spec.Async.Staleness > 0 {
-		w.hist = make([]tensor.Vector, spec.Async.Staleness+1)
-	}
+	w.plan = ps.NewPlanner(rounds, w.replica.NumParams(), id, 1)
+	w.models = ps.NewModels(rounds, w.replica.NumParams())
 	if name, ok := spec.Byzantine[id]; ok {
 		atk, err := attack.New(name)
 		if err != nil {
 			return nil, err
 		}
 		w.atk = atk
-		if inf, ok := atk.(attack.Informed); ok && inf.RequiresHonest() {
+		if attack.NeedsHonest(atk) {
 			w.peerReplica = spec.ModelFactory()
 			w.peerSamplers = map[int]data.Sampler{}
 			for p := 0; p < spec.Workers; p++ {
@@ -106,28 +110,23 @@ func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.Gradien
 	return &transport.GradientMsg{Worker: w.id, Step: model.Step, Loss: loss, Grad: grad}
 }
 
-// roundSubmission resolves the asynchronous slow-worker schedule for one
-// model broadcast and computes the wire submission: a fresh worker trains on
-// the broadcast model, a scheduled-slow worker on the model it retained lag
-// steps ago (submitting with that older step tag, which is exactly the tag
-// the server's schedule evaluation expects), and a worker whose scheduled lag
-// breaches the staleness bound returns nil — it sits the round out entirely,
-// so the server never waits for the slot. Without an async configuration this
-// is a plain submission, byte-identical to the lockstep path.
-func (w *clusterWorker) roundSubmission(model *transport.ModelMsg) *transport.GradientMsg {
-	if w.hist != nil {
-		w.hist[model.Step%len(w.hist)] = model.Params.Clone()
+// roundSubmission answers one settled broadcast as the step's plan says:
+// on the broadcast model when the tag is fresh, on the model retained for an
+// older tag (the slow schedule, or a torn broadcast under stale recoup) —
+// submitting with that tag, exactly the one the server's plan expects — and
+// with nil when the worker sits the round out. params is nil unless the
+// broadcast arrived complete; a worker that does not hold the model its tag
+// names (a genuinely lost datagram) submits nothing and lets the round
+// deadline absorb it.
+func (w *clusterWorker) roundSubmission(step int, params tensor.Vector, plan *ps.SlotPlan) *transport.GradientMsg {
+	if params != nil {
+		w.models.Retain(step, params)
 	}
-	if !w.cfg.Async.Enabled() {
-		return w.submission(model)
+	if plan.Tag != step {
+		params = w.models.At(plan.Tag)
 	}
-	tag := w.cfg.Async.ExpectedTag(w.cfg.Seed, model.Step, w.id)
-	switch {
-	case tag < 0:
+	if params == nil {
 		return nil
-	case tag == model.Step:
-		return w.submission(model)
-	default:
-		return w.submission(&transport.ModelMsg{Step: tag, Params: w.hist[tag%len(w.hist)]})
 	}
+	return w.submission(&transport.ModelMsg{Step: plan.Tag, Params: params})
 }

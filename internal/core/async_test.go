@@ -133,7 +133,8 @@ func TestAsyncSlowRunSurfacesExactCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	async := cfg.asyncConfig()
+	rc, _ := cfg.round()
+	async := rc.Async
 	wantStale, wantDropped, wantSkipped := 0, 0, 0
 	for s := 0; s < steps; s++ {
 		received := workers

@@ -23,6 +23,7 @@ import (
 	"aggregathor/internal/opt"
 	"aggregathor/internal/ps"
 	"aggregathor/internal/simnet"
+	"aggregathor/internal/tensor"
 	"aggregathor/internal/transport"
 )
 
@@ -319,17 +320,116 @@ type Result struct {
 	ModelDim int
 }
 
-// asyncConfig maps the experiment-level asynchronous-round knobs onto the
-// parameter service's AsyncConfig — the single translation every backend
-// shares.
-func (c *Config) asyncConfig() ps.AsyncConfig {
-	return ps.AsyncConfig{Quorum: c.Quorum, Staleness: c.Staleness, SlowRate: c.SlowWorkers}
+// round maps the experiment description onto the round description every
+// backend plans from — core's one translation of the scheduled axes. The
+// socket cluster configs are filled from its result (clusterConfig), the
+// in-process cluster from its Async. The only field that can fail to map is
+// the wire format's name.
+func (c *Config) round() (ps.RoundConfig, error) {
+	wire, err := transport.ParseWireFormat(c.WireFormat)
+	if err != nil {
+		return ps.RoundConfig{}, fmt.Errorf("core: %w", err)
+	}
+	rc := ps.RoundConfig{
+		Workers: c.Workers, Seed: c.Seed, Recoup: c.Recoup,
+		Async: ps.AsyncConfig{Quorum: c.Quorum, Staleness: c.Staleness, SlowRate: c.SlowWorkers},
+		Churn: ps.ChurnConfig{Rate: c.ChurnRate, DownSteps: c.ChurnDownSteps, MaxRejoins: c.ChurnMaxRejoins},
+		Link: ps.Link{
+			Codec: wire, GradLoss: c.DropRate, ModelLoss: c.ModelDropRate,
+			StaleModels: c.ModelRecoup == cluster.ModelRecoupStale,
+		},
+	}
+	for _, id := range sortedWorkers(c.Attacks) {
+		if atk, _ := attack.New(c.Attacks[id]); rc.Informed == "" && attack.NeedsHonest(atk) {
+			rc.Informed = c.Attacks[id]
+		}
+	}
+	return rc, nil
 }
 
-// churnConfig maps the experiment-level churn knobs onto the parameter
-// service's ChurnConfig — the single translation both socket backends share.
-func (c *Config) churnConfig() ps.ChurnConfig {
-	return ps.ChurnConfig{Rate: c.ChurnRate, DownSteps: c.ChurnDownSteps, MaxRejoins: c.ChurnMaxRejoins}
+// clusterConfig fills the one socket cluster description both socket backends
+// take from the experiment and its round description.
+func (c *Config) clusterConfig(rc ps.RoundConfig, factory func() *nn.Network,
+	train *data.Dataset, rule gar.GAR, optimizer opt.Optimizer) cluster.UDPClusterConfig {
+	return cluster.UDPClusterConfig{
+		Addr: "127.0.0.1:0", ModelFactory: factory, Train: train, GAR: rule, Optimizer: optimizer,
+		Workers: rc.Workers, Batch: c.Batch, Codec: rc.Link.Codec, RoundTimeout: c.RoundTimeout,
+		Byzantine: c.Attacks, Seed: rc.Seed, L1: c.L1, L2: c.L2, Recoup: rc.Recoup,
+		Async: rc.Async, Churn: rc.Churn,
+		DropRate: rc.Link.GradLoss, ModelDropRate: rc.Link.ModelLoss, ModelRecoup: c.ModelRecoup,
+	}
+}
+
+// sortedWorkers returns the attack map's worker ids in ascending order, so
+// nothing derived from it depends on map iteration order.
+func sortedWorkers(m map[int]string) []int {
+	ids := make([]int, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// Validate checks an experiment description without running it. What core
+// owns are the capability rules — which backend can express which axis: a
+// request a deployment cannot honour fails loudly instead of silently running
+// without it and masquerading as the sweep the caller asked for. How the
+// scheduled axes compose is ps.RoundConfig.Validate's business, asked here
+// once. Run starts with it; the scenario engine asks it of every cell before
+// a campaign runs.
+func (c Config) Validate() error {
+	_, err := c.validated()
+	return err
+}
+
+// validated is Validate, returning the round description the checks were made
+// on for Run to build the deployment from.
+func (c Config) validated() (ps.RoundConfig, error) {
+	c.applyDefaults()
+	rc, err := c.round()
+	if err != nil {
+		return rc, err
+	}
+	switch c.Backend {
+	case "", BackendInProcess:
+		// Worker churn exists only where there are real sockets to tear down.
+		if rc.Churn.Enabled() {
+			return rc, fmt.Errorf("core: worker churn (ChurnRate/ChurnDownSteps/ChurnMaxRejoins) needs backend %q or %q, got %q",
+				BackendTCP, BackendUDP, c.Backend)
+		}
+	case BackendTCP, BackendUDP:
+		unsupported := ErrUDPUnsupported
+		if c.Backend == BackendTCP {
+			unsupported = ErrTCPUnsupported
+		}
+		// Simulator-only options, and loss on a reliable stream.
+		if c.UDPLinks > 0 || c.Vanilla || len(c.HijackWorkers) > 0 || len(c.CorruptData) > 0 ||
+			c.CheckpointPath != "" || c.ServerReplicas > 1 || c.Aggregator == "draco" ||
+			c.Backend == BackendTCP && c.DropRate != 0 {
+			return rc, unsupported
+		}
+	default:
+		return rc, fmt.Errorf("core: unknown backend %q (want %s|%s|%s)", c.Backend, BackendInProcess, BackendTCP, BackendUDP)
+	}
+	// Lossy model broadcasts exist only on the udp backend: the in-process
+	// simulator and the tcp backend deliver models reliably.
+	if c.Backend != BackendUDP && rc.Link.ModelLossEnabled() {
+		return rc, fmt.Errorf("core: lossy model broadcasts (ModelDropRate/ModelRecoup) need backend %q, got %q", BackendUDP, c.Backend)
+	}
+	// The wire format is a lossy-link property: only the udp backend and
+	// the in-process lossy pipes have a wire at all.
+	if rc.Link.Codec.Float32 && c.Backend != BackendUDP && c.UDPLinks == 0 {
+		return rc, fmt.Errorf("core: wire format %q needs backend %q or UDPLinks > 0, got backend %q",
+			transport.WireFloat32, BackendUDP, c.Backend)
+	}
+	if rc.Async.Enabled() && (c.Aggregator == "draco" || c.ServerReplicas > 1) {
+		return rc, errors.New("core: asynchronous rounds are not supported on the draco or replicated deployments")
+	}
+	if err := rc.Validate(); err != nil {
+		return rc, fmt.Errorf("core: %w", err)
+	}
+	return rc, nil
 }
 
 // applyDefaults fills unset fields with the paper's evaluation defaults.
@@ -363,7 +463,7 @@ func (c *Config) applyDefaults() {
 // buildWorkers assembles the worker list from the experiment description:
 // samplers (possibly corrupted), gradient attacks, hijack flags, and lossy
 // UDP pipes on the first UDPLinks workers.
-func buildWorkers(cfg Config, train *data.Dataset) ([]ps.WorkerConfig, error) {
+func buildWorkers(cfg Config, wire transport.Codec, train *data.Dataset) ([]ps.WorkerConfig, error) {
 	corrupt := map[int]bool{}
 	for _, w := range cfg.CorruptData {
 		corrupt[w] = true
@@ -400,10 +500,6 @@ func buildWorkers(cfg Config, train *data.Dataset) ([]ps.WorkerConfig, error) {
 			// The pipe codec follows the WireFormat axis (default float64,
 			// matching the udp backend) rather than the historical
 			// hardwired float32.
-			wire, err := transport.ParseWireFormat(cfg.WireFormat)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
 			workers[i].Pipe = transport.NewLossyPipe(
 				wire, transport.DefaultMTU,
 				cfg.DropRate, cfg.Recoup, cfg.Seed+int64(i)*17+5)
@@ -412,71 +508,39 @@ func buildWorkers(cfg Config, train *data.Dataset) ([]ps.WorkerConfig, error) {
 	return workers, nil
 }
 
-// Run executes one experiment.
+// ErrTCPUnsupported and ErrUDPUnsupported are returned for socket-backend
+// configs that request features only the in-process simulator implements (or,
+// on tcp, gradient loss: a reliable stream has none, and silently running the
+// config loss-free would masquerade as the lossy sweep the caller asked for).
+var (
+	ErrTCPUnsupported = errors.New("core: option not supported with the tcp backend")
+	ErrUDPUnsupported = errors.New("core: option not supported with the udp backend")
+)
+
+// deployment is what the shared runner drives: any trainer that also exposes
+// its parameters (divergence hook, checkpoints).
+type deployment interface {
+	ps.Trainer
+	Params() tensor.Vector
+	SetParams(tensor.Vector) error
+}
+
+// Run executes one experiment: the in-process simulated cluster by default,
+// or — Backend "tcp"/"udp" — a cluster.TCPCluster or cluster.UDPCluster on
+// localhost, every model broadcast and gradient travelling the binary wire
+// protocol over real sockets (udp: with seeded per-packet drop injection and
+// §3.3 recoup of the lost coordinates). Every backend is driven
+// round-by-round by the same training loop and simulated clock, and worker
+// seeds derive from the run seed through the shared ps formulas, so a
+// loss-free socket run reproduces the in-process trajectory bit for bit and a
+// lossy udp run stays a pure function of the configuration.
 func Run(cfg Config) (*Result, error) {
 	cfg.applyDefaults()
-	// Lossy model broadcasts exist only on the udp backend: the in-process
-	// simulator and the tcp backend deliver models reliably, and silently
-	// running the config loss-free would masquerade as the lossy-model
-	// sweep the caller asked for.
-	if cfg.Backend != BackendUDP && (cfg.ModelDropRate != 0 || cfg.ModelRecoup != cluster.ModelRecoupSkip) {
-		return nil, fmt.Errorf("core: lossy model broadcasts (ModelDropRate/ModelRecoup) need backend %q, got %q",
-			BackendUDP, cfg.Backend)
-	}
-	// Asynchronous rounds and lossy model broadcasts are two distinct
-	// staleness regimes — the slow schedule vs torn broadcasts — and they
-	// must not compose: an unfillable slot has to mean exactly one thing.
-	if cfg.asyncConfig().Enabled() {
-		if cfg.ModelDropRate != 0 || cfg.ModelRecoup != cluster.ModelRecoupSkip {
-			return nil, fmt.Errorf("core: %w (Quorum/Staleness/SlowWorkers with ModelDropRate/ModelRecoup)", ps.ErrAsyncModelLoss)
-		}
-		if cfg.Aggregator == "draco" || cfg.ServerReplicas > 1 {
-			return nil, errors.New("core: asynchronous rounds are not supported on the draco or replicated deployments")
-		}
-	}
-	// Worker churn exists only where there are real sockets to tear down:
-	// the in-process simulator has no connections to crash, and silently
-	// running a churn config churn-free would masquerade as the robustness
-	// sweep the caller asked for. The regime conflicts are re-checked by the
-	// cluster constructors; naming them here gives scenario cells the same
-	// loud failure without ever opening a socket.
-	if err := cfg.churnConfig().Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.churnConfig().Enabled() {
-		if cfg.Backend != BackendTCP && cfg.Backend != BackendUDP {
-			return nil, fmt.Errorf("core: worker churn (ChurnRate/ChurnDownSteps/ChurnMaxRejoins) needs backend %q or %q, got %q",
-				BackendTCP, BackendUDP, cfg.Backend)
-		}
-		if cfg.asyncConfig().Enabled() {
-			return nil, fmt.Errorf("core: %w", ps.ErrChurnAsync)
-		}
-		if cfg.ModelDropRate != 0 || cfg.ModelRecoup != cluster.ModelRecoupSkip {
-			return nil, fmt.Errorf("core: %w", ps.ErrChurnModelLoss)
-		}
-	}
-	// The wire format is a lossy-link property: only the udp backend and
-	// the in-process lossy pipes have a wire at all. A "float32" request on
-	// a reliable deployment would silently train on float64 tensors, so it
-	// is rejected the same way lossy model broadcasts are.
-	wire, err := transport.ParseWireFormat(cfg.WireFormat)
+	rc, err := cfg.validated()
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	if wire.Float32 && cfg.Backend != BackendUDP && cfg.UDPLinks == 0 {
-		return nil, fmt.Errorf("core: wire format %q needs backend %q or UDPLinks > 0, got backend %q",
-			transport.WireFloat32, BackendUDP, cfg.Backend)
-	}
-	switch cfg.Backend {
-	case "", BackendInProcess:
-	case BackendTCP:
-		return runTCP(cfg)
-	case BackendUDP:
-		return runUDP(cfg)
-	default:
-		return nil, fmt.Errorf("core: unknown backend %q (want %s|%s|%s)",
-			cfg.Backend, BackendInProcess, BackendTCP, BackendUDP)
-	}
+	socket := cfg.Backend == BackendTCP || cfg.Backend == BackendUDP
 	if cfg.Aggregator == "draco" {
 		return runDraco(cfg)
 	}
@@ -506,29 +570,51 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	workers, err := buildWorkers(cfg, train)
-	if err != nil {
-		return nil, err
-	}
-
-	mode := ps.Patched
-	if cfg.Vanilla {
-		mode = ps.Vanilla
-	}
-	cl, err := ps.New(ps.Config{
-		ModelFactory: factory,
-		Workers:      workers,
-		GAR:          rule,
-		Optimizer:    optimizer,
-		Batch:        cfg.Batch,
-		Mode:         mode,
-		L1:           cfg.L1,
-		L2:           cfg.L2,
-		Seed:         cfg.Seed,
-		Async:        cfg.asyncConfig(),
-	})
-	if err != nil {
-		return nil, err
+	var cl deployment
+	if socket {
+		sc := cfg.clusterConfig(rc, factory, train, rule, optimizer)
+		var sock interface {
+			deployment
+			Start() error
+			Close() error
+		}
+		if cfg.Backend == BackendTCP {
+			sock, err = cluster.NewTCPCluster(sc)
+		} else {
+			sock, err = cluster.NewUDPCluster(sc)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := sock.Start(); err != nil {
+			return nil, err
+		}
+		defer sock.Close()
+		cl = sock
+	} else {
+		workers, err := buildWorkers(cfg, rc.Link.Codec, train)
+		if err != nil {
+			return nil, err
+		}
+		mode := ps.Patched
+		if cfg.Vanilla {
+			mode = ps.Vanilla
+		}
+		cl, err = ps.New(ps.Config{
+			ModelFactory: factory,
+			Workers:      workers,
+			GAR:          rule,
+			Optimizer:    optimizer,
+			Batch:        cfg.Batch,
+			Mode:         mode,
+			L1:           cfg.L1,
+			L2:           cfg.L2,
+			Seed:         cfg.Seed,
+			Async:        rc.Async,
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	round, err := simulatedRound(cfg, exp, rule, aggName, tfBaseline)
@@ -562,6 +648,9 @@ func Run(cfg Config) (*Result, error) {
 		resumedFrom: res.ResumedFromStep,
 	}
 	if err := runTraining(cfg, cl, test, round, res, hooks); err != nil {
+		if socket {
+			err = fmt.Errorf("core: %s backend: %w", cfg.Backend, err)
+		}
 		return nil, err
 	}
 	if err := checkpoint(res.ResumedFromStep + cfg.Steps); err != nil {
@@ -573,9 +662,8 @@ func Run(cfg Config) (*Result, error) {
 // simulatedRound builds the paper-scale time model for one experiment — this
 // experiment's cost profile on the Grid5000-like cluster, with aggregation
 // time measured on real GAR execution or taken from the analytic model — and
-// simulates one round. Both the in-process and the tcp backend cost their
-// simulated clock through this one function, so identical configurations get
-// identical time series on either backend.
+// simulates one round. Every backend costs its simulated clock through this
+// one function, so identical configurations get identical time series.
 func simulatedRound(cfg Config, exp Experiment, rule gar.GAR, aggName string, tfBaseline bool) (simnet.Round, error) {
 	sim := simnet.Grid5000(cfg.Workers, exp.CostDim)
 	sim.FlopsPerSample = exp.FlopsPerSample
@@ -614,7 +702,7 @@ func runReplicated(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers, err := buildWorkers(cfg, train)
+	workers, err := buildWorkers(cfg, transport.Codec{}, train) // no lossy pipes here: UDPLinks is refused above
 	if err != nil {
 		return nil, err
 	}
@@ -675,11 +763,7 @@ func runDraco(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var byz []int
-	for w := range cfg.Attacks {
-		byz = append(byz, w)
-	}
-	sort.Ints(byz)
+	byz := sortedWorkers(cfg.Attacks)
 	cl, err := ps.NewDraco(ps.DracoConfig{
 		ModelFactory:     factory,
 		Plan:             plan,
@@ -734,4 +818,3 @@ func ThroughputScan(aggregator string, f int, workerCounts []int, dim int, flops
 	}
 	return out
 }
-

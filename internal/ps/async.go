@@ -73,10 +73,16 @@ func (a AsyncConfig) EffectiveQuorum(workers int) int {
 // (by exactly one) — that worker's gradient would be too stale to admit, and
 // ExpectedTag reports it as dropped.
 func (a AsyncConfig) Lag(runSeed int64, step, worker int) int {
+	return a.lag(rand.New(rand.NewSource(runSeed)), runSeed, step, worker)
+}
+
+// lag is Lag on caller-owned scratch: rng is reseeded per draw, so the
+// planner's steady-state evaluation allocates nothing.
+func (a AsyncConfig) lag(rng *rand.Rand, runSeed int64, step, worker int) int {
 	if a.SlowRate <= 0 || step == 0 {
 		return 0
 	}
-	rng := rand.New(rand.NewSource(SlowSeed(runSeed, step, worker)))
+	rng.Seed(SlowSeed(runSeed, step, worker))
 	if rng.Float64() >= a.SlowRate {
 		return 0
 	}
@@ -92,7 +98,11 @@ func (a AsyncConfig) Lag(runSeed int64, step, worker int) int {
 // — that worker sits the round out (no sample, no compute, no send) and the
 // server counts the slot as dropped-too-stale without waiting for it.
 func (a AsyncConfig) ExpectedTag(runSeed int64, step, worker int) int {
-	lag := a.Lag(runSeed, step, worker)
+	return a.expectedTag(rand.New(rand.NewSource(runSeed)), runSeed, step, worker)
+}
+
+func (a AsyncConfig) expectedTag(rng *rand.Rand, runSeed int64, step, worker int) int {
+	lag := a.lag(rng, runSeed, step, worker)
 	if lag > a.Staleness {
 		return -1
 	}

@@ -1,37 +1,20 @@
 package ps
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 )
 
-// Worker churn: the deterministic crash/rejoin schedule and its membership
-// tracker. A seeded per-(step, worker) schedule (ChurnSeed) crashes live
-// workers mid-run — the socket backends tear the worker's connections down
-// abruptly — and schedules each crash's rejoin a fixed number of rounds
-// later, up to a per-worker rejoin budget. Like the drop and slow-worker
-// schedules, the churn schedule is a pure function of the run seed evaluated
-// at BOTH endpoints: the worker knows when to crash and when its rejoin
-// round arrives; the server knows exactly which slots can never be filled,
-// so a round settles the moment the live membership's gradients are in —
-// no deadline waits — and the crash/rejoin counters in campaign JSON are
-// byte-reproducible.
-
-// Named incompatibilities, wrapped with layer context by cluster, core and
-// scenario validation (the churn twins of the async × model-loss guard).
-var (
-	// ErrChurnAsync rejects combining the churn schedule with asynchronous
-	// quorum rounds: each regime defines its own reason a slot stays empty
-	// (scheduled staleness vs scheduled downtime), and deadline-free
-	// settlement requires that a missing gradient mean exactly one thing.
-	ErrChurnAsync = errors.New("worker churn is incompatible with asynchronous quorum rounds: a missing slot must mean exactly one thing")
-	// ErrChurnModelLoss rejects combining the churn schedule with lossy
-	// model broadcasts: a worker that misses a broadcast must be able to
-	// conclude it was down, not that the broadcast tore — otherwise the two
-	// schedules disagree about which round the worker rejoins on.
-	ErrChurnModelLoss = errors.New("worker churn is incompatible with lossy model broadcasts: a skipped broadcast must mean a down worker, not a torn one")
-)
+// Worker churn: the deterministic crash/rejoin schedule and the server's
+// admission ledger. A seeded per-(step, worker) schedule (ChurnSeed) crashes
+// live workers mid-run — the socket backends tear the worker's connections
+// down abruptly — and schedules each crash's rejoin a fixed number of rounds
+// later, up to a per-worker rejoin budget. Like every schedule it is a pure
+// function of the run seed that the Planner evaluates at BOTH endpoints: the
+// worker knows when to crash and when its rejoin round arrives; the server
+// knows exactly which slots can never be filled, so a round settles the
+// moment the live membership's gradients are in — no deadline waits — and
+// the crash/rejoin counters in campaign JSON are byte-reproducible.
 
 // ChurnConfig configures the deterministic worker crash/rejoin schedule on
 // the socket backends. The zero value disables churn.
@@ -115,23 +98,22 @@ func (p ChurnPhase) String() string {
 }
 
 // churnCrashDraw evaluates the seeded crash draw for one live worker at one
-// step. Keyed per (step, worker) — never a per-worker stream — so both
-// endpoints can evaluate it independently.
-func churnCrashDraw(runSeed int64, step, worker int, rate float64) bool {
-	rng := rand.New(rand.NewSource(ChurnSeed(runSeed, step, worker)))
+// step on caller-owned scratch. Keyed per (step, worker) — never a per-worker
+// stream — so both endpoints can evaluate it independently.
+func churnCrashDraw(rng *rand.Rand, runSeed int64, step, worker int, rate float64) bool {
+	rng.Seed(ChurnSeed(runSeed, step, worker))
 	return rng.Float64() < rate
 }
 
 // replay walks one worker's crash/rejoin timeline from step 0 and returns
-// its phase at step plus whether it is permanently down at that point. A
-// worker's timeline depends only on its own draws, so replay is exact at
-// both endpoints: crash draws happen only while live (and never at step 0 or
-// on the rejoin round itself), a crash with rejoin budget left schedules the
-// rejoin DownSteps rounds later, and a crash past the budget is final.
+// its phase at step plus whether it is permanently down at that point — the
+// O(step) reference the tests hold the Planner's incremental timeline to.
+// Nothing on a training path calls it: an endpoint reads Planner.At.
 func (c ChurnConfig) replay(runSeed int64, step, worker int) (ChurnPhase, bool) {
 	if !c.Enabled() {
 		return ChurnLive, false
 	}
+	rng := rand.New(rand.NewSource(runSeed))
 	rejoins := 0
 	down := false
 	permanent := false
@@ -144,7 +126,7 @@ func (c ChurnConfig) replay(runSeed int64, step, worker int) (ChurnPhase, bool) 
 			phase = ChurnRejoin
 		case down:
 			phase = ChurnDown
-		case s > 0 && churnCrashDraw(runSeed, s, worker, c.Rate):
+		case s > 0 && churnCrashDraw(rng, runSeed, s, worker, c.Rate):
 			phase = ChurnCrash
 			down = true
 			if rejoins < c.MaxRejoins {
@@ -161,19 +143,14 @@ func (c ChurnConfig) replay(runSeed int64, step, worker int) (ChurnPhase, bool) 
 	return ChurnLive, false
 }
 
-// Phase returns one worker's membership phase at one step — the pure
-// schedule function both endpoints evaluate. The MembershipTracker's
-// incremental state machine must agree with this replay at every
-// (step, worker); the fuzz target cross-checks the two implementations.
+// Phase returns one worker's membership phase at one step by pure replay.
 func (c ChurnConfig) Phase(runSeed int64, step, worker int) ChurnPhase {
 	phase, _ := c.replay(runSeed, step, worker)
 	return phase
 }
 
-// Permanent reports whether the worker is permanently down at step (its
-// rejoin budget was already spent when it last crashed). A crashing worker
-// uses this to decide between exiting for good and starting the reconnect
-// dialer.
+// Permanent reports, by pure replay, whether the worker is permanently down
+// at step (its rejoin budget was already spent when it last crashed).
 func (c ChurnConfig) Permanent(runSeed int64, step, worker int) bool {
 	_, permanent := c.replay(runSeed, step, worker)
 	return permanent
@@ -223,104 +200,48 @@ func (v RejoinVerdict) String() string {
 	}
 }
 
-// MembershipTracker is the server-side state machine for the churn schedule,
-// driven by the round engine. It is pure and I/O-free: the engine calls
-// BeginRound once per round to advance the schedule and learn each worker's
-// phase, offers rejoin handshakes to Admit for a typed verdict, and reads
-// the per-round and run-total counters that flow into StepResult and
-// campaign JSON. Only admissions mutate admission state;
-// rejected handshakes leave the tracker untouched.
+// MembershipTracker is the server's admission ledger for the churn schedule.
+// It is pure and I/O-free: the phases are the Planner's (it keeps no second
+// copy of the timeline); the tracker records which scheduled rejoins have
+// been admitted this round and what their handshakes reported. Only
+// admissions mutate it; rejected handshakes leave it untouched.
 type MembershipTracker struct {
-	cfg  ChurnConfig
-	seed int64
-	n    int
-
-	step        int
-	begun       bool
-	down        []bool
-	permanent   []bool
-	rejoinStep  []int
-	rejoinsUsed []int
-	phases      []ChurnPhase
-	admitted    []bool
-
-	crashes           int
-	rejoins           int
-	reconnectAttempts int
-	roundCrashes      int
-	roundRejoins      int
-	roundAttempts     int
+	plan     *Planner
+	admitted []bool
+	// This round's crashes, admitted rejoins and the dial attempts their
+	// handshakes reported (on the scheduled path every rejoin dials exactly
+	// once) — what StepResult reports.
+	crashes, rejoins, attempts int
 }
 
-// NewMembershipTracker builds the tracker for a run of n workers under cfg.
-// The caller must have validated cfg.
-func NewMembershipTracker(cfg ChurnConfig, runSeed int64, n int) *MembershipTracker {
-	return &MembershipTracker{
-		cfg:         cfg,
-		seed:        runSeed,
-		n:           n,
-		down:        make([]bool, n),
-		permanent:   make([]bool, n),
-		rejoinStep:  make([]int, n),
-		rejoinsUsed: make([]int, n),
-		phases:      make([]ChurnPhase, n),
-		admitted:    make([]bool, n),
-	}
+// NewMembershipTracker builds the ledger over a planner covering every slot
+// from 0.
+func NewMembershipTracker(plan *Planner) *MembershipTracker {
+	return &MembershipTracker{plan: plan, admitted: make([]bool, len(plan.slots))}
 }
 
-// BeginRound advances the schedule to round step and returns each worker's
-// phase. Rounds must advance one at a time from step 0; the returned slice
-// is valid until the next BeginRound. The incremental state must agree with
-// ChurnConfig.Phase at every (step, worker) — asserted by the unit tests and
-// the fuzz target.
-func (t *MembershipTracker) BeginRound(step int) []ChurnPhase {
-	want := 0
-	if t.begun {
-		want = t.step + 1
-	}
-	if step != want {
-		panic(fmt.Sprintf("ps: MembershipTracker.BeginRound(%d) out of order, want round %d", step, want))
-	}
-	t.step = step
-	t.begun = true
-	t.roundCrashes, t.roundRejoins, t.roundAttempts = 0, 0, 0
-	for w := 0; w < t.n; w++ {
+// BeginRound advances the plan to round step and opens its ledger.
+func (t *MembershipTracker) BeginRound(step int) {
+	t.crashes, t.rejoins, t.attempts = 0, 0, 0
+	for w := range t.admitted {
 		t.admitted[w] = false
-		switch {
-		case t.down[w] && !t.permanent[w] && step == t.rejoinStep[w]:
-			t.down[w] = false
-			t.phases[w] = ChurnRejoin
-		case t.down[w]:
-			t.phases[w] = ChurnDown
-		case step > 0 && churnCrashDraw(t.seed, step, w, t.cfg.Rate):
-			t.phases[w] = ChurnCrash
-			t.down[w] = true
+		if t.plan.At(step, w).Phase == ChurnCrash {
 			t.crashes++
-			t.roundCrashes++
-			if t.rejoinsUsed[w] < t.cfg.MaxRejoins {
-				t.rejoinsUsed[w]++
-				t.rejoinStep[w] = step + t.cfg.DownSteps
-			} else {
-				t.permanent[w] = true
-			}
-		default:
-			t.phases[w] = ChurnLive
 		}
 	}
-	return t.phases
 }
 
 // Admit offers one rejoin handshake (worker id, the round it claims to
 // rejoin at, and the dial attempts its reconnect took) and returns the typed
 // verdict. Only RejoinAdmit mutates the tracker.
 func (t *MembershipTracker) Admit(worker, step, attempts int) RejoinVerdict {
-	if worker < 0 || worker >= t.n {
+	if worker < 0 || worker >= len(t.admitted) {
 		return RejoinRejectUnknownWorker
 	}
-	if !t.begun || step != t.step {
+	if step != t.plan.step {
 		return RejoinRejectWrongStep
 	}
-	if t.phases[worker] != ChurnRejoin {
+	if t.plan.slots[worker].Phase != ChurnRejoin {
 		return RejoinRejectNotScheduled
 	}
 	if t.admitted[worker] {
@@ -331,9 +252,7 @@ func (t *MembershipTracker) Admit(worker, step, attempts int) RejoinVerdict {
 	}
 	t.admitted[worker] = true
 	t.rejoins++
-	t.roundRejoins++
-	t.reconnectAttempts += attempts
-	t.roundAttempts += attempts
+	t.attempts += attempts
 	return RejoinAdmit
 }
 
@@ -342,8 +261,8 @@ func (t *MembershipTracker) Admit(worker, step, attempts int) RejoinVerdict {
 // against.
 func (t *MembershipTracker) Live() int {
 	live := 0
-	for _, p := range t.phases {
-		if p.Participates() {
+	for w := range t.plan.slots {
+		if t.plan.slots[w].Phase.Participates() {
 			live++
 		}
 	}
@@ -354,8 +273,8 @@ func (t *MembershipTracker) Live() int {
 // their handshake.
 func (t *MembershipTracker) PendingRejoins() int {
 	pending := 0
-	for w := 0; w < t.n; w++ {
-		if t.phases[w] == ChurnRejoin && !t.admitted[w] {
+	for w := range t.plan.slots {
+		if t.plan.slots[w].Phase == ChurnRejoin && !t.admitted[w] {
 			pending++
 		}
 	}
@@ -366,25 +285,6 @@ func (t *MembershipTracker) PendingRejoins() int {
 // used by the TCP backend to tell a scheduled connection teardown from a
 // genuine failure when a reader error surfaces.
 func (t *MembershipTracker) Churned(worker int) bool {
-	return t.down[worker] || t.permanent[worker] || t.rejoinsUsed[worker] > 0
+	s := &t.plan.slots[worker]
+	return s.down || s.rejoins > 0
 }
-
-// Crashes returns the run-total crash count.
-func (t *MembershipTracker) Crashes() int { return t.crashes }
-
-// Rejoins returns the run-total admitted-rejoin count.
-func (t *MembershipTracker) Rejoins() int { return t.rejoins }
-
-// ReconnectAttempts returns the run-total reconnect dial attempts reported
-// by admitted handshakes. On the scheduled path every rejoin dials exactly
-// once, so this equals Rejoins — asserted by the counter tests.
-func (t *MembershipTracker) ReconnectAttempts() int { return t.reconnectAttempts }
-
-// RoundCrashes returns the crash count of the current round.
-func (t *MembershipTracker) RoundCrashes() int { return t.roundCrashes }
-
-// RoundRejoins returns the admitted-rejoin count of the current round.
-func (t *MembershipTracker) RoundRejoins() int { return t.roundRejoins }
-
-// RoundReconnectAttempts returns the reconnect attempts admitted this round.
-func (t *MembershipTracker) RoundReconnectAttempts() int { return t.roundAttempts }

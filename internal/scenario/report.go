@@ -257,7 +257,7 @@ func (c *Campaign) asyncSection() string {
 func (c *Campaign) churnSection() string {
 	var b strings.Builder
 	for _, n := range c.Spec.Networks {
-		if !n.churnEnabled() {
+		if !n.churn().Enabled() {
 			continue
 		}
 		var crashes, rejoins, attempts, below, scored int

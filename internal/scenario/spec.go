@@ -129,17 +129,14 @@ type Churn struct {
 	MaxRejoins int `json:"maxRejoins,omitempty"`
 }
 
-// churnConfig maps the cell's churn knobs onto the parameter service's
-// ChurnConfig (zero value when the cell has no churn block).
-func (n Network) churnConfig() ps.ChurnConfig {
+// churn maps the cell's churn block onto the schedule's parameters — the zero
+// value, churn off, without one.
+func (n Network) churn() ps.ChurnConfig {
 	if n.Churn == nil {
 		return ps.ChurnConfig{}
 	}
 	return ps.ChurnConfig{Rate: n.Churn.Rate, DownSteps: n.Churn.DownSteps, MaxRejoins: n.Churn.MaxRejoins}
 }
-
-// churnEnabled reports whether this cell runs the worker-churn schedule.
-func (n Network) churnEnabled() bool { return n.churnConfig().Enabled() }
 
 // Spec is a declarative campaign: the axes of the sweep plus the shared
 // training configuration. Zero-valued fields take the documented defaults
@@ -242,8 +239,14 @@ func (s *Spec) ApplyDefaults() {
 	}
 }
 
-// Validate checks every axis value against the registries and physical
-// bounds. It assumes ApplyDefaults has run.
+// Validate checks what is the campaign's own — every axis name against its
+// registry, the sweep's shape, the training constants — and then asks
+// core.Config.Validate about every distinct (network, cluster, attack) cell,
+// built by the same cellConfig that executes it. Value ranges, which backend
+// can express which axis and which axes compose are decided there, once; a
+// sweep containing a cell no deployment can run fails here, before any cell
+// runs, instead of scattering the same failure across Result.Error rows. It
+// assumes ApplyDefaults has run.
 func (s *Spec) Validate() error {
 	if _, err := core.LookupExperiment(s.Experiment); err != nil {
 		return fmt.Errorf("scenario: %w", err)
@@ -274,103 +277,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: cluster %d has f=%d outside [0, %d)", i, c.F, c.Workers)
 		}
 	}
-	seen := map[string]bool{}
-	for i, n := range s.Networks {
-		if n.Name == "" {
-			return fmt.Errorf("scenario: network %d has no name", i)
-		}
-		if seen[n.Name] {
-			return fmt.Errorf("scenario: duplicate network name %q", n.Name)
-		}
-		seen[n.Name] = true
-		if _, err := n.backend(); err != nil {
-			return err
-		}
-		if (n.Backend == core.BackendTCP || n.Backend == core.BackendUDP) && n.UDPLinks != 0 {
-			return fmt.Errorf("scenario: network %q combines the %s backend with udpLinks", n.Name, n.Backend)
-		}
-		if n.Backend == core.BackendTCP && n.DropRate != 0 {
-			return fmt.Errorf("scenario: network %q sets dropRate on the tcp backend (loss needs backend \"udp\" or udpLinks)", n.Name)
-		}
-		if n.DropRate < 0 || n.DropRate >= 1 {
-			return fmt.Errorf("scenario: network %q drop rate %v outside [0, 1)", n.Name, n.DropRate)
-		}
-		if n.ModelDropRate < 0 || n.ModelDropRate >= 1 {
-			return fmt.Errorf("scenario: network %q model drop rate %v outside [0, 1)", n.Name, n.ModelDropRate)
-		}
-		if (n.ModelDropRate != 0 || n.ModelRecoup != "") && n.Backend != core.BackendUDP {
-			return fmt.Errorf("scenario: network %q sets modelDropRate/modelRecoup without backend \"udp\" (lossy model broadcasts are a udp-backend feature)", n.Name)
-		}
-		if _, err := n.modelRecoupPolicy(); err != nil {
-			return err
-		}
-		if n.Quorum < 0 || n.Staleness < 0 {
-			return fmt.Errorf("scenario: network %q quorum=%d staleness=%d must be >= 0", n.Name, n.Quorum, n.Staleness)
-		}
-		if n.SlowWorkers < 0 || n.SlowWorkers >= 1 {
-			return fmt.Errorf("scenario: network %q slowWorkers %v outside [0, 1)", n.Name, n.SlowWorkers)
-		}
-		if n.SlowWorkers > 0 && n.Staleness == 0 {
-			return fmt.Errorf("scenario: network %q sets slowWorkers without staleness >= 1 (a slow worker lags at least one step)", n.Name)
-		}
-		if n.asyncEnabled() && (n.ModelDropRate != 0 || n.ModelRecoup != "") {
-			return fmt.Errorf("scenario: network %q: %w (quorum/staleness/slowWorkers with modelDropRate/modelRecoup)", n.Name, ps.ErrAsyncModelLoss)
-		}
-		if err := n.churnConfig().Validate(); err != nil {
-			return fmt.Errorf("scenario: network %q: %w", n.Name, err)
-		}
-		if n.churnEnabled() {
-			if n.Backend != core.BackendTCP && n.Backend != core.BackendUDP {
-				return fmt.Errorf("scenario: network %q sets churn without backend \"tcp\" or \"udp\" (the in-process simulator has no sockets to crash)", n.Name)
-			}
-			if n.asyncEnabled() {
-				return fmt.Errorf("scenario: network %q: %w", n.Name, ps.ErrChurnAsync)
-			}
-			if n.ModelDropRate != 0 || n.ModelRecoup != "" {
-				return fmt.Errorf("scenario: network %q: %w", n.Name, ps.ErrChurnModelLoss)
-			}
-		}
-		wire, err := transport.ParseWireFormat(n.WireFormat)
-		if err != nil {
-			return fmt.Errorf("scenario: network %q: %w", n.Name, err)
-		}
-		if wire.Float32 && n.Backend != core.BackendUDP && n.UDPLinks == 0 {
-			return fmt.Errorf("scenario: network %q sets wireFormat %q without backend \"udp\" or udpLinks (reliable links always carry float64)",
-				n.Name, transport.WireFloat32)
-		}
-		if n.UDPLinks < -1 {
-			return fmt.Errorf("scenario: network %q udpLinks %d", n.Name, n.UDPLinks)
-		}
-		if _, err := n.recoupPolicy(); err != nil {
-			return err
-		}
-		if _, err := n.protocol(); err != nil {
-			return err
-		}
-		if n.RTTMicros < 0 {
-			return fmt.Errorf("scenario: network %q negative rttMicros", n.Name)
-		}
-	}
-	// An informed attack recomputes the honest workers' gradients from the
-	// run seed assuming every peer samples once per round on the broadcast
-	// model. Three regimes break that oracle — churn (a crashed worker's
-	// sampler stream pauses), the slow schedule (peers train stale) and
-	// lossy model broadcasts (peers follow their own downlink schedule).
-	// The ps and cluster constructors re-check per cell — rejecting the
-	// sweep combination here fails the campaign before any cell runs,
-	// instead of scattering the same failure across every Result.Error row.
-	if a, ok := s.informedAttack(); ok {
-		for _, n := range s.Networks {
-			switch {
-			case n.churnEnabled():
-				return fmt.Errorf("scenario: attack %q on churn network %q: %w", a, n.Name, ps.ErrInformedChurn)
-			case n.SlowWorkers > 0:
-				return fmt.Errorf("scenario: attack %q on slow-schedule network %q: %w", a, n.Name, ps.ErrInformedSlow)
-			case n.ModelDropRate != 0 || n.ModelRecoup != "":
-				return fmt.Errorf("scenario: attack %q on lossy-model network %q: %w", a, n.Name, ps.ErrInformedModelLoss)
-			}
-		}
-	}
 	if _, err := opt.New(s.Optimizer, opt.Fixed{Rate: s.LR}); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
@@ -381,30 +287,96 @@ func (s *Spec) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("scenario: negative parallelism")
 	}
+	seen := map[string]bool{}
+	for i, n := range s.Networks {
+		if n.Name == "" {
+			return fmt.Errorf("scenario: network %d has no name", i)
+		}
+		if seen[n.Name] {
+			return fmt.Errorf("scenario: duplicate network name %q", n.Name)
+		}
+		seen[n.Name] = true
+		if n.UDPLinks < -1 {
+			return fmt.Errorf("scenario: network %q udpLinks %d", n.Name, n.UDPLinks)
+		}
+		if n.RTTMicros < 0 {
+			return fmt.Errorf("scenario: network %q negative rttMicros", n.Name)
+		}
+		for _, c := range s.Clusters {
+			for _, a := range s.Attacks {
+				// The rule and the seed do not bear on a cell's validity (an
+				// n too small for a rule is an infeasible run, recorded per
+				// cell), so the cell is built without them.
+				cfg, err := s.cellConfig(Run{Attack: a, Cluster: c, Network: n})
+				if err == nil {
+					err = cfg.Validate()
+				}
+				if err != nil {
+					return fmt.Errorf("scenario: network %q (attack %q, n=%d): %w", n.Name, a, c.Workers, err)
+				}
+			}
+		}
+	}
 	return nil
+}
+
+// cellConfig maps one campaign cell onto the core experiment that runs it —
+// the scenario layer's one translation of the network axes; Validate and
+// executeRun both go through it.
+func (s *Spec) cellConfig(r Run) (core.Config, error) {
+	n := r.Network
+	policy, err := n.recoupPolicy()
+	if err != nil {
+		return core.Config{}, err
+	}
+	modelPolicy, err := n.modelRecoupPolicy()
+	if err != nil {
+		return core.Config{}, err
+	}
+	proto, err := n.protocol()
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg := core.Config{
+		Experiment:    s.Experiment,
+		Backend:       n.Backend,
+		Aggregator:    r.GAR,
+		F:             r.Cluster.F,
+		Workers:       r.Cluster.Workers,
+		Batch:         s.Batch,
+		Optimizer:     s.Optimizer,
+		LR:            s.LR,
+		Steps:         s.Steps,
+		EvalEvery:     s.EvalEvery,
+		UDPLinks:      n.udpLinks(r.Cluster.Workers),
+		WireFormat:    n.WireFormat,
+		DropRate:      n.DropRate,
+		Recoup:        policy,
+		ModelDropRate: n.ModelDropRate,
+		ModelRecoup:   modelPolicy,
+		Protocol:      proto,
+		RTT:           n.rtt(),
+		Quorum:        n.Quorum,
+		Staleness:     n.Staleness,
+		SlowWorkers:   n.SlowWorkers,
+		Seed:          r.Seed,
+	}
+	churn := n.churn()
+	cfg.ChurnRate, cfg.ChurnDownSteps, cfg.ChurnMaxRejoins = churn.Rate, churn.DownSteps, churn.MaxRejoins
+	// The last F workers are the Byzantine ones (UDP links are assigned
+	// from the front, so lossy-link and Byzantine roles overlap only when
+	// the whole cluster is lossy).
+	if r.Attack != AttackNone {
+		cfg.Attacks = map[int]string{}
+		for w := r.Cluster.Workers - r.Cluster.F; w < r.Cluster.Workers; w++ {
+			cfg.Attacks[w] = r.Attack
+		}
+	}
+	return cfg, nil
 }
 
 // Expand enumerates the campaign cross-product in deterministic order:
 // GAR (outermost) → attack → cluster → network → seed.
-// informedAttack returns the first swept attack that recomputes honest
-// gradients (an attack.Informed with RequiresHonest), if any. Unknown
-// attack names are skipped: Validate rejected them earlier.
-func (s *Spec) informedAttack() (string, bool) {
-	for _, a := range s.Attacks {
-		if a == AttackNone {
-			continue
-		}
-		atk, err := attack.New(a)
-		if err != nil {
-			continue
-		}
-		if inf, ok := atk.(attack.Informed); ok && inf.RequiresHonest() {
-			return a, true
-		}
-	}
-	return "", false
-}
-
 func (s *Spec) Expand() []Run {
 	runs := make([]Run, 0, len(s.GARs)*len(s.Attacks)*len(s.Clusters)*len(s.Networks)*len(s.Seeds))
 	for _, g := range s.GARs {
@@ -427,22 +399,6 @@ func (s *Spec) Expand() []Run {
 		}
 	}
 	return runs
-}
-
-// backend parses the network's deployment substrate (default in-process).
-// The returned string is the core.Config.Backend value for the cell.
-func (n Network) backend() (string, error) {
-	switch n.Backend {
-	case "", core.BackendInProcess:
-		return core.BackendInProcess, nil
-	case core.BackendTCP:
-		return core.BackendTCP, nil
-	case core.BackendUDP:
-		return core.BackendUDP, nil
-	default:
-		return "", fmt.Errorf("scenario: network %q unknown backend %q (want %s|%s|%s)",
-			n.Name, n.Backend, core.BackendInProcess, core.BackendTCP, core.BackendUDP)
-	}
 }
 
 // recoupPolicy parses the network's recoup policy name (default fill-random).
@@ -484,7 +440,8 @@ func (n Network) protocol() (simnet.Protocol, error) {
 	}
 }
 
-// asyncEnabled reports whether this cell runs asynchronous rounds.
+// asyncEnabled reports whether this cell runs asynchronous rounds (the
+// report's async section and the rounds-per-second readout list those cells).
 func (n Network) asyncEnabled() bool {
 	return n.Quorum > 0 || n.Staleness > 0 || n.SlowWorkers > 0
 }

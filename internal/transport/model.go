@@ -21,6 +21,17 @@ const (
 	// unauthenticated: without a cap, spoofed packets claiming distinct
 	// future steps would each pin a maxDim-sized partial indefinitely.
 	DefaultModelWindow = 3
+	// modelHorizon caps how far past the step it is waiting for a collector
+	// admits a broadcast. The window above bounds how many future broadcasts
+	// are held, not how far ahead one claims to be, and after a genuine loss
+	// the collector jumps to the earliest one that arrived whole — so without
+	// this cap one forged complete broadcast claiming step 2^40 carries the
+	// worker there: lost to every genuine round for good, and handing its
+	// caller a step whose plan takes that many steps to reach. A worker falls
+	// behind by at most the rounds the server runs inside one round timeout,
+	// far fewer than this; a forged jump inside the horizon costs the worker
+	// the rounds up to it and its caller a bounded replay.
+	modelHorizon = 1 << 16
 )
 
 // ModelEvent is one settled model broadcast, in step order.
@@ -58,7 +69,10 @@ type ModelCollectorConfig struct {
 	Codec Codec
 	// Schedule returns the downlink drop mask for one broadcast step —
 	// mask[i] true means packet i was dropped at the server before the
-	// write and can never arrive. nil means the channel is loss-free.
+	// write and can never arrive. nil means the channel is loss-free. It is
+	// called with steps taken from unauthenticated datagrams, so it must
+	// cost the same for any step: a mask keyed per step, never a timeline
+	// replayed up to it (a caller with such state uses SkipTo instead).
 	Schedule func(step int) []bool
 	// BroadcastTimeout bounds the wait once a broadcast is in flight
 	// (0 = DefaultBroadcastTimeout).
@@ -73,11 +87,12 @@ type ModelCollectorConfig struct {
 
 // ModelCollector drives worker-side reassembly of lossy model broadcasts:
 // it pumps packets from the receive endpoint, admits only model-tagged
-// datagrams for current-or-future steps, and settles each broadcast the
-// moment its fate is known — complete when every packet is in, torn the
-// moment all scheduled survivors are in (the schedule is shared with the
-// server, so no deadline is needed), lost when the broadcast timeout passes
-// on packets the schedule cannot account for.
+// datagrams for current-or-future steps (no further ahead than
+// modelHorizon), and settles each broadcast the moment its fate is known —
+// complete when every packet is in, torn the moment all scheduled survivors
+// are in (the schedule is shared with the server, so no deadline is needed),
+// lost when the broadcast timeout passes on packets the schedule cannot
+// account for.
 //
 // Unlike the plain RecvModel path it bounds every resource a hostile
 // datagram stream could grow: gradient-tagged packets are filtered before
@@ -183,6 +198,29 @@ func (mc *ModelCollector) advance() {
 	}
 }
 
+// SkipTo moves the collector on to the broadcast at step, for a caller that
+// knows no earlier one is coming (a worker the churn schedule holds down is
+// not broadcast to). Anything buffered for the skipped steps is released;
+// datagrams for them are late duplicates from now on. A step at or behind
+// the expected one is a no-op.
+func (mc *ModelCollector) SkipTo(step int) {
+	if step <= mc.expected {
+		return
+	}
+	//aggrevet:ordered every entry below step is discarded regardless of visit order
+	for s, p := range mc.pending {
+		if s < step {
+			if !p.resolved() {
+				mc.recv.Reassembler().Discard(ModelWorkerID, s)
+			}
+			delete(mc.pending, s)
+		}
+	}
+	mc.expected = step
+	mc.deadline = time.Time{} // progress: the broadcast at step gets a fresh bound
+	mc.flushResolved()        // it may have arrived whole already
+}
+
 // Next blocks until the next broadcast settles and returns it. Broadcasts
 // are reported in step order; fully-scheduled-away steps are skipped
 // silently. The error is ErrTimeout when the idle timeout passes with no
@@ -244,22 +282,10 @@ func (mc *ModelCollector) Next() (*ModelEvent, error) {
 						target = s
 					}
 				}
-				if target >= 0 {
-					//aggrevet:ordered every pre-target entry is discarded regardless of visit order
-					for s, p := range mc.pending {
-						if s < target {
-							if !p.resolved() {
-								mc.recv.Reassembler().Discard(ModelWorkerID, s)
-							}
-							delete(mc.pending, s)
-						}
-					}
-					mc.expected = target
-				} else {
-					mc.expected++
+				if target < 0 {
+					target = mc.expected + 1
 				}
-				mc.deadline = time.Time{} // progress: re-arm for the next broadcast
-				mc.flushResolved()
+				mc.SkipTo(target)
 				continue
 			}
 			return nil, err
@@ -283,6 +309,9 @@ func (mc *ModelCollector) Next() (*ModelEvent, error) {
 		if s < mc.expected {
 			continue // late duplicate of an already-settled broadcast
 		}
+		if s-mc.expected > modelHorizon {
+			continue // further ahead than any genuine broadcast can be: spoofed
+		}
 		// Model packets follow a rigid grid — offset idx·per, full-size
 		// except the tail. Anything else cannot have come from the
 		// server's Split: reject it before it reaches the reassembler.
@@ -299,12 +328,12 @@ func (mc *ModelCollector) Next() (*ModelEvent, error) {
 		}
 		p := mc.pending[s]
 		if p == nil {
+			if s != mc.expected && len(mc.pending) >= mc.cfg.Window {
+				continue // future-broadcast cap; the expected step always admits
+			}
 			mask, surv := mc.dropMask(s)
 			if surv == 0 {
 				continue // schedule says nothing of step s can arrive: spoofed
-			}
-			if s != mc.expected && len(mc.pending) >= mc.cfg.Window {
-				continue // future-broadcast cap; the expected step always admits
 			}
 			p = &modelPending{mask: mask, lost: mc.lostCoords(mask)}
 			mc.pending[s] = p

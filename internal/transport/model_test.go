@@ -155,6 +155,69 @@ func TestModelCollectorSkipsFullyDroppedSteps(t *testing.T) {
 	}
 }
 
+// TestModelCollectorSkipTo pins how a caller with state the collector cannot
+// see (a churn worker that knows it is not broadcast to while down) moves it
+// on: the skipped steps' partials are released, their datagrams become late
+// duplicates, and the broadcast at the target — here one that had already
+// arrived whole and was stashed — is delivered at once, with no further
+// datagram and no timeout. Moving backwards is a no-op.
+func TestModelCollectorSkipTo(t *testing.T) {
+	const dim, mtu = 100, 128
+	recv, send, codec := modelFixture(t, dim, mtu)
+	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
+		BroadcastTimeout: 5 * time.Second, IdleTimeout: 5 * time.Second})
+	params := modelParams(dim)
+	// A partial for a step about to be skipped and the whole target broadcast,
+	// both stashed before step 0 settles.
+	sendModelPackets(t, send, codec, 2, mtu, params, []bool{false, true})
+	sendModelPackets(t, send, codec, 4, mtu, params, nil)
+	sendModelPackets(t, send, codec, 0, mtu, params, nil)
+	if ev, err := col.Next(); err != nil || !ev.Complete || ev.Step != 0 || col.Pending() != 2 {
+		t.Fatalf("event %+v err %v pending %d, want complete step 0 with steps 2 and 4 stashed", ev, err, col.Pending())
+	}
+	col.SkipTo(4)
+	col.SkipTo(1)
+	begin := time.Now()
+	ev, err := col.Next()
+	if err != nil || !ev.Complete || ev.Step != 4 {
+		t.Fatalf("event %+v err %v after SkipTo(4), want complete step 4", ev, err)
+	}
+	if time.Since(begin) > 2*time.Second || col.Pending() != 0 || recv.Pending() != 0 {
+		t.Fatalf("step 4 took %v with %d broadcasts (%d partials) pending: the skipped steps were waited for",
+			time.Since(begin), col.Pending(), recv.Pending())
+	}
+}
+
+// TestModelCollectorHorizon pins how far a datagram's step claim can carry
+// the collector. Catching up after a genuine loss jumps to the earliest
+// broadcast that arrived whole, so a forged whole broadcast is a lever: one
+// claiming step 2^40 used to move the worker there — past every genuine round
+// of the run, and onto a step its caller's plan had to walk to. Nothing past
+// the horizon is admitted; a forged broadcast inside it costs at most the
+// rounds up to it.
+func TestModelCollectorHorizon(t *testing.T) {
+	const dim, mtu = 100, 128
+	recv, send, codec := modelFixture(t, dim, mtu)
+	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
+		BroadcastTimeout: 300 * time.Millisecond, IdleTimeout: 5 * time.Second})
+	params := modelParams(dim)
+	sendModelPackets(t, send, codec, 1<<40, mtu, params, nil)
+	sendModelPackets(t, send, codec, modelHorizon+1, mtu, params, nil)
+	sendModelPackets(t, send, codec, 0, mtu, params, nil)
+	if ev, err := col.Next(); err != nil || !ev.Complete || ev.Step != 0 || col.Pending() != 0 || recv.Pending() != 0 {
+		t.Fatalf("event %+v err %v with %d broadcasts pending, want complete step 0 and the forged ones refused", ev, err, col.Pending())
+	}
+	// Exactly at the horizon of step 1 a whole broadcast is stashed, and the
+	// bounded wait for step 1 ends in the jump to it.
+	sendModelPackets(t, send, codec, 1+modelHorizon, mtu, params, nil)
+	if ev, err := col.Next(); err != nil || !ev.Lost || ev.Step != 1 {
+		t.Fatalf("event %+v err %v, want step 1 lost after the broadcast timeout", ev, err)
+	}
+	if ev, err := col.Next(); err != nil || !ev.Complete || ev.Step != 1+modelHorizon {
+		t.Fatalf("event %+v err %v, want the jump to complete step %d", ev, err, 1+modelHorizon)
+	}
+}
+
 // TestModelCollectorGenuineLossBoundedWait is the endpoint-wedge regression
 // (a genuinely dropped model datagram used to leave the worker blocked in
 // RecvModel for the full one-hour idle timeout with the partial pinned
