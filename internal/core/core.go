@@ -423,13 +423,52 @@ func (c Config) validated() (ps.RoundConfig, error) {
 		return rc, fmt.Errorf("core: wire format %q needs backend %q or UDPLinks > 0, got backend %q",
 			transport.WireFloat32, BackendUDP, c.Backend)
 	}
-	if rc.Async.Enabled() && (c.Aggregator == "draco" || c.ServerReplicas > 1) {
-		return rc, errors.New("core: asynchronous rounds are not supported on the draco or replicated deployments")
+	// The replicated server and the Draco baseline run lockstep rounds over
+	// perfect links to patched servers, and nothing else.
+	beyond := c.UDPLinks > 0 || c.Vanilla || len(c.HijackWorkers) > 0 || rc.Async.Enabled()
+	if c.ServerReplicas > 1 {
+		if beyond {
+			return rc, errors.New("core: option not supported with a replicated server")
+		}
+		if _, err := ps.ByzantineReplicas(c.ServerReplicas, c.ByzantineReplicas); err != nil {
+			return rc, fmt.Errorf("core: %w", err)
+		}
+	}
+	if c.Aggregator == "draco" {
+		if err := c.validateDraco(beyond); err != nil {
+			return rc, err
+		}
 	}
 	if err := rc.Validate(); err != nil {
 		return rc, fmt.Errorf("core: %w", err)
 	}
 	return rc, nil
+}
+
+// ErrDracoUnsupported is returned for Draco configs that request features
+// the baseline does not implement.
+var ErrDracoUnsupported = errors.New("core: option not supported with draco")
+
+// validateDraco holds the Draco baseline to what it can express (beyond says
+// a lossy link, a vanilla server or asynchronous rounds were asked for): one
+// server, n ≥ 2f+1 workers, and no more Byzantine ones than the f its groups
+// can outvote.
+func (c *Config) validateDraco(beyond bool) error {
+	if beyond || c.ServerReplicas > 1 {
+		return ErrDracoUnsupported
+	}
+	if _, err := draco.NewPlan(c.Workers, c.F, draco.Repetition); err != nil {
+		return fmt.Errorf("%w: %w", ErrDracoUnsupported, err)
+	}
+	for _, id := range sortedWorkers(c.Attacks) {
+		if id < 0 || id >= c.Workers {
+			return fmt.Errorf("%w: byzantine worker %d outside [0, %d)", ErrDracoUnsupported, id, c.Workers)
+		}
+	}
+	if len(c.Attacks) > c.F {
+		return fmt.Errorf("%w: %d Byzantine workers exceed the declared tolerance f=%d", ErrDracoUnsupported, len(c.Attacks), c.F)
+	}
+	return nil
 }
 
 // applyDefaults fills unset fields with the paper's evaluation defaults.
@@ -462,8 +501,12 @@ func (c *Config) applyDefaults() {
 
 // buildWorkers assembles the worker list from the experiment description:
 // samplers (possibly corrupted), gradient attacks, hijack flags, and lossy
-// UDP pipes on the first UDPLinks workers.
-func buildWorkers(cfg Config, wire transport.Codec, train *data.Dataset) ([]ps.WorkerConfig, error) {
+// UDP pipes on the first UDPLinks workers. Under a Draco plan a worker samples
+// its redundancy group's shared batch — group members MUST see identical
+// data, the agreement-on-ordering requirement the paper criticises as
+// incompatible with private datasets — and the workers left over once the
+// groups are full stay silent.
+func buildWorkers(cfg Config, wire transport.Codec, train *data.Dataset, plan *draco.Plan) ([]ps.WorkerConfig, error) {
 	corrupt := map[int]bool{}
 	for _, w := range cfg.CorruptData {
 		corrupt[w] = true
@@ -475,6 +518,9 @@ func buildWorkers(cfg Config, wire transport.Codec, train *data.Dataset) ([]ps.W
 	workers := make([]ps.WorkerConfig, cfg.Workers)
 	for i := range workers {
 		var sampler data.Sampler = data.NewUniformSampler(train, ps.SamplerSeed(cfg.Seed, i))
+		if plan != nil {
+			sampler = &data.GroupSampler{SharedBatch: data.SharedBatch{DS: train}, Group: i / plan.Redundancy(), Seed: cfg.Seed}
+		}
 		if corrupt[i] {
 			sampler = &data.CorruptedSampler{
 				Inner: sampler,
@@ -488,6 +534,7 @@ func buildWorkers(cfg Config, wire transport.Codec, train *data.Dataset) ([]ps.W
 			Sampler:      sampler,
 			Seed:         cfg.Seed + int64(i),
 			HijackParams: hijack[i],
+			Silent:       plan != nil && plan.WorkerLoad(i) == 0,
 		}
 		if name, ok := cfg.Attacks[i]; ok {
 			atk, err := attack.New(name)
@@ -529,11 +576,14 @@ type deployment interface {
 // or — Backend "tcp"/"udp" — a cluster.TCPCluster or cluster.UDPCluster on
 // localhost, every model broadcast and gradient travelling the binary wire
 // protocol over real sockets (udp: with seeded per-packet drop injection and
-// §3.3 recoup of the lost coordinates). Every backend is driven
-// round-by-round by the same training loop and simulated clock, and worker
-// seeds derive from the run seed through the shared ps formulas, so a
-// loss-free socket run reproduces the in-process trajectory bit for bit and a
-// lossy udp run stays a pure function of the configuration.
+// §3.3 recoup of the lost coordinates). Run only assembles: it picks the rule
+// (a registry GAR, or the Draco plan), the workers' samplers and the
+// constructor (ps.New, ps.NewReplicated, a socket cluster). Every deployment
+// is then driven round-by-round by the same training loop, simulated clock,
+// divergence check and checkpoints, and worker seeds derive from the run seed
+// through the shared ps formulas, so a loss-free socket run reproduces the
+// in-process trajectory bit for bit and a lossy udp run stays a pure function
+// of the configuration.
 func Run(cfg Config) (*Result, error) {
 	cfg.applyDefaults()
 	rc, err := cfg.validated()
@@ -541,12 +591,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	socket := cfg.Backend == BackendTCP || cfg.Backend == BackendUDP
-	if cfg.Aggregator == "draco" {
-		return runDraco(cfg)
-	}
-	if cfg.ServerReplicas > 1 {
-		return runReplicated(cfg)
-	}
 	exp, err := LookupExperiment(cfg.Experiment)
 	if err != nil {
 		return nil, err
@@ -555,22 +599,33 @@ func Run(cfg Config) (*Result, error) {
 
 	// "tf" is the vanilla TensorFlow baseline: plain averaging with no
 	// framework aggregation cost on the clock (the paper's Average-GAR
-	// deployment of AggregaThor costs ≈7% more than this baseline).
+	// deployment of AggregaThor costs ≈7% more than this baseline). "draco" is
+	// the comparison baseline: its repetition plan is the rule — the
+	// per-group majority vote is an aggregation stage — and says which batch
+	// each worker samples.
 	aggName := cfg.Aggregator
-	tfBaseline := aggName == "tf"
-	if tfBaseline {
+	if aggName == "tf" {
 		aggName = "average"
 	}
-	rule, err := gar.New(aggName, cfg.F)
+	var plan *draco.Plan
+	var rule gar.GAR
+	if aggName == "draco" {
+		plan, err = draco.NewPlan(cfg.Workers, cfg.F, draco.Repetition)
+		rule = plan
+	} else {
+		rule, err = gar.New(aggName, cfg.F)
+	}
 	if err != nil {
 		return nil, err
 	}
-	optimizer, err := opt.New(cfg.Optimizer, opt.Fixed{Rate: cfg.LR})
+	newOptimizer := func() (opt.Optimizer, error) { return opt.New(cfg.Optimizer, opt.Fixed{Rate: cfg.LR}) }
+	optimizer, err := newOptimizer()
 	if err != nil {
 		return nil, err
 	}
 
 	var cl deployment
+	name := cfg.Aggregator
 	if socket {
 		sc := cfg.clusterConfig(rc, factory, train, rule, optimizer)
 		var sock interface {
@@ -592,40 +647,49 @@ func Run(cfg Config) (*Result, error) {
 		defer sock.Close()
 		cl = sock
 	} else {
-		workers, err := buildWorkers(cfg, rc.Link.Codec, train)
+		workers, err := buildWorkers(cfg, rc.Link.Codec, train, plan)
 		if err != nil {
 			return nil, err
 		}
-		mode := ps.Patched
-		if cfg.Vanilla {
-			mode = ps.Vanilla
+		if cfg.ServerReplicas > 1 {
+			name += "-replicated"
+			cl, err = ps.NewReplicated(ps.ReplicatedConfig{
+				ModelFactory: factory, ServerReplicas: cfg.ServerReplicas, ByzantineReplicas: cfg.ByzantineReplicas,
+				Workers: workers, GAR: rule, Batch: cfg.Batch, L1: cfg.L1, L2: cfg.L2, Seed: cfg.Seed,
+				OptimizerFactory: func() opt.Optimizer {
+					o, _ := newOptimizer() // the name resolved above
+					return o
+				},
+			})
+		} else {
+			mode := ps.Patched
+			if cfg.Vanilla {
+				mode = ps.Vanilla
+			}
+			cl, err = ps.New(ps.Config{
+				ModelFactory: factory,
+				Workers:      workers,
+				GAR:          rule,
+				Optimizer:    optimizer,
+				Batch:        cfg.Batch,
+				Mode:         mode,
+				L1:           cfg.L1,
+				L2:           cfg.L2,
+				Seed:         cfg.Seed,
+				Async:        rc.Async,
+			})
 		}
-		cl, err = ps.New(ps.Config{
-			ModelFactory: factory,
-			Workers:      workers,
-			GAR:          rule,
-			Optimizer:    optimizer,
-			Batch:        cfg.Batch,
-			Mode:         mode,
-			L1:           cfg.L1,
-			L2:           cfg.L2,
-			Seed:         cfg.Seed,
-			Async:        rc.Async,
-		})
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	round, err := simulatedRound(cfg, exp, rule, aggName, tfBaseline)
+	round, err := simulatedRound(cfg, exp, rule, aggName)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{Config: cfg}
-	res.seriesNames(cfg.Aggregator)
-	res.breakdown(cfg.Aggregator, round)
-
+	res := newResult(cfg, name, round)
 	// Checkpoint restore (warm start) when a checkpoint file exists.
 	if cfg.CheckpointPath != "" {
 		if step, params, err := nn.LoadCheckpointFile(cfg.CheckpointPath); err == nil {
@@ -635,36 +699,33 @@ func Run(cfg Config) (*Result, error) {
 			res.ResumedFromStep = step
 		}
 	}
-
-	checkpoint := func(step int) error {
-		if cfg.CheckpointPath == "" {
-			return nil
-		}
-		return nn.SaveCheckpointFile(cfg.CheckpointPath, step, cl.Params())
-	}
-	hooks := loopHooks{
-		finite:      func() bool { return cl.Params().IsFinite() },
-		checkpoint:  checkpoint,
-		resumedFrom: res.ResumedFromStep,
-	}
-	if err := runTraining(cfg, cl, test, round, res, hooks); err != nil {
+	if err := runTraining(cfg, cl, test, round, res); err != nil {
 		if socket {
 			err = fmt.Errorf("core: %s backend: %w", cfg.Backend, err)
 		}
 		return nil, err
 	}
-	if err := checkpoint(res.ResumedFromStep + cfg.Steps); err != nil {
+	if err := cfg.checkpoint(cl, res.ResumedFromStep+cfg.Steps); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
+// checkpoint persists the deployment's parameters as absolute step `step`
+// when the run keeps a checkpoint file.
+func (c *Config) checkpoint(cl deployment, step int) error {
+	if c.CheckpointPath == "" {
+		return nil
+	}
+	return nn.SaveCheckpointFile(c.CheckpointPath, step, cl.Params())
+}
+
 // simulatedRound builds the paper-scale time model for one experiment — this
 // experiment's cost profile on the Grid5000-like cluster, with aggregation
 // time measured on real GAR execution or taken from the analytic model — and
-// simulates one round. Every backend costs its simulated clock through this
-// one function, so identical configurations get identical time series.
-func simulatedRound(cfg Config, exp Experiment, rule gar.GAR, aggName string, tfBaseline bool) (simnet.Round, error) {
+// simulates one round. Every deployment costs its simulated clock through
+// this one function, so identical configurations get identical time series.
+func simulatedRound(cfg Config, exp Experiment, rule gar.GAR, aggName string) (simnet.Round, error) {
 	sim := simnet.Grid5000(cfg.Workers, exp.CostDim)
 	sim.FlopsPerSample = exp.FlopsPerSample
 	sim.Protocol = cfg.Protocol
@@ -673,8 +734,15 @@ func simulatedRound(cfg Config, exp Experiment, rule gar.GAR, aggName string, tf
 		sim.RTT = cfg.RTT
 	}
 	switch {
-	case tfBaseline:
+	case cfg.Aggregator == "tf":
 		sim.AggTime = 0
+	case aggName == "draco":
+		// Under the repetition scheme each worker computes one gradient per
+		// step (the cluster computes 2f+1× more gradients per *effective*
+		// batch); the dominant cost is the linear-in-n decode, which is why
+		// the paper observes Draco's throughput to be f-insensitive and an
+		// order of magnitude below the TensorFlow-based systems.
+		sim.DecodeTime = simnet.ModelAggregation(aggName, cfg.Workers, cfg.F, exp.CostDim)
 	case cfg.MeasureAgg:
 		measured, err := simnet.MeasureAggregation(rule, cfg.Workers, exp.CostDim, 1, cfg.Seed)
 		if err != nil {
@@ -685,116 +753,6 @@ func simulatedRound(cfg Config, exp Experiment, rule gar.GAR, aggName string, tf
 		sim.AggTime = simnet.ModelAggregation(aggName, cfg.Workers, cfg.F, exp.CostDim)
 	}
 	return sim.SimulateRound(cfg.Batch), nil
-}
-
-// runReplicated executes the §6 replicated-server deployment: R server
-// replicas, workers adopting the 2/3-majority model each round.
-func runReplicated(cfg Config) (*Result, error) {
-	if cfg.UDPLinks > 0 || cfg.Vanilla || len(cfg.HijackWorkers) > 0 {
-		return nil, errors.New("core: option not supported with a replicated server")
-	}
-	exp, err := LookupExperiment(cfg.Experiment)
-	if err != nil {
-		return nil, err
-	}
-	train, test, factory := exp.Make(cfg.Seed)
-	rule, err := gar.New(cfg.Aggregator, cfg.F)
-	if err != nil {
-		return nil, err
-	}
-	workers, err := buildWorkers(cfg, transport.Codec{}, train) // no lossy pipes here: UDPLinks is refused above
-	if err != nil {
-		return nil, err
-	}
-	// Validate the optimizer name before handing out a factory.
-	if _, err := opt.New(cfg.Optimizer, opt.Fixed{Rate: cfg.LR}); err != nil {
-		return nil, err
-	}
-	cl, err := ps.NewReplicated(ps.ReplicatedConfig{
-		ModelFactory:      factory,
-		ServerReplicas:    cfg.ServerReplicas,
-		ByzantineReplicas: cfg.ByzantineReplicas,
-		Workers:           workers,
-		GAR:               rule,
-		OptimizerFactory: func() opt.Optimizer {
-			o, _ := opt.New(cfg.Optimizer, opt.Fixed{Rate: cfg.LR})
-			return o
-		},
-		Batch: cfg.Batch,
-		Seed:  cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	sim := simnet.Grid5000(cfg.Workers, exp.CostDim)
-	sim.FlopsPerSample = exp.FlopsPerSample
-	sim.AggTime = simnet.ModelAggregation(cfg.Aggregator, cfg.Workers, cfg.F, exp.CostDim)
-	round := sim.SimulateRound(cfg.Batch)
-
-	res := &Result{Config: cfg}
-	res.seriesNames(cfg.Aggregator + "-replicated")
-	res.breakdown(cfg.Aggregator+"-replicated", round)
-	if err := runTraining(cfg, cl, test, round, res, loopHooks{}); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ErrDracoUnsupported is returned for Draco configs that request features
-// the baseline does not implement.
-var ErrDracoUnsupported = errors.New("core: option not supported with draco")
-
-// runDraco executes the Draco comparison baseline with repetition coding.
-func runDraco(cfg Config) (*Result, error) {
-	if cfg.UDPLinks > 0 || cfg.Vanilla || len(cfg.HijackWorkers) > 0 {
-		return nil, ErrDracoUnsupported
-	}
-	exp, err := LookupExperiment(cfg.Experiment)
-	if err != nil {
-		return nil, err
-	}
-	train, test, factory := exp.Make(cfg.Seed)
-	optimizer, err := opt.New(cfg.Optimizer, opt.Fixed{Rate: cfg.LR})
-	if err != nil {
-		return nil, err
-	}
-	plan, err := draco.NewPlan(cfg.Workers, cfg.F, draco.Repetition)
-	if err != nil {
-		return nil, err
-	}
-	byz := sortedWorkers(cfg.Attacks)
-	cl, err := ps.NewDraco(ps.DracoConfig{
-		ModelFactory:     factory,
-		Plan:             plan,
-		Optimizer:        optimizer,
-		Batch:            cfg.Batch,
-		DataSeed:         cfg.Seed,
-		Dataset:          data.SharedBatch{DS: train},
-		ByzantineWorkers: byz,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	sim := simnet.Grid5000(cfg.Workers, exp.CostDim)
-	sim.FlopsPerSample = exp.FlopsPerSample
-	// Under the repetition scheme each worker computes one gradient per
-	// step (the cluster computes 2f+1× more gradients per *effective*
-	// batch); the dominant cost is the linear-in-n decode, which is why
-	// the paper observes Draco's throughput to be f-insensitive and an
-	// order of magnitude below the TensorFlow-based systems.
-	sim.GradsPerWorker = 1
-	sim.DecodeTime = simnet.ModelAggregation("draco", cfg.Workers, cfg.F, exp.CostDim)
-	round := sim.SimulateRound(cfg.Batch)
-
-	res := &Result{Config: cfg}
-	res.seriesNames("draco")
-	res.breakdown("draco", round)
-	if err := runTraining(cfg, cl, test, round, res, loopHooks{}); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // ThroughputScan runs the Figure-5 sweep: batches/sec as a function of

@@ -3,33 +3,19 @@ package core
 import (
 	"aggregathor/internal/data"
 	"aggregathor/internal/metrics"
-	"aggregathor/internal/ps"
 	"aggregathor/internal/simnet"
 )
 
-// loopHooks carries the optional per-deployment behaviours of the training
-// loop. The zero value disables all of them.
-type loopHooks struct {
-	// finite, when non-nil, is polled after every round; returning false
-	// marks the result diverged and stops the run (vanilla TensorFlow's
-	// fate under attack).
-	finite func() bool
-	// checkpoint, when non-nil, is called with the absolute step index
-	// after every CheckpointEvery rounds.
-	checkpoint func(step int) error
-	// resumedFrom offsets checkpoint step indexes after a warm start.
-	resumedFrom int
-}
-
-// runTraining drives cfg.Steps synchronous rounds of t against the simulated
-// clock, recording the accuracy/loss/throughput series into res. It is the
-// single training loop behind every deployment flavour (plain, replicated,
-// Draco) and the entry point the scenario campaign engine reuses.
-func runTraining(cfg Config, t ps.Trainer, test *data.Dataset, round simnet.Round, res *Result, hooks loopHooks) error {
-	res.ModelDim = t.Model().NumParams()
+// runTraining drives cfg.Steps synchronous rounds of cl against the simulated
+// clock, recording the accuracy/loss/throughput series into res, stopping a
+// run whose parameters went non-finite (vanilla TensorFlow's fate under
+// attack) and checkpointing every CheckpointEvery rounds. It is the single
+// training loop behind every deployment.
+func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Round, res *Result) error {
+	res.ModelDim = cl.Model().NumParams()
 	var clock simnet.Clock
 	evaluate := func(step int, loss float64) {
-		acc := t.Model().Accuracy(test.X, test.Y)
+		acc := cl.Model().Accuracy(test.X, test.Y)
 		res.AccuracyVsTime.Add(clock.Now(), step, acc)
 		res.AccuracyVsStep.Add(clock.Now(), step, acc)
 		res.LossVsStep.Add(clock.Now(), step, loss)
@@ -37,7 +23,7 @@ func runTraining(cfg Config, t ps.Trainer, test *data.Dataset, round simnet.Roun
 	}
 	evaluate(0, 0)
 	for step := 0; step < cfg.Steps; step++ {
-		sr, err := t.Step()
+		sr, err := cl.Step()
 		if err != nil {
 			return err
 		}
@@ -58,15 +44,15 @@ func runTraining(cfg Config, t ps.Trainer, test *data.Dataset, round simnet.Roun
 		if sr.Hijacked {
 			res.Hijacked = true
 		}
-		if hooks.finite != nil && !hooks.finite() {
+		if !cl.Params().IsFinite() {
 			res.Diverged = true
 			break
 		}
 		if (step+1)%cfg.EvalEvery == 0 || step == cfg.Steps-1 {
 			evaluate(step+1, sr.Loss)
 		}
-		if hooks.checkpoint != nil && cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0 {
-			if err := hooks.checkpoint(hooks.resumedFrom + step + 1); err != nil {
+		if cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0 {
+			if err := cfg.checkpoint(cl, res.ResumedFromStep+step+1); err != nil {
 				return err
 			}
 		}
@@ -74,18 +60,19 @@ func runTraining(cfg Config, t ps.Trainer, test *data.Dataset, round simnet.Roun
 	return nil
 }
 
-// seriesNames labels the three metric series of one result.
-func (r *Result) seriesNames(prefix string) {
-	r.AccuracyVsTime.Name = prefix + "/accuracy-vs-time"
-	r.AccuracyVsStep.Name = prefix + "/accuracy-vs-step"
-	r.LossVsStep.Name = prefix + "/loss-vs-step"
-}
-
-// breakdown fills the Figure-4 latency decomposition from a simulated round.
-func (r *Result) breakdown(name string, round simnet.Round) {
-	r.Breakdown = metrics.Breakdown{
-		Name:        name,
-		ComputeComm: round.Compute + round.Transfer,
-		Aggregation: round.Aggregate,
+// newResult starts the result of the deployment called name: its three
+// metric series labelled, the Figure-4 latency decomposition filled from the
+// simulated round.
+func newResult(cfg Config, name string, round simnet.Round) *Result {
+	return &Result{
+		Config:         cfg,
+		AccuracyVsTime: metrics.Series{Name: name + "/accuracy-vs-time"},
+		AccuracyVsStep: metrics.Series{Name: name + "/accuracy-vs-step"},
+		LossVsStep:     metrics.Series{Name: name + "/loss-vs-step"},
+		Breakdown: metrics.Breakdown{
+			Name:        name,
+			ComputeComm: round.Compute + round.Transfer,
+			Aggregation: round.Aggregate,
+		},
 	}
 }

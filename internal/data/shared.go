@@ -16,7 +16,8 @@ type SharedBatch struct {
 	DS *Dataset
 }
 
-// GroupBatch implements the ps.DracoDataset contract.
+// GroupBatch returns the mini-batch for (group, step) — the same bytes for
+// every member of the group.
 func (s SharedBatch) GroupBatch(group, step, batch int, seed int64) (*tensor.Matrix, []int) {
 	// Mix the coordinates into one seed; SplitMix-style constants keep
 	// adjacent (group, step) pairs uncorrelated.
@@ -29,4 +30,20 @@ func (s SharedBatch) GroupBatch(group, step, batch int, seed int64) (*tensor.Mat
 		idx[i] = rng.Intn(s.DS.Len())
 	}
 	return s.DS.Batch(idx)
+}
+
+// GroupSampler is one group member's Sampler over the shared stream: its k-th
+// Sample is the group's batch for step k, so members holding separate
+// instances draw identical batches as long as each samples once a round.
+type GroupSampler struct {
+	SharedBatch
+	Group int
+	Seed  int64
+	step  int
+}
+
+// Sample implements Sampler.
+func (s *GroupSampler) Sample(batch int) (*tensor.Matrix, []int) {
+	s.step++
+	return s.GroupBatch(s.Group, s.step-1, batch, s.Seed)
 }

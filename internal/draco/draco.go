@@ -13,9 +13,9 @@ package draco
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
+	"sort"
 
+	"aggregathor/internal/gar"
 	"aggregathor/internal/tensor"
 )
 
@@ -48,9 +48,8 @@ func (s Scheme) String() string {
 // Plan describes a Draco deployment: n workers tolerating f Byzantine ones
 // with redundancy r = 2f+1.
 type Plan struct {
-	N      int
-	F      int
-	Scheme Scheme
+	n, f   int
+	scheme Scheme
 }
 
 // NewPlan validates and returns a Draco plan. Draco requires n ≥ 2f+1.
@@ -65,19 +64,19 @@ func NewPlan(n, f int, scheme Scheme) (*Plan, error) {
 	if scheme != Repetition && scheme != Cyclic {
 		return nil, fmt.Errorf("draco: unknown scheme %v", scheme)
 	}
-	return &Plan{N: n, F: f, Scheme: scheme}, nil
+	return &Plan{n: n, f: f, scheme: scheme}, nil
 }
 
 // Redundancy returns r = 2f+1, the per-batch computation multiplier.
-func (p *Plan) Redundancy() int { return 2*p.F + 1 }
+func (p *Plan) Redundancy() int { return 2*p.f + 1 }
 
 // NumGroups returns the number of voting groups (= distinct mini-batches
 // evaluated per step).
 func (p *Plan) NumGroups() int {
-	if p.Scheme == Repetition {
-		return p.N / p.Redundancy()
+	if p.scheme == Repetition {
+		return p.n / p.Redundancy()
 	}
-	return p.N
+	return p.n
 }
 
 // Groups returns, for each group, the ids of the workers that evaluate its
@@ -85,22 +84,15 @@ func (p *Plan) NumGroups() int {
 func (p *Plan) Groups() [][]int {
 	r := p.Redundancy()
 	groups := make([][]int, p.NumGroups())
-	if p.Scheme == Repetition {
-		for g := range groups {
-			members := make([]int, r)
-			for i := 0; i < r; i++ {
-				members[i] = g*r + i
-			}
-			groups[g] = members
-		}
-		return groups
-	}
 	for g := range groups {
-		members := make([]int, r)
-		for i := 0; i < r; i++ {
-			members[i] = (g + i) % p.N
+		first := g // cyclic: batch g goes to workers g, g+1, …, g+r−1 (mod n)
+		if p.scheme == Repetition {
+			first = g * r // disjoint runs of r
 		}
-		groups[g] = members
+		groups[g] = make([]int, r)
+		for i := range groups[g] {
+			groups[g][i] = (first + i) % p.n
+		}
 	}
 	return groups
 }
@@ -108,10 +100,10 @@ func (p *Plan) Groups() [][]int {
 // WorkerLoad returns how many mini-batch gradients worker w computes per
 // step: 1 for repetition members (0 for leftover workers), r for cyclic.
 func (p *Plan) WorkerLoad(w int) int {
-	if w < 0 || w >= p.N {
+	if w < 0 || w >= p.n {
 		return 0
 	}
-	if p.Scheme == Repetition {
+	if p.scheme == Repetition {
 		if w >= p.NumGroups()*p.Redundancy() {
 			return 0 // leftover worker, idle under repetition
 		}
@@ -157,9 +149,10 @@ func (p *Plan) Decode(submissions [][]tensor.Vector) (*Decoded, error) {
 			if v == nil {
 				continue
 			}
-			counts[fingerprint(v)] = append(counts[fingerprint(v)], slot)
+			fp := v.Fingerprint()
+			counts[fp] = append(counts[fp], slot)
 		}
-		need := p.F + 1 // strict majority of r = 2f+1
+		need := p.f + 1 // strict majority of r = 2f+1
 		var winSlots []int
 		for _, slots := range counts {
 			if len(slots) >= need {
@@ -185,38 +178,49 @@ func (p *Plan) Decode(submissions [][]tensor.Vector) (*Decoded, error) {
 	for w := range suspects {
 		out.SuspectWorkers = append(out.SuspectWorkers, w)
 	}
-	sortInts(out.SuspectWorkers)
+	sort.Ints(out.SuspectWorkers)
 	return out, nil
 }
 
-// fingerprint hashes the exact bit pattern of v. NaN payloads hash to a
-// canonical quiet-NaN so a Byzantine worker cannot split the vote by varying
-// NaN payload bits.
-func fingerprint(v tensor.Vector) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, x := range v {
-		bits := math.Float64bits(x)
-		if math.IsNaN(x) {
-			bits = math.Float64bits(math.NaN())
-		}
-		buf[0] = byte(bits)
-		buf[1] = byte(bits >> 8)
-		buf[2] = byte(bits >> 16)
-		buf[3] = byte(bits >> 24)
-		buf[4] = byte(bits >> 32)
-		buf[5] = byte(bits >> 40)
-		buf[6] = byte(bits >> 48)
-		buf[7] = byte(bits >> 56)
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
+// A repetition plan is a gradient aggregation rule: redundancy plus a
+// per-group majority vote is a first aggregation stage over the id-ordered
+// submissions of an ordinary parameter-server round, whose workers sample
+// their group's shared batch (data.GroupSampler) and whose leftover workers
+// stay silent. The cyclic scheme is not one — its workers owe r gradients a
+// round, and a round carries one per worker.
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
+// Name implements gar.GAR.
+func (p *Plan) Name() string { return "draco" }
+
+// F implements gar.ByzantineInfo.
+func (p *Plan) F() int { return p.f }
+
+// MinWorkers implements gar.ByzantineInfo: one full group.
+func (p *Plan) MinWorkers() int { return p.Redundancy() }
+
+// Aggregate implements gar.GAR: grads[w] is group member w's submission
+// (the leftover workers submit nothing), regrouped by Groups() and decoded.
+// A round that cannot be decoded — a member's gradient missing, a group
+// without a majority — wraps gar.ErrTooFewWorkers, which a server skips on.
+func (p *Plan) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
+	if p.scheme != Repetition {
+		return nil, fmt.Errorf("draco: the %v scheme is not an aggregation rule", p.scheme)
 	}
+	groups := p.Groups()
+	if need := len(groups) * p.Redundancy(); len(grads) < need {
+		return nil, fmt.Errorf("draco: %w: %d groups of %d need %d gradients, got %d",
+			gar.ErrTooFewWorkers, len(groups), p.Redundancy(), need, len(grads))
+	}
+	subs := make([][]tensor.Vector, len(groups))
+	for g, members := range groups {
+		subs[g] = grads[members[0] : members[0]+len(members)] // a repetition group is a run of consecutive ids
+	}
+	dec, err := p.Decode(subs)
+	if errors.Is(err, ErrNoMajority) {
+		return nil, fmt.Errorf("%w: %w", gar.ErrTooFewWorkers, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return dec.Gradient, nil
 }

@@ -172,12 +172,20 @@ func TestDecodeShapeErrors(t *testing.T) {
 }
 
 func TestNaNPayloadCannotSplitVote(t *testing.T) {
-	// Two honest NaN-bearing submissions must fingerprint identically even
-	// with different NaN payload bits.
+	// Two honest NaN-bearing submissions must vote together even with
+	// different NaN payload bits (tensor.Vector.Fingerprint canonicalises).
+	p, err := NewPlan(3, 1, Repetition)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := tensor.Vector{math.NaN()}
 	b := tensor.Vector{math.Float64frombits(0x7ff8000000000001)} // NaN, different payload
-	if fingerprint(a) != fingerprint(b) {
-		t.Fatal("NaN payloads split the vote")
+	dec, err := p.Decode([][]tensor.Vector{{a, {7}, b}})
+	if err != nil {
+		t.Fatalf("NaN payloads split the vote: %v", err)
+	}
+	if len(dec.SuspectWorkers) != 1 || dec.SuspectWorkers[0] != 1 {
+		t.Fatalf("suspects %v, want [1]", dec.SuspectWorkers)
 	}
 }
 

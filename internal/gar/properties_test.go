@@ -1,18 +1,27 @@
-package gar
+package gar_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"aggregathor/internal/draco"
+	. "aggregathor/internal/gar"
 	"aggregathor/internal/tensor"
 )
 
-// propertyCase binds one registry rule to a cluster shape every rule in the
-// registry can operate at: n = 11, f = 2 (bulyan's 4f+3 floor).
+// propertyCase binds one rule — every registry rule, plus Draco's repetition
+// plan, the one rule built outside the registry — to a cluster shape all of
+// them can operate at: n = 11, f = 2 (bulyan's 4f+3 floor).
 type propertyCase struct {
 	name string
 	rule GAR
+	// group > 1 says the rule votes over runs of group consecutive slots that
+	// honest workers fill with bit-identical gradients (Draco's redundancy
+	// groups): honest inputs come in such runs, and a slot's position is part
+	// of its meaning, so the permutation row does not apply.
+	group int
 	// poison is how many Byzantine inputs the rule is expected to absorb
 	// without emitting non-finite coordinates. Rules exposing ByzantineInfo
 	// declare it themselves; coordinate-wise median tolerates any minority;
@@ -57,13 +66,22 @@ func propertyCases(t *testing.T) []propertyCase {
 	if len(cases) < 7 {
 		t.Fatalf("registry shrank to %d rules", len(cases))
 	}
-	return cases
+	plan, err := draco.NewPlan(propN, propF, draco.Repetition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(cases, propertyCase{name: plan.Name(), rule: plan, group: plan.Redundancy(), poison: plan.F()})
 }
 
-// honestGrads draws n finite random gradients.
-func honestGrads(rng *rand.Rand, n, d int) []tensor.Vector {
+// honestGrads draws n finite random gradients — every run of group slots a
+// set of copies of one draw when group > 1.
+func honestGrads(rng *rand.Rand, n, d, group int) []tensor.Vector {
 	out := make([]tensor.Vector, n)
 	for i := range out {
+		if group > 1 && i%group != 0 {
+			out[i] = out[i-1].Clone()
+			continue
+		}
 		v := tensor.NewVector(d)
 		for j := range v {
 			v[j] = rng.NormFloat64()
@@ -94,10 +112,13 @@ func almostEqual(a, b tensor.Vector) bool {
 // order gradients arrived from the network.
 func TestRegistryPermutationInvariance(t *testing.T) {
 	for _, tc := range propertyCases(t) {
+		if tc.group > 1 {
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(101))
 			for rep := 0; rep < 5; rep++ {
-				grads := honestGrads(rng, propN, propD)
+				grads := honestGrads(rng, propN, propD, 0)
 				base, err := tc.rule.Aggregate(grads)
 				if err != nil {
 					t.Fatal(err)
@@ -177,7 +198,7 @@ func TestRegistryNonFiniteContainment(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(303))
 				for rep := 0; rep < 3; rep++ {
-					grads := honestGrads(rng, propN, propD)
+					grads := honestGrads(rng, propN, propD, tc.group)
 					for i := 0; i < tc.poison; i++ {
 						v := grads[propN-1-i]
 						for j := range v {
@@ -192,6 +213,40 @@ func TestRegistryNonFiniteContainment(t *testing.T) {
 						t.Fatalf("payload %s rep %d (%d poisoned of %d): non-finite output %v",
 							payloadName, rep, tc.poison, propN, out)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestRegistryShortRoundsSkip: a round that delivers fewer gradients than the
+// rule needs is one a server skips — the rule says so through ErrNoGradients
+// or ErrTooFewWorkers, never by panicking or with an error a server would
+// abort on — and a refusal leaves the inputs as they were.
+func TestRegistryShortRoundsSkip(t *testing.T) {
+	for _, tc := range propertyCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			grads := honestGrads(rand.New(rand.NewSource(404)), propN, propD, tc.group)
+			want := make([]tensor.Vector, propN)
+			for i, g := range grads {
+				want[i] = g.Clone()
+			}
+			refused := 0
+			for k := 0; k <= propN; k++ {
+				_, err := tc.rule.Aggregate(grads[:k])
+				if err != nil && !errors.Is(err, ErrNoGradients) && !errors.Is(err, ErrTooFewWorkers) {
+					t.Fatalf("%d of %d gradients: %v is not a skip sentinel", k, propN, err)
+				}
+				if err != nil {
+					refused++
+				}
+			}
+			if refused == 0 || refused > propN {
+				t.Fatalf("%d of %d short rounds refused; want the empty round refused and the full one aggregated", refused, propN+1)
+			}
+			for i, g := range grads {
+				if g.Fingerprint() != want[i].Fingerprint() {
+					t.Fatalf("input gradient %d mutated", i)
 				}
 			}
 		})

@@ -4,32 +4,49 @@ import (
 	"math/rand"
 	"testing"
 
+	"aggregathor/internal/attack"
 	"aggregathor/internal/data"
 	"aggregathor/internal/draco"
 	"aggregathor/internal/nn"
 	"aggregathor/internal/opt"
 )
 
-func dracoFixture(t *testing.T, n, f int, byz []int, scheme draco.Scheme) (*DracoCluster, *data.Dataset) {
+// dracoCluster assembles a repetition-scheme Draco deployment the way core
+// does: an ordinary cluster whose workers sample their group's shared batch,
+// whose Byzantine members reverse their gradient, whose leftover workers are
+// silent, and whose rule is the plan.
+func dracoCluster(n, f, batch int, byz []int, factory func() *nn.Network, train *data.Dataset) (*Cluster, error) {
+	plan, err := draco.NewPlan(n, f, draco.Repetition)
+	if err != nil {
+		return nil, err
+	}
+	workers := make([]WorkerConfig, n)
+	for i := range workers {
+		workers[i] = WorkerConfig{
+			Sampler: &data.GroupSampler{SharedBatch: data.SharedBatch{DS: train}, Group: i / plan.Redundancy(), Seed: 23},
+			Silent:  plan.WorkerLoad(i) == 0,
+		}
+	}
+	for _, w := range byz {
+		workers[w].Attack = attack.Reversed{}
+	}
+	return New(Config{
+		ModelFactory: factory,
+		Workers:      workers,
+		GAR:          plan,
+		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.3}, Momentum: 0.9},
+		Batch:        batch,
+	})
+}
+
+func dracoFixture(t *testing.T, n, f int, byz []int) (*Cluster, *data.Dataset) {
 	t.Helper()
 	ds := data.SyntheticFeatures(400, 12, 4, 21)
 	ds.MinMaxScale()
 	train, test := ds.Split(0.8)
-	plan, err := draco.NewPlan(n, f, scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewDraco(DracoConfig{
-		ModelFactory: func() *nn.Network {
-			return nn.NewMLP(12, []int{24}, 4, rand.New(rand.NewSource(22)))
-		},
-		Plan:             plan,
-		Optimizer:        &opt.SGD{Schedule: opt.Fixed{Rate: 0.3}, Momentum: 0.9},
-		Batch:            32,
-		DataSeed:         23,
-		Dataset:          data.SharedBatch{DS: train},
-		ByzantineWorkers: byz,
-	})
+	c, err := dracoCluster(n, f, 32, byz, func() *nn.Network {
+		return nn.NewMLP(12, []int{24}, 4, rand.New(rand.NewSource(22)))
+	}, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,38 +54,42 @@ func dracoFixture(t *testing.T, n, f int, byz []int, scheme draco.Scheme) (*Drac
 }
 
 func TestDracoValidation(t *testing.T) {
+	ds := data.SyntheticFeatures(40, 4, 2, 1)
+	factory := func() *nn.Network { return nn.NewMLP(4, nil, 2, rand.New(rand.NewSource(1))) }
+	if _, err := dracoCluster(3, 1, 4, nil, nil, ds); err == nil {
+		t.Fatal("missing fields accepted")
+	}
+	c, err := dracoCluster(4, 1, 4, []int{1}, factory, ds)
+	if err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	// One group of three and a silent leftover: three gradients a round.
+	if res, err := c.Step(); err != nil || res.Skipped || res.Received != 3 {
+		t.Fatalf("round 0: %+v, %v", res, err)
+	}
+	// The plan is the rule, so the cluster holds it to its 2f+1 floor.
 	plan, err := draco.NewPlan(3, 1, draco.Repetition)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDraco(DracoConfig{Plan: plan}); err == nil {
-		t.Fatal("missing fields accepted")
+	short := c.cfg
+	short.Workers, short.GAR = short.Workers[:2], plan
+	if _, err := New(short); err == nil {
+		t.Fatal("two workers accepted for a plan that needs 2f+1 = 3")
 	}
-	ds := data.SyntheticFeatures(40, 4, 2, 1)
-	cfg := DracoConfig{
-		ModelFactory: func() *nn.Network { return nn.NewMLP(4, nil, 2, rand.New(rand.NewSource(1))) },
-		Plan:         plan,
-		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
-		Batch:        4,
-		Dataset:      data.SharedBatch{DS: ds},
+	// Two liars in a group of three leave no majority: the round is skipped.
+	c, err = dracoCluster(3, 1, 4, []int{0, 1}, factory, ds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewDraco(cfg); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	bad := cfg
-	bad.ByzantineWorkers = []int{5}
-	if _, err := NewDraco(bad); err == nil {
-		t.Fatal("out-of-range Byzantine worker accepted")
-	}
-	bad = cfg
-	bad.ByzantineWorkers = []int{0, 1}
-	if _, err := NewDraco(bad); err == nil {
-		t.Fatal("too many Byzantine workers accepted")
+	c.cfg.Workers[1].Attack = attack.Random{}
+	if res, err := c.Step(); err != nil || !res.Skipped {
+		t.Fatalf("round without a group majority: %+v, %v", res, err)
 	}
 }
 
 func TestDracoHonestTraining(t *testing.T) {
-	c, test := dracoFixture(t, 6, 1, nil, draco.Repetition)
+	c, test := dracoFixture(t, 6, 1, nil)
 	for i := 0; i < 120; i++ {
 		res, err := c.Step()
 		if err != nil {
@@ -87,7 +108,7 @@ func TestDracoHonestTraining(t *testing.T) {
 }
 
 func TestDracoSurvivesReversedGradientWorker(t *testing.T) {
-	c, test := dracoFixture(t, 6, 1, []int{2}, draco.Repetition)
+	c, test := dracoFixture(t, 6, 1, []int{2})
 	for i := 0; i < 120; i++ {
 		if _, err := c.Step(); err != nil {
 			t.Fatal(err)
@@ -98,22 +119,10 @@ func TestDracoSurvivesReversedGradientWorker(t *testing.T) {
 	}
 }
 
-func TestDracoCyclicSurvivesByzantine(t *testing.T) {
-	c, test := dracoFixture(t, 5, 1, []int{1}, draco.Cyclic)
-	for i := 0; i < 80; i++ {
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if acc := c.Model().Accuracy(test.X, test.Y); acc < 0.55 {
-		t.Fatalf("cyclic draco accuracy %v with Byzantine worker", acc)
-	}
-}
-
 func TestDracoMatchesPlainTrainingWhenHonest(t *testing.T) {
 	// With no Byzantine workers, Draco decode = mean of group gradients —
 	// training must make the same kind of progress as plain averaging.
-	c, test := dracoFixture(t, 3, 1, nil, draco.Repetition)
+	c, test := dracoFixture(t, 3, 1, nil)
 	initial := c.Model().Accuracy(test.X, test.Y)
 	for i := 0; i < 100; i++ {
 		if _, err := c.Step(); err != nil {

@@ -97,11 +97,15 @@ type Config struct {
 }
 
 // Cluster is an assembled synchronous training deployment: the round engine
-// plus the in-process workers — their replicas, attack RNGs and links.
+// plus the in-process workers — their replicas, attack RNGs and links. Its
+// worker half (round) is the only in-process worker implementation; a
+// ReplicatedCluster is a Cluster holding one engine per correct server
+// replica behind a vote.
 type Cluster struct {
-	*Server
+	*Server  // the parameter authority: the first engine's
 	cfg      Config
-	eng      *Engine
+	engines  []*Engine // one; one per correct replica under a ReplicatedCluster
+	rounds   []*Round  // the engines' current rounds (scratch)
 	replicas []*nn.Network
 	rngs     []*rand.Rand
 	models   *Models // the broadcasts a slow worker can still be told to train on
@@ -166,6 +170,19 @@ func (cfg *Config) round() RoundConfig {
 	return rc
 }
 
+// engine builds a round engine — a server: its own model replica, the
+// configuration's rule and optimizer — for the configuration.
+func (cfg *Config) engine() (*Engine, error) {
+	byzantine := make([]bool, len(cfg.Workers))
+	for i, w := range cfg.Workers {
+		byzantine[i] = w.Attack != nil
+	}
+	return NewEngine(EngineConfig{
+		RoundConfig: cfg.round(), Model: cfg.ModelFactory(), GAR: cfg.GAR, Optimizer: cfg.Optimizer,
+		L1: cfg.L1, L2: cfg.L2, Byzantine: byzantine,
+	})
+}
+
 // New validates the configuration and builds the cluster.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.ModelFactory == nil {
@@ -186,18 +203,11 @@ func New(cfg Config) (*Cluster, error) {
 				cfg.GAR.Name(), info.F(), info.MinWorkers(), len(cfg.Workers))
 		}
 	}
-	byzantine := make([]bool, len(cfg.Workers))
-	for i, w := range cfg.Workers {
-		byzantine[i] = w.Attack != nil
-	}
-	eng, err := NewEngine(EngineConfig{
-		RoundConfig: cfg.round(), Model: cfg.ModelFactory(), GAR: cfg.GAR, Optimizer: cfg.Optimizer,
-		L1: cfg.L1, L2: cfg.L2, Byzantine: byzantine,
-	})
+	eng, err := cfg.engine()
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{Server: &eng.Server, cfg: cfg, eng: eng}
+	c := &Cluster{Server: &eng.Server, cfg: cfg, engines: []*Engine{eng}}
 	c.models = NewModels(&eng.cfg.RoundConfig, eng.params.Dim())
 	c.replicas = make([]*nn.Network, len(cfg.Workers))
 	c.rngs = make([]*rand.Rand, len(cfg.Workers))
@@ -215,17 +225,34 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Step runs one synchronous round: the workers compute and forge, every
-// submission traverses its link, and the round engine settles, aggregates
-// and descends.
+// Step runs one synchronous round: a Vanilla server takes the hijackers'
+// remote writes, then the workers train on the server's model.
 func (c *Cluster) Step() (*StepResult, error) {
-	n := len(c.cfg.Workers)
 	hijacked := c.hijackPhase()
-	round := c.eng.Begin()
+	res, err := c.round(c.params)
+	if err != nil {
+		return nil, err
+	}
+	res.Hijacked = hijacked
+	return res, nil
+}
+
+// round is the in-process round: the workers compute on params — the model
+// they were handed — and forge, every submission traverses its link, and each
+// engine settles the same submissions, aggregates and descends. The engines
+// share one round description and so one plan; the first one's is read, and
+// its result returned.
+func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
+	n := len(c.cfg.Workers)
+	c.rounds = c.rounds[:0]
+	for _, e := range c.engines {
+		c.rounds = append(c.rounds, e.Begin())
+	}
+	round := c.rounds[0]
 	step := round.Step()
 	// Retain the round's broadcast model so workers the slow schedule marks
 	// stale in later rounds can train on it.
-	c.models.Retain(step, c.params)
+	c.models.Retain(step, params)
 
 	// Broadcast + honest compute phase (parallel, one goroutine per
 	// worker, each on its own replica). round.Tag is the worker's half of
@@ -242,7 +269,7 @@ func (c *Cluster) Step() (*StepResult, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			params := c.params
+			params := params
 			if tag := round.Tag(i); tag < step {
 				params = c.models.At(tag)
 			}
@@ -274,7 +301,7 @@ func (c *Cluster) Step() (*StepResult, error) {
 		if w.Attack != nil {
 			g = w.Attack.Forge(&attack.Context{
 				Step: tag, Honest: correct, Own: honest[i],
-				N: n, F: byzCount, Dim: c.params.Dim(), Rng: c.rngs[i],
+				N: n, F: byzCount, Dim: params.Dim(), Rng: c.rngs[i],
 			})
 		}
 		if g == nil {
@@ -287,20 +314,28 @@ func (c *Cluster) Step() (*StepResult, error) {
 		if pipe == nil {
 			pipe = transport.PerfectPipe{}
 		}
-		if out, ok := pipe.Transfer(&transport.GradientMsg{Worker: i, Step: tag, Grad: g}); !ok {
-			if honest[i] != nil {
-				round.NoteLoss(i, losses[i])
+		out, ok := pipe.Transfer(&transport.GradientMsg{Worker: i, Step: tag, Grad: g})
+		for _, round := range c.rounds {
+			if !ok {
+				if honest[i] != nil {
+					round.NoteLoss(i, losses[i])
+				}
+			} else if v := round.Offer(i, out.Step, out.Grad, losses[i]); !v.Admitted() {
+				return nil, fmt.Errorf("ps: worker %d submission tagged %d at step %d: %v", i, out.Step, step, v)
 			}
-		} else if v := round.Offer(i, out.Step, out.Grad, losses[i]); !v.Admitted() {
-			return nil, fmt.Errorf("ps: worker %d submission tagged %d at step %d: %v", i, out.Step, step, v)
 		}
 	}
-	res, err := round.Finish()
-	if err != nil {
-		return nil, err
+	var first *StepResult
+	for _, round := range c.rounds {
+		res, err := round.Finish()
+		if err != nil {
+			return nil, err
+		}
+		if first == nil {
+			first = res
+		}
 	}
-	res.Hijacked = hijacked
-	return res, nil
+	return first, nil
 }
 
 // hijackPhase is the Vanilla-mode vulnerability: a Byzantine worker's remote

@@ -4,11 +4,11 @@ import "aggregathor/internal/nn"
 
 // Trainer is the minimal surface a training driver needs from an assembled
 // deployment: advance one synchronous round and evaluate the current model.
-// Every cluster flavour in this package implements it — as does the
-// socket-distributed cluster.TCPCluster — which is what lets one loop
-// (core's runTraining, the scenario campaign engine) drive a plain parameter
-// server, a replicated server, a Draco deployment or a real TCP deployment
-// uniformly.
+// Both deployments in this package implement it — the Cluster (a Draco run
+// is one, with group samplers and the plan as its rule) and the replicated
+// server — as do the socket-distributed cluster.TCPCluster and UDPCluster,
+// which is what lets one loop (core's runTraining, the scenario campaign
+// engine) drive them all uniformly.
 type Trainer interface {
 	// Step runs one synchronous round.
 	Step() (*StepResult, error)
@@ -20,5 +20,4 @@ type Trainer interface {
 var (
 	_ Trainer = (*Cluster)(nil)
 	_ Trainer = (*ReplicatedCluster)(nil)
-	_ Trainer = (*DracoCluster)(nil)
 )

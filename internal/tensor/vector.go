@@ -136,6 +136,25 @@ func (v Vector) CountNonFinite() int {
 	return n
 }
 
+// Fingerprint hashes the exact bit pattern of v (64-bit FNV-1a over the
+// little-endian coordinates): the equality test behind every exact-match
+// vote — the replicated server's model vote, Draco's group vote. Every NaN
+// hashes as the canonical quiet NaN, so a Byzantine voter cannot split
+// otherwise identical values by varying NaN payload bits.
+func (v Vector) Fingerprint() uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range v {
+		bits := math.Float64bits(x)
+		if math.IsNaN(x) {
+			bits = math.Float64bits(math.NaN())
+		}
+		for shift := 0; shift < 64; shift += 8 {
+			h = (h ^ bits>>shift&0xff) * 1099511628211
+		}
+	}
+	return h
+}
+
 // Mean returns the arithmetic mean of the coordinates of v, or 0 for an
 // empty vector.
 func (v Vector) Mean() float64 {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,6 +92,25 @@ func TestSquaredDistanceNonFiniteSaturates(t *testing.T) {
 				t.Fatalf("got %v, want +Inf", got)
 			}
 		})
+	}
+}
+
+func TestFingerprint(t *testing.T) {
+	// FNV-1a test vector: the eight little-endian bytes of 1.0.
+	h := fnv.New64a()
+	h.Write([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	if got := (Vector{1}).Fingerprint(); got != h.Sum64() {
+		t.Fatalf("Fingerprint(1.0) = %#x, want FNV-1a %#x", got, h.Sum64())
+	}
+	if (Vector{1, 2}).Fingerprint() == (Vector{2, 1}).Fingerprint() {
+		t.Fatal("fingerprint ignores coordinate order")
+	}
+	if (Vector{0}).Fingerprint() == (Vector{math.Copysign(0, -1)}).Fingerprint() {
+		t.Fatal("fingerprint must tell -0 from +0: it compares bits, not values")
+	}
+	payload := math.Float64frombits(0x7ff8000000000001) // NaN, non-canonical payload
+	if (Vector{3, math.NaN()}).Fingerprint() != (Vector{3, payload}).Fingerprint() {
+		t.Fatal("NaN payloads split the vote")
 	}
 }
 
