@@ -151,7 +151,8 @@ func Aggregate(name string, f int, grads [][]float64) ([]float64, error) {
 }
 
 // MultiKrumSelect returns the indexes of the m gradients MULTI-KRUM selects
-// (ascending score order); m = 0 selects the maximal safe n−f−2.
+// (ascending score order); m = 0 selects the maximal safe n−f−2. A negative
+// f or m is an error.
 func MultiKrumSelect(f, m int, grads [][]float64) ([]int, error) {
 	vecs := make([]tensor.Vector, len(grads))
 	for i, g := range grads {

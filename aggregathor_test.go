@@ -57,6 +57,21 @@ func TestMultiKrumSelectPublic(t *testing.T) {
 	}
 }
 
+// A negative f or m is the caller's mistake and comes back as an error: the
+// rule validates its own fields, not only the registry that usually builds it.
+func TestMultiKrumSelectRejectsNegativeParameters(t *testing.T) {
+	few := [][]float64{{1}, {2}, {3}}
+	many := [][]float64{{1}, {1.1}, {0.9}, {1.05}, {0.95}, {1.02}, {50}}
+	for _, tc := range []struct {
+		f, m  int
+		grads [][]float64
+	}{{-3, 0, few}, {-1, 2, many}, {1, -1, many}} {
+		if sel, err := MultiKrumSelect(tc.f, tc.m, tc.grads); err == nil {
+			t.Errorf("MultiKrumSelect(f=%d, m=%d) selected %v, want an error", tc.f, tc.m, sel)
+		}
+	}
+}
+
 func TestRegistriesExposed(t *testing.T) {
 	if len(Aggregators()) < 7 {
 		t.Fatalf("aggregators: %v", Aggregators())

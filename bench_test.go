@@ -390,85 +390,28 @@ func BenchmarkByz_StrongVsWeak(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_BulyanReuse compares the paper's distance-matrix-reuse
-// optimisation against the naive re-distance Bulyan.
-func BenchmarkAblation_BulyanReuse(b *testing.B) {
-	grads := randGrads(10, 19, 50_000)
-	for _, cfg := range []struct {
-		name string
-		rule gar.GAR
-	}{
-		{"optimized", gar.NewBulyan(4)},
-		{"naive", &gar.Bulyan{NumByzantine: 4, Naive: true}},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cfg.rule.Aggregate(grads); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_ParallelDistances compares parallel vs sequential
-// pairwise distance computation in MULTI-KRUM.
-func BenchmarkAblation_ParallelDistances(b *testing.B) {
-	grads := randGrads(11, 19, 100_000)
-	for _, cfg := range []struct {
-		name string
-		rule gar.GAR
-	}{
-		{"parallel", gar.NewMultiKrum(4)},
-		{"sequential", &gar.MultiKrum{NumByzantine: 4, Sequential: true}},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cfg.rule.Aggregate(grads); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_BlockedDistances compares the three pairwise-distance
-// schedules — the cache-blocked engine, the row-parallel streaming kernel,
-// and the sequential streaming kernel — at the paper's n=19 for the Fig-4
-// bench dimension and the full Table-1 dimension. Each sub-benchmark feeds
-// its measured kernel time into the Fig-4 latency model (Grid5000 round at
-// full scale) and reports the implied aggregation share of a round.
-func BenchmarkAblation_BlockedDistances(b *testing.B) {
+// BenchmarkCost_BlockedDistances times the cache-blocked pairwise-distance
+// engine at the paper's n=19 for the Fig-4 bench dimension and the full
+// Table-1 dimension. Each sub-benchmark feeds its measured kernel time into
+// the Fig-4 latency model (Grid5000 round at full scale) and reports the
+// implied aggregation share of a round.
+func BenchmarkCost_BlockedDistances(b *testing.B) {
 	const n, dFull = 19, 1_756_426
 	for _, d := range []int{200_000, dFull} {
 		grads := randGrads(15, n, d)
-		for _, cfg := range []struct {
-			name string
-			run  func() [][]float64
-		}{
-			{"blocked", func() [][]float64 {
-				var ws gar.Workspace
-				return gar.BlockedPairwiseSquaredDistances(grads, &ws, false)
-			}},
-			{"row-parallel", func() [][]float64 { return gar.PairwiseSquaredDistances(grads, false) }},
-			{"sequential", func() [][]float64 { return gar.PairwiseSquaredDistances(grads, true) }},
-		} {
-			cfg := cfg
-			b.Run(fmt.Sprintf("%s/d%d", cfg.name, d), func(b *testing.B) {
-				b.SetBytes(int64(n * d * 8))
-				for i := 0; i < b.N; i++ {
-					cfg.run()
-				}
-				b.StopTimer()
-				perRound := time.Duration(float64(b.Elapsed()) / float64(b.N) * float64(dFull) / float64(d))
-				sim := simnet.Grid5000(n, dFull)
-				sim.AggTime = perRound
-				round := sim.SimulateRound(100)
-				b.ReportMetric(round.Aggregate.Seconds()/round.Total().Seconds(), "fig4_agg_share")
-			})
-		}
+		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
+			b.SetBytes(int64(n * d * 8))
+			var ws gar.Workspace
+			for i := 0; i < b.N; i++ {
+				gar.BlockedPairwiseSquaredDistances(grads, &ws)
+			}
+			b.StopTimer()
+			perRound := time.Duration(float64(b.Elapsed()) / float64(b.N) * float64(dFull) / float64(d))
+			sim := simnet.Grid5000(n, dFull)
+			sim.AggTime = perRound
+			round := sim.SimulateRound(100)
+			b.ReportMetric(round.Aggregate.Seconds()/round.Total().Seconds(), "fig4_agg_share")
+		})
 	}
 }
 
@@ -501,7 +444,7 @@ func BenchmarkAblation_SelectMedian(b *testing.B) {
 			pass func()
 		}{
 			{"quickselect", perColumn(tensor.MedianInPlace)},
-			{"tile-sortnet", func() { engine.Run(out, grads, 0, tensor.MedianKernel, false) }},
+			{"tile-sortnet", func() { engine.Run(out, grads, 0, tensor.MedianKernel) }},
 			{"sort", perColumn(func(col []float64) float64 {
 				sort.Float64s(col)
 				mid := n / 2

@@ -66,8 +66,8 @@ func benchKernel(name string, bytes int64, fn func()) benchResult {
 // writeKernelBenchJSON times every hot GAR kernel at the paper's n=19 on a
 // d=100k slice of the Table-1 model — the BenchmarkCost_GARComplexity
 // operating point — in both the fresh-allocation and workspace-backed
-// modes, plus the three pairwise-distance schedules, and writes the rows to
-// BENCH_aggregation.json.
+// modes, plus the blocked pairwise-distance engine alone, and writes the rows
+// to BENCH_aggregation.json.
 func writeKernelBenchJSON() error {
 	const n, d = 19, 100_000
 	rng := rand.New(rand.NewSource(*seed))
@@ -121,15 +121,8 @@ func writeKernelBenchJSON() error {
 	var distWS gar.Workspace
 	report.Benchmarks = append(report.Benchmarks,
 		benchKernel("distances/blocked", bytes, func() {
-			gar.BlockedPairwiseSquaredDistances(grads, &distWS, false)
-		}),
-		benchKernel("distances/row-parallel", bytes, func() {
-			gar.PairwiseSquaredDistances(grads, false)
-		}),
-		benchKernel("distances/sequential", bytes, func() {
-			gar.PairwiseSquaredDistances(grads, true)
-		}),
-	)
+			gar.BlockedPairwiseSquaredDistances(grads, &distWS)
+		}))
 
 	report.TransportDim = transportDim
 	transportRows, err := benchTransportRows()

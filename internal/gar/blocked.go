@@ -96,18 +96,19 @@ func distSweep(partials []float64, grads []tensor.Vector, b, n, nPairs, d int) {
 	}
 }
 
-// BlockedPairwiseSquaredDistances computes the same symmetric n×n squared
-// Euclidean distance matrix as PairwiseSquaredDistances — non-finite
-// coordinates saturating each affected pair to +Inf — through the cache-
-// blocked engine. The matrix aliases ws and is valid until the workspace's
-// next distance computation. sequential confines the sweep to the calling
-// goroutine; the output is bit-identical either way (and run-to-run, for
-// any GOMAXPROCS).
+// BlockedPairwiseSquaredDistances computes the symmetric n×n matrix of
+// squared Euclidean distances — non-finite coordinates saturating each
+// affected pair to +Inf — through the cache-blocked engine. The matrix
+// aliases ws and is valid until the workspace's next distance computation.
+// From distParallelMin coordinates up the blocks are spread across
+// GOMAXPROCS goroutines; the output is bit-identical either way (and
+// run-to-run).
 //
 // The per-pair sums associate per block rather than left-to-right, so
-// values may differ from PairwiseSquaredDistances in the last ulps; the
-// saturation semantics (NaN→+Inf, ±Inf propagation) are preserved exactly.
-func BlockedPairwiseSquaredDistances(grads []tensor.Vector, ws *Workspace, sequential bool) [][]float64 {
+// values may differ from a streamed tensor.SquaredDistance per pair in the
+// last ulps; the saturation semantics (NaN→+Inf, ±Inf propagation) are the
+// same.
+func BlockedPairwiseSquaredDistances(grads []tensor.Vector, ws *Workspace) [][]float64 {
 	n := len(grads)
 	dist := ws.ensureDist(n)
 	for i := range dist {
@@ -130,7 +131,7 @@ func BlockedPairwiseSquaredDistances(grads []tensor.Vector, ws *Workspace, seque
 	if workers > nBlocks {
 		workers = nBlocks
 	}
-	if sequential || workers <= 1 || d < distParallelMin {
+	if workers <= 1 || d < distParallelMin {
 		// The sequential schedule is a plain loop (no closure) so the
 		// steady-state workspace path stays allocation-free.
 		for b := 0; b < nBlocks; b++ {
@@ -162,11 +163,11 @@ func BlockedPairwiseSquaredDistances(grads []tensor.Vector, ws *Workspace, seque
 	return dist
 }
 
-// krumScoresInto computes the Krum scores from a distance matrix into the
-// workspace, bit-identically to the exported KrumScores reference but with
-// a selection kernel instead of a full sort and zero allocations: per row,
-// select the k smallest finite-ordered entries, sort only that prefix, and
-// sum it ascending.
+// krumScoresInto computes the Krum scores — per gradient, the sum of the
+// n−f−2 smallest distances to the others, a NaN sum saturating to +Inf —
+// from a distance matrix into the workspace, with a selection kernel instead
+// of a full sort and zero allocations: per row, select the k smallest
+// finite-ordered entries, sort only that prefix, and sum it ascending.
 func krumScoresInto(ws *Workspace, dist [][]float64, n, f int) []float64 {
 	k := n - f - 2
 	scores, row := ws.ensureScores(n)

@@ -52,9 +52,9 @@ func TestBlockedDistancesMatchReference(t *testing.T) {
 		{7, 3, 0, 0},                       // zero-dimensional
 	} {
 		grads := randVectors(tc.seed, tc.n, tc.d, tc.pBad)
-		want := PairwiseSquaredDistances(grads, true)
+		want := pairwiseSquaredDistances(grads)
 		var ws Workspace
-		got := BlockedPairwiseSquaredDistances(grads, &ws, false)
+		got := BlockedPairwiseSquaredDistances(grads, &ws)
 		for i := 0; i < tc.n; i++ {
 			for j := 0; j < tc.n; j++ {
 				w, g := want[i][j], got[i][j]
@@ -77,21 +77,18 @@ func TestBlockedDistancesMatchReference(t *testing.T) {
 	}
 }
 
-// TestBlockedDistancesDeterministic: two runs over the same input, and the
-// sequential vs parallel schedules, must agree bit-for-bit.
+// TestBlockedDistancesDeterministic: two runs over the same input must agree
+// bit-for-bit (the sequential vs parallel schedules are
+// TestBlockedDistancesGOMAXPROCSParity's).
 func TestBlockedDistancesDeterministic(t *testing.T) {
 	grads := randVectors(8, 19, 2*distParallelMin+31, 0.001)
-	var ws1, ws2, ws3 Workspace
-	a := BlockedPairwiseSquaredDistances(grads, &ws1, false)
-	b := BlockedPairwiseSquaredDistances(grads, &ws2, false)
-	c := BlockedPairwiseSquaredDistances(grads, &ws3, true)
+	var ws1, ws2 Workspace
+	a := BlockedPairwiseSquaredDistances(grads, &ws1)
+	b := BlockedPairwiseSquaredDistances(grads, &ws2)
 	for i := range a {
 		for j := range a[i] {
 			if a[i][j] != b[i][j] && !(math.IsNaN(a[i][j]) && math.IsNaN(b[i][j])) {
 				t.Fatalf("rerun diverges at (%d,%d)", i, j)
-			}
-			if a[i][j] != c[i][j] && !(math.IsNaN(a[i][j]) && math.IsNaN(c[i][j])) {
-				t.Fatalf("sequential schedule diverges at (%d,%d): %v vs %v", i, j, a[i][j], c[i][j])
 			}
 		}
 	}
@@ -100,12 +97,12 @@ func TestBlockedDistancesDeterministic(t *testing.T) {
 // TestBlockedDistancesGOMAXPROCSParity pins the tentpole determinism claim:
 // kernel outputs are independent of the scheduler width.
 func TestBlockedDistancesGOMAXPROCSParity(t *testing.T) {
-	grads := randVectors(9, 19, 2*distParallelMin+7, 0)
+	grads := randVectors(9, 19, 2*distParallelMin+7, 0.001)
 	run := func(procs int) [][]float64 {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		var ws Workspace
-		dist := BlockedPairwiseSquaredDistances(grads, &ws, false)
+		dist := BlockedPairwiseSquaredDistances(grads, &ws)
 		out := make([][]float64, len(dist))
 		for i := range dist {
 			out[i] = append([]float64(nil), dist[i]...)
@@ -128,7 +125,7 @@ func TestBlockedDistancesGOMAXPROCSParity(t *testing.T) {
 func TestBlockedDistancesPermutationEquivariant(t *testing.T) {
 	grads := randVectors(10, 11, 4096, 0)
 	var ws Workspace
-	base := BlockedPairwiseSquaredDistances(grads, &ws, false)
+	base := BlockedPairwiseSquaredDistances(grads, &ws)
 	baseCopy := make([][]float64, len(base))
 	for i := range base {
 		baseCopy[i] = append([]float64(nil), base[i]...)
@@ -139,7 +136,7 @@ func TestBlockedDistancesPermutationEquivariant(t *testing.T) {
 		permuted[i] = grads[p]
 	}
 	var ws2 Workspace
-	got := BlockedPairwiseSquaredDistances(permuted, &ws2, false)
+	got := BlockedPairwiseSquaredDistances(permuted, &ws2)
 	for i := range perm {
 		for j := range perm {
 			if got[i][j] != baseCopy[perm[i]][perm[j]] {
@@ -151,7 +148,7 @@ func TestBlockedDistancesPermutationEquivariant(t *testing.T) {
 }
 
 // TestKrumScoresSelectionMatchesReference: the selection-based scoring must
-// be bit-identical to the exported sort-based KrumScores over random and
+// be bit-identical to the sort-based krumScores reference over random and
 // adversarial (NaN/±Inf-laced) distance matrices.
 func TestKrumScoresSelectionMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -179,7 +176,7 @@ func TestKrumScoresSelectionMatchesReference(t *testing.T) {
 				dist[j][i] = v
 			}
 		}
-		want := KrumScores(dist, n, f)
+		want := krumScores(dist, n, f)
 		var ws Workspace
 		got := krumScoresInto(&ws, dist, n, f)
 		for i := range want {

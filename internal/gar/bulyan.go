@@ -1,7 +1,6 @@
 package gar
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -23,16 +22,10 @@ import (
 // instead of being rebuilt and re-sorted. Scores stay bit-identical to the
 // re-sorting implementation because each is the ascending sum of the same
 // shrinking multiset. The coordinate-wise median/average pass runs on the
-// shared blocked column engine. Setting Naive recomputes distances from
-// scratch every iteration — kept for the ablation benchmark.
+// shared blocked column engine.
 type Bulyan struct {
 	// NumByzantine is f, the number of Byzantine workers tolerated.
 	NumByzantine int
-	// Naive disables the distance-matrix reuse optimisation.
-	Naive bool
-	// Sequential confines the blocked distance sweep and the coordinate-
-	// wise pass to the calling goroutine (bit-identical output either way).
-	Sequential bool
 }
 
 // NewBulyan returns a BULYAN rule tolerating f Byzantine workers, using
@@ -70,7 +63,7 @@ func (b *Bulyan) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vec
 		//aggrevet:alloc appends into ensurePicked capacity; 0 steady-state allocs pinned by TestWorkspaceZeroSteadyStateAllocs
 		picked = append(picked, grads[idx])
 	}
-	return b.coordinateAggregateInto(ws, picked, b.Beta(len(grads))), nil
+	return coordinateAggregateInto(ws, picked, b.Beta(len(grads))), nil
 }
 
 // Select runs the θ = n−2f Multi-Krum extraction iterations and returns the
@@ -87,19 +80,15 @@ func (b *Bulyan) selectInto(ws *Workspace, grads []tensor.Vector) ([]int, error)
 	}
 	n := len(grads)
 	f := b.NumByzantine
-	if n < b.MinWorkers() {
-		return nil, fmt.Errorf("%w: bulyan(f=%d) needs n >= %d, got %d",
-			ErrTooFewWorkers, f, b.MinWorkers(), n)
+	if err := checkTolerance("bulyan", "f", f, b.MinWorkers(), n); err != nil {
+		return nil, err
 	}
 	theta := b.Theta(n)
-	if b.Naive {
-		return b.selectNaive(grads, theta)
-	}
 
 	// Distance matrix computed once; each gradient's distances to the
 	// others are kept as a sorted row so iterations only read prefixes and
 	// delete single values.
-	dist := BlockedPairwiseSquaredDistances(grads, ws, b.Sequential)
+	dist := BlockedPairwiseSquaredDistances(grads, ws)
 	rows, active, selected := ws.ensureBulyan(n)
 	for i := 0; i < n; i++ {
 		r := rows[i][:0]
@@ -139,7 +128,8 @@ func (b *Bulyan) selectInto(ws *Workspace, grads []tensor.Vector) ([]int, error)
 			}
 			// First candidate always seeds the selection so that an
 			// all-+Inf field (every candidate poisoned) still breaks
-			// ties lexicographically, exactly as selectNaive does.
+			// ties lexicographically, exactly as a fresh Krum over the
+			// remaining gradients would.
 			if bestIdx < 0 || s < bestScore ||
 				(s == bestScore && lexLess(grads[gi], grads[active[bestIdx]])) {
 				bestIdx, bestScore = ai, s
@@ -159,65 +149,6 @@ func (b *Bulyan) selectInto(ws *Workspace, grads []tensor.Vector) ([]int, error)
 			copy(r[pos:], r[pos+1:])
 			rows[gi] = r[:len(r)-1]
 		}
-	}
-	return selected, nil
-}
-
-// selectNaive is the unoptimised reference path: a fresh Krum (m=1) over the
-// remaining vectors each iteration, recomputing all pairwise distances with
-// the same blocked kernel as the optimised path (so the two paths see
-// identical per-pair values and stay selection-equivalent).
-func (b *Bulyan) selectNaive(grads []tensor.Vector, theta int) ([]int, error) {
-	f := b.NumByzantine
-	var ws Workspace
-	remaining := make([]int, len(grads))
-	for i := range remaining {
-		remaining[i] = i
-	}
-	selected := make([]int, 0, theta)
-	for len(selected) < theta {
-		sub := make([]tensor.Vector, len(remaining))
-		for i, idx := range remaining {
-			sub[i] = grads[idx]
-		}
-		dist := BlockedPairwiseSquaredDistances(sub, &ws, b.Sequential)
-		na := len(sub)
-		k := na - f - 2
-		if k < 1 {
-			k = na - 1
-		}
-		scores := make([]float64, na)
-		row := make([]float64, 0, na)
-		for i := 0; i < na; i++ {
-			row = row[:0]
-			for j := 0; j < na; j++ {
-				if j != i {
-					row = append(row, dist[i][j])
-				}
-			}
-			tensor.SortFloats(row)
-			var s float64
-			hi := k
-			if hi > len(row) {
-				hi = len(row)
-			}
-			for _, d := range row[:hi] {
-				s += d
-			}
-			if math.IsNaN(s) {
-				s = math.Inf(1)
-			}
-			scores[i] = s
-		}
-		best := 0
-		for i := 1; i < na; i++ {
-			if scores[i] < scores[best] ||
-				(scores[i] == scores[best] && lexLess(sub[i], sub[best])) {
-				best = i
-			}
-		}
-		selected = append(selected, remaining[best])
-		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
 	return selected, nil
 }
@@ -244,18 +175,11 @@ func lexLess(a, b tensor.Vector) bool {
 	return false
 }
 
-// coordinateAggregate performs the second BULYAN phase: for each coordinate,
-// take the median of the selected vectors and average the beta values
-// closest to it. Runs on a transient workspace; the hot path uses
-// coordinateAggregateInto.
-func (b *Bulyan) coordinateAggregate(picked []tensor.Vector, beta int) tensor.Vector {
-	var ws Workspace
-	return b.coordinateAggregateInto(&ws, picked, beta)
-}
-
-// coordinateAggregateInto runs the median/closest-average pass on the shared
-// blocked column engine, tiled and parallel over coordinate ranges.
-func (b *Bulyan) coordinateAggregateInto(ws *Workspace, picked []tensor.Vector, beta int) tensor.Vector {
+// coordinateAggregateInto performs the second BULYAN phase: for each
+// coordinate, take the median of the selected vectors and average the beta
+// values closest to it — on the shared blocked column engine, tiled and
+// parallel over coordinate ranges.
+func coordinateAggregateInto(ws *Workspace, picked []tensor.Vector, beta int) tensor.Vector {
 	if beta < 1 {
 		beta = 1
 	}
@@ -263,6 +187,6 @@ func (b *Bulyan) coordinateAggregateInto(ws *Workspace, picked []tensor.Vector, 
 		beta = len(picked)
 	}
 	out := ws.ensureOut(picked[0].Dim())
-	ws.cols.Run(out, picked, beta, tensor.MeanAroundMedianKernel, !b.Sequential)
+	ws.cols.Run(out, picked, beta, tensor.MeanAroundMedianKernel)
 	return out
 }

@@ -90,39 +90,15 @@ func TestBulyanOptimizedMatchesNaive(t *testing.T) {
 		n := 4*f + 3 + rng.Intn(4)
 		d := rng.Intn(16) + 4
 		grads := honestCloud(rng, n, d, constVec(d, 0), 1)
-		opt := NewBulyan(f)
-		naive := &Bulyan{NumByzantine: f, Naive: true}
-		a, err := opt.Aggregate(grads)
+		a, err := NewBulyan(f).Aggregate(grads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := naive.Aggregate(grads)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := aggregateNaive(grads, f)
 		for j := 0; j < d; j++ {
 			if math.Abs(a[j]-b[j]) > 1e-9 {
 				t.Fatalf("iter %d coord %d: optimized %v vs naive %v", iter, j, a[j], b[j])
 			}
-		}
-	}
-}
-
-func TestBulyanSequentialMatchesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	n, f, d := 19, 4, 2048 // d above the parallel-coordinate threshold
-	grads := honestCloud(rng, n, d, constVec(d, 0), 1)
-	par, err := NewBulyan(f).Aggregate(grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := (&Bulyan{NumByzantine: f, Sequential: true}).Aggregate(grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < d; j++ {
-		if par[j] != seq[j] {
-			t.Fatalf("coord %d: parallel %v vs sequential %v", j, par[j], seq[j])
 		}
 	}
 }

@@ -49,6 +49,31 @@ var ErrTooFewWorkers = errors.New("gar: too few workers for configured f")
 // ErrNoGradients is returned when Aggregate is called with no gradients.
 var ErrNoGradients = errors.New("gar: no gradients to aggregate")
 
+// checkF is the f ≥ 0 rule: New applies it at construction, checkTolerance
+// on every aggregation (a rule built as a struct literal never saw New).
+func checkF(name string, f int) error {
+	if f < 0 {
+		return fmt.Errorf("gar: %s requires f >= 0, got %d", name, f)
+	}
+	return nil
+}
+
+// checkTolerance is the one copy of the rules on a declared tolerance — a
+// rule's ByzantineInfo, passed as plain numbers so that a value-typed rule is
+// not boxed on every aggregation: f ≥ 0, and the n submitted gradients are
+// at least minWorkers. name and param spell the rule and its parameter in
+// the messages.
+func checkTolerance(name, param string, f, minWorkers, n int) error {
+	if err := checkF(name, f); err != nil {
+		return err
+	}
+	if n < minWorkers {
+		return fmt.Errorf("%w: %s(%s=%d) needs n >= %d, got %d",
+			ErrTooFewWorkers, name, param, f, minWorkers, n)
+	}
+	return nil
+}
+
 func checkUniform(grads []tensor.Vector) error {
 	if len(grads) == 0 {
 		return ErrNoGradients
@@ -105,7 +130,7 @@ func (SelectiveAverage) AggregateInto(ws *Workspace, grads []tensor.Vector) (ten
 		return nil, err
 	}
 	out := ws.ensureOut(grads[0].Dim())
-	ws.cols.Run(out, grads, 0, tensor.NaNMeanKernel, true)
+	ws.cols.Run(out, grads, 0, tensor.NaNMeanKernel)
 	return out, nil
 }
 
@@ -130,7 +155,7 @@ func (Median) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector
 		return nil, err
 	}
 	out := ws.ensureOut(grads[0].Dim())
-	ws.cols.Run(out, grads, 0, tensor.MedianKernel, true)
+	ws.cols.Run(out, grads, 0, tensor.MedianKernel)
 	return out, nil
 }
 
@@ -162,11 +187,10 @@ func (t TrimmedMean) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor
 	if err := checkUniform(grads); err != nil {
 		return nil, err
 	}
-	if len(grads) < t.MinWorkers() {
-		return nil, fmt.Errorf("%w: trimmed-mean(b=%d) needs n >= %d, got %d",
-			ErrTooFewWorkers, t.Beta, t.MinWorkers(), len(grads))
+	if err := checkTolerance("trimmed-mean", "b", t.Beta, t.MinWorkers(), len(grads)); err != nil {
+		return nil, err
 	}
 	out := ws.ensureOut(grads[0].Dim())
-	ws.cols.Run(out, grads, t.Beta, tensor.TrimmedMeanKernel, true)
+	ws.cols.Run(out, grads, t.Beta, tensor.TrimmedMeanKernel)
 	return out, nil
 }

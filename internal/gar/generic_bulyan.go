@@ -18,8 +18,7 @@ import (
 // set; the second phase is the same coordinate-wise median/closest-average
 // as the optimised Bulyan. The optimised implementation (type Bulyan)
 // exploits MULTI-KRUM's structure to reuse the distance matrix; this generic
-// form trades that for composability and is benchmarked against it in the
-// ablation suite.
+// form trades that for composability.
 type GenericBulyan struct {
 	// Inner is the underlying weakly Byzantine-resilient GAR.
 	Inner GAR
@@ -62,9 +61,10 @@ func (b *GenericBulyan) AggregateInto(ws *Workspace, grads []tensor.Vector) (ten
 	}
 	n := len(grads)
 	f := b.NumByzantine
-	if n < b.MinWorkers() {
-		return nil, fmt.Errorf("%w: bulyan[%s](f=%d) needs n >= %d, got %d",
-			ErrTooFewWorkers, b.Inner.Name(), f, b.MinWorkers(), n)
+	if err := checkTolerance("", "f", f, b.MinWorkers(), n); err != nil {
+		// The composite's name is a Sprintf, so only a check that has
+		// already failed spells it.
+		return nil, checkTolerance(b.Name(), "f", f, b.MinWorkers(), n)
 	}
 	theta := n - 2*f
 	remaining := ws.ensureRemaining(n)
@@ -80,7 +80,7 @@ func (b *GenericBulyan) AggregateInto(ws *Workspace, grads []tensor.Vector) (ten
 			// remaining set's coordinate median as the proposal,
 			// which stays Byzantine-bounded.
 			proposal = inner.ensureOut(grads[0].Dim())
-			inner.cols.Run(proposal, remaining, 0, tensor.MedianKernel, true)
+			inner.cols.Run(proposal, remaining, 0, tensor.MedianKernel)
 		}
 		best, bestDist := -1, math.Inf(1)
 		for i, v := range remaining {
@@ -97,8 +97,5 @@ func (b *GenericBulyan) AggregateInto(ws *Workspace, grads []tensor.Vector) (ten
 		//aggrevet:alloc element removal: the append writes into remaining's own backing array and never grows it
 		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
-	beta := theta - 2*f
-	//aggrevet:alloc stack value receiver, never escapes (pinned by the -escape baseline)
-	helper := Bulyan{NumByzantine: f}
-	return helper.coordinateAggregateInto(ws, selected, beta), nil
+	return coordinateAggregateInto(ws, selected, theta-2*f), nil
 }

@@ -132,25 +132,12 @@ func TestMultiKrumOutputInConvexHull(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequentialDistances(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	grads := honestCloud(rng, 17, 64, constVec(64, 0), 1)
-	par := PairwiseSquaredDistances(grads, false)
-	seq := PairwiseSquaredDistances(grads, true)
-	for i := range par {
-		for j := range par[i] {
-			if par[i][j] != seq[i][j] {
-				t.Fatalf("distance mismatch at (%d,%d): %v vs %v", i, j, par[i][j], seq[i][j])
-			}
-		}
-	}
-}
-
 func TestKrumScoresSymmetricCluster(t *testing.T) {
 	// Four identical vectors: all scores are zero.
 	grads := []tensor.Vector{{1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	dist := PairwiseSquaredDistances(grads, true)
-	scores := KrumScores(dist, len(grads), 1)
+	var ws Workspace
+	dist := BlockedPairwiseSquaredDistances(grads, &ws)
+	scores := krumScoresInto(&ws, dist, len(grads), 1)
 	for i, s := range scores {
 		if s != 0 {
 			t.Fatalf("score[%d] = %v, want 0", i, s)

@@ -1,10 +1,6 @@
 package gar
 
-import (
-	"fmt"
-
-	"aggregathor/internal/tensor"
-)
+import "aggregathor/internal/tensor"
 
 // GeoMedian approximates the geometric median (the minimiser of the sum of
 // Euclidean distances) with Weiszfeld iterations — the high-dimensional
@@ -17,11 +13,14 @@ import (
 type GeoMedian struct {
 	// NumByzantine is the declared tolerance f (< n/2).
 	NumByzantine int
-	// MaxIter bounds the Weiszfeld iterations; 0 means 50.
-	MaxIter int
-	// Tol is the convergence threshold on iterate movement; 0 means 1e-9.
-	Tol float64
 }
+
+const (
+	// geoMedianMaxIter bounds the Weiszfeld iterations.
+	geoMedianMaxIter = 50
+	// geoMedianTol is the convergence threshold on iterate movement.
+	geoMedianTol = 1e-9
+)
 
 // NewGeoMedian returns a geometric-median rule tolerating f Byzantine
 // workers.
@@ -48,9 +47,8 @@ func (g *GeoMedian) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.
 	if err := checkUniform(grads); err != nil {
 		return nil, err
 	}
-	if len(grads) < g.MinWorkers() {
-		return nil, fmt.Errorf("%w: geometric-median(f=%d) needs n >= %d, got %d",
-			ErrTooFewWorkers, g.NumByzantine, g.MinWorkers(), len(grads))
+	if err := checkTolerance("geometric-median", "f", g.NumByzantine, g.MinWorkers(), len(grads)); err != nil {
+		return nil, err
 	}
 	finite := ws.ensureFinite(len(grads))
 	for _, v := range grads {
@@ -67,17 +65,9 @@ func (g *GeoMedian) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.
 		out.Zero()
 		return out, nil
 	}
-	maxIter := g.MaxIter
-	if maxIter == 0 {
-		maxIter = 50
-	}
-	tol := g.Tol
-	if tol == 0 {
-		tol = 1e-9
-	}
 	y, next := ws.ensureIter(d)
 	tensor.MeanInto(y, finite)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < geoMedianMaxIter; iter++ {
 		next.Zero()
 		var wsum float64
 		for _, x := range finite {
@@ -96,7 +86,7 @@ func (g *GeoMedian) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.
 		next.Scale(1 / wsum)
 		moved := tensor.Distance(next, y)
 		y, next = next, y
-		if moved < tol {
+		if moved < geoMedianTol {
 			break
 		}
 	}
@@ -139,40 +129,21 @@ func (m *MeanAroundMedian) AggregateInto(ws *Workspace, grads []tensor.Vector) (
 		return nil, err
 	}
 	n := len(grads)
-	if n < m.MinWorkers() {
-		return nil, fmt.Errorf("%w: mean-around-median(f=%d) needs n >= %d, got %d",
-			ErrTooFewWorkers, m.NumByzantine, m.MinWorkers(), n)
+	if err := checkTolerance("mean-around-median", "f", m.NumByzantine, m.MinWorkers(), n); err != nil {
+		return nil, err
 	}
 	out := ws.ensureOut(grads[0].Dim())
-	ws.cols.Run(out, grads, n-m.NumByzantine, tensor.MeanAroundMedianKernel, true)
+	ws.cols.Run(out, grads, n-m.NumByzantine, tensor.MeanAroundMedianKernel)
 	return out, nil
 }
 
 func init() {
-	Register("geometric-median", func(f int) (GAR, error) {
-		if f < 0 {
-			return nil, fmt.Errorf("gar: geometric-median requires f >= 0, got %d", f)
-		}
-		return NewGeoMedian(f), nil
-	})
-	Register("mean-around-median", func(f int) (GAR, error) {
-		if f < 0 {
-			return nil, fmt.Errorf("gar: mean-around-median requires f >= 0, got %d", f)
-		}
-		return NewMeanAroundMedian(f), nil
-	})
+	Register("geometric-median", func(f int) (GAR, error) { return NewGeoMedian(f), nil })
+	Register("mean-around-median", func(f int) (GAR, error) { return NewMeanAroundMedian(f), nil })
 	// Generic BULYAN composites over the other weak rules (§2.3: the
 	// construction works over any weakly Byzantine-resilient GAR).
-	Register("bulyan-median", func(f int) (GAR, error) {
-		if f < 0 {
-			return nil, fmt.Errorf("gar: bulyan-median requires f >= 0, got %d", f)
-		}
-		return NewGenericBulyan(Median{}, f), nil
-	})
+	Register("bulyan-median", func(f int) (GAR, error) { return NewGenericBulyan(Median{}, f), nil })
 	Register("bulyan-geometric-median", func(f int) (GAR, error) {
-		if f < 0 {
-			return nil, fmt.Errorf("gar: bulyan-geometric-median requires f >= 0, got %d", f)
-		}
 		return NewGenericBulyan(NewGeoMedian(f), f), nil
 	})
 }

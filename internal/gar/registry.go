@@ -32,7 +32,8 @@ func Register(name string, factory Factory) {
 	registry[name] = factory
 }
 
-// New builds the named GAR with Byzantine tolerance f.
+// New builds the named GAR with Byzantine tolerance f. A rule that declares
+// a tolerance rejects a negative one here, before it ever sees a gradient.
 func New(name string, f int) (GAR, error) {
 	registryMu.RLock()
 	factory, ok := registry[name]
@@ -40,7 +41,16 @@ func New(name string, f int) (GAR, error) {
 	if !ok {
 		return nil, fmt.Errorf("gar: unknown aggregator %q (available: %v)", name, Names())
 	}
-	return factory(f)
+	rule, err := factory(f)
+	if err != nil {
+		return nil, err
+	}
+	if info, ok := rule.(ByzantineInfo); ok {
+		if err := checkF(name, info.F()); err != nil {
+			return nil, err
+		}
+	}
+	return rule, nil
 }
 
 // Names returns the sorted list of registered GAR names.
@@ -59,28 +69,8 @@ func init() {
 	Register("average", func(int) (GAR, error) { return Average{}, nil })
 	Register("selective-average", func(int) (GAR, error) { return SelectiveAverage{}, nil })
 	Register("median", func(int) (GAR, error) { return Median{}, nil })
-	Register("trimmed-mean", func(f int) (GAR, error) {
-		if f < 0 {
-			return nil, fmt.Errorf("gar: trimmed-mean requires f >= 0, got %d", f)
-		}
-		return TrimmedMean{Beta: f}, nil
-	})
-	Register("krum", func(f int) (GAR, error) {
-		if f < 0 {
-			return nil, fmt.Errorf("gar: krum requires f >= 0, got %d", f)
-		}
-		return NewKrum(f), nil
-	})
-	Register("multi-krum", func(f int) (GAR, error) {
-		if f < 0 {
-			return nil, fmt.Errorf("gar: multi-krum requires f >= 0, got %d", f)
-		}
-		return NewMultiKrum(f), nil
-	})
-	Register("bulyan", func(f int) (GAR, error) {
-		if f < 0 {
-			return nil, fmt.Errorf("gar: bulyan requires f >= 0, got %d", f)
-		}
-		return NewBulyan(f), nil
-	})
+	Register("trimmed-mean", func(f int) (GAR, error) { return TrimmedMean{Beta: f}, nil })
+	Register("krum", func(f int) (GAR, error) { return NewKrum(f), nil })
+	Register("multi-krum", func(f int) (GAR, error) { return NewMultiKrum(f), nil })
+	Register("bulyan", func(f int) (GAR, error) { return NewBulyan(f), nil })
 }

@@ -32,17 +32,9 @@ func referenceGeoMedian(g *GeoMedian, grads []tensor.Vector) (tensor.Vector, err
 	if len(finite) == 0 {
 		return tensor.NewVector(grads[0].Dim()), nil
 	}
-	maxIter := g.MaxIter
-	if maxIter == 0 {
-		maxIter = 50
-	}
-	tol := g.Tol
-	if tol == 0 {
-		tol = 1e-9
-	}
 	y := tensor.Mean(finite)
 	next := tensor.NewVector(y.Dim())
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < geoMedianMaxIter; iter++ {
 		next.Zero()
 		var wsum float64
 		for _, x := range finite {
@@ -57,7 +49,7 @@ func referenceGeoMedian(g *GeoMedian, grads []tensor.Vector) (tensor.Vector, err
 		next.Scale(1 / wsum)
 		moved := tensor.Distance(next, y)
 		y, next = next, y
-		if moved < tol {
+		if moved < geoMedianTol {
 			break
 		}
 	}
@@ -66,7 +58,7 @@ func referenceGeoMedian(g *GeoMedian, grads []tensor.Vector) (tensor.Vector, err
 
 // referenceGenericBulyan is the pre-workspace GenericBulyan.Aggregate: fresh
 // remaining/selected slices, inner rule driven through its allocating
-// Aggregate, coordinate-median fallback via tensor.CoordinateMedian.
+// Aggregate, coordinate-median fallback via a fresh Median aggregation.
 func referenceGenericBulyan(b *GenericBulyan, grads []tensor.Vector) (tensor.Vector, error) {
 	if err := checkUniform(grads); err != nil {
 		return nil, err
@@ -83,7 +75,7 @@ func referenceGenericBulyan(b *GenericBulyan, grads []tensor.Vector) (tensor.Vec
 	for len(selected) < theta {
 		proposal, err := b.Inner.Aggregate(remaining)
 		if err != nil {
-			proposal = tensor.CoordinateMedian(remaining)
+			proposal, _ = Median{}.Aggregate(remaining)
 		}
 		best, bestDist := -1, math.Inf(1)
 		for i, v := range remaining {
@@ -98,9 +90,7 @@ func referenceGenericBulyan(b *GenericBulyan, grads []tensor.Vector) (tensor.Vec
 		selected = append(selected, remaining[best])
 		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
-	beta := theta - 2*f
-	helper := &Bulyan{NumByzantine: f}
-	return helper.coordinateAggregate(selected, beta), nil
+	return coordinateAggregateInto(new(Workspace), selected, theta-2*f), nil
 }
 
 // errTooFew is a sentinel for the reference paths: the tests only compare

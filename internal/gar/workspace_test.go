@@ -239,16 +239,11 @@ func TestBulyanIncrementalMatchesNaive(t *testing.T) {
 		{33, 11, 2, 0.9},
 	} {
 		grads := randVectors(tc.seed, tc.n, 300, tc.pBad)
-		opt := NewBulyan(tc.f)
-		naive := &Bulyan{NumByzantine: tc.f, Naive: true}
-		a, err := opt.Select(grads)
+		a, err := NewBulyan(tc.f).Select(grads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := naive.Select(grads)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := selectNaive(grads, tc.f)
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: selection sizes differ: %v vs %v", tc.seed, a, b)
 		}

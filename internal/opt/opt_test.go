@@ -13,7 +13,7 @@ import (
 func quadratic(target tensor.Vector) func(x tensor.Vector) tensor.Vector {
 	return func(x tensor.Vector) tensor.Vector {
 		g := x.Clone()
-		g.Sub(target)
+		g.Axpy(-1, target)
 		return g
 	}
 }

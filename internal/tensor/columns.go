@@ -138,21 +138,18 @@ func (e *ColumnEngine) ensure(w, n int) [][2]int {
 }
 
 // Run executes kernel over every coordinate of vs, writing out[j] for each.
-// vs must be non-empty with uniform dimension len(out). When parallel is
-// true and the dimension is large enough the tiles are spread across
-// GOMAXPROCS goroutines; the output is bit-identical either way.
-func (e *ColumnEngine) Run(out Vector, vs []Vector, arg int, kernel ColumnKernel, parallel bool) {
+// vs must be non-empty with uniform dimension len(out). From colParallelMin
+// coordinates up the tiles are spread across GOMAXPROCS goroutines; the
+// output is bit-identical either way.
+func (e *ColumnEngine) Run(out Vector, vs []Vector, arg int, kernel ColumnKernel) {
 	d := len(out)
 	n := len(vs)
 	if d == 0 {
 		return
 	}
 	nTiles := (d + colTileCoords - 1) / colTileCoords
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nTiles {
-		workers = nTiles
-	}
-	if !parallel || d < colParallelMin {
+	workers := min(runtime.GOMAXPROCS(0), nTiles)
+	if d < colParallelMin {
 		workers = 1
 	}
 	net := e.ensure(workers, n)

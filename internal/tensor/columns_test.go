@@ -23,13 +23,20 @@ func columnOracle(vs []Vector, arg int, kernel ColumnKernel) Vector {
 	return out
 }
 
+// columnPass runs kernel over vs on a fresh engine.
+func columnPass(vs []Vector, arg int, kernel ColumnKernel) Vector {
+	out := NewVector(len(vs[0]))
+	new(ColumnEngine).Run(out, vs, arg, kernel)
+	return out
+}
+
 // checkColumnPass runs the engine over vs and requires every output bit to
 // match the oracle.
 func checkColumnPass(t *testing.T, e *ColumnEngine, vs []Vector, arg int, kernel ColumnKernel) {
 	t.Helper()
 	want := columnOracle(vs, arg, kernel)
 	got := NewVector(len(want))
-	e.Run(got, vs, arg, kernel, false)
+	e.Run(got, vs, arg, kernel)
 	for j := range want {
 		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 			col := make([]float64, len(vs))

@@ -1,23 +1,28 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file implements the deterministic selection kernels that replace the
 // full sorts in the aggregation hot path. The GAR column kernels (median,
 // trimmed mean, mean-around-median) and the Krum/Bulyan scoring loops only
 // ever need a handful of order statistics out of each n-value column or
-// score row, so an O(n) selection beats the previous O(n log n)
-// interface-dispatched sort.Float64s by a wide margin — and, unlike
-// sort.SliceStable, needs no per-call closure or index allocations.
+// score row, so an O(n) selection beats an O(n log n) sort by a wide margin
+// and needs no per-call closure or index allocations.
+//
+// There are two kernels, a value quickselect and an index quickselect, and
+// both take NaN-free input: distances and scores saturate NaN to +Inf before
+// anything ranks them, and the column kernels move a column's NaNs aside
+// first (moveNaNsFront). The exported entry points that promise an order
+// over NaN (SelectSmallestFloat: NaN first, as sort.Float64s; SmallestKInto:
+// NaN last, ties by ascending index) partition the NaNs out in one scan and
+// run the same kernels on the rest.
 //
 // Determinism: pivots are the median of three fixed positions, so the
 // partition sequence — and therefore the exact output permutation — is a
 // pure function of the input. No randomness, no scheduler dependence.
-//
-// Value ordering matches sort.Float64s: NaN compares before every other
-// value. Index-based selections (SmallestKInto) instead use the
-// ArgsortAscending order: NaN last, ties broken by ascending index, which is
-// exactly what the previous sort.SliceStable-based implementation produced.
 
 // smallSelect is the sub-range size below which selection falls back to a
 // direct insertion sort: partitioning below this size costs more than the
@@ -27,28 +32,7 @@ import "math"
 // comparison sorts slow at tiny n, not the op count.
 const smallSelect = 24
 
-// lessFloat is the sort.Float64s ordering: NaN sorts before everything.
-func lessFloat(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
-}
-
-// insertionSortFloat sorts xs ascending in the lessFloat order.
-func insertionSortFloat(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		x := xs[i]
-		j := i - 1
-		for j >= 0 && lessFloat(x, xs[j]) {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = x
-	}
-}
-
-// insertionSortNoNaN is insertionSortFloat for NaN-free input: the plain <
-// compare is one branch instead of three, which halves the cost of the
-// n≈19 column sorts that dominate the coordinate-wise rules. For NaN-free
-// data lessFloat and < agree, so the output permutation is identical.
+// insertionSortNoNaN sorts NaN-free xs ascending.
 func insertionSortNoNaN(xs []float64) {
 	for i := 1; i < len(xs); i++ {
 		x := xs[i]
@@ -77,7 +61,11 @@ func moveNaNsFront(xs []float64) int {
 	return nn
 }
 
-// partialSelectNoNaN is PartialSelectFloat for NaN-free input.
+// partialSelectNoNaN rearranges NaN-free xs so that xs[:k] holds the k
+// smallest values (unordered within the prefix) and xs[k:] the rest. It is
+// an in-place deterministic quickselect with a three-way partition, so
+// duplicate-heavy and +Inf-saturated inputs (Byzantine distance rows) keep
+// linear behaviour. k outside (0, len(xs)) leaves xs as it is.
 func partialSelectNoNaN(xs []float64, k int) {
 	if k <= 0 || k >= len(xs) {
 		return
@@ -98,6 +86,8 @@ func partialSelectNoNaN(xs []float64, k int) {
 				b = a
 			}
 		}
+		// Three-way partition of xs[lo:hi] around the pivot value p:
+		// [lo,lt) < p, [lt,gt) == p, [gt,hi) > p.
 		p := b
 		lt, i, gt := lo, lo, hi
 		for i < gt {
@@ -120,228 +110,31 @@ func partialSelectNoNaN(xs []float64, k int) {
 		case k >= gt:
 			lo = gt
 		default:
-			return
-		}
-	}
-}
-
-// selectSmallestNoNaN rearranges NaN-free xs so that xs[:k] holds the k
-// smallest values sorted ascending.
-func selectSmallestNoNaN(xs []float64, k int) {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(xs) {
-		k = len(xs)
-	}
-	partialSelectNoNaN(xs, k)
-	insertionSortNoNaN(xs[:k])
-}
-
-// medianOf3Float returns the middle of a, b, c in the lessFloat order.
-func medianOf3Float(a, b, c float64) float64 {
-	if lessFloat(b, a) {
-		a, b = b, a
-	}
-	if lessFloat(c, b) {
-		b = c
-		if lessFloat(b, a) {
-			b = a
-		}
-	}
-	return b
-}
-
-// PartialSelectFloat rearranges xs so that xs[:k] holds the k smallest
-// values (lessFloat order, unordered within the prefix) and xs[k:] the rest.
-// It is an in-place deterministic quickselect with a three-way partition, so
-// duplicate-heavy and ±Inf-saturated inputs (Byzantine distance rows) keep
-// linear behaviour. k out of [0, len(xs)] is clipped.
-func PartialSelectFloat(xs []float64, k int) {
-	if k <= 0 || k >= len(xs) {
-		return
-	}
-	lo, hi := 0, len(xs)
-	for {
-		if hi-lo <= smallSelect {
-			insertionSortFloat(xs[lo:hi])
-			return
-		}
-		p := medianOf3Float(xs[lo], xs[(lo+hi)/2], xs[hi-1])
-		// Three-way partition of xs[lo:hi] around the pivot value p:
-		// [lo,lt) < p, [lt,gt) == p, [gt,hi) > p.
-		lt, i, gt := lo, lo, hi
-		for i < gt {
-			x := xs[i]
-			switch {
-			case lessFloat(x, p):
-				xs[i], xs[lt] = xs[lt], xs[i]
-				lt++
-				i++
-			case lessFloat(p, x):
-				gt--
-				xs[i], xs[gt] = xs[gt], xs[i]
-			default:
-				i++
-			}
-		}
-		switch {
-		case k <= lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
 			return // the boundary falls inside the equal-to-pivot run
 		}
 	}
 }
 
 // SelectSmallestFloat rearranges xs so that xs[:k] holds the k smallest
-// values sorted ascending (lessFloat order). The suffix order is unspecified.
-// NaN-free inputs (one O(n) scan detects them) take a fast path with plain
-// < compares.
+// values sorted ascending in the sort.Float64s order (NaN before every other
+// value). The suffix order is unspecified; k is clipped to [0, len(xs)].
 func SelectSmallestFloat(xs []float64, k int) {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(xs) {
-		k = len(xs)
-	}
-	hasNaN := false
-	for _, x := range xs {
-		if x != x {
-			hasNaN = true
-			break
-		}
-	}
-	if !hasNaN {
-		partialSelectNoNaN(xs, k)
-		insertionSortNoNaN(xs[:k])
+	nn := moveNaNsFront(xs)
+	clean := xs[nn:]
+	k = min(k-nn, len(clean))
+	if k <= 0 {
 		return
 	}
-	PartialSelectFloat(xs, k)
-	insertionSortFloat(xs[:k])
+	partialSelectNoNaN(clean, k)
+	insertionSortNoNaN(clean[:k])
 }
 
 // SortFloats sorts xs ascending in the sort.Float64s order (NaN before every
-// other value) without allocating: a deterministic median-of-3 quicksort
-// with three-way partitioning, recursing into the smaller side.
-func SortFloats(xs []float64) {
-	for len(xs) > smallSelect {
-		p := medianOf3Float(xs[0], xs[len(xs)/2], xs[len(xs)-1])
-		lt, i, gt := 0, 0, len(xs)
-		for i < gt {
-			x := xs[i]
-			switch {
-			case lessFloat(x, p):
-				xs[i], xs[lt] = xs[lt], xs[i]
-				lt++
-				i++
-			case lessFloat(p, x):
-				gt--
-				xs[i], xs[gt] = xs[gt], xs[i]
-			default:
-				i++
-			}
-		}
-		if lt < len(xs)-gt {
-			SortFloats(xs[:lt])
-			xs = xs[gt:]
-		} else {
-			SortFloats(xs[gt:])
-			xs = xs[:lt]
-		}
-	}
-	insertionSortFloat(xs)
-}
+// other value) without allocating.
+func SortFloats(xs []float64) { slices.Sort(xs) }
 
-// idxLess is the ArgsortAscending order over indexes into xs: ascending
-// value with NaN last, ties broken by ascending index (the stability rule of
-// the previous sort.SliceStable implementation).
-func idxLess(xs []float64, a, b int) bool {
-	va, vb := xs[a], xs[b]
-	if math.IsNaN(va) {
-		if math.IsNaN(vb) {
-			return a < b
-		}
-		return false
-	}
-	if math.IsNaN(vb) {
-		return true
-	}
-	if va != vb {
-		return va < vb
-	}
-	return a < b
-}
-
-// insertionSortIdx sorts idx by idxLess.
-func insertionSortIdx(idx []int, xs []float64) {
-	for i := 1; i < len(idx); i++ {
-		x := idx[i]
-		j := i - 1
-		for j >= 0 && idxLess(xs, x, idx[j]) {
-			idx[j+1] = idx[j]
-			j--
-		}
-		idx[j+1] = x
-	}
-}
-
-// partialSelectIdx rearranges idx so that idx[:k] holds the k smallest
-// indexes in the idxLess order. Because idxLess is a strict total order
-// (index tie-break), a plain two-way partition terminates without an
-// equal-run bucket.
-func partialSelectIdx(idx []int, xs []float64, k int) {
-	if k <= 0 || k >= len(idx) {
-		return
-	}
-	lo, hi := 0, len(idx)
-	for {
-		if hi-lo <= smallSelect {
-			insertionSortIdx(idx[lo:hi], xs)
-			return
-		}
-		// Median-of-3 pivot index in idxLess order.
-		a, b, c := idx[lo], idx[(lo+hi)/2], idx[hi-1]
-		if idxLess(xs, b, a) {
-			a, b = b, a
-		}
-		if idxLess(xs, c, b) {
-			b = c
-			if idxLess(xs, b, a) {
-				b = a
-			}
-		}
-		p := b
-		lt, i, gt := lo, lo, hi
-		for i < gt {
-			x := idx[i]
-			switch {
-			case idxLess(xs, x, p):
-				idx[i], idx[lt] = idx[lt], idx[i]
-				lt++
-				i++
-			case idxLess(xs, p, x):
-				gt--
-				idx[i], idx[gt] = idx[gt], idx[i]
-			default:
-				i++ // only the pivot index itself compares equal
-			}
-		}
-		switch {
-		case k <= lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return
-		}
-	}
-}
-
-// idxLessNoNaN is idxLess for NaN-free value slices: ascending value, ties
-// by ascending index.
+// idxLessNoNaN orders indexes into a NaN-free value slice: ascending value,
+// ties by ascending index. The tie-break makes it a strict total order.
 func idxLessNoNaN(xs []float64, a, b int) bool {
 	va, vb := xs[a], xs[b]
 	if va != vb {
@@ -363,7 +156,8 @@ func insertionSortIdxNoNaN(idx []int, xs []float64) {
 	}
 }
 
-// partialSelectIdxNoNaN is partialSelectIdx for NaN-free value slices.
+// partialSelectIdxNoNaN rearranges idx, indexes of NaN-free values of xs, so
+// that idx[:k] holds the k smallest in the idxLessNoNaN order.
 func partialSelectIdxNoNaN(idx []int, xs []float64, k int) {
 	if k <= 0 || k >= len(idx) {
 		return
@@ -397,7 +191,7 @@ func partialSelectIdxNoNaN(idx []int, xs []float64, k int) {
 				gt--
 				idx[i], idx[gt] = idx[gt], idx[i]
 			default:
-				i++
+				i++ // only the pivot index itself compares equal
 			}
 		}
 		switch {
@@ -411,50 +205,44 @@ func partialSelectIdxNoNaN(idx []int, xs []float64, k int) {
 	}
 }
 
-// smallestKIntoNoNaN is SmallestKInto for value slices known to be NaN-free
-// (score rows, |x−pivot| distance scratch): the two-branch comparator makes
-// the index selection roughly twice as cheap.
-func smallestKIntoNoNaN(dst []int, xs []float64, k int) []int {
-	dst = dst[:len(xs)]
-	for i := range dst {
-		dst[i] = i
-	}
-	partialSelectIdxNoNaN(dst, xs, k)
-	insertionSortIdxNoNaN(dst[:k], xs)
-	return dst[:k]
-}
-
 // SmallestKInto writes the indexes of the k smallest values of xs into dst
-// and returns dst[:k], ordered exactly like SmallestK: ascending value, NaN
-// last, ties by ascending index. dst must have capacity for len(xs) entries;
-// no allocation is performed.
+// and returns dst[:k], ordered by ascending value, NaN last, ties by
+// ascending index. dst must have capacity for len(xs) entries; no allocation
+// is performed.
 func SmallestKInto(dst []int, xs []float64, k int) []int {
 	if k < 0 || k > len(xs) {
 		panic("tensor: SmallestKInto k out of range")
 	}
-	hasNaN := false
-	for _, x := range xs {
-		if x != x {
-			hasNaN = true
-			break
+	// The indexes of the NaN-free values, ascending, then those of the
+	// NaNs, ascending: the NaNs already sit where the order wants them.
+	dst = dst[:len(xs)]
+	clean := 0
+	for i, x := range xs {
+		if x == x {
+			dst[clean] = i
+			clean++
 		}
 	}
-	if !hasNaN {
-		return smallestKIntoNoNaN(dst, xs, k)
+	if clean < len(xs) {
+		nan := clean
+		for i, x := range xs {
+			if x != x {
+				dst[nan] = i
+				nan++
+			}
+		}
 	}
-	dst = dst[:len(xs)]
-	for i := range dst {
-		dst[i] = i
-	}
-	partialSelectIdx(dst, xs, k)
-	insertionSortIdx(dst[:k], xs)
+	kc := min(k, clean)
+	partialSelectIdxNoNaN(dst[:clean], xs, kc)
+	insertionSortIdxNoNaN(dst[:kc], xs)
 	return dst[:k]
 }
 
-// ClosestToPivotInto is the allocation-free ClosestToPivot: it writes the
-// |x−pivot| distances into dscratch (capacity ≥ len(xs)) and the selected
-// indexes into dst, returning dst[:k] in the same order ClosestToPivot
-// produces.
+// ClosestToPivotInto writes the indexes of the k values of xs closest to
+// pivot by absolute difference into dst and returns dst[:k], nearest first,
+// ties by ascending index; a NaN or infinite difference ranks last. The
+// |x−pivot| distances go to dscratch. Both scratch slices must have capacity
+// for len(xs) entries; no allocation is performed.
 func ClosestToPivotInto(dst []int, dscratch []float64, xs []float64, pivot float64, k int) []int {
 	if k < 0 || k > len(xs) {
 		panic("tensor: ClosestToPivotInto k out of range")
@@ -467,7 +255,5 @@ func ClosestToPivotInto(dst []int, dscratch []float64, xs []float64, pivot float
 		}
 		dscratch[i] = d
 	}
-	// dscratch is NaN-free by construction (NaN distances saturate to
-	// +Inf above), so the fast index selection applies unconditionally.
-	return smallestKIntoNoNaN(dst, dscratch, k)
+	return SmallestKInto(dst, dscratch, k)
 }

@@ -226,12 +226,13 @@ func TestPartialSelectFloatPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + rng.Intn(80)
-		k := rng.Intn(n + 1)
 		xs := adversarialSlice(rng, n, []float64{0, 0.3}[trial%2])
-		PartialSelectFloat(xs, k)
+		xs = xs[moveNaNsFront(xs):]
+		k := rng.Intn(len(xs) + 1)
+		partialSelectNoNaN(xs, k)
 		for i := 0; i < k; i++ {
-			for j := k; j < n; j++ {
-				if lessFloat(xs[j], xs[i]) {
+			for j := k; j < len(xs); j++ {
+				if xs[j] < xs[i] {
 					t.Fatalf("trial %d: xs[%d]=%v < xs[%d]=%v after select k=%d", trial, j, xs[j], i, xs[i], k)
 				}
 			}
@@ -239,17 +240,10 @@ func TestPartialSelectFloatPartitions(t *testing.T) {
 	}
 }
 
-// setGOMAXPROCS sets GOMAXPROCS for the duration of the test.
-func setGOMAXPROCS(t *testing.T, n int) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
-
 // TestColumnEngineGOMAXPROCSParity proves the blocked column pass is
 // scheduler-independent: the same kernels over the same vectors produce
-// bit-identical output at GOMAXPROCS=1 and GOMAXPROCS=8, sequential or
-// parallel, for a dimension well past the parallel threshold. The first and
+// bit-identical output at GOMAXPROCS=1 (one goroutine) and GOMAXPROCS=8 (the
+// tiles spread over eight) for a dimension well past the parallel threshold. The first and
 // last tiles hold a non-finite value and take the per-column kernels, the
 // rest are sorted tile-wide; the even height has the midpoint ties.
 func TestColumnEngineGOMAXPROCSParity(t *testing.T) {
@@ -268,13 +262,10 @@ func TestColumnEngineGOMAXPROCSParity(t *testing.T) {
 			}
 			vs[i] = v
 		}
-		run := func(procs int, parallel bool, kernel ColumnKernel, arg int) Vector {
+		run := func(procs int, kernel ColumnKernel, arg int) Vector {
 			old := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(old)
-			out := NewVector(d)
-			var e ColumnEngine
-			e.Run(out, vs, arg, kernel, parallel)
-			return out
+			return columnPass(vs, arg, kernel)
 		}
 		kernels := []struct {
 			name   string
@@ -287,14 +278,10 @@ func TestColumnEngineGOMAXPROCSParity(t *testing.T) {
 			{"mean-around-median", MeanAroundMedianKernel, 11},
 		}
 		for _, k := range kernels {
-			base := run(1, false, k.kernel, k.arg)
-			for _, procs := range []int{1, 8} {
-				got := run(procs, true, k.kernel, k.arg)
-				for j := range base {
-					if math.Float64bits(got[j]) != math.Float64bits(base[j]) {
-						t.Fatalf("%s n=%d: GOMAXPROCS=%d parallel diverges at %d: %v vs %v",
-							k.name, n, procs, j, got[j], base[j])
-					}
+			base, got := run(1, k.kernel, k.arg), run(8, k.kernel, k.arg)
+			for j := range base {
+				if math.Float64bits(got[j]) != math.Float64bits(base[j]) {
+					t.Fatalf("%s n=%d: GOMAXPROCS=8 diverges at %d: %v vs %v", k.name, n, j, got[j], base[j])
 				}
 			}
 		}

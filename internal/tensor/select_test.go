@@ -8,6 +8,26 @@ import (
 	"testing/quick"
 )
 
+// ArgsortAscending is the sort-based definition of SmallestKInto's order:
+// the indexes of xs by ascending value, NaN last, ties by ascending index.
+func ArgsortAscending(xs []float64) []int {
+	idx := make([]int, len(xs))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		xa, xb := xs[idx[a]], xs[idx[b]]
+		if math.IsNaN(xa) {
+			return false
+		}
+		if math.IsNaN(xb) {
+			return true
+		}
+		return xa < xb
+	})
+	return idx
+}
+
 func TestArgsortAscending(t *testing.T) {
 	idx := ArgsortAscending([]float64{3, 1, 2})
 	if idx[0] != 1 || idx[1] != 2 || idx[2] != 0 {
@@ -35,7 +55,7 @@ func TestArgsortStable(t *testing.T) {
 }
 
 func TestSmallestK(t *testing.T) {
-	idx := SmallestK([]float64{5, 1, 4, 2}, 2)
+	idx := SmallestKInto(make([]int, 4), []float64{5, 1, 4, 2}, 2)
 	if len(idx) != 2 || idx[0] != 1 || idx[1] != 3 {
 		t.Fatalf("got %v", idx)
 	}
@@ -47,16 +67,7 @@ func TestSmallestKOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SmallestK([]float64{1}, 2)
-}
-
-func TestArgMin(t *testing.T) {
-	if got := ArgMin([]float64{3, -1, 2}); got != 1 {
-		t.Fatalf("got %d, want 1", got)
-	}
-	if got := ArgMin([]float64{math.NaN(), 5}); got != 1 {
-		t.Fatalf("NaN must not win: got %d", got)
-	}
+	SmallestKInto(make([]int, 1), []float64{1}, 2)
 }
 
 func TestMedian(t *testing.T) {
@@ -111,7 +122,7 @@ func TestMedianInPlaceMatchesMedian(t *testing.T) {
 }
 
 func TestClosestToPivot(t *testing.T) {
-	idx := ClosestToPivot([]float64{0, 9, 5, 4}, 4.4, 2)
+	idx := ClosestToPivotInto(make([]int, 4), make([]float64, 4), []float64{0, 9, 5, 4}, 4.4, 2)
 	got := map[int]bool{idx[0]: true, idx[1]: true}
 	if !got[3] || !got[2] {
 		t.Fatalf("want indexes {2,3}, got %v", idx)
@@ -119,7 +130,7 @@ func TestClosestToPivot(t *testing.T) {
 }
 
 func TestClosestToPivotNaNLast(t *testing.T) {
-	idx := ClosestToPivot([]float64{math.NaN(), 1, 100}, 1, 2)
+	idx := ClosestToPivotInto(make([]int, 3), make([]float64, 3), []float64{math.NaN(), 1, 100}, 1, 2)
 	for _, i := range idx {
 		if i == 0 {
 			t.Fatalf("NaN entry selected among closest: %v", idx)
@@ -128,7 +139,7 @@ func TestClosestToPivotNaNLast(t *testing.T) {
 }
 
 func TestCoordinateMedian(t *testing.T) {
-	got := CoordinateMedian([]Vector{{1, 10}, {2, 30}, {3, 20}})
+	got := columnPass([]Vector{{1, 10}, {2, 30}, {3, 20}}, 0, MedianKernel)
 	if got[0] != 2 || got[1] != 20 {
 		t.Fatalf("got %v", got)
 	}
@@ -136,19 +147,10 @@ func TestCoordinateMedian(t *testing.T) {
 
 func TestTrimmedMean(t *testing.T) {
 	// With b=1, trim {0} and {100}, average {1,2,3}.
-	got := TrimmedMean([]Vector{{0}, {1}, {2}, {3}, {100}}, 1)
+	got := columnPass([]Vector{{0}, {1}, {2}, {3}, {100}}, 1, TrimmedMeanKernel)
 	if got[0] != 2 {
 		t.Fatalf("got %v, want 2", got[0])
 	}
-}
-
-func TestTrimmedMeanPanicsOnBadBeta(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	TrimmedMean([]Vector{{1}, {2}}, 1)
 }
 
 // Property: the median lies between min and max of the finite values.
@@ -179,7 +181,7 @@ func TestQuickMedianBounded(t *testing.T) {
 	}
 }
 
-// Property: SmallestK returns exactly the k values that a full sort would.
+// Property: SmallestKInto returns exactly the k values that a full sort would.
 func TestQuickSmallestKAgreesWithSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 100; iter++ {
@@ -189,7 +191,7 @@ func TestQuickSmallestKAgreesWithSort(t *testing.T) {
 		for i := range xs {
 			xs[i] = float64(rng.Intn(10))
 		}
-		idx := SmallestK(xs, k)
+		idx := SmallestKInto(make([]int, n), xs, k)
 		picked := make([]float64, k)
 		for i, j := range idx {
 			picked[i] = xs[j]
@@ -199,13 +201,13 @@ func TestQuickSmallestKAgreesWithSort(t *testing.T) {
 		sort.Float64s(picked)
 		for i := 0; i < k; i++ {
 			if picked[i] != sorted[i] {
-				t.Fatalf("SmallestK mismatch at %d: %v vs %v", i, picked, sorted[:k])
+				t.Fatalf("SmallestKInto mismatch at %d: %v vs %v", i, picked, sorted[:k])
 			}
 		}
 	}
 }
 
-// Property: TrimmedMean output is bounded by the untrimmed min/max.
+// Property: the trimmed mean is bounded by the untrimmed min/max.
 func TestQuickTrimmedMeanBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for iter := 0; iter < 100; iter++ {
@@ -215,14 +217,14 @@ func TestQuickTrimmedMeanBounded(t *testing.T) {
 		for i := range vs {
 			vs[i] = Vector{rng.NormFloat64() * 10}
 		}
-		got := TrimmedMean(vs, b)[0]
+		got := columnPass(vs, b, TrimmedMeanKernel)[0]
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range vs {
 			lo = math.Min(lo, v[0])
 			hi = math.Max(hi, v[0])
 		}
 		if got < lo || got > hi {
-			t.Fatalf("TrimmedMean %v outside [%v,%v]", got, lo, hi)
+			t.Fatalf("trimmed mean %v outside [%v,%v]", got, lo, hi)
 		}
 	}
 }

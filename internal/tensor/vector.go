@@ -48,14 +48,6 @@ func (v Vector) Add(w Vector) {
 	}
 }
 
-// Sub subtracts w from v coordinate-wise. It panics on dimension mismatch.
-func (v Vector) Sub(w Vector) {
-	mustSameDim(v, w)
-	for i := range v {
-		v[i] -= w[i]
-	}
-}
-
 // Scale multiplies every coordinate of v by a.
 func (v Vector) Scale(a float64) {
 	for i := range v {
@@ -70,16 +62,6 @@ func (v Vector) Axpy(a float64, w Vector) {
 	for i := range v {
 		v[i] += a * w[i]
 	}
-}
-
-// Dot returns the inner product of v and w. It panics on dimension mismatch.
-func (v Vector) Dot(w Vector) float64 {
-	mustSameDim(v, w)
-	var s float64
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s
 }
 
 // Norm returns the Euclidean (L2) norm of v.
@@ -155,19 +137,6 @@ func (v Vector) Fingerprint() uint64 {
 	return h
 }
 
-// Mean returns the arithmetic mean of the coordinates of v, or 0 for an
-// empty vector.
-func (v Vector) Mean() float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
 // Max returns the maximum coordinate of v, or -Inf for an empty vector.
 func (v Vector) Max() float64 {
 	m := math.Inf(-1)
@@ -188,17 +157,6 @@ func (v Vector) Min() float64 {
 		}
 	}
 	return m
-}
-
-// Clamp limits every coordinate of v to [lo, hi].
-func (v Vector) Clamp(lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
 }
 
 // Mean returns the coordinate-wise mean of vs into a fresh vector.
@@ -223,49 +181,6 @@ func MeanInto(out Vector, vs []Vector) {
 		out.Add(v)
 	}
 	out.Scale(1 / float64(len(vs)))
-}
-
-// WeightedMean returns sum_i w_i*v_i / sum_i w_i. It panics if the weight and
-// vector counts differ, vs is empty, or the weights sum to zero.
-func WeightedMean(vs []Vector, ws []float64) Vector {
-	if len(vs) == 0 {
-		panic("tensor: WeightedMean of empty vector set")
-	}
-	if len(vs) != len(ws) {
-		panic(fmt.Sprintf("tensor: WeightedMean got %d vectors but %d weights", len(vs), len(ws)))
-	}
-	var total float64
-	out := NewVector(len(vs[0]))
-	for i, v := range vs {
-		out.Axpy(ws[i], v)
-		total += ws[i]
-	}
-	if total == 0 {
-		panic("tensor: WeightedMean weights sum to zero")
-	}
-	out.Scale(1 / total)
-	return out
-}
-
-// NaNMean returns the coordinate-wise mean of vs ignoring NaN entries, the
-// "selective averaging" kernel from §3.3 of the paper. A coordinate that is
-// NaN in every vector yields 0 (no information received — treat as a null
-// update for that coordinate). The pass is tiled and parallelised by the
-// column engine.
-func NaNMean(vs []Vector) Vector {
-	if len(vs) == 0 {
-		panic("tensor: NaNMean of empty vector set")
-	}
-	d := len(vs[0])
-	for _, v := range vs {
-		if len(v) != d {
-			panic("tensor: NaNMean dimension mismatch")
-		}
-	}
-	out := NewVector(d)
-	var e ColumnEngine
-	e.Run(out, vs, 0, NaNMeanKernel, true)
-	return out
 }
 
 func mustSameDim(v, w Vector) {

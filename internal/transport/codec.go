@@ -138,6 +138,11 @@ func (c Codec) putCoords(dst []byte, v tensor.Vector) {
 	}
 }
 
+// getCoords decodes len(v) wire coordinates. A float32 coordinate widens to
+// float64, which carries every bit pattern through a later putCoords but
+// one: the widening quiets a signalling NaN (sets its top mantissa bit), so
+// encode(decode(x)) is x unless x holds a float32 signalling NaN, and
+// decode(encode(decode(x))) is decode(x) always.
 func (c Codec) getCoords(src []byte, v tensor.Vector) {
 	if c.Float32 {
 		for i := range v {
