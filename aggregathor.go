@@ -23,10 +23,12 @@
 //     policy for the Byzantine-resilient GAR to absorb. Experiment configs
 //     and campaign network cells select them with Backend/backend "tcp" or
 //     "udp"; socket rounds reproduce the in-process trajectories
-//     bit-for-bit under identical seeds (at drop rate 0 for udp), and lossy
-//     udp rounds stay byte-reproducible because the drop schedules (uplink
-//     gradients and, per footnote 12, downlink model broadcasts) and recoup
-//     values are pure functions of (seed, step, worker).
+//     bit-for-bit under identical seeds — at any drop rate: an in-process
+//     run with UDPLinks = Workers and a udp run with the same loss axes are
+//     one trajectory, because both run the one round engine on drop
+//     schedules (uplink gradients and, per footnote 12 on udp, downlink
+//     model broadcasts) and recoup values that are pure functions of (seed,
+//     step, worker).
 //
 // See README.md for a tour; bench_test.go indexes the paper's tables and
 // figures (one benchmark per exhibit) and cmd/bench prints them.

@@ -503,27 +503,29 @@ func BenchmarkAblation_Workspace(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_RecoupPolicy measures the lossy pipe under the three
-// §3.3 recoup policies at 10% drop.
+// BenchmarkAblation_RecoupPolicy times short training runs with every worker
+// on the in-process datagram link (float32 wire, 10% drop) under the three
+// §3.3 recoup policies, through core.Run — the same scheduled drops and the
+// same engine recoup the udp backend runs.
 func BenchmarkAblation_RecoupPolicy(b *testing.B) {
 	for _, policy := range []transport.RecoupPolicy{
 		transport.DropGradient, transport.FillNaN, transport.FillRandom,
 	} {
 		policy := policy
 		b.Run(policy.String(), func(b *testing.B) {
-			pipe := transport.NewLossyPipe(transport.Codec{Float32: true}, transport.DefaultMTU, 0.10, policy, 12)
-			grad := randGrads(13, 1, 100_000)[0]
-			b.SetBytes(int64(len(grad) * 4))
-			delivered := 0
-			b.ResetTimer()
+			const n = 7
+			delivered := 0.0
 			for i := 0; i < b.N; i++ {
-				msg := &transport.GradientMsg{Worker: 0, Step: i, Grad: grad}
-				if _, ok := pipe.Transfer(msg); ok {
-					delivered++
+				res, err := core.Run(core.Config{
+					Aggregator: "median", Workers: n, Batch: 16, Steps: 20, EvalEvery: 20,
+					Seed: 12, UDPLinks: n, DropRate: 0.10, Recoup: policy, WireFormat: transport.WireFloat32,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
+				delivered = res.Throughput.GradientsPerSecond() / res.Throughput.BatchesPerSecond() / n
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(delivered)/float64(b.N), "delivery_rate")
+			b.ReportMetric(delivered, "delivery_rate")
 		})
 	}
 }
@@ -554,7 +556,7 @@ func BenchmarkAblation_WireFormat(b *testing.B) {
 
 // BenchmarkTransport_GradientTransfer times complete d=200k gradient
 // transfers over a loopback UDP socket pair — split, encode, write, read,
-// decode, reassemble — across the wire-format × syscall-batching grid. One
+// decode, reassemble — on both wire formats. One
 // transfer is in flight at a time so the kernel receive buffer bounds the
 // burst and the loopback path stays loss-free. Bytes/s counts the in-memory
 // gradient payload (d × 8) so the float32 wire shows up as a genuine
@@ -562,13 +564,11 @@ func BenchmarkAblation_WireFormat(b *testing.B) {
 func BenchmarkTransport_GradientTransfer(b *testing.B) {
 	grad := randGrads(18, 1, 200_000)[0]
 	for _, cfg := range []struct {
-		name    string
-		codec   transport.Codec
-		batched bool
+		name  string
+		codec transport.Codec
 	}{
-		{"f64-unbatched", transport.Codec{}, false},
-		{"f64-batched", transport.Codec{}, true},
-		{"f32-batched", transport.Codec{Float32: true}, true},
+		{"f64-batched", transport.Codec{}},
+		{"f32-batched", transport.Codec{Float32: true}},
 	} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
@@ -582,7 +582,6 @@ func BenchmarkTransport_GradientTransfer(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer send.Close()
-			send.SetBatching(cfg.batched)
 			msg := &transport.GradientMsg{Worker: 1, Grad: grad}
 			b.SetBytes(int64(len(grad) * 8))
 			b.ResetTimer()

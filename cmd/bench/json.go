@@ -34,9 +34,6 @@ type benchReport struct {
 	Workers    int           `json:"workers"`
 	Dim        int           `json:"dim"`
 	Benchmarks []benchResult `json:"benchmarks"`
-	// TransportDim is the gradient dimension of the transport rows.
-	TransportDim int               `json:"transport_dim"`
-	Transport    []transportResult `json:"transport"`
 }
 
 // benchKernel times fn, which processes bytes input bytes per call, until
@@ -124,13 +121,6 @@ func writeKernelBenchJSON() error {
 			gar.BlockedPairwiseSquaredDistances(grads, &distWS)
 		}))
 
-	report.TransportDim = transportDim
-	transportRows, err := benchTransportRows()
-	if err != nil {
-		return err
-	}
-	report.Transport = transportRows
-
 	dir := *outDir
 	if dir == "" {
 		dir = "."
@@ -143,7 +133,6 @@ func writeKernelBenchJSON() error {
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("bench: wrote %d kernel benchmarks and %d transport rows to %s\n",
-		len(report.Benchmarks), len(report.Transport), path)
+	fmt.Printf("bench: wrote %d kernel benchmarks to %s\n", len(report.Benchmarks), path)
 	return nil
 }

@@ -6,7 +6,7 @@
 //
 // With -json the command instead times the GAR kernel engine (per-benchmark
 // ns/op, MB/s, allocs/op for every hot aggregation rule, fresh and
-// workspace-backed, plus the three pairwise-distance schedules) and writes
+// workspace-backed, plus the blocked pairwise-distance engine) and writes
 // BENCH_aggregation.json into the -out directory (default ".") — the
 // tracked perf-trajectory artifact that CI uploads on every run:
 //

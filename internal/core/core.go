@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -131,7 +132,7 @@ func LookupExperiment(name string) (Experiment, error) {
 // Backend names for Config.Backend.
 const (
 	// BackendInProcess is the default simulated deployment: workers are
-	// method calls on in-process replicas, links are transport.Pipe values.
+	// method calls on in-process replicas, UDPLinks of them over a lossy link.
 	BackendInProcess = "in-process"
 	// BackendTCP is the socket-distributed deployment: workers are
 	// goroutines speaking the binary wire protocol over real localhost TCP
@@ -149,9 +150,9 @@ type Config struct {
 	// Experiment is the model+dataset preset name.
 	Experiment string
 	// Backend selects the deployment substrate: "" or "in-process" for the
-	// simulated cluster, "tcp" for the socket-distributed cluster, "udp"
-	// for the lossy datagram-distributed cluster (DropRate and Recoup then
-	// apply to the real gradient datagrams instead of in-process pipes).
+	// simulated cluster, "tcp" for the socket-distributed cluster, "udp" for
+	// the lossy datagram-distributed one (DropRate and Recoup then apply to
+	// every worker's real datagrams, not to the first UDPLinks workers').
 	Backend string
 	// Aggregator is the GAR name ("average", "median", "multi-krum",
 	// "bulyan", ... or "draco" for the comparison baseline).
@@ -181,18 +182,15 @@ type Config struct {
 	Vanilla bool
 	// HijackWorkers lists worker ids attempting remote parameter writes.
 	HijackWorkers []int
-	// UDPLinks is how many worker links use the lossy UDP transport.
+	// UDPLinks is how many in-process workers (the first ones, at most
+	// Workers) submit over the engine's datagram link. UDPLinks = Workers and
+	// Backend "udp" with the same loss axes are one trajectory.
 	UDPLinks int
-	// WireFormat selects the coordinate width on lossy links: "" or
-	// "float64" (the default, lossless full-precision coordinates) or
-	// "float32" (half the bytes per gradient — the paper's TensorFlow
-	// deployments ship float32 tensors). The axis covers both the udp
-	// backend's real datagrams and the in-process lossy pipes selected by
-	// UDPLinks; reliable deployments (in-process method calls, tcp) always
-	// carry float64 and reject a "float32" request instead of silently
-	// ignoring it. Note the in-process lossy pipe historically hardwired
-	// float32 while the udp backend defaulted to float64; both now follow
-	// this one knob, defaulting to float64.
+	// WireFormat selects the coordinate width on lossy links — the udp
+	// backend's datagrams, the in-process link of UDPLinks: "" or "float64"
+	// (the default, lossless) or "float32" (half the bytes; the paper's
+	// TensorFlow deployments ship float32 tensors). Reliable deployments
+	// always carry float64 and reject a "float32" request.
 	WireFormat string
 	// DropRate is the artificial packet drop probability on UDP links.
 	DropRate float64
@@ -287,44 +285,22 @@ type Result struct {
 	Diverged bool
 	// Hijacked is true when a remote parameter write succeeded.
 	Hijacked bool
-	// SkippedRounds counts rounds lost to the GAR quorum check.
-	SkippedRounds int
-	// StaleGradients counts gradients accepted from stale-model
-	// submissions across the run (udp backend with lossy model broadcasts
-	// under the stale recoup policy).
-	StaleGradients int
-	// AdmittedStale counts gradients aggregated across the run that were
-	// computed against a model up to τ steps old, per the asynchronous
-	// slow-worker schedule.
-	AdmittedStale int
-	// DroppedTooStale counts slots the asynchronous schedule dropped
-	// because the scheduled lag exceeded the staleness bound τ.
-	DroppedTooStale int
-	// Crashes counts scheduled worker crashes across the run (socket
-	// backends with churn enabled).
-	Crashes int
-	// Rejoins counts scheduled rejoins the membership tracker admitted.
-	Rejoins int
-	// ReconnectAttempts counts dial attempts rejoining workers spent in
-	// the bounded backoff ladder (equal to Rejoins on a loopback fabric
-	// where every first attempt lands).
-	ReconnectAttempts int
-	// BelowBoundRounds counts rounds skipped because churn left fewer
-	// live workers than the GAR's Byzantine-resilience bound n ≥ 2f+3.
-	BelowBoundRounds int
+	// Totals are the rounds' counters, summed.
+	ps.Totals
 	// ResumedFromStep is the checkpointed step index the run warm-started
 	// from (0 for a fresh run).
 	ResumedFromStep int
 	// ModelDim is the trained model's parameter count (the dimension real
 	// aggregation wall-time measurements should use).
 	ModelDim int
+	// params is what training ended on, for the cross-backend parity tests.
+	params tensor.Vector
 }
 
 // round maps the experiment description onto the round description every
-// backend plans from — core's one translation of the scheduled axes. The
-// socket cluster configs are filled from its result (clusterConfig), the
-// in-process cluster from its Async. The only field that can fail to map is
-// the wire format's name.
+// backend plans from — core's one translation of the scheduled axes: the
+// socket cluster configs are filled from it (clusterConfig), and so is the
+// in-process ps.Config. Only the wire format's name can fail to map.
 func (c *Config) round() (ps.RoundConfig, error) {
 	wire, err := transport.ParseWireFormat(c.WireFormat)
 	if err != nil {
@@ -335,8 +311,9 @@ func (c *Config) round() (ps.RoundConfig, error) {
 		Async: ps.AsyncConfig{Quorum: c.Quorum, Staleness: c.Staleness, SlowRate: c.SlowWorkers},
 		Churn: ps.ChurnConfig{Rate: c.ChurnRate, DownSteps: c.ChurnDownSteps, MaxRejoins: c.ChurnMaxRejoins},
 		Link: ps.Link{
-			Codec: wire, GradLoss: c.DropRate, ModelLoss: c.ModelDropRate,
+			Codec: wire, MTU: transport.DefaultMTU, GradLoss: c.DropRate, ModelLoss: c.ModelDropRate,
 			StaleModels: c.ModelRecoup == cluster.ModelRecoupStale,
+			Slots:       c.UDPLinks, // 0 on a socket backend: every worker sends datagrams
 		},
 	}
 	for _, id := range sortedWorkers(c.Attacks) {
@@ -418,7 +395,7 @@ func (c Config) validated() (ps.RoundConfig, error) {
 		return rc, fmt.Errorf("core: lossy model broadcasts (ModelDropRate/ModelRecoup) need backend %q, got %q", BackendUDP, c.Backend)
 	}
 	// The wire format is a lossy-link property: only the udp backend and
-	// the in-process lossy pipes have a wire at all.
+	// the in-process datagram link have a wire at all.
 	if rc.Link.Codec.Float32 && c.Backend != BackendUDP && c.UDPLinks == 0 {
 		return rc, fmt.Errorf("core: wire format %q needs backend %q or UDPLinks > 0, got backend %q",
 			transport.WireFloat32, BackendUDP, c.Backend)
@@ -500,28 +477,20 @@ func (c *Config) applyDefaults() {
 }
 
 // buildWorkers assembles the worker list from the experiment description:
-// samplers (possibly corrupted), gradient attacks, hijack flags, and lossy
-// UDP pipes on the first UDPLinks workers. Under a Draco plan a worker samples
+// samplers (possibly corrupted), gradient attacks and hijack flags. Under a
+// Draco plan a worker samples
 // its redundancy group's shared batch — group members MUST see identical
 // data, the agreement-on-ordering requirement the paper criticises as
 // incompatible with private datasets — and the workers left over once the
 // groups are full stay silent.
-func buildWorkers(cfg Config, wire transport.Codec, train *data.Dataset, plan *draco.Plan) ([]ps.WorkerConfig, error) {
-	corrupt := map[int]bool{}
-	for _, w := range cfg.CorruptData {
-		corrupt[w] = true
-	}
-	hijack := map[int]bool{}
-	for _, w := range cfg.HijackWorkers {
-		hijack[w] = true
-	}
+func buildWorkers(cfg Config, train *data.Dataset, plan *draco.Plan) ([]ps.WorkerConfig, error) {
 	workers := make([]ps.WorkerConfig, cfg.Workers)
 	for i := range workers {
 		var sampler data.Sampler = data.NewUniformSampler(train, ps.SamplerSeed(cfg.Seed, i))
 		if plan != nil {
 			sampler = &data.GroupSampler{SharedBatch: data.SharedBatch{DS: train}, Group: i / plan.Redundancy(), Seed: cfg.Seed}
 		}
-		if corrupt[i] {
+		if slices.Contains(cfg.CorruptData, i) {
 			sampler = &data.CorruptedSampler{
 				Inner: sampler,
 				Corruption: data.GarbagePixels{
@@ -533,7 +502,7 @@ func buildWorkers(cfg Config, wire transport.Codec, train *data.Dataset, plan *d
 		workers[i] = ps.WorkerConfig{
 			Sampler:      sampler,
 			Seed:         cfg.Seed + int64(i),
-			HijackParams: hijack[i],
+			HijackParams: slices.Contains(cfg.HijackWorkers, i),
 			Silent:       plan != nil && plan.WorkerLoad(i) == 0,
 		}
 		if name, ok := cfg.Attacks[i]; ok {
@@ -542,14 +511,6 @@ func buildWorkers(cfg Config, wire transport.Codec, train *data.Dataset, plan *d
 				return nil, err
 			}
 			workers[i].Attack = atk
-		}
-		if i < cfg.UDPLinks {
-			// The pipe codec follows the WireFormat axis (default float64,
-			// matching the udp backend) rather than the historical
-			// hardwired float32.
-			workers[i].Pipe = transport.NewLossyPipe(
-				wire, transport.DefaultMTU,
-				cfg.DropRate, cfg.Recoup, cfg.Seed+int64(i)*17+5)
 		}
 	}
 	return workers, nil
@@ -575,15 +536,14 @@ type deployment interface {
 // Run executes one experiment: the in-process simulated cluster by default,
 // or — Backend "tcp"/"udp" — a cluster.TCPCluster or cluster.UDPCluster on
 // localhost, every model broadcast and gradient travelling the binary wire
-// protocol over real sockets (udp: with seeded per-packet drop injection and
-// §3.3 recoup of the lost coordinates). Run only assembles: it picks the rule
-// (a registry GAR, or the Draco plan), the workers' samplers and the
-// constructor (ps.New, ps.NewReplicated, a socket cluster). Every deployment
-// is then driven round-by-round by the same training loop, simulated clock,
-// divergence check and checkpoints, and worker seeds derive from the run seed
-// through the shared ps formulas, so a loss-free socket run reproduces the
-// in-process trajectory bit for bit and a lossy udp run stays a pure function
-// of the configuration.
+// protocol over real sockets. Run only assembles: it picks the rule (a
+// registry GAR, or the Draco plan), the workers' samplers and the constructor
+// (ps.New, ps.NewReplicated, a socket cluster). Every deployment is then driven
+// round-by-round by the same training loop, simulated clock, divergence check
+// and checkpoints, on the one round engine, with worker seeds derived from the
+// run seed through the shared ps formulas — so a configuration is one
+// trajectory on every backend that accepts it: tcp reproduces in-process bit
+// for bit, and udp at any drop rate the in-process run with UDPLinks = Workers.
 func Run(cfg Config) (*Result, error) {
 	cfg.applyDefaults()
 	rc, err := cfg.validated()
@@ -647,7 +607,7 @@ func Run(cfg Config) (*Result, error) {
 		defer sock.Close()
 		cl = sock
 	} else {
-		workers, err := buildWorkers(cfg, rc.Link.Codec, train, plan)
+		workers, err := buildWorkers(cfg, train, plan)
 		if err != nil {
 			return nil, err
 		}
@@ -666,18 +626,16 @@ func Run(cfg Config) (*Result, error) {
 			if cfg.Vanilla {
 				mode = ps.Vanilla
 			}
-			cl, err = ps.New(ps.Config{
-				ModelFactory: factory,
-				Workers:      workers,
-				GAR:          rule,
-				Optimizer:    optimizer,
-				Batch:        cfg.Batch,
-				Mode:         mode,
-				L1:           cfg.L1,
-				L2:           cfg.L2,
-				Seed:         cfg.Seed,
-				Async:        rc.Async,
-			})
+			pc := ps.Config{
+				ModelFactory: factory, Workers: workers, GAR: rule, Optimizer: optimizer,
+				Batch: cfg.Batch, Mode: mode, L1: cfg.L1, L2: cfg.L2, Seed: cfg.Seed, Async: rc.Async,
+			}
+			// Without UDPLinks every worker has a message link, whatever
+			// DropRate says to the simulated clock.
+			if cfg.UDPLinks > 0 {
+				pc.Link, pc.Recoup = rc.Link, rc.Recoup
+			}
+			cl, err = ps.New(pc)
 		}
 		if err != nil {
 			return nil, err

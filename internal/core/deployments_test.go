@@ -16,7 +16,6 @@ import (
 	"aggregathor/internal/opt"
 	"aggregathor/internal/ps"
 	"aggregathor/internal/tensor"
-	"aggregathor/internal/transport"
 )
 
 // The replicated server and the Draco baseline are assembled by Run from the
@@ -166,7 +165,7 @@ func TestInProcessDeploymentsHonourEveryAxis(t *testing.T) {
 				t.Fatal(err)
 			}
 			data, _, factory := exp.Make(cfg.Seed)
-			workers, err := buildWorkers(cfg, transport.Codec{}, data, nil)
+			workers, err := buildWorkers(cfg, data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,6 +225,8 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		cfg  Config
 		is   error // a sentinel the refusal must wrap, if it has one
 	}{
+		{"UDPLinks below 0", with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas, c.UDPLinks = 0, nil, -3 }), nil},
+		{"more UDPLinks than workers", with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas, c.UDPLinks = 0, nil, 40 }), nil},
 		{"replicated + UDPLinks", with(replicated, func(c *Config) { c.UDPLinks = 1 }), nil},
 		{"replicated + Vanilla", with(replicated, func(c *Config) { c.Vanilla = true }), nil},
 		{"replicated + HijackWorkers", with(replicated, func(c *Config) { c.HijackWorkers = []int{0} }), nil},

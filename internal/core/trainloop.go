@@ -29,18 +29,7 @@ func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Rou
 		}
 		clock.Advance(round.Total())
 		res.Throughput.Observe(sr.Received, round.Total())
-		if sr.Skipped {
-			res.SkippedRounds++
-		}
-		res.StaleGradients += sr.Stale
-		res.AdmittedStale += sr.AdmittedStale
-		res.DroppedTooStale += sr.DroppedStale
-		res.Crashes += sr.Crashes
-		res.Rejoins += sr.Rejoins
-		res.ReconnectAttempts += sr.ReconnectAttempts
-		if sr.BelowBound {
-			res.BelowBoundRounds++
-		}
+		res.Totals.Add(sr)
 		if sr.Hijacked {
 			res.Hijacked = true
 		}
@@ -57,6 +46,7 @@ func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Rou
 			}
 		}
 	}
+	res.params = cl.Params()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"aggregathor/internal/cluster"
@@ -183,5 +184,48 @@ func TestUDPBackendModelLossDeterministic(t *testing.T) {
 	}
 	if a.StaleGradients != b.StaleGradients {
 		t.Fatalf("stale gradient counts %d vs %d across identical runs", a.StaleGradients, b.StaleGradients)
+	}
+}
+
+// TestInProcessLossyMatchesUDPBackend pins the one loss model: an in-process
+// run with every worker on the datagram link and a udp-backend run with the
+// same seed and loss axes are one trajectory — bit-identical parameters,
+// per-step loss series and round counters — under every recoup policy, on
+// both wire widths, attack-free and under a blind and an informed attack.
+// Both sides run the plan's (seed, step, worker) drop masks and the engine's
+// recoup; the in-process cluster only skips the sockets.
+func TestInProcessLossyMatchesUDPBackend(t *testing.T) {
+	const n = 7
+	for _, recoup := range []transport.RecoupPolicy{transport.DropGradient, transport.FillNaN, transport.FillRandom} {
+		for _, wire := range []string{transport.WireFloat64, transport.WireFloat32} {
+			for _, atk := range []string{"none", "reversed", "little-is-enough"} {
+				t.Run(fmt.Sprintf("%v/%s/%s", recoup, wire, atk), func(t *testing.T) {
+					cfg := Config{
+						Experiment: "features-mlp", Aggregator: "median", F: 1, Workers: n,
+						Batch: 16, Steps: 12, EvalEvery: 1, LR: 5e-3, Seed: 17,
+						DropRate: 0.10, Recoup: recoup, WireFormat: wire,
+					}
+					if atk != "none" {
+						cfg.Attacks = map[int]string{n - 1: atk}
+					}
+					inproc, err := Run(with(cfg, func(c *Config) { c.UDPLinks = n }))
+					if err != nil {
+						t.Fatal(err)
+					}
+					udp, err := Run(with(cfg, func(c *Config) { c.Backend = BackendUDP }))
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSeriesEqual(t, "loss-vs-step", inproc.LossVsStep, udp.LossVsStep)
+					assertSeriesEqual(t, "accuracy-vs-step", inproc.AccuracyVsStep, udp.AccuracyVsStep)
+					if inproc.Totals != udp.Totals {
+						t.Fatalf("round counters %+v in-process, %+v over udp", inproc.Totals, udp.Totals)
+					}
+					if len(inproc.params) == 0 || paramsSHA256(inproc.params) != paramsSHA256(udp.params) {
+						t.Fatalf("final parameters (%d of them) differ in their bits between in-process and udp", len(inproc.params))
+					}
+				})
+			}
+		}
 	}
 }

@@ -109,11 +109,11 @@ func TestUDPBackendFloat32ByzantineSmoke(t *testing.T) {
 	}
 }
 
-// TestInProcessLossyPipeFollowsWireFormat pins the codec-consistency fix:
-// the in-process lossy pipe historically hardwired float32 while the udp
-// backend defaulted to float64. Both now follow the WireFormat axis, so an
-// in-process UDPLinks run and a float32 run must differ (the width knob is
-// live) and each must be deterministic.
+// TestInProcessLossyPipeFollowsWireFormat (named for the per-worker pipes the
+// in-process datagram link replaced) pins that the link follows the
+// WireFormat axis: at 10% drop a float32 run differs from the float64 one
+// (the width knob is live) and each is deterministic, and float64 at drop
+// rate 0 is lossless — it reproduces the run with no link at all.
 func TestInProcessLossyPipeFollowsWireFormat(t *testing.T) {
 	cfg := Config{
 		Experiment: "features-mlp",
@@ -128,28 +128,32 @@ func TestInProcessLossyPipeFollowsWireFormat(t *testing.T) {
 		DropRate:   0.10,
 		Recoup:     transport.FillRandom,
 	}
-	f64a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f64b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSeriesEqual(t, "loss-vs-step", f64a.LossVsStep, f64b.LossVsStep)
-
-	cfg.WireFormat = transport.WireFloat32
-	f32, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := f64a.FinalAccuracy == f32.FinalAccuracy
-	for i, p := range f64a.LossVsStep.Points {
-		if i < len(f32.LossVsStep.Points) && p.Value != f32.LossVsStep.Points[i].Value {
-			same = false
+	run := func(cfg Config) *Result {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
 	}
-	if same {
-		t.Fatal("float32 pipes produced the exact float64 trajectory: the wire-format knob is dead")
+	differ := func(a, b *Result) bool { return paramsSHA256(a.params) != paramsSHA256(b.params) }
+	f64 := run(cfg)
+	if again := run(cfg); differ(f64, again) {
+		t.Fatal("two float64 runs over the lossy link ended on different parameters")
+	}
+	f32 := run(with(cfg, func(c *Config) { c.WireFormat = transport.WireFloat32 }))
+	if !differ(f64, f32) {
+		t.Fatal("the float32 link produced the exact float64 trajectory: the wire-format knob is dead")
+	}
+	if again := run(with(cfg, func(c *Config) { c.WireFormat = transport.WireFloat32 })); differ(f32, again) {
+		t.Fatal("two float32 runs over the lossy link ended on different parameters")
+	}
+	clean, direct := run(with(cfg, func(c *Config) { c.DropRate = 0 })), run(with(cfg, func(c *Config) { c.DropRate, c.UDPLinks = 0, 0 }))
+	assertSeriesEqual(t, "loss-vs-step", clean.LossVsStep, direct.LossVsStep)
+	if differ(clean, direct) {
+		t.Fatal("the float64 link at drop rate 0 moved the trajectory: the wire round trip is not lossless")
+	}
+	if rounded := run(with(cfg, func(c *Config) { c.DropRate, c.WireFormat = 0, transport.WireFloat32 })); !differ(rounded, direct) {
+		t.Fatal("the float32 link at drop rate 0 reproduced the float64 trajectory: no coordinate crossed the wire encoding")
 	}
 }

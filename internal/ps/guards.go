@@ -80,6 +80,12 @@ func (c *RoundConfig) Validate() error {
 	if c.Link.ModelLoss < 0 || c.Link.ModelLoss >= 1 {
 		return fmt.Errorf("ps: model drop rate %v out of [0, 1)", c.Link.ModelLoss)
 	}
+	if c.Link.MTU <= 0 && (c.Link.GradLoss > 0 || c.Link.ModelLoss > 0) {
+		return fmt.Errorf("ps: a lossy link needs an MTU to split transfers by, got %d", c.Link.MTU)
+	}
+	if c.Link.Slots < 0 || c.Link.Slots > c.Workers {
+		return fmt.Errorf("ps: %d workers on the lossy link, outside [0, %d]", c.Link.Slots, c.Workers)
+	}
 	for _, id := range c.Unresponsive {
 		if id < 0 || id >= c.Workers {
 			return fmt.Errorf("ps: unresponsive worker id %d outside [0, %d)", id, c.Workers)

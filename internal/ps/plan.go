@@ -99,8 +99,9 @@ type SlotPlan struct {
 	Tag int
 	// Downlink and Uplink are the drop masks of the step's model broadcast
 	// and gradient datagrams, one entry per packet, true = dropped before
-	// the socket write; nil means nothing is dropped. They are valid until
-	// the planner advances. Lost counts the coordinates Uplink drops.
+	// the socket write; nil means nothing is dropped (as on the uplink of a
+	// slot off the link). They are valid until the planner advances. Lost
+	// counts the coordinates Uplink drops.
 	Downlink, Uplink []bool
 	Lost             int
 }
@@ -158,7 +159,7 @@ func NewPlanner(cfg *RoundConfig, dim, first, count int) *Planner {
 		if cfg.Link.ModelLoss > 0 {
 			t.downBuf = make([]bool, p.pkts)
 		}
-		if cfg.Link.GradLoss > 0 {
+		if cfg.Link.GradLoss > 0 && cfg.Link.carries(first+i) {
 			t.upBuf = make([]bool, p.pkts)
 		}
 	}
@@ -256,9 +257,10 @@ func (p *Planner) advance(t *timeline, id int) {
 		}
 	}
 	// The uplink schedule is always keyed on the round, not the stale tag,
-	// so two stale submissions off the same model never reuse a mask.
+	// so two stale submissions off the same model never reuse a mask; a slot
+	// off the link (Link.Slots) has none.
 	t.Uplink, t.Lost = nil, 0
-	if t.Tag >= 0 {
+	if t.Tag >= 0 && cfg.Link.carries(id) {
 		t.Uplink = UplinkDrops(p.rng, t.upBuf, cfg.Seed, step, id, cfg.Link.GradLoss)
 		for pkt, dropped := range t.Uplink {
 			if dropped {

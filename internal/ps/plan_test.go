@@ -143,6 +143,51 @@ func TestWorkerPlanMatchesEnginePlan(t *testing.T) {
 	}
 }
 
+// TestLinkSlotsScheduleOnlyTheLinkedSlots pins Link.Slots = k as one plan
+// fact: slots k and up have a message link — never an uplink mask, never a
+// lost coordinate — slots below k get exactly the masks they get when every
+// slot rides the link, and a worker's one-slot planner agrees with the
+// engine's on both sides of k.
+func TestLinkSlotsScheduleOnlyTheLinkedSlots(t *testing.T) {
+	const n, k, dim, steps = 7, 3, 10, 200
+	all := RoundConfig{Workers: n, Seed: 21, Async: AsyncConfig{Quorum: 4, Staleness: 2, SlowRate: 0.3},
+		Link: Link{MTU: roundTestMTU, GradLoss: 0.3}}
+	some := all
+	some.Link.Slots = k
+	if err := some.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{-1, n + 1} {
+		rc := all
+		if rc.Link.Slots = bad; rc.Validate() == nil {
+			t.Errorf("Link.Slots %d of %d workers accepted", bad, n)
+		}
+	}
+	everyone, linked, workers := NewPlanner(&all, dim, 0, n), NewPlanner(&some, dim, 0, n), make([]*Planner, n)
+	for id := range workers {
+		workers[id] = NewPlanner(&some, dim, id, 1)
+	}
+	lost := 0
+	for step := 0; step < steps; step++ {
+		for id := 0; id < n; id++ {
+			want, got, own := everyone.At(step, id), linked.At(step, id), workers[id].At(step, id)
+			switch {
+			case id >= k && (got.Uplink != nil || got.Lost != 0):
+				t.Fatalf("step %d: slot %d is off the link and plans uplink %v, %d lost", step, id, got.Uplink, got.Lost)
+			case id < k && (!slices.Equal(got.Uplink, want.Uplink) || got.Lost != want.Lost):
+				t.Fatalf("step %d: slot %d plans uplink %v (%d lost) with %d slots on the link, %v (%d) with all",
+					step, id, got.Uplink, got.Lost, k, want.Uplink, want.Lost)
+			case got.Tag != want.Tag || own.Tag != got.Tag || own.Lost != got.Lost || !slices.Equal(own.Uplink, got.Uplink):
+				t.Fatalf("step %d slot %d: worker plans %+v, engine %+v, engine with every slot linked %+v", step, id, *own, *got, *want)
+			}
+			lost += got.Lost
+		}
+	}
+	if lost == 0 {
+		t.Fatal("dead fixture: the linked slots never lost a coordinate")
+	}
+}
+
 // TestModelsRetainByTag pins the one "models retained by step tag" store
 // behind the in-process history ring and both socket workers: the last τ+1
 // broadcasts under the slow schedule, the last complete one under stale

@@ -62,9 +62,6 @@ type WorkerConfig struct {
 	HijackParams bool
 	// Silent makes the worker never submit a gradient (crash/withhold).
 	Silent bool
-	// Pipe is the data-plane link to the server; nil means a perfect
-	// (TCP-like) link.
-	Pipe transport.Pipe
 	// Seed drives the worker's attack randomness.
 	Seed int64
 }
@@ -88,17 +85,22 @@ type Config struct {
 	Mode SecurityMode
 	// L1, L2 are the regularisation weights.
 	L1, L2 float64
-	// Seed is the run seed the deterministic schedules (SlowSeed) are keyed
-	// on. Only consulted when Async is enabled.
+	// Seed is the run seed the schedules (slow workers, link loss) key on.
 	Seed int64
 	// Async configures asynchronous bounded-staleness rounds; the zero
 	// value is lockstep and leaves every code path byte-identical.
 	Async AsyncConfig
+	// Link, when its MTU is set, puts the workers it carries (Link.Slots) on
+	// a datagram link: their transfers are split, dropped per the plan and
+	// wire-encoded exactly as a udp-backend worker's. Recoup is the policy
+	// for what a round ends without.
+	Link   Link
+	Recoup transport.RecoupPolicy
 }
 
 // Cluster is an assembled synchronous training deployment: the round engine
-// plus the in-process workers — their replicas, attack RNGs and links. Its
-// worker half (round) is the only in-process worker implementation; a
+// plus the in-process workers — their replicas and attack RNGs. Its worker
+// half (round) is the only in-process worker implementation; a
 // ReplicatedCluster is a Cluster holding one engine per correct server
 // replica behind a vote.
 type Cluster struct {
@@ -110,6 +112,13 @@ type Cluster struct {
 	rngs     []*rand.Rand
 	models   *Models // the broadcasts a slow worker can still be told to train on
 	hijacked bool
+	// The datagram link's state (nil without one): the round's broadcast as
+	// it reads off the wire, those a slow worker may yet train on, scratch.
+	received   tensor.Vector
+	wireModels *Models
+	pkts       []transport.Packet
+	wire       []byte
+	pkt        transport.Packet
 }
 
 // StepResult reports one synchronous round.
@@ -131,25 +140,17 @@ type StepResult struct {
 	// trained on its last complete model and the server accepted the
 	// resulting gradient into the current round (ModelRecoupStale).
 	Stale int
-	// AdmittedStale counts slots aggregated this round whose gradient was
-	// computed against a model up to τ steps old, per the asynchronous
-	// slow-worker schedule.
-	AdmittedStale int
-	// DroppedStale counts slots the asynchronous schedule dropped this
-	// round because the scheduled lag exceeded the staleness bound τ; the
-	// server never waits for (or recoups) these.
-	DroppedStale int
-	// Crashes counts workers the churn schedule crashed this round: each
-	// received the broadcast, tore its sockets down without submitting,
-	// and its slot was dropped (never awaited, never recouped).
-	Crashes int
-	// Rejoins counts workers re-admitted to the membership this round per
-	// the churn schedule, after reconnecting through the backoff dialer.
-	Rejoins int
-	// ReconnectAttempts sums the dial attempts behind this round's
-	// admitted rejoins. On the scheduled path every rejoin dials exactly
-	// once, so this equals Rejoins.
-	ReconnectAttempts int
+	// AdmittedStale counts slots aggregated this round off a model up to τ
+	// steps old, per the asynchronous slow-worker schedule; DroppedStale the
+	// slots that schedule dropped because the lag exceeded τ — the server
+	// never waits for (or recoups) these.
+	AdmittedStale, DroppedStale int
+	// Crashes counts workers the churn schedule crashed this round (each took
+	// the broadcast and tore its sockets down without submitting: the slot is
+	// dropped, never awaited or recouped), Rejoins those it re-admitted, and
+	// ReconnectAttempts the dial attempts behind the rejoins — one each on
+	// the scheduled path.
+	Crashes, Rejoins, ReconnectAttempts int
 	// BelowBound is true when the round was skipped because live
 	// membership fell below the GAR's Byzantine safety bound (n_live <
 	// MinWorkers, e.g. 2f+3 for Krum-family rules): the server refuses to
@@ -158,10 +159,41 @@ type StepResult struct {
 	BelowBound bool
 }
 
+// Totals sums a run's StepResults into what an experiment result and a
+// campaign cell both report, under the campaign JSON's names: each field is
+// the run total of the StepResult field Add folds into it. The slow-schedule
+// and churn counters are exact functions of the seed, omitted when zero.
+type Totals struct {
+	SkippedRounds     int `json:"skippedRounds"`
+	StaleGradients    int `json:"staleGradients"`
+	AdmittedStale     int `json:"admittedStale,omitempty"`
+	DroppedTooStale   int `json:"droppedTooStale,omitempty"`
+	Crashes           int `json:"crashes,omitempty"`
+	Rejoins           int `json:"rejoins,omitempty"`
+	ReconnectAttempts int `json:"reconnectAttempts,omitempty"`
+	BelowBoundRounds  int `json:"belowBoundRounds,omitempty"`
+}
+
+// Add folds one round into the totals.
+func (t *Totals) Add(r *StepResult) {
+	if r.Skipped {
+		t.SkippedRounds++
+	}
+	if r.BelowBound {
+		t.BelowBoundRounds++
+	}
+	t.StaleGradients += r.Stale
+	t.AdmittedStale += r.AdmittedStale
+	t.DroppedTooStale += r.DroppedStale
+	t.Crashes += r.Crashes
+	t.Rejoins += r.Rejoins
+	t.ReconnectAttempts += r.ReconnectAttempts
+}
+
 // round maps the in-process description onto the one the engine validates
-// and plans from. A ps.Config has no churn and no datagram link to declare.
+// and plans from. A ps.Config has no churn to declare.
 func (cfg *Config) round() RoundConfig {
-	rc := RoundConfig{Workers: len(cfg.Workers), Seed: cfg.Seed, Async: cfg.Async}
+	rc := RoundConfig{Workers: len(cfg.Workers), Seed: cfg.Seed, Async: cfg.Async, Link: cfg.Link, Recoup: cfg.Recoup}
 	for _, w := range cfg.Workers {
 		if rc.Informed == "" && attack.NeedsHonest(w.Attack) {
 			rc.Informed = w.Attack.Name()
@@ -197,6 +229,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Batch <= 0 {
 		return nil, fmt.Errorf("ps: batch size %d", cfg.Batch)
 	}
+	if cfg.Link.ModelLossEnabled() {
+		return nil, errors.New("ps: the in-process cluster delivers every model broadcast whole: its link takes no ModelLoss or StaleModels")
+	}
 	if info, ok := cfg.GAR.(gar.ByzantineInfo); ok {
 		if len(cfg.Workers) < info.MinWorkers() {
 			return nil, fmt.Errorf("ps: %s(f=%d) needs %d workers, got %d",
@@ -209,6 +244,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{Server: &eng.Server, cfg: cfg, engines: []*Engine{eng}}
 	c.models = NewModels(&eng.cfg.RoundConfig, eng.params.Dim())
+	if cfg.Link.MTU > 0 {
+		c.received, c.wireModels = tensor.NewVector(eng.params.Dim()), NewModels(&eng.cfg.RoundConfig, eng.params.Dim())
+	}
 	c.replicas = make([]*nn.Network, len(cfg.Workers))
 	c.rngs = make([]*rand.Rand, len(cfg.Workers))
 	for i, w := range cfg.Workers {
@@ -238,10 +276,10 @@ func (c *Cluster) Step() (*StepResult, error) {
 }
 
 // round is the in-process round: the workers compute on params — the model
-// they were handed — and forge, every submission traverses its link, and each
-// engine settles the same submissions, aggregates and descends. The engines
-// share one round description and so one plan; the first one's is read, and
-// its result returned.
+// they were handed — and forge, every submission goes to every engine over
+// the worker's link (submit), and each engine settles the same submissions,
+// aggregates and descends. The engines share one round description and so
+// one plan; the first one's is read, and its result returned.
 func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 	n := len(c.cfg.Workers)
 	c.rounds = c.rounds[:0]
@@ -251,8 +289,14 @@ func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 	round := c.rounds[0]
 	step := round.Step()
 	// Retain the round's broadcast model so workers the slow schedule marks
-	// stale in later rounds can train on it.
+	// stale in later rounds can train on it — over the datagram link as it
+	// reads off the wire, like a udp-backend broadcast.
 	c.models.Retain(step, params)
+	if c.received != nil {
+		c.overWire(&transport.GradientMsg{Worker: transport.ModelWorkerID, Step: step, Grad: params}, nil,
+			func(p *transport.Packet) { copy(c.received[p.Offset:], p.Coords) })
+		c.wireModels.Retain(step, c.received)
+	}
 
 	// Broadcast + honest compute phase (parallel, one goroutine per
 	// worker, each on its own replica). round.Tag is the worker's half of
@@ -269,9 +313,12 @@ func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			params := params
+			params, models := params, c.models
+			if c.cfg.Link.datagram(i) {
+				params, models = c.received, c.wireModels
+			}
 			if tag := round.Tag(i); tag < step {
-				params = c.models.At(tag)
+				params = models.At(tag)
 			}
 			c.replicas[i].SetParamsVector(params)
 			x, y := c.cfg.Workers[i].Sampler.Sample(c.cfg.Batch)
@@ -307,22 +354,8 @@ func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 		if g == nil {
 			continue
 		}
-		// Collection: the submission traverses its link. A worker's loss
-		// never travels the link, so it is noted even when the gradient is
-		// dropped whole.
-		pipe := w.Pipe
-		if pipe == nil {
-			pipe = transport.PerfectPipe{}
-		}
-		out, ok := pipe.Transfer(&transport.GradientMsg{Worker: i, Step: tag, Grad: g})
-		for _, round := range c.rounds {
-			if !ok {
-				if honest[i] != nil {
-					round.NoteLoss(i, losses[i])
-				}
-			} else if v := round.Offer(i, out.Step, out.Grad, losses[i]); !v.Admitted() {
-				return nil, fmt.Errorf("ps: worker %d submission tagged %d at step %d: %v", i, out.Step, step, v)
-			}
+		if err := c.submit(&transport.GradientMsg{Worker: i, Step: tag, Loss: losses[i], Grad: g}); err != nil {
+			return nil, err
 		}
 	}
 	var first *StepResult
@@ -336,6 +369,48 @@ func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 		}
 	}
 	return first, nil
+}
+
+// submit offers every engine one submission: whole over a message link, and
+// over the datagram link the packets the plan's uplink mask leaves of it, to
+// reassemble and recoup. The loss is packet metadata: no packet, no loss.
+func (c *Cluster) submit(m *transport.GradientMsg) (err error) {
+	admit := func(v Admission) {
+		if !v.Admitted() && err == nil {
+			err = fmt.Errorf("ps: worker %d submission tagged %d at step %d: %v", m.Worker, m.Step, c.step, v)
+		}
+	}
+	if !c.cfg.Link.datagram(m.Worker) {
+		for _, round := range c.rounds {
+			admit(round.Offer(m.Worker, m.Step, m.Grad, m.Loss))
+		}
+		return err
+	}
+	c.overWire(m, c.engines[0].slots[m.Worker].plan.Uplink, func(p *transport.Packet) {
+		for _, round := range c.rounds {
+			admit(round.OfferPacket(p))
+		}
+	})
+	return err
+}
+
+// overWire moves one transfer as the udp backend's endpoints do, minus the
+// socket: split at the link's MTU, less the packets dropped masks, each
+// survivor through the wire encoding — so the coordinate width is the wire's
+// — to deliver, which must not keep the packet.
+func (c *Cluster) overWire(m *transport.GradientMsg, dropped []bool, deliver func(*transport.Packet)) {
+	link := &c.cfg.Link
+	c.pkts = link.Codec.SplitInto(c.pkts[:0], m, link.MTU)
+	for i := range c.pkts {
+		if i < len(dropped) && dropped[i] {
+			continue
+		}
+		c.wire = link.Codec.AppendPacket(c.wire[:0], &c.pkts[i])
+		if err := link.Codec.DecodePacketInto(&c.pkt, c.wire); err != nil {
+			panic(err) // the codec cannot read its own encoding
+		}
+		deliver(&c.pkt)
+	}
 }
 
 // hijackPhase is the Vanilla-mode vulnerability: a Byzantine worker's remote

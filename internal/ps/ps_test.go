@@ -77,6 +77,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("undersized cluster for bulyan accepted")
 	}
+	for name, link := range map[string]Link{
+		"a lossy link with no MTU":            {GradLoss: 0.1},
+		"more linked slots than workers":      {MTU: 512, Slots: 8},
+		"a negative number of linked slots":   {MTU: 512, Slots: -1},
+		"in-process model loss":               {MTU: 512, ModelLoss: 0.1},
+		"in-process stale recoup at rate 0":   {MTU: 512, StaleModels: true},
+		"a gradient drop rate of 1 and above": {MTU: 512, GradLoss: 1},
+	} {
+		bad = base
+		bad.Link = link
+		if _, err := New(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	ok := base
+	ok.Link = Link{MTU: 512, GradLoss: 0.1, Slots: 7}
+	if _, err := New(ok); err != nil {
+		t.Fatalf("every worker on a lossy link rejected: %v", err)
+	}
 }
 
 func TestHonestTrainingConverges(t *testing.T) {
@@ -338,27 +357,39 @@ func TestSilentWorkersToleratedWhenQuorumHolds(t *testing.T) {
 	}
 }
 
+// TestLossyPipesWithRobustGAR (named for the per-worker pipes the datagram
+// link replaced): f=2 of the workers on the lossy link, random-fill recoup.
 func TestLossyPipesWithRobustGAR(t *testing.T) {
 	train, test, factory := testFixture(11)
-	workers := honestWorkers(train, 9)
-	// Lossy UDP links on f=2 of the workers, random-fill recoup.
-	for _, i := range []int{0, 4} {
-		workers[i].Pipe = transport.NewLossyPipe(transport.Codec{}, 512, 0.10, transport.FillRandom, int64(50+i))
-	}
 	c, err := New(Config{
 		ModelFactory: factory,
-		Workers:      workers,
+		Workers:      honestWorkers(train, 9),
 		GAR:          gar.NewMultiKrum(2),
 		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.3}},
 		Batch:        32,
+		Seed:         50,
+		Link:         Link{MTU: 512, GradLoss: 0.10, Slots: 2},
+		Recoup:       transport.FillRandom,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	lost := 0
 	for i := 0; i < 250; i++ {
+		eng := c.engines[0]
 		if _, err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
+		for id := range eng.slots {
+			if p := eng.slots[id].plan; id >= 2 && (p.Uplink != nil || p.Lost != 0) {
+				t.Fatalf("step %d: worker %d is off the link and plans uplink %v, %d lost", i, id, p.Uplink, p.Lost)
+			} else if id < 2 {
+				lost += p.Lost
+			}
+		}
+	}
+	if lost == 0 {
+		t.Fatal("dead fixture: the lossy link never dropped a coordinate")
 	}
 	if acc := c.Model().Accuracy(test.X, test.Y); acc < 0.6 {
 		t.Fatalf("accuracy %v over lossy links", acc)
@@ -455,16 +486,14 @@ func TestLossyDropGradientSkipsWhenQuorumLost(t *testing.T) {
 	// keeps per-link survival ≈75% — most rounds gather a quorum of 5,
 	// some do not.
 	train, _, factory := testFixture(60)
-	workers := honestWorkers(train, 7)
-	for i := range workers {
-		workers[i].Pipe = transport.NewLossyPipe(transport.Codec{}, 256, 0.02, transport.DropGradient, int64(i))
-	}
 	c, err := New(Config{
 		ModelFactory: factory,
-		Workers:      workers,
+		Workers:      honestWorkers(train, 7),
 		GAR:          gar.NewMultiKrum(1),
 		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
 		Batch:        8,
+		Link:         Link{MTU: 256, GradLoss: 0.02},
+		Recoup:       transport.DropGradient,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,15 @@ type Link struct {
 	// its last complete model, tagged with that model's step, instead of
 	// sitting the round out.
 	StaleModels bool
+	// Slots is how many slots ride the link — ids 0..Slots-1; the rest have a
+	// message link (Figure 8 puts 8 of 19 workers on lossyMPI). 0 = all.
+	Slots int
 }
+
+// carries reports whether slot id's transfers travel this link, and datagram
+// whether they do so as datagrams (a link with no MTU moves whole messages).
+func (l Link) carries(id int) bool  { return l.Slots == 0 || id < l.Slots }
+func (l Link) datagram(id int) bool { return l.MTU > 0 && l.carries(id) }
 
 // ModelLossEnabled is the one predicate for "the model-loss axis is on": a
 // positive downlink drop rate, or stale recoup requested (which only means
@@ -130,11 +138,10 @@ type slot struct {
 	// of the deterministic contract: it has no model for the tag the plan
 	// expects, submits nothing, and its slots are recouped at the deadline
 	// until the next delivered broadcast resynchronises it.
-	plan    *SlotPlan
-	state   slotState
-	grad    tensor.Vector
-	loss    float64
-	hasLoss bool
+	plan  *SlotPlan
+	state slotState
+	grad  tensor.Vector
+	loss  float64
 }
 
 // Engine is the cluster-lifetime half of the round engine: configuration,
@@ -210,7 +217,7 @@ func (e *Engine) Begin() *Round {
 	}
 	for id := range e.slots {
 		s := &e.slots[id]
-		s.plan, s.state, s.hasLoss = e.plan.At(step, id), slotOpen, false
+		s.plan, s.state = e.plan.At(step, id), slotOpen
 		switch p := s.plan; {
 		case !p.Phase.Participates() || p.Tag < 0 && e.cfg.Async.Enabled():
 			// Crashed or down, or sat out by the slow schedule: the slot is
@@ -308,19 +315,10 @@ func (r *Round) OfferPacket(pkt *transport.Packet) Admission {
 	return v
 }
 
-// NoteLoss records worker id's training loss for a submission whose
-// gradient the link dropped whole. Only the in-process backend calls it: its
-// workers' losses never travel the link, so they count toward the round's
-// mean even when the gradient was lost, whereas a socket backend learns a
-// loss only from metadata that arrived.
-func (r *Round) NoteLoss(id int, loss float64) {
-	r.e.slots[id].loss, r.e.slots[id].hasLoss = loss, true
-}
-
 // settle fills slot id with the worker's own submission.
 func (r *Round) settle(id int, grad tensor.Vector, loss float64) {
 	s := &r.e.slots[id]
-	s.state, s.grad, s.loss, s.hasLoss = slotGot, grad, loss, true
+	s.state, s.grad, s.loss = slotGot, grad, loss
 	s.suspected = false // a recovered straggler is waited for again
 }
 
@@ -457,18 +455,18 @@ func (r *Round) Finish() (*StepResult, error) {
 				res.Stale++
 			}
 			received = append(received, s.grad)
+			// Mean honest loss (diagnostic only): Byzantine losses are excluded,
+			// and a loss travels with its gradient — no submission, no loss.
+			if cfg.Byzantine == nil || !cfg.Byzantine[id] {
+				lossSum += s.loss
+				lossN++
+			}
 		case slotRecouped:
 			received = append(received, s.grad)
 		case slotEmpty:
 			if cfg.Async.Enabled() && s.plan.Tag < 0 {
 				res.DroppedStale++ // the slow schedule sat the worker out
 			}
-		}
-		// Mean honest loss (diagnostic only): Byzantine losses are
-		// excluded, as are slots whose loss never arrived.
-		if s.hasLoss && (cfg.Byzantine == nil || !cfg.Byzantine[id]) {
-			lossSum += s.loss
-			lossN++
 		}
 	}
 	res.Received = len(received)

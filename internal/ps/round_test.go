@@ -148,41 +148,36 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// dropPipe loses every submission whole.
-type dropPipe struct{}
-
-func (dropPipe) Transfer(*transport.GradientMsg) (*transport.GradientMsg, bool) { return nil, false }
-
-// TestLossCountsWithoutGradientInProcessOnly pins a backend quirk the engine
-// keeps on purpose. In-process, a worker's loss never travels the link, so
-// it counts toward StepResult.Loss even when its Pipe dropped the gradient
-// (NoteLoss); a socket backend learns a loss only from metadata that
-// arrived, so a slot nothing arrived for contributes none.
+// TestLossCountsWithoutGradientInProcessOnly keeps the name of the quirk it
+// used to pin — in-process, a worker's loss counted toward StepResult.Loss
+// even when its link ate the gradient — and pins that the quirk is gone: on
+// every backend a loss is packet metadata, counted only for a slot whose own
+// submission arrived.
 func TestLossCountsWithoutGradientInProcessOnly(t *testing.T) {
 	train, _, factory := testFixture(9)
-	build := func(pipe transport.Pipe) *Cluster {
+	step := func(link Link, silent bool) *StepResult {
 		workers := honestWorkers(train, 3)
-		workers[2].Pipe = pipe
+		workers[0].Silent = silent
 		c, err := New(Config{ModelFactory: factory, Workers: workers, GAR: gar.Average{},
-			Optimizer: &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}}, Batch: 8})
+			Optimizer: &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}}, Batch: 8, Link: link})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c
+		res, err := c.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	whole, err := build(nil).Step()
-	if err != nil {
-		t.Fatal(err)
+	// Worker 0 alone on a link that eats nine packets in ten, under
+	// DropGradient: its gradient is dropped whole, though packets arrived.
+	whole, dropped, absent := step(Link{}, false), step(Link{MTU: roundTestMTU, GradLoss: 0.9, Slots: 1}, false), step(Link{}, true)
+	if whole.Received != 3 || dropped.Received != 2 || absent.Received != 2 {
+		t.Fatalf("received %d, %d and %d gradients, want 3, 2 and 2", whole.Received, dropped.Received, absent.Received)
 	}
-	dropped, err := build(dropPipe{}).Step()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whole.Received != 3 || dropped.Received != 2 {
-		t.Fatalf("received %d and %d gradients, want 3 and 2", whole.Received, dropped.Received)
-	}
-	if dropped.Loss != whole.Loss {
-		t.Fatalf("in-process loss mean %v with a dropped gradient, want all three workers' mean %v", dropped.Loss, whole.Loss)
+	if dropped.Loss != absent.Loss || dropped.Loss == whole.Loss {
+		t.Fatalf("loss mean %v with worker 0's gradient dropped, want the other two workers' mean %v (all three: %v)",
+			dropped.Loss, absent.Loss, whole.Loss)
 	}
 
 	// The socket contract, at the engine: worker 2 is never heard from.
@@ -222,6 +217,10 @@ func FuzzRound(f *testing.F) {
 	f.Add([]byte{4, 3, 2, 5, 3, 1, 1, 0, 1, 0, 2, 1, 1, 1, 3, 0, 2, 2, 1, 3})
 	f.Add([]byte{7, 2, 0, 9, 3, 4, 1, 21, 4, 3, 39, 0xff, 4, 2, 21, 4, 5, 3, 0xff, 4, 1, 39, 4, 6, 21})
 	f.Add([]byte("72022\xff\xff1\x04!")) // a suspected worker readmitted mid-round is outstanding again
+	// Link.Slots set (bit 3 of the second byte): lockstep, slow schedule and churn over a link some slots are off.
+	f.Add([]byte{6, 12, 1, 9, 3, 1, 1, 0, 1, 2, 1, 1, 6, 2, 0, 4, 0, 0xff, 1, 5, 2, 0, 6, 0})
+	f.Add([]byte{5, 13, 2, 7, 3, 1, 1, 1, 1, 5, 0, 0, 2, 1, 3, 3, 2, 0xff, 1, 1, 3})
+	f.Add([]byte{7, 14, 0, 3, 4, 1, 2, 0, 4, 3, 19, 0xff, 1, 7, 1, 2, 1, 0, 0xff, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 5 {
 			return
@@ -239,6 +238,9 @@ func FuzzRound(f *testing.F) {
 		}
 		if in[1]&4 != 0 {
 			link.GradLoss = 0.3
+		}
+		if in[1]&8 != 0 {
+			link.Slots = 1 + int(in[2])%n
 		}
 		cfg.Link = link
 		rounds := int(in[4]%4) + 1
@@ -293,7 +295,9 @@ func FuzzRound(f *testing.F) {
 				if round.Tag(id) != wantTag[id] {
 					t.Fatalf("step %d: slot %d plans tag %d, schedules say %d", step, id, round.Tag(id), wantTag[id])
 				}
-				if p := e.slots[id].plan; p.Phase != phases[id] || p.Gone() != cfg.Churn.Permanent(cfg.Seed, step, id) {
+				if p := e.slots[id].plan; !link.carries(id) && (p.Uplink != nil || p.Lost != 0) {
+					t.Fatalf("step %d: slot %d is off the link (%d slots on it) and plans uplink %v, %d lost", step, id, link.Slots, p.Uplink, p.Lost)
+				} else if p.Phase != phases[id] || p.Gone() != cfg.Churn.Permanent(cfg.Seed, step, id) {
 					t.Fatalf("step %d: slot %d plans %v (gone %v), replay says %v (gone %v)",
 						step, id, p.Phase, p.Gone(), phases[id], cfg.Churn.Permanent(cfg.Seed, step, id))
 				}

@@ -7,6 +7,7 @@ import (
 
 	"aggregathor/internal/core"
 	"aggregathor/internal/gar"
+	"aggregathor/internal/ps"
 	"aggregathor/internal/simnet"
 )
 
@@ -32,32 +33,9 @@ type Result struct {
 	AggTimePerRoundNS int64 `json:"aggTimePerRoundNs"`
 	// RoundTimeNS is the full simulated round duration in nanoseconds.
 	RoundTimeNS int64 `json:"roundTimeNs"`
-	// SkippedRounds counts rounds lost to the GAR quorum check.
-	SkippedRounds int `json:"skippedRounds"`
-	// StaleGradients counts gradients the server accepted from stale-model
-	// submissions across the run (udp backend, lossy model broadcasts with
-	// modelRecoup "stale") — the staleness readout of the model-loss axis.
-	StaleGradients int `json:"staleGradients"`
-	// AdmittedStale counts gradients aggregated across the run that were
-	// computed against a model up to τ steps old, per the asynchronous
-	// slow-worker schedule (cells with quorum/staleness/slowWorkers set).
-	AdmittedStale int `json:"admittedStale,omitempty"`
-	// DroppedTooStale counts slots the asynchronous schedule dropped
-	// because the scheduled lag exceeded the staleness bound τ.
-	DroppedTooStale int `json:"droppedTooStale,omitempty"`
-	// Crashes counts scheduled worker crashes across the run (cells with a
-	// churn block). Like every churn counter it is an exact pure function
-	// of the seed, and it is omitted when zero so pre-churn campaign JSON
-	// stays byte-identical.
-	Crashes int `json:"crashes,omitempty"`
-	// Rejoins counts scheduled rejoins the membership tracker admitted.
-	Rejoins int `json:"rejoins,omitempty"`
-	// ReconnectAttempts counts dial attempts rejoining workers spent in the
-	// bounded backoff ladder (equal to Rejoins on a loopback fabric).
-	ReconnectAttempts int `json:"reconnectAttempts,omitempty"`
-	// BelowBoundRounds counts rounds skipped because churn left fewer live
-	// workers than the GAR's Byzantine-resilience bound n >= 2f+3.
-	BelowBoundRounds int `json:"belowBoundRounds,omitempty"`
+	// Totals are the run's round counters; those omitted when zero keep
+	// campaign JSON from before their axes byte-identical.
+	ps.Totals
 	// RoundsPerSec is the effective model-update rate against the simulated
 	// clock — aggregated (non-skipped) rounds per simulated second. Only
 	// reported for asynchronous cells, where it is the headline readout:
@@ -167,14 +145,7 @@ func executeRun(s *Spec, r Run) Result {
 	}
 	out.AggTimePerRoundNS = res.Breakdown.Aggregation.Nanoseconds()
 	out.RoundTimeNS = res.Breakdown.Total().Nanoseconds()
-	out.SkippedRounds = res.SkippedRounds
-	out.StaleGradients = res.StaleGradients
-	out.AdmittedStale = res.AdmittedStale
-	out.DroppedTooStale = res.DroppedTooStale
-	out.Crashes = res.Crashes
-	out.Rejoins = res.Rejoins
-	out.ReconnectAttempts = res.ReconnectAttempts
-	out.BelowBoundRounds = res.BelowBoundRounds
+	out.Totals = res.Totals
 	// The effective round rate is only reported for asynchronous cells so
 	// pre-async campaign JSON stays byte-identical. It divides aggregated
 	// (non-skipped) rounds by total simulated time: a lockstep cell gated by

@@ -30,6 +30,7 @@ type forbidden struct {
 	informed     bool // a worker runs an attack that recomputes honest gradients
 	unresponsive bool // a worker takes broadcasts and never answers
 	float32      bool
+	udpLinks     int // in-process workers on the datagram link
 }
 
 var (
@@ -56,11 +57,14 @@ var forbiddenPairs = []forbidden{
 }
 
 // incapable is what the in-process backend cannot express — core's three
-// capability rules, which scenario inherits through its dry validation.
+// capability rules, which scenario inherits through its dry validation — and
+// the two ways to ask for a number of lossy links the cluster does not have.
 var incapable = []forbidden{
 	{name: "in-process churn", churn: churn},
 	{name: "in-process model loss", modelDrop: 0.1},
-	{name: "in-process float32 without pipes", float32: true},
+	{name: "in-process float32 without a lossy link", float32: true},
+	{name: "a negative number of lossy links", udpLinks: -3},
+	{name: "more lossy links than workers", udpLinks: 40},
 }
 
 const guardWorkers, guardF = 7, 1
@@ -76,7 +80,7 @@ func (f forbidden) attackName() string {
 // two layers that take one; viaCluster and viaPS at the constructors.
 func (f forbidden) viaSpec(backend string) error {
 	n := Network{Name: "cell", Backend: backend, Quorum: f.async.Quorum, Staleness: f.async.Staleness,
-		SlowWorkers: f.async.SlowRate, ModelDropRate: f.modelDrop}
+		SlowWorkers: f.async.SlowRate, ModelDropRate: f.modelDrop, UDPLinks: f.udpLinks}
 	if f.churn.Enabled() {
 		n.Churn = &Churn{Rate: f.churn.Rate, DownSteps: f.churn.DownSteps, MaxRejoins: f.churn.MaxRejoins}
 	}
@@ -100,7 +104,7 @@ func (f forbidden) viaCore(backend string) error {
 		Attacks: map[int]string{guardWorkers - 1: f.attackName()},
 		Quorum:  f.async.Quorum, Staleness: f.async.Staleness, SlowWorkers: f.async.SlowRate,
 		ChurnRate: f.churn.Rate, ChurnDownSteps: f.churn.DownSteps, ChurnMaxRejoins: f.churn.MaxRejoins,
-		ModelDropRate: f.modelDrop}
+		ModelDropRate: f.modelDrop, UDPLinks: f.udpLinks}
 	if f.stale {
 		cfg.ModelRecoup = cluster.ModelRecoupStale
 	}

@@ -52,14 +52,15 @@ type Network struct {
 	// lossy datagram-distributed cluster.UDPCluster — gradients chunked
 	// into UDP packets with seeded drop injection at dropRate and §3.3
 	// recoup of the lost coordinates. The socket backends are incompatible
-	// with udpLinks (the in-memory pipe knob).
+	// with udpLinks (the in-process link knob).
 	Backend string `json:"backend,omitempty"`
-	// UDPLinks is how many worker links run over the in-memory lossy UDP
-	// pipe; -1 means every link. 0 (the default) is the in-process perfect
-	// transport.
+	// UDPLinks is how many in-process workers (the first ones) submit over
+	// the lossy datagram link; -1 means every worker, and then the cell is
+	// the trajectory of the same cell on backend "udp". 0 (the default) is
+	// the in-process perfect transport.
 	UDPLinks int `json:"udpLinks,omitempty"`
 	// DropRate is the per-packet loss probability in [0, 1), applied on
-	// in-memory UDP pipe links and on the udp backend's real datagrams.
+	// the in-process datagram link and on the udp backend's real datagrams.
 	DropRate float64 `json:"dropRate,omitempty"`
 	// Recoup selects the lost-coordinate policy on lossy links:
 	// drop-gradient | fill-nan | fill-random (default).
@@ -73,7 +74,7 @@ type Network struct {
 	// WireFormat selects the coordinate width on this cell's lossy links:
 	// "" or "float64" (default, lossless) or "float32" (half the gradient
 	// bytes, deterministic rounding). Applies to the udp backend's real
-	// datagrams and to in-memory lossy pipes (udpLinks); reliable cells
+	// datagrams and to the in-process datagram link (udpLinks); reliable cells
 	// reject "float32" instead of silently training on float64.
 	WireFormat string `json:"wireFormat,omitempty"`
 	// ModelRecoup selects the worker policy for torn model broadcasts:
@@ -296,9 +297,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: duplicate network name %q", n.Name)
 		}
 		seen[n.Name] = true
-		if n.UDPLinks < -1 {
-			return fmt.Errorf("scenario: network %q udpLinks %d", n.Name, n.UDPLinks)
-		}
 		if n.RTTMicros < 0 {
 			return fmt.Errorf("scenario: network %q negative rttMicros", n.Name)
 		}
@@ -446,9 +444,10 @@ func (n Network) asyncEnabled() bool {
 	return n.Quorum > 0 || n.Staleness > 0 || n.SlowWorkers > 0
 }
 
-// udpLinks resolves the -1 = "all workers" convention.
+// udpLinks resolves the -1 = "all workers" convention; the range is core's
+// to check.
 func (n Network) udpLinks(workers int) int {
-	if n.UDPLinks < 0 {
+	if n.UDPLinks == -1 {
 		return workers
 	}
 	return n.UDPLinks

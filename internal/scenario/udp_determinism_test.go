@@ -124,8 +124,44 @@ func TestUDPCampaignJSONDeterministic(t *testing.T) {
 	}
 }
 
+// TestSmokeLossyCellsMatchUDPBackend pins the one loss model at the campaign
+// level: the smoke campaign's lossy-udp cells (every in-process worker on the
+// datagram link) re-run on the udp backend — same loss axes, no udpLinks —
+// report the same accuracy, loss, steps to threshold and counters.
+func TestSmokeLossyCellsMatchUDPBackend(t *testing.T) {
+	inproc := SmokeSpec()
+	inproc.Networks = inproc.Networks[1:]
+	if n := inproc.Networks[0]; n.Name != "lossy-udp" || n.UDPLinks != -1 || n.DropRate == 0 {
+		t.Fatalf("the smoke campaign's second network is %+v, not the lossy in-process one", n)
+	}
+	udp := inproc
+	udp.Networks = []Network{inproc.Networks[0]}
+	udp.Networks[0].Backend, udp.Networks[0].UDPLinks = "udp", 0
+	a, err := Execute(inproc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Execute(udp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Results) != 16 || len(b.Results) != len(a.Results) {
+		t.Fatalf("%d in-process and %d udp cells, want 16 each", len(a.Results), len(b.Results))
+	}
+	for i, x := range a.Results {
+		y := b.Results[i]
+		if x.Error != "" || y.Error != "" {
+			t.Fatalf("%s: errors %q / %q", x.Run.ID, x.Error, y.Error)
+		}
+		if x.FinalAccuracy != y.FinalAccuracy || x.FinalLoss != y.FinalLoss || x.StepsToThreshold != y.StepsToThreshold ||
+			x.Totals != y.Totals || x.Diverged != y.Diverged {
+			t.Errorf("%s: in-process %+v, udp backend %+v", x.Run.ID, x, y)
+		}
+	}
+}
+
 // TestNetworkValidationUDP pins the new validation surface: the udp backend
-// composes with dropRate/recoup but not with the in-memory pipe knob, and
+// composes with dropRate/recoup but not with the in-process link knob, and
 // the tcp backend rejects dropRate (reliable transport — loss there would
 // silently only touch the simulated clock).
 func TestNetworkValidationUDP(t *testing.T) {

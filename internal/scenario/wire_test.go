@@ -93,7 +93,7 @@ func TestNetworkValidationWireFormat(t *testing.T) {
 		t.Fatalf("float32 on the udp backend rejected: %v", err)
 	}
 	if err := base(Network{Name: "p", UDPLinks: -1, WireFormat: "float32"}).Validate(); err != nil {
-		t.Fatalf("float32 on in-memory lossy pipes rejected: %v", err)
+		t.Fatalf("float32 on the in-process datagram link rejected: %v", err)
 	}
 	if err := base(Network{Name: "i", WireFormat: "float64"}).Validate(); err != nil {
 		t.Fatalf("explicit float64 default rejected: %v", err)

@@ -1,10 +1,10 @@
 // Package transport implements the communication layer of the reproduction:
 // binary wire codecs for model and gradient messages, a reliable TCP
-// transport (the gRPC stand-in), the lossyMPI-style UDP transport — gradient
+// transport (the gRPC stand-in) and the lossyMPI-style UDP transport — gradient
 // chunking into datagrams with self-describing sequence headers, deadline
-// reassembly, and the three §3.3 recoup policies for lost coordinates — and
-// an in-memory lossy pipe used by the simulator for deterministic
-// packet-drop experiments.
+// reassembly, and the three §3.3 recoup policies for lost coordinates. Which
+// packets a deployment drops is not decided here: the round engine's plan
+// (package ps) schedules loss, on sockets and in-process alike.
 package transport
 
 import (

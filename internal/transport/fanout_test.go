@@ -28,7 +28,7 @@ func TestFanOutShortReadBuffers(t *testing.T) {
 		}
 		defer recv.Close()
 		recv.Reassembler().SetExpectDim(dim)
-		if err := recv.SetReadBuffer(16 << 10); err != nil {
+		if err := recv.conn.SetReadBuffer(16 << 10); err != nil {
 			t.Fatal(err)
 		}
 		if err := fan.Dial(recv.Addr()); err != nil {

@@ -424,7 +424,7 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 	// the collector recovers within the bounded wait instead of pinning
 	// the partial for the idle timeout.
 	recv, send, codec := modelFixture(t, dim, mtu)
-	if err := recv.SetReadBuffer(4 << 10); err != nil {
+	if err := recv.conn.SetReadBuffer(4 << 10); err != nil {
 		t.Fatal(err)
 	}
 	sendModelPackets(t, send, codec, 0, mtu, modelParams(dim), nil)
@@ -444,7 +444,7 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 	// Paced: same short buffer, sender rate-limited, receiver draining
 	// concurrently — the broadcast must complete.
 	recv2, send2, _ := modelFixture(t, dim, mtu)
-	if err := recv2.SetReadBuffer(4 << 10); err != nil {
+	if err := recv2.conn.SetReadBuffer(4 << 10); err != nil {
 		t.Fatal(err)
 	}
 	send2.SetPacing(2048, time.Millisecond)

@@ -534,106 +534,6 @@ func TestRecoupPolicyString(t *testing.T) {
 	}
 }
 
-func TestLossyPipePerfectWhenNoDrop(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pipe := NewLossyPipe(Codec{}, DefaultMTU, 0, DropGradient, 1)
-	m := &GradientMsg{Worker: 1, Step: 1, Grad: randVec(rng, 2000)}
-	out, ok := pipe.Transfer(m)
-	if !ok {
-		t.Fatal("lossless transfer dropped the gradient")
-	}
-	for i := range m.Grad {
-		if out.Grad[i] != m.Grad[i] {
-			t.Fatalf("coord %d altered", i)
-		}
-	}
-}
-
-func TestLossyPipeDropGradientLosesWholeGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	pipe := NewLossyPipe(Codec{}, 256, 0.3, DropGradient, 2)
-	lost, delivered := 0, 0
-	for step := 0; step < 50; step++ {
-		m := &GradientMsg{Worker: 1, Step: step, Grad: randVec(rng, 1000)}
-		if _, ok := pipe.Transfer(m); ok {
-			delivered++
-		} else {
-			lost++
-		}
-	}
-	if lost == 0 {
-		t.Fatal("30% packet loss on ~34 packets/gradient must lose gradients")
-	}
-	sent, dropped, lostStat := pipe.Stats()
-	if sent == 0 || dropped == 0 || lostStat != lost {
-		t.Fatalf("stats sent=%d dropped=%d lost=%d (observed %d)", sent, dropped, lostStat, lost)
-	}
-	_ = delivered
-}
-
-func TestLossyPipeFillNaNDeliversEverything(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pipe := NewLossyPipe(Codec{}, 256, 0.3, FillNaN, 3)
-	for step := 0; step < 20; step++ {
-		m := &GradientMsg{Worker: 1, Step: step, Grad: randVec(rng, 1000)}
-		out, ok := pipe.Transfer(m)
-		if !ok {
-			t.Fatal("FillNaN must always deliver")
-		}
-		for i, x := range out.Grad {
-			if !math.IsNaN(x) && x != m.Grad[i] {
-				t.Fatalf("step %d coord %d: survived coordinate altered", step, i)
-			}
-		}
-	}
-}
-
-func TestLossyPipeFillRandomFinite(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	pipe := NewLossyPipe(Codec{}, 256, 0.3, FillRandom, 4)
-	for step := 0; step < 20; step++ {
-		m := &GradientMsg{Worker: 1, Step: step, Grad: randVec(rng, 1000)}
-		out, ok := pipe.Transfer(m)
-		if !ok {
-			t.Fatal("FillRandom must always deliver")
-		}
-		if out.Grad.CountNonFinite() != 0 {
-			t.Fatal("FillRandom output must be finite")
-		}
-	}
-}
-
-func TestLossyPipeDropRateStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	pipe := NewLossyPipe(Codec{}, 256, 0.1, FillNaN, 5)
-	for step := 0; step < 100; step++ {
-		m := &GradientMsg{Worker: 1, Step: step, Grad: randVec(rng, 1000)}
-		pipe.Transfer(m)
-	}
-	sent, dropped, _ := pipe.Stats()
-	rate := float64(dropped) / float64(sent)
-	if rate < 0.07 || rate > 0.13 {
-		t.Fatalf("observed drop rate %v, configured 0.10", rate)
-	}
-}
-
-func TestLossyPipeBadDropRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewLossyPipe(Codec{}, 0, 1.0, FillNaN, 1)
-}
-
-func TestPerfectPipeAliases(t *testing.T) {
-	m := &GradientMsg{Grad: tensor.Vector{1}}
-	out, ok := PerfectPipe{}.Transfer(m)
-	if !ok || out != m {
-		t.Fatal("perfect pipe must pass through")
-	}
-}
-
 // Property: split → shuffle → reassemble is the identity for any MTU and
 // dimension (no loss).
 func TestQuickSplitReassembleIdentity(t *testing.T) {

@@ -35,7 +35,6 @@ type UDPSender struct {
 	codec   Codec
 	mtu     int
 	batcher *sendBatcher
-	batchOn bool
 
 	dropRate float64
 	rng      *rand.Rand
@@ -92,7 +91,6 @@ func DialUDP(addr string, codec Codec, mtu int, dropRate float64, seed int64) (*
 		codec:    codec,
 		mtu:      mtu,
 		batcher:  batcher,
-		batchOn:  true,
 		dropRate: dropRate,
 		rng:      rand.New(rand.NewSource(seed)),
 		arena:    make([]byte, 0, udpBatch*mtu),
@@ -104,15 +102,9 @@ func DialUDP(addr string, codec Codec, mtu int, dropRate float64, seed int64) (*
 // the cluster derives the worker model-endpoint bind host from it).
 func (s *UDPSender) LocalAddr() string { return s.conn.LocalAddr().String() }
 
-// SetBatching toggles sendmmsg batching (default on). With batching off
-// every datagram is its own write syscall — the pre-v4 behaviour, kept as a
-// benchmark ablation baseline. Packet content and order are identical
-// either way.
-func (s *UDPSender) SetBatching(on bool) { s.batchOn = on }
-
 // Batched reports whether this sender batches datagram syscalls (false on
-// platforms without sendmmsg or after SetBatching(false)).
-func (s *UDPSender) Batched() bool { return s.batchOn && batchedSyscalls }
+// platforms without sendmmsg).
+func (s *UDPSender) Batched() bool { return batchedSyscalls }
 
 // ModelWorkerID tags datagrams carrying a model broadcast instead of a
 // worker gradient (footnote 12: "our setup can be easily extended to support
@@ -212,17 +204,7 @@ func (s *UDPSender) flush() error {
 	if len(s.frames) == 0 {
 		return nil
 	}
-	var err error
-	if s.batchOn {
-		err = s.batcher.Send(s.frames)
-	} else {
-		for _, buf := range s.frames {
-			if _, werr := s.conn.Write(buf); werr != nil {
-				err = werr
-				break
-			}
-		}
-	}
+	err := s.batcher.Send(s.frames)
 	s.frames = s.frames[:0]
 	s.arena = s.arena[:0]
 	s.burstAcc += s.pendingBytes
@@ -335,7 +317,6 @@ type UDPReceiver struct {
 	pkt Packet
 
 	wireMismatches int
-	strictWire     bool
 }
 
 // ListenUDP binds a receive endpoint on addr ("127.0.0.1:0" for tests).
@@ -369,25 +350,12 @@ func ListenUDP(addr string, codec Codec, policy RecoupPolicy, seed int64) (*UDPR
 // Addr returns the bound address.
 func (r *UDPReceiver) Addr() string { return r.conn.LocalAddr().String() }
 
-// SetReadBuffer adjusts the socket receive buffer. The kernel caps the
-// request at net.core.rmem_max, so a large buffer alone cannot absorb a
-// paper-scale broadcast burst — senders must pace (UDPSender.SetPacing).
-// Tests force it small to reproduce kernel drops deterministically.
-func (r *UDPReceiver) SetReadBuffer(bytes int) error { return r.conn.SetReadBuffer(bytes) }
-
-// SetStrictWireFormat makes wire-format mismatches (a peer encoding
-// coordinates at the other width — ErrWireFormat) fatal to the receive call
-// instead of skip-and-count. The default is lenient: datagrams are
-// unauthenticated, so a single Byzantine datagram forged with the wrong
-// width byte must not be able to abort an honest round; mismatches are
-// tallied in WireMismatches either way, so a misconfigured deployment is
-// still loud.
-func (r *UDPReceiver) SetStrictWireFormat(on bool) { r.strictWire = on }
-
 // WireMismatches reports how many datagrams decoded as well-formed frames
 // of the WRONG coordinate width — every endpoint of a correctly configured
 // deployment shares one wireFormat, so a nonzero count means a peer (or a
-// spoofer) speaks the other codec.
+// spoofer) speaks the other codec. Such a datagram is skipped and counted,
+// never fatal: datagrams are unauthenticated, and one forged with the wrong
+// width byte must not be able to abort an honest round.
 func (r *UDPReceiver) WireMismatches() int { return r.wireMismatches }
 
 // readDatagram returns the next datagram, draining the kernel in recvmmsg
@@ -409,22 +377,17 @@ func (r *UDPReceiver) readDatagram(deadline time.Time) ([]byte, error) {
 }
 
 // decode parses one datagram into the receiver's packet, tracking
-// wire-format mismatches. skip=true means the datagram was invalid and the
-// caller should read the next one.
-func (r *UDPReceiver) decode(buf []byte) (pkt *Packet, skip bool, err error) {
-	derr := r.codec.DecodePacketInto(&r.pkt, buf)
-	if derr == nil {
-		return &r.pkt, false, nil
+// wire-format mismatches. nil means the datagram was malformed (a Byzantine
+// worker can send anything) and the caller should read the next one.
+func (r *UDPReceiver) decode(buf []byte) *Packet {
+	err := r.codec.DecodePacketInto(&r.pkt, buf)
+	if err == nil {
+		return &r.pkt
 	}
-	if errors.Is(derr, ErrWireFormat) {
+	if errors.Is(err, ErrWireFormat) {
 		r.wireMismatches++
-		if r.strictWire {
-			return nil, false, derr
-		}
 	}
-	// Malformed datagrams (a Byzantine worker can send anything) are
-	// dropped, not fatal.
-	return nil, true, nil
+	return nil
 }
 
 // RecvGradient blocks until one gradient completes or the timeout passes.
@@ -440,11 +403,8 @@ func (r *UDPReceiver) RecvGradient(timeout time.Duration) (*GradientMsg, error) 
 			}
 			return nil, fmt.Errorf("transport: udp read: %w", err)
 		}
-		pkt, skip, err := r.decode(buf)
-		if err != nil {
-			return nil, err
-		}
-		if skip {
+		pkt := r.decode(buf)
+		if pkt == nil {
 			continue
 		}
 		if msg, done := r.asm.Offer(pkt); done {
@@ -502,14 +462,9 @@ func (r *UDPReceiver) RecvPacket(timeout time.Duration) (*Packet, error) {
 			}
 			return nil, fmt.Errorf("transport: udp read: %w", err)
 		}
-		pkt, skip, err := r.decode(buf)
-		if err != nil {
-			return nil, err
+		if pkt := r.decode(buf); pkt != nil {
+			return pkt, nil
 		}
-		if skip {
-			continue
-		}
-		return pkt, nil
 	}
 }
 
