@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
@@ -698,6 +699,101 @@ func BenchmarkTransport_RecvAllocs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		transfer()
 	}
+}
+
+// BenchmarkTransport_TCPFrameAllocs pins the streaming contract of the
+// reliable path on loopback at d=200k, as reported allocs/op and B/op (the
+// CI bench job reads them). send: SendGradient writes the frame header and
+// the gradient's own memory — 0 allocs/op against a raw draining sink. recv:
+// RecvGradient allocates the message and its vector and nothing else — 2
+// allocs/op and 8·d B/op plus the allocator's rounding of the vector to
+// whole pages (< 8 KB) and the message struct; the counts are process-wide,
+// so the sending goroutine's share (none) is included.
+func BenchmarkTransport_TCPFrameAllocs(b *testing.B) {
+	grad := randGrads(21, 1, 200_000)[0]
+	msg := &transport.GradientMsg{Worker: 1, Grad: grad}
+	b.Run("send", func(b *testing.B) {
+		sink, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sink.Close()
+		go func() {
+			conn, err := sink.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			buf := make([]byte, 65536)
+			for {
+				if _, err := conn.Read(buf); err != nil {
+					return
+				}
+			}
+		}()
+		send, err := transport.DialTCP(sink.Addr().String(), transport.Codec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer send.Close()
+		if err := send.SendGradient(msg); err != nil { // warm the poller's iovec cache
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(grad) * 8))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := send.SendGradient(msg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("recv", func(b *testing.B) {
+		ln, err := transport.ListenTCP("127.0.0.1:0", transport.Codec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ln.Close()
+		send, err := transport.DialTCP(ln.Addr(), transport.Codec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer send.Close()
+		recv, err := ln.Accept()
+		if err != nil {
+			b.Fatal(err)
+		}
+		recv.SetExpectDim(len(grad))
+		// The sender streams frames until the receiver hangs up. TCP flow
+		// control is the only hand-off: a channel per transfer would add the
+		// parked-goroutine records the runtime reallocates after each GC
+		// cycle to the count.
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			for send.SendGradient(msg) == nil {
+			}
+		}()
+		defer func() { recv.Close(); <-sent }()
+		transfer := func() {
+			if got, err := recv.RecvGradient(); err != nil || got.Grad.Dim() != len(grad) {
+				b.Fatalf("received %v, error %v", got, err)
+			}
+		}
+		transfer()
+		// At the default GOGC 1.6 MB an op is a GC cycle every other op on
+		// this small heap, and each cycle costs the process a few
+		// runtime-internal allocations (package unique's map sweep, via
+		// net/netip) — enough to read as a third alloc/op now and then.
+		defer debug.SetGCPercent(debug.SetGCPercent(2000))
+		b.SetBytes(int64(len(grad) * 8))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			transfer()
+		}
+		b.StopTimer() // the hang-up below makes the sender's error: not the receive path's allocations
+	})
 }
 
 // BenchmarkAblation_SelectionSize quantifies the appendix's slowdown claim:

@@ -68,16 +68,21 @@ func dialUDPWithBackoff(addr string, codec transport.Codec, mtu int) (*transport
 	})
 }
 
+// rejoinHelloDim is the rejoin handshake's placeholder gradient dimension,
+// and the only one a rejoining connection may carry until a round admits it.
+const rejoinHelloDim = 1
+
 // rejoinHello builds the handshake frame a reconnecting TCP worker sends
 // first on its fresh connection: its id, the step it is scheduled to rejoin
 // at, and (in the Loss field) how many dial attempts the reconnect took.
-// The gradient payload is a 1-coordinate placeholder — the server reads the
-// metadata and discards the frame; it never reaches aggregation.
+// The gradient payload is a rejoinHelloDim-coordinate placeholder — the
+// server reads the metadata and discards the frame; it never reaches
+// aggregation.
 func rejoinHello(worker, rejoinStep, attempts int) *transport.GradientMsg {
 	return &transport.GradientMsg{
 		Worker: worker,
 		Step:   rejoinStep,
 		Loss:   float64(attempts),
-		Grad:   tensor.Vector{0},
+		Grad:   tensor.NewVector(rejoinHelloDim),
 	}
 }

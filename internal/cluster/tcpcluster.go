@@ -42,6 +42,9 @@ type TCPCluster struct {
 	peers    []*tcpPeer
 	inbox    chan recvEvent
 	readerWG sync.WaitGroup
+	// modelWire holds the broadcast's coordinates when the wire encoding is
+	// not the parameter vector's own memory (see broadcast); empty otherwise.
+	modelWire []byte
 
 	// Churn plumbing (nil/unused when the schedule is disabled): the
 	// handshake channel the rejoin accept loop feeds, a stash for handshakes
@@ -108,6 +111,9 @@ func (c *TCPCluster) Start() error {
 	go func() {
 		for i := 0; i < c.cfg.Workers; i++ {
 			conn, err := ln.Accept()
+			if err == nil {
+				conn.SetExpectDim(c.Model().NumParams())
+			}
 			acceptCh <- recvEvent{peer: &tcpPeer{conn: conn, worker: -1}, err: err}
 			if err != nil {
 				return
@@ -174,6 +180,7 @@ func (c *TCPCluster) acceptRejoins() {
 			c.acceptWG.Add(1)
 			go func() {
 				defer c.acceptWG.Done()
+				conn.SetExpectDim(rejoinHelloDim)
 				hello, err := conn.RecvGradient()
 				if err != nil {
 					conn.Close()
@@ -233,26 +240,32 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 	return round.Finish()
 }
 
-// broadcast sends the round's model, encoded once, to every live connection
-// in parallel. Suspected workers are included — a straggler that recovers can
-// rejoin the round. A send to a connection whose peer is gone fails
-// harmlessly; its reader reports the loss.
+// broadcast sends the round's model to every live connection in parallel.
+// Suspected workers are included — a straggler that recovers can rejoin the
+// round. A send to a connection whose peer is gone fails harmlessly; its
+// reader reports the loss.
+//
+// The coordinates are put in wire encoding at most once: on the float64 wire
+// of a little-endian host they are the live parameter vector's own memory,
+// borrowed — sound only because every writer is joined (wg.Wait) before this
+// returns, and Step calls Round.Finish, the one thing that writes the
+// parameters, after it; otherwise they are rendered into modelWire.
 func (c *TCPCluster) broadcast(round *ps.Round) error {
-	frame := c.cfg.Codec.EncodeModel(&transport.ModelMsg{Step: round.Step(), Params: round.Params()})
+	step, coords := round.Step(), c.cfg.Codec.WireCoords(round.Params(), &c.modelWire)
 	var wg sync.WaitGroup
 	var delivered atomic.Int64
 	for _, p := range c.peers {
 		wg.Add(1)
 		go func(conn *transport.TCPConn) {
 			defer wg.Done()
-			if conn.SendEncodedModel(frame) == nil {
+			if conn.SendModelCoords(step, coords) == nil {
 				delivered.Add(1)
 			}
 		}(p.conn)
 	}
 	wg.Wait()
 	if delivered.Load() == 0 {
-		return fmt.Errorf("cluster: no live worker connections at step %d", round.Step())
+		return fmt.Errorf("cluster: no live worker connections at step %d", step)
 	}
 	return nil
 }
@@ -348,6 +361,7 @@ func (c *TCPCluster) offerRejoin(round *ps.Round, rj recvEvent) error {
 			break
 		}
 	}
+	rj.peer.conn.SetExpectDim(c.Model().NumParams()) // admitted: from here on it carries gradients
 	c.peers = append(c.peers, rj.peer)
 	c.startReader(rj.peer)
 	return nil
@@ -434,6 +448,7 @@ func (c *TCPCluster) runWorker(addr string, id int) error {
 	if err != nil {
 		return err
 	}
+	conn.SetExpectDim(w.replica.NumParams())
 	for {
 		model, err := conn.RecvModel()
 		if err != nil {
@@ -453,6 +468,7 @@ func (c *TCPCluster) runWorker(addr string, id int) error {
 				return err
 			}
 			conn = fresh
+			conn.SetExpectDim(w.replica.NumParams())
 			if err := conn.SendGradient(rejoinHello(id, plan.Rejoin, attempts)); err != nil {
 				return err
 			}

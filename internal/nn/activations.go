@@ -39,7 +39,7 @@ func (t *Tanh) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer: d tanh(x)/dx = 1 − tanh²(x).
-func (t *Tanh) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (t *Tanh) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 	gradIn := gradOut.Clone()
 	for i := range gradIn.Data {
 		y := t.out[i]
@@ -87,7 +87,7 @@ func (s *Sigmoid) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer: dσ/dx = σ(1−σ).
-func (s *Sigmoid) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (s *Sigmoid) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 	gradIn := gradOut.Clone()
 	for i := range gradIn.Data {
 		y := s.out[i]

@@ -167,16 +167,19 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (c *Conv2D) Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
 	for i := range c.gw.Data {
 		c.gw.Data[i] = 0
 	}
 	c.gb.Zero()
-	gradIn := tensor.NewMatrix(c.lastRows, c.in.Flat())
 	patch := c.kh * c.kw * c.in.C
 	dOut := tensor.NewMatrix(c.outH*c.outW, c.outC)
-	dCols := tensor.NewMatrix(c.outH*c.outW, patch)
 	gwAcc := tensor.NewMatrix(patch, c.outC)
+	var gradIn, dCols *tensor.Matrix
+	if needInput {
+		gradIn = tensor.NewMatrix(c.lastRows, c.in.Flat())
+		dCols = tensor.NewMatrix(c.outH*c.outW, patch)
+	}
 	for s := 0; s < c.lastRows; s++ {
 		copy(dOut.Data, gradOut.Row(s))
 		// Parameter gradients: gw += colsᵀ·dOut, gb += colsum(dOut).
@@ -185,9 +188,11 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			c.gw.Data[i] += v
 		}
 		c.gb.Add(dOut.ColumnSums())
-		// Input gradient: dCols = dOut·wᵀ, scattered by col2im.
-		tensor.MatMulTransB(dCols, dOut, c.w)
-		c.col2im(dCols, gradIn.Row(s))
+		if needInput {
+			// Input gradient: dCols = dOut·wᵀ, scattered by col2im.
+			tensor.MatMulTransB(dCols, dOut, c.w)
+			c.col2im(dCols, gradIn.Row(s))
+		}
 	}
 	return gradIn
 }
@@ -295,7 +300,7 @@ func (p *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (p *MaxPool2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (p *MaxPool2D) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 	gradIn := tensor.NewMatrix(p.lastRows, p.in.Flat())
 	outFlat := p.outH * p.outW * p.in.C
 	for s := 0; s < p.lastRows; s++ {

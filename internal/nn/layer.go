@@ -24,8 +24,11 @@ type Layer interface {
 	// train toggles training-only behaviour (dropout).
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	// Backward computes the input gradient from the output gradient.
-	// It must be called after Forward on the same batch.
-	Backward(gradOut *tensor.Matrix) *tensor.Matrix
+	// It must be called after Forward on the same batch. needInput is false
+	// when nothing reads the input gradient (no trainable layer lies below):
+	// a layer whose input gradient costs a pass of its own then skips it and
+	// returns nil. The parameter gradients are the same either way.
+	Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix
 	// Params returns views (not copies) of the trainable parameter
 	// blocks; writing through them updates the layer.
 	Params() []tensor.Vector
@@ -82,9 +85,12 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (d *Dense) Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
 	tensor.MatMulTransA(d.gw, d.lastX, gradOut)
 	copy(d.gb, gradOut.ColumnSums())
+	if !needInput {
+		return nil
+	}
 	gradIn := tensor.NewMatrix(gradOut.Rows, d.in)
 	tensor.MatMulTransB(gradIn, gradOut, d.w)
 	return gradIn
@@ -137,7 +143,7 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (r *ReLU) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 	gradIn := gradOut.Clone()
 	for i := range gradIn.Data {
 		if !r.mask[i] {
@@ -176,7 +182,7 @@ func (f *Flatten) NumParams() int { return 0 }
 func (f *Flatten) Forward(x *tensor.Matrix, train bool) *tensor.Matrix { return x }
 
 // Backward implements Layer.
-func (f *Flatten) Backward(gradOut *tensor.Matrix) *tensor.Matrix { return gradOut }
+func (f *Flatten) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix { return gradOut }
 
 // Params implements Layer.
 func (f *Flatten) Params() []tensor.Vector { return nil }
@@ -236,7 +242,7 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (d *Dropout) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 	if d.mask == nil {
 		return gradOut
 	}

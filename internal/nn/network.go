@@ -14,13 +14,19 @@ type Network struct {
 	inShape Shape
 	layers  []Layer
 	dim     int
+	// trainFrom is the index of the first layer with parameters: Backward
+	// stops there, since an input gradient below it feeds no parameter.
+	trainFrom int
 }
 
 // NewNetwork assembles a network over the given input shape. The caller is
 // responsible for layer shape compatibility (checked at first Forward).
 func NewNetwork(in Shape, layers ...Layer) *Network {
-	n := &Network{inShape: in, layers: layers}
-	for _, l := range layers {
+	n := &Network{inShape: in, layers: layers, trainFrom: len(layers)}
+	for i, l := range layers {
+		if n.dim == 0 && l.NumParams() > 0 {
+			n.trainFrom = i
+		}
 		n.dim += l.NumParams()
 	}
 	return n
@@ -45,11 +51,14 @@ func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward propagates the loss gradient through the stack, filling each
-// layer's parameter gradients.
+// layer's parameter gradients. Nobody reads the gradient with respect to the
+// network's input, so the walk ends at the first trainable layer, which is
+// told not to compute its input gradient (for a Dense layer a matmul as
+// large as its forward pass).
 func (n *Network) Backward(gradOut *tensor.Matrix) {
 	g := gradOut
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		g = n.layers[i].Backward(g)
+	for i := len(n.layers) - 1; i >= n.trainFrom; i-- {
+		g = n.layers[i].Backward(g, i > n.trainFrom)
 	}
 }
 

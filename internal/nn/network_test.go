@@ -176,6 +176,50 @@ func TestTable1CNNForwardBackwardShapes(t *testing.T) {
 	}
 }
 
+// TestBackwardSkipsOnlyTheUnreadInputGradient pins Network.Backward's skip:
+// the flat gradient is bit for bit the one a walk computing every layer's
+// input gradient fills in, on a network whose first trainable layer is a
+// Dense (whose skipped pass is a matmul) and on one where it is a Conv2D
+// (dCols + col2im); and the walk ends at the first layer with parameters,
+// also when parameter-free layers come before it.
+func TestBackwardSkipsOnlyTheUnreadInputGradient(t *testing.T) {
+	img := Shape{H: 6, W: 6, C: 2}
+	nets := map[string]func(rng *rand.Rand) *Network{
+		"mlp": func(rng *rand.Rand) *Network { return NewMLP(img.Flat(), []int{9, 5}, 4, rng) },
+		"cnn": func(rng *rand.Rand) *Network { return NewSmallCNN(img, 4, rng) },
+		"flatten-first": func(rng *rand.Rand) *Network {
+			return NewNetwork(img, NewFlatten(img), NewDense(img.Flat(), 4, rng))
+		},
+	}
+	for name, build := range nets {
+		n := build(rand.New(rand.NewSource(31)))
+		x, y := randBatch(rand.New(rand.NewSource(32)), 5, img.Flat(), 4)
+		_, got := n.Gradient(x, y)
+
+		_, dLogits := SoftmaxCrossEntropy(n.Forward(x, true), y)
+		g := dLogits
+		for i := len(n.layers) - 1; i >= 0; i-- {
+			if g = n.layers[i].Backward(g, true); g == nil {
+				t.Fatalf("%s: layer %d returned no input gradient though asked for it", name, i)
+			}
+		}
+		want := n.GradsVector()
+		if g.Rows != x.Rows || g.Cols != x.Cols {
+			t.Fatalf("%s: full walk's input gradient is %dx%d, want %dx%d", name, g.Rows, g.Cols, x.Rows, x.Cols)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: gradient[%d] = %v with the skip, %v without", name, i, got[i], want[i])
+			}
+		}
+		for i, l := range n.layers[:n.trainFrom+1] {
+			if trainable := l.NumParams() > 0; trainable != (i == n.trainFrom) {
+				t.Fatalf("%s: the walk ends at layer %d, but layer %d (%s) has %d parameters", name, n.trainFrom, i, l.Name(), l.NumParams())
+			}
+		}
+	}
+}
+
 func TestParamsVectorRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	n := NewMLP(5, []int{7}, 3, rng)

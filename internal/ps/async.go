@@ -129,8 +129,8 @@ const (
 	RejectWrongTag
 	// RejectUnknownWorker rejects a worker id outside [0, n).
 	RejectUnknownWorker
-	// RejectMalformed rejects a packet claiming a gradient dimension other
-	// than the model's.
+	// RejectMalformed rejects a gradient, or a packet claiming a gradient,
+	// of a dimension other than the model's.
 	RejectMalformed
 )
 

@@ -283,21 +283,27 @@ func (r *Round) admit(id, tag int) Admission {
 // model it was computed on. Only an admission changes the round; every
 // rejection leaves it untouched, so an adapter is free to fail loudly (a
 // connection-oriented backend, where a duplicate or future-tagged frame
-// means a lying peer) or to ignore it (unauthenticated datagrams). The
-// gradient is kept by reference until Finish.
+// means a lying peer) or to ignore it (unauthenticated datagrams). A
+// gradient that is not the model's dimension is RejectMalformed: the rule
+// aggregates only what the engine admitted, and one mis-sized vector would
+// fail the whole round there. The gradient is kept by reference until
+// Finish.
 func (r *Round) Offer(id, tag int, grad tensor.Vector, loss float64) Admission {
 	v := r.admit(id, tag)
-	if v.Admitted() {
-		r.settle(id, grad, loss)
+	if !v.Admitted() {
+		return v
 	}
+	if grad.Dim() != r.e.params.Dim() {
+		return RejectMalformed
+	}
+	r.settle(id, grad, loss)
 	return v
 }
 
 // OfferPacket submits one datagram of a chunked gradient, admitted on the
-// same terms as Offer (plus RejectMalformed for a wrong dimension). The slot
-// settles when its gradient completes or — under scheduled loss — the moment
-// all its surviving packets are in and the known-lost coordinates are
-// recouped: no timer involved.
+// same terms as Offer. The slot settles when its gradient completes or —
+// under scheduled loss — the moment all its surviving packets are in and the
+// known-lost coordinates are recouped: no timer involved.
 func (r *Round) OfferPacket(pkt *transport.Packet) Admission {
 	id, asm := pkt.Worker, r.e.asm
 	v := r.admit(id, pkt.Step)

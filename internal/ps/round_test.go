@@ -469,6 +469,11 @@ func TestRoundAdmission(t *testing.T) {
 	if v := round.OfferPacket(&pkt); v != RejectMalformed {
 		t.Fatalf("wrong-dimension packet: verdict %v, want %v", v, RejectMalformed)
 	}
+	// A whole gradient one coordinate short is refused the same way, and
+	// leaves the slot open for the worker's real submission below.
+	if v := round.Offer(fresh, step, g[:len(g)-1], 0); v != RejectMalformed {
+		t.Fatalf("wrong-dimension gradient: verdict %v, want %v", v, RejectMalformed)
+	}
 	script := []struct {
 		id, tag int
 		want    Admission

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"aggregathor/internal/tensor"
 )
@@ -126,7 +127,47 @@ func (c Codec) BytesPerCoord() int {
 	return 8
 }
 
+// hostLittleEndian is the package's only platform branch: whether a float64
+// in memory is already its wire encoding (little-endian IEEE-754).
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// native returns v's own memory when that is its wire encoding — the float64
+// wire on a little-endian host. The result aliases v.
+func (c Codec) native(v tensor.Vector) ([]byte, bool) {
+	if c.Float32 || !hostLittleEndian {
+		return nil, false
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8), true
+}
+
+// WireCoords returns v's coordinates in wire encoding: v's own memory where
+// that is the encoding (see native) — the result then aliases v and is good
+// only until v next changes — and otherwise a rendering into *scratch, which
+// grows on first use and serves every later call.
+func (c Codec) WireCoords(v tensor.Vector, scratch *[]byte) []byte {
+	if b, ok := c.native(v); ok {
+		return b
+	}
+	n := len(v) * c.BytesPerCoord()
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n)
+	}
+	b := (*scratch)[:n]
+	c.putCoordsPortable(b, v)
+	return b
+}
+
+// putCoords encodes v into dst: one copy where the wire encoding is v's
+// memory, coordinate by coordinate otherwise.
 func (c Codec) putCoords(dst []byte, v tensor.Vector) {
+	if b, ok := c.native(v); ok {
+		copy(dst[:len(b)], b)
+		return
+	}
+	c.putCoordsPortable(dst, v)
+}
+
+func (c Codec) putCoordsPortable(dst []byte, v tensor.Vector) {
 	if c.Float32 {
 		for i, x := range v {
 			binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(float32(x)))
@@ -142,8 +183,17 @@ func (c Codec) putCoords(dst []byte, v tensor.Vector) {
 // float64, which carries every bit pattern through a later putCoords but
 // one: the widening quiets a signalling NaN (sets its top mantissa bit), so
 // encode(decode(x)) is x unless x holds a float32 signalling NaN, and
-// decode(encode(decode(x))) is decode(x) always.
+// decode(encode(decode(x))) is decode(x) always. The float64 wire carries
+// every bit pattern, NaN payloads included, on both paths.
 func (c Codec) getCoords(src []byte, v tensor.Vector) {
+	if b, ok := c.native(v); ok {
+		copy(b, src[:len(b)])
+		return
+	}
+	c.getCoordsPortable(src, v)
+}
+
+func (c Codec) getCoordsPortable(src []byte, v tensor.Vector) {
 	if c.Float32 {
 		for i := range v {
 			v[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:])))
@@ -155,95 +205,131 @@ func (c Codec) getCoords(src []byte, v tensor.Vector) {
 	}
 }
 
-// EncodeGradient renders a gradient message as a framed byte slice:
-// magic u32 | version u8 | type u8 | width u8 | worker u32 | step u64 |
-// loss f64 | dim u32 | coords.
+// Frame layout: a fixed header, then dim coordinates.
+//
+//	gradient: magic u32 | version u8 | type u8 | width u8 | worker u32 |
+//	          step u64 | loss f64 | dim u32 | coords
+//	model:    magic u32 | version u8 | type u8 | width u8 | step u64 |
+//	          dim u32 | coords
+const (
+	gradientHeaderLen = 4 + 1 + 1 + 1 + 4 + 8 + 8 + 4
+	modelHeaderLen    = 4 + 1 + 1 + 1 + 8 + 4
+)
+
+// frameHeader is a frame's fixed part; a model frame has no worker or loss.
+type frameHeader struct {
+	worker, step, dim int
+	loss              float64
+}
+
+// frameKind names a frame type and gives its fixed header length.
+func frameKind(typ byte) (name string, headerLen int) {
+	if typ == msgGradient {
+		return "gradient", gradientHeaderLen
+	}
+	return "model", modelHeaderLen
+}
+
+// putFrameHeader writes the fixed header of a typ frame into dst.
+func (c Codec) putFrameHeader(dst []byte, typ byte, h frameHeader) {
+	binary.LittleEndian.PutUint32(dst[0:], Magic)
+	dst[4] = Version
+	dst[5] = typ
+	dst[6] = byte(c.BytesPerCoord())
+	at := 7
+	if typ == msgGradient {
+		binary.LittleEndian.PutUint32(dst[at:], uint32(h.worker))
+		at += 4
+	}
+	binary.LittleEndian.PutUint64(dst[at:], uint64(h.step))
+	at += 8
+	if typ == msgGradient {
+		binary.LittleEndian.PutUint64(dst[at:], math.Float64bits(h.loss))
+		at += 8
+	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(h.dim))
+}
+
+// parseFrameHeader is the one place that decides what a well-formed frame
+// is, for a whole frame in memory (Decode*) and for a stream that has read
+// only this much of it (TCPConn): frameLen is the frame's total length, hdr
+// its first bytes — the whole fixed header unless frameLen is shorter.
+// expectDim > 0 pins the coordinate count. It runs before anything dim-sized
+// exists, so a forged header costs nothing but its sender's connection.
+func (c Codec) parseFrameHeader(typ byte, hdr []byte, frameLen, expectDim int) (frameHeader, error) {
+	name, headerLen := frameKind(typ)
+	if frameLen < headerLen {
+		return frameHeader{}, fmt.Errorf("%w: %s frame too short (%d bytes)", ErrBadFrame, name, frameLen)
+	}
+	if binary.LittleEndian.Uint32(hdr[0:]) != Magic {
+		return frameHeader{}, fmt.Errorf("%w: bad magic", ErrBadFrame)
+	}
+	if hdr[4] != Version {
+		return frameHeader{}, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, hdr[4])
+	}
+	if hdr[5] != typ {
+		return frameHeader{}, fmt.Errorf("%w: not a %s frame (type %d)", ErrBadFrame, name, hdr[5])
+	}
+	if err := c.checkWidth(hdr[6]); err != nil {
+		return frameHeader{}, err
+	}
+	var h frameHeader
+	at := 7
+	if typ == msgGradient {
+		h.worker = int(binary.LittleEndian.Uint32(hdr[at:]))
+		at += 4
+	}
+	h.step = int(binary.LittleEndian.Uint64(hdr[at:]))
+	at += 8
+	if typ == msgGradient {
+		h.loss = math.Float64frombits(binary.LittleEndian.Uint64(hdr[at:]))
+		at += 8
+	}
+	h.dim = int(binary.LittleEndian.Uint32(hdr[at:]))
+	if want := headerLen + h.dim*c.BytesPerCoord(); frameLen != want {
+		return frameHeader{}, fmt.Errorf("%w: %s frame %d bytes, want %d", ErrBadFrame, name, frameLen, want)
+	}
+	if expectDim > 0 && h.dim != expectDim {
+		return frameHeader{}, fmt.Errorf("%w: %s frame carries %d coordinates, this endpoint's model has %d",
+			ErrBadFrame, name, h.dim, expectDim)
+	}
+	return h, nil
+}
+
+// EncodeGradient renders a gradient message as a framed byte slice.
 func (c Codec) EncodeGradient(m *GradientMsg) []byte {
-	buf := make([]byte, 4+1+1+1+4+8+8+4+len(m.Grad)*c.BytesPerCoord())
-	binary.LittleEndian.PutUint32(buf[0:], Magic)
-	buf[4] = Version
-	buf[5] = msgGradient
-	buf[6] = byte(c.BytesPerCoord())
-	binary.LittleEndian.PutUint32(buf[7:], uint32(m.Worker))
-	binary.LittleEndian.PutUint64(buf[11:], uint64(m.Step))
-	binary.LittleEndian.PutUint64(buf[19:], math.Float64bits(m.Loss))
-	binary.LittleEndian.PutUint32(buf[27:], uint32(len(m.Grad)))
-	c.putCoords(buf[31:], m.Grad)
+	buf := make([]byte, gradientHeaderLen+len(m.Grad)*c.BytesPerCoord())
+	c.putFrameHeader(buf, msgGradient, frameHeader{worker: m.Worker, step: m.Step, loss: m.Loss, dim: len(m.Grad)})
+	c.putCoords(buf[gradientHeaderLen:], m.Grad)
 	return buf
 }
 
 // DecodeGradient parses EncodeGradient output.
 func (c Codec) DecodeGradient(buf []byte) (*GradientMsg, error) {
-	if len(buf) < 31 {
-		return nil, fmt.Errorf("%w: gradient frame too short (%d bytes)", ErrBadFrame, len(buf))
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
-	}
-	if buf[4] != Version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, buf[4])
-	}
-	if buf[5] != msgGradient {
-		return nil, fmt.Errorf("%w: not a gradient frame (type %d)", ErrBadFrame, buf[5])
-	}
-	if err := c.checkWidth(buf[6]); err != nil {
+	h, err := c.parseFrameHeader(msgGradient, buf, len(buf), 0)
+	if err != nil {
 		return nil, err
 	}
-	dim := int(binary.LittleEndian.Uint32(buf[27:]))
-	want := 31 + dim*c.BytesPerCoord()
-	if len(buf) != want {
-		return nil, fmt.Errorf("%w: gradient frame %d bytes, want %d", ErrBadFrame, len(buf), want)
-	}
-	m := &GradientMsg{
-		Worker: int(binary.LittleEndian.Uint32(buf[7:])),
-		Step:   int(binary.LittleEndian.Uint64(buf[11:])),
-		Loss:   math.Float64frombits(binary.LittleEndian.Uint64(buf[19:])),
-		Grad:   tensor.NewVector(dim),
-	}
-	c.getCoords(buf[31:], m.Grad)
+	m := &GradientMsg{Worker: h.worker, Step: h.step, Loss: h.loss, Grad: tensor.NewVector(h.dim)}
+	c.getCoords(buf[gradientHeaderLen:], m.Grad)
 	return m, nil
 }
 
-// EncodeModel renders a model broadcast:
-// magic u32 | version u8 | type u8 | width u8 | step u64 | dim u32 | coords.
+// EncodeModel renders a model broadcast as a framed byte slice.
 func (c Codec) EncodeModel(m *ModelMsg) []byte {
-	buf := make([]byte, 4+1+1+1+8+4+len(m.Params)*c.BytesPerCoord())
-	binary.LittleEndian.PutUint32(buf[0:], Magic)
-	buf[4] = Version
-	buf[5] = msgModel
-	buf[6] = byte(c.BytesPerCoord())
-	binary.LittleEndian.PutUint64(buf[7:], uint64(m.Step))
-	binary.LittleEndian.PutUint32(buf[15:], uint32(len(m.Params)))
-	c.putCoords(buf[19:], m.Params)
+	buf := make([]byte, modelHeaderLen+len(m.Params)*c.BytesPerCoord())
+	c.putFrameHeader(buf, msgModel, frameHeader{step: m.Step, dim: len(m.Params)})
+	c.putCoords(buf[modelHeaderLen:], m.Params)
 	return buf
 }
 
 // DecodeModel parses EncodeModel output.
 func (c Codec) DecodeModel(buf []byte) (*ModelMsg, error) {
-	if len(buf) < 19 {
-		return nil, fmt.Errorf("%w: model frame too short (%d bytes)", ErrBadFrame, len(buf))
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
-	}
-	if buf[4] != Version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, buf[4])
-	}
-	if buf[5] != msgModel {
-		return nil, fmt.Errorf("%w: not a model frame (type %d)", ErrBadFrame, buf[5])
-	}
-	if err := c.checkWidth(buf[6]); err != nil {
+	h, err := c.parseFrameHeader(msgModel, buf, len(buf), 0)
+	if err != nil {
 		return nil, err
 	}
-	dim := int(binary.LittleEndian.Uint32(buf[15:]))
-	want := 19 + dim*c.BytesPerCoord()
-	if len(buf) != want {
-		return nil, fmt.Errorf("%w: model frame %d bytes, want %d", ErrBadFrame, len(buf), want)
-	}
-	m := &ModelMsg{
-		Step:   int(binary.LittleEndian.Uint64(buf[7:])),
-		Params: tensor.NewVector(dim),
-	}
-	c.getCoords(buf[19:], m.Params)
+	m := &ModelMsg{Step: h.step, Params: tensor.NewVector(h.dim)}
+	c.getCoords(buf[modelHeaderLen:], m.Params)
 	return m, nil
 }

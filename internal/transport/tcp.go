@@ -5,18 +5,43 @@ import (
 	"fmt"
 	"io"
 	"net"
+
+	"aggregathor/internal/tensor"
 )
 
-// maxFrameBytes bounds a single TCP frame (1 GiB) so a malicious peer cannot
-// force an arbitrary allocation with a forged length prefix.
-const maxFrameBytes = 1 << 30
+const (
+	// maxFrameBytes bounds a single TCP frame (1 GiB) so a malicious peer
+	// cannot force an arbitrary allocation with a forged length prefix.
+	maxFrameBytes = 1 << 30
+	// prefixLen is the u32 little-endian frame length before every frame.
+	prefixLen = 4
+	// chunkBytes bounds the per-direction buffer coordinates are converted
+	// through when the wire encoding is not the vector's own memory.
+	chunkBytes = 64 << 10
+)
 
 // TCPConn is a reliable, length-prefixed message connection — the stand-in
 // for TensorFlow's gRPC channel. Each frame is u32 little-endian length
-// followed by a codec-encoded message.
+// followed by a codec-encoded message. Frames stream: nothing frame-sized is
+// rendered on the way out, and on the way in the header is validated before
+// anything coordinate-sized exists and the coordinates land in the message's
+// own vector. One goroutine may send while another receives; each direction
+// belongs to one goroutine at a time. Any error is terminal: the stream is
+// not resynchronised after a frame it refused.
 type TCPConn struct {
-	conn  net.Conn
-	codec Codec
+	conn      net.Conn
+	codec     Codec
+	expectDim int
+
+	// Send side: prefix and header, the vector handed to the vectored write
+	// (header, body) and the conversion chunk.
+	whdr   [prefixLen + gradientHeaderLen]byte
+	wvec   [2][]byte
+	wbufs  net.Buffers
+	wchunk []byte
+	// Receive side: prefix and header, and the conversion chunk.
+	rhdr   [prefixLen + gradientHeaderLen]byte
+	rchunk []byte
 }
 
 // DialTCP connects to a listening peer.
@@ -58,67 +83,167 @@ func (l *TCPListener) Accept() (*TCPConn, error) {
 // Close stops the listener.
 func (l *TCPListener) Close() error { return l.ln.Close() }
 
-func (c *TCPConn) writeFrame(body []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := c.conn.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write frame header: %w", err)
+// SetExpectDim pins the coordinate count of every frame received from now
+// on (d > 0): a frame of any other dimension is ErrBadFrame at its header,
+// before its body is allocated or read. An unpinned connection takes any
+// dimension the frame length bound admits.
+func (c *TCPConn) SetExpectDim(d int) { c.expectDim = d }
+
+// open puts the opening of a typ frame — length prefix and fixed header —
+// in c.whdr and returns it.
+func (c *TCPConn) open(typ byte, h frameHeader) []byte {
+	_, headerLen := frameKind(typ)
+	binary.LittleEndian.PutUint32(c.whdr[:], uint32(headerLen+h.dim*c.codec.BytesPerCoord()))
+	c.codec.putFrameHeader(c.whdr[prefixLen:], typ, h)
+	return c.whdr[:prefixLen+headerLen]
+}
+
+// send writes an opened frame's coordinates behind its opening: where their
+// wire encoding is v's memory, in one vectored write with nothing rendered.
+func (c *TCPConn) send(open []byte, v tensor.Vector) error {
+	if body, ok := c.codec.native(v); ok {
+		return c.writev(open, body)
 	}
-	if _, err := c.conn.Write(body); err != nil {
-		return fmt.Errorf("transport: write frame body: %w", err)
+	return c.sendChunked(open, v)
+}
+
+// sendChunked is the portable send: coordinates are rendered through
+// c.wchunk, the first chunk riding the vectored write that carries the
+// opening.
+func (c *TCPConn) sendChunked(open []byte, v tensor.Vector) error {
+	w := c.codec.BytesPerCoord()
+	if need := min(len(v)*w, chunkBytes); cap(c.wchunk) < need {
+		c.wchunk = make([]byte, need)
+	}
+	for {
+		k := min(len(v), chunkBytes/w)
+		chunk := c.wchunk[:k*w]
+		c.codec.putCoordsPortable(chunk, v[:k])
+		if err := c.writev(open, chunk); err != nil {
+			return err
+		}
+		open, v = nil, v[k:]
+		if len(v) == 0 {
+			return nil
+		}
+	}
+}
+
+// writev puts open and body on the wire in one write — vectored when there
+// are both, so a frame never starts with a 4-byte segment of its own under
+// TCP_NODELAY.
+func (c *TCPConn) writev(open, body []byte) error {
+	var err error
+	switch {
+	case len(body) == 0:
+		_, err = c.conn.Write(open)
+	case len(open) == 0:
+		_, err = c.conn.Write(body)
+	default:
+		c.wvec = [2][]byte{open, body}
+		c.wbufs = c.wvec[:]
+		_, err = c.wbufs.WriteTo(c.conn)
+		c.wvec = [2][]byte{} // keep no reference to a borrowed body
+	}
+	if err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
 }
 
-func (c *TCPConn) readFrame() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
-		return nil, fmt.Errorf("transport: read frame header: %w", err)
+// recvHeader reads the length prefix and the fixed header of a typ frame
+// into c.rhdr and validates them; only the frame's coordinates are unread
+// when it returns.
+func (c *TCPConn) recvHeader(typ byte) (frameHeader, error) {
+	if _, err := io.ReadFull(c.conn, c.rhdr[:prefixLen]); err != nil {
+		return frameHeader{}, fmt.Errorf("transport: read frame header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(c.rhdr[:])
 	if n > maxFrameBytes {
-		return nil, fmt.Errorf("%w: frame length %d exceeds limit", ErrBadFrame, n)
+		return frameHeader{}, fmt.Errorf("%w: frame length %d exceeds limit", ErrBadFrame, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.conn, body); err != nil {
-		return nil, fmt.Errorf("transport: read frame body: %w", err)
+	_, headerLen := frameKind(typ)
+	hdr := c.rhdr[prefixLen : prefixLen+min(int(n), headerLen)]
+	if _, err := io.ReadFull(c.conn, hdr); err != nil {
+		return frameHeader{}, fmt.Errorf("transport: read frame header: %w", err)
 	}
-	return body, nil
+	return c.codec.parseFrameHeader(typ, hdr, int(n), c.expectDim)
+}
+
+// recvCoords reads a frame's coordinates into v: straight into v's memory
+// where that is the wire encoding, otherwise chunk by chunk through c.rchunk.
+func (c *TCPConn) recvCoords(v tensor.Vector) error {
+	if body, ok := c.codec.native(v); ok {
+		if _, err := io.ReadFull(c.conn, body); err != nil {
+			return fmt.Errorf("transport: read frame body: %w", err)
+		}
+		return nil
+	}
+	return c.recvChunked(v)
+}
+
+// recvChunked is the portable receive.
+func (c *TCPConn) recvChunked(v tensor.Vector) error {
+	w := c.codec.BytesPerCoord()
+	if need := min(len(v)*w, chunkBytes); cap(c.rchunk) < need {
+		c.rchunk = make([]byte, need)
+	}
+	for len(v) > 0 {
+		k := min(len(v), chunkBytes/w)
+		chunk := c.rchunk[:k*w]
+		if _, err := io.ReadFull(c.conn, chunk); err != nil {
+			return fmt.Errorf("transport: read frame body: %w", err)
+		}
+		c.codec.getCoordsPortable(chunk, v[:k])
+		v = v[k:]
+	}
+	return nil
 }
 
 // SendGradient writes one gradient message.
 func (c *TCPConn) SendGradient(m *GradientMsg) error {
-	return c.writeFrame(c.codec.EncodeGradient(m))
+	h := frameHeader{worker: m.Worker, step: m.Step, loss: m.Loss, dim: len(m.Grad)}
+	return c.send(c.open(msgGradient, h), m.Grad)
 }
 
-// RecvGradient reads one gradient message.
+// RecvGradient reads one gradient message into a vector of its own.
 func (c *TCPConn) RecvGradient() (*GradientMsg, error) {
-	body, err := c.readFrame()
+	h, err := c.recvHeader(msgGradient)
 	if err != nil {
 		return nil, err
 	}
-	return c.codec.DecodeGradient(body)
+	m := &GradientMsg{Worker: h.worker, Step: h.step, Loss: h.loss, Grad: tensor.NewVector(h.dim)}
+	if err := c.recvCoords(m.Grad); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // SendModel writes one model broadcast.
 func (c *TCPConn) SendModel(m *ModelMsg) error {
-	return c.SendEncodedModel(c.codec.EncodeModel(m))
+	return c.send(c.open(msgModel, frameHeader{step: m.Step, dim: len(m.Params)}), m.Params)
 }
 
-// SendEncodedModel writes a model broadcast that Codec.EncodeModel already
-// rendered under this connection's codec. The frame is only read, so a
-// broadcast encodes once and every connection writes the same bytes.
-func (c *TCPConn) SendEncodedModel(frame []byte) error {
-	return c.writeFrame(frame)
+// SendModelCoords writes a model broadcast whose parameters
+// Codec.WireCoords already put in wire encoding under this connection's
+// codec. coords is only read, so a broadcast renders (or borrows) them once
+// and every connection writes the same bytes.
+func (c *TCPConn) SendModelCoords(step int, coords []byte) error {
+	h := frameHeader{step: step, dim: len(coords) / c.codec.BytesPerCoord()}
+	return c.writev(c.open(msgModel, h), coords)
 }
 
-// RecvModel reads one model broadcast.
+// RecvModel reads one model broadcast into a vector of its own.
 func (c *TCPConn) RecvModel() (*ModelMsg, error) {
-	body, err := c.readFrame()
+	h, err := c.recvHeader(msgModel)
 	if err != nil {
 		return nil, err
 	}
-	return c.codec.DecodeModel(body)
+	m := &ModelMsg{Step: h.step, Params: tensor.NewVector(h.dim)}
+	if err := c.recvCoords(m.Params); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Close shuts the connection down.

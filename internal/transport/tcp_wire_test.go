@@ -12,7 +12,9 @@ import (
 // different coordinate widths must fail loudly with ErrWireFormat on the
 // first frame — never silently mis-decode, and never report a generic
 // framing error that hides the configuration mismatch. Both directions of
-// the mismatch are covered, for both gradient and model frames.
+// the mismatch are covered, for both gradient and model frames — each on a
+// connection of its own, since a refused frame's body stays unread and the
+// error is terminal for the stream.
 func TestTCPMixedWidthPeersRejectLoudly(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -22,50 +24,58 @@ func TestTCPMixedWidthPeersRejectLoudly(t *testing.T) {
 		{"f64-listener_f32-dialer", Codec{}, Codec{Float32: true}},
 		{"f32-listener_f64-dialer", Codec{Float32: true}, Codec{}},
 	}
+	frames := []struct {
+		name string
+		send func(*TCPConn) error
+		recv func(*TCPConn) error
+	}{
+		{"gradient",
+			func(c *TCPConn) error {
+				return c.SendGradient(&GradientMsg{Worker: 2, Step: 5, Grad: tensor.Vector{1, 2, 3}})
+			},
+			func(c *TCPConn) error { _, err := c.RecvGradient(); return err }},
+		{"model",
+			func(c *TCPConn) error { return c.SendModel(&ModelMsg{Step: 5, Params: tensor.Vector{4, 5}}) },
+			func(c *TCPConn) error { _, err := c.RecvModel(); return err }},
+	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			ln, err := ListenTCP("127.0.0.1:0", tc.listener)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-
-			sendErr := make(chan error, 1)
-			go func() {
-				peer, err := DialTCP(ln.Addr(), tc.dialer)
+			for _, fr := range frames {
+				ln, err := ListenTCP("127.0.0.1:0", tc.listener)
 				if err != nil {
-					sendErr <- err
-					return
+					t.Fatal(err)
 				}
-				defer peer.Close()
-				if err := peer.SendGradient(&GradientMsg{Worker: 2, Step: 5, Grad: tensor.Vector{1, 2, 3}}); err != nil {
-					sendErr <- err
-					return
+				defer ln.Close()
+
+				sendErr := make(chan error, 1)
+				go func() {
+					peer, err := DialTCP(ln.Addr(), tc.dialer)
+					if err != nil {
+						sendErr <- err
+						return
+					}
+					defer peer.Close()
+					sendErr <- fr.send(peer)
+				}()
+
+				conn, err := ln.Accept()
+				if err != nil {
+					t.Fatal(err)
 				}
-				sendErr <- peer.SendModel(&ModelMsg{Step: 5, Params: tensor.Vector{4, 5}})
-			}()
+				defer conn.Close()
 
-			conn, err := ln.Accept()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-
-			_, gradErr := conn.RecvGradient()
-			if !errors.Is(gradErr, ErrWireFormat) {
-				t.Fatalf("gradient from mixed-width peer: want ErrWireFormat, got %v", gradErr)
-			}
-			// ErrWireFormat unwraps to ErrBadFrame so existing malformed-input
-			// handling catches it too.
-			if !errors.Is(gradErr, ErrBadFrame) {
-				t.Fatalf("ErrWireFormat must unwrap to ErrBadFrame, got %v", gradErr)
-			}
-			if _, err := conn.RecvModel(); !errors.Is(err, ErrWireFormat) {
-				t.Fatalf("model from mixed-width peer: want ErrWireFormat, got %v", err)
-			}
-			if err := <-sendErr; err != nil {
-				t.Fatalf("mixed-width send side failed before decode: %v", err)
+				recvErr := fr.recv(conn)
+				if !errors.Is(recvErr, ErrWireFormat) {
+					t.Fatalf("%s from mixed-width peer: want ErrWireFormat, got %v", fr.name, recvErr)
+				}
+				// ErrWireFormat unwraps to ErrBadFrame so existing malformed-input
+				// handling catches it too.
+				if !errors.Is(recvErr, ErrBadFrame) {
+					t.Fatalf("ErrWireFormat must unwrap to ErrBadFrame, got %v", recvErr)
+				}
+				if err := <-sendErr; err != nil {
+					t.Fatalf("mixed-width send side failed before decode: %v", err)
+				}
 			}
 		})
 	}
