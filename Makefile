@@ -40,14 +40,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short coverage of the transport codec and reassembler, round-engine
-# (plan, settlement, rejoin admission) and column-pass fuzz targets beyond
-# the seed corpus.
+# Short coverage of the transport codec, reassembler and coalesced-message
+# segment walk, round-engine (plan, settlement, rejoin admission) and
+# column-pass fuzz targets beyond the seed corpus.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzTCPFrameStream -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzReassembler -fuzztime=20s
+	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzSegments -fuzztime=20s
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzRound -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzColumnPass -fuzztime=20s
 

@@ -605,11 +605,13 @@ func BenchmarkTransport_GradientTransfer(b *testing.B) {
 }
 
 // BenchmarkTransport_SendAllocs pins the zero-copy encode contract: the
-// send path alone — split, encode into the reusable arena, sendmmsg —
+// send path alone — split, encode into the reusable arena, sendmmsg of
+// segmented messages (iovecs and control messages live on the batcher) —
 // performs zero steady-state allocations. Datagrams land on a raw-drain
 // sink that reads and discards without decoding (Read, not ReadFromUDP,
 // which would allocate a *UDPAddr per datagram and pollute the count).
-// The reported allocs/op must be 0.
+// The reported allocs/op must be 0; datagrams/syscall is what the sender's
+// Stats counted over the timed transfers.
 func BenchmarkTransport_SendAllocs(b *testing.B) {
 	grad := randGrads(19, 1, 200_000)[0]
 	codec := transport.Codec{Float32: true}
@@ -639,19 +641,27 @@ func BenchmarkTransport_SendAllocs(b *testing.B) {
 	b.ReportMetric(float64(codec.PacketsPerTransfer(len(grad), transport.DefaultMTU)), "pkts/op")
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := send.Stats()
 	for i := 0; i < b.N; i++ {
 		msg.Step = i
 		if err := send.SendGradient(msg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportDatagramsPerSyscall(b, before, send.Stats())
+}
+
+// reportDatagramsPerSyscall reports how many datagrams each sendmmsg /
+// recvmmsg of the timed section moved.
+func reportDatagramsPerSyscall(b *testing.B, before, after transport.UDPStats) {
+	b.ReportMetric(float64(after.Datagrams-before.Datagrams)/float64(after.Syscalls-before.Syscalls), "datagrams/syscall")
 }
 
 // BenchmarkTransport_RecvAllocs pins the receive half of the same contract:
 // a paced sender on its own goroutine, as a cluster worker is, and a
-// RecvPacket loop that takes one d=200k transfer per op — recvmmsg, decode
-// into the receiver's one packet — with zero steady-state allocations. The
-// reported allocs/op must be 0.
+// RecvPacket loop that takes one d=200k transfer per op — recvmmsg, the
+// segment walk, decode into the receiver's one packet — with zero
+// steady-state allocations. The reported allocs/op must be 0.
 func BenchmarkTransport_RecvAllocs(b *testing.B) {
 	grad := randGrads(20, 1, 200_000)[0]
 	codec := transport.Codec{Float32: true}
@@ -696,9 +706,11 @@ func BenchmarkTransport_RecvAllocs(b *testing.B) {
 	b.ReportMetric(float64(pkts), "pkts/op")
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := recv.Stats()
 	for i := 0; i < b.N; i++ {
 		transfer()
 	}
+	reportDatagramsPerSyscall(b, before, recv.Stats())
 }
 
 // BenchmarkTransport_TCPFrameAllocs pins the streaming contract of the

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestFanOutOnePacingClock(t *testing.T) {
 	fan := NewUDPFanOut(codec, mtu, burst, time.Millisecond)
 	defer fan.Close()
 	sleeps := 0
-	fan.sleep = func(d time.Duration) { sleeps++; time.Sleep(d) }
+	fan.chunk.sleep = func(d time.Duration) { sleeps++; time.Sleep(d) }
 
 	// Each destination counts, per broadcast step, the packet indexes it was
 	// sent, until its socket goes quiet.
@@ -109,7 +110,7 @@ func TestFanOutOnePacingClock(t *testing.T) {
 
 	pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Grad: modelParams(dim)}, mtu)
 	mask := make([]bool, len(pkts))
-	for _, idx := range []int{0, 5, udpBatch, udpBatch + 1, len(pkts) - 1} {
+	for _, idx := range []int{0, 5, fan.chunk.batch - 1, fan.chunk.batch, len(pkts) - 1} { // either side of a chunk boundary
 		mask[idx] = true
 	}
 	plan := func(dest int) ([]bool, bool) {
@@ -138,9 +139,9 @@ func TestFanOutOnePacingClock(t *testing.T) {
 		if n := sleeps - before; n > 2 {
 			t.Fatalf("broadcast %d slept %d times, want at most 2 (one clock for all %d destinations)", step, n, dests)
 		}
-		if sleeps != want || fan.burstAcc != acc {
+		if sleeps != want || fan.chunk.burstAcc != acc {
 			t.Fatalf("after broadcast %d: %d sleeps and %d bytes carried, one paced sender makes it %d and %d",
-				step, sleeps, fan.burstAcc, want, acc)
+				step, sleeps, fan.chunk.burstAcc, want, acc)
 		}
 	}
 	if want <= steps {
@@ -167,6 +168,90 @@ func TestFanOutOnePacingClock(t *testing.T) {
 	}
 }
 
+// TestFanOutEncodesEachPacketOnce: 19 destinations, each with a mask of its
+// own (one of them the tail), each receive exactly the packets their mask
+// leaves — while the broadcast encodes every packet once, not once per
+// destination: the bytes that pass through the fan-out's arena, chunk by
+// chunk, are the transfer's wire bytes and no more.
+func TestFanOutEncodesEachPacketOnce(t *testing.T) {
+	const dim, mtu, dests = 25450, DefaultMTU, 19
+	codec := Codec{}
+	per := codec.CoordsPerPacket(mtu)
+	pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Grad: modelParams(dim)}, mtu)
+	wire := 0
+	for i := range pkts {
+		wire += codec.PacketWireLen(&pkts[i])
+	}
+	// A burst of one full chunk: every full chunk ends on it and calls
+	// sleep, where the chunk's arena is still to be seen; the short last
+	// chunk is what is left in burstAcc.
+	fan := NewUDPFanOut(codec, mtu, framesPerMessage(mtu)*codec.PacketWireLen(&pkts[0]), 0)
+	defer fan.Close()
+	encoded := 0
+	fan.chunk.sleep = func(time.Duration) { encoded += len(fan.chunk.arena) }
+
+	masks := make([][]bool, dests)
+	var got [dests][]int
+	var wg sync.WaitGroup
+	for i := 0; i < dests; i++ {
+		// Destination i is withheld every packet ≡ i mod 19, so one of them
+		// the tail; destination 0's mask is cut short below.
+		masks[i] = make([]bool, len(pkts))
+		for idx := range masks[i] {
+			masks[i][idx] = idx%dests == i
+		}
+		recv, err := ListenUDP("127.0.0.1:0", codec, DropGradient, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer recv.Close()
+		if err := fan.Dial(recv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				p, err := recv.RecvPacket(500 * time.Millisecond)
+				if err != nil {
+					if !errors.Is(err, ErrTimeout) {
+						t.Error(err)
+					}
+					return
+				}
+				got[i] = append(got[i], p.Offset/per)
+			}
+		}(i)
+	}
+	masks[0] = masks[0][:len(pkts)/2]
+	if !masks[(len(pkts)-1)%dests][len(pkts)-1] {
+		t.Fatal("no destination is withheld the tail packet: the test does not cover it")
+	}
+	if err := fan.Broadcast(pkts, func(dest int) ([]bool, bool) { return masks[dest], true }); err != nil {
+		t.Fatal(err)
+	}
+	if encoded += fan.chunk.burstAcc; encoded != wire {
+		t.Fatalf("%d bytes encoded for a %d-byte transfer to %d destinations: a packet is not encoded exactly once", encoded, wire, dests)
+	}
+	wg.Wait()
+	sent := 0
+	for i := range got {
+		var want []int
+		for idx := range pkts {
+			if idx >= len(masks[i]) || !masks[i][idx] {
+				want = append(want, idx)
+			}
+		}
+		if !slices.Equal(got[i], want) {
+			t.Fatalf("destination %d received packets %v, its mask leaves %v", i, got[i], want)
+		}
+		sent += len(want)
+	}
+	if st := fan.Stats(); st.Datagrams != sent {
+		t.Fatalf("fan-out counted %+v, wrote %d datagrams", st, sent)
+	}
+}
+
 // TestRecvPacketReuseKeepsNothing: every datagram decodes into the
 // receiver's one packet, so a short packet after a long one, or a malformed
 // datagram in between, must leave no coordinate or header field of its
@@ -178,7 +263,7 @@ func TestRecvPacketReuseKeepsNothing(t *testing.T) {
 	if err := send.SendPacket(long); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := send.conn.Write([]byte("not a packet")); err != nil {
+	if _, err := send.batcher.conn.Write([]byte("not a packet")); err != nil {
 		t.Fatal(err)
 	}
 	if err := send.SendPacket(short); err != nil {

@@ -236,6 +236,38 @@ func FuzzReassembler(f *testing.F) {
 	})
 }
 
+// FuzzSegments walks an arbitrary message under an arbitrary segment size —
+// the size comes out of a kernel control message and the message off the
+// wire, so neither is trusted. The walk never panics, never yields bytes
+// outside the message or a datagram that could grow into its successor, and
+// its datagrams concatenate to the message.
+func FuzzSegments(f *testing.F) {
+	f.Add([]byte("aabbc"), 2)
+	f.Add([]byte("aabb"), 2)
+	f.Add([]byte("whole"), 5)
+	f.Add([]byte("whole"), 0)
+	f.Add([]byte("whole"), -3)
+	f.Add([]byte("whole"), math.MaxInt32)
+	f.Add([]byte{}, 1)
+	f.Fuzz(func(t *testing.T, msg []byte, seg int) {
+		at := 0
+		for rest := msg; len(rest) > 0; {
+			var d []byte
+			d, rest = nextSegment(rest, seg)
+			if len(d) == 0 || at+len(d) > len(msg) || &d[0] != &msg[at] {
+				t.Fatalf("segment size %d: a %d-byte datagram at offset %d of a %d-byte message", seg, len(d), at, len(msg))
+			}
+			if len(rest) > 0 && (cap(d) != len(d) || len(d) != seg) {
+				t.Fatalf("segment size %d: a datagram before the last has %d bytes and capacity %d", seg, len(d), cap(d))
+			}
+			at += len(d)
+		}
+		if at != len(msg) {
+			t.Fatalf("segment size %d: the walk covered %d of %d bytes", seg, at, len(msg))
+		}
+	})
+}
+
 // appendChunk length-prefixes one datagram in the fuzz corpus encoding
 // (u16 big-endian length, then the bytes).
 func appendChunk(dst, chunk []byte) []byte {

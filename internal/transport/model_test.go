@@ -542,6 +542,9 @@ func TestDialUDPRejectsSubMinimumMTU(t *testing.T) {
 		if _, err := DialUDP("127.0.0.1:1", codec, codec.MinMTU()-1, 0, 1); err == nil {
 			t.Fatalf("float32=%v: MTU %d accepted (one below minimum)", codec.Float32, codec.MinMTU()-1)
 		}
+		if err := NewUDPFanOut(codec, codec.MinMTU()-1, 0, 0).Dial("127.0.0.1:1"); err == nil {
+			t.Fatalf("float32=%v: fan-out dialled at MTU %d (one below minimum)", codec.Float32, codec.MinMTU()-1)
+		}
 		send, err := DialUDP("127.0.0.1:1", codec, codec.MinMTU(), 0, 1)
 		if err != nil {
 			t.Fatalf("float32=%v: minimum MTU rejected: %v", codec.Float32, err)

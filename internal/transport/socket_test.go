@@ -236,7 +236,7 @@ func TestUDPIgnoresGarbageDatagrams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer send.Close()
-	if _, err := send.conn.Write([]byte("not a packet at all")); err != nil {
+	if _, err := send.batcher.conn.Write([]byte("not a packet at all")); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))

@@ -14,27 +14,151 @@ import (
 // passes with nothing deliverable under the recoup policy.
 var ErrTimeout = errors.New("transport: udp receive timeout")
 
-// Datagram batch sizing. One sendmmsg/recvmmsg moves up to udpBatch
-// datagrams; the receive arena reserves a full 64 KiB slot per datagram
-// because the sender's MTU is not negotiated (a UDP payload can be up to
-// 65507 bytes and recvmmsg truncates anything beyond the slot).
+// Datagram path sizing. A *message* is what one mmsghdr of a
+// sendmmsg/recvmmsg carries: a run of up to udpMaxSegs equal datagrams (the
+// last may be shorter) of at most udpMaxPayload bytes together where the
+// socket segments (UDP_SEGMENT / UDP_GRO), one datagram elsewhere. A sender
+// flushes one message's worth of frames at a time. A receive slot is 64 KiB
+// because that is what a coalesced message can be, and because the sender's
+// MTU is not negotiated (a lone datagram can be up to udpMaxPayload bytes
+// too, and recvmmsg truncates anything beyond the slot); a receiver hands
+// recvmmsg udpBatch slots when a message is a datagram and udpCoalescedSlots
+// when it is a run — the same ~46 datagrams a syscall from an eighth of the
+// memory, every byte of which a full message touches.
 const (
-	udpBatch       = 16
-	udpRecvBufSize = 65536
+	udpBatch          = 16
+	udpCoalescedSlots = 2
+	udpRecvBufSize    = 65536
+	udpMaxSegs        = 64    // UDP_MAX_SEGMENTS of every kernel that has UDP_SEGMENT
+	udpMaxPayload     = 65507 // 65,535 − IP header − UDP header
 )
+
+// framesPerMessage is how many mtu-sized frames one message can carry: 46 at
+// DefaultMTU.
+func framesPerMessage(mtu int) int {
+	return max(1, min(udpMaxSegs, udpMaxPayload/mtu))
+}
+
+// UDPStats counts what a datagram endpoint moved through the kernel since it
+// was opened. Datagrams ÷ Messages is the segmentation actually achieved (1
+// on a socket that probed or fell back to one datagram a message) and
+// Messages ÷ Syscalls the sendmmsg / recvmmsg batch fill. Plain counters,
+// written by the goroutine that drives the endpoint: read them from it, or
+// once it is quiet.
+type UDPStats struct {
+	Datagrams int // written to the socket / handed to the decoder
+	Messages  int // mmsghdr entries the kernel took / filled
+	Syscalls  int // sendmmsg / recvmmsg calls, those that found the socket not ready included
+	Truncated int // received messages skipped undecoded: MSG_TRUNC or MSG_CTRUNC
+}
+
+func (a UDPStats) add(b UDPStats) UDPStats {
+	return UDPStats{a.Datagrams + b.Datagrams, a.Messages + b.Messages, a.Syscalls + b.Syscalls, a.Truncated + b.Truncated}
+}
+
+// chunker is the chunk-and-pace loop behind every datagram write, a single
+// sender's and the fan-out's alike. A chunk is what one flush hands a
+// socket: the frames of at most one message, encoded once into the chunker's
+// arena, ending early at the packet that reaches the pacing burst. A
+// datagram burst larger than the receiver's kernel buffer is silently
+// truncated by the kernel (the "loss-free" channel genuinely drops), so
+// after every burst bytes written toward one destination the writer sleeps
+// for delay.
+type chunker struct {
+	codec Codec
+	batch int // frames per chunk
+	// frames are subslices of arena, which is sized for a full chunk up
+	// front: only an oversized hand-built packet can force it to grow, and
+	// then it starts a chunk of its own.
+	arena  []byte
+	frames [][]byte
+
+	paceBurst int
+	paceDelay time.Duration
+	burstAcc  int                 // bytes per destination since the last sleep; carries across transfers
+	sleep     func(time.Duration) // time.Sleep; tests count the calls
+}
+
+func newChunker(codec Codec, mtu int) chunker {
+	batch := framesPerMessage(mtu)
+	return chunker{codec: codec, batch: batch, sleep: time.Sleep,
+		arena: make([]byte, 0, batch*mtu), frames: make([][]byte, 0, batch)}
+}
+
+// next encodes the next chunk of pkts[lo:] — skipping index i when dropped[i]
+// is true; dropped may be nil or shorter than pkts — into c.frames and
+// returns the index after the last packet it consumed.
+func (c *chunker) next(pkts []Packet, dropped []bool, lo int) (hi int) {
+	c.arena, c.frames = c.arena[:0], c.frames[:0]
+	for hi = lo; hi < len(pkts); hi++ {
+		if hi < len(dropped) && dropped[hi] {
+			continue // the tc stand-in: this datagram "was lost"
+		}
+		if len(c.frames) > 0 && cap(c.arena)-len(c.arena) < c.codec.PacketWireLen(&pkts[hi]) {
+			break // growing the arena would reallocate it and dangle the frames already queued
+		}
+		start := len(c.arena)
+		c.arena = c.codec.AppendPacket(c.arena, &pkts[hi])
+		c.frames = append(c.frames, c.arena[start:])
+		if len(c.frames) == c.batch || (c.paceBurst > 0 && c.burstAcc+len(c.arena) >= c.paceBurst) {
+			return hi + 1
+		}
+	}
+	return hi
+}
+
+// pace accounts the chunk just written and sleeps once the burst is reached.
+func (c *chunker) pace() {
+	c.burstAcc += len(c.arena)
+	if c.paceBurst > 0 && c.burstAcc >= c.paceBurst {
+		c.burstAcc = 0
+		c.sleep(c.paceDelay)
+	}
+}
+
+// checkMTU applies the DefaultMTU default (mtu <= 0) and the MinMTU floor.
+func (c Codec) checkMTU(mtu int) (int, error) {
+	if mtu <= 0 {
+		return DefaultMTU, nil
+	}
+	if mtu < c.MinMTU() {
+		return 0, fmt.Errorf("transport: mtu %d below the minimum %d (packet header + one coordinate)", mtu, c.MinMTU())
+	}
+	return mtu, nil
+}
+
+// dialBatcher opens a connected datagram socket toward addr with a batcher
+// that takes up to maxFrames frames — one chunk — per Send.
+func dialBatcher(addr string, maxFrames int) (*sendBatcher, error) {
+	raddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: resolve %s: %w", addr, err)
+	}
+	conn, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: dial udp %s: %w", addr, err)
+	}
+	b, err := newSendBatcher(conn, maxFrames)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return b, nil
+}
 
 // UDPSender pushes gradients as datagrams — the lossyMPI send endpoint. An
 // optional artificial DropRate reproduces the paper's tc-based loss
 // injection (loopback links do not drop on their own).
 //
 // The sender owns a reusable encode arena: packets are encoded in place and
-// flushed in sendmmsg batches, so the steady-state send path performs zero
-// allocations per packet and ~1/udpBatch syscalls per datagram.
+// flushed a message at a time, so the steady-state send path performs zero
+// allocations per packet and one trip through the kernel's UDP stack per
+// message — up to 46 datagrams at DefaultMTU where the socket segments, one
+// elsewhere (see Stats).
 type UDPSender struct {
-	conn    *net.UDPConn
-	codec   Codec
 	mtu     int
 	batcher *sendBatcher
+	chunk   chunker
 
 	dropRate float64
 	rng      *rand.Rand
@@ -42,20 +166,6 @@ type UDPSender struct {
 	// pktScratch is reused across SendGradient calls so steady-state splits
 	// do not allocate.
 	pktScratch []Packet
-
-	// Encode arena for the current batch: frames are subslices of arena, so
-	// the arena is sized for a full batch up front and only an oversized
-	// hand-built packet can force a flush-then-grow.
-	arena        []byte
-	frames       [][]byte
-	pendingBytes int
-
-	// Pacing state: a datagram burst larger than the receiver's kernel
-	// buffer is silently truncated by the kernel (the "loss-free" channel
-	// genuinely drops). SetPacing bounds the burst rate.
-	paceBurst int
-	paceDelay time.Duration
-	burstAcc  int
 }
 
 // DialUDP creates a sender toward addr with an artificial drop rate in
@@ -66,45 +176,36 @@ func DialUDP(addr string, codec Codec, mtu int, dropRate float64, seed int64) (*
 	if dropRate < 0 || dropRate >= 1 {
 		return nil, fmt.Errorf("transport: drop rate %v out of [0,1)", dropRate)
 	}
-	if mtu <= 0 {
-		mtu = DefaultMTU
-	}
-	if mtu < codec.MinMTU() {
-		return nil, fmt.Errorf("transport: mtu %d below the minimum %d (packet header + one coordinate)",
-			mtu, codec.MinMTU())
-	}
-	raddr, err := net.ResolveUDPAddr("udp", addr)
+	mtu, err := codec.checkMTU(mtu)
 	if err != nil {
-		return nil, fmt.Errorf("transport: resolve %s: %w", addr, err)
+		return nil, err
 	}
-	conn, err := net.DialUDP("udp", nil, raddr)
+	chunk := newChunker(codec, mtu)
+	batcher, err := dialBatcher(addr, chunk.batch)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial udp %s: %w", addr, err)
-	}
-	batcher, err := newSendBatcher(conn, udpBatch)
-	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	return &UDPSender{
-		conn:     conn,
-		codec:    codec,
 		mtu:      mtu,
 		batcher:  batcher,
+		chunk:    chunk,
 		dropRate: dropRate,
 		rng:      rand.New(rand.NewSource(seed)),
-		arena:    make([]byte, 0, udpBatch*mtu),
-		frames:   make([][]byte, 0, udpBatch),
 	}, nil
 }
 
 // LocalAddr returns the sender's bound local address (the dial interface —
 // the cluster derives the worker model-endpoint bind host from it).
-func (s *UDPSender) LocalAddr() string { return s.conn.LocalAddr().String() }
+func (s *UDPSender) LocalAddr() string { return s.batcher.conn.LocalAddr().String() }
 
-// Batched reports whether this sender batches datagram syscalls (false on
-// platforms without sendmmsg).
+// Batched reports whether this platform moves several messages per syscall
+// (sendmmsg / recvmmsg; false where only the portable one-datagram path
+// exists). It says nothing about how many datagrams a message carries: that
+// is per socket and can degrade at run time — read Stats.
 func (s *UDPSender) Batched() bool { return batchedSyscalls }
+
+// Stats returns the sender's kernel-traffic counters.
+func (s *UDPSender) Stats() UDPStats { return s.batcher.stats }
 
 // ModelWorkerID tags datagrams carrying a model broadcast instead of a
 // worker gradient (footnote 12: "our setup can be easily extended to support
@@ -120,7 +221,7 @@ func (s *UDPSender) SendModel(m *ModelMsg) error {
 
 // SendGradient splits the gradient into datagrams and writes the survivors.
 func (s *UDPSender) SendGradient(m *GradientMsg) error {
-	pkts := s.codec.SplitInto(s.pktScratch[:0], m, s.mtu)
+	pkts := s.chunk.codec.SplitInto(s.pktScratch[:0], m, s.mtu)
 	s.pktScratch = pkts
 	if cap(s.dropBuf) < len(pkts) {
 		s.dropBuf = make([]bool, len(pkts))
@@ -143,9 +244,9 @@ func (s *UDPSender) SendGradient(m *GradientMsg) error {
 // deterministic trajectories are unaffected. burstBytes <= 0 disables
 // pacing.
 func (s *UDPSender) SetPacing(burstBytes int, delay time.Duration) {
-	s.paceBurst = burstBytes
-	s.paceDelay = delay
-	s.burstAcc = 0
+	s.chunk.paceBurst = burstBytes
+	s.chunk.paceDelay = delay
+	s.chunk.burstAcc = 0
 }
 
 // SendPackets writes the given packets as datagrams, skipping index i when
@@ -156,109 +257,70 @@ func (s *UDPSender) SetPacing(burstBytes int, delay time.Duration) {
 // schedule mask here. The whole path reuses the sender's arena: zero
 // allocations per packet at steady state.
 func (s *UDPSender) SendPackets(pkts []Packet, dropped []bool) error {
-	for i := range pkts {
-		if i < len(dropped) && dropped[i] {
-			continue // the tc stand-in: this datagram "was lost"
+	for lo := 0; lo < len(pkts); {
+		lo = s.chunk.next(pkts, dropped, lo)
+		if len(s.chunk.frames) == 0 {
+			break // everything left was masked
 		}
-		if err := s.enqueue(&pkts[i]); err != nil {
-			return err
+		if err := s.batcher.Send(s.chunk.frames); err != nil {
+			return fmt.Errorf("transport: udp write: %w", err)
 		}
+		s.chunk.pace()
 	}
-	return s.flush()
+	return nil
 }
 
 // SendPacket writes one already-split packet immediately, bypassing the
 // sender's own drop injection.
 func (s *UDPSender) SendPacket(p *Packet) error {
-	if err := s.enqueue(p); err != nil {
-		return err
-	}
-	return s.flush()
-}
-
-// enqueue encodes p into the arena and flushes when the batch is full or
-// the pacing burst boundary is reached.
-func (s *UDPSender) enqueue(p *Packet) error {
-	need := s.codec.PacketWireLen(p)
-	if len(s.frames) > 0 && cap(s.arena)-len(s.arena) < need {
-		// Growing the arena would reallocate it and dangle the frames
-		// already queued (only possible for oversized hand-built packets —
-		// split packets fit the MTU budget the arena was sized for).
-		if err := s.flush(); err != nil {
-			return err
-		}
-	}
-	start := len(s.arena)
-	s.arena = s.codec.AppendPacket(s.arena, p)
-	s.frames = append(s.frames, s.arena[start:])
-	s.pendingBytes += len(s.arena) - start
-	if len(s.frames) == udpBatch ||
-		(s.paceBurst > 0 && s.burstAcc+s.pendingBytes >= s.paceBurst) {
-		return s.flush()
-	}
-	return nil
-}
-
-// flush writes the queued batch and applies pacing.
-func (s *UDPSender) flush() error {
-	if len(s.frames) == 0 {
-		return nil
-	}
-	err := s.batcher.Send(s.frames)
-	s.frames = s.frames[:0]
-	s.arena = s.arena[:0]
-	s.burstAcc += s.pendingBytes
-	s.pendingBytes = 0
-	if err != nil {
-		return fmt.Errorf("transport: udp write: %w", err)
-	}
-	if s.paceBurst > 0 && s.burstAcc >= s.paceBurst {
-		s.burstAcc = 0
-		time.Sleep(s.paceDelay)
-	}
-	return nil
+	s.pktScratch = append(s.pktScratch[:0], *p)
+	return s.SendPackets(s.pktScratch, nil)
 }
 
 // Close releases the socket.
-func (s *UDPSender) Close() error { return s.conn.Close() }
+func (s *UDPSender) Close() error { return s.batcher.conn.Close() }
 
 // UDPFanOut sends one split transfer to many destinations as a single
 // operation with a single pacing clock — the server's model broadcast. The
-// packets are walked in chunks of at most udpBatch; each chunk goes to every
-// destination in turn (one sendmmsg each), and the fan-out sleeps once when
-// the bytes sent to each destination since the last sleep reach the burst.
-// The pacing invariant is per destination socket — no receiver sees more
-// than burstBytes per delay, which is all pacing is for (see
-// UDPSender.SetPacing) — so the sleeps of a broadcast do not multiply with
-// the number of destinations, and every destination starts receiving at
+// packets are walked a chunk at a time: each chunk is encoded once, into the
+// fan-out's own arena, and every destination in turn is handed the same
+// frames minus the ones its mask withholds (one message each where the
+// socket segments), and the fan-out sleeps once when the bytes sent to each
+// destination since the last sleep reach the burst. The pacing invariant is
+// per destination socket — no receiver sees more than burstBytes per delay,
+// which is all pacing is for — so the sleeps of a broadcast do not multiply
+// with the number of destinations, and every destination starts receiving at
 // once instead of waiting for the ones before it to be served in full.
 type UDPFanOut struct {
-	codec     Codec
-	mtu       int
-	dests     []*UDPSender
-	paceBurst int
-	paceDelay time.Duration
-	burstAcc  int                 // bytes per destination since the last sleep; carries across broadcasts
-	sleep     func(time.Duration) // time.Sleep; tests count the calls
+	mtu   int
+	chunk chunker
+	dests []*sendBatcher
+	share [][]byte // one destination's frames of the current chunk
 }
 
 // NewUDPFanOut builds a fan-out with no destinations yet (see Dial).
 // burstBytes <= 0 disables pacing.
 func NewUDPFanOut(codec Codec, mtu, burstBytes int, delay time.Duration) *UDPFanOut {
-	return &UDPFanOut{codec: codec, mtu: mtu, paceBurst: burstBytes, paceDelay: delay, sleep: time.Sleep}
+	if mtu <= 0 {
+		mtu = DefaultMTU
+	}
+	f := &UDPFanOut{mtu: mtu, chunk: newChunker(codec, mtu)}
+	f.chunk.paceBurst, f.chunk.paceDelay = burstBytes, delay
+	return f
 }
 
 // Dial adds a destination; its index in Broadcast's plan is the number of
-// destinations dialled before it.
+// destinations dialled before it. The socket is unpaced and loss-free: the
+// fan-out paces, and a broadcast loses exactly the packets its plan masks.
 func (f *UDPFanOut) Dial(addr string) error {
-	// Unpaced and loss-free: the fan-out paces, and a broadcast loses exactly
-	// the packets its plan masks.
-	//aggrevet:lineage drop rate 0: the sender's rng is never drawn, loss comes from the plan's masks
-	s, err := DialUDP(addr, f.codec, f.mtu, 0, 0)
+	if _, err := f.chunk.codec.checkMTU(f.mtu); err != nil {
+		return err // as DialUDP: a sub-minimum MTU
+	}
+	b, err := dialBatcher(addr, f.chunk.batch)
 	if err != nil {
 		return err
 	}
-	f.dests = append(f.dests, s)
+	f.dests = append(f.dests, b)
 	return nil
 }
 
@@ -268,50 +330,60 @@ func (f *UDPFanOut) Dial(addr string) error {
 // bound on what any one destination received of it.
 func (f *UDPFanOut) Broadcast(pkts []Packet, plan func(dest int) (dropped []bool, send bool)) error {
 	for lo := 0; lo < len(pkts); {
-		// The chunk ends at the batch size or at the packet that reaches the
-		// burst, whichever comes first — the same two boundaries at which a
-		// paced UDPSender flushes.
-		hi, bytes := lo, 0
-		for hi < len(pkts) && hi-lo < udpBatch && (f.paceBurst <= 0 || f.burstAcc+bytes < f.paceBurst) {
-			bytes += f.codec.PacketWireLen(&pkts[hi])
-			hi++
-		}
-		for id, s := range f.dests {
+		hi := f.chunk.next(pkts, nil, lo) // nothing skipped: frame i is packet lo+i
+		for id, d := range f.dests {
 			dropped, send := plan(id)
 			if !send {
 				continue
 			}
-			if err := s.SendPackets(pkts[lo:hi], dropped[min(lo, len(dropped)):]); err != nil {
-				return fmt.Errorf("destination %d: %w", id, err)
+			f.share = f.share[:0]
+			for i, frame := range f.chunk.frames {
+				if lo+i >= len(dropped) || !dropped[lo+i] {
+					f.share = append(f.share, frame)
+				}
+			}
+			if len(f.share) == 0 {
+				continue
+			}
+			if err := d.Send(f.share); err != nil {
+				return fmt.Errorf("destination %d: transport: udp write: %w", id, err)
 			}
 		}
-		f.burstAcc += bytes
-		if f.paceBurst > 0 && f.burstAcc >= f.paceBurst {
-			f.burstAcc = 0
-			f.sleep(f.paceDelay)
-		}
+		f.chunk.pace()
 		lo = hi
 	}
 	return nil
 }
 
+// Stats sums the kernel-traffic counters of every destination.
+func (f *UDPFanOut) Stats() UDPStats {
+	var sum UDPStats
+	for _, d := range f.dests {
+		sum = sum.add(d.stats)
+	}
+	return sum
+}
+
 // Close releases every destination's socket.
 func (f *UDPFanOut) Close() {
-	for _, s := range f.dests {
-		s.Close()
+	for _, d := range f.dests {
+		d.conn.Close()
 	}
 }
 
 // UDPReceiver assembles datagrams back into gradients with a recoup policy —
-// the lossyMPI receive endpoint. Datagrams are drained from the kernel in
-// recvmmsg batches and handed out one at a time.
+// the lossyMPI receive endpoint. Messages are drained from the kernel in
+// recvmmsg batches, a coalesced one is walked segment by segment, and the
+// datagrams are handed out one at a time.
 type UDPReceiver struct {
 	conn    *net.UDPConn
 	codec   Codec
 	asm     *Reassembler
 	batcher *recvBatcher
-	batched int // datagrams in the current batch
-	next    int // next undelivered datagram in the batch
+	msgs    int    // messages in the current batch
+	next    int    // next unread message of the batch
+	rest    []byte // undelivered datagrams of the current message
+	seg     int    // their length; the last may be shorter
 	// pkt is the one packet every datagram is decoded into, so a receive
 	// allocates nothing at steady state.
 	pkt Packet
@@ -329,12 +401,12 @@ func ListenUDP(addr string, codec Codec, policy RecoupPolicy, seed int64) (*UDPR
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen udp %s: %w", addr, err)
 	}
-	// Large receive buffer: a full gradient arrives as a burst. The kernel
-	// caps this request at net.core.rmem_max (often well below 8 MB), so
-	// large transfers additionally rely on sender pacing — see
-	// UDPSender.SetPacing.
+	// Large receive buffer: a full gradient arrives as a burst. A request,
+	// not a requirement — the kernel caps it at net.core.rmem_max (often well
+	// below 8 MB) without failing, ReadBuffer says what it granted, and large
+	// transfers additionally rely on sender pacing (UDPSender.SetPacing).
 	_ = conn.SetReadBuffer(8 << 20)
-	batcher, err := newRecvBatcher(conn, udpBatch, udpRecvBufSize)
+	batcher, err := newRecvBatcher(conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -350,6 +422,15 @@ func ListenUDP(addr string, codec Codec, policy RecoupPolicy, seed int64) (*UDPR
 // Addr returns the bound address.
 func (r *UDPReceiver) Addr() string { return r.conn.LocalAddr().String() }
 
+// ReadBuffer returns the socket receive buffer the kernel granted
+// (getsockopt(SO_RCVBUF), in the kernel's own accounting: Linux reports
+// twice the payload bytes) — what the senders' aggregate in-flight bytes
+// have to stay under. 0 where the platform cannot be asked.
+func (r *UDPReceiver) ReadBuffer() int { return r.batcher.readBuffer() }
+
+// Stats returns the receiver's kernel-traffic counters.
+func (r *UDPReceiver) Stats() UDPStats { return r.batcher.stats }
+
 // WireMismatches reports how many datagrams decoded as well-formed frames
 // of the WRONG coordinate width — every endpoint of a correctly configured
 // deployment shares one wireFormat, so a nonzero count means a peer (or a
@@ -358,21 +439,36 @@ func (r *UDPReceiver) Addr() string { return r.conn.LocalAddr().String() }
 // width byte must not be able to abort an honest round.
 func (r *UDPReceiver) WireMismatches() int { return r.wireMismatches }
 
+// nextSegment cuts the first datagram off a message that is a run of
+// seg-byte datagrams; a message that is one datagram (seg out of range
+// included) comes back whole.
+func nextSegment(msg []byte, seg int) (datagram, rest []byte) {
+	if seg <= 0 || seg >= len(msg) {
+		return msg, nil
+	}
+	return msg[:seg:seg], msg[seg:]
+}
+
 // readDatagram returns the next datagram, draining the kernel in recvmmsg
 // batches. The returned slice is valid until the next call.
 func (r *UDPReceiver) readDatagram(deadline time.Time) ([]byte, error) {
-	if r.next >= r.batched {
-		if err := r.conn.SetReadDeadline(deadline); err != nil {
-			return nil, fmt.Errorf("transport: set deadline: %w", err)
+	for len(r.rest) == 0 { // a truncated (or empty) message yields nothing
+		if r.next >= r.msgs {
+			if err := r.conn.SetReadDeadline(deadline); err != nil {
+				return nil, fmt.Errorf("transport: set deadline: %w", err)
+			}
+			n, err := r.batcher.Recv()
+			if err != nil {
+				return nil, err
+			}
+			r.msgs, r.next = n, 0
 		}
-		n, err := r.batcher.Recv()
-		if err != nil {
-			return nil, err
-		}
-		r.batched, r.next = n, 0
+		r.rest, r.seg = r.batcher.Message(r.next)
+		r.next++
 	}
-	buf := r.batcher.Datagram(r.next)
-	r.next++
+	var buf []byte
+	buf, r.rest = nextSegment(r.rest, r.seg)
+	r.batcher.stats.Datagrams++
 	return buf, nil
 }
 
