@@ -41,8 +41,8 @@ race:
 	$(GO) test -race ./...
 
 # Short coverage of the transport codec, reassembler and coalesced-message
-# segment walk, round-engine (plan, settlement, rejoin admission) and
-# column-pass fuzz targets beyond the seed corpus.
+# segment walk, round-engine (plan, settlement, rejoin admission),
+# column-pass and blocked-matmul fuzz targets beyond the seed corpus.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzSegments -fuzztime=20s
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzRound -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzColumnPass -fuzztime=20s
+	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzMatMul -fuzztime=20s
 
 # The refactoring safety net. Run every built-in campaign the golden file
 # names (smoke, tcp-smoke, udp-smoke, model-loss-smoke, wire-smoke,

@@ -719,8 +719,9 @@ func BenchmarkTransport_RecvAllocs(b *testing.B) {
 // the gradient's own memory — 0 allocs/op against a raw draining sink. recv:
 // RecvGradient allocates the message and its vector and nothing else — 2
 // allocs/op and 8·d B/op plus the allocator's rounding of the vector to
-// whole pages (< 8 KB) and the message struct; the counts are process-wide,
-// so the sending goroutine's share (none) is included.
+// whole pages (< 8 KB) and the message struct; recv-model-into: RecvModel
+// into a replica's store — 0. The counts are process-wide, so the sending
+// goroutine's share (none) is included.
 func BenchmarkTransport_TCPFrameAllocs(b *testing.B) {
 	grad := randGrads(21, 1, 200_000)[0]
 	msg := &transport.GradientMsg{Worker: 1, Grad: grad}
@@ -760,39 +761,36 @@ func BenchmarkTransport_TCPFrameAllocs(b *testing.B) {
 			}
 		}
 	})
-	b.Run("recv", func(b *testing.B) {
+	// recvBench runs one receive path against a sender streaming frames until the
+	// receiver hangs up. TCP flow control is the only hand-off: a channel per
+	// transfer would add the parked-goroutine records the runtime reallocates
+	// after each GC cycle to the count.
+	recvBench := func(b *testing.B, send func(*transport.TCPConn) error, transfer func(*transport.TCPConn) error) {
 		ln, err := transport.ListenTCP("127.0.0.1:0", transport.Codec{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer ln.Close()
-		send, err := transport.DialTCP(ln.Addr(), transport.Codec{})
+		sender, err := transport.DialTCP(ln.Addr(), transport.Codec{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer send.Close()
+		defer sender.Close()
 		recv, err := ln.Accept()
 		if err != nil {
 			b.Fatal(err)
 		}
 		recv.SetExpectDim(len(grad))
-		// The sender streams frames until the receiver hangs up. TCP flow
-		// control is the only hand-off: a channel per transfer would add the
-		// parked-goroutine records the runtime reallocates after each GC
-		// cycle to the count.
 		sent := make(chan struct{})
 		go func() {
 			defer close(sent)
-			for send.SendGradient(msg) == nil {
+			for send(sender) == nil {
 			}
 		}()
 		defer func() { recv.Close(); <-sent }()
-		transfer := func() {
-			if got, err := recv.RecvGradient(); err != nil || got.Grad.Dim() != len(grad) {
-				b.Fatalf("received %v, error %v", got, err)
-			}
+		if err := transfer(recv); err != nil {
+			b.Fatal(err)
 		}
-		transfer()
 		// At the default GOGC 1.6 MB an op is a GC cycle every other op on
 		// this small heap, and each cycle costs the process a few
 		// runtime-internal allocations (package unique's map sweep, via
@@ -802,10 +800,63 @@ func BenchmarkTransport_TCPFrameAllocs(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			transfer()
+			if err := transfer(recv); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.StopTimer() // the hang-up below makes the sender's error: not the receive path's allocations
+		b.StopTimer() // the deferred hang-up makes the sender's error: not the receive path's allocations
+	}
+	b.Run("recv", func(b *testing.B) {
+		recvBench(b, func(c *transport.TCPConn) error { return c.SendGradient(msg) },
+			func(c *transport.TCPConn) error {
+				got, err := c.RecvGradient()
+				if err == nil && got.Grad.Dim() != len(grad) {
+					err = fmt.Errorf("received %d coordinates", got.Grad.Dim())
+				}
+				return err
+			})
 	})
+	// A worker takes a broadcast into its replica's parameter store: nothing
+	// is allocated.
+	b.Run("recv-model-into", func(b *testing.B) {
+		model, store := &transport.ModelMsg{Step: 1, Params: grad}, tensor.NewVector(len(grad))
+		recvBench(b, func(c *transport.TCPConn) error { return c.SendModel(model) },
+			func(c *transport.TCPConn) error { _, err := c.RecvModel(store); return err })
+	})
+}
+
+// BenchmarkNN_GradientAllocs pins the worker step's allocations (the CI bench
+// job reads them) on the benchmark workloads' model, d = 101,770, at their
+// batch of 4, after one call has sized the scratch: through the borrowed view
+// nothing is allocated; Gradient adds its caller-owned copy — 1 alloc/op of
+// 8·d B plus the allocator's rounding to whole pages — and nothing else.
+func BenchmarkNN_GradientAllocs(b *testing.B) {
+	rng := rand.New(rand.NewSource(22))
+	model := nn.NewMLP(784, []int{128}, 10, rng)
+	x, y := tensor.NewMatrix(4, 784), make([]int, 4)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	for i := range y {
+		y[i] = rng.Intn(10)
+	}
+	var sink float64
+	for _, path := range []struct {
+		name string
+		step func(*tensor.Matrix, []int) (float64, tensor.Vector)
+	}{{"view", model.GradientView}, {"copy", model.Gradient}} {
+		step := path.step
+		b.Run(path.name, func(b *testing.B) {
+			step(x, y)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				loss, grad := step(x, y)
+				sink += loss + grad[0]
+			}
+		})
+	}
+	_ = sink
 }
 
 // BenchmarkAblation_SelectionSize quantifies the appendix's slowdown claim:

@@ -449,12 +449,16 @@ func (c *TCPCluster) runWorker(addr string, id int) error {
 		return err
 	}
 	conn.SetExpectDim(w.replica.NumParams())
+	// The replica's parameter store is the receive buffer: a broadcast lands
+	// where the forward pass reads it. A failed receive may leave it torn,
+	// and the worker exits without training on it.
+	params := w.replica.Params()
 	for {
-		model, err := conn.RecvModel()
+		step, err := conn.RecvModel(params)
 		if err != nil {
 			return nil // server hung up: normal termination
 		}
-		plan := w.plan.At(model.Step, id)
+		plan := w.plan.At(step, id)
 		switch plan.Phase {
 		case ps.ChurnCrash:
 			conn.Close() // abrupt teardown: no goodbye, no submission
@@ -476,14 +480,14 @@ func (c *TCPCluster) runWorker(addr string, id int) error {
 		case ps.ChurnDown:
 			continue // defensive: a down worker holds no connection
 		}
-		if s, ok := c.testAbruptClose[id]; ok && model.Step == s {
+		if s, ok := c.testAbruptClose[id]; ok && step == s {
 			conn.Close() // test hook: vanish between broadcast and submit
 			return nil
 		}
 		if cfg.Unresponsive[id] {
 			continue // consume the broadcast, never answer (crashed node)
 		}
-		sub := w.roundSubmission(model.Step, model.Params, plan)
+		sub := w.roundSubmission(step, params, plan)
 		if sub == nil {
 			continue // scheduled too-stale: the worker sits the round out
 		}

@@ -21,6 +21,7 @@ type clusterWorker struct {
 	sampler data.Sampler
 	rng     *rand.Rand
 	atk     attack.Attack
+	sub     transport.GradientMsg // the submission handed out, rewritten by the next
 
 	// plan is the worker's half of "both endpoints, one function": the same
 	// ps.Planner the server's engine runs over all n slots, here over this
@@ -82,11 +83,15 @@ func newClusterWorker(id int, spec *UDPClusterConfig, rounds *ps.RoundConfig) (*
 
 // submission computes the worker's wire submission for one broadcast: the
 // honest gradient and loss, with Byzantine workers forging through the same
-// attack.Context the in-process backend builds.
+// attack.Context the in-process backend builds. The honest gradient is the
+// replica's own store, borrowed: the sender has written or encoded it by the
+// time the next broadcast is trained on, and the message is the worker's one,
+// valid as long. The oracle's gradients are several of one replica alive at
+// once, so each is a copy.
 func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.GradientMsg {
-	w.replica.SetParamsVector(model.Params)
+	w.replica.SetParamsVector(model.Params) // nothing to do when the broadcast was received into the replica
 	x, y := w.sampler.Sample(w.cfg.Batch)
-	loss, grad := w.replica.Gradient(x, y)
+	loss, grad := w.replica.GradientView(x, y)
 	if w.atk != nil {
 		var honest []tensor.Vector
 		if len(w.peers) > 0 {
@@ -107,7 +112,8 @@ func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.Gradien
 			Rng:    w.rng,
 		})
 	}
-	return &transport.GradientMsg{Worker: w.id, Step: model.Step, Loss: loss, Grad: grad}
+	w.sub = transport.GradientMsg{Worker: w.id, Step: model.Step, Loss: loss, Grad: grad}
+	return &w.sub
 }
 
 // roundSubmission answers one settled broadcast as the step's plan says:

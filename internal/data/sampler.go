@@ -21,6 +21,7 @@ type Sampler interface {
 type UniformSampler struct {
 	ds  *Dataset
 	rng *rand.Rand
+	idx []int // the draw's indexes, reused: a sampler belongs to one worker
 }
 
 // NewUniformSampler builds an IID sampler over ds with its own seed.
@@ -33,11 +34,13 @@ func (s *UniformSampler) Sample(batch int) (*tensor.Matrix, []int) {
 	if batch <= 0 {
 		panic(fmt.Sprintf("data: batch size %d", batch))
 	}
-	idx := make([]int, batch)
-	for i := range idx {
-		idx[i] = s.rng.Intn(s.ds.Len())
+	if len(s.idx) != batch {
+		s.idx = make([]int, batch)
 	}
-	return s.ds.Batch(idx)
+	for i := range s.idx {
+		s.idx[i] = s.rng.Intn(s.ds.Len())
+	}
+	return s.ds.Batch(s.idx)
 }
 
 // Corruption transforms a sampled mini-batch in place — the data-level

@@ -21,6 +21,7 @@ const (
 // Conv2D is a 2-D convolution with channel-last layout, implemented via
 // im2col + matrix multiply (the standard CPU lowering).
 type Conv2D struct {
+	block      // w is (kh*kw*inC) x outC
 	in         Shape
 	kh, kw     int
 	stride     int
@@ -28,11 +29,6 @@ type Conv2D struct {
 	padding    Padding
 	outH, outW int
 	padT, padL int
-
-	w  *tensor.Matrix // (kh*kw*inC) x outC
-	b  tensor.Vector  // outC
-	gw *tensor.Matrix
-	gb tensor.Vector
 
 	lastCols []*tensor.Matrix // per-sample im2col buffers from Forward
 	lastRows int
@@ -55,10 +51,7 @@ func NewConv2D(in Shape, kh, kw, outC, stride int, padding Padding, rng *rand.Ra
 		panic(fmt.Sprintf("nn: unknown padding %d", padding))
 	}
 	patch := kh * kw * in.C
-	c.w = tensor.NewMatrix(patch, outC)
-	c.b = tensor.NewVector(outC)
-	c.gw = tensor.NewMatrix(patch, outC)
-	c.gb = tensor.NewVector(outC)
+	c.block = newBlock(patch, outC)
 	std := math.Sqrt(2 / float64(patch))
 	for i := range c.w.Data {
 		c.w.Data[i] = rng.NormFloat64() * std
@@ -77,9 +70,6 @@ func (c *Conv2D) Name() string {
 
 // OutShape implements Layer.
 func (c *Conv2D) OutShape() Shape { return Shape{H: c.outH, W: c.outW, C: c.outC} }
-
-// NumParams implements Layer.
-func (c *Conv2D) NumParams() int { return c.kh*c.kw*c.in.C*c.outC + c.outC }
 
 // im2col expands one sample (flat H*W*C row) into a (outH*outW) x
 // (kh*kw*inC) patch matrix.
@@ -168,13 +158,14 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
+	c.ownGrads()
 	for i := range c.gw.Data {
 		c.gw.Data[i] = 0
 	}
 	c.gb.Zero()
 	patch := c.kh * c.kw * c.in.C
 	dOut := tensor.NewMatrix(c.outH*c.outW, c.outC)
-	gwAcc := tensor.NewMatrix(patch, c.outC)
+	gwAcc, gbAcc := tensor.NewMatrix(patch, c.outC), tensor.NewVector(c.outC)
 	var gradIn, dCols *tensor.Matrix
 	if needInput {
 		gradIn = tensor.NewMatrix(c.lastRows, c.in.Flat())
@@ -187,7 +178,8 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix
 		for i, v := range gwAcc.Data {
 			c.gw.Data[i] += v
 		}
-		c.gb.Add(dOut.ColumnSums())
+		dOut.ColumnSumsInto(gbAcc)
+		c.gb.Add(gbAcc)
 		if needInput {
 			// Input gradient: dCols = dOut·wᵀ, scattered by col2im.
 			tensor.MatMulTransB(dCols, dOut, c.w)
@@ -195,16 +187,6 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix
 		}
 	}
 	return gradIn
-}
-
-// Params implements Layer.
-func (c *Conv2D) Params() []tensor.Vector {
-	return []tensor.Vector{tensor.Vector(c.w.Data), c.b}
-}
-
-// Grads implements Layer.
-func (c *Conv2D) Grads() []tensor.Vector {
-	return []tensor.Vector{tensor.Vector(c.gw.Data), c.gb}
 }
 
 // MaxPool2D is a max-pooling layer with channel-last layout.

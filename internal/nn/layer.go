@@ -37,25 +37,86 @@ type Layer interface {
 	Grads() []tensor.Vector
 }
 
-// Dense is a fully connected layer: y = x·W + b.
+// block is what a layer with parameters embeds: a weight matrix and a bias
+// vector, and their gradients. A layer builds its block with storage of its
+// own; the network it joins binds the block into its flat stores, after which
+// all four are views (README.md, "Flat stores and views").
+type block struct {
+	w  *tensor.Matrix
+	b  tensor.Vector
+	gw *tensor.Matrix // nil until bound to a gradient store
+	gb tensor.Vector
+}
+
+func newBlock(rows, cols int) block {
+	return block{w: tensor.NewMatrix(rows, cols), b: tensor.NewVector(cols)}
+}
+
+// views splits a store NumParams long into the block's two shapes, weights
+// first.
+func (p *block) views(store tensor.Vector) (*tensor.Matrix, tensor.Vector) {
+	n := len(p.w.Data)
+	return &tensor.Matrix{Rows: p.w.Rows, Cols: p.w.Cols, Data: store[:n:n]}, store[n : n+len(p.b)]
+}
+
+// blk is how a Network finds the block of a layer that embeds one.
+func (p *block) blk() *block { return p }
+
+// bindParams moves the parameters into store, values carried over.
+func (p *block) bindParams(store tensor.Vector) {
+	w, b := p.views(store)
+	copy(w.Data, p.w.Data)
+	copy(b, p.b)
+	p.w, p.b = w, b
+}
+
+// bindGrads makes store the gradients.
+func (p *block) bindGrads(store tensor.Vector) { p.gw, p.gb = p.views(store) }
+
+// ownGrads gives a layer used outside any Network a gradient store of its own.
+func (p *block) ownGrads() {
+	if p.gw == nil {
+		p.bindGrads(tensor.NewVector(p.NumParams()))
+	}
+}
+
+// NumParams implements Layer.
+func (p *block) NumParams() int { return len(p.w.Data) + len(p.b) }
+
+// Params implements Layer.
+func (p *block) Params() []tensor.Vector { return []tensor.Vector{tensor.Vector(p.w.Data), p.b} }
+
+// Grads implements Layer. Until its network's first backward pass the layer
+// has no share of a gradient store, and the views are of a zero block of its
+// own that the network's then replaces.
+func (p *block) Grads() []tensor.Vector {
+	p.ownGrads()
+	return []tensor.Vector{tensor.Vector(p.gw.Data), p.gb}
+}
+
+// sized returns m when it is rows×cols and a new matrix otherwise: a layer's
+// scratch is made on first use and again only when the batch shape changes.
+// The contents are whatever the last call left.
+func sized(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if m == nil || m.Rows != rows || m.Cols != cols {
+		return tensor.NewMatrix(rows, cols)
+	}
+	return m
+}
+
+// Dense is a fully connected layer: y = x·W + b, W in×out.
 type Dense struct {
+	block
 	in, out int
-	w       *tensor.Matrix // in x out
-	b       tensor.Vector  // out
-	gw      *tensor.Matrix
-	gb      tensor.Vector
 	lastX   *tensor.Matrix
+	// y and gradIn are the layer's output and input gradient, reused from
+	// call to call: each is valid until the next Forward (Backward).
+	y, gradIn *tensor.Matrix
 }
 
 // NewDense builds a Dense layer with He-normal initialisation from rng.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
-	d := &Dense{
-		in: in, out: out,
-		w:  tensor.NewMatrix(in, out),
-		b:  tensor.NewVector(out),
-		gw: tensor.NewMatrix(in, out),
-		gb: tensor.NewVector(out),
-	}
+	d := &Dense{block: newBlock(in, out), in: in, out: out}
 	std := math.Sqrt(2 / float64(in))
 	for i := range d.w.Data {
 		d.w.Data[i] = rng.NormFloat64() * std
@@ -69,47 +130,37 @@ func (d *Dense) Name() string { return fmt.Sprintf("dense(%d->%d)", d.in, d.out)
 // OutShape implements Layer.
 func (d *Dense) OutShape() Shape { return FlatShape(d.out) }
 
-// NumParams implements Layer.
-func (d *Dense) NumParams() int { return d.in*d.out + d.out }
-
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != d.in {
 		panic(fmt.Sprintf("nn: dense expects %d inputs, got %d", d.in, x.Cols))
 	}
 	d.lastX = x
-	out := tensor.NewMatrix(x.Rows, d.out)
-	tensor.MatMul(out, x, d.w)
-	out.AddRowVector(d.b)
-	return out
+	d.y = sized(d.y, x.Rows, d.out)
+	tensor.MatMul(d.y, x, d.w)
+	d.y.AddRowVector(d.b)
+	return d.y
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
+	d.ownGrads()
 	tensor.MatMulTransA(d.gw, d.lastX, gradOut)
-	copy(d.gb, gradOut.ColumnSums())
+	gradOut.ColumnSumsInto(d.gb)
 	if !needInput {
 		return nil
 	}
-	gradIn := tensor.NewMatrix(gradOut.Rows, d.in)
-	tensor.MatMulTransB(gradIn, gradOut, d.w)
-	return gradIn
-}
-
-// Params implements Layer.
-func (d *Dense) Params() []tensor.Vector {
-	return []tensor.Vector{tensor.Vector(d.w.Data), d.b}
-}
-
-// Grads implements Layer.
-func (d *Dense) Grads() []tensor.Vector {
-	return []tensor.Vector{tensor.Vector(d.gw.Data), d.gb}
+	d.gradIn = sized(d.gradIn, gradOut.Rows, d.in)
+	tensor.MatMulTransB(d.gradIn, gradOut, d.w)
+	return d.gradIn
 }
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
 	shape Shape
 	mask  []bool
+	// y and gradIn are reused from call to call, like Dense's.
+	y, gradIn *tensor.Matrix
 }
 
 // NewReLU builds a ReLU over the given sample shape.
@@ -126,31 +177,30 @@ func (r *ReLU) NumParams() int { return 0 }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
+	r.y = sized(r.y, x.Rows, x.Cols)
+	if len(r.mask) != len(x.Data) {
+		r.mask = make([]bool, len(x.Data))
 	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
+	for i, v := range x.Data {
 		if v <= 0 {
-			out.Data[i] = 0
-			r.mask[i] = false
+			r.y.Data[i], r.mask[i] = 0, false
 		} else {
-			r.mask[i] = true
+			r.y.Data[i], r.mask[i] = v, true
 		}
 	}
-	return out
+	return r.y
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
-	gradIn := gradOut.Clone()
-	for i := range gradIn.Data {
+	r.gradIn = sized(r.gradIn, gradOut.Rows, gradOut.Cols)
+	for i, g := range gradOut.Data {
 		if !r.mask[i] {
-			gradIn.Data[i] = 0
+			g = 0
 		}
+		r.gradIn.Data[i] = g
 	}
-	return gradIn
+	return r.gradIn
 }
 
 // Params implements Layer.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -215,6 +216,148 @@ func TestBackwardSkipsOnlyTheUnreadInputGradient(t *testing.T) {
 		for i, l := range n.layers[:n.trainFrom+1] {
 			if trainable := l.NumParams() > 0; trainable != (i == n.trainFrom) {
 				t.Fatalf("%s: the walk ends at layer %d, but layer %d (%s) has %d parameters", name, n.trainFrom, i, l.Name(), l.NumParams())
+			}
+		}
+	}
+}
+
+// sameVectorBits fails unless got and want agree bit for bit.
+func sameVectorBits(t *testing.T, got, want tensor.Vector, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: dimension %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: coordinate %d = %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// testNets builds the three model families on a seed.
+var testNets = map[string]func(seed int64) *Network{
+	"mlp": func(seed int64) *Network { return NewMLP(12, []int{7, 5}, 3, rand.New(rand.NewSource(seed))) },
+	"smallcnn": func(seed int64) *Network {
+		return NewSmallCNN(Shape{H: 6, W: 6, C: 2}, 3, rand.New(rand.NewSource(seed)))
+	},
+	"cifarcnn": func(seed int64) *Network { return NewCIFARCNN(rand.New(rand.NewSource(seed))) },
+}
+
+// TestLayerViewsAliasFlatStores: a layer's blocks are windows on the
+// network's stores, laid out in layer order, weights before biases, with no
+// gaps — the layout ParamsVector has always had, so a checkpoint written
+// before the stores were flat loads to the same model.
+func TestLayerViewsAliasFlatStores(t *testing.T) {
+	for name, build := range testNets {
+		n := build(41)
+		if len(n.Params()) != n.NumParams() {
+			t.Fatalf("%s: store holds %d parameters, NumParams %d", name, len(n.Params()), n.NumParams())
+		}
+		off := 0
+		for li, l := range n.Layers() {
+			for bi, p := range l.Params() {
+				if len(p) == 0 {
+					t.Fatalf("%s: layer %d block %d is empty", name, li, bi)
+				}
+				if &p[0] != &n.Params()[off] {
+					t.Fatalf("%s: layer %d (%s) block %d does not start at offset %d of the store", name, li, l.Name(), bi, off)
+				}
+				mark := 1000 + float64(off)
+				p[0] = mark // a write through the layer's view…
+				if n.Params()[off] != mark || n.ParamsVector()[off] != mark {
+					t.Fatalf("%s: write through layer %d block %d does not show at offset %d", name, li, bi, off)
+				}
+				off += len(p)
+			}
+		}
+		if off != n.NumParams() {
+			t.Fatalf("%s: the layers' blocks cover %d of %d parameters", name, off, n.NumParams())
+		}
+		// …and a load through the store shows in the layers.
+		v := n.ParamsVector()
+		for i := range v {
+			v[i] = float64(i)
+		}
+		n.SetParamsVector(v)
+		n.SetParamsVector(n.Params()) // the store itself: nothing to do
+		off = 0
+		for _, l := range n.Layers() {
+			for _, p := range l.Params() {
+				if p[0] != float64(off) || p[len(p)-1] != float64(off+len(p)-1) {
+					t.Fatalf("%s: %s block at offset %d reads %v…%v after SetParamsVector", name, l.Name(), off, p[0], p[len(p)-1])
+				}
+				off += len(p)
+			}
+		}
+		if name == "cifarcnn" {
+			continue // one backward pass of the 1.75M-parameter model is the slow part
+		}
+		// The gradient store is laid out the same way, once a backward pass made it.
+		x, y := randBatch(rand.New(rand.NewSource(42)), 3, n.InShape().Flat(), 3)
+		_, view := n.GradientView(x, y)
+		off = 0
+		for _, l := range n.Layers() {
+			for bi, g := range l.Grads() {
+				if &g[0] != &view[off] || len(g) != len(l.Params()[bi]) {
+					t.Fatalf("%s: %s gradient block %d is not the store at offset %d", name, l.Name(), bi, off)
+				}
+				off += len(g)
+			}
+		}
+	}
+}
+
+// TestGradientViewIsOverwrittenNotAccumulated: the borrowed gradient is the
+// last backward pass's and nothing of an earlier one, and Gradient's copy
+// survives later passes.
+func TestGradientViewIsOverwrittenNotAccumulated(t *testing.T) {
+	for _, name := range []string{"mlp", "smallcnn"} {
+		n := testNets[name](43)
+		rng := rand.New(rand.NewSource(44))
+		x1, y1 := randBatch(rng, 4, n.InShape().Flat(), 3)
+		x2, y2 := randBatch(rng, 4, n.InShape().Flat(), 3)
+		_, first := n.Gradient(x1, y1)
+		kept := first.Clone()
+		loss2, view := n.GradientView(x2, y2)
+		wantLoss, want := testNets[name](43).Gradient(x2, y2)
+		if loss2 != wantLoss {
+			t.Fatalf("%s: second loss %v, a fresh network's %v", name, loss2, wantLoss)
+		}
+		sameVectorBits(t, view, want, name+": second view vs a fresh network")
+		sameVectorBits(t, first, kept, name+": Gradient's copy after a later pass")
+		_, wantFirst := testNets[name](43).Gradient(x1, y1)
+		sameVectorBits(t, first, wantFirst, name+": first gradient")
+		if _, again := n.GradientView(x1, y1); &again[0] != &view[0] {
+			t.Fatalf("%s: GradientView returned a different store on a later call", name)
+		}
+		sameVectorBits(t, view, wantFirst, name+": the view after the next pass")
+	}
+}
+
+// TestScratchFollowsBatchShape alternates a worker's batch of 4 with an
+// evaluation batch of 64 through one network: scratch sized for one must not
+// leak into the other. Every result equals a fresh network's, bit for bit.
+func TestScratchFollowsBatchShape(t *testing.T) {
+	for _, name := range []string{"mlp", "smallcnn"} {
+		n := testNets[name](45)
+		rng := rand.New(rand.NewSource(46))
+		for round := 0; round < 3; round++ {
+			for _, rows := range []int{4, 64, 4} {
+				x, y := randBatch(rng, rows, n.InShape().Flat(), 3)
+				fresh := testNets[name](45)
+				label := fmt.Sprintf("%s batch %d", name, rows)
+				if got, want := n.Loss(x, y), fresh.Loss(x, y); got != want {
+					t.Fatalf("%s: loss %v, fresh network %v", label, got, want)
+				}
+				if got, want := n.Accuracy(x, y), fresh.Accuracy(x, y); got != want {
+					t.Fatalf("%s: accuracy %v, fresh network %v", label, got, want)
+				}
+				loss, grad := n.GradientView(x, y)
+				wantLoss, want := fresh.Gradient(x, y)
+				if loss != wantLoss {
+					t.Fatalf("%s: gradient loss %v, fresh network %v", label, loss, wantLoss)
+				}
+				sameVectorBits(t, grad, want, label)
 			}
 		}
 	}

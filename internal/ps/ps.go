@@ -70,7 +70,10 @@ type WorkerConfig struct {
 type Config struct {
 	// ModelFactory builds one network replica; called once for the server
 	// and once per worker (in-graph replication: identical structure,
-	// server-owned parameters).
+	// server-owned parameters). A replica holds its parameters as one flat
+	// store — the server's is the parameter authority itself, a worker's is
+	// what each broadcast is loaded (over TCP, received) into — and, once it
+	// has trained, one flat gradient store its submissions are borrowed from.
 	ModelFactory func() *nn.Network
 	// Workers lists the n worker nodes.
 	Workers []WorkerConfig
@@ -112,6 +115,11 @@ type Cluster struct {
 	rngs     []*rand.Rand
 	models   *Models // the broadcasts a slow worker can still be told to train on
 	hijacked bool
+	// The round's honest gradients (each worker's borrowed from its replica
+	// until Finish) and losses by worker, and the correct workers' gradients.
+	honest  []tensor.Vector
+	losses  []float64
+	correct []tensor.Vector
 	// The datagram link's state (nil without one): the round's broadcast as
 	// it reads off the wire, those a slow worker may yet train on, scratch.
 	received   tensor.Vector
@@ -249,6 +257,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.replicas = make([]*nn.Network, len(cfg.Workers))
 	c.rngs = make([]*rand.Rand, len(cfg.Workers))
+	c.honest, c.losses = make([]tensor.Vector, len(cfg.Workers)), make([]float64, len(cfg.Workers))
 	for i, w := range cfg.Workers {
 		if w.Sampler == nil && w.Attack == nil && !w.Silent {
 			return nil, fmt.Errorf("ps: worker %d has no sampler and no attack", i)
@@ -302,8 +311,9 @@ func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 	// worker, each on its own replica). round.Tag is the worker's half of
 	// the shared schedule: the current step when fresh, an older one to
 	// train on the retained model, -1 to sit the round out.
-	honest := make([]tensor.Vector, n)
-	losses := make([]float64, n)
+	honest, losses := c.honest, c.losses
+	clear(honest)
+	clear(losses)
 	var wg sync.WaitGroup
 	for i := range c.cfg.Workers {
 		w := &c.cfg.Workers[i]
@@ -322,15 +332,16 @@ func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 			}
 			c.replicas[i].SetParamsVector(params)
 			x, y := c.cfg.Workers[i].Sampler.Sample(c.cfg.Batch)
-			loss, grad := c.replicas[i].Gradient(x, y)
-			honest[i], losses[i] = grad, loss
+			// Borrowed from the worker's own replica: the engines drop it
+			// in Finish, before the replica's next backward pass.
+			losses[i], honest[i] = c.replicas[i].GradientView(x, y)
 		}(i)
 	}
 	wg.Wait()
 
 	// Forge phase: Byzantine workers see every correct gradient (§3.1's
 	// omniscient adversary) before crafting their submission.
-	var correct []tensor.Vector
+	correct := c.correct[:0]
 	byzCount := 0
 	for i, w := range c.cfg.Workers {
 		if w.Attack != nil {
@@ -358,6 +369,7 @@ func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 			return nil, err
 		}
 	}
+	c.correct = correct
 	var first *StepResult
 	for _, round := range c.rounds {
 		res, err := round.Finish()

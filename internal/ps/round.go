@@ -27,17 +27,17 @@ import (
 // contingencies — a deadline (Expire) and a dead connection (Disconnected).
 // README.md, "Round engine", has the tour.
 
-// Server is the parameter authority every deployment embeds: the live
-// parameter vector, the evaluation replica kept in sync with it, and the
-// model-update counter.
+// Server is the parameter authority every deployment embeds: the evaluation
+// replica, whose parameter store is the live parameter vector — the
+// optimizer descends it in place, so the replica is never out of sync and no
+// second copy exists — and the model-update counter.
 type Server struct {
 	net    *nn.Network
-	params tensor.Vector
+	params tensor.Vector // net.Params(), the model's own store
 	step   int
 }
 
-// Model returns the evaluation replica, synchronised with the current
-// parameters.
+// Model returns the evaluation replica: the current parameters.
 func (s *Server) Model() *nn.Network { return s.net }
 
 // Params returns a copy of the current model parameters.
@@ -53,7 +53,6 @@ func (s *Server) SetParams(v tensor.Vector) error {
 		return fmt.Errorf("ps: SetParams dimension %d, want %d", v.Dim(), s.params.Dim())
 	}
 	copy(s.params, v)
-	s.net.SetParamsVector(s.params)
 	return nil
 }
 
@@ -94,7 +93,7 @@ func (l Link) ModelLossEnabled() bool { return l.ModelLoss > 0 || l.StaleModels 
 // from: the round description plus the training objects.
 type EngineConfig struct {
 	RoundConfig
-	// Model is the server's evaluation replica; its parameters become the
+	// Model is the server's evaluation replica; its parameter store is the
 	// deployment's parameter authority.
 	Model     *nn.Network
 	GAR       gar.GAR
@@ -176,7 +175,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		Server:   Server{net: cfg.Model, params: cfg.Model.ParamsVector()},
+		Server:   Server{net: cfg.Model, params: cfg.Model.Params()},
 		cfg:      cfg,
 		ws:       gar.NewWorkspace(),
 		slots:    make([]slot, cfg.Workers),
@@ -240,8 +239,8 @@ func (e *Engine) Begin() *Round {
 // Step returns the round's model-update index.
 func (r *Round) Step() int { return r.e.step }
 
-// Params returns the live parameter vector to broadcast; adapters must not
-// modify it.
+// Params returns the live parameter vector to broadcast. It is the server
+// model's own store, not a copy of it: adapters must not modify it.
 func (r *Round) Params() tensor.Vector { return r.e.params }
 
 // Tag returns the step tag worker id's submission will carry this round —
@@ -486,7 +485,6 @@ func (r *Round) Finish() (*StepResult, error) {
 	if !res.Skipped {
 		opt.Regularize(agg, e.params, cfg.L1, cfg.L2)
 		cfg.Optimizer.Step(e.step, e.params, agg)
-		e.net.SetParamsVector(e.params)
 	}
 	// Release the round's gradients now rather than at the next Begin: by
 	// then the transports are already decoding the next round's.

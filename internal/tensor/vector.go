@@ -59,6 +59,7 @@ func (v Vector) Scale(a float64) {
 // mismatch.
 func (v Vector) Axpy(a float64, w Vector) {
 	mustSameDim(v, w)
+	w = w[:len(v)]
 	for i := range v {
 		v[i] += a * w[i]
 	}
@@ -171,16 +172,29 @@ func Mean(vs []Vector) Vector {
 }
 
 // MeanInto computes the coordinate-wise mean of vs into out, allocation
-// free. It panics if vs is empty or dimensions mismatch.
+// free. It panics if vs is empty or dimensions mismatch. The sum runs left to
+// right from zero, four inputs to a pass over out — the bits of one Add per
+// input, a quarter of the passes.
 func MeanInto(out Vector, vs []Vector) {
 	if len(vs) == 0 {
 		panic("tensor: MeanInto of empty vector set")
 	}
 	out.Zero()
+	scale := 1 / float64(len(vs))
+	for ; len(vs) >= 4; vs = vs[4:] {
+		a, b, c, d := vs[0], vs[1], vs[2], vs[3]
+		mustSameDim(out, a)
+		mustSameDim(out, b)
+		mustSameDim(out, c)
+		mustSameDim(out, d)
+		for j := range out {
+			out[j] = (((out[j] + a[j]) + b[j]) + c[j]) + d[j]
+		}
+	}
 	for _, v := range vs {
 		out.Add(v)
 	}
-	out.Scale(1 / float64(len(vs)))
+	out.Scale(scale)
 }
 
 func mustSameDim(v, w Vector) {

@@ -131,6 +131,49 @@ func TestMeanOfVectors(t *testing.T) {
 	}
 }
 
+// TestMeanIntoMatchesSequentialAdds: the four-at-a-time sum is one Add per
+// input, bit for bit, whatever the inputs hold.
+func TestMeanIntoMatchesSequentialAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	specials := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	const dim = 67
+	for _, n := range []int{1, 3, 4, 5, 19} {
+		vs := make([]Vector, n)
+		for i := range vs {
+			vs[i] = NewVector(dim)
+			for j := range vs[i] {
+				if vs[i][j] = rng.NormFloat64(); rng.Intn(8) == 0 {
+					vs[i][j] = specials[rng.Intn(len(specials))]
+				}
+			}
+		}
+		for j := 0; j < 4; j++ {
+			for i := range vs {
+				vs[i][j] = math.Copysign(0, -1) // a column of −0 sums to +0 from a +0 start
+			}
+		}
+		want := NewVector(dim)
+		for _, v := range vs {
+			want.Add(v)
+		}
+		want.Scale(1 / float64(n))
+		got := NewVector(dim)
+		got.Fill(math.Float64frombits(rng.Uint64()))
+		MeanInto(got, vs)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) && !(math.IsNaN(got[j]) && math.IsNaN(want[j])) {
+				t.Fatalf("n=%d coordinate %d: %v (%#x), sequential adds give %v (%#x)", n, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a mis-sized fourth input must panic")
+		}
+	}()
+	MeanInto(NewVector(2), []Vector{{1, 2}, {1, 2}, {1, 2}, {1}})
+}
+
 func TestMeanEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

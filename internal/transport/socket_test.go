@@ -78,14 +78,14 @@ func TestTCPModelBroadcastAndGradientReply(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		model, err := conn.RecvModel()
+		grad := randVec(rand.New(rand.NewSource(3)), 500) // overwritten by the broadcast
+		step, err := conn.RecvModel(grad)
 		if err != nil {
 			errs <- err
 			return
 		}
-		grad := model.Params.Clone()
 		grad.Scale(2)
-		errs <- conn.SendGradient(&GradientMsg{Worker: 0, Step: model.Step, Grad: grad})
+		errs <- conn.SendGradient(&GradientMsg{Worker: 0, Step: step, Grad: grad})
 	}()
 
 	server, err := ln.Accept()

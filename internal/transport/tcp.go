@@ -24,10 +24,11 @@ const (
 // for TensorFlow's gRPC channel. Each frame is u32 little-endian length
 // followed by a codec-encoded message. Frames stream: nothing frame-sized is
 // rendered on the way out, and on the way in the header is validated before
-// anything coordinate-sized exists and the coordinates land in the message's
-// own vector. One goroutine may send while another receives; each direction
-// belongs to one goroutine at a time. Any error is terminal: the stream is
-// not resynchronised after a frame it refused.
+// anything coordinate-sized exists and the coordinates land in the vector
+// they are for — a gradient message's own, a replica's parameter store. One
+// goroutine may send while another receives; each direction belongs to one
+// goroutine at a time. Any error is terminal: the stream is not
+// resynchronised after a frame it refused.
 type TCPConn struct {
 	conn      net.Conn
 	codec     Codec
@@ -233,17 +234,20 @@ func (c *TCPConn) SendModelCoords(step int, coords []byte) error {
 	return c.writev(c.open(msgModel, h), coords)
 }
 
-// RecvModel reads one model broadcast into a vector of its own.
-func (c *TCPConn) RecvModel() (*ModelMsg, error) {
+// RecvModel reads one model broadcast into dst — a replica's own parameter
+// store — and returns its step. A frame whose dimension is not len(dst) is
+// ErrBadFrame at the header, before a body byte is read. A body read error
+// leaves dst torn — part new model, part old — and, like every error here,
+// the connection dead: the caller must not train on dst afterwards.
+func (c *TCPConn) RecvModel(dst tensor.Vector) (step int, err error) {
 	h, err := c.recvHeader(msgModel)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	m := &ModelMsg{Step: h.step, Params: tensor.NewVector(h.dim)}
-	if err := c.recvCoords(m.Params); err != nil {
-		return nil, err
+	if h.dim != len(dst) {
+		return 0, fmt.Errorf("%w: model frame carries %d coordinates, the destination holds %d", ErrBadFrame, h.dim, len(dst))
 	}
-	return m, nil
+	return h.step, c.recvCoords(dst)
 }
 
 // Close shuts the connection down.

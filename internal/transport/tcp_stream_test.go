@@ -55,13 +55,16 @@ func errClass(err error) string {
 
 // FuzzTCPFrameStream feeds arbitrary bytes — a length prefix and whatever
 // follows it — through a pipe to the stream reader, under both widths, for
-// both frame types, pinned to a dimension or not. The reader must agree with
-// the whole-frame decoder on the same bytes: the same message bit for bit,
-// or the same class of error (ErrWireFormat, ErrBadFrame), or a read error
-// exactly when the stream ends inside a frame whose header is good. It must
-// never panic, and what it allocates is bounded by what it was entitled to
-// receive: the pinned dimension, or on an unpinned connection the dimension
-// the length prefix pays for — never a forged header's claim.
+// both frame types, pinned to a dimension or not; a model is received into a
+// destination of the pinned dimension (none pinned: an empty one). The reader
+// must agree with the whole-frame decoder on the same bytes: the same message
+// bit for bit, or the same class of error (ErrWireFormat, ErrBadFrame), or a
+// read error exactly when the stream ends inside a frame whose header is
+// good. It must never panic, a refused header must leave a model's
+// destination untouched, and what it allocates is bounded by what it was
+// entitled to receive: nothing coordinate-sized for a model, for a gradient
+// the pinned dimension, or on an unpinned connection the dimension the length
+// prefix pays for — never a forged header's claim.
 func FuzzTCPFrameStream(f *testing.F) {
 	for _, c := range []Codec{{Float32: true}, {Float32: false}} {
 		// The FuzzDecodeGradient seeds, as stream bytes.
@@ -73,7 +76,9 @@ func FuzzTCPFrameStream(f *testing.F) {
 			f.Add(prefixed(frame)[:len(frame)], c.Float32, false, uint8(0)) // cut short
 			model := c.EncodeModel(&ModelMsg{Step: 9, Params: grad})
 			f.Add(prefixed(model), c.Float32, true, uint8(len(grad)))
-			f.Add(prefixed(model), c.Float32, false, uint8(0)) // wrong type
+			f.Add(prefixed(model), c.Float32, true, uint8(len(grad)+1))              // a destination of another dimension
+			f.Add(prefixed(model)[:len(model)+2], c.Float32, true, uint8(len(grad))) // cut short, mid-body when there is one
+			f.Add(prefixed(model), c.Float32, false, uint8(0))                       // wrong type
 		}
 	}
 	f.Add([]byte{}, true, false, uint8(0))
@@ -106,14 +111,17 @@ func FuzzTCPFrameStream(f *testing.F) {
 			case n > maxFrameBytes:
 				want = "bad-frame"
 			case n > 1<<16:
-				if pin == 0 {
+				if pin == 0 && !model {
 					t.Skip("an unpinned connection may allocate what a large prefix pays for; not in a fuzz worker")
 				}
-				// Pinned to ≤ 255 coordinates, so no such frame is
-				// well-formed; which error depends on the header alone.
+				// Pinned to ≤ 255 coordinates — a model by its destination
+				// — so no such frame is well-formed; which error depends on
+				// the header alone.
 				if len(rest) >= headerLen {
 					_, err := c.parseFrameHeader(typ, rest, n, int(pin))
-					want = errClass(err)
+					if want = errClass(err); err == nil {
+						want = "bad-frame" // only an unpinned model header gets this far
+					}
 				}
 			case len(rest) >= min(n, headerLen):
 				frame := make([]byte, n)
@@ -133,7 +141,7 @@ func FuzzTCPFrameStream(f *testing.F) {
 				switch {
 				case err != nil:
 					want = errClass(err)
-				case pin > 0 && len(wantCoords) != int(pin):
+				case (pin > 0 || model) && len(wantCoords) != int(pin):
 					want = "bad-frame"
 				case len(rest) >= n:
 					want = "ok"
@@ -146,6 +154,9 @@ func FuzzTCPFrameStream(f *testing.F) {
 		if pin > 0 {
 			entitled = int(pin)
 		}
+		if model {
+			entitled = 0
+		}
 
 		recv, send := pipeConns(c)
 		recv.expectDim = int(pin)
@@ -155,16 +166,17 @@ func FuzzTCPFrameStream(f *testing.F) {
 			send.conn.Write(stream) // fails once the reader has hung up: expected
 			send.Close()
 		}()
+		const untouched = -12345.5
+		dst := tensor.NewVector(int(pin))
+		dst.Fill(untouched)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var gotStep int
 		var gotCoords tensor.Vector
 		var err error
 		if model {
-			var m *ModelMsg
-			if m, err = recv.RecvModel(); err == nil {
-				gotStep, gotCoords = m.Step, m.Params
-			}
+			gotStep, err = recv.RecvModel(dst)
+			gotCoords = dst
 		} else {
 			var m *GradientMsg
 			if m, err = recv.RecvGradient(); err == nil {
@@ -181,8 +193,15 @@ func FuzzTCPFrameStream(f *testing.F) {
 		if err == nil && (gotStep != wantStep || !sameBits(gotCoords, wantCoords)) {
 			t.Fatalf("stream reader: step %d coords %v, the frame decoder: step %d coords %v", gotStep, gotCoords, wantStep, wantCoords)
 		}
-		// The vector, one conversion chunk, and room for the message, the
-		// error and the pipe's own bookkeeping.
+		if want == "bad-frame" || want == "wire-format" {
+			for i, x := range dst {
+				if x != untouched {
+					t.Fatalf("a frame refused at its header (%v) wrote coordinate %d of the destination", err, i)
+				}
+			}
+		}
+		// The gradient's vector, one conversion chunk, and room for the
+		// message, the error and the pipe's own bookkeeping.
 		if allocated, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*entitled+chunkBytes+16<<10); allocated > bound {
 			t.Fatalf("receive allocated %d bytes; entitled to %d coordinates, so at most %d", allocated, entitled, bound)
 		}
@@ -383,5 +402,107 @@ func TestTCPTruncatedBodyIsAReadError(t *testing.T) {
 					c.Float32, runtime.NumGoroutine(), baseline)
 			}
 		}
+	}
+}
+
+// TestTCPRecvModelWrongDimension: a broadcast that is not the destination's
+// dimension is ErrBadFrame at its header — pinned connection or not — with no
+// body byte read and the destination untouched.
+func TestTCPRecvModelWrongDimension(t *testing.T) {
+	for _, c := range []Codec{{}, {Float32: true}} {
+		for _, pin := range []int{0, 5} {
+			send, recv := pipeConns(c)
+			recv.SetExpectDim(pin)
+			frame := prefixed(c.EncodeModel(&ModelMsg{Step: 3, Params: tensor.NewVector(7)}))
+			wrote := make(chan int, 1)
+			go func() {
+				n, _ := send.conn.Write(frame) // ends short when the reader hangs up
+				wrote <- n
+			}()
+			dst := tensor.Vector{1, 2, 3, 4, 5}
+			_, err := recv.RecvModel(dst)
+			recv.Close()
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("float32=%v pin=%d: a 7-coordinate model into 5 surfaced as %v, want ErrBadFrame", c.Float32, pin, err)
+			}
+			if n := <-wrote; n > prefixLen+modelHeaderLen {
+				t.Fatalf("float32=%v pin=%d: the reader took %d bytes, the header ends at %d", c.Float32, pin, n, prefixLen+modelHeaderLen)
+			}
+			if !sameBits(dst, tensor.Vector{1, 2, 3, 4, 5}) {
+				t.Fatalf("float32=%v pin=%d: the refused frame wrote the destination: %v", c.Float32, pin, dst)
+			}
+			send.Close()
+		}
+	}
+}
+
+// TestTCPModelCutMidBodyEndsTheWorker runs a TCP worker's loop — receive a
+// broadcast into the replica's store, answer with a gradient — against a
+// server that sends one whole broadcast and half of the next: the second
+// receive is a read error (the header was good) that may have torn the
+// store, so the loop ends there, and the one gradient the worker wrote is the
+// whole model's.
+func TestTCPModelCutMidBodyEndsTheWorker(t *testing.T) {
+	for _, c := range []Codec{{}, {Float32: true}} {
+		ln, err := ListenTCP("127.0.0.1:0", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := net.Dial("tcp", ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const d = 3 * chunkBytes / 4
+		conn.SetExpectDim(d)
+		workerErr := make(chan error, 1)
+		go func() {
+			store := tensor.NewVector(d)
+			for {
+				step, err := conn.RecvModel(store)
+				if err != nil {
+					workerErr <- err
+					return
+				}
+				if err := conn.SendGradient(&GradientMsg{Worker: 1, Step: step, Grad: store}); err != nil {
+					workerErr <- err
+					return
+				}
+			}
+		}()
+		params := tensor.NewVector(d)
+		params.Fill(0.5)
+		frame := prefixed(c.EncodeModel(&ModelMsg{Step: 8, Params: params}))
+		if _, err := peer.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := peer.Write(frame[:len(frame)/2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := peer.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-workerErr:
+			if !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrBadFrame) {
+				t.Fatalf("float32=%v: the cut broadcast surfaced as %v, want a read error wrapping io.ErrUnexpectedEOF", c.Float32, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("float32=%v: the worker is still waiting on a broadcast its server cut mid-body", c.Float32)
+		}
+		conn.Close()
+		submitted, err := io.ReadAll(peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := prefixed(c.EncodeGradient(&GradientMsg{Worker: 1, Step: 8, Grad: params}))
+		if !bytes.Equal(submitted, want) {
+			t.Fatalf("float32=%v: the worker wrote %d bytes, want the one %d-byte gradient on the whole broadcast", c.Float32, len(submitted), len(want))
+		}
+		peer.Close()
+		ln.Close()
 	}
 }

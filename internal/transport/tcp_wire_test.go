@@ -36,7 +36,7 @@ func TestTCPMixedWidthPeersRejectLoudly(t *testing.T) {
 			func(c *TCPConn) error { _, err := c.RecvGradient(); return err }},
 		{"model",
 			func(c *TCPConn) error { return c.SendModel(&ModelMsg{Step: 5, Params: tensor.Vector{4, 5}}) },
-			func(c *TCPConn) error { _, err := c.RecvModel(); return err }},
+			func(c *TCPConn) error { _, err := c.RecvModel(tensor.NewVector(2)); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
