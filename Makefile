@@ -42,7 +42,8 @@ race:
 
 # Short coverage of the transport codec, reassembler and coalesced-message
 # segment walk, round-engine (plan, settlement, rejoin admission),
-# column-pass and blocked-matmul fuzz targets beyond the seed corpus.
+# column-pass and blocked-matmul fuzz targets beyond the seed corpus, and of
+# the two assembly kernels against their Go oracles.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
@@ -52,6 +53,8 @@ fuzz:
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzRound -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzColumnPass -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzMatMul -fuzztime=20s
+	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzCompareExchange -fuzztime=20s
+	$(GO) test ./internal/gar/ -run=NONE -fuzz=FuzzBlockDistance -fuzztime=20s
 
 # The refactoring safety net. Run every built-in campaign the golden file
 # names (smoke, tcp-smoke, udp-smoke, model-loss-smoke, wire-smoke,
@@ -106,10 +109,11 @@ endif
 	bash benchmark/run.sh -compare $(BENCH_CMP_DIR)/A/results.json $(BENCH_CMP_DIR)/B/results.json $(if $(WORKLOAD),\
 		| { tee $(BENCH_CMP_DIR)/table; ! grep -q regressed $(BENCH_CMP_DIR)/table; })
 
-# The size trend ROADMAP item 5 asks for: non-test Go lines per package
-# directory, committed files only, then the module total outside benchmark/.
+# The size trend ROADMAP item 5 asks for: non-test Go and assembly lines per
+# package directory, committed files only, then the module total outside
+# benchmark/.
 loc:
-	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs wc -l | \
+	@git ls-files '*.go' '*.s' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs wc -l | \
 		awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 1 ? substr($$2, 1, length($$2) - length(p[n]) - 1) : "."; s[d] += $$1; t += $$1 } \
 		END { for (d in s) printf "%6d %s\n", s[d], d; printf "%6d total (non-test, outside benchmark/)\n", t }' | sort -k2
 

@@ -30,6 +30,7 @@ type benchReport struct {
 	Schema     string        `json:"schema"`
 	GOOS       string        `json:"goos"`
 	GOARCH     string        `json:"goarch"`
+	Kernels    string        `json:"kernels"` // tensor.Kernels(): which kernel set produced the rows
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Workers    int           `json:"workers"`
 	Dim        int           `json:"dim"`
@@ -82,6 +83,7 @@ func writeKernelBenchJSON() error {
 		Schema:     "aggregathor-bench/v1",
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		Kernels:    tensor.Kernels(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    n,
 		Dim:        d,

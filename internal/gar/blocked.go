@@ -8,13 +8,19 @@ import (
 )
 
 // This file implements the cache-blocked pairwise distance engine, the
-// O(n²d) heart of MULTI-KRUM and BULYAN (§4.2 of the paper). The previous
-// kernel streamed each full gradient n−1 times: at the Table-1 scale every
-// 14MB vector was re-read from DRAM once per pair, so the pass was memory-
-// bandwidth bound. The blocked engine partitions the d coordinates into
-// L2-sized blocks and accumulates partial squared distances for the whole
-// upper triangle one block at a time — each vector block is read once per
-// sweep and stays cache-resident across its n−1 pair visits.
+// O(n²d) heart of MULTI-KRUM and BULYAN (§4.2 of the paper). Streaming each
+// full gradient once per pair re-reads a 14MB Table-1 vector from DRAM n−1
+// times; the engine instead partitions the d coordinates into L2-sized
+// blocks and accumulates partial squared distances for the whole upper
+// triangle one block at a time, so each vector block is read once per sweep
+// and stays cache-resident across its n−1 pair visits.
+//
+// The kernel under the sweep takes one block against four (blockDistance4)
+// and keeps, per pair, one accumulator for the even coordinates and one for
+// the odd. Those two are the two lanes of a 128-bit register, which is what
+// lets amd64 run the kernel as SSE2 assembly (dist_amd64.s) without moving a
+// bit: the Go function stays compiled everywhere, as the kernel of every
+// other GOARCH and as the oracle the assembly is fuzzed against.
 //
 // Determinism: every block writes its partial sums into a fixed slot of the
 // partials array, and the final per-pair reduction adds those slots in
@@ -32,40 +38,52 @@ const (
 	distParallelMin = 1 << 15
 )
 
-// blockDistance2 accumulates the squared distances from block a to two
-// blocks at once. The sweep is load-throughput bound — a one-pair kernel
-// issues two loads per coordinate-pair — so sharing each a-load across two
-// pairs (six loads per four coordinate-pairs) is the main lever; wider
-// lane counts measure slower on amd64 (register spills). Each pair keeps
-// two independent accumulators (even/odd coordinates) combined in a fixed
-// order, so every distance is a pure function of its two vector blocks
-// alone: permutation-equivariant and bit-identical for any GOMAXPROCS,
-// tiling position, or run.
-func blockDistance2(a, b0, b1 []float64) (r0, r1 float64) {
+// blockDistance4 accumulates the squared distances from block a to four
+// blocks at once, sharing each a-load across the four pairs. A pair keeps two
+// accumulators, s_0 over the even coordinates and s_1 over the odd ones (an
+// odd last coordinate goes to s_0), and its distance is s_0 + s_1: a pure
+// function of its two blocks alone, so permutation-equivariant and
+// bit-identical for any GOMAXPROCS, tiling position, or run.
+//
+// That pair of accumulators is the two lanes of one 128-bit register, and a
+// packed subtract, multiply and add are per lane the scalar operations below
+// in the order below: dist_amd64.s is this function in SSE2, exact to the
+// bit, with four independent add chains an iteration to hide the add's
+// latency. This one is compiled on every GOARCH — the kernel where the
+// assembly does not build, and the oracle FuzzBlockDistance holds it to
+// where it does.
+func blockDistance4(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
 	n := len(a)
-	b0 = b0[:n] // bounds-check elimination for the paired loads
-	b1 = b1[:n]
-	var s00, s01, s10, s11 float64
+	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n] // bounds-check elimination for the paired loads
+	var s00, s01, s10, s11, s20, s21, s30, s31 float64
 	i := 0
 	for ; i+2 <= n; i += 2 {
 		x, y := a[i], a[i+1]
-		d := x - b0[i]
-		e := y - b0[i+1]
+		d, e := x-b0[i], y-b0[i+1]
 		s00 += d * d
 		s01 += e * e
-		d = x - b1[i]
-		e = y - b1[i+1]
+		d, e = x-b1[i], y-b1[i+1]
 		s10 += d * d
 		s11 += e * e
+		d, e = x-b2[i], y-b2[i+1]
+		s20 += d * d
+		s21 += e * e
+		d, e = x-b3[i], y-b3[i+1]
+		s30 += d * d
+		s31 += e * e
 	}
-	for ; i < n; i++ {
+	if i < n {
 		x := a[i]
-		d0 := x - b0[i]
-		s00 += d0 * d0
-		d1 := x - b1[i]
-		s10 += d1 * d1
+		d := x - b0[i]
+		s00 += d * d
+		d = x - b1[i]
+		s10 += d * d
+		d = x - b2[i]
+		s20 += d * d
+		d = x - b3[i]
+		s30 += d * d
 	}
-	return s00 + s01, s10 + s11
+	return s00 + s01, s10 + s11, s20 + s21, s30 + s31
 }
 
 // distSweep accumulates block b's partial squared distances for the whole
@@ -80,18 +98,17 @@ func distSweep(partials []float64, grads []tensor.Vector, b, n, nPairs, d int) {
 	p := 0
 	for i := 0; i < n; i++ {
 		bi := grads[i][lo:hi]
-		j := i + 1
-		for ; j+2 <= n; j += 2 {
-			out[p], out[p+1] = blockDistance2(bi, grads[j][lo:hi], grads[j+1][lo:hi])
-			p += 2
-		}
-		// A tail pair replays the same 2-lane kernel with a duplicated
-		// argument so every pair sees the identical accumulation
-		// structure regardless of its sweep position.
-		if j < n {
-			bj := grads[j][lo:hi]
-			out[p], _ = blockDistance2(bi, bj, bj)
-			p++
+		// Four pairs a call. A row's last call, short of four, repeats the
+		// row's last block in the spare slots, so every pair sees the
+		// identical accumulation structure regardless of its sweep position.
+		for j := i + 1; j < n; j += 4 {
+			var bs [4][]float64
+			for k := range bs {
+				bs[k] = grads[min(j+k, n-1)][lo:hi]
+			}
+			var r [4]float64
+			r[0], r[1], r[2], r[3] = blockDistance(bi, bs[0], bs[1], bs[2], bs[3])
+			p += copy(out[p:p+min(4, n-j)], r[:])
 		}
 	}
 }
@@ -112,9 +129,7 @@ func BlockedPairwiseSquaredDistances(grads []tensor.Vector, ws *Workspace) [][]f
 	n := len(grads)
 	dist := ws.ensureDist(n)
 	for i := range dist {
-		for j := range dist[i] {
-			dist[i][j] = 0
-		}
+		clear(dist[i])
 	}
 	if n < 2 {
 		return dist

@@ -15,14 +15,16 @@ import (
 // whole rows, so every column is sorted by the same branch-free loop and the
 // order statistics are read back as rows. The tile holds sort keys, not
 // floats (see sortKey): an integer min/max is a compare and two conditional
-// moves where the float builtins cost three times that. Tiles are
+// moves where the float builtins cost three times that, and on an amd64 CPU
+// with AVX2 it is one VPCMPGTQ and two VPBLENDVB over four keys at a time
+// (sort_amd64.s; sortRowsGo is the same loop everywhere else). Tiles are
 // independent, so the pass parallelises over fixed tile indexes with
 // bit-identical output regardless of GOMAXPROCS.
 //
-// The tile-wide pass covers finite tiles of at most maxSortNet rows. A tile
-// holding a NaN or ±Inf, a taller column, the NaN-mean (which ranks nothing)
-// and a mean-around-median coordinate whose summation order hangs on the
-// worker order (see meanAroundSorted) take the exact per-column selection
+// The tile-wide pass covers finite columns of at most maxSortNet rows. A
+// column holding a NaN or ±Inf, a taller column, the NaN-mean (which ranks
+// nothing) and a mean-around-median coordinate whose summation order hangs on
+// the worker order (see meanAroundSorted) take the exact per-column selection
 // kernels instead. Both routes compute the same function of a column's bit
 // patterns, so which one ran never shows in the output.
 
@@ -80,11 +82,13 @@ func sortKey(bits int64) int64 { return bits ^ (bits>>63)&math.MaxInt64 }
 // keyFloat is the float64 behind a sort key.
 func keyFloat(key int64) float64 { return math.Float64frombits(uint64(sortKey(key))) }
 
-// colScratch is one worker's buffers: the row-major tile of sort keys, and
-// for the per-column kernels the gathered column col[i] = vs[i][j], a second
+// colScratch is one worker's buffers: the row-major tile of sort keys, the
+// tile's columns that hold a NaN or ±Inf (all false between tiles), and for
+// the per-column kernels the gathered column col[i] = vs[i][j], a second
 // copy of it and ClosestToPivotInto's distance and index scratch.
 type colScratch struct {
 	tile           []int64
+	nonFinite      [colTileCoords]bool
 	col, tmp, dist []float64
 	idx            []int
 }
@@ -176,28 +180,40 @@ func runTile(s *colScratch, net [][2]int, out Vector, vs []Vector, t, arg int, k
 	hi := min(lo+colTileCoords, len(out))
 	o := out[lo:hi]
 	w := len(o)
-	tile := s.tile[:n*w]
-	sorted := net != nil
-	if sorted {
-		// Row i of the tile is vs[i][lo:hi] as sort keys. An exponent of
-		// all ones is a NaN or ±Inf.
-		const expMask = 0x7FF << 52
-		for i, v := range vs {
-			row := tile[i*w : (i+1)*w]
-			for k, x := range v[lo:hi] {
-				bits := int64(math.Float64bits(x))
-				if bits&expMask == expMask {
-					sorted = false
-				}
-				row[k] = sortKey(bits)
-			}
-		}
-	}
-	if !sorted {
+	if net == nil {
 		for k := range o {
 			o[k] = kernel.column(s, vs, lo+k, arg)
 		}
 		return
+	}
+	tile := s.tile[:n*w]
+	// Row i of the tile is vs[i][lo:hi] as sort keys. An exponent of all
+	// ones is a NaN or ±Inf.
+	const expMask = 0x7FF << 52
+	finite := true
+	for i, v := range vs {
+		row := tile[i*w : (i+1)*w]
+		for k, x := range v[lo:hi] {
+			bits := int64(math.Float64bits(x))
+			if bits&expMask == expMask {
+				finite = false
+			}
+			row[k] = sortKey(bits)
+		}
+	}
+	// Only a tile that holds a non-finite value pays the second pass that
+	// finds its columns. Columns sort independently and any key sorts, so
+	// the tile is sorted all the same and just those columns are redone by
+	// the per-column kernel.
+	nonFinite := s.nonFinite[:w]
+	if !finite {
+		for _, v := range vs {
+			for k, x := range v[lo:hi] {
+				if math.Float64bits(x)&expMask == expMask {
+					nonFinite[k] = true
+				}
+			}
+		}
 	}
 	sortRows(tile, w, net)
 	mid := tile[n/2*w : (n/2+1)*w]
@@ -223,6 +239,9 @@ func runTile(s *colScratch, net [][2]int, out Vector, vs []Vector, t, arg int, k
 		}
 	case MeanAroundMedianKernel:
 		for k := range o {
+			if nonFinite[k] {
+				continue
+			}
 			mean, ok := meanAroundSorted(tile[k:], w, n, arg)
 			if !ok {
 				mean = kernel.column(s, vs, lo+k, arg)
@@ -230,15 +249,25 @@ func runTile(s *colScratch, net [][2]int, out Vector, vs []Vector, t, arg int, k
 			o[k] = mean
 		}
 	}
+	if !finite {
+		for k, bad := range nonFinite {
+			if bad {
+				o[k] = kernel.column(s, vs, lo+k, arg)
+			}
+		}
+		clear(nonFinite)
+	}
 }
 
-// sortRows sorts every column of the row-major tile (rows of w keys)
+// sortRowsGo sorts every column of the row-major tile (rows of w keys)
 // ascending, replaying each compare-exchange of the network over two whole
-// rows.
-func sortRows(tile []int64, w int, net [][2]int) {
+// rows. It is the sortRows of every GOARCH but amd64 and of an amd64 CPU
+// without AVX2, and the oracle FuzzCompareExchange holds the assembly to.
+func sortRowsGo(tile []int64, w int, net [][2]int) {
 	for _, pr := range net {
 		a := tile[pr[0]*w : pr[0]*w+w]
 		b := tile[pr[1]*w : pr[1]*w+w]
+		b = b[:len(a)] // bounds-check elimination
 		for k, x := range a {
 			y := b[k]
 			a[k] = min(x, y)
