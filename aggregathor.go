@@ -69,17 +69,6 @@ type TCPCluster = cluster.TCPCluster
 // (the paper's lossyMPI channel over real UDP sockets).
 type UDPClusterConfig = cluster.UDPClusterConfig
 
-// ModelRecoupPolicy selects the worker policy for a torn model broadcast on
-// the lossy udp backend (footnote 12): skip the round, or train on the last
-// complete model and submit a stale-tagged gradient.
-type ModelRecoupPolicy = cluster.ModelRecoupPolicy
-
-// The torn-model-broadcast policies.
-const (
-	ModelRecoupSkip  = cluster.ModelRecoupSkip
-	ModelRecoupStale = cluster.ModelRecoupStale
-)
-
 // UDPCluster is a running lossy-datagram deployment driven round-by-round
 // (Start/Step/Model/Close).
 type UDPCluster = cluster.UDPCluster

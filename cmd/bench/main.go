@@ -388,5 +388,4 @@ func costAnalysis() {
 	fmt.Print(metrics.Table("§4.2 cost analysis: modelled aggregation seconds (d=1.75M)",
 		rows, []string{"n=9", "n=19"}))
 	fmt.Printf("(O(n²d) for Multi-Krum/Bulyan; linear-in-n decode for Draco)\n")
-	_ = time.Now
 }

@@ -6,6 +6,13 @@
 //	  --f 4 --optimizer rmsprop --learning-rate 0.001 --batch-size 100 \
 //	  --max-step 200 --evaluation-delta 20
 //
+// -backend tcp|udp runs the same session over real localhost sockets
+// (every model broadcast and gradient on the wire); simulator-only flags are
+// then rejected:
+//
+//	go run ./cmd/runner -backend tcp -nb-workers 5 -f 1 -max-step 20
+//	go run ./cmd/runner -backend udp -nb-workers 5 -f 1 -max-step 20 -drop-rate 0.1
+//
 // Pass --aggregator "" or --experiment "" to list the available choices
 // (matching the original tool's behaviour).
 package main
@@ -28,6 +35,7 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "features-mlp", "model+dataset preset (empty to list)")
+		backend    = flag.String("backend", core.BackendInProcess, "deployment: in-process|tcp|udp")
 		aggregator = flag.String("aggregator", "multi-krum", "gradient aggregation rule (empty to list; 'draco' and 'tf' also accepted)")
 		nbWorkers  = flag.Int("nb-workers", 19, "number of workers n")
 		declaredF  = flag.Int("f", 4, "declared Byzantine tolerance f")
@@ -86,6 +94,7 @@ func main() {
 	}
 	cfg := core.Config{
 		Experiment: *experiment,
+		Backend:    *backend,
 		Aggregator: *aggregator,
 		F:          *declaredF,
 		Workers:    *nbWorkers,
@@ -118,8 +127,8 @@ func main() {
 	cfg.CheckpointPath = *ckptPath
 	cfg.CheckpointEvery = *ckptEvery
 
-	fmt.Printf("experiment=%s aggregator=%s n=%d f=%d optimizer=%s lr=%g batch=%d steps=%d\n",
-		cfg.Experiment, cfg.Aggregator, cfg.Workers, cfg.F, cfg.Optimizer, cfg.LR, cfg.Batch, cfg.Steps)
+	fmt.Printf("experiment=%s backend=%s aggregator=%s n=%d f=%d optimizer=%s lr=%g batch=%d steps=%d\n",
+		cfg.Experiment, cfg.Backend, cfg.Aggregator, cfg.Workers, cfg.F, cfg.Optimizer, cfg.LR, cfg.Batch, cfg.Steps)
 	res, err := core.Run(cfg)
 	if err != nil {
 		fatal(err)

@@ -90,7 +90,7 @@ func TestResolveSpecBuiltins(t *testing.T) {
 				lossyAsync++
 			}
 		}
-		if n.SlowWorkers > 0 {
+		if n.SlowRate > 0 {
 			slowCells++
 		}
 	}

@@ -33,11 +33,11 @@ func modelLossComparison() {
 	fmt.Println("== lossy model broadcasts over real UDP sockets (10% downlink drop) ==")
 	fmt.Printf("%-34s %10s %8s %8s\n", "configuration", "final_acc", "stale", "skipped")
 	for _, cfg := range []struct {
-		label  string
-		recoup aggregathor.ModelRecoupPolicy
+		label string
+		stale bool
 	}{
-		{"multi-krum + skip torn rounds", aggregathor.ModelRecoupSkip},
-		{"multi-krum + stale-model recoup", aggregathor.ModelRecoupStale},
+		{"multi-krum + skip torn rounds", false},
+		{"multi-krum + stale-model recoup", true},
 	} {
 		res, err := aggregathor.Run(aggregathor.Config{
 			Experiment:    "features-mlp",
@@ -53,7 +53,7 @@ func modelLossComparison() {
 			Seed:          11,
 			Recoup:        transport.DropGradient,
 			ModelDropRate: 0.10,
-			ModelRecoup:   cfg.recoup,
+			StaleModels:   cfg.stale,
 		})
 		if err != nil {
 			log.Fatal(err)

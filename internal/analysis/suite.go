@@ -43,7 +43,6 @@ var wallclockAllowFiles = []string{
 	"internal/cluster/clock.go",   // the cluster deadline/timer seam
 	"internal/transport/udp.go",   // socket deadlines + send pacing
 	"internal/transport/model.go", // bounded per-broadcast genuine-loss wait
-	"internal/core/wait.go",       // example polling helper (not on a result path)
 }
 
 // A ScopedAnalyzer pairs an analyzer with the package set it polices and

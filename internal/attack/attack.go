@@ -11,8 +11,10 @@ package attack
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,6 +71,18 @@ type Informed interface {
 func NeedsHonest(a Attack) bool {
 	inf, ok := a.(Informed)
 	return ok && inf.RequiresHonest()
+}
+
+// FirstInformed returns the informed attack (NeedsHonest) of the lowest worker
+// id in byWorker — the name ps.RoundConfig.Informed carries — or "" when there
+// is none. A name New rejects is not informed: validating it is the caller's.
+func FirstInformed(byWorker map[int]string) string {
+	for _, id := range slices.Sorted(maps.Keys(byWorker)) {
+		if atk, _ := New(byWorker[id]); NeedsHonest(atk) {
+			return byWorker[id]
+		}
+	}
+	return ""
 }
 
 // Random submits large Gaussian noise, the classic blind poisoning attack:

@@ -374,7 +374,7 @@ func TestAsyncClusterConstructorGating(t *testing.T) {
 
 	cfg := udpCfg(slow, nil)
 	cfg.ModelDropRate = 0.1
-	cfg.ModelRecoup = ModelRecoupStale
+	cfg.StaleModels = true
 	if _, err := NewUDPCluster(cfg); err == nil {
 		t.Error("UDP accepted a slow schedule composed with lossy model broadcasts")
 	}

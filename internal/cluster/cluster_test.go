@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,129 +12,6 @@ import (
 	"aggregathor/internal/tensor"
 	"aggregathor/internal/transport"
 )
-
-func TestParseSpec(t *testing.T) {
-	s, err := ParseSpec(`{"ps": ["127.0.0.1:7000"], "workers": ["127.0.0.1:7001", "127.0.0.1:7002"]}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Tasks(JobWorkers)) != 2 {
-		t.Fatalf("workers %v", s.Tasks(JobWorkers))
-	}
-	if got := s.JobNames(); got[0] != "ps" || got[1] != "workers" {
-		t.Fatalf("job names %v", got)
-	}
-}
-
-func TestParseSpecErrors(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{}`,
-		`{"ps": []}`,
-		`{"ps": [""]}`,
-		`{"ps": ["a:1"], "workers": ["a:1"]}`, // duplicate address
-	}
-	for _, raw := range cases {
-		if _, err := ParseSpec(raw); err == nil {
-			t.Fatalf("spec %q accepted", raw)
-		}
-	}
-}
-
-func TestDeviceString(t *testing.T) {
-	d := Device{Job: "workers", Task: 3, Kind: GPU}
-	if got := d.String(); got != "/job:workers/task:3/device:gpu" {
-		t.Fatalf("device path %q", got)
-	}
-}
-
-func TestRoundRobinPolicy(t *testing.T) {
-	devs := []Device{{Task: 0}, {Task: 1}, {Task: 2}}
-	p := &RoundRobin{}
-	got := []int{
-		p.Assign("a", devs).Task,
-		p.Assign("b", devs).Task,
-		p.Assign("c", devs).Task,
-		p.Assign("d", devs).Task,
-	}
-	want := []int{0, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("round robin order %v", got)
-		}
-	}
-}
-
-func TestPreferGPUPolicy(t *testing.T) {
-	cpuOnly := []Device{{Task: 0, Kind: CPU}, {Task: 1, Kind: CPU}}
-	mixed := []Device{{Task: 0, Kind: CPU}, {Task: 1, Kind: GPU}}
-	p := PreferGPU{}
-	if got := p.Assign("g", cpuOnly); got.Task != 0 {
-		t.Fatalf("cpu fallback picked task %d", got.Task)
-	}
-	if got := p.Assign("g", mixed); got.Task != 1 || got.Kind != GPU {
-		t.Fatalf("gpu preference picked %v", got)
-	}
-}
-
-func TestAllocate(t *testing.T) {
-	spec, err := ParseSpec(`{"ps": ["h0:7000"], "workers": ["h1:7000", "h2:7000"], "eval": ["h3:7000"]}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := Allocate(spec, &RoundRobin{}, 4, map[string][]bool{JobWorkers: {true, false}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc["variables"].Job != JobPS || alloc["aggregation"].Job != JobPS {
-		t.Fatal("server ops must land on ps")
-	}
-	if alloc["accuracy"].Job != JobEval {
-		t.Fatal("accuracy must land on eval")
-	}
-	// 4 worker gradient ops spread over 2 tasks round-robin.
-	w0 := alloc["worker_0/gradient"]
-	w2 := alloc["worker_2/gradient"]
-	if w0.Task != w2.Task {
-		t.Fatal("round robin should reuse task 0 for workers 0 and 2")
-	}
-	if alloc["worker_0/gradient"].Kind != GPU {
-		t.Fatal("worker task 0 was declared GPU")
-	}
-	if got := alloc["worker_1/gradient"].Task; got != 1 {
-		t.Fatalf("worker 1 on task %d", got)
-	}
-}
-
-func TestAllocateMissingJobs(t *testing.T) {
-	spec := &Spec{Jobs: map[string][]string{"ps": {"h:1"}}}
-	if _, err := Allocate(spec, &RoundRobin{}, 1, nil); err == nil {
-		t.Fatal("missing workers job accepted")
-	}
-}
-
-func TestAllocateEvalDefaultsToPS(t *testing.T) {
-	spec, err := ParseSpec(`{"ps": ["h0:1"], "workers": ["h1:1"]}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := Allocate(spec, &RoundRobin{}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc["accuracy"].Job != JobPS {
-		t.Fatal("eval must co-locate with ps when absent")
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	if (&RoundRobin{}).Name() != "round-robin" || (PreferGPU{}).Name() != "prefer-gpu" {
-		t.Fatal("policy names")
-	}
-	if !strings.Contains((Device{Job: "ps"}).String(), "cpu") {
-		t.Fatal("default device kind must be cpu")
-	}
-}
 
 // tcpTrain drives a TCPCluster for a fixed number of rounds and returns the
 // trained parameters.
@@ -235,7 +111,7 @@ func TestTCPTrainValidation(t *testing.T) {
 	for i, mutate := range []func(*TCPClusterConfig){
 		func(c *TCPClusterConfig) { c.DropRate = 0.1 },
 		func(c *TCPClusterConfig) { c.ModelDropRate = 0.1 },
-		func(c *TCPClusterConfig) { c.ModelRecoup = ModelRecoupStale },
+		func(c *TCPClusterConfig) { c.StaleModels = true },
 		func(c *TCPClusterConfig) { c.MTU = 1400 },
 		func(c *TCPClusterConfig) { c.WorkerBindHost = "127.0.0.1" },
 	} {

@@ -1,8 +1,15 @@
+// Package cluster is AggregaThor's distributed deployment (the artifact
+// appendix's "Distributed deployment" path): a parameter server and n worker
+// goroutines speaking the transport wire protocol over real localhost
+// sockets — TCPCluster over streams, UDPCluster over lossy datagrams — driven
+// round by round by the one ps round engine.
 package cluster
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,41 +107,18 @@ type UDPClusterConfig struct {
 	// write, and the worker settles a torn broadcast the moment its
 	// scheduled survivors are in.
 	ModelDropRate float64
-	// ModelRecoup selects the worker-side policy for a torn model
-	// broadcast.
-	ModelRecoup ModelRecoupPolicy
+	// StaleModels selects the worker-side policy for a torn model broadcast
+	// (ps.Link.StaleModels): false consumes the surviving packets and
+	// submits nothing — the server, evaluating the same schedule, recoups the
+	// slot per Recoup — true trains on the last complete model and submits a
+	// gradient tagged with that stale step, which the server accepts into the
+	// current round.
+	StaleModels bool
 }
 
 // TCPClusterConfig describes a TCPCluster: a UDPClusterConfig whose datagram
 // axes are zero.
 type TCPClusterConfig = UDPClusterConfig
-
-// ModelRecoupPolicy selects what a worker does about a torn model broadcast
-// (some packets scheduled to drop on the downlink).
-type ModelRecoupPolicy int
-
-const (
-	// ModelRecoupSkip consumes the surviving packets and submits nothing
-	// for the round. The server, evaluating the same schedule, knows not
-	// to wait and recoups the slot per the gradient Recoup policy.
-	ModelRecoupSkip ModelRecoupPolicy = iota
-	// ModelRecoupStale trains on the last complete model the worker holds
-	// and submits a gradient tagged with that stale step; the server
-	// accepts it into the current round.
-	ModelRecoupStale
-)
-
-// String implements fmt.Stringer.
-func (p ModelRecoupPolicy) String() string {
-	switch p {
-	case ModelRecoupSkip:
-		return "skip"
-	case ModelRecoupStale:
-		return "stale"
-	default:
-		return fmt.Sprintf("ModelRecoupPolicy(%d)", int(p))
-	}
-}
 
 // validate applies the defaults (RoundTimeout 30 s, MTU
 // transport.DefaultMTU) and checks what is the socket layer's own — required
@@ -148,9 +132,6 @@ func (sc *UDPClusterConfig) validate() error {
 	}
 	if sc.Workers <= 0 || sc.Batch <= 0 {
 		return fmt.Errorf("cluster: bad sizes workers=%d batch=%d", sc.Workers, sc.Batch)
-	}
-	if sc.ModelRecoup != ModelRecoupSkip && sc.ModelRecoup != ModelRecoupStale {
-		return fmt.Errorf("cluster: unknown model recoup policy %v", sc.ModelRecoup)
 	}
 	if sc.MTU == 0 {
 		sc.MTU = transport.DefaultMTU
@@ -168,7 +149,9 @@ func (sc *UDPClusterConfig) validate() error {
 		return fmt.Errorf("cluster: %s(f=%d) needs %d workers, got %d",
 			sc.GAR.Name(), info.F(), info.MinWorkers(), sc.Workers)
 	}
-	for _, id := range sortedIDs(sc.Byzantine) {
+	// In id order, so which violation is reported first — an error string
+	// that can reach campaign JSON — is deterministic.
+	for _, id := range slices.Sorted(maps.Keys(sc.Byzantine)) {
 		if id < 0 || id >= sc.Workers {
 			return fmt.Errorf("cluster: Byzantine worker id %d outside [0, %d)", id, sc.Workers)
 		}
@@ -182,20 +165,15 @@ func (sc *UDPClusterConfig) validate() error {
 // round maps a validated socket description onto the round description the
 // engine and every worker plan from — the socket layer's one translation.
 func (sc *UDPClusterConfig) round() ps.RoundConfig {
-	rc := ps.RoundConfig{
+	return ps.RoundConfig{
 		Workers: sc.Workers, Seed: sc.Seed, Async: sc.Async, Churn: sc.Churn, Recoup: sc.Recoup,
 		Link: ps.Link{
 			Codec: sc.Codec, MTU: sc.MTU, GradLoss: sc.DropRate, ModelLoss: sc.ModelDropRate,
-			StaleModels: sc.ModelRecoup == ModelRecoupStale,
+			StaleModels: sc.StaleModels,
 		},
-		Unresponsive: sortedIDs(sc.Unresponsive),
+		Unresponsive: slices.Sorted(maps.Keys(sc.Unresponsive)),
+		Informed:     attack.FirstInformed(sc.Byzantine),
 	}
-	for _, id := range sortedIDs(sc.Byzantine) {
-		if atk, _ := attack.New(sc.Byzantine[id]); rc.Informed == "" && attack.NeedsHonest(atk) {
-			rc.Informed = sc.Byzantine[id]
-		}
-	}
-	return rc
 }
 
 // socketServer is the half of a socket cluster that is the same on both
@@ -222,7 +200,7 @@ func (s *socketServer) setup(cfg UDPClusterConfig) error {
 	}
 	s.rounds = s.cfg.round()
 	byzantine := make([]bool, cfg.Workers)
-	for _, id := range sortedIDs(cfg.Byzantine) {
+	for _, id := range slices.Sorted(maps.Keys(cfg.Byzantine)) {
 		byzantine[id] = true
 	}
 	eng, err := ps.NewEngine(ps.EngineConfig{

@@ -69,8 +69,8 @@ var _ ps.Trainer = (*TCPCluster)(nil)
 // listening) cluster. A stream has no datagrams to size or lose: the
 // datagram axes must be zero, rather than silently ignored.
 func NewTCPCluster(cfg TCPClusterConfig) (*TCPCluster, error) {
-	if cfg.WorkerBindHost != "" || cfg.MTU != 0 || cfg.DropRate != 0 || cfg.ModelDropRate != 0 || cfg.ModelRecoup != ModelRecoupSkip {
-		return nil, errors.New("cluster: WorkerBindHost, MTU, DropRate, ModelDropRate and ModelRecoup describe a datagram link; a TCP cluster has none (use NewUDPCluster)")
+	if cfg.WorkerBindHost != "" || cfg.MTU != 0 || cfg.DropRate != 0 || cfg.ModelDropRate != 0 || cfg.StaleModels {
+		return nil, errors.New("cluster: WorkerBindHost, MTU, DropRate, ModelDropRate and StaleModels describe a datagram link; a TCP cluster has none (use NewUDPCluster)")
 	}
 	c := &TCPCluster{}
 	if err := c.setup(cfg); err != nil {

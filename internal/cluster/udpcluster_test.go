@@ -358,7 +358,6 @@ func TestUDPClusterConfigValidation(t *testing.T) {
 		func(c *UDPClusterConfig) { c.DropRate = -0.1 },
 		func(c *UDPClusterConfig) { c.ModelDropRate = 1.0 },
 		func(c *UDPClusterConfig) { c.ModelDropRate = -0.1 },
-		func(c *UDPClusterConfig) { c.ModelRecoup = ModelRecoupPolicy(9) },
 		func(c *UDPClusterConfig) { c.MTU = 100000 },
 		// Below the packet header + one coordinate: CoordsPerPacket would
 		// clamp to 1 and every datagram would silently exceed the budget.

@@ -24,7 +24,7 @@ func TestUDPClusterModelLossDeterministic(t *testing.T) {
 			DropRate:      0.15,
 			Recoup:        transport.FillRandom,
 			ModelDropRate: 0.2,
-			ModelRecoup:   ModelRecoupStale,
+			StaleModels:   true,
 			Byzantine:     map[int]string{4: "random"},
 			Seed:          seed,
 			MTU:           128, // several packets per transfer: loss really bites
@@ -74,11 +74,11 @@ func TestUDPClusterModelLossDeterministic(t *testing.T) {
 // configuring the stale policy with a loss-free model channel must not
 // perturb a single bit of the trajectory.
 func TestUDPClusterModelLossZeroRateParity(t *testing.T) {
-	run := func(policy ModelRecoupPolicy) []float64 {
+	run := func(stale bool) []float64 {
 		cl, _, _ := udpFixture(t, UDPClusterConfig{
 			DropRate:    0.15,
 			Recoup:      transport.FillRandom,
-			ModelRecoup: policy,
+			StaleModels: stale,
 			Byzantine:   map[int]string{4: "reversed"},
 			Seed:        13,
 			MTU:         128,
@@ -98,7 +98,7 @@ func TestUDPClusterModelLossZeroRateParity(t *testing.T) {
 		}
 		return cl.Params()
 	}
-	base, stale := run(ModelRecoupSkip), run(ModelRecoupStale)
+	base, stale := run(false), run(true)
 	for i := range base {
 		if math.Float64bits(base[i]) != math.Float64bits(stale[i]) {
 			t.Fatalf("stale policy at modelDropRate 0 changed parameter %d: %v vs %v", i, base[i], stale[i])
@@ -115,7 +115,7 @@ func TestUDPClusterModelRecoupSkipVsStale(t *testing.T) {
 		cl, _, _ := udpFixture(t, UDPClusterConfig{
 			GAR:           gar.Average{},
 			ModelDropRate: 0.25,
-			ModelRecoup:   ModelRecoupSkip,
+			StaleModels:   false,
 			Recoup:        transport.DropGradient,
 			Seed:          7,
 			MTU:           128,
@@ -146,7 +146,7 @@ func TestUDPClusterModelRecoupSkipVsStale(t *testing.T) {
 		cl, _, _ := udpFixture(t, UDPClusterConfig{
 			GAR:           gar.NewMultiKrum(1),
 			ModelDropRate: 0.25,
-			ModelRecoup:   ModelRecoupStale,
+			StaleModels:   true,
 			Recoup:        transport.FillRandom,
 			Seed:          7,
 			MTU:           128,
@@ -211,7 +211,7 @@ func TestUDPClusterModelLossByzantineMatrix(t *testing.T) {
 					DropRate:      0.10,
 					Recoup:        transport.FillRandom,
 					ModelDropRate: 0.05,
-					ModelRecoup:   ModelRecoupStale,
+					StaleModels:   true,
 					MTU:           256,
 					Seed:          13,
 				})

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"aggregathor/internal/ps"
 )
 
 // TestAsyncLockstepMatchesPlainAcrossBackends: at the experiment level, an
@@ -31,7 +33,7 @@ func TestAsyncLockstepMatchesPlainAcrossBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			asyncCfg := base
-			asyncCfg.Quorum = 7
+			asyncCfg.Async.Quorum = 7
 			async, err := Run(asyncCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -73,23 +75,23 @@ func TestAsyncConfigGating(t *testing.T) {
 	}{
 		{"lossy model broadcasts", func(c *Config) {
 			c.Backend = BackendUDP
-			c.Quorum = 6
+			c.Async.Quorum = 6
 			c.ModelDropRate = 0.1
 		}, "incompatible"},
 		{"draco deployment", func(c *Config) {
 			c.Aggregator = "draco"
-			c.Quorum = 6
+			c.Async.Quorum = 6
 		}, "not supported"},
 		{"replicated server", func(c *Config) {
 			c.ServerReplicas = 3
-			c.Quorum = 6
+			c.Async.Quorum = 6
 		}, "not supported"},
 		{"slow workers without staleness", func(c *Config) {
-			c.Quorum = 6
-			c.SlowWorkers = 0.3
+			c.Async.Quorum = 6
+			c.Async.SlowRate = 0.3
 		}, "staleness"},
 		{"quorum above n", func(c *Config) {
-			c.Quorum = 8
+			c.Async.Quorum = 8
 		}, "quorum"},
 	}
 	for _, tc := range cases {
@@ -117,17 +119,15 @@ func TestAsyncSlowRunSurfacesExactCounters(t *testing.T) {
 		seed    = int64(13)
 	)
 	cfg := Config{
-		Experiment:  "features-mlp",
-		Aggregator:  "average",
-		Workers:     workers,
-		Batch:       16,
-		Steps:       steps,
-		EvalEvery:   10,
-		LR:          5e-3,
-		Seed:        seed,
-		Quorum:      5,
-		Staleness:   2,
-		SlowWorkers: 0.4,
+		Experiment: "features-mlp",
+		Aggregator: "average",
+		Workers:    workers,
+		Batch:      16,
+		Steps:      steps,
+		EvalEvery:  10,
+		LR:         5e-3,
+		Seed:       seed,
+		Async:      ps.AsyncConfig{Quorum: 5, Staleness: 2, SlowRate: 0.4},
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestAsyncSlowRunSurfacesExactCounters(t *testing.T) {
 				wantStale++
 			}
 		}
-		if received < cfg.Quorum {
+		if received < cfg.Async.Quorum {
 			wantSkipped++
 		}
 	}

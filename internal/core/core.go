@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -201,42 +202,18 @@ type Config struct {
 	// channel). Only the udp backend implements a lossy model channel;
 	// every other deployment rejects a non-zero value.
 	ModelDropRate float64
-	// ModelRecoup selects the worker-side policy for torn model
-	// broadcasts on the udp backend: skip the round, or train on the last
-	// complete model and submit a stale-tagged gradient.
-	ModelRecoup cluster.ModelRecoupPolicy
-	// Quorum, when positive, enables asynchronous rounds: the server
-	// aggregates as soon as that many gradients (fresh or admitted-stale)
-	// are in, instead of blocking on all n slots; rounds below quorum are
-	// skipped. 0 means all n workers (lockstep strictness).
-	Quorum int
-	// Staleness is the asynchronous staleness bound τ: gradients tagged up
-	// to τ steps behind the round are admitted, older ones dropped and
-	// counted.
-	Staleness int
-	// SlowWorkers is the per-(step, worker) probability that the
-	// deterministic ps.SlowSeed schedule marks a worker slow — it then
-	// trains on a model 1..τ steps old (or sits the round out when its lag
-	// breaches τ). Evaluated at both endpoints, so asynchronous runs stay a
-	// pure function of the seed.
-	SlowWorkers float64
-	// ChurnRate, when positive, enables the deterministic worker-churn
-	// schedule on the socket backends: each live worker draws a seeded
-	// per-(step, worker) crash probability, tears its sockets down
-	// abruptly when it fires, and rejoins ChurnDownSteps rounds later
-	// through the bounded-backoff dialer, at most ChurnMaxRejoins times
-	// before staying gone. Both endpoints replay the same ps.ChurnSeed
-	// schedule, so which rounds each worker misses — and every
-	// crash/rejoin counter — is a pure function of the seed. Requires
-	// backend "tcp" or "udp"; incompatible with asynchronous rounds and
-	// lossy model broadcasts (one unfillable slot must mean one thing).
-	ChurnRate float64
-	// ChurnDownSteps is how many rounds a crashed worker stays away
-	// before its scheduled rejoin (required > 0 when ChurnRate > 0).
-	ChurnDownSteps int
-	// ChurnMaxRejoins caps how many times one worker may rejoin; a crash
-	// past the cap is permanent (required > 0 when ChurnRate > 0).
-	ChurnMaxRejoins int
+	// StaleModels selects the worker-side policy for torn model broadcasts
+	// on the udp backend: false skips the round, true trains on the last
+	// complete model and submits a stale-tagged gradient (ps.Link).
+	StaleModels bool
+	// Async, when enabled, runs asynchronous bounded-staleness rounds
+	// (ps.AsyncConfig: quorum, staleness bound τ, the seeded slow-worker
+	// schedule), evaluated at both endpoints of every backend.
+	Async ps.AsyncConfig
+	// Churn, when enabled, runs the deterministic worker crash/rejoin
+	// schedule (ps.ChurnConfig). Requires backend "tcp" or "udp": only real
+	// sockets can be torn down.
+	Churn ps.ChurnConfig
 	// Protocol switches the time model between TCP and UDP costing.
 	Protocol simnet.Protocol
 	// RTT overrides the simulated link round-trip time when positive
@@ -298,30 +275,24 @@ type Result struct {
 }
 
 // round maps the experiment description onto the round description every
-// backend plans from — core's one translation of the scheduled axes: the
-// socket cluster configs are filled from it (clusterConfig), and so is the
-// in-process ps.Config. Only the wire format's name can fail to map.
+// backend plans from: the schedules pass through as they are, the link axes
+// gather into a ps.Link. The socket cluster configs are filled from it
+// (clusterConfig), and so is the in-process ps.Config. Only the wire format's
+// name can fail to map.
 func (c *Config) round() (ps.RoundConfig, error) {
 	wire, err := transport.ParseWireFormat(c.WireFormat)
 	if err != nil {
 		return ps.RoundConfig{}, fmt.Errorf("core: %w", err)
 	}
-	rc := ps.RoundConfig{
+	return ps.RoundConfig{
 		Workers: c.Workers, Seed: c.Seed, Recoup: c.Recoup,
-		Async: ps.AsyncConfig{Quorum: c.Quorum, Staleness: c.Staleness, SlowRate: c.SlowWorkers},
-		Churn: ps.ChurnConfig{Rate: c.ChurnRate, DownSteps: c.ChurnDownSteps, MaxRejoins: c.ChurnMaxRejoins},
+		Async: c.Async, Churn: c.Churn, Informed: attack.FirstInformed(c.Attacks),
 		Link: ps.Link{
 			Codec: wire, MTU: transport.DefaultMTU, GradLoss: c.DropRate, ModelLoss: c.ModelDropRate,
-			StaleModels: c.ModelRecoup == cluster.ModelRecoupStale,
+			StaleModels: c.StaleModels,
 			Slots:       c.UDPLinks, // 0 on a socket backend: every worker sends datagrams
 		},
-	}
-	for _, id := range sortedWorkers(c.Attacks) {
-		if atk, _ := attack.New(c.Attacks[id]); rc.Informed == "" && attack.NeedsHonest(atk) {
-			rc.Informed = c.Attacks[id]
-		}
-	}
-	return rc, nil
+	}, nil
 }
 
 // clusterConfig fills the one socket cluster description both socket backends
@@ -333,19 +304,8 @@ func (c *Config) clusterConfig(rc ps.RoundConfig, factory func() *nn.Network,
 		Workers: rc.Workers, Batch: c.Batch, Codec: rc.Link.Codec, RoundTimeout: c.RoundTimeout,
 		Byzantine: c.Attacks, Seed: rc.Seed, L1: c.L1, L2: c.L2, Recoup: rc.Recoup,
 		Async: rc.Async, Churn: rc.Churn,
-		DropRate: rc.Link.GradLoss, ModelDropRate: rc.Link.ModelLoss, ModelRecoup: c.ModelRecoup,
+		DropRate: rc.Link.GradLoss, ModelDropRate: rc.Link.ModelLoss, StaleModels: rc.Link.StaleModels,
 	}
-}
-
-// sortedWorkers returns the attack map's worker ids in ascending order, so
-// nothing derived from it depends on map iteration order.
-func sortedWorkers(m map[int]string) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // Validate checks an experiment description without running it. What core
@@ -372,7 +332,7 @@ func (c Config) validated() (ps.RoundConfig, error) {
 	case "", BackendInProcess:
 		// Worker churn exists only where there are real sockets to tear down.
 		if rc.Churn.Enabled() {
-			return rc, fmt.Errorf("core: worker churn (ChurnRate/ChurnDownSteps/ChurnMaxRejoins) needs backend %q or %q, got %q",
+			return rc, fmt.Errorf("core: worker churn needs backend %q or %q, got %q",
 				BackendTCP, BackendUDP, c.Backend)
 		}
 	case BackendTCP, BackendUDP:
@@ -392,7 +352,7 @@ func (c Config) validated() (ps.RoundConfig, error) {
 	// Lossy model broadcasts exist only on the udp backend: the in-process
 	// simulator and the tcp backend deliver models reliably.
 	if c.Backend != BackendUDP && rc.Link.ModelLossEnabled() {
-		return rc, fmt.Errorf("core: lossy model broadcasts (ModelDropRate/ModelRecoup) need backend %q, got %q", BackendUDP, c.Backend)
+		return rc, fmt.Errorf("core: lossy model broadcasts (ModelDropRate/StaleModels) need backend %q, got %q", BackendUDP, c.Backend)
 	}
 	// The wire format is a lossy-link property: only the udp backend and
 	// the in-process datagram link have a wire at all.
@@ -437,7 +397,7 @@ func (c *Config) validateDraco(beyond bool) error {
 	if _, err := draco.NewPlan(c.Workers, c.F, draco.Repetition); err != nil {
 		return fmt.Errorf("%w: %w", ErrDracoUnsupported, err)
 	}
-	for _, id := range sortedWorkers(c.Attacks) {
+	for _, id := range slices.Sorted(maps.Keys(c.Attacks)) {
 		if id < 0 || id >= c.Workers {
 			return fmt.Errorf("%w: byzantine worker %d outside [0, %d)", ErrDracoUnsupported, id, c.Workers)
 		}

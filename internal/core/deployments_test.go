@@ -230,14 +230,14 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		{"replicated + UDPLinks", with(replicated, func(c *Config) { c.UDPLinks = 1 }), nil},
 		{"replicated + Vanilla", with(replicated, func(c *Config) { c.Vanilla = true }), nil},
 		{"replicated + HijackWorkers", with(replicated, func(c *Config) { c.HijackWorkers = []int{0} }), nil},
-		{"replicated + async", with(replicated, func(c *Config) { c.Quorum = 5 }), nil},
+		{"replicated + async", with(replicated, func(c *Config) { c.Async.Quorum = 5 }), nil},
 		{"a third of the replicas Byzantine", with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas = 3, []int{0} }), nil},
 		{"replica id out of range", with(replicated, func(c *Config) { c.ByzantineReplicas = []int{4} }), nil},
 		{"negative replica id", with(replicated, func(c *Config) { c.ByzantineReplicas = []int{-1} }), nil},
 		{"draco + UDPLinks", with(dracoCfg, func(c *Config) { c.UDPLinks = 1 }), ErrDracoUnsupported},
 		{"draco + Vanilla", with(dracoCfg, func(c *Config) { c.Vanilla = true }), ErrDracoUnsupported},
 		{"draco + HijackWorkers", with(dracoCfg, func(c *Config) { c.HijackWorkers = []int{0} }), ErrDracoUnsupported},
-		{"draco + async", with(dracoCfg, func(c *Config) { c.Quorum = 5 }), ErrDracoUnsupported},
+		{"draco + async", with(dracoCfg, func(c *Config) { c.Async.Quorum = 5 }), ErrDracoUnsupported},
 		{"draco + replicated server", with(dracoCfg, func(c *Config) { c.ServerReplicas = 4 }), ErrDracoUnsupported},
 		{"draco n < 2f+1", with(dracoCfg, func(c *Config) { c.Workers, c.F, c.Attacks = 4, 2, nil }), ErrDracoUnsupported},
 		{"draco with more Byzantine workers than f", with(dracoCfg, func(c *Config) { c.Attacks = map[int]string{1: "reversed", 4: "reversed"} }), ErrDracoUnsupported},

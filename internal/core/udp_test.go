@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"aggregathor/internal/cluster"
 	"aggregathor/internal/transport"
 )
 
@@ -138,9 +137,9 @@ func TestModelLossRejectedOffUDPBackend(t *testing.T) {
 			t.Fatalf("case %d: backend %q accepted ModelDropRate", i, backend)
 		}
 		cfg = Config{Backend: backend, Workers: 3, Steps: 2, Batch: 4,
-			Aggregator: "average", ModelRecoup: cluster.ModelRecoupStale}
+			Aggregator: "average", StaleModels: true}
 		if _, err := Run(cfg); err == nil {
-			t.Fatalf("case %d: backend %q accepted ModelRecoup", i, backend)
+			t.Fatalf("case %d: backend %q accepted StaleModels", i, backend)
 		}
 	}
 }
@@ -164,7 +163,7 @@ func TestUDPBackendModelLossDeterministic(t *testing.T) {
 		DropRate:      0.10,
 		Recoup:        transport.FillRandom,
 		ModelDropRate: 0.10,
-		ModelRecoup:   cluster.ModelRecoupStale,
+		StaleModels:   true,
 	}
 	a, err := Run(cfg)
 	if err != nil {

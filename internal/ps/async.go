@@ -12,23 +12,24 @@ import (
 // much) is decided by the deterministic SlowSeed schedule, evaluated at both
 // endpoints, so the admitted-gradient set per aggregation is a pure function
 // of the run seed. The zero value means lockstep: every worker fresh, every
-// slot required — byte-identical to a run without the mode.
+// slot required — byte-identical to a run without the mode. The JSON names
+// are a campaign network cell's keys (scenario.Network embeds this type).
 type AsyncConfig struct {
 	// Quorum is the minimum number of gradients (fresh or admitted-stale)
 	// that must reach the server for the round to aggregate; rounds below
 	// quorum are skipped. 0 means n (all slots), i.e. lockstep strictness.
-	Quorum int
+	Quorum int `json:"quorum,omitempty"`
 
 	// Staleness is the bound τ: a gradient tagged up to τ steps behind the
 	// current round is admitted (and counted), older ones are dropped and
 	// counted. 0 admits only fresh gradients.
-	Staleness int
+	Staleness int `json:"staleness,omitempty"`
 
 	// SlowRate is the per-(step, worker) probability that the SlowSeed
 	// schedule marks a worker slow this round. A slow worker trains on a
 	// model it retained 1..τ steps ago and submits with that older tag; a
 	// worker whose scheduled lag exceeds τ sits the round out entirely.
-	SlowRate float64
+	SlowRate float64 `json:"slowWorkers,omitempty"`
 }
 
 // Enabled reports whether any asynchronous behaviour is configured.

@@ -17,21 +17,22 @@ import (
 // the crash/rejoin counters in campaign JSON are byte-reproducible.
 
 // ChurnConfig configures the deterministic worker crash/rejoin schedule on
-// the socket backends. The zero value disables churn.
+// the socket backends. The zero value disables churn. The JSON names are a
+// campaign network cell's churn block.
 type ChurnConfig struct {
 	// Rate is the per-(step, worker) probability that a live worker
 	// crashes at a round, drawn from ChurnSeed. 0 disables churn; draws
 	// start at step 1 (a worker must have identified itself on the wire
 	// before its first crash).
-	Rate float64
+	Rate float64 `json:"rate"`
 	// DownSteps is how many rounds a crashed worker stays down: a crash at
 	// step s schedules the rejoin at step s+DownSteps. Must be >= 1 when
 	// churn is enabled.
-	DownSteps int
+	DownSteps int `json:"downSteps,omitempty"`
 	// MaxRejoins caps how many times one worker may rejoin. Once a
 	// worker's budget is spent, its next crash is permanent: it never
 	// rejoins and its slot is dropped for the rest of the run.
-	MaxRejoins int
+	MaxRejoins int `json:"maxRejoins,omitempty"`
 }
 
 // Enabled reports whether the churn schedule is active.

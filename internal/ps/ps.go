@@ -146,7 +146,7 @@ type StepResult struct {
 	// Stale counts slots settled this round from a stale-model submission:
 	// on the lossy-model UDP backend, a worker whose broadcast was torn
 	// trained on its last complete model and the server accepted the
-	// resulting gradient into the current round (ModelRecoupStale).
+	// resulting gradient into the current round (Link.StaleModels).
 	Stale int
 	// AdmittedStale counts slots aggregated this round off a model up to τ
 	// steps old, per the asynchronous slow-worker schedule; DroppedStale the

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"testing"
+
+	"aggregathor/internal/ps"
 )
 
 // TestAsyncCampaignJSONDeterministic is the campaign acceptance gate for
@@ -60,7 +62,7 @@ func TestAsyncCampaignJSONDeterministic(t *testing.T) {
 		if res.Error != "" {
 			t.Fatalf("%s: cell failed: %s", res.Run.ID, res.Error)
 		}
-		asyncCell := res.Run.Network.Quorum > 0 || res.Run.Network.Staleness > 0 || res.Run.Network.SlowWorkers > 0
+		asyncCell := res.Run.Network.AsyncConfig.Enabled()
 		if !asyncCell {
 			if res.AdmittedStale != 0 || res.DroppedTooStale != 0 || res.RoundsPerSec != 0 {
 				t.Fatalf("%s: lockstep cell surfaced async readouts: stale=%d dropped=%d rounds/s=%v",
@@ -125,31 +127,31 @@ func TestNetworkValidationAsync(t *testing.T) {
 		s.ApplyDefaults()
 		return &s
 	}
-	if err := base(Network{Name: "a", Quorum: 6, Staleness: 2, SlowWorkers: 0.25}).Validate(); err != nil {
+	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}}).Validate(); err != nil {
 		t.Fatalf("valid async network rejected: %v", err)
 	}
-	if err := base(Network{Name: "a", Backend: "udp", Quorum: 6, Staleness: 2, SlowWorkers: 0.25, DropRate: 0.1, Recoup: "fill-random"}).Validate(); err != nil {
+	if err := base(Network{Name: "a", Backend: "udp", AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}, DropRate: 0.1, Recoup: "fill-random"}).Validate(); err != nil {
 		t.Fatalf("valid lossy-uplink async network rejected: %v", err)
 	}
-	if err := base(Network{Name: "a", Quorum: -1}).Validate(); err == nil {
+	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: -1}}).Validate(); err == nil {
 		t.Fatal("negative quorum accepted")
 	}
-	if err := base(Network{Name: "a", Staleness: -1}).Validate(); err == nil {
+	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Staleness: -1}}).Validate(); err == nil {
 		t.Fatal("negative staleness accepted")
 	}
-	if err := base(Network{Name: "a", Staleness: 2, SlowWorkers: 1.0}).Validate(); err == nil {
+	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: 1.0}}).Validate(); err == nil {
 		t.Fatal("slowWorkers 1.0 accepted")
 	}
-	if err := base(Network{Name: "a", Staleness: 2, SlowWorkers: -0.1}).Validate(); err == nil {
+	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: -0.1}}).Validate(); err == nil {
 		t.Fatal("negative slowWorkers accepted")
 	}
-	if err := base(Network{Name: "a", Quorum: 6, SlowWorkers: 0.25}).Validate(); err == nil {
+	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: 6, SlowRate: 0.25}}).Validate(); err == nil {
 		t.Fatal("slowWorkers without a staleness window accepted")
 	}
-	if err := base(Network{Name: "a", Backend: "udp", Quorum: 6, ModelDropRate: 0.1}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Backend: "udp", AsyncConfig: ps.AsyncConfig{Quorum: 6}, ModelDropRate: 0.1}).Validate(); err == nil {
 		t.Fatal("async composed with lossy model broadcasts accepted")
 	}
-	if err := base(Network{Name: "a", Backend: "udp", Quorum: 6, ModelRecoup: "stale"}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Backend: "udp", AsyncConfig: ps.AsyncConfig{Quorum: 6}, ModelRecoup: "stale"}).Validate(); err == nil {
 		t.Fatal("async composed with the stale model recoup accepted")
 	}
 }

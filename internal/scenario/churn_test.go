@@ -98,8 +98,7 @@ func TestChurnCampaignJSONDeterministic(t *testing.T) {
 			continue
 		}
 		churnRuns++
-		c := res.Run.Network.Churn
-		churn := ps.ChurnConfig{Rate: c.Rate, DownSteps: c.DownSteps, MaxRejoins: c.MaxRejoins}
+		churn := *res.Run.Network.Churn
 		minW, ok := minWorkers[res.Run.GAR]
 		if !ok {
 			t.Fatalf("%s: no expected resilience bound for GAR %q", res.Run.ID, res.Run.GAR)
@@ -170,7 +169,7 @@ func TestChurnZeroRateBitParity(t *testing.T) {
 			withZero.Steps = 6
 			withZero.EvalEvery = 3
 			for i := range withZero.Networks {
-				withZero.Networks[i].Churn = &Churn{Rate: 0}
+				withZero.Networks[i].Churn = &ps.ChurnConfig{Rate: 0}
 			}
 			plain, err := Execute(base)
 			if err != nil {
@@ -214,7 +213,7 @@ func TestNetworkValidationChurn(t *testing.T) {
 		s.ApplyDefaults()
 		return &s
 	}
-	valid := Churn{Rate: 0.05, DownSteps: 2, MaxRejoins: 2}
+	valid := ps.ChurnConfig{Rate: 0.05, DownSteps: 2, MaxRejoins: 2}
 	if err := base(Network{Name: "a", Backend: "tcp", Churn: &valid}).Validate(); err != nil {
 		t.Fatalf("valid tcp churn network rejected: %v", err)
 	}
@@ -224,7 +223,7 @@ func TestNetworkValidationChurn(t *testing.T) {
 	if err := base(Network{Name: "a", Churn: &valid}).Validate(); err == nil {
 		t.Fatal("churn on the in-process backend accepted")
 	}
-	err := base(Network{Name: "a", Backend: "tcp", Churn: &valid, Quorum: 6, Staleness: 2}).Validate()
+	err := base(Network{Name: "a", Backend: "tcp", Churn: &valid, AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2}}).Validate()
 	if !errors.Is(err, ps.ErrChurnAsync) {
 		t.Fatalf("churn composed with async rounds: got %v, want ErrChurnAsync", err)
 	}
@@ -236,13 +235,13 @@ func TestNetworkValidationChurn(t *testing.T) {
 	if !errors.Is(err, ps.ErrChurnModelLoss) {
 		t.Fatalf("churn composed with the stale model recoup: got %v, want ErrChurnModelLoss", err)
 	}
-	if err := base(Network{Name: "a", Backend: "tcp", Churn: &Churn{Rate: 1.0, DownSteps: 2, MaxRejoins: 2}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Backend: "tcp", Churn: &ps.ChurnConfig{Rate: 1.0, DownSteps: 2, MaxRejoins: 2}}).Validate(); err == nil {
 		t.Fatal("churn rate 1.0 accepted")
 	}
-	if err := base(Network{Name: "a", Backend: "tcp", Churn: &Churn{Rate: 0.05}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Backend: "tcp", Churn: &ps.ChurnConfig{Rate: 0.05}}).Validate(); err == nil {
 		t.Fatal("churn without downSteps accepted")
 	}
-	if err := base(Network{Name: "a", Backend: "tcp", Churn: &Churn{DownSteps: 2}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Backend: "tcp", Churn: &ps.ChurnConfig{DownSteps: 2}}).Validate(); err == nil {
 		t.Fatal("half-disabled churn block (downSteps without rate) accepted")
 	}
 	// Informed attacks recompute honest gradients from the seed; the churn

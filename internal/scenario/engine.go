@@ -151,7 +151,7 @@ func executeRun(s *Spec, r Run) Result {
 	// (non-skipped) rounds by total simulated time: a lockstep cell gated by
 	// a slow schedule loses rounds to the quorum check, an async quorum cell
 	// keeps updating — the contrast this axis exists to show.
-	if r.Network.asyncEnabled() && s.Steps > 0 && out.RoundTimeNS > 0 {
+	if r.Network.AsyncConfig.Enabled() && s.Steps > 0 && out.RoundTimeNS > 0 {
 		simSeconds := float64(s.Steps) * float64(out.RoundTimeNS) * 1e-9
 		out.RoundsPerSec = float64(s.Steps-res.SkippedRounds) / simSeconds
 	}

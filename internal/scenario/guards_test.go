@@ -79,10 +79,9 @@ func (f forbidden) attackName() string {
 // viaSpec and viaCore build the configuration on the named backend at the
 // two layers that take one; viaCluster and viaPS at the constructors.
 func (f forbidden) viaSpec(backend string) error {
-	n := Network{Name: "cell", Backend: backend, Quorum: f.async.Quorum, Staleness: f.async.Staleness,
-		SlowWorkers: f.async.SlowRate, ModelDropRate: f.modelDrop, UDPLinks: f.udpLinks}
+	n := Network{Name: "cell", Backend: backend, AsyncConfig: f.async, ModelDropRate: f.modelDrop, UDPLinks: f.udpLinks}
 	if f.churn.Enabled() {
-		n.Churn = &Churn{Rate: f.churn.Rate, DownSteps: f.churn.DownSteps, MaxRejoins: f.churn.MaxRejoins}
+		n.Churn = &f.churn
 	}
 	if f.stale {
 		n.ModelRecoup = "stale"
@@ -102,12 +101,7 @@ func (f forbidden) viaSpec(backend string) error {
 func (f forbidden) viaCore(backend string) error {
 	cfg := core.Config{Backend: backend, Aggregator: "median", Workers: guardWorkers, F: guardF, Steps: 1,
 		Attacks: map[int]string{guardWorkers - 1: f.attackName()},
-		Quorum:  f.async.Quorum, Staleness: f.async.Staleness, SlowWorkers: f.async.SlowRate,
-		ChurnRate: f.churn.Rate, ChurnDownSteps: f.churn.DownSteps, ChurnMaxRejoins: f.churn.MaxRejoins,
-		ModelDropRate: f.modelDrop, UDPLinks: f.udpLinks}
-	if f.stale {
-		cfg.ModelRecoup = cluster.ModelRecoupStale
-	}
+		Async:   f.async, Churn: f.churn, StaleModels: f.stale, ModelDropRate: f.modelDrop, UDPLinks: f.udpLinks}
 	if f.float32 {
 		cfg.WireFormat = "float32"
 	}
@@ -120,10 +114,7 @@ func guardFactory() *nn.Network { return nn.NewMLP(6, nil, 3, rand.New(rand.NewS
 func (f forbidden) viaCluster(backend string) error {
 	cfg := cluster.UDPClusterConfig{Addr: "127.0.0.1:0", ModelFactory: guardFactory, Workers: guardWorkers,
 		Batch: 4, Train: data.SyntheticFeatures(40, 6, 3, 1), GAR: gar.Median{}, Optimizer: &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
-		Byzantine: map[int]string{guardWorkers - 1: f.attackName()}, Async: f.async, Churn: f.churn, ModelDropRate: f.modelDrop}
-	if f.stale {
-		cfg.ModelRecoup = cluster.ModelRecoupStale
-	}
+		Byzantine: map[int]string{guardWorkers - 1: f.attackName()}, Async: f.async, Churn: f.churn, ModelDropRate: f.modelDrop, StaleModels: f.stale}
 	if f.unresponsive {
 		cfg.Unresponsive = map[int]bool{0: true}
 	}

@@ -16,7 +16,7 @@ import (
 // before any cell ran.
 func TestInformedAttackSlowNetworkRejected(t *testing.T) {
 	s := Spec{
-		Networks: []Network{{Name: "a", Quorum: 6, Staleness: 2, SlowWorkers: 0.25}},
+		Networks: []Network{{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}}},
 		Attacks:  []string{AttackNone, "omniscient"},
 	}
 	s.ApplyDefaults()
@@ -25,7 +25,7 @@ func TestInformedAttackSlowNetworkRejected(t *testing.T) {
 		t.Fatalf("informed attack swept against a slow-schedule network: got %v, want ErrInformedSlow", err)
 	}
 	blind := Spec{
-		Networks: []Network{{Name: "a", Quorum: 6, Staleness: 2, SlowWorkers: 0.25}},
+		Networks: []Network{{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}}},
 		Attacks:  []string{AttackNone, "reversed"},
 	}
 	blind.ApplyDefaults()

@@ -215,7 +215,7 @@ func (c *Campaign) wireSection() string {
 func (c *Campaign) asyncSection() string {
 	var b strings.Builder
 	for _, n := range c.Spec.Networks {
-		if !n.asyncEnabled() {
+		if !n.AsyncConfig.Enabled() {
 			continue
 		}
 		var rpsSum float64
@@ -244,7 +244,7 @@ func (c *Campaign) asyncSection() string {
 			rps = fmt.Sprintf("%.2f", rpsSum/float64(scored))
 		}
 		fmt.Fprintf(&b, "%-24s %7s %3d %6.2f %10s %9d %9d %8d %6d\n",
-			n.Name, quorum, n.Staleness, n.SlowWorkers, rps, admitted, dropped, skipped, scored)
+			n.Name, quorum, n.Staleness, n.SlowRate, rps, admitted, dropped, skipped, scored)
 	}
 	return b.String()
 }
@@ -257,7 +257,7 @@ func (c *Campaign) asyncSection() string {
 func (c *Campaign) churnSection() string {
 	var b strings.Builder
 	for _, n := range c.Spec.Networks {
-		if !n.churn().Enabled() {
+		if n.Churn == nil || !n.Churn.Enabled() {
 			continue
 		}
 		var crashes, rejoins, attempts, below, scored int

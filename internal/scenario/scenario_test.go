@@ -1,11 +1,15 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"aggregathor/internal/attack"
 	"aggregathor/internal/gar"
+	"aggregathor/internal/ps"
 )
 
 func TestApplyDefaultsCoversRegistries(t *testing.T) {
@@ -107,6 +111,48 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 	if s.Name != "mini" || s.Seeds[0] != 7 || s.Optimizer != "rmsprop" {
 		t.Fatalf("parsed spec %+v", s)
+	}
+}
+
+// TestNetworkSchemaPinned pins a campaign network cell's JSON: every key, its
+// name and its order, for a cell that sets every field (no built-in campaign
+// does, so the smoke sha256s cannot see a key that moves) and for an empty
+// churn block, whose rate is written even at zero. The literals are the bytes
+// a Network produced when the async and churn axes were flat scenario fields;
+// embedding the ps types must reproduce them, and strict decoding — the
+// unknown-field rejection ParseSpec applies — must read them back to the same
+// value.
+func TestNetworkSchemaPinned(t *testing.T) {
+	cases := []struct {
+		n    Network
+		want string
+	}{
+		{Network{Name: "every-field", Backend: "udp", UDPLinks: 3, DropRate: 0.1, Recoup: "fill-nan",
+			ModelDropRate: 0.2, WireFormat: "float32", ModelRecoup: "stale",
+			AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25},
+			Churn:       &ps.ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: 3}, Protocol: "udp", RTTMicros: 150},
+			`{"name":"every-field","backend":"udp","udpLinks":3,"dropRate":0.1,"recoup":"fill-nan",` +
+				`"modelDropRate":0.2,"wireFormat":"float32","modelRecoup":"stale","quorum":6,"staleness":2,` +
+				`"slowWorkers":0.25,"churn":{"rate":0.08,"downSteps":2,"maxRejoins":3},"protocol":"udp","rttMicros":150}`},
+		{Network{Name: "z", Churn: &ps.ChurnConfig{}}, `{"name":"z","churn":{"rate":0}}`},
+	}
+	for _, tc := range cases {
+		raw, err := json.Marshal(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != tc.want {
+			t.Fatalf("network %q marshals to\n%s\nwant\n%s", tc.n.Name, raw, tc.want)
+		}
+		var back Network
+		dec := json.NewDecoder(bytes.NewReader([]byte(tc.want)))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&back); err != nil {
+			t.Fatalf("network %q: strict decode: %v", tc.n.Name, err)
+		}
+		if !reflect.DeepEqual(back, tc.n) {
+			t.Fatalf("network %q decodes to %+v, want %+v", tc.n.Name, back, tc.n)
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"aggregathor/internal/attack"
-	"aggregathor/internal/cluster"
 	"aggregathor/internal/core"
 	"aggregathor/internal/gar"
 	"aggregathor/internal/opt"
@@ -82,61 +81,23 @@ type Network struct {
 	// on the last complete model and submit a stale-tagged gradient,
 	// opening the staleness axis). Requires backend "udp".
 	ModelRecoup string `json:"modelRecoup,omitempty"`
-	// Quorum, when positive, enables asynchronous rounds on this cell: the
-	// server aggregates as soon as that many gradients (fresh or
-	// admitted-stale) are in, instead of blocking on all n slots; rounds
-	// below quorum are skipped. 0 means all n workers.
-	Quorum int `json:"quorum,omitempty"`
-	// Staleness is the asynchronous staleness bound τ: gradients tagged up
-	// to τ steps behind the round are admitted, older ones dropped and
-	// counted.
-	Staleness int `json:"staleness,omitempty"`
-	// SlowWorkers is the per-(step, worker) probability in [0, 1) that the
-	// deterministic ps.SlowSeed schedule marks a worker slow (training on a
-	// model 1..τ steps old, or sitting the round out when its lag breaches
-	// τ). Evaluated at both endpoints, so asynchronous cells stay
-	// byte-reproducible. Requires staleness >= 1.
-	SlowWorkers float64 `json:"slowWorkers,omitempty"`
+	// AsyncConfig, when enabled, runs this cell's rounds asynchronously:
+	// quorum, staleness bound τ and the seeded slow-worker rate, inline under
+	// their own keys. Asynchronous cells stay byte-reproducible because the
+	// slow schedule (ps.SlowSeed) is evaluated at both endpoints.
+	ps.AsyncConfig
 	// Churn, when present with a positive rate, enables the deterministic
-	// worker crash/rejoin schedule on this cell: live workers crash with
-	// the seeded per-(step, worker) probability, tear their sockets down,
-	// and rejoin downSteps rounds later through the bounded-backoff
-	// dialer, at most maxRejoins times each. Requires backend "tcp" or
+	// worker crash/rejoin schedule on this cell. Requires backend "tcp" or
 	// "udp"; incompatible with asynchronous rounds, lossy model broadcasts
-	// and informed attacks. A churn cell's crash/rejoin/belowBound
-	// counters are exact pure functions of the seed, so churn campaigns
-	// stay byte-reproducible.
-	Churn *Churn `json:"churn,omitempty"`
+	// and informed attacks. A churn cell's crash/rejoin/belowBound counters
+	// are exact pure functions of the seed, so churn campaigns stay
+	// byte-reproducible.
+	Churn *ps.ChurnConfig `json:"churn,omitempty"`
 	// Protocol costs the simulated clock as "tcp" (default) or "udp".
 	Protocol string `json:"protocol,omitempty"`
 	// RTTMicros overrides the simulated link round-trip time in
 	// microseconds (the latency knob); 0 keeps the Grid5000 default.
 	RTTMicros int `json:"rttMicros,omitempty"`
-}
-
-// Churn is the worker crash/rejoin schedule of one network cell — the
-// scenario-level spelling of ps.ChurnConfig.
-type Churn struct {
-	// Rate is the per-(step, worker) crash probability in [0, 1); 0
-	// disables churn (and then downSteps/maxRejoins must be 0 too, so a
-	// half-disabled schedule fails loudly instead of silently sweeping
-	// churn-free).
-	Rate float64 `json:"rate"`
-	// DownSteps is how many rounds a crashed worker stays away before its
-	// scheduled rejoin (>= 1 when rate > 0).
-	DownSteps int `json:"downSteps,omitempty"`
-	// MaxRejoins caps how many times one worker may rejoin; a crash past
-	// the cap is permanent.
-	MaxRejoins int `json:"maxRejoins,omitempty"`
-}
-
-// churn maps the cell's churn block onto the schedule's parameters — the zero
-// value, churn off, without one.
-func (n Network) churn() ps.ChurnConfig {
-	if n.Churn == nil {
-		return ps.ChurnConfig{}
-	}
-	return ps.ChurnConfig{Rate: n.Churn.Rate, DownSteps: n.Churn.DownSteps, MaxRejoins: n.Churn.MaxRejoins}
 }
 
 // Spec is a declarative campaign: the axes of the sweep plus the shared
@@ -327,7 +288,7 @@ func (s *Spec) cellConfig(r Run) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	modelPolicy, err := n.modelRecoupPolicy()
+	stale, err := n.staleModels()
 	if err != nil {
 		return core.Config{}, err
 	}
@@ -351,16 +312,15 @@ func (s *Spec) cellConfig(r Run) (core.Config, error) {
 		DropRate:      n.DropRate,
 		Recoup:        policy,
 		ModelDropRate: n.ModelDropRate,
-		ModelRecoup:   modelPolicy,
+		StaleModels:   stale,
 		Protocol:      proto,
 		RTT:           n.rtt(),
-		Quorum:        n.Quorum,
-		Staleness:     n.Staleness,
-		SlowWorkers:   n.SlowWorkers,
+		Async:         n.AsyncConfig,
 		Seed:          r.Seed,
 	}
-	churn := n.churn()
-	cfg.ChurnRate, cfg.ChurnDownSteps, cfg.ChurnMaxRejoins = churn.Rate, churn.DownSteps, churn.MaxRejoins
+	if n.Churn != nil {
+		cfg.Churn = *n.Churn
+	}
 	// The last F workers are the Byzantine ones (UDP links are assigned
 	// from the front, so lossy-link and Byzantine roles overlap only when
 	// the whole cluster is lossy).
@@ -413,16 +373,16 @@ func (n Network) recoupPolicy() (transport.RecoupPolicy, error) {
 	}
 }
 
-// modelRecoupPolicy parses the network's torn-model-broadcast policy name
-// (default skip).
-func (n Network) modelRecoupPolicy() (cluster.ModelRecoupPolicy, error) {
+// staleModels parses the network's torn-model-broadcast policy name: "skip"
+// (the default) or "stale".
+func (n Network) staleModels() (bool, error) {
 	switch n.ModelRecoup {
 	case "", "skip":
-		return cluster.ModelRecoupSkip, nil
+		return false, nil
 	case "stale":
-		return cluster.ModelRecoupStale, nil
+		return true, nil
 	default:
-		return 0, fmt.Errorf("scenario: network %q unknown model recoup policy %q (want skip|stale)", n.Name, n.ModelRecoup)
+		return false, fmt.Errorf("scenario: network %q unknown model recoup policy %q (want skip|stale)", n.Name, n.ModelRecoup)
 	}
 }
 
@@ -436,12 +396,6 @@ func (n Network) protocol() (simnet.Protocol, error) {
 	default:
 		return 0, fmt.Errorf("scenario: network %q unknown protocol %q (want tcp|udp)", n.Name, n.Protocol)
 	}
-}
-
-// asyncEnabled reports whether this cell runs asynchronous rounds (the
-// report's async section and the rounds-per-second readout list those cells).
-func (n Network) asyncEnabled() bool {
-	return n.Quorum > 0 || n.Staleness > 0 || n.SlowWorkers > 0
 }
 
 // udpLinks resolves the -1 = "all workers" convention; the range is core's
@@ -623,6 +577,7 @@ func ModelLossSmokeSpec() Spec {
 // schedule (ps.SlowSeed) is a pure function of (seed, step, worker) evaluated
 // at both endpoints.
 func AsyncSmokeSpec() Spec {
+	async := ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}
 	s := Spec{
 		Name:       "async-smoke",
 		Experiment: "features-mlp",
@@ -631,11 +586,11 @@ func AsyncSmokeSpec() Spec {
 		Clusters:   []Cluster{{Workers: 7, F: 1}},
 		Networks: []Network{
 			{Name: "lockstep-in-process"},
-			{Name: "lockstep-slow", Staleness: 2, SlowWorkers: 0.25},
-			{Name: "async-in-process", Quorum: 6, Staleness: 2, SlowWorkers: 0.25},
-			{Name: "async-tcp", Backend: "tcp", Quorum: 6, Staleness: 2, SlowWorkers: 0.25},
-			{Name: "async-udp", Backend: "udp", Quorum: 6, Staleness: 2, SlowWorkers: 0.25},
-			{Name: "async-udp-lossy", Backend: "udp", Quorum: 6, Staleness: 2, SlowWorkers: 0.25,
+			{Name: "lockstep-slow", AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: 0.25}},
+			{Name: "async-in-process", AsyncConfig: async},
+			{Name: "async-tcp", Backend: "tcp", AsyncConfig: async},
+			{Name: "async-udp", Backend: "udp", AsyncConfig: async},
+			{Name: "async-udp-lossy", Backend: "udp", AsyncConfig: async,
 				DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
 		},
 		Seeds:     []int64{1},
@@ -663,7 +618,7 @@ func AsyncSmokeSpec() Spec {
 // evaluated at both endpoints from the seed, never from socket timing — and
 // every cell stays byte-reproducible across reruns.
 func ChurnSmokeSpec() Spec {
-	churn := &Churn{Rate: 0.08, DownSteps: 2, MaxRejoins: 2}
+	churn := &ps.ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: 2}
 	s := Spec{
 		Name:       "churn-smoke",
 		Experiment: "features-mlp",

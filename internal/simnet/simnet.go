@@ -48,23 +48,22 @@ func (p Protocol) String() string {
 	}
 }
 
-// Config is the cluster cost model.
+// wireBytesPerCoord is the modelled wire size of one coordinate: float32, the
+// TensorFlow default the paper's deployments ship.
+const wireBytesPerCoord = 4
+
+// Config is the cluster cost model. Workers are homogeneous and each computes
+// one mini-batch gradient per step.
 type Config struct {
 	// Workers is n, the number of worker nodes.
 	Workers int
 	// Dim is the gradient dimension d used for transfer and aggregation
 	// cost.
 	Dim int
-	// BytesPerCoord is the wire size of one coordinate (4 for float32,
-	// the TensorFlow default; 8 for float64).
-	BytesPerCoord int
 	// FlopsPerSample is the forward+backward cost of one training sample.
 	FlopsPerSample float64
 	// WorkerFlops is the effective per-node FLOP/s (compute throughput).
 	WorkerFlops float64
-	// WorkerSkew is the relative spread of per-worker speed (0 =
-	// homogeneous; 0.1 = ±10% assigned deterministically per worker id).
-	WorkerSkew float64
 	// LinkBandwidth is the shared network bandwidth in bits/s.
 	LinkBandwidth float64
 	// RTT is the round-trip time used by the TCP loss model.
@@ -76,9 +75,6 @@ type Config struct {
 	// AggTime is the per-round aggregation duration (use
 	// MeasureAggregation for a real measurement).
 	AggTime time.Duration
-	// GradsPerWorker is how many mini-batch gradients each worker
-	// computes per step (1 normally, r = 2f+1 for Draco-cyclic).
-	GradsPerWorker int
 	// DecodeTime is additional per-round server work (Draco's
 	// linear-in-n decode), zero otherwise.
 	DecodeTime time.Duration
@@ -91,19 +87,17 @@ func Grid5000(workers, dim int) Config {
 	return Config{
 		Workers:        workers,
 		Dim:            dim,
-		BytesPerCoord:  4,
 		FlopsPerSample: 2e8, // Table-1 CNN forward+backward, per sample
 		WorkerFlops:    50e9,
 		LinkBandwidth:  10e9,
 		RTT:            200 * time.Microsecond,
 		Protocol:       TCP,
-		GradsPerWorker: 1,
 	}
 }
 
 // Round is the simulated duration of one synchronous training step.
 type Round struct {
-	// Compute is the slowest worker's gradient computation time.
+	// Compute is the workers' gradient computation time.
 	Compute time.Duration
 	// Transfer is the model broadcast plus gradient collection time on
 	// the shared link.
@@ -115,30 +109,13 @@ type Round struct {
 // Total returns the full round duration.
 func (r Round) Total() time.Duration { return r.Compute + r.Transfer + r.Aggregate }
 
-// workerSpeed returns the deterministic speed factor of worker w in
-// [1-skew, 1+skew].
-func (c *Config) workerSpeed(w int) float64 {
-	if c.WorkerSkew == 0 {
-		return 1
-	}
-	// Spread workers evenly over the skew interval by id; deterministic
-	// so repeated rounds cost the same.
-	frac := float64(w)/math.Max(1, float64(c.Workers-1))*2 - 1
-	return 1 + frac*c.WorkerSkew
-}
-
-// ComputeTime returns the gradient computation time of worker w for a
-// mini-batch (GradsPerWorker multiplies the work, per Draco).
-func (c *Config) ComputeTime(w, batch int) time.Duration {
+// ComputeTime returns one worker's gradient computation time for a
+// mini-batch.
+func (c *Config) ComputeTime(batch int) time.Duration {
 	if c.WorkerFlops <= 0 {
 		return 0
 	}
-	grads := c.GradsPerWorker
-	if grads <= 0 {
-		grads = 1
-	}
-	flops := c.FlopsPerSample * float64(batch) * float64(grads)
-	secs := flops / (c.WorkerFlops * c.workerSpeed(w))
+	secs := c.FlopsPerSample * float64(batch) / c.WorkerFlops
 	return time.Duration(secs * float64(time.Second))
 }
 
@@ -163,14 +140,10 @@ func (c *Config) EffectiveBandwidth() float64 {
 }
 
 // TransferTime returns the shared-link time to broadcast the model to n
-// workers and collect n·GradsPerWorker gradients of dimension Dim.
+// workers and collect their n gradients of dimension Dim.
 func (c *Config) TransferTime() time.Duration {
-	grads := c.GradsPerWorker
-	if grads <= 0 {
-		grads = 1
-	}
-	perVector := float64(c.Dim * c.BytesPerCoord * 8)
-	totalBits := perVector * float64(c.Workers) * float64(1+grads)
+	perVector := float64(c.Dim * wireBytesPerCoord * 8)
+	totalBits := perVector * float64(c.Workers) * 2
 	bw := c.EffectiveBandwidth()
 	if bw <= 0 {
 		return 0
@@ -184,16 +157,10 @@ func (c *Config) TransferTime() time.Duration {
 }
 
 // SimulateRound returns the cost of one synchronous step with the given
-// mini-batch size: slowest worker compute + shared transfer + aggregation.
+// mini-batch size: worker compute + shared transfer + aggregation.
 func (c *Config) SimulateRound(batch int) Round {
-	var slowest time.Duration
-	for w := 0; w < c.Workers; w++ {
-		if t := c.ComputeTime(w, batch); t > slowest {
-			slowest = t
-		}
-	}
 	return Round{
-		Compute:   slowest,
+		Compute:   c.ComputeTime(batch),
 		Transfer:  c.TransferTime(),
 		Aggregate: c.AggTime + c.DecodeTime,
 	}

@@ -9,37 +9,13 @@ import (
 
 func TestComputeTimeScalesWithBatch(t *testing.T) {
 	cfg := Grid5000(4, 1000)
-	t1 := cfg.ComputeTime(0, 10)
-	t2 := cfg.ComputeTime(0, 20)
+	t1 := cfg.ComputeTime(10)
+	t2 := cfg.ComputeTime(20)
 	if t2 <= t1 {
 		t.Fatalf("compute time must grow with batch: %v vs %v", t1, t2)
 	}
 	if t2 < t1*2-time.Nanosecond || t2 > t1*2+time.Nanosecond {
 		t.Fatalf("compute time not linear in batch: %v vs 2x%v", t2, t1)
-	}
-}
-
-func TestComputeTimeDracoMultiplier(t *testing.T) {
-	cfg := Grid5000(4, 1000)
-	base := cfg.ComputeTime(0, 10)
-	cfg.GradsPerWorker = 9 // Draco r = 2f+1 with f=4
-	if got := cfg.ComputeTime(0, 10); got < base*8 {
-		t.Fatalf("Draco multiplier not applied: %v vs base %v", got, base)
-	}
-}
-
-func TestWorkerSkewSpread(t *testing.T) {
-	cfg := Grid5000(10, 1000)
-	cfg.WorkerSkew = 0.2
-	fast := cfg.ComputeTime(9, 100) // worker 9 gets speed 1.2
-	slow := cfg.ComputeTime(0, 100) // worker 0 gets speed 0.8
-	if fast >= slow {
-		t.Fatalf("skewed workers should differ: fast %v, slow %v", fast, slow)
-	}
-	cfg.WorkerSkew = 0
-	a, b := cfg.ComputeTime(0, 100), cfg.ComputeTime(9, 100)
-	if a != b {
-		t.Fatal("homogeneous workers must match")
 	}
 }
 
@@ -256,14 +232,8 @@ func TestGrid5000Defaults(t *testing.T) {
 	if cfg.LinkBandwidth != 10e9 {
 		t.Fatal("testbed is 10 Gbps Ethernet")
 	}
-	if cfg.BytesPerCoord != 4 {
-		t.Fatal("wire format defaults to float32")
-	}
 	if cfg.Protocol != TCP || cfg.DropRate != 0 {
 		t.Fatal("default transport must be reliable TCP")
-	}
-	if cfg.GradsPerWorker != 1 {
-		t.Fatal("one gradient per worker per step by default")
 	}
 }
 

@@ -40,7 +40,7 @@ func TestUDPBackendSegmentedMatchesUnsegmented(t *testing.T) {
 			DropRate:      0.10,
 			Recoup:        transport.FillRandom,
 			ModelDropRate: 0.05,
-			ModelRecoup:   cluster.ModelRecoupStale,
+			StaleModels:   true,
 			MTU:           128, // 899 parameters: 41 datagrams a transfer, a message of its own when segmented
 			Seed:          13,
 		})
