@@ -658,59 +658,116 @@ func reportDatagramsPerSyscall(b *testing.B, before, after transport.UDPStats) {
 }
 
 // BenchmarkTransport_RecvAllocs pins the receive half of the same contract:
-// a paced sender on its own goroutine, as a cluster worker is, and a
-// RecvPacket loop that takes one d=200k transfer per op — recvmmsg, the
-// segment walk, decode into the receiver's one packet — with zero
-// steady-state allocations. The reported allocs/op must be 0.
+// a paced sender on its own goroutine, as a cluster worker is, writes one
+// d=200k transfer per op, and each receive path takes it with zero
+// steady-state allocations (the CI bench job reads both rows). packets: a
+// RecvPacket loop — recvmmsg, the segment walk, decode into the receiver's
+// one packet. model-into: a ModelCollector assembling the transfer as a model
+// broadcast in a replica-sized vector, as a UDP worker does.
 func BenchmarkTransport_RecvAllocs(b *testing.B) {
 	grad := randGrads(20, 1, 200_000)[0]
 	codec := transport.Codec{Float32: true}
-	recv, err := transport.ListenUDP("127.0.0.1:0", codec, transport.DropGradient, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer recv.Close()
-	send, err := transport.DialUDP(recv.Addr(), codec, transport.DefaultMTU, 0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer send.Close()
-	send.SetPacing(128<<10, time.Millisecond)
 	pkts := codec.PacketsPerTransfer(len(grad), transport.DefaultMTU)
-	msg := &transport.GradientMsg{Worker: 1, Grad: grad}
-	transfers, sendErr := make(chan struct{}), make(chan error, 1)
-	go func() {
-		defer close(sendErr)
-		for range transfers {
-			if err := send.SendGradient(msg); err != nil {
-				sendErr <- err
-				return
-			}
+	// recvBench runs one receive path: newTransfer builds it over the bound
+	// receiver, and its func takes the transfer the sender wrote at step.
+	recvBench := func(b *testing.B, worker int, newTransfer func(*transport.UDPReceiver) func(step int) error) {
+		recv, err := transport.ListenUDP("127.0.0.1:0", codec, transport.DropGradient, 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}()
-	defer func() { close(transfers); <-sendErr }()
-	transfer := func() {
-		transfers <- struct{}{}
-		for got := 0; got < pkts; got++ {
-			if _, err := recv.RecvPacket(time.Second); err != nil {
+		defer recv.Close()
+		send, err := transport.DialUDP(recv.Addr(), codec, transport.DefaultMTU, 0, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer send.Close()
+		send.SetPacing(128<<10, time.Millisecond)
+		msg := &transport.GradientMsg{Worker: worker, Grad: grad}
+		steps, sendErr := make(chan int), make(chan error, 1)
+		go func() {
+			defer close(sendErr)
+			for msg.Step = range steps {
+				if err := send.SendGradient(msg); err != nil {
+					sendErr <- err
+					return
+				}
+			}
+		}()
+		defer func() { close(steps); <-sendErr }()
+		take := newTransfer(recv)
+		transfer := func(step int) {
+			steps <- step
+			if err := take(step); err != nil {
 				select {
 				case err = <-sendErr:
 				default:
 				}
-				b.Fatalf("after %d of %d packets: %v", got, pkts, err)
+				b.Fatal(err)
 			}
 		}
+		transfer(0) // warm the sender's arena and the receive path's state
+		b.SetBytes(int64(len(grad) * 8))
+		b.ReportAllocs()
+		b.ResetTimer()
+		before := recv.Stats()
+		for i := 1; i <= b.N; i++ {
+			transfer(i)
+		}
+		b.ReportMetric(float64(pkts), "pkts/op")
+		reportDatagramsPerSyscall(b, before, recv.Stats())
 	}
-	transfer() // warm the sender's arena and the receiver's packet
+	b.Run("packets", func(b *testing.B) {
+		recvBench(b, 1, func(recv *transport.UDPReceiver) func(int) error {
+			return func(int) error {
+				for got := 0; got < pkts; got++ {
+					if _, err := recv.RecvPacket(time.Second); err != nil {
+						return fmt.Errorf("after %d of %d packets: %w", got, pkts, err)
+					}
+				}
+				return nil
+			}
+		})
+	})
+	b.Run("model-into", func(b *testing.B) {
+		recvBench(b, transport.ModelWorkerID, func(recv *transport.UDPReceiver) func(int) error {
+			col := transport.NewModelCollector(recv, transport.ModelCollectorConfig{Dim: len(grad), Codec: codec,
+				BroadcastTimeout: 10 * time.Second, IdleTimeout: 10 * time.Second})
+			store := tensor.NewVector(len(grad))
+			return func(step int) error {
+				ev, err := col.Next(store)
+				if err == nil && (!ev.Complete || ev.Step != step || &ev.Params[0] != &store[0]) {
+					err = fmt.Errorf("broadcast %d settled as step %d (complete %v) outside the store", step, ev.Step, ev.Complete)
+				}
+				return err
+			}
+		})
+	})
+}
+
+// BenchmarkTransport_ReassembleAllocs pins what the server's reassembler
+// costs per gradient: one d=200k transfer offered packet by packet, in
+// memory, allocates its partial, its vector, its d/64-word arrival bitmap and
+// the message it completes as — at most 4 allocs/op and 8·d + d/8 B/op plus
+// the allocator's rounding to whole pages and the two small structs (the CI
+// bench job reads both).
+func BenchmarkTransport_ReassembleAllocs(b *testing.B) {
+	grad := randGrads(23, 1, 200_000)[0]
+	pkts := transport.Codec{Float32: true}.Split(&transport.GradientMsg{Worker: 1, Grad: grad}, transport.DefaultMTU)
+	asm := transport.NewReassembler(transport.DropGradient, nil)
+	asm.SetExpectDim(len(grad))
 	b.SetBytes(int64(len(grad) * 8))
-	b.ReportMetric(float64(pkts), "pkts/op")
 	b.ReportAllocs()
 	b.ResetTimer()
-	before := recv.Stats()
 	for i := 0; i < b.N; i++ {
-		transfer()
+		var done bool
+		for j := range pkts {
+			pkts[j].Step = i
+			_, done = asm.Offer(&pkts[j])
+		}
+		if !done {
+			b.Fatalf("transfer %d did not complete", i)
+		}
 	}
-	reportDatagramsPerSyscall(b, before, recv.Stats())
 }
 
 // BenchmarkTransport_TCPFrameAllocs pins the streaming contract of the

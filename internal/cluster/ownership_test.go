@@ -140,6 +140,17 @@ func TestPeerOracleGradientsAreDistinctVectors(t *testing.T) {
 // share a cell with a slow schedule (ps.ErrChurnAsync); its fresh connection
 // continuing into the same store is what TestUDPClusterChurnMatchesTCP pins.
 func TestTCPStaleTagTrainsInTheReceiveBuffer(t *testing.T) {
+	staleTagTrainsInTheReceiveBuffer(t, "tcp")
+}
+
+// TestUDPStaleTagTrainsInTheReceiveBuffer is the datagram twin: a UDP
+// worker's collector assembles every broadcast in the replica's parameter
+// store, so the same cell must walk the same in-process trajectory.
+func TestUDPStaleTagTrainsInTheReceiveBuffer(t *testing.T) {
+	staleTagTrainsInTheReceiveBuffer(t, "udp")
+}
+
+func staleTagTrainsInTheReceiveBuffer(t *testing.T, backend string) {
 	const (
 		n      = 7
 		seed   = int64(13)
@@ -167,29 +178,29 @@ func TestTCPStaleTagTrainsInTheReceiveBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp := newSocketCluster(t, "tcp", train, factory, async, byz)
-	if err := tcp.Start(); err != nil {
+	sock := newSocketCluster(t, backend, train, factory, async, byz)
+	if err := sock.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer tcp.Close()
+	defer sock.Close()
 	stale := 0
 	for step := 0; step < rounds; step++ {
 		ri, err := inproc.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := tcp.Step()
+		rt, err := sock.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rt.Received != ri.Received || rt.Skipped != ri.Skipped || rt.AdmittedStale != ri.AdmittedStale ||
 			rt.DroppedStale != ri.DroppedStale || math.Float64bits(rt.Loss) != math.Float64bits(ri.Loss) {
-			t.Fatalf("step %d: tcp round %+v diverges from in-process %+v", step, rt, ri)
+			t.Fatalf("step %d: %s round %+v diverges from in-process %+v", step, backend, rt, ri)
 		}
-		pi, pt := inproc.Params(), tcp.Params()
+		pi, pt := inproc.Params(), sock.Params()
 		for i := range pi {
 			if math.Float64bits(pi[i]) != math.Float64bits(pt[i]) {
-				t.Fatalf("step %d: parameter %d is %v over tcp, %v in-process", step, i, pt[i], pi[i])
+				t.Fatalf("step %d: parameter %d is %v over %s, %v in-process", step, i, pt[i], backend, pi[i])
 			}
 		}
 		stale += ri.AdmittedStale

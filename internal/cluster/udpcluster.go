@@ -118,9 +118,6 @@ func (c *UDPCluster) Start() error {
 		if err != nil {
 			return abort(err)
 		}
-		// The deployment's exact dimension is known: pin it, so a spoofed
-		// header can neither allocate beyond it nor evict a pending partial.
-		mrecv.Reassembler().SetExpectDim(dim)
 		c.modelRecvs = append(c.modelRecvs, mrecv)
 		if err := c.models.Dial(mrecv.Addr()); err != nil {
 			return abort(err)
@@ -168,9 +165,12 @@ func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver, s
 		BroadcastTimeout: c.cfg.RoundTimeout,
 		IdleTimeout:      udpWorkerIdleTimeout,
 	})
+	// The replica's parameter store is the receive buffer, as on TCP: a
+	// broadcast's datagrams land in it, so loading the model copies nothing.
+	params := w.replica.Params()
 	var pktScratch []transport.Packet // split scratch, reused every round
 	for {
-		ev, err := col.Next()
+		ev, err := col.Next(params)
 		if err != nil {
 			return nil // socket closed by the server (or idle timeout): termination
 		}

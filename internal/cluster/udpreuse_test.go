@@ -153,7 +153,7 @@ func TestRecvPacketReuseDoesNotAliasReassembly(t *testing.T) {
 			if err := send.SendModel(&transport.ModelMsg{Step: step, Params: m}); err != nil {
 				t.Fatal(err)
 			}
-			ev, err := col.Next()
+			ev, err := col.Next(tensor.NewVector(dim))
 			if err != nil || !ev.Complete || ev.Step != step {
 				t.Fatalf("broadcast %d settled as %+v (error %v)", step, ev, err)
 			}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aggregathor/internal/tensor"
 )
 
 // TestFanOutShortReadBuffers is TestModelBurstShortReadBuffer for the
@@ -38,7 +40,7 @@ func TestFanOutShortReadBuffers(t *testing.T) {
 		col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
 			BroadcastTimeout: 10 * time.Second, IdleTimeout: 30 * time.Second})
 		go func() {
-			ev, err := col.Next()
+			ev, err := col.Next(tensor.NewVector(dim))
 			if err != nil {
 				ev = nil
 			}

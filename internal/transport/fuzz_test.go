@@ -2,9 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"aggregathor/internal/tensor"
@@ -151,6 +154,12 @@ func FuzzDecodeGradient(f *testing.F) {
 // seeded crasher below. The reassembler must never panic, every completed
 // gradient must be self-consistent, and pending state must stay bounded by
 // the number of distinct keys offered.
+//
+// Beside it runs boolReassembler, the per-coordinate oracle the arrival
+// bitmap replaced: after every packet both give the same (done, msg), the
+// same Missing for its key, Pending and Evictions, and at the end FlushFill
+// calls fill on the same coordinates in the same order and returns the same
+// gradient, bit for bit.
 func FuzzReassembler(f *testing.F) {
 	c := Codec{Float32: true}
 	// Seed: a legitimate split, interleaved across two workers.
@@ -191,10 +200,31 @@ func FuzzReassembler(f *testing.F) {
 	f.Add(appendChunk(appendChunk(nil, c.EncodePacket(large)), c.EncodePacket(small)))
 	// Seed: raw garbage chunks.
 	f.Add(appendChunk(appendChunk(nil, []byte("garbage")), bytes.Repeat([]byte{0xFF}, packetHeaderLen)))
+	// Seeds for the arrival bitmap: ranges straddling 64-coordinate words,
+	// a Dim that is not a multiple of 64 and one below it, overlapping and
+	// duplicate ranges, gaps on word boundaries left for FlushFill, and
+	// conflicting Loss and Dim under one key.
+	ranges := func(worker, dim int, loss float64, spans ...[2]int) (out []byte) {
+		for _, sp := range spans {
+			coords := make(tensor.Vector, sp[1]-sp[0])
+			for i := range coords {
+				coords[i] = float64(sp[0]+i) + 0.25
+			}
+			out = appendChunk(out, c.EncodePacket(&Packet{Worker: worker, Step: 5, Loss: loss, Dim: dim, Offset: sp[0], Coords: coords}))
+		}
+		return out
+	}
+	f.Add(ranges(0, 200, 1, [2]int{60, 70}, [2]int{0, 60}, [2]int{60, 70}, [2]int{70, 130}, [2]int{127, 200}))
+	f.Add(ranges(0, 200, 1, [2]int{0, 63}, [2]int{65, 128}, [2]int{129, 199}, [2]int{0, 63}))
+	f.Add(ranges(1, 5, 1, [2]int{1, 3}, [2]int{0, 2}, [2]int{3, 5}, [2]int{2, 4}))
+	f.Add(ranges(2, 130, 1, [2]int{64, 128}, [2]int{0, 64}, [2]int{128, 129}))
+	f.Add(append(append(ranges(3, 100, 0.5, [2]int{0, 50}), ranges(3, 100, 0.25, [2]int{50, 100})...),
+		ranges(3, 70, 0.25, [2]int{0, 64}, [2]int{60, 70})...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		asm := NewReassembler(FillNaN, nil)
 		asm.SetMaxDim(1 << 16) // the allocation bound itself is under test
+		oracle := newBoolReassembler(1 << 16)
 		keys := map[[2]int]bool{}
 		for len(data) >= 2 {
 			n := int(data[0])<<8 | int(data[1])
@@ -210,6 +240,11 @@ func FuzzReassembler(f *testing.F) {
 			}
 			keys[[2]int{p.Worker, p.Step}] = true
 			msg, done := asm.Offer(p)
+			wantMsg, wantDone := oracle.Offer(p)
+			if done != wantDone || !sameGradientMsg(msg, wantMsg) {
+				t.Fatalf("Offer(%d,%d [%d,%d) of %d) = %v, %v; the oracle gives %v, %v",
+					p.Worker, p.Step, p.Offset, p.Offset+len(p.Coords), p.Dim, msg, done, wantMsg, wantDone)
+			}
 			if done {
 				if msg == nil {
 					t.Fatal("done with nil message")
@@ -222,18 +257,50 @@ func FuzzReassembler(f *testing.F) {
 						msg.Worker, msg.Step, p.Worker, p.Step)
 				}
 			}
+			missing, ok := asm.Missing(p.Worker, p.Step)
+			wantMissing, wantOK := oracle.Missing(p.Worker, p.Step)
+			if missing != wantMissing || ok != wantOK {
+				t.Fatalf("Missing(%d,%d) = %d, %v; the oracle gives %d, %v", p.Worker, p.Step, missing, ok, wantMissing, wantOK)
+			}
+			if asm.Pending() != len(oracle.pending) || asm.Evictions() != oracle.evictions {
+				t.Fatalf("pending %d, evictions %d; the oracle has %d, %d", asm.Pending(), asm.Evictions(), len(oracle.pending), oracle.evictions)
+			}
 			if asm.Pending() > len(keys) {
 				t.Fatalf("pending %d exceeds %d distinct keys", asm.Pending(), len(keys))
 			}
 		}
-		// Every partial must flush or discard cleanly, whatever arrived.
-		for key := range keys {
-			asm.Flush(key[0], key[1])
+		// Every partial must flush cleanly, whatever arrived, filling the
+		// same coordinates in the same order as the oracle.
+		sorted := slices.SortedFunc(maps.Keys(keys), func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+		for _, key := range sorted {
+			var got, want []int
+			msg, ok := asm.FlushFill(key[0], key[1], func(i int) float64 { got = append(got, i); return float64(-i) })
+			wantMsg, wantOK := oracle.FlushFill(key[0], key[1], func(i int) float64 { want = append(want, i); return float64(-i) })
+			if ok != wantOK || !sameGradientMsg(msg, wantMsg) || !slices.Equal(got, want) {
+				t.Fatalf("FlushFill(%d,%d) filled %v into %v (%v); the oracle fills %v into %v (%v)", key[0], key[1], got, msg, ok, want, wantMsg, wantOK)
+			}
 		}
 		if asm.Pending() != 0 {
 			t.Fatalf("%d partials leaked after flushing every key", asm.Pending())
 		}
 	})
+}
+
+// sameGradientMsg reports whether two messages (either possibly nil) carry
+// the same key, loss and coordinates bit for bit.
+func sameGradientMsg(a, b *GradientMsg) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Worker != b.Worker || a.Step != b.Step || math.Float64bits(a.Loss) != math.Float64bits(b.Loss) || len(a.Grad) != len(b.Grad) {
+		return false
+	}
+	for i := range a.Grad {
+		if math.Float64bits(a.Grad[i]) != math.Float64bits(b.Grad[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzSegments walks an arbitrary message under an arbitrary segment size —

@@ -38,7 +38,9 @@ const (
 type ModelEvent struct {
 	// Step is the broadcast's model-update index.
 	Step int
-	// Params is the assembled model, non-nil only when Complete.
+	// Params is the assembled model, non-nil only when Complete: the vector
+	// Next was given when the broadcast was the one it waited for, else one
+	// of the collector's own (a broadcast buffered ahead of the expected one).
 	Params tensor.Vector
 	// Complete reports that every packet of the broadcast arrived.
 	Complete bool
@@ -94,12 +96,15 @@ type ModelCollectorConfig struct {
 // lost when the broadcast timeout passes on packets the schedule cannot
 // account for.
 //
+// Every admitted packet is one copy of its coordinates into their final
+// memory: the expected broadcast lands in the caller's vector (a worker's
+// replica), so assembling it allocates nothing and loading it copies nothing.
+//
 // Unlike the plain RecvModel path it bounds every resource a hostile
-// datagram stream could grow: gradient-tagged packets are filtered before
-// they reach the reassembler, partials older than the settled step are
-// evicted, and at most Window future-step partials are buffered (the
-// expected step is always admitted, so spam cannot wedge a legitimate
-// broadcast).
+// datagram stream could grow: only packets on the broadcast's own grid are
+// admitted, partials older than the settled step are evicted, and at most
+// Window future-step partials are buffered (the expected step is always
+// admitted, so spam cannot wedge a legitimate broadcast).
 type ModelCollector struct {
 	recv     *UDPReceiver
 	cfg      ModelCollectorConfig
@@ -107,6 +112,9 @@ type ModelCollector struct {
 	pktCount int
 	expected int
 	pending  map[int]*modelPending
+	// free holds released partials whose arrival flags the next broadcast
+	// reuses.
+	free []*modelPending
 	// queue holds settled broadcasts not handed out yet, oldest at head;
 	// ev is the event Next hands out.
 	queue []ModelEvent
@@ -127,27 +135,51 @@ type ModelCollector struct {
 }
 
 type modelPending struct {
-	mask []bool // scheduled drop mask (nil = loss-free)
-	// lost is the scheduled lost-coordinate count: the broadcast is torn-
-	// resolved the moment the reassembler's missing count equals it — the
-	// same invariant the server uses (missing == lostCoords) on the
-	// gradient uplink, so no parallel packet bookkeeping is needed.
-	lost int
-
-	// Resolved outcome, stashed until expected reaches this step. A future
+	mask []bool        // scheduled drop mask (nil = loss-free)
+	buf  tensor.Vector // where the coordinates land
+	got  []bool        // per-packet arrival
+	// need counts the scheduled survivors not in yet: at zero the broadcast
+	// is resolved — complete, or torn when the schedule dropped any packet.
+	//
+	// The outcome is stashed until expected reaches this step. A future
 	// broadcast resolving is NOT taken as proof the server skipped ahead —
 	// a single spoofed datagram could otherwise fast-forward the worker
 	// past every legitimate round. Only the bounded per-broadcast timeout
 	// advances past an unresolved expected step.
-	params tensor.Vector // complete broadcast (non-nil)
-	torn   bool          // settled at its scheduled survivors
+	need int
+	torn bool
 }
 
-func (p *modelPending) resolved() bool { return p.params != nil || p.torn }
+func (p *modelPending) resolved() bool { return p.need == 0 }
 
-// NewModelCollector builds a collector over the receive endpoint. The
-// receiver's reassembler is driven exclusively through the collector from
-// then on.
+// admit starts tracking the broadcast at step s: in into when it is the
+// expected one, else in a vector of its own.
+func (mc *ModelCollector) admit(s int, mask []bool, surv int, into tensor.Vector) *modelPending {
+	var p *modelPending
+	if n := len(mc.free); n > 0 {
+		p, mc.free = mc.free[n-1], mc.free[:n-1]
+		clear(p.got)
+	} else {
+		p = &modelPending{got: make([]bool, mc.pktCount)}
+	}
+	p.mask, p.need, p.torn, p.buf = mask, surv, surv < mc.pktCount, into
+	if s != mc.expected {
+		p.buf = tensor.NewVector(mc.cfg.Dim)
+	}
+	mc.pending[s] = p
+	return p
+}
+
+// release stops tracking the broadcast at step s.
+func (mc *ModelCollector) release(s int) {
+	if p := mc.pending[s]; p != nil {
+		p.buf = nil
+		mc.free = append(mc.free, p)
+		delete(mc.pending, s)
+	}
+}
+
+// NewModelCollector builds a collector over the receive endpoint.
 func NewModelCollector(r *UDPReceiver, cfg ModelCollectorConfig) *ModelCollector {
 	if cfg.MTU <= 0 {
 		cfg.MTU = DefaultMTU
@@ -208,12 +240,9 @@ func (mc *ModelCollector) SkipTo(step int) {
 		return
 	}
 	//aggrevet:ordered every entry below step is discarded regardless of visit order
-	for s, p := range mc.pending {
+	for s := range mc.pending {
 		if s < step {
-			if !p.resolved() {
-				mc.recv.Reassembler().Discard(ModelWorkerID, s)
-			}
-			delete(mc.pending, s)
+			mc.release(s)
 		}
 	}
 	mc.expected = step
@@ -224,10 +253,17 @@ func (mc *ModelCollector) SkipTo(step int) {
 // Next blocks until the next broadcast settles and returns it. Broadcasts
 // are reported in step order; fully-scheduled-away steps are skipped
 // silently. The error is ErrTimeout when the idle timeout passes with no
-// broadcast in flight, or the socket error when the endpoint is closed. The
-// returned event is the collector's own and is valid until the next call
-// (its Params vector is the caller's to keep).
-func (mc *ModelCollector) Next() (*ModelEvent, error) {
+// broadcast in flight, or the socket error when the endpoint is closed.
+//
+// The broadcast Next waits for is received into into, which must hold Dim
+// coordinates: a complete one comes back with Params aliasing it. A torn or
+// lost broadcast may leave some of its coordinates there. The returned event
+// is the collector's own and is valid until the next call (its Params vector
+// is the caller's to keep).
+func (mc *ModelCollector) Next(into tensor.Vector) (*ModelEvent, error) {
+	if len(into) != mc.cfg.Dim {
+		panic("transport: ModelCollector.Next into a vector of the wrong dimension")
+	}
 	for {
 		if mc.head < len(mc.queue) {
 			mc.ev, mc.queue[mc.head] = mc.queue[mc.head], ModelEvent{}
@@ -270,10 +306,7 @@ func (mc *ModelCollector) Next() (*ModelEvent, error) {
 				// round cadence to ever rejoin. With no such evidence,
 				// advance exactly one step, so a hostile datagram stream
 				// cannot fast-forward the worker.
-				if p := mc.pending[mc.expected]; p != nil {
-					mc.recv.Reassembler().Discard(ModelWorkerID, mc.expected)
-					delete(mc.pending, mc.expected)
-				}
+				mc.release(mc.expected)
 				mc.queue = append(mc.queue, ModelEvent{Step: mc.expected, Lost: true})
 				target := -1
 				//aggrevet:ordered computes the minimum resolved step, an order-independent reduction
@@ -298,11 +331,9 @@ func (mc *ModelCollector) Next() (*ModelEvent, error) {
 		}
 		if math.Float64bits(pkt.Loss) != 0 {
 			// Model broadcasts carry no loss metadata — the server always
-			// sends Loss 0 — so a nonzero loss marks a spoof. Filtering it
-			// here (bitwise, so a NaN cannot slip through) matters since the
-			// reassembler evicts-and-rebuilds on metadata conflicts: without
-			// the filter one hostile datagram with garbage Loss could evict
-			// a genuine in-flight broadcast partial.
+			// sends Loss 0 — so a nonzero loss (compared bitwise, so a NaN
+			// cannot slip through) marks a spoof, refused before its
+			// coordinates land.
 			continue
 		}
 		s := pkt.Step
@@ -314,7 +345,7 @@ func (mc *ModelCollector) Next() (*ModelEvent, error) {
 		}
 		// Model packets follow a rigid grid — offset idx·per, full-size
 		// except the tail. Anything else cannot have come from the
-		// server's Split: reject it before it reaches the reassembler.
+		// server's Split: reject it.
 		if pkt.Offset%mc.per != 0 {
 			continue
 		}
@@ -335,8 +366,7 @@ func (mc *ModelCollector) Next() (*ModelEvent, error) {
 			if surv == 0 {
 				continue // schedule says nothing of step s can arrive: spoofed
 			}
-			p = &modelPending{mask: mask, lost: mc.lostCoords(mask)}
-			mc.pending[s] = p
+			p = mc.admit(s, mask, surv, into)
 		}
 		if p.resolved() {
 			continue // duplicate after resolution
@@ -346,47 +376,19 @@ func (mc *ModelCollector) Next() (*ModelEvent, error) {
 			// write, so no genuine datagram for it exists. Rejecting the
 			// spoof here keeps attacker coordinates out of the masked
 			// region of a torn broadcast (which could otherwise complete
-			// in the reassembler and masquerade as a loss-free delivery)
-			// and makes the reassembler's missing count a faithful
-			// survivor tally.
+			// and masquerade as a loss-free delivery) and makes the
+			// arrival count a faithful survivor tally.
 			continue
 		}
-		asm := mc.recv.Reassembler()
-		msg, done := asm.Offer(pkt)
-		switch {
-		case done:
-			p.params = msg.Grad
-		default:
-			// Same invariant as the server's uplink settlement: once the
-			// missing count equals the scheduled lost-coordinate count,
-			// every survivor is in and the rest can never arrive. Resolve
-			// torn now — no deadline. (Spoofed packets the reassembler
-			// rejects leave the missing count untouched, so they cannot
-			// fake this.)
-			if missing, ok := asm.Missing(ModelWorkerID, s); ok && p.lost > 0 && missing == p.lost {
-				asm.Discard(ModelWorkerID, s)
-				p.torn = true
-			}
+		copy(p.buf[pkt.Offset:], pkt.Coords)
+		if !p.got[idx] {
+			// Once every scheduled survivor is in, the rest can never
+			// arrive: a torn broadcast resolves now — no deadline.
+			p.got[idx] = true
+			p.need--
 		}
 		mc.flushResolved()
 	}
-}
-
-// lostCoords returns how many coordinates of one broadcast the scheduled
-// drop mask removes — the torn-resolution threshold for the reassembler's
-// missing count.
-func (mc *ModelCollector) lostCoords(mask []bool) int {
-	lost := 0
-	for idx := 0; idx < mc.pktCount; idx++ {
-		if idx < len(mask) && mask[idx] {
-			w := mc.cfg.Dim - idx*mc.per
-			if w > mc.per {
-				w = mc.per
-			}
-			lost += w
-		}
-	}
-	return lost
 }
 
 // flushResolved settles broadcasts strictly in step order: while the
@@ -400,13 +402,11 @@ func (mc *ModelCollector) flushResolved() {
 		if p == nil || !p.resolved() {
 			return
 		}
-		ev := ModelEvent{Step: mc.expected}
-		if p.params != nil {
-			ev.Complete, ev.Params = true, p.params
-		} else {
-			ev.Torn = true
+		ev := ModelEvent{Step: mc.expected, Torn: p.torn}
+		if !p.torn {
+			ev.Complete, ev.Params = true, p.buf
 		}
-		delete(mc.pending, mc.expected)
+		mc.release(mc.expected)
 		mc.queue = append(mc.queue, ev)
 		mc.expected++
 		mc.deadline = time.Time{} // progress: next broadcast gets a fresh bound

@@ -61,7 +61,7 @@ func TestModelCollectorCompleteBroadcasts(t *testing.T) {
 		sendModelPackets(t, send, codec, step, mtu, params, nil)
 	}
 	for step := 0; step < 3; step++ {
-		ev, err := col.Next()
+		ev, err := col.Next(tensor.NewVector(dim))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,6 +73,80 @@ func TestModelCollectorCompleteBroadcasts(t *testing.T) {
 				t.Fatalf("step %d coordinate %d corrupted", step, i)
 			}
 		}
+	}
+}
+
+// TestModelCollectorReceivesIntoTheCallersVector pins where coordinates land.
+// The broadcast Next waits for is assembled in the vector it was given and
+// comes back aliasing it; a later broadcast buffered while that one is still
+// in flight gets a vector of its own and never writes the caller's; a torn
+// broadcast comes back with no Params.
+func TestModelCollectorReceivesIntoTheCallersVector(t *testing.T) {
+	const dim, mtu = 100, 128
+	recv, send, codec := modelFixture(t, dim, mtu)
+	pktCount := codec.PacketsPerTransfer(dim, mtu)
+	if pktCount < 3 {
+		t.Fatalf("fixture needs >= 3 packets per broadcast, got %d", pktCount)
+	}
+	tornMask := make([]bool, pktCount)
+	tornMask[1] = true
+	schedule := func(step int) []bool {
+		if step == 2 {
+			return tornMask
+		}
+		return make([]bool, pktCount)
+	}
+	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
+		Schedule: schedule, BroadcastTimeout: 5 * time.Second, IdleTimeout: 10 * time.Second})
+	sentinel := func() tensor.Vector {
+		v := tensor.NewVector(dim)
+		for i := range v {
+			v[i] = -7
+		}
+		return v
+	}
+	p0, p1 := modelParams(dim), modelParams(dim)
+	for i := range p1 {
+		p1[i] += 1000
+	}
+	// Half of step 0, the whole of step 1, then the rest of step 0.
+	first := make([]bool, pktCount)
+	for i := pktCount / 2; i < pktCount; i++ {
+		first[i] = true
+	}
+	rest := make([]bool, pktCount)
+	for i := range rest {
+		rest[i] = !first[i]
+	}
+	sendModelPackets(t, send, codec, 0, mtu, p0, first)
+	sendModelPackets(t, send, codec, 1, mtu, p1, nil)
+	sendModelPackets(t, send, codec, 0, mtu, p0, rest)
+
+	into := sentinel()
+	ev, err := col.Next(into)
+	if err != nil || !ev.Complete || ev.Step != 0 {
+		t.Fatalf("event %+v err %v, want complete step 0", ev, err)
+	}
+	if &ev.Params[0] != &into[0] {
+		t.Fatal("the awaited broadcast was not received into the caller's vector")
+	}
+	if !sameBits(into, p0) {
+		t.Fatal("step 0 landed wrong in the caller's vector")
+	}
+	into2 := sentinel()
+	ev, err = col.Next(into2)
+	if err != nil || !ev.Complete || ev.Step != 1 {
+		t.Fatalf("event %+v err %v, want complete step 1 from the buffer", ev, err)
+	}
+	if &ev.Params[0] == &into[0] || &ev.Params[0] == &into2[0] || !sameBits(ev.Params, p1) {
+		t.Fatal("the buffered broadcast did not arrive whole in a vector of its own")
+	}
+	if !sameBits(into, p0) || !sameBits(into2, sentinel()) {
+		t.Fatal("the buffered broadcast wrote into a caller's vector")
+	}
+	sendModelPackets(t, send, codec, 2, mtu, p1, tornMask)
+	if ev, err = col.Next(into2); err != nil || !ev.Torn || ev.Step != 2 || ev.Params != nil {
+		t.Fatalf("event %+v err %v, want torn step 2 with no Params", ev, err)
 	}
 }
 
@@ -103,7 +177,7 @@ func TestModelCollectorTornSettlesWithoutDeadline(t *testing.T) {
 	sendModelPackets(t, send, codec, 1, mtu, params, nil)
 
 	start := time.Now()
-	ev, err := col.Next()
+	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +190,7 @@ func TestModelCollectorTornSettlesWithoutDeadline(t *testing.T) {
 	if recv.Pending() != 0 {
 		t.Fatalf("torn partial not evicted: %d pending", recv.Pending())
 	}
-	ev, err = col.Next()
+	ev, err = col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +220,7 @@ func TestModelCollectorSkipsFullyDroppedSteps(t *testing.T) {
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
 		Schedule: schedule, BroadcastTimeout: time.Second, IdleTimeout: 5 * time.Second})
 	sendModelPackets(t, send, codec, 1, mtu, modelParams(dim), nil)
-	ev, err := col.Next()
+	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +246,13 @@ func TestModelCollectorSkipTo(t *testing.T) {
 	sendModelPackets(t, send, codec, 2, mtu, params, []bool{false, true})
 	sendModelPackets(t, send, codec, 4, mtu, params, nil)
 	sendModelPackets(t, send, codec, 0, mtu, params, nil)
-	if ev, err := col.Next(); err != nil || !ev.Complete || ev.Step != 0 || col.Pending() != 2 {
+	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || col.Pending() != 2 {
 		t.Fatalf("event %+v err %v pending %d, want complete step 0 with steps 2 and 4 stashed", ev, err, col.Pending())
 	}
 	col.SkipTo(4)
 	col.SkipTo(1)
 	begin := time.Now()
-	ev, err := col.Next()
+	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil || !ev.Complete || ev.Step != 4 {
 		t.Fatalf("event %+v err %v after SkipTo(4), want complete step 4", ev, err)
 	}
@@ -204,16 +278,16 @@ func TestModelCollectorHorizon(t *testing.T) {
 	sendModelPackets(t, send, codec, 1<<40, mtu, params, nil)
 	sendModelPackets(t, send, codec, modelHorizon+1, mtu, params, nil)
 	sendModelPackets(t, send, codec, 0, mtu, params, nil)
-	if ev, err := col.Next(); err != nil || !ev.Complete || ev.Step != 0 || col.Pending() != 0 || recv.Pending() != 0 {
+	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || col.Pending() != 0 || recv.Pending() != 0 {
 		t.Fatalf("event %+v err %v with %d broadcasts pending, want complete step 0 and the forged ones refused", ev, err, col.Pending())
 	}
 	// Exactly at the horizon of step 1 a whole broadcast is stashed, and the
 	// bounded wait for step 1 ends in the jump to it.
 	sendModelPackets(t, send, codec, 1+modelHorizon, mtu, params, nil)
-	if ev, err := col.Next(); err != nil || !ev.Lost || ev.Step != 1 {
+	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Lost || ev.Step != 1 {
 		t.Fatalf("event %+v err %v, want step 1 lost after the broadcast timeout", ev, err)
 	}
-	if ev, err := col.Next(); err != nil || !ev.Complete || ev.Step != 1+modelHorizon {
+	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 1+modelHorizon {
 		t.Fatalf("event %+v err %v, want the jump to complete step %d", ev, err, 1+modelHorizon)
 	}
 }
@@ -238,7 +312,7 @@ func TestModelCollectorGenuineLossBoundedWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	ev, err := col.Next()
+	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +327,7 @@ func TestModelCollectorGenuineLossBoundedWait(t *testing.T) {
 	}
 	// The next complete broadcast is delivered normally afterwards.
 	sendModelPackets(t, send, codec, 1, mtu, modelParams(dim), nil)
-	ev, err = col.Next()
+	ev, err = col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +367,7 @@ func TestModelCollectorDeadlineSurvivesTraffic(t *testing.T) {
 	}()
 	defer close(stop)
 	start := time.Now()
-	ev, err := col.Next()
+	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +400,14 @@ func TestModelCollectorCatchUpJump(t *testing.T) {
 	sendModelPackets(t, send, codec, 6, mtu, params, nil)
 
 	start := time.Now()
-	ev, err := col.Next()
+	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ev.Lost {
 		t.Fatalf("first event %+v, want lost", ev)
 	}
-	ev, err = col.Next()
+	ev, err = col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +417,7 @@ func TestModelCollectorCatchUpJump(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("catch-up over 5 lost broadcasts took %v — one timeout per step instead of a jump", elapsed)
 	}
-	ev, err = col.Next()
+	ev, err = col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +470,7 @@ func TestModelCollectorRejectsConflictingMetadata(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ev, err := col.Next()
+	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +504,7 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 	sendModelPackets(t, send, codec, 0, mtu, modelParams(dim), nil)
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
 		BroadcastTimeout: 300 * time.Millisecond, IdleTimeout: 30 * time.Second})
-	ev, err := col.Next()
+	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +536,7 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 	}()
 	col2 := NewModelCollector(recv2, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
 		BroadcastTimeout: 10 * time.Second, IdleTimeout: 30 * time.Second})
-	ev, err = col2.Next()
+	ev, err = col2.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +588,7 @@ func TestModelCollectorHostileFutureStepsBounded(t *testing.T) {
 
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
 		BroadcastTimeout: 2 * time.Second, IdleTimeout: 10 * time.Second})
-	ev, err := col.Next()
+	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"aggregathor/internal/tensor"
@@ -262,9 +263,36 @@ type Reassembler struct {
 
 type partial struct {
 	grad     tensor.Vector
-	received []bool // per-coordinate arrival mask
+	received []uint64 // arrival bitmap: coordinate i is bit i%64 of word i/64
 	missing  int
 	loss     float64 // metadata repeated in every packet; pinned by the first
+}
+
+// setRange marks coordinates [lo, hi) arrived a word at a time and returns
+// how many of them were not marked before.
+func setRange(words []uint64, lo, hi int) (added int) {
+	for lo < hi {
+		end := min((lo|63)+1, hi)
+		mask := ^uint64(0) >> (64 - (end - lo)) << (lo & 63)
+		added += bits.OnesCount64(mask &^ words[lo>>6])
+		words[lo>>6] |= mask
+		lo = end
+	}
+	return added
+}
+
+// fillMissing writes fill(i) into every coordinate i not marked arrived, in
+// ascending order.
+func (part *partial) fillMissing(fill func(coord int) float64) {
+	for w, word := range part.received {
+		for free := ^word; free != 0; free &= free - 1 {
+			i := w<<6 + bits.TrailingZeros64(free)
+			if i >= len(part.grad) {
+				break
+			}
+			part.grad[i] = fill(i)
+		}
+	}
 }
 
 // NewReassembler builds a reassembler with the given recoup policy. rng is
@@ -334,27 +362,21 @@ func (r *Reassembler) Offer(p *Packet) (msg *GradientMsg, done bool) {
 	}
 	key := [2]int{p.Worker, p.Step}
 	part, ok := r.pending[key]
-	if ok && (p.Dim != len(part.received) || math.Float64bits(p.Loss) != math.Float64bits(part.loss)) {
+	if ok && (p.Dim != len(part.grad) || math.Float64bits(p.Loss) != math.Float64bits(part.loss)) {
 		ok = false // conflicting metadata: evict and rebuild from this packet
 		r.evictions++
 	}
 	if !ok {
 		part = &partial{
 			grad:     tensor.NewVector(p.Dim),
-			received: make([]bool, p.Dim),
+			received: make([]uint64, (p.Dim+63)/64),
 			missing:  p.Dim,
 			loss:     p.Loss,
 		}
 		r.pending[key] = part
 	}
-	for i, x := range p.Coords {
-		idx := p.Offset + i
-		if !part.received[idx] {
-			part.received[idx] = true
-			part.missing--
-		}
-		part.grad[idx] = x
-	}
+	copy(part.grad[p.Offset:], p.Coords)
+	part.missing -= setRange(part.received, p.Offset, p.Offset+len(p.Coords))
 	if part.missing > 0 {
 		return nil, false
 	}
@@ -377,17 +399,9 @@ func (r *Reassembler) Flush(worker, step int) (msg *GradientMsg, ok bool) {
 	case DropGradient:
 		return nil, false
 	case FillNaN:
-		for i, got := range part.received {
-			if !got {
-				part.grad[i] = math.NaN()
-			}
-		}
+		part.fillMissing(func(int) float64 { return math.NaN() })
 	case FillRandom:
-		for i, got := range part.received {
-			if !got {
-				part.grad[i] = r.rng.NormFloat64()
-			}
-		}
+		part.fillMissing(func(int) float64 { return r.rng.NormFloat64() })
 	}
 	return &GradientMsg{Worker: worker, Step: step, Loss: part.loss, Grad: part.grad}, true
 }
@@ -406,11 +420,7 @@ func (r *Reassembler) FlushFill(worker, step int, fill func(coord int) float64) 
 		return nil, false
 	}
 	delete(r.pending, key)
-	for i, got := range part.received {
-		if !got {
-			part.grad[i] = fill(i)
-		}
-	}
+	part.fillMissing(fill)
 	return &GradientMsg{Worker: worker, Step: step, Loss: part.loss, Grad: part.grad}, true
 }
 
