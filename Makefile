@@ -4,9 +4,13 @@ SMOKE_GOLDEN := internal/scenario/testdata/smoke.sha256
 
 BENCH_JSON_DIR ?= .
 
-.PHONY: all vet lint escape-check directives check build test race fuzz smoke bench-json bench-compare loc ci clean
+.PHONY: all fmt vet lint escape-check directives check build test race fuzz smoke bench-json bench-compare loc ci clean
 
 all: ci
+
+# Fail when any Go file is not gofmt-clean (prints nothing when all are).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -29,7 +33,7 @@ directives:
 	$(GO) run ./cmd/aggrevet -directives ./...
 
 # The default local gate: static checks, then build and tests.
-check: vet lint escape-check build test
+check: fmt vet lint escape-check build test
 
 build:
 	$(GO) build ./...
@@ -117,7 +121,7 @@ loc:
 		awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 1 ? substr($$2, 1, length($$2) - length(p[n]) - 1) : "."; s[d] += $$1; t += $$1 } \
 		END { for (d in s) printf "%6d %s\n", s[d], d; printf "%6d total (non-test, outside benchmark/)\n", t }' | sort -k2
 
-ci: vet lint escape-check build race smoke
+ci: fmt vet lint escape-check build race smoke
 
 clean:
 	$(GO) clean ./...

@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	policy, err := parseRecoup(*recoup)
+	policy, err := transport.ParseRecoupPolicy(*recoup)
 	if err != nil {
 		fatal(err)
 	}
@@ -198,17 +198,4 @@ func parseIDs(spec string) ([]int, error) {
 		out = append(out, id)
 	}
 	return out, nil
-}
-
-func parseRecoup(name string) (transport.RecoupPolicy, error) {
-	switch name {
-	case "drop-gradient":
-		return transport.DropGradient, nil
-	case "fill-nan":
-		return transport.FillNaN, nil
-	case "fill-random":
-		return transport.FillRandom, nil
-	default:
-		return 0, fmt.Errorf("unknown recoup policy %q", name)
-	}
 }

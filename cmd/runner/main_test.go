@@ -1,10 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"aggregathor/internal/transport"
-)
+import "testing"
 
 func TestParseAttacks(t *testing.T) {
 	got, err := parseAttacks("3:omniscient, 7:random")
@@ -37,25 +33,5 @@ func TestParseIDs(t *testing.T) {
 	}
 	if _, err := parseIDs("1,x"); err == nil {
 		t.Fatal("bad id accepted")
-	}
-}
-
-func TestParseRecoup(t *testing.T) {
-	cases := map[string]transport.RecoupPolicy{
-		"drop-gradient": transport.DropGradient,
-		"fill-nan":      transport.FillNaN,
-		"fill-random":   transport.FillRandom,
-	}
-	for name, want := range cases {
-		got, err := parseRecoup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("parseRecoup(%q) = %v", name, got)
-		}
-	}
-	if _, err := parseRecoup("nope"); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }

@@ -4,7 +4,7 @@ import "time"
 
 // This file is the package's wall-clock seam: the ONLY place in
 // internal/cluster allowed to read host time, and the only cluster file on
-// aggrevet's wallclock allowlist. Round deadlines and failure-report waits
+// aggrevet's wallclock allowlist. Round deadlines and reconnect pauses
 // are liveness bounds — they decide when to stop waiting, never what a
 // round computes: every recouped or skipped slot is settled by the seeded
 // schedules (ps.DropSeed, ps.SlowSeed, ...), so results stay pure functions
@@ -26,12 +26,6 @@ func untilDeadline(deadline time.Time) time.Duration {
 // newRoundTimer arms the round-timeout timer for a collection loop.
 func newRoundTimer(timeout time.Duration) *time.Timer {
 	return time.NewTimer(timeout)
-}
-
-// failureReportWindow bounds the wait for a failing worker goroutine to
-// report its root-cause error after its connection drops.
-func failureReportWindow(d time.Duration) <-chan time.Time {
-	return time.After(d)
 }
 
 // reconnectPause sleeps one rung of the reconnect backoff ladder — pacing

@@ -87,6 +87,9 @@ func TestPeerOracleGradientsAreDistinctVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := conn.RecvGradient(); err != nil { // the worker's hello
+		t.Fatal(err)
+	}
 
 	replica := factory()
 	samplers := map[int]*data.UniformSampler{}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -96,21 +97,23 @@ func TestTCPTrainUnknownAttackFailsLoudly(t *testing.T) {
 	}
 }
 
-// shortAtStep3 is honest until step 3, where it submits its gradient one
+// shortAt is honest except at its step, where it submits its gradient one
 // coordinate short: a well-formed frame of the wrong dimension.
-type shortAtStep3 struct{}
+type shortAt int
 
-func (shortAtStep3) Name() string { return "test-short-at-step-3" }
+func (s shortAt) Name() string { return fmt.Sprintf("test-short-at-step-%d", int(s)) }
 
-func (shortAtStep3) Forge(ctx *attack.Context) tensor.Vector {
-	if ctx.Step == 3 {
+func (s shortAt) Forge(ctx *attack.Context) tensor.Vector {
+	if ctx.Step == int(s) {
 		return ctx.Own[:ctx.Dim-1]
 	}
 	return ctx.Own
 }
 
 func init() {
-	attack.Register(shortAtStep3{}.Name(), func() attack.Attack { return shortAtStep3{} })
+	for _, s := range []shortAt{0, 3} {
+		attack.Register(s.Name(), func() attack.Attack { return s })
+	}
 }
 
 // TestTCPClusterWrongDimensionFrameCostsOnlyItsSender is the regression test
@@ -119,8 +122,18 @@ func init() {
 // stopped training. It is refused at its header instead, which costs the
 // sender its connection exactly as vanishing would: the run is, bit for bit
 // and round for round, the one where that worker hangs up at the same step.
+// Step 0 is no exception: the connection's hello named its slot, so its
+// first gradient being refused costs that slot alone, not the run.
 func TestTCPClusterWrongDimensionFrameCostsOnlyItsSender(t *testing.T) {
-	const badStep, steps = 3, 8
+	for _, badStep := range []int{0, 3} {
+		t.Run(fmt.Sprintf("step-%d", badStep), func(t *testing.T) {
+			wrongDimensionFrameCostsOnlyItsSender(t, badStep)
+		})
+	}
+}
+
+func wrongDimensionFrameCostsOnlyItsSender(t *testing.T, badStep int) {
+	const steps = 8
 	ds := data.SyntheticFeatures(120, 6, 3, 9)
 	ds.MinMaxScale()
 	train, _ := ds.Split(0.8)
@@ -159,7 +172,7 @@ func TestTCPClusterWrongDimensionFrameCostsOnlyItsSender(t *testing.T) {
 		}
 		return cl.Params(), received
 	}
-	params, received := run(map[int]string{2: shortAtStep3{}.Name()}, nil)
+	params, received := run(map[int]string{2: shortAt(badStep).Name()}, nil)
 	wantParams, wantReceived := run(nil, map[int]int{2: badStep})
 	for i, n := range received {
 		if want := map[bool]int{true: 5, false: 4}[i < badStep]; n != want || wantReceived[i] != want {

@@ -6,54 +6,59 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"aggregathor/internal/ps"
+	"aggregathor/internal/tensor"
 	"aggregathor/internal/transport"
 )
 
-// tcpPeer is one server-side worker connection. worker is the id the
-// connection last identified itself as (-1 until its first frame); only the
-// Step goroutine touches it.
+// tcpPeer is one server-side worker connection. worker is the id its hello
+// named, -1 when the connection died before saying hello; it never changes,
+// so the connection's slot is fixed from its first frame.
 type tcpPeer struct {
 	conn   *transport.TCPConn
 	worker int
 }
 
-// recvEvent is one thing a connection delivered: the accepted connection
-// itself, a frame (a gradient, or a fresh reconnect's rejoin handshake), or
-// the terminal error of its accept or read.
+// recvEvent is one thing a connection delivered: its hello, a gradient, or
+// the terminal error of its read.
 type recvEvent struct {
-	peer *tcpPeer
-	msg  *transport.GradientMsg
-	err  error
+	peer  *tcpPeer
+	msg   *transport.GradientMsg
+	hello bool
+	err   error
 }
+
+// helloDim is the hello's placeholder gradient dimension, and the only one a
+// connection may carry before its hello is read.
+const helloDim = 1
 
 // TCPCluster is a running socket-distributed deployment that implements
 // ps.Trainer. It is the round engine's TCP adapter: it owns the listener,
-// the connections and their readers, and the rejoin handshakes; what a round
-// waits for and what it aggregates is the engine's business.
+// the connections and their readers; what a round waits for and what it
+// aggregates is the engine's business.
+//
+// Every connection opens with a hello — {Worker: id, Step: the round it
+// joins at, Loss: the dial attempts it took} — at startup (step 0) and on
+// every scheduled rejoin alike. One accept loop serves the cluster's
+// lifetime and gives each connection one reader, which feeds the hello and
+// then the gradients into the one inbox.
 type TCPCluster struct {
 	socketServer
 	ln *transport.TCPListener
-	// peers is the broadcast set: the live connections, at most one per
+	// peers is the broadcast set: the admitted connections, at most one per
 	// worker. A connection leaves it (and is closed) when its reader reports
 	// its terminal error or its worker rejoins on a fresh one.
-	peers    []*tcpPeer
-	inbox    chan recvEvent
+	peers []*tcpPeer
+	inbox chan recvEvent
+	// readerWG counts the accept loop and every reader it started.
 	readerWG sync.WaitGroup
+	// stash holds hellos that arrived ahead of their scheduled rejoin round:
+	// a crashed worker dials back at once, not at its rejoin round.
+	stash []recvEvent
 	// modelWire holds the broadcast's coordinates when the wire encoding is
 	// not the parameter vector's own memory (see broadcast); empty otherwise.
 	modelWire []byte
-
-	// Churn plumbing (nil/unused when the schedule is disabled): the
-	// handshake channel the rejoin accept loop feeds, a stash for handshakes
-	// that arrived ahead of their scheduled rejoin round, a stop signal for
-	// in-flight handshake readers, and the accept-loop waitgroup.
-	rejoinCh    chan recvEvent
-	rejoinStash []recvEvent
-	stop        chan struct{}
-	acceptWG    sync.WaitGroup
 
 	// testAbruptClose (tests only) makes the given worker close its
 	// connection without submitting as soon as it receives the broadcast
@@ -76,15 +81,13 @@ func NewTCPCluster(cfg TCPClusterConfig) (*TCPCluster, error) {
 	if err := c.setup(cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Churn.Enabled() {
-		c.rejoinCh = make(chan recvEvent, cfg.Workers)
-		c.stop = make(chan struct{})
-	}
 	return c, nil
 }
 
-// Start binds the listener, launches the worker goroutines and accepts their
-// connections. It must be called exactly once before Step.
+// Start binds the listener, starts the accept loop and the worker goroutines,
+// and waits for the n startup hellos: distinct ids in range, each for step 0.
+// Anything else, or a worker failure, fails Start loudly and closes the
+// cluster. It must be called exactly once before Step.
 func (c *TCPCluster) Start() error {
 	if err := c.canStart(); err != nil {
 		return err
@@ -93,7 +96,10 @@ func (c *TCPCluster) Start() error {
 	if err != nil {
 		return err
 	}
-	c.ln = ln
+	c.ln, c.started = ln, true
+	c.inbox = make(chan recvEvent, 2*c.cfg.Workers)
+	c.readerWG.Add(1)
+	go c.serve()
 	for id := 0; id < c.cfg.Workers; id++ {
 		c.workerWG.Add(1)
 		go func(id int) {
@@ -103,111 +109,73 @@ func (c *TCPCluster) Start() error {
 			}
 		}(id)
 	}
-	// Accept every worker, but watch for worker startup failures (a dial
-	// error) so a worker that never connects fails Start instead of
-	// leaving Accept waiting forever for the nth connection.
-	acceptCh := make(chan recvEvent, c.cfg.Workers)
-	//aggrevet:goro exits after n accepts or the first error; abortStart closes the listener to unblock a pending Accept
-	go func() {
-		for i := 0; i < c.cfg.Workers; i++ {
-			conn, err := ln.Accept()
-			if err == nil {
-				conn.SetExpectDim(c.Model().NumParams())
-			}
-			acceptCh <- recvEvent{peer: &tcpPeer{conn: conn, worker: -1}, err: err}
-			if err != nil {
-				return
-			}
-		}
-	}()
 	for len(c.peers) < c.cfg.Workers {
-		//aggrevet:select startup-only race: a ready workerErrs means the run is already doomed, and either order reaches the same abort
+		//aggrevet:select startup-only race: either failing arm closes the cluster, and the order hellos are admitted in reaches no round
 		select {
-		case r := <-acceptCh:
-			if r.err != nil {
-				c.abortStart()
-				return r.err
+		case ev := <-c.inbox:
+			if err := c.admitStartup(ev); err != nil {
+				c.Close()
+				return err
 			}
-			c.peers = append(c.peers, r.peer)
 		case err := <-c.workerErrs:
-			c.abortStart()
+			c.Close()
 			return fmt.Errorf("cluster: worker failed during startup: %w", err)
 		}
 	}
-	// One persistent reader per connection: gradients from every round —
-	// including late straggler submissions — funnel into the inbox, where
-	// Step offers them to the round by self-declared worker id.
-	c.inbox = make(chan recvEvent, 2*c.cfg.Workers)
-	for _, p := range c.peers {
-		c.startReader(p)
-	}
-	if c.rejoinCh != nil {
-		c.acceptRejoins()
-	}
-	c.started = true
 	return nil
 }
 
-// startReader launches the persistent reader for one connection.
-func (c *TCPCluster) startReader(p *tcpPeer) {
-	c.readerWG.Add(1)
-	go func() {
-		defer c.readerWG.Done()
-		for {
-			msg, err := p.conn.RecvGradient()
-			c.inbox <- recvEvent{peer: p, msg: msg, err: err}
-			if err != nil {
-				return
-			}
-		}
-	}()
-}
-
-// acceptRejoins keeps the listener accepting after startup (churn only): a
-// crashed worker dials back through the backoff ladder whenever its schedule
-// says, sends the rejoin handshake as its first frame, and the connection is
-// handed to Step — which offers it to the round at the scheduled rejoin
-// round. The loop exits when Close releases the listener.
-func (c *TCPCluster) acceptRejoins() {
-	c.acceptWG.Add(1)
-	go func() {
-		defer c.acceptWG.Done()
-		for {
-			conn, err := c.ln.Accept()
-			if err != nil {
-				return // listener closed: shutdown
-			}
-			c.acceptWG.Add(1)
-			go func() {
-				defer c.acceptWG.Done()
-				conn.SetExpectDim(rejoinHelloDim)
-				hello, err := conn.RecvGradient()
-				if err != nil {
-					conn.Close()
-					return
-				}
-				select {
-				case c.rejoinCh <- recvEvent{peer: &tcpPeer{conn: conn, worker: hello.Worker}, msg: hello}:
-				case <-c.stop:
-					conn.Close()
-				}
-			}()
-		}
-	}()
-}
-
-// abortStart tears a failed startup down completely: accepted connections
-// are closed (unblocking their workers' RecvModel), the listener is closed
-// (unblocking the accept goroutine), and the worker goroutines are waited
-// for — no leak per failed deployment, and the later deferred Close stays a
-// safe no-op.
-func (c *TCPCluster) abortStart() {
-	c.closed = true
-	for _, p := range c.peers {
-		p.conn.Close()
+// admitStartup admits one startup hello into the broadcast set.
+func (c *TCPCluster) admitStartup(ev recvEvent) error {
+	if ev.err != nil {
+		return fmt.Errorf("cluster: connection lost during startup: %w", ev.err)
 	}
-	c.ln.Close()
-	c.workerWG.Wait()
+	id := ev.peer.worker
+	if !ev.hello || id < 0 || id >= c.cfg.Workers || ev.msg.Step != 0 ||
+		slices.ContainsFunc(c.peers, func(p *tcpPeer) bool { return p.worker == id }) {
+		return fmt.Errorf("cluster: startup hello from worker %d for step %d refused", id, ev.msg.Step)
+	}
+	c.peers = append(c.peers, ev.peer)
+	return nil
+}
+
+// serve is the cluster's one accept loop. It keeps every connection it
+// accepted and, once Close releases the listener, closes them all, so no
+// reader outlives the cluster.
+func (c *TCPCluster) serve() {
+	defer c.readerWG.Done()
+	var conns []*transport.TCPConn
+	for {
+		conn, err := c.ln.Accept()
+		if err != nil {
+			break // listener closed: shutdown
+		}
+		conns = append(conns, conn)
+		c.readerWG.Add(1)
+		go c.read(conn)
+	}
+	for _, conn := range conns {
+		conn.Close()
+	}
+}
+
+// read is one connection's reader: the hello (pinned to helloDim), then
+// gradients (pinned to the model's dimension) until the terminal error.
+func (c *TCPCluster) read(conn *transport.TCPConn) {
+	defer c.readerWG.Done()
+	p := &tcpPeer{conn: conn, worker: -1}
+	conn.SetExpectDim(helloDim)
+	for hello := true; ; hello = false {
+		msg, err := conn.RecvGradient()
+		if hello && err == nil {
+			p.worker = msg.Worker
+			conn.SetExpectDim(c.Model().NumParams())
+		}
+		c.inbox <- recvEvent{peer: p, msg: msg, hello: hello, err: err}
+		if err != nil {
+			return
+		}
+	}
 }
 
 // Step runs one synchronous round over the sockets: install the scheduled
@@ -270,26 +238,28 @@ func (c *TCPCluster) broadcast(round *ps.Round) error {
 	return nil
 }
 
-// deliver hands one reader event to the round. A stream connection
-// authenticates its frames' order, so what the round rejects is a lying
-// peer and fails loudly — except a straggler's submission from an earlier
-// round, which is protocol-normal and ignored.
+// deliver hands one inbox event to the round: a connection's terminal error,
+// a hello, or a gradient. Only an admitted connection — one in the broadcast
+// set — speaks for a slot, the one its hello named. A stream connection
+// authenticates its frames' order, so what the round rejects is a lying peer
+// and fails loudly — except a straggler's submission from an earlier round,
+// which is protocol-normal and ignored.
 func (c *TCPCluster) deliver(round *ps.Round, ev recvEvent) error {
-	if ev.err != nil {
-		c.hangUp(ev.peer)
-		if ev.peer.worker < 0 {
-			// A connection that dies before its worker ever identified
-			// itself is a deployment failure (a healthy worker only
-			// disconnects after the server hangs up), not Byzantine
-			// behaviour to tolerate.
-			return fmt.Errorf("cluster: worker connection lost before first gradient at step %d: %w",
-				round.Step(), c.workerFailure(ev.err))
+	p, msg := ev.peer, ev.msg
+	switch {
+	case ev.err != nil:
+		if c.hangUp(p) {
+			round.Disconnected(p.worker)
 		}
-		round.Disconnected(ev.peer.worker)
 		return nil
+	case ev.hello:
+		return c.offerRejoin(round, ev)
+	case !slices.Contains(c.peers, p):
+		return nil // a replaced connection's leftover, or one not yet admitted
+	case msg.Worker != p.worker:
+		return fmt.Errorf("cluster: worker %d's connection sent a gradient tagged as worker %d at step %d",
+			p.worker, msg.Worker, round.Step())
 	}
-	msg := ev.msg
-	ev.peer.worker = msg.Worker
 	v := round.Offer(msg.Worker, msg.Step, msg.Grad, msg.Loss)
 	if v.Admitted() || msg.Step < round.Step() && (v == ps.RejectTooStale || v == ps.RejectWrongTag) {
 		return nil // admitted, or a straggler's frame from an earlier round
@@ -298,25 +268,27 @@ func (c *TCPCluster) deliver(round *ps.Round, ev recvEvent) error {
 		msg.Worker, msg.Step, round.Step(), v)
 }
 
-// hangUp closes a worker connection and takes it out of the broadcast set.
-func (c *TCPCluster) hangUp(p *tcpPeer) {
+// hangUp closes a worker connection and takes it out of the broadcast set,
+// reporting whether it was there.
+func (c *TCPCluster) hangUp(p *tcpPeer) bool {
 	p.conn.Close()
-	if i := slices.Index(c.peers, p); i >= 0 {
+	i := slices.Index(c.peers, p)
+	if i >= 0 {
 		c.peers = slices.Delete(c.peers, i, i+1)
 	}
+	return i >= 0
 }
 
 // admitRejoins installs this round's scheduled reconnects before the
-// broadcast, so a rejoined worker receives the current model. A worker
-// dials back (and hands its handshake to the accept loop) the moment it
-// crashes, not at its rejoin round, so early handshakes wait in the stash;
-// a handshake that fails to appear by the round timeout is a loud error —
-// the schedule said the worker would be back.
+// broadcast, so a rejoined worker receives the current model. Early hellos
+// wait in the stash; the inbox is drained until every scheduled rejoin is
+// in, and a hello that fails to appear by the round timeout is a loud error
+// — the schedule said the worker would be back.
 func (c *TCPCluster) admitRejoins(round *ps.Round) error {
-	stashed := c.rejoinStash
-	c.rejoinStash = c.rejoinStash[:0]
-	for _, rj := range stashed {
-		if err := c.offerRejoin(round, rj); err != nil {
+	stashed := c.stash
+	c.stash = c.stash[:0]
+	for _, ev := range stashed {
+		if err := c.offerRejoin(round, ev); err != nil {
 			return err
 		}
 	}
@@ -328,8 +300,8 @@ func (c *TCPCluster) admitRejoins(round *ps.Round) error {
 	for round.PendingRejoins() > 0 {
 		//aggrevet:select a ready timer means a missed rejoin deadline that aborts the round loudly; healthy rejoins never race it
 		select {
-		case rj := <-c.rejoinCh:
-			if err := c.offerRejoin(round, rj); err != nil {
+		case ev := <-c.inbox:
+			if err := c.deliver(round, ev); err != nil {
 				return err
 			}
 		case <-timer.C:
@@ -340,18 +312,17 @@ func (c *TCPCluster) admitRejoins(round *ps.Round) error {
 	return nil
 }
 
-// offerRejoin stashes a handshake that is ahead of its round and offers any
+// offerRejoin stashes a hello that is ahead of its round and offers any
 // other to the round; on admission the fresh connection replaces whatever
-// connection the worker held before its crash and gets a persistent reader
-// pre-identified by the handshake.
-func (c *TCPCluster) offerRejoin(round *ps.Round, rj recvEvent) error {
-	hello := rj.msg
+// connection the worker held before its crash.
+func (c *TCPCluster) offerRejoin(round *ps.Round, ev recvEvent) error {
+	hello := ev.msg
 	if hello.Step > round.Step() {
-		c.rejoinStash = append(c.rejoinStash, rj)
+		c.stash = append(c.stash, ev)
 		return nil
 	}
 	if v := round.Rejoin(hello.Worker, hello.Step, int(hello.Loss)); v != ps.RejoinAdmit {
-		rj.peer.conn.Close()
+		ev.peer.conn.Close()
 		return fmt.Errorf("cluster: rejoin handshake for worker %d (step %d) rejected at step %d: %v",
 			hello.Worker, hello.Step, round.Step(), v)
 	}
@@ -361,44 +332,22 @@ func (c *TCPCluster) offerRejoin(round *ps.Round, rj recvEvent) error {
 			break
 		}
 	}
-	rj.peer.conn.SetExpectDim(c.Model().NumParams()) // admitted: from here on it carries gradients
-	c.peers = append(c.peers, rj.peer)
-	c.startReader(rj.peer)
+	c.peers = append(c.peers, ev.peer)
 	return nil
 }
 
-// workerFailure surfaces the root cause of an anonymous connection loss: the
-// failing worker goroutine reports its error just after closing its
-// connection, so wait briefly for it before falling back to the read error.
-func (c *TCPCluster) workerFailure(readErr error) error {
-	//aggrevet:select error-path only: the run already failed, the window merely improves root-cause attribution
-	select {
-	case err := <-c.workerErrs:
-		return err
-	case <-failureReportWindow(200 * time.Millisecond):
-		return readErr
-	}
-}
-
-// Close hangs up every worker connection, waits for the workers and readers
-// to exit, and releases the listener. It is idempotent.
+// Close releases the listener — the accept loop then closes every connection
+// it accepted — drains the inbox until every reader has exited, and waits for
+// the workers. It is idempotent, and a failed Start calls it.
 func (c *TCPCluster) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	if c.stop != nil {
-		close(c.stop) // release hello goroutines blocked on rejoinCh
-	}
 	if !c.started {
-		return nil // nothing bound: a failed Start releases its own sockets
+		return nil // nothing bound
 	}
-	for _, p := range c.peers {
-		p.conn.Close()
-	}
-	for _, rj := range c.rejoinStash {
-		rj.peer.conn.Close()
-	}
+	err := c.ln.Close()
 	// Drain reader events until every reader has exited, so none blocks on
 	// a full inbox while shutting down; workers exit on the closed
 	// connection (post-shutdown read errors are expected, not surfaced).
@@ -415,31 +364,38 @@ func (c *TCPCluster) Close() error {
 			drained = true
 		}
 	}
-	err := c.ln.Close() // unblocks the rejoin accept loop, if any
-	c.acceptWG.Wait()
-	// Handshakes that arrived after the last admitted round still own live
-	// connections; hang those up so their workers' RecvModel returns.
-	for churnDrained := false; !churnDrained; {
-		select {
-		case rj := <-c.rejoinCh:
-			rj.peer.conn.Close()
-		default:
-			churnDrained = true
-		}
-	}
 	c.workerWG.Wait()
 	return err
 }
 
-// runWorker is the worker main loop: dial, then model→gradient
+// dialHello dials the server through the backoff ladder and opens the
+// connection with the hello: the worker's id, the round it joins at (0 at
+// startup, its scheduled rejoin round after a crash) and, in the Loss field,
+// how many dial attempts the connect took. The gradient payload is a
+// helloDim-coordinate placeholder the server discards.
+func dialHello(addr string, codec transport.Codec, id, step int) (*transport.TCPConn, error) {
+	conn, attempts, err := dialWithBackoff("connection", addr, func() (*transport.TCPConn, error) {
+		return transport.DialTCP(addr, codec)
+	})
+	if err != nil {
+		return nil, err
+	}
+	hello := &transport.GradientMsg{Worker: id, Step: step, Loss: float64(attempts), Grad: tensor.NewVector(helloDim)}
+	if err := conn.SendGradient(hello); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
+}
+
+// runWorker is the worker main loop: dial and say hello, then model→gradient
 // until the server hangs up, doing at each broadcast what its slot's plan
-// says. On a scheduled crash it tears the socket down without a goodbye,
-// dials back through the bounded backoff ladder, and opens the fresh
-// connection with a rejoin handshake the server holds until the scheduled
-// rejoin round.
+// says. On a scheduled crash it tears the socket down without a goodbye and
+// dials back at once with a hello for its scheduled rejoin round, which the
+// server holds until that round.
 func (c *TCPCluster) runWorker(addr string, id int) error {
 	cfg := &c.cfg
-	conn, err := transport.DialTCP(addr, cfg.Codec)
+	conn, err := dialHello(addr, cfg.Codec, id, 0)
 	if err != nil {
 		return err
 	}
@@ -465,17 +421,12 @@ func (c *TCPCluster) runWorker(addr string, id int) error {
 			if plan.Gone() {
 				return nil // rejoin budget exhausted: gone for good
 			}
-			// Dial back immediately; the handshake waits server-side
-			// until the scheduled rejoin round admits it.
-			fresh, attempts, err := dialTCPWithBackoff(addr, cfg.Codec)
+			fresh, err := dialHello(addr, cfg.Codec, id, plan.Rejoin)
 			if err != nil {
 				return err
 			}
 			conn = fresh
 			conn.SetExpectDim(w.replica.NumParams())
-			if err := conn.SendGradient(rejoinHello(id, plan.Rejoin, attempts)); err != nil {
-				return err
-			}
 			continue
 		case ps.ChurnDown:
 			continue // defensive: a down worker holds no connection

@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"net"
 	"math"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 

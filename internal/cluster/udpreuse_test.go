@@ -150,7 +150,7 @@ func TestRecvPacketReuseDoesNotAliasReassembly(t *testing.T) {
 		models := []tensor.Vector{randomVec(dim), randomVec(dim)}
 		var got []tensor.Vector
 		for step, m := range models {
-			if err := send.SendModel(&transport.ModelMsg{Step: step, Params: m}); err != nil {
+			if err := send.SendGradient(&transport.GradientMsg{Worker: transport.ModelWorkerID, Step: step, Grad: m}); err != nil {
 				t.Fatal(err)
 			}
 			ev, err := col.Next(tensor.NewVector(dim))

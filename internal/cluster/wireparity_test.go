@@ -101,6 +101,9 @@ func TestAttackWireParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := conn.RecvGradient(); err != nil { // the worker's hello
+				t.Fatal(err)
+			}
 			for step := 0; step < rounds; step++ {
 				if err := conn.SendModel(&transport.ModelMsg{Step: step, Params: params}); err != nil {
 					t.Fatal(err)

@@ -154,3 +154,17 @@ func TestMembershipTrackerAdmission(t *testing.T) {
 		t.Fatalf("counters after one admit: rejoins=%d attempts=%d", tr.rejoins, tr.attempts)
 	}
 }
+
+// TestRoundRejoinWithoutChurnIsNotScheduled: an engine without a churn
+// schedule has no membership ledger, and a rejoin offered to it — a stray
+// hello on a socket backend — is one no schedule placed, not a nil
+// dereference.
+func TestRoundRejoinWithoutChurnIsNotScheduled(t *testing.T) {
+	r := roundTestEngine(RoundConfig{Workers: 3}, nil).Begin()
+	if v := r.Rejoin(1, 0, 1); v != RejoinRejectNotScheduled {
+		t.Fatalf("Rejoin without a churn schedule = %v, want %v", v, RejoinRejectNotScheduled)
+	}
+	if r.PendingRejoins() != 0 || r.Outstanding() != 3 {
+		t.Fatalf("the refused rejoin moved the round: %d pending rejoins, %d outstanding", r.PendingRejoins(), r.Outstanding())
+	}
+}

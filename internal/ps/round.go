@@ -386,8 +386,12 @@ func (r *Round) PendingRejoins() int {
 
 // Rejoin offers one reconnect handshake — the worker, the round it claims
 // to rejoin at, the dial attempts it took — to the membership schedule. On
-// admission the worker is live again: no longer dead or suspected.
+// admission the worker is live again: no longer dead or suspected. Without a
+// churn schedule no rejoin is ever scheduled.
 func (r *Round) Rejoin(worker, step, attempts int) RejoinVerdict {
+	if r.e.membership == nil {
+		return RejoinRejectNotScheduled
+	}
 	v := r.e.membership.Admit(worker, step, attempts)
 	if v == RejoinAdmit {
 		r.e.slots[worker].dead, r.e.slots[worker].suspected = false, false

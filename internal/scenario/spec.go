@@ -361,16 +361,14 @@ func (s *Spec) Expand() []Run {
 
 // recoupPolicy parses the network's recoup policy name (default fill-random).
 func (n Network) recoupPolicy() (transport.RecoupPolicy, error) {
-	switch n.Recoup {
-	case "", "fill-random":
+	if n.Recoup == "" {
 		return transport.FillRandom, nil
-	case "fill-nan":
-		return transport.FillNaN, nil
-	case "drop-gradient":
-		return transport.DropGradient, nil
-	default:
-		return 0, fmt.Errorf("scenario: network %q unknown recoup policy %q (want drop-gradient|fill-nan|fill-random)", n.Name, n.Recoup)
 	}
+	p, err := transport.ParseRecoupPolicy(n.Recoup)
+	if err != nil {
+		return 0, fmt.Errorf("scenario: network %q: %w", n.Name, err)
+	}
+	return p, nil
 }
 
 // staleModels parses the network's torn-model-broadcast policy name: "skip"

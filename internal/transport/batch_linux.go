@@ -20,10 +20,6 @@ import (
 	"unsafe"
 )
 
-// batchedSyscalls reports whether this platform batches datagram syscalls
-// (see UDPSender.Batched).
-const batchedSyscalls = true
-
 // Socket options of <linux/udp.h> the stdlib syscall table predates. Control
 // messages are built and read as bytes: cmsghdr is len u64 | level i32 |
 // type i32 on linux/amd64 and linux/arm64, then the payload.

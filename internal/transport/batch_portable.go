@@ -7,9 +7,6 @@ package transport
 
 import "net"
 
-// batchedSyscalls reports whether this platform batches datagram syscalls.
-const batchedSyscalls = false
-
 type sendBatcher struct {
 	conn  *net.UDPConn
 	stats UDPStats

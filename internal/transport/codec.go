@@ -72,12 +72,15 @@ func ParseWireFormat(s string) (Codec, error) {
 	}
 }
 
-// WireName returns the canonical wireFormat axis value for the codec.
-func (c Codec) WireName() string {
-	if c.Float32 {
-		return WireFloat32
+// ParseRecoupPolicy maps a recoup policy name — RecoupPolicy.String's
+// spelling — back to the policy.
+func ParseRecoupPolicy(name string) (RecoupPolicy, error) {
+	for _, p := range []RecoupPolicy{DropGradient, FillNaN, FillRandom} {
+		if p.String() == name {
+			return p, nil
+		}
 	}
-	return WireFloat64
+	return 0, fmt.Errorf("transport: unknown recoup policy %q (want drop-gradient|fill-nan|fill-random)", name)
 }
 
 // checkWidth validates a frame's coordinate-width byte against the codec:

@@ -210,3 +210,19 @@ func TestCoordsPerPacket(t *testing.T) {
 		t.Fatalf("tiny MTU must still carry one coordinate, got %d", got)
 	}
 }
+
+// TestParseRecoupPolicy: the parser inverts RecoupPolicy.String, the one
+// spelling of the policy names every entry point reads.
+func TestParseRecoupPolicy(t *testing.T) {
+	for _, want := range []RecoupPolicy{DropGradient, FillNaN, FillRandom} {
+		got, err := ParseRecoupPolicy(want.String())
+		if err != nil || got != want {
+			t.Fatalf("ParseRecoupPolicy(%q) = %v, %v", want, got, err)
+		}
+	}
+	for _, bad := range []string{"nope", "", "Fill-NaN"} {
+		if _, err := ParseRecoupPolicy(bad); err == nil {
+			t.Fatalf("unknown policy %q accepted", bad)
+		}
+	}
+}

@@ -342,54 +342,3 @@ func TestUDPGradientCarriesLossOverSocket(t *testing.T) {
 		t.Fatalf("loss %v arrived, want 1.375", got.Loss)
 	}
 }
-
-func TestUDPModelBroadcast(t *testing.T) {
-	codec := Codec{}
-	recv, err := ListenUDP("127.0.0.1:0", codec, FillNaN, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	send, err := DialUDP(recv.Addr(), codec, DefaultMTU, 0, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer send.Close()
-	rng := rand.New(rand.NewSource(22))
-	want := &ModelMsg{Step: 5, Params: randVec(rng, 3000)}
-	if err := send.SendModel(want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := recv.RecvModel(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Step != 5 || got.Params.Dim() != 3000 {
-		t.Fatalf("model header mismatch: %+v", got)
-	}
-	for i := range want.Params {
-		if got.Params[i] != want.Params[i] {
-			t.Fatalf("coord %d mismatch", i)
-		}
-	}
-}
-
-func TestUDPRecvModelRejectsGradient(t *testing.T) {
-	codec := Codec{}
-	recv, err := ListenUDP("127.0.0.1:0", codec, FillNaN, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	send, err := DialUDP(recv.Addr(), codec, DefaultMTU, 0, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer send.Close()
-	if err := send.SendGradient(&GradientMsg{Worker: 3, Step: 1, Grad: randVec(rand.New(rand.NewSource(25)), 10)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := recv.RecvModel(2 * time.Second); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("want ErrBadFrame for gradient on model channel, got %v", err)
-	}
-}

@@ -198,12 +198,6 @@ func DialUDP(addr string, codec Codec, mtu int, dropRate float64, seed int64) (*
 // the cluster derives the worker model-endpoint bind host from it).
 func (s *UDPSender) LocalAddr() string { return s.batcher.conn.LocalAddr().String() }
 
-// Batched reports whether this platform moves several messages per syscall
-// (sendmmsg / recvmmsg; false where only the portable one-datagram path
-// exists). It says nothing about how many datagrams a message carries: that
-// is per socket and can degrade at run time — read Stats.
-func (s *UDPSender) Batched() bool { return batchedSyscalls }
-
 // Stats returns the sender's kernel-traffic counters.
 func (s *UDPSender) Stats() UDPStats { return s.batcher.stats }
 
@@ -212,12 +206,6 @@ func (s *UDPSender) Stats() UDPStats { return s.batcher.stats }
 // an unreliable communication for the model transfer"). Model broadcasts use
 // a dedicated receiver socket so they never interleave with gradients.
 const ModelWorkerID = 1<<30 - 1
-
-// SendModel pushes a model broadcast over the lossy channel by reusing the
-// gradient chunking with the reserved ModelWorkerID.
-func (s *UDPSender) SendModel(m *ModelMsg) error {
-	return s.SendGradient(&GradientMsg{Worker: ModelWorkerID, Step: m.Step, Grad: m.Params})
-}
 
 // SendGradient splits the gradient into datagrams and writes the survivors.
 func (s *UDPSender) SendGradient(m *GradientMsg) error {
@@ -546,7 +534,7 @@ func (r *UDPReceiver) flushAny() (*GradientMsg, error) {
 // Reassembler().Offer.
 //
 // The returned packet is the receiver's own and is valid until the next
-// RecvPacket, RecvGradient or RecvModel call, which decodes over it; a caller
+// RecvPacket or RecvGradient call, which decodes over it; a caller
 // that keeps coordinates beyond that copies them (Reassembler.Offer does).
 func (r *UDPReceiver) RecvPacket(timeout time.Duration) (*Packet, error) {
 	deadline := time.Now().Add(timeout)
@@ -567,21 +555,6 @@ func (r *UDPReceiver) RecvPacket(timeout time.Duration) (*Packet, error) {
 // Reassembler exposes the receiver's reassembly state for callers that drive
 // packet collection explicitly through RecvPacket.
 func (r *UDPReceiver) Reassembler() *Reassembler { return r.asm }
-
-// RecvModel blocks until one model broadcast completes or the timeout
-// passes, with the same recoup semantics as RecvGradient. Datagrams not
-// carrying the ModelWorkerID tag are rejected as malformed.
-func (r *UDPReceiver) RecvModel(timeout time.Duration) (*ModelMsg, error) {
-	msg, err := r.RecvGradient(timeout)
-	if err != nil {
-		return nil, err
-	}
-	if msg.Worker != ModelWorkerID {
-		return nil, fmt.Errorf("%w: expected model broadcast, got gradient from worker %d",
-			ErrBadFrame, msg.Worker)
-	}
-	return &ModelMsg{Step: msg.Step, Params: msg.Grad}, nil
-}
 
 // Pending exposes the number of partially assembled gradients.
 func (r *UDPReceiver) Pending() int { return r.asm.Pending() }
