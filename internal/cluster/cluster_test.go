@@ -113,7 +113,6 @@ func TestTCPTrainValidation(t *testing.T) {
 		func(c *TCPClusterConfig) { c.ModelDropRate = 0.1 },
 		func(c *TCPClusterConfig) { c.StaleModels = true },
 		func(c *TCPClusterConfig) { c.MTU = 1400 },
-		func(c *TCPClusterConfig) { c.WorkerBindHost = "127.0.0.1" },
 	} {
 		bad := cfg
 		bad.Workers = 2

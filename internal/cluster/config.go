@@ -88,11 +88,6 @@ type UDPClusterConfig struct {
 	// Byzantine-resilient GAR upstairs, which is the paper's headline
 	// systems bet.
 
-	// WorkerBindHost, when set, is the host each worker binds its model
-	// endpoint on. When empty the host is derived from the worker's
-	// gradient-dial interface toward Addr — the interface that can reach the
-	// server can be reached by it.
-	WorkerBindHost string
 	// MTU is the datagram payload budget; zero means transport.DefaultMTU.
 	MTU int
 	// DropRate is the per-packet artificial loss probability in [0, 1) on
@@ -213,6 +208,20 @@ func (s *socketServer) setup(cfg UDPClusterConfig) error {
 	s.eng, s.Server = eng, &eng.Server
 	s.workerErrs = make(chan error, cfg.Workers)
 	return nil
+}
+
+// startWorkers launches one goroutine per worker id running run; an error it
+// returns goes to workerErrs.
+func (s *socketServer) startWorkers(run func(id int) error) {
+	for id := 0; id < s.cfg.Workers; id++ {
+		s.workerWG.Add(1)
+		go func() {
+			defer s.workerWG.Done()
+			if err := run(id); err != nil {
+				s.workerErrs <- fmt.Errorf("worker %d: %w", id, err)
+			}
+		}()
+	}
 }
 
 // canStart and canStep enforce the lifecycle: Start exactly once, Step only

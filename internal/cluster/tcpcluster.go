@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -74,8 +75,8 @@ var _ ps.Trainer = (*TCPCluster)(nil)
 // listening) cluster. A stream has no datagrams to size or lose: the
 // datagram axes must be zero, rather than silently ignored.
 func NewTCPCluster(cfg TCPClusterConfig) (*TCPCluster, error) {
-	if cfg.WorkerBindHost != "" || cfg.MTU != 0 || cfg.DropRate != 0 || cfg.ModelDropRate != 0 || cfg.StaleModels {
-		return nil, errors.New("cluster: WorkerBindHost, MTU, DropRate, ModelDropRate and StaleModels describe a datagram link; a TCP cluster has none (use NewUDPCluster)")
+	if cfg.MTU != 0 || cfg.DropRate != 0 || cfg.ModelDropRate != 0 || cfg.StaleModels {
+		return nil, errors.New("cluster: MTU, DropRate, ModelDropRate and StaleModels describe a datagram link; a TCP cluster has none (use NewUDPCluster)")
 	}
 	c := &TCPCluster{}
 	if err := c.setup(cfg); err != nil {
@@ -100,15 +101,7 @@ func (c *TCPCluster) Start() error {
 	c.inbox = make(chan recvEvent, 2*c.cfg.Workers)
 	c.readerWG.Add(1)
 	go c.serve()
-	for id := 0; id < c.cfg.Workers; id++ {
-		c.workerWG.Add(1)
-		go func(id int) {
-			defer c.workerWG.Done()
-			if err := c.runWorker(ln.Addr(), id); err != nil {
-				c.workerErrs <- fmt.Errorf("worker %d: %w", id, err)
-			}
-		}(id)
-	}
+	c.startWorkers(func(id int) error { return c.runWorker(ln.Addr(), id) })
 	for len(c.peers) < c.cfg.Workers {
 		//aggrevet:select startup-only race: either failing arm closes the cluster, and the order hellos are admitted in reaches no round
 		select {
@@ -368,82 +361,67 @@ func (c *TCPCluster) Close() error {
 	return err
 }
 
+// runWorker runs worker id over a tcpLink: dial and say hello, then the
+// worker loop until the server hangs up.
+func (c *TCPCluster) runWorker(addr string, id int) error {
+	w, err := newClusterWorker(id, &c.cfg, &c.rounds)
+	if err != nil {
+		return err
+	}
+	l := &tcpLink{c: c, addr: addr, id: id, dim: w.replica.NumParams()}
+	if err := l.dialHello(0); err != nil {
+		return err
+	}
+	return w.run(l)
+}
+
+// tcpLink is a stream worker's link: one connection to the server, replaced
+// after every crash by a fresh one.
+type tcpLink struct {
+	c       *TCPCluster
+	conn    *transport.TCPConn
+	addr    string
+	id, dim int
+}
+
 // dialHello dials the server through the backoff ladder and opens the
 // connection with the hello: the worker's id, the round it joins at (0 at
 // startup, its scheduled rejoin round after a crash) and, in the Loss field,
 // how many dial attempts the connect took. The gradient payload is a
 // helloDim-coordinate placeholder the server discards.
-func dialHello(addr string, codec transport.Codec, id, step int) (*transport.TCPConn, error) {
-	conn, attempts, err := dialWithBackoff("connection", addr, func() (*transport.TCPConn, error) {
-		return transport.DialTCP(addr, codec)
+func (l *tcpLink) dialHello(step int) error {
+	conn, attempts, err := dialWithBackoff("connection", l.addr, func() (*transport.TCPConn, error) {
+		return transport.DialTCP(l.addr, l.c.cfg.Codec)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	hello := &transport.GradientMsg{Worker: id, Step: step, Loss: float64(attempts), Grad: tensor.NewVector(helloDim)}
+	hello := &transport.GradientMsg{Worker: l.id, Step: step, Loss: float64(attempts), Grad: tensor.NewVector(helloDim)}
 	if err := conn.SendGradient(hello); err != nil {
 		conn.Close()
-		return nil, err
+		return err
 	}
-	return conn, nil
+	conn.SetExpectDim(l.dim)
+	l.conn = conn
+	return nil
 }
 
-// runWorker is the worker main loop: dial and say hello, then model→gradient
-// until the server hangs up, doing at each broadcast what its slot's plan
-// says. On a scheduled crash it tears the socket down without a goodbye and
-// dials back at once with a hello for its scheduled rejoin round, which the
-// server holds until that round.
-func (c *TCPCluster) runWorker(addr string, id int) error {
-	cfg := &c.cfg
-	conn, err := dialHello(addr, cfg.Codec, id, 0)
-	if err != nil {
-		return err
+func (l *tcpLink) next(params tensor.Vector) (int, tensor.Vector, error) {
+	step, err := l.conn.RecvModel(params)
+	if s, ok := l.c.testAbruptClose[l.id]; ok && step == s {
+		err = net.ErrClosed // test hook: vanish between broadcast and submit
 	}
-	defer func() { conn.Close() }()
-	w, err := newClusterWorker(id, cfg, &c.rounds)
-	if err != nil {
-		return err
-	}
-	conn.SetExpectDim(w.replica.NumParams())
-	// The replica's parameter store is the receive buffer: a broadcast lands
-	// where the forward pass reads it. A failed receive may leave it torn,
-	// and the worker exits without training on it.
-	params := w.replica.Params()
-	for {
-		step, err := conn.RecvModel(params)
-		if err != nil {
-			return nil // server hung up: normal termination
-		}
-		plan := w.plan.At(step, id)
-		switch plan.Phase {
-		case ps.ChurnCrash:
-			conn.Close() // abrupt teardown: no goodbye, no submission
-			if plan.Gone() {
-				return nil // rejoin budget exhausted: gone for good
-			}
-			fresh, err := dialHello(addr, cfg.Codec, id, plan.Rejoin)
-			if err != nil {
-				return err
-			}
-			conn = fresh
-			conn.SetExpectDim(w.replica.NumParams())
-			continue
-		case ps.ChurnDown:
-			continue // defensive: a down worker holds no connection
-		}
-		if s, ok := c.testAbruptClose[id]; ok && step == s {
-			conn.Close() // test hook: vanish between broadcast and submit
-			return nil
-		}
-		if cfg.Unresponsive[id] {
-			continue // consume the broadcast, never answer (crashed node)
-		}
-		sub := w.roundSubmission(step, params, plan)
-		if sub == nil {
-			continue // scheduled too-stale: the worker sits the round out
-		}
-		if err := conn.SendGradient(sub); err != nil {
-			return err
-		}
-	}
+	return step, params, err
 }
+
+// crash closes the connection without a goodbye and dials back at once with
+// a hello for the rejoin round, which the server holds until that round.
+func (l *tcpLink) crash(rejoin int) error {
+	l.conn.Close()
+	return l.dialHello(rejoin)
+}
+
+// send writes the whole gradient: a stream drops nothing.
+func (l *tcpLink) send(sub *transport.GradientMsg, _ []bool) error { return l.conn.SendGradient(sub) }
+
+func (l *tcpLink) close() { l.conn.Close() }

@@ -3,7 +3,11 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"net"
+	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"aggregathor/internal/data"
 	"aggregathor/internal/gar"
@@ -106,6 +110,79 @@ func TestUDPClusterChurnByzantineMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestUDPClusterChurnReleasesEverySocket is the datagram twin of
+// TestTCPClusterChurnReleasesCrashedConnections: a worker owns the uplink it
+// dials, so the socket a crash, a departure for good or the end of the run
+// leaves behind is the worker's to close. Over a schedule with several
+// rejoins, a worker gone for good and a worker down when Close runs, Close
+// leaves as many goroutines — and, on linux, open descriptors — as there
+// were before Start.
+func TestUDPClusterChurnReleasesEverySocket(t *testing.T) {
+	churn := ps.ChurnConfig{Rate: 0.05, DownSteps: 3, MaxRejoins: 1}
+	const seed, workers = 13, 7
+	// The run ends at the first step by which the schedule has rejoined three
+	// times and lost a worker for good, and at which another worker is down.
+	steps := 0
+	for s, rejoins, gone := 0, 0, false; steps == 0; s++ {
+		if s == 300 {
+			t.Fatal("fixture drift: no step within 300 has rejoins, a departure and a down worker")
+		}
+		down := false
+		for w := 0; w < workers; w++ {
+			switch churn.Phase(seed, s, w) {
+			case ps.ChurnRejoin:
+				rejoins++
+			case ps.ChurnCrash, ps.ChurnDown:
+				if churn.Permanent(seed, s, w) {
+					gone = true
+				} else {
+					down = true
+				}
+			}
+		}
+		if rejoins >= 3 && gone && down {
+			steps = s + 1
+		}
+	}
+	openFDs := func() int {
+		if runtime.GOOS != "linux" {
+			return 0
+		}
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	// The netpoller's own descriptors open with the process's first socket.
+	if pc, err := net.ListenPacket("udp", "127.0.0.1:0"); err == nil {
+		pc.Close()
+	}
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	cl, _, _ := udpFixture(t, UDPClusterConfig{Workers: workers, GAR: gar.Average{}, Churn: churn, Seed: seed})
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < steps; s++ {
+		if _, err := cl.Step(); err != nil {
+			cl.Close()
+			t.Fatalf("step %d: %v", s, err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after Close over %d rounds, %d before Start", n, steps, goroutines)
+	}
+	if n := openFDs(); n > fds {
+		t.Fatalf("%d descriptors open after Close over %d rounds, %d before Start", n, steps, fds)
 	}
 }
 

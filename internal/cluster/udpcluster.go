@@ -4,17 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"aggregathor/internal/ps"
+	"aggregathor/internal/tensor"
 	"aggregathor/internal/transport"
 )
-
-// udpWorkerIdleTimeout bounds a worker's wait for the next model broadcast.
-// The normal exit path is the server closing the worker's model socket; the
-// timeout is a backstop against a server that vanished without Close.
-const udpWorkerIdleTimeout = time.Hour
 
 // udpPaceBurst/udpPaceDelay rate-limit what every cluster sender puts on any
 // one destination socket: after each 128 KB of datagram payload toward a
@@ -32,17 +27,15 @@ const (
 )
 
 // UDPCluster is a running lossy-datagram deployment that implements
-// ps.Trainer. It is the round engine's datagram adapter: it owns the sockets,
-// the packet split and the pacing; every received packet goes to the round,
-// which reassembles, recoups scheduled losses and decides what is still
-// outstanding.
+// ps.Trainer. It is the round engine's datagram adapter: it owns the server's
+// sockets, the packet split and the pacing; every received packet goes to
+// the round, which reassembles, recoups scheduled losses and decides what is
+// still outstanding. Each worker dials and owns its own gradient uplink.
 type UDPCluster struct {
 	socketServer
-	recv        *transport.UDPReceiver   // gradient endpoint (server)
-	modelRecvs  []*transport.UDPReceiver // per-worker model endpoints
-	models      *transport.UDPFanOut     // server → worker model channels, by worker id
-	gradSenders []*transport.UDPSender   // worker → server gradient channels
-	gradMu      sync.Mutex               // guards gradSenders slots (churn re-dials swap them)
+	recv       *transport.UDPReceiver   // gradient endpoint (server)
+	modelRecvs []*transport.UDPReceiver // per-worker model endpoints
+	models     *transport.UDPFanOut     // server → worker model channels, by worker id
 	// modelPktScratch is the broadcast split scratch, reused every round.
 	modelPktScratch []transport.Packet
 }
@@ -59,18 +52,9 @@ func NewUDPCluster(cfg UDPClusterConfig) (*UDPCluster, error) {
 	return c, nil
 }
 
-// setGradSender swaps worker id's gradient-sender slot — nil while the churn
-// schedule holds the worker down, a fresh backoff-dialled sender on rejoin —
-// so Close releases whichever socket the worker last held.
-func (c *UDPCluster) setGradSender(id int, s *transport.UDPSender) {
-	c.gradMu.Lock()
-	defer c.gradMu.Unlock()
-	c.gradSenders[id] = s
-}
-
-// Start binds the server's gradient endpoint and one model endpoint per
-// worker, then launches the worker goroutines. It must be called exactly
-// once before Step.
+// Start binds the server's gradient endpoint, one model endpoint per worker
+// and the model fan-out, then launches the worker goroutines. A failure
+// closes the cluster. It must be called exactly once before Step.
 func (c *UDPCluster) Start() error {
 	if err := c.canStart(); err != nil {
 		return err
@@ -81,40 +65,21 @@ func (c *UDPCluster) Start() error {
 	if err != nil {
 		return err
 	}
-	c.recv = recv
+	c.recv, c.started = recv, true
 	c.models = transport.NewUDPFanOut(c.cfg.Codec, c.cfg.MTU, udpPaceBurst, udpPaceDelay)
-	dim := c.Model().NumParams()
-	// abort releases every socket the failed Start opened; no worker
-	// goroutine has launched yet, so there is nothing to wait for.
-	abort := func(err error) error {
-		c.closed = true
-		c.closeSockets()
-		return err
+	abort := func(err error) error { c.Close(); return err }
+	// The model endpoints bind the server's own host: an interface the
+	// server is reachable on can reach its workers.
+	host, _, err := net.SplitHostPort(recv.Addr())
+	if err != nil {
+		return abort(err)
 	}
-	bindHost := c.cfg.WorkerBindHost
 	workers := make([]*clusterWorker, c.cfg.Workers)
 	for id := range workers {
 		// Loss is injected by the shared seeded schedules, never by an
 		// endpoint's own rng: drop rate 0 on every sender and receiver.
-		// The gradient sender is dialled first so the worker's model
-		// endpoint can bind the same interface the kernel routes toward
-		// the server.
-		//aggrevet:lineage drop rate 0: the sender's rng is never drawn, loss comes from the shared seeded schedule
-		gsend, err := transport.DialUDP(recv.Addr(), c.cfg.Codec, c.cfg.MTU, 0, 0)
-		if err != nil {
-			return abort(err)
-		}
-		gsend.SetPacing(udpPaceBurst, udpPaceDelay)
-		c.gradSenders = append(c.gradSenders, gsend)
-		if bindHost == "" {
-			host, _, err := net.SplitHostPort(gsend.LocalAddr())
-			if err != nil {
-				return abort(fmt.Errorf("cluster: derive worker bind host from %q: %w", gsend.LocalAddr(), err))
-			}
-			bindHost = host
-		}
 		//aggrevet:lineage drop rate 0: the receiver's rng is never drawn, loss comes from the shared seeded schedule
-		mrecv, err := transport.ListenUDP(net.JoinHostPort(bindHost, "0"), c.cfg.Codec, transport.DropGradient, 0)
+		mrecv, err := transport.ListenUDP(net.JoinHostPort(host, "0"), c.cfg.Codec, transport.DropGradient, 0)
 		if err != nil {
 			return abort(err)
 		}
@@ -126,26 +91,14 @@ func (c *UDPCluster) Start() error {
 			return abort(err)
 		}
 	}
-	for id := 0; id < c.cfg.Workers; id++ {
-		c.workerWG.Add(1)
-		go func(id int) {
-			defer c.workerWG.Done()
-			if err := c.runWorker(workers[id], c.modelRecvs[id], c.gradSenders[id], dim); err != nil {
-				c.workerErrs <- fmt.Errorf("worker %d: %w", id, err)
-			}
-		}(id)
-	}
-	c.started = true
+	c.startWorkers(func(id int) error { return c.runWorker(workers[id], c.modelRecvs[id]) })
 	return nil
 }
 
-// runWorker is the worker main loop: model broadcasts in (possibly torn by
-// the scheduled downlink loss), scheduled-loss gradient datagrams out, until
-// the server closes the model socket — doing at each settled broadcast what
-// its slot's plan says. dim is the deployment's model dimension, read once
-// under Start so the goroutine never touches the server's live parameter
-// vector.
-func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver, send *transport.UDPSender, dim int) error {
+// runWorker runs one worker over a udpLink: model broadcasts in through its
+// collector on mrecv (possibly torn by the scheduled downlink loss),
+// scheduled-loss gradient datagrams out on the uplink it dials.
+func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver) error {
 	// The collector settles a torn broadcast the moment its scheduled
 	// survivors are in, so it needs the downlink mask of any broadcast it
 	// buffers — including ones ahead of the step the worker has reached,
@@ -157,71 +110,72 @@ func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver, s
 	if c.cfg.ModelDropRate > 0 {
 		schedule = func(step int) []bool { return w.plan.Downlink(step, w.id) }
 	}
-	col := transport.NewModelCollector(mrecv, transport.ModelCollectorConfig{
-		Dim:              dim,
-		MTU:              c.cfg.MTU,
-		Codec:            c.cfg.Codec,
-		Schedule:         schedule,
-		BroadcastTimeout: c.cfg.RoundTimeout,
-		IdleTimeout:      udpWorkerIdleTimeout,
+	return w.run(&udpLink{
+		col: transport.NewModelCollector(mrecv, transport.ModelCollectorConfig{
+			Dim:              w.replica.NumParams(),
+			MTU:              c.cfg.MTU,
+			Codec:            c.cfg.Codec,
+			Schedule:         schedule,
+			BroadcastTimeout: c.cfg.RoundTimeout,
+		}),
+		server: c.recv.Addr(),
+		cfg:    &c.cfg,
 	})
-	// The replica's parameter store is the receive buffer, as on TCP: a
-	// broadcast's datagrams land in it, so loading the model copies nothing.
-	params := w.replica.Params()
-	var pktScratch []transport.Packet // split scratch, reused every round
-	for {
-		ev, err := col.Next(params)
+}
+
+// udpLink is a datagram worker's link: broadcasts assembled by its collector,
+// gradients split into datagrams on an uplink the worker dials itself — when
+// it first submits, and again after every crash.
+type udpLink struct {
+	col    *transport.ModelCollector
+	server string // the server's gradient endpoint
+	cfg    *UDPClusterConfig
+	uplink *transport.UDPSender // nil until the next submission dials it
+	pkts   []transport.Packet   // split scratch, reused every round
+}
+
+func (l *udpLink) next(params tensor.Vector) (int, tensor.Vector, error) {
+	ev, err := l.col.Next(params)
+	if err != nil {
+		return 0, nil, err // model endpoint closed by the server (or idle timeout)
+	}
+	return ev.Step, ev.Params, nil
+}
+
+// crash closes the uplink, submitting nothing. The model endpoint stays
+// bound — it is the worker's stable address — and the server, reading the
+// same plan, broadcasts nothing to it while down, so the collector moves
+// straight on to the rejoin round instead of waiting out the
+// BroadcastTimeout on down-step broadcasts that by construction never come.
+func (l *udpLink) crash(rejoin int) error {
+	l.close()
+	l.col.SkipTo(rejoin)
+	return nil
+}
+
+// send dials the uplink if the link holds none — UDP "connects" locally, so
+// on a healthy host the first attempt succeeds — then sends the submission's
+// datagrams less the dropped ones.
+func (l *udpLink) send(sub *transport.GradientMsg, dropped []bool) error {
+	if l.uplink == nil {
+		s, _, err := dialWithBackoff("gradient sender", l.server, func() (*transport.UDPSender, error) {
+			//aggrevet:lineage drop rate 0: the sender's rng is never drawn, loss comes from the shared seeded schedule
+			return transport.DialUDP(l.server, l.cfg.Codec, l.cfg.MTU, 0, 0)
+		})
 		if err != nil {
-			return nil // socket closed by the server (or idle timeout): termination
-		}
-		plan := w.plan.At(ev.Step, w.id)
-		switch plan.Phase {
-		case ps.ChurnCrash:
-			// Scheduled crash: tear the gradient sender down abruptly,
-			// submitting nothing. The model endpoint stays bound — it is
-			// the worker's stable address — but the server, reading the
-			// same plan, stops broadcasting to it while down, so the
-			// collector moves straight on to the rejoin round instead of
-			// waiting out the BroadcastTimeout on down-step broadcasts that
-			// by construction never come.
-			send.Close()
-			send = nil
-			c.setGradSender(w.id, nil)
-			if plan.Gone() {
-				return nil // rejoin budget exhausted: gone for good
-			}
-			col.SkipTo(plan.Rejoin)
-			continue
-		case ps.ChurnDown:
-			continue // defensive: no broadcast reaches a down worker
-		}
-		// Rejoining without a sender (the rejoin round itself, or recovery
-		// from a missed rejoin broadcast): re-dial through the bounded
-		// backoff ladder before submitting.
-		if send == nil {
-			fresh, _, err := dialUDPWithBackoff(c.recv.Addr(), c.cfg.Codec, c.cfg.MTU)
-			if err != nil {
-				return err
-			}
-			fresh.SetPacing(udpPaceBurst, udpPaceDelay)
-			send = fresh
-			c.setGradSender(w.id, fresh)
-		}
-		if c.cfg.Unresponsive[w.id] {
-			continue // consume the broadcast, never answer (crashed node)
-		}
-		// A torn or genuinely lost broadcast carries no model: the worker
-		// answers on a retained one if the plan tags one, else sits out (the
-		// server recoups the slot — per plan, or per round deadline for a
-		// genuine loss).
-		msg := w.roundSubmission(ev.Step, ev.Params, plan)
-		if msg == nil {
-			continue
-		}
-		pktScratch = c.cfg.Codec.SplitInto(pktScratch[:0], msg, c.cfg.MTU)
-		if err := send.SendPackets(pktScratch, plan.Uplink); err != nil {
 			return err
 		}
+		s.SetPacing(udpPaceBurst, udpPaceDelay)
+		l.uplink = s
+	}
+	l.pkts = l.cfg.Codec.SplitInto(l.pkts[:0], sub, l.cfg.MTU)
+	return l.uplink.SendPackets(l.pkts, dropped)
+}
+
+func (l *udpLink) close() {
+	if l.uplink != nil {
+		l.uplink.Close()
+		l.uplink = nil
 	}
 }
 
@@ -276,38 +230,22 @@ func (c *UDPCluster) Step() (*ps.StepResult, error) {
 	return round.Finish()
 }
 
-// Close unblocks every worker by closing its model endpoint, waits for the
-// worker goroutines, and releases the remaining sockets. It is idempotent.
+// Close unblocks every worker by closing its model endpoint — the worker
+// closes its uplink on the way out — waits for the worker goroutines, and
+// releases the server's other sockets. It is idempotent, and a failed Start
+// calls it.
 func (c *UDPCluster) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
 	if !c.started {
-		return nil // nothing bound: a failed Start releases its own sockets
+		return nil // nothing bound
 	}
 	for _, r := range c.modelRecvs {
 		r.Close()
 	}
 	c.workerWG.Wait()
-	return c.closeSockets()
-}
-
-// closeSockets releases every socket the cluster holds (closing a model
-// endpoint twice is harmless). Under churn a gradient-sender slot holds
-// whichever sender the worker last dialled, or nil while the schedule had it
-// down when the run ended.
-func (c *UDPCluster) closeSockets() error {
-	for _, r := range c.modelRecvs {
-		r.Close()
-	}
 	c.models.Close()
-	c.gradMu.Lock()
-	for _, s := range c.gradSenders {
-		if s != nil {
-			s.Close()
-		}
-	}
-	c.gradMu.Unlock()
 	return c.recv.Close()
 }

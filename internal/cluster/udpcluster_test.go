@@ -493,23 +493,3 @@ func TestUDPClusterWorkerBindHostFollowsServer(t *testing.T) {
 		}
 	}
 }
-
-// TestUDPClusterWorkerBindHostKnob pins the explicit configuration path:
-// WorkerBindHost overrides the derived host.
-func TestUDPClusterWorkerBindHostKnob(t *testing.T) {
-	cl, _, _ := udpFixture(t, UDPClusterConfig{Workers: 2, GAR: gar.Average{}, Seed: 5})
-	cl.cfg.WorkerBindHost = "127.0.0.1"
-	if err := cl.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for id, r := range cl.modelRecvs {
-		got, _, err := net.SplitHostPort(r.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != "127.0.0.1" {
-			t.Fatalf("worker %d model endpoint bound %q, want the configured 127.0.0.1", id, got)
-		}
-	}
-}

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
+	"time"
 
 	"aggregathor/internal/attack"
 	"aggregathor/internal/data"
@@ -25,9 +27,9 @@ type clusterWorker struct {
 
 	// plan is the worker's half of "both endpoints, one function": the same
 	// ps.Planner the server's engine runs over all n slots, here over this
-	// worker's own, from the same round description. The worker loops read
+	// worker's own, from the same round description. The worker loop reads
 	// it — when to crash and come back, which model to train on, which
-	// packets the link eats — and evaluate no schedule themselves. models
+	// packets the link eats — and evaluates no schedule itself. models
 	// holds the broadcasts a later step's plan can still tag.
 	plan   *ps.Planner
 	models *ps.Models
@@ -116,23 +118,102 @@ func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.Gradien
 	return &w.sub
 }
 
-// roundSubmission answers one settled broadcast as the step's plan says:
-// on the broadcast model when the tag is fresh, on the model retained for an
-// older tag (the slow schedule, or a torn broadcast under stale recoup) —
-// submitting with that tag, exactly the one the server's plan expects — and
-// with nil when the worker sits the round out. params is nil unless the
-// broadcast arrived complete; a worker that does not hold the model its tag
-// names (a genuinely lost datagram) submits nothing and lets the round
-// deadline absorb it.
-func (w *clusterWorker) roundSubmission(step int, params tensor.Vector, plan *ps.SlotPlan) *transport.GradientMsg {
-	if params != nil {
-		w.models.Retain(step, params)
+// workerLink is a socket worker's transport: what the one worker loop (run)
+// receives on and sends through. The link owns the uplink it dials.
+type workerLink interface {
+	// next receives the next settled broadcast into params and returns its
+	// step and model, nil when the broadcast arrived torn or lost. An error
+	// means the server hung up.
+	next(params tensor.Vector) (step int, model tensor.Vector, err error)
+	// crash tears the uplink down without a goodbye, ready for the rejoin round.
+	crash(rejoin int) error
+	// send puts a submission on the wire, less the packets uplink drops.
+	send(sub *transport.GradientMsg, uplink []bool) error
+	close()
+}
+
+// run is the socket worker's main loop over either transport: at each
+// settled broadcast it does what its slot's plan says, until the server
+// hangs up.
+func (w *clusterWorker) run(link workerLink) error {
+	defer link.close()
+	// The replica's parameter store is the receive buffer: a broadcast lands
+	// where the forward pass reads it. A failed receive may leave it torn,
+	// and the worker exits without training on it.
+	params := w.replica.Params()
+	for {
+		step, model, err := link.next(params)
+		if err != nil {
+			return nil // server hung up: normal termination
+		}
+		plan := w.plan.At(step, w.id)
+		switch plan.Phase {
+		case ps.ChurnCrash:
+			if plan.Gone() {
+				return nil // rejoin budget exhausted: gone for good
+			}
+			if err := link.crash(plan.Rejoin); err != nil {
+				return err
+			}
+			continue
+		case ps.ChurnDown:
+			continue // defensive: nothing reaches a down worker
+		}
+		if w.cfg.Unresponsive[w.id] {
+			continue // consume the broadcast, never answer (crashed node)
+		}
+		// Train on the model the plan's tag names — the broadcast when the tag
+		// is fresh, the one retained for an older tag (the slow schedule, or a
+		// torn broadcast under stale recoup) — and submit with that tag,
+		// exactly the one the server's plan expects. A worker that does not
+		// hold the model its tag names (scheduled too-stale, or a genuinely
+		// lost datagram) sits the round out; the server recoups the slot.
+		if model != nil {
+			w.models.Retain(step, model)
+		}
+		if plan.Tag != step {
+			model = w.models.At(plan.Tag)
+		}
+		if model == nil {
+			continue
+		}
+		if err := link.send(w.submission(&transport.ModelMsg{Step: plan.Tag, Params: model}), plan.Uplink); err != nil {
+			return err
+		}
 	}
-	if plan.Tag != step {
-		params = w.models.At(plan.Tag)
+}
+
+// The bounded backoff ladder every worker dials its uplink through, at
+// startup and on every rejoin alike: a deterministic doubling schedule from
+// reconnectBaseDelay, capped at reconnectMaxDelay, for at most
+// reconnectMaxAttempts dials. On the scheduled path the first dial succeeds
+// (the server's listener outlives every scheduled downtime), so the ladder
+// only pays out when something is genuinely wrong — and then it terminates
+// loudly instead of retrying forever. Nothing here draws randomness.
+const (
+	reconnectMaxAttempts = 5
+	reconnectBaseDelay   = 10 * time.Millisecond
+	reconnectMaxDelay    = 500 * time.Millisecond
+)
+
+// dialWithBackoff dials through the bounded backoff ladder and reports how
+// many attempts the connect took — the count a TCP hello carries to the
+// server.
+func dialWithBackoff[C any](what, addr string, dial func() (C, error)) (C, int, error) {
+	var lastErr error
+	delay := reconnectBaseDelay
+	for attempt := 1; attempt <= reconnectMaxAttempts; attempt++ {
+		conn, err := dial()
+		if err == nil {
+			return conn, attempt, nil
+		}
+		lastErr = err
+		if attempt < reconnectMaxAttempts {
+			reconnectPause(delay)
+			delay = min(2*delay, reconnectMaxDelay)
+		}
 	}
-	if params == nil {
-		return nil
-	}
-	return w.submission(&transport.ModelMsg{Step: plan.Tag, Params: params})
+	var none C
+	return none, reconnectMaxAttempts, fmt.Errorf("cluster: reconnect %s to %s failed after %d attempts (backoff %v doubling to %v): %w",
+		what, addr, reconnectMaxAttempts, reconnectBaseDelay, reconnectMaxDelay, lastErr)
 }

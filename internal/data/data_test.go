@@ -170,22 +170,6 @@ func TestSamplerBadBatchPanics(t *testing.T) {
 	NewUniformSampler(SyntheticFeatures(5, 2, 2, 1), 1).Sample(0)
 }
 
-func TestLabelFlip(t *testing.T) {
-	ds := SyntheticFeatures(30, 2, 3, 8)
-	s := &CorruptedSampler{
-		Inner:      NewUniformSampler(ds, 2),
-		Corruption: LabelFlip{Classes: 3},
-	}
-	clean := NewUniformSampler(ds, 2)
-	_, yC := clean.Sample(10)
-	_, yF := s.Sample(10)
-	for i := range yC {
-		if yF[i] != (yC[i]+1)%3 {
-			t.Fatalf("label %d: flip %d -> %d, want %d", i, yC[i], yF[i], (yC[i]+1)%3)
-		}
-	}
-}
-
 func TestGarbagePixels(t *testing.T) {
 	ds := SyntheticFeatures(30, 4, 2, 9)
 	ds.MinMaxScale()
@@ -206,9 +190,6 @@ func TestGarbagePixels(t *testing.T) {
 }
 
 func TestCorruptionNames(t *testing.T) {
-	if (LabelFlip{}).Name() != "label-flip" {
-		t.Fatal("LabelFlip name")
-	}
 	if (GarbagePixels{}).Name() != "garbage-pixels" {
 		t.Fatal("GarbagePixels name")
 	}

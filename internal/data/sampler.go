@@ -53,27 +53,6 @@ type Corruption interface {
 	Corrupt(x *tensor.Matrix, y []int)
 }
 
-// LabelFlip relabels every sample to (label + Offset) mod classes — the
-// classic poisoned-dataset worker.
-type LabelFlip struct {
-	Classes int
-	Offset  int
-}
-
-// Name implements Corruption.
-func (LabelFlip) Name() string { return "label-flip" }
-
-// Corrupt implements Corruption.
-func (l LabelFlip) Corrupt(x *tensor.Matrix, y []int) {
-	off := l.Offset
-	if off == 0 {
-		off = 1
-	}
-	for i := range y {
-		y[i] = (y[i] + off) % l.Classes
-	}
-}
-
 // GarbagePixels overwrites inputs with large uniform noise — the "malformed
 // input" of Figure 7 that makes gradients explode under averaging.
 type GarbagePixels struct {

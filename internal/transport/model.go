@@ -83,8 +83,6 @@ type ModelCollectorConfig struct {
 	// (0 = one hour, the cluster worker's backstop against a server that
 	// vanished without closing the socket).
 	IdleTimeout time.Duration
-	// Window caps buffered future broadcasts (0 = DefaultModelWindow).
-	Window int
 }
 
 // ModelCollector drives worker-side reassembly of lossy model broadcasts:
@@ -103,8 +101,8 @@ type ModelCollectorConfig struct {
 // Unlike the plain RecvModel path it bounds every resource a hostile
 // datagram stream could grow: only packets on the broadcast's own grid are
 // admitted, partials older than the settled step are evicted, and at most
-// Window future-step partials are buffered (the expected step is always
-// admitted, so spam cannot wedge a legitimate broadcast).
+// DefaultModelWindow future-step partials are buffered (the expected step is
+// always admitted, so spam cannot wedge a legitimate broadcast).
 type ModelCollector struct {
 	recv     *UDPReceiver
 	cfg      ModelCollectorConfig
@@ -189,9 +187,6 @@ func NewModelCollector(r *UDPReceiver, cfg ModelCollectorConfig) *ModelCollector
 	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = time.Hour
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultModelWindow
 	}
 	return &ModelCollector{
 		recv:     r,
@@ -359,7 +354,7 @@ func (mc *ModelCollector) Next(into tensor.Vector) (*ModelEvent, error) {
 		}
 		p := mc.pending[s]
 		if p == nil {
-			if s != mc.expected && len(mc.pending) >= mc.cfg.Window {
+			if s != mc.expected && len(mc.pending) >= DefaultModelWindow {
 				continue // future-broadcast cap; the expected step always admits
 			}
 			mask, surv := mc.dropMask(s)

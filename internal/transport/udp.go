@@ -194,10 +194,6 @@ func DialUDP(addr string, codec Codec, mtu int, dropRate float64, seed int64) (*
 	}, nil
 }
 
-// LocalAddr returns the sender's bound local address (the dial interface —
-// the cluster derives the worker model-endpoint bind host from it).
-func (s *UDPSender) LocalAddr() string { return s.batcher.conn.LocalAddr().String() }
-
 // Stats returns the sender's kernel-traffic counters.
 func (s *UDPSender) Stats() UDPStats { return s.batcher.stats }
 
