@@ -47,7 +47,7 @@ race:
 # Short coverage of the transport codec, reassembler and coalesced-message
 # segment walk, round-engine (plan, settlement, rejoin admission),
 # column-pass and blocked-matmul fuzz targets beyond the seed corpus, and of
-# the two assembly kernels against their Go oracles.
+# the three assembly kernels against their Go oracles.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzColumnPass -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzMatMul -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzCompareExchange -fuzztime=20s
+	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzMeanAroundWalk -fuzztime=20s
 	$(GO) test ./internal/gar/ -run=NONE -fuzz=FuzzBlockDistance -fuzztime=20s
 
 # The refactoring safety net. Run every built-in campaign the golden file

@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"net"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -131,8 +135,9 @@ func TestTCPClusterChurnConvergence(t *testing.T) {
 // more. With DownSteps 1 a worker rejoins the round after its crash — before
 // the dead connection's reader has necessarily reported — which is the worst
 // case for the one-live-connection-per-worker rule. The broadcast set must
-// never exceed Workers, never hold two connections for one worker, and every
-// connection a crash retired must be closed before Close.
+// never exceed Workers, never hold two connections for one worker, every
+// connection a crash retired must be closed before Close, and Close leaves
+// no goroutine or descriptor behind (releaseCheck).
 func TestTCPClusterChurnReleasesCrashedConnections(t *testing.T) {
 	churn := ps.ChurnConfig{Rate: 0.05, DownSteps: 1, MaxRejoins: 50}
 	const seed, steps, workers = 13, 80, 7
@@ -140,6 +145,7 @@ func TestTCPClusterChurnReleasesCrashedConnections(t *testing.T) {
 	if crashes < 5 || crashes != rejoins {
 		t.Fatalf("fixture drift: want several crashes, all rejoined within the run; schedule has %d crashes / %d rejoins", crashes, rejoins)
 	}
+	release := releaseCheck(t)
 	cl, _, _ := churnDeployment(t, gar.Average{}, nil, churn, seed)
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
@@ -171,6 +177,45 @@ func TestTCPClusterChurnReleasesCrashedConnections(t *testing.T) {
 	for p := range seen {
 		if err := p.conn.SendModel(&transport.ModelMsg{Params: tensor.Vector{0}}); err == nil {
 			t.Fatalf("worker %d's pre-crash connection is still open server-side", p.worker)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	release(fmt.Sprintf("over %d rounds and %d crashes", steps, crashes))
+}
+
+// releaseCheck records the process's goroutines and, on linux, its open
+// descriptors before a socket cluster starts, and returns the check to run
+// after its Close: neither may stay above the record (goroutines get 5 s to
+// exit). The netpoller's own descriptors open with the process's first
+// socket, so one is opened and closed before the record is taken.
+func releaseCheck(t *testing.T) func(after string) {
+	t.Helper()
+	openFDs := func() int {
+		if runtime.GOOS != "linux" {
+			return 0
+		}
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	if pc, err := net.ListenPacket("udp", "127.0.0.1:0"); err == nil {
+		pc.Close()
+	}
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	return func(after string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > goroutines {
+			t.Fatalf("%d goroutines after Close %s, %d before Start", n, after, goroutines)
+		}
+		if n := openFDs(); n > fds {
+			t.Fatalf("%d descriptors open after Close %s, %d before Start", n, after, fds)
 		}
 	}
 }

@@ -1,13 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"net"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"aggregathor/internal/data"
 	"aggregathor/internal/gar"
@@ -147,21 +144,7 @@ func TestUDPClusterChurnReleasesEverySocket(t *testing.T) {
 			steps = s + 1
 		}
 	}
-	openFDs := func() int {
-		if runtime.GOOS != "linux" {
-			return 0
-		}
-		fds, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(fds)
-	}
-	// The netpoller's own descriptors open with the process's first socket.
-	if pc, err := net.ListenPacket("udp", "127.0.0.1:0"); err == nil {
-		pc.Close()
-	}
-	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	release := releaseCheck(t)
 	cl, _, _ := udpFixture(t, UDPClusterConfig{Workers: workers, GAR: gar.Average{}, Churn: churn, Seed: seed})
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
@@ -175,15 +158,7 @@ func TestUDPClusterChurnReleasesEverySocket(t *testing.T) {
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > goroutines {
-		t.Fatalf("%d goroutines after Close over %d rounds, %d before Start", n, steps, goroutines)
-	}
-	if n := openFDs(); n > fds {
-		t.Fatalf("%d descriptors open after Close over %d rounds, %d before Start", n, steps, fds)
-	}
+	release(fmt.Sprintf("over %d rounds", steps))
 }
 
 // TestUDPClusterChurnMatchesTCP pins cross-backend determinism under churn:

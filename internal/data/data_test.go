@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aggregathor/internal/nn"
+	"aggregathor/internal/tensor"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -143,6 +144,42 @@ func TestUniformSamplerDeterministicPerSeed(t *testing.T) {
 		if x1.Data[i] != x2.Data[i] {
 			t.Fatal("same-seed samplers diverged on data")
 		}
+	}
+}
+
+// TestUniformSamplerOwnsItsBatch: every draw refills the sampler's one batch,
+// with no allocation once its size is set, and holds the rows Dataset.Batch
+// materialises for the same draws of the seed.
+func TestUniformSamplerOwnsItsBatch(t *testing.T) {
+	ds := SyntheticFeatures(50, 3, 3, 8)
+	s := NewUniformSampler(ds, 5)
+	rng := rand.New(rand.NewSource(5))
+	var first *tensor.Matrix
+	for draw := 0; draw < 5; draw++ {
+		x, y := s.Sample(6)
+		if first == nil {
+			first = x
+		} else if x != first {
+			t.Fatalf("draw %d: a new batch matrix", draw)
+		}
+		idx := make([]int, 6)
+		for i := range idx {
+			idx[i] = rng.Intn(ds.Len())
+		}
+		wx, wy := ds.Batch(idx)
+		for i := range wy {
+			if y[i] != wy[i] {
+				t.Fatalf("draw %d: label %d = %d, Dataset.Batch gives %d", draw, i, y[i], wy[i])
+			}
+		}
+		for i := range wx.Data {
+			if x.Data[i] != wx.Data[i] {
+				t.Fatalf("draw %d: input %d = %v, Dataset.Batch gives %v", draw, i, x.Data[i], wx.Data[i])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.Sample(6) }); allocs != 0 {
+		t.Fatalf("a draw allocates %v objects", allocs)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // to be drawing data independently and identically distributed"); Sampler
 // implementations must honour that unless explicitly modelling corruption.
 type Sampler interface {
-	// Sample returns the next mini-batch (inputs, labels).
+	// Sample returns the next mini-batch (inputs, labels), valid until the
+	// next Sample: an implementation may hand out the same buffers again.
 	Sample(batch int) (*tensor.Matrix, []int)
 }
 
@@ -21,7 +22,10 @@ type Sampler interface {
 type UniformSampler struct {
 	ds  *Dataset
 	rng *rand.Rand
-	idx []int // the draw's indexes, reused: a sampler belongs to one worker
+	// The batch every draw fills, reused: a sampler belongs to one worker,
+	// which trains on a batch before it draws the next.
+	x *tensor.Matrix
+	y []int
 }
 
 // NewUniformSampler builds an IID sampler over ds with its own seed.
@@ -34,13 +38,15 @@ func (s *UniformSampler) Sample(batch int) (*tensor.Matrix, []int) {
 	if batch <= 0 {
 		panic(fmt.Sprintf("data: batch size %d", batch))
 	}
-	if len(s.idx) != batch {
-		s.idx = make([]int, batch)
+	if len(s.y) != batch {
+		s.x, s.y = tensor.NewMatrix(batch, s.ds.X.Cols), make([]int, batch)
 	}
-	for i := range s.idx {
-		s.idx[i] = s.rng.Intn(s.ds.Len())
+	for i := range s.y {
+		j := s.rng.Intn(s.ds.Len())
+		copy(s.x.Row(i), s.ds.X.Row(j))
+		s.y[i] = s.ds.Y[j]
 	}
-	return s.ds.Batch(s.idx)
+	return s.x, s.y
 }
 
 // Corruption transforms a sampled mini-batch in place — the data-level

@@ -1,8 +1,10 @@
 package gar
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 
 	"aggregathor/internal/tensor"
 )
@@ -15,12 +17,15 @@ import (
 // triangle one block at a time, so each vector block is read once per sweep
 // and stays cache-resident across its n−1 pair visits.
 //
-// The kernel under the sweep takes one block against four (blockDistance4)
+// The kernel under the sweep takes one block against eight (blockDistance8)
 // and keeps, per pair, one accumulator for the even coordinates and one for
-// the odd. Those two are the two lanes of a 128-bit register, which is what
-// lets amd64 run the kernel as SSE2 assembly (dist_amd64.s) without moving a
-// bit: the Go function stays compiled everywhere, as the kernel of every
-// other GOARCH and as the oracle the assembly is fuzzed against.
+// the odd. Two pairs' accumulators are the four lanes of a 256-bit register,
+// which is what lets an amd64 CPU with AVX2 run the kernel as assembly
+// (dist_amd64.s) without moving a bit: the Go function stays compiled
+// everywhere, as the kernel of every other CPU and as the oracle the
+// assembly is fuzzed against. Which end of a pair is the kernel's a does not
+// matter either — (x−y)² and (y−x)² are one float64, and a NaN saturates to
+// +Inf in the reduction — so distPlan orients the pairs to fill the calls.
 //
 // Determinism: every block writes its partial sums into a fixed slot of the
 // partials array, and the final per-pair reduction adds those slots in
@@ -44,14 +49,6 @@ const (
 // odd last coordinate goes to s_0), and its distance is s_0 + s_1: a pure
 // function of its two blocks alone, so permutation-equivariant and
 // bit-identical for any GOMAXPROCS, tiling position, or run.
-//
-// That pair of accumulators is the two lanes of one 128-bit register, and a
-// packed subtract, multiply and add are per lane the scalar operations below
-// in the order below: dist_amd64.s is this function in SSE2, exact to the
-// bit, with four independent add chains an iteration to hide the add's
-// latency. This one is compiled on every GOARCH — the kernel where the
-// assembly does not build, and the oracle FuzzBlockDistance holds it to
-// where it does.
 func blockDistance4(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
 	n := len(a)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n] // bounds-check elimination for the paired loads
@@ -86,29 +83,116 @@ func blockDistance4(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
 	return s00 + s01, s10 + s11, s20 + s21, s30 + s31
 }
 
-// distSweep accumulates block b's partial squared distances for the whole
-// upper triangle into its fixed partials slot.
-func distSweep(partials []float64, grads []tensor.Vector, b, n, nPairs, d int) {
-	lo := b * distBlockCoords
-	hi := lo + distBlockCoords
-	if hi > d {
-		hi = d
+// blockDistance8 is the sweep's kernel shape in Go: block a against the
+// eight blocks of b, blockDistance4 on each half. A packed subtract, multiply
+// and add are per lane the scalar operations of blockDistance4 in its order,
+// so dist_amd64.s, which keeps two pairs' [s_0, s_1] in one register, is
+// this function in AVX2, exact to the bit. This one is compiled on every
+// GOARCH — the kernel where the assembly does not run, and the oracle
+// FuzzBlockDistance holds it to where it does.
+func blockDistance8(a []float64, b [8][]float64) (r [8]float64) {
+	r[0], r[1], r[2], r[3] = blockDistance4(a, b[0], b[1], b[2], b[3])
+	r[4], r[5], r[6], r[7] = blockDistance4(a, b[4], b[5], b[6], b[7])
+	return r
+}
+
+// distCall is one kernel call of the sweep: the block of vector anchor
+// against the blocks of vectors partner[k], each distance going to partials
+// slot pair[k] — −1 in a spare slot, which repeats a real partner and is
+// dropped.
+type distCall struct {
+	anchor  int
+	partner [8]int
+	pair    [8]int
+}
+
+// distPlan orients the n(n−1)/2 pairs of the sweep and packs them eight to a
+// call. Row order (anchor i, partners i+1..n−1) leaves a short call at the
+// end of nearly every row: 30 calls, 240 slots for the 171 pairs of n = 19.
+// Giving every vector a budget of whole calls, spread as evenly as the total
+// allows, packs them into ⌈171/8⌉ = 22. A budget sequence is realisable iff
+// every k vectors can hold the k(k−1)/2 pairs among them (Landau's condition
+// for tournaments); packPairs realises it greedily, and the first total it
+// realises is the sweep's plan. Budgets of n−1 slots each always succeed.
+func distPlan(n int) []distCall {
+	for calls := (n*(n-1)/2 + 7) / 8; ; calls++ {
+		if plan := packPairs(n, calls); plan != nil {
+			return plan
+		}
 	}
-	out := partials[b*nPairs:]
-	p := 0
-	for i := 0; i < n; i++ {
-		bi := grads[i][lo:hi]
-		// Four pairs a call. A row's last call, short of four, repeats the
-		// row's last block in the spare slots, so every pair sees the
-		// identical accumulation structure regardless of its sweep position.
-		for j := i + 1; j < n; j += 4 {
-			var bs [4][]float64
-			for k := range bs {
-				bs[k] = grads[min(j+k, n-1)][lo:hi]
+}
+
+// packPairs spreads calls kernel calls over n vectors as budgets of eight
+// slots each and hands every pair to one of its two ends: the vector with the
+// least budget left takes as many of its open pairs as its budget holds,
+// partners with the least budget first, and the rest of its partners each
+// spend a slot of their own on their pair with it. It returns nil when a
+// partner has no slot left.
+func packPairs(n, calls int) []distCall {
+	free := make([]int, n)
+	for v := range free {
+		free[v] = 8 * (calls / n)
+		if v >= n-calls%n {
+			free[v] += 8
+		}
+	}
+	partners := make([][]int, n)
+	open := make([]int, n)
+	for v := range open {
+		open[v] = v
+	}
+	for len(open) > 0 {
+		slices.SortStableFunc(open, func(u, v int) int { return cmp.Compare(free[u], free[v]) })
+		v, rest := open[0], open[1:]
+		take := min(free[v], len(rest))
+		partners[v] = append(partners[v], rest[:take]...)
+		for _, u := range rest[take:] {
+			if free[u] == 0 {
+				return nil
 			}
-			var r [4]float64
-			r[0], r[1], r[2], r[3] = blockDistance(bi, bs[0], bs[1], bs[2], bs[3])
-			p += copy(out[p:p+min(4, n-j)], r[:])
+			free[u]--
+			partners[u] = append(partners[u], v)
+		}
+		open = rest
+	}
+	var plan []distCall
+	for v, ps := range partners {
+		slices.Sort(ps)
+		for len(ps) > 0 {
+			c := distCall{anchor: v}
+			for k := range c.partner {
+				c.partner[k], c.pair[k] = ps[0], -1
+				if k < len(ps) {
+					c.partner[k], c.pair[k] = ps[k], pairIndex(n, min(v, ps[k]), max(v, ps[k]))
+				}
+			}
+			plan = append(plan, c)
+			ps = ps[min(8, len(ps)):]
+		}
+	}
+	return plan
+}
+
+// pairIndex is the partials slot of pair i < j: its position in row order.
+func pairIndex(n, i, j int) int { return i*n - i*(i+1)/2 + j - i - 1 }
+
+// distSweep accumulates block b's partial squared distances for the whole
+// upper triangle into its fixed partials slot, one plan call at a time.
+func distSweep(partials []float64, grads []tensor.Vector, plan []distCall, b, nPairs, d int) {
+	lo := b * distBlockCoords
+	hi := min(lo+distBlockCoords, d)
+	out := partials[b*nPairs : (b+1)*nPairs]
+	for i := range plan {
+		c := &plan[i]
+		var bs [8][]float64
+		for k, j := range c.partner {
+			bs[k] = grads[j][lo:hi]
+		}
+		r := blockDistance(grads[c.anchor][lo:hi], bs)
+		for k, p := range c.pair {
+			if p >= 0 {
+				out[p] = r[k]
+			}
 		}
 	}
 }
@@ -141,6 +225,7 @@ func BlockedPairwiseSquaredDistances(grads []tensor.Vector, ws *Workspace) [][]f
 		return dist
 	}
 	partials := ws.ensurePartials(nBlocks * nPairs)
+	plan := ws.ensureDistPlan(n)
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > nBlocks {
@@ -150,11 +235,11 @@ func BlockedPairwiseSquaredDistances(grads []tensor.Vector, ws *Workspace) [][]f
 		// The sequential schedule is a plain loop (no closure) so the
 		// steady-state workspace path stays allocation-free.
 		for b := 0; b < nBlocks; b++ {
-			distSweep(partials, grads, b, n, nPairs, d)
+			distSweep(partials, grads, plan, b, nPairs, d)
 		}
 	} else {
 		tensor.ParallelFor(nBlocks, workers, func(_, b int) {
-			distSweep(partials, grads, b, n, nPairs, d)
+			distSweep(partials, grads, plan, b, nPairs, d)
 		})
 	}
 

@@ -18,14 +18,12 @@ func sameBits(got, want float64) bool {
 
 // checkBlockDistance holds the dispatched kernel to the Go oracle on one set
 // of blocks.
-func checkBlockDistance(t *testing.T, a, b0, b1, b2, b3 []float64) {
+func checkBlockDistance(t *testing.T, a []float64, b [8][]float64) {
 	t.Helper()
-	var got, want [4]float64
-	got[0], got[1], got[2], got[3] = blockDistance(a, b0, b1, b2, b3)
-	want[0], want[1], want[2], want[3] = blockDistance4(a, b0, b1, b2, b3)
+	got, want := blockDistance(a, b), blockDistance8(a, b)
 	for k := range want {
 		if !sameBits(got[k], want[k]) {
-			t.Fatalf("%s: len %d: pair %d = %v (%#x), blockDistance4 gives %v (%#x)", tensor.Kernels(), len(a),
+			t.Fatalf("%s: len %d: pair %d = %v (%#x), blockDistance8 gives %v (%#x)", tensor.Kernels(), len(a),
 				k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
 		}
 	}
@@ -40,28 +38,32 @@ var edgeFloats = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(), 1 + 1e-15, 1.0 / 3,
 }
 
-// blocksAt carves a and four b blocks of length n out of buf, each starting
-// off[k] elements into its fifth — an odd offset is a load that is not
+// blocksAt carves a and eight b blocks of length n out of buf, each starting
+// off>>(2k)&3 elements into its ninth — an odd offset is a load that is not
 // 16-byte aligned — and then aliases them: bit k of alias makes b_k the block
-// before it (b_0 becomes a), so alias 15 is b3 == b2 == b1 == b0 == a.
-func blocksAt(buf []float64, n int, off [5]int, alias uint8) (bs [5][]float64) {
-	stride := len(buf) / 5
-	for k := range bs {
-		bs[k] = buf[k*stride+off[k]:][:n]
-		if k > 0 && alias&(1<<(k-1)) != 0 {
-			bs[k] = bs[k-1]
+// before it (b_0 becomes a), so alias 0xff is b7 == … == b0 == a.
+func blocksAt(buf []float64, n int, off uint32, alias uint8) (a []float64, b [8][]float64) {
+	stride := len(buf) / 9
+	a = buf[int(off&3):][:n]
+	prev := a
+	for k := range b {
+		b[k] = buf[(k+1)*stride+int(off>>(2*k+2)&3):][:n]
+		if alias&(1<<k) != 0 {
+			b[k] = prev
 		}
+		prev = b[k]
 	}
-	return bs
+	return a, b
 }
 
 // TestBlockDistanceMatchesGo holds the dispatched distance kernel to the Go
 // oracle at every length 0..300 — every count of two-coordinate steps, with
-// and without the odd tail — over odd-offset sub-slices and every aliasing
-// of the arguments, on noise salted with the edge values.
+// and without the odd tail — over odd-offset sub-slices and aliasings of the
+// arguments (none, all, and random ones), on noise salted with the edge
+// values.
 func TestBlockDistanceMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
-	buf := make([]float64, 5*304)
+	buf := make([]float64, 9*304)
 	for n := 0; n <= 300; n++ {
 		for i := range buf {
 			buf[i] = rng.NormFloat64()
@@ -69,13 +71,10 @@ func TestBlockDistanceMatchesGo(t *testing.T) {
 				buf[i] = edgeFloats[rng.Intn(len(edgeFloats))]
 			}
 		}
-		var off [5]int
-		for k := range off {
-			off[k] = rng.Intn(4)
-		}
-		for alias := uint8(0); alias < 16; alias++ {
-			bs := blocksAt(buf, n, off, alias)
-			checkBlockDistance(t, bs[0], bs[1], bs[2], bs[3], bs[4])
+		off := rng.Uint32()
+		for _, alias := range []uint8{0, 0xff, uint8(rng.Intn(256)), uint8(rng.Intn(256))} {
+			a, b := blocksAt(buf, n, off, alias)
+			checkBlockDistance(t, a, b)
 		}
 	}
 }
@@ -84,28 +83,90 @@ func TestBlockDistanceMatchesGo(t *testing.T) {
 // path; the assembly never gets to read past it.
 func TestBlockDistanceKeepsLengthChecks(t *testing.T) {
 	a, short := make([]float64, 8), make([]float64, 8)[:7:7]
-	type kernel = func(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64)
-	for name, fn := range map[string]kernel{"dispatched": blockDistance, "go": blockDistance4} {
-		for k := 1; k <= 4; k++ {
-			bs := [5][]float64{a, a, a, a, a}
-			bs[k] = short
+	type kernel = func(a []float64, b [8][]float64) [8]float64
+	for name, fn := range map[string]kernel{"dispatched": blockDistance, "go": blockDistance8} {
+		for k := 0; k < 8; k++ {
+			b := [8][]float64{a, a, a, a, a, a, a, a}
+			b[k] = short
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("%s: a short b%d did not panic", name, k-1)
+						t.Errorf("%s: a short b%d did not panic", name, k)
 					}
 				}()
-				fn(bs[0], bs[1], bs[2], bs[3], bs[4])
+				fn(a, b)
 			}()
 		}
 	}
 }
 
-// TestDistSweepTailShapes: every pair of the sweep, wherever it falls — in a
-// full four-pair call or in a tail of one to three replayed with its last
-// block repeated (n − 1 − i mod 4 takes every value for n in 2..23) — is the
-// oracle's distance of its own two vectors, block by block.
-func TestDistSweepTailShapes(t *testing.T) {
+// minDistCalls is the fewest eight-pair calls any orientation of n vectors'
+// pairs packs into: the least total of whole-call budgets, spread as evenly as
+// it can be, that passes Landau's condition — the k smallest budgets hold
+// the k(k−1)/2 pairs among their vectors, for every k.
+func minDistCalls(n int) int {
+	for calls := (n*(n-1)/2 + 7) / 8; ; calls++ {
+		held := 0
+		for k := 1; k <= n && 8*held >= (k-1)*(k-2)/2; k++ {
+			held += calls / n
+			if k > n-calls%n {
+				held++
+			}
+			if k == n && 8*held >= n*(n-1)/2 {
+				return calls
+			}
+		}
+	}
+}
+
+// TestDistPlanPacksEveryPairOnce: for every n up to 300 the plan hands each
+// pair to exactly one kernel slot — its own row-order partials slot, with one
+// of its two vectors as the anchor — fills the rest with dropped repeats of a
+// real partner, and needs no more calls than the packing bound (22 at n = 19,
+// where row order takes 30).
+func TestDistPlanPacksEveryPairOnce(t *testing.T) {
+	for n := 2; n <= 300; n++ {
+		plan := distPlan(n)
+		seen := make([]int, n*(n-1)/2)
+		for _, c := range plan {
+			real := 0
+			for k, p := range c.pair {
+				j := c.partner[k]
+				if p < 0 {
+					if j != c.partner[0] || c.pair[0] < 0 {
+						t.Fatalf("n=%d: anchor %d: spare slot %d repeats %d, not a real partner", n, c.anchor, k, j)
+					}
+					continue
+				}
+				real++
+				if j == c.anchor || p != pairIndex(n, min(c.anchor, j), max(c.anchor, j)) {
+					t.Fatalf("n=%d: anchor %d partner %d writes slot %d", n, c.anchor, j, p)
+				}
+				seen[p]++
+			}
+			if real == 0 {
+				t.Fatalf("n=%d: anchor %d: a call with no pair", n, c.anchor)
+			}
+		}
+		for p, k := range seen {
+			if k != 1 {
+				t.Fatalf("n=%d: pair slot %d computed %d times", n, p, k)
+			}
+		}
+		if want := minDistCalls(n); len(plan) != want {
+			t.Errorf("n=%d: %d calls, the packing bound is %d", n, len(plan), want)
+		}
+	}
+	if got := len(distPlan(19)); got != 22 {
+		t.Errorf("n=19: %d calls, want 22", got)
+	}
+}
+
+// TestDistSweepPackedPairs: every pair of the sweep, whichever of its two
+// vectors anchors it and wherever its call falls in the plan — a full call or
+// one padded with repeats — is the oracle's distance of its own two vectors,
+// block by block.
+func TestDistSweepPackedPairs(t *testing.T) {
 	const d = distBlockCoords + 37 // a full block and a ragged odd one
 	for n := 2; n <= 23; n++ {
 		grads := randVectors(int64(71+n), n, d, 0)
@@ -129,7 +190,8 @@ func TestDistSweepTailShapes(t *testing.T) {
 }
 
 // FuzzBlockDistance feeds raw float64 bit patterns through the dispatched
-// distance kernel (SSE2 on amd64): it must return blockDistance4's bits.
+// distance kernel (AVX2 where tensor.Kernels says so): it must return
+// blockDistance8's bits.
 func FuzzBlockDistance(f *testing.F) {
 	seed := func(xs ...float64) []byte {
 		var b []byte
@@ -138,24 +200,23 @@ func FuzzBlockDistance(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(uint16(0), uint8(0), uint8(0), seed(1))
-	f.Add(uint16(1), uint8(0x1b), uint8(0), seed(edgeFloats...))
-	f.Add(uint16(37), uint8(0xe4), uint8(5), seed(edgeFloats...))
-	f.Add(uint16(300), uint8(0x55), uint8(15), seed(1e300, -1e300, 1e-300, 5e-324, 3, 4))
-	f.Add(uint16(128), uint8(0xff), uint8(2), seed(math.Inf(1), math.Inf(1), math.NaN(), 0, math.Copysign(0, -1)))
-	f.Fuzz(func(t *testing.T, length uint16, offs, alias uint8, raw []byte) {
+	f.Add(uint16(0), uint32(0), uint8(0), seed(1))
+	f.Add(uint16(1), uint32(0x1b), uint8(0), seed(edgeFloats...))
+	f.Add(uint16(37), uint32(0x3e4e4), uint8(5), seed(edgeFloats...))
+	f.Add(uint16(300), uint32(0x15555), uint8(0xf0), seed(1e300, -1e300, 1e-300, 5e-324, 3, 4))
+	f.Add(uint16(128), uint32(0x3ffff), uint8(0xff), seed(math.Inf(1), math.Inf(1), math.NaN(), 0, math.Copysign(0, -1)))
+	f.Fuzz(func(t *testing.T, length uint16, offs uint32, alias uint8, raw []byte) {
 		words := len(raw) / 8
 		if words == 0 {
 			return
 		}
 		n := int(length) % 301
-		buf := make([]float64, 5*(n+3))
+		buf := make([]float64, 9*(n+3))
 		for i := range buf {
 			buf[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*(i%words):]))
 		}
-		off := [5]int{int(offs) & 3, int(offs) >> 2 & 3, int(offs) >> 4 & 3, int(offs) >> 6, int(alias) >> 4 & 3}
-		bs := blocksAt(buf, n, off, alias&15)
-		checkBlockDistance(t, bs[0], bs[1], bs[2], bs[3], bs[4])
+		a, b := blocksAt(buf, n, offs, alias)
+		checkBlockDistance(t, a, b)
 	})
 }
 
@@ -180,7 +241,7 @@ func TestRulesMatchOnGoKernels(t *testing.T) {
 			}
 			got, gotErr := run()
 			dispatched := blockDistance
-			blockDistance = blockDistance4
+			blockDistance = blockDistance8
 			want, wantErr := run()
 			blockDistance = dispatched
 			if (gotErr == nil) != (wantErr == nil) {
@@ -196,23 +257,28 @@ func TestRulesMatchOnGoKernels(t *testing.T) {
 	}
 }
 
-// BenchmarkBlockDistance times one four-pair call over a block of the
+// BenchmarkBlockDistance times one eight-pair call over a block of the
 // sweep's width on the dispatched kernel and on the Go function; ns/pair is
 // per coordinate-pair (one subtract, multiply and add).
 func BenchmarkBlockDistance(b *testing.B) {
-	blocks := randVectors(72, 5, distBlockCoords, 0)
-	type kernel = func(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64)
+	blocks := randVectors(72, 9, distBlockCoords, 0)
+	var bs [8][]float64
+	for k := range bs {
+		bs[k] = blocks[k+1]
+	}
+	type kernel = func(a []float64, b [8][]float64) [8]float64
 	for _, k := range []struct {
 		name string
 		fn   kernel
-	}{{tensor.Kernels(), blockDistance}, {"go", blockDistance4}} {
+	}{{tensor.Kernels(), blockDistance}, {"go", blockDistance8}} {
 		b.Run(k.name, func(b *testing.B) {
 			var sink float64
 			for i := 0; i < b.N; i++ {
-				r0, r1, r2, r3 := k.fn(blocks[0], blocks[1], blocks[2], blocks[3], blocks[4])
-				sink += r0 + r1 + r2 + r3
+				for _, r := range k.fn(blocks[0], bs) {
+					sink += r
+				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(4*distBlockCoords), "ns/pair")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(8*distBlockCoords), "ns/pair")
 			if math.IsNaN(sink) {
 				b.Fatal("finite blocks summed to NaN")
 			}

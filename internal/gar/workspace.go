@@ -25,6 +25,10 @@ type Workspace struct {
 	distBacking []float64
 	dist        [][]float64
 	partials    []float64
+	// distPlans caches the sweep's call plan per vector count: composite
+	// rules (generic BULYAN) shrink n every call, and replanning on each
+	// size change would break the zero-allocation contract.
+	distPlans [][]distCall
 
 	scores []float64
 	row    []float64
@@ -79,6 +83,17 @@ func (ws *Workspace) ensurePartials(n int) []float64 {
 		ws.partials = make([]float64, n)
 	}
 	return ws.partials[:n]
+}
+
+// ensureDistPlan returns the sweep's call plan for n vectors.
+func (ws *Workspace) ensureDistPlan(n int) []distCall {
+	if len(ws.distPlans) <= n {
+		ws.distPlans = append(ws.distPlans, make([][]distCall, n+1-len(ws.distPlans))...)
+	}
+	if ws.distPlans[n] == nil {
+		ws.distPlans[n] = distPlan(n)
+	}
+	return ws.distPlans[n]
 }
 
 // ensureScores returns score scratch of length n plus a row buffer.

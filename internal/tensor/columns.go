@@ -26,7 +26,9 @@ import (
 // nothing) and a mean-around-median coordinate whose summation order hangs on
 // the worker order (see meanAroundSorted) take the exact per-column selection
 // kernels instead. Both routes compute the same function of a column's bit
-// patterns, so which one ran never shows in the output.
+// patterns, so which one ran never shows in the output. The same holds one
+// level down: the mean-around-median walk runs four columns a register in
+// AVX2 (meanAroundWalk) and hands meanAroundSorted what it declines.
 
 const (
 	// colTileCoords is the tile width: n≈19 rows × 128 coordinates × 8
@@ -87,8 +89,11 @@ func keyFloat(key int64) float64 { return math.Float64frombits(uint64(sortKey(ke
 // the per-column kernels the gathered column col[i] = vs[i][j], a second
 // copy of it and ClosestToPivotInto's distance and index scratch.
 type colScratch struct {
-	tile           []int64
-	nonFinite      [colTileCoords]bool
+	tile      []int64
+	nonFinite [colTileCoords]bool
+	// declined has bit j of byte g set where meanAroundWalk left column
+	// 4g+j of the tile to meanAroundSorted.
+	declined       [colTileCoords / 4]uint8
 	col, tmp, dist []float64
 	idx            []int
 }
@@ -238,8 +243,10 @@ func runTile(s *colScratch, net [][2]int, out Vector, vs []Vector, t, arg int, k
 			o[k] /= float64(n - 2*arg)
 		}
 	case MeanAroundMedianKernel:
+		declined := s.declined[:(w+3)/4]
+		meanAroundWalk(tile, w, n, arg, o, declined)
 		for k := range o {
-			if nonFinite[k] {
+			if nonFinite[k] || declined[k/4]&(1<<(k%4)) == 0 {
 				continue
 			}
 			mean, ok := meanAroundSorted(tile[k:], w, n, arg)
@@ -354,6 +361,16 @@ func meanAroundSorted(col []int64, w, n, keep int) (mean float64, ok bool) {
 		r++
 	}
 	return s / float64(keep), true
+}
+
+// meanAroundWalkGo is meanAroundWalk without the assembly: it settles no
+// column, so meanAroundSorted walks every one. An implementation may settle
+// column k — write out[k] and clear bit k%4 of declined[k/4] — only with
+// meanAroundSorted's bits, and never a column meanAroundSorted declines.
+func meanAroundWalkGo(_ []int64, w, _, _ int, _ []float64, declined []uint8) {
+	for g := range declined[:(w+3)/4] {
+		declined[g] = 0xf
+	}
 }
 
 // column gathers coordinate j of vs and runs the exact per-column kernel.

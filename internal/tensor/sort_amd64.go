@@ -15,14 +15,31 @@ func pickSortRows() func(tile []int64, w int, net [][2]int) {
 	return sortRowsGo
 }
 
+// meanAroundWalk is the walk runTile's mean-around-median pass starts with:
+// four columns a register in AVX2 where the probe found it, the Go walk's
+// decline-everything otherwise.
+var meanAroundWalk = pickMeanAroundWalk()
+
+func pickMeanAroundWalk() func(tile []int64, w, n, keep int, out []float64, declined []uint8) {
+	if hasAVX2 {
+		return meanAroundAVX2
+	}
+	return meanAroundWalkGo
+}
+
+// HasAVX2 reports the probe's answer: the one place the GAR's kernels, here
+// and in package gar, learn whether their AVX2 assembly may run.
+func HasAVX2() bool { return hasAVX2 }
+
 // Kernels names the kernel set this process computes with — the GAR's
-// distance sweep (SSE2, baseline on amd64) and tile sort (AVX2 where the CPU
-// and OS have it) — for benchmark reports. Every set produces the same bits.
+// distance sweep, tile sort and mean-around-median walk, in AVX2 assembly
+// where the CPU and OS have it and the Go kernels ("portable") otherwise —
+// for benchmark reports. Every set produces the same bits.
 func Kernels() string {
 	if hasAVX2 {
-		return "amd64 sse2+avx2"
+		return "amd64 avx2"
 	}
-	return "amd64 sse2"
+	return "portable"
 }
 
 func probeAVX2() bool {
@@ -56,6 +73,26 @@ func sortRowsAVX2(tile []int64, w int, net [][2]int) {
 
 //go:noescape
 func compareExchangeAVX2(a, b []int64)
+
+// meanAroundAVX2 runs the assembly walk over the tile's whole groups of four
+// columns and declines a last group of one to three to meanAroundSorted. The
+// reslicing keeps the assembly inside its arguments, and the guard keeps it
+// to the shapes it serves: two ranks around the median to load, a keep count
+// the column can fill, and queues of at most maxSortNet ranks.
+func meanAroundAVX2(tile []int64, w, n, keep int, out []float64, declined []uint8) {
+	groups := w / 4
+	if n < 2 || n > maxSortNet || keep < 1 || keep > n {
+		groups = 0
+	}
+	tile, out, declined = tile[:n*w], out[:w], declined[:(w+3)/4]
+	meanAround4AVX2(tile, w, n, keep, out, declined[:groups])
+	for g := groups; g < len(declined); g++ {
+		declined[g] = 0xf
+	}
+}
+
+//go:noescape
+func meanAround4AVX2(tile []int64, w, n, keep int, out []float64, declined []uint8)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -6,6 +6,14 @@ package tensor
 // sort_amd64.s does not build.
 var sortRows = sortRowsGo
 
+// meanAroundWalk is the walk runTile's mean-around-median pass starts with:
+// the Go walk's decline-everything wherever sort_amd64.s does not build.
+var meanAroundWalk = meanAroundWalkGo
+
+// HasAVX2 reports whether the GAR's AVX2 assembly may run: never where
+// sort_amd64.s does not build.
+func HasAVX2() bool { return false }
+
 // Kernels names the kernel set this process computes with, for benchmark
 // reports: the Go kernels on every GOARCH without assembly.
 func Kernels() string { return "portable" }

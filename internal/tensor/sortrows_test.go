@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,20 +103,21 @@ func FuzzCompareExchange(f *testing.F) {
 	})
 }
 
-// TestColumnPassMatchesOnGoSort reruns every sorting kernel with the dispatch
-// pointed at the Go loop: the engine's output may not depend on which tile
-// sort ran. (The distance kernel's twin is gar.TestRulesMatchOnGoKernels; the
-// two dispatch variables live in two packages.)
+// TestColumnPassMatchesOnGoSort reruns every sorting kernel with the tile
+// sort and the mean-around-median walk pointed at Go: the engine's output may
+// not depend on which kernels ran. (The distance kernel's twin is
+// gar.TestRulesMatchOnGoKernels; the dispatch variables live in two
+// packages.)
 func TestColumnPassMatchesOnGoSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, n := range []int{11, 19, 20} {
 		vs := trickyColumns(rng, n, 3*colTileCoords+5, true)
 		forEachArg(n, func(kernel ColumnKernel, arg int) {
 			got := columnPass(vs, arg, kernel)
-			dispatched := sortRows
-			sortRows = sortRowsGo
+			sorter, walk := sortRows, meanAroundWalk
+			sortRows, meanAroundWalk = sortRowsGo, meanAroundWalkGo
 			want := columnPass(vs, arg, kernel)
-			sortRows = dispatched
+			sortRows, meanAroundWalk = sorter, walk
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("%s: kernel %d arg %d n=%d: coordinate %d = %v, %v on the Go sort",
@@ -145,6 +147,191 @@ func BenchmarkSortRows(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(tile, src)
 				k.fn(tile, colTileCoords, net)
+			}
+		})
+	}
+}
+
+// sortedTile is the n × w tile of the sort keys of xs(i) at element i, each
+// column sorted: the input meanAroundWalk gets from runTile.
+func sortedTile(n, w int, xs func(i int) float64) []int64 {
+	tile := make([]int64, n*w)
+	for i := range tile {
+		tile[i] = sortKey(int64(math.Float64bits(xs(i))))
+	}
+	sortRowsGo(tile, w, SortNetPairs(n))
+	return tile
+}
+
+// checkMeanAroundWalk runs the dispatched walk over a sorted finite tile and
+// holds every column it settles to meanAroundSorted's bits; a column
+// meanAroundSorted declines must be declined. It returns how many columns the
+// walk declined.
+func checkMeanAroundWalk(t *testing.T, tile []int64, w, n, keep int) (declines int) {
+	t.Helper()
+	out := make([]float64, w)
+	declined := make([]uint8, (w+3)/4)
+	meanAroundWalk(tile, w, n, keep, out, declined)
+	for k := 0; k < w; k++ {
+		want, ok := meanAroundSorted(tile[k:], w, n, keep)
+		if declined[k/4]&(1<<(k%4)) != 0 {
+			declines++
+			continue
+		}
+		if !ok || math.Float64bits(out[k]) != math.Float64bits(want) {
+			col := make([]float64, n)
+			for i := range col {
+				col[i] = keyFloat(tile[i*w+k])
+			}
+			t.Fatalf("%s: n=%d w=%d keep=%d: column %d settled as %v (%#x), the Go walk gives %v (%#x) ok=%v; column %v",
+				Kernels(), n, w, keep, k, out[k], math.Float64bits(out[k]), want, math.Float64bits(want), ok, col)
+		}
+	}
+	return declines
+}
+
+// TestMeanAroundWalkSettlesRandomNormal: on Bulyan's second phase at n = 19,
+// f = 4 — 11 × 100k random-normal columns, keep 3 — nothing needs the worker
+// order, so the AVX2 walk declines no column and settles each with the Go
+// walk's bits; the same holds at every odd height and keep. (At an even
+// height the midpoint ties the two middle ranks, which the walk declines.)
+func TestMeanAroundWalkSettlesRandomNormal(t *testing.T) {
+	if !HasAVX2() {
+		t.Skip("no AVX2 walk on this CPU: the Go walk declines every column")
+	}
+	rng := rand.New(rand.NewSource(64))
+	normal := func(int) float64 { return rng.NormFloat64() }
+	const n, d, keep = 11, 100_000, 3
+	for lo := 0; lo < d; lo += colTileCoords {
+		w := min(colTileCoords, d-lo)
+		if declines := checkMeanAroundWalk(t, sortedTile(n, w, normal), w, n, keep); declines > w%4 {
+			t.Fatalf("tile at %d: %d of %d columns declined", lo, declines, w)
+		}
+	}
+	for n := 2; n <= maxSortNet; n++ {
+		tile := sortedTile(n, colTileCoords, normal)
+		for keep := 1; keep <= n; keep++ {
+			if declines := checkMeanAroundWalk(t, tile, colTileCoords, n, keep); n%2 == 1 && declines > 0 {
+				t.Fatalf("n=%d keep=%d: %d columns declined", n, keep, declines)
+			}
+		}
+	}
+}
+
+// TestMeanAroundWalkDeclinesTies: the columns where the Go walk needs the
+// worker order — two distinct values at one distance as the candidates of a
+// step, a distinct value as far out as the one taken last on the same side,
+// and one left behind at the last distance below or above — are declined by
+// the walk, in every lane.
+func TestMeanAroundWalkDeclinesTies(t *testing.T) {
+	for _, c := range []struct {
+		col  []float64
+		keep int
+	}{
+		{[]float64{0, 1, 2}, 2},                     // 0 and 2 both 1 from the median
+		{[]float64{1e-20, 2e-20, 1, 5, 9}, 3},       // 2e-20, then 1e-20, both 1 below
+		{[]float64{-2e-20, -1e-20, 1, 3, 9}, 2},     // -2e-20 left behind 1 below
+		{[]float64{-9, -3, -1, 1e-20, 2e-20}, 2},    // 2e-20 left behind 1 above
+		{[]float64{-7, -3, 0.5, 1, 1.5, 2, 2.5}, 4}, // 0.5 and 2.5 after 1 and 2
+	} {
+		n, w := len(c.col), 8
+		tile := sortedTile(n, w, func(i int) float64 { return c.col[i/w] })
+		if _, ok := meanAroundSorted(tile, w, n, c.keep); ok {
+			t.Fatalf("%v keep %d: the Go walk settles it; pick a column it declines", c.col, c.keep)
+		}
+		if declines := checkMeanAroundWalk(t, tile, w, n, c.keep); declines != w {
+			t.Errorf("%v keep %d: %d of %d columns declined", c.col, c.keep, declines, w)
+		}
+	}
+}
+
+// FuzzMeanAroundWalk feeds raw float64 bit patterns, made finite, through
+// sorted tiles of every height the walk serves: each column the dispatched
+// walk (AVX2 where Kernels says so) settles has the Go walk's bits, and it
+// declines every column the Go walk declines.
+func FuzzMeanAroundWalk(f *testing.F) {
+	seed := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(uint8(11), uint8(3), uint8(127), seed(0.5, -1.25, 3, 1e-3, -7, 2.5, 0.125))
+	f.Add(uint8(4), uint8(2), uint8(8), seed(-3, -1, 2, 7, 0, math.Copysign(0, -1)))
+	f.Add(uint8(5), uint8(2), uint8(12), seed(1e-20, 2e-20, 1, 3, 4, math.MaxFloat64, -math.MaxFloat64))
+	f.Add(uint8(19), uint8(15), uint8(64), seed(1, -1, 0.5, -0.5, 2, 2, 0, 0, 1e308, -1e308))
+	f.Add(uint8(2), uint8(1), uint8(5), seed(3, 1, 2))
+	f.Fuzz(func(t *testing.T, height, keep, width uint8, raw []byte) {
+		words := len(raw) / 8
+		if words == 0 {
+			return
+		}
+		n := 1 + int(height)%maxSortNet
+		w := 1 + int(width)%colTileCoords
+		tile := sortedTile(n, w, func(i int) float64 {
+			bits := binary.LittleEndian.Uint64(raw[8*(i%words):])
+			if x := math.Float64frombits(bits); !math.IsNaN(x) && !math.IsInf(x, 0) {
+				return x
+			}
+			return math.Float64frombits(bits &^ (1 << 62)) // a finite exponent
+		})
+		checkMeanAroundWalk(t, tile, w, n, 1+int(keep)%n)
+	})
+}
+
+// BenchmarkMeanAroundWalk times the walk alone over one sorted tile of
+// random-normal keys — 11 × 128, keep 3 (Bulyan's second phase at n = 19,
+// f = 4) and 19 × 128, keep 15 (the mean-around-median rule there) — with
+// the dispatched walk and with meanAroundSorted on every column.
+func BenchmarkMeanAroundWalk(b *testing.B) {
+	rng := rand.New(rand.NewSource(66))
+	const w = colTileCoords
+	out := make([]float64, w)
+	declined := make([]uint8, w/4)
+	for _, shape := range []struct{ n, keep int }{{11, 3}, {19, 15}} {
+		n, keep := shape.n, shape.keep
+		tile := sortedTile(n, w, func(int) float64 { return rng.NormFloat64() })
+		b.Run(fmt.Sprintf("n%d-keep%d/%s", n, keep, Kernels()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				meanAroundWalk(tile, w, n, keep, out, declined)
+			}
+		})
+		b.Run(fmt.Sprintf("n%d-keep%d/go", n, keep), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for k := range out {
+					out[k], _ = meanAroundSorted(tile[k:], w, n, keep)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMeanAroundPass times Bulyan's second phase at n = 19, f = 4, d =
+// 100k — the column pass over 11 random-normal vectors, keep 3 — with the
+// dispatched walk and with the Go walk.
+func BenchmarkMeanAroundPass(b *testing.B) {
+	const n, d, keep = 11, 100_000, 3
+	rng := rand.New(rand.NewSource(65))
+	vs := make([]Vector, n)
+	for i := range vs {
+		vs[i] = NewVector(d)
+		for j := range vs[i] {
+			vs[i][j] = rng.NormFloat64()
+		}
+	}
+	out := NewVector(d)
+	for _, k := range []struct {
+		name string
+		walk func(tile []int64, w, n, keep int, out []float64, declined []uint8)
+	}{{Kernels(), meanAroundWalk}, {"go", meanAroundWalkGo}} {
+		b.Run(k.name, func(b *testing.B) {
+			walk := meanAroundWalk
+			meanAroundWalk = k.walk
+			defer func() { meanAroundWalk = walk }()
+			var e ColumnEngine
+			for i := 0; i < b.N; i++ {
+				e.Run(out, vs, keep, MeanAroundMedianKernel)
 			}
 		})
 	}

@@ -154,21 +154,28 @@ func (c *TCPConn) writev(open, body []byte) error {
 
 // recvHeader reads the length prefix and the fixed header of a typ frame
 // into c.rhdr and validates them; only the frame's coordinates are unread
-// when it returns.
+// when it returns. One read usually brings both: it waits for the prefix
+// alone, and the header is topped up to the frame's own length, so it blocks
+// for no byte the frame does not hold. The only bytes it can take past the
+// frame follow a frame shorter than its header, which is ErrBadFrame and
+// ends the stream anyway.
 func (c *TCPConn) recvHeader(typ byte) (frameHeader, error) {
-	if _, err := io.ReadFull(c.conn, c.rhdr[:prefixLen]); err != nil {
+	_, headerLen := frameKind(typ)
+	got, err := io.ReadAtLeast(c.conn, c.rhdr[:prefixLen+headerLen], prefixLen)
+	if err != nil {
 		return frameHeader{}, fmt.Errorf("transport: read frame header: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(c.rhdr[:])
 	if n > maxFrameBytes {
 		return frameHeader{}, fmt.Errorf("%w: frame length %d exceeds limit", ErrBadFrame, n)
 	}
-	_, headerLen := frameKind(typ)
-	hdr := c.rhdr[prefixLen : prefixLen+min(int(n), headerLen)]
-	if _, err := io.ReadFull(c.conn, hdr); err != nil {
-		return frameHeader{}, fmt.Errorf("transport: read frame header: %w", err)
+	end := prefixLen + min(int(n), headerLen)
+	if got < end {
+		if _, err := io.ReadFull(c.conn, c.rhdr[got:end]); err != nil {
+			return frameHeader{}, fmt.Errorf("transport: read frame header: %w", err)
+		}
 	}
-	return c.codec.parseFrameHeader(typ, hdr, int(n), c.expectDim)
+	return c.codec.parseFrameHeader(typ, c.rhdr[prefixLen:end], int(n), c.expectDim)
 }
 
 // recvCoords reads a frame's coordinates into v: straight into v's memory

@@ -308,6 +308,59 @@ func (t teeConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// readCounter counts the reads that reach the connection.
+type readCounter struct {
+	net.Conn
+	reads *int
+}
+
+func (r readCounter) Read(p []byte) (int, error) {
+	*r.reads++
+	return r.Conn.Read(p)
+}
+
+// TestTCPFrameOpeningIsOneRead: the length prefix and the fixed header of a
+// frame arrive in one read when the sender wrote them together, as open
+// does, for both frame types and widths; the body is read after it, and the
+// message is the one sent.
+func TestTCPFrameOpeningIsOneRead(t *testing.T) {
+	v := tensor.Vector{1, -2, 0.5, 3}
+	for _, c := range []Codec{{}, {Float32: true}} {
+		for _, typ := range []byte{msgModel, msgGradient} {
+			send, recv := pipeConns(c)
+			var reads int
+			recv.conn = readCounter{recv.conn, &reads}
+			sent := make(chan error, 1)
+			go func() {
+				if typ == msgModel {
+					sent <- send.SendModel(&ModelMsg{Step: 7, Params: v})
+				} else {
+					sent <- send.SendGradient(&GradientMsg{Worker: 2, Step: 7, Loss: 0.25, Grad: v})
+				}
+			}()
+			h, err := recv.recvHeader(typ)
+			if err != nil {
+				t.Fatalf("float32=%v type %d: %v", c.Float32, typ, err)
+			}
+			if reads != 1 {
+				t.Errorf("float32=%v type %d: the frame opening took %d reads", c.Float32, typ, reads)
+			}
+			coords := tensor.NewVector(h.dim)
+			if err := recv.recvCoords(coords); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			if h.step != 7 || !sameBits(coords, v) || typ == msgGradient && (h.worker != 2 || h.loss != 0.25) {
+				t.Fatalf("float32=%v type %d: received header %+v and coordinates %v", c.Float32, typ, h, coords)
+			}
+			send.Close()
+			recv.Close()
+		}
+	}
+}
+
 // TestTCPStreamQuietsSignallingNaN32 pins that the stream path applies the
 // codec's one canonicalisation and no other — the float32 signalling NaN of
 // TestPacketCodecQuietsSignallingNaN32 decodes to the same quiet NaN and
