@@ -32,7 +32,7 @@ import (
 func main() {
 	var (
 		specPath = flag.String("spec", "", "campaign spec JSON file (empty = a built-in campaign, see -builtin)")
-		builtin  = flag.String("builtin", "smoke", "built-in campaign used when -spec is empty: smoke | tcp-smoke | udp-smoke | wire-smoke | model-loss-smoke | async-smoke | churn-smoke")
+		builtin  = flag.String("builtin", "smoke", "built-in campaign used when -spec is empty: "+strings.Join(scenario.BuiltinNames(), " | "))
 		outPath  = flag.String("out", "", "write campaign results JSON to this file (empty = no JSON output)")
 		summary  = flag.Bool("summary", true, "print the per-attack GAR ranking summary")
 		parallel = flag.Int("parallel", 0, "override the spec's worker-pool size (0 = spec/NumCPU)")
@@ -94,31 +94,11 @@ func resolveSpec(path, builtin string) (*scenario.Spec, error) {
 	if path != "" {
 		return scenario.LoadSpec(path)
 	}
-	switch builtin {
-	case "", "smoke":
-		s := scenario.SmokeSpec()
-		return &s, nil
-	case "tcp-smoke":
-		s := scenario.DistributedSmokeSpec()
-		return &s, nil
-	case "udp-smoke":
-		s := scenario.UDPSmokeSpec()
-		return &s, nil
-	case "wire-smoke":
-		s := scenario.WireSmokeSpec()
-		return &s, nil
-	case "model-loss-smoke":
-		s := scenario.ModelLossSmokeSpec()
-		return &s, nil
-	case "async-smoke":
-		s := scenario.AsyncSmokeSpec()
-		return &s, nil
-	case "churn-smoke":
-		s := scenario.ChurnSmokeSpec()
-		return &s, nil
-	default:
-		return nil, fmt.Errorf("unknown built-in campaign %q (want smoke|tcp-smoke|udp-smoke|wire-smoke|model-loss-smoke|async-smoke|churn-smoke)", builtin)
+	if builtin == "" {
+		builtin = "smoke"
 	}
+	s, err := scenario.Builtin(builtin)
+	return &s, err
 }
 
 // specJSON renders a spec (with defaults applied) for -dump-spec.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -108,7 +109,7 @@ func TestTCPClusterCloseWithSilentConnection(t *testing.T) {
 // TestTCPClusterStrayHelloWithoutChurn: a hello naming worker 1 on a cluster
 // with no churn schedule reaches Round.Rejoin through the always-on accept
 // loop. It is a rejoin no schedule placed: the Step that reads it fails with
-// reject-not-scheduled, nothing panics, and Close is clean.
+// reject-wrong-tag, nothing panics, and Close is clean.
 func TestTCPClusterStrayHelloWithoutChurn(t *testing.T) {
 	cl := helloDeployment(t, ps.ChurnConfig{})
 	if err := cl.Start(); err != nil {
@@ -125,8 +126,8 @@ func TestTCPClusterStrayHelloWithoutChurn(t *testing.T) {
 	for i := 0; ; i++ {
 		_, err := cl.Step()
 		if err != nil {
-			if !strings.Contains(err.Error(), ps.RejoinRejectNotScheduled.String()) {
-				t.Fatalf("step %d failed with %v, want %v", i, err, ps.RejoinRejectNotScheduled)
+			if !strings.Contains(err.Error(), ps.RejectWrongTag.String()) {
+				t.Fatalf("step %d failed with %v, want %v", i, err, ps.RejectWrongTag)
 			}
 			break
 		}
@@ -135,6 +136,62 @@ func TestTCPClusterStrayHelloWithoutChurn(t *testing.T) {
 		}
 	}
 	closeWithin(t, cl, 5*time.Second)
+}
+
+// TestTCPClusterHelloDialCountMustBeSane: a hello's dial count travels as a
+// float64 in its Loss field. At a scheduled rejoin, a hello for that worker
+// and round whose count is not an integer in range — NaN, ±Inf, 1e300, 2.5
+// — fails the Step at that round with reject-malformed, on every platform,
+// instead of being converted into the run's reconnect attempts.
+func TestTCPClusterHelloDialCountMustBeSane(t *testing.T) {
+	churn := ps.ChurnConfig{Rate: 0.2, DownSteps: 1, MaxRejoins: 1}
+	const workers, seed = 5, 21
+	rejoinStep, rejoinWorker := -1, -1
+	for s := 1; rejoinStep < 0 && s < 50; s++ {
+		for w := 0; w < workers; w++ {
+			if churn.Phase(seed, s, w) == ps.ChurnRejoin {
+				rejoinStep, rejoinWorker = s, w
+				break
+			}
+		}
+	}
+	if rejoinStep < 0 {
+		t.Fatal("dead fixture: no rejoin within 50 steps")
+	}
+	for _, loss := range []float64{math.NaN(), math.Inf(1), 1e300, 2.5} {
+		t.Run(fmt.Sprint(loss), func(t *testing.T) {
+			cl := helloDeployment(t, churn)
+			if err := cl.Start(); err != nil {
+				t.Fatal(err)
+			}
+			conn, err := transport.DialTCP(cl.ln.Addr(), cl.cfg.Codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.SendGradient(&transport.GradientMsg{Worker: rejoinWorker, Step: rejoinStep, Loss: loss, Grad: tensor.NewVector(helloDim)}); err != nil {
+				t.Fatal(err)
+			}
+			// The forged hello enters the inbox before any round runs, so it
+			// is stashed ahead of the real worker's and offered first.
+			for deadline := time.Now().Add(5 * time.Second); len(cl.inbox) == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the forged hello never reached the inbox")
+				}
+			}
+			for step := 0; ; step++ {
+				_, err := cl.Step()
+				if err == nil && step < rejoinStep {
+					continue
+				}
+				if step != rejoinStep || err == nil || !strings.Contains(err.Error(), ps.RejectMalformed.String()) {
+					t.Fatalf("step %d (rejoin at %d) returned %v, want %v", step, rejoinStep, err, ps.RejectMalformed)
+				}
+				break
+			}
+			closeWithin(t, cl, 5*time.Second)
+		})
+	}
 }
 
 // TestTCPDeliverRefusesGradientTaggedForAnotherSlot: a connection speaks for

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -314,7 +315,7 @@ func (c *TCPCluster) offerRejoin(round *ps.Round, ev recvEvent) error {
 		c.stash = append(c.stash, ev)
 		return nil
 	}
-	if v := round.Rejoin(hello.Worker, hello.Step, int(hello.Loss)); v != ps.RejoinAdmit {
+	if v := round.Rejoin(hello.Worker, hello.Step, helloAttempts(hello.Loss)); !v.Admitted() {
 		ev.peer.conn.Close()
 		return fmt.Errorf("cluster: rejoin handshake for worker %d (step %d) rejected at step %d: %v",
 			hello.Worker, hello.Step, round.Step(), v)
@@ -327,6 +328,18 @@ func (c *TCPCluster) offerRejoin(round *ps.Round, ev recvEvent) error {
 	}
 	c.peers = append(c.peers, ev.peer)
 	return nil
+}
+
+// helloAttempts reads the dial count a hello carries in its Loss field. Any
+// peer can put any float64 there, and converting one out of int's range is
+// implementation-dependent, so only an integer in [1, reconnectMaxAttempts]
+// is converted; anything else reads as 0, which the round rejects as
+// malformed.
+func helloAttempts(loss float64) int {
+	if loss >= 1 && loss <= reconnectMaxAttempts && loss == math.Trunc(loss) {
+		return int(loss)
+	}
+	return 0
 }
 
 // Close releases the listener — the accept loop then closes every connection

@@ -5,8 +5,7 @@ import (
 	"math/rand"
 )
 
-// Worker churn: the deterministic crash/rejoin schedule and the server's
-// admission ledger. A seeded per-(step, worker) schedule (ChurnSeed) crashes
+// Worker churn: the deterministic crash/rejoin schedule. A seeded per-(step, worker) schedule (ChurnSeed) crashes
 // live workers mid-run — the socket backends tear the worker's connections
 // down abruptly — and schedules each crash's rejoin a fixed number of rounds
 // later, up to a per-worker rejoin budget. Like every schedule it is a pure
@@ -14,7 +13,9 @@ import (
 // worker knows when to crash and when its rejoin round arrives; the server
 // knows exactly which slots can never be filled, so a round settles the
 // moment the live membership's gradients are in — no deadline waits — and
-// the crash/rejoin counters in campaign JSON are byte-reproducible.
+// the crash/rejoin counters in campaign JSON are byte-reproducible. The
+// round engine admits a rejoin hello on the same Admission verdicts as a
+// gradient (Round.Rejoin).
 
 // ChurnConfig configures the deterministic worker crash/rejoin schedule on
 // the socket backends. The zero value disables churn. The JSON names are a
@@ -155,137 +156,4 @@ func (c ChurnConfig) Phase(runSeed int64, step, worker int) ChurnPhase {
 func (c ChurnConfig) Permanent(runSeed int64, step, worker int) bool {
 	_, permanent := c.replay(runSeed, step, worker)
 	return permanent
-}
-
-// RejoinVerdict is the typed outcome of one rejoin handshake offered to the
-// MembershipTracker — the membership twin of Admission.
-type RejoinVerdict int
-
-const (
-	// RejoinAdmit: the worker is scheduled to rejoin this round and its
-	// handshake is the first — it is re-admitted to the membership.
-	RejoinAdmit RejoinVerdict = iota
-	// RejoinRejectUnknownWorker: the handshake names a worker id outside
-	// the cluster.
-	RejoinRejectUnknownWorker
-	// RejoinRejectWrongStep: the handshake's step tag is not the current
-	// round.
-	RejoinRejectWrongStep
-	// RejoinRejectNotScheduled: the worker is not scheduled to rejoin this
-	// round — it is live, mid-downtime (an early rejoin), or permanently
-	// down.
-	RejoinRejectNotScheduled
-	// RejoinRejectDuplicate: the worker was already admitted this round.
-	RejoinRejectDuplicate
-	// RejoinRejectBadAttempts: the handshake reported a non-positive dial
-	// attempt count.
-	RejoinRejectBadAttempts
-)
-
-func (v RejoinVerdict) String() string {
-	switch v {
-	case RejoinAdmit:
-		return "admit"
-	case RejoinRejectUnknownWorker:
-		return "reject-unknown-worker"
-	case RejoinRejectWrongStep:
-		return "reject-wrong-step"
-	case RejoinRejectNotScheduled:
-		return "reject-not-scheduled"
-	case RejoinRejectDuplicate:
-		return "reject-duplicate"
-	case RejoinRejectBadAttempts:
-		return "reject-bad-attempts"
-	default:
-		return fmt.Sprintf("RejoinVerdict(%d)", int(v))
-	}
-}
-
-// MembershipTracker is the server's admission ledger for the churn schedule.
-// It is pure and I/O-free: the phases are the Planner's (it keeps no second
-// copy of the timeline); the tracker records which scheduled rejoins have
-// been admitted this round and what their handshakes reported. Only
-// admissions mutate it; rejected handshakes leave it untouched.
-type MembershipTracker struct {
-	plan     *Planner
-	admitted []bool
-	// This round's crashes, admitted rejoins and the dial attempts their
-	// handshakes reported (on the scheduled path every rejoin dials exactly
-	// once) — what StepResult reports.
-	crashes, rejoins, attempts int
-}
-
-// NewMembershipTracker builds the ledger over a planner covering every slot
-// from 0.
-func NewMembershipTracker(plan *Planner) *MembershipTracker {
-	return &MembershipTracker{plan: plan, admitted: make([]bool, len(plan.slots))}
-}
-
-// BeginRound advances the plan to round step and opens its ledger.
-func (t *MembershipTracker) BeginRound(step int) {
-	t.crashes, t.rejoins, t.attempts = 0, 0, 0
-	for w := range t.admitted {
-		t.admitted[w] = false
-		if t.plan.At(step, w).Phase == ChurnCrash {
-			t.crashes++
-		}
-	}
-}
-
-// Admit offers one rejoin handshake (worker id, the round it claims to
-// rejoin at, and the dial attempts its reconnect took) and returns the typed
-// verdict. Only RejoinAdmit mutates the tracker.
-func (t *MembershipTracker) Admit(worker, step, attempts int) RejoinVerdict {
-	if worker < 0 || worker >= len(t.admitted) {
-		return RejoinRejectUnknownWorker
-	}
-	if step != t.plan.step {
-		return RejoinRejectWrongStep
-	}
-	if t.plan.slots[worker].Phase != ChurnRejoin {
-		return RejoinRejectNotScheduled
-	}
-	if t.admitted[worker] {
-		return RejoinRejectDuplicate
-	}
-	if attempts < 1 {
-		return RejoinRejectBadAttempts
-	}
-	t.admitted[worker] = true
-	t.rejoins++
-	t.attempts += attempts
-	return RejoinAdmit
-}
-
-// Live returns the number of workers that participate in the current round
-// (phase live or rejoin) — the n_live the GAR safety bound is checked
-// against.
-func (t *MembershipTracker) Live() int {
-	live := 0
-	for w := range t.plan.slots {
-		if t.plan.slots[w].Phase.Participates() {
-			live++
-		}
-	}
-	return live
-}
-
-// PendingRejoins returns how many scheduled rejoins this round still await
-// their handshake.
-func (t *MembershipTracker) PendingRejoins() int {
-	pending := 0
-	for w := range t.plan.slots {
-		if t.plan.slots[w].Phase == ChurnRejoin && !t.admitted[w] {
-			pending++
-		}
-	}
-	return pending
-}
-
-// Churned reports whether the worker has crashed at least once so far —
-// used by the TCP backend to tell a scheduled connection teardown from a
-// genuine failure when a reader error surfaces.
-func (t *MembershipTracker) Churned(worker int) bool {
-	s := &t.plan.slots[worker]
-	return s.down || s.rejoins > 0
 }

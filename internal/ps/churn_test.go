@@ -95,74 +95,88 @@ func TestChurnSchedulePureFunction(t *testing.T) {
 	}
 }
 
-// TestMembershipTrackerAdmission scripts every rejoin verdict against a
-// schedule walked to its first rejoin round.
-func TestMembershipTrackerAdmission(t *testing.T) {
-	cfg := ChurnConfig{Rate: 0.25, DownSteps: 2, MaxRejoins: 2}
-	const seed, workers = 17, 6
-
-	plan := NewPlanner(&RoundConfig{Workers: workers, Seed: seed, Churn: cfg}, 0, 0, workers)
-	tr := NewMembershipTracker(plan)
-	rejoinStep, rejoinWorker := -1, -1
-	for s := 0; s <= 200 && rejoinStep < 0; s++ {
-		tr.BeginRound(s)
-		for w := 0; w < workers; w++ {
-			if plan.At(s, w).Phase == ChurnRejoin {
-				rejoinStep, rejoinWorker = s, w
-				break
+// TestRoundRejoinAdmission scripts every verdict a rejoin hello can get
+// against an engine walked to its first scheduled rejoin: no rejection moves
+// the round, and the one admission counts once, with its dial attempts.
+func TestRoundRejoinAdmission(t *testing.T) {
+	const workers = 6
+	e := roundTestEngine(RoundConfig{Workers: workers, Seed: 17, Churn: ChurnConfig{Rate: 0.25, DownSteps: 2, MaxRejoins: 2}}, nil)
+	var round *Round
+	rejoinWorker, liveWorker := -1, -1
+	for rejoinWorker < 0 {
+		if e.step > 200 {
+			t.Fatal("dead fixture: no rejoin within 200 steps")
+		}
+		round = e.Begin()
+		for w := range e.slots {
+			switch e.slots[w].plan.Phase {
+			case ChurnRejoin:
+				rejoinWorker = w
+			case ChurnLive:
+				liveWorker = w
+			}
+		}
+		if rejoinWorker < 0 {
+			if _, err := round.Finish(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	if rejoinStep < 0 {
-		t.Fatal("dead fixture: no rejoin within 200 steps")
+	if liveWorker < 0 {
+		t.Fatal("dead fixture: no live worker in the rejoin round")
 	}
-
-	if v := tr.Admit(-1, rejoinStep, 1); v != RejoinRejectUnknownWorker {
-		t.Fatalf("negative id: %v", v)
-	}
-	if v := tr.Admit(workers, rejoinStep, 1); v != RejoinRejectUnknownWorker {
-		t.Fatalf("out-of-range id: %v", v)
-	}
-	if v := tr.Admit(rejoinWorker, rejoinStep-1, 1); v != RejoinRejectWrongStep {
-		t.Fatalf("stale step: %v", v)
-	}
-	if v := tr.Admit(rejoinWorker, rejoinStep, 0); v != RejoinRejectBadAttempts {
-		t.Fatalf("zero attempts: %v", v)
-	}
-	liveWorker := -1
-	for w := 0; w < workers; w++ {
-		if w != rejoinWorker && cfg.Phase(seed, rejoinStep, w) == ChurnLive {
-			liveWorker = w
-			break
+	step := round.Step()
+	before := roundSnapshot(round)
+	for _, c := range []struct {
+		name                   string
+		worker, step, attempts int
+		want                   Admission
+	}{
+		{"negative id", -1, step, 1, RejectUnknownWorker},
+		{"id past the cluster", workers, step, 1, RejectUnknownWorker},
+		{"earlier round", rejoinWorker, step - 1, 1, RejectWrongTag},
+		{"later round", rejoinWorker, step + 1, 1, RejectWrongTag},
+		{"live worker", liveWorker, step, 1, RejectWrongTag},
+		{"no dial", rejoinWorker, step, 0, RejectMalformed},
+		{"negative dials", rejoinWorker, step, -2, RejectMalformed},
+	} {
+		if v := round.Rejoin(c.worker, c.step, c.attempts); v != c.want {
+			t.Fatalf("%s: %v, want %v", c.name, v, c.want)
+		}
+		if roundSnapshot(round) != before {
+			t.Fatalf("%s: the rejection moved the round", c.name)
 		}
 	}
-	if liveWorker >= 0 {
-		if v := tr.Admit(liveWorker, rejoinStep, 1); v != RejoinRejectNotScheduled {
-			t.Fatalf("live worker rejoin: %v", v)
-		}
-	}
-	if tr.rejoins != 0 || tr.attempts != 0 || tr.PendingRejoins() == 0 {
-		t.Fatalf("rejections mutated the ledger: rejoins=%d attempts=%d pending=%d", tr.rejoins, tr.attempts, tr.PendingRejoins())
-	}
-	if v := tr.Admit(rejoinWorker, rejoinStep, 1); v != RejoinAdmit {
+	pending := round.PendingRejoins()
+	if v := round.Rejoin(rejoinWorker, step, 2); v != AdmitFresh {
 		t.Fatalf("scheduled rejoin: %v", v)
 	}
-	if v := tr.Admit(rejoinWorker, rejoinStep, 1); v != RejoinRejectDuplicate {
-		t.Fatalf("double admit: %v", v)
+	if round.PendingRejoins() != pending-1 {
+		t.Fatalf("%d rejoins pending after one admission, %d before", round.PendingRejoins(), pending)
 	}
-	if tr.rejoins != 1 || tr.attempts != 1 {
-		t.Fatalf("counters after one admit: rejoins=%d attempts=%d", tr.rejoins, tr.attempts)
+	admitted := roundSnapshot(round)
+	if v := round.Rejoin(rejoinWorker, step, 1); v != RejectDuplicate {
+		t.Fatalf("second hello: %v", v)
+	}
+	if roundSnapshot(round) != admitted {
+		t.Fatal("the duplicate hello moved the round")
+	}
+	res, err := round.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejoins != 1 || res.ReconnectAttempts != 2 {
+		t.Fatalf("after one admission with 2 dial attempts: rejoins=%d attempts=%d", res.Rejoins, res.ReconnectAttempts)
 	}
 }
 
-// TestRoundRejoinWithoutChurnIsNotScheduled: an engine without a churn
-// schedule has no membership ledger, and a rejoin offered to it — a stray
-// hello on a socket backend — is one no schedule placed, not a nil
-// dereference.
+// TestRoundRejoinWithoutChurnIsNotScheduled: without a churn schedule the
+// plan places no rejoin, so a hello offered to the round — a stray one on a
+// socket backend — is RejectWrongTag and moves nothing.
 func TestRoundRejoinWithoutChurnIsNotScheduled(t *testing.T) {
 	r := roundTestEngine(RoundConfig{Workers: 3}, nil).Begin()
-	if v := r.Rejoin(1, 0, 1); v != RejoinRejectNotScheduled {
-		t.Fatalf("Rejoin without a churn schedule = %v, want %v", v, RejoinRejectNotScheduled)
+	if v := r.Rejoin(1, 0, 1); v != RejectWrongTag {
+		t.Fatalf("Rejoin without a churn schedule = %v, want %v", v, RejectWrongTag)
 	}
 	if r.PendingRejoins() != 0 || r.Outstanding() != 3 {
 		t.Fatalf("the refused rejoin moved the round: %d pending rejoins, %d outstanding", r.PendingRejoins(), r.Outstanding())

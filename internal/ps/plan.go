@@ -194,6 +194,13 @@ func (p *Planner) At(step, id int) *SlotPlan {
 	return &p.slots[id-p.first].SlotPlan
 }
 
+// churned reports that slot id is down now or has rejoined before: a
+// connection of its that dies was torn down on the schedule's cue.
+func (p *Planner) churned(id int) bool {
+	t := &p.slots[id-p.first]
+	return t.down || t.rejoins > 0
+}
+
 // Downlink returns the drop mask of slot id's model broadcast at any step,
 // reached or not, in a fresh mask the caller keeps (nil on a loss-free
 // downlink). It is the stateless part of the plan — keyed per (step, worker),

@@ -126,9 +126,9 @@ const (
 type slot struct {
 	// suspected: the worker missed a round deadline and is no longer waited
 	// for (an admitted submission or rejoin clears it). dead: its connection
-	// is gone.
-	suspected, dead bool
-	standIn         tensor.Vector // whole-slot recoup buffer, allocated on first use
+	// is gone. rejoined: the round admitted its rejoin hello.
+	suspected, dead, rejoined bool
+	standIn                   tensor.Vector // whole-slot recoup buffer, allocated on first use
 
 	// The current round: plan is the slot's share of the step's plan — the
 	// tag its submission will carry (-1 when the worker cannot submit), the
@@ -148,11 +148,14 @@ type slot struct {
 // and all scratch. Begin returns the step's Round.
 type Engine struct {
 	Server
-	cfg        EngineConfig
-	ws         *gar.Workspace
-	plan       *Planner
-	membership *MembershipTracker // nil without a churn schedule
-	slots      []slot
+	cfg   EngineConfig
+	ws    *gar.Workspace
+	plan  *Planner
+	slots []slot
+	// The round's membership: crashed and participating slots, counted by
+	// Begin from the plan; admitted rejoins and the dial attempts their
+	// hellos reported, counted by Rejoin.
+	crashes, live, rejoins, attempts int
 	// asm holds partially arrived chunked submissions (OfferPacket); a
 	// message backend never feeds it.
 	asm      *transport.Reassembler
@@ -189,9 +192,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e.asm.SetExpectDim(e.params.Dim())
 	e.randFill = func(int) float64 { return e.fillRng.NormFloat64() }
 	e.plan = NewPlanner(&e.cfg.RoundConfig, e.params.Dim(), 0, cfg.Workers)
-	if cfg.Churn.Enabled() {
-		e.membership = NewMembershipTracker(e.plan)
-	}
 	return e, nil
 }
 
@@ -211,12 +211,16 @@ func (e *Engine) Begin() *Round {
 	// packets were scheduled drops); release them so a silent worker cannot
 	// grow server memory.
 	e.asm.DropStale(step)
-	if e.membership != nil {
-		e.membership.BeginRound(step)
-	}
+	e.crashes, e.live, e.rejoins, e.attempts = 0, 0, 0, 0
 	for id := range e.slots {
 		s := &e.slots[id]
-		s.plan, s.state = e.plan.At(step, id), slotOpen
+		s.plan, s.state, s.rejoined = e.plan.At(step, id), slotOpen, false
+		if s.plan.Phase == ChurnCrash {
+			e.crashes++
+		}
+		if s.plan.Phase.Participates() {
+			e.live++
+		}
 		switch p := s.plan; {
 		case !p.Phase.Participates() || p.Tag < 0 && e.cfg.Async.Enabled():
 			// Crashed or down, or sat out by the slow schedule: the slot is
@@ -378,25 +382,40 @@ func (r *Round) Outstanding() int {
 // PendingRejoins returns how many rejoins the churn schedule places in this
 // round still await admission.
 func (r *Round) PendingRejoins() int {
-	if r.e.membership == nil {
-		return 0
+	pending := 0
+	for id := range r.e.slots {
+		if s := &r.e.slots[id]; s.plan.Phase == ChurnRejoin && !s.rejoined {
+			pending++
+		}
 	}
-	return r.e.membership.PendingRejoins()
+	return pending
 }
 
-// Rejoin offers one reconnect handshake — the worker, the round it claims
-// to rejoin at, the dial attempts it took — to the membership schedule. On
-// admission the worker is live again: no longer dead or suspected. Without a
-// churn schedule no rejoin is ever scheduled.
-func (r *Round) Rejoin(worker, step, attempts int) RejoinVerdict {
-	if r.e.membership == nil {
-		return RejoinRejectNotScheduled
+// Rejoin offers one reconnect hello — the worker, the round it claims to
+// rejoin at, the dial attempts it took — on the same terms as a gradient:
+// RejectWrongTag when the plan places no rejoin for the worker at that step
+// (it places none without a churn schedule), RejectDuplicate for a second
+// hello, RejectMalformed for fewer than one dial attempt, and AdmitFresh
+// otherwise. Only an admission changes the round: the worker is live again,
+// no longer dead or suspected.
+func (r *Round) Rejoin(worker, step, attempts int) Admission {
+	e := r.e
+	if worker < 0 || worker >= len(e.slots) {
+		return RejectUnknownWorker
 	}
-	v := r.e.membership.Admit(worker, step, attempts)
-	if v == RejoinAdmit {
-		r.e.slots[worker].dead, r.e.slots[worker].suspected = false, false
+	s := &e.slots[worker]
+	switch {
+	case step != e.step || s.plan.Phase != ChurnRejoin:
+		return RejectWrongTag
+	case s.rejoined:
+		return RejectDuplicate
+	case attempts < 1:
+		return RejectMalformed
 	}
-	return v
+	s.rejoined, s.dead, s.suspected = true, false, false
+	e.rejoins++
+	e.attempts += attempts
+	return AdmitFresh
 }
 
 // AdmitRejoins admits every rejoin the schedule places in this round
@@ -416,7 +435,7 @@ func (r *Round) AdmitRejoins() {
 // connection is winding down) and rejoins on a fresh one; anyone else is
 // dead — no longer waited for, its slots recouped.
 func (r *Round) Disconnected(id int) {
-	if r.e.membership == nil || !r.e.membership.Churned(id) {
+	if !r.e.plan.churned(id) {
 		r.e.slots[id].dead = true
 	}
 }
@@ -440,10 +459,7 @@ func (r *Round) Expire() {
 // step.
 func (r *Round) Finish() (*StepResult, error) {
 	e, cfg := r.e, &r.e.cfg
-	res := &StepResult{Step: e.step}
-	if e.membership != nil {
-		res.Crashes, res.Rejoins, res.ReconnectAttempts = e.membership.crashes, e.membership.rejoins, e.membership.attempts
-	}
+	res := &StepResult{Step: e.step, Crashes: e.crashes, Rejoins: e.rejoins, ReconnectAttempts: e.attempts}
 	received := e.received[:0]
 	lossSum, lossN := 0.0, 0
 	for id := range e.slots {
@@ -515,7 +531,7 @@ func (r *Round) aggregate(res *StepResult, received []tensor.Vector) (tensor.Vec
 	// Byzantine safety bound (e.g. 2f+3 for the Krum family) the rule's
 	// resilience proof no longer holds for the configured f, so the round
 	// is skipped explicitly, without calling the GAR, and counted.
-	if info, ok := cfg.GAR.(gar.ByzantineInfo); ok && e.membership != nil && e.membership.Live() < info.MinWorkers() {
+	if info, ok := cfg.GAR.(gar.ByzantineInfo); ok && cfg.Churn.Enabled() && e.live < info.MinWorkers() {
 		res.BelowBound, res.Skipped = true, true
 		return nil, nil
 	}

@@ -15,7 +15,7 @@ import (
 // async-enabled cells report rounds/sec, lockstep cells surface zero
 // staleness, and the slow schedule actually engages somewhere.
 func TestAsyncCampaignJSONDeterministic(t *testing.T) {
-	spec := AsyncSmokeSpec()
+	spec := mustBuiltin(t, "async-smoke")
 	spec.Steps = 8
 	spec.EvalEvery = 4
 

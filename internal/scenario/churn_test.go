@@ -44,7 +44,7 @@ func churnReplay(churn ps.ChurnConfig, seed int64, steps, workers, minWorkers in
 // pair must report identical rows (the schedule lives in the seed, not in
 // socket timing).
 func TestChurnCampaignJSONDeterministic(t *testing.T) {
-	spec := ChurnSmokeSpec()
+	spec := mustBuiltin(t, "churn-smoke")
 	spec.Steps = 12
 	spec.EvalEvery = 6
 
@@ -154,18 +154,12 @@ func TestChurnCampaignJSONDeterministic(t *testing.T) {
 // what lets churn ride into existing campaign specs without perturbing their
 // recorded trajectories.
 func TestChurnZeroRateBitParity(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		spec func() Spec
-	}{
-		{"udp-smoke", UDPSmokeSpec},
-		{"async-smoke", AsyncSmokeSpec},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			base := tc.spec()
+	for _, name := range []string{"udp-smoke", "async-smoke"} {
+		t.Run(name, func(t *testing.T) {
+			base := mustBuiltin(t, name)
 			base.Steps = 6
 			base.EvalEvery = 3
-			withZero := tc.spec()
+			withZero := mustBuiltin(t, name)
 			withZero.Steps = 6
 			withZero.EvalEvery = 3
 			for i := range withZero.Networks {
@@ -195,7 +189,7 @@ func TestChurnZeroRateBitParity(t *testing.T) {
 				return raw
 			}
 			if !bytes.Equal(strip(plain), strip(zeroed)) {
-				t.Fatalf("%s: churn rate 0 perturbed the campaign results", tc.name)
+				t.Fatalf("%s: churn rate 0 perturbed the campaign results", name)
 			}
 		})
 	}

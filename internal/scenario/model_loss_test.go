@@ -13,7 +13,7 @@ import (
 // in-process twins exactly, and the staleness readout must behave: stale
 // cells report stale gradients, skip and perfect cells report none.
 func TestModelLossCampaignJSONDeterministic(t *testing.T) {
-	spec := ModelLossSmokeSpec()
+	spec := mustBuiltin(t, "model-loss-smoke")
 	spec.Steps = 8
 	spec.EvalEvery = 4
 

@@ -17,6 +17,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"aggregathor/internal/attack"
@@ -462,208 +464,114 @@ func SmokeSpec() Spec {
 	return s
 }
 
-// UDPSmokeSpec returns the built-in lossy-datagram demonstration campaign
-// (cmd/scenario -builtin udp-smoke): the same cells swept in-process, over
-// real UDP sockets on a perfect link (dropRate 0 — must reproduce the
-// in-process trajectories bit-for-bit), and over real UDP sockets at 10%
-// seeded packet loss with fill-random recoup (the AggregaThor deployment of
-// §3.3). The lossy cells stay byte-reproducible because the drop schedule
-// and recoup values are pure functions of (seed, step, worker).
+// UDPSmokeSpec returns the built-in udp-smoke campaign (see builtins).
 func UDPSmokeSpec() Spec {
-	s := Spec{
-		Name:       "udp-smoke",
-		Experiment: "features-mlp",
-		GARs:       []string{"median", "multi-krum"},
-		Attacks:    []string{AttackNone, "reversed", "non-finite"},
-		Clusters:   []Cluster{{Workers: 7, F: 1}},
-		Networks: []Network{
-			{Name: "in-process"},
-			{Name: "udp-distributed", Backend: "udp"},
-			{Name: "udp-lossy", Backend: "udp", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
-		},
-		Seeds:     []int64{1},
-		Steps:     30,
-		Batch:     16,
-		LR:        5e-3,
-		EvalEvery: 10,
-		Threshold: 0.25,
-	}
-	s.ApplyDefaults()
+	s, _ := Builtin("udp-smoke")
 	return s
 }
 
-// WireSmokeSpec returns the built-in wire-format demonstration campaign
-// (cmd/scenario -builtin wire-smoke): the udp-smoke cells swept in-process,
-// over real UDP sockets on both coordinate widths (float64 and float32, on
-// perfect and 10%-lossy links), so the accuracy cost of halving the
-// gradient bytes can be read directly from the report's wire-format delta
-// section. Float32 cells stay byte-reproducible: the rounding is
-// deterministic and the drop schedule is a pure function of
-// (seed, step, worker).
-func WireSmokeSpec() Spec {
-	s := Spec{
-		Name:       "wire-smoke",
-		Experiment: "features-mlp",
-		GARs:       []string{"median", "multi-krum"},
-		Attacks:    []string{AttackNone, "reversed", "non-finite"},
-		Clusters:   []Cluster{{Workers: 7, F: 1}},
-		Networks: []Network{
-			{Name: "in-process"},
-			{Name: "udp-f64", Backend: "udp"},
-			{Name: "udp-f32", Backend: "udp", WireFormat: "float32"},
-			{Name: "udp-f64-lossy", Backend: "udp", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
-			{Name: "udp-f32-lossy", Backend: "udp", WireFormat: "float32", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
-		},
-		Seeds:     []int64{1},
-		Steps:     30,
-		Batch:     16,
-		LR:        5e-3,
-		EvalEvery: 10,
-		Threshold: 0.25,
-	}
-	s.ApplyDefaults()
-	return s
+// builtins are the campaigns cmd/scenario -builtin runs, in the order of the
+// smoke golden file. smoke is SmokeSpec; every other row sweeps its networks
+// over one skeleton: {median, multi-krum} × {none, reversed, non-finite} on
+// 7 workers with f = 1, 30 steps. Each stays byte-reproducible because every
+// schedule it sweeps is a pure function of (seed, step, worker) that both
+// endpoints evaluate.
+var builtins = []builtin{
+	{"smoke", nil}, // SmokeSpec
+	// In-process against localhost TCP: perfect-network cells agree number for number.
+	{"tcp-smoke", []Network{{Name: "in-process"}, {Name: "tcp-distributed", Backend: "tcp"}}},
+	// UDP on a perfect link (bit-equal to in-process) and at 10% loss with fill-random (§3.3).
+	{"udp-smoke", []Network{
+		{Name: "in-process"},
+		{Name: "udp-distributed", Backend: "udp"},
+		{Name: "udp-lossy", Backend: "udp", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+	}},
+	// 10% model-broadcast loss under both torn-broadcast policies, skip and stale.
+	{"model-loss-smoke", []Network{
+		{Name: "in-process"},
+		{Name: "udp-model-perfect", Backend: "udp", ModelRecoup: "stale"},
+		{Name: "udp-model-lossy-skip", Backend: "udp", ModelDropRate: 0.1, Protocol: "udp"},
+		{Name: "udp-model-lossy-stale", Backend: "udp", ModelDropRate: 0.1, ModelRecoup: "stale", Protocol: "udp"},
+		{Name: "udp-both-lossy-stale", Backend: "udp", DropRate: 0.1, Recoup: "fill-random",
+			ModelDropRate: 0.1, ModelRecoup: "stale", Protocol: "udp"},
+	}},
+	// float64 against float32 coordinates: the accuracy cost of halving the gradient bytes.
+	{"wire-smoke", []Network{
+		{Name: "in-process"},
+		{Name: "udp-f64", Backend: "udp"},
+		{Name: "udp-f32", Backend: "udp", WireFormat: "float32"},
+		{Name: "udp-f64-lossy", Backend: "udp", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+		{Name: "udp-f32-lossy", Backend: "udp", WireFormat: "float32", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+	}},
+	// Lockstep against quorum 6 of 7 with staleness τ = 2 on every backend: the straggler contrast.
+	{"async-smoke", []Network{
+		{Name: "lockstep-in-process"},
+		{Name: "lockstep-slow", AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: 0.25}},
+		{Name: "async-in-process", AsyncConfig: smokeAsync},
+		{Name: "async-tcp", Backend: "tcp", AsyncConfig: smokeAsync},
+		{Name: "async-udp", Backend: "udp", AsyncConfig: smokeAsync},
+		{Name: "async-udp-lossy", Backend: "udp", AsyncConfig: smokeAsync,
+			DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+	}},
+	// Crash/rejoin on both socket backends, dragging some multi-krum rounds below n ≥ 2f+3.
+	{"churn-smoke", []Network{
+		{Name: "steady-in-process"},
+		{Name: "churn-tcp", Backend: "tcp", Churn: &smokeChurn},
+		{Name: "churn-udp", Backend: "udp", Churn: &smokeChurn},
+		{Name: "churn-udp-lossy", Backend: "udp", Churn: &smokeChurn,
+			DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+	}},
 }
 
-// ModelLossSmokeSpec returns the built-in lossy-model-broadcast
-// demonstration campaign (cmd/scenario -builtin model-loss-smoke): the
-// udp-smoke cells swept in-process, over real UDP sockets with a perfect
-// model channel (must reproduce the in-process trajectories bit-for-bit),
-// and with 10% seeded downlink loss on the model broadcasts under both
-// torn-broadcast policies — skip (torn workers sit the round out and their
-// slots are recouped) and stale (torn workers train on their last complete
-// model and the server accepts the stale-tagged gradients), plus a cell
-// combining model loss with 10% gradient loss. All cells stay
-// byte-reproducible because the downlink schedule (ps.ModelDropSeed) is a
-// pure function of (seed, step, worker) evaluated at both endpoints.
-func ModelLossSmokeSpec() Spec {
-	s := Spec{
-		Name:       "model-loss-smoke",
-		Experiment: "features-mlp",
-		GARs:       []string{"median", "multi-krum"},
-		Attacks:    []string{AttackNone, "reversed", "non-finite"},
-		Clusters:   []Cluster{{Workers: 7, F: 1}},
-		Networks: []Network{
-			{Name: "in-process"},
-			{Name: "udp-model-perfect", Backend: "udp", ModelRecoup: "stale"},
-			{Name: "udp-model-lossy-skip", Backend: "udp", ModelDropRate: 0.1, Protocol: "udp"},
-			{Name: "udp-model-lossy-stale", Backend: "udp", ModelDropRate: 0.1, ModelRecoup: "stale", Protocol: "udp"},
-			{Name: "udp-both-lossy-stale", Backend: "udp", DropRate: 0.1, Recoup: "fill-random",
-				ModelDropRate: 0.1, ModelRecoup: "stale", Protocol: "udp"},
-		},
-		Seeds:     []int64{1},
-		Steps:     30,
-		Batch:     16,
-		LR:        5e-3,
-		EvalEvery: 10,
-		Threshold: 0.25,
-	}
-	s.ApplyDefaults()
-	return s
+type builtin struct {
+	name     string
+	networks []Network
 }
 
-// AsyncSmokeSpec returns the built-in asynchronous-round demonstration
-// campaign (cmd/scenario -builtin async-smoke): the udp-smoke cells swept
-// through the bounded-staleness quorum mode. A plain lockstep baseline, a
-// lockstep cell gated by the deterministic slow-worker schedule (every slot
-// still required, so a scheduled-dropped worker skips the whole round), and
-// quorum-6-of-7 cells with staleness bound τ=2 on all three backends — the
-// straggler contrast the async mode exists to show, read directly from the
-// report's async section (rounds/sec, admitted-stale and dropped-too-stale
-// per cell). A lossy-uplink async cell composes the quorum mode with 10%
-// gradient packet loss. Every cell stays byte-reproducible because the slow
-// schedule (ps.SlowSeed) is a pure function of (seed, step, worker) evaluated
-// at both endpoints.
-func AsyncSmokeSpec() Spec {
-	async := ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}
-	s := Spec{
-		Name:       "async-smoke",
-		Experiment: "features-mlp",
-		GARs:       []string{"median", "multi-krum"},
-		Attacks:    []string{AttackNone, "reversed", "non-finite"},
-		Clusters:   []Cluster{{Workers: 7, F: 1}},
-		Networks: []Network{
-			{Name: "lockstep-in-process"},
-			{Name: "lockstep-slow", AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: 0.25}},
-			{Name: "async-in-process", AsyncConfig: async},
-			{Name: "async-tcp", Backend: "tcp", AsyncConfig: async},
-			{Name: "async-udp", Backend: "udp", AsyncConfig: async},
-			{Name: "async-udp-lossy", Backend: "udp", AsyncConfig: async,
-				DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
-		},
-		Seeds:     []int64{1},
-		Steps:     30,
-		Batch:     16,
-		LR:        5e-3,
-		EvalEvery: 10,
-		Threshold: 0.25,
+var (
+	smokeAsync = ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}
+	smokeChurn = ps.ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: 2}
+)
+
+// BuiltinNames lists the built-in campaigns.
+func BuiltinNames() []string {
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
 	}
-	s.ApplyDefaults()
-	return s
+	return names
 }
 
-// ChurnSmokeSpec returns the built-in worker-churn demonstration campaign
-// (cmd/scenario -builtin churn-smoke): the tcp-smoke cells swept through the
-// deterministic crash/rejoin schedule. A steady in-process baseline, then
-// churn at rate 0.08 (down 2 rounds, at most 2 rejoins per worker — at seed
-// 1 the 30-step schedule produces 18 crashes, 13 rejoins and 4 permanent
-// departures) on both socket backends, plus a lossy-uplink churn cell
-// composing the schedule with 10% gradient packet loss. The multi-krum cells
-// additionally exercise graceful GAR degradation: rounds the schedule drags
-// below the n >= 2f+3 resilience bound are skipped and counted
-// (belowBoundRounds), never aggregated. The loss-free tcp and udp churn
-// cells produce identical counters and trajectories — the schedule is
-// evaluated at both endpoints from the seed, never from socket timing — and
-// every cell stays byte-reproducible across reruns.
-func ChurnSmokeSpec() Spec {
-	churn := &ps.ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: 2}
+// Builtin returns the named built-in campaign with defaults applied. Every
+// call builds a fresh spec, so the caller may edit it.
+func Builtin(name string) (Spec, error) {
+	i := slices.IndexFunc(builtins, func(b builtin) bool { return b.name == name })
+	switch {
+	case i < 0:
+		return Spec{}, fmt.Errorf("scenario: unknown built-in campaign %q (want %s)", name, strings.Join(BuiltinNames(), "|"))
+	case builtins[i].networks == nil:
+		return SmokeSpec(), nil
+	}
 	s := Spec{
-		Name:       "churn-smoke",
+		Name:       name,
 		Experiment: "features-mlp",
 		GARs:       []string{"median", "multi-krum"},
 		Attacks:    []string{AttackNone, "reversed", "non-finite"},
 		Clusters:   []Cluster{{Workers: 7, F: 1}},
-		Networks: []Network{
-			{Name: "steady-in-process"},
-			{Name: "churn-tcp", Backend: "tcp", Churn: churn},
-			{Name: "churn-udp", Backend: "udp", Churn: churn},
-			{Name: "churn-udp-lossy", Backend: "udp", Churn: churn,
-				DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
-		},
-		Seeds:     []int64{1},
-		Steps:     30,
-		Batch:     16,
-		LR:        5e-3,
-		EvalEvery: 10,
-		Threshold: 0.25,
+		Networks:   slices.Clone(builtins[i].networks),
+		Seeds:      []int64{1},
+		Steps:      30,
+		Batch:      16,
+		LR:         5e-3,
+		EvalEvery:  10,
+		Threshold:  0.25,
+	}
+	for i, n := range s.Networks {
+		if n.Churn != nil {
+			churn := *n.Churn
+			s.Networks[i].Churn = &churn
+		}
 	}
 	s.ApplyDefaults()
-	return s
-}
-
-// DistributedSmokeSpec returns the built-in socket-distributed demonstration
-// campaign (cmd/scenario -builtin tcp-smoke): the same cells swept both
-// in-process and over real localhost TCP sockets, so the two backends'
-// trajectories can be diffed cell-for-cell — identical seeds must produce
-// identical loss/accuracy numbers on the perfect-network cells.
-func DistributedSmokeSpec() Spec {
-	s := Spec{
-		Name:       "tcp-smoke",
-		Experiment: "features-mlp",
-		GARs:       []string{"median", "multi-krum"},
-		Attacks:    []string{AttackNone, "reversed", "non-finite"},
-		Clusters:   []Cluster{{Workers: 7, F: 1}},
-		Networks: []Network{
-			{Name: "in-process"},
-			{Name: "tcp-distributed", Backend: "tcp"},
-		},
-		Seeds:     []int64{1},
-		Steps:     30,
-		Batch:     16,
-		LR:        5e-3,
-		EvalEvery: 10,
-		Threshold: 0.25,
-	}
-	s.ApplyDefaults()
-	return s
+	return s, nil
 }

@@ -12,7 +12,7 @@ import (
 // reproducible because gradients are slotted by worker id, worker seeds
 // derive from the run seed, and the float64 wire codec is lossless.
 func TestTCPCampaignJSONDeterministic(t *testing.T) {
-	spec := DistributedSmokeSpec()
+	spec := mustBuiltin(t, "tcp-smoke")
 	spec.Steps = 8
 	spec.EvalEvery = 4
 

@@ -13,7 +13,7 @@ import (
 // from its float64 twin in the loss readout), and the summary must carry
 // the wire-format delta section.
 func TestWireCampaignJSONDeterministic(t *testing.T) {
-	spec := WireSmokeSpec()
+	spec := mustBuiltin(t, "wire-smoke")
 	spec.Steps = 8
 	spec.EvalEvery = 4
 
