@@ -84,7 +84,7 @@ smoke:
 # schedules) and write BENCH_aggregation.json — the perf trajectory to diff
 # across commits on the same machine.
 bench-json:
-	$(GO) run ./cmd/bench -json -out $(BENCH_JSON_DIR)
+	$(GO) run ./cmd/bench -out $(BENCH_JSON_DIR)
 
 # benchmark/README.md's comparison of two commits: ten alternating pairs of
 # untraced runs, this checkout (B) against the one in PARENT (A, a clone of

@@ -30,8 +30,8 @@
 //     model broadcasts) and recoup values that are pure functions of (seed,
 //     step, worker).
 //
-// See README.md for a tour; bench_test.go indexes the paper's tables and
-// figures (one benchmark per exhibit) and cmd/bench prints them.
+// See README.md for a tour; bench_test.go regenerates the paper's tables and
+// figures, one benchmark per exhibit.
 package aggregathor
 
 import (

@@ -1,7 +1,10 @@
-// Benchmarks regenerating the paper's tables and figures. Each benchmark
-// exercises the real kernel behind one exhibit and reports the figure's
-// headline quantity via b.ReportMetric; the full row/series generator with
-// paper-style output is cmd/bench (go run ./cmd/bench).
+// Benchmarks regenerating the paper's tables and figures, the one place they
+// are produced. Each benchmark exercises the real kernel behind one exhibit
+// and reports the figure's headline quantity via b.ReportMetric; Table 1's
+// layer table is Example_table1:
+//
+//	go test -run Example_table1 -v .
+//	go test -run=NONE -bench 'Table1|Fig|Cost' -benchtime=1x .
 package aggregathor
 
 import (
@@ -36,7 +39,7 @@ func randGrads(seed int64, n, d int) []tensor.Vector {
 }
 
 // BenchmarkTable1_ModelParams builds the Table-1 CNN and reports its
-// parameter count (paper: ≈1.75M).
+// parameter count (paper: ≈1.75M). Example_table1 prints the layer table.
 func BenchmarkTable1_ModelParams(b *testing.B) {
 	var params int
 	for i := 0; i < b.N; i++ {
@@ -46,13 +49,37 @@ func BenchmarkTable1_ModelParams(b *testing.B) {
 	b.ReportMetric(float64(params), "params")
 }
 
-// fig3Curve executes the Figure-3 configuration for one aggregator. Batch
-// 250 matches Figure 3(a), the paper's headline setting.
-func fig3Curve(b *testing.B, aggregator string, f int) *core.Result {
+// Example_table1 prints Table 1, the CNN's layers and parameter counts. It
+// is an example rather than a benchmark log because the testing package
+// trims a benchmark's log to ten lines.
+func Example_table1() {
+	fmt.Print(nn.NewCIFARCNN(rand.New(rand.NewSource(1))).Summary())
+	// Output:
+	// layer                  output             params
+	// input                  32x32x3                 0
+	// conv2d(5x5x64/1)       32x32x64             4864
+	// relu                   32x32x64                0
+	// maxpool(3x3/2)         16x16x64                0
+	// conv2d(5x5x64/1)       16x16x64           102464
+	// relu                   16x16x64                0
+	// maxpool(3x3/2)         8x8x64                  0
+	// flatten                1x1x4096                0
+	// dense(4096->384)       1x1x384           1573248
+	// relu                   1x1x384                 0
+	// dense(384->192)        1x1x192             73920
+	// relu                   1x1x192                 0
+	// dense(192->10)         1x1x10               1930
+	// total                                    1756426
+}
+
+// fig3Curve executes the Figure-3 configuration for one aggregator at one
+// mini-batch size: 250 is Figure 3(a), the paper's headline setting, and 20
+// is Figure 3(b).
+func fig3Curve(b *testing.B, aggregator string, f, batch int) *core.Result {
 	b.Helper()
 	res, err := core.Run(core.Config{
 		Workers: 19, F: f, Aggregator: aggregator,
-		Optimizer: "momentum", LR: 0.1, Batch: 250,
+		Optimizer: "momentum", LR: 0.1, Batch: batch,
 		Steps: 80, EvalEvery: 2, Seed: 3,
 	})
 	if err != nil {
@@ -63,21 +90,22 @@ func fig3Curve(b *testing.B, aggregator string, f int) *core.Result {
 
 // fig3Run returns (simulated seconds to half of vanilla TF's final accuracy
 // — the paper's common target — and this config's final accuracy).
-func fig3Run(b *testing.B, aggregator string, f int) (float64, float64) {
+func fig3Run(b *testing.B, aggregator string, f, batch int) (float64, float64) {
 	b.Helper()
-	tf := fig3Curve(b, "tf", 0)
+	tf := fig3Curve(b, "tf", 0, batch)
 	target := tf.AccuracyVsTime.MaxValue() / 2
-	res := fig3Curve(b, aggregator, f)
+	res := fig3Curve(b, aggregator, f, batch)
 	t, ok := res.AccuracyVsTime.TimeToValue(target)
 	if !ok {
-		b.Fatalf("%s never reached TF's half accuracy", aggregator)
+		b.Fatalf("%s never reached TF's half accuracy at mini-batch %d", aggregator, batch)
 	}
 	return t.Seconds(), res.FinalAccuracy
 }
 
-// BenchmarkFig3_Overhead reproduces the Figure-3 overhead measurement:
-// time to half of final accuracy per aggregator (paper: MULTI-KRUM +19%,
-// BULYAN +43% over vanilla TF).
+// BenchmarkFig3_Overhead reproduces the Figure-3 overhead measurement at
+// mini-batch 250 (Figure 3(a)) and 20 (Figure 3(b)): time to half of final
+// accuracy per aggregator (paper, at 250: MULTI-KRUM +19%, BULYAN +43% over
+// vanilla TF).
 func BenchmarkFig3_Overhead(b *testing.B) {
 	configs := []struct {
 		name string
@@ -85,21 +113,24 @@ func BenchmarkFig3_Overhead(b *testing.B) {
 	}{
 		{"tf", 0}, {"average", 0}, {"median", 0}, {"multi-krum", 4}, {"bulyan", 4}, {"draco", 4},
 	}
-	var baseline float64
-	for _, cfg := range configs {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			var tHalf, acc float64
-			for i := 0; i < b.N; i++ {
-				tHalf, acc = fig3Run(b, cfg.name, cfg.f)
-			}
-			if cfg.name == "tf" {
-				baseline = tHalf
-			}
-			b.ReportMetric(tHalf, "sim_s_to_half_acc")
-			b.ReportMetric(acc, "final_accuracy")
-			if baseline > 0 {
-				b.ReportMetric(tHalf/baseline, "slowdown_vs_tf")
+	for _, batch := range []int{250, 20} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			var baseline float64
+			for _, cfg := range configs {
+				b.Run(cfg.name, func(b *testing.B) {
+					var tHalf, acc float64
+					for i := 0; i < b.N; i++ {
+						tHalf, acc = fig3Run(b, cfg.name, cfg.f, batch)
+					}
+					if cfg.name == "tf" {
+						baseline = tHalf
+					}
+					b.ReportMetric(tHalf, "sim_s_to_half_acc")
+					b.ReportMetric(acc, "final_accuracy")
+					if baseline > 0 {
+						b.ReportMetric(tHalf/baseline, "slowdown_vs_tf")
+					}
+				})
 			}
 		})
 	}

@@ -486,7 +486,7 @@ var (
 )
 
 // deployment is what the shared runner drives: any trainer that also exposes
-// its parameters (divergence hook, checkpoints).
+// a copy of its parameters (checkpoints, the result) and takes a restore.
 type deployment interface {
 	ps.Trainer
 	Params() tensor.Vector

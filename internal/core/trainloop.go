@@ -10,7 +10,8 @@ import (
 // clock, recording the accuracy/loss/throughput series into res, stopping a
 // run whose parameters went non-finite (vanilla TensorFlow's fate under
 // attack) and checkpointing every CheckpointEvery rounds. It is the single
-// training loop behind every deployment.
+// training loop behind every deployment. The divergence check reads the
+// evaluation replica's live store; cl.Params would copy d floats a round.
 func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Round, res *Result) error {
 	res.ModelDim = cl.Model().NumParams()
 	var clock simnet.Clock
@@ -33,7 +34,7 @@ func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Rou
 		if sr.Hijacked {
 			res.Hijacked = true
 		}
-		if !cl.Params().IsFinite() {
+		if !cl.Model().Params().IsFinite() {
 			res.Diverged = true
 			break
 		}

@@ -5,12 +5,7 @@
 // computation+communication time (Figure 4).
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"time"
-)
+import "time"
 
 // Point is one sample of a time series: a simulated timestamp, the model
 // update index, and the measured value.
@@ -76,31 +71,6 @@ func (s *Series) StepToValue(v float64) (int, bool) {
 	return 0, false
 }
 
-// ValueAtTime returns the last recorded value at or before t (step-function
-// interpolation); ok is false if the series starts after t.
-func (s *Series) ValueAtTime(t time.Duration) (float64, bool) {
-	var out float64
-	found := false
-	for _, p := range s.Points {
-		if p.Time > t {
-			break
-		}
-		out = p.Value
-		found = true
-	}
-	return out, found
-}
-
-// TSV renders the series as "time_s\tstep\tvalue" rows for plotting.
-func (s *Series) TSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n", s.Name)
-	for _, p := range s.Points {
-		fmt.Fprintf(&b, "%.3f\t%d\t%.6f\n", p.Time.Seconds(), p.Step, p.Value)
-	}
-	return b.String()
-}
-
 // Breakdown is the Figure-4 latency decomposition for one configuration.
 type Breakdown struct {
 	Name string
@@ -154,29 +124,4 @@ func (t *Throughput) BatchesPerSecond() float64 {
 		return 0
 	}
 	return float64(t.batches) / t.elapsed.Seconds()
-}
-
-// Table renders aligned rows (label → columns) for harness output, sorted
-// by label for stable golden output.
-func Table(title string, rows map[string][]string, header []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", title)
-	fmt.Fprintf(&b, "%-28s", "config")
-	for _, h := range header {
-		fmt.Fprintf(&b, "%16s", h)
-	}
-	b.WriteByte('\n')
-	labels := make([]string, 0, len(rows))
-	for label := range rows {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		fmt.Fprintf(&b, "%-28s", label)
-		for _, cell := range rows[label] {
-			fmt.Fprintf(&b, "%16s", cell)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -44,34 +43,6 @@ func TestTimeToValue(t *testing.T) {
 	}
 }
 
-func TestValueAtTime(t *testing.T) {
-	var s Series
-	s.Add(time.Second, 1, 0.2)
-	s.Add(3*time.Second, 2, 0.6)
-	if v, ok := s.ValueAtTime(2 * time.Second); !ok || v != 0.2 {
-		t.Fatalf("ValueAtTime(2s) = %v, %v", v, ok)
-	}
-	if _, ok := s.ValueAtTime(500 * time.Millisecond); ok {
-		t.Fatal("before first point must report !ok")
-	}
-	if v, _ := s.ValueAtTime(time.Minute); v != 0.6 {
-		t.Fatal("after last point must hold last value")
-	}
-}
-
-func TestSeriesTSV(t *testing.T) {
-	var s Series
-	s.Name = "accuracy"
-	s.Add(1500*time.Millisecond, 7, 0.25)
-	out := s.TSV()
-	if !strings.Contains(out, "# accuracy") {
-		t.Fatal("missing header")
-	}
-	if !strings.Contains(out, "1.500\t7\t0.250000") {
-		t.Fatalf("row format wrong:\n%s", out)
-	}
-}
-
 func TestBreakdown(t *testing.T) {
 	b := Breakdown{Name: "bulyan", ComputeComm: 480 * time.Millisecond, Aggregation: 520 * time.Millisecond}
 	if b.Total() != time.Second {
@@ -98,22 +69,5 @@ func TestThroughput(t *testing.T) {
 	}
 	if got := th.BatchesPerSecond(); got != 1 {
 		t.Fatalf("batches/s %v, want 1", got)
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	out := Table("Fig 4", map[string][]string{
-		"tf":     {"1.0", "0.0"},
-		"bulyan": {"0.48", "0.52"},
-	}, []string{"compute", "agg"})
-	if !strings.Contains(out, "== Fig 4 ==") {
-		t.Fatal("missing title")
-	}
-	// Sorted: bulyan row before tf row.
-	if strings.Index(out, "bulyan") > strings.Index(out, "tf") {
-		t.Fatal("rows must be sorted by label")
-	}
-	if !strings.Contains(out, "compute") || !strings.Contains(out, "agg") {
-		t.Fatal("missing header columns")
 	}
 }

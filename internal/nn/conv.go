@@ -138,7 +138,7 @@ func (c *Conv2D) col2im(cols *tensor.Matrix, dst tensor.Vector) {
 }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (c *Conv2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != c.in.Flat() {
 		panic(fmt.Sprintf("nn: conv expects %d inputs, got %d", c.in.Flat(), x.Cols))
 	}
@@ -226,7 +226,7 @@ func (p *MaxPool2D) OutShape() Shape { return Shape{H: p.outH, W: p.outW, C: p.i
 func (p *MaxPool2D) NumParams() int { return 0 }
 
 // Forward implements Layer.
-func (p *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (p *MaxPool2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != p.in.Flat() {
 		panic(fmt.Sprintf("nn: maxpool expects %d inputs, got %d", p.in.Flat(), x.Cols))
 	}
@@ -297,9 +297,3 @@ func (p *MaxPool2D) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 	}
 	return gradIn
 }
-
-// Params implements Layer.
-func (p *MaxPool2D) Params() []tensor.Vector { return nil }
-
-// Grads implements Layer.
-func (p *MaxPool2D) Grads() []tensor.Vector { return nil }

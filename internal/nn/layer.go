@@ -21,20 +21,13 @@ type Layer interface {
 	// NumParams returns the number of trainable scalars.
 	NumParams() int
 	// Forward computes the layer output for a batch (rows = samples).
-	// train toggles training-only behaviour (dropout).
-	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
+	Forward(x *tensor.Matrix) *tensor.Matrix
 	// Backward computes the input gradient from the output gradient.
 	// It must be called after Forward on the same batch. needInput is false
 	// when nothing reads the input gradient (no trainable layer lies below):
 	// a layer whose input gradient costs a pass of its own then skips it and
 	// returns nil. The parameter gradients are the same either way.
 	Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix
-	// Params returns views (not copies) of the trainable parameter
-	// blocks; writing through them updates the layer.
-	Params() []tensor.Vector
-	// Grads returns views of the parameter gradient blocks, aligned with
-	// Params.
-	Grads() []tensor.Vector
 }
 
 // block is what a layer with parameters embeds: a weight matrix and a bias
@@ -83,17 +76,6 @@ func (p *block) ownGrads() {
 // NumParams implements Layer.
 func (p *block) NumParams() int { return len(p.w.Data) + len(p.b) }
 
-// Params implements Layer.
-func (p *block) Params() []tensor.Vector { return []tensor.Vector{tensor.Vector(p.w.Data), p.b} }
-
-// Grads implements Layer. Until its network's first backward pass the layer
-// has no share of a gradient store, and the views are of a zero block of its
-// own that the network's then replaces.
-func (p *block) Grads() []tensor.Vector {
-	p.ownGrads()
-	return []tensor.Vector{tensor.Vector(p.gw.Data), p.gb}
-}
-
 // sized returns m when it is rows×cols and a new matrix otherwise: a layer's
 // scratch is made on first use and again only when the batch shape changes.
 // The contents are whatever the last call left.
@@ -131,7 +113,7 @@ func (d *Dense) Name() string { return fmt.Sprintf("dense(%d->%d)", d.in, d.out)
 func (d *Dense) OutShape() Shape { return FlatShape(d.out) }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != d.in {
 		panic(fmt.Sprintf("nn: dense expects %d inputs, got %d", d.in, x.Cols))
 	}
@@ -176,7 +158,7 @@ func (r *ReLU) OutShape() Shape { return r.shape }
 func (r *ReLU) NumParams() int { return 0 }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	r.y = sized(r.y, x.Rows, x.Cols)
 	if len(r.mask) != len(x.Data) {
 		r.mask = make([]bool, len(x.Data))
@@ -203,12 +185,6 @@ func (r *ReLU) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 	return r.gradIn
 }
 
-// Params implements Layer.
-func (r *ReLU) Params() []tensor.Vector { return nil }
-
-// Grads implements Layer.
-func (r *ReLU) Grads() []tensor.Vector { return nil }
-
 // Flatten reinterprets an image shape as a flat feature vector. With the
 // row-major per-sample layout this is a no-op on data; only the declared
 // shape changes.
@@ -229,82 +205,7 @@ func (f *Flatten) OutShape() Shape { return FlatShape(f.in.Flat()) }
 func (f *Flatten) NumParams() int { return 0 }
 
 // Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Matrix, train bool) *tensor.Matrix { return x }
+func (f *Flatten) Forward(x *tensor.Matrix) *tensor.Matrix { return x }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix { return gradOut }
-
-// Params implements Layer.
-func (f *Flatten) Params() []tensor.Vector { return nil }
-
-// Grads implements Layer.
-func (f *Flatten) Grads() []tensor.Vector { return nil }
-
-// Dropout zeroes activations with probability Rate at train time, scaling
-// the survivors by 1/(1-Rate) (inverted dropout); it is the identity at
-// evaluation time.
-type Dropout struct {
-	shape Shape
-	rate  float64
-	rng   *rand.Rand
-	mask  []float64
-}
-
-// NewDropout builds a Dropout layer. rate must be in [0, 1).
-func NewDropout(shape Shape, rate float64, rng *rand.Rand) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic(fmt.Sprintf("nn: dropout rate %v out of [0,1)", rate))
-	}
-	return &Dropout{shape: shape, rate: rate, rng: rng}
-}
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return fmt.Sprintf("dropout(%.2f)", d.rate) }
-
-// OutShape implements Layer.
-func (d *Dropout) OutShape() Shape { return d.shape }
-
-// NumParams implements Layer.
-func (d *Dropout) NumParams() int { return 0 }
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if !train || d.rate == 0 {
-		d.mask = nil
-		return x
-	}
-	out := x.Clone()
-	if cap(d.mask) < len(out.Data) {
-		d.mask = make([]float64, len(out.Data))
-	}
-	d.mask = d.mask[:len(out.Data)]
-	keep := 1 - d.rate
-	for i := range out.Data {
-		if d.rng.Float64() < d.rate {
-			d.mask[i] = 0
-			out.Data[i] = 0
-		} else {
-			d.mask[i] = 1 / keep
-			out.Data[i] *= d.mask[i]
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
-	if d.mask == nil {
-		return gradOut
-	}
-	gradIn := gradOut.Clone()
-	for i := range gradIn.Data {
-		gradIn.Data[i] *= d.mask[i]
-	}
-	return gradIn
-}
-
-// Params implements Layer.
-func (d *Dropout) Params() []tensor.Vector { return nil }
-
-// Grads implements Layer.
-func (d *Dropout) Grads() []tensor.Vector { return nil }

@@ -67,10 +67,10 @@ func (n *Network) NumParams() int { return n.dim }
 
 // Forward runs a batch through the network and returns the logits, which
 // may be a layer's reused output: valid until the next Forward.
-func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 	out := x
 	for _, l := range n.layers {
-		out = l.Forward(out, train)
+		out = l.Forward(out)
 	}
 	return out
 }
@@ -126,7 +126,7 @@ func (n *Network) GradsVector() tensor.Vector {
 // it. A worker submitting its own gradient borrows; anything that holds two
 // gradients of one network, or one across a round, takes Gradient's copy.
 func (n *Network) GradientView(x *tensor.Matrix, labels []int) (loss float64, grad tensor.Vector) {
-	loss = n.lossGradient(n.Forward(x, true), labels)
+	loss = n.lossGradient(n.Forward(x), labels)
 	n.Backward(n.dLogits)
 	return loss, n.grads
 }
@@ -147,12 +147,12 @@ func (n *Network) lossGradient(logits *tensor.Matrix, labels []int) float64 {
 
 // Loss computes the mean loss of a batch without touching gradients.
 func (n *Network) Loss(x *tensor.Matrix, labels []int) float64 {
-	return n.lossGradient(n.Forward(x, false), labels)
+	return n.lossGradient(n.Forward(x), labels)
 }
 
 // Predict returns the argmax class for each row of x.
 func (n *Network) Predict(x *tensor.Matrix) []int {
-	logits := n.Forward(x, false)
+	logits := n.Forward(x)
 	out := make([]int, logits.Rows)
 	for i := 0; i < logits.Rows; i++ {
 		row := logits.Row(i)

@@ -197,7 +197,7 @@ func TestBackwardSkipsOnlyTheUnreadInputGradient(t *testing.T) {
 		x, y := randBatch(rand.New(rand.NewSource(32)), 5, img.Flat(), 4)
 		_, got := n.Gradient(x, y)
 
-		_, dLogits := SoftmaxCrossEntropy(n.Forward(x, true), y)
+		_, dLogits := SoftmaxCrossEntropy(n.Forward(x), y)
 		g := dLogits
 		for i := len(n.layers) - 1; i >= 0; i-- {
 			if g = n.layers[i].Backward(g, true); g == nil {
@@ -243,6 +243,23 @@ var testNets = map[string]func(seed int64) *Network{
 	"cifarcnn": func(seed int64) *Network { return NewCIFARCNN(rand.New(rand.NewSource(seed))) },
 }
 
+// blocks returns the parameter and gradient windows of every layer with
+// parameters, in layer order, weights before biases: what a layer's block
+// reads and writes.
+func blocks(n *Network) (params, grads []tensor.Vector) {
+	for _, l := range n.Layers() {
+		if l.NumParams() == 0 {
+			continue
+		}
+		p := l.(interface{ blk() *block }).blk()
+		params = append(params, tensor.Vector(p.w.Data), p.b)
+		if p.gw != nil {
+			grads = append(grads, tensor.Vector(p.gw.Data), p.gb)
+		}
+	}
+	return params, grads
+}
+
 // TestLayerViewsAliasFlatStores: a layer's blocks are windows on the
 // network's stores, laid out in layer order, weights before biases, with no
 // gaps — the layout ParamsVector has always had, so a checkpoint written
@@ -253,22 +270,24 @@ func TestLayerViewsAliasFlatStores(t *testing.T) {
 		if len(n.Params()) != n.NumParams() {
 			t.Fatalf("%s: store holds %d parameters, NumParams %d", name, len(n.Params()), n.NumParams())
 		}
+		params, grads := blocks(n)
+		if grads != nil {
+			t.Fatalf("%s: a gradient store exists before the first backward pass", name)
+		}
 		off := 0
-		for li, l := range n.Layers() {
-			for bi, p := range l.Params() {
-				if len(p) == 0 {
-					t.Fatalf("%s: layer %d block %d is empty", name, li, bi)
-				}
-				if &p[0] != &n.Params()[off] {
-					t.Fatalf("%s: layer %d (%s) block %d does not start at offset %d of the store", name, li, l.Name(), bi, off)
-				}
-				mark := 1000 + float64(off)
-				p[0] = mark // a write through the layer's view…
-				if n.Params()[off] != mark || n.ParamsVector()[off] != mark {
-					t.Fatalf("%s: write through layer %d block %d does not show at offset %d", name, li, bi, off)
-				}
-				off += len(p)
+		for bi, p := range params {
+			if len(p) == 0 {
+				t.Fatalf("%s: block %d is empty", name, bi)
 			}
+			if &p[0] != &n.Params()[off] {
+				t.Fatalf("%s: block %d does not start at offset %d of the store", name, bi, off)
+			}
+			mark := 1000 + float64(off)
+			p[0] = mark // a write through the layer's view…
+			if n.Params()[off] != mark || n.ParamsVector()[off] != mark {
+				t.Fatalf("%s: write through block %d does not show at offset %d", name, bi, off)
+			}
+			off += len(p)
 		}
 		if off != n.NumParams() {
 			t.Fatalf("%s: the layers' blocks cover %d of %d parameters", name, off, n.NumParams())
@@ -281,13 +300,11 @@ func TestLayerViewsAliasFlatStores(t *testing.T) {
 		n.SetParamsVector(v)
 		n.SetParamsVector(n.Params()) // the store itself: nothing to do
 		off = 0
-		for _, l := range n.Layers() {
-			for _, p := range l.Params() {
-				if p[0] != float64(off) || p[len(p)-1] != float64(off+len(p)-1) {
-					t.Fatalf("%s: %s block at offset %d reads %v…%v after SetParamsVector", name, l.Name(), off, p[0], p[len(p)-1])
-				}
-				off += len(p)
+		for bi, p := range params {
+			if p[0] != float64(off) || p[len(p)-1] != float64(off+len(p)-1) {
+				t.Fatalf("%s: block %d at offset %d reads %v…%v after SetParamsVector", name, bi, off, p[0], p[len(p)-1])
 			}
+			off += len(p)
 		}
 		if name == "cifarcnn" {
 			continue // one backward pass of the 1.75M-parameter model is the slow part
@@ -295,14 +312,16 @@ func TestLayerViewsAliasFlatStores(t *testing.T) {
 		// The gradient store is laid out the same way, once a backward pass made it.
 		x, y := randBatch(rand.New(rand.NewSource(42)), 3, n.InShape().Flat(), 3)
 		_, view := n.GradientView(x, y)
+		_, grads = blocks(n)
+		if len(grads) != len(params) {
+			t.Fatalf("%s: %d gradient blocks for %d parameter blocks", name, len(grads), len(params))
+		}
 		off = 0
-		for _, l := range n.Layers() {
-			for bi, g := range l.Grads() {
-				if &g[0] != &view[off] || len(g) != len(l.Params()[bi]) {
-					t.Fatalf("%s: %s gradient block %d is not the store at offset %d", name, l.Name(), bi, off)
-				}
-				off += len(g)
+		for bi, g := range grads {
+			if &g[0] != &view[off] || len(g) != len(params[bi]) {
+				t.Fatalf("%s: gradient block %d is not the store at offset %d", name, bi, off)
 			}
+			off += len(g)
 		}
 	}
 }
@@ -486,38 +505,22 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainVsEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	d := NewDropout(FlatShape(1000), 0.5, rng)
-	x := tensor.NewMatrix(1, 1000)
-	for i := range x.Data {
-		x.Data[i] = 1
-	}
-	eval := d.Forward(x, false)
-	for _, v := range eval.Data {
-		if v != 1 {
-			t.Fatal("dropout must be identity at eval time")
+// TestActivationLayerContracts: the layers without parameters report none
+// and keep their sample shape (Flatten only renames it), so Network.bind
+// never looks for a block in them.
+func TestActivationLayerContracts(t *testing.T) {
+	img := Shape{H: 4, W: 4, C: 2}
+	for _, l := range []Layer{NewReLU(img), NewFlatten(img)} {
+		if l.NumParams() != 0 {
+			t.Fatalf("%s has %d parameters", l.Name(), l.NumParams())
+		}
+		if _, ok := l.(interface{ blk() *block }); ok {
+			t.Fatalf("%s embeds a parameter block", l.Name())
+		}
+		if l.OutShape().Flat() != img.Flat() {
+			t.Fatalf("%s shape %v, want %d values", l.Name(), l.OutShape(), img.Flat())
 		}
 	}
-	train := d.Forward(x, true)
-	zeros := 0
-	for _, v := range train.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 350 || zeros > 650 {
-		t.Fatalf("dropout zeroed %d of 1000 at rate 0.5", zeros)
-	}
-}
-
-func TestDropoutBadRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDropout(FlatShape(1), 1.0, rand.New(rand.NewSource(0)))
 }
 
 func TestNetworkSummaryMentionsLayers(t *testing.T) {

@@ -283,20 +283,6 @@ func Regularize(grad, params tensor.Vector, l1, l2 float64) {
 	}
 }
 
-// ClipNorm rescales grad in place so its L2 norm does not exceed maxNorm
-// (no-op for maxNorm <= 0 or already-small gradients). Gradient clipping is
-// a standard stabiliser for the steep early phase of training; note it is
-// NOT a Byzantine defence — a clipped malicious gradient is still malicious.
-func ClipNorm(grad tensor.Vector, maxNorm float64) {
-	if maxNorm <= 0 {
-		return
-	}
-	norm := grad.Norm()
-	if norm > maxNorm {
-		grad.Scale(maxNorm / norm)
-	}
-}
-
 // Factory builds an optimizer from a schedule.
 type Factory func(s Schedule) Optimizer
 

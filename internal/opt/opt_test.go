@@ -208,23 +208,3 @@ func TestOptimizersAreDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestClipNorm(t *testing.T) {
-	g := tensor.Vector{3, 4} // norm 5
-	ClipNorm(g, 2.5)
-	if math.Abs(g.Norm()-2.5) > 1e-12 {
-		t.Fatalf("clipped norm %v, want 2.5", g.Norm())
-	}
-	if math.Abs(g[0]/g[1]-0.75) > 1e-12 {
-		t.Fatal("clipping must preserve direction")
-	}
-	h := tensor.Vector{1, 0}
-	ClipNorm(h, 5)
-	if h[0] != 1 {
-		t.Fatal("small gradients must pass unchanged")
-	}
-	ClipNorm(h, 0) // no-op
-	if h[0] != 1 {
-		t.Fatal("maxNorm 0 must be a no-op")
-	}
-}
