@@ -134,7 +134,7 @@ func Aggregate(name string, f int, grads [][]float64) ([]float64, error) {
 	for i, g := range grads {
 		vecs[i] = tensor.Vector(g)
 	}
-	out, err := rule.Aggregate(vecs)
+	out, err := gar.Aggregate(rule, vecs)
 	if err != nil {
 		return nil, fmt.Errorf("aggregathor: %w", err)
 	}

@@ -96,7 +96,7 @@ func TestPublicRunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AccuracyVsStep.Len() == 0 {
+	if res.Accuracy.Len() == 0 {
 		t.Fatal("no evaluation points")
 	}
 }

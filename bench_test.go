@@ -93,9 +93,9 @@ func fig3Curve(b *testing.B, aggregator string, f, batch int) *core.Result {
 func fig3Run(b *testing.B, aggregator string, f, batch int) (float64, float64) {
 	b.Helper()
 	tf := fig3Curve(b, "tf", 0, batch)
-	target := tf.AccuracyVsTime.MaxValue() / 2
+	target := tf.Accuracy.MaxValue() / 2
 	res := fig3Curve(b, aggregator, f, batch)
-	t, ok := res.AccuracyVsTime.TimeToValue(target)
+	t, ok := res.Accuracy.TimeToValue(target)
 	if !ok {
 		b.Fatalf("%s never reached TF's half accuracy at mini-batch %d", aggregator, batch)
 	}
@@ -157,7 +157,7 @@ func BenchmarkFig4_LatencyBreakdown(b *testing.B) {
 			grads := randGrads(4, n, dBench)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rule.Aggregate(grads); err != nil {
+				if _, err := gar.Aggregate(rule, grads); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -238,7 +238,7 @@ func BenchmarkFig6_ImpactOfF(b *testing.B) {
 					b.Fatal(err)
 				}
 				acc = res.FinalAccuracy
-				last, _ := res.AccuracyVsTime.Last()
+				last, _ := res.Accuracy.Last()
 				simT = last.Time.Seconds()
 			}
 			b.ReportMetric(acc, "final_accuracy")
@@ -332,7 +332,7 @@ func BenchmarkFig8b_UDPDrop10(b *testing.B) {
 		var simT float64
 		for i := 0; i < b.N; i++ {
 			res := run(simnet.UDP, 8, transport.FillRandom)
-			last, _ := res.AccuracyVsTime.Last()
+			last, _ := res.Accuracy.Last()
 			simT = last.Time.Seconds()
 		}
 		b.ReportMetric(simT, "sim_s_total")
@@ -341,7 +341,7 @@ func BenchmarkFig8b_UDPDrop10(b *testing.B) {
 		var simT float64
 		for i := 0; i < b.N; i++ {
 			res := run(simnet.TCP, 0, transport.DropGradient)
-			last, _ := res.AccuracyVsTime.Last()
+			last, _ := res.Accuracy.Last()
 			simT = last.Time.Seconds()
 		}
 		b.ReportMetric(simT, "sim_s_total")
@@ -368,7 +368,7 @@ func BenchmarkCost_GARComplexity(b *testing.B) {
 					b.SetBytes(int64(n * d * 8))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := rule.Aggregate(grads); err != nil {
+						if _, err := gar.Aggregate(rule, grads); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -408,7 +408,7 @@ func BenchmarkByz_StrongVsWeak(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var dev float64
 			for i := 0; i < b.N; i++ {
-				out, err := cfg.rule.Aggregate(grads)
+				out, err := gar.Aggregate(cfg.rule, grads)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -517,7 +517,7 @@ func BenchmarkAblation_Workspace(b *testing.B) {
 		b.Run("fresh/"+cfg.name, func(b *testing.B) {
 			b.SetBytes(int64(n * d * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := cfg.rule.Aggregate(grads); err != nil {
+				if _, err := gar.Aggregate(cfg.rule, grads); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -971,7 +971,7 @@ func BenchmarkAblation_SelectionSize(b *testing.B) {
 			rule := &gar.MultiKrum{NumByzantine: f, M: m}
 			var variance float64
 			for i := 0; i < b.N; i++ {
-				out, err := rule.Aggregate(honest)
+				out, err := gar.Aggregate(rule, honest)
 				if err != nil {
 					b.Fatal(err)
 				}

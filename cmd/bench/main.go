@@ -135,11 +135,11 @@ func writeKernelBenchJSON(dir string, budget time.Duration) (string, int, error)
 		ws := gar.NewWorkspace()
 		kernels = append(kernels,
 			kernel{"aggregate/" + r.name, func() error {
-				_, err := r.rule.Aggregate(grads)
+				_, err := gar.Aggregate(r.rule, grads)
 				return err
 			}},
 			kernel{"workspace/" + r.name, func() error {
-				_, err := gar.AggregateInto(ws, r.rule, grads)
+				_, err := r.rule.AggregateInto(ws, grads)
 				return err
 			}})
 	}

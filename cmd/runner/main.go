@@ -134,7 +134,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("%-10s %-12s %-10s %-10s\n", "sim_time", "step", "accuracy", "loss")
-	for i, p := range res.AccuracyVsStep.Points {
+	for i, p := range res.Accuracy.Points {
 		loss := 0.0
 		if i < len(res.LossVsStep.Points) {
 			loss = res.LossVsStep.Points[i].Value

@@ -101,7 +101,7 @@ func trainingComparison() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		last, _ := res.AccuracyVsTime.Last()
+		last, _ := res.Accuracy.Last()
 		fmt.Printf("%-34s %10.3f %12.1f\n", cfg.label, res.FinalAccuracy, last.Time.Seconds())
 	}
 	fmt.Println("(the robust GAR tolerates lost coordinates while keeping the fast UDP clock)")

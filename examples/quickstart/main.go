@@ -31,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("step   sim-time   accuracy")
-	for _, p := range res.AccuracyVsStep.Points {
+	for _, p := range res.Accuracy.Points {
 		fmt.Printf("%4d   %7.1fs   %.3f\n", p.Step, p.Time.Seconds(), p.Value)
 	}
 	fmt.Printf("\nfinal accuracy: %.3f\n", res.FinalAccuracy)

@@ -5,9 +5,9 @@ import (
 )
 
 // hotFuncNames are the functions that form the zero-allocation hot paths:
-// every WorkspaceGAR kernel (AggregateInto, enforced at runtime by
-// TestWorkspaceZeroSteadyStateAllocs) and the packet encode path that PR 6
-// drove to 0 allocs/packet. The gcflags=-m escape baseline (see cmd/aggrevet
+// every GAR kernel (AggregateInto, enforced at runtime for the gar registry
+// by TestWorkspaceZeroSteadyStateAllocs) and the packet encode path, at 0
+// allocs/packet. The gcflags=-m escape baseline (see cmd/aggrevet
 // -escape) covers what this syntactic pass cannot see — allocations the
 // compiler introduces for escaping locals.
 var hotFuncNames = map[string]bool{

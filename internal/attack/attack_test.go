@@ -182,7 +182,7 @@ func TestOmniscientSelectedByKrumButBoundedByBulyan(t *testing.T) {
 
 	// Bulyan bounds the attacked coordinate to the honest range.
 	bl := gar.NewBulyan(f)
-	out, err := bl.Aggregate(grads)
+	out, err := gar.Aggregate(bl, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestOmniscientSelectedByKrumButBoundedByBulyan(t *testing.T) {
 
 	// Multi-Krum's output on the attacked coordinate is dragged below the
 	// honest minimum scaled by the attack budget — the weak-resilience gap.
-	weak, err := mk.Aggregate(grads)
+	weak, err := gar.Aggregate(mk, grads)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestAsyncLockstepMatchesPlainAcrossBackends(t *testing.T) {
 				t.Fatalf("quorum-n async surfaced staleness: admitted %d, dropped %d",
 					async.AdmittedStale, async.DroppedTooStale)
 			}
-			assertSeriesEqual(t, "accuracy-vs-step", plain.AccuracyVsStep, async.AccuracyVsStep)
+			assertSeriesEqual(t, "accuracy", plain.Accuracy, async.Accuracy)
 			assertSeriesEqual(t, "loss-vs-step", plain.LossVsStep, async.LossVsStep)
 			if plain.FinalAccuracy != async.FinalAccuracy {
 				t.Fatalf("final accuracy %v vs %v", plain.FinalAccuracy, async.FinalAccuracy)

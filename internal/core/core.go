@@ -245,10 +245,9 @@ type Config struct {
 type Result struct {
 	// Config echoes the experiment configuration.
 	Config Config
-	// AccuracyVsTime is top-1 accuracy against the simulated clock.
-	AccuracyVsTime metrics.Series
-	// AccuracyVsStep is top-1 accuracy against model updates.
-	AccuracyVsStep metrics.Series
+	// Accuracy is top-1 accuracy at each evaluation point, against both the
+	// simulated clock and model updates.
+	Accuracy metrics.Series
 	// LossVsStep is mean honest training loss per evaluation point.
 	LossVsStep metrics.Series
 	// FinalAccuracy is the last evaluation.
@@ -328,6 +327,9 @@ func (c Config) validated() (ps.RoundConfig, error) {
 	if err != nil {
 		return rc, err
 	}
+	if err := c.checkWorkers(); err != nil {
+		return rc, err
+	}
 	switch c.Backend {
 	case "", BackendInProcess:
 		// Worker churn exists only where there are real sockets to tear down.
@@ -382,6 +384,29 @@ func (c Config) validated() (ps.RoundConfig, error) {
 	return rc, nil
 }
 
+// checkWorkers holds every worker id the config names — attacked, corrupted
+// or hijacking — to the Workers workers the run has, and every attack name to
+// the attack registry, on every backend.
+func (c *Config) checkWorkers() error {
+	attacked := slices.Sorted(maps.Keys(c.Attacks))
+	for _, named := range []struct {
+		field string
+		ids   []int
+	}{{"Attacks", attacked}, {"CorruptData", c.CorruptData}, {"HijackWorkers", c.HijackWorkers}} {
+		for _, id := range named.ids {
+			if id < 0 || id >= c.Workers {
+				return fmt.Errorf("core: %s names worker %d outside [0, %d)", named.field, id, c.Workers)
+			}
+		}
+	}
+	for _, id := range attacked {
+		if _, err := attack.New(c.Attacks[id]); err != nil {
+			return fmt.Errorf("core: worker %d: %w", id, err)
+		}
+	}
+	return nil
+}
+
 // ErrDracoUnsupported is returned for Draco configs that request features
 // the baseline does not implement.
 var ErrDracoUnsupported = errors.New("core: option not supported with draco")
@@ -394,13 +419,8 @@ func (c *Config) validateDraco(beyond bool) error {
 	if beyond || c.ServerReplicas > 1 {
 		return ErrDracoUnsupported
 	}
-	if _, err := draco.NewPlan(c.Workers, c.F, draco.Repetition); err != nil {
+	if _, err := draco.NewPlan(c.Workers, c.F); err != nil {
 		return fmt.Errorf("%w: %w", ErrDracoUnsupported, err)
-	}
-	for _, id := range slices.Sorted(maps.Keys(c.Attacks)) {
-		if id < 0 || id >= c.Workers {
-			return fmt.Errorf("%w: byzantine worker %d outside [0, %d)", ErrDracoUnsupported, id, c.Workers)
-		}
 	}
 	if len(c.Attacks) > c.F {
 		return fmt.Errorf("%w: %d Byzantine workers exceed the declared tolerance f=%d", ErrDracoUnsupported, len(c.Attacks), c.F)
@@ -530,7 +550,7 @@ func Run(cfg Config) (*Result, error) {
 	var plan *draco.Plan
 	var rule gar.GAR
 	if aggName == "draco" {
-		plan, err = draco.NewPlan(cfg.Workers, cfg.F, draco.Repetition)
+		plan, err = draco.NewPlan(cfg.Workers, cfg.F)
 		rule = plan
 	} else {
 		rule, err = gar.New(aggName, cfg.F)

@@ -40,10 +40,10 @@ func TestRunDefaultsAndConvergence(t *testing.T) {
 	if res.FinalAccuracy < 0.5 {
 		t.Fatalf("final accuracy %v", res.FinalAccuracy)
 	}
-	if res.AccuracyVsTime.Len() == 0 || res.AccuracyVsStep.Len() == 0 {
+	if res.Accuracy.Len() == 0 {
 		t.Fatal("series empty")
 	}
-	last, _ := res.AccuracyVsTime.Last()
+	last, _ := res.Accuracy.Last()
 	if last.Time <= 0 {
 		t.Fatal("simulated clock did not advance")
 	}
@@ -181,8 +181,8 @@ func TestRunProtocolAffectsClockUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcpLast, _ := tcpRes.AccuracyVsTime.Last()
-	udpLast, _ := udpRes.AccuracyVsTime.Last()
+	tcpLast, _ := tcpRes.Accuracy.Last()
+	udpLast, _ := udpRes.Accuracy.Last()
 	if udpLast.Time >= tcpLast.Time {
 		t.Fatalf("UDP clock (%v) should beat TCP clock (%v) at 10%% loss", udpLast.Time, tcpLast.Time)
 	}
@@ -225,7 +225,7 @@ func TestRunOverheadOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		last, _ := res.AccuracyVsTime.Last()
+		last, _ := res.Accuracy.Last()
 		return last.Time.Seconds()
 	}
 	avg := timeOf("average", 0)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"aggregathor/internal/gar"
@@ -241,7 +242,7 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		{"draco + replicated server", with(dracoCfg, func(c *Config) { c.ServerReplicas = 4 }), ErrDracoUnsupported},
 		{"draco n < 2f+1", with(dracoCfg, func(c *Config) { c.Workers, c.F, c.Attacks = 4, 2, nil }), ErrDracoUnsupported},
 		{"draco with more Byzantine workers than f", with(dracoCfg, func(c *Config) { c.Attacks = map[int]string{1: "reversed", 4: "reversed"} }), ErrDracoUnsupported},
-		{"draco Byzantine worker out of range", with(dracoCfg, func(c *Config) { c.Attacks = map[int]string{9: "reversed"} }), ErrDracoUnsupported},
+		{"draco Byzantine worker out of range", with(dracoCfg, func(c *Config) { c.Attacks = map[int]string{9: "reversed"} }), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			verr := tc.cfg.Validate()
@@ -271,5 +272,38 @@ func TestValidateAgreesWithRun(t *testing.T) {
 				t.Fatalf("round 0 aggregated nothing: %+v", res)
 			}
 		})
+	}
+}
+
+// TestValidateChecksWorkerIDs: a worker id the cluster does not have, or an
+// attack name the registry does not have, is refused on every backend by
+// Validate and Run alike, before any capability rule looks at the option.
+func TestValidateChecksWorkerIDs(t *testing.T) {
+	base := Config{Workers: 5, F: 1, Aggregator: "median", Steps: 1, EvalEvery: 1}
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(*Config)
+	}{
+		{"attack on worker 7", "Attacks names worker 7 outside [0, 5)", func(c *Config) { c.Attacks = map[int]string{7: "reversed"} }},
+		{"attack on worker -1", "Attacks names worker -1 outside [0, 5)", func(c *Config) { c.Attacks = map[int]string{-1: "reversed"} }},
+		{"corrupt worker 42", "CorruptData names worker 42 outside [0, 5)", func(c *Config) { c.CorruptData = []int{42} }},
+		{"hijacking worker 5", "HijackWorkers names worker 5 outside [0, 5)", func(c *Config) { c.HijackWorkers = []int{5} }},
+		{"unknown attack", `unknown attack "no-such-attack"`, func(c *Config) { c.Attacks = map[int]string{4: "no-such-attack"} }},
+	} {
+		for _, backend := range []string{BackendInProcess, BackendTCP, BackendUDP} {
+			t.Run(tc.name+"/"+backend, func(t *testing.T) {
+				cfg := with(base, func(c *Config) { c.Backend = backend; tc.mutate(c) })
+				verr := cfg.Validate()
+				if verr == nil || !strings.Contains(verr.Error(), tc.want) {
+					t.Fatalf("Validate: %v, want an error containing %q", verr, tc.want)
+				}
+				if _, rerr := Run(cfg); rerr == nil || rerr.Error() != verr.Error() {
+					t.Fatalf("Run: %v, want Validate's %v", rerr, verr)
+				}
+			})
+		}
+	}
+	if err := with(base, func(c *Config) { c.Attacks, c.CorruptData = map[int]string{4: "reversed"}, []int{0} }).Validate(); err != nil {
+		t.Fatalf("ids 0 and n-1 refused: %v", err)
 	}
 }

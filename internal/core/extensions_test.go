@@ -73,7 +73,7 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	if second.ResumedFromStep != 40 {
 		t.Fatalf("resume step %d, want 40", second.ResumedFromStep)
 	}
-	start, ok := second.AccuracyVsStep.Points[0], true
+	start, ok := second.Accuracy.Points[0], true
 	if !ok || start.Value < first.FinalAccuracy-0.1 {
 		t.Fatalf("resumed run starts at %v, first run ended at %v",
 			start.Value, first.FinalAccuracy)

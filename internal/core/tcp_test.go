@@ -62,8 +62,7 @@ func TestTCPBackendMatchesInProcessTrajectories(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSeriesEqual(t, "accuracy-vs-step", inproc.AccuracyVsStep, dist.AccuracyVsStep)
-			assertSeriesEqual(t, "accuracy-vs-time", inproc.AccuracyVsTime, dist.AccuracyVsTime)
+			assertSeriesEqual(t, "accuracy", inproc.Accuracy, dist.Accuracy)
 			assertSeriesEqual(t, "loss-vs-step", inproc.LossVsStep, dist.LossVsStep)
 			if inproc.FinalAccuracy != dist.FinalAccuracy {
 				t.Fatalf("final accuracy %v vs %v", inproc.FinalAccuracy, dist.FinalAccuracy)

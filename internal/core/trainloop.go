@@ -17,8 +17,7 @@ func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Rou
 	var clock simnet.Clock
 	evaluate := func(step int, loss float64) {
 		acc := cl.Model().Accuracy(test.X, test.Y)
-		res.AccuracyVsTime.Add(clock.Now(), step, acc)
-		res.AccuracyVsStep.Add(clock.Now(), step, acc)
+		res.Accuracy.Add(clock.Now(), step, acc)
 		res.LossVsStep.Add(clock.Now(), step, loss)
 		res.FinalAccuracy = acc
 	}
@@ -51,15 +50,11 @@ func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Rou
 	return nil
 }
 
-// newResult starts the result of the deployment called name: its three
-// metric series labelled, the Figure-4 latency decomposition filled from the
-// simulated round.
+// newResult starts the result of the deployment called name: the Figure-4
+// latency decomposition filled from the simulated round.
 func newResult(cfg Config, name string, round simnet.Round) *Result {
 	return &Result{
-		Config:         cfg,
-		AccuracyVsTime: metrics.Series{Name: name + "/accuracy-vs-time"},
-		AccuracyVsStep: metrics.Series{Name: name + "/accuracy-vs-step"},
-		LossVsStep:     metrics.Series{Name: name + "/loss-vs-step"},
+		Config: cfg,
 		Breakdown: metrics.Breakdown{
 			Name:        name,
 			ComputeComm: round.Compute + round.Transfer,

@@ -48,8 +48,7 @@ func TestUDPBackendMatchesInProcessTrajectories(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSeriesEqual(t, "accuracy-vs-step", inproc.AccuracyVsStep, dist.AccuracyVsStep)
-			assertSeriesEqual(t, "accuracy-vs-time", inproc.AccuracyVsTime, dist.AccuracyVsTime)
+			assertSeriesEqual(t, "accuracy", inproc.Accuracy, dist.Accuracy)
 			assertSeriesEqual(t, "loss-vs-step", inproc.LossVsStep, dist.LossVsStep)
 			if inproc.FinalAccuracy != dist.FinalAccuracy {
 				t.Fatalf("final accuracy %v vs %v", inproc.FinalAccuracy, dist.FinalAccuracy)
@@ -91,7 +90,7 @@ func TestUDPBackendLossyDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSeriesEqual(t, "accuracy-vs-step", a.AccuracyVsStep, b.AccuracyVsStep)
+	assertSeriesEqual(t, "accuracy", a.Accuracy, b.Accuracy)
 	assertSeriesEqual(t, "loss-vs-step", a.LossVsStep, b.LossVsStep)
 	if a.FinalAccuracy != b.FinalAccuracy {
 		t.Fatalf("final accuracy %v vs %v across identical lossy runs", a.FinalAccuracy, b.FinalAccuracy)
@@ -173,7 +172,7 @@ func TestUDPBackendModelLossDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSeriesEqual(t, "accuracy-vs-step", a.AccuracyVsStep, b.AccuracyVsStep)
+	assertSeriesEqual(t, "accuracy", a.Accuracy, b.Accuracy)
 	assertSeriesEqual(t, "loss-vs-step", a.LossVsStep, b.LossVsStep)
 	if a.FinalAccuracy != b.FinalAccuracy {
 		t.Fatalf("final accuracy %v vs %v across identical lossy-model runs", a.FinalAccuracy, b.FinalAccuracy)
@@ -216,7 +215,7 @@ func TestInProcessLossyMatchesUDPBackend(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSeriesEqual(t, "loss-vs-step", inproc.LossVsStep, udp.LossVsStep)
-					assertSeriesEqual(t, "accuracy-vs-step", inproc.AccuracyVsStep, udp.AccuracyVsStep)
+					assertSeriesEqual(t, "accuracy", inproc.Accuracy, udp.Accuracy)
 					if inproc.Totals != udp.Totals {
 						t.Fatalf("round counters %+v in-process, %+v over udp", inproc.Totals, udp.Totals)
 					}

@@ -54,7 +54,7 @@ func TestWireFormatFloat64IsExplicitDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSeriesEqual(t, "accuracy-vs-step", implicit.AccuracyVsStep, explicit.AccuracyVsStep)
+	assertSeriesEqual(t, "accuracy", implicit.Accuracy, explicit.Accuracy)
 	assertSeriesEqual(t, "loss-vs-step", implicit.LossVsStep, explicit.LossVsStep)
 	if implicit.FinalAccuracy != explicit.FinalAccuracy {
 		t.Fatalf("final accuracy %v vs %v between implicit and explicit float64",
@@ -98,7 +98,7 @@ func TestUDPBackendFloat32ByzantineSmoke(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSeriesEqual(t, "accuracy-vs-step", a.AccuracyVsStep, b.AccuracyVsStep)
+				assertSeriesEqual(t, "accuracy", a.Accuracy, b.Accuracy)
 				assertSeriesEqual(t, "loss-vs-step", a.LossVsStep, b.LossVsStep)
 				if a.FinalAccuracy != b.FinalAccuracy {
 					t.Fatalf("final accuracy %v vs %v across identical float32 runs",

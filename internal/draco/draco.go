@@ -1,8 +1,11 @@
 // Package draco implements the Draco baseline (Chen et al. 2018) that the
 // paper compares against: Byzantine resilience through algorithmic
-// redundancy instead of robust aggregation. Every mini-batch is evaluated by
-// r = 2f+1 workers and the parameter server majority-votes each group, so a
-// correct result survives as long as at most f group members lie.
+// redundancy instead of robust aggregation. Workers form ⌊n/r⌋ disjoint
+// groups of r = 2f+1, every group evaluates one shared mini-batch, and the
+// parameter server majority-votes each group, so a correct result survives
+// as long as at most f group members lie. This is Draco's repetition scheme,
+// the one the paper runs ("it gives better results than the cyclic one"); a
+// Plan is a gar.GAR, so the baseline runs on the ordinary round engine.
 //
 // The paper's critique, reproduced here: Draco requires (a) r× more gradient
 // computation per step, (b) agreement on dataset ordering (workers in a
@@ -19,41 +22,14 @@ import (
 	"aggregathor/internal/tensor"
 )
 
-// Scheme selects the redundant assignment topology.
-type Scheme int
-
-const (
-	// Repetition partitions workers into ⌊n/r⌋ disjoint groups; each
-	// group evaluates one shared mini-batch. The paper reports this as
-	// the better-performing variant ("we use the repetition method
-	// because it gives better results than the cyclic one").
-	Repetition Scheme = iota
-	// Cyclic assigns batch g to workers g, g+1, …, g+r−1 (mod n): n
-	// overlapping groups, every worker computes r gradients.
-	Cyclic
-)
-
-// String implements fmt.Stringer.
-func (s Scheme) String() string {
-	switch s {
-	case Repetition:
-		return "repetition"
-	case Cyclic:
-		return "cyclic"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
-
 // Plan describes a Draco deployment: n workers tolerating f Byzantine ones
 // with redundancy r = 2f+1.
 type Plan struct {
-	n, f   int
-	scheme Scheme
+	n, f int
 }
 
 // NewPlan validates and returns a Draco plan. Draco requires n ≥ 2f+1.
-func NewPlan(n, f int, scheme Scheme) (*Plan, error) {
+func NewPlan(n, f int) (*Plan, error) {
 	if f < 0 {
 		return nil, fmt.Errorf("draco: f must be non-negative, got %d", f)
 	}
@@ -61,55 +37,38 @@ func NewPlan(n, f int, scheme Scheme) (*Plan, error) {
 	if n < r {
 		return nil, fmt.Errorf("draco: n=%d < required 2f+1=%d", n, r)
 	}
-	if scheme != Repetition && scheme != Cyclic {
-		return nil, fmt.Errorf("draco: unknown scheme %v", scheme)
-	}
-	return &Plan{n: n, f: f, scheme: scheme}, nil
+	return &Plan{n: n, f: f}, nil
 }
 
 // Redundancy returns r = 2f+1, the per-batch computation multiplier.
 func (p *Plan) Redundancy() int { return 2*p.f + 1 }
 
 // NumGroups returns the number of voting groups (= distinct mini-batches
-// evaluated per step).
-func (p *Plan) NumGroups() int {
-	if p.scheme == Repetition {
-		return p.n / p.Redundancy()
-	}
-	return p.n
-}
+// evaluated per step): ⌊n/r⌋.
+func (p *Plan) NumGroups() int { return p.n / p.Redundancy() }
 
 // Groups returns, for each group, the ids of the workers that evaluate its
-// batch.
+// batch: disjoint runs of r consecutive ids.
 func (p *Plan) Groups() [][]int {
 	r := p.Redundancy()
 	groups := make([][]int, p.NumGroups())
 	for g := range groups {
-		first := g // cyclic: batch g goes to workers g, g+1, …, g+r−1 (mod n)
-		if p.scheme == Repetition {
-			first = g * r // disjoint runs of r
-		}
 		groups[g] = make([]int, r)
 		for i := range groups[g] {
-			groups[g][i] = (first + i) % p.n
+			groups[g][i] = g*r + i
 		}
 	}
 	return groups
 }
 
 // WorkerLoad returns how many mini-batch gradients worker w computes per
-// step: 1 for repetition members (0 for leftover workers), r for cyclic.
+// step: 1 for a group member, 0 for a worker left over once the groups are
+// full.
 func (p *Plan) WorkerLoad(w int) int {
-	if w < 0 || w >= p.n {
+	if w < 0 || w >= p.NumGroups()*p.Redundancy() {
 		return 0
 	}
-	if p.scheme == Repetition {
-		if w >= p.NumGroups()*p.Redundancy() {
-			return 0 // leftover worker, idle under repetition
-		}
-		return 1
-	}
-	return p.Redundancy()
+	return 1
 }
 
 // ErrNoMajority is wrapped when some group has no value submitted by a
@@ -127,24 +86,24 @@ type Decoded struct {
 	SuspectWorkers []int
 }
 
-// Decode majority-votes each group and averages the winners. submissions is
-// indexed [group][memberSlot] aligned with Groups(); a nil vector means the
-// member did not report (counted as disagreeing). Voting is exact-match on
-// the bit pattern: correct members computed on identical data with identical
-// parameters, so honest submissions agree bit-for-bit.
-func (p *Plan) Decode(submissions [][]tensor.Vector) (*Decoded, error) {
-	groups := p.Groups()
-	if len(submissions) != len(groups) {
-		return nil, fmt.Errorf("draco: got %d group submissions, want %d", len(submissions), len(groups))
+// Decode majority-votes each group and averages the winners. grads[w] is
+// worker w's submission, in id order (a leftover worker's slot, if present,
+// is ignored); a nil vector means the member did not report (counted as
+// disagreeing), and fewer than NumGroups()·r slots wrap
+// gar.ErrTooFewWorkers. Voting is exact-match on the bit pattern: correct
+// members computed on identical data with identical parameters, so honest
+// submissions agree bit-for-bit.
+func (p *Plan) Decode(grads []tensor.Vector) (*Decoded, error) {
+	r, groups := p.Redundancy(), p.NumGroups()
+	if len(grads) < groups*r {
+		return nil, fmt.Errorf("draco: %w: %d groups of %d need %d gradients, got %d",
+			gar.ErrTooFewWorkers, groups, r, groups*r, len(grads))
 	}
 	var winners []tensor.Vector
 	suspects := map[int]bool{}
-	for g, subs := range submissions {
-		members := groups[g]
-		if len(subs) != len(members) {
-			return nil, fmt.Errorf("draco: group %d has %d submissions, want %d", g, len(subs), len(members))
-		}
-		counts := map[uint64][]int{} // vector fingerprint -> member slots
+	for first := 0; first < groups*r; first += r {
+		subs := grads[first : first+r] // a group is a run of r consecutive ids
+		counts := map[uint64][]int{}   // vector fingerprint -> member slots
 		for slot, v := range subs {
 			if v == nil {
 				continue
@@ -161,7 +120,7 @@ func (p *Plan) Decode(submissions [][]tensor.Vector) (*Decoded, error) {
 			}
 		}
 		if winSlots == nil {
-			return nil, fmt.Errorf("%w %d (need %d matching of %d)", ErrNoMajority, g, need, len(members))
+			return nil, fmt.Errorf("%w %d (need %d matching of %d)", ErrNoMajority, first/r, need, r)
 		}
 		winners = append(winners, subs[winSlots[0]])
 		agreed := map[int]bool{}
@@ -170,7 +129,7 @@ func (p *Plan) Decode(submissions [][]tensor.Vector) (*Decoded, error) {
 		}
 		for slot := range subs {
 			if !agreed[slot] {
-				suspects[members[slot]] = true
+				suspects[first+slot] = true
 			}
 		}
 	}
@@ -182,12 +141,10 @@ func (p *Plan) Decode(submissions [][]tensor.Vector) (*Decoded, error) {
 	return out, nil
 }
 
-// A repetition plan is a gradient aggregation rule: redundancy plus a
-// per-group majority vote is a first aggregation stage over the id-ordered
-// submissions of an ordinary parameter-server round, whose workers sample
-// their group's shared batch (data.GroupSampler) and whose leftover workers
-// stay silent. The cyclic scheme is not one — its workers owe r gradients a
-// round, and a round carries one per worker.
+// A plan is a gradient aggregation rule: redundancy plus a per-group
+// majority vote is a first aggregation stage over the id-ordered submissions
+// of an ordinary parameter-server round, whose workers sample their group's
+// shared batch (data.GroupSampler) and whose leftover workers stay silent.
 
 // Name implements gar.GAR.
 func (p *Plan) Name() string { return "draco" }
@@ -198,24 +155,13 @@ func (p *Plan) F() int { return p.f }
 // MinWorkers implements gar.ByzantineInfo: one full group.
 func (p *Plan) MinWorkers() int { return p.Redundancy() }
 
-// Aggregate implements gar.GAR: grads[w] is group member w's submission
-// (the leftover workers submit nothing), regrouped by Groups() and decoded.
-// A round that cannot be decoded — a member's gradient missing, a group
-// without a majority — wraps gar.ErrTooFewWorkers, which a server skips on.
-func (p *Plan) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	if p.scheme != Repetition {
-		return nil, fmt.Errorf("draco: the %v scheme is not an aggregation rule", p.scheme)
-	}
-	groups := p.Groups()
-	if need := len(groups) * p.Redundancy(); len(grads) < need {
-		return nil, fmt.Errorf("draco: %w: %d groups of %d need %d gradients, got %d",
-			gar.ErrTooFewWorkers, len(groups), p.Redundancy(), need, len(grads))
-	}
-	subs := make([][]tensor.Vector, len(groups))
-	for g, members := range groups {
-		subs[g] = grads[members[0] : members[0]+len(members)] // a repetition group is a run of consecutive ids
-	}
-	dec, err := p.Decode(subs)
+// AggregateInto implements gar.GAR: it decodes the round's id-ordered
+// gradients (the leftover workers submit nothing). The vote is not a
+// workspace kernel: it leaves ws alone and returns a fresh vector. A round
+// that cannot be decoded — a member's gradient missing, a group without a
+// majority — wraps gar.ErrTooFewWorkers, which a server skips on.
+func (p *Plan) AggregateInto(_ *gar.Workspace, grads []tensor.Vector) (tensor.Vector, error) {
+	dec, err := p.Decode(grads)
 	if errors.Is(err, ErrNoMajority) {
 		return nil, fmt.Errorf("%w: %w", gar.ErrTooFewWorkers, err)
 	}

@@ -4,22 +4,21 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"aggregathor/internal/gar"
 	"aggregathor/internal/tensor"
 )
 
 func TestNewPlanValidation(t *testing.T) {
-	if _, err := NewPlan(2, 1, Repetition); err == nil {
+	if _, err := NewPlan(2, 1); err == nil {
 		t.Fatal("n=2 f=1 should fail (needs n >= 3)")
 	}
-	if _, err := NewPlan(5, -1, Repetition); err == nil {
+	if _, err := NewPlan(5, -1); err == nil {
 		t.Fatal("negative f should fail")
 	}
-	if _, err := NewPlan(5, 1, Scheme(9)); err == nil {
-		t.Fatal("unknown scheme should fail")
-	}
-	p, err := NewPlan(9, 1, Repetition)
+	p, err := NewPlan(9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +28,7 @@ func TestNewPlanValidation(t *testing.T) {
 }
 
 func TestRepetitionGroups(t *testing.T) {
-	p, err := NewPlan(9, 1, Repetition)
+	p, err := NewPlan(9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestRepetitionGroups(t *testing.T) {
 }
 
 func TestRepetitionLeftoverWorkersIdle(t *testing.T) {
-	p, err := NewPlan(10, 1, Repetition) // r=3, 3 groups, worker 9 idle
+	p, err := NewPlan(10, 1) // r=3, 3 groups, worker 9 idle
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,36 +66,14 @@ func TestRepetitionLeftoverWorkersIdle(t *testing.T) {
 	}
 }
 
-func TestCyclicGroups(t *testing.T) {
-	p, err := NewPlan(5, 1, Cyclic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := p.Groups()
-	if len(groups) != 5 {
-		t.Fatalf("got %d groups, want 5", len(groups))
-	}
-	// Group 4 wraps: {4, 0, 1}.
-	g4 := groups[4]
-	if g4[0] != 4 || g4[1] != 0 || g4[2] != 1 {
-		t.Fatalf("group 4 = %v", g4)
-	}
-	if p.WorkerLoad(2) != 3 {
-		t.Fatalf("cyclic worker load %d, want r=3", p.WorkerLoad(2))
-	}
-}
-
 func TestDecodeHonest(t *testing.T) {
-	p, err := NewPlan(6, 1, Repetition) // 2 groups of 3
+	p, err := NewPlan(6, 1) // 2 groups of 3
 	if err != nil {
 		t.Fatal(err)
 	}
 	g0 := tensor.Vector{1, 2}
 	g1 := tensor.Vector{3, 4}
-	dec, err := p.Decode([][]tensor.Vector{
-		{g0, g0.Clone(), g0.Clone()},
-		{g1, g1.Clone(), g1.Clone()},
-	})
+	dec, err := p.Decode([]tensor.Vector{g0, g0.Clone(), g0.Clone(), g1, g1.Clone(), g1.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +86,13 @@ func TestDecodeHonest(t *testing.T) {
 }
 
 func TestDecodeOutvotesByzantine(t *testing.T) {
-	p, err := NewPlan(3, 1, Repetition)
+	p, err := NewPlan(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	honest := tensor.Vector{1, 1}
 	evil := tensor.Vector{-100, 50}
-	dec, err := p.Decode([][]tensor.Vector{{honest, evil, honest.Clone()}})
+	dec, err := p.Decode([]tensor.Vector{honest, evil, honest.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +105,12 @@ func TestDecodeOutvotesByzantine(t *testing.T) {
 }
 
 func TestDecodeDetectsSilentWorker(t *testing.T) {
-	p, err := NewPlan(3, 1, Repetition)
+	p, err := NewPlan(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	honest := tensor.Vector{2}
-	dec, err := p.Decode([][]tensor.Vector{{honest, nil, honest.Clone()}})
+	dec, err := p.Decode([]tensor.Vector{honest, nil, honest.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,41 +123,41 @@ func TestDecodeDetectsSilentWorker(t *testing.T) {
 }
 
 func TestDecodeNoMajority(t *testing.T) {
-	p, err := NewPlan(3, 1, Repetition)
+	p, err := NewPlan(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Decode([][]tensor.Vector{{
+	_, err = p.Decode([]tensor.Vector{
 		{1}, {2}, {3}, // three distinct values: no f+1 majority
-	}})
+	})
 	if !errors.Is(err, ErrNoMajority) {
 		t.Fatalf("want ErrNoMajority, got %v", err)
 	}
 }
 
 func TestDecodeShapeErrors(t *testing.T) {
-	p, err := NewPlan(3, 1, Repetition)
+	p, err := NewPlan(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Decode(nil); err == nil {
-		t.Fatal("want group-count error")
+	if _, err := p.Decode(nil); !errors.Is(err, gar.ErrTooFewWorkers) {
+		t.Fatalf("no gradients: %v, want gar.ErrTooFewWorkers", err)
 	}
-	if _, err := p.Decode([][]tensor.Vector{{{1}}}); err == nil {
-		t.Fatal("want member-count error")
+	if _, err := p.Decode([]tensor.Vector{{1}, {1}}); !errors.Is(err, gar.ErrTooFewWorkers) {
+		t.Fatalf("a group short of a member: %v, want gar.ErrTooFewWorkers", err)
 	}
 }
 
 func TestNaNPayloadCannotSplitVote(t *testing.T) {
 	// Two honest NaN-bearing submissions must vote together even with
 	// different NaN payload bits (tensor.Vector.Fingerprint canonicalises).
-	p, err := NewPlan(3, 1, Repetition)
+	p, err := NewPlan(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := tensor.Vector{math.NaN()}
 	b := tensor.Vector{math.Float64frombits(0x7ff8000000000001)} // NaN, different payload
-	dec, err := p.Decode([][]tensor.Vector{{a, {7}, b}})
+	dec, err := p.Decode([]tensor.Vector{a, {7}, b})
 	if err != nil {
 		t.Fatalf("NaN payloads split the vote: %v", err)
 	}
@@ -189,29 +166,27 @@ func TestNaNPayloadCannotSplitVote(t *testing.T) {
 	}
 }
 
-func TestCyclicDecodeWithScatteredByzantine(t *testing.T) {
-	// n=7, f=1, cyclic: every group has 3 members; one Byzantine worker
-	// (id 2) corrupts every group it belongs to, but is outvoted 2-1.
-	p, err := NewPlan(7, 1, Cyclic)
+func TestDecodeWithScatteredByzantine(t *testing.T) {
+	// n=10, f=1: three groups of 3 and an idle worker 9. One Byzantine
+	// member in every group (ids 1, 3 and 8) is outvoted 2-1 each time, and
+	// the idle worker's slot is not read.
+	p, err := NewPlan(10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	groups := p.Groups()
-	truth := make([]tensor.Vector, len(groups))
-	subs := make([][]tensor.Vector, len(groups))
-	for g, members := range groups {
+	truth := make([]tensor.Vector, p.NumGroups())
+	grads := make([]tensor.Vector, 10)
+	for g, members := range p.Groups() {
 		truth[g] = tensor.Vector{rng.NormFloat64()}
-		subs[g] = make([]tensor.Vector, len(members))
-		for slot, w := range members {
-			if w == 2 {
-				subs[g][slot] = tensor.Vector{999}
-			} else {
-				subs[g][slot] = truth[g].Clone()
-			}
+		for _, w := range members {
+			grads[w] = truth[g].Clone()
 		}
 	}
-	dec, err := p.Decode(subs)
+	for _, w := range []int{1, 3, 8, 9} {
+		grads[w] = tensor.Vector{999}
+	}
+	dec, err := p.Decode(grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,16 +194,7 @@ func TestCyclicDecodeWithScatteredByzantine(t *testing.T) {
 	if math.Abs(dec.Gradient[0]-want[0]) > 1e-12 {
 		t.Fatalf("decoded %v, want %v", dec.Gradient[0], want[0])
 	}
-	if len(dec.SuspectWorkers) != 1 || dec.SuspectWorkers[0] != 2 {
-		t.Fatalf("suspects %v, want [2]", dec.SuspectWorkers)
-	}
-}
-
-func TestSchemeString(t *testing.T) {
-	if Repetition.String() != "repetition" || Cyclic.String() != "cyclic" {
-		t.Fatal("scheme names wrong")
-	}
-	if Scheme(9).String() != "Scheme(9)" {
-		t.Fatal("unknown scheme formatting wrong")
+	if !slices.Equal(dec.SuspectWorkers, []int{1, 3, 8}) {
+		t.Fatalf("suspects %v, want [1 3 8]", dec.SuspectWorkers)
 	}
 }

@@ -47,12 +47,7 @@ func (b *Bulyan) Theta(n int) int { return n - 2*b.NumByzantine }
 // Beta returns the per-coordinate averaging width for n workers: θ−2f.
 func (b *Bulyan) Beta(n int) int { return b.Theta(n) - 2*b.NumByzantine }
 
-// Aggregate implements GAR.
-func (b *Bulyan) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	return aggregateFresh(b, grads)
-}
-
-// AggregateInto implements WorkspaceGAR.
+// AggregateInto implements GAR.
 func (b *Bulyan) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
 	sel, err := b.selectInto(ws, grads)
 	if err != nil {

@@ -15,7 +15,7 @@ func TestBulyanRequiresEnoughWorkers(t *testing.T) {
 	for i := range grads {
 		grads[i] = tensor.Vector{1}
 	}
-	if _, err := b.Aggregate(grads); !errors.Is(err, ErrTooFewWorkers) {
+	if _, err := Aggregate(b, grads); !errors.Is(err, ErrTooFewWorkers) {
 		t.Fatalf("want ErrTooFewWorkers, got %v", err)
 	}
 }
@@ -58,7 +58,7 @@ func TestBulyanBoundsByzantineInfluence(t *testing.T) {
 	if byzSelected > f {
 		t.Fatalf("%d Byzantine gradients selected, tolerance is %d", byzSelected, f)
 	}
-	out, err := b.Aggregate(grads)
+	out, err := Aggregate(b, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBulyanToleratesNaNGradients(t *testing.T) {
 	n, f, d := 7, 1, 12
 	grads := honestCloud(rng, n-f, d, constVec(d, 0.5), 0.05)
 	grads = append(grads, constVec(d, math.NaN()))
-	out, err := NewBulyan(f).Aggregate(grads)
+	out, err := Aggregate(NewBulyan(f), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBulyanOptimizedMatchesNaive(t *testing.T) {
 		n := 4*f + 3 + rng.Intn(4)
 		d := rng.Intn(16) + 4
 		grads := honestCloud(rng, n, d, constVec(d, 0), 1)
-		a, err := NewBulyan(f).Aggregate(grads)
+		a, err := Aggregate(NewBulyan(f), grads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestBulyanCoordinateBoundedUnderAttack(t *testing.T) {
 		v[0] += 3 // larger than the honest sigma but not absurd
 		grads = append(grads, v)
 	}
-	out, err := NewBulyan(f).Aggregate(grads)
+	out, err := Aggregate(NewBulyan(f), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestBulyanPermutationInvariant(t *testing.T) {
 	n, f, d := 11, 2, 6
 	grads := honestCloud(rng, n, d, constVec(d, 0), 1)
 	b := NewBulyan(f)
-	base, err := b.Aggregate(grads)
+	base, err := Aggregate(b, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestBulyanPermutationInvariant(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = grads[p]
 		}
-		got, err := b.Aggregate(shuffled)
+		got, err := Aggregate(b, shuffled)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,15 +20,17 @@ import (
 	"aggregathor/internal/tensor"
 )
 
-// GAR is a gradient aggregation rule. Aggregate must not mutate the input
-// gradients and must return a fresh vector.
+// GAR is a gradient aggregation rule: Name plus the one kernel the round
+// engine calls.
 type GAR interface {
 	// Name returns the registry name of the rule (e.g. "multi-krum").
 	Name() string
-	// Aggregate combines n worker gradients into the applied gradient.
-	// It returns an error when the input set violates the rule's
-	// requirements (e.g. n too small for the declared f).
-	Aggregate(grads []tensor.Vector) (tensor.Vector, error)
+	// AggregateInto combines n worker gradients into the applied gradient
+	// on ws's buffers, without mutating the inputs. The returned vector may
+	// alias ws and is valid until ws's next use. It returns an error when
+	// the input set violates the rule's requirements (e.g. n too small for
+	// the declared f).
+	AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error)
 }
 
 // ByzantineInfo is implemented by rules that tolerate a declared number of
@@ -42,11 +44,11 @@ type ByzantineInfo interface {
 	MinWorkers() int
 }
 
-// ErrTooFewWorkers is wrapped by Aggregate when n is below the rule's
+// ErrTooFewWorkers is wrapped by AggregateInto when n is below the rule's
 // requirement for its configured f.
 var ErrTooFewWorkers = errors.New("gar: too few workers for configured f")
 
-// ErrNoGradients is returned when Aggregate is called with no gradients.
+// ErrNoGradients is returned when AggregateInto is called with no gradients.
 var ErrNoGradients = errors.New("gar: no gradients to aggregate")
 
 // checkF is the f ≥ 0 rule: New applies it at construction, checkTolerance
@@ -95,12 +97,7 @@ type Average struct{}
 // Name implements GAR.
 func (Average) Name() string { return "average" }
 
-// Aggregate implements GAR.
-func (a Average) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	return aggregateFresh(a, grads)
-}
-
-// AggregateInto implements WorkspaceGAR.
+// AggregateInto implements GAR.
 func (Average) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
 	if err := checkUniform(grads); err != nil {
 		return nil, err
@@ -118,12 +115,7 @@ type SelectiveAverage struct{}
 // Name implements GAR.
 func (SelectiveAverage) Name() string { return "selective-average" }
 
-// Aggregate implements GAR.
-func (s SelectiveAverage) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	return aggregateFresh(s, grads)
-}
-
-// AggregateInto implements WorkspaceGAR: the NaN-skipping mean runs on the
+// AggregateInto implements GAR: the NaN-skipping mean runs on the
 // blocked column engine, tiled and parallel over coordinate ranges.
 func (SelectiveAverage) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
 	if err := checkUniform(grads); err != nil {
@@ -143,12 +135,7 @@ type Median struct{}
 // Name implements GAR.
 func (Median) Name() string { return "median" }
 
-// Aggregate implements GAR.
-func (m Median) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	return aggregateFresh(m, grads)
-}
-
-// AggregateInto implements WorkspaceGAR: the median is the middle row of
+// AggregateInto implements GAR: the median is the middle row of
 // each tile the blocked column engine sorts.
 func (Median) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
 	if err := checkUniform(grads); err != nil {
@@ -176,12 +163,7 @@ func (t TrimmedMean) F() int { return t.Beta }
 // MinWorkers implements ByzantineInfo.
 func (t TrimmedMean) MinWorkers() int { return 2*t.Beta + 1 }
 
-// Aggregate implements GAR.
-func (t TrimmedMean) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	return aggregateFresh(t, grads)
-}
-
-// AggregateInto implements WorkspaceGAR: the kept window is rows b…n−b−1 of
+// AggregateInto implements GAR: the kept window is rows b…n−b−1 of
 // each tile the blocked column engine sorts, added in ascending order.
 func (t TrimmedMean) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
 	if err := checkUniform(grads); err != nil {

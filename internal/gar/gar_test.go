@@ -30,7 +30,7 @@ func constVec(d int, x float64) tensor.Vector {
 }
 
 func TestAverageAggregate(t *testing.T) {
-	got, err := Average{}.Aggregate([]tensor.Vector{{1, 2}, {3, 4}})
+	got, err := Aggregate(Average{}, []tensor.Vector{{1, 2}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,17 +40,17 @@ func TestAverageAggregate(t *testing.T) {
 }
 
 func TestAverageErrors(t *testing.T) {
-	if _, err := (Average{}).Aggregate(nil); !errors.Is(err, ErrNoGradients) {
+	if _, err := Aggregate(Average{}, nil); !errors.Is(err, ErrNoGradients) {
 		t.Fatalf("want ErrNoGradients, got %v", err)
 	}
-	if _, err := (Average{}).Aggregate([]tensor.Vector{{1}, {1, 2}}); err == nil {
+	if _, err := Aggregate(Average{}, []tensor.Vector{{1}, {1, 2}}); err == nil {
 		t.Fatal("want dimension mismatch error")
 	}
 }
 
 func TestAverageDoesNotMutateInputs(t *testing.T) {
 	a, b := tensor.Vector{1, 2}, tensor.Vector{3, 4}
-	if _, err := (Average{}).Aggregate([]tensor.Vector{a, b}); err != nil {
+	if _, err := Aggregate(Average{}, []tensor.Vector{a, b}); err != nil {
 		t.Fatal(err)
 	}
 	if a[0] != 1 || b[0] != 3 {
@@ -60,7 +60,7 @@ func TestAverageDoesNotMutateInputs(t *testing.T) {
 
 func TestSelectiveAverageSkipsNaN(t *testing.T) {
 	nan := math.NaN()
-	got, err := SelectiveAverage{}.Aggregate([]tensor.Vector{{nan, 4}, {2, 2}})
+	got, err := Aggregate(SelectiveAverage{}, []tensor.Vector{{nan, 4}, {2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSelectiveAverageSkipsNaN(t *testing.T) {
 }
 
 func TestMedianAggregate(t *testing.T) {
-	got, err := Median{}.Aggregate([]tensor.Vector{{1}, {100}, {2}})
+	got, err := Aggregate(Median{}, []tensor.Vector{{1}, {100}, {2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMedianResistsSingleOutlier(t *testing.T) {
 	mean := constVec(d, 1)
 	grads := honestCloud(rng, 8, d, mean, 0.1)
 	grads = append(grads, constVec(d, 1e12)) // Byzantine blowup
-	got, err := Median{}.Aggregate(grads)
+	got, err := Aggregate(Median{}, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMedianResistsSingleOutlier(t *testing.T) {
 
 func TestTrimmedMeanAggregate(t *testing.T) {
 	tm := TrimmedMean{Beta: 1}
-	got, err := tm.Aggregate([]tensor.Vector{{0}, {1}, {2}, {3}, {1e9}})
+	got, err := Aggregate(tm, []tensor.Vector{{0}, {1}, {2}, {3}, {1e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTrimmedMeanAggregate(t *testing.T) {
 
 func TestTrimmedMeanTooFewWorkers(t *testing.T) {
 	tm := TrimmedMean{Beta: 2}
-	if _, err := tm.Aggregate([]tensor.Vector{{1}, {2}, {3}}); !errors.Is(err, ErrTooFewWorkers) {
+	if _, err := Aggregate(tm, []tensor.Vector{{1}, {2}, {3}}); !errors.Is(err, ErrTooFewWorkers) {
 		t.Fatalf("want ErrTooFewWorkers, got %v", err)
 	}
 }

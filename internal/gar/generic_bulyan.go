@@ -42,12 +42,7 @@ func (b *GenericBulyan) F() int { return b.NumByzantine }
 // MinWorkers implements ByzantineInfo.
 func (b *GenericBulyan) MinWorkers() int { return 4*b.NumByzantine + 3 }
 
-// Aggregate implements GAR.
-func (b *GenericBulyan) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	return aggregateFresh(b, grads)
-}
-
-// AggregateInto implements WorkspaceGAR. The inner rule aggregates through
+// AggregateInto implements GAR. The inner rule aggregates through
 // the workspace's nested inner workspace, so the outer loop's shrinking
 // candidate list and selection survive whatever buffers the underlying rule
 // touches; each proposal aliases that inner workspace and is consumed before

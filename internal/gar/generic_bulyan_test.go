@@ -17,7 +17,7 @@ func TestGenericBulyanOverMultiKrum(t *testing.T) {
 		grads = append(grads, constVec(d, -1e8))
 	}
 	gb := NewGenericBulyan(NewMultiKrum(f), f)
-	out, err := gb.Aggregate(grads)
+	out, err := Aggregate(gb, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestGenericBulyanOverMedian(t *testing.T) {
 		grads = append(grads, constVec(d, 1e7))
 	}
 	gb := NewGenericBulyan(Median{}, f)
-	out, err := gb.Aggregate(grads)
+	out, err := Aggregate(gb, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestGenericBulyanOverGeoMedian(t *testing.T) {
 		grads = append(grads, constVec(d, 1e7))
 	}
 	gb := NewGenericBulyan(NewGeoMedian(f), f)
-	out, err := gb.Aggregate(grads)
+	out, err := Aggregate(gb, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestGenericBulyanOverGeoMedian(t *testing.T) {
 func TestGenericBulyanRequirements(t *testing.T) {
 	gb := NewGenericBulyan(NewMultiKrum(1), 1) // needs n >= 7
 	grads := []tensor.Vector{{1}, {2}, {3}}
-	if _, err := gb.Aggregate(grads); !errors.Is(err, ErrTooFewWorkers) {
+	if _, err := Aggregate(gb, grads); !errors.Is(err, ErrTooFewWorkers) {
 		t.Fatalf("want ErrTooFewWorkers, got %v", err)
 	}
 	empty := &GenericBulyan{NumByzantine: 0}
-	if _, err := empty.Aggregate(grads); err == nil {
+	if _, err := Aggregate(empty, grads); err == nil {
 		t.Fatal("nil inner GAR accepted")
 	}
 }
@@ -85,7 +85,7 @@ func TestGenericBulyanNaNTolerant(t *testing.T) {
 	grads := honestCloud(rng, n-f, d, constVec(d, 1), 0.05)
 	grads = append(grads, constVec(d, math.NaN()))
 	gb := NewGenericBulyan(NewMultiKrum(f), f)
-	out, err := gb.Aggregate(grads)
+	out, err := Aggregate(gb, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestGenericBulyanCloseToOptimizedBulyan(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	n, f, d := 19, 4, 10
 	grads := honestCloud(rng, n, d, constVec(d, 0), 0.5)
-	a, err := NewGenericBulyan(NewMultiKrum(f), f).Aggregate(grads)
+	a, err := Aggregate(NewGenericBulyan(NewMultiKrum(f), f), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBulyan(f).Aggregate(grads)
+	b, err := Aggregate(NewBulyan(f), grads)
 	if err != nil {
 		t.Fatal(err)
 	}

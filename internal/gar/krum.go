@@ -59,12 +59,7 @@ func (k *MultiKrum) EffectiveM(n int) int {
 	return n - k.NumByzantine - 2
 }
 
-// Aggregate implements GAR.
-func (k *MultiKrum) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	return aggregateFresh(k, grads)
-}
-
-// AggregateInto implements WorkspaceGAR: blocked distances, selection-based
+// AggregateInto implements GAR: blocked distances, selection-based
 // scoring and the selected-set mean all run on workspace buffers.
 func (k *MultiKrum) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
 	sel, err := k.selectInto(ws, grads)

@@ -16,7 +16,7 @@ func TestMultiKrumRequiresEnoughWorkers(t *testing.T) {
 	for i := range grads {
 		grads[i] = tensor.Vector{1}
 	}
-	if _, err := mk.Aggregate(grads); !errors.Is(err, ErrTooFewWorkers) {
+	if _, err := Aggregate(mk, grads); !errors.Is(err, ErrTooFewWorkers) {
 		t.Fatalf("want ErrTooFewWorkers, got %v", err)
 	}
 }
@@ -38,7 +38,7 @@ func TestMultiKrumRejectsOversizedM(t *testing.T) {
 	for i := range grads {
 		grads[i] = tensor.Vector{float64(i)}
 	}
-	if _, err := mk.Aggregate(grads); err == nil {
+	if _, err := Aggregate(mk, grads); err == nil {
 		t.Fatal("want error for m > n-f-2")
 	}
 }
@@ -76,7 +76,7 @@ func TestMultiKrumExcludesNaNGradients(t *testing.T) {
 	infVec := constVec(d, math.Inf(1))
 	grads = append(grads, nanVec, infVec)
 	mk := NewMultiKrum(f)
-	out, err := mk.Aggregate(grads)
+	out, err := Aggregate(mk, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestKrumSelectsMedianLikeGradient(t *testing.T) {
 		{1.0}, {1.1}, {0.9}, {1.05}, {0.95}, {1.02}, {50.0},
 	}
 	k := NewKrum(1)
-	out, err := k.Aggregate(grads)
+	out, err := Aggregate(k, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMultiKrumOutputInConvexHull(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	n, f, d := 11, 2, 5
 	grads := honestCloud(rng, n, d, constVec(d, 2), 1)
-	out, err := NewMultiKrum(f).Aggregate(grads)
+	out, err := Aggregate(NewMultiKrum(f), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestQuickMultiKrumPermutationInvariant(t *testing.T) {
 		n, f, d := 11, 2, 8
 		grads := honestCloud(rng, n, d, constVec(d, 0), 1)
 		mk := NewMultiKrum(f)
-		base, err := mk.Aggregate(grads)
+		base, err := Aggregate(mk, grads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestQuickMultiKrumPermutationInvariant(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = grads[p]
 		}
-		got, err := mk.Aggregate(shuffled)
+		got, err := Aggregate(mk, shuffled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestQuickMultiKrumBoundingBox(t *testing.T) {
 		d := rng.Intn(10) + 1
 		grads := honestCloud(rng, n, d, constVec(d, 0), 2)
 		mk := NewMultiKrum(0)
-		out, err := mk.Aggregate(grads)
+		out, err := Aggregate(mk, grads)
 		if err != nil {
 			t.Fatal(err)
 		}

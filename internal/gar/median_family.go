@@ -35,12 +35,7 @@ func (g *GeoMedian) F() int { return g.NumByzantine }
 // MinWorkers implements ByzantineInfo: n ≥ 2f+1.
 func (g *GeoMedian) MinWorkers() int { return 2*g.NumByzantine + 1 }
 
-// Aggregate implements GAR.
-func (g *GeoMedian) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	return aggregateFresh(g, grads)
-}
-
-// AggregateInto implements WorkspaceGAR: the Weiszfeld iterations alternate
+// AggregateInto implements GAR: the Weiszfeld iterations alternate
 // between the workspace's two iterate buffers and the finite-gradient filter
 // reuses its list, so a warm aggregation allocates nothing.
 func (g *GeoMedian) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
@@ -116,12 +111,7 @@ func (m *MeanAroundMedian) F() int { return m.NumByzantine }
 // MinWorkers implements ByzantineInfo: n ≥ 2f+1.
 func (m *MeanAroundMedian) MinWorkers() int { return 2*m.NumByzantine + 1 }
 
-// Aggregate implements GAR.
-func (m *MeanAroundMedian) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	return aggregateFresh(m, grads)
-}
-
-// AggregateInto implements WorkspaceGAR: the median/closest-average pass is
+// AggregateInto implements GAR: the median/closest-average pass is
 // the same blocked column-engine kernel Bulyan's second phase uses, tiled
 // and parallel over coordinate ranges.
 func (m *MeanAroundMedian) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error) {
@@ -135,15 +125,4 @@ func (m *MeanAroundMedian) AggregateInto(ws *Workspace, grads []tensor.Vector) (
 	out := ws.ensureOut(grads[0].Dim())
 	ws.cols.Run(out, grads, n-m.NumByzantine, tensor.MeanAroundMedianKernel)
 	return out, nil
-}
-
-func init() {
-	Register("geometric-median", func(f int) (GAR, error) { return NewGeoMedian(f), nil })
-	Register("mean-around-median", func(f int) (GAR, error) { return NewMeanAroundMedian(f), nil })
-	// Generic BULYAN composites over the other weak rules (§2.3: the
-	// construction works over any weakly Byzantine-resilient GAR).
-	Register("bulyan-median", func(f int) (GAR, error) { return NewGenericBulyan(Median{}, f), nil })
-	Register("bulyan-geometric-median", func(f int) (GAR, error) {
-		return NewGenericBulyan(NewGeoMedian(f), f), nil
-	})
 }

@@ -14,7 +14,7 @@ func TestGeoMedianOnCluster(t *testing.T) {
 	grads := honestCloud(rng, 6, 8, constVec(8, 2), 0.1)
 	grads = append(grads, constVec(8, 1e9)) // one far Byzantine
 	g := NewGeoMedian(1)
-	out, err := g.Aggregate(grads)
+	out, err := Aggregate(g, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestGeoMedianOnCluster(t *testing.T) {
 
 func TestGeoMedianTooFewWorkers(t *testing.T) {
 	g := NewGeoMedian(2) // needs n >= 5
-	if _, err := g.Aggregate([]tensor.Vector{{1}, {2}}); !errors.Is(err, ErrTooFewWorkers) {
+	if _, err := Aggregate(g, []tensor.Vector{{1}, {2}}); !errors.Is(err, ErrTooFewWorkers) {
 		t.Fatalf("want ErrTooFewWorkers, got %v", err)
 	}
 }
@@ -36,7 +36,7 @@ func TestGeoMedianExcludesNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	grads := honestCloud(rng, 5, 4, constVec(4, 1), 0.05)
 	grads = append(grads, constVec(4, math.NaN()), constVec(4, math.Inf(1)))
-	out, err := NewGeoMedian(2).Aggregate(grads)
+	out, err := Aggregate(NewGeoMedian(2), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestGeoMedianExcludesNonFinite(t *testing.T) {
 
 func TestGeoMedianAllNonFiniteIsNullUpdate(t *testing.T) {
 	grads := []tensor.Vector{constVec(3, math.NaN()), constVec(3, math.Inf(1)), constVec(3, math.NaN())}
-	out, err := NewGeoMedian(1).Aggregate(grads)
+	out, err := Aggregate(NewGeoMedian(1), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestGeoMedianExactOnDataPoint(t *testing.T) {
 	// With an iterate landing on a data point, the rule returns that point
 	// rather than dividing by zero.
 	grads := []tensor.Vector{{0, 0}, {0, 0}, {0, 0}}
-	out, err := NewGeoMedian(1).Aggregate(grads)
+	out, err := Aggregate(NewGeoMedian(1), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestGeoMedianMinimizesDistanceSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	grads := honestCloud(rng, 8, 5, constVec(5, 0), 1)
 	grads = append(grads, constVec(5, 500))
-	med, err := NewGeoMedian(1).Aggregate(grads)
+	med, err := Aggregate(NewGeoMedian(1), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMeanAroundMedian(t *testing.T) {
 	// n=5, f=1: per coordinate, average the 4 values closest to the
 	// median.
 	grads := []tensor.Vector{{0}, {1}, {2}, {3}, {1000}}
-	out, err := NewMeanAroundMedian(1).Aggregate(grads)
+	out, err := Aggregate(NewMeanAroundMedian(1), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMeanAroundMedian(t *testing.T) {
 
 func TestMeanAroundMedianTooFew(t *testing.T) {
 	m := NewMeanAroundMedian(2)
-	if _, err := m.Aggregate([]tensor.Vector{{1}, {2}, {3}}); !errors.Is(err, ErrTooFewWorkers) {
+	if _, err := Aggregate(m, []tensor.Vector{{1}, {2}, {3}}); !errors.Is(err, ErrTooFewWorkers) {
 		t.Fatalf("want ErrTooFewWorkers, got %v", err)
 	}
 }
@@ -121,7 +121,7 @@ func TestMeanAroundMedianNaNTolerant(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	grads := honestCloud(rng, 6, 6, constVec(6, 1), 0.05)
 	grads = append(grads, constVec(6, math.NaN()))
-	out, err := NewMeanAroundMedian(1).Aggregate(grads)
+	out, err := Aggregate(NewMeanAroundMedian(1), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestQuickMeanAroundMedianBounded(t *testing.T) {
 		for i := 0; i < f; i++ {
 			grads = append(grads, constVec(d, 1e6*(rng.Float64()*2-1)))
 		}
-		out, err := NewMeanAroundMedian(f).Aggregate(grads)
+		out, err := Aggregate(NewMeanAroundMedian(f), grads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestGenericBulyanRegistryComposites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
-		out, err := g.Aggregate(grads)
+		out, err := Aggregate(g, grads)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -66,7 +66,7 @@ func propertyCases(t *testing.T) []propertyCase {
 	if len(cases) < 7 {
 		t.Fatalf("registry shrank to %d rules", len(cases))
 	}
-	plan, err := draco.NewPlan(propN, propF, draco.Repetition)
+	plan, err := draco.NewPlan(propN, propF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +76,13 @@ func propertyCases(t *testing.T) []propertyCase {
 // honestGrads draws n finite random gradients — every run of group slots a
 // set of copies of one draw when group > 1.
 func honestGrads(rng *rand.Rand, n, d, group int) []tensor.Vector {
+	return drawGrads(rng, n, d, group, 0)
+}
+
+// drawGrads is honestGrads with each coordinate of a draw NaN or ±Inf with
+// probability pBad.
+func drawGrads(rng *rand.Rand, n, d, group int, pBad float64) []tensor.Vector {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	out := make([]tensor.Vector, n)
 	for i := range out {
 		if group > 1 && i%group != 0 {
@@ -84,11 +91,54 @@ func honestGrads(rng *rand.Rand, n, d, group int) []tensor.Vector {
 		}
 		v := tensor.NewVector(d)
 		for j := range v {
-			v[j] = rng.NormFloat64()
+			if pBad > 0 && rng.Float64() < pBad {
+				v[j] = bad[rng.Intn(len(bad))]
+			} else {
+				v[j] = rng.NormFloat64()
+			}
 		}
 		out[i] = v
 	}
 	return out
+}
+
+// TestAggregateIntoMatchesAggregate: AggregateInto on one workspace that
+// every rule and input shares — dirty with whatever the previous call left,
+// as a trainer drives it — is bit-identical to Aggregate on a fresh one, for
+// every registry rule and Draco's plan, over clean, sparsely poisoned and
+// densely poisoned inputs.
+func TestAggregateIntoMatchesAggregate(t *testing.T) {
+	ws := NewWorkspace()
+	for _, tc := range propertyCases(t) {
+		for _, in := range []struct {
+			seed int64
+			n, d int
+			pBad float64
+		}{
+			{21, 11, 257, 0},
+			{22, 11, 1024, 0.02},
+			{23, 11, 100, 0.7},
+			{24, 15, 4097, 0},
+		} {
+			grads := drawGrads(rand.New(rand.NewSource(in.seed)), in.n, in.d, tc.group, in.pBad)
+			want, errWant := Aggregate(tc.rule, grads)
+			got, errGot := AggregateInto(ws, tc.rule, grads)
+			if (errWant == nil) != (errGot == nil) {
+				t.Fatalf("%s seed %d: error mismatch: %v vs %v", tc.name, in.seed, errWant, errGot)
+			}
+			if errWant != nil {
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: dimension %d, want %d", tc.name, in.seed, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s seed %d: coordinate %d is %v on the shared workspace, %v on a fresh one", tc.name, in.seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }
 
 // almostEqual compares coordinates with a relative tolerance: selection rules
@@ -119,7 +169,7 @@ func TestRegistryPermutationInvariance(t *testing.T) {
 			rng := rand.New(rand.NewSource(101))
 			for rep := 0; rep < 5; rep++ {
 				grads := honestGrads(rng, propN, propD, 0)
-				base, err := tc.rule.Aggregate(grads)
+				base, err := Aggregate(tc.rule, grads)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +177,7 @@ func TestRegistryPermutationInvariance(t *testing.T) {
 				for i, p := range rng.Perm(propN) {
 					perm[i] = grads[p]
 				}
-				permuted, err := tc.rule.Aggregate(perm)
+				permuted, err := Aggregate(tc.rule, perm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,7 +203,7 @@ func TestRegistryUnanimity(t *testing.T) {
 			for i := range grads {
 				grads[i] = g.Clone()
 			}
-			out, err := tc.rule.Aggregate(grads)
+			out, err := Aggregate(tc.rule, grads)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +255,7 @@ func TestRegistryNonFiniteContainment(t *testing.T) {
 							v[j] = payload(rng)
 						}
 					}
-					out, err := tc.rule.Aggregate(grads)
+					out, err := Aggregate(tc.rule, grads)
 					if err != nil {
 						t.Fatalf("payload %s rep %d: %v", payloadName, rep, err)
 					}
@@ -233,7 +283,7 @@ func TestRegistryShortRoundsSkip(t *testing.T) {
 			}
 			refused := 0
 			for k := 0; k <= propN; k++ {
-				_, err := tc.rule.Aggregate(grads[:k])
+				_, err := Aggregate(tc.rule, grads[:k])
 				if err != nil && !errors.Is(err, ErrNoGradients) && !errors.Is(err, ErrTooFewWorkers) {
 					t.Fatalf("%d of %d gradients: %v is not a skip sentinel", k, propN, err)
 				}

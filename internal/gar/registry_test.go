@@ -37,24 +37,6 @@ func TestRegistryNamesSorted(t *testing.T) {
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate registration")
-		}
-	}()
-	Register("average", func(int) (GAR, error) { return Average{}, nil })
-}
-
-func TestRegisterEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty name")
-		}
-	}()
-	Register("", nil)
-}
-
 func TestRegistryNegativeF(t *testing.T) {
 	for _, name := range []string{"krum", "multi-krum", "bulyan", "trimmed-mean"} {
 		if _, err := New(name, -1); err == nil {

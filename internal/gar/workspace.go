@@ -8,12 +8,12 @@ import (
 // paper's Figure 4 shows aggregation eating 27–52% of each round at the
 // Table-1 scale, and a large share of the Go kernels' cost was allocator
 // traffic: a fresh n×n distance matrix, per-coordinate column buffers and
-// index slices, and a fresh output vector on every Aggregate call.
+// index slices, and a fresh output vector on every aggregation.
 //
 // A Workspace owns all of those buffers: the pairwise distance matrix and
 // its blocked partial accumulators, score and selection scratch, the
 // column-pass tile engine, Bulyan's sorted score rows, and the output
-// vector. Rules that implement WorkspaceGAR aggregate through it with zero
+// vector. Every rule of this package aggregates through it with zero
 // steady-state heap allocations. The zero value is ready to use; buffers
 // grow on demand and are retained.
 //
@@ -186,31 +186,21 @@ func (ws *Workspace) ensureBulyan(n int) (rows [][]float64, active, selected []i
 	return ws.rows, ws.active[:n], ws.selected[:0]
 }
 
-// WorkspaceGAR is implemented by rules whose kernels run through a
-// Workspace. AggregateInto must behave exactly like Aggregate — same
-// validation, bit-identical output — except that the returned vector aliases
-// the workspace instead of being freshly allocated.
-type WorkspaceGAR interface {
-	GAR
-	AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vector, error)
-}
-
-// AggregateInto aggregates through the rule's workspace kernels when the
-// rule implements WorkspaceGAR, falling back to the plain allocating
-// Aggregate otherwise (or when ws is nil). The returned vector may alias ws.
-func AggregateInto(ws *Workspace, rule GAR, grads []tensor.Vector) (tensor.Vector, error) {
-	if ws != nil {
-		if wg, ok := rule.(WorkspaceGAR); ok {
-			return wg.AggregateInto(ws, grads)
-		}
-	}
-	return rule.Aggregate(grads)
-}
-
-// aggregateFresh runs rule's workspace kernel on a transient workspace and
-// returns the (freshly allocated, caller-owned) result: the implementation
-// behind the plain Aggregate methods of the workspace-backed rules.
-func aggregateFresh(rule WorkspaceGAR, grads []tensor.Vector) (tensor.Vector, error) {
+// Aggregate runs rule on a transient workspace and returns a vector the
+// caller owns.
+func Aggregate(rule GAR, grads []tensor.Vector) (tensor.Vector, error) {
 	var ws Workspace
 	return rule.AggregateInto(&ws, grads)
 }
+
+// AggregateInto runs rule on ws; a nil ws means Aggregate. The returned
+// vector may alias ws.
+func AggregateInto(ws *Workspace, rule GAR, grads []tensor.Vector) (tensor.Vector, error) {
+	if ws == nil {
+		return Aggregate(rule, grads)
+	}
+	return rule.AggregateInto(ws, grads)
+}
+
+// WorkspaceGAR is GAR's former name: benchmark/bench_test.go asserts it (ROADMAP item 2).
+type WorkspaceGAR = GAR

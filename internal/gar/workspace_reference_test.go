@@ -73,9 +73,9 @@ func referenceGenericBulyan(b *GenericBulyan, grads []tensor.Vector) (tensor.Vec
 	copy(remaining, grads)
 	selected := make([]tensor.Vector, 0, theta)
 	for len(selected) < theta {
-		proposal, err := b.Inner.Aggregate(remaining)
+		proposal, err := Aggregate(b.Inner, remaining)
 		if err != nil {
-			proposal, _ = Median{}.Aggregate(remaining)
+			proposal, _ = Aggregate(Median{}, remaining)
 		}
 		best, bestDist := -1, math.Inf(1)
 		for i, v := range remaining {

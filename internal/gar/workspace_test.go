@@ -8,27 +8,17 @@ import (
 	"aggregathor/internal/tensor"
 )
 
-// workspaceRules enumerates every WorkspaceGAR with an f that is valid at
-// n=11 workers.
+// workspaceRules builds every registry rule at f = 2, which all of them
+// accept at n = 11 workers (bulyan's 4f+3 floor).
 func workspaceRules(t *testing.T) []GAR {
 	t.Helper()
-	rules := []GAR{
-		Average{},
-		SelectiveAverage{},
-		Median{},
-		TrimmedMean{Beta: 2},
-		NewMeanAroundMedian(2),
-		NewKrum(2),
-		NewMultiKrum(2),
-		NewBulyan(2),
-		NewGeoMedian(2),
-		NewGenericBulyan(Median{}, 2),
-		NewGenericBulyan(NewGeoMedian(2), 2),
-	}
-	for _, r := range rules {
-		if _, ok := r.(WorkspaceGAR); !ok {
-			t.Fatalf("%s does not implement WorkspaceGAR", r.Name())
+	var rules []GAR
+	for _, name := range Names() {
+		rule, err := New(name, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		rules = append(rules, rule)
 	}
 	return rules
 }
@@ -45,77 +35,21 @@ func vecEq(a, b tensor.Vector) bool {
 	return true
 }
 
-// TestAggregateIntoMatchesAggregate: the workspace path must be
-// bit-identical to the fresh-allocation path for every rule, over clean,
-// sparsely-poisoned and densely-poisoned inputs — while the SAME workspace
-// is reused across all rules and cases, which is exactly how the trainer
-// loops drive it.
-func TestAggregateIntoMatchesAggregate(t *testing.T) {
-	ws := NewWorkspace()
-	for _, rule := range workspaceRules(t) {
-		for _, tc := range []struct {
-			seed int64
-			n, d int
-			pBad float64
-		}{
-			{21, 11, 257, 0},
-			{22, 11, 1024, 0.02},
-			{23, 11, 100, 0.7},
-			{24, 15, 4097, 0},
-		} {
-			grads := randVectors(tc.seed, tc.n, tc.d, tc.pBad)
-			want, errWant := rule.Aggregate(grads)
-			got, errGot := AggregateInto(ws, rule, grads)
-			if (errWant == nil) != (errGot == nil) {
-				t.Fatalf("%s seed %d: error mismatch: %v vs %v", rule.Name(), tc.seed, errWant, errGot)
-			}
-			if errWant != nil {
-				continue
-			}
-			if !vecEq(got, want) {
-				t.Fatalf("%s seed %d: workspace aggregate diverges from plain Aggregate", rule.Name(), tc.seed)
-			}
-		}
-	}
-}
-
-// plainAverage is a deliberately workspace-less rule: it implements GAR but
-// not WorkspaceGAR, standing in for third-party rules that only provide the
-// allocating path (every built-in rule now has a workspace kernel).
-type plainAverage struct{}
-
-func (plainAverage) Name() string { return "plain-average" }
-
-func (plainAverage) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
-	if err := checkUniform(grads); err != nil {
-		return nil, err
-	}
-	return tensor.Mean(grads), nil
-}
-
-// TestAggregateIntoFallback: rules without workspace kernels (and nil
-// workspaces) must route through plain Aggregate.
+// TestAggregateIntoFallback: a nil workspace routes through Aggregate, and
+// each such call returns a vector the caller owns.
 func TestAggregateIntoFallback(t *testing.T) {
 	grads := randVectors(25, 11, 64, 0)
-	plain := plainAverage{}
-	want, err := plain.Aggregate(grads)
+	got, err := AggregateInto(nil, Median{}, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AggregateInto(NewWorkspace(), plain, grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecEq(got, want) {
-		t.Fatal("fallback path diverges from Aggregate")
-	}
-	got, err = AggregateInto(nil, Median{}, grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ = Median{}.Aggregate(grads)
+	want, _ := Aggregate(Median{}, grads)
 	if !vecEq(got, want) {
 		t.Fatal("nil-workspace path diverges from Aggregate")
+	}
+	again, _ := AggregateInto(nil, Median{}, randVectors(26, 11, 64, 0))
+	if &again[0] == &got[0] {
+		t.Fatal("two nil-workspace aggregations share one vector")
 	}
 }
 
@@ -133,12 +67,11 @@ func TestWorkspaceZeroSteadyStateAllocs(t *testing.T) {
 	for _, grads := range [][]tensor.Vector{randVectors(26, 11, d, 0), poisoned, randVectors(26, 12, d, 0)} {
 		for _, rule := range workspaceRules(t) {
 			ws := NewWorkspace()
-			wg := rule.(WorkspaceGAR)
-			if _, err := wg.AggregateInto(ws, grads); err != nil { // warm the arena
+			if _, err := rule.AggregateInto(ws, grads); err != nil { // warm the arena
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := wg.AggregateInto(ws, grads); err != nil {
+				if _, err := rule.AggregateInto(ws, grads); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -159,7 +92,7 @@ func TestWorkspaceReuseAcrossShapes(t *testing.T) {
 		{7, 100}, {11, 5000}, {5, 10}, {19, 2500}, {7, 100},
 	} {
 		grads := randVectors(int64(27+shape.n), shape.n, shape.d, 0.01)
-		want, err := rule.Aggregate(grads)
+		want, err := Aggregate(rule, grads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +147,7 @@ func TestMeanAroundMedianInfiniteMiddles(t *testing.T) {
 	inf := math.Inf(1)
 	grads := []tensor.Vector{{-inf}, {-inf}, {inf}, {inf}}
 	for _, rule := range []GAR{NewMeanAroundMedian(1), NewGenericBulyan(Median{}, 0)} {
-		out, err := rule.Aggregate(grads)
+		out, err := Aggregate(rule, grads)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,10 +15,9 @@ type Point struct {
 	Value float64
 }
 
-// Series is an append-only sequence of points with a name, the unit of
-// figure data in this reproduction.
+// Series is an append-only sequence of points, the unit of figure data in
+// this reproduction.
 type Series struct {
-	Name   string
 	Points []Point
 }
 

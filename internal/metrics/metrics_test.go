@@ -7,7 +7,6 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	var s Series
-	s.Name = "acc"
 	if _, ok := s.Last(); ok {
 		t.Fatal("empty series must have no last point")
 	}

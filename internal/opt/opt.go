@@ -1,7 +1,7 @@
 // Package opt implements the update rules exposed by the original runner's
 // --optimizer flag (sgd, momentum via sgd, adadelta, adagrad, adam, rmsprop
-// — the paper's default is RMSProp with lr 1e-3) plus the --learning-rate
-// schedules (fixed, polynomial, exponential) and L1/L2 regularisation.
+// — the paper's default is RMSProp with lr 1e-3) over a fixed learning rate,
+// plus L1/L2 regularisation.
 //
 // An Optimizer consumes the aggregated gradient chosen by the GAR and
 // updates the flat parameter vector in place: Equation 2's descent step.
@@ -10,8 +10,6 @@ package opt
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"aggregathor/internal/tensor"
 )
@@ -28,47 +26,6 @@ type Fixed struct{ Rate float64 }
 // LR implements Schedule.
 func (f Fixed) LR(int) float64 { return f.Rate }
 
-// Polynomial decays from Initial to Final over Steps steps with the given
-// Power, then stays at Final (tf.train.polynomial_decay).
-type Polynomial struct {
-	Initial, Final float64
-	Steps          int
-	Power          float64
-}
-
-// LR implements Schedule.
-func (p Polynomial) LR(step int) float64 {
-	if p.Steps <= 0 {
-		return p.Initial
-	}
-	s := step
-	if s > p.Steps {
-		s = p.Steps
-	}
-	power := p.Power
-	if power == 0 {
-		power = 1
-	}
-	frac := 1 - float64(s)/float64(p.Steps)
-	return (p.Initial-p.Final)*math.Pow(frac, power) + p.Final
-}
-
-// Exponential decays Initial by Rate every DecaySteps steps
-// (tf.train.exponential_decay, continuous form).
-type Exponential struct {
-	Initial    float64
-	Rate       float64
-	DecaySteps int
-}
-
-// LR implements Schedule.
-func (e Exponential) LR(step int) float64 {
-	if e.DecaySteps <= 0 {
-		return e.Initial
-	}
-	return e.Initial * math.Pow(e.Rate, float64(step)/float64(e.DecaySteps))
-}
-
 // Optimizer applies aggregated gradients to the flat parameter vector.
 // Implementations keep per-parameter state (moments) sized lazily on first
 // Step.
@@ -77,8 +34,6 @@ type Optimizer interface {
 	Name() string
 	// Step updates params in place using grad at the given step index.
 	Step(step int, params, grad tensor.Vector)
-	// Reset clears accumulated state (fresh training run).
-	Reset()
 }
 
 // SGD is plain stochastic gradient descent with optional momentum.
@@ -112,9 +67,6 @@ func (s *SGD) Step(step int, params, grad tensor.Vector) {
 	}
 }
 
-// Reset implements Optimizer.
-func (s *SGD) Reset() { s.velocity = nil }
-
 // RMSProp divides the gradient by a running average of its recent magnitude
 // (Tieleman & Hinton 2012) — the paper's evaluation default with lr 1e-3.
 type RMSProp struct {
@@ -146,9 +98,6 @@ func (r *RMSProp) Step(step int, params, grad tensor.Vector) {
 		params[i] -= lr * grad[i] / (math.Sqrt(r.ms[i]) + eps)
 	}
 }
-
-// Reset implements Optimizer.
-func (r *RMSProp) Reset() { r.ms = nil }
 
 // Adam is the Kingma & Ba adaptive-moment optimizer.
 type Adam struct {
@@ -192,9 +141,6 @@ func (a *Adam) Step(step int, params, grad tensor.Vector) {
 	}
 }
 
-// Reset implements Optimizer.
-func (a *Adam) Reset() { a.m, a.v, a.t = nil, nil, 0 }
-
 // Adagrad accumulates squared gradients for per-parameter rate adaptation.
 type Adagrad struct {
 	Schedule Schedule
@@ -220,9 +166,6 @@ func (a *Adagrad) Step(step int, params, grad tensor.Vector) {
 		params[i] -= lr * grad[i] / (math.Sqrt(a.accum[i]) + eps)
 	}
 }
-
-// Reset implements Optimizer.
-func (a *Adagrad) Reset() { a.accum = nil }
 
 // Adadelta is Zeiler's schedule-free variant; Schedule scales the computed
 // step (1.0 to match the original formulation).
@@ -259,9 +202,6 @@ func (a *Adadelta) Step(step int, params, grad tensor.Vector) {
 	}
 }
 
-// Reset implements Optimizer.
-func (a *Adadelta) Reset() { a.eg, a.ex = nil, nil }
-
 // Regularize adds the L1/L2 penalty gradients to grad in place, mirroring
 // the runner's --l1-regularize / --l2-regularize flags.
 func Regularize(grad, params tensor.Vector, l1, l2 float64) {
@@ -283,55 +223,34 @@ func Regularize(grad, params tensor.Vector, l1, l2 float64) {
 	}
 }
 
-// Factory builds an optimizer from a schedule.
-type Factory func(s Schedule) Optimizer
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-// Register adds a named optimizer factory; duplicates and empty names panic.
-func Register(name string, factory Factory) {
-	if name == "" || factory == nil {
-		panic("opt: Register with empty name or nil factory")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("opt: duplicate registration of %q", name))
-	}
-	registry[name] = factory
+// registry is every optimizer, one row each, sorted by name.
+var registry = []struct {
+	name string
+	new  func(s Schedule) Optimizer
+}{
+	{"adadelta", func(s Schedule) Optimizer { return &Adadelta{Schedule: s} }},
+	{"adagrad", func(s Schedule) Optimizer { return &Adagrad{Schedule: s} }},
+	{"adam", func(s Schedule) Optimizer { return &Adam{Schedule: s} }},
+	{"momentum", func(s Schedule) Optimizer { return &SGD{Schedule: s, Momentum: 0.9} }},
+	{"rmsprop", func(s Schedule) Optimizer { return &RMSProp{Schedule: s} }},
+	{"sgd", func(s Schedule) Optimizer { return &SGD{Schedule: s} }},
 }
 
 // New builds the named optimizer over the given schedule.
 func New(name string, s Schedule) (Optimizer, error) {
-	registryMu.RLock()
-	factory, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("opt: unknown optimizer %q (available: %v)", name, Names())
+	for _, row := range registry {
+		if row.name == name {
+			return row.new(s), nil
+		}
 	}
-	return factory(s), nil
+	return nil, fmt.Errorf("opt: unknown optimizer %q (available: %v)", name, Names())
 }
 
-// Names returns the sorted registered optimizer names.
+// Names returns the optimizer names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := make([]string, len(registry))
+	for i, row := range registry {
+		names[i] = row.name
 	}
-	sort.Strings(names)
 	return names
-}
-
-func init() {
-	Register("sgd", func(s Schedule) Optimizer { return &SGD{Schedule: s} })
-	Register("momentum", func(s Schedule) Optimizer { return &SGD{Schedule: s, Momentum: 0.9} })
-	Register("rmsprop", func(s Schedule) Optimizer { return &RMSProp{Schedule: s} })
-	Register("adam", func(s Schedule) Optimizer { return &Adam{Schedule: s} })
-	Register("adagrad", func(s Schedule) Optimizer { return &Adagrad{Schedule: s} })
-	Register("adadelta", func(s Schedule) Optimizer { return &Adadelta{Schedule: s} })
 }

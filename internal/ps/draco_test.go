@@ -16,7 +16,7 @@ import (
 // whose Byzantine members reverse their gradient, whose leftover workers are
 // silent, and whose rule is the plan.
 func dracoCluster(n, f, batch int, byz []int, factory func() *nn.Network, train *data.Dataset) (*Cluster, error) {
-	plan, err := draco.NewPlan(n, f, draco.Repetition)
+	plan, err := draco.NewPlan(n, f)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func TestDracoValidation(t *testing.T) {
 		t.Fatalf("round 0: %+v, %v", res, err)
 	}
 	// The plan is the rule, so the cluster holds it to its 2f+1 floor.
-	plan, err := draco.NewPlan(3, 1, draco.Repetition)
+	plan, err := draco.NewPlan(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -535,7 +535,7 @@ func (r *Round) aggregate(res *StepResult, received []tensor.Vector) (tensor.Vec
 		res.BelowBound, res.Skipped = true, true
 		return nil, nil
 	}
-	agg, err := gar.AggregateInto(e.ws, cfg.GAR, received)
+	agg, err := cfg.GAR.AggregateInto(e.ws, received)
 	if errors.Is(err, gar.ErrTooFewWorkers) || errors.Is(err, gar.ErrNoGradients) {
 		// Too few survivors for the rule: skipped, not deadlocked.
 		res.Skipped = true

@@ -19,7 +19,7 @@ import (
 type firstRule struct{}
 
 func (firstRule) Name() string { return "first" }
-func (firstRule) Aggregate(grads []tensor.Vector) (tensor.Vector, error) {
+func (firstRule) AggregateInto(_ *gar.Workspace, grads []tensor.Vector) (tensor.Vector, error) {
 	if len(grads) == 0 {
 		return nil, gar.ErrNoGradients
 	}

@@ -137,10 +137,10 @@ func executeRun(s *Spec, r Run) Result {
 	if p, ok := res.LossVsStep.Last(); ok {
 		out.FinalLoss = p.Value
 	}
-	if step, ok := res.AccuracyVsStep.StepToValue(s.Threshold); ok {
+	if step, ok := res.Accuracy.StepToValue(s.Threshold); ok {
 		out.StepsToThreshold = step
 	}
-	if t, ok := res.AccuracyVsTime.TimeToValue(s.Threshold); ok {
+	if t, ok := res.Accuracy.TimeToValue(s.Threshold); ok {
 		out.SimTimeToThresholdNS = t.Nanoseconds()
 	}
 	out.AggTimePerRoundNS = res.Breakdown.Aggregation.Nanoseconds()

@@ -201,7 +201,7 @@ func MeasureAggregation(g gar.GAR, n, dim, rounds int, seed int64) (time.Duratio
 	times := make([]float64, rounds)
 	for r := 0; r < rounds; r++ {
 		start := time.Now()
-		if _, err := g.Aggregate(grads); err != nil {
+		if _, err := gar.Aggregate(g, grads); err != nil {
 			return 0, fmt.Errorf("simnet: measuring %s: %w", g.Name(), err)
 		}
 		times[r] = time.Since(start).Seconds()
