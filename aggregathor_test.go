@@ -96,7 +96,7 @@ func TestPublicRunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Accuracy.Len() == 0 {
+	if len(res.Accuracy.Points) == 0 {
 		t.Fatal("no evaluation points")
 	}
 }

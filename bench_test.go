@@ -19,6 +19,7 @@ import (
 	"aggregathor/internal/attack"
 	"aggregathor/internal/core"
 	"aggregathor/internal/gar"
+	"aggregathor/internal/metrics"
 	"aggregathor/internal/nn"
 	"aggregathor/internal/simnet"
 	"aggregathor/internal/tensor"
@@ -93,13 +94,24 @@ func fig3Curve(b *testing.B, aggregator string, f, batch int) *core.Result {
 func fig3Run(b *testing.B, aggregator string, f, batch int) (float64, float64) {
 	b.Helper()
 	tf := fig3Curve(b, "tf", 0, batch)
-	target := tf.Accuracy.MaxValue() / 2
+	target := maxValue(tf.Accuracy) / 2
 	res := fig3Curve(b, aggregator, f, batch)
 	t, ok := res.Accuracy.TimeToValue(target)
 	if !ok {
 		b.Fatalf("%s never reached TF's half accuracy at mini-batch %d", aggregator, batch)
 	}
 	return t.Seconds(), res.FinalAccuracy
+}
+
+// maxValue returns the largest value of s, or 0 for an empty series.
+func maxValue(s metrics.Series) float64 {
+	var m float64
+	for i, p := range s.Points {
+		if i == 0 || p.Value > m {
+			m = p.Value
+		}
+	}
+	return m
 }
 
 // BenchmarkFig3_Overhead reproduces the Figure-3 overhead measurement at
@@ -907,8 +919,8 @@ func BenchmarkTransport_TCPFrameAllocs(b *testing.B) {
 	// A worker takes a broadcast into its replica's parameter store: nothing
 	// is allocated.
 	b.Run("recv-model-into", func(b *testing.B) {
-		model, store := &transport.ModelMsg{Step: 1, Params: grad}, tensor.NewVector(len(grad))
-		recvBench(b, func(c *transport.TCPConn) error { return c.SendModel(model) },
+		coords, store := transport.Codec{}.WireCoords(grad, new([]byte)), tensor.NewVector(len(grad))
+		recvBench(b, func(c *transport.TCPConn) error { return c.SendModelCoords(1, coords) },
 			func(c *transport.TCPConn) error { _, err := c.RecvModel(store); return err })
 	})
 }

@@ -39,7 +39,6 @@ type listedPackage struct {
 	GoFiles    []string
 	DepOnly    bool
 	Standard   bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 

@@ -14,10 +14,8 @@ import (
 // the bugs that shipped in PRs 3, 7 and 9 lived in dataflow and structure
 // that spans packages, which is what this index makes visible.
 type Module struct {
-	Pkgs []*Package
-
 	// funcs indexes every function and method declaration in the loaded
-	// packages by its stable key (see funcKey).
+	// packages by its stable key (see funcObjKey).
 	funcs map[string]*ModuleFunc
 	// pkgByFile maps each parsed file's name to its owning package, for
 	// attributing module-level diagnostics to the right directive table.
@@ -29,7 +27,6 @@ type ModuleFunc struct {
 	Key  string
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	Obj  *types.Func
 }
 
 // NewModule indexes the loaded packages. Packages type-check their
@@ -39,7 +36,6 @@ type ModuleFunc struct {
 // on.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
-		Pkgs:      pkgs,
 		funcs:     map[string]*ModuleFunc{},
 		pkgByFile: map[string]*Package{},
 	}
@@ -56,21 +52,11 @@ func NewModule(pkgs []*Package) *Module {
 					continue
 				}
 				key := funcObjKey(obj)
-				m.funcs[key] = &ModuleFunc{Key: key, Decl: fd, Pkg: pkg, Obj: obj}
+				m.funcs[key] = &ModuleFunc{Key: key, Decl: fd, Pkg: pkg}
 			}
 		}
 	}
 	return m
-}
-
-// FuncOf resolves a called function object (possibly imported via export
-// data) to its source declaration in the module, or nil for functions
-// outside the loaded set (stdlib, unexported dependencies).
-func (m *Module) FuncOf(obj *types.Func) *ModuleFunc {
-	if obj == nil {
-		return nil
-	}
-	return m.funcs[funcObjKey(obj)]
 }
 
 // Funcs returns every indexed declaration in deterministic key order.

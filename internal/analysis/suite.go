@@ -178,9 +178,3 @@ func RunSuite(suite []ScopedAnalyzer, pkgs []*Package) []Diagnostic {
 	SortDiagnostics(diags)
 	return diags
 }
-
-// RunAnalyzer executes one analyzer (with directive hygiene limited to its
-// own directive) over the packages — the entry point fixture tests use.
-func RunAnalyzer(a *Analyzer, pkgs []*Package) []Diagnostic {
-	return RunSuite([]ScopedAnalyzer{{Analyzer: a}}, pkgs)
-}

@@ -12,7 +12,7 @@ func TestStaleFirstStepIsZero(t *testing.T) {
 	ctx := testCtx(rand.New(rand.NewSource(20)), 4, 6)
 	s := &Stale{}
 	v := s.Forge(ctx)
-	if v.Norm() != 0 {
+	if v.SquaredNorm() != 0 {
 		t.Fatalf("first forge must be the null vector, got %v", v)
 	}
 }

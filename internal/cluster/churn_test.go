@@ -18,7 +18,6 @@ import (
 	"aggregathor/internal/opt"
 	"aggregathor/internal/ps"
 	"aggregathor/internal/tensor"
-	"aggregathor/internal/transport"
 )
 
 // churnDeployment builds the 7-worker TCP fixture for the churn tests: the
@@ -175,7 +174,7 @@ func TestTCPClusterChurnReleasesCrashedConnections(t *testing.T) {
 		t.Fatalf("%d connections retired over %d crashes", len(seen), crashes)
 	}
 	for p := range seen {
-		if err := p.conn.SendModel(&transport.ModelMsg{Params: tensor.Vector{0}}); err == nil {
+		if err := p.conn.SendModelCoords(0, make([]byte, 8)); err == nil {
 			t.Fatalf("worker %d's pre-crash connection is still open server-side", p.worker)
 		}
 	}

@@ -173,9 +173,8 @@ func (sc *UDPClusterConfig) round() ps.RoundConfig {
 
 // socketServer is the half of a socket cluster that is the same on both
 // transports: the validated deployment description and the round description
-// it maps onto, the round engine (whose Server supplies Model, Params and
-// StepCount), the worker goroutines' bookkeeping and the Start → Step →
-// Close lifecycle.
+// it maps onto, the round engine (whose Server supplies Model and Params),
+// the worker goroutines' bookkeeping and the Start → Step → Close lifecycle.
 type socketServer struct {
 	*ps.Server
 	cfg        UDPClusterConfig

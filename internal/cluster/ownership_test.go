@@ -99,7 +99,7 @@ func TestPeerOracleGradientsAreDistinctVectors(t *testing.T) {
 		}
 	}
 	for step := 0; step < rounds; step++ {
-		if err := conn.SendModel(&transport.ModelMsg{Step: step, Params: params}); err != nil {
+		if err := conn.SendModelCoords(step, cfg.Codec.WireCoords(params, new([]byte))); err != nil {
 			t.Fatal(err)
 		}
 		msg, err := conn.RecvGradient()

@@ -128,6 +128,7 @@ func TestTCPClusterByzantineMatrix(t *testing.T) {
 // suspected afterwards — and training converges on the surviving quorum,
 // Byzantine worker included.
 func TestTCPClusterStragglerRoundTimeout(t *testing.T) {
+	defer releaseCheck(t)("over a straggler round")
 	cl, test, factory := matrixDeployment(t, gar.NewMultiKrum(1),
 		map[int]string{6: "non-finite"}, map[int]bool{4: true}, 250*time.Millisecond)
 	if err := cl.Start(); err != nil {
@@ -315,9 +316,6 @@ func TestTCPClusterTrainerSurface(t *testing.T) {
 		if sr.Received != 3 || sr.Skipped || sr.Hijacked {
 			t.Fatalf("unexpected step result %+v", sr)
 		}
-	}
-	if cl.StepCount() != 2 {
-		t.Fatalf("step count %d", cl.StepCount())
 	}
 	got := cl.Model().ParamsVector()
 	want := cl.Params()

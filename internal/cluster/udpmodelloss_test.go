@@ -290,9 +290,11 @@ func TestUDPClusterModelLossRejectsInformedAttacks(t *testing.T) {
 // server's hostile-datagram cell: spoofed model packets claiming distinct
 // future steps (each would pin a model-sized partial pre-fix) and
 // gradient-tagged garbage are sprayed at a worker's model endpoint
-// mid-training. Training must complete unharmed and the worker-side
-// reassembler must stay bounded.
+// mid-training. Training must complete unharmed; the bound on the
+// worker-side reassembler is pinned where that receiver is visible, by
+// transport's TestModelCollectorHostileFutureStepsBounded.
 func TestUDPClusterModelEndpointHostileSpam(t *testing.T) {
+	defer releaseCheck(t)("over model-endpoint spam")
 	cl, _, _ := udpFixture(t, UDPClusterConfig{Seed: 7})
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
@@ -314,7 +316,7 @@ func TestUDPClusterModelEndpointHostileSpam(t *testing.T) {
 				Worker: transport.ModelWorkerID, Step: 1000 + i*8 + s,
 				Dim: dim, Offset: 0, Coords: junk[:1],
 			}
-			if err := hostile.SendPacket(partial); err != nil {
+			if err := hostile.SendPackets([]transport.Packet{*partial}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -334,12 +336,5 @@ func TestUDPClusterModelEndpointHostileSpam(t *testing.T) {
 	}
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
-	}
-	// Workers have exited: inspect their reassemblers without racing them.
-	for id, r := range cl.modelRecvs {
-		if r.Pending() > transport.DefaultModelWindow+1 {
-			t.Fatalf("worker %d pins %d model partials after spam, want <= %d",
-				id, r.Pending(), transport.DefaultModelWindow+1)
-		}
 	}
 }

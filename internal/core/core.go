@@ -323,6 +323,19 @@ func (c Config) Validate() error {
 // on for Run to build the deployment from.
 func (c Config) validated() (ps.RoundConfig, error) {
 	c.applyDefaults()
+	// Every backend fails on a negative size or silently runs without it, and
+	// Byzantine replicas exist only on a replicated server.
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"Batch", c.Batch}, {"Steps", c.Steps}, {"EvalEvery", c.EvalEvery}, {"ServerReplicas", c.ServerReplicas}} {
+		if size.n < 0 {
+			return ps.RoundConfig{}, fmt.Errorf("core: %s %d is negative", size.name, size.n)
+		}
+	}
+	if len(c.ByzantineReplicas) > 0 && c.ServerReplicas <= 1 {
+		return ps.RoundConfig{}, fmt.Errorf("core: ByzantineReplicas %v needs ServerReplicas > 1, got %d", c.ByzantineReplicas, c.ServerReplicas)
+	}
 	rc, err := c.round()
 	if err != nil {
 		return rc, err

@@ -40,7 +40,7 @@ func TestRunDefaultsAndConvergence(t *testing.T) {
 	if res.FinalAccuracy < 0.5 {
 		t.Fatalf("final accuracy %v", res.FinalAccuracy)
 	}
-	if res.Accuracy.Len() == 0 {
+	if len(res.Accuracy.Points) == 0 {
 		t.Fatal("series empty")
 	}
 	last, _ := res.Accuracy.Last()

@@ -275,9 +275,11 @@ func TestValidateAgreesWithRun(t *testing.T) {
 	}
 }
 
-// TestValidateChecksWorkerIDs: a worker id the cluster does not have, or an
-// attack name the registry does not have, is refused on every backend by
-// Validate and Run alike, before any capability rule looks at the option.
+// TestValidateChecksWorkerIDs: a worker id the cluster does not have, an
+// attack name the registry does not have, a negative size, or Byzantine
+// replicas without a replicated server, is refused on every backend by
+// Validate and Run alike, before any capability rule looks at the option —
+// not failed on later, or run without.
 func TestValidateChecksWorkerIDs(t *testing.T) {
 	base := Config{Workers: 5, F: 1, Aggregator: "median", Steps: 1, EvalEvery: 1}
 	for _, tc := range []struct {
@@ -289,6 +291,11 @@ func TestValidateChecksWorkerIDs(t *testing.T) {
 		{"corrupt worker 42", "CorruptData names worker 42 outside [0, 5)", func(c *Config) { c.CorruptData = []int{42} }},
 		{"hijacking worker 5", "HijackWorkers names worker 5 outside [0, 5)", func(c *Config) { c.HijackWorkers = []int{5} }},
 		{"unknown attack", `unknown attack "no-such-attack"`, func(c *Config) { c.Attacks = map[int]string{4: "no-such-attack"} }},
+		{"Batch -1", "Batch -1 is negative", func(c *Config) { c.Batch = -1 }},
+		{"Steps -5", "Steps -5 is negative", func(c *Config) { c.Steps = -5 }},
+		{"EvalEvery -1", "EvalEvery -1 is negative", func(c *Config) { c.EvalEvery = -1 }},
+		{"ServerReplicas -2", "ServerReplicas -2 is negative", func(c *Config) { c.ServerReplicas = -2 }},
+		{"ByzantineReplicas [0], one server", "ByzantineReplicas [0] needs ServerReplicas > 1", func(c *Config) { c.ByzantineReplicas = []int{0} }},
 	} {
 		for _, backend := range []string{BackendInProcess, BackendTCP, BackendUDP} {
 			t.Run(tc.name+"/"+backend, func(t *testing.T) {

@@ -140,9 +140,8 @@ func TestAllPresetsProduceTrainableModels(t *testing.T) {
 				t.Fatalf("shape %v vs X cols %d", train.Shape, train.X.Cols)
 			}
 			model := factory()
-			if model.InShape().Flat() != train.X.Cols {
-				t.Fatalf("model input %v vs data %d", model.InShape(), train.X.Cols)
-			}
+			// Gradient runs Forward on rows of train.X, which panics when
+			// the model's input width is not the data's.
 			x, y := train.Batch([]int{0, 1})
 			loss, grad := model.Gradient(x, y)
 			if loss <= 0 || grad.Dim() != model.NumParams() {

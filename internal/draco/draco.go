@@ -47,20 +47,6 @@ func (p *Plan) Redundancy() int { return 2*p.f + 1 }
 // evaluated per step): ⌊n/r⌋.
 func (p *Plan) NumGroups() int { return p.n / p.Redundancy() }
 
-// Groups returns, for each group, the ids of the workers that evaluate its
-// batch: disjoint runs of r consecutive ids.
-func (p *Plan) Groups() [][]int {
-	r := p.Redundancy()
-	groups := make([][]int, p.NumGroups())
-	for g := range groups {
-		groups[g] = make([]int, r)
-		for i := range groups[g] {
-			groups[g][i] = g*r + i
-		}
-	}
-	return groups
-}
-
 // WorkerLoad returns how many mini-batch gradients worker w computes per
 // step: 1 for a group member, 0 for a worker left over once the groups are
 // full.

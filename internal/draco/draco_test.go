@@ -27,25 +27,19 @@ func TestNewPlanValidation(t *testing.T) {
 	}
 }
 
+// TestRepetitionGroups: n = 9, f = 1 is three groups of three that load
+// every worker exactly once.
 func TestRepetitionGroups(t *testing.T) {
 	p, err := NewPlan(9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := p.Groups()
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups, want 3", len(groups))
+	if p.NumGroups() != 3 || p.Redundancy() != 3 {
+		t.Fatalf("%d groups of %d, want 3 of 3", p.NumGroups(), p.Redundancy())
 	}
-	seen := map[int]bool{}
-	for _, g := range groups {
-		if len(g) != 3 {
-			t.Fatalf("group size %d, want 3", len(g))
-		}
-		for _, w := range g {
-			if seen[w] {
-				t.Fatalf("worker %d in two repetition groups", w)
-			}
-			seen[w] = true
+	for w := 0; w < 9; w++ {
+		if p.WorkerLoad(w) != 1 {
+			t.Fatalf("worker %d load %d, want 1", w, p.WorkerLoad(w))
 		}
 	}
 }
@@ -177,11 +171,11 @@ func TestDecodeWithScatteredByzantine(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	truth := make([]tensor.Vector, p.NumGroups())
 	grads := make([]tensor.Vector, 10)
-	for g, members := range p.Groups() {
+	for g := range truth {
 		truth[g] = tensor.Vector{rng.NormFloat64()}
-		for _, w := range members {
-			grads[w] = truth[g].Clone()
-		}
+	}
+	for w := 0; w < len(truth)*p.Redundancy(); w++ {
+		grads[w] = truth[w/p.Redundancy()].Clone()
 	}
 	for _, w := range []int{1, 3, 8, 9} {
 		grads[w] = tensor.Vector{999}

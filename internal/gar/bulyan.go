@@ -61,14 +61,9 @@ func (b *Bulyan) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vec
 	return coordinateAggregateInto(ws, picked, b.Beta(len(grads))), nil
 }
 
-// Select runs the θ = n−2f Multi-Krum extraction iterations and returns the
-// indexes of the extracted gradients, in extraction order.
-func (b *Bulyan) Select(grads []tensor.Vector) ([]int, error) {
-	var ws Workspace
-	return b.selectInto(&ws, grads)
-}
-
-// selectInto is Select on workspace buffers; the returned slice aliases ws.
+// selectInto runs the θ = n−2f Multi-Krum extraction iterations and returns
+// the indexes of the extracted gradients, in extraction order; the returned
+// slice aliases ws.
 func (b *Bulyan) selectInto(ws *Workspace, grads []tensor.Vector) ([]int, error) {
 	if err := checkUniform(grads); err != nil {
 		return nil, err

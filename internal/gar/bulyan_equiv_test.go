@@ -59,9 +59,9 @@ func TestBulyanSelectMatchesNaive(t *testing.T) {
 							cases++
 							grads := randomGrads(rng, n, d, ties, poison)
 							b := NewBulyan(f)
-							got, err := b.Select(grads)
+							got, err := b.selectInto(new(Workspace), grads)
 							if err != nil {
-								t.Fatalf("n=%d f=%d d=%d: Select: %v", n, f, d, err)
+								t.Fatalf("n=%d f=%d d=%d: selectInto: %v", n, f, d, err)
 							}
 							want := selectNaive(grads, f)
 							if len(got) != len(want) {

@@ -42,7 +42,7 @@ func TestBulyanBoundsByzantineInfluence(t *testing.T) {
 		grads = append(grads, constVec(d, -1e7))
 	}
 	b := NewBulyan(f)
-	sel, err := b.Select(grads)
+	sel, err := b.selectInto(new(Workspace), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestBulyanSelectionOrderIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	grads := honestCloud(rng, 7, 4, constVec(4, 0), 1)
 	b := NewBulyan(1)
-	first, err := b.Select(grads)
+	first, err := b.selectInto(new(Workspace), grads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := b.Select(grads)
+		again, err := b.selectInto(new(Workspace), grads)
 		if err != nil {
 			t.Fatal(err)
 		}

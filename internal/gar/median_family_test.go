@@ -56,7 +56,7 @@ func TestGeoMedianAllNonFiniteIsNullUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Norm() != 0 {
+	if out.SquaredNorm() != 0 {
 		t.Fatalf("want null update, got %v", out)
 	}
 }

@@ -72,7 +72,7 @@ func krumScores(dist [][]float64, n, f int) []float64 {
 
 // selectNaive is BULYAN's selection phase without the distance-matrix reuse:
 // a fresh Krum (m=1) over the remaining vectors each iteration, recomputing
-// all pairwise distances with the same blocked kernel as Bulyan.Select (so
+// all pairwise distances with the same blocked kernel as Bulyan.selectInto (so
 // the two see identical per-pair values and stay selection-equivalent).
 func selectNaive(grads []tensor.Vector, f int) []int {
 	theta := len(grads) - 2*f

@@ -172,7 +172,7 @@ func TestBulyanIncrementalMatchesNaive(t *testing.T) {
 		{33, 11, 2, 0.9},
 	} {
 		grads := randVectors(tc.seed, tc.n, 300, tc.pBad)
-		a, err := NewBulyan(tc.f).Select(grads)
+		a, err := NewBulyan(tc.f).selectInto(new(Workspace), grads)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,26 +26,12 @@ func (s *Series) Add(t time.Duration, step int, v float64) {
 	s.Points = append(s.Points, Point{Time: t, Step: step, Value: v})
 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Points) }
-
 // Last returns the final point; ok is false for an empty series.
 func (s *Series) Last() (Point, bool) {
 	if len(s.Points) == 0 {
 		return Point{}, false
 	}
 	return s.Points[len(s.Points)-1], true
-}
-
-// MaxValue returns the largest value seen, or 0 for an empty series.
-func (s *Series) MaxValue() float64 {
-	var m float64
-	for i, p := range s.Points {
-		if i == 0 || p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
 }
 
 // TimeToValue returns the first simulated time at which the series reaches

@@ -12,15 +12,12 @@ func TestSeriesBasics(t *testing.T) {
 	}
 	s.Add(time.Second, 1, 0.3)
 	s.Add(2*time.Second, 2, 0.5)
-	if s.Len() != 2 {
-		t.Fatalf("len %d", s.Len())
+	if len(s.Points) != 2 {
+		t.Fatalf("len %d", len(s.Points))
 	}
 	last, ok := s.Last()
 	if !ok || last.Value != 0.5 || last.Step != 2 {
 		t.Fatalf("last %+v", last)
-	}
-	if s.MaxValue() != 0.5 {
-		t.Fatalf("max %v", s.MaxValue())
 	}
 }
 

@@ -8,25 +8,14 @@ import (
 	"aggregathor/internal/tensor"
 )
 
-// Padding selects the spatial padding rule.
-type Padding int
-
-const (
-	// Same pads so that out = ceil(in/stride), the TensorFlow "SAME" rule.
-	Same Padding = iota
-	// Valid applies no padding.
-	Valid
-)
-
-// Conv2D is a 2-D convolution with channel-last layout, implemented via
-// im2col + matrix multiply (the standard CPU lowering).
+// Conv2D is a 2-D convolution with channel-last layout and SAME padding,
+// implemented via im2col + matrix multiply (the standard CPU lowering).
 type Conv2D struct {
 	block      // w is (kh*kw*inC) x outC
 	in         Shape
 	kh, kw     int
 	stride     int
 	outC       int
-	padding    Padding
 	outH, outW int
 	padT, padL int
 
@@ -35,21 +24,13 @@ type Conv2D struct {
 }
 
 // NewConv2D builds a convolution layer with He-normal initialisation.
-func NewConv2D(in Shape, kh, kw, outC, stride int, padding Padding, rng *rand.Rand) *Conv2D {
+func NewConv2D(in Shape, kh, kw, outC, stride int, rng *rand.Rand) *Conv2D {
 	if stride < 1 {
 		panic("nn: conv stride must be >= 1")
 	}
-	c := &Conv2D{in: in, kh: kh, kw: kw, stride: stride, outC: outC, padding: padding}
-	switch padding {
-	case Same:
-		c.outH, c.padT, _ = samePaddingDims(in.H, kh, stride)
-		c.outW, c.padL, _ = samePaddingDims(in.W, kw, stride)
-	case Valid:
-		c.outH = validPadding(in.H, kh, stride)
-		c.outW = validPadding(in.W, kw, stride)
-	default:
-		panic(fmt.Sprintf("nn: unknown padding %d", padding))
-	}
+	c := &Conv2D{in: in, kh: kh, kw: kw, stride: stride, outC: outC}
+	c.outH, c.padT = samePadding(in.H, kh, stride)
+	c.outW, c.padL = samePadding(in.W, kw, stride)
 	patch := kh * kw * in.C
 	c.block = newBlock(patch, outC)
 	std := math.Sqrt(2 / float64(patch))
@@ -57,10 +38,6 @@ func NewConv2D(in Shape, kh, kw, outC, stride int, padding Padding, rng *rand.Ra
 		c.w.Data[i] = rng.NormFloat64() * std
 	}
 	return c
-}
-
-func samePaddingDims(in, k, s int) (out, padBegin, padEnd int) {
-	return samePadding(in, k, s)
 }
 
 // Name implements Layer.
@@ -189,11 +166,11 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix
 	return gradIn
 }
 
-// MaxPool2D is a max-pooling layer with channel-last layout.
+// MaxPool2D is a max-pooling layer with channel-last layout and SAME
+// padding.
 type MaxPool2D struct {
 	in         Shape
 	k, stride  int
-	padding    Padding
 	outH, outW int
 	padT, padL int
 	argmax     []int // flat input index winning each output position
@@ -201,18 +178,10 @@ type MaxPool2D struct {
 }
 
 // NewMaxPool2D builds a k×k max-pool with the given stride.
-func NewMaxPool2D(in Shape, k, stride int, padding Padding) *MaxPool2D {
-	p := &MaxPool2D{in: in, k: k, stride: stride, padding: padding}
-	switch padding {
-	case Same:
-		p.outH, p.padT, _ = samePadding(in.H, k, stride)
-		p.outW, p.padL, _ = samePadding(in.W, k, stride)
-	case Valid:
-		p.outH = validPadding(in.H, k, stride)
-		p.outW = validPadding(in.W, k, stride)
-	default:
-		panic(fmt.Sprintf("nn: unknown padding %d", padding))
-	}
+func NewMaxPool2D(in Shape, k, stride int) *MaxPool2D {
+	p := &MaxPool2D{in: in, k: k, stride: stride}
+	p.outH, p.padT = samePadding(in.H, k, stride)
+	p.outW, p.padL = samePadding(in.W, k, stride)
 	return p
 }
 

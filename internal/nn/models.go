@@ -14,10 +14,10 @@ import (
 // Total ≈ 1.75M parameters (asserted by test against Table 1).
 func NewCIFARCNN(rng *rand.Rand) *Network {
 	in := Shape{H: 32, W: 32, C: 3}
-	conv1 := NewConv2D(in, 5, 5, 64, 1, Same, rng)
-	pool1 := NewMaxPool2D(conv1.OutShape(), 3, 2, Same)
-	conv2 := NewConv2D(pool1.OutShape(), 5, 5, 64, 1, Same, rng)
-	pool2 := NewMaxPool2D(conv2.OutShape(), 3, 2, Same)
+	conv1 := NewConv2D(in, 5, 5, 64, 1, rng)
+	pool1 := NewMaxPool2D(conv1.OutShape(), 3, 2)
+	conv2 := NewConv2D(pool1.OutShape(), 5, 5, 64, 1, rng)
+	pool2 := NewMaxPool2D(conv2.OutShape(), 3, 2)
 	flat := NewFlatten(pool2.OutShape())
 	fc1 := NewDense(flat.OutShape().Flat(), 384, rng)
 	fc2 := NewDense(384, 192, rng)
@@ -35,8 +35,8 @@ func NewCIFARCNN(rng *rand.Rand) *Network {
 // NewSmallCNN builds a scaled-down convolutional network for fast tests and
 // experiments: inH×inW×inC input, one conv block, two dense layers.
 func NewSmallCNN(in Shape, classes int, rng *rand.Rand) *Network {
-	conv := NewConv2D(in, 3, 3, 8, 1, Same, rng)
-	pool := NewMaxPool2D(conv.OutShape(), 2, 2, Same)
+	conv := NewConv2D(in, 3, 3, 8, 1, rng)
+	pool := NewMaxPool2D(conv.OutShape(), 2, 2)
 	flat := NewFlatten(pool.OutShape())
 	fc1 := NewDense(flat.OutShape().Flat(), 32, rng)
 	fc2 := NewDense(32, classes, rng)

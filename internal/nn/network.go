@@ -56,12 +56,6 @@ func (n *Network) bind(store tensor.Vector, bind func(*block, tensor.Vector)) {
 	}
 }
 
-// InShape returns the per-sample input shape.
-func (n *Network) InShape() Shape { return n.inShape }
-
-// Layers returns the layer stack (read-only by convention).
-func (n *Network) Layers() []Layer { return n.layers }
-
 // NumParams returns the total trainable parameter count d.
 func (n *Network) NumParams() int { return n.dim }
 
@@ -110,15 +104,6 @@ func (n *Network) SetParamsVector(v tensor.Vector) {
 	}
 }
 
-// GradsVector returns a copy of the parameter gradients the last Backward
-// left, aligned with ParamsVector (zeros before the first).
-func (n *Network) GradsVector() tensor.Vector {
-	if n.grads == nil {
-		return tensor.NewVector(n.dim)
-	}
-	return n.grads.Clone()
-}
-
 // GradientView computes the mini-batch loss and the flat gradient: one worker
 // step (forward, softmax cross-entropy, backward), allocation-free once the
 // batch shape has been seen. The returned vector is the live gradient store,
@@ -143,11 +128,6 @@ func (n *Network) Gradient(x *tensor.Matrix, labels []int) (loss float64, grad t
 func (n *Network) lossGradient(logits *tensor.Matrix, labels []int) float64 {
 	n.dLogits = sized(n.dLogits, logits.Rows, logits.Cols)
 	return softmaxCrossEntropy(n.dLogits, logits, labels)
-}
-
-// Loss computes the mean loss of a batch without touching gradients.
-func (n *Network) Loss(x *tensor.Matrix, labels []int) float64 {
-	return n.lossGradient(n.Forward(x), labels)
 }
 
 // Predict returns the argmax class for each row of x.
@@ -195,16 +175,10 @@ func (n *Network) Summary() string {
 	return b.String()
 }
 
-// SoftmaxCrossEntropy computes the mean cross-entropy loss of logits against
-// integer labels and the gradient with respect to the logits
-// ((softmax−onehot)/batch), using the max-shift for numerical stability.
-func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix) {
-	grad := tensor.NewMatrix(logits.Rows, logits.Cols)
-	return softmaxCrossEntropy(grad, logits, labels), grad
-}
-
-// softmaxCrossEntropy is SoftmaxCrossEntropy into grad, a matrix of the
-// logits' shape that is overwritten.
+// softmaxCrossEntropy computes the mean cross-entropy loss of logits against
+// integer labels and writes the gradient with respect to the logits
+// ((softmax−onehot)/batch) into grad, a matrix of the logits' shape, using
+// the max-shift for numerical stability.
 func softmaxCrossEntropy(grad, logits *tensor.Matrix, labels []int) float64 {
 	if logits.Rows != len(labels) {
 		panic(fmt.Sprintf("nn: %d logit rows vs %d labels", logits.Rows, len(labels)))

@@ -19,10 +19,10 @@ func numericalGradient(n *Network, x *tensor.Matrix, labels []int, eps float64) 
 		orig := params[i]
 		params[i] = orig + eps
 		n.SetParamsVector(params)
-		lp := n.Loss(x, labels)
+		lp := n.lossGradient(n.Forward(x), labels)
 		params[i] = orig - eps
 		n.SetParamsVector(params)
-		lm := n.Loss(x, labels)
+		lm := n.lossGradient(n.Forward(x), labels)
 		params[i] = orig
 		grad[i] = (lp - lm) / (2 * eps)
 	}
@@ -75,17 +75,7 @@ func TestMLPGradientCheck(t *testing.T) {
 func TestConvGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := Shape{H: 5, W: 5, C: 2}
-	conv := NewConv2D(in, 3, 3, 3, 1, Same, rng)
-	flat := NewFlatten(conv.OutShape())
-	n := NewNetwork(in, conv, flat, NewDense(flat.OutShape().Flat(), 2, rng))
-	x, y := randBatch(rng, 2, in.Flat(), 2)
-	checkGradients(t, n, x, y, 1e-5)
-}
-
-func TestConvValidPaddingGradientCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	in := Shape{H: 6, W: 6, C: 1}
-	conv := NewConv2D(in, 3, 3, 2, 2, Valid, rng)
+	conv := NewConv2D(in, 3, 3, 3, 1, rng)
 	flat := NewFlatten(conv.OutShape())
 	n := NewNetwork(in, conv, flat, NewDense(flat.OutShape().Flat(), 2, rng))
 	x, y := randBatch(rng, 2, in.Flat(), 2)
@@ -95,8 +85,8 @@ func TestConvValidPaddingGradientCheck(t *testing.T) {
 func TestMaxPoolGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	in := Shape{H: 6, W: 6, C: 2}
-	conv := NewConv2D(in, 3, 3, 2, 1, Same, rng)
-	pool := NewMaxPool2D(conv.OutShape(), 3, 2, Same)
+	conv := NewConv2D(in, 3, 3, 2, 1, rng)
+	pool := NewMaxPool2D(conv.OutShape(), 3, 2)
 	flat := NewFlatten(pool.OutShape())
 	n := NewNetwork(in, conv, pool, flat, NewDense(flat.OutShape().Flat(), 2, rng))
 	x, y := randBatch(rng, 2, in.Flat(), 2)
@@ -118,17 +108,14 @@ func TestConvOutputShapes(t *testing.T) {
 		name         string
 		in           Shape
 		k, stride    int
-		pad          Padding
 		wantH, wantW int
 	}{
-		{"same-s1", Shape{32, 32, 3}, 5, 1, Same, 32, 32},
-		{"same-s2", Shape{32, 32, 3}, 3, 2, Same, 16, 16},
-		{"valid-s1", Shape{32, 32, 3}, 5, 1, Valid, 28, 28},
-		{"valid-s2", Shape{7, 7, 1}, 3, 2, Valid, 3, 3},
+		{"same-s1", Shape{32, 32, 3}, 5, 1, 32, 32},
+		{"same-s2", Shape{32, 32, 3}, 3, 2, 16, 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewConv2D(tc.in, tc.k, tc.k, 4, tc.stride, tc.pad, rng)
+			c := NewConv2D(tc.in, tc.k, tc.k, 4, tc.stride, rng)
 			got := c.OutShape()
 			if got.H != tc.wantH || got.W != tc.wantW || got.C != 4 {
 				t.Fatalf("got %v, want %dx%dx4", got, tc.wantH, tc.wantW)
@@ -138,11 +125,11 @@ func TestConvOutputShapes(t *testing.T) {
 }
 
 func TestPoolOutputShapes(t *testing.T) {
-	p := NewMaxPool2D(Shape{32, 32, 64}, 3, 2, Same)
+	p := NewMaxPool2D(Shape{32, 32, 64}, 3, 2)
 	if got := p.OutShape(); got.H != 16 || got.W != 16 || got.C != 64 {
 		t.Fatalf("pool1 out %v, want 16x16x64", got)
 	}
-	p2 := NewMaxPool2D(p.OutShape(), 3, 2, Same)
+	p2 := NewMaxPool2D(p.OutShape(), 3, 2)
 	if got := p2.OutShape(); got.H != 8 || got.W != 8 || got.C != 64 {
 		t.Fatalf("pool2 out %v, want 8x8x64", got)
 	}
@@ -197,14 +184,14 @@ func TestBackwardSkipsOnlyTheUnreadInputGradient(t *testing.T) {
 		x, y := randBatch(rand.New(rand.NewSource(32)), 5, img.Flat(), 4)
 		_, got := n.Gradient(x, y)
 
-		_, dLogits := SoftmaxCrossEntropy(n.Forward(x), y)
-		g := dLogits
+		n.lossGradient(n.Forward(x), y)
+		g := n.dLogits
 		for i := len(n.layers) - 1; i >= 0; i-- {
 			if g = n.layers[i].Backward(g, true); g == nil {
 				t.Fatalf("%s: layer %d returned no input gradient though asked for it", name, i)
 			}
 		}
-		want := n.GradsVector()
+		want := n.grads.Clone()
 		if g.Rows != x.Rows || g.Cols != x.Cols {
 			t.Fatalf("%s: full walk's input gradient is %dx%d, want %dx%d", name, g.Rows, g.Cols, x.Rows, x.Cols)
 		}
@@ -247,7 +234,7 @@ var testNets = map[string]func(seed int64) *Network{
 // parameters, in layer order, weights before biases: what a layer's block
 // reads and writes.
 func blocks(n *Network) (params, grads []tensor.Vector) {
-	for _, l := range n.Layers() {
+	for _, l := range n.layers {
 		if l.NumParams() == 0 {
 			continue
 		}
@@ -310,7 +297,7 @@ func TestLayerViewsAliasFlatStores(t *testing.T) {
 			continue // one backward pass of the 1.75M-parameter model is the slow part
 		}
 		// The gradient store is laid out the same way, once a backward pass made it.
-		x, y := randBatch(rand.New(rand.NewSource(42)), 3, n.InShape().Flat(), 3)
+		x, y := randBatch(rand.New(rand.NewSource(42)), 3, n.inShape.Flat(), 3)
 		_, view := n.GradientView(x, y)
 		_, grads = blocks(n)
 		if len(grads) != len(params) {
@@ -333,8 +320,8 @@ func TestGradientViewIsOverwrittenNotAccumulated(t *testing.T) {
 	for _, name := range []string{"mlp", "smallcnn"} {
 		n := testNets[name](43)
 		rng := rand.New(rand.NewSource(44))
-		x1, y1 := randBatch(rng, 4, n.InShape().Flat(), 3)
-		x2, y2 := randBatch(rng, 4, n.InShape().Flat(), 3)
+		x1, y1 := randBatch(rng, 4, n.inShape.Flat(), 3)
+		x2, y2 := randBatch(rng, 4, n.inShape.Flat(), 3)
 		_, first := n.Gradient(x1, y1)
 		kept := first.Clone()
 		loss2, view := n.GradientView(x2, y2)
@@ -362,10 +349,10 @@ func TestScratchFollowsBatchShape(t *testing.T) {
 		rng := rand.New(rand.NewSource(46))
 		for round := 0; round < 3; round++ {
 			for _, rows := range []int{4, 64, 4} {
-				x, y := randBatch(rng, rows, n.InShape().Flat(), 3)
+				x, y := randBatch(rng, rows, n.inShape.Flat(), 3)
 				fresh := testNets[name](45)
 				label := fmt.Sprintf("%s batch %d", name, rows)
-				if got, want := n.Loss(x, y), fresh.Loss(x, y); got != want {
+				if got, want := n.lossGradient(n.Forward(x), y), fresh.lossGradient(fresh.Forward(x), y); got != want {
 					t.Fatalf("%s: loss %v, fresh network %v", label, got, want)
 				}
 				if got, want := n.Accuracy(x, y), fresh.Accuracy(x, y); got != want {
@@ -413,7 +400,8 @@ func TestSetParamsVectorWrongDimPanics(t *testing.T) {
 func TestSoftmaxCrossEntropy(t *testing.T) {
 	logits := tensor.NewMatrix(1, 3)
 	copy(logits.Data, []float64{1, 2, 3})
-	loss, grad := SoftmaxCrossEntropy(logits, []int{2})
+	grad := tensor.NewMatrix(1, 3)
+	loss := softmaxCrossEntropy(grad, logits, []int{2})
 	// p(2) = e^3/(e^1+e^2+e^3) ≈ 0.665
 	wantLoss := -math.Log(math.Exp(3) / (math.Exp(1) + math.Exp(2) + math.Exp(3)))
 	if math.Abs(loss-wantLoss) > 1e-12 {
@@ -431,7 +419,8 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 func TestSoftmaxCrossEntropyStability(t *testing.T) {
 	logits := tensor.NewMatrix(1, 2)
 	copy(logits.Data, []float64{1000, -1000})
-	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
+	grad := tensor.NewMatrix(1, 2)
+	loss := softmaxCrossEntropy(grad, logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("unstable loss %v", loss)
 	}
@@ -448,7 +437,7 @@ func TestSoftmaxBadLabelPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SoftmaxCrossEntropy(tensor.NewMatrix(1, 2), []int{5})
+	softmaxCrossEntropy(tensor.NewMatrix(1, 2), tensor.NewMatrix(1, 2), []int{5})
 }
 
 func TestPredictAndAccuracy(t *testing.T) {
@@ -489,14 +478,14 @@ func TestTrainingReducesLoss(t *testing.T) {
 		}
 		y[i] = best
 	}
-	initial := n.Loss(x, y)
+	initial := n.lossGradient(n.Forward(x), y)
 	params := n.ParamsVector()
 	for step := 0; step < 200; step++ {
 		_, grad := n.Gradient(x, y)
 		params.Axpy(-0.5, grad)
 		n.SetParamsVector(params)
 	}
-	final := n.Loss(x, y)
+	final := n.lossGradient(n.Forward(x), y)
 	if final >= initial*0.5 {
 		t.Fatalf("training did not reduce loss: %v -> %v", initial, final)
 	}

@@ -25,24 +25,15 @@ func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.H, s.W, s.C) }
 // FlatShape returns the dense shape {1,1,n}.
 func FlatShape(n int) Shape { return Shape{H: 1, W: 1, C: n} }
 
-// samePadding returns the total SAME padding for one spatial axis given
-// input extent in, kernel k and stride s (the TensorFlow rule:
-// out = ceil(in/s), pad = max((out-1)*s + k - in, 0)).
-func samePadding(in, k, s int) (out, padBegin, padEnd int) {
+// samePadding returns the output extent and the leading padding of one
+// spatial axis given input extent in, kernel k and stride s (the TensorFlow
+// SAME rule: out = ceil(in/s), total pad = max((out-1)*s + k - in, 0), the
+// odd unit trailing).
+func samePadding(in, k, s int) (out, padBegin int) {
 	out = (in + s - 1) / s
 	total := (out-1)*s + k - in
 	if total < 0 {
 		total = 0
 	}
-	padBegin = total / 2
-	padEnd = total - padBegin
-	return out, padBegin, padEnd
-}
-
-// validPadding returns the output extent for VALID (no) padding.
-func validPadding(in, k, s int) int {
-	if in < k {
-		return 0
-	}
-	return (in-k)/s + 1
+	return out, total / 2
 }

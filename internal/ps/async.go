@@ -66,19 +66,11 @@ func (a AsyncConfig) EffectiveQuorum(workers int) int {
 	return a.Quorum
 }
 
-// Lag evaluates the slow-worker schedule for one (step, worker): 0 means the
-// worker is fresh this round, k >= 1 means it trains on the model from step
-// step-k. The draw is keyed on SlowSeed so both endpoints agree without
-// communicating; the lag is clamped to the steps that actually exist, so
-// early rounds are fresh by construction. A drawn lag may exceed Staleness
-// (by exactly one) — that worker's gradient would be too stale to admit, and
-// ExpectedTag reports it as dropped.
-func (a AsyncConfig) Lag(runSeed int64, step, worker int) int {
-	return a.lag(rand.New(rand.NewSource(runSeed)), runSeed, step, worker)
-}
-
-// lag is Lag on caller-owned scratch: rng is reseeded per draw, so the
-// planner's steady-state evaluation allocates nothing.
+// lag draws the slow-worker schedule for one (step, worker): 0 is fresh, k >= 1
+// trains on the model of step step-k, clamped to the steps that exist. The
+// draw is keyed on SlowSeed, so both endpoints agree without communicating,
+// and may exceed Staleness by one: ExpectedTag reports that slot dropped. rng
+// is caller-owned scratch, reseeded per draw, so the planner allocates nothing.
 func (a AsyncConfig) lag(rng *rand.Rand, runSeed int64, step, worker int) int {
 	if a.SlowRate <= 0 || step == 0 {
 		return 0

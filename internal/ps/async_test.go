@@ -2,6 +2,7 @@ package ps
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"aggregathor/internal/attack"
@@ -53,7 +54,7 @@ func TestAsyncConfigValidate(t *testing.T) {
 	}
 }
 
-// TestAsyncSchedulePureFunction pins the slow-worker schedule's contract: Lag
+// TestAsyncSchedulePureFunction pins the slow-worker schedule's contract: lag
 // is a pure function of (seed, step, worker), bounded by the staleness
 // window, zero at step 0 and clamped to the steps that exist; ExpectedTag is
 // -1 exactly when the drawn lag breaches τ and step-lag otherwise.
@@ -63,15 +64,15 @@ func TestAsyncSchedulePureFunction(t *testing.T) {
 	slowSeen, droppedSeen := false, false
 	for step := 0; step < 200; step++ {
 		for worker := 0; worker < 7; worker++ {
-			lag := cfg.Lag(seed, step, worker)
-			if lag != cfg.Lag(seed, step, worker) {
-				t.Fatalf("Lag(%d, %d) is not deterministic", step, worker)
+			lag := cfg.lag(rand.New(rand.NewSource(1)), seed, step, worker)
+			if lag != cfg.lag(rand.New(rand.NewSource(2)), seed, step, worker) {
+				t.Fatalf("lag(%d, %d) is not deterministic", step, worker)
 			}
 			if step == 0 && lag != 0 {
 				t.Fatalf("step 0 drew lag %d; no earlier model exists", lag)
 			}
 			if lag < 0 || lag > cfg.Staleness+1 || lag > step {
-				t.Fatalf("Lag(%d, %d) = %d outside [0, min(τ+1, step)]", step, worker, lag)
+				t.Fatalf("lag(%d, %d) = %d outside [0, min(τ+1, step)]", step, worker, lag)
 			}
 			tag := cfg.ExpectedTag(seed, step, worker)
 			switch {

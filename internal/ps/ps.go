@@ -114,7 +114,6 @@ type Cluster struct {
 	replicas []*nn.Network
 	rngs     []*rand.Rand
 	models   *Models // the broadcasts a slow worker can still be told to train on
-	hijacked bool
 	// The round's honest gradients (each worker's borrowed from its replica
 	// until Finish) and losses by worker, and the correct workers' gradients.
 	honest  []tensor.Vector
@@ -455,9 +454,5 @@ func (c *Cluster) RemoteAssign(params tensor.Vector) error {
 	if params.Dim() != c.params.Dim() {
 		return fmt.Errorf("ps: remote assign dimension %d, want %d", params.Dim(), c.params.Dim())
 	}
-	c.hijacked = true
 	return c.SetParams(params)
 }
-
-// Hijacked reports whether any remote write has ever succeeded.
-func (c *Cluster) Hijacked() bool { return c.hijacked }

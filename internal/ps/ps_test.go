@@ -117,16 +117,17 @@ func TestHonestTrainingConverges(t *testing.T) {
 	if first.Received != 5 || first.Skipped {
 		t.Fatalf("first step: %+v", first)
 	}
+	last := first
 	for i := 0; i < 150; i++ {
-		if _, err := c.Step(); err != nil {
+		if last, err = c.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if acc := c.Model().Accuracy(test.X, test.Y); acc < 0.6 {
 		t.Fatalf("accuracy %v after training, want > 0.6", acc)
 	}
-	if c.StepCount() != 151 {
-		t.Fatalf("step count %d", c.StepCount())
+	if last.Step != 150 {
+		t.Fatalf("last round is step %d, want 150", last.Step)
 	}
 }
 
@@ -231,7 +232,7 @@ func TestVanillaHijackDestroysTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Hijacked || !c.Hijacked() {
+	if !res.Hijacked {
 		t.Fatal("vanilla server must accept the hijack")
 	}
 }
@@ -259,9 +260,6 @@ func TestPatchedServerRefusesHijack(t *testing.T) {
 		if res.Hijacked {
 			t.Fatal("patched server accepted a hijack")
 		}
-	}
-	if c.Hijacked() {
-		t.Fatal("patched server recorded a hijack")
 	}
 	if acc := c.Model().Accuracy(test.X, test.Y); acc < 0.6 {
 		t.Fatalf("accuracy %v with refused hijacks", acc)
@@ -293,7 +291,7 @@ func TestRemoteAssignModes(t *testing.T) {
 	if err := vanilla.RemoteAssign(zero); err != nil {
 		t.Fatal(err)
 	}
-	if vanilla.Params().Norm() != 0 {
+	if vanilla.Params().SquaredNorm() != 0 {
 		t.Fatal("remote assign did not take effect")
 	}
 	if err := vanilla.RemoteAssign(tensor.NewVector(1)); err == nil {
@@ -470,7 +468,7 @@ func TestL2RegularizationShrinksWeights(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return c.Params().Norm()
+		return c.Params().SquaredNorm()
 	}
 	if reg, unreg := run(0.01), run(0); reg >= unreg {
 		t.Fatalf("L2 must shrink weights: %v vs %v", reg, unreg)

@@ -43,9 +43,6 @@ func (s *Server) Model() *nn.Network { return s.net }
 // Params returns a copy of the current model parameters.
 func (s *Server) Params() tensor.Vector { return s.params.Clone() }
 
-// StepCount returns the number of rounds run so far.
-func (s *Server) StepCount() int { return s.step }
-
 // SetParams overwrites the model parameters (checkpoint restore / warm
 // start) — a local trusted-operator action, permitted in any security mode.
 func (s *Server) SetParams(v tensor.Vector) error {

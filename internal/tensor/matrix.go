@@ -25,13 +25,6 @@ func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
 // Row returns a mutable view of row i.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // MatMul computes out = a·b. Shapes must satisfy a.Cols == b.Rows,
 // out.Rows == a.Rows and out.Cols == b.Cols; out is overwritten.
 //

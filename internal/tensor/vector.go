@@ -65,9 +65,6 @@ func (v Vector) Axpy(a float64, w Vector) {
 	}
 }
 
-// Norm returns the Euclidean (L2) norm of v.
-func (v Vector) Norm() float64 { return math.Sqrt(v.SquaredNorm()) }
-
 // SquaredNorm returns the squared Euclidean norm of v.
 func (v Vector) SquaredNorm() float64 {
 	var s float64
@@ -108,17 +105,6 @@ func (v Vector) IsFinite() bool {
 	return true
 }
 
-// CountNonFinite returns the number of NaN or ±Inf coordinates in v.
-func (v Vector) CountNonFinite() int {
-	n := 0
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			n++
-		}
-	}
-	return n
-}
-
 // Fingerprint hashes the exact bit pattern of v (64-bit FNV-1a over the
 // little-endian coordinates): the equality test behind every exact-match
 // vote — the replicated server's model vote, Draco's group vote. Every NaN
@@ -143,17 +129,6 @@ func (v Vector) Max() float64 {
 	m := math.Inf(-1)
 	for _, x := range v {
 		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum coordinate of v, or +Inf for an empty vector.
-func (v Vector) Min() float64 {
-	m := math.Inf(1)
-	for _, x := range v {
-		if x < m {
 			m = x
 		}
 	}

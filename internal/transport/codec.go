@@ -325,14 +325,3 @@ func (c Codec) EncodeModel(m *ModelMsg) []byte {
 	c.putCoords(buf[modelHeaderLen:], m.Params)
 	return buf
 }
-
-// DecodeModel parses EncodeModel output.
-func (c Codec) DecodeModel(buf []byte) (*ModelMsg, error) {
-	h, err := c.parseFrameHeader(msgModel, buf, len(buf), 0)
-	if err != nil {
-		return nil, err
-	}
-	m := &ModelMsg{Step: h.step, Params: tensor.NewVector(h.dim)}
-	c.getCoords(buf[modelHeaderLen:], m.Params)
-	return m, nil
-}

@@ -170,7 +170,7 @@ func TestSplitRespectsMTU(t *testing.T) {
 	c := Codec{}
 	m := &GradientMsg{Grad: randVec(rng, 5000)}
 	for _, p := range c.Split(m, DefaultMTU) {
-		if size := len(c.EncodePacket(&p)); size > DefaultMTU {
+		if size := len(c.AppendPacket(nil, &p)); size > DefaultMTU {
 			t.Fatalf("packet of %d bytes exceeds MTU %d", size, DefaultMTU)
 		}
 	}
@@ -180,7 +180,7 @@ func TestPacketRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := Codec{}
 	p := Packet{Worker: 2, Step: 11, Dim: 100, Offset: 40, Coords: randVec(rng, 10)}
-	got, err := c.DecodePacket(c.EncodePacket(&p))
+	got, err := c.DecodePacket(c.AppendPacket(nil, &p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestPacketRoundTrip(t *testing.T) {
 func TestDecodePacketRejectsBadRange(t *testing.T) {
 	c := Codec{}
 	p := Packet{Worker: 1, Step: 1, Dim: 5, Offset: 4, Coords: tensor.Vector{1, 2}}
-	if _, err := c.DecodePacket(c.EncodePacket(&p)); !errors.Is(err, ErrBadFrame) {
+	if _, err := c.DecodePacket(c.AppendPacket(nil, &p)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("want ErrBadFrame for out-of-range packet, got %v", err)
 	}
 }

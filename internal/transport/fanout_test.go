@@ -30,7 +30,7 @@ func TestFanOutShortReadBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer recv.Close()
-		recv.Reassembler().SetExpectDim(dim)
+		recv.asm.SetExpectDim(dim)
 		if err := recv.conn.SetReadBuffer(16 << 10); err != nil {
 			t.Fatal(err)
 		}
@@ -262,13 +262,13 @@ func TestRecvPacketReuseKeepsNothing(t *testing.T) {
 	recv, send, _ := modelFixture(t, 64, DefaultMTU)
 	long := &Packet{Worker: 4, Step: 9, Loss: 2.5, Dim: 64, Offset: 8, Coords: modelParams(40)}
 	short := &Packet{Worker: 1, Step: 2, Loss: math.Inf(1), Dim: 3, Offset: 1, Coords: modelParams(2)}
-	if err := send.SendPacket(long); err != nil {
+	if err := send.SendPackets([]Packet{*long}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := send.batcher.conn.Write([]byte("not a packet")); err != nil {
 		t.Fatal(err)
 	}
-	if err := send.SendPacket(short); err != nil {
+	if err := send.SendPackets([]Packet{*short}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []*Packet{long, short} {

@@ -33,7 +33,7 @@ func hasSignallingNaN32(coords []byte) bool {
 // which re-encodes as that quiet NaN and decodes to the same bits again.
 func TestPacketCodecQuietsSignallingNaN32(t *testing.T) {
 	c := Codec{Float32: true}
-	data := c.EncodePacket(&Packet{Worker: 1, Step: 2, Dim: 1, Coords: tensor.Vector{0}})
+	data := c.AppendPacket(nil, &Packet{Worker: 1, Step: 2, Dim: 1, Coords: tensor.Vector{0}})
 	coord := data[packetHeaderLen:]
 	binary.LittleEndian.PutUint32(coord, 0x7f800001)
 	if !hasSignallingNaN32(coord) {
@@ -46,7 +46,7 @@ func TestPacketCodecQuietsSignallingNaN32(t *testing.T) {
 	if got, want := math.Float64bits(p.Coords[0]), uint64(0x7ff8000020000000); got != want {
 		t.Fatalf("decoded %#x, want the quiet NaN %#x", got, want)
 	}
-	re := c.EncodePacket(p)
+	re := c.AppendPacket(nil, p)
 	if got := binary.LittleEndian.Uint32(re[packetHeaderLen:]); got != 0x7fc00001 {
 		t.Fatalf("re-encoded %#x, want the quiet NaN 0x7fc00001", got)
 	}
@@ -69,11 +69,11 @@ func FuzzDecodePacket(f *testing.F) {
 	for _, c := range []Codec{{Float32: true}, {Float32: false}} {
 		msg := &GradientMsg{Worker: 3, Step: 41, Grad: tensor.Vector{1.5, -2.25, math.Pi, 0}}
 		for _, p := range c.Split(msg, 64) {
-			f.Add(c.EncodePacket(&p), c.Float32)
+			f.Add(c.AppendPacket(nil, &p), c.Float32)
 		}
 		empty := &GradientMsg{Worker: 0, Step: 0, Grad: tensor.Vector{}}
 		for _, p := range c.Split(empty, DefaultMTU) {
-			f.Add(c.EncodePacket(&p), c.Float32)
+			f.Add(c.AppendPacket(nil, &p), c.Float32)
 		}
 	}
 	f.Add([]byte{}, true)
@@ -84,7 +84,7 @@ func FuzzDecodePacket(f *testing.F) {
 		c := Codec{Float32: float32Wire}
 		p, err := c.DecodePacket(data)
 		used := &Packet{}
-		previous := c.EncodePacket(&Packet{Worker: 7, Step: 7, Loss: 7, Dim: 77, Offset: 7, Coords: make(tensor.Vector, 70)})
+		previous := c.AppendPacket(nil, &Packet{Worker: 7, Step: 7, Loss: 7, Dim: 77, Offset: 7, Coords: make(tensor.Vector, 70)})
 		if err := c.DecodePacketInto(used, previous); err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func FuzzDecodePacket(f *testing.F) {
 		if p.Offset < 0 || p.Offset+len(p.Coords) > p.Dim {
 			t.Fatalf("accepted packet with range [%d,%d) outside dim %d", p.Offset, p.Offset+len(p.Coords), p.Dim)
 		}
-		re := c.EncodePacket(p)
+		re := c.AppendPacket(nil, p)
 		if !bytes.Equal(re, data) && !(float32Wire && hasSignallingNaN32(data[packetHeaderLen:])) {
 			t.Fatalf("decode->encode not the identity:\n in  %x\n out %x", data, re)
 		}
@@ -167,7 +167,7 @@ func FuzzReassembler(f *testing.F) {
 	for _, worker := range []int{0, 1} {
 		msg := &GradientMsg{Worker: worker, Step: 3, Loss: 0.5, Grad: tensor.Vector{1, 2, 3, 4, 5, 6, 7, 8}}
 		for _, p := range c.Split(msg, 64) {
-			legit = appendChunk(legit, c.EncodePacket(&p))
+			legit = appendChunk(legit, c.AppendPacket(nil, &p))
 		}
 	}
 	f.Add(legit)
@@ -178,26 +178,26 @@ func FuzzReassembler(f *testing.F) {
 	var models []byte
 	model := &GradientMsg{Worker: ModelWorkerID, Step: 7, Loss: 0, Grad: tensor.Vector{1, 2, 3, 4, 5, 6, 7, 8}}
 	for _, p := range c.Split(model, 64) {
-		models = appendChunk(models, c.EncodePacket(&p))
+		models = appendChunk(models, c.AppendPacket(nil, &p))
 	}
 	torn := &GradientMsg{Worker: ModelWorkerID, Step: 8, Grad: tensor.Vector{9, 8, 7, 6, 5, 4, 3, 2}}
 	for i, p := range c.Split(torn, 64) {
 		if i == 0 {
 			continue // the "scheduled drop": first packet never sent
 		}
-		models = appendChunk(models, c.EncodePacket(&p))
+		models = appendChunk(models, c.AppendPacket(nil, &p))
 	}
 	for step := 100; step < 104; step++ {
 		spoof := &Packet{Worker: ModelWorkerID, Step: step, Dim: 4096, Offset: 0, Coords: tensor.Vector{1}}
-		models = appendChunk(models, c.EncodePacket(spoof))
+		models = appendChunk(models, c.AppendPacket(nil, spoof))
 	}
 	f.Add(models)
 	// Seed: the conflicting-Dim crasher — two self-consistent packets, same
 	// key, different dims (the second used to index out of range).
 	small := &Packet{Worker: 1, Step: 1, Dim: 4, Offset: 0, Coords: tensor.Vector{1, 2}}
 	large := &Packet{Worker: 1, Step: 1, Dim: 4096, Offset: 4000, Coords: tensor.Vector{9, 9, 9}}
-	f.Add(appendChunk(appendChunk(nil, c.EncodePacket(small)), c.EncodePacket(large)))
-	f.Add(appendChunk(appendChunk(nil, c.EncodePacket(large)), c.EncodePacket(small)))
+	f.Add(appendChunk(appendChunk(nil, c.AppendPacket(nil, small)), c.AppendPacket(nil, large)))
+	f.Add(appendChunk(appendChunk(nil, c.AppendPacket(nil, large)), c.AppendPacket(nil, small)))
 	// Seed: raw garbage chunks.
 	f.Add(appendChunk(appendChunk(nil, []byte("garbage")), bytes.Repeat([]byte{0xFF}, packetHeaderLen)))
 	// Seeds for the arrival bitmap: ranges straddling 64-coordinate words,
@@ -210,7 +210,7 @@ func FuzzReassembler(f *testing.F) {
 			for i := range coords {
 				coords[i] = float64(sp[0]+i) + 0.25
 			}
-			out = appendChunk(out, c.EncodePacket(&Packet{Worker: worker, Step: 5, Loss: loss, Dim: dim, Offset: sp[0], Coords: coords}))
+			out = appendChunk(out, c.AppendPacket(nil, &Packet{Worker: worker, Step: 5, Loss: loss, Dim: dim, Offset: sp[0], Coords: coords}))
 		}
 		return out
 	}
@@ -223,7 +223,7 @@ func FuzzReassembler(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		asm := NewReassembler(FillNaN, nil)
-		asm.SetMaxDim(1 << 16) // the allocation bound itself is under test
+		asm.maxDim = 1 << 16 // the allocation bound itself is under test
 		oracle := newBoolReassembler(1 << 16)
 		keys := map[[2]int]bool{}
 		for len(data) >= 2 {
@@ -353,7 +353,7 @@ func TestPacketRoundTripAllWidths(t *testing.T) {
 		msg.Grad[0] = math.NaN()
 		msg.Grad[1] = math.Inf(1)
 		for _, p := range c.Split(msg, DefaultMTU) {
-			raw := c.EncodePacket(&p)
+			raw := c.AppendPacket(nil, &p)
 			got, err := c.DecodePacket(raw)
 			if err != nil {
 				t.Fatalf("float32=%v: %v", c.Float32, err)
@@ -361,7 +361,7 @@ func TestPacketRoundTripAllWidths(t *testing.T) {
 			if got.Worker != p.Worker || got.Step != p.Step || got.Dim != p.Dim || got.Offset != p.Offset {
 				t.Fatalf("float32=%v: header changed: %+v vs %+v", c.Float32, got, p)
 			}
-			if !bytes.Equal(c.EncodePacket(got), raw) {
+			if !bytes.Equal(c.AppendPacket(nil, got), raw) {
 				t.Fatalf("float32=%v: re-encode differs", c.Float32)
 			}
 		}

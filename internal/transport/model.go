@@ -407,7 +407,3 @@ func (mc *ModelCollector) flushResolved() {
 		mc.deadline = time.Time{} // progress: next broadcast gets a fresh bound
 	}
 }
-
-// Pending exposes the number of partially assembled broadcasts the
-// collector is tracking (tests assert the hostile-spam bound).
-func (mc *ModelCollector) Pending() int { return len(mc.pending) }

@@ -16,7 +16,7 @@ func modelFixture(t *testing.T, dim, mtu int) (*UDPReceiver, *UDPSender, Codec) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { recv.Close() })
-	recv.Reassembler().SetMaxDim(dim)
+	recv.asm.maxDim = dim
 	send, err := DialUDP(recv.Addr(), codec, mtu, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func sendModelPackets(t *testing.T, send *UDPSender, codec Codec, step, mtu int,
 		if i < len(drop) && drop[i] {
 			continue
 		}
-		if err := send.SendPacket(&pkts[i]); err != nil {
+		if err := send.SendPackets([]Packet{pkts[i]}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,8 +187,8 @@ func TestModelCollectorTornSettlesWithoutDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("torn broadcast took %v to settle: the collector waited on a deadline", elapsed)
 	}
-	if recv.Pending() != 0 {
-		t.Fatalf("torn partial not evicted: %d pending", recv.Pending())
+	if recv.asm.Pending() != 0 {
+		t.Fatalf("torn partial not evicted: %d pending", recv.asm.Pending())
 	}
 	ev, err = col.Next(tensor.NewVector(dim))
 	if err != nil {
@@ -246,8 +246,8 @@ func TestModelCollectorSkipTo(t *testing.T) {
 	sendModelPackets(t, send, codec, 2, mtu, params, []bool{false, true})
 	sendModelPackets(t, send, codec, 4, mtu, params, nil)
 	sendModelPackets(t, send, codec, 0, mtu, params, nil)
-	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || col.Pending() != 2 {
-		t.Fatalf("event %+v err %v pending %d, want complete step 0 with steps 2 and 4 stashed", ev, err, col.Pending())
+	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || len(col.pending) != 2 {
+		t.Fatalf("event %+v err %v pending %d, want complete step 0 with steps 2 and 4 stashed", ev, err, len(col.pending))
 	}
 	col.SkipTo(4)
 	col.SkipTo(1)
@@ -256,9 +256,9 @@ func TestModelCollectorSkipTo(t *testing.T) {
 	if err != nil || !ev.Complete || ev.Step != 4 {
 		t.Fatalf("event %+v err %v after SkipTo(4), want complete step 4", ev, err)
 	}
-	if time.Since(begin) > 2*time.Second || col.Pending() != 0 || recv.Pending() != 0 {
+	if time.Since(begin) > 2*time.Second || len(col.pending) != 0 || recv.asm.Pending() != 0 {
 		t.Fatalf("step 4 took %v with %d broadcasts (%d partials) pending: the skipped steps were waited for",
-			time.Since(begin), col.Pending(), recv.Pending())
+			time.Since(begin), len(col.pending), recv.asm.Pending())
 	}
 }
 
@@ -278,8 +278,8 @@ func TestModelCollectorHorizon(t *testing.T) {
 	sendModelPackets(t, send, codec, 1<<40, mtu, params, nil)
 	sendModelPackets(t, send, codec, modelHorizon+1, mtu, params, nil)
 	sendModelPackets(t, send, codec, 0, mtu, params, nil)
-	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || col.Pending() != 0 || recv.Pending() != 0 {
-		t.Fatalf("event %+v err %v with %d broadcasts pending, want complete step 0 and the forged ones refused", ev, err, col.Pending())
+	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || len(col.pending) != 0 || recv.asm.Pending() != 0 {
+		t.Fatalf("event %+v err %v with %d broadcasts pending, want complete step 0 and the forged ones refused", ev, err, len(col.pending))
 	}
 	// Exactly at the horizon of step 1 a whole broadcast is stashed, and the
 	// bounded wait for step 1 ends in the jump to it.
@@ -308,7 +308,7 @@ func TestModelCollectorGenuineLossBoundedWait(t *testing.T) {
 	if len(pkts) < 2 {
 		t.Fatal("fixture needs a multi-packet broadcast")
 	}
-	if err := send.SendPacket(&pkts[0]); err != nil {
+	if err := send.SendPackets([]Packet{pkts[0]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -322,8 +322,8 @@ func TestModelCollectorGenuineLossBoundedWait(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("lost broadcast took %v to settle, want roughly the broadcast timeout", elapsed)
 	}
-	if recv.Pending() != 0 {
-		t.Fatalf("lost broadcast's partial still pinned: %d pending", recv.Pending())
+	if recv.asm.Pending() != 0 {
+		t.Fatalf("lost broadcast's partial still pinned: %d pending", recv.asm.Pending())
 	}
 	// The next complete broadcast is delivered normally afterwards.
 	sendModelPackets(t, send, codec, 1, mtu, modelParams(dim), nil)
@@ -348,7 +348,7 @@ func TestModelCollectorDeadlineSurvivesTraffic(t *testing.T) {
 		BroadcastTimeout: 300 * time.Millisecond, IdleTimeout: 30 * time.Second})
 	// Genuine loss: only the first packet of step 0 arrives.
 	pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: modelParams(dim)}, mtu)
-	if err := send.SendPacket(&pkts[0]); err != nil {
+	if err := send.SendPackets([]Packet{pkts[0]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A background stream of ignorable gradient-tagged datagrams, spaced
@@ -361,7 +361,7 @@ func TestModelCollectorDeadlineSurvivesTraffic(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(50 * time.Millisecond):
-				send.SendPacket(&spam[0])
+				send.SendPackets([]Packet{spam[0]}, nil)
 			}
 		}
 	}()
@@ -393,7 +393,7 @@ func TestModelCollectorCatchUpJump(t *testing.T) {
 	// Step 0 is genuinely torn (one packet only); steps 1-4 are genuinely
 	// lost outright; steps 5 and 6 arrive whole and buffer in the window.
 	pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: params}, mtu)
-	if err := send.SendPacket(&pkts[0]); err != nil {
+	if err := send.SendPackets([]Packet{pkts[0]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	sendModelPackets(t, send, codec, 5, mtu, params, nil)
@@ -441,7 +441,7 @@ func TestModelCollectorRejectsConflictingMetadata(t *testing.T) {
 	params := modelParams(dim)
 	real := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: params}, mtu)
 	// The genuine first packet pins the broadcast's metadata...
-	if err := send.SendPacket(&real[0]); err != nil {
+	if err := send.SendPackets([]Packet{real[0]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// ...then a conflicting-Loss spoof for every remaining survivor index
@@ -455,18 +455,18 @@ func TestModelCollectorRejectsConflictingMetadata(t *testing.T) {
 		}
 		spoof := &Packet{Worker: ModelWorkerID, Step: 0, Loss: 99.5, Dim: dim,
 			Offset: idx * per, Coords: make([]float64, n)}
-		if err := send.SendPacket(spoof); err != nil {
+		if err := send.SendPackets([]Packet{*spoof}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wrongDim := &Packet{Worker: ModelWorkerID, Step: 0, Dim: dim + 1, Offset: 0,
 		Coords: make([]float64, 1)}
-	if err := send.SendPacket(wrongDim); err != nil {
+	if err := send.SendPackets([]Packet{*wrongDim}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The genuine remainder lands last and must still complete the model.
 	for i := 1; i < len(real); i++ {
-		if err := send.SendPacket(&real[i]); err != nil {
+		if err := send.SendPackets([]Packet{real[i]}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -511,8 +511,8 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 	if !ev.Lost {
 		t.Fatalf("unpaced 160KB burst into a 4KB buffer delivered %+v, want genuine loss", ev)
 	}
-	if recv.Pending() != 0 {
-		t.Fatalf("torn partial still pinned after eviction: %d pending", recv.Pending())
+	if recv.asm.Pending() != 0 {
+		t.Fatalf("torn partial still pinned after eviction: %d pending", recv.asm.Pending())
 	}
 
 	// Paced: same short buffer, sender rate-limited, receiver draining
@@ -527,7 +527,7 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 	go func() {
 		pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: params}, mtu)
 		for i := range pkts {
-			if err := send2.SendPacket(&pkts[i]); err != nil {
+			if err := send2.SendPackets([]Packet{pkts[i]}, nil); err != nil {
 				done <- err
 				return
 			}
@@ -572,13 +572,13 @@ func TestModelCollectorHostileFutureStepsBounded(t *testing.T) {
 	// 40 distinct future steps, one packet each, plus gradient-tagged spam.
 	for step := 5; step < 45; step++ {
 		pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: step, Grad: modelParams(dim)}, mtu)
-		if err := hostile.SendPacket(&pkts[0]); err != nil {
+		if err := hostile.SendPackets([]Packet{pkts[0]}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for step := 0; step < 10; step++ {
 		pkts := codec.Split(&GradientMsg{Worker: 3, Step: step, Grad: modelParams(dim)}, mtu)
-		if err := hostile.SendPacket(&pkts[0]); err != nil {
+		if err := hostile.SendPackets([]Packet{pkts[0]}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -595,12 +595,12 @@ func TestModelCollectorHostileFutureStepsBounded(t *testing.T) {
 	if !ev.Complete || ev.Step != 0 {
 		t.Fatalf("event %+v, want the legitimate complete step 0 despite hostile spam", ev)
 	}
-	if col.Pending() > DefaultModelWindow {
-		t.Fatalf("collector tracks %d pending broadcasts, cap is %d", col.Pending(), DefaultModelWindow)
+	if len(col.pending) > DefaultModelWindow {
+		t.Fatalf("collector tracks %d pending broadcasts, cap is %d", len(col.pending), DefaultModelWindow)
 	}
-	if recv.Pending() > DefaultModelWindow+1 {
+	if recv.asm.Pending() > DefaultModelWindow+1 {
 		t.Fatalf("reassembler pins %d partials after spam, want <= window+current (%d)",
-			recv.Pending(), DefaultModelWindow+1)
+			recv.asm.Pending(), DefaultModelWindow+1)
 	}
 }
 

@@ -152,13 +152,7 @@ func (c Codec) AppendPacket(dst []byte, p *Packet) []byte {
 	return dst
 }
 
-// EncodePacket renders a packet as a freshly allocated datagram payload.
-// Steady-state senders should prefer AppendPacket with a reused arena.
-func (c Codec) EncodePacket(p *Packet) []byte {
-	return c.AppendPacket(make([]byte, 0, c.PacketWireLen(p)), p)
-}
-
-// DecodePacket parses EncodePacket output into a fresh packet.
+// DecodePacket parses AppendPacket output into a fresh packet.
 func (c Codec) DecodePacket(buf []byte) (*Packet, error) {
 	p := &Packet{}
 	if err := c.DecodePacketInto(p, buf); err != nil {
@@ -167,7 +161,7 @@ func (c Codec) DecodePacket(buf []byte) (*Packet, error) {
 	return p, nil
 }
 
-// DecodePacketInto parses EncodePacket output into p, reusing the capacity
+// DecodePacketInto parses AppendPacket output into p, reusing the capacity
 // of p.Coords: a receiver that decodes every datagram into one Packet
 // allocates nothing at steady state. Nothing of p's previous content
 // survives — on an error p is left empty (zero header, no coordinates).
@@ -242,7 +236,7 @@ func (p RecoupPolicy) String() string {
 // allocate tens of gigabytes and abort the process — a one-datagram remote
 // OOM. The default leaves an order of magnitude of headroom over the
 // paper-scale 1.75M-parameter model; endpoints that know their deployment's
-// exact dimension should tighten it with SetMaxDim.
+// exact dimension should pin it with SetExpectDim.
 const DefaultMaxDim = 1 << 24
 
 // Reassembler collects packets into gradients. One Reassembler serves one
@@ -302,16 +296,6 @@ func NewReassembler(policy RecoupPolicy, rng *rand.Rand) *Reassembler {
 		panic("transport: FillRandom requires an rng")
 	}
 	return &Reassembler{policy: policy, rng: rng, maxDim: DefaultMaxDim, pending: map[[2]int]*partial{}}
-}
-
-// SetMaxDim tightens the allocation bound on claimed gradient dimensions
-// (default DefaultMaxDim). Endpoints that know the deployment's exact model
-// dimension should set it so a spoofed header cannot make them allocate
-// anything larger; d <= 0 is ignored.
-func (r *Reassembler) SetMaxDim(d int) {
-	if d > 0 {
-		r.maxDim = d
-	}
 }
 
 // SetExpectDim pins the exact gradient dimension of the deployment: packets

@@ -254,7 +254,7 @@ func TestReassemblerBoundsClaimedDim(t *testing.T) {
 		t.Fatal("huge-dim packet allocated partial state")
 	}
 
-	asm.SetMaxDim(100)
+	asm.SetExpectDim(100)
 	over := &Packet{Worker: 1, Step: 1, Dim: 101, Offset: 0, Coords: tensor.Vector{1}}
 	if _, done := asm.Offer(over); done || asm.Pending() != 0 {
 		t.Fatal("packet over the tightened bound was admitted")
@@ -467,7 +467,7 @@ func TestFlushFillRandom(t *testing.T) {
 	if !ok {
 		t.Fatal("FillRandom flush must deliver")
 	}
-	if msg.Grad.CountNonFinite() != 0 {
+	if !msg.Grad.IsFinite() {
 		t.Fatal("FillRandom must produce finite coordinates")
 	}
 }
@@ -552,7 +552,7 @@ func TestQuickSplitReassembleIdentity(t *testing.T) {
 		asm := NewReassembler(DropGradient, nil)
 		var got *GradientMsg
 		for i := range packets {
-			raw := c.EncodePacket(&packets[i])
+			raw := c.AppendPacket(nil, &packets[i])
 			p, err := c.DecodePacket(raw)
 			if err != nil {
 				t.Fatalf("iter %d: %v", iter, err)

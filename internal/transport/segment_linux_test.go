@@ -104,7 +104,7 @@ func TestSegmentedSendIsDatagramSend(t *testing.T) {
 		codec  Codec
 		pkts   []Packet
 		mask   []bool
-		single bool // one SendPacket per packet instead of one SendPackets
+		single bool // one SendPackets per packet instead of one for all
 	}{
 		{name: "float64 split", codec: f64, pkts: split(f64, dim)},
 		{name: "float32 split", codec: f32, pkts: split(f32, dim)},
@@ -149,7 +149,7 @@ func TestSegmentedSendIsDatagramSend(t *testing.T) {
 						return
 					}
 					for i := range tc.pkts {
-						if err := send.SendPacket(&tc.pkts[i]); err != nil {
+						if err := send.SendPackets([]Packet{tc.pkts[i]}, nil); err != nil {
 							sent <- err
 							return
 						}

@@ -227,11 +227,6 @@ func (c *TCPConn) RecvGradient() (*GradientMsg, error) {
 	return m, nil
 }
 
-// SendModel writes one model broadcast.
-func (c *TCPConn) SendModel(m *ModelMsg) error {
-	return c.send(c.open(msgModel, frameHeader{step: m.Step, dim: len(m.Params)}), m.Params)
-}
-
 // SendModelCoords writes a model broadcast whose parameters
 // Codec.WireCoords already put in wire encoding under this connection's
 // codec. coords is only read, so a broadcast renders (or borrows) them once

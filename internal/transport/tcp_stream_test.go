@@ -53,6 +53,18 @@ func errClass(err error) string {
 	}
 }
 
+// DecodeModel parses EncodeModel output: FuzzTCPFrameStream's whole-frame
+// oracle for the model stream reader.
+func (c Codec) DecodeModel(buf []byte) (*ModelMsg, error) {
+	h, err := c.parseFrameHeader(msgModel, buf, len(buf), 0)
+	if err != nil {
+		return nil, err
+	}
+	m := &ModelMsg{Step: h.step, Params: tensor.NewVector(h.dim)}
+	c.getCoords(buf[modelHeaderLen:], m.Params)
+	return m, nil
+}
+
 // FuzzTCPFrameStream feeds arbitrary bytes — a length prefix and whatever
 // follows it — through a pipe to the stream reader, under both widths, for
 // both frame types, pinned to a dimension or not; a model is received into a
@@ -333,7 +345,7 @@ func TestTCPFrameOpeningIsOneRead(t *testing.T) {
 			sent := make(chan error, 1)
 			go func() {
 				if typ == msgModel {
-					sent <- send.SendModel(&ModelMsg{Step: 7, Params: v})
+					sent <- send.SendModelCoords(7, c.WireCoords(v, new([]byte)))
 				} else {
 					sent <- send.SendGradient(&GradientMsg{Worker: 2, Step: 7, Loss: 0.25, Grad: v})
 				}

@@ -254,13 +254,6 @@ func (s *UDPSender) SendPackets(pkts []Packet, dropped []bool) error {
 	return nil
 }
 
-// SendPacket writes one already-split packet immediately, bypassing the
-// sender's own drop injection.
-func (s *UDPSender) SendPacket(p *Packet) error {
-	s.pktScratch = append(s.pktScratch[:0], *p)
-	return s.SendPackets(s.pktScratch, nil)
-}
-
 // Close releases the socket.
 func (s *UDPSender) Close() error { return s.batcher.conn.Close() }
 
@@ -527,7 +520,7 @@ func (r *UDPReceiver) flushAny() (*GradientMsg, error) {
 // send anything). The packet is NOT offered to the reassembler: callers that
 // drive reassembly explicitly (cluster.UDPCluster slots gradients by worker
 // id and recoups scheduled losses deterministically) pair RecvPacket with
-// Reassembler().Offer.
+// their own Reassembler's Offer.
 //
 // The returned packet is the receiver's own and is valid until the next
 // RecvPacket or RecvGradient call, which decodes over it; a caller
@@ -547,13 +540,6 @@ func (r *UDPReceiver) RecvPacket(timeout time.Duration) (*Packet, error) {
 		}
 	}
 }
-
-// Reassembler exposes the receiver's reassembly state for callers that drive
-// packet collection explicitly through RecvPacket.
-func (r *UDPReceiver) Reassembler() *Reassembler { return r.asm }
-
-// Pending exposes the number of partially assembled gradients.
-func (r *UDPReceiver) Pending() int { return r.asm.Pending() }
 
 // Close releases the socket.
 func (r *UDPReceiver) Close() error { return r.conn.Close() }
