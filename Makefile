@@ -4,7 +4,7 @@ SMOKE_GOLDEN := internal/scenario/testdata/smoke.sha256
 
 BENCH_JSON_DIR ?= .
 
-.PHONY: all fmt vet lint escape-check directives check build test race fuzz smoke bench-json bench-compare loc ci clean
+.PHONY: all fmt vet lint check build test race fuzz smoke bench-json bench-compare loc ci clean
 
 all: ci
 
@@ -15,25 +15,15 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Run the aggrevet determinism & hot-path suite (internal/analysis) over the
-# whole module. Findings are fixed or justified with //aggrevet: directives —
-# the build fails otherwise.
+# Run the aggrevet determinism suite (internal/analysis) over the whole
+# module. Findings are fixed or justified with //aggrevet: directives of at
+# least 10 characters — the build fails otherwise.
 lint:
 	$(GO) run ./cmd/aggrevet ./...
 
-# Diff the hot-path escape profile (go build -gcflags=-m on internal/gar and
-# internal/transport) against the committed baseline. Regenerate after an
-# intentional change with: $(GO) run ./cmd/aggrevet -escape -write
-escape-check:
-	$(GO) run ./cmd/aggrevet -escape
-
-# Audit every //aggrevet:* suppression directive in the module: prints each
-# justification with its location and fails on thin (<10 char) ones.
-directives:
-	$(GO) run ./cmd/aggrevet -directives ./...
-
-# The default local gate: static checks, then build and tests.
-check: fmt vet lint escape-check build test
+# The default local gate: static checks, then build and tests (the
+# zero-allocation gates are tests).
+check: fmt vet lint build test
 
 build:
 	$(GO) build ./...
@@ -122,7 +112,7 @@ loc:
 		awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 1 ? substr($$2, 1, length($$2) - length(p[n]) - 1) : "."; s[d] += $$1; t += $$1 } \
 		END { for (d in s) printf "%6d %s\n", s[d], d; printf "%6d total (non-test, outside benchmark/)\n", t }' | sort -k2
 
-ci: fmt vet lint escape-check build race smoke
+ci: fmt vet lint build race smoke
 
 clean:
 	$(GO) clean ./...

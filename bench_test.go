@@ -9,8 +9,10 @@ package aggregathor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"testing"
@@ -647,22 +649,58 @@ func BenchmarkTransport_GradientTransfer(b *testing.B) {
 	}
 }
 
-// BenchmarkTransport_SendAllocs pins the zero-copy encode contract: the
-// send path alone — split, encode into the reusable arena, sendmmsg of
-// segmented messages (iovecs and control messages live on the batcher) —
-// performs zero steady-state allocations. Datagrams land on a raw-drain
-// sink that reads and discards without decoding (Read, not ReadFromUDP,
-// which would allocate a *UDPAddr per datagram and pollute the count).
-// The reported allocs/op must be 0; datagrams/syscall is what the sender's
-// Stats counted over the timed transfers.
-func BenchmarkTransport_SendAllocs(b *testing.B) {
-	grad := randGrads(19, 1, 200_000)[0]
-	codec := transport.Codec{Float32: true}
+// gateDim is the gradient dimension of the transport fixtures below.
+const gateDim = 200_000
+
+// An allocFixture is one zero-allocation path, set up and warmed, that its
+// benchmark times and TestSteadyStateAllocGates holds to its bounds: op runs
+// the path once, bytes is the payload an op moves, and pkts and stats, on
+// the datagram paths, are the datagrams an op carries and the socket's
+// counters.
+type allocFixture struct {
+	op    func()
+	bytes int
+	pkts  int
+	stats func() transport.UDPStats
+}
+
+// benchFixture times b.N ops of fx with allocations reported, plus pkts/op
+// and datagrams/syscall — how many datagrams each sendmmsg / recvmmsg of the
+// timed section moved — on the datagram paths.
+func benchFixture(b *testing.B, fx allocFixture) {
+	b.SetBytes(int64(fx.bytes))
+	b.ReportAllocs()
+	var before transport.UDPStats
+	if fx.stats != nil {
+		before = fx.stats()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fx.op()
+	}
+	b.StopTimer()
+	if fx.pkts > 0 {
+		b.ReportMetric(float64(fx.pkts), "pkts/op")
+	}
+	if fx.stats != nil {
+		after := fx.stats()
+		b.ReportMetric(float64(after.Datagrams-before.Datagrams)/float64(after.Syscalls-before.Syscalls), "datagrams/syscall")
+	}
+}
+
+// datagramSendFixture is the zero-copy encode contract: the send path alone
+// — split, encode into the reusable arena, sendmmsg of segmented messages
+// (iovecs and control messages live on the batcher) — performs zero
+// steady-state allocations. Datagrams land on a raw-drain sink that reads
+// and discards without decoding (Read, not ReadFromUDP, which would allocate
+// a *UDPAddr per datagram and pollute the count).
+func datagramSendFixture(tb testing.TB, codec transport.Codec) allocFixture {
+	grad := randGrads(19, 1, gateDim)[0]
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer sink.Close()
+	tb.Cleanup(func() { sink.Close() })
 	go func() {
 		buf := make([]byte, 65536)
 		for {
@@ -673,264 +711,214 @@ func BenchmarkTransport_SendAllocs(b *testing.B) {
 	}()
 	send, err := transport.DialUDP(sink.LocalAddr().String(), codec, transport.DefaultMTU, 0, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer send.Close()
+	tb.Cleanup(func() { send.Close() })
 	msg := &transport.GradientMsg{Worker: 1, Grad: grad}
-	if err := send.SendGradient(msg); err != nil { // warm the arena
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(grad) * 8))
-	b.ReportMetric(float64(codec.PacketsPerTransfer(len(grad), transport.DefaultMTU)), "pkts/op")
-	b.ReportAllocs()
-	b.ResetTimer()
-	before := send.Stats()
-	for i := 0; i < b.N; i++ {
-		msg.Step = i
+	op := func() {
 		if err := send.SendGradient(msg); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		msg.Step++
 	}
-	reportDatagramsPerSyscall(b, before, send.Stats())
+	op() // warm the arena
+	return allocFixture{op: op, bytes: len(grad) * 8, pkts: codec.PacketsPerTransfer(len(grad), transport.DefaultMTU), stats: send.Stats}
 }
 
-// reportDatagramsPerSyscall reports how many datagrams each sendmmsg /
-// recvmmsg of the timed section moved.
-func reportDatagramsPerSyscall(b *testing.B, before, after transport.UDPStats) {
-	b.ReportMetric(float64(after.Datagrams-before.Datagrams)/float64(after.Syscalls-before.Syscalls), "datagrams/syscall")
-}
-
-// BenchmarkTransport_RecvAllocs pins the receive half of the same contract:
-// a paced sender on its own goroutine, as a cluster worker is, writes one
-// d=200k transfer per op, and each receive path takes it with zero
-// steady-state allocations (the CI bench job reads both rows). packets: a
-// RecvPacket loop — recvmmsg, the segment walk, decode into the receiver's
-// one packet. model-into: a ModelCollector assembling the transfer as a model
-// broadcast in a replica-sized vector, as a UDP worker does.
-func BenchmarkTransport_RecvAllocs(b *testing.B) {
-	grad := randGrads(20, 1, 200_000)[0]
-	codec := transport.Codec{Float32: true}
+// datagramRecvFixture is the receive half of the same contract: a paced
+// sender on its own goroutine, as a cluster worker is, writes one transfer
+// per op, and the receive path takes it with zero steady-state allocations.
+// Without modelInto it is a RecvPacket loop — recvmmsg, the segment walk,
+// decode into the receiver's one packet; with it, a ModelCollector
+// assembling the transfer as a model broadcast in a replica-sized vector, as
+// a UDP worker does.
+func datagramRecvFixture(tb testing.TB, codec transport.Codec, modelInto bool) allocFixture {
+	grad := randGrads(20, 1, gateDim)[0]
 	pkts := codec.PacketsPerTransfer(len(grad), transport.DefaultMTU)
-	// recvBench runs one receive path: newTransfer builds it over the bound
-	// receiver, and its func takes the transfer the sender wrote at step.
-	recvBench := func(b *testing.B, worker int, newTransfer func(*transport.UDPReceiver) func(step int) error) {
-		recv, err := transport.ListenUDP("127.0.0.1:0", codec, transport.DropGradient, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer recv.Close()
-		send, err := transport.DialUDP(recv.Addr(), codec, transport.DefaultMTU, 0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer send.Close()
-		send.SetPacing(128<<10, time.Millisecond)
-		msg := &transport.GradientMsg{Worker: worker, Grad: grad}
-		steps, sendErr := make(chan int), make(chan error, 1)
-		go func() {
-			defer close(sendErr)
-			for msg.Step = range steps {
-				if err := send.SendGradient(msg); err != nil {
-					sendErr <- err
-					return
-				}
-			}
-		}()
-		defer func() { close(steps); <-sendErr }()
-		take := newTransfer(recv)
-		transfer := func(step int) {
-			steps <- step
-			if err := take(step); err != nil {
-				select {
-				case err = <-sendErr:
-				default:
-				}
-				b.Fatal(err)
-			}
-		}
-		transfer(0) // warm the sender's arena and the receive path's state
-		b.SetBytes(int64(len(grad) * 8))
-		b.ReportAllocs()
-		b.ResetTimer()
-		before := recv.Stats()
-		for i := 1; i <= b.N; i++ {
-			transfer(i)
-		}
-		b.ReportMetric(float64(pkts), "pkts/op")
-		reportDatagramsPerSyscall(b, before, recv.Stats())
+	recv, err := transport.ListenUDP("127.0.0.1:0", codec, transport.DropGradient, 1)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.Run("packets", func(b *testing.B) {
-		recvBench(b, 1, func(recv *transport.UDPReceiver) func(int) error {
-			return func(int) error {
-				for got := 0; got < pkts; got++ {
-					if _, err := recv.RecvPacket(time.Second); err != nil {
-						return fmt.Errorf("after %d of %d packets: %w", got, pkts, err)
-					}
-				}
-				return nil
+	tb.Cleanup(func() { recv.Close() })
+	send, err := transport.DialUDP(recv.Addr(), codec, transport.DefaultMTU, 0, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { send.Close() })
+	send.SetPacing(128<<10, time.Millisecond)
+	msg := &transport.GradientMsg{Worker: 1, Grad: grad}
+	take := func(int) error {
+		for got := 0; got < pkts; got++ {
+			if _, err := recv.RecvPacket(time.Second); err != nil {
+				return fmt.Errorf("after %d of %d packets: %w", got, pkts, err)
 			}
-		})
-	})
-	b.Run("model-into", func(b *testing.B) {
-		recvBench(b, transport.ModelWorkerID, func(recv *transport.UDPReceiver) func(int) error {
-			col := transport.NewModelCollector(recv, transport.ModelCollectorConfig{Dim: len(grad), Codec: codec,
-				BroadcastTimeout: 10 * time.Second, IdleTimeout: 10 * time.Second})
-			store := tensor.NewVector(len(grad))
-			return func(step int) error {
-				ev, err := col.Next(store)
-				if err == nil && (!ev.Complete || ev.Step != step || &ev.Params[0] != &store[0]) {
-					err = fmt.Errorf("broadcast %d settled as step %d (complete %v) outside the store", step, ev.Step, ev.Complete)
-				}
-				return err
+		}
+		return nil
+	}
+	if modelInto {
+		msg.Worker = transport.ModelWorkerID
+		col := transport.NewModelCollector(recv, transport.ModelCollectorConfig{Dim: len(grad), Codec: codec,
+			BroadcastTimeout: 10 * time.Second, IdleTimeout: 10 * time.Second})
+		store := tensor.NewVector(len(grad))
+		take = func(step int) error {
+			ev, err := col.Next(store)
+			if err == nil && (!ev.Complete || ev.Step != step || &ev.Params[0] != &store[0]) {
+				err = fmt.Errorf("broadcast %d settled as step %d (complete %v) outside the store", step, ev.Step, ev.Complete)
 			}
-		})
-	})
+			return err
+		}
+	}
+	steps, sendErr := make(chan int), make(chan error, 1)
+	go func() {
+		defer close(sendErr)
+		for msg.Step = range steps {
+			if err := send.SendGradient(msg); err != nil {
+				sendErr <- err
+				return
+			}
+		}
+	}()
+	tb.Cleanup(func() { close(steps); <-sendErr })
+	step := 0
+	op := func() {
+		steps <- step
+		if err := take(step); err != nil {
+			select {
+			case err = <-sendErr:
+			default:
+			}
+			tb.Fatal(err)
+		}
+		step++
+	}
+	op() // warm the sender's arena and the receive path's state
+	return allocFixture{op: op, bytes: len(grad) * 8, pkts: pkts, stats: recv.Stats}
 }
 
-// BenchmarkTransport_ReassembleAllocs pins what the server's reassembler
-// costs per gradient: one d=200k transfer offered packet by packet, in
-// memory, allocates its partial, its vector, its d/64-word arrival bitmap and
-// the message it completes as — at most 4 allocs/op and 8·d + d/8 B/op plus
-// the allocator's rounding to whole pages and the two small structs (the CI
-// bench job reads both).
-func BenchmarkTransport_ReassembleAllocs(b *testing.B) {
-	grad := randGrads(23, 1, 200_000)[0]
+// reassembleFixture is what the server's reassembler costs per gradient: one
+// transfer offered packet by packet, in memory, allocates its partial, its
+// vector, its d/64-word arrival bitmap and the message it completes as.
+func reassembleFixture(tb testing.TB) allocFixture {
+	grad := randGrads(23, 1, gateDim)[0]
 	pkts := transport.Codec{Float32: true}.Split(&transport.GradientMsg{Worker: 1, Grad: grad}, transport.DefaultMTU)
 	asm := transport.NewReassembler(transport.DropGradient, nil)
 	asm.SetExpectDim(len(grad))
-	b.SetBytes(int64(len(grad) * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	step := 0
+	return allocFixture{op: func() {
 		var done bool
 		for j := range pkts {
-			pkts[j].Step = i
+			pkts[j].Step = step
 			_, done = asm.Offer(&pkts[j])
 		}
 		if !done {
-			b.Fatalf("transfer %d did not complete", i)
+			tb.Fatalf("transfer %d did not complete", step)
 		}
-	}
+		step++
+	}, bytes: len(grad) * 8}
 }
 
-// BenchmarkTransport_TCPFrameAllocs pins the streaming contract of the
-// reliable path on loopback at d=200k, as reported allocs/op and B/op (the
-// CI bench job reads them). send: SendGradient writes the frame header and
-// the gradient's own memory — 0 allocs/op against a raw draining sink. recv:
-// RecvGradient allocates the message and its vector and nothing else — 2
-// allocs/op and 8·d B/op plus the allocator's rounding of the vector to
-// whole pages (< 8 KB) and the message struct; recv-model-into: RecvModel
-// into a replica's store — 0. The counts are process-wide, so the sending
-// goroutine's share (none) is included.
-func BenchmarkTransport_TCPFrameAllocs(b *testing.B) {
-	grad := randGrads(21, 1, 200_000)[0]
-	msg := &transport.GradientMsg{Worker: 1, Grad: grad}
-	b.Run("send", func(b *testing.B) {
-		sink, err := net.Listen("tcp", "127.0.0.1:0")
+// tcpSendFixture is the streaming contract of the reliable path's send:
+// SendGradient writes the frame header and the gradient's own memory to a
+// raw draining sink, allocating nothing.
+func tcpSendFixture(tb testing.TB) allocFixture {
+	msg := &transport.GradientMsg{Worker: 1, Grad: randGrads(21, 1, gateDim)[0]}
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { sink.Close() })
+	go func() {
+		conn, err := sink.Accept()
 		if err != nil {
-			b.Fatal(err)
+			return
 		}
-		defer sink.Close()
-		go func() {
-			conn, err := sink.Accept()
-			if err != nil {
+		defer conn.Close()
+		buf := make([]byte, 65536)
+		for {
+			if _, err := conn.Read(buf); err != nil {
 				return
 			}
-			defer conn.Close()
-			buf := make([]byte, 65536)
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					return
-				}
-			}
-		}()
-		send, err := transport.DialTCP(sink.Addr().String(), transport.Codec{})
-		if err != nil {
-			b.Fatal(err)
 		}
-		defer send.Close()
-		if err := send.SendGradient(msg); err != nil { // warm the poller's iovec cache
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(grad) * 8))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := send.SendGradient(msg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// recvBench runs one receive path against a sender streaming frames until the
-	// receiver hangs up. TCP flow control is the only hand-off: a channel per
-	// transfer would add the parked-goroutine records the runtime reallocates
-	// after each GC cycle to the count.
-	recvBench := func(b *testing.B, send func(*transport.TCPConn) error, transfer func(*transport.TCPConn) error) {
-		ln, err := transport.ListenTCP("127.0.0.1:0", transport.Codec{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ln.Close()
-		sender, err := transport.DialTCP(ln.Addr(), transport.Codec{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer sender.Close()
-		recv, err := ln.Accept()
-		if err != nil {
-			b.Fatal(err)
-		}
-		recv.SetExpectDim(len(grad))
-		sent := make(chan struct{})
-		go func() {
-			defer close(sent)
-			for send(sender) == nil {
-			}
-		}()
-		defer func() { recv.Close(); <-sent }()
-		if err := transfer(recv); err != nil {
-			b.Fatal(err)
-		}
-		// At the default GOGC 1.6 MB an op is a GC cycle every other op on
-		// this small heap, and each cycle costs the process a few
-		// runtime-internal allocations (package unique's map sweep, via
-		// net/netip) — enough to read as a third alloc/op now and then.
-		defer debug.SetGCPercent(debug.SetGCPercent(2000))
-		b.SetBytes(int64(len(grad) * 8))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := transfer(recv); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer() // the deferred hang-up makes the sender's error: not the receive path's allocations
+	}()
+	send, err := transport.DialTCP(sink.Addr().String(), transport.Codec{})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.Run("recv", func(b *testing.B) {
-		recvBench(b, func(c *transport.TCPConn) error { return c.SendGradient(msg) },
-			func(c *transport.TCPConn) error {
-				got, err := c.RecvGradient()
-				if err == nil && got.Grad.Dim() != len(grad) {
-					err = fmt.Errorf("received %d coordinates", got.Grad.Dim())
-				}
-				return err
-			})
-	})
-	// A worker takes a broadcast into its replica's parameter store: nothing
-	// is allocated.
-	b.Run("recv-model-into", func(b *testing.B) {
-		coords, store := transport.Codec{}.WireCoords(grad, new([]byte)), tensor.NewVector(len(grad))
-		recvBench(b, func(c *transport.TCPConn) error { return c.SendModelCoords(1, coords) },
-			func(c *transport.TCPConn) error { _, err := c.RecvModel(store); return err })
-	})
+	tb.Cleanup(func() { send.Close() })
+	op := func() {
+		if err := send.SendGradient(msg); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	op() // warm the poller's iovec cache
+	return allocFixture{op: op, bytes: len(msg.Grad) * 8}
 }
 
-// BenchmarkNN_GradientAllocs pins the worker step's allocations (the CI bench
-// job reads them) on the benchmark workloads' model, d = 101,770, at their
-// batch of 4, after one call has sized the scratch: through the borrowed view
-// nothing is allocated; Gradient adds its caller-owned copy — 1 alloc/op of
-// 8·d B plus the allocator's rounding to whole pages — and nothing else.
-func BenchmarkNN_GradientAllocs(b *testing.B) {
+// tcpRecvFixture is the receive side against a sender streaming frames
+// until the receiver hangs up. Without modelInto, RecvGradient allocates the
+// message and its vector and nothing else; with it, RecvModel takes a
+// broadcast into a replica's parameter store and allocates nothing. TCP flow
+// control is the only hand-off: a channel per transfer would add the
+// parked-goroutine records the runtime reallocates after each GC cycle to
+// the count.
+func tcpRecvFixture(tb testing.TB, modelInto bool) allocFixture {
+	grad := randGrads(21, 1, gateDim)[0]
+	msg := &transport.GradientMsg{Worker: 1, Grad: grad}
+	send := func(c *transport.TCPConn) error { return c.SendGradient(msg) }
+	transfer := func(c *transport.TCPConn) error {
+		got, err := c.RecvGradient()
+		if err == nil && got.Grad.Dim() != len(grad) {
+			err = fmt.Errorf("received %d coordinates", got.Grad.Dim())
+		}
+		return err
+	}
+	if modelInto {
+		coords, store := transport.Codec{}.WireCoords(grad, new([]byte)), tensor.NewVector(len(grad))
+		send = func(c *transport.TCPConn) error { return c.SendModelCoords(1, coords) }
+		transfer = func(c *transport.TCPConn) error { _, err := c.RecvModel(store); return err }
+	}
+	ln, err := transport.ListenTCP("127.0.0.1:0", transport.Codec{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ln.Close() })
+	sender, err := transport.DialTCP(ln.Addr(), transport.Codec{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { sender.Close() })
+	recv, err := ln.Accept()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recv.SetExpectDim(len(grad))
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for send(sender) == nil {
+		}
+	}()
+	tb.Cleanup(func() { recv.Close(); <-sent })
+	op := func() {
+		if err := transfer(recv); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	op()
+	// At the default GOGC 1.6 MB an op is a GC cycle every other op on this
+	// small heap, and each cycle costs the process a few runtime-internal
+	// allocations (package unique's map sweep, via net/netip) — enough to
+	// read as a third alloc/op now and then.
+	gcPercent := debug.SetGCPercent(2000)
+	tb.Cleanup(func() { debug.SetGCPercent(gcPercent) })
+	return allocFixture{op: op, bytes: len(grad) * 8}
+}
+
+// nnGradientFixture is the worker step on the benchmark workloads' model,
+// d = 101,770, at their batch of 4, after one call has sized the scratch:
+// through the borrowed view nothing is allocated; Gradient adds its
+// caller-owned copy and nothing else.
+func nnGradientFixture(tb testing.TB, view bool) allocFixture {
 	rng := rand.New(rand.NewSource(22))
 	model := nn.NewMLP(784, []int{128}, 10, rng)
 	x, y := tensor.NewMatrix(4, 784), make([]int, 4)
@@ -940,23 +928,95 @@ func BenchmarkNN_GradientAllocs(b *testing.B) {
 	for i := range y {
 		y[i] = rng.Intn(10)
 	}
+	step := model.Gradient
+	if view {
+		step = model.GradientView
+	}
 	var sink float64
-	for _, path := range []struct {
-		name string
-		step func(*tensor.Matrix, []int) (float64, tensor.Vector)
-	}{{"view", model.GradientView}, {"copy", model.Gradient}} {
-		step := path.step
-		b.Run(path.name, func(b *testing.B) {
-			step(x, y)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				loss, grad := step(x, y)
-				sink += loss + grad[0]
+	op := func() {
+		loss, grad := step(x, y)
+		sink += loss + grad[0]
+	}
+	op()
+	return allocFixture{op: op}
+}
+
+func BenchmarkTransport_SendAllocs(b *testing.B) {
+	benchFixture(b, datagramSendFixture(b, transport.Codec{Float32: true}))
+}
+
+func BenchmarkTransport_RecvAllocs(b *testing.B) {
+	codec := transport.Codec{Float32: true}
+	b.Run("packets", func(b *testing.B) { benchFixture(b, datagramRecvFixture(b, codec, false)) })
+	b.Run("model-into", func(b *testing.B) { benchFixture(b, datagramRecvFixture(b, codec, true)) })
+}
+
+func BenchmarkTransport_ReassembleAllocs(b *testing.B) { benchFixture(b, reassembleFixture(b)) }
+
+func BenchmarkTransport_TCPFrameAllocs(b *testing.B) {
+	b.Run("send", func(b *testing.B) { benchFixture(b, tcpSendFixture(b)) })
+	b.Run("recv", func(b *testing.B) { benchFixture(b, tcpRecvFixture(b, false)) })
+	b.Run("recv-model-into", func(b *testing.B) { benchFixture(b, tcpRecvFixture(b, true)) })
+}
+
+func BenchmarkNN_GradientAllocs(b *testing.B) {
+	b.Run("view", func(b *testing.B) { benchFixture(b, nnGradientFixture(b, true)) })
+	b.Run("copy", func(b *testing.B) { benchFixture(b, nnGradientFixture(b, false)) })
+}
+
+// TestSteadyStateAllocGates holds every fixture above to its allocation
+// bounds, measured as `go test -bench -benchtime=10x` measures its
+// benchmark: after the fixture's warm-up, the mallocs and bytes of ten ops,
+// integer-divided per op. The collector is held off while they run, so a GC
+// cycle's own runtime allocations (under load, a fifth alloc/op on the
+// reassembler about one run in forty) are not charged to the path. The
+// datagram send and receive paths are held on both wire codecs.
+func TestSteadyStateAllocGates(t *testing.T) {
+	const runs, unbounded = 10, math.MaxUint64
+	f32, f64 := transport.Codec{Float32: true}, transport.Codec{}
+	for _, g := range []struct {
+		name                 string
+		fixture              func(testing.TB) allocFixture
+		minAllocs, maxAllocs uint64
+		maxBytes             uint64
+	}{
+		{"Transport_SendAllocs/f32", func(tb testing.TB) allocFixture { return datagramSendFixture(tb, f32) }, 0, 0, unbounded},
+		{"Transport_SendAllocs/f64", func(tb testing.TB) allocFixture { return datagramSendFixture(tb, f64) }, 0, 0, unbounded},
+		{"Transport_RecvAllocs/packets/f32", func(tb testing.TB) allocFixture { return datagramRecvFixture(tb, f32, false) }, 0, 0, unbounded},
+		{"Transport_RecvAllocs/packets/f64", func(tb testing.TB) allocFixture { return datagramRecvFixture(tb, f64, false) }, 0, 0, unbounded},
+		{"Transport_RecvAllocs/model-into/f32", func(tb testing.TB) allocFixture { return datagramRecvFixture(tb, f32, true) }, 0, 0, unbounded},
+		{"Transport_RecvAllocs/model-into/f64", func(tb testing.TB) allocFixture { return datagramRecvFixture(tb, f64, true) }, 0, 0, unbounded},
+		// The partial, its vector, its bitmap and the message: 8·d + d/8 B,
+		// rounded up to whole pages, and two small structs.
+		{"Transport_ReassembleAllocs", reassembleFixture, 0, 4, 8*gateDim + gateDim/8 + 8192 + 512},
+		{"Transport_TCPFrameAllocs/send", tcpSendFixture, 0, 0, unbounded},
+		// The message and its vector: 8·d B rounded up to whole pages, and
+		// the message struct.
+		{"Transport_TCPFrameAllocs/recv", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, false) }, 0, 2, 8*gateDim + 8192 + 256},
+		{"Transport_TCPFrameAllocs/recv-model-into", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, true) }, 0, 0, unbounded},
+		{"NN_GradientAllocs/view", func(tb testing.TB) allocFixture { return nnGradientFixture(tb, true) }, 0, 0, unbounded},
+		// Gradient's copy of d = 101,770 parameters, 8·d B rounded up to
+		// whole pages, and nothing else.
+		{"NN_GradientAllocs/copy", func(tb testing.TB) allocFixture { return nnGradientFixture(tb, false) }, 1, 1, 8*101_770 + 8192 + 256},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			fx := g.fixture(t)
+			var before, after runtime.MemStats
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				fx.op()
+			}
+			runtime.ReadMemStats(&after)
+			allocs, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+			t.Logf("%d allocs/op, %d B/op", allocs, bytes)
+			if allocs < g.minAllocs || allocs > g.maxAllocs || bytes > g.maxBytes {
+				t.Fatalf("%d allocs/op and %d B/op; want %d to %d allocs/op and at most %d B/op",
+					allocs, bytes, g.minAllocs, g.maxAllocs, g.maxBytes)
 			}
 		})
 	}
-	_ = sink
 }
 
 // BenchmarkAblation_SelectionSize quantifies the appendix's slowdown claim:

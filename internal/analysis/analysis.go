@@ -7,9 +7,8 @@
 // reruns and backends — rests on invariants that the type system cannot
 // express: no unordered map iteration on result paths, no wall-clock reads
 // outside the opt-in timing seams, all randomness derived from the ps.*Seed
-// helpers, zero allocations in workspace kernels. Each analyzer in this
-// package machine-checks one of those invariants; cmd/aggrevet drives them
-// over ./... on every push.
+// helpers. Each analyzer in this package machine-checks one of those
+// invariants; cmd/aggrevet drives them over ./... on every push.
 //
 // Intentional violations are justified in place with a suppression
 // directive, one per invariant:
@@ -18,14 +17,14 @@
 //	//aggrevet:wallclock <why this wall-clock read cannot leak into results>
 //	//aggrevet:seeded    <why this RNG seed is deterministic>
 //	//aggrevet:stable    <why this comparator is a total order>
-//	//aggrevet:alloc     <why this allocation is amortized or cold>
 //
 // A directive suppresses matching diagnostics on its own line and on the
 // line directly below it (so it can trail the offending statement or sit on
-// its own line above). The justification text is mandatory, unknown
-// directive names are themselves diagnosed, and a directive that suppresses
-// nothing is reported as stale — the set of directives in the tree is a
-// grep-able audit trail of every intentionally nondeterministic line.
+// its own line above). A justification of at least 10 characters is
+// mandatory, unknown directive names are themselves diagnosed, and a
+// directive that suppresses nothing is reported as stale — the set of
+// directives in the tree is a grep-able audit trail of every intentionally
+// nondeterministic line.
 package analysis
 
 import (
@@ -222,31 +221,6 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) map[string]directiv
 	return out
 }
 
-// A DirectiveInfo is one //aggrevet: suppression comment as seen by audit
-// tooling (`aggrevet -directives`).
-type DirectiveInfo struct {
-	Pos           token.Position
-	Name          string
-	Justification string
-}
-
-// Directives returns every //aggrevet: comment in the package in position
-// order — the package's slice of the repo-wide audit trail of intentionally
-// nondeterministic lines.
-func (pkg *Package) Directives() []DirectiveInfo {
-	out := make([]DirectiveInfo, 0, len(pkg.directives))
-	for _, d := range pkg.directives {
-		out = append(out, DirectiveInfo{Pos: d.pos, Name: d.name, Justification: d.justification})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
-		}
-		return out[i].Pos.Line < out[j].Pos.Line
-	})
-	return out
-}
-
 func directiveKey(filename string, line int) string {
 	return fmt.Sprintf("%s:%d", filename, line)
 }
@@ -276,13 +250,17 @@ func knownDirectives(analyzers []*Analyzer) map[string]bool {
 	return known
 }
 
+// minJustification is the shortest justification a directive may carry;
+// below it a directive explains nothing ("ok", "fine", "racy").
+const minJustification = 10
+
 // checkDirectives diagnoses malformed and stale suppression comments in one
 // package after every analyzer has run: unknown directive names (typos
-// would otherwise silently suppress nothing), empty justifications (the
-// audit trail must say WHY), and directives that no analyzer consulted
-// (stale suppressions rot into misinformation). ranFor reports whether the
-// directive's analyzer actually ran over the given file, so a directive is
-// only "stale" where its analyzer looked.
+// would otherwise silently suppress nothing), justifications shorter than
+// minJustification (the audit trail must say WHY), and directives that no
+// analyzer consulted (stale suppressions rot into misinformation). ranFor
+// reports whether the directive's analyzer actually ran over the given
+// file, so a directive is only "stale" where its analyzer looked.
 func checkDirectives(pkg *Package, analyzers []*Analyzer, used map[string]bool, ranFor func(directiveName, filename string) bool) []Diagnostic {
 	known := knownDirectives(analyzers)
 	var diags []Diagnostic
@@ -301,12 +279,12 @@ func checkDirectives(pkg *Package, analyzers []*Analyzer, used map[string]bool, 
 				Message: fmt.Sprintf("unknown directive %q; valid names: %s",
 					DirectivePrefix+d.name, strings.Join(sortedKeys(known), ", ")),
 			})
-		case d.justification == "":
+		case len(d.justification) < minJustification:
 			diags = append(diags, Diagnostic{
 				Pos:      d.pos,
 				Analyzer: "aggrevet",
-				Message: fmt.Sprintf("%s%s needs a justification: say why this line may break the invariant",
-					DirectivePrefix, d.name),
+				Message: fmt.Sprintf("%s%s needs a justification of at least %d characters: say why this line may break the invariant",
+					DirectivePrefix, d.name, minJustification),
 			})
 		case !used[k] && ranFor(d.name, d.pos.Filename):
 			diags = append(diags, Diagnostic{

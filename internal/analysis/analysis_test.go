@@ -114,43 +114,19 @@ func checkFixture(t *testing.T, a *Analyzer, fixture string, allowFiles []string
 func TestMapOrderFixture(t *testing.T)   { checkFixture(t, MapOrder, "maporder", nil) }
 func TestSeededRandFixture(t *testing.T) { checkFixture(t, SeededRand, "seededrand", nil) }
 func TestSortDetFixture(t *testing.T)    { checkFixture(t, SortDet, "sortdet", nil) }
-func TestHotAllocFixture(t *testing.T)   { checkFixture(t, HotAlloc, "hotalloc", nil) }
 func TestDirectivesFixture(t *testing.T) { checkFixture(t, MapOrder, "directives", nil) }
 func TestSeedFlowFixture(t *testing.T)   { checkFixture(t, SeedFlow, "seedflow", nil) }
 func TestSelectDetFixture(t *testing.T)  { checkFixture(t, SelectDet, "selectdet", nil) }
 func TestGoroLeakFixture(t *testing.T)   { checkFixture(t, GoroLeak, "goroleak", nil) }
 func TestErrDetFixture(t *testing.T)     { checkFixture(t, ErrDet, "errdet", nil) }
 
-// TestDirectivesAccessor pins the -directives audit surface: every
-// //aggrevet: comment of the fixture comes back in position order with its
-// name and justification text.
-func TestDirectivesAccessor(t *testing.T) {
-	pkgs, err := Load(".", "./testdata/src/directives")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := pkgs[0].Directives()
-	if len(ds) != 4 {
-		t.Fatalf("got %d directives, want 4", len(ds))
-	}
-	for i := 1; i < len(ds); i++ {
-		if ds[i].Pos.Line <= ds[i-1].Pos.Line {
-			t.Fatalf("directives out of position order: %v", ds)
-		}
-	}
-	last := ds[len(ds)-1]
-	if last.Name != "ordered" || !strings.Contains(last.Justification, "order-independent reduction") {
-		t.Fatalf("unexpected final directive: %+v", last)
-	}
-}
-
-// TestDefaultSuiteHasNineAnalyzers pins the suite composition: five syntax
-// passes and four dataflow/structure passes, with no duplicate names or
+// TestDefaultSuiteHasEightAnalyzers pins the suite composition: seven
+// per-package passes and one module pass, with no duplicate names or
 // directive collisions.
-func TestDefaultSuiteHasNineAnalyzers(t *testing.T) {
+func TestDefaultSuiteHasEightAnalyzers(t *testing.T) {
 	suite := DefaultSuite()
-	if len(suite) != 9 {
-		t.Fatalf("default suite has %d analyzers, want 9", len(suite))
+	if len(suite) != 8 {
+		t.Fatalf("default suite has %d analyzers, want 8", len(suite))
 	}
 	names := map[string]bool{}
 	directives := map[string]bool{}
@@ -176,8 +152,8 @@ func TestDefaultSuiteHasNineAnalyzers(t *testing.T) {
 			t.Fatalf("analyzer %q must set exactly one of Run and RunModule", a.Name)
 		}
 	}
-	if perPkg != 8 || module != 1 {
-		t.Fatalf("suite split per-package=%d module=%d, want 8 and 1", perPkg, module)
+	if perPkg != 7 || module != 1 {
+		t.Fatalf("suite split per-package=%d module=%d, want 7 and 1", perPkg, module)
 	}
 }
 

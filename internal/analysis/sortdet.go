@@ -5,17 +5,26 @@ import (
 	"go/types"
 )
 
-// SortDet flags sort.Slice on determinism-critical paths. sort.Slice is an
-// unstable sort: elements the comparator considers equal land in an order
-// that depends on the input permutation — which, after a map range or a
-// network race, is not reproducible. The fix is sort.SliceStable over a
-// deterministic input order, or a comparator that breaks every tie with a
-// total key (justified with //aggrevet:stable).
+// unstableSorts maps each unstable comparator sort of the standard library
+// to its stable twin.
+var unstableSorts = map[string]string{
+	"sort.Slice":      "sort.SliceStable",
+	"sort.Sort":       "sort.Stable",
+	"slices.SortFunc": "slices.SortStableFunc",
+}
+
+// SortDet flags sort.Slice, sort.Sort and slices.SortFunc on
+// determinism-critical paths. They are unstable sorts: elements the
+// comparator considers equal land in an order that depends on the input
+// permutation — which, after a map range or a network race, is not
+// reproducible. The fix is the stable twin over a deterministic input order,
+// or a comparator that breaks every tie with a total key (justified with
+// //aggrevet:stable).
 var SortDet = &Analyzer{
 	Name:      "sortdet",
 	Directive: "stable",
-	Doc: "flags sort.Slice on result-bearing paths: unstable sorting turns " +
-		"comparator ties into input-order dependence; use sort.SliceStable " +
+	Doc: "flags unstable sorts on result-bearing paths: they turn " +
+		"comparator ties into input-order dependence; use the stable twin " +
 		"or a total comparator key",
 	Run: runSortDet,
 }
@@ -32,12 +41,14 @@ func runSortDet(p *Pass) {
 				return true
 			}
 			fn, ok := p.ObjectOf(sel.Sel).(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sort" || fn.Name() != "Slice" {
+			if !ok {
 				return true
 			}
-			p.Reportf(call.Pos(),
-				"sort.Slice is tie-unstable on a result path; use sort.SliceStable, or make the comparator a total order and justify with %sstable",
-				DirectivePrefix)
+			if stable, unstable := unstableSorts[fn.FullName()]; unstable {
+				p.Reportf(call.Pos(),
+					"%s is tie-unstable on a result path; use %s, or make the comparator a total order and justify with %sstable",
+					fn.FullName(), stable, DirectivePrefix)
+			}
 			return true
 		})
 	}

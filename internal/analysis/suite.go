@@ -13,12 +13,6 @@ var criticalPackages = []string{
 	"internal/core",
 }
 
-// hotAllocPackages hold the zero-allocation kernels policed by HotAlloc.
-var hotAllocPackages = []string{
-	"internal/gar",
-	"internal/transport",
-}
-
 // seededRandPackages extend the critical set with internal/data: dataset
 // synthesis and sampling seed the gradient streams, so an unseeded RNG
 // there breaks reproducibility one layer earlier.
@@ -80,19 +74,17 @@ func (s ScopedAnalyzer) Allowed(filename string) bool {
 	return false
 }
 
-// DefaultSuite is the aggrevet configuration: the nine analyzers scoped to
-// the packages whose invariants they enforce. Five are per-package syntax
-// checks (PR 8); four are the v2 dataflow and structure checks — seedflow
-// (interprocedural seed lineage), selectdet (deterministic select
-// resolution), goroleak (joined goroutines) and errdet (deterministic error
-// strings).
+// DefaultSuite is the aggrevet configuration: the eight analyzers scoped to
+// the packages whose invariants they enforce. Four are per-package syntax
+// checks; four are dataflow and structure checks — seedflow (interprocedural
+// seed lineage), selectdet (deterministic select resolution), goroleak
+// (joined goroutines) and errdet (deterministic error strings).
 func DefaultSuite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{Analyzer: MapOrder, pkgSuffixes: criticalPackages},
 		{Analyzer: WallClock, pkgSuffixes: criticalPackages, allowFiles: wallclockAllowFiles},
 		{Analyzer: SeededRand, pkgSuffixes: seededRandPackages},
 		{Analyzer: SortDet, pkgSuffixes: criticalPackages},
-		{Analyzer: HotAlloc, pkgSuffixes: hotAllocPackages},
 		{Analyzer: SeedFlow, pkgSuffixes: seededRandPackages},
 		{Analyzer: SelectDet, pkgSuffixes: criticalPackages},
 		{Analyzer: GoroLeak, pkgSuffixes: goroutinePackages},

@@ -1,42 +1,42 @@
-// Package sortdet is the sortdet analyzer fixture: sort.Slice fires,
-// sort.SliceStable and justified total-order comparators do not.
+// Package sortdet is the sortdet analyzer fixture: the three unstable sorts
+// fire; their stable twins and justified total-order comparators do not.
 package sortdet
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 type standing struct {
 	name string
 	mean float64
 }
 
-// RankBug is the scenario-report shape: an unstable sort whose comparator
-// ties on equal means, leaving the order input-dependent.
-func RankBug(ranked []*standing) {
-	sort.Slice(ranked, func(i, j int) bool { // want `sort.Slice is tie-unstable on a result path`
-		return ranked[i].mean > ranked[j].mean
-	})
+// RankBug: unstable sorts tie on equal means, leaving the order input-dependent.
+func RankBug(ranked []*standing, means []float64) {
+	sort.Slice(ranked, func(i, j int) bool { return ranked[i].mean > ranked[j].mean })       // want `sort.Slice is tie-unstable on a result path; use sort.SliceStable`
+	sort.Sort(sort.Reverse(sort.Float64Slice(means)))                                        // want `sort.Sort is tie-unstable on a result path; use sort.Stable`
+	slices.SortFunc(ranked, func(a, b *standing) int { return cmp.Compare(b.mean, a.mean) }) // want `slices.SortFunc is tie-unstable on a result path; use slices.SortStableFunc`
 }
 
-// RankStable uses the stable sort — compliant.
-func RankStable(ranked []*standing) {
-	sort.SliceStable(ranked, func(i, j int) bool {
-		return ranked[i].mean > ranked[j].mean
-	})
+// RankStable uses the stable twins — compliant.
+func RankStable(ranked []*standing, means []float64) {
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].mean > ranked[j].mean })
+	sort.Stable(sort.Reverse(sort.Float64Slice(means)))
+	slices.SortStableFunc(ranked, func(a, b *standing) int { return cmp.Compare(b.mean, a.mean) })
 }
 
 // RankJustified keeps sort.Slice but documents comparator totality.
 func RankJustified(ranked []*standing) {
 	//aggrevet:stable names are unique, so the two-level comparator is a total order
 	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].mean != ranked[j].mean {
-			return ranked[i].mean > ranked[j].mean
-		}
-		return ranked[i].name < ranked[j].name
+		return cmp.Or(cmp.Compare(ranked[j].mean, ranked[i].mean), cmp.Compare(ranked[i].name, ranked[j].name)) < 0
 	})
 }
 
-// PlainSorts on ordered element types are total by construction — fine.
+// PlainSorts on ordered element types, IntSlice.Sort too, are total — fine.
 func PlainSorts(xs []int, ss []string) {
-	sort.Ints(xs)
+	sort.IntSlice(xs).Sort()
 	sort.Strings(ss)
 }

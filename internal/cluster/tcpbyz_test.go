@@ -127,6 +127,7 @@ func init() {
 func TestTCPClusterWrongDimensionFrameCostsOnlyItsSender(t *testing.T) {
 	for _, badStep := range []int{0, 3} {
 		t.Run(fmt.Sprintf("step-%d", badStep), func(t *testing.T) {
+			defer releaseCheck(t)("over a wrong-dimension frame")
 			wrongDimensionFrameCostsOnlyItsSender(t, badStep)
 		})
 	}

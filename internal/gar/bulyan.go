@@ -55,7 +55,6 @@ func (b *Bulyan) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.Vec
 	}
 	picked := ws.ensurePicked(len(grads))
 	for _, idx := range sel {
-		//aggrevet:alloc appends into ensurePicked capacity; 0 steady-state allocs pinned by TestWorkspaceZeroSteadyStateAllocs
 		picked = append(picked, grads[idx])
 	}
 	return coordinateAggregateInto(ws, picked, b.Beta(len(grads))), nil

@@ -63,7 +63,6 @@ func (b *GenericBulyan) AggregateInto(ws *Workspace, grads []tensor.Vector) (ten
 	}
 	theta := n - 2*f
 	remaining := ws.ensureRemaining(n)
-	//aggrevet:alloc appends into ensureRemaining capacity; 0 steady-state allocs pinned by TestWorkspaceZeroSteadyStateAllocs
 	remaining = append(remaining, grads...)
 	selected := ws.ensurePicked(theta)
 	inner := ws.ensureInner()
@@ -87,9 +86,8 @@ func (b *GenericBulyan) AggregateInto(ws *Workspace, grads []tensor.Vector) (ten
 		if best < 0 {
 			best = 0 // every distance +Inf: all-poisoned remainder
 		}
-		//aggrevet:alloc appends into ensurePicked capacity; 0 steady-state allocs pinned by TestWorkspaceZeroSteadyStateAllocs
 		selected = append(selected, remaining[best])
-		//aggrevet:alloc element removal: the append writes into remaining's own backing array and never grows it
+		// Element removal: the append writes into remaining's own backing array and never grows it.
 		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
 	return coordinateAggregateInto(ws, selected, theta-2*f), nil

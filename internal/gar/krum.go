@@ -68,7 +68,6 @@ func (k *MultiKrum) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.
 	}
 	picked := ws.ensurePicked(len(sel))
 	for _, idx := range sel {
-		//aggrevet:alloc appends into ensurePicked capacity; 0 steady-state allocs pinned by TestWorkspaceZeroSteadyStateAllocs
 		picked = append(picked, grads[idx])
 	}
 	out := ws.ensureOut(grads[0].Dim())

@@ -48,7 +48,6 @@ func (g *GeoMedian) AggregateInto(ws *Workspace, grads []tensor.Vector) (tensor.
 	finite := ws.ensureFinite(len(grads))
 	for _, v := range grads {
 		if v.IsFinite() {
-			//aggrevet:alloc appends into ensureFinite capacity; 0 steady-state allocs pinned by TestWorkspaceZeroSteadyStateAllocs
 			finite = append(finite, v)
 		}
 	}

@@ -77,6 +77,10 @@ func TestValidateRejections(t *testing.T) {
 		"f >= n":            func(s *Spec) { s.Clusters = []Cluster{{Workers: 3, F: 3}} },
 		"unnamed network":   func(s *Spec) { s.Networks = []Network{{}} },
 		"duplicate network": func(s *Spec) { s.Networks = []Network{{Name: "x"}, {Name: "x"}} },
+		"duplicate gar":     func(s *Spec) { s.GARs = []string{"median", "average", "median"} },
+		"duplicate attack":  func(s *Spec) { s.Attacks = []string{"none", "none"} },
+		"duplicate cluster": func(s *Spec) { s.Clusters = []Cluster{{Workers: 5, F: 1}, {Workers: 5, F: 1}} },
+		"duplicate seed":    func(s *Spec) { s.Seeds = []int64{1, 1} },
 		"drop rate 1":       func(s *Spec) { s.Networks = []Network{{Name: "x", DropRate: 1}} },
 		"bad recoup":        func(s *Spec) { s.Networks = []Network{{Name: "x", Recoup: "nope"}} },
 		"bad protocol":      func(s *Spec) { s.Networks = []Network{{Name: "x", Protocol: "quic"}} },

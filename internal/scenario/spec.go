@@ -14,6 +14,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -251,6 +252,9 @@ func (s *Spec) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("scenario: negative parallelism")
 	}
+	if err := cmp.Or(unique("GAR", s.GARs), unique("attack", s.Attacks), unique("cluster", s.Clusters), unique("seed", s.Seeds)); err != nil {
+		return err
+	}
 	seen := map[string]bool{}
 	for i, n := range s.Networks {
 		if n.Name == "" {
@@ -276,6 +280,17 @@ func (s *Spec) Validate() error {
 					return fmt.Errorf("scenario: network %q (attack %q, n=%d): %w", n.Name, a, c.Workers, err)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// unique rejects an axis that lists a value twice: its cells would run again
+// under the same run IDs.
+func unique[T comparable](axis string, values []T) error {
+	for i, v := range values {
+		if slices.Index(values, v) < i {
+			return fmt.Errorf("scenario: %s %+v is listed twice", axis, v)
 		}
 	}
 	return nil

@@ -95,7 +95,6 @@ func (c Codec) SplitInto(dst []Packet, m *GradientMsg, mtu int) []Packet {
 	dim := len(m.Grad)
 	out := dst
 	if out == nil {
-		//aggrevet:alloc cold path for one-shot Split(nil, ...); steady-state senders pass a reused scratch slice
 		out = make([]Packet, 0, c.PacketsPerTransfer(dim, mtu))
 	}
 	for off := 0; off < dim || (dim == 0 && off == 0); off += per {
@@ -103,7 +102,6 @@ func (c Codec) SplitInto(dst []Packet, m *GradientMsg, mtu int) []Packet {
 		if hi > dim {
 			hi = dim
 		}
-		//aggrevet:alloc appends within PacketsPerTransfer capacity when the scratch slice is warm; growth is amortized
 		out = append(out, Packet{
 			Worker: m.Worker,
 			Step:   m.Step,
@@ -132,7 +130,6 @@ func (c Codec) AppendPacket(dst []byte, p *Packet) []byte {
 	n := len(dst)
 	need := c.PacketWireLen(p)
 	if cap(dst)-n < need {
-		//aggrevet:alloc arena grow path, amortized to zero: SendAllocs CI gate holds the send path at 0 allocs/packet
 		grown := make([]byte, n, n+need)
 		copy(grown, dst)
 		dst = grown
