@@ -407,7 +407,7 @@ func BenchmarkByz_StrongVsWeak(b *testing.B) {
 		honest[i] = v
 	}
 	ctx := &attack.Context{Honest: honest, N: n, F: f, Dim: d, Rng: rng}
-	forged := attack.Omniscient{TargetCoord: 0}.Forge(ctx)
+	forged := attack.Omniscient{}.Forge(ctx)
 	grads := append(append([]tensor.Vector{}, honest...), forged, forged, forged, forged)
 	honestMean := tensor.Mean(honest)
 
@@ -758,7 +758,7 @@ func datagramRecvFixture(tb testing.TB, codec transport.Codec, modelInto bool) a
 	if modelInto {
 		msg.Worker = transport.ModelWorkerID
 		col := transport.NewModelCollector(recv, transport.ModelCollectorConfig{Dim: len(grad), Codec: codec,
-			BroadcastTimeout: 10 * time.Second, IdleTimeout: 10 * time.Second})
+			BroadcastTimeout: 10 * time.Second})
 		store := tensor.NewVector(len(grad))
 		take = func(step int) error {
 			ev, err := col.Next(store)

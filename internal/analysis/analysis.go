@@ -44,8 +44,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, e.g. "maporder".
 	Name string
-	// Doc is a one-paragraph description of the invariant.
-	Doc string
 	// Directive is the suppression directive name that justifies an
 	// intentional violation, e.g. "ordered" for //aggrevet:ordered.
 	Directive string

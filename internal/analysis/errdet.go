@@ -25,10 +25,7 @@ import (
 // Justify an intentional exception with //aggrevet:errfmt (for example an
 // error string that provably never reaches a Result).
 var ErrDet = &Analyzer{
-	Name: "errdet",
-	Doc: "error strings are campaign result bytes: fmt.Errorf on critical " +
-		"packages must not use %p, must not format maps, and must wrap " +
-		"error-typed arguments with %w rather than flatten them with %v/%s",
+	Name:      "errdet",
 	Directive: "errfmt",
 	Run:       runErrDet,
 }

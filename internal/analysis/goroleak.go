@@ -26,11 +26,7 @@ import (
 // Anything else needs an //aggrevet:goro justification saying who reaps
 // the goroutine (process-lifetime singleton, joined by the OS on exit, ...).
 var GoroLeak = &Analyzer{
-	Name: "goroleak",
-	Doc: "every go statement in the concurrency packages must reach a join " +
-		"(WaitGroup Done, shutdown channel/ctx observed in body, or a " +
-		"completion channel the spawner receives from) or carry an " +
-		"//aggrevet:goro justification",
+	Name:      "goroleak",
 	Directive: "goro",
 	Run:       runGoroLeak,
 }

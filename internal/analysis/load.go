@@ -19,8 +19,6 @@ import (
 // Package is one loaded, parsed and type-checked package.
 type Package struct {
 	PkgPath string
-	Name    string
-	Dir     string
 
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -33,7 +31,6 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
@@ -140,8 +137,6 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Pac
 	}
 	return &Package{
 		PkgPath:    lp.ImportPath,
-		Name:       lp.Name,
-		Dir:        lp.Dir,
 		Fset:       fset,
 		Files:      files,
 		Types:      tpkg,

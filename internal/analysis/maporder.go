@@ -25,10 +25,7 @@ import (
 var MapOrder = &Analyzer{
 	Name:      "maporder",
 	Directive: "ordered",
-	Doc: "flags range statements over maps on determinism-critical paths: " +
-		"map iteration order is randomized per run, so it must never reach " +
-		"results, the wire, or output",
-	Run: runMapOrder,
+	Run:       runMapOrder,
 }
 
 func runMapOrder(p *Pass) {

@@ -38,9 +38,7 @@ var randSourceCtors = map[string]bool{
 var SeededRand = &Analyzer{
 	Name:      "seededrand",
 	Directive: "seeded",
-	Doc: "flags global math/rand use and RNG constructions whose seed is " +
-		"not derived from the run seed (a ps.*Seed helper or a named seed)",
-	Run: runSeededRand,
+	Run:       runSeededRand,
 }
 
 func runSeededRand(p *Pass) {

@@ -39,9 +39,6 @@ import (
 var SeedFlow = &Analyzer{
 	Name:      "seedflow",
 	Directive: "lineage",
-	Doc: "interprocedural taint: every value reaching a seed-demanding slot " +
-		"(rand source constructors, *Seed helpers, schedule constructors) " +
-		"must trace back to the run seed through calls, fields and locals",
 	RunModule: runSeedFlow,
 }
 

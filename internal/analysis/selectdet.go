@@ -18,10 +18,7 @@ import (
 // receive+send — resolve deterministically given the channel states and
 // need no justification.
 var SelectDet = &Analyzer{
-	Name: "selectdet",
-	Doc: "selects with ≥2 receive cases resolve by scheduler coin-flip when " +
-		"both are ready; each such select on a result path needs an " +
-		"//aggrevet:select justification that the order is result-invariant",
+	Name:      "selectdet",
 	Directive: "select",
 	Run:       runSelectDet,
 }

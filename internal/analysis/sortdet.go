@@ -23,10 +23,7 @@ var unstableSorts = map[string]string{
 var SortDet = &Analyzer{
 	Name:      "sortdet",
 	Directive: "stable",
-	Doc: "flags unstable sorts on result-bearing paths: they turn " +
-		"comparator ties into input-order dependence; use the stable twin " +
-		"or a total comparator key",
-	Run: runSortDet,
+	Run:       runSortDet,
 }
 
 func runSortDet(p *Pass) {

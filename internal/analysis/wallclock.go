@@ -25,15 +25,13 @@ var wallclockFuncs = map[string]bool{
 // time.Sleep and the timer constructors) outside the explicit allowlist of
 // deadline/pacing files. A wall-clock read on a result path makes output a
 // function of host load — the class of bug behind PR 5's schedule
-// memoization race with time.Now deadlines. Campaign timing that WANTS wall
-// time opts in through measuredAggWallNs, which lives outside the
-// determinism-critical packages.
+// memoization race with time.Now deadlines. Results must be pure functions
+// of the run seed, never of host time: wall-clock timing lives outside the
+// determinism-critical packages (cmd/bench, benchmark/).
 var WallClock = &Analyzer{
 	Name:      "wallclock",
 	Directive: "wallclock",
-	Doc: "flags wall-clock reads outside the deadline/pacing allowlist: " +
-		"results must be pure functions of the run seed, never of host time",
-	Run: runWallClock,
+	Run:       runWallClock,
 }
 
 func runWallClock(p *Pass) {

@@ -85,46 +85,32 @@ func FirstInformed(byWorker map[int]string) string {
 	return ""
 }
 
-// Random submits large Gaussian noise, the classic blind poisoning attack:
-// a single such worker is enough to derail plain averaging.
-type Random struct {
-	// Scale multiplies the standard normal draw; 0 means the default 100.
-	Scale float64
-}
+// Random submits Gaussian noise of standard deviation 100, the classic blind
+// poisoning attack: a single such worker is enough to derail plain averaging.
+type Random struct{}
 
 // Name implements Attack.
 func (Random) Name() string { return "random" }
 
 // Forge implements Attack.
-func (a Random) Forge(ctx *Context) tensor.Vector {
-	scale := a.Scale
-	if scale == 0 {
-		scale = 100
-	}
+func (Random) Forge(ctx *Context) tensor.Vector {
 	v := tensor.NewVector(ctx.Dim)
 	for i := range v {
-		v[i] = ctx.Rng.NormFloat64() * scale
+		v[i] = ctx.Rng.NormFloat64() * 100
 	}
 	return v
 }
 
-// Reversed submits the negated, amplified honest gradient — the "reversed
-// gradient adversary" used by Draco's evaluation and adopted by the paper's
-// comparison (§4.1).
-type Reversed struct {
-	// Magnitude is the amplification factor; 0 means the default 100.
-	Magnitude float64
-}
+// Reversed submits the honest gradient negated and amplified 100 times — the
+// "reversed gradient adversary" used by Draco's evaluation and adopted by the
+// paper's comparison (§4.1).
+type Reversed struct{}
 
 // Name implements Attack.
 func (Reversed) Name() string { return "reversed" }
 
 // Forge implements Attack.
-func (a Reversed) Forge(ctx *Context) tensor.Vector {
-	mag := a.Magnitude
-	if mag == 0 {
-		mag = 100
-	}
+func (Reversed) Forge(ctx *Context) tensor.Vector {
 	var base tensor.Vector
 	switch {
 	case ctx.Own != nil:
@@ -134,7 +120,7 @@ func (a Reversed) Forge(ctx *Context) tensor.Vector {
 	default:
 		base = tensor.NewVector(ctx.Dim)
 	}
-	base.Scale(-mag)
+	base.Scale(-100)
 	return base
 }
 
@@ -159,52 +145,27 @@ func (NegativeSum) Forge(ctx *Context) tensor.Vector {
 	return out
 }
 
-// NonFinite submits NaN or ±Inf coordinates — "a crucial feature when facing
-// actual malicious workers" that the paper's GAR implementations must absorb.
-type NonFinite struct {
-	// Mode selects the payload: "nan" (default), "+inf", "-inf" or
-	// "mixed" (random non-finite per coordinate).
-	Mode string
-}
+// NonFinite submits NaN coordinates — "a crucial feature when facing actual
+// malicious workers" that the paper's GAR implementations must absorb.
+type NonFinite struct{}
 
 // Name implements Attack.
 func (NonFinite) Name() string { return "non-finite" }
 
 // Forge implements Attack.
-func (a NonFinite) Forge(ctx *Context) tensor.Vector {
+func (NonFinite) Forge(ctx *Context) tensor.Vector {
 	v := tensor.NewVector(ctx.Dim)
-	fill := func(i int) float64 {
-		switch a.Mode {
-		case "+inf":
-			return math.Inf(1)
-		case "-inf":
-			return math.Inf(-1)
-		case "mixed":
-			switch ctx.Rng.Intn(3) {
-			case 0:
-				return math.Inf(1)
-			case 1:
-				return math.Inf(-1)
-			default:
-				return math.NaN()
-			}
-		default:
-			return math.NaN()
-		}
-	}
 	for i := range v {
-		v[i] = fill(i)
+		v[i] = math.NaN()
 	}
 	return v
 }
 
-// Mimic replays a correct worker's gradient, the stealthiest possible
-// behaviour: undetectable by construction and harmless in isolation, it
-// exists to verify robust GARs do not over-penalise plausible vectors.
-type Mimic struct {
-	// Target is the honest gradient index to copy; clamped into range.
-	Target int
-}
+// Mimic replays the first correct worker's gradient, the stealthiest
+// possible behaviour: undetectable by construction and harmless in
+// isolation, it exists to verify robust GARs do not over-penalise plausible
+// vectors.
+type Mimic struct{}
 
 // Name implements Attack.
 func (Mimic) Name() string { return "mimic" }
@@ -214,26 +175,19 @@ func (Mimic) Name() string { return "mimic" }
 func (Mimic) RequiresHonest() bool { return true }
 
 // Forge implements Attack.
-func (a Mimic) Forge(ctx *Context) tensor.Vector {
+func (Mimic) Forge(ctx *Context) tensor.Vector {
 	if len(ctx.Honest) == 0 {
 		return tensor.NewVector(ctx.Dim)
 	}
-	t := a.Target
-	if t < 0 || t >= len(ctx.Honest) {
-		t = 0
-	}
-	return ctx.Honest[t].Clone()
+	return ctx.Honest[0].Clone()
 }
 
 // LittleIsEnough implements the "a little is enough" style attack: submit
-// the honest mean shifted by z standard deviations per coordinate. Small z
-// keeps the vector within the selection envelope of weak GARs while steadily
-// biasing convergence — the §4.3 "legitimate but harmful" vector.
-type LittleIsEnough struct {
-	// Z is the per-coordinate shift in honest standard deviations;
-	// 0 means the default 1.5.
-	Z float64
-}
+// the honest mean shifted by 1.5 standard deviations per coordinate. The
+// small shift keeps the vector within the selection envelope of weak GARs
+// while steadily biasing convergence — the §4.3 "legitimate but harmful"
+// vector.
+type LittleIsEnough struct{}
 
 // Name implements Attack.
 func (LittleIsEnough) Name() string { return "little-is-enough" }
@@ -243,36 +197,25 @@ func (LittleIsEnough) Name() string { return "little-is-enough" }
 func (LittleIsEnough) RequiresHonest() bool { return true }
 
 // Forge implements Attack.
-func (a LittleIsEnough) Forge(ctx *Context) tensor.Vector {
-	z := a.Z
-	if z == 0 {
-		z = 1.5
-	}
+func (LittleIsEnough) Forge(ctx *Context) tensor.Vector {
 	if len(ctx.Honest) == 0 {
 		return tensor.NewVector(ctx.Dim)
 	}
 	mean := tensor.Mean(ctx.Honest)
 	std := coordinateStd(ctx.Honest, mean)
 	for j := range mean {
-		mean[j] -= z * std[j]
+		mean[j] -= 1.5 * std[j]
 	}
 	return mean
 }
 
 // Omniscient implements the dimensional-leeway attack of El Mhamdi et al.
-// (the paper's Figure 9): the colluders submit the honest mean with a single
-// coordinate deviated by the selection budget — roughly the honest workers'
-// disagreement amplified by √d — steering convergence toward a bad optimum
-// while remaining inside the acceptance cone of weakly Byzantine-resilient
-// GARs.
-type Omniscient struct {
-	// TargetCoord is the attacked coordinate; -1 rotates over coordinates
-	// by step. The zero value targets coordinate 0.
-	TargetCoord int
-	// Budget scales the deviation relative to the honest disagreement;
-	// 0 means the default 1.0 (stay within the provable leeway).
-	Budget float64
-}
+// (the paper's Figure 9): the colluders submit the honest mean with
+// coordinate 0 deviated by the selection budget — roughly the honest
+// workers' disagreement amplified by √d — steering convergence toward a bad
+// optimum while remaining inside the acceptance cone of weakly
+// Byzantine-resilient GARs.
+type Omniscient struct{}
 
 // Name implements Attack.
 func (Omniscient) Name() string { return "omniscient" }
@@ -282,13 +225,9 @@ func (Omniscient) Name() string { return "omniscient" }
 func (Omniscient) RequiresHonest() bool { return true }
 
 // Forge implements Attack.
-func (a Omniscient) Forge(ctx *Context) tensor.Vector {
+func (Omniscient) Forge(ctx *Context) tensor.Vector {
 	if len(ctx.Honest) == 0 {
 		return tensor.NewVector(ctx.Dim)
-	}
-	budget := a.Budget
-	if budget == 0 {
-		budget = 1.0
 	}
 	mean := tensor.Mean(ctx.Honest)
 	// Honest disagreement: average distance of an honest gradient to the
@@ -319,16 +258,8 @@ func (a Omniscient) Forge(ctx *Context) tensor.Vector {
 	if ratio < 0.25 {
 		ratio = 0.25
 	}
-	eps := budget * 0.9 * math.Sqrt(ratio) * disagreement
-
-	target := a.TargetCoord
-	if target == -1 {
-		target = ctx.Step % ctx.Dim
-	}
-	if target < 0 || target >= ctx.Dim {
-		target = 0
-	}
-	mean[target] -= eps
+	eps := 0.9 * math.Sqrt(ratio) * disagreement
+	mean[0] -= eps
 	return mean
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -185,25 +183,11 @@ func TestTCPClusterChurnReleasesCrashedConnections(t *testing.T) {
 }
 
 // releaseCheck records the process's goroutines and, on linux, its open
-// descriptors before a socket cluster starts, and returns the check to run
-// after its Close: neither may stay above the record (goroutines get 5 s to
-// exit). The netpoller's own descriptors open with the process's first
-// socket, so one is opened and closed before the record is taken.
+// descriptors (openFDs) before a socket cluster starts, and returns the
+// check to run after its Close: neither may stay above the record
+// (goroutines get 5 s to exit).
 func releaseCheck(t *testing.T) func(after string) {
 	t.Helper()
-	openFDs := func() int {
-		if runtime.GOOS != "linux" {
-			return 0
-		}
-		fds, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(fds)
-	}
-	if pc, err := net.ListenPacket("udp", "127.0.0.1:0"); err == nil {
-		pc.Close()
-	}
 	goroutines, fds := runtime.NumGoroutine(), openFDs()
 	return func(after string) {
 		t.Helper()

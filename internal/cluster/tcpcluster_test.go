@@ -310,9 +310,6 @@ func TestTCPClusterTrainerSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sr.Step != i {
-			t.Fatalf("round %d reported step %d", i, sr.Step)
-		}
 		if sr.Received != 3 || sr.Skipped || sr.Hijacked {
 			t.Fatalf("unexpected step result %+v", sr)
 		}

@@ -146,7 +146,7 @@ func TestRecvPacketReuseDoesNotAliasReassembly(t *testing.T) {
 	t.Run("ModelCollector.Next", func(t *testing.T) {
 		const dim = 300
 		col := transport.NewModelCollector(recv, transport.ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-			BroadcastTimeout: 2 * time.Second, IdleTimeout: 5 * time.Second})
+			BroadcastTimeout: 2 * time.Second})
 		models := []tensor.Vector{randomVec(dim), randomVec(dim)}
 		var got []tensor.Vector
 		for step, m := range models {
@@ -198,7 +198,7 @@ func TestUDPClusterSteadyStateAllocsPerDatagram(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Received != workers {
-			t.Fatalf("step %d: %d gradients received, want a whole round of %d", res.Step, res.Received, workers)
+			t.Fatalf("%d gradients received, want a whole round of %d", res.Received, workers)
 		}
 	}
 	for i := 0; i < 5; i++ {

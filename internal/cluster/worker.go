@@ -61,7 +61,7 @@ func newClusterWorker(id int, spec *UDPClusterConfig, rounds *ps.RoundConfig) (*
 		rng:     rand.New(rand.NewSource(ps.AttackSeed(spec.Seed, id))),
 	}
 	w.plan = ps.NewPlanner(rounds, w.replica.NumParams(), id, 1)
-	w.models = ps.NewModels(rounds, w.replica.NumParams())
+	w.models = ps.NewModels(rounds)
 	if name, ok := spec.Byzantine[id]; ok {
 		atk, err := attack.New(name)
 		if err != nil {

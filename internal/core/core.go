@@ -220,10 +220,6 @@ type Config struct {
 	// (the latency axis of scenario sweeps); zero keeps the Grid5000
 	// default.
 	RTT time.Duration
-	// RoundTimeout bounds the collection phase of a tcp-backend round
-	// (real wall-clock time, not the simulated clock); zero keeps the
-	// cluster default of 30 seconds.
-	RoundTimeout time.Duration
 	// Seed drives all randomness.
 	Seed int64
 	// MeasureAgg measures real GAR wall time for the clock (one
@@ -243,8 +239,6 @@ type Config struct {
 
 // Result is one experiment's output series.
 type Result struct {
-	// Config echoes the experiment configuration.
-	Config Config
 	// Accuracy is top-1 accuracy at each evaluation point, against both the
 	// simulated clock and model updates.
 	Accuracy metrics.Series
@@ -266,9 +260,6 @@ type Result struct {
 	// ResumedFromStep is the checkpointed step index the run warm-started
 	// from (0 for a fresh run).
 	ResumedFromStep int
-	// ModelDim is the trained model's parameter count (the dimension real
-	// aggregation wall-time measurements should use).
-	ModelDim int
 	// params is what training ended on, for the cross-backend parity tests.
 	params tensor.Vector
 }
@@ -300,7 +291,7 @@ func (c *Config) clusterConfig(rc ps.RoundConfig, factory func() *nn.Network,
 	train *data.Dataset, rule gar.GAR, optimizer opt.Optimizer) cluster.UDPClusterConfig {
 	return cluster.UDPClusterConfig{
 		Addr: "127.0.0.1:0", ModelFactory: factory, Train: train, GAR: rule, Optimizer: optimizer,
-		Workers: rc.Workers, Batch: c.Batch, Codec: rc.Link.Codec, RoundTimeout: c.RoundTimeout,
+		Workers: rc.Workers, Batch: c.Batch, Codec: rc.Link.Codec,
 		Byzantine: c.Attacks, Seed: rc.Seed, L1: c.L1, L2: c.L2, Recoup: rc.Recoup,
 		Async: rc.Async, Churn: rc.Churn,
 		DropRate: rc.Link.GradLoss, ModelDropRate: rc.Link.ModelLoss, StaleModels: rc.Link.StaleModels,
@@ -484,13 +475,7 @@ func buildWorkers(cfg Config, train *data.Dataset, plan *draco.Plan) ([]ps.Worke
 			sampler = &data.GroupSampler{SharedBatch: data.SharedBatch{DS: train}, Group: i / plan.Redundancy(), Seed: cfg.Seed}
 		}
 		if slices.Contains(cfg.CorruptData, i) {
-			sampler = &data.CorruptedSampler{
-				Inner: sampler,
-				Corruption: data.GarbagePixels{
-					Scale: 100,
-					Rng:   rand.New(rand.NewSource(cfg.Seed + int64(i))),
-				},
-			}
+			sampler = &data.CorruptedSampler{Inner: sampler, Rng: rand.New(rand.NewSource(cfg.Seed + int64(i)))}
 		}
 		workers[i] = ps.WorkerConfig{
 			Sampler:      sampler,
@@ -578,7 +563,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	var cl deployment
-	name := cfg.Aggregator
 	if socket {
 		sc := cfg.clusterConfig(rc, factory, train, rule, optimizer)
 		var sock interface {
@@ -605,7 +589,6 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		if cfg.ServerReplicas > 1 {
-			name += "-replicated"
 			cl, err = ps.NewReplicated(ps.ReplicatedConfig{
 				ModelFactory: factory, ServerReplicas: cfg.ServerReplicas, ByzantineReplicas: cfg.ByzantineReplicas,
 				Workers: workers, GAR: rule, Batch: cfg.Batch, L1: cfg.L1, L2: cfg.L2, Seed: cfg.Seed,
@@ -640,7 +623,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := newResult(cfg, name, round)
+	res := &Result{Breakdown: metrics.Breakdown{ComputeComm: round.Compute + round.Transfer, Aggregation: round.Aggregate}}
 	// Checkpoint restore (warm start) when a checkpoint file exists.
 	if cfg.CheckpointPath != "" {
 		if step, params, err := nn.LoadCheckpointFile(cfg.CheckpointPath); err == nil {
@@ -695,7 +678,7 @@ func simulatedRound(cfg Config, exp Experiment, rule gar.GAR, aggName string) (s
 		// order of magnitude below the TensorFlow-based systems.
 		sim.DecodeTime = simnet.ModelAggregation(aggName, cfg.Workers, cfg.F, exp.CostDim)
 	case cfg.MeasureAgg:
-		measured, err := simnet.MeasureAggregation(rule, cfg.Workers, exp.CostDim, 1, cfg.Seed)
+		measured, err := simnet.MeasureAggregation(rule, cfg.Workers, exp.CostDim, cfg.Seed)
 		if err != nil {
 			return simnet.Round{}, err
 		}

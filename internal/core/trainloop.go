@@ -2,7 +2,6 @@ package core
 
 import (
 	"aggregathor/internal/data"
-	"aggregathor/internal/metrics"
 	"aggregathor/internal/simnet"
 )
 
@@ -13,7 +12,6 @@ import (
 // training loop behind every deployment. The divergence check reads the
 // evaluation replica's live store; cl.Params would copy d floats a round.
 func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Round, res *Result) error {
-	res.ModelDim = cl.Model().NumParams()
 	var clock simnet.Clock
 	evaluate := func(step int, loss float64) {
 		acc := cl.Model().Accuracy(test.X, test.Y)
@@ -48,17 +46,4 @@ func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Rou
 	}
 	res.params = cl.Params()
 	return nil
-}
-
-// newResult starts the result of the deployment called name: the Figure-4
-// latency decomposition filled from the simulated round.
-func newResult(cfg Config, name string, round simnet.Round) *Result {
-	return &Result{
-		Config: cfg,
-		Breakdown: metrics.Breakdown{
-			Name:        name,
-			ComputeComm: round.Compute + round.Transfer,
-			Aggregation: round.Aggregate,
-		},
-	}
 }

@@ -25,7 +25,7 @@ func (c *countingDeployment) Step() (*ps.StepResult, error) {
 	if c.steps == c.nanAt {
 		c.net.Params()[0] = math.NaN()
 	}
-	return &ps.StepResult{Step: c.steps - 1, Received: 1}, nil
+	return &ps.StepResult{Received: 1}, nil
 }
 
 func (c *countingDeployment) Model() *nn.Network { return c.net }
@@ -47,7 +47,7 @@ func TestRunTrainingReadsParamsOnce(t *testing.T) {
 	for _, nanAt := range []int{0, 7} {
 		cl := &countingDeployment{net: nn.NewMLP(3, []int{4}, 2, rng), nanAt: nanAt}
 		var round simnet.Round
-		res := newResult(cfg, "counting", round)
+		res := new(Result)
 		if err := runTraining(cfg, cl, test, round, res); err != nil {
 			t.Fatal(err)
 		}

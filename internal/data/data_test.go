@@ -210,10 +210,7 @@ func TestSamplerBadBatchPanics(t *testing.T) {
 func TestGarbagePixels(t *testing.T) {
 	ds := SyntheticFeatures(30, 4, 2, 9)
 	ds.MinMaxScale()
-	s := &CorruptedSampler{
-		Inner:      NewUniformSampler(ds, 3),
-		Corruption: GarbagePixels{Rng: rand.New(rand.NewSource(4))},
-	}
+	s := &CorruptedSampler{Inner: NewUniformSampler(ds, 3), Rng: rand.New(rand.NewSource(4))}
 	x, _ := s.Sample(10)
 	big := 0
 	for _, v := range x.Data {
@@ -223,12 +220,6 @@ func TestGarbagePixels(t *testing.T) {
 	}
 	if big < len(x.Data)/2 {
 		t.Fatalf("garbage pixels too tame: %d of %d outside [-1,1]", big, len(x.Data))
-	}
-}
-
-func TestCorruptionNames(t *testing.T) {
-	if (GarbagePixels{}).Name() != "garbage-pixels" {
-		t.Fatal("GarbagePixels name")
 	}
 }
 

@@ -49,49 +49,22 @@ func (s *UniformSampler) Sample(batch int) (*tensor.Matrix, []int) {
 	return s.x, s.y
 }
 
-// Corruption transforms a sampled mini-batch in place — the data-level
-// Byzantine behaviours of Figure 7 ("corrupted data ... to which TensorFlow
-// is intolerant").
-type Corruption interface {
-	// Name identifies the corruption.
-	Name() string
-	// Corrupt mutates the batch.
-	Corrupt(x *tensor.Matrix, y []int)
-}
-
-// GarbagePixels overwrites inputs with large uniform noise — the "malformed
-// input" of Figure 7 that makes gradients explode under averaging.
-type GarbagePixels struct {
-	// Scale is the noise amplitude; 0 means the default 100.
-	Scale float64
+// CorruptedSampler wraps a Sampler and overwrites every sampled input with
+// uniform noise in [-100, 100) — the "malformed input" of Figure 7
+// ("corrupted data ... to which TensorFlow is intolerant") that makes
+// gradients explode under averaging.
+type CorruptedSampler struct {
+	Inner Sampler
 	// Rng drives the noise; a nil Rng panics at first use by design (the
 	// worker harness always provides one).
 	Rng *rand.Rand
 }
 
-// Name implements Corruption.
-func (GarbagePixels) Name() string { return "garbage-pixels" }
-
-// Corrupt implements Corruption.
-func (g GarbagePixels) Corrupt(x *tensor.Matrix, y []int) {
-	scale := g.Scale
-	if scale == 0 {
-		scale = 100
-	}
-	for i := range x.Data {
-		x.Data[i] = (g.Rng.Float64()*2 - 1) * scale
-	}
-}
-
-// CorruptedSampler wraps a Sampler with a Corruption.
-type CorruptedSampler struct {
-	Inner      Sampler
-	Corruption Corruption
-}
-
 // Sample implements Sampler.
 func (c *CorruptedSampler) Sample(batch int) (*tensor.Matrix, []int) {
 	x, y := c.Inner.Sample(batch)
-	c.Corruption.Corrupt(x, y)
+	for i := range x.Data {
+		x.Data[i] = (c.Rng.Float64()*2 - 1) * 100
+	}
 	return x, y
 }

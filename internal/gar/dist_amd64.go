@@ -1,3 +1,5 @@
+//go:build !purego
+
 package gar
 
 import "aggregathor/internal/tensor"

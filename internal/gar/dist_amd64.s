@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // func blockDistance8AVX2(a []float64, b [8][]float64) (r [8]float64)

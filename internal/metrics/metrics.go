@@ -58,7 +58,6 @@ func (s *Series) StepToValue(v float64) (int, bool) {
 
 // Breakdown is the Figure-4 latency decomposition for one configuration.
 type Breakdown struct {
-	Name string
 	// ComputeComm is gradient computation + transfer time per epoch.
 	ComputeComm time.Duration
 	// Aggregation is the GAR execution time per epoch.

@@ -40,7 +40,7 @@ func TestTimeToValue(t *testing.T) {
 }
 
 func TestBreakdown(t *testing.T) {
-	b := Breakdown{Name: "bulyan", ComputeComm: 480 * time.Millisecond, Aggregation: 520 * time.Millisecond}
+	b := Breakdown{ComputeComm: 480 * time.Millisecond, Aggregation: 520 * time.Millisecond}
 	if b.Total() != time.Second {
 		t.Fatalf("total %v", b.Total())
 	}

@@ -69,10 +69,9 @@ func (s *SGD) Step(step int, params, grad tensor.Vector) {
 
 // RMSProp divides the gradient by a running average of its recent magnitude
 // (Tieleman & Hinton 2012) — the paper's evaluation default with lr 1e-3.
+// Decay is 0.9 and epsilon 1e-10 (the TensorFlow defaults).
 type RMSProp struct {
 	Schedule Schedule
-	Decay    float64 // 0 means 0.9
-	Epsilon  float64 // 0 means 1e-10 (the TensorFlow default)
 	ms       tensor.Vector
 }
 
@@ -81,14 +80,10 @@ func (r *RMSProp) Name() string { return "rmsprop" }
 
 // Step implements Optimizer.
 func (r *RMSProp) Step(step int, params, grad tensor.Vector) {
-	decay := r.Decay
-	if decay == 0 {
-		decay = 0.9
-	}
-	eps := r.Epsilon
-	if eps == 0 {
-		eps = 1e-10
-	}
+	// Variables, not constants: 1-decay rounds at run time to
+	// 0.09999999999999998, where a constant would fold to float64(0.1) and
+	// move every trajectory. Adam's 1-β and Adadelta's 1-ρ are kept alike.
+	decay, eps := 0.9, 1e-10
 	if r.ms == nil {
 		r.ms = tensor.NewVector(params.Dim())
 	}
@@ -99,13 +94,12 @@ func (r *RMSProp) Step(step int, params, grad tensor.Vector) {
 	}
 }
 
-// Adam is the Kingma & Ba adaptive-moment optimizer.
+// Adam is the Kingma & Ba adaptive-moment optimizer with β1 0.9, β2 0.999
+// and epsilon 1e-8.
 type Adam struct {
-	Schedule     Schedule
-	Beta1, Beta2 float64 // 0 means 0.9 / 0.999
-	Epsilon      float64 // 0 means 1e-8
-	m, v         tensor.Vector
-	t            int
+	Schedule Schedule
+	m, v     tensor.Vector
+	t        int
 }
 
 // Name implements Optimizer.
@@ -113,17 +107,7 @@ func (a *Adam) Name() string { return "adam" }
 
 // Step implements Optimizer.
 func (a *Adam) Step(step int, params, grad tensor.Vector) {
-	b1, b2 := a.Beta1, a.Beta2
-	if b1 == 0 {
-		b1 = 0.9
-	}
-	if b2 == 0 {
-		b2 = 0.999
-	}
-	eps := a.Epsilon
-	if eps == 0 {
-		eps = 1e-8
-	}
+	b1, b2, eps := 0.9, 0.999, 1e-8
 	if a.m == nil {
 		a.m = tensor.NewVector(params.Dim())
 		a.v = tensor.NewVector(params.Dim())
@@ -141,10 +125,10 @@ func (a *Adam) Step(step int, params, grad tensor.Vector) {
 	}
 }
 
-// Adagrad accumulates squared gradients for per-parameter rate adaptation.
+// Adagrad accumulates squared gradients for per-parameter rate adaptation;
+// epsilon is 1e-10.
 type Adagrad struct {
 	Schedule Schedule
-	Epsilon  float64 // 0 means 1e-10
 	accum    tensor.Vector
 }
 
@@ -153,10 +137,7 @@ func (a *Adagrad) Name() string { return "adagrad" }
 
 // Step implements Optimizer.
 func (a *Adagrad) Step(step int, params, grad tensor.Vector) {
-	eps := a.Epsilon
-	if eps == 0 {
-		eps = 1e-10
-	}
+	eps := 1e-10
 	if a.accum == nil {
 		a.accum = tensor.NewVector(params.Dim())
 	}
@@ -167,12 +148,10 @@ func (a *Adagrad) Step(step int, params, grad tensor.Vector) {
 	}
 }
 
-// Adadelta is Zeiler's schedule-free variant; Schedule scales the computed
-// step (1.0 to match the original formulation).
+// Adadelta is Zeiler's schedule-free variant with ρ 0.95 and epsilon 1e-6;
+// Schedule scales the computed step (1.0 to match the original formulation).
 type Adadelta struct {
 	Schedule Schedule
-	Rho      float64 // 0 means 0.95
-	Epsilon  float64 // 0 means 1e-6
 	eg, ex   tensor.Vector
 }
 
@@ -181,14 +160,7 @@ func (a *Adadelta) Name() string { return "adadelta" }
 
 // Step implements Optimizer.
 func (a *Adadelta) Step(step int, params, grad tensor.Vector) {
-	rho := a.Rho
-	if rho == 0 {
-		rho = 0.95
-	}
-	eps := a.Epsilon
-	if eps == 0 {
-		eps = 1e-6
-	}
+	rho, eps := 0.95, 1e-6
 	if a.eg == nil {
 		a.eg = tensor.NewVector(params.Dim())
 		a.ex = tensor.NewVector(params.Dim())

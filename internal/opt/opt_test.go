@@ -40,7 +40,7 @@ func TestAllOptimizersConvergeOnQuadratic(t *testing.T) {
 		{"rmsprop", func() Optimizer { return &RMSProp{Schedule: Fixed{0.05}} }, 1500, 1e-2},
 		{"adam", func() Optimizer { return &Adam{Schedule: Fixed{0.1}} }, 1500, 1e-2},
 		{"adagrad", func() Optimizer { return &Adagrad{Schedule: Fixed{0.5}} }, 2000, 1e-2},
-		{"adadelta", func() Optimizer { return &Adadelta{Schedule: Fixed{1.0}, Rho: 0.9} }, 4000, 0.2},
+		{"adadelta", func() Optimizer { return &Adadelta{Schedule: Fixed{1.0}} }, 4000, 0.2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

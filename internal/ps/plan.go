@@ -286,8 +286,10 @@ type Models struct {
 	params []tensor.Vector
 }
 
-// NewModels sizes the store for a configuration and model dimension.
-func NewModels(cfg *RoundConfig, dim int) *Models {
+// NewModels sizes the store for a configuration. A slot's vector is
+// allocated by its first Retain, so memory follows the models actually
+// retained — at most min(Staleness+1, steps run) — not the bound.
+func NewModels(cfg *RoundConfig) *Models {
 	keep := 0
 	if cfg.Async.Staleness > 0 {
 		keep = cfg.Async.Staleness + 1
@@ -296,7 +298,7 @@ func NewModels(cfg *RoundConfig, dim int) *Models {
 	}
 	m := &Models{steps: make([]int, keep), params: make([]tensor.Vector, keep)}
 	for i := range m.steps {
-		m.steps[i], m.params[i] = -1, tensor.NewVector(dim)
+		m.steps[i] = -1
 	}
 	return m
 }
@@ -307,7 +309,7 @@ func (m *Models) Retain(step int, params tensor.Vector) {
 	if len(m.steps) > 0 {
 		i := step % len(m.steps)
 		m.steps[i] = step
-		copy(m.params[i], params)
+		m.params[i] = append(m.params[i][:0], params...)
 	}
 }
 

@@ -3,6 +3,7 @@ package ps
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -200,7 +201,7 @@ func TestModelsRetainByTag(t *testing.T) {
 		}
 		return -1
 	}
-	slow := NewModels(&RoundConfig{Async: AsyncConfig{Staleness: 2}}, 1)
+	slow := NewModels(&RoundConfig{Async: AsyncConfig{Staleness: 2}})
 	for step := 0; step < 5; step++ {
 		slow.Retain(step, tensor.Vector{float64(step)})
 	}
@@ -209,15 +210,34 @@ func TestModelsRetainByTag(t *testing.T) {
 			t.Errorf("τ=2 after 5 broadcasts: model for step %d is %v, want %v", step, got, want)
 		}
 	}
-	stale := NewModels(&RoundConfig{Link: Link{ModelLoss: 0.1, StaleModels: true}}, 1)
+	stale := NewModels(&RoundConfig{Link: Link{ModelLoss: 0.1, StaleModels: true}})
 	stale.Retain(3, tensor.Vector{3})
 	stale.Retain(7, tensor.Vector{7})
 	if at(stale, 3) != -1 || at(stale, 7) != 7 || at(stale, -1) != -1 {
 		t.Errorf("stale recoup keeps models %v %v, want only the last complete one", at(stale, 3), at(stale, 7))
 	}
-	lockstep := NewModels(&RoundConfig{}, 1)
+	lockstep := NewModels(&RoundConfig{})
 	lockstep.Retain(0, tensor.Vector{1})
 	if lockstep.At(0) != nil {
 		t.Error("lockstep retains a model no plan can tag")
+	}
+}
+
+// TestModelsAllocateOnRetain: a store built for a large staleness bound
+// holds no model until one is retained, so building it costs the ring's
+// bookkeeping, not τ+1 model copies (14.3 GB at τ = 2²⁰ and the
+// features-mlp dimension, if allocated up front).
+func TestModelsAllocateOnRetain(t *testing.T) {
+	const dim = 1690 // features-mlp
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewModels(&RoundConfig{Async: AsyncConfig{Staleness: 1 << 20}})
+	m.Retain(5, tensor.NewVector(dim))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<20 {
+		t.Fatalf("building a τ = 2²⁰ store and retaining one model allocated %d MB, want < 64", got>>20)
+	}
+	if v := m.At(5); len(v) != dim {
+		t.Fatalf("retained model has %d coordinates, want %d", len(v), dim)
 	}
 }

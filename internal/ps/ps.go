@@ -130,8 +130,6 @@ type Cluster struct {
 
 // StepResult reports one synchronous round.
 type StepResult struct {
-	// Step is the model-update index of this round (before increment).
-	Step int
 	// Loss is the mean training loss over honest workers this round.
 	Loss float64
 	// Received is how many gradients survived the links.
@@ -250,9 +248,9 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{Server: &eng.Server, cfg: cfg, engines: []*Engine{eng}}
-	c.models = NewModels(&eng.cfg.RoundConfig, eng.params.Dim())
+	c.models = NewModels(&eng.cfg.RoundConfig)
 	if cfg.Link.MTU > 0 {
-		c.received, c.wireModels = tensor.NewVector(eng.params.Dim()), NewModels(&eng.cfg.RoundConfig, eng.params.Dim())
+		c.received, c.wireModels = tensor.NewVector(eng.params.Dim()), NewModels(&eng.cfg.RoundConfig)
 	}
 	c.replicas = make([]*nn.Network, len(cfg.Workers))
 	c.rngs = make([]*rand.Rand, len(cfg.Workers))

@@ -456,7 +456,7 @@ func (r *Round) Expire() {
 // step.
 func (r *Round) Finish() (*StepResult, error) {
 	e, cfg := r.e, &r.e.cfg
-	res := &StepResult{Step: e.step, Crashes: e.crashes, Rejoins: e.rejoins, ReconnectAttempts: e.attempts}
+	res := &StepResult{Crashes: e.crashes, Rejoins: e.rejoins, ReconnectAttempts: e.attempts}
 	received := e.received[:0]
 	lossSum, lossN := 0.0, 0
 	for id := range e.slots {

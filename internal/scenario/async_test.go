@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"testing"
 
 	"aggregathor/internal/ps"
@@ -19,37 +18,7 @@ func TestAsyncCampaignJSONDeterministic(t *testing.T) {
 	spec.Steps = 8
 	spec.EvalEvery = 4
 
-	first, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawFirst, err := first.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSecond, err := second.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSecond) {
-		t.Fatal("two executions of the async-smoke spec produced different JSON")
-	}
-	spec.Parallelism = 1
-	serial, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSerial, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSerial) {
-		t.Fatal("serial execution of the async-smoke spec differs from parallel execution")
-	}
+	first := deterministicCampaign(t, spec)
 
 	// Readout semantics. The plain lockstep cells must surface no async
 	// numbers at all; every async-enabled cell must report a positive

@@ -48,37 +48,7 @@ func TestChurnCampaignJSONDeterministic(t *testing.T) {
 	spec.Steps = 12
 	spec.EvalEvery = 6
 
-	first, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawFirst, err := first.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSecond, err := second.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSecond) {
-		t.Fatal("two executions of the churn-smoke spec produced different JSON")
-	}
-	spec.Parallelism = 1
-	serial, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSerial, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSerial) {
-		t.Fatal("serial execution of the churn-smoke spec differs from parallel execution")
-	}
+	first := deterministicCampaign(t, spec)
 
 	// Counter semantics. Steady cells report nothing; every churn cell's
 	// crash/rejoin/reconnect/below-bound counters equal the schedule replay.

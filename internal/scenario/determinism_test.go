@@ -6,6 +6,36 @@ import (
 	"testing"
 )
 
+// deterministicCampaign executes spec twice and once more on a serial pool,
+// and fails unless the three campaigns marshal to the same bytes: neither
+// result values, result order, nor the echoed spec may depend on the run or
+// on the pool size (parallelism is an execution knob, not an axis). It
+// returns the first campaign.
+func deterministicCampaign(t *testing.T, spec Spec) *Campaign {
+	t.Helper()
+	var first *Campaign
+	var want []byte
+	for run := range 3 {
+		if run == 2 {
+			spec.Parallelism = 1
+		}
+		c, err := Execute(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := c.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first, want = c, raw
+		} else if !bytes.Equal(raw, want) {
+			t.Fatalf("%s: execution %d (parallelism %d) produced different JSON than the first", spec.Name, run+1, spec.Parallelism)
+		}
+	}
+	return first
+}
+
 // TestCampaignJSONDeterministic is the acceptance gate for the engine: a
 // campaign spanning at least 4 GARs × 3 attacks × 2 network conditions,
 // executed twice with the same spec and seeds, must produce byte-identical
@@ -32,46 +62,16 @@ func TestCampaignJSONDeterministic(t *testing.T) {
 		t.Fatalf("smoke spec has %d network conditions, want >= 2", len(spec.Networks))
 	}
 
-	first, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawFirst, err := first.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSecond, err := second.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSecond) {
-		t.Fatal("two executions of the same spec produced different JSON")
-	}
-
-	// A third execution with a serial pool must also match byte-for-byte:
-	// neither result values, result order, nor the echoed spec may depend
-	// on the pool size (parallelism is an execution knob, not an axis).
-	spec.Parallelism = 1
-	serial, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSerial, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSerial) {
-		t.Fatal("serial execution produced different results than parallel execution")
-	}
+	first := deterministicCampaign(t, spec)
 
 	// The JSON must round-trip: campaign files are the interchange format
-	// future PRs diff against.
+	// later changes diff against.
+	raw, err := first.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var decoded Campaign
-	if err := json.Unmarshal(rawFirst, &decoded); err != nil {
+	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("campaign JSON does not round-trip: %v", err)
 	}
 	if len(decoded.Results) != len(first.Results) {

@@ -6,9 +6,7 @@ import (
 	"sync"
 
 	"aggregathor/internal/core"
-	"aggregathor/internal/gar"
 	"aggregathor/internal/ps"
-	"aggregathor/internal/simnet"
 )
 
 // Result is the structured outcome of one campaign run. Every field is a
@@ -42,15 +40,6 @@ type Result struct {
 	// a lockstep cell gated by slow workers skips rounds, a quorum cell
 	// keeps aggregating without them.
 	RoundsPerSec float64 `json:"roundsPerSec,omitempty"`
-	// MeasuredAggWallNS is the real measured wall time of one aggregation
-	// at the run's model dimension, in nanoseconds. Only present when the
-	// spec sets includeWallTime; it is host wall clock and therefore the
-	// one field excluded from the byte-reproducibility guarantee.
-	MeasuredAggWallNS int64 `json:"measuredAggWallNs,omitempty"`
-
-	// modelDim carries the trained model's parameter count from the pool
-	// phase to the serial wall-time measurement phase (not marshalled).
-	modelDim int
 	// Diverged is true when the model parameters went non-finite.
 	Diverged bool `json:"diverged"`
 	// Hijacked is true when a remote parameter write succeeded.
@@ -100,17 +89,6 @@ func Execute(s Spec) (*Campaign, error) {
 		}(i)
 	}
 	wg.Wait()
-	// Wall-time measurements run serially after the pool drains so no
-	// concurrent training run contends for the cores being timed — the
-	// numbers are meant to be comparable across commits, not artefacts of
-	// the pool schedule.
-	if s.IncludeWallTime {
-		for i := range results {
-			if results[i].Error == "" {
-				results[i].MeasuredAggWallNS = measureAggWall(results[i].Run, results[i].modelDim)
-			}
-		}
-	}
 	// Parallelism is an execution knob, not a sweep axis: strip it from the
 	// echoed spec so the pool size can never leak into the byte-reproducible
 	// campaign JSON.
@@ -157,30 +135,5 @@ func executeRun(s *Spec, r Run) Result {
 	}
 	out.Diverged = res.Diverged
 	out.Hijacked = res.Hijacked
-	out.modelDim = res.ModelDim
 	return out
-}
-
-// measureAggWall times one real execution of the run's GAR at the trained
-// model's dimension. The result is host wall clock — useful for comparing
-// aggregation overheads across commits, but inherently non-deterministic,
-// which is why it rides behind the spec's opt-in includeWallTime flag, is
-// excluded from determinism comparisons, and is measured serially after the
-// training pool has drained. 0 means the measurement was not possible (e.g.
-// the cell was infeasible for the rule).
-func measureAggWall(r Run, dim int) int64 {
-	rule, err := gar.New(r.GAR, r.Cluster.F)
-	if err != nil || dim <= 0 {
-		return 0
-	}
-	d, err := simnet.MeasureAggregation(rule, r.Cluster.Workers, dim, 1, r.Seed)
-	if err != nil {
-		return 0
-	}
-	if ns := d.Nanoseconds(); ns > 0 {
-		return ns
-	}
-	// Clamp to 1ns so "measured" is distinguishable from "absent" even on
-	// coarse clocks.
-	return 1
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -17,37 +16,7 @@ func TestModelLossCampaignJSONDeterministic(t *testing.T) {
 	spec.Steps = 8
 	spec.EvalEvery = 4
 
-	first, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawFirst, err := first.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSecond, err := second.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSecond) {
-		t.Fatal("two executions of the model-loss spec produced different JSON")
-	}
-	spec.Parallelism = 1
-	serial, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSerial, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSerial) {
-		t.Fatal("serial execution of the model-loss spec differs from parallel execution")
-	}
+	first := deterministicCampaign(t, spec)
 
 	// Perfect-model-channel parity: the modelDropRate-0 udp cells (even
 	// with the stale policy configured) must equal their in-process twins.

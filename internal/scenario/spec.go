@@ -138,11 +138,6 @@ type Spec struct {
 	Threshold float64 `json:"accuracyThreshold"`
 	// Parallelism bounds the engine's worker pool; 0 means NumCPU.
 	Parallelism int `json:"parallelism,omitempty"`
-	// IncludeWallTime opts into the per-run measured aggregation wall-time
-	// column (Result.MeasuredAggWallNS). The measurement is real host wall
-	// clock and therefore NOT deterministic: it is excluded from the
-	// byte-reproducibility guarantee, which covers every other field.
-	IncludeWallTime bool `json:"includeWallTime,omitempty"`
 }
 
 // Run is one expanded cell of the campaign cross-product.

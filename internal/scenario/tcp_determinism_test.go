@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -26,38 +25,7 @@ func TestTCPCampaignJSONDeterministic(t *testing.T) {
 		t.Fatal("distributed smoke spec has no tcp-backend network")
 	}
 
-	first, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawFirst, err := first.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSecond, err := second.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSecond) {
-		t.Fatal("two executions of the tcp-backend spec produced different JSON")
-	}
-
-	spec.Parallelism = 1
-	serial, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSerial, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSerial) {
-		t.Fatal("serial execution of the tcp-backend spec differs from parallel execution")
-	}
+	first := deterministicCampaign(t, spec)
 
 	// The perfect-network parity guarantee at campaign level: for every
 	// (gar, attack, seed) cell the tcp backend's numbers must equal the

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -27,38 +26,7 @@ func TestUDPCampaignJSONDeterministic(t *testing.T) {
 		t.Fatal("udp smoke spec has no lossy udp-backend network")
 	}
 
-	first, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawFirst, err := first.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSecond, err := second.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSecond) {
-		t.Fatal("two executions of the udp-backend spec produced different JSON")
-	}
-
-	spec.Parallelism = 1
-	serial, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSerial, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSerial) {
-		t.Fatal("serial execution of the udp-backend spec differs from parallel execution")
-	}
+	first := deterministicCampaign(t, spec)
 
 	// The perfect-network parity guarantee at campaign level: for every
 	// (gar, attack, seed) cell the dropRate-0 udp backend's numbers must

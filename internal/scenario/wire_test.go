@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -17,25 +16,7 @@ func TestWireCampaignJSONDeterministic(t *testing.T) {
 	spec.Steps = 8
 	spec.EvalEvery = 4
 
-	first, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawFirst, err := first.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawSecond, err := second.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawFirst, rawSecond) {
-		t.Fatal("two executions of the wire-format spec produced different JSON")
-	}
+	first := deterministicCampaign(t, spec)
 
 	// The float32 knob must be live: a perfect-link float32 cell and its
 	// float64 twin share the seed and the drop schedule, so any difference

@@ -182,13 +182,10 @@ func (c *Clock) Advance(d time.Duration) {
 	c.now += d
 }
 
-// MeasureAggregation times the GAR on synthetic worker gradients of the
-// given dimension: rounds executions on freshly drawn Gaussian vectors, the
-// median wall time. This is the "measured aggregation" input to Config.
-func MeasureAggregation(g gar.GAR, n, dim, rounds int, seed int64) (time.Duration, error) {
-	if rounds < 1 {
-		rounds = 1
-	}
+// MeasureAggregation times one execution of the GAR on freshly drawn
+// Gaussian worker gradients of the given dimension. This is the "measured
+// aggregation" input to Config.
+func MeasureAggregation(g gar.GAR, n, dim int, seed int64) (time.Duration, error) {
 	rng := rand.New(rand.NewSource(seed))
 	grads := make([]tensor.Vector, n)
 	for i := range grads {
@@ -198,16 +195,11 @@ func MeasureAggregation(g gar.GAR, n, dim, rounds int, seed int64) (time.Duratio
 		}
 		grads[i] = v
 	}
-	times := make([]float64, rounds)
-	for r := 0; r < rounds; r++ {
-		start := time.Now()
-		if _, err := gar.Aggregate(g, grads); err != nil {
-			return 0, fmt.Errorf("simnet: measuring %s: %w", g.Name(), err)
-		}
-		times[r] = time.Since(start).Seconds()
+	start := time.Now()
+	if _, err := gar.Aggregate(g, grads); err != nil {
+		return 0, fmt.Errorf("simnet: measuring %s: %w", g.Name(), err)
 	}
-	med := tensor.Median(times)
-	return time.Duration(med * float64(time.Second)), nil
+	return time.Since(start), nil
 }
 
 // ModelAggregation returns an analytic aggregation cost for fast experiments

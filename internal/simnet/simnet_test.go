@@ -118,7 +118,7 @@ func TestMeasureAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := MeasureAggregation(g, 7, 1000, 3, 1)
+	d, err := MeasureAggregation(g, 7, 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestMeasureAggregationPropagatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MeasureAggregation(g, 5, 100, 1, 1); err == nil {
+	if _, err := MeasureAggregation(g, 5, 100, 1); err == nil {
 		t.Fatal("want error from undersized cluster")
 	}
 }

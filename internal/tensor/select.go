@@ -2,24 +2,14 @@ package tensor
 
 import "math"
 
-// Median returns the median of xs, averaging the two middle values for even
-// lengths. NaN entries are ignored; if every entry is NaN the result is NaN.
-// It panics on an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("tensor: Median of empty slice")
-	}
-	scratch := make([]float64, len(xs))
-	copy(scratch, xs)
-	return MedianInPlace(scratch)
-}
-
 // midpoint averages a and b without overflowing near ±MaxFloat64.
 func midpoint(a, b float64) float64 { return a/2 + b/2 }
 
-// MedianInPlace is Median without the defensive copy: it partially reorders
-// xs (a deterministic selection, not a full sort). Use it on scratch buffers
-// in hot loops — it is the median kernel behind the coordinate-wise rules.
+// MedianInPlace returns the median of xs, averaging the two middle values
+// for even lengths. NaN entries are ignored; if every entry is NaN the result
+// is NaN. It panics on an empty slice and partially reorders xs (a
+// deterministic selection, not a full sort): it is the median kernel behind
+// the coordinate-wise rules, run on their scratch buffers.
 func MedianInPlace(xs []float64) float64 {
 	if len(xs) == 0 {
 		panic("tensor: MedianInPlace of empty slice")

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package tensor
 
 // hasAVX2 reports, from the CPUID/XGETBV probe in sort_amd64.s run once at

@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 DATA maxi<>+0(SB)/8, $0x7fffffffffffffff

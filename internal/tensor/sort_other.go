@@ -1,4 +1,4 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package tensor
 
@@ -15,5 +15,5 @@ var meanAroundWalk = meanAroundWalkGo
 func HasAVX2() bool { return false }
 
 // Kernels names the kernel set this process computes with, for benchmark
-// reports: the Go kernels on every GOARCH without assembly.
+// reports: the Go kernels off amd64 and under the purego build tag.
 func Kernels() string { return "portable" }

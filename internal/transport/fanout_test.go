@@ -38,7 +38,7 @@ func TestFanOutShortReadBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-			BroadcastTimeout: 10 * time.Second, IdleTimeout: 30 * time.Second})
+			BroadcastTimeout: 10 * time.Second})
 		go func() {
 			ev, err := col.Next(tensor.NewVector(dim))
 			if err != nil {

@@ -77,12 +77,10 @@ type ModelCollectorConfig struct {
 	// replayed up to it (a caller with such state uses SkipTo instead).
 	Schedule func(step int) []bool
 	// BroadcastTimeout bounds the wait once a broadcast is in flight
-	// (0 = DefaultBroadcastTimeout).
+	// (0 = DefaultBroadcastTimeout). With none in flight the wait is one
+	// hour, the cluster worker's backstop against a server that vanished
+	// without closing the socket.
 	BroadcastTimeout time.Duration
-	// IdleTimeout bounds the wait with no broadcast in flight
-	// (0 = one hour, the cluster worker's backstop against a server that
-	// vanished without closing the socket).
-	IdleTimeout time.Duration
 }
 
 // ModelCollector drives worker-side reassembly of lossy model broadcasts:
@@ -185,9 +183,6 @@ func NewModelCollector(r *UDPReceiver, cfg ModelCollectorConfig) *ModelCollector
 	if cfg.BroadcastTimeout <= 0 {
 		cfg.BroadcastTimeout = DefaultBroadcastTimeout
 	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = time.Hour
-	}
 	return &ModelCollector{
 		recv:     r,
 		cfg:      cfg,
@@ -268,7 +263,7 @@ func (mc *ModelCollector) Next(into tensor.Vector) (*ModelEvent, error) {
 			return &mc.ev, nil
 		}
 		mc.advance()
-		timeout := mc.cfg.IdleTimeout
+		timeout := time.Hour
 		if len(mc.pending) > 0 {
 			// Arm (or keep) the wall-clock bound on the in-flight
 			// broadcast. time.Until — not a fresh BroadcastTimeout per

@@ -55,7 +55,7 @@ func TestModelCollectorCompleteBroadcasts(t *testing.T) {
 	const dim, mtu = 100, 128
 	recv, send, codec := modelFixture(t, dim, mtu)
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: time.Second, IdleTimeout: 5 * time.Second})
+		BroadcastTimeout: time.Second})
 	params := modelParams(dim)
 	for step := 0; step < 3; step++ {
 		sendModelPackets(t, send, codec, step, mtu, params, nil)
@@ -97,7 +97,7 @@ func TestModelCollectorReceivesIntoTheCallersVector(t *testing.T) {
 		return make([]bool, pktCount)
 	}
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		Schedule: schedule, BroadcastTimeout: 5 * time.Second, IdleTimeout: 10 * time.Second})
+		Schedule: schedule, BroadcastTimeout: 5 * time.Second})
 	sentinel := func() tensor.Vector {
 		v := tensor.NewVector(dim)
 		for i := range v {
@@ -171,7 +171,7 @@ func TestModelCollectorTornSettlesWithoutDeadline(t *testing.T) {
 		return make([]bool, pktCount)
 	}
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		Schedule: schedule, BroadcastTimeout: 10 * time.Second, IdleTimeout: 20 * time.Second})
+		Schedule: schedule, BroadcastTimeout: 10 * time.Second})
 	params := modelParams(dim)
 	sendModelPackets(t, send, codec, 0, mtu, params, drops[0])
 	sendModelPackets(t, send, codec, 1, mtu, params, nil)
@@ -218,7 +218,7 @@ func TestModelCollectorSkipsFullyDroppedSteps(t *testing.T) {
 		return mask
 	}
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		Schedule: schedule, BroadcastTimeout: time.Second, IdleTimeout: 5 * time.Second})
+		Schedule: schedule, BroadcastTimeout: time.Second})
 	sendModelPackets(t, send, codec, 1, mtu, modelParams(dim), nil)
 	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
@@ -239,7 +239,7 @@ func TestModelCollectorSkipTo(t *testing.T) {
 	const dim, mtu = 100, 128
 	recv, send, codec := modelFixture(t, dim, mtu)
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 5 * time.Second, IdleTimeout: 5 * time.Second})
+		BroadcastTimeout: 5 * time.Second})
 	params := modelParams(dim)
 	// A partial for a step about to be skipped and the whole target broadcast,
 	// both stashed before step 0 settles.
@@ -273,7 +273,7 @@ func TestModelCollectorHorizon(t *testing.T) {
 	const dim, mtu = 100, 128
 	recv, send, codec := modelFixture(t, dim, mtu)
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 300 * time.Millisecond, IdleTimeout: 5 * time.Second})
+		BroadcastTimeout: 300 * time.Millisecond})
 	params := modelParams(dim)
 	sendModelPackets(t, send, codec, 1<<40, mtu, params, nil)
 	sendModelPackets(t, send, codec, modelHorizon+1, mtu, params, nil)
@@ -302,7 +302,7 @@ func TestModelCollectorGenuineLossBoundedWait(t *testing.T) {
 	const dim, mtu = 100, 128
 	recv, send, codec := modelFixture(t, dim, mtu)
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 200 * time.Millisecond, IdleTimeout: 30 * time.Second})
+		BroadcastTimeout: 200 * time.Millisecond})
 	// Simulate a kernel drop: only the first packet of step 0 is delivered.
 	pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: modelParams(dim)}, mtu)
 	if len(pkts) < 2 {
@@ -345,7 +345,7 @@ func TestModelCollectorDeadlineSurvivesTraffic(t *testing.T) {
 	const dim, mtu = 100, 128
 	recv, send, codec := modelFixture(t, dim, mtu)
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 300 * time.Millisecond, IdleTimeout: 30 * time.Second})
+		BroadcastTimeout: 300 * time.Millisecond})
 	// Genuine loss: only the first packet of step 0 arrives.
 	pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: modelParams(dim)}, mtu)
 	if err := send.SendPackets([]Packet{pkts[0]}, nil); err != nil {
@@ -388,7 +388,7 @@ func TestModelCollectorCatchUpJump(t *testing.T) {
 	const dim, mtu = 100, 128
 	recv, send, codec := modelFixture(t, dim, mtu)
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 300 * time.Millisecond, IdleTimeout: 30 * time.Second})
+		BroadcastTimeout: 300 * time.Millisecond})
 	params := modelParams(dim)
 	// Step 0 is genuinely torn (one packet only); steps 1-4 are genuinely
 	// lost outright; steps 5 and 6 arrive whole and buffer in the window.
@@ -437,7 +437,7 @@ func TestModelCollectorRejectsConflictingMetadata(t *testing.T) {
 	per := codec.CoordsPerPacket(mtu)
 	pktCount := codec.PacketsPerTransfer(dim, mtu)
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 5 * time.Second, IdleTimeout: 30 * time.Second})
+		BroadcastTimeout: 5 * time.Second})
 	params := modelParams(dim)
 	real := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: params}, mtu)
 	// The genuine first packet pins the broadcast's metadata...
@@ -503,7 +503,7 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 	}
 	sendModelPackets(t, send, codec, 0, mtu, modelParams(dim), nil)
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 300 * time.Millisecond, IdleTimeout: 30 * time.Second})
+		BroadcastTimeout: 300 * time.Millisecond})
 	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
@@ -535,7 +535,7 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 		done <- nil
 	}()
 	col2 := NewModelCollector(recv2, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 10 * time.Second, IdleTimeout: 30 * time.Second})
+		BroadcastTimeout: 10 * time.Second})
 	ev, err = col2.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
@@ -587,7 +587,7 @@ func TestModelCollectorHostileFutureStepsBounded(t *testing.T) {
 	sendModelPackets(t, send, codec, 0, mtu, params, nil)
 
 	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 2 * time.Second, IdleTimeout: 10 * time.Second})
+		BroadcastTimeout: 2 * time.Second})
 	ev, err := col.Next(tensor.NewVector(dim))
 	if err != nil {
 		t.Fatal(err)
