@@ -34,13 +34,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short coverage of the transport codec, reassembler and coalesced-message
-# segment walk, round-engine (plan, settlement, rejoin admission),
-# column-pass and blocked-matmul fuzz targets beyond the seed corpus, and of
-# the three assembly kernels against their Go oracles.
+# Short coverage of the one wire header (datagrams and TCP frames), the TCP
+# stream reader, the reassembler and coalesced-message segment walk,
+# round-engine (plan, settlement, rejoin admission), column-pass and
+# blocked-matmul fuzz targets beyond the seed corpus, and of the three
+# assembly kernels against their Go oracles. CI's fuzz job runs this target.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
-	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzTCPFrameStream -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzReassembler -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzSegments -fuzztime=20s

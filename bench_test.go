@@ -592,7 +592,7 @@ func BenchmarkAblation_WireFormat(b *testing.B) {
 			b.SetBytes(int64(len(grad) * cfg.codec.BytesPerCoord()))
 			for i := 0; i < b.N; i++ {
 				buf := cfg.codec.EncodeGradient(msg)
-				if _, err := cfg.codec.DecodeGradient(buf); err != nil {
+				if _, err := cfg.codec.DecodePacket(buf); err != nil {
 					b.Fatal(err)
 				}
 			}

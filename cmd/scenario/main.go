@@ -49,7 +49,7 @@ func main() {
 			exps = append(exps, e.Name)
 		}
 		fmt.Printf("experiments: %s\n", strings.Join(exps, ", "))
-		fmt.Printf("networks:    backend in-process|tcp|udp, udpLinks (-1 = all), dropRate [0,1), recoup drop-gradient|fill-nan|fill-random, modelDropRate [0,1), modelRecoup skip|stale, wireFormat float64|float32, quorum, staleness, slowWorkers [0,1), churn {rate [0,1), downSteps, maxRejoins}, protocol tcp|udp, rttMicros\n")
+		fmt.Printf("networks:    backend in-process|tcp|udp, udpLinks (-1 = all), dropRate [0,1), recoup drop-gradient|fill-nan|fill-random, modelDropRate [0,1), modelRecoup skip|stale, wireFormat float64|float32, quorum, staleness, slowWorkers [0,1), churn {rate [0,1), downSteps, maxRejoins}, protocol tcp|udp\n")
 		return
 	}
 

@@ -117,10 +117,10 @@ type TCPClusterConfig = UDPClusterConfig
 
 // validate applies the defaults (RoundTimeout 30 s, MTU
 // transport.DefaultMTU) and checks what is the socket layer's own — required
-// fields, sizes, the datagram budget, that the GAR fits the cluster and the
-// attack names resolve — so a misconfigured deployment fails before any
-// socket is opened. How the scheduled axes compose is not checked here:
-// ps.NewEngine validates the RoundConfig this description maps onto.
+// fields, sizes, the datagram budget and that the attack names resolve — so
+// a misconfigured deployment fails before any socket is opened. Whether the
+// GAR fits the cluster and how the scheduled axes compose is not checked
+// here: ps.NewEngine checks both, for every backend.
 func (sc *UDPClusterConfig) validate() error {
 	if sc.ModelFactory == nil || sc.GAR == nil || sc.Optimizer == nil || sc.Train == nil {
 		return errors.New("cluster: config missing required field")
@@ -139,10 +139,6 @@ func (sc *UDPClusterConfig) validate() error {
 	}
 	if sc.RoundTimeout <= 0 {
 		sc.RoundTimeout = 30 * time.Second
-	}
-	if info, ok := sc.GAR.(gar.ByzantineInfo); ok && sc.Workers < info.MinWorkers() {
-		return fmt.Errorf("cluster: %s(f=%d) needs %d workers, got %d",
-			sc.GAR.Name(), info.F(), info.MinWorkers(), sc.Workers)
 	}
 	// In id order, so which violation is reported first — an error string
 	// that can reach campaign JSON — is deterministic.
@@ -202,7 +198,7 @@ func (s *socketServer) setup(cfg UDPClusterConfig) error {
 		L1: cfg.L1, L2: cfg.L2, Byzantine: byzantine,
 	})
 	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
+		return err // already "ps: ..."
 	}
 	s.eng, s.Server = eng, &eng.Server
 	s.workerErrs = make(chan error, cfg.Workers)

@@ -35,10 +35,10 @@ type recvEvent struct {
 // connection may carry before its hello is read.
 const helloDim = 1
 
-// TCPCluster is a running socket-distributed deployment that implements
-// ps.Trainer. It is the round engine's TCP adapter: it owns the listener,
-// the connections and their readers; what a round waits for and what it
-// aggregates is the engine's business.
+// TCPCluster is a running socket-distributed deployment: a training driver
+// calls Step and Model on it. It is the round engine's TCP adapter: it owns
+// the listener, the connections and their readers; what a round waits for
+// and what it aggregates is the engine's business.
 //
 // Every connection opens with a hello — {Worker: id, Step: the round it
 // joins at, Loss: the dial attempts it took} — at startup (step 0) and on
@@ -69,8 +69,6 @@ type TCPCluster struct {
 	// instead of wedging until RoundTimeout.
 	testAbruptClose map[int]int
 }
-
-var _ ps.Trainer = (*TCPCluster)(nil)
 
 // NewTCPCluster validates the configuration and builds the (not yet
 // listening) cluster. A stream has no datagrams to size or lose: the
@@ -202,10 +200,13 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 	return round.Finish()
 }
 
-// broadcast sends the round's model to every live connection in parallel.
-// Suspected workers are included — a straggler that recovers can rejoin the
-// round. A send to a connection whose peer is gone fails harmlessly; its
-// reader reports the loss.
+// broadcast sends the round's model in parallel to every live connection of
+// a worker the plan sends to (Round.Downlink, which the datagram fan-out
+// obeys too): a worker the churn plan holds down gets nothing, whatever
+// connection it left behind. Suspected workers are included — a straggler
+// that recovers can rejoin the round. A send to a connection whose peer is
+// gone fails harmlessly; its reader reports the loss. The round fails only
+// when the plan sends to some worker and no connection took the model.
 //
 // The coordinates are put in wire encoding at most once: on the float64 wire
 // of a little-endian host they are the live parameter vector's own memory,
@@ -214,9 +215,17 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 // parameters, after it; otherwise they are rendered into modelWire.
 func (c *TCPCluster) broadcast(round *ps.Round) error {
 	step, coords := round.Step(), c.cfg.Codec.WireCoords(round.Params(), &c.modelWire)
+	planned := false
+	for id := range c.cfg.Workers {
+		_, send := round.Downlink(id)
+		planned = planned || send
+	}
 	var wg sync.WaitGroup
 	var delivered atomic.Int64
 	for _, p := range c.peers {
+		if _, send := round.Downlink(p.worker); !send {
+			continue
+		}
 		wg.Add(1)
 		go func(conn *transport.TCPConn) {
 			defer wg.Done()
@@ -226,7 +235,7 @@ func (c *TCPCluster) broadcast(round *ps.Round) error {
 		}(p.conn)
 	}
 	wg.Wait()
-	if delivered.Load() == 0 {
+	if planned && delivered.Load() == 0 {
 		return fmt.Errorf("cluster: no live worker connections at step %d", step)
 	}
 	return nil

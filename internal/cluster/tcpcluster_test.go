@@ -10,7 +10,6 @@ import (
 	"aggregathor/internal/gar"
 	"aggregathor/internal/nn"
 	"aggregathor/internal/opt"
-	"aggregathor/internal/ps"
 	"aggregathor/internal/transport"
 )
 
@@ -279,11 +278,10 @@ func TestTCPClusterDeterministicRounds(t *testing.T) {
 	}
 }
 
-// TestTCPClusterTrainerSurface pins the ps.Trainer contract details the
-// training loop relies on: Step before Start fails, StepResult.Step counts
-// rounds, and Model stays synchronised with the aggregated parameters.
+// TestTCPClusterTrainerSurface pins the Step and Model details the training
+// loop relies on: Step before Start fails, a round receives every worker,
+// and Model stays synchronised with the aggregated parameters.
 func TestTCPClusterTrainerSurface(t *testing.T) {
-	var _ ps.Trainer = (*TCPCluster)(nil)
 	ds := data.SyntheticFeatures(60, 4, 2, 5)
 	factory := func() *nn.Network { return nn.NewMLP(4, nil, 2, rand.New(rand.NewSource(6))) }
 	cl, err := NewTCPCluster(TCPClusterConfig{

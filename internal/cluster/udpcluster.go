@@ -26,11 +26,12 @@ const (
 	udpPaceDelay = time.Millisecond
 )
 
-// UDPCluster is a running lossy-datagram deployment that implements
-// ps.Trainer. It is the round engine's datagram adapter: it owns the server's
-// sockets, the packet split and the pacing; every received packet goes to
-// the round, which reassembles, recoups scheduled losses and decides what is
-// still outstanding. Each worker dials and owns its own gradient uplink.
+// UDPCluster is a running lossy-datagram deployment: a training driver calls
+// Step and Model on it. It is the round engine's datagram adapter: it owns
+// the server's sockets, the packet split and the pacing; every received
+// packet goes to the round, which reassembles, recoups scheduled losses and
+// decides what is still outstanding. Each worker dials and owns its own
+// gradient uplink.
 type UDPCluster struct {
 	socketServer
 	recv       *transport.UDPReceiver   // gradient endpoint (server)
@@ -39,8 +40,6 @@ type UDPCluster struct {
 	// modelPktScratch is the broadcast split scratch, reused every round.
 	modelPktScratch []transport.Packet
 }
-
-var _ ps.Trainer = (*UDPCluster)(nil)
 
 // NewUDPCluster validates the configuration and builds the (not yet
 // listening) cluster.

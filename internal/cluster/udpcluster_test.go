@@ -11,7 +11,6 @@ import (
 	"aggregathor/internal/gar"
 	"aggregathor/internal/nn"
 	"aggregathor/internal/opt"
-	"aggregathor/internal/ps"
 	"aggregathor/internal/transport"
 )
 
@@ -288,10 +287,9 @@ func TestUDPClusterSurvivesHostileDatagrams(t *testing.T) {
 	}
 }
 
-// TestUDPClusterTrainerSurface pins the ps.Trainer contract details the
-// training loop relies on.
+// TestUDPClusterTrainerSurface pins the Step and Model details the training
+// loop relies on.
 func TestUDPClusterTrainerSurface(t *testing.T) {
-	var _ ps.Trainer = (*UDPCluster)(nil)
 	ds := data.SyntheticFeatures(60, 4, 2, 5)
 	factory := func() *nn.Network { return nn.NewMLP(4, nil, 2, rand.New(rand.NewSource(6))) }
 	cl, err := NewUDPCluster(UDPClusterConfig{

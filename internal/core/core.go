@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"time"
 
 	"aggregathor/internal/attack"
 	"aggregathor/internal/cluster"
@@ -216,10 +215,6 @@ type Config struct {
 	Churn ps.ChurnConfig
 	// Protocol switches the time model between TCP and UDP costing.
 	Protocol simnet.Protocol
-	// RTT overrides the simulated link round-trip time when positive
-	// (the latency axis of scenario sweeps); zero keeps the Grid5000
-	// default.
-	RTT time.Duration
 	// Seed drives all randomness.
 	Seed int64
 	// MeasureAgg measures real GAR wall time for the clock (one
@@ -503,10 +498,14 @@ var (
 	ErrUDPUnsupported = errors.New("core: option not supported with the udp backend")
 )
 
-// deployment is what the shared runner drives: any trainer that also exposes
-// a copy of its parameters (checkpoints, the result) and takes a restore.
+// deployment is what the shared runner drives — ps.Cluster (a Draco run is
+// one), ps.ReplicatedCluster and the socket clusters alike: one synchronous
+// round a Step, the evaluation replica synchronised with the current
+// parameters, a copy of those parameters (checkpoints, the result) and a
+// restore.
 type deployment interface {
-	ps.Trainer
+	Step() (*ps.StepResult, error)
+	Model() *nn.Network
 	Params() tensor.Vector
 	SetParams(tensor.Vector) error
 }
@@ -664,9 +663,6 @@ func simulatedRound(cfg Config, exp Experiment, rule gar.GAR, aggName string) (s
 	sim.FlopsPerSample = exp.FlopsPerSample
 	sim.Protocol = cfg.Protocol
 	sim.DropRate = cfg.DropRate
-	if cfg.RTT > 0 {
-		sim.RTT = cfg.RTT
-	}
 	switch {
 	case cfg.Aggregator == "tf":
 		sim.AggTime = 0

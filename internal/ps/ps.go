@@ -237,12 +237,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Link.ModelLossEnabled() {
 		return nil, errors.New("ps: the in-process cluster delivers every model broadcast whole: its link takes no ModelLoss or StaleModels")
 	}
-	if info, ok := cfg.GAR.(gar.ByzantineInfo); ok {
-		if len(cfg.Workers) < info.MinWorkers() {
-			return nil, fmt.Errorf("ps: %s(f=%d) needs %d workers, got %d",
-				cfg.GAR.Name(), info.F(), info.MinWorkers(), len(cfg.Workers))
-		}
-	}
 	eng, err := cfg.engine()
 	if err != nil {
 		return nil, err

@@ -169,8 +169,13 @@ type Round struct {
 }
 
 // NewEngine validates the round description and builds the engine: no
-// backend can plan a round from an unvalidated configuration.
+// backend can plan a round from an unvalidated configuration, or from a rule
+// its worker count does not fit.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
+	if info, ok := cfg.GAR.(gar.ByzantineInfo); ok && cfg.Workers < info.MinWorkers() {
+		return nil, fmt.Errorf("ps: %s(f=%d) needs %d workers, got %d",
+			cfg.GAR.Name(), info.F(), info.MinWorkers(), cfg.Workers)
+	}
 	if err := cfg.RoundConfig.Validate(); err != nil {
 		return nil, err
 	}

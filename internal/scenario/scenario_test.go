@@ -84,7 +84,6 @@ func TestValidateRejections(t *testing.T) {
 		"drop rate 1":       func(s *Spec) { s.Networks = []Network{{Name: "x", DropRate: 1}} },
 		"bad recoup":        func(s *Spec) { s.Networks = []Network{{Name: "x", Recoup: "nope"}} },
 		"bad protocol":      func(s *Spec) { s.Networks = []Network{{Name: "x", Protocol: "quic"}} },
-		"negative rtt":      func(s *Spec) { s.Networks = []Network{{Name: "x", RTTMicros: -1}} },
 		"bad experiment":    func(s *Spec) { s.Experiment = "nope" },
 		"bad optimizer":     func(s *Spec) { s.Optimizer = "nope" },
 	}
@@ -134,10 +133,10 @@ func TestNetworkSchemaPinned(t *testing.T) {
 		{Network{Name: "every-field", Backend: "udp", UDPLinks: 3, DropRate: 0.1, Recoup: "fill-nan",
 			ModelDropRate: 0.2, WireFormat: "float32", ModelRecoup: "stale",
 			AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25},
-			Churn:       &ps.ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: 3}, Protocol: "udp", RTTMicros: 150},
+			Churn:       &ps.ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: 3}, Protocol: "udp"},
 			`{"name":"every-field","backend":"udp","udpLinks":3,"dropRate":0.1,"recoup":"fill-nan",` +
 				`"modelDropRate":0.2,"wireFormat":"float32","modelRecoup":"stale","quorum":6,"staleness":2,` +
-				`"slowWorkers":0.25,"churn":{"rate":0.08,"downSteps":2,"maxRejoins":3},"protocol":"udp","rttMicros":150}`},
+				`"slowWorkers":0.25,"churn":{"rate":0.08,"downSteps":2,"maxRejoins":3},"protocol":"udp"}`},
 		{Network{Name: "z", Churn: &ps.ChurnConfig{}}, `{"name":"z","churn":{"rate":0}}`},
 	}
 	for _, tc := range cases {

@@ -20,7 +20,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"aggregathor/internal/attack"
 	"aggregathor/internal/core"
@@ -98,9 +97,6 @@ type Network struct {
 	Churn *ps.ChurnConfig `json:"churn,omitempty"`
 	// Protocol costs the simulated clock as "tcp" (default) or "udp".
 	Protocol string `json:"protocol,omitempty"`
-	// RTTMicros overrides the simulated link round-trip time in
-	// microseconds (the latency knob); 0 keeps the Grid5000 default.
-	RTTMicros int `json:"rttMicros,omitempty"`
 }
 
 // Spec is a declarative campaign: the axes of the sweep plus the shared
@@ -259,9 +255,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: duplicate network name %q", n.Name)
 		}
 		seen[n.Name] = true
-		if n.RTTMicros < 0 {
-			return fmt.Errorf("scenario: network %q negative rttMicros", n.Name)
-		}
 		for _, c := range s.Clusters {
 			for _, a := range s.Attacks {
 				// The rule and the seed do not bear on a cell's validity (an
@@ -326,7 +319,6 @@ func (s *Spec) cellConfig(r Run) (core.Config, error) {
 		ModelDropRate: n.ModelDropRate,
 		StaleModels:   stale,
 		Protocol:      proto,
-		RTT:           n.rtt(),
 		Async:         n.AsyncConfig,
 		Seed:          r.Seed,
 	}
@@ -415,11 +407,6 @@ func (n Network) udpLinks(workers int) int {
 		return workers
 	}
 	return n.UDPLinks
-}
-
-// rtt returns the configured RTT override as a duration (0 = default).
-func (n Network) rtt() time.Duration {
-	return time.Duration(n.RTTMicros) * time.Microsecond
 }
 
 // ParseSpec decodes a JSON spec, applies defaults and validates. Unknown

@@ -1,8 +1,9 @@
 // Package transport implements the communication layer of the reproduction:
-// binary wire codecs for model and gradient messages, a reliable TCP
-// transport (the gRPC stand-in) and the lossyMPI-style UDP transport — gradient
-// chunking into datagrams with self-describing sequence headers, deadline
-// reassembly, and the three §3.3 recoup policies for lost coordinates. Which
+// one binary wire header for model and gradient messages on both transports,
+// a reliable TCP transport (the gRPC stand-in) whose frames are whole-message
+// datagrams, and the lossyMPI-style UDP transport — gradient chunking into
+// self-describing datagrams, deadline reassembly, and the three §3.3 recoup
+// policies for lost coordinates. Which
 // packets a deployment drops is not decided here: the round engine's plan
 // (package ps) schedules loss, on sockets and in-process alike.
 package transport
@@ -29,13 +30,12 @@ const (
 	// coordinate-width byte to every frame and datagram header, so a codec
 	// mismatch between endpoints surfaces as ErrWireFormat instead of a
 	// silent 100% "loss" (a float32-encoded packet used to fail the float64
-	// receiver's length check and be dropped as malformed). A peer speaking
-	// an older version is rejected with a clean version-mismatch error
-	// instead of misparsing the frame.
-	Version = 4
-
-	msgModel    = 1
-	msgGradient = 2
+	// receiver's length check and be dropped as malformed); version 5 made
+	// the datagram header the only one: a TCP frame is a length prefix and
+	// one whole-message datagram. A peer speaking an older version is
+	// rejected with a clean version-mismatch error instead of misparsing the
+	// frame.
+	Version = 5
 )
 
 // ErrBadFrame is wrapped by decoders on malformed input.
@@ -81,20 +81,6 @@ func ParseRecoupPolicy(name string) (RecoupPolicy, error) {
 		}
 	}
 	return 0, fmt.Errorf("transport: unknown recoup policy %q (want drop-gradient|fill-nan|fill-random)", name)
-}
-
-// checkWidth validates a frame's coordinate-width byte against the codec:
-// widths other than 4 or 8 are malformed, a well-formed width that differs
-// from the codec's is a wire-format mismatch.
-func (c Codec) checkWidth(w byte) error {
-	if w != 4 && w != 8 {
-		return fmt.Errorf("%w: unknown coordinate width %d", ErrBadFrame, w)
-	}
-	if int(w) != c.BytesPerCoord() {
-		return fmt.Errorf("%w: frame carries %d-byte coords, codec expects %d",
-			ErrWireFormat, w, c.BytesPerCoord())
-	}
-	return nil
 }
 
 // GradientMsg is one worker's gradient submission for one step.
@@ -206,122 +192,4 @@ func (c Codec) getCoordsPortable(src []byte, v tensor.Vector) {
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
 	}
-}
-
-// Frame layout: a fixed header, then dim coordinates.
-//
-//	gradient: magic u32 | version u8 | type u8 | width u8 | worker u32 |
-//	          step u64 | loss f64 | dim u32 | coords
-//	model:    magic u32 | version u8 | type u8 | width u8 | step u64 |
-//	          dim u32 | coords
-const (
-	gradientHeaderLen = 4 + 1 + 1 + 1 + 4 + 8 + 8 + 4
-	modelHeaderLen    = 4 + 1 + 1 + 1 + 8 + 4
-)
-
-// frameHeader is a frame's fixed part; a model frame has no worker or loss.
-type frameHeader struct {
-	worker, step, dim int
-	loss              float64
-}
-
-// frameKind names a frame type and gives its fixed header length.
-func frameKind(typ byte) (name string, headerLen int) {
-	if typ == msgGradient {
-		return "gradient", gradientHeaderLen
-	}
-	return "model", modelHeaderLen
-}
-
-// putFrameHeader writes the fixed header of a typ frame into dst.
-func (c Codec) putFrameHeader(dst []byte, typ byte, h frameHeader) {
-	binary.LittleEndian.PutUint32(dst[0:], Magic)
-	dst[4] = Version
-	dst[5] = typ
-	dst[6] = byte(c.BytesPerCoord())
-	at := 7
-	if typ == msgGradient {
-		binary.LittleEndian.PutUint32(dst[at:], uint32(h.worker))
-		at += 4
-	}
-	binary.LittleEndian.PutUint64(dst[at:], uint64(h.step))
-	at += 8
-	if typ == msgGradient {
-		binary.LittleEndian.PutUint64(dst[at:], math.Float64bits(h.loss))
-		at += 8
-	}
-	binary.LittleEndian.PutUint32(dst[at:], uint32(h.dim))
-}
-
-// parseFrameHeader is the one place that decides what a well-formed frame
-// is, for a whole frame in memory (Decode*) and for a stream that has read
-// only this much of it (TCPConn): frameLen is the frame's total length, hdr
-// its first bytes — the whole fixed header unless frameLen is shorter.
-// expectDim > 0 pins the coordinate count. It runs before anything dim-sized
-// exists, so a forged header costs nothing but its sender's connection.
-func (c Codec) parseFrameHeader(typ byte, hdr []byte, frameLen, expectDim int) (frameHeader, error) {
-	name, headerLen := frameKind(typ)
-	if frameLen < headerLen {
-		return frameHeader{}, fmt.Errorf("%w: %s frame too short (%d bytes)", ErrBadFrame, name, frameLen)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != Magic {
-		return frameHeader{}, fmt.Errorf("%w: bad magic", ErrBadFrame)
-	}
-	if hdr[4] != Version {
-		return frameHeader{}, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, hdr[4])
-	}
-	if hdr[5] != typ {
-		return frameHeader{}, fmt.Errorf("%w: not a %s frame (type %d)", ErrBadFrame, name, hdr[5])
-	}
-	if err := c.checkWidth(hdr[6]); err != nil {
-		return frameHeader{}, err
-	}
-	var h frameHeader
-	at := 7
-	if typ == msgGradient {
-		h.worker = int(binary.LittleEndian.Uint32(hdr[at:]))
-		at += 4
-	}
-	h.step = int(binary.LittleEndian.Uint64(hdr[at:]))
-	at += 8
-	if typ == msgGradient {
-		h.loss = math.Float64frombits(binary.LittleEndian.Uint64(hdr[at:]))
-		at += 8
-	}
-	h.dim = int(binary.LittleEndian.Uint32(hdr[at:]))
-	if want := headerLen + h.dim*c.BytesPerCoord(); frameLen != want {
-		return frameHeader{}, fmt.Errorf("%w: %s frame %d bytes, want %d", ErrBadFrame, name, frameLen, want)
-	}
-	if expectDim > 0 && h.dim != expectDim {
-		return frameHeader{}, fmt.Errorf("%w: %s frame carries %d coordinates, this endpoint's model has %d",
-			ErrBadFrame, name, h.dim, expectDim)
-	}
-	return h, nil
-}
-
-// EncodeGradient renders a gradient message as a framed byte slice.
-func (c Codec) EncodeGradient(m *GradientMsg) []byte {
-	buf := make([]byte, gradientHeaderLen+len(m.Grad)*c.BytesPerCoord())
-	c.putFrameHeader(buf, msgGradient, frameHeader{worker: m.Worker, step: m.Step, loss: m.Loss, dim: len(m.Grad)})
-	c.putCoords(buf[gradientHeaderLen:], m.Grad)
-	return buf
-}
-
-// DecodeGradient parses EncodeGradient output.
-func (c Codec) DecodeGradient(buf []byte) (*GradientMsg, error) {
-	h, err := c.parseFrameHeader(msgGradient, buf, len(buf), 0)
-	if err != nil {
-		return nil, err
-	}
-	m := &GradientMsg{Worker: h.worker, Step: h.step, Loss: h.loss, Grad: tensor.NewVector(h.dim)}
-	c.getCoords(buf[gradientHeaderLen:], m.Grad)
-	return m, nil
-}
-
-// EncodeModel renders a model broadcast as a framed byte slice.
-func (c Codec) EncodeModel(m *ModelMsg) []byte {
-	buf := make([]byte, modelHeaderLen+len(m.Params)*c.BytesPerCoord())
-	c.putFrameHeader(buf, msgModel, frameHeader{step: m.Step, dim: len(m.Params)})
-	c.putCoords(buf[modelHeaderLen:], m.Params)
-	return buf
 }

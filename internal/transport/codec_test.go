@@ -22,7 +22,7 @@ func TestGradientRoundTripFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := Codec{}
 	m := &GradientMsg{Worker: 7, Step: 42, Loss: 0.734375, Grad: randVec(rng, 100)}
-	got, err := c.DecodeGradient(c.EncodeGradient(m))
+	got, err := c.decodeFrame(c.EncodeGradient(m), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,8 @@ func TestGradientRoundTripFloat64(t *testing.T) {
 		t.Fatalf("header mismatch: %+v", got)
 	}
 	for i := range m.Grad {
-		if got.Grad[i] != m.Grad[i] {
-			t.Fatalf("float64 codec must be lossless; coord %d: %v vs %v", i, got.Grad[i], m.Grad[i])
+		if got.Coords[i] != m.Grad[i] {
+			t.Fatalf("float64 codec must be lossless; coord %d: %v vs %v", i, got.Coords[i], m.Grad[i])
 		}
 	}
 }
@@ -40,7 +40,7 @@ func TestGradientRoundTripFloat32(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := Codec{Float32: true}
 	m := &GradientMsg{Worker: 1, Step: 2, Loss: 1.0 / 3.0, Grad: randVec(rng, 50)}
-	got, err := c.DecodeGradient(c.EncodeGradient(m))
+	got, err := c.decodeFrame(c.EncodeGradient(m), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestGradientRoundTripFloat32(t *testing.T) {
 		t.Fatalf("loss metadata must stay 8-byte even on the float32 wire: %v vs %v", got.Loss, m.Loss)
 	}
 	for i := range m.Grad {
-		if math.Abs(got.Grad[i]-m.Grad[i]) > 1e-6*(1+math.Abs(m.Grad[i])) {
+		if math.Abs(got.Coords[i]-m.Grad[i]) > 1e-6*(1+math.Abs(m.Grad[i])) {
 			t.Fatalf("float32 precision loss too large at %d", i)
 		}
 	}
@@ -58,15 +58,15 @@ func TestModelRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := Codec{}
 	m := &ModelMsg{Step: 9, Params: randVec(rng, 64)}
-	got, err := c.DecodeModel(c.EncodeModel(m))
+	got, err := c.decodeFrame(c.EncodeModel(m), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Step != 9 || got.Params.Dim() != 64 {
-		t.Fatalf("header mismatch: step=%d dim=%d", got.Step, got.Params.Dim())
+	if got.Step != 9 || got.Coords.Dim() != 64 {
+		t.Fatalf("header mismatch: step=%d dim=%d", got.Step, got.Coords.Dim())
 	}
 	for i := range m.Params {
-		if got.Params[i] != m.Params[i] {
+		if got.Coords[i] != m.Params[i] {
 			t.Fatal("model codec must be lossless")
 		}
 	}
@@ -75,12 +75,12 @@ func TestModelRoundTrip(t *testing.T) {
 func TestCodecPreservesNonFinite(t *testing.T) {
 	c := Codec{}
 	m := &GradientMsg{Grad: tensor.Vector{math.NaN(), math.Inf(1), math.Inf(-1), 0}}
-	got, err := c.DecodeGradient(c.EncodeGradient(m))
+	got, err := c.decodeFrame(c.EncodeGradient(m), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(got.Grad[0]) || !math.IsInf(got.Grad[1], 1) || !math.IsInf(got.Grad[2], -1) {
-		t.Fatalf("non-finite coords mangled: %v", got.Grad)
+	if !math.IsNaN(got.Coords[0]) || !math.IsInf(got.Coords[1], 1) || !math.IsInf(got.Coords[2], -1) {
+		t.Fatalf("non-finite coords mangled: %v", got.Coords)
 	}
 }
 
@@ -89,13 +89,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
-		make([]byte, 30), // zero magic
+		make([]byte, packetHeaderLen), // zero magic
 	}
 	for i, buf := range cases {
-		if _, err := c.DecodeGradient(buf); !errors.Is(err, ErrBadFrame) {
+		if _, err := c.decodeFrame(buf, false); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("case %d: want ErrBadFrame, got %v", i, err)
 		}
-		if _, err := c.DecodeModel(buf); !errors.Is(err, ErrBadFrame) {
+		if _, err := c.decodeFrame(buf, true); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("model case %d: want ErrBadFrame, got %v", i, err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestDecodeRejectsTruncatedBody(t *testing.T) {
 	c := Codec{}
 	buf := c.EncodeGradient(&GradientMsg{Grad: tensor.Vector{1, 2, 3}})
-	if _, err := c.DecodeGradient(buf[:len(buf)-4]); !errors.Is(err, ErrBadFrame) {
+	if _, err := c.decodeFrame(buf[:len(buf)-4], false); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("want ErrBadFrame, got %v", err)
 	}
 }
@@ -112,7 +112,7 @@ func TestDecodeRejectsTruncatedBody(t *testing.T) {
 func TestDecodeRejectsWrongType(t *testing.T) {
 	c := Codec{}
 	grad := c.EncodeGradient(&GradientMsg{Grad: tensor.Vector{1}})
-	if _, err := c.DecodeModel(grad); !errors.Is(err, ErrBadFrame) {
+	if _, err := c.decodeFrame(grad, true); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("model decoder accepted gradient frame: %v", err)
 	}
 }
@@ -121,15 +121,15 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	c := Codec{}
 	f := func(worker uint16, step uint16, coords []float64) bool {
 		m := &GradientMsg{Worker: int(worker), Step: int(step), Grad: coords}
-		got, err := c.DecodeGradient(c.EncodeGradient(m))
+		got, err := c.decodeFrame(c.EncodeGradient(m), false)
 		if err != nil {
 			return false
 		}
-		if got.Worker != m.Worker || got.Step != m.Step || got.Grad.Dim() != len(coords) {
+		if got.Worker != m.Worker || got.Step != m.Step || got.Coords.Dim() != len(coords) {
 			return false
 		}
 		for i := range coords {
-			a, b := got.Grad[i], coords[i]
+			a, b := got.Coords[i], coords[i]
 			if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
 				return false
 			}

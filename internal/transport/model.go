@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"math"
 	"time"
 
 	"aggregathor/internal/tensor"
@@ -313,17 +312,10 @@ func (mc *ModelCollector) Next(into tensor.Vector) (*ModelEvent, error) {
 			}
 			return nil, err
 		}
-		if pkt.Worker != ModelWorkerID {
-			continue // gradient-tagged spoof on the model endpoint
-		}
-		if pkt.Dim != mc.cfg.Dim {
-			continue // wrong dimension for the deployment: spoofed
-		}
-		if math.Float64bits(pkt.Loss) != 0 {
-			// Model broadcasts carry no loss metadata — the server always
-			// sends Loss 0 — so a nonzero loss (compared bitwise, so a NaN
-			// cannot slip through) marks a spoof, refused before its
-			// coordinates land.
+		if !modelTagged(pkt) || pkt.Dim != mc.cfg.Dim {
+			// A gradient-tagged or loss-carrying spoof on the model
+			// endpoint, or the wrong dimension for the deployment: refused
+			// before its coordinates land.
 			continue
 		}
 		s := pkt.Step

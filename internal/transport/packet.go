@@ -28,10 +28,11 @@ type Packet struct {
 	Coords tensor.Vector
 }
 
-// packetHeaderLen is magic u32 | version u8 | width u8 | worker u32 |
+// packetHeaderLen is the one wire header, which every datagram and every
+// TCP frame opens with: magic u32 | version u8 | width u8 | worker u32 |
 // step u64 | loss f64 | dim u32 | offset u32 | count u32. The width byte
-// (wire v4) self-describes the coordinate encoding so endpoint codec
-// mismatches decode to ErrWireFormat instead of a silent length-check drop.
+// self-describes the coordinate encoding, so endpoint codec mismatches decode
+// to ErrWireFormat instead of a silent length-check drop.
 const packetHeaderLen = 4 + 1 + 1 + 4 + 8 + 8 + 4 + 4 + 4
 
 // DefaultMTU is the conventional Ethernet payload budget for one datagram.
@@ -135,18 +136,67 @@ func (c Codec) AppendPacket(dst []byte, p *Packet) []byte {
 		dst = grown
 	}
 	dst = dst[:n+need]
-	buf := dst[n:]
-	binary.LittleEndian.PutUint32(buf[0:], Magic)
-	buf[4] = Version
-	buf[5] = byte(c.BytesPerCoord())
-	binary.LittleEndian.PutUint32(buf[6:], uint32(p.Worker))
-	binary.LittleEndian.PutUint64(buf[10:], uint64(p.Step))
-	binary.LittleEndian.PutUint64(buf[18:], math.Float64bits(p.Loss))
-	binary.LittleEndian.PutUint32(buf[26:], uint32(p.Dim))
-	binary.LittleEndian.PutUint32(buf[30:], uint32(p.Offset))
-	binary.LittleEndian.PutUint32(buf[34:], uint32(len(p.Coords)))
-	c.putCoords(buf[packetHeaderLen:], p.Coords)
+	c.putHeader(dst[n:], p, len(p.Coords))
+	c.putCoords(dst[n+packetHeaderLen:], p.Coords)
 	return dst
+}
+
+// putHeader writes the header of a message carrying count coordinates from
+// p.Offset on, with p's metadata, into dst — the one header writer, for a
+// datagram (AppendPacket) and for a TCP frame (TCPConn.open) alike.
+func (c Codec) putHeader(dst []byte, p *Packet, count int) {
+	binary.LittleEndian.PutUint32(dst[0:], Magic)
+	dst[4] = Version
+	dst[5] = byte(c.BytesPerCoord())
+	binary.LittleEndian.PutUint32(dst[6:], uint32(p.Worker))
+	binary.LittleEndian.PutUint64(dst[10:], uint64(p.Step))
+	binary.LittleEndian.PutUint64(dst[18:], math.Float64bits(p.Loss))
+	binary.LittleEndian.PutUint32(dst[26:], uint32(p.Dim))
+	binary.LittleEndian.PutUint32(dst[30:], uint32(p.Offset))
+	binary.LittleEndian.PutUint32(dst[34:], uint32(count))
+}
+
+// parseHeader is the one place that decides what a well-formed header is,
+// for a datagram in memory (DecodePacketInto) and for a TCP frame a stream
+// has read only this much of (TCPConn): msgLen is the message's total
+// length, hdr its first bytes — the whole header unless msgLen is shorter.
+// It returns the metadata in a packet without coordinates and the coordinate
+// count msgLen pays for. It runs before anything coordinate-sized exists, so
+// a forged header costs its sender nothing but the message.
+func (c Codec) parseHeader(hdr []byte, msgLen int) (h Packet, count int, err error) {
+	if msgLen < packetHeaderLen {
+		return Packet{}, 0, fmt.Errorf("%w: message too short (%d bytes)", ErrBadFrame, msgLen)
+	}
+	if binary.LittleEndian.Uint32(hdr[0:]) != Magic {
+		return Packet{}, 0, fmt.Errorf("%w: bad magic", ErrBadFrame)
+	}
+	if hdr[4] != Version {
+		return Packet{}, 0, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, hdr[4])
+	}
+	// A width other than 4 or 8 is malformed; a well-formed width that
+	// differs from the codec's is a wire-format mismatch.
+	switch w := int(hdr[5]); {
+	case w != 4 && w != 8:
+		return Packet{}, 0, fmt.Errorf("%w: unknown coordinate width %d", ErrBadFrame, w)
+	case w != c.BytesPerCoord():
+		return Packet{}, 0, fmt.Errorf("%w: message carries %d-byte coords, codec expects %d",
+			ErrWireFormat, w, c.BytesPerCoord())
+	}
+	count = int(binary.LittleEndian.Uint32(hdr[34:]))
+	if want := packetHeaderLen + count*c.BytesPerCoord(); msgLen != want {
+		return Packet{}, 0, fmt.Errorf("%w: message %d bytes, want %d", ErrBadFrame, msgLen, want)
+	}
+	h = Packet{
+		Worker: int(binary.LittleEndian.Uint32(hdr[6:])),
+		Step:   int(binary.LittleEndian.Uint64(hdr[10:])),
+		Loss:   math.Float64frombits(binary.LittleEndian.Uint64(hdr[18:])),
+		Dim:    int(binary.LittleEndian.Uint32(hdr[26:])),
+		Offset: int(binary.LittleEndian.Uint32(hdr[30:])),
+	}
+	if h.Offset+count > h.Dim {
+		return Packet{}, 0, fmt.Errorf("%w: range [%d,%d) outside dim %d", ErrBadFrame, h.Offset, h.Offset+count, h.Dim)
+	}
+	return h, count, nil
 }
 
 // DecodePacket parses AppendPacket output into a fresh packet.
@@ -163,39 +213,37 @@ func (c Codec) DecodePacket(buf []byte) (*Packet, error) {
 // allocates nothing at steady state. Nothing of p's previous content
 // survives — on an error p is left empty (zero header, no coordinates).
 func (c Codec) DecodePacketInto(p *Packet, buf []byte) error {
-	*p = Packet{Coords: p.Coords[:0]}
-	if len(buf) < packetHeaderLen {
-		return fmt.Errorf("%w: packet too short (%d bytes)", ErrBadFrame, len(buf))
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != Magic {
-		return fmt.Errorf("%w: bad packet magic", ErrBadFrame)
-	}
-	if buf[4] != Version {
-		return fmt.Errorf("%w: unsupported packet version %d", ErrBadFrame, buf[4])
-	}
-	if err := c.checkWidth(buf[5]); err != nil {
+	h, count, err := c.parseHeader(buf, len(buf))
+	h.Coords = p.Coords[:0]
+	*p = h
+	if err != nil {
 		return err
 	}
-	count := int(binary.LittleEndian.Uint32(buf[34:]))
-	want := packetHeaderLen + count*c.BytesPerCoord()
-	if len(buf) != want {
-		return fmt.Errorf("%w: packet %d bytes, want %d", ErrBadFrame, len(buf), want)
-	}
-	dim := int(binary.LittleEndian.Uint32(buf[26:]))
-	offset := int(binary.LittleEndian.Uint32(buf[30:]))
-	if offset < 0 || offset+count > dim {
-		return fmt.Errorf("%w: packet range [%d,%d) outside dim %d", ErrBadFrame, offset, offset+count, dim)
-	}
-	p.Worker = int(binary.LittleEndian.Uint32(buf[6:]))
-	p.Step = int(binary.LittleEndian.Uint64(buf[10:]))
-	p.Loss = math.Float64frombits(binary.LittleEndian.Uint64(buf[18:]))
-	p.Dim, p.Offset = dim, offset
 	if cap(p.Coords) < count {
 		p.Coords = tensor.NewVector(count)
 	}
 	p.Coords = p.Coords[:count]
 	c.getCoords(buf[packetHeaderLen:], p.Coords)
 	return nil
+}
+
+// EncodeGradient renders a gradient message as one whole-message datagram:
+// a TCP frame's bytes after its length prefix.
+func (c Codec) EncodeGradient(m *GradientMsg) []byte {
+	return c.AppendPacket(nil, &Packet{Worker: m.Worker, Step: m.Step, Loss: m.Loss, Dim: len(m.Grad), Coords: m.Grad})
+}
+
+// EncodeModel renders a model broadcast as one whole-message datagram: a TCP
+// frame's bytes after its length prefix.
+func (c Codec) EncodeModel(m *ModelMsg) []byte {
+	return c.AppendPacket(nil, &Packet{Worker: ModelWorkerID, Step: m.Step, Dim: len(m.Params), Coords: m.Params})
+}
+
+// modelTagged reports whether p's header is a model broadcast's: tagged
+// ModelWorkerID, with loss bits 0 — the server sends no loss, and comparing
+// bits lets no NaN through.
+func modelTagged(p *Packet) bool {
+	return p.Worker == ModelWorkerID && math.Float64bits(p.Loss) == 0
 }
 
 // RecoupPolicy selects what the receive endpoint does about coordinates

@@ -21,11 +21,14 @@ const (
 )
 
 // TCPConn is a reliable, length-prefixed message connection — the stand-in
-// for TensorFlow's gRPC channel. Each frame is u32 little-endian length
-// followed by a codec-encoded message. Frames stream: nothing frame-sized is
-// rendered on the way out, and on the way in the header is validated before
-// anything coordinate-sized exists and the coordinates land in the vector
-// they are for — a gradient message's own, a replica's parameter store. One
+// for TensorFlow's gRPC channel. Each frame is a u32 little-endian length
+// followed by one whole-message datagram: the packet header with offset 0 and
+// count = dim, then every coordinate. A model broadcast is tagged
+// ModelWorkerID with loss 0, as on the datagram path. Frames stream: nothing
+// frame-sized is rendered on the way out, and on the way in the header is
+// validated before anything coordinate-sized exists and the coordinates land
+// in the vector they are for — a gradient message's own, a replica's
+// parameter store. One
 // goroutine may send while another receives; each direction belongs to one
 // goroutine at a time. Any error is terminal: the stream is not
 // resynchronised after a frame it refused.
@@ -36,12 +39,12 @@ type TCPConn struct {
 
 	// Send side: prefix and header, the vector handed to the vectored write
 	// (header, body) and the conversion chunk.
-	whdr   [prefixLen + gradientHeaderLen]byte
+	whdr   [prefixLen + packetHeaderLen]byte
 	wvec   [2][]byte
 	wbufs  net.Buffers
 	wchunk []byte
 	// Receive side: prefix and header, and the conversion chunk.
-	rhdr   [prefixLen + gradientHeaderLen]byte
+	rhdr   [prefixLen + packetHeaderLen]byte
 	rchunk []byte
 }
 
@@ -90,13 +93,12 @@ func (l *TCPListener) Close() error { return l.ln.Close() }
 // dimension the frame length bound admits.
 func (c *TCPConn) SetExpectDim(d int) { c.expectDim = d }
 
-// open puts the opening of a typ frame — length prefix and fixed header —
-// in c.whdr and returns it.
-func (c *TCPConn) open(typ byte, h frameHeader) []byte {
-	_, headerLen := frameKind(typ)
-	binary.LittleEndian.PutUint32(c.whdr[:], uint32(headerLen+h.dim*c.codec.BytesPerCoord()))
-	c.codec.putFrameHeader(c.whdr[prefixLen:], typ, h)
-	return c.whdr[:prefixLen+headerLen]
+// open puts the opening of a whole-message frame with h's metadata — length
+// prefix and header — in c.whdr and returns it.
+func (c *TCPConn) open(h Packet) []byte {
+	binary.LittleEndian.PutUint32(c.whdr[:], uint32(packetHeaderLen+h.Dim*c.codec.BytesPerCoord()))
+	c.codec.putHeader(c.whdr[prefixLen:], &h, h.Dim)
+	return c.whdr[:]
 }
 
 // send writes an opened frame's coordinates behind its opening: where their
@@ -152,30 +154,43 @@ func (c *TCPConn) writev(open, body []byte) error {
 	return nil
 }
 
-// recvHeader reads the length prefix and the fixed header of a typ frame
-// into c.rhdr and validates them; only the frame's coordinates are unread
-// when it returns. One read usually brings both: it waits for the prefix
-// alone, and the header is topped up to the frame's own length, so it blocks
-// for no byte the frame does not hold. The only bytes it can take past the
-// frame follow a frame shorter than its header, which is ErrBadFrame and
-// ends the stream anyway.
-func (c *TCPConn) recvHeader(typ byte) (frameHeader, error) {
-	_, headerLen := frameKind(typ)
-	got, err := io.ReadAtLeast(c.conn, c.rhdr[:prefixLen+headerLen], prefixLen)
+// recvHeader reads the length prefix and the header of a frame into c.rhdr
+// and validates them — Codec.parseHeader, then what a stream adds: a whole
+// message, a model broadcast's tag when model is set, the pinned dimension.
+// Only the frame's coordinates are unread when it returns. One read usually
+// brings prefix and header: it waits for the prefix alone, and the header is
+// topped up to the frame's own length, so it blocks for no byte the frame
+// does not hold. The only bytes it can take past the frame follow a frame
+// shorter than its header, which is ErrBadFrame and ends the stream anyway.
+func (c *TCPConn) recvHeader(model bool) (Packet, error) {
+	got, err := io.ReadAtLeast(c.conn, c.rhdr[:], prefixLen)
 	if err != nil {
-		return frameHeader{}, fmt.Errorf("transport: read frame header: %w", err)
+		return Packet{}, fmt.Errorf("transport: read frame header: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(c.rhdr[:])
 	if n > maxFrameBytes {
-		return frameHeader{}, fmt.Errorf("%w: frame length %d exceeds limit", ErrBadFrame, n)
+		return Packet{}, fmt.Errorf("%w: frame length %d exceeds limit", ErrBadFrame, n)
 	}
-	end := prefixLen + min(int(n), headerLen)
+	end := prefixLen + min(int(n), packetHeaderLen)
 	if got < end {
 		if _, err := io.ReadFull(c.conn, c.rhdr[got:end]); err != nil {
-			return frameHeader{}, fmt.Errorf("transport: read frame header: %w", err)
+			return Packet{}, fmt.Errorf("transport: read frame header: %w", err)
 		}
 	}
-	return c.codec.parseFrameHeader(typ, c.rhdr[prefixLen:end], int(n), c.expectDim)
+	h, count, err := c.codec.parseHeader(c.rhdr[prefixLen:end], int(n))
+	switch {
+	case err != nil:
+		return Packet{}, err
+	case h.Offset != 0 || count != h.Dim:
+		return Packet{}, fmt.Errorf("%w: frame carries coordinates [%d,%d) of %d, not a whole message",
+			ErrBadFrame, h.Offset, h.Offset+count, h.Dim)
+	case model && !modelTagged(&h):
+		return Packet{}, fmt.Errorf("%w: not a model frame (worker %d, loss %v)", ErrBadFrame, h.Worker, h.Loss)
+	case c.expectDim > 0 && h.Dim != c.expectDim:
+		return Packet{}, fmt.Errorf("%w: frame carries %d coordinates, this endpoint's model has %d",
+			ErrBadFrame, h.Dim, c.expectDim)
+	}
+	return h, nil
 }
 
 // recvCoords reads a frame's coordinates into v: straight into v's memory
@@ -210,17 +225,16 @@ func (c *TCPConn) recvChunked(v tensor.Vector) error {
 
 // SendGradient writes one gradient message.
 func (c *TCPConn) SendGradient(m *GradientMsg) error {
-	h := frameHeader{worker: m.Worker, step: m.Step, loss: m.Loss, dim: len(m.Grad)}
-	return c.send(c.open(msgGradient, h), m.Grad)
+	return c.send(c.open(Packet{Worker: m.Worker, Step: m.Step, Loss: m.Loss, Dim: len(m.Grad)}), m.Grad)
 }
 
 // RecvGradient reads one gradient message into a vector of its own.
 func (c *TCPConn) RecvGradient() (*GradientMsg, error) {
-	h, err := c.recvHeader(msgGradient)
+	h, err := c.recvHeader(false)
 	if err != nil {
 		return nil, err
 	}
-	m := &GradientMsg{Worker: h.worker, Step: h.step, Loss: h.loss, Grad: tensor.NewVector(h.dim)}
+	m := &GradientMsg{Worker: h.Worker, Step: h.Step, Loss: h.Loss, Grad: tensor.NewVector(h.Dim)}
 	if err := c.recvCoords(m.Grad); err != nil {
 		return nil, err
 	}
@@ -232,8 +246,7 @@ func (c *TCPConn) RecvGradient() (*GradientMsg, error) {
 // codec. coords is only read, so a broadcast renders (or borrows) them once
 // and every connection writes the same bytes.
 func (c *TCPConn) SendModelCoords(step int, coords []byte) error {
-	h := frameHeader{step: step, dim: len(coords) / c.codec.BytesPerCoord()}
-	return c.writev(c.open(msgModel, h), coords)
+	return c.writev(c.open(Packet{Worker: ModelWorkerID, Step: step, Dim: len(coords) / c.codec.BytesPerCoord()}), coords)
 }
 
 // RecvModel reads one model broadcast into dst — a replica's own parameter
@@ -242,14 +255,14 @@ func (c *TCPConn) SendModelCoords(step int, coords []byte) error {
 // leaves dst torn — part new model, part old — and, like every error here,
 // the connection dead: the caller must not train on dst afterwards.
 func (c *TCPConn) RecvModel(dst tensor.Vector) (step int, err error) {
-	h, err := c.recvHeader(msgModel)
+	h, err := c.recvHeader(true)
 	if err != nil {
 		return 0, err
 	}
-	if h.dim != len(dst) {
-		return 0, fmt.Errorf("%w: model frame carries %d coordinates, the destination holds %d", ErrBadFrame, h.dim, len(dst))
+	if h.Dim != len(dst) {
+		return 0, fmt.Errorf("%w: model frame carries %d coordinates, the destination holds %d", ErrBadFrame, h.Dim, len(dst))
 	}
-	return h.step, c.recvCoords(dst)
+	return h.Step, c.recvCoords(dst)
 }
 
 // Close shuts the connection down.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -53,21 +54,26 @@ func errClass(err error) string {
 	}
 }
 
-// DecodeModel parses EncodeModel output: FuzzTCPFrameStream's whole-frame
-// oracle for the model stream reader.
-func (c Codec) DecodeModel(buf []byte) (*ModelMsg, error) {
-	h, err := c.parseFrameHeader(msgModel, buf, len(buf), 0)
-	if err != nil {
+// decodeFrame parses a TCP frame after its length prefix as the stream
+// reader must judge it: DecodePacket, a whole message, and a model
+// broadcast's tag (ModelWorkerID, loss bits 0) when model is set. It is
+// FuzzTCPFrameStream's whole-frame oracle.
+func (c Codec) decodeFrame(buf []byte, model bool) (*Packet, error) {
+	p, err := c.DecodePacket(buf)
+	switch {
+	case err != nil:
 		return nil, err
+	case p.Offset != 0 || len(p.Coords) != p.Dim:
+		return nil, fmt.Errorf("%w: not a whole message", ErrBadFrame)
+	case model && (p.Worker != ModelWorkerID || math.Float64bits(p.Loss) != 0):
+		return nil, fmt.Errorf("%w: not a model frame", ErrBadFrame)
 	}
-	m := &ModelMsg{Step: h.step, Params: tensor.NewVector(h.dim)}
-	c.getCoords(buf[modelHeaderLen:], m.Params)
-	return m, nil
+	return p, nil
 }
 
 // FuzzTCPFrameStream feeds arbitrary bytes — a length prefix and whatever
 // follows it — through a pipe to the stream reader, under both widths, for
-// both frame types, pinned to a dimension or not; a model is received into a
+// both message kinds, pinned to a dimension or not; a model is received into a
 // destination of the pinned dimension (none pinned: an empty one). The reader
 // must agree with the whole-frame decoder on the same bytes: the same message
 // bit for bit, or the same class of error (ErrWireFormat, ErrBadFrame), or a
@@ -79,7 +85,6 @@ func (c Codec) DecodeModel(buf []byte) (*ModelMsg, error) {
 // prefix pays for — never a forged header's claim.
 func FuzzTCPFrameStream(f *testing.F) {
 	for _, c := range []Codec{{Float32: true}, {Float32: false}} {
-		// The FuzzDecodeGradient seeds, as stream bytes.
 		for _, grad := range []tensor.Vector{{0.5, -0.5}, {}} {
 			frame := c.EncodeGradient(&GradientMsg{Worker: 1, Step: 9, Grad: grad})
 			f.Add(prefixed(frame), c.Float32, false, uint8(len(grad)))
@@ -90,7 +95,8 @@ func FuzzTCPFrameStream(f *testing.F) {
 			f.Add(prefixed(model), c.Float32, true, uint8(len(grad)))
 			f.Add(prefixed(model), c.Float32, true, uint8(len(grad)+1))              // a destination of another dimension
 			f.Add(prefixed(model)[:len(model)+2], c.Float32, true, uint8(len(grad))) // cut short, mid-body when there is one
-			f.Add(prefixed(model), c.Float32, false, uint8(0))                       // wrong type
+			f.Add(prefixed(model), c.Float32, false, uint8(0))                       // a model read as a gradient: the round judges its worker id
+			f.Add(prefixed(frame), c.Float32, true, uint8(len(grad)))                // a gradient read as a model
 		}
 	}
 	f.Add([]byte{}, true, false, uint8(0))
@@ -99,16 +105,13 @@ func FuzzTCPFrameStream(f *testing.F) {
 	// A forged header: 1 MiB of coordinates claimed, consistently, by a
 	// frame that then ends — on a connection pinned to 2.
 	forged := Codec{}.EncodeGradient(&GradientMsg{Grad: tensor.Vector{}})
-	binary.LittleEndian.PutUint32(forged[gradientHeaderLen-4:], 1<<17)
-	forged = append(binary.LittleEndian.AppendUint32(nil, uint32(gradientHeaderLen+8<<17)), forged...)
+	binary.LittleEndian.PutUint32(forged[26:], 1<<17) // dim
+	binary.LittleEndian.PutUint32(forged[34:], 1<<17) // count
+	forged = append(binary.LittleEndian.AppendUint32(nil, uint32(packetHeaderLen+8<<17)), forged...)
 	f.Add(forged, false, false, uint8(2))
 
 	f.Fuzz(func(t *testing.T, stream []byte, float32Wire, model bool, pin uint8) {
 		c := Codec{Float32: float32Wire}
-		typ, headerLen := byte(msgGradient), gradientHeaderLen
-		if model {
-			typ, headerLen = msgModel, modelHeaderLen
-		}
 
 		// The oracle: the whole-frame decoder on the frame the prefix
 		// delimits, zero-extended when the stream ends early (a header
@@ -129,26 +132,18 @@ func FuzzTCPFrameStream(f *testing.F) {
 				// Pinned to ≤ 255 coordinates — a model by its destination
 				// — so no such frame is well-formed; which error depends on
 				// the header alone.
-				if len(rest) >= headerLen {
-					_, err := c.parseFrameHeader(typ, rest, n, int(pin))
+				if len(rest) >= packetHeaderLen {
+					_, _, err := c.parseHeader(rest, n)
 					if want = errClass(err); err == nil {
-						want = "bad-frame" // only an unpinned model header gets this far
+						want = "bad-frame" // the pin or the destination refuses what the header alone accepts
 					}
 				}
-			case len(rest) >= min(n, headerLen):
+			case len(rest) >= min(n, packetHeaderLen):
 				frame := make([]byte, n)
 				copy(frame, rest)
-				var err error
-				if model {
-					var m *ModelMsg
-					if m, err = c.DecodeModel(frame); err == nil {
-						wantStep, wantCoords = m.Step, m.Params
-					}
-				} else {
-					var m *GradientMsg
-					if m, err = c.DecodeGradient(frame); err == nil {
-						wantStep, wantCoords = m.Step, m.Grad
-					}
+				p, err := c.decodeFrame(frame, model)
+				if err == nil {
+					wantStep, wantCoords = p.Step, p.Coords
 				}
 				switch {
 				case err != nil:
@@ -159,8 +154,8 @@ func FuzzTCPFrameStream(f *testing.F) {
 					want = "ok"
 				}
 			}
-			if n >= headerLen && n <= maxFrameBytes {
-				entitled = (n - headerLen) / c.BytesPerCoord()
+			if n >= packetHeaderLen && n <= maxFrameBytes {
+				entitled = (n - packetHeaderLen) / c.BytesPerCoord()
 			}
 		}
 		if pin > 0 {
@@ -252,38 +247,38 @@ func portableCases(c Codec) map[string]tensor.Vector {
 func TestTCPPortablePathMatchesCodec(t *testing.T) {
 	for _, c := range []Codec{{}, {Float32: true}} {
 		for name, v := range portableCases(c) {
-			for _, typ := range []byte{msgGradient, msgModel} {
-				kind, _ := frameKind(typ)
-				h := frameHeader{step: 1 << 40, dim: len(v)}
-				wantFrame := c.EncodeModel(&ModelMsg{Step: h.step, Params: v})
-				wantCoords := v
-				if typ == msgGradient {
-					h.worker, h.loss = 17, -0.125
-					wantFrame = c.EncodeGradient(&GradientMsg{Worker: h.worker, Step: h.step, Loss: h.loss, Grad: v})
+			for _, model := range []bool{false, true} {
+				kind := "gradient"
+				h := Packet{Worker: 17, Step: 1 << 40, Loss: -0.125, Dim: len(v)}
+				wantFrame := c.EncodeGradient(&GradientMsg{Worker: h.Worker, Step: h.Step, Loss: h.Loss, Grad: v})
+				if model {
+					kind, h.Worker, h.Loss = "model", ModelWorkerID, 0
+					wantFrame = c.EncodeModel(&ModelMsg{Step: h.Step, Params: v})
 				}
+				wantCoords := v
 				if c.Float32 {
-					m, err := c.DecodeModel(c.EncodeModel(&ModelMsg{Params: v}))
+					p, err := c.decodeFrame(c.EncodeModel(&ModelMsg{Params: v}), true)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantCoords = m.Params
+					wantCoords = p.Coords
 				}
 
 				send, recv := pipeConns(c)
 				sent := make(chan error, 1)
 				go func() {
-					sent <- send.sendChunked(send.open(typ, h), v)
+					sent <- send.sendChunked(send.open(h), v)
 					send.Close()
 				}()
 				// Read the stream twice over: raw, for the bytes, and
 				// through the chunked receive.
 				var raw bytes.Buffer
 				recv.conn = teeConn{recv.conn, &raw}
-				got, err := recv.recvHeader(typ)
+				got, err := recv.recvHeader(model)
 				if err != nil {
 					t.Fatalf("float32=%v %s %s: header: %v", c.Float32, kind, name, err)
 				}
-				coords := tensor.NewVector(got.dim)
+				coords := tensor.NewVector(got.Dim)
 				if err := recv.recvChunked(coords); err != nil {
 					t.Fatalf("float32=%v %s %s: coordinates: %v", c.Float32, kind, name, err)
 				}
@@ -294,7 +289,7 @@ func TestTCPPortablePathMatchesCodec(t *testing.T) {
 					t.Fatalf("float32=%v %s %s: chunked send wrote %d bytes that are not the prefixed Encode frame (%d bytes)",
 						c.Float32, kind, name, raw.Len(), prefixLen+len(wantFrame))
 				}
-				if got != h || !sameBits(coords, wantCoords) {
+				if !samePacket(&got, &h) || !sameBits(coords, wantCoords) {
 					t.Fatalf("float32=%v %s %s: chunked receive read header %+v and coordinates that differ from the frame decoder's (header %+v)",
 						c.Float32, kind, name, got, h)
 				}
@@ -331,41 +326,41 @@ func (r readCounter) Read(p []byte) (int, error) {
 	return r.Conn.Read(p)
 }
 
-// TestTCPFrameOpeningIsOneRead: the length prefix and the fixed header of a
-// frame arrive in one read when the sender wrote them together, as open
-// does, for both frame types and widths; the body is read after it, and the
-// message is the one sent.
+// TestTCPFrameOpeningIsOneRead: the length prefix and the header of a frame
+// arrive in one read when the sender wrote them together, as open does, for
+// both message kinds and widths; the body is read after it, and the message
+// is the one sent.
 func TestTCPFrameOpeningIsOneRead(t *testing.T) {
 	v := tensor.Vector{1, -2, 0.5, 3}
 	for _, c := range []Codec{{}, {Float32: true}} {
-		for _, typ := range []byte{msgModel, msgGradient} {
+		for _, model := range []bool{true, false} {
 			send, recv := pipeConns(c)
 			var reads int
 			recv.conn = readCounter{recv.conn, &reads}
 			sent := make(chan error, 1)
 			go func() {
-				if typ == msgModel {
+				if model {
 					sent <- send.SendModelCoords(7, c.WireCoords(v, new([]byte)))
 				} else {
 					sent <- send.SendGradient(&GradientMsg{Worker: 2, Step: 7, Loss: 0.25, Grad: v})
 				}
 			}()
-			h, err := recv.recvHeader(typ)
+			h, err := recv.recvHeader(model)
 			if err != nil {
-				t.Fatalf("float32=%v type %d: %v", c.Float32, typ, err)
+				t.Fatalf("float32=%v model=%v: %v", c.Float32, model, err)
 			}
 			if reads != 1 {
-				t.Errorf("float32=%v type %d: the frame opening took %d reads", c.Float32, typ, reads)
+				t.Errorf("float32=%v model=%v: the frame opening took %d reads", c.Float32, model, reads)
 			}
-			coords := tensor.NewVector(h.dim)
+			coords := tensor.NewVector(h.Dim)
 			if err := recv.recvCoords(coords); err != nil {
 				t.Fatal(err)
 			}
 			if err := <-sent; err != nil {
 				t.Fatal(err)
 			}
-			if h.step != 7 || !sameBits(coords, v) || typ == msgGradient && (h.worker != 2 || h.loss != 0.25) {
-				t.Fatalf("float32=%v type %d: received header %+v and coordinates %v", c.Float32, typ, h, coords)
+			if h.Step != 7 || !sameBits(coords, v) || !model && (h.Worker != 2 || h.Loss != 0.25) {
+				t.Fatalf("float32=%v model=%v: received header %+v and coordinates %v", c.Float32, model, h, coords)
 			}
 			send.Close()
 			recv.Close()
@@ -380,7 +375,7 @@ func TestTCPFrameOpeningIsOneRead(t *testing.T) {
 func TestTCPStreamQuietsSignallingNaN32(t *testing.T) {
 	c := Codec{Float32: true}
 	frame := c.EncodeGradient(&GradientMsg{Worker: 1, Step: 2, Grad: tensor.Vector{0}})
-	binary.LittleEndian.PutUint32(frame[gradientHeaderLen:], 0x7f800001)
+	binary.LittleEndian.PutUint32(frame[packetHeaderLen:], 0x7f800001)
 	raw, recv := pipeConns(c)
 	go func() {
 		raw.conn.Write(prefixed(frame))
@@ -403,7 +398,7 @@ func TestTCPStreamQuietsSignallingNaN32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint32(re[prefixLen+gradientHeaderLen:]); got != 0x7fc00001 {
+	if got := binary.LittleEndian.Uint32(re[prefixLen+packetHeaderLen:]); got != 0x7fc00001 {
 		t.Fatalf("stream re-encoded %#x, want the quiet NaN 0x7fc00001", got)
 	}
 }
@@ -490,8 +485,8 @@ func TestTCPRecvModelWrongDimension(t *testing.T) {
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("float32=%v pin=%d: a 7-coordinate model into 5 surfaced as %v, want ErrBadFrame", c.Float32, pin, err)
 			}
-			if n := <-wrote; n > prefixLen+modelHeaderLen {
-				t.Fatalf("float32=%v pin=%d: the reader took %d bytes, the header ends at %d", c.Float32, pin, n, prefixLen+modelHeaderLen)
+			if n := <-wrote; n > prefixLen+packetHeaderLen {
+				t.Fatalf("float32=%v pin=%d: the reader took %d bytes, the header ends at %d", c.Float32, pin, n, prefixLen+packetHeaderLen)
 			}
 			if !sameBits(dst, tensor.Vector{1, 2, 3, 4, 5}) {
 				t.Fatalf("float32=%v pin=%d: the refused frame wrote the destination: %v", c.Float32, pin, dst)

@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"aggregathor/internal/tensor"
@@ -80,5 +84,46 @@ func TestTCPMixedWidthPeersRejectLoudly(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWireLayoutPinned pins the bytes of one datagram and one TCP gradient
+// frame, field by field. Both open with the one header; the frame is a
+// length prefix and one whole-message datagram (offset 0, count = dim). The
+// datagram is wire version 4's but for the version byte.
+func TestWireLayoutPinned(t *testing.T) {
+	hexBytes := func(fields ...string) []byte {
+		b, err := hex.DecodeString(strings.Join(fields, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	const (
+		magic  = "a7066ea6"
+		worker = "03000000"
+		step   = "0504030201000000"
+		loss   = "000000000000e03f" // 0.5
+	)
+	datagram := Codec{Float32: true}.AppendPacket(nil, &Packet{
+		Worker: 3, Step: 0x0102030405, Loss: 0.5, Dim: 6, Offset: 2, Coords: tensor.Vector{1.5, -2}})
+	want := hexBytes(magic, "05", "04", worker, step, loss, "06000000", "02000000", "02000000", "0000c03f", "000000c0")
+	if !bytes.Equal(datagram, want) {
+		t.Fatalf("datagram\n got %x\nwant %x", datagram, want)
+	}
+
+	send, recv := pipeConns(Codec{})
+	go func() {
+		send.SendGradient(&GradientMsg{Worker: 3, Step: 0x0102030405, Loss: 0.5, Grad: tensor.Vector{1.5, -2}})
+		send.Close()
+	}()
+	frame, err := io.ReadAll(recv.conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = hexBytes("36000000", magic, "05", "08", worker, step, loss, "02000000", "00000000", "02000000",
+		"000000000000f83f", "00000000000000c0")
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("TCP gradient frame\n got %x\nwant %x", frame, want)
 	}
 }
