@@ -128,6 +128,35 @@ func FuzzDecodePacket(f *testing.F) {
 	})
 }
 
+// FuzzDecodeGradient covers the whole-message framing the TCP path uses for
+// a gradient — a TCP frame after its length prefix, judged as the stream
+// reader judges it (decodeFrame) — under both wire widths: whatever it
+// accepts must re-encode through EncodeGradient to the exact input bytes
+// unless a float32 coordinate is a signalling NaN, and must be rejected by
+// the opposite-width codec with ErrWireFormat.
+func FuzzDecodeGradient(f *testing.F) {
+	for _, c := range []Codec{{Float32: true}, {Float32: false}} {
+		f.Add(c.EncodeGradient(&GradientMsg{Worker: 1, Step: 9, Grad: tensor.Vector{0.5, -0.5}}), c.Float32)
+		f.Add(c.EncodeGradient(&GradientMsg{Grad: tensor.Vector{}}), c.Float32)
+	}
+	f.Add([]byte{}, true)
+	f.Fuzz(func(t *testing.T, data []byte, float32Wire bool) {
+		c := Codec{Float32: float32Wire}
+		p, err := c.decodeFrame(data, false)
+		if err != nil {
+			return
+		}
+		re := c.EncodeGradient(&GradientMsg{Worker: p.Worker, Step: p.Step, Loss: p.Loss, Grad: p.Coords})
+		if !bytes.Equal(re, data) && !(float32Wire && hasSignallingNaN32(data[packetHeaderLen:])) {
+			t.Fatalf("decode->encode not the identity:\n in  %x\n out %x", data, re)
+		}
+		other := Codec{Float32: !float32Wire}
+		if _, err := other.decodeFrame(data, false); !errors.Is(err, ErrWireFormat) {
+			t.Fatalf("opposite-width decode: want ErrWireFormat, got %v", err)
+		}
+	})
+}
+
 // FuzzReassembler feeds arbitrary *sequences* of datagrams through the
 // decode→reassemble pipeline — the exact surface a Byzantine worker reaches
 // on the UDP path. Single-packet decode fuzzing (FuzzDecodePacket) cannot
