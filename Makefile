@@ -105,9 +105,9 @@ endif
 	bash benchmark/run.sh -compare $(BENCH_CMP_DIR)/A/results.json $(BENCH_CMP_DIR)/B/results.json $(if $(WORKLOAD),\
 		| { tee $(BENCH_CMP_DIR)/table; ! grep -q regressed $(BENCH_CMP_DIR)/table; })
 
-# The size trend ROADMAP item 5 asks for: non-test Go and assembly lines per
-# package directory, committed files only, then the module total outside
-# benchmark/.
+# The size trend ROADMAP items 8 and 2(e) track: non-test Go and assembly
+# lines per package directory, committed files only, then the module total
+# outside benchmark/.
 loc:
 	@git ls-files '*.go' '*.s' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs wc -l | \
 		awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 1 ? substr($$2, 1, length($$2) - length(p[n]) - 1) : "."; s[d] += $$1; t += $$1 } \

@@ -802,7 +802,6 @@ func reassembleFixture(tb testing.TB) allocFixture {
 	grad := randGrads(23, 1, gateDim)[0]
 	pkts := transport.Codec{Float32: true}.Split(&transport.GradientMsg{Worker: 1, Grad: grad}, transport.DefaultMTU)
 	asm := transport.NewReassembler(transport.DropGradient, nil)
-	asm.SetExpectDim(len(grad))
 	step := 0
 	return allocFixture{op: func() {
 		var done bool
@@ -855,24 +854,34 @@ func tcpSendFixture(tb testing.TB) allocFixture {
 }
 
 // tcpRecvFixture is the receive side against a sender streaming frames
-// until the receiver hangs up. Without modelInto, RecvGradient allocates the
-// message and its vector and nothing else; with it, RecvModel takes a
+// until the receiver hangs up. Path "recv": RecvGradient allocates the
+// message and its vector and nothing else. "recv-into": RecvGradientInto
+// takes each gradient into one row the caller keeps, as a TCP cluster's
+// reader does, and allocates nothing. "recv-model-into": RecvModel takes a
 // broadcast into a replica's parameter store and allocates nothing. TCP flow
 // control is the only hand-off: a channel per transfer would add the
 // parked-goroutine records the runtime reallocates after each GC cycle to
 // the count.
-func tcpRecvFixture(tb testing.TB, modelInto bool) allocFixture {
+func tcpRecvFixture(tb testing.TB, path string) allocFixture {
 	grad := randGrads(21, 1, gateDim)[0]
 	msg := &transport.GradientMsg{Worker: 1, Grad: grad}
 	send := func(c *transport.TCPConn) error { return c.SendGradient(msg) }
-	transfer := func(c *transport.TCPConn) error {
-		got, err := c.RecvGradient()
-		if err == nil && got.Grad.Dim() != len(grad) {
-			err = fmt.Errorf("received %d coordinates", got.Grad.Dim())
+	var transfer func(c *transport.TCPConn) error
+	switch path {
+	case "recv":
+		transfer = func(c *transport.TCPConn) error {
+			got, err := c.RecvGradient()
+			if err == nil && got.Grad.Dim() != len(grad) {
+				err = fmt.Errorf("received %d coordinates", got.Grad.Dim())
+			}
+			return err
 		}
-		return err
-	}
-	if modelInto {
+	case "recv-into":
+		var got transport.GradientMsg
+		row := tensor.NewVector(len(grad))
+		dst := func(int) tensor.Vector { return row }
+		transfer = func(c *transport.TCPConn) error { return c.RecvGradientInto(&got, dst) }
+	case "recv-model-into":
 		coords, store := transport.Codec{}.WireCoords(grad, new([]byte)), tensor.NewVector(len(grad))
 		send = func(c *transport.TCPConn) error { return c.SendModelCoords(1, coords) }
 		transfer = func(c *transport.TCPConn) error { _, err := c.RecvModel(store); return err }
@@ -955,8 +964,9 @@ func BenchmarkTransport_ReassembleAllocs(b *testing.B) { benchFixture(b, reassem
 
 func BenchmarkTransport_TCPFrameAllocs(b *testing.B) {
 	b.Run("send", func(b *testing.B) { benchFixture(b, tcpSendFixture(b)) })
-	b.Run("recv", func(b *testing.B) { benchFixture(b, tcpRecvFixture(b, false)) })
-	b.Run("recv-model-into", func(b *testing.B) { benchFixture(b, tcpRecvFixture(b, true)) })
+	for _, path := range []string{"recv", "recv-into", "recv-model-into"} {
+		b.Run(path, func(b *testing.B) { benchFixture(b, tcpRecvFixture(b, path)) })
+	}
 }
 
 func BenchmarkNN_GradientAllocs(b *testing.B) {
@@ -992,8 +1002,9 @@ func TestSteadyStateAllocGates(t *testing.T) {
 		{"Transport_TCPFrameAllocs/send", tcpSendFixture, 0, 0, unbounded},
 		// The message and its vector: 8·d B rounded up to whole pages, and
 		// the message struct.
-		{"Transport_TCPFrameAllocs/recv", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, false) }, 0, 2, 8*gateDim + 8192 + 256},
-		{"Transport_TCPFrameAllocs/recv-model-into", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, true) }, 0, 0, unbounded},
+		{"Transport_TCPFrameAllocs/recv", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, "recv") }, 0, 2, 8*gateDim + 8192 + 256},
+		{"Transport_TCPFrameAllocs/recv-into", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, "recv-into") }, 0, 0, unbounded},
+		{"Transport_TCPFrameAllocs/recv-model-into", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, "recv-model-into") }, 0, 0, unbounded},
 		{"NN_GradientAllocs/view", func(tb testing.TB) allocFixture { return nnGradientFixture(tb, true) }, 0, 0, unbounded},
 		// Gradient's copy of d = 101,770 parameters, 8·d B rounded up to
 		// whole pages, and nothing else.

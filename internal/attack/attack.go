@@ -40,10 +40,32 @@ type Context struct {
 	Dim int
 	// Rng is the adversary's seeded randomness source.
 	Rng *rand.Rand
+	// Dst, when it holds Dim coordinates, is where Forge writes the forgery
+	// and what it returns: a buffer the Byzantine worker keeps across
+	// rounds, so a forge allocates no d-sized vector. Otherwise Forge
+	// returns a vector of its own.
+	Dst tensor.Vector
+}
+
+// dst returns the vector a forgery is written into: Dst when it fits, else
+// a fresh zero vector. Dst's previous contents are not cleared.
+func (ctx *Context) dst() tensor.Vector {
+	if ctx.Dst != nil && len(ctx.Dst) == ctx.Dim {
+		return ctx.Dst
+	}
+	return tensor.NewVector(ctx.Dim)
+}
+
+// zeros returns dst() cleared.
+func (ctx *Context) zeros() tensor.Vector {
+	v := ctx.dst()
+	clear(v)
+	return v
 }
 
 // Attack forges the vector one Byzantine worker submits. Implementations
-// must not mutate the context's gradients.
+// must not mutate the context's gradients, and write the forgery into
+// Context.Dst when it fits.
 type Attack interface {
 	// Name returns the registry name of the attack.
 	Name() string
@@ -94,7 +116,7 @@ func (Random) Name() string { return "random" }
 
 // Forge implements Attack.
 func (Random) Forge(ctx *Context) tensor.Vector {
-	v := tensor.NewVector(ctx.Dim)
+	v := ctx.dst()
 	for i := range v {
 		v[i] = ctx.Rng.NormFloat64() * 100
 	}
@@ -114,11 +136,13 @@ func (Reversed) Forge(ctx *Context) tensor.Vector {
 	var base tensor.Vector
 	switch {
 	case ctx.Own != nil:
-		base = ctx.Own.Clone()
+		base = ctx.dst()
+		copy(base, ctx.Own)
 	case len(ctx.Honest) > 0:
-		base = tensor.Mean(ctx.Honest)
+		base = ctx.dst()
+		tensor.MeanInto(base, ctx.Honest)
 	default:
-		base = tensor.NewVector(ctx.Dim)
+		base = ctx.zeros()
 	}
 	base.Scale(-100)
 	return base
@@ -137,7 +161,7 @@ func (NegativeSum) RequiresHonest() bool { return true }
 
 // Forge implements Attack.
 func (NegativeSum) Forge(ctx *Context) tensor.Vector {
-	out := tensor.NewVector(ctx.Dim)
+	out := ctx.zeros()
 	for _, g := range ctx.Honest {
 		out.Add(g)
 	}
@@ -154,7 +178,7 @@ func (NonFinite) Name() string { return "non-finite" }
 
 // Forge implements Attack.
 func (NonFinite) Forge(ctx *Context) tensor.Vector {
-	v := tensor.NewVector(ctx.Dim)
+	v := ctx.dst()
 	for i := range v {
 		v[i] = math.NaN()
 	}
@@ -177,9 +201,11 @@ func (Mimic) RequiresHonest() bool { return true }
 // Forge implements Attack.
 func (Mimic) Forge(ctx *Context) tensor.Vector {
 	if len(ctx.Honest) == 0 {
-		return tensor.NewVector(ctx.Dim)
+		return ctx.zeros()
 	}
-	return ctx.Honest[0].Clone()
+	v := ctx.dst()
+	copy(v, ctx.Honest[0])
+	return v
 }
 
 // LittleIsEnough implements the "a little is enough" style attack: submit
@@ -199,12 +225,12 @@ func (LittleIsEnough) RequiresHonest() bool { return true }
 // Forge implements Attack.
 func (LittleIsEnough) Forge(ctx *Context) tensor.Vector {
 	if len(ctx.Honest) == 0 {
-		return tensor.NewVector(ctx.Dim)
+		return ctx.zeros()
 	}
-	mean := tensor.Mean(ctx.Honest)
-	std := coordinateStd(ctx.Honest, mean)
+	mean := ctx.dst()
+	tensor.MeanInto(mean, ctx.Honest)
 	for j := range mean {
-		mean[j] -= 1.5 * std[j]
+		mean[j] -= 1.5 * coordinateStd(ctx.Honest, mean[j], j)
 	}
 	return mean
 }
@@ -227,9 +253,10 @@ func (Omniscient) RequiresHonest() bool { return true }
 // Forge implements Attack.
 func (Omniscient) Forge(ctx *Context) tensor.Vector {
 	if len(ctx.Honest) == 0 {
-		return tensor.NewVector(ctx.Dim)
+		return ctx.zeros()
 	}
-	mean := tensor.Mean(ctx.Honest)
+	mean := ctx.dst()
+	tensor.MeanInto(mean, ctx.Honest)
 	// Honest disagreement: average distance of an honest gradient to the
 	// mean. The dimensional leeway lets the attacker spend this entire
 	// budget on a single coordinate — the Figure 9 construction.
@@ -284,35 +311,32 @@ func (*Stale) RequiresHonest() bool { return true }
 func (s *Stale) Forge(ctx *Context) tensor.Vector {
 	var replay tensor.Vector
 	if s.last != nil && len(s.last) == ctx.Dim {
-		replay = tensor.Vector(s.last).Clone()
+		replay = ctx.dst()
+		copy(replay, s.last)
 	} else {
-		replay = tensor.NewVector(ctx.Dim)
+		replay = ctx.zeros()
 	}
 	if len(ctx.Honest) > 0 {
-		mean := tensor.Mean(ctx.Honest)
-		s.last = append(s.last[:0], mean...)
+		if len(s.last) != len(ctx.Honest[0]) {
+			s.last = make([]float64, len(ctx.Honest[0]))
+		}
+		tensor.MeanInto(s.last, ctx.Honest)
 	}
 	return replay
 }
 
-// coordinateStd returns the per-coordinate standard deviation of vs around
-// the provided mean.
-func coordinateStd(vs []tensor.Vector, mean tensor.Vector) tensor.Vector {
-	d := mean.Dim()
-	out := tensor.NewVector(d)
+// coordinateStd returns the sample standard deviation of coordinate j of vs
+// around mean, 0 for fewer than two vectors.
+func coordinateStd(vs []tensor.Vector, mean float64, j int) float64 {
 	if len(vs) < 2 {
-		return out
+		return 0
 	}
+	var sum float64
 	for _, v := range vs {
-		for j := 0; j < d; j++ {
-			diff := v[j] - mean[j]
-			out[j] += diff * diff
-		}
+		diff := v[j] - mean
+		sum += diff * diff
 	}
-	for j := 0; j < d; j++ {
-		out[j] = math.Sqrt(out[j] / float64(len(vs)-1))
-	}
-	return out
+	return math.Sqrt(sum / float64(len(vs)-1))
 }
 
 // Factory builds an Attack from a registry name.

@@ -252,3 +252,45 @@ func TestAttacksEmptyHonestSafe(t *testing.T) {
 		}
 	}
 }
+
+// TestForgeWritesIntoDst: every registered attack, given a Dst of the
+// model's dimension filled with garbage, writes its forgery there, returns
+// Dst, allocates nothing once warm, and forges the bits it forges into a
+// vector of its own — over three rounds (Stale replays the one before), with
+// and without honest gradients (the zero fallbacks must clear Dst).
+func TestForgeWritesIntoDst(t *testing.T) {
+	const d = 37
+	for _, name := range Names() {
+		for _, nHonest := range []int{0, 1, 5} {
+			fresh, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			into, _ := New(name)
+			freshRng, intoRng := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
+			dst := tensor.NewVector(d)
+			for round := 0; round < 3; round++ {
+				for j := range dst {
+					dst[j] = math.NaN()
+				}
+				ctx := testCtx(rand.New(rand.NewSource(int64(round))), nHonest, d)
+				want := fresh.Forge(&Context{Step: ctx.Step, Honest: ctx.Honest, Own: ctx.Own, N: ctx.N, F: ctx.F, Dim: d, Rng: freshRng})
+				ctx.Rng, ctx.Dst = intoRng, dst
+				got := into.Forge(ctx)
+				if &got[0] != &dst[0] {
+					t.Fatalf("%s (%d honest), round %d: the forgery is not in Dst", name, nHonest, round)
+				}
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("%s (%d honest), round %d: coordinate %d is %v in Dst, %v fresh", name, nHonest, round, j, got[j], want[j])
+					}
+				}
+				if round == 2 {
+					if allocs := testing.AllocsPerRun(10, func() { into.Forge(ctx) }); allocs != 0 {
+						t.Fatalf("%s (%d honest): %v allocations a forge into Dst", name, nHonest, allocs)
+					}
+				}
+			}
+		}
+	}
+}

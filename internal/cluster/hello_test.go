@@ -197,8 +197,8 @@ func TestTCPDeliverRefusesGradientTaggedForAnotherSlot(t *testing.T) {
 	round := cl.eng.Begin()
 	two, three := &tcpPeer{worker: 2}, &tcpPeer{worker: 3}
 	cl.peers = []*tcpPeer{two, three}
-	grad := func() *transport.GradientMsg {
-		return &transport.GradientMsg{Worker: 3, Grad: tensor.NewVector(cl.Model().NumParams())}
+	grad := func() transport.GradientMsg {
+		return transport.GradientMsg{Worker: 3, Grad: tensor.NewVector(cl.Model().NumParams())}
 	}
 	open := round.Outstanding()
 	if err := cl.deliver(round, recvEvent{peer: two, msg: grad()}); err == nil {

@@ -3,8 +3,10 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"aggregathor/internal/attack"
 	"aggregathor/internal/data"
@@ -210,5 +212,89 @@ func staleTagTrainsInTheReceiveBuffer(t *testing.T, backend string) {
 	}
 	if stale < rounds {
 		t.Fatalf("the schedule admitted %d stale slots over %d rounds: too few to exercise the stale-tag path (dead fixture)", stale, rounds)
+	}
+}
+
+// TestTCPDuplicateFrameFailsLoudlyAndSparesTheRow: the worker's row reaches
+// its connection's reader only through the row channel, so a second frame
+// for the same round — which finds the row held by the round — lands in a
+// vector of its own. The Step still fails loudly with reject-duplicate, the
+// admitted frame's coordinates are bit for bit what its worker sent, and the
+// duplicate's vector, not the row, is what goes back to the readers.
+func TestTCPDuplicateFrameFailsLoudlyAndSparesTheRow(t *testing.T) {
+	defer releaseCheck(t)("over a duplicate frame")
+	ds := data.SyntheticFeatures(120, 6, 3, 9)
+	cl, err := NewTCPCluster(TCPClusterConfig{
+		Addr: "127.0.0.1:0", Workers: 2, Batch: 8, Train: ds, Seed: 21, GAR: gar.Average{},
+		ModelFactory: func() *nn.Network { return nn.NewMLP(6, []int{8}, 3, rand.New(rand.NewSource(10))) },
+		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Start, with the test playing both workers: worker 1 stays silent, so
+	// the round is still waiting when the duplicate arrives.
+	if cl.ln, err = transport.ListenTCP("127.0.0.1:0", cl.cfg.Codec); err != nil {
+		t.Fatal(err)
+	}
+	cl.started, cl.inbox = true, make(chan recvEvent, 4)
+	cl.readerWG.Add(1)
+	go cl.serve()
+	defer closeWithin(t, cl, 5*time.Second)
+	d := cl.Model().NumParams()
+	peers := make([]*transport.TCPConn, 2)
+	for id := range peers {
+		if peers[id], err = transport.DialTCP(cl.ln.Addr(), cl.cfg.Codec); err != nil {
+			t.Fatal(err)
+		}
+		defer peers[id].Close()
+		if err := peers[id].SendGradient(&transport.GradientMsg{Worker: id, Loss: 1, Grad: tensor.NewVector(helloDim)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.admitStartup(<-cl.inbox); err != nil {
+			t.Fatal(err)
+		}
+		peers[id].SetExpectDim(d)
+	}
+	row := tensor.NewVector(d)
+	cl.rows[0] <- row
+	sent := make(tensor.Vector, d)
+	for i := range sent {
+		sent[i] = float64(i) + 0.5
+	}
+	worker := make(chan error, 1)
+	go func() {
+		params := tensor.NewVector(d)
+		if _, err := peers[1].RecvModel(params); err != nil { // worker 1 takes the broadcast and says nothing
+			worker <- err
+			return
+		}
+		if _, err := peers[0].RecvModel(params); err != nil {
+			worker <- err
+			return
+		}
+		dup := &transport.GradientMsg{Worker: 0, Step: 0, Loss: 2, Grad: make(tensor.Vector, d)}
+		err := peers[0].SendGradient(&transport.GradientMsg{Worker: 0, Step: 0, Loss: 1, Grad: sent})
+		if err == nil {
+			err = peers[0].SendGradient(dup)
+		}
+		worker <- err
+	}()
+	if _, err := cl.Step(); err == nil || !strings.Contains(err.Error(), ps.RejectDuplicate.String()) {
+		t.Fatalf("Step over a duplicate frame returned %v, want %v", err, ps.RejectDuplicate)
+	}
+	if err := <-worker; err != nil {
+		t.Fatal(err)
+	}
+	if held := cl.held[0]; held == nil || &held[0] != &row[0] || !sameBits(held, sent) {
+		t.Fatal("the admitted frame is not the worker's bits in its row")
+	}
+	select {
+	case back := <-cl.rows[0]:
+		if &back[0] == &row[0] || !sameBits(back, make(tensor.Vector, d)) {
+			t.Fatal("the vector handed back is not the duplicate's own")
+		}
+	default:
+		t.Fatal("the duplicate's vector was not handed back")
 	}
 }

@@ -37,7 +37,40 @@ func churnCostConfig(seed int64) UDPClusterConfig {
 // one does. When every worker replayed its crash/rejoin timeline from step 0
 // at every broadcast (one rng per replayed step), rounds 1,900-2,000 allocated
 // about ten times what rounds 100-200 did and a run cost O(steps²).
+//
+// What a round allocates also depends on the churn it carries — a reconnect
+// costs a connection, a reader and a dial — and a 100-round window of this
+// schedule carries anywhere from 14 to 23 crashes. So the late window is the
+// first one from round 1,900 on that carries exactly the crashes, downtimes
+// and rejoins of rounds 100-200, and the two compare like for like.
 func TestChurnRoundCostIndependentOfStep(t *testing.T) {
+	const early, window = 100, 100
+	cfg := churnCostConfig(13)
+	rounds := cfg.round()
+	plan := ps.NewPlanner(&rounds, 1, 0, cfg.Workers)
+	var phases [][4]int // phases[s][p]: workers in phase p at round s
+	composition := func(from int) (n [4]int) {
+		for s := from; s < from+window; s++ {
+			for p := range n {
+				n[p] += phases[s][p]
+			}
+		}
+		return n
+	}
+	late := -1
+	for s := 0; late < 0; s++ {
+		var n [4]int
+		for id := 0; id < cfg.Workers; id++ {
+			n[plan.At(s, id).Phase]++
+		}
+		phases = append(phases, n)
+		if from := s + 1 - window; from >= 1900 && composition(from) == composition(early) {
+			late = from
+		}
+		if s == 4000 {
+			t.Fatal("dead fixture: no window from round 1,900 on carries the churn of rounds 100-200")
+		}
+	}
 	for _, backend := range []string{"tcp", "udp"} {
 		t.Run(backend, func(t *testing.T) {
 			var cl interface {
@@ -71,12 +104,13 @@ func TestChurnRoundCostIndependentOfStep(t *testing.T) {
 				runtime.ReadMemStats(&after)
 				return float64(after.Mallocs-before.Mallocs) / float64(upTo-from)
 			}
-			mallocs(100)
-			early := mallocs(200)
-			mallocs(1900)
-			late := mallocs(2000)
-			if late > 1.1*early {
-				t.Fatalf("rounds 1900-2000 allocate %.0f objects a round, rounds 100-200 %.0f: the cost of a round grows with the step", late, early)
+			mallocs(early)
+			first := mallocs(early + window)
+			mallocs(late)
+			last := mallocs(late + window)
+			if last > 1.1*first {
+				t.Fatalf("rounds %d-%d allocate %.1f objects a round, rounds %d-%d %.1f: the cost of a round grows with the step",
+					late, late+window, last, early, early+window, first)
 			}
 		})
 	}

@@ -26,7 +26,7 @@ type tcpPeer struct {
 // the terminal error of its read.
 type recvEvent struct {
 	peer  *tcpPeer
-	msg   *transport.GradientMsg
+	msg   transport.GradientMsg
 	hello bool
 	err   error
 }
@@ -61,6 +61,16 @@ type TCPCluster struct {
 	// modelWire holds the broadcast's coordinates when the wire encoding is
 	// not the parameter vector's own memory (see broadcast); empty otherwise.
 	modelWire []byte
+	// rows[id] passes worker id's row — the vector its gradient lands in —
+	// from the Step goroutine to whichever reader speaks for the worker. A
+	// reader takes it without blocking and allocates a vector when it is
+	// not there; Step hands back the vector a frame landed in at once when
+	// the round refused it, and when the round admitted it (held[id]) as the
+	// next Step starts, once that round is over. Each row is with one
+	// goroutine at a time, so a steady-state round allocates no
+	// gradient-sized vector and holds at most one per worker.
+	rows []chan tensor.Vector
+	held []tensor.Vector
 
 	// testAbruptClose (tests only) makes the given worker close its
 	// connection without submitting as soon as it receives the broadcast
@@ -80,6 +90,10 @@ func NewTCPCluster(cfg TCPClusterConfig) (*TCPCluster, error) {
 	c := &TCPCluster{}
 	if err := c.setup(cfg); err != nil {
 		return nil, err
+	}
+	c.rows, c.held = make([]chan tensor.Vector, cfg.Workers), make([]tensor.Vector, cfg.Workers)
+	for id := range c.rows {
+		c.rows[id] = make(chan tensor.Vector, 1)
 	}
 	return c, nil
 }
@@ -152,21 +166,38 @@ func (c *TCPCluster) serve() {
 }
 
 // read is one connection's reader: the hello (pinned to helloDim), then
-// gradients (pinned to the model's dimension) until the terminal error.
+// gradients (pinned to the model's dimension) until the terminal error. A
+// gradient lands in the row of the worker the hello named when the row is
+// there to take (rows), and in a vector of its own otherwise.
 func (c *TCPCluster) read(conn *transport.TCPConn) {
 	defer c.readerWG.Done()
 	p := &tcpPeer{conn: conn, worker: -1}
 	conn.SetExpectDim(helloDim)
-	for hello := true; ; hello = false {
-		msg, err := conn.RecvGradient()
-		if hello && err == nil {
-			p.worker = msg.Worker
-			conn.SetExpectDim(c.Model().NumParams())
+	hello, err := conn.RecvGradient()
+	ev := recvEvent{peer: p, hello: true, err: err}
+	if err == nil {
+		p.worker, ev.msg = hello.Worker, *hello
+		conn.SetExpectDim(c.Model().NumParams())
+	}
+	dst := tensor.NewVector
+	if p.worker >= 0 && p.worker < len(c.rows) {
+		rows := c.rows[p.worker]
+		dst = func(dim int) tensor.Vector {
+			select {
+			case row := <-rows:
+				return row
+			default:
+				return tensor.NewVector(dim)
+			}
 		}
-		c.inbox <- recvEvent{peer: p, msg: msg, hello: hello, err: err}
-		if err != nil {
+	}
+	for {
+		c.inbox <- ev
+		if ev.err != nil {
 			return
 		}
+		ev = recvEvent{peer: p}
+		ev.err = conn.RecvGradientInto(&ev.msg, dst)
 	}
 }
 
@@ -177,6 +208,11 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 	if err := c.canStep(); err != nil {
 		return nil, err
 	}
+	// The previous round is over, finished or failed: its rows go back.
+	for id, row := range c.held {
+		c.handBack(id, row)
+	}
+	clear(c.held)
 	round := c.eng.Begin()
 	if err := c.admitRejoins(round); err != nil {
 		return nil, err
@@ -198,6 +234,18 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 		}
 	}
 	return round.Finish()
+}
+
+// handBack passes row to worker id's readers, unless the worker's channel
+// already holds one (then row is garbage) or row is nil.
+func (c *TCPCluster) handBack(id int, row tensor.Vector) {
+	if row == nil || id < 0 || id >= len(c.rows) {
+		return
+	}
+	select {
+	case c.rows[id] <- row:
+	default:
+	}
 }
 
 // broadcast sends the round's model in parallel to every live connection of
@@ -242,13 +290,10 @@ func (c *TCPCluster) broadcast(round *ps.Round) error {
 }
 
 // deliver hands one inbox event to the round: a connection's terminal error,
-// a hello, or a gradient. Only an admitted connection — one in the broadcast
-// set — speaks for a slot, the one its hello named. A stream connection
-// authenticates its frames' order, so what the round rejects is a lying peer
-// and fails loudly — except a straggler's submission from an earlier round,
-// which is protocol-normal and ignored.
+// a hello, or a gradient. The vector a gradient landed in goes back to the
+// worker's readers (rows) at once unless the round admitted it.
 func (c *TCPCluster) deliver(round *ps.Round, ev recvEvent) error {
-	p, msg := ev.peer, ev.msg
+	p := ev.peer
 	switch {
 	case ev.err != nil:
 		if c.hangUp(p) {
@@ -257,17 +302,35 @@ func (c *TCPCluster) deliver(round *ps.Round, ev recvEvent) error {
 		return nil
 	case ev.hello:
 		return c.offerRejoin(round, ev)
+	}
+	admitted, err := c.offer(round, p, &ev.msg)
+	if admitted {
+		c.held[p.worker] = ev.msg.Grad
+	} else {
+		c.handBack(p.worker, ev.msg.Grad)
+	}
+	return err
+}
+
+// offer offers connection p's gradient to the round and reports whether the
+// round admitted it. Only an admitted connection — one in the broadcast set
+// — speaks for a slot, the one its hello named. A stream connection
+// authenticates its frames' order, so what the round rejects is a lying peer
+// and fails loudly — except a straggler's submission from an earlier round,
+// which is protocol-normal and ignored.
+func (c *TCPCluster) offer(round *ps.Round, p *tcpPeer, msg *transport.GradientMsg) (bool, error) {
+	switch {
 	case !slices.Contains(c.peers, p):
-		return nil // a replaced connection's leftover, or one not yet admitted
+		return false, nil // a replaced connection's leftover, or one not yet admitted
 	case msg.Worker != p.worker:
-		return fmt.Errorf("cluster: worker %d's connection sent a gradient tagged as worker %d at step %d",
+		return false, fmt.Errorf("cluster: worker %d's connection sent a gradient tagged as worker %d at step %d",
 			p.worker, msg.Worker, round.Step())
 	}
 	v := round.Offer(msg.Worker, msg.Step, msg.Grad, msg.Loss)
 	if v.Admitted() || msg.Step < round.Step() && (v == ps.RejectTooStale || v == ps.RejectWrongTag) {
-		return nil // admitted, or a straggler's frame from an earlier round
+		return v.Admitted(), nil // admitted, or a straggler's frame from an earlier round
 	}
-	return fmt.Errorf("cluster: gradient from worker %d tagged step %d at step %d: %v",
+	return false, fmt.Errorf("cluster: gradient from worker %d tagged step %d at step %d: %v",
 		msg.Worker, msg.Step, round.Step(), v)
 }
 

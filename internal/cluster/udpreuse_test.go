@@ -169,28 +169,32 @@ func TestRecvPacketReuseDoesNotAliasReassembly(t *testing.T) {
 	})
 }
 
-// TestUDPClusterSteadyStateAllocsPerDatagram holds the receive path at what
-// the packet reuse bought: over 20 lossless rounds the whole process — server
-// round, five workers, both directions — allocates under 0.1 objects per
-// datagram received, where a packet and a coordinate vector per datagram made
-// it 2.
-func TestUDPClusterSteadyStateAllocsPerDatagram(t *testing.T) {
-	const workers, mtu, rounds = 5, 128, 20
+// steadyStateConfig is the deployment of the steady-state allocation tests:
+// five honest workers and 2,563 parameters, so a gradient is 20,504 bytes
+// and, at an MTU of 128, 233 datagrams.
+func steadyStateConfig() UDPClusterConfig {
 	ds := data.SyntheticFeatures(120, 6, 3, 9)
 	ds.MinMaxScale()
-	cl, err := NewUDPCluster(UDPClusterConfig{
-		Addr: "127.0.0.1:0", Workers: workers, MTU: mtu, RoundTimeout: 5 * time.Second, Seed: 4,
-		// 2,563 parameters: 233 datagrams a transfer.
+	return UDPClusterConfig{
+		Addr: "127.0.0.1:0", Workers: 5, RoundTimeout: 5 * time.Second, Seed: 4,
 		ModelFactory: func() *nn.Network { return nn.NewMLP(6, []int{256}, 3, rand.New(rand.NewSource(10))) },
 		Train:        ds, Batch: 8, GAR: gar.NewMultiKrum(1), Optimizer: &opt.SGD{Schedule: opt.Fixed{Rate: 0.2}},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+}
+
+// steadyStateAllocs starts cl, warms every scratch buffer over five whole
+// rounds, and returns what the whole process — server round and every
+// worker — allocates over the given number of lossless rounds.
+func steadyStateAllocs(t *testing.T, cl interface {
+	Start() error
+	Step() (*ps.StepResult, error)
+	Close() error
+}, workers, rounds int) (mallocs, bytes uint64) {
+	t.Helper()
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
 	step := func() {
 		t.Helper()
 		res, err := cl.Step()
@@ -202,7 +206,7 @@ func TestUDPClusterSteadyStateAllocsPerDatagram(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		step() // warm every scratch buffer
+		step()
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -210,12 +214,54 @@ func TestUDPClusterSteadyStateAllocsPerDatagram(t *testing.T) {
 		step()
 	}
 	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestUDPClusterSteadyStateAllocsPerDatagram holds the receive path at what
+// the packet reuse and the slot rows bought: over 20 lossless rounds the
+// whole process — server round, five workers, both directions — allocates
+// under 0.1 objects per datagram received, where a packet and a coordinate
+// vector per datagram made it 2, and less than one gradient's 8·d bytes a
+// round, where a partial per received gradient made it n·8·d.
+func TestUDPClusterSteadyStateAllocsPerDatagram(t *testing.T) {
+	const mtu, rounds = 128, 20
+	cfg := steadyStateConfig()
+	cfg.MTU = mtu
+	cl, err := NewUDPCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs, bytes := steadyStateAllocs(t, cl, cfg.Workers, rounds)
 	// Each round, every worker receives the model and the server receives
 	// every worker's gradient.
-	datagrams := rounds * 2 * workers * cl.cfg.Codec.PacketsPerTransfer(cl.Model().NumParams(), mtu)
-	perDatagram := float64(after.Mallocs-before.Mallocs) / float64(datagrams)
-	t.Logf("%d allocations over %d datagrams: %.4f per datagram", after.Mallocs-before.Mallocs, datagrams, perDatagram)
+	d := cl.Model().NumParams()
+	datagrams := rounds * 2 * cfg.Workers * cl.cfg.Codec.PacketsPerTransfer(d, mtu)
+	perDatagram := float64(mallocs) / float64(datagrams)
+	t.Logf("%d allocations over %d datagrams: %.4f per datagram; %d B a round", mallocs, datagrams, perDatagram, bytes/rounds)
 	if perDatagram >= 0.1 {
 		t.Fatalf("%.3f allocations per datagram received, want < 0.1", perDatagram)
+	}
+	if bytes/rounds >= uint64(8*d) {
+		t.Fatalf("%d bytes allocated a round, want less than one gradient (%d)", bytes/rounds, 8*d)
+	}
+}
+
+// TestTCPClusterSteadyStateAllocsPerRound is the stream twin: every
+// gradient lands in its worker's row and every broadcast in a replica's
+// store, so over 20 lossless rounds the whole process allocates less than
+// one gradient's 8·d bytes a round, where a fresh vector per received
+// gradient made it n·8·d.
+func TestTCPClusterSteadyStateAllocsPerRound(t *testing.T) {
+	const rounds = 20
+	cfg := steadyStateConfig()
+	cl, err := NewTCPCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs, bytes := steadyStateAllocs(t, cl, cfg.Workers, rounds)
+	d := cl.Model().NumParams()
+	t.Logf("%d allocations, %d B a round", mallocs/rounds, bytes/rounds)
+	if bytes/rounds >= uint64(8*d) {
+		t.Fatalf("%d bytes allocated a round, want less than one gradient (%d)", bytes/rounds, 8*d)
 	}
 }

@@ -23,6 +23,7 @@ type clusterWorker struct {
 	sampler data.Sampler
 	rng     *rand.Rand
 	atk     attack.Attack
+	forged  tensor.Vector         // the forgery buffer (attack.Context.Dst), allocated at the first forge
 	sub     transport.GradientMsg // the submission handed out, rewritten by the next
 
 	// plan is the worker's half of "both endpoints, one function": the same
@@ -88,8 +89,9 @@ func newClusterWorker(id int, spec *UDPClusterConfig, rounds *ps.RoundConfig) (*
 // attack.Context the in-process backend builds. The honest gradient is the
 // replica's own store, borrowed: the sender has written or encoded it by the
 // time the next broadcast is trained on, and the message is the worker's one,
-// valid as long. The oracle's gradients are several of one replica alive at
-// once, so each is a copy.
+// valid as long — and so is a forgery, written into the worker's one forged
+// buffer. The oracle's gradients are several of one replica alive at once,
+// so each is a copy.
 func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.GradientMsg {
 	w.replica.SetParamsVector(model.Params) // nothing to do when the broadcast was received into the replica
 	x, y := w.sampler.Sample(w.cfg.Batch)
@@ -104,6 +106,9 @@ func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.Gradien
 				honest = append(honest, pg)
 			}
 		}
+		if w.forged == nil {
+			w.forged = tensor.NewVector(grad.Dim())
+		}
 		grad = w.atk.Forge(&attack.Context{
 			Step:   model.Step,
 			Honest: honest,
@@ -112,6 +117,7 @@ func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.Gradien
 			F:      len(w.cfg.Byzantine),
 			Dim:    grad.Dim(),
 			Rng:    w.rng,
+			Dst:    w.forged,
 		})
 	}
 	w.sub = transport.GradientMsg{Worker: w.id, Step: model.Step, Loss: loss, Grad: grad}

@@ -119,6 +119,9 @@ type Cluster struct {
 	honest  []tensor.Vector
 	losses  []float64
 	correct []tensor.Vector
+	// forged[i] is Byzantine worker i's forgery buffer (attack.Context.Dst),
+	// allocated at its first forge and written by every one after.
+	forged []tensor.Vector
 	// The datagram link's state (nil without one): the round's broadcast as
 	// it reads off the wire, those a slow worker may yet train on, scratch.
 	received   tensor.Vector
@@ -249,6 +252,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.replicas = make([]*nn.Network, len(cfg.Workers))
 	c.rngs = make([]*rand.Rand, len(cfg.Workers))
 	c.honest, c.losses = make([]tensor.Vector, len(cfg.Workers)), make([]float64, len(cfg.Workers))
+	c.forged = make([]tensor.Vector, len(cfg.Workers))
 	for i, w := range cfg.Workers {
 		if w.Sampler == nil && w.Attack == nil && !w.Silent {
 			return nil, fmt.Errorf("ps: worker %d has no sampler and no attack", i)
@@ -348,9 +352,12 @@ func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 		}
 		g := honest[i]
 		if w.Attack != nil {
+			if c.forged[i] == nil {
+				c.forged[i] = tensor.NewVector(params.Dim())
+			}
 			g = w.Attack.Forge(&attack.Context{
 				Step: tag, Honest: correct, Own: honest[i],
-				N: n, F: byzCount, Dim: params.Dim(), Rng: c.rngs[i],
+				N: n, F: byzCount, Dim: params.Dim(), Rng: c.rngs[i], Dst: c.forged[i],
 			})
 		}
 		if g == nil {

@@ -125,7 +125,11 @@ type slot struct {
 	// for (an admitted submission or rejoin clears it). dead: its connection
 	// is gone. rejoined: the round admitted its rejoin hello.
 	suspected, dead, rejoined bool
-	standIn                   tensor.Vector // whole-slot recoup buffer, allocated on first use
+	// row is the slot's one d-sized server buffer, allocated on first use:
+	// a chunked submission is reassembled in it (part) and a stand-in is
+	// drawn in it, so a round allocates no gradient-sized vector.
+	row  tensor.Vector
+	part transport.Partial
 
 	// The current round: plan is the slot's share of the step's plan — the
 	// tag its submission will carry (-1 when the worker cannot submit), the
@@ -153,13 +157,13 @@ type Engine struct {
 	// Begin from the plan; admitted rejoins and the dial attempts their
 	// hellos reported, counted by Rejoin.
 	crashes, live, rejoins, attempts int
-	// asm holds partially arrived chunked submissions (OfferPacket); a
-	// message backend never feeds it.
-	asm      *transport.Reassembler
-	fillRng  *rand.Rand
-	randFill func(int) float64
-	received []tensor.Vector
-	round    Round
+	// evictions counts slot partials restarted by a packet contradicting
+	// their pinned loss (OfferPacket).
+	evictions int
+	fillRng   *rand.Rand
+	randFill  func(int) float64
+	received  []tensor.Vector
+	round     Round
 }
 
 // Round is one step's plan and settlement state. It is owned by the engine
@@ -184,14 +188,10 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		cfg:      cfg,
 		ws:       gar.NewWorkspace(),
 		slots:    make([]slot, cfg.Workers),
-		asm:      transport.NewReassembler(transport.DropGradient, nil),
 		fillRng:  rand.New(rand.NewSource(cfg.Seed)),
 		received: make([]tensor.Vector, 0, cfg.Workers),
 	}
 	e.round.e = e
-	// The deployment's exact dimension is known: pin it, so a spoofed
-	// header can neither allocate beyond it nor evict a pending partial.
-	e.asm.SetExpectDim(e.params.Dim())
 	e.randFill = func(int) float64 { return e.fillRng.NormFloat64() }
 	e.plan = NewPlanner(&e.cfg.RoundConfig, e.params.Dim(), 0, cfg.Workers)
 	return e, nil
@@ -200,7 +200,16 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 // Evictions reports how many partial submissions were rebuilt because a
 // later packet contradicted the first one's metadata — nonzero means
 // somebody is spoofing datagrams.
-func (e *Engine) Evictions() int { return e.asm.Evictions() }
+func (e *Engine) Evictions() int { return e.evictions }
+
+// row returns slot id's one d-sized buffer, allocating it on first use.
+func (e *Engine) row(id int) tensor.Vector {
+	s := &e.slots[id]
+	if s.row == nil {
+		s.row = tensor.NewVector(e.params.Dim())
+	}
+	return s.row
+}
 
 // Begin plans the next round: it advances the plan — the churn timeline,
 // every slot's expected step tag and link drop masks — and settles up front
@@ -209,13 +218,12 @@ func (e *Engine) Evictions() int { return e.asm.Evictions() }
 // round waits on.
 func (e *Engine) Begin() *Round {
 	r, step := &e.round, e.step
-	// Partials from earlier rounds can never complete (their remaining
-	// packets were scheduled drops); release them so a silent worker cannot
-	// grow server memory.
-	e.asm.DropStale(step)
 	e.crashes, e.live, e.rejoins, e.attempts = 0, 0, 0, 0
 	for id := range e.slots {
 		s := &e.slots[id]
+		// A partial from an earlier round can never complete: Finish settles
+		// every slot, so only a round that failed before it leaves one.
+		s.part.Discard()
 		s.plan, s.state, s.rejoined = e.plan.At(step, id), slotOpen, false
 		if s.plan.Phase == ChurnCrash {
 			e.crashes++
@@ -306,11 +314,17 @@ func (r *Round) Offer(id, tag int, grad tensor.Vector, loss float64) Admission {
 }
 
 // OfferPacket submits one datagram of a chunked gradient, admitted on the
-// same terms as Offer. The slot settles when its gradient completes or —
+// same terms as Offer. Its coordinates are copied into the slot's row — the
+// packet is not kept — and the slot settles when its gradient completes or —
 // under scheduled loss — the moment all its surviving packets are in and the
-// known-lost coordinates are recouped: no timer involved.
+// known-lost coordinates are recouped: no timer involved. Admission keeps one
+// partial per slot: every packet it lets through carries the slot's planned
+// tag, and a settled slot admits none. A packet of another dimension than
+// the model's is RejectMalformed, so a spoofed header can neither allocate
+// nor evict; one whose loss contradicts the partial's restarts it (see
+// transport.Reassembler.Offer for why).
 func (r *Round) OfferPacket(pkt *transport.Packet) Admission {
-	id, asm := pkt.Worker, r.e.asm
+	id := pkt.Worker
 	v := r.admit(id, pkt.Step)
 	if !v.Admitted() {
 		return v
@@ -318,9 +332,17 @@ func (r *Round) OfferPacket(pkt *transport.Packet) Admission {
 	if pkt.Dim != r.e.params.Dim() {
 		return RejectMalformed
 	}
-	if msg, done := asm.Offer(pkt); done {
-		r.settle(id, msg.Grad, msg.Loss)
-	} else if missing, ok := asm.Missing(id, pkt.Step); ok && missing == r.e.slots[id].plan.Lost {
+	s := &r.e.slots[id]
+	missing, evicted, ok := s.part.Offer(pkt, r.e.row(id))
+	if evicted {
+		r.e.evictions++
+	}
+	switch {
+	case !ok:
+	case missing == 0:
+		grad, loss := s.part.Take(nil)
+		r.settle(id, grad, loss)
+	case missing == s.plan.Lost:
 		r.recoup(id)
 	}
 	return v
@@ -336,10 +358,11 @@ func (r *Round) settle(id int, grad tensor.Vector, loss float64) {
 // recoup settles slot id by the recoup policy — the one place a missing
 // gradient, or the missing part of one, is made up. DropGradient empties
 // the slot; FillNaN and FillRandom complete the slot's partial submission,
-// or stand in for the whole gradient when nothing arrived. Fill values are
-// keyed on RecoupSeed(seed, round, id) and applied in ascending coordinate
-// order, so they are a pure function of the configuration and the set of
-// missing coordinates, independent of which rounds before timed out.
+// or stand in for the whole gradient when nothing arrived — either way in
+// the slot's row. Fill values are keyed on RecoupSeed(seed, round, id) and
+// applied in ascending coordinate order, so they are a pure function of the
+// configuration and the set of missing coordinates, independent of which
+// rounds before timed out.
 func (r *Round) recoup(id int) {
 	e, s := r.e, &r.e.slots[id]
 	var fill func(int) float64
@@ -350,21 +373,20 @@ func (r *Round) recoup(id int) {
 		e.fillRng.Seed(RecoupSeed(e.cfg.Seed, e.step, id))
 		fill = e.randFill
 	default:
-		e.asm.Discard(id, s.plan.Tag)
+		s.part.Discard()
 		s.state = slotEmpty
 		return
 	}
-	if msg, ok := e.asm.FlushFill(id, s.plan.Tag, fill); ok {
-		r.settle(id, msg.Grad, msg.Loss)
+	if !s.part.Empty() {
+		grad, loss := s.part.Take(fill)
+		r.settle(id, grad, loss)
 		return
 	}
-	if s.standIn == nil {
-		s.standIn = tensor.NewVector(e.params.Dim())
+	row := e.row(id)
+	for i := range row {
+		row[i] = fill(i)
 	}
-	for i := range s.standIn {
-		s.standIn[i] = fill(i)
-	}
-	s.state, s.grad = slotRecouped, s.standIn
+	s.state, s.grad = slotRecouped, row
 }
 
 func nanFill(int) float64 { return math.NaN() }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"aggregathor/internal/gar"
@@ -109,24 +110,42 @@ func TestRoundOfferOrderInvariance(t *testing.T) {
 // steady-state Begin → Offer×n → Finish allocates only the returned
 // StepResult, with and without scheduled loss on both links and under a
 // churn schedule (the plan's timelines and drop masks, recoup fills and
-// whole-slot stand-ins all live in engine-owned scratch).
+// whole-slot stand-ins all live in engine-owned scratch), and so does a
+// round whose submissions arrive as the packets the uplink masks leave:
+// each slot reassembles in its row, with its one bitmap.
 // The evaluation replica's sync allocates inside nn (one slice per
 // parameterised layer); it is measured on its own and subtracted.
 func TestRoundSteadyStateAllocs(t *testing.T) {
 	const n = 9
-	for _, rc := range []RoundConfig{
-		{},
-		{Link: Link{MTU: roundTestMTU, GradLoss: 0.4, ModelLoss: 0.2, StaleModels: true}},
-		{Churn: ChurnConfig{Rate: 0.2, DownSteps: 2, MaxRejoins: 1 << 30}},
+	lossy := Link{MTU: roundTestMTU, GradLoss: 0.4, ModelLoss: 0.2, StaleModels: true}
+	for _, tc := range []struct {
+		rc      RoundConfig
+		packets bool
+	}{
+		{RoundConfig{}, false},
+		{RoundConfig{Link: lossy}, false},
+		{RoundConfig{Link: lossy}, true},
+		{RoundConfig{Churn: ChurnConfig{Rate: 0.2, DownSteps: 2, MaxRejoins: 1 << 30}}, false},
 	} {
+		rc := tc.rc
 		rc.Workers, rc.Seed, rc.Recoup = n, 7, transport.FillRandom
 		link := rc.Link
 		e := roundTestEngine(rc, nil)
 		grads := randomGrads(rand.New(rand.NewSource(1)), n, e.params.Dim())
+		var pkts []transport.Packet
 		recouped := 0
 		step := func() {
 			round := e.Begin()
 			for id := 0; id < n; id++ {
+				if tc.packets {
+					pkts = link.Codec.SplitInto(pkts[:0], &transport.GradientMsg{Worker: id, Step: round.Tag(id), Loss: 1, Grad: grads[id]}, link.MTU)
+					for i := range pkts {
+						if up := e.slots[id].plan.Uplink; i >= len(up) || !up[i] {
+							round.OfferPacket(&pkts[i])
+						}
+					}
+					continue
+				}
 				if v := round.Offer(id, round.Tag(id), grads[id], 1); v == RejectDuplicate {
 					recouped++ // every packet scheduled away: settled at Begin
 				}
@@ -138,12 +157,111 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			step() // warm-up: every slot has been wholly recouped at least once
 		}
-		if link.GradLoss > 0 && recouped == 0 {
+		if link.GradLoss > 0 && !tc.packets && recouped == 0 {
 			t.Fatal("dead fixture: the lossy link never scheduled a whole slot away")
 		}
 		sync := testing.AllocsPerRun(100, func() { e.net.SetParamsVector(e.params) })
 		if allocs := testing.AllocsPerRun(100, step) - sync; allocs > 1 {
-			t.Errorf("%+v: %v engine allocs per round, want <= 1 (the StepResult)", rc, allocs)
+			t.Errorf("%+v (packets %v): %v engine allocs per round, want <= 1 (the StepResult)", rc, tc.packets, allocs)
+		}
+	}
+}
+
+// TestSlotRowIsTheOneBuffer: a slot's gradient lands in its row whichever
+// way it settles — reassembled from packets, fill-completed from some of
+// them, or wholly stood in for — and the row is the same memory every round.
+func TestSlotRowIsTheOneBuffer(t *testing.T) {
+	e := roundTestEngine(RoundConfig{Workers: 3, Seed: 2, Recoup: transport.FillRandom, Link: Link{MTU: roundTestMTU}}, nil)
+	grad := randomGrads(rand.New(rand.NewSource(4)), 1, e.params.Dim())[0]
+	var row *float64
+	for step, arrive := range []int{4, 2, 0} { // packets of worker 0's transfer that arrive
+		round := e.Begin()
+		pkts := transport.Codec{}.Split(&transport.GradientMsg{Worker: 0, Step: step, Loss: 1, Grad: grad}, roundTestMTU)
+		for i := range pkts[:arrive] {
+			round.OfferPacket(&pkts[i])
+		}
+		round.Expire()
+		if arrive < len(pkts) {
+			round.recoup(0)
+		}
+		s := &e.slots[0]
+		if s.state == slotOpen || &s.grad[0] != &s.row[0] || row != nil && &s.row[0] != row {
+			t.Fatalf("step %d (%d packets): slot settled as %v outside its row", step, arrive, s.state)
+		}
+		row = &s.row[0]
+		for i := range pkts[:arrive] {
+			for j, x := range pkts[i].Coords {
+				if s.grad[pkts[i].Offset+j] != x {
+					t.Fatalf("step %d: coordinate %d is %v, the packet carried %v", step, pkts[i].Offset+j, s.grad[pkts[i].Offset+j], x)
+				}
+			}
+		}
+		if _, err := round.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOfferPacketWrongDimCannotEvict: the engine pins the model's dimension
+// ahead of its partials, so a packet claiming any other Dim under an honest
+// slot's key is RejectMalformed and changes nothing — it can neither
+// allocate nor evict the honest partial — and the honest gradient completes.
+func TestOfferPacketWrongDimCannotEvict(t *testing.T) {
+	e := roundTestEngine(RoundConfig{Workers: 3, Seed: 1, Link: Link{MTU: roundTestMTU}}, nil)
+	grad := randomGrads(rand.New(rand.NewSource(5)), 1, e.params.Dim())[0]
+	round := e.Begin()
+	pkts := transport.Codec{}.Split(&transport.GradientMsg{Worker: 1, Step: 0, Loss: 0.5, Grad: grad}, roundTestMTU)
+	round.OfferPacket(&pkts[0])
+	before := roundSnapshot(round)
+	spoof := &transport.Packet{Worker: 1, Step: 0, Loss: 9, Dim: e.params.Dim() / 2, Coords: tensor.Vector{1, 2}}
+	if v := round.OfferPacket(spoof); v != RejectMalformed {
+		t.Fatalf("wrong-dimension spoof: verdict %v, want %v", v, RejectMalformed)
+	}
+	if after := roundSnapshot(round); after != before || e.Evictions() != 0 {
+		t.Fatalf("the spoof moved the round (evictions %d):\n%s\n%s", e.Evictions(), before, after)
+	}
+	for i := range pkts[1:] {
+		round.OfferPacket(&pkts[1+i])
+	}
+	if s := &e.slots[1]; s.state != slotGot || !slices.Equal(s.grad, grad) || s.loss != 0.5 {
+		t.Fatalf("the honest gradient settled as %v with loss %v", s.state, s.loss)
+	}
+}
+
+// TestBeginDiscardsEarlierPartials: a partial left by a round that failed
+// before Finish can never complete — its remaining packets belong to a
+// round that is over — so Begin empties it, and the slot reassembles the
+// next round's transfer from its first packet, not on top of stale
+// coordinates.
+func TestBeginDiscardsEarlierPartials(t *testing.T) {
+	e := roundTestEngine(RoundConfig{Workers: 2, Seed: 1, Recoup: transport.FillNaN, Link: Link{MTU: roundTestMTU}}, nil)
+	grads := randomGrads(rand.New(rand.NewSource(6)), 2, e.params.Dim())
+	split := func(g tensor.Vector) []transport.Packet {
+		return transport.Codec{}.Split(&transport.GradientMsg{Worker: 0, Step: 0, Loss: 1, Grad: g}, roundTestMTU)
+	}
+	round := e.Begin()
+	old := split(grads[0])
+	for i := range old[:len(old)-1] {
+		round.OfferPacket(&old[i])
+	}
+	if e.slots[0].part.Empty() {
+		t.Fatal("dead fixture: no partial pending")
+	}
+	round = e.Begin() // the round failed: it is begun again, never finished
+	if !e.slots[0].part.Empty() {
+		t.Fatal("Begin kept a partial from a round that is over")
+	}
+	fresh := split(grads[1])
+	round.OfferPacket(&fresh[len(fresh)-1])
+	round.recoup(0)
+	last := fresh[len(fresh)-1]
+	for i, x := range e.slots[0].grad {
+		if i >= last.Offset {
+			if x != last.Coords[i-last.Offset] {
+				t.Fatalf("coordinate %d is %v, the packet carried %v", i, x, last.Coords[i-last.Offset])
+			}
+		} else if !math.IsNaN(x) {
+			t.Fatalf("coordinate %d is %v from the discarded partial, want the NaN recoup", i, x)
 		}
 	}
 }
@@ -196,9 +314,11 @@ func TestLossCountsWithoutGradientInProcessOnly(t *testing.T) {
 	}
 }
 
-// roundSnapshot captures everything an offer or a handshake may change.
+// roundSnapshot captures everything an offer or a handshake may change: the
+// slots print their rows and partials too — coordinates, arrival bitmap,
+// missing count, pinned loss.
 func roundSnapshot(r *Round) string {
-	return fmt.Sprint(r.e.slots, r.e.asm.Pending(), r.e.rejoins, r.e.attempts)
+	return fmt.Sprint(r.e.slots, r.e.evictions, r.e.rejoins, r.e.attempts)
 }
 
 // FuzzRound drives arbitrary arrival sequences — whole gradients, single

@@ -30,7 +30,6 @@ func TestFanOutShortReadBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer recv.Close()
-		recv.asm.SetExpectDim(dim)
 		if err := recv.conn.SetReadBuffer(16 << 10); err != nil {
 			t.Fatal(err)
 		}

@@ -168,9 +168,9 @@ func FuzzDecodeGradient(f *testing.F) {
 //
 // Beside it runs boolReassembler, the per-coordinate oracle the arrival
 // bitmap replaced: after every packet both give the same (done, msg), the
-// same Missing for its key, Pending and Evictions, and at the end FlushFill
-// calls fill on the same coordinates in the same order and returns the same
-// gradient, bit for bit.
+// same missing count for its key and the same pending and eviction counts,
+// and at the end FlushFill calls fill on the same coordinates in the same
+// order and returns the same gradient, bit for bit.
 func FuzzReassembler(f *testing.F) {
 	c := Codec{Float32: true}
 	// Seed: a legitimate split, interleaved across two workers.
@@ -268,16 +268,16 @@ func FuzzReassembler(f *testing.F) {
 						msg.Worker, msg.Step, p.Worker, p.Step)
 				}
 			}
-			missing, ok := asm.Missing(p.Worker, p.Step)
+			missing, ok := asm.missing(p.Worker, p.Step)
 			wantMissing, wantOK := oracle.Missing(p.Worker, p.Step)
 			if missing != wantMissing || ok != wantOK {
 				t.Fatalf("Missing(%d,%d) = %d, %v; the oracle gives %d, %v", p.Worker, p.Step, missing, ok, wantMissing, wantOK)
 			}
-			if asm.Pending() != len(oracle.pending) || asm.Evictions() != oracle.evictions {
-				t.Fatalf("pending %d, evictions %d; the oracle has %d, %d", asm.Pending(), asm.Evictions(), len(oracle.pending), oracle.evictions)
+			if len(asm.pending) != len(oracle.pending) || asm.evictions != oracle.evictions {
+				t.Fatalf("pending %d, evictions %d; the oracle has %d, %d", len(asm.pending), asm.evictions, len(oracle.pending), oracle.evictions)
 			}
-			if asm.Pending() > len(keys) {
-				t.Fatalf("pending %d exceeds %d distinct keys", asm.Pending(), len(keys))
+			if len(asm.pending) > len(keys) {
+				t.Fatalf("pending %d exceeds %d distinct keys", len(asm.pending), len(keys))
 			}
 		}
 		// Every partial must flush cleanly, whatever arrived, filling the
@@ -291,8 +291,8 @@ func FuzzReassembler(f *testing.F) {
 				t.Fatalf("FlushFill(%d,%d) filled %v into %v (%v); the oracle fills %v into %v (%v)", key[0], key[1], got, msg, ok, want, wantMsg, wantOK)
 			}
 		}
-		if asm.Pending() != 0 {
-			t.Fatalf("%d partials leaked after flushing every key", asm.Pending())
+		if len(asm.pending) != 0 {
+			t.Fatalf("%d partials leaked after flushing every key", len(asm.pending))
 		}
 	})
 }

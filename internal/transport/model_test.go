@@ -187,8 +187,8 @@ func TestModelCollectorTornSettlesWithoutDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("torn broadcast took %v to settle: the collector waited on a deadline", elapsed)
 	}
-	if recv.asm.Pending() != 0 {
-		t.Fatalf("torn partial not evicted: %d pending", recv.asm.Pending())
+	if len(recv.asm.pending) != 0 {
+		t.Fatalf("torn partial not evicted: %d pending", len(recv.asm.pending))
 	}
 	ev, err = col.Next(tensor.NewVector(dim))
 	if err != nil {
@@ -256,9 +256,9 @@ func TestModelCollectorSkipTo(t *testing.T) {
 	if err != nil || !ev.Complete || ev.Step != 4 {
 		t.Fatalf("event %+v err %v after SkipTo(4), want complete step 4", ev, err)
 	}
-	if time.Since(begin) > 2*time.Second || len(col.pending) != 0 || recv.asm.Pending() != 0 {
+	if time.Since(begin) > 2*time.Second || len(col.pending) != 0 || len(recv.asm.pending) != 0 {
 		t.Fatalf("step 4 took %v with %d broadcasts (%d partials) pending: the skipped steps were waited for",
-			time.Since(begin), len(col.pending), recv.asm.Pending())
+			time.Since(begin), len(col.pending), len(recv.asm.pending))
 	}
 }
 
@@ -278,7 +278,7 @@ func TestModelCollectorHorizon(t *testing.T) {
 	sendModelPackets(t, send, codec, 1<<40, mtu, params, nil)
 	sendModelPackets(t, send, codec, modelHorizon+1, mtu, params, nil)
 	sendModelPackets(t, send, codec, 0, mtu, params, nil)
-	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || len(col.pending) != 0 || recv.asm.Pending() != 0 {
+	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || len(col.pending) != 0 || len(recv.asm.pending) != 0 {
 		t.Fatalf("event %+v err %v with %d broadcasts pending, want complete step 0 and the forged ones refused", ev, err, len(col.pending))
 	}
 	// Exactly at the horizon of step 1 a whole broadcast is stashed, and the
@@ -322,8 +322,8 @@ func TestModelCollectorGenuineLossBoundedWait(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("lost broadcast took %v to settle, want roughly the broadcast timeout", elapsed)
 	}
-	if recv.asm.Pending() != 0 {
-		t.Fatalf("lost broadcast's partial still pinned: %d pending", recv.asm.Pending())
+	if len(recv.asm.pending) != 0 {
+		t.Fatalf("lost broadcast's partial still pinned: %d pending", len(recv.asm.pending))
 	}
 	// The next complete broadcast is delivered normally afterwards.
 	sendModelPackets(t, send, codec, 1, mtu, modelParams(dim), nil)
@@ -511,8 +511,8 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 	if !ev.Lost {
 		t.Fatalf("unpaced 160KB burst into a 4KB buffer delivered %+v, want genuine loss", ev)
 	}
-	if recv.asm.Pending() != 0 {
-		t.Fatalf("torn partial still pinned after eviction: %d pending", recv.asm.Pending())
+	if len(recv.asm.pending) != 0 {
+		t.Fatalf("torn partial still pinned after eviction: %d pending", len(recv.asm.pending))
 	}
 
 	// Paced: same short buffer, sender rate-limited, receiver draining
@@ -598,9 +598,9 @@ func TestModelCollectorHostileFutureStepsBounded(t *testing.T) {
 	if len(col.pending) > DefaultModelWindow {
 		t.Fatalf("collector tracks %d pending broadcasts, cap is %d", len(col.pending), DefaultModelWindow)
 	}
-	if recv.asm.Pending() > DefaultModelWindow+1 {
+	if len(recv.asm.pending) > DefaultModelWindow+1 {
 		t.Fatalf("reassembler pins %d partials after spam, want <= window+current (%d)",
-			recv.asm.Pending(), DefaultModelWindow+1)
+			len(recv.asm.pending), DefaultModelWindow+1)
 	}
 }
 

@@ -280,29 +280,33 @@ func (p RecoupPolicy) String() string {
 // single spoofed packet claiming Dim ≈ 2³² would make the first Offer
 // allocate tens of gigabytes and abort the process — a one-datagram remote
 // OOM. The default leaves an order of magnitude of headroom over the
-// paper-scale 1.75M-parameter model; endpoints that know their deployment's
-// exact dimension should pin it with SetExpectDim.
+// paper-scale 1.75M-parameter model. The round engine pins its deployment's
+// exact dimension before a packet reaches its partials.
 const DefaultMaxDim = 1 << 24
 
-// Reassembler collects packets into gradients. One Reassembler serves one
-// receive endpoint; it is not safe for concurrent use (wrap externally).
+// Reassembler collects packets into gradients, one Partial per pending
+// (worker, step). One Reassembler serves one receive endpoint; it is not
+// safe for concurrent use (wrap externally).
 type Reassembler struct {
 	policy RecoupPolicy
 	rng    *rand.Rand
 	maxDim int
-	// expectDim, when set, pins the exact gradient dimension the endpoint
-	// accepts — packets claiming any other Dim are rejected outright.
-	expectDim int
 	// evictions counts pending partials rebuilt because a later packet's
 	// metadata conflicted with the pinned first packet (see Offer).
 	evictions int
 	// pending maps (worker, step) to partial gradients.
-	pending map[[2]int]*partial
+	pending map[[2]int]*Partial
 }
 
-type partial struct {
+// Partial is one gradient under reassembly: its coordinates, an arrival
+// bitmap (coordinate i is bit i%64 of word i/64), how many coordinates have
+// not arrived and the loss its first packet pinned. A Reassembler keeps one
+// per pending (worker, step), each in a vector of its own; the round engine
+// keeps one per worker slot, in the slot's row, so a chunked submission
+// lands where the rule reads it. The zero value is empty.
+type Partial struct {
 	grad     tensor.Vector
-	received []uint64 // arrival bitmap: coordinate i is bit i%64 of word i/64
+	received []uint64
 	missing  int
 	loss     float64 // metadata repeated in every packet; pinned by the first
 }
@@ -322,7 +326,7 @@ func setRange(words []uint64, lo, hi int) (added int) {
 
 // fillMissing writes fill(i) into every coordinate i not marked arrived, in
 // ascending order.
-func (part *partial) fillMissing(fill func(coord int) float64) {
+func (part *Partial) fillMissing(fill func(coord int) float64) {
 	for w, word := range part.received {
 		for free := ^word; free != 0; free &= free - 1 {
 			i := w<<6 + bits.TrailingZeros64(free)
@@ -334,42 +338,73 @@ func (part *partial) fillMissing(fill func(coord int) float64) {
 	}
 }
 
+// Offer feeds one packet into the partial. A packet whose coordinate range
+// falls outside its own Dim is refused (ok=false) and changes nothing:
+// DecodePacketInto never yields one, a hand-built packet might. An empty
+// partial — or one whose pinned metadata p contradicts: another Dim, or
+// another Loss compared bitwise so NaN losses stay consistent, which evicted
+// reports — first (re)starts from p, in row when row is p.Dim long and in a
+// fresh vector otherwise; the bitmap's memory is reused. missing is how many
+// coordinates have still not arrived: at 0, Take returns the whole gradient.
+func (part *Partial) Offer(p *Packet, row tensor.Vector) (missing int, evicted, ok bool) {
+	if p.Offset < 0 || p.Offset+len(p.Coords) > p.Dim {
+		return part.missing, false, false // malformed range: never index or allocate with it
+	}
+	evicted = part.grad != nil && (p.Dim != len(part.grad) || math.Float64bits(p.Loss) != math.Float64bits(part.loss))
+	if part.grad == nil || evicted {
+		if row == nil || len(row) != p.Dim {
+			row = tensor.NewVector(p.Dim)
+		}
+		words := (p.Dim + 63) / 64
+		if cap(part.received) < words {
+			part.received = make([]uint64, words)
+		}
+		part.received = part.received[:words]
+		clear(part.received)
+		part.grad, part.missing, part.loss = row, p.Dim, p.Loss
+	}
+	copy(part.grad[p.Offset:], p.Coords)
+	part.missing -= setRange(part.received, p.Offset, p.Offset+len(p.Coords))
+	return part.missing, evicted, true
+}
+
+// Empty reports whether no gradient is under reassembly.
+func (part *Partial) Empty() bool { return part.grad == nil }
+
+// Take ends the reassembly: it writes fill(i) into every coordinate i whose
+// packet never arrived, in ascending coordinate order (fill may be nil when
+// none is missing), empties the partial and returns the gradient and its
+// loss. The gradient is the vector Offer started in.
+func (part *Partial) Take(fill func(coord int) float64) (grad tensor.Vector, loss float64) {
+	if part.missing > 0 {
+		part.fillMissing(fill)
+	}
+	grad, loss = part.grad, part.loss
+	part.Discard()
+	return grad, loss
+}
+
+// Discard empties the partial without delivering anything, keeping its
+// bitmap's memory for the next.
+func (part *Partial) Discard() { part.grad, part.missing, part.loss = nil, 0, 0 }
+
 // NewReassembler builds a reassembler with the given recoup policy. rng is
 // required for FillRandom and ignored otherwise.
 func NewReassembler(policy RecoupPolicy, rng *rand.Rand) *Reassembler {
 	if policy == FillRandom && rng == nil {
 		panic("transport: FillRandom requires an rng")
 	}
-	return &Reassembler{policy: policy, rng: rng, maxDim: DefaultMaxDim, pending: map[[2]int]*partial{}}
+	return &Reassembler{policy: policy, rng: rng, maxDim: DefaultMaxDim, pending: map[[2]int]*Partial{}}
 }
-
-// SetExpectDim pins the exact gradient dimension of the deployment: packets
-// claiming any other Dim are rejected before they touch reassembly state,
-// and the allocation bound tightens to match. Endpoints that know their
-// model dimension (the cluster server and workers do) should always pin it —
-// it closes the whole Dim axis of header spoofing. d <= 0 clears the pin.
-func (r *Reassembler) SetExpectDim(d int) {
-	r.expectDim = d
-	if d > 0 {
-		r.maxDim = d
-	}
-}
-
-// Evictions reports how many pending partials were evicted and rebuilt
-// because of conflicting packet metadata — nonzero means a peer sent
-// self-inconsistent packets for the same (worker, step), i.e. somebody is
-// spoofing.
-func (r *Reassembler) Evictions() int { return r.evictions }
 
 // Offer feeds one packet. When the packet completes its gradient, the
 // finished message is returned with done=true and the state released.
 //
 // Validation happens in two tiers. Packets that are malformed in isolation —
 // claimed dimensions beyond the allocation bound (see DefaultMaxDim — a
-// spoofed huge Dim must not OOM the process), a Dim other than the pinned
-// SetExpectDim, or a coordinate range that would index the arrival mask out
-// of bounds — are rejected outright, exactly like DecodePacket refuses a
-// malformed datagram.
+// spoofed huge Dim must not OOM the process), or a coordinate range that
+// would index the arrival mask out of bounds — are rejected outright,
+// exactly like DecodePacket refuses a malformed datagram.
 //
 // Packets that are self-consistent but conflict with the metadata pinned by
 // the partial's first packet (Dim, or the repeated Loss compared bitwise so
@@ -383,34 +418,25 @@ func (r *Reassembler) Evictions() int { return r.evictions }
 // at most the coordinates already banked (the deadline recoup covers them);
 // it can no longer wedge the key for the round.
 func (r *Reassembler) Offer(p *Packet) (msg *GradientMsg, done bool) {
-	if p.Dim < 0 || p.Dim > r.maxDim || p.Offset < 0 || p.Offset+len(p.Coords) > p.Dim {
+	if p.Dim > r.maxDim || p.Offset < 0 || p.Offset+len(p.Coords) > p.Dim {
 		return nil, false // malformed range: never index or allocate with it
-	}
-	if r.expectDim > 0 && p.Dim != r.expectDim {
-		return nil, false // deployment dimension is pinned: anything else is spoofed
 	}
 	key := [2]int{p.Worker, p.Step}
 	part, ok := r.pending[key]
-	if ok && (p.Dim != len(part.grad) || math.Float64bits(p.Loss) != math.Float64bits(part.loss)) {
-		ok = false // conflicting metadata: evict and rebuild from this packet
-		r.evictions++
-	}
 	if !ok {
-		part = &partial{
-			grad:     tensor.NewVector(p.Dim),
-			received: make([]uint64, (p.Dim+63)/64),
-			missing:  p.Dim,
-			loss:     p.Loss,
-		}
+		part = &Partial{}
 		r.pending[key] = part
 	}
-	copy(part.grad[p.Offset:], p.Coords)
-	part.missing -= setRange(part.received, p.Offset, p.Offset+len(p.Coords))
-	if part.missing > 0 {
+	missing, evicted, _ := part.Offer(p, nil)
+	if evicted {
+		r.evictions++
+	}
+	if missing > 0 {
 		return nil, false
 	}
 	delete(r.pending, key)
-	return &GradientMsg{Worker: p.Worker, Step: p.Step, Loss: part.loss, Grad: part.grad}, true
+	grad, loss := part.Take(nil)
+	return &GradientMsg{Worker: p.Worker, Step: p.Step, Loss: loss, Grad: grad}, true
 }
 
 // Flush force-completes the pending gradient for (worker, step) using the
@@ -418,30 +444,21 @@ func (r *Reassembler) Offer(p *Packet) (msg *GradientMsg, done bool) {
 // lost. ok=false means nothing was pending, or the policy is DropGradient
 // (the partial state is discarded either way).
 func (r *Reassembler) Flush(worker, step int) (msg *GradientMsg, ok bool) {
-	key := [2]int{worker, step}
-	part, exists := r.pending[key]
-	if !exists {
-		return nil, false
-	}
-	delete(r.pending, key)
 	switch r.policy {
-	case DropGradient:
-		return nil, false
 	case FillNaN:
-		part.fillMissing(func(int) float64 { return math.NaN() })
+		return r.FlushFill(worker, step, func(int) float64 { return math.NaN() })
 	case FillRandom:
-		part.fillMissing(func(int) float64 { return r.rng.NormFloat64() })
+		return r.FlushFill(worker, step, func(int) float64 { return r.rng.NormFloat64() })
 	}
-	return &GradientMsg{Worker: worker, Step: step, Loss: part.loss, Grad: part.grad}, true
+	delete(r.pending, [2]int{worker, step})
+	return nil, false
 }
 
 // FlushFill force-completes the pending gradient for (worker, step), writing
 // fill(i) into every coordinate i whose packet never arrived, in ascending
 // coordinate order. Unlike Flush it bypasses the reassembler-wide policy and
-// rng, which is what lets a caller key the recoup values on external state —
-// cluster.UDPCluster seeds them per (run seed, step, worker) so a lossy round
-// stays a pure function of the configuration. ok=false means nothing was
-// pending.
+// rng, so a caller can key the recoup values on state of its own. ok=false
+// means nothing was pending.
 func (r *Reassembler) FlushFill(worker, step int, fill func(coord int) float64) (msg *GradientMsg, ok bool) {
 	key := [2]int{worker, step}
 	part, exists := r.pending[key]
@@ -449,45 +466,6 @@ func (r *Reassembler) FlushFill(worker, step int, fill func(coord int) float64) 
 		return nil, false
 	}
 	delete(r.pending, key)
-	part.fillMissing(fill)
-	return &GradientMsg{Worker: worker, Step: step, Loss: part.loss, Grad: part.grad}, true
-}
-
-// Discard drops the pending gradient for (worker, step) without delivering
-// anything — the DropGradient deadline outcome, independent of the
-// reassembler-wide policy. It reports whether a partial was pending.
-func (r *Reassembler) Discard(worker, step int) bool {
-	key := [2]int{worker, step}
-	if _, exists := r.pending[key]; !exists {
-		return false
-	}
-	delete(r.pending, key)
-	return true
-}
-
-// Missing returns how many coordinates of the pending (worker, step) gradient
-// have not arrived yet; ok=false means no partial is pending under that key.
-func (r *Reassembler) Missing(worker, step int) (n int, ok bool) {
-	part, exists := r.pending[[2]int{worker, step}]
-	if !exists {
-		return 0, false
-	}
-	return part.missing, true
-}
-
-// Pending returns how many gradients are partially assembled.
-func (r *Reassembler) Pending() int { return len(r.pending) }
-
-// DropStale discards every partial older than the given step — housekeeping
-// so a silent Byzantine worker cannot grow server memory without bound.
-func (r *Reassembler) DropStale(beforeStep int) int {
-	dropped := 0
-	//aggrevet:ordered every partial below the step is deleted and only counted; the effect is order-independent
-	for key := range r.pending {
-		if key[1] < beforeStep {
-			delete(r.pending, key)
-			dropped++
-		}
-	}
-	return dropped
+	grad, loss := part.Take(fill)
+	return &GradientMsg{Worker: worker, Step: step, Loss: loss, Grad: grad}, true
 }

@@ -32,7 +32,7 @@ func TestReassemblerCompletesInOrder(t *testing.T) {
 			t.Fatalf("coord %d mismatch", i)
 		}
 	}
-	if asm.Pending() != 0 {
+	if len(asm.pending) != 0 {
 		t.Fatal("state leaked after completion")
 	}
 }
@@ -134,7 +134,7 @@ func TestReassemblerConflictingDimNoCrash(t *testing.T) {
 	} else {
 		t.Fatal("complete rebuilt gradient was not delivered")
 	}
-	if asm.Evictions() == 0 {
+	if asm.evictions == 0 {
 		t.Fatal("conflicting packets did not count as evictions")
 	}
 	// The honest stream completes once every honest packet is offered after
@@ -200,41 +200,8 @@ func TestReassemblerSpoofCannotCensorHonestWorker(t *testing.T) {
 			t.Fatalf("coord %d corrupted by the spoof", i)
 		}
 	}
-	if asm.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", asm.Evictions())
-	}
-}
-
-// TestReassemblerSetExpectDim: pinning the deployment's exact dimension
-// rejects every packet claiming any other Dim before it can touch (or
-// evict) reassembly state, closing the Dim axis of header spoofing
-// entirely.
-func TestReassemblerSetExpectDim(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	c := Codec{}
-	m := &GradientMsg{Worker: 1, Step: 3, Grad: randVec(rng, 100)}
-	packets := c.Split(m, 256)
-	asm := NewReassembler(DropGradient, nil)
-	asm.SetExpectDim(100)
-	if _, done := asm.Offer(&packets[0]); done {
-		t.Fatal("premature completion")
-	}
-	// Wrong-dim spoof: with the pin it cannot evict the honest partial.
-	spoof := &Packet{Worker: 1, Step: 3, Dim: 50, Offset: 0, Coords: randVec(rng, 10)}
-	if _, done := asm.Offer(spoof); done {
-		t.Fatal("wrong-dim spoof completed a gradient")
-	}
-	if asm.Evictions() != 0 {
-		t.Fatalf("wrong-dim spoof evicted the pinned-dim partial (evictions=%d)", asm.Evictions())
-	}
-	var got *GradientMsg
-	for i := 1; i < len(packets); i++ {
-		if msg, done := asm.Offer(&packets[i]); done {
-			got = msg
-		}
-	}
-	if got == nil {
-		t.Fatal("honest gradient never completed under SetExpectDim")
+	if asm.evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", asm.evictions)
 	}
 }
 
@@ -242,21 +209,21 @@ func TestReassemblerSetExpectDim(t *testing.T) {
 // attacker-controlled, and the reassembler sizes its partial state by it — a
 // spoofed Dim near 2³² used to make the first Offer allocate tens of
 // gigabytes and abort the process. Dimensions beyond the bound are rejected
-// as malformed without allocating; tightening the bound to the deployment's
-// real dimension keeps honest traffic working.
+// as malformed without allocating, and a gradient at exactly the bound still
+// assembles.
 func TestReassemblerBoundsClaimedDim(t *testing.T) {
 	asm := NewReassembler(DropGradient, nil)
 	huge := &Packet{Worker: 1, Step: 1, Dim: 1<<31 - 1, Offset: 0, Coords: tensor.Vector{1}}
 	if _, done := asm.Offer(huge); done {
 		t.Fatal("huge-dim packet completed a gradient")
 	}
-	if asm.Pending() != 0 {
+	if len(asm.pending) != 0 {
 		t.Fatal("huge-dim packet allocated partial state")
 	}
 
-	asm.SetExpectDim(100)
+	asm.maxDim = 100
 	over := &Packet{Worker: 1, Step: 1, Dim: 101, Offset: 0, Coords: tensor.Vector{1}}
-	if _, done := asm.Offer(over); done || asm.Pending() != 0 {
+	if _, done := asm.Offer(over); done || len(asm.pending) != 0 {
 		t.Fatal("packet over the tightened bound was admitted")
 	}
 	rng := rand.New(rand.NewSource(25))
@@ -287,7 +254,7 @@ func TestReassemblerRejectsMalformedRange(t *testing.T) {
 			t.Fatalf("malformed packet %+v completed a gradient", p)
 		}
 	}
-	if asm.Pending() != 0 {
+	if len(asm.pending) != 0 {
 		t.Fatal("malformed packets left partial state behind")
 	}
 }
@@ -343,7 +310,7 @@ func TestReassemblerRejectsConflictingLoss(t *testing.T) {
 	if _, done := asm.Offer(&forged); done {
 		t.Fatal("conflicting-loss packet completed a gradient")
 	}
-	if missing, ok := asm.Missing(1, 1); !ok || missing != 100-len(packets[0].Coords) {
+	if missing, ok := asm.missing(1, 1); !ok || missing != 100-len(packets[0].Coords) {
 		t.Fatalf("forged packet mutated the partial: missing=%d ok=%v", missing, ok)
 	}
 
@@ -399,33 +366,61 @@ func TestFlushFillDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestDiscardAndMissing covers the explicit settle API used by the UDP
-// cluster backend.
+// TestDiscardAndMissing covers the per-slot Partial the round engine
+// settles through: Offer's missing count, reassembly in the row it is
+// handed, Discard, and a restart after it reusing the bitmap.
 func TestDiscardAndMissing(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	c := Codec{}
 	m := &GradientMsg{Worker: 6, Step: 3, Grad: randVec(rng, 100)}
 	packets := c.Split(m, 128)
-	asm := NewReassembler(FillNaN, nil)
-	if _, ok := asm.Missing(6, 3); ok {
-		t.Fatal("Missing reported a partial before any packet")
+	var part Partial
+	if !part.Empty() {
+		t.Fatal("the zero Partial is not empty")
 	}
-	asm.Offer(&packets[0])
-	if missing, ok := asm.Missing(6, 3); !ok || missing != 100-len(packets[0].Coords) {
-		t.Fatalf("missing=%d ok=%v", missing, ok)
+	row := tensor.NewVector(100)
+	if missing, evicted, ok := part.Offer(&packets[0], row); !ok || evicted || missing != 100-len(packets[0].Coords) {
+		t.Fatalf("missing=%d evicted=%v ok=%v", missing, evicted, ok)
 	}
-	if !asm.Discard(6, 3) {
-		t.Fatal("Discard must report a pending partial")
+	if &part.grad[0] != &row[0] {
+		t.Fatal("the partial did not start in the row it was handed")
 	}
-	if asm.Pending() != 0 {
-		t.Fatal("Discard must release the partial")
+	bitmap := &part.received[0]
+	part.Discard()
+	if !part.Empty() {
+		t.Fatal("Discard must empty the partial")
 	}
-	if asm.Discard(6, 3) {
-		t.Fatal("Discard with nothing pending must report false")
+	if _, _, ok := part.Offer(&Packet{Dim: 100, Offset: 95, Coords: randVec(rng, 10)}, row); ok {
+		t.Fatal("a range past Dim was accepted")
 	}
-	if _, ok := asm.FlushFill(6, 3, func(int) float64 { return 0 }); ok {
-		t.Fatal("FlushFill with nothing pending must report !ok")
+	if !part.Empty() {
+		t.Fatal("a refused packet started a partial")
 	}
+	for i := range packets {
+		missing, _, _ := part.Offer(&packets[len(packets)-1-i], row)
+		if want := 100 - countCoords(packets[len(packets)-1-i:]); missing != want {
+			t.Fatalf("after %d packets missing=%d, want %d", i+1, missing, want)
+		}
+	}
+	if &part.received[0] != bitmap {
+		t.Fatal("the restarted partial did not reuse its bitmap")
+	}
+	grad, _ := part.Take(nil)
+	if !part.Empty() || &grad[0] != &row[0] {
+		t.Fatal("Take must empty the partial and return the row")
+	}
+	for i := range m.Grad {
+		if grad[i] != m.Grad[i] {
+			t.Fatalf("coordinate %d is %v, want %v", i, grad[i], m.Grad[i])
+		}
+	}
+}
+
+func countCoords(packets []Packet) (n int) {
+	for i := range packets {
+		n += len(packets[i].Coords)
+	}
+	return n
 }
 
 func TestFlushFillNaN(t *testing.T) {
@@ -482,7 +477,7 @@ func TestFlushDropGradient(t *testing.T) {
 	if _, ok := asm.Flush(1, 1); ok {
 		t.Fatal("DropGradient flush must not deliver")
 	}
-	if asm.Pending() != 0 {
+	if len(asm.pending) != 0 {
 		t.Fatal("flush must release state even when dropping")
 	}
 }
@@ -501,26 +496,6 @@ func TestFillRandomWithoutRngPanics(t *testing.T) {
 		}
 	}()
 	NewReassembler(FillRandom, nil)
-}
-
-func TestDropStale(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	c := Codec{}
-	asm := NewReassembler(FillNaN, nil)
-	for step := 0; step < 5; step++ {
-		m := &GradientMsg{Worker: 1, Step: step, Grad: randVec(rng, 100)}
-		packets := c.Split(m, 128)
-		asm.Offer(&packets[0]) // leave all partial
-	}
-	if asm.Pending() != 5 {
-		t.Fatalf("pending %d, want 5", asm.Pending())
-	}
-	if dropped := asm.DropStale(3); dropped != 3 {
-		t.Fatalf("dropped %d, want 3", dropped)
-	}
-	if asm.Pending() != 2 {
-		t.Fatalf("pending %d after DropStale, want 2", asm.Pending())
-	}
 }
 
 func TestRecoupPolicyString(t *testing.T) {

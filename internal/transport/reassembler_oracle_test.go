@@ -9,8 +9,9 @@ import (
 // boolReassembler is the reassembler as it was before the arrival bitmap: one
 // bool per coordinate, set and counted a coordinate at a time. It is the
 // oracle FuzzReassembler holds Reassembler to — validation, eviction on
-// conflicting metadata, Missing, Pending, Evictions and FlushFill's fill order
-// bit for bit — so it keeps exactly the parts those compare.
+// conflicting metadata, the missing count, the pending and eviction counts
+// and FlushFill's fill order bit for bit — so it keeps exactly the parts
+// those compare.
 type boolReassembler struct {
 	maxDim    int
 	evictions int
@@ -78,4 +79,15 @@ func (r *boolReassembler) FlushFill(worker, step int, fill func(coord int) float
 		}
 	}
 	return &GradientMsg{Worker: worker, Step: step, Loss: part.loss, Grad: part.grad}, true
+}
+
+// missing is the Reassembler's side of boolReassembler.Missing: how many
+// coordinates of the (worker, step) partial have not arrived; ok=false when
+// nothing is pending under that key.
+func (r *Reassembler) missing(worker, step int) (n int, ok bool) {
+	part, ok := r.pending[[2]int{worker, step}]
+	if !ok {
+		return 0, false
+	}
+	return part.missing, true
 }

@@ -209,7 +209,7 @@ func TestUDPDropGradientTimesOut(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
-	if recv.asm.Pending() != 0 {
+	if len(recv.asm.pending) != 0 {
 		t.Fatal("timeout must drain pending state")
 	}
 }
@@ -284,7 +284,7 @@ func TestUDPDeadlineFlushOrderDeterministic(t *testing.T) {
 		// Register every partial before forcing deadlines (the packet-level
 		// ingest cannot flush anything).
 		asm := recv.asm
-		for recv.asm.Pending() < 5 {
+		for len(recv.asm.pending) < 5 {
 			pkt, err := recv.RecvPacket(2 * time.Second)
 			if err != nil {
 				t.Fatal(err)

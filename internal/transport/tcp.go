@@ -230,15 +230,28 @@ func (c *TCPConn) SendGradient(m *GradientMsg) error {
 
 // RecvGradient reads one gradient message into a vector of its own.
 func (c *TCPConn) RecvGradient() (*GradientMsg, error) {
-	h, err := c.recvHeader(false)
-	if err != nil {
-		return nil, err
-	}
-	m := &GradientMsg{Worker: h.Worker, Step: h.Step, Loss: h.Loss, Grad: tensor.NewVector(h.Dim)}
-	if err := c.recvCoords(m.Grad); err != nil {
+	m := &GradientMsg{}
+	if err := c.RecvGradientInto(m, tensor.NewVector); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// RecvGradientInto reads one gradient message into m. The destination is
+// chosen only once the header has been validated: m.Grad is dst(dim), which
+// must return a vector of the frame's dim coordinates, and the coordinates
+// are read straight into it. Nothing is allocated here, so a caller that
+// hands out a vector it keeps receives without allocating. On an error
+// before dst is called m.Grad is nil; after, m.Grad holds what dst returned,
+// possibly torn.
+func (c *TCPConn) RecvGradientInto(m *GradientMsg, dst func(dim int) tensor.Vector) error {
+	h, err := c.recvHeader(false)
+	if err != nil {
+		*m = GradientMsg{}
+		return err
+	}
+	*m = GradientMsg{Worker: h.Worker, Step: h.Step, Loss: h.Loss, Grad: dst(h.Dim)}
+	return c.recvCoords(m.Grad)
 }
 
 // SendModelCoords writes a model broadcast whose parameters

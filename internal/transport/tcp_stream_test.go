@@ -496,6 +496,40 @@ func TestTCPRecvModelWrongDimension(t *testing.T) {
 	}
 }
 
+// TestTCPRecvGradientIntoPicksAfterTheHeader: RecvGradientInto asks for its
+// destination only once the header is judged. A refused frame — the wrong
+// dimension on a pinned connection — never calls dst, so no vector is handed
+// out for it; an accepted one lands in the vector dst returned, with the
+// header's metadata in the message.
+func TestTCPRecvGradientIntoPicksAfterTheHeader(t *testing.T) {
+	for _, c := range []Codec{{}, {Float32: true}} {
+		send, recv := pipeConns(c)
+		recv.SetExpectDim(5)
+		row, asked := tensor.NewVector(5), 0
+		dst := func(dim int) tensor.Vector {
+			asked++
+			return row[:dim]
+		}
+		want := tensor.Vector{1, -2, 3.5, 0.25, 8}
+		go func() {
+			send.SendGradient(&GradientMsg{Worker: 2, Step: 9, Loss: 0.5, Grad: want})
+			send.SendGradient(&GradientMsg{Worker: 2, Step: 10, Grad: tensor.NewVector(7)}) // ends short when the reader hangs up
+		}()
+		var m GradientMsg
+		if err := recv.RecvGradientInto(&m, dst); err != nil {
+			t.Fatal(err)
+		}
+		if asked != 1 || &m.Grad[0] != &row[0] || !sameBits(row, want) || m.Worker != 2 || m.Step != 9 || m.Loss != 0.5 {
+			t.Fatalf("float32=%v: %+v after %d calls of dst, want the frame in the row", c.Float32, m, asked)
+		}
+		if err := recv.RecvGradientInto(&m, dst); !errors.Is(err, ErrBadFrame) || asked != 1 || m.Grad != nil {
+			t.Fatalf("float32=%v: a 7-coordinate frame on a 5-pinned connection gave %v after %d calls of dst (grad %v)", c.Float32, err, asked, m.Grad)
+		}
+		recv.Close()
+		send.Close()
+	}
+}
+
 // TestTCPModelCutMidBodyEndsTheWorker runs a TCP worker's loop — receive a
 // broadcast into the replica's store, answer with a gradient — against a
 // server that sends one whole broadcast and half of the next: the second
