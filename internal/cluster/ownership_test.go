@@ -135,6 +135,37 @@ func TestPeerOracleGradientsAreDistinctVectors(t *testing.T) {
 	}
 }
 
+// TestInformedSubmissionAllocatesNothing: a warm informed worker's
+// submission — its own gradient, every honest peer's through the oracle and
+// the forgery — allocates nothing. Each peer's gradient is copied into a
+// buffer kept from the first round, where a fresh vector per peer a round
+// made it n−f−1 d-sized allocations.
+func TestInformedSubmissionAllocatesNothing(t *testing.T) {
+	ds := data.SyntheticFeatures(40, 6, 3, 9)
+	spec := &UDPClusterConfig{
+		ModelFactory: func() *nn.Network { return nn.NewMLP(6, []int{4}, 3, rand.New(rand.NewSource(1))) },
+		Workers:      7,
+		Batch:        4,
+		Train:        ds,
+		Byzantine:    map[int]string{5: "little-is-enough", 6: "little-is-enough"},
+		Seed:         3,
+	}
+	rc := spec.round()
+	w, err := newClusterWorker(6, spec, &rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &transport.ModelMsg{Params: spec.ModelFactory().ParamsVector()}
+	first := w.submission(model).Grad.Clone()
+	allocs := testing.AllocsPerRun(10, func() { w.submission(model) })
+	if allocs != 0 {
+		t.Fatalf("a warm informed submission allocates %v times, want 0", allocs)
+	}
+	if len(w.honest) != 5 || first.Dim() != w.replica.NumParams() {
+		t.Fatalf("the oracle holds %d honest gradients and forged %d coordinates, want 5 and %d", len(w.honest), first.Dim(), w.replica.NumParams())
+	}
+}
+
 // TestTCPStaleTagTrainsInTheReceiveBuffer: a TCP worker receives every
 // broadcast into its replica's parameter store, and a round the slow schedule
 // tags with an older step copies that retained model over it — after the

@@ -24,6 +24,7 @@ type clusterWorker struct {
 	rng     *rand.Rand
 	atk     attack.Attack
 	forged  tensor.Vector         // the forgery buffer (attack.Context.Dst), allocated at the first forge
+	ctx     attack.Context        // the forge's context, rewritten every round: a fresh one escapes through Attack.Forge
 	sub     transport.GradientMsg // the submission handed out, rewritten by the next
 
 	// plan is the worker's half of "both endpoints, one function": the same
@@ -44,10 +45,15 @@ type clusterWorker struct {
 	// keeps informed attacks (omniscient, little-is-enough, ...) available
 	// over the wire and bit-identical to the in-process backend. Built only
 	// for attacks that read Context.Honest: a blind attack (reversed,
-	// random, non-finite) has no oracle and recomputes nothing.
+	// random, non-finite) has no oracle and recomputes nothing. The oracle
+	// computes every peer's gradient on one replica and copies it out of
+	// that replica's store into the peer's kept buffer (honest[i] for
+	// peers[i], allocated at its first round), so a warm round allocates
+	// nothing.
 	peers        []int
 	peerReplica  *nn.Network
-	peerSamplers map[int]data.Sampler
+	peerSamplers []data.Sampler // peerSamplers[i] draws peers[i]'s batches
+	honest       []tensor.Vector
 }
 
 // newClusterWorker builds worker id's node from the deployment and round
@@ -71,14 +77,14 @@ func newClusterWorker(id int, spec *UDPClusterConfig, rounds *ps.RoundConfig) (*
 		w.atk = atk
 		if attack.NeedsHonest(atk) {
 			w.peerReplica = spec.ModelFactory()
-			w.peerSamplers = map[int]data.Sampler{}
 			for p := 0; p < spec.Workers; p++ {
 				if _, byz := spec.Byzantine[p]; byz || spec.Unresponsive[p] {
 					continue
 				}
 				w.peers = append(w.peers, p)
-				w.peerSamplers[p] = data.NewUniformSampler(spec.Train, ps.SamplerSeed(spec.Seed, p))
+				w.peerSamplers = append(w.peerSamplers, data.NewUniformSampler(spec.Train, ps.SamplerSeed(spec.Seed, p)))
 			}
+			w.honest = make([]tensor.Vector, len(w.peers))
 		}
 	}
 	return w, nil
@@ -91,34 +97,37 @@ func newClusterWorker(id int, spec *UDPClusterConfig, rounds *ps.RoundConfig) (*
 // time the next broadcast is trained on, and the message is the worker's one,
 // valid as long — and so is a forgery, written into the worker's one forged
 // buffer. The oracle's gradients are several of one replica alive at once,
-// so each is a copy.
+// so each is copied into its peer's kept buffer.
 func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.GradientMsg {
 	w.replica.SetParamsVector(model.Params) // nothing to do when the broadcast was received into the replica
 	x, y := w.sampler.Sample(w.cfg.Batch)
 	loss, grad := w.replica.GradientView(x, y)
 	if w.atk != nil {
-		var honest []tensor.Vector
 		if len(w.peers) > 0 {
 			w.peerReplica.SetParamsVector(model.Params)
-			for _, p := range w.peers {
-				px, py := w.peerSamplers[p].Sample(w.cfg.Batch)
-				_, pg := w.peerReplica.Gradient(px, py)
-				honest = append(honest, pg)
+			for i, s := range w.peerSamplers {
+				px, py := s.Sample(w.cfg.Batch)
+				_, pg := w.peerReplica.GradientView(px, py)
+				if w.honest[i] == nil {
+					w.honest[i] = tensor.NewVector(pg.Dim())
+				}
+				copy(w.honest[i], pg)
 			}
 		}
 		if w.forged == nil {
 			w.forged = tensor.NewVector(grad.Dim())
 		}
-		grad = w.atk.Forge(&attack.Context{
+		w.ctx = attack.Context{
 			Step:   model.Step,
-			Honest: honest,
+			Honest: w.honest,
 			Own:    grad,
 			N:      w.cfg.Workers,
 			F:      len(w.cfg.Byzantine),
 			Dim:    grad.Dim(),
 			Rng:    w.rng,
 			Dst:    w.forged,
-		})
+		}
+		grad = w.atk.Forge(&w.ctx)
 	}
 	w.sub = transport.GradientMsg{Worker: w.id, Step: model.Step, Loss: loss, Grad: grad}
 	return &w.sub

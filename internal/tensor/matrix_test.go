@@ -176,9 +176,9 @@ func matMulTransARef(out, a, b *Matrix) {
 }
 
 // specialMatrix draws a normal r×c matrix in which a share of the entries is
-// one of 0, −0, +Inf, NaN.
+// one of 0, −0, +Inf, −Inf, NaN.
 func specialMatrix(rng *rand.Rand, r, c int, share float64) *Matrix {
-	specials := [...]float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN()}
+	specials := [...]float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
 	m := randMatrix(rng, r, c)
 	for i := range m.Data {
 		if rng.Float64() < share {
@@ -212,36 +212,49 @@ func sameBits(t *testing.T, got, want *Matrix, label string) {
 	}
 }
 
-// checkMatMulKernels runs both blocked kernels on rows×inner×cols operands
-// against their references: MatMul as (rows×inner)·(inner×cols), MatMulTransA
-// with the same a as (rows×inner)ᵀ·(rows×cols).
+// matMulKernels are the kernel sets every matmul check runs: the dispatched
+// one (AVX2 assembly where Kernels says so and the product is four columns
+// wide or more) and the Go loops.
+var matMulKernels = []struct {
+	name                 string
+	matMul, matMulTransA func(out, a, b *Matrix)
+}{{Kernels(), MatMul, MatMulTransA}, {"go", matMulGo, matMulTransAGo}}
+
+// checkMatMulKernels runs both blocked kernels of every kernel set on
+// rows×inner×cols operands against their references: MatMul as
+// (rows×inner)·(inner×cols), MatMulTransA with the same a as
+// (rows×inner)ᵀ·(rows×cols).
 func checkMatMulKernels(t *testing.T, rng *rand.Rand, rows, inner, cols int, share float64) {
 	t.Helper()
 	label := fmt.Sprintf("%dx%dx%d share %.1f", rows, inner, cols, share)
 	a, b := specialMatrix(rng, rows, inner, share), specialMatrix(rng, inner, cols, share)
-	got, want := garbageMatrix(rng, rows, cols), garbageMatrix(rng, rows, cols)
-	MatMul(got, a, b)
+	bt := specialMatrix(rng, rows, cols, share)
+	want, wantT := garbageMatrix(rng, rows, cols), garbageMatrix(rng, inner, cols)
 	matMulRef(want, a, b)
-	sameBits(t, got, want, "MatMul "+label)
-
-	b = specialMatrix(rng, rows, cols, share)
-	got, want = garbageMatrix(rng, inner, cols), garbageMatrix(rng, inner, cols)
-	MatMulTransA(got, a, b)
-	matMulTransARef(want, a, b)
-	sameBits(t, got, want, "MatMulTransA "+label)
+	matMulTransARef(wantT, a, bt)
+	for _, k := range matMulKernels {
+		got := garbageMatrix(rng, rows, cols)
+		k.matMul(got, a, b)
+		sameBits(t, got, want, k.name+" MatMul "+label)
+		got = garbageMatrix(rng, inner, cols)
+		k.matMulTransA(got, a, bt)
+		sameBits(t, got, wantT, k.name+" MatMulTransA "+label)
+	}
 }
 
 // convRows, convInner, convCols are NewCIFARCNN's first layer as the kernels
-// see it: 32·32 patches of 5·5·3 inputs onto 64 channels. No benchmark
-// workload runs a convolution, so the shape is pinned here and timed below.
+// see it: 32·32 patches of 5·5·3 inputs onto 64 channels — 256 blocks of
+// four k for MatMulTransA, all but the first in its accumulate form. No
+// benchmark workload runs a convolution, so the shape is pinned here and
+// timed below.
 const convRows, convInner, convCols = 1024, 75, 64
 
 func TestMatMulKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, share := range []float64{0, 0.1, 0.5} {
 		for _, rows := range []int{1, 2, 3, 4, 5, 8, 11} {
-			for _, inner := range []int{1, 36, 37} {
-				for _, cols := range []int{1, 13, 128} {
+			for _, inner := range []int{1, 2, 36, 37} {
+				for _, cols := range []int{1, 2, 3, 4, 7, 13, 128, 130} {
 					checkMatMulKernels(t, rng, rows, inner, cols, share)
 				}
 			}
@@ -251,16 +264,21 @@ func TestMatMulKernelsMatchReference(t *testing.T) {
 }
 
 // TestMatMulTransAKeepsPositiveZero: products that are all −0 sum to +0, as
-// they did into a zero-filled accumulator.
+// they did into a zero-filled accumulator, in the first block and in the
+// accumulate form after it, on every kernel set; five columns put four in
+// the assembly and one in Go.
 func TestMatMulTransAKeepsPositiveZero(t *testing.T) {
-	a, b, out := NewMatrix(4, 2), NewMatrix(4, 3), NewMatrix(2, 3)
+	a, b := NewMatrix(8, 2), NewMatrix(8, 5)
 	for i := range a.Data {
 		a.Data[i] = -1
 	}
-	MatMulTransA(out, a, b) // every product is −1·0 = −0
-	for i, v := range out.Data {
-		if math.Float64bits(v) != 0 {
-			t.Fatalf("element %d = %v (%#x), want +0", i, v, math.Float64bits(v))
+	for _, k := range matMulKernels {
+		out := NewMatrix(2, 5)
+		k.matMulTransA(out, a, b) // every product is −1·0 = −0
+		for i, v := range out.Data {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: element %d = %v (%#x), want +0", k.name, i, v, math.Float64bits(v))
+			}
 		}
 	}
 }
@@ -275,9 +293,10 @@ func FuzzMatMul(f *testing.F) {
 	})
 }
 
-// BenchmarkMatMul times the two blocked kernels on one worker's first-layer
-// products at batch 4 and on the convolution shape, cycling operand sets so
-// the weights come from memory as they do in a round.
+// BenchmarkMatMul times the two blocked kernels of every kernel set on one
+// worker's first-layer products at batch 4 and on the convolution shape,
+// cycling operand sets so the weights come from memory as they do in a
+// round.
 func BenchmarkMatMul(b *testing.B) {
 	for _, shape := range []struct {
 		name              string
@@ -294,15 +313,17 @@ func BenchmarkMatMul(b *testing.B) {
 			as[i], ws[i], gs[i] = randMatrix(rng, shape.rows, shape.inner), randMatrix(rng, shape.inner, shape.cols), randMatrix(rng, shape.rows, shape.cols)
 			outs[i], gws[i] = NewMatrix(shape.rows, shape.cols), NewMatrix(shape.inner, shape.cols)
 		}
-		b.Run("MatMul/"+shape.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MatMul(outs[i%shape.sets], as[i%shape.sets], ws[i%shape.sets])
-			}
-		})
-		b.Run("MatMulTransA/"+shape.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MatMulTransA(gws[i%shape.sets], as[i%shape.sets], gs[i%shape.sets])
-			}
-		})
+		for _, k := range matMulKernels {
+			b.Run("MatMul/"+shape.name+"/"+k.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.matMul(outs[i%shape.sets], as[i%shape.sets], ws[i%shape.sets])
+				}
+			})
+			b.Run("MatMulTransA/"+shape.name+"/"+k.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.matMulTransA(gws[i%shape.sets], as[i%shape.sets], gs[i%shape.sets])
+				}
+			})
+		}
 	}
 }

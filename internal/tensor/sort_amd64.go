@@ -29,14 +29,16 @@ func pickMeanAroundWalk() func(tile []int64, w, n, keep int, out []float64, decl
 	return meanAroundWalkGo
 }
 
-// HasAVX2 reports the probe's answer: the one place the GAR's kernels, here
-// and in package gar, learn whether their AVX2 assembly may run.
+// HasAVX2 reports the probe's answer: the one place the kernels — the GAR's,
+// here and in package gar, and the dense matmuls' — learn whether their
+// AVX2 assembly may run.
 func HasAVX2() bool { return hasAVX2 }
 
 // Kernels names the kernel set this process computes with — the GAR's
-// distance sweep, tile sort and mean-around-median walk, in AVX2 assembly
-// where the CPU and OS have it and the Go kernels ("portable") otherwise —
-// for benchmark reports. Every set produces the same bits.
+// distance sweep, tile sort and mean-around-median walk and the workers'
+// MatMul and MatMulTransA blocks, in AVX2 assembly where the CPU and OS have
+// it and the Go kernels ("portable") otherwise — for benchmark reports.
+// Every set produces the same bits.
 func Kernels() string {
 	if hasAVX2 {
 		return "amd64 avx2"
