@@ -30,8 +30,13 @@
 //     model broadcasts) and recoup values that are pure functions of (seed,
 //     step, worker).
 //
-// See README.md for a tour; bench_test.go regenerates the paper's tables and
-// figures, one benchmark per exhibit.
+// The examples are checked by go test (go test -run Example -v .):
+// ExampleRun is the quickstart on the paper's 19-worker cluster,
+// ExampleRun_replicatedServer the §6 replicated parameter server,
+// ExampleRunCampaign a trimmed smoke campaign, and ExampleAggregate and
+// ExampleMultiKrumSelect the standalone rules. See README.md for a tour;
+// bench_test.go regenerates the paper's tables and figures, one benchmark
+// per exhibit.
 package aggregathor
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"aggregathor/internal/gar"
 	"aggregathor/internal/opt"
+	"aggregathor/internal/ps"
 	"aggregathor/internal/tensor"
 )
 
@@ -101,10 +102,19 @@ func TestPublicRunSmoke(t *testing.T) {
 	}
 }
 
-// tcpTrain drives a TCPCluster built through the facade for a fixed number
-// of rounds.
-func tcpTrain(cfg TCPClusterConfig, steps int) ([]float64, error) {
-	cl, err := NewTCPCluster(cfg)
+// socketCluster is what the facade's two socket deployments, TCPCluster and
+// UDPCluster, share to be driven round by round.
+type socketCluster interface {
+	Start() error
+	Step() (*ps.StepResult, error)
+	Params() tensor.Vector
+	Close() error
+}
+
+// socketTrain builds a socket cluster through the facade and drives it for a
+// fixed number of rounds.
+func socketTrain(build func() (socketCluster, error), steps int) (tensor.Vector, error) {
+	cl, err := build()
 	if err != nil {
 		return nil, err
 	}
@@ -120,8 +130,10 @@ func tcpTrain(cfg TCPClusterConfig, steps int) ([]float64, error) {
 	return cl.Params(), nil
 }
 
+// TestPublicTCPTrain trains a socket-distributed session through the public
+// API on both socket backends. At DropRate 0 a UDPCluster must end on the
+// same parameters as a TCPCluster of the same config, bit for bit.
 func TestPublicTCPTrain(t *testing.T) {
-	// The facade path: a socket-distributed session through the public API.
 	var exp Experiment
 	found := false
 	for _, e := range Experiments() {
@@ -134,29 +146,45 @@ func TestPublicTCPTrain(t *testing.T) {
 		t.Fatal("features-mlp preset missing")
 	}
 	train, test, factory := exp.Make(9)
-	rule, err := gar.New("multi-krum", 1)
-	if err != nil {
-		t.Fatal(err)
+	// config is built afresh per cluster: the optimizer keeps state.
+	config := func() UDPClusterConfig {
+		rule, err := gar.New("multi-krum", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		optimizer, err := opt.New("momentum", opt.Fixed{Rate: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return UDPClusterConfig{
+			Addr:         "127.0.0.1:0",
+			ModelFactory: factory,
+			Workers:      5,
+			GAR:          rule,
+			Optimizer:    optimizer,
+			Batch:        32,
+			Train:        train,
+		}
 	}
-	optimizer, err := opt.New("momentum", opt.Fixed{Rate: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	params, err := tcpTrain(TCPClusterConfig{
-		Addr:         "127.0.0.1:0",
-		ModelFactory: factory,
-		Workers:      5,
-		GAR:          rule,
-		Optimizer:    optimizer,
-		Batch:        32,
-		Train:        train,
-	}, 60)
+	tcp, err := socketTrain(func() (socketCluster, error) { return NewTCPCluster(config()) }, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := factory()
-	model.SetParamsVector(tensor.Vector(params))
+	model.SetParamsVector(tcp)
 	if acc := model.Accuracy(test.X, test.Y); acc < 0.3 {
 		t.Fatalf("facade TCP training accuracy %v", acc)
+	}
+	udp, err := socketTrain(func() (socketCluster, error) { return NewUDPCluster(config()) }, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(udp) != len(tcp) {
+		t.Fatalf("udp run has %d parameters, tcp %d", len(udp), len(tcp))
+	}
+	for i := range tcp {
+		if math.Float64bits(udp[i]) != math.Float64bits(tcp[i]) {
+			t.Fatalf("parameter %d: udp %v, tcp %v", i, udp[i], tcp[i])
+		}
 	}
 }

@@ -202,7 +202,7 @@ func BenchmarkFig5a_ThroughputCNN(b *testing.B) {
 		b.Run(fmt.Sprintf("%s_f%d", cfg.name, cfg.f), func(b *testing.B) {
 			var tp map[int]float64
 			for i := 0; i < b.N; i++ {
-				tp = core.ThroughputScan(cfg.name, cfg.f, counts, 1_756_426, nn.CIFARCNNFlopsPerSample, 100)
+				tp = throughputScan(cfg.name, cfg.f, counts, 1_756_426, nn.CIFARCNNFlopsPerSample, 100)
 			}
 			b.ReportMetric(tp[18], "batches_per_s_n18")
 			b.ReportMetric(tp[2], "batches_per_s_n2")
@@ -224,10 +224,78 @@ func BenchmarkFig5b_ThroughputResNet(b *testing.B) {
 		b.Run(fmt.Sprintf("%s_f%d", cfg.name, cfg.f), func(b *testing.B) {
 			var tp map[int]float64
 			for i := 0; i < b.N; i++ {
-				tp = core.ThroughputScan(cfg.name, cfg.f, counts, nn.ResNet50ParamCount, nn.ResNet50FlopsPerSample, 32)
+				tp = throughputScan(cfg.name, cfg.f, counts, resNet50ParamCount, resNet50FlopsPerSample, 32)
 			}
 			b.ReportMetric(tp[18], "batches_per_s_n18")
 		})
+	}
+}
+
+// throughputScan is the Figure-5 sweep: batches/sec as a function of worker
+// count for one aggregator, using the analytic time model (no training — the
+// paper's throughput metric is purely systems-side).
+func throughputScan(aggregator string, f int, workerCounts []int, dim int, flopsPerSample float64, batch int) map[int]float64 {
+	out := make(map[int]float64, len(workerCounts))
+	for _, n := range workerCounts {
+		sim := simnet.Grid5000(n, dim)
+		sim.FlopsPerSample = flopsPerSample
+		switch aggregator {
+		case "tf":
+			// vanilla baseline: no aggregation cost on the clock
+		case "draco":
+			sim.DecodeTime = simnet.ModelAggregation("draco", n, f, dim)
+		default:
+			sim.AggTime = simnet.ModelAggregation(aggregator, n, f, dim)
+		}
+		round := sim.SimulateRound(batch)
+		out[n] = float64(n) / round.Total().Seconds()
+	}
+	return out
+}
+
+// Figure 5(b)'s ResNet50 is not instantiated: the throughput scan needs only
+// its gradient dimension d and its per-sample compute cost, the
+// forward+backward FLOPs of one 224×224 image (≈3.8 GFLOPs forward, ×3 for
+// backward).
+const (
+	resNet50ParamCount     = 25_557_032
+	resNet50FlopsPerSample = 3.8e9 * 3
+)
+
+func TestThroughputScanShapes(t *testing.T) {
+	counts := []int{2, 6, 10, 14, 18}
+	tf := throughputScan("average", 0, counts, 1_756_426, 2e8, 100)
+	bl := throughputScan("bulyan", 2, counts, 1_756_426, 2e8, 100)
+	draco := throughputScan("draco", 4, counts, 1_756_426, 2e8, 100)
+	// Throughput grows with workers for the cheap GAR.
+	if tf[18] <= tf[2] {
+		t.Fatal("average throughput should grow with workers")
+	}
+	// Bulyan lags average at scale.
+	if bl[18] >= tf[18] {
+		t.Fatalf("bulyan (%v) should lag average (%v) at 18 workers", bl[18], tf[18])
+	}
+	// Draco sits far below the TensorFlow-based systems.
+	if draco[18] >= tf[18]/4 {
+		t.Fatalf("draco (%v) should sit far below average (%v)", draco[18], tf[18])
+	}
+}
+
+func TestThroughputScanTFBaseline(t *testing.T) {
+	counts := []int{2, 18}
+	tf := throughputScan("tf", 0, counts, 1_756_426, 2e8, 100)
+	avg := throughputScan("average", 0, counts, 1_756_426, 2e8, 100)
+	if tf[18] <= avg[18] {
+		t.Fatalf("tf (%v) must beat framework averaging (%v): no aggregation cost", tf[18], avg[18])
+	}
+}
+
+func TestResNet50Constants(t *testing.T) {
+	if resNet50ParamCount < 23_000_000 || resNet50ParamCount > 26_000_000 {
+		t.Fatalf("ResNet50 param count %d implausible", resNet50ParamCount)
+	}
+	if resNet50FlopsPerSample <= nn.CIFARCNNFlopsPerSample {
+		t.Fatal("ResNet50 must cost more than the CIFAR CNN")
 	}
 }
 
@@ -923,14 +991,13 @@ func tcpRecvFixture(tb testing.TB, path string) allocFixture {
 	return allocFixture{op: op, bytes: len(grad) * 8}
 }
 
-// nnGradientFixture is the worker step on the benchmark workloads' model,
-// d = 101,770, at their batch of 4, after one call has sized the scratch:
-// through the borrowed view nothing is allocated; Gradient adds its
+// nnGradientFixture is the worker step of model, whose samples are in
+// values wide, on a batch of random samples, after one call has sized the
+// scratch: through the borrowed view nothing is allocated; Gradient adds its
 // caller-owned copy and nothing else.
-func nnGradientFixture(tb testing.TB, view bool) allocFixture {
+func nnGradientFixture(tb testing.TB, model *nn.Network, in, batch int, view bool) allocFixture {
 	rng := rand.New(rand.NewSource(22))
-	model := nn.NewMLP(784, []int{128}, 10, rng)
-	x, y := tensor.NewMatrix(4, 784), make([]int, 4)
+	x, y := tensor.NewMatrix(batch, in), make([]int, batch)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
@@ -948,6 +1015,17 @@ func nnGradientFixture(tb testing.TB, view bool) allocFixture {
 	}
 	op()
 	return allocFixture{op: op}
+}
+
+// mlpGradientFixture is the worker step on the benchmark workloads' model,
+// d = 101,770, at their batch of 4; cnnGradientFixture is the Table-1 CNN's
+// at a batch of 2.
+func mlpGradientFixture(tb testing.TB, view bool) allocFixture {
+	return nnGradientFixture(tb, nn.NewMLP(784, []int{128}, 10, rand.New(rand.NewSource(22))), 784, 4, view)
+}
+
+func cnnGradientFixture(tb testing.TB) allocFixture {
+	return nnGradientFixture(tb, nn.NewCIFARCNN(rand.New(rand.NewSource(22))), 32*32*3, 2, true)
 }
 
 func BenchmarkTransport_SendAllocs(b *testing.B) {
@@ -970,8 +1048,9 @@ func BenchmarkTransport_TCPFrameAllocs(b *testing.B) {
 }
 
 func BenchmarkNN_GradientAllocs(b *testing.B) {
-	b.Run("view", func(b *testing.B) { benchFixture(b, nnGradientFixture(b, true)) })
-	b.Run("copy", func(b *testing.B) { benchFixture(b, nnGradientFixture(b, false)) })
+	b.Run("view", func(b *testing.B) { benchFixture(b, mlpGradientFixture(b, true)) })
+	b.Run("copy", func(b *testing.B) { benchFixture(b, mlpGradientFixture(b, false)) })
+	b.Run("view-cnn", func(b *testing.B) { benchFixture(b, cnnGradientFixture(b)) })
 }
 
 // TestSteadyStateAllocGates holds every fixture above to its allocation
@@ -1005,10 +1084,11 @@ func TestSteadyStateAllocGates(t *testing.T) {
 		{"Transport_TCPFrameAllocs/recv", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, "recv") }, 0, 2, 8*gateDim + 8192 + 256},
 		{"Transport_TCPFrameAllocs/recv-into", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, "recv-into") }, 0, 0, unbounded},
 		{"Transport_TCPFrameAllocs/recv-model-into", func(tb testing.TB) allocFixture { return tcpRecvFixture(tb, "recv-model-into") }, 0, 0, unbounded},
-		{"NN_GradientAllocs/view", func(tb testing.TB) allocFixture { return nnGradientFixture(tb, true) }, 0, 0, unbounded},
+		{"NN_GradientAllocs/view", func(tb testing.TB) allocFixture { return mlpGradientFixture(tb, true) }, 0, 0, unbounded},
 		// Gradient's copy of d = 101,770 parameters, 8·d B rounded up to
 		// whole pages, and nothing else.
-		{"NN_GradientAllocs/copy", func(tb testing.TB) allocFixture { return nnGradientFixture(tb, false) }, 1, 1, 8*101_770 + 8192 + 256},
+		{"NN_GradientAllocs/copy", func(tb testing.TB) allocFixture { return mlpGradientFixture(tb, false) }, 1, 1, 8*101_770 + 8192 + 256},
+		{"NN_GradientAllocs/view-cnn", cnnGradientFixture, 0, 0, unbounded},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			fx := g.fixture(t)

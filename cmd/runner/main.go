@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -33,137 +35,124 @@ import (
 )
 
 func main() {
-	var (
-		experiment = flag.String("experiment", "features-mlp", "model+dataset preset (empty to list)")
-		backend    = flag.String("backend", core.BackendInProcess, "deployment: in-process|tcp|udp")
-		aggregator = flag.String("aggregator", "multi-krum", "gradient aggregation rule (empty to list; 'draco' and 'tf' also accepted)")
-		nbWorkers  = flag.Int("nb-workers", 19, "number of workers n")
-		declaredF  = flag.Int("f", 4, "declared Byzantine tolerance f")
-		optimizer  = flag.String("optimizer", "rmsprop", "update rule")
-		lr         = flag.Float64("learning-rate", 1e-3, "initial learning rate")
-		batch      = flag.Int("batch-size", 100, "per-worker mini-batch size")
-		maxStep    = flag.Int("max-step", 200, "number of model updates")
-		evalDelta  = flag.Int("evaluation-delta", 20, "steps between accuracy evaluations")
-		l1         = flag.Float64("l1-regularize", 0, "L1 regularisation weight")
-		l2         = flag.Float64("l2-regularize", 0, "L2 regularisation weight")
-		attackSpec = flag.String("attack", "", "worker attacks as id:name[,id:name...] (empty to list names with 'list')")
-		corrupt    = flag.String("corrupt-data", "", "comma-separated worker ids with poisoned samplers")
-		vanilla    = flag.Bool("vanilla", false, "run the unpatched (vulnerable) server")
-		hijack     = flag.String("hijack", "", "comma-separated worker ids attempting remote parameter writes")
-		udpLinks   = flag.Int("udp-links", 0, "number of worker links over lossy UDP")
-		dropRate   = flag.Float64("drop-rate", 0, "artificial packet drop probability on UDP links")
-		recoup     = flag.String("recoup", "fill-random", "lost-coordinate policy: drop-gradient|fill-nan|fill-random")
-		udpClock   = flag.Bool("udp-clock", false, "cost the network as UDP instead of TCP")
-		seed       = flag.Int64("seed", 1, "experiment seed")
-		measureAgg = flag.Bool("measure-agg", false, "measure real GAR wall time for the simulated clock")
-		replicas   = flag.Int("server-replicas", 1, "state-machine-replicate the parameter server (>1 enables the §6 extension)")
-		byzReps    = flag.String("byzantine-replicas", "", "comma-separated lying server replica ids")
-		ckptPath   = flag.String("checkpoint", "", "checkpoint file path (resumes if present)")
-		ckptEvery  = flag.Int("checkpoint-period", 0, "steps between checkpoints (0 = final only)")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "runner:", err)
+		os.Exit(1)
+	}
+}
 
-	if *experiment == "" {
-		fmt.Println("available experiments:")
-		for _, e := range core.Experiments() {
-			fmt.Printf("  %s (cost dim %d)\n", e.Name, e.CostDim)
+// flags binds every runner flag to the field of cfg it sets; -attack list
+// sets *listAttacks instead of cfg.Attacks.
+func flags(cfg *core.Config, listAttacks *bool) *flag.FlagSet {
+	fs := flag.NewFlagSet("runner", flag.ContinueOnError)
+	fs.StringVar(&cfg.Experiment, "experiment", "features-mlp", "model+dataset preset (empty to list)")
+	fs.StringVar(&cfg.Backend, "backend", core.BackendInProcess, "deployment: in-process|tcp|udp")
+	fs.StringVar(&cfg.Aggregator, "aggregator", "multi-krum", "gradient aggregation rule (empty to list; 'draco' and 'tf' also accepted)")
+	fs.IntVar(&cfg.Workers, "nb-workers", 19, "number of workers n")
+	fs.IntVar(&cfg.F, "f", 4, "declared Byzantine tolerance f")
+	fs.StringVar(&cfg.Optimizer, "optimizer", "rmsprop", "update rule")
+	fs.Float64Var(&cfg.LR, "learning-rate", 1e-3, "initial learning rate")
+	fs.IntVar(&cfg.Batch, "batch-size", 100, "per-worker mini-batch size")
+	fs.IntVar(&cfg.Steps, "max-step", 200, "number of model updates")
+	fs.IntVar(&cfg.EvalEvery, "evaluation-delta", 20, "steps between accuracy evaluations")
+	fs.Float64Var(&cfg.L1, "l1-regularize", 0, "L1 regularisation weight")
+	fs.Float64Var(&cfg.L2, "l2-regularize", 0, "L2 regularisation weight")
+	fs.Func("attack", "worker attacks as id:name[,id:name...] ('list' to list names)", func(spec string) (err error) {
+		if *listAttacks = spec == "list"; *listAttacks {
+			return nil
 		}
-		return
+		cfg.Attacks, err = parseAttacks(spec)
+		return err
+	})
+	fs.Func("corrupt-data", "comma-separated worker ids with poisoned samplers", idsInto(&cfg.CorruptData))
+	fs.BoolVar(&cfg.Vanilla, "vanilla", false, "run the unpatched (vulnerable) server")
+	fs.Func("hijack", "comma-separated worker ids attempting remote parameter writes", idsInto(&cfg.HijackWorkers))
+	fs.IntVar(&cfg.UDPLinks, "udp-links", 0, "number of worker links over lossy UDP")
+	fs.Float64Var(&cfg.DropRate, "drop-rate", 0, "artificial packet drop probability on UDP links")
+	cfg.Recoup = transport.FillRandom
+	fs.Func("recoup", "lost-coordinate policy: drop-gradient|fill-nan|fill-random (default fill-random)", func(name string) (err error) {
+		cfg.Recoup, err = transport.ParseRecoupPolicy(name)
+		return err
+	})
+	fs.BoolFunc("udp-clock", "cost the network as UDP instead of TCP", func(v string) error {
+		udp, err := strconv.ParseBool(v)
+		cfg.Protocol = simnet.TCP
+		if udp {
+			cfg.Protocol = simnet.UDP
+		}
+		return err
+	})
+	fs.Int64Var(&cfg.Seed, "seed", 1, "experiment seed")
+	fs.BoolVar(&cfg.MeasureAgg, "measure-agg", false, "measure real GAR wall time for the simulated clock")
+	fs.IntVar(&cfg.ServerReplicas, "server-replicas", 1, "state-machine-replicate the parameter server (>1 enables the §6 extension)")
+	fs.Func("byzantine-replicas", "comma-separated lying server replica ids", idsInto(&cfg.ByzantineReplicas))
+	fs.StringVar(&cfg.CheckpointPath, "checkpoint", "", "checkpoint file path (resumes if present)")
+	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-period", 0, "steps between checkpoints (0 = final only)")
+	return fs
+}
+
+// run parses the command line args, then prints the listing it asks for or
+// trains the session it describes, writing the report to w.
+func run(args []string, w io.Writer) error {
+	var (
+		cfg         core.Config
+		listAttacks bool
+	)
+	if err := flags(&cfg, &listAttacks).Parse(args); err != nil {
+		return err
 	}
-	if *aggregator == "" {
-		fmt.Printf("available aggregators: %s (plus: draco, tf)\n", strings.Join(gar.Names(), ", "))
-		return
-	}
-	if *attackSpec == "list" {
-		fmt.Printf("available attacks: %s\n", strings.Join(attack.Names(), ", "))
-		fmt.Printf("available optimizers: %s\n", strings.Join(opt.Names(), ", "))
-		return
+	switch {
+	case cfg.Experiment == "":
+		fmt.Fprintln(w, "available experiments:")
+		for _, e := range core.Experiments() {
+			fmt.Fprintf(w, "  %s (cost dim %d)\n", e.Name, e.CostDim)
+		}
+		return nil
+	case cfg.Aggregator == "":
+		fmt.Fprintf(w, "available aggregators: %s (plus: draco, tf)\n", strings.Join(gar.Names(), ", "))
+		return nil
+	case listAttacks:
+		fmt.Fprintf(w, "available attacks: %s\n", strings.Join(attack.Names(), ", "))
+		fmt.Fprintf(w, "available optimizers: %s\n", strings.Join(opt.Names(), ", "))
+		return nil
 	}
 
-	attacks, err := parseAttacks(*attackSpec)
-	if err != nil {
-		fatal(err)
-	}
-	policy, err := transport.ParseRecoupPolicy(*recoup)
-	if err != nil {
-		fatal(err)
-	}
-	proto := simnet.TCP
-	if *udpClock {
-		proto = simnet.UDP
-	}
-	cfg := core.Config{
-		Experiment: *experiment,
-		Backend:    *backend,
-		Aggregator: *aggregator,
-		F:          *declaredF,
-		Workers:    *nbWorkers,
-		Batch:      *batch,
-		Optimizer:  *optimizer,
-		LR:         *lr,
-		L1:         *l1,
-		L2:         *l2,
-		Steps:      *maxStep,
-		EvalEvery:  *evalDelta,
-		Attacks:    attacks,
-		Vanilla:    *vanilla,
-		UDPLinks:   *udpLinks,
-		DropRate:   *dropRate,
-		Recoup:     policy,
-		Protocol:   proto,
-		Seed:       *seed,
-		MeasureAgg: *measureAgg,
-	}
-	if cfg.CorruptData, err = parseIDs(*corrupt); err != nil {
-		fatal(err)
-	}
-	if cfg.HijackWorkers, err = parseIDs(*hijack); err != nil {
-		fatal(err)
-	}
-	cfg.ServerReplicas = *replicas
-	if cfg.ByzantineReplicas, err = parseIDs(*byzReps); err != nil {
-		fatal(err)
-	}
-	cfg.CheckpointPath = *ckptPath
-	cfg.CheckpointEvery = *ckptEvery
-
-	fmt.Printf("experiment=%s backend=%s aggregator=%s n=%d f=%d optimizer=%s lr=%g batch=%d steps=%d\n",
+	fmt.Fprintf(w, "experiment=%s backend=%s aggregator=%s n=%d f=%d optimizer=%s lr=%g batch=%d steps=%d\n",
 		cfg.Experiment, cfg.Backend, cfg.Aggregator, cfg.Workers, cfg.F, cfg.Optimizer, cfg.LR, cfg.Batch, cfg.Steps)
 	res, err := core.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%-10s %-12s %-10s %-10s\n", "sim_time", "step", "accuracy", "loss")
+	fmt.Fprintf(w, "%-10s %-12s %-10s %-10s\n", "sim_time", "step", "accuracy", "loss")
 	for i, p := range res.Accuracy.Points {
 		loss := 0.0
 		if i < len(res.LossVsStep.Points) {
 			loss = res.LossVsStep.Points[i].Value
 		}
-		fmt.Printf("%-10.1f %-12d %-10.4f %-10.4f\n", p.Time.Seconds(), p.Step, p.Value, loss)
+		fmt.Fprintf(w, "%-10.1f %-12d %-10.4f %-10.4f\n", p.Time.Seconds(), p.Step, p.Value, loss)
 	}
-	fmt.Printf("final accuracy: %.4f\n", res.FinalAccuracy)
-	fmt.Printf("throughput: %.2f gradients/s (%.2f updates/s)\n",
+	fmt.Fprintf(w, "final accuracy: %.4f\n", res.FinalAccuracy)
+	fmt.Fprintf(w, "throughput: %.2f gradients/s (%.2f updates/s)\n",
 		res.Throughput.GradientsPerSecond(), res.Throughput.BatchesPerSecond())
-	fmt.Printf("latency breakdown: compute+comm %.3fs, aggregation %.3fs (%.0f%% share)\n",
+	fmt.Fprintf(w, "latency breakdown: compute+comm %.3fs, aggregation %.3fs (%.0f%% share)\n",
 		res.Breakdown.ComputeComm.Seconds(), res.Breakdown.Aggregation.Seconds(),
 		res.Breakdown.AggregationShare()*100)
 	if res.SkippedRounds > 0 {
-		fmt.Printf("skipped rounds (quorum lost): %d\n", res.SkippedRounds)
+		fmt.Fprintf(w, "skipped rounds (quorum lost): %d\n", res.SkippedRounds)
 	}
 	if res.Hijacked {
-		fmt.Println("WARNING: a Byzantine worker overwrote the parameters (vanilla mode)")
+		fmt.Fprintln(w, "WARNING: a Byzantine worker overwrote the parameters (vanilla mode)")
 	}
 	if res.Diverged {
-		fmt.Println("WARNING: training diverged (non-finite parameters)")
+		fmt.Fprintln(w, "WARNING: training diverged (non-finite parameters)")
 	}
 	if res.ResumedFromStep > 0 {
-		fmt.Printf("resumed from checkpointed step %d\n", res.ResumedFromStep)
+		fmt.Fprintf(w, "resumed from checkpointed step %d\n", res.ResumedFromStep)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "runner:", err)
-	os.Exit(1)
+	return nil
 }
 
 func parseAttacks(spec string) (map[int]string, error) {
@@ -180,9 +169,22 @@ func parseAttacks(spec string) (map[int]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad worker id in %q: %w", part, err)
 		}
-		out[id] = strings.TrimSpace(kv[1])
+		name := strings.TrimSpace(kv[1])
+		if name == "" {
+			return nil, fmt.Errorf("bad attack spec %q: empty attack name", part)
+		}
+		out[id] = name
 	}
 	return out, nil
+}
+
+// idsInto is a flag.Func setter that parses a comma-separated id list into
+// *dst.
+func idsInto(dst *[]int) func(string) error {
+	return func(spec string) (err error) {
+		*dst, err = parseIDs(spec)
+		return err
+	}
 }
 
 func parseIDs(spec string) ([]int, error) {

@@ -684,25 +684,3 @@ func simulatedRound(cfg Config, exp Experiment, rule gar.GAR, aggName string) (s
 	}
 	return sim.SimulateRound(cfg.Batch), nil
 }
-
-// ThroughputScan runs the Figure-5 sweep: batches/sec as a function of
-// worker count for one aggregator, using the analytic time model (no
-// training — the paper's throughput metric is purely systems-side).
-func ThroughputScan(aggregator string, f int, workerCounts []int, dim int, flopsPerSample float64, batch int) map[int]float64 {
-	out := make(map[int]float64, len(workerCounts))
-	for _, n := range workerCounts {
-		sim := simnet.Grid5000(n, dim)
-		sim.FlopsPerSample = flopsPerSample
-		switch aggregator {
-		case "tf":
-			// vanilla baseline: no aggregation cost on the clock
-		case "draco":
-			sim.DecodeTime = simnet.ModelAggregation("draco", n, f, dim)
-		default:
-			sim.AggTime = simnet.ModelAggregation(aggregator, n, f, dim)
-		}
-		round := sim.SimulateRound(batch)
-		out[n] = float64(n) / round.Total().Seconds()
-	}
-	return out
-}

@@ -233,25 +233,6 @@ func TestRunOverheadOrdering(t *testing.T) {
 	}
 }
 
-func TestThroughputScanShapes(t *testing.T) {
-	counts := []int{2, 6, 10, 14, 18}
-	tf := ThroughputScan("average", 0, counts, 1_756_426, 2e8, 100)
-	bl := ThroughputScan("bulyan", 2, counts, 1_756_426, 2e8, 100)
-	draco := ThroughputScan("draco", 4, counts, 1_756_426, 2e8, 100)
-	// Throughput grows with workers for the cheap GAR.
-	if tf[18] <= tf[2] {
-		t.Fatal("average throughput should grow with workers")
-	}
-	// Bulyan lags average at scale.
-	if bl[18] >= tf[18] {
-		t.Fatalf("bulyan (%v) should lag average (%v) at 18 workers", bl[18], tf[18])
-	}
-	// Draco sits far below the TensorFlow-based systems.
-	if draco[18] >= tf[18]/4 {
-		t.Fatalf("draco (%v) should sit far below average (%v)", draco[18], tf[18])
-	}
-}
-
 func TestMeasuredAggregationPath(t *testing.T) {
 	res, err := Run(Config{
 		Experiment: "features-mlp",

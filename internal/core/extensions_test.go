@@ -153,12 +153,3 @@ func TestAllPresetsProduceTrainableModels(t *testing.T) {
 		})
 	}
 }
-
-func TestThroughputScanTFBaseline(t *testing.T) {
-	counts := []int{2, 18}
-	tf := ThroughputScan("tf", 0, counts, 1_756_426, 2e8, 100)
-	avg := ThroughputScan("average", 0, counts, 1_756_426, 2e8, 100)
-	if tf[18] <= avg[18] {
-		t.Fatalf("tf (%v) must beat framework averaging (%v): no aggregation cost", tf[18], avg[18])
-	}
-}

@@ -19,8 +19,17 @@ type Conv2D struct {
 	outH, outW int
 	padT, padL int
 
-	lastCols []*tensor.Matrix // per-sample im2col buffers from Forward
-	lastRows int
+	// cols are the per-sample im2col matrices, one per row of the last
+	// Forward's batch, kept from call to call: a matrix made for this
+	// layer's shape keeps its padding cells at zero (im2col never writes
+	// them), so it serves every later sample. y, prod, dOut, gwAcc, gbAcc,
+	// gradIn and dCols are the rest of the layer's scratch, reused like
+	// Dense's.
+	cols                 []*tensor.Matrix
+	lastRows             int
+	y, prod, dOut, gwAcc *tensor.Matrix
+	gradIn, dCols        *tensor.Matrix
+	gbAcc                tensor.Vector
 }
 
 // NewConv2D builds a convolution layer with He-normal initialisation.
@@ -48,11 +57,9 @@ func (c *Conv2D) Name() string {
 // OutShape implements Layer.
 func (c *Conv2D) OutShape() Shape { return Shape{H: c.outH, W: c.outW, C: c.outC} }
 
-// im2col expands one sample (flat H*W*C row) into a (outH*outW) x
-// (kh*kw*inC) patch matrix.
-func (c *Conv2D) im2col(sample tensor.Vector) *tensor.Matrix {
-	patch := c.kh * c.kw * c.in.C
-	cols := tensor.NewMatrix(c.outH*c.outW, patch)
+// im2col expands one sample (flat H*W*C row) into cols, a (outH*outW) x
+// (kh*kw*inC) patch matrix whose padding cells are zero and stay so.
+func (c *Conv2D) im2col(sample tensor.Vector, cols *tensor.Matrix) {
 	inW, inC := c.in.W, c.in.C
 	for oy := 0; oy < c.outH; oy++ {
 		for ox := 0; ox < c.outW; ox++ {
@@ -79,7 +86,6 @@ func (c *Conv2D) im2col(sample tensor.Vector) *tensor.Matrix {
 			}
 		}
 	}
-	return cols
 }
 
 // col2im scatters a patch-matrix gradient back onto a flat sample gradient.
@@ -120,17 +126,24 @@ func (c *Conv2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: conv expects %d inputs, got %d", c.in.Flat(), x.Cols))
 	}
 	c.lastRows = x.Rows
-	c.lastCols = make([]*tensor.Matrix, x.Rows)
-	out := tensor.NewMatrix(x.Rows, c.outH*c.outW*c.outC)
-	prod := tensor.NewMatrix(c.outH*c.outW, c.outC)
-	for s := 0; s < x.Rows; s++ {
-		cols := c.im2col(x.Row(s))
-		c.lastCols[s] = cols
-		tensor.MatMul(prod, cols, c.w)
-		prod.AddRowVector(c.b)
-		copy(out.Row(s), prod.Data)
+	if len(c.cols) > x.Rows {
+		// A smaller batch releases a larger one's matrices, such as an
+		// evaluation's.
+		clear(c.cols[x.Rows:])
+		c.cols = c.cols[:x.Rows]
 	}
-	return out
+	for len(c.cols) < x.Rows {
+		c.cols = append(c.cols, tensor.NewMatrix(c.outH*c.outW, c.kh*c.kw*c.in.C))
+	}
+	c.y = sized(c.y, x.Rows, c.outH*c.outW*c.outC)
+	c.prod = sized(c.prod, c.outH*c.outW, c.outC)
+	for s := 0; s < x.Rows; s++ {
+		c.im2col(x.Row(s), c.cols[s])
+		tensor.MatMul(c.prod, c.cols[s], c.w)
+		c.prod.AddRowVector(c.b)
+		copy(c.y.Row(s), c.prod.Data)
+	}
+	return c.y
 }
 
 // Backward implements Layer.
@@ -141,26 +154,32 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix
 	}
 	c.gb.Zero()
 	patch := c.kh * c.kw * c.in.C
-	dOut := tensor.NewMatrix(c.outH*c.outW, c.outC)
-	gwAcc, gbAcc := tensor.NewMatrix(patch, c.outC), tensor.NewVector(c.outC)
-	var gradIn, dCols *tensor.Matrix
+	c.dOut = sized(c.dOut, c.outH*c.outW, c.outC)
+	c.gwAcc = sized(c.gwAcc, patch, c.outC)
+	if c.gbAcc == nil {
+		c.gbAcc = tensor.NewVector(c.outC)
+	}
+	var gradIn *tensor.Matrix
 	if needInput {
-		gradIn = tensor.NewMatrix(c.lastRows, c.in.Flat())
-		dCols = tensor.NewMatrix(c.outH*c.outW, patch)
+		// col2im adds into the input gradient.
+		c.gradIn = sized(c.gradIn, c.lastRows, c.in.Flat())
+		clear(c.gradIn.Data)
+		c.dCols = sized(c.dCols, c.outH*c.outW, patch)
+		gradIn = c.gradIn
 	}
 	for s := 0; s < c.lastRows; s++ {
-		copy(dOut.Data, gradOut.Row(s))
+		copy(c.dOut.Data, gradOut.Row(s))
 		// Parameter gradients: gw += colsᵀ·dOut, gb += colsum(dOut).
-		tensor.MatMulTransA(gwAcc, c.lastCols[s], dOut)
-		for i, v := range gwAcc.Data {
+		tensor.MatMulTransA(c.gwAcc, c.cols[s], c.dOut)
+		for i, v := range c.gwAcc.Data {
 			c.gw.Data[i] += v
 		}
-		dOut.ColumnSumsInto(gbAcc)
-		c.gb.Add(gbAcc)
+		c.dOut.ColumnSumsInto(c.gbAcc)
+		c.gb.Add(c.gbAcc)
 		if needInput {
 			// Input gradient: dCols = dOut·wᵀ, scattered by col2im.
-			tensor.MatMulTransB(dCols, dOut, c.w)
-			c.col2im(dCols, gradIn.Row(s))
+			tensor.MatMulTransB(c.dCols, c.dOut, c.w)
+			c.col2im(c.dCols, gradIn.Row(s))
 		}
 	}
 	return gradIn
@@ -175,6 +194,8 @@ type MaxPool2D struct {
 	padT, padL int
 	argmax     []int // flat input index winning each output position
 	lastRows   int
+	// y and gradIn are reused from call to call, like Dense's.
+	y, gradIn *tensor.Matrix
 }
 
 // NewMaxPool2D builds a k×k max-pool with the given stride.
@@ -205,11 +226,11 @@ func (p *MaxPool2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 		p.argmax = make([]int, x.Rows*outFlat)
 	}
 	p.argmax = p.argmax[:x.Rows*outFlat]
-	out := tensor.NewMatrix(x.Rows, outFlat)
+	p.y = sized(p.y, x.Rows, outFlat)
 	inW, inC := p.in.W, p.in.C
 	for s := 0; s < x.Rows; s++ {
 		sample := x.Row(s)
-		orow := out.Row(s)
+		orow := p.y.Row(s)
 		amax := p.argmax[s*outFlat : (s+1)*outFlat]
 		for oy := 0; oy < p.outH; oy++ {
 			for ox := 0; ox < p.outW; ox++ {
@@ -247,16 +268,19 @@ func (p *MaxPool2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return out
+	return p.y
 }
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
-	gradIn := tensor.NewMatrix(p.lastRows, p.in.Flat())
+	// The winners' gradients are added in: a window overlapping the next
+	// can win the same input twice.
+	p.gradIn = sized(p.gradIn, p.lastRows, p.in.Flat())
+	clear(p.gradIn.Data)
 	outFlat := p.outH * p.outW * p.in.C
 	for s := 0; s < p.lastRows; s++ {
 		grow := gradOut.Row(s)
-		irow := gradIn.Row(s)
+		irow := p.gradIn.Row(s)
 		amax := p.argmax[s*outFlat : (s+1)*outFlat]
 		for o, idx := range amax {
 			if idx >= 0 {
@@ -264,5 +288,5 @@ func (p *MaxPool2D) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 			}
 		}
 	}
-	return gradIn
+	return p.gradIn
 }

@@ -62,17 +62,6 @@ func NewMLP(in int, hidden []int, classes int, rng *rand.Rand) *Network {
 	return NewNetwork(FlatShape(in), layers...)
 }
 
-// ResNet50ParamCount is the parameter count of the ResNet50 model used for
-// Figure 5(b). The network itself is not instantiated — the throughput
-// experiment needs only the gradient dimension d and the per-batch compute
-// cost, both supplied to the simulator (see internal/simnet).
-const ResNet50ParamCount = 25_557_032
-
-// ResNet50FlopsPerSample approximates the forward+backward FLOPs of ResNet50
-// on one 224×224 image (≈3.8 GFLOPs forward ×3 for backward), feeding the
-// Figure 5(b) cost model.
-const ResNet50FlopsPerSample = 3.8e9 * 3
-
 // CIFARCNNFlopsPerSample approximates the forward+backward FLOPs of the
 // Table-1 CNN on one 32×32 image: conv1 ≈ 2·(32·32·64·75), conv2 ≈
 // 2·(16·16·64·1600), dense ≈ 2·1.65M, ×3 for backward.
