@@ -37,8 +37,9 @@ race:
 # Short coverage of the one wire header (datagrams and TCP frames), the TCP
 # stream reader, the reassembler and coalesced-message segment walk,
 # round-engine (plan, settlement, rejoin admission), column-pass and
-# blocked-matmul fuzz targets beyond the seed corpus, and of the three
-# assembly kernels against their Go oracles. CI's fuzz job runs this target.
+# blocked-matmul fuzz targets beyond the seed corpus, of the three assembly
+# kernels against their Go oracles, and of a network trained on a caller's
+# vector against one loaded by copy. CI's fuzz job runs this target.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzCompareExchange -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzMeanAroundWalk -fuzztime=20s
 	$(GO) test ./internal/gar/ -run=NONE -fuzz=FuzzBlockDistance -fuzztime=20s
+	$(GO) test ./internal/nn/ -run=NONE -fuzz=FuzzTrainOn -fuzztime=20s
 
 # The refactoring safety net. Run every built-in campaign the golden file
 # names (smoke, tcp-smoke, udp-smoke, model-loss-smoke, wire-smoke,

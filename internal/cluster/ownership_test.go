@@ -168,13 +168,15 @@ func TestInformedSubmissionAllocatesNothing(t *testing.T) {
 
 // TestTCPStaleTagTrainsInTheReceiveBuffer: a TCP worker receives every
 // broadcast into its replica's parameter store, and a round the slow schedule
-// tags with an older step copies that retained model over it — after the
-// fresh one was copied out for later rounds. With a slow schedule three steps
-// deep, a quorum that admits stale slots and a blind Byzantine worker, the
-// TCP cluster must walk the in-process cluster's trajectory bit for bit (an
-// in-process replica is loaded by copy, never received into). Churn cannot
-// share a cell with a slow schedule (ps.ErrChurnAsync); its fresh connection
-// continuing into the same store is what TestUDPClusterChurnMatchesTCP pins.
+// tags with an older step trains the replica on that retained model in place
+// — after the fresh one was copied out for later rounds — while the next
+// broadcast still lands in the receive buffer. With a slow schedule three
+// steps deep, a quorum that admits stale slots and a blind Byzantine worker,
+// the TCP cluster must walk the in-process cluster's trajectory bit for bit
+// (an in-process replica trains on the vector its plan names, never received
+// into). Churn cannot share a cell with a slow schedule (ps.ErrChurnAsync);
+// its fresh connection continuing into the same store is what
+// TestUDPClusterChurnMatchesTCP pins.
 func TestTCPStaleTagTrainsInTheReceiveBuffer(t *testing.T) {
 	staleTagTrainsInTheReceiveBuffer(t, "tcp")
 }

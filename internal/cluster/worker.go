@@ -46,10 +46,11 @@ type clusterWorker struct {
 	// over the wire and bit-identical to the in-process backend. Built only
 	// for attacks that read Context.Honest: a blind attack (reversed,
 	// random, non-finite) has no oracle and recomputes nothing. The oracle
-	// computes every peer's gradient on one replica and copies it out of
-	// that replica's store into the peer's kept buffer (honest[i] for
-	// peers[i], allocated at its first round), so a warm round allocates
-	// nothing.
+	// computes every peer's gradient on one replica, which trains on the
+	// worker's own model (nn.Network.TrainOn: no store of its own), and
+	// copies each out of that replica's gradient store into the peer's kept
+	// buffer (honest[i] for peers[i], allocated at its first round), so a
+	// warm round allocates nothing.
 	peers        []int
 	peerReplica  *nn.Network
 	peerSamplers []data.Sampler // peerSamplers[i] draws peers[i]'s batches
@@ -92,19 +93,21 @@ func newClusterWorker(id int, spec *UDPClusterConfig, rounds *ps.RoundConfig) (*
 
 // submission computes the worker's wire submission for one broadcast: the
 // honest gradient and loss, with Byzantine workers forging through the same
-// attack.Context the in-process backend builds. The honest gradient is the
+// attack.Context the in-process backend builds. The replica and the oracle
+// train on model.Params itself, which nothing writes until the submission is
+// sent (the broadcast buffer, or a retained model). The honest gradient is the
 // replica's own store, borrowed: the sender has written or encoded it by the
 // time the next broadcast is trained on, and the message is the worker's one,
 // valid as long — and so is a forgery, written into the worker's one forged
 // buffer. The oracle's gradients are several of one replica alive at once,
 // so each is copied into its peer's kept buffer.
 func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.GradientMsg {
-	w.replica.SetParamsVector(model.Params) // nothing to do when the broadcast was received into the replica
+	w.replica.TrainOn(model.Params) // nothing to do when it is the vector bound last round
 	x, y := w.sampler.Sample(w.cfg.Batch)
 	loss, grad := w.replica.GradientView(x, y)
 	if w.atk != nil {
 		if len(w.peers) > 0 {
-			w.peerReplica.SetParamsVector(model.Params)
+			w.peerReplica.TrainOn(model.Params)
 			for i, s := range w.peerSamplers {
 				px, py := s.Sample(w.cfg.Batch)
 				_, pg := w.peerReplica.GradientView(px, py)
@@ -152,9 +155,11 @@ type workerLink interface {
 // hangs up.
 func (w *clusterWorker) run(link workerLink) error {
 	defer link.close()
-	// The replica's parameter store is the receive buffer: a broadcast lands
-	// where the forward pass reads it. A failed receive may leave it torn,
-	// and the worker exits without training on it.
+	// The replica's own parameter store is the receive buffer: a broadcast
+	// lands where the forward pass reads it. A round tagged older trains the
+	// replica on the retained model instead, and the next fresh one binds it
+	// back here. A failed receive may leave the buffer torn, and the worker
+	// exits without training on it.
 	params := w.replica.Params()
 	for {
 		step, model, err := link.next(params)

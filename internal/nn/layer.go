@@ -57,10 +57,16 @@ func (p *block) blk() *block { return p }
 
 // bindParams moves the parameters into store, values carried over.
 func (p *block) bindParams(store tensor.Vector) {
-	w, b := p.views(store)
-	copy(w.Data, p.w.Data)
-	copy(b, p.b)
-	p.w, p.b = w, b
+	n := copy(store, p.w.Data)
+	copy(store[n:], p.b)
+	p.viewParams(store)
+}
+
+// viewParams makes store the parameters without copying: the block's own
+// matrix header and bias slice are re-pointed, so nothing is allocated.
+func (p *block) viewParams(store tensor.Vector) {
+	n := len(p.w.Data)
+	p.w.Data, p.b = store[:n:n], store[n:n+len(p.b)]
 }
 
 // bindGrads makes store the gradients.

@@ -14,7 +14,14 @@ import (
 // before biases; the layers' own blocks are views into them. So the model is
 // a vector and a vector is the model: loading, reading out, sending and
 // receiving are at most one copy of d floats, and none for a caller that
-// borrows the store itself (Params, GradientView).
+// borrows the store itself (Params, GradientView). The parameter store need
+// not be the network's own: TrainOn makes a caller's vector the store, so a
+// replica can train on the model it was handed without copying it.
+//
+// A network never writes its parameter store: forward and backward passes
+// read it and write only the gradient store and layer scratch. Whoever hands
+// a network a vector through TrainOn must not write that vector while the
+// network computes on it.
 type Network struct {
 	inShape Shape
 	layers  []Layer
@@ -85,16 +92,31 @@ func (n *Network) Backward(gradOut *tensor.Matrix) {
 	}
 }
 
-// Params returns the live parameter store, length NumParams, in layer order:
-// writing it is writing the model. It is what a replica receives a broadcast
-// into.
+// Params returns the live parameter store, length NumParams, in layer order —
+// the network's own, or the vector TrainOn bound: writing it is writing the
+// model. It is what a socket replica receives a broadcast into.
 func (n *Network) Params() tensor.Vector { return n.params }
 
 // ParamsVector returns a copy of all parameters.
 func (n *Network) ParamsVector() tensor.Vector { return n.params.Clone() }
 
-// SetParamsVector loads a flat parameter vector — a no-op for the store
-// itself. It panics on dimension mismatch.
+// TrainOn makes v the parameter store: every layer's weights and biases
+// become views of v, nothing is copied or allocated, and Params returns v
+// from then on. Binding the vector already bound does nothing. The network
+// only reads v (see Network); writing v between passes is writing the model.
+// It panics on dimension mismatch.
+func (n *Network) TrainOn(v tensor.Vector) {
+	if v.Dim() != n.dim {
+		panic(fmt.Sprintf("nn: TrainOn dimension %d, want %d", v.Dim(), n.dim))
+	}
+	if n.dim > 0 && &v[0] != &n.params[0] {
+		n.params = v
+		n.bind(v, (*block).viewParams)
+	}
+}
+
+// SetParamsVector copies a flat parameter vector into the store — a no-op for
+// the store itself. It panics on dimension mismatch.
 func (n *Network) SetParamsVector(v tensor.Vector) {
 	if v.Dim() != n.dim {
 		panic(fmt.Sprintf("nn: SetParamsVector dimension %d, want %d", v.Dim(), n.dim))

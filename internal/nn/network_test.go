@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -409,6 +410,120 @@ func TestSetParamsVectorWrongDimPanics(t *testing.T) {
 		}
 	}()
 	n.SetParamsVector(tensor.NewVector(1))
+}
+
+// TestTrainOnReadsTheCallersVector: a network bound to a vector computes,
+// bit for bit, the gradient of a twin the vector was copied into, its layer
+// blocks are windows on that vector, and a backward pass leaves the vector as
+// it found it. Rebinding follows the new vector; the old one is untouched.
+func TestTrainOnReadsTheCallersVector(t *testing.T) {
+	for _, name := range []string{"mlp", "twoconv", "cifarcnn"} {
+		bound, twin := testNets[name](47), testNets[name](47)
+		rng := rand.New(rand.NewSource(48))
+		x, y := randBatch(rng, 2, bound.inShape.Flat(), 3)
+		for round, seed := range []int64{49, 50} {
+			v := testNets[name](seed).ParamsVector()
+			kept := v.Clone()
+			bound.TrainOn(v)
+			bound.TrainOn(v) // already bound: nothing to do
+			if p := bound.Params(); &p[0] != &v[0] || len(p) != len(v) {
+				t.Fatalf("%s round %d: Params is not the bound vector", name, round)
+			}
+			params, _ := blocks(bound)
+			off := 0
+			for bi, p := range params {
+				if &p[0] != &v[off] {
+					t.Fatalf("%s round %d: block %d is not the bound vector at offset %d", name, round, bi, off)
+				}
+				off += len(p)
+			}
+			twin.SetParamsVector(v)
+			label := fmt.Sprintf("%s round %d", name, round)
+			loss, grad := bound.GradientView(x, y)
+			wantLoss, want := twin.GradientView(x, y)
+			if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+				t.Fatalf("%s: loss %v, the copy-loaded twin's %v", label, loss, wantLoss)
+			}
+			sameVectorBits(t, grad, want, label+": gradient vs the copy-loaded twin")
+			sameVectorBits(t, v, kept, label+": the bound vector after a backward pass")
+		}
+	}
+}
+
+// TestTrainOnAllocatesNothing: binding re-points the layers' existing views,
+// whether the vector is new or already bound.
+func TestTrainOnAllocatesNothing(t *testing.T) {
+	n := testNets["twoconv"](51)
+	a, b := n.ParamsVector(), n.ParamsVector()
+	flip := false
+	if allocs := testing.AllocsPerRun(100, func() {
+		if flip = !flip; flip {
+			n.TrainOn(a)
+		} else {
+			n.TrainOn(b)
+		}
+	}); allocs != 0 {
+		t.Fatalf("rebinding allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.TrainOn(b) }); allocs != 0 {
+		t.Fatalf("binding the bound vector allocates %v times, want 0", allocs)
+	}
+}
+
+func TestTrainOnWrongDimPanics(t *testing.T) {
+	n := NewMLP(3, nil, 2, rand.New(rand.NewSource(11)))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	n.TrainOn(tensor.NewVector(n.NumParams() + 1))
+}
+
+// FuzzTrainOn draws an MLP's widths and a parameter vector — its leading
+// coordinates any float64 bits, NaN and ±Inf included — and requires the
+// gradient of a network bound to the vector to be, bit for bit, that of a
+// twin the vector was copied into, and the vector to come out unchanged.
+func FuzzTrainOn(f *testing.F) {
+	word := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(uint8(12), uint8(7), uint8(3), uint8(4), int64(1), word(0.5, -2))
+	f.Add(uint8(5), uint8(0), uint8(2), uint8(1), int64(2), word(math.NaN(), math.Inf(1), math.Copysign(0, -1)))
+	f.Add(uint8(31), uint8(17), uint8(9), uint8(7), int64(3), []byte{})
+	f.Fuzz(func(t *testing.T, in, hidden, classes, rows uint8, seed int64, raw []byte) {
+		nin, nclass := 1+int(in)%32, 2+int(classes)%9
+		var widths []int
+		if h := int(hidden) % 18; h > 0 {
+			widths = []int{h}
+		}
+		bound := NewMLP(nin, widths, nclass, rand.New(rand.NewSource(seed)))
+		twin := NewMLP(nin, widths, nclass, rand.New(rand.NewSource(seed)))
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		v := tensor.NewVector(bound.NumParams())
+		for i := range v {
+			if i < len(raw)/8 {
+				v[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+		kept := v.Clone()
+		bound.TrainOn(v)
+		twin.SetParamsVector(v)
+		x, y := randBatch(rng, 1+int(rows)%8, nin, nclass)
+		loss, grad := bound.GradientView(x, y)
+		wantLoss, want := twin.GradientView(x, y)
+		if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+			t.Fatalf("loss %v, the copy-loaded twin's %v", loss, wantLoss)
+		}
+		sameVectorBits(t, grad, want, "gradient vs the copy-loaded twin")
+		sameVectorBits(t, v, kept, "the bound vector after a backward pass")
+	})
 }
 
 func TestSoftmaxCrossEntropy(t *testing.T) {

@@ -70,10 +70,14 @@ type WorkerConfig struct {
 type Config struct {
 	// ModelFactory builds one network replica; called once for the server
 	// and once per worker (in-graph replication: identical structure,
-	// server-owned parameters). A replica holds its parameters as one flat
-	// store — the server's is the parameter authority itself, a worker's is
-	// what each broadcast is loaded (over TCP, received) into — and, once it
-	// has trained, one flat gradient store its submissions are borrowed from.
+	// server-owned parameters). The server's replica's flat parameter store
+	// is the parameter authority itself. An in-process worker's replica
+	// trains on the vector it is handed (nn.Network.TrainOn) — the server's
+	// store, a retained model, or the broadcast as it read off a datagram
+	// link — so the store the factory built for it is dropped at New; a
+	// socket worker's is what each broadcast is received into. Once it has
+	// trained, a replica holds one flat gradient store its submissions are
+	// borrowed from.
 	ModelFactory func() *nn.Network
 	// Workers lists the n worker nodes.
 	Workers []WorkerConfig
@@ -262,6 +266,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("ps: worker %d replica dimension %d != server %d",
 				i, c.replicas[i].NumParams(), c.net.NumParams())
 		}
+		c.replicas[i].TrainOn(c.params)
 		c.rngs[i] = rand.New(rand.NewSource(w.Seed + int64(i)*7919))
 	}
 	return c, nil
@@ -284,6 +289,12 @@ func (c *Cluster) Step() (*StepResult, error) {
 // the worker's link (submit), and each engine settles the same submissions,
 // aggregates and descends. The engines share one round description and so
 // one plan; the first one's is read, and its result returned.
+//
+// Every worker's replica trains on the vector its plan names, not on a copy:
+// params, a retained model, or the broadcast as it read off the datagram
+// link. Those vectors are read-only from the broadcast until wg.Wait: nothing
+// writes a model while workers compute, and the optimizer descends on the
+// server's store only in Finish.
 func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 	n := len(c.cfg.Workers)
 	c.rounds = c.rounds[:0]
@@ -325,7 +336,7 @@ func (c *Cluster) round(params tensor.Vector) (*StepResult, error) {
 			if tag := round.Tag(i); tag < step {
 				params = models.At(tag)
 			}
-			c.replicas[i].SetParamsVector(params)
+			c.replicas[i].TrainOn(params) // nothing to do when it is the vector bound last round
 			x, y := c.cfg.Workers[i].Sampler.Sample(c.cfg.Batch)
 			// Borrowed from the worker's own replica: the engines drop it
 			// in Finish, before the replica's next backward pass.

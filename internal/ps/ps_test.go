@@ -408,6 +408,64 @@ func TestLossyPipesWithRobustGAR(t *testing.T) {
 	}
 }
 
+// TestReplicasTrainOnThePlannedVector: an in-process replica holds no
+// parameters of its own. After every Step, each worker that trained reads the
+// very vector its plan named — the server's store on a fresh round, the
+// retained model for a stale tag, and, on the datagram link, the broadcast
+// as it read off the wire (or the wire model retained for a stale tag).
+func TestReplicasTrainOnThePlannedVector(t *testing.T) {
+	train, _, factory := testFixture(33)
+	c, err := New(Config{
+		ModelFactory: factory,
+		Workers:      honestWorkers(train, 7),
+		GAR:          gar.Median{},
+		Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
+		Batch:        8,
+		Seed:         9,
+		Async:        AsyncConfig{Quorum: 4, Staleness: 2, SlowRate: 0.4},
+		Link:         Link{MTU: 512, Slots: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range c.replicas {
+		if &r.Params()[0] != &c.params[0] {
+			t.Fatalf("worker %d's replica is not bound to the server's store at New", i)
+		}
+	}
+	seen := map[string]int{}
+	for round := 0; round < 40; round++ {
+		step := c.step
+		if _, err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range c.replicas {
+			tag := c.rounds[0].Tag(i)
+			var kind string
+			var want tensor.Vector
+			switch wire := c.cfg.Link.datagram(i); {
+			case tag < 0:
+				continue // sat out: trained on nothing this round
+			case !wire && tag == step:
+				kind, want = "server store", c.params
+			case !wire:
+				kind, want = "retained model", c.models.At(tag)
+			case tag == step:
+				kind, want = "received broadcast", c.received
+			default:
+				kind, want = "retained wire model", c.wireModels.At(tag)
+			}
+			if &r.Params()[0] != &want[0] {
+				t.Fatalf("step %d: worker %d (tag %d) does not read the %s", step, i, tag, kind)
+			}
+			seen[kind]++
+		}
+	}
+	if len(seen) != 4 {
+		t.Fatalf("the schedule exercised only %v (dead fixture)", seen)
+	}
+}
+
 func TestCorruptedDataWorkerFig7(t *testing.T) {
 	train, test, factory := testFixture(12)
 	workers := honestWorkers(train, 7)
