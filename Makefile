@@ -22,8 +22,9 @@ lint:
 	$(GO) run ./cmd/aggrevet ./...
 
 # The default local gate: static checks, then build and tests (the
-# zero-allocation gates are tests).
-check: fmt vet lint build test
+# zero-allocation gates are tests), then smoke: every built-in campaign's
+# bytes against the committed sha256s, the refactoring safety net.
+check: fmt vet lint build test smoke
 
 build:
 	$(GO) build ./...

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aggregathor/internal/data"
@@ -16,6 +17,13 @@ import (
 
 // asyncFixture is the shared dataset/model of the async cluster tests — the
 // same shape as the Byzantine matrix so results stay comparable.
+// fold is one round's Totals: the counters a test reads off StepResult.Slots.
+func fold(sr *ps.StepResult) ps.Totals {
+	var t ps.Totals
+	t.Add(sr)
+	return t
+}
+
 func asyncFixture() (*data.Dataset, *data.Dataset, func() *nn.Network) {
 	ds := data.SyntheticFeatures(300, 10, 3, 50)
 	ds.MinMaxScale()
@@ -106,7 +114,7 @@ func TestAsyncLockstepParitySockets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ra.AdmittedStale != 0 || ra.DroppedStale != 0 || ra.Skipped {
+				if tot := fold(ra); tot.AdmittedStale != 0 || tot.DroppedTooStale != 0 || ra.Skipped {
 					t.Fatalf("step %d: quorum-n async counted staleness or skipped: %+v", step, ra)
 				}
 				if rp.Received != ra.Received {
@@ -183,8 +191,7 @@ func TestAsyncSlowCrossBackendParity(t *testing.T) {
 			name string
 			got  *ps.StepResult
 		}{{"tcp", rt}, {"udp", ru}} {
-			if pair.got.Received != ri.Received || pair.got.Skipped != ri.Skipped ||
-				pair.got.AdmittedStale != ri.AdmittedStale || pair.got.DroppedStale != ri.DroppedStale {
+			if pair.got.Received != ri.Received || pair.got.Skipped != ri.Skipped || !slices.Equal(pair.got.Slots, ri.Slots) {
 				t.Fatalf("step %d: %s counters %+v diverge from in-process %+v", step, pair.name, pair.got, ri)
 			}
 			if math.Float64bits(pair.got.Loss) != math.Float64bits(ri.Loss) {
@@ -197,8 +204,9 @@ func TestAsyncSlowCrossBackendParity(t *testing.T) {
 				t.Fatalf("step %d: parameter %d diverged across backends", step, i)
 			}
 		}
-		staleTotal += ri.AdmittedStale
-		droppedTotal += ri.DroppedStale
+		tot := fold(ri)
+		staleTotal += tot.AdmittedStale
+		droppedTotal += tot.DroppedTooStale
 	}
 	if staleTotal == 0 || droppedTotal == 0 {
 		t.Fatalf("schedule admitted %d stale and dropped %d slots over %d rounds; need both > 0 (dead fixture)",
@@ -295,9 +303,10 @@ func TestUDPAsyncByzantineStalenessMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if sr.DroppedStale != wantDropped || sr.AdmittedStale != wantStale {
+						tot := fold(sr)
+						if tot.DroppedTooStale != wantDropped || tot.AdmittedStale != wantStale {
 							t.Fatalf("step %d: counters stale=%d dropped=%d, schedules say %d/%d",
-								s, sr.AdmittedStale, sr.DroppedStale, wantStale, wantDropped)
+								s, tot.AdmittedStale, tot.DroppedTooStale, wantStale, wantDropped)
 						}
 						if sr.Received != wantReceived {
 							t.Fatalf("step %d: received %d, schedules say %d", s, sr.Received, wantReceived)
@@ -306,8 +315,8 @@ func TestUDPAsyncByzantineStalenessMatrix(t *testing.T) {
 							t.Fatalf("step %d: skipped=%v with %d received (quorum %d, %s needs %d)",
 								s, sr.Skipped, sr.Received, quorum, ruleName, minWorkers)
 						}
-						staleTotal += sr.AdmittedStale
-						droppedTotal += sr.DroppedStale
+						staleTotal += tot.AdmittedStale
+						droppedTotal += tot.DroppedTooStale
 						if !sr.Skipped {
 							aggregated++
 						}

@@ -101,7 +101,7 @@ func TestTCPClusterChurnConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		crashes += res.Crashes
+		crashes += fold(res).Crashes
 		rejoins += res.Rejoins
 		attempts += res.ReconnectAttempts
 		if res.BelowBound {

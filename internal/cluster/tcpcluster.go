@@ -203,7 +203,8 @@ func (c *TCPCluster) read(conn *transport.TCPConn) {
 
 // Step runs one synchronous round over the sockets: install the scheduled
 // reconnects, broadcast, then feed the round whatever the readers deliver
-// until nothing is outstanding or the deadline passes.
+// until nothing is outstanding or the deadline passes. The result's
+// Slots is valid until the next Step.
 func (c *TCPCluster) Step() (*ps.StepResult, error) {
 	if err := c.canStep(); err != nil {
 		return nil, err

@@ -88,7 +88,7 @@ func TestUDPClusterChurnByzantineMatrix(t *testing.T) {
 					if sr.Received != participants[i] {
 						t.Fatalf("round %d received %d gradients, want %d scheduled participants", i, sr.Received, participants[i])
 					}
-					crashes += sr.Crashes
+					crashes += fold(sr).Crashes
 					rejoins += sr.Rejoins
 					attempts += sr.ReconnectAttempts
 				}
@@ -200,7 +200,7 @@ func TestUDPClusterChurnMatchesTCP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
-			counters[i] = roundCounters{crashes: sr.Crashes, rejoins: sr.Rejoins, belowBound: sr.BelowBound}
+			counters[i] = roundCounters{crashes: fold(sr).Crashes, rejoins: sr.Rejoins, belowBound: sr.BelowBound}
 		}
 		return cl.Params(), counters
 	}

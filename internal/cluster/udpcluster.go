@@ -180,7 +180,8 @@ func (l *udpLink) close() {
 
 // Step runs one synchronous round over the datagram sockets: broadcast the
 // model under the round's downlink masks, then feed the round every packet
-// that arrives until nothing is outstanding or the deadline passes.
+// that arrives until nothing is outstanding or the deadline passes. The
+// result's Slots is valid until the next Step.
 func (c *UDPCluster) Step() (*ps.StepResult, error) {
 	if err := c.canStep(); err != nil {
 		return nil, err

@@ -39,7 +39,7 @@ func TestUDPClusterModelLossDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stale += sr.Stale
+			stale += fold(sr).StaleGradients
 		}
 		return cl.Params(), stale
 	}
@@ -92,8 +92,8 @@ func TestUDPClusterModelLossZeroRateParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sr.Stale != 0 {
-				t.Fatalf("round %d reported %d stale slots on a loss-free model channel", i, sr.Stale)
+			if n := fold(sr).StaleGradients; n != 0 {
+				t.Fatalf("round %d reported %d stale slots on a loss-free model channel", i, n)
 			}
 		}
 		return cl.Params()
@@ -133,7 +133,7 @@ func TestUDPClusterModelRecoupSkipVsStale(t *testing.T) {
 			if sr.Received < 5 {
 				sawLoss = true
 			}
-			stale += sr.Stale
+			stale += fold(sr).StaleGradients
 		}
 		if !sawLoss {
 			t.Fatal("25% model loss with skip recoup never shrank a round — the downlink schedule is not applied")
@@ -164,7 +164,7 @@ func TestUDPClusterModelRecoupSkipVsStale(t *testing.T) {
 			if sr.Received != 5 {
 				t.Fatalf("round %d received %d, want 5 (stale recoup keeps every slot present)", i, sr.Received)
 			}
-			stale += sr.Stale
+			stale += fold(sr).StaleGradients
 		}
 		if stale == 0 {
 			t.Fatal("25% model loss with stale recoup reported no stale submission in 10 rounds")
@@ -231,7 +231,7 @@ func TestUDPClusterModelLossByzantineMatrix(t *testing.T) {
 					if sr.Received != 7 {
 						t.Fatalf("round %d received %d gradients, want 7", i, sr.Received)
 					}
-					stale += sr.Stale
+					stale += fold(sr).StaleGradients
 				}
 				if stale == 0 {
 					t.Fatal("no stale submission in 150 lossy-model rounds")

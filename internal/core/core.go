@@ -255,8 +255,8 @@ type Result struct {
 	// ResumedFromStep is the checkpointed step index the run warm-started
 	// from (0 for a fresh run).
 	ResumedFromStep int
-	// params is what training ended on, for the cross-backend parity tests.
-	params tensor.Vector
+	params          tensor.Vector // what training ended on, for the parity tests
+	slots           uint64        // an FNV-1a digest of every round's Slots, likewise
 }
 
 // round maps the experiment description onto the round description every

@@ -54,7 +54,8 @@ func generatedConfig(rng *rand.Rand) Config {
 // every backend whose Validate accepts them — the in-process one with every
 // worker on its datagram link, which is the udp backend's trajectory at any
 // drop rate — and requires each run to succeed with the same run totals,
-// final accuracy and final parameters, bit for bit.
+// the same outcome for every slot of every round, and the same final
+// accuracy and final parameters, bit for bit.
 func TestGeneratedConfigsAgreeAcrossBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	compared := 0
@@ -79,6 +80,8 @@ func TestGeneratedConfigsAgreeAcrossBackends(t *testing.T) {
 				first, firstBackend = res, backend
 			case res.Totals != first.Totals:
 				t.Errorf("config %d %+v: totals %+v on %s, %+v on %s", i, cfg, res.Totals, backend, first.Totals, firstBackend)
+			case res.slots != first.slots:
+				t.Errorf("config %d %+v: the rounds' slot outcomes on %s differ from %s's", i, cfg, backend, firstBackend)
 			case math.Float64bits(res.FinalAccuracy) != math.Float64bits(first.FinalAccuracy):
 				t.Errorf("config %d %+v: final accuracy %v on %s, %v on %s", i, cfg, res.FinalAccuracy, backend, first.FinalAccuracy, firstBackend)
 			case paramsSHA256(res.params) != paramsSHA256(first.params):

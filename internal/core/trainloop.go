@@ -28,6 +28,9 @@ func runTraining(cfg Config, cl deployment, test *data.Dataset, round simnet.Rou
 		clock.Advance(round.Total())
 		res.Throughput.Observe(sr.Received, round.Total())
 		res.Totals.Add(sr)
+		for _, o := range sr.Slots {
+			res.slots = (res.slots ^ uint64(o)) * 1099511628211
+		}
 		if sr.Hijacked {
 			res.Hijacked = true
 		}

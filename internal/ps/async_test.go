@@ -140,7 +140,7 @@ func TestAsyncLockstepBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ra.AdmittedStale != 0 || ra.DroppedStale != 0 {
+		if tot := fold(ra); tot.AdmittedStale != 0 || tot.DroppedTooStale != 0 {
 			t.Fatalf("step %d: lockstep-strict async counted stale slots: %+v", step, ra)
 		}
 		if rp.Received != ra.Received || rp.Skipped != ra.Skipped || rp.Loss != ra.Loss {
@@ -195,9 +195,9 @@ func TestAsyncSlowScheduleCountersExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.AdmittedStale != wantStale || res.DroppedStale != wantDropped {
+		if tot := fold(res); tot.AdmittedStale != wantStale || tot.DroppedTooStale != wantDropped {
 			t.Fatalf("step %d: counters stale=%d dropped=%d, schedule says %d/%d",
-				step, res.AdmittedStale, res.DroppedStale, wantStale, wantDropped)
+				step, tot.AdmittedStale, tot.DroppedTooStale, wantStale, wantDropped)
 		}
 		if res.Received != wantReceived {
 			t.Fatalf("step %d: received %d, schedule says %d", step, res.Received, wantReceived)

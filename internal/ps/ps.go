@@ -124,8 +124,10 @@ type Cluster struct {
 	losses  []float64
 	correct []tensor.Vector
 	// forged[i] is Byzantine worker i's forgery buffer (attack.Context.Dst),
-	// allocated at its first forge and written by every one after.
+	// allocated at its first forge and written by every one after; hijack
+	// is the hijackers' one garbage buffer, allocated at the first write.
 	forged []tensor.Vector
+	hijack tensor.Vector
 	// The datagram link's state (nil without one): the round's broadcast as
 	// it reads off the wire, those a slow worker may yet train on, scratch.
 	received   tensor.Vector
@@ -147,22 +149,13 @@ type StepResult struct {
 	// Hijacked is true when a Byzantine worker overwrote the parameters
 	// this round (Vanilla mode only).
 	Hijacked bool
-	// Stale counts slots settled this round from a stale-model submission:
-	// on the lossy-model UDP backend, a worker whose broadcast was torn
-	// trained on its last complete model and the server accepted the
-	// resulting gradient into the current round (Link.StaleModels).
-	Stale int
-	// AdmittedStale counts slots aggregated this round off a model up to τ
-	// steps old, per the asynchronous slow-worker schedule; DroppedStale the
-	// slots that schedule dropped because the lag exceeded τ — the server
-	// never waits for (or recoups) these.
-	AdmittedStale, DroppedStale int
-	// Crashes counts workers the churn schedule crashed this round (each took
-	// the broadcast and tore its sockets down without submitting: the slot is
-	// dropped, never awaited or recouped), Rejoins those it re-admitted, and
-	// ReconnectAttempts the dial attempts behind the rejoins — one each on
-	// the scheduled path.
-	Crashes, Rejoins, ReconnectAttempts int
+	// Slots is how each worker's slot settled, by worker id. It is
+	// engine-owned and valid until the engine's next round begins.
+	Slots []Outcome
+	// Rejoins counts the workers the churn schedule re-admitted this round
+	// (each handshake; a rejoined slot still settles), and ReconnectAttempts
+	// the dial attempts behind them — one each on the scheduled path.
+	Rejoins, ReconnectAttempts int
 	// BelowBound is true when the round was skipped because live
 	// membership fell below the GAR's Byzantine safety bound (n_live <
 	// MinWorkers, e.g. 2f+3 for Krum-family rules): the server refuses to
@@ -172,9 +165,9 @@ type StepResult struct {
 }
 
 // Totals sums a run's StepResults into what an experiment result and a
-// campaign cell both report, under the campaign JSON's names: each field is
-// the run total of the StepResult field Add folds into it. The slow-schedule
-// and churn counters are exact functions of the seed, omitted when zero.
+// campaign cell both report, under the campaign JSON's names; the slot
+// counters count outcomes (Add). The slow-schedule and churn counters are
+// exact functions of the seed, omitted when zero.
 type Totals struct {
 	SkippedRounds     int `json:"skippedRounds"`
 	StaleGradients    int `json:"staleGradients"`
@@ -194,10 +187,18 @@ func (t *Totals) Add(r *StepResult) {
 	if r.BelowBound {
 		t.BelowBoundRounds++
 	}
-	t.StaleGradients += r.Stale
-	t.AdmittedStale += r.AdmittedStale
-	t.DroppedTooStale += r.DroppedStale
-	t.Crashes += r.Crashes
+	for _, o := range r.Slots {
+		switch o {
+		case SlotStale:
+			t.StaleGradients++
+		case SlotAdmittedStale:
+			t.AdmittedStale++
+		case SlotTooStale:
+			t.DroppedTooStale++
+		case SlotCrashed:
+			t.Crashes++
+		}
+	}
 	t.Rejoins += r.Rejoins
 	t.ReconnectAttempts += r.ReconnectAttempts
 }
@@ -273,7 +274,8 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Step runs one synchronous round: a Vanilla server takes the hijackers'
-// remote writes, then the workers train on the server's model.
+// remote writes, then the workers train on the server's model. The result's
+// Slots is valid until the next Step: a caller that keeps it copies it.
 func (c *Cluster) Step() (*StepResult, error) {
 	hijacked := c.hijackPhase()
 	res, err := c.round(c.params)
@@ -444,11 +446,13 @@ func (c *Cluster) hijackPhase() bool {
 		if !w.HijackParams {
 			continue
 		}
-		garbage := tensor.NewVector(c.params.Dim())
-		for j := range garbage {
-			garbage[j] = c.rngs[i].NormFloat64() * 1e3
+		if c.hijack == nil {
+			c.hijack = tensor.NewVector(c.params.Dim())
 		}
-		if err := c.RemoteAssign(garbage); err == nil {
+		for j := range c.hijack {
+			c.hijack[j] = c.rngs[i].NormFloat64() * 1e3
+		}
+		if err := c.RemoteAssign(c.hijack); err == nil {
 			hijacked = true
 		}
 	}

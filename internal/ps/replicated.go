@@ -28,6 +28,12 @@ type ReplicatedCluster struct {
 	cl         *Cluster  // the workers, and one engine per correct replica
 	replicas   []*Engine // by replica id; nil for a Byzantine one
 	byzReplica map[int]bool
+	// The vote's scratch: each replica's proposal fingerprint, by replica
+	// id, and the Byzantine replicas' one garbage buffer, allocated at the
+	// first lie.
+	prints  []uint64
+	garbage tensor.Vector
+	rng     *rand.Rand
 }
 
 // ReplicatedConfig assembles a replicated-server deployment.
@@ -85,7 +91,8 @@ func NewReplicated(cfg ReplicatedConfig) (*ReplicatedCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &ReplicatedCluster{replicas: make([]*Engine, cfg.ServerReplicas), byzReplica: byz}
+	c := &ReplicatedCluster{replicas: make([]*Engine, cfg.ServerReplicas), byzReplica: byz,
+		prints: make([]uint64, cfg.ServerReplicas), rng: rand.New(rand.NewSource(cfg.Seed))}
 	for r := range c.replicas {
 		if byz[r] {
 			continue // it lies anyway: it needs no state
@@ -112,35 +119,40 @@ func NewReplicated(cfg ReplicatedConfig) (*ReplicatedCluster, error) {
 	return c, nil
 }
 
-// Step runs one synchronous round of the replicated deployment.
+// Step runs one synchronous round of the replicated deployment. As with
+// Cluster.Step, the result's Slots is valid until the next Step.
 func (c *ReplicatedCluster) Step() (*StepResult, error) {
 	// Proposal phase: every replica broadcasts its model; Byzantine
 	// replicas broadcast fresh garbage.
-	proposals := make([]tensor.Vector, len(c.replicas))
-	byzRng := rand.New(rand.NewSource(c.cl.cfg.Seed ^ int64(c.step)*7919))
+	c.rng.Seed(c.cl.cfg.Seed ^ int64(c.step)*7919)
 	for i, rep := range c.replicas {
 		if !c.byzReplica[i] {
-			proposals[i] = rep.params
+			c.prints[i] = rep.params.Fingerprint()
 			continue
 		}
-		proposals[i] = tensor.NewVector(c.params.Dim())
-		for j := range proposals[i] {
-			proposals[i][j] = byzRng.NormFloat64() * 1e6
+		if c.garbage == nil {
+			c.garbage = tensor.NewVector(c.params.Dim())
 		}
+		for j := range c.garbage {
+			c.garbage[j] = c.rng.NormFloat64() * 1e6
+		}
+		c.prints[i] = c.garbage.Fingerprint()
 	}
 
-	// Vote phase: workers adopt the value proposed by > 2/3 of replicas.
+	// Vote phase: workers adopt the value proposed by > 2/3 of replicas,
+	// the first replica's to propose it. At most one value can reach that
+	// quorum, and never a garbage one: ByzantineReplicas keeps 3b < R.
 	quorum := 2*len(c.replicas)/3 + 1
-	counts := map[uint64][]int{}
-	for i, p := range proposals {
-		fp := p.Fingerprint()
-		counts[fp] = append(counts[fp], i)
-	}
 	var agreed tensor.Vector
-	//aggrevet:ordered quorum > 2n/3, so at most one fingerprint bucket can reach it; the pick is order-independent
-	for _, idxs := range counts {
-		if len(idxs) >= quorum {
-			agreed = proposals[idxs[0]]
+	for i, fp := range c.prints {
+		votes := 0
+		for _, other := range c.prints {
+			if other == fp {
+				votes++
+			}
+		}
+		if votes >= quorum && !c.byzReplica[i] {
+			agreed = c.replicas[i].params
 			break
 		}
 	}

@@ -181,3 +181,54 @@ func TestReplicatedMatchesSingleServer(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedStepAllocs: past the first step, a replicated step allocates
+// what a plain cluster's step on the same workers does plus one StepResult
+// per extra correct replica. A Byzantine replica's proposal is redrawn in a
+// kept buffer from one reseeded rng and the vote counts in a kept
+// fingerprint slice, so net of the StepResults a lying replica costs no
+// allocation; nor does a hijacker's remote write, drawn in one kept buffer.
+func TestReplicatedStepAllocs(t *testing.T) {
+	train, _, factory := testFixture(42)
+	sgd := func() opt.Optimizer { return &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}} }
+	plain, err := New(Config{ModelFactory: factory, Workers: honestWorkers(train, 7), GAR: gar.Average{}, Optimizer: sgd(), Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(c interface{ Step() (*StepResult, error) }) func() {
+		return func() {
+			if _, err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := testing.AllocsPerRun(50, step(plain))
+	hijackers := honestWorkers(train, 7)
+	hijackers[0].HijackParams = true
+	vanilla, err := New(Config{ModelFactory: factory, Workers: hijackers, GAR: gar.Average{}, Optimizer: sgd(), Batch: 8, Mode: Vanilla})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(50, step(vanilla)); got != base {
+		t.Errorf("a step with a hijacker allocates %v, one without %v", got, base)
+	}
+	var net []float64
+	for _, byz := range [][]int{nil, {2}} {
+		c, err := NewReplicated(ReplicatedConfig{
+			ModelFactory: factory, ServerReplicas: 4, ByzantineReplicas: byz, Workers: honestWorkers(train, 7),
+			GAR: gar.Average{}, OptimizerFactory: sgd, Batch: 8, Seed: 43,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := float64(len(c.cl.engines) - 1)
+		got := testing.AllocsPerRun(50, step(c))
+		if got-results > base {
+			t.Errorf("%d Byzantine replicas: %v allocs a step, want <= %v (a plain step) + %v StepResults", len(byz), got, base, results)
+		}
+		net = append(net, got-results)
+	}
+	if net[0] != net[1] {
+		t.Errorf("net of StepResults, a step allocates %v with no Byzantine replica and %v with one", net[0], net[1])
+	}
+}

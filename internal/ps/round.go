@@ -101,25 +101,40 @@ type EngineConfig struct {
 	Byzantine []bool
 }
 
-// slotState is where one worker's slot stands in the current round.
-type slotState uint8
+// Outcome is how one slot settled: the round's one record per slot, written
+// where it settles and folded by every round counter (Totals.Add). Fresh,
+// stale and admitted-stale slots hold the worker's own gradient, whole or
+// fill-completed, on this round's model, on the last complete one after a
+// torn broadcast (Link.StaleModels), or on one the slow schedule lags by up
+// to τ steps; a recouped slot holds a stand-in, a dropped one nothing
+// (DropGradient). Too-stale (lag beyond τ), crashed and down slots the
+// schedules drop by design: never awaited, never recouped.
+type Outcome uint8
 
 const (
-	// slotOpen: nothing has settled the slot yet.
-	slotOpen slotState = iota
-	// slotGot: the slot holds the worker's own submission — whole, or
-	// fill-completed from the packets that arrived.
-	slotGot
-	// slotRecouped: the slot holds a stand-in gradient; no worker data
-	// arrived for it.
-	slotRecouped
-	// slotEmpty: settled without a gradient — scheduled out (too stale,
-	// crashed, down) or dropped by the DropGradient policy.
-	slotEmpty
+	SlotOpen Outcome = iota
+	SlotFresh
+	SlotStale
+	SlotAdmittedStale
+	SlotRecouped
+	SlotDropped
+	SlotTooStale
+	SlotCrashed
+	SlotDown
 )
 
+var outcomeNames = []string{"open", "fresh", "stale", "admitted-stale", "recouped", "dropped", "too-stale", "crashed", "down"}
+
+// String renders the outcome for diagnostics.
+func (o Outcome) String() string {
+	if int(o) < len(outcomeNames) {
+		return outcomeNames[o]
+	}
+	return fmt.Sprintf("outcome(%d)", int(o))
+}
+
 // slot is one worker's seat at the server: its liveness across rounds, and
-// where its submission for the current round stands.
+// its submission for the current round (how it settled: Engine.outcomes).
 type slot struct {
 	// suspected: the worker missed a round deadline and is no longer waited
 	// for (an admitted submission or rejoin clears it). dead: its connection
@@ -138,10 +153,9 @@ type slot struct {
 	// of the deterministic contract: it has no model for the tag the plan
 	// expects, submits nothing, and its slots are recouped at the deadline
 	// until the next delivered broadcast resynchronises it.
-	plan  *SlotPlan
-	state slotState
-	grad  tensor.Vector
-	loss  float64
+	plan *SlotPlan
+	grad tensor.Vector
+	loss float64
 }
 
 // Engine is the cluster-lifetime half of the round engine: configuration,
@@ -149,14 +163,12 @@ type slot struct {
 // and all scratch. Begin returns the step's Round.
 type Engine struct {
 	Server
-	cfg   EngineConfig
-	ws    *gar.Workspace
-	plan  *Planner
-	slots []slot
-	// The round's membership: crashed and participating slots, counted by
-	// Begin from the plan; admitted rejoins and the dial attempts their
-	// hellos reported, counted by Rejoin.
-	crashes, live, rejoins, attempts int
+	cfg      EngineConfig
+	ws       *gar.Workspace
+	plan     *Planner
+	slots    []slot
+	outcomes []Outcome // how each slot settled this round (StepResult.Slots)
+	attempts int       // the dial attempts of the round's admitted rejoins
 	// evictions counts slot partials restarted by a packet contradicting
 	// their pinned loss (OfferPacket).
 	evictions int
@@ -188,6 +200,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		cfg:      cfg,
 		ws:       gar.NewWorkspace(),
 		slots:    make([]slot, cfg.Workers),
+		outcomes: make([]Outcome, cfg.Workers),
 		fillRng:  rand.New(rand.NewSource(cfg.Seed)),
 		received: make([]tensor.Vector, 0, cfg.Workers),
 	}
@@ -218,25 +231,20 @@ func (e *Engine) row(id int) tensor.Vector {
 // round waits on.
 func (e *Engine) Begin() *Round {
 	r, step := &e.round, e.step
-	e.crashes, e.live, e.rejoins, e.attempts = 0, 0, 0, 0
+	e.attempts = 0
 	for id := range e.slots {
-		s := &e.slots[id]
+		s, out := &e.slots[id], &e.outcomes[id]
 		// A partial from an earlier round can never complete: Finish settles
 		// every slot, so only a round that failed before it leaves one.
 		s.part.Discard()
-		s.plan, s.state, s.rejoined = e.plan.At(step, id), slotOpen, false
-		if s.plan.Phase == ChurnCrash {
-			e.crashes++
-		}
-		if s.plan.Phase.Participates() {
-			e.live++
-		}
+		s.plan, s.grad, s.rejoined, *out = e.plan.At(step, id), nil, false, SlotOpen
 		switch p := s.plan; {
-		case !p.Phase.Participates() || p.Tag < 0 && e.cfg.Async.Enabled():
-			// Crashed or down, or sat out by the slow schedule: the slot is
-			// dropped by design — never awaited, never recouped — and the
-			// server proceeds as if the worker did not exist.
-			s.state = slotEmpty
+		case p.Phase == ChurnCrash:
+			*out = SlotCrashed
+		case p.Phase == ChurnDown:
+			*out = SlotDown
+		case p.Tag < 0 && e.cfg.Async.Enabled():
+			*out = SlotTooStale
 		case p.Tag < 0 || p.Lost == e.params.Dim():
 			// A torn broadcast the worker cannot answer, or an answer whose
 			// every packet is scheduled away: nothing of this slot can
@@ -283,7 +291,7 @@ func (r *Round) admit(id, tag int) Admission {
 			return RejectTooStale
 		}
 		return RejectWrongTag
-	case s.state != slotOpen:
+	case r.e.outcomes[id] != SlotOpen:
 		return RejectDuplicate
 	case tag == step:
 		return AdmitFresh
@@ -348,10 +356,19 @@ func (r *Round) OfferPacket(pkt *transport.Packet) Admission {
 	return v
 }
 
-// settle fills slot id with the worker's own submission.
+// settle fills slot id with the worker's own submission, stale by regime
+// when it was computed on an older model.
 func (r *Round) settle(id int, grad tensor.Vector, loss float64) {
-	s := &r.e.slots[id]
-	s.state, s.grad, s.loss = slotGot, grad, loss
+	e, s := r.e, &r.e.slots[id]
+	switch {
+	case s.plan.Tag == e.step:
+		e.outcomes[id] = SlotFresh
+	case e.cfg.Async.Enabled():
+		e.outcomes[id] = SlotAdmittedStale
+	default:
+		e.outcomes[id] = SlotStale
+	}
+	s.grad, s.loss = grad, loss
 	s.suspected = false // a recovered straggler is waited for again
 }
 
@@ -374,7 +391,7 @@ func (r *Round) recoup(id int) {
 		fill = e.randFill
 	default:
 		s.part.Discard()
-		s.state = slotEmpty
+		e.outcomes[id] = SlotDropped
 		return
 	}
 	if !s.part.Empty() {
@@ -386,7 +403,7 @@ func (r *Round) recoup(id int) {
 	for i := range row {
 		row[i] = fill(i)
 	}
-	s.state, s.grad = slotRecouped, row
+	e.outcomes[id], s.grad = SlotRecouped, row
 }
 
 func nanFill(int) float64 { return math.NaN() }
@@ -396,7 +413,7 @@ func nanFill(int) float64 { return math.NaN() }
 func (r *Round) Outstanding() int {
 	m := 0
 	for id := range r.e.slots {
-		if s := &r.e.slots[id]; s.state == slotOpen && !s.dead && !s.suspected {
+		if s := &r.e.slots[id]; r.e.outcomes[id] == SlotOpen && !s.dead && !s.suspected {
 			m++
 		}
 	}
@@ -437,7 +454,6 @@ func (r *Round) Rejoin(worker, step, attempts int) Admission {
 		return RejectMalformed
 	}
 	s.rejoined, s.dead, s.suspected = true, false, false
-	e.rejoins++
 	e.attempts += attempts
 	return AdmitFresh
 }
@@ -470,7 +486,7 @@ func (r *Round) Disconnected(id int) {
 // timeout, not one per round.
 func (r *Round) Expire() {
 	for id := range r.e.slots {
-		if s := &r.e.slots[id]; s.state == slotOpen && !s.dead {
+		if s := &r.e.slots[id]; r.e.outcomes[id] == SlotOpen && !s.dead {
 			s.suspected = true
 		}
 	}
@@ -480,49 +496,40 @@ func (r *Round) Expire() {
 // filled slots in worker-id order — arrival order is a race, and
 // floating-point summation is order-sensitive — and applies the descent
 // step. A skipped round leaves the model unchanged and still advances the
-// step.
+// step. The result's Slots is the engine's: a caller that keeps the result
+// past the next Begin copies it.
 func (r *Round) Finish() (*StepResult, error) {
 	e, cfg := r.e, &r.e.cfg
-	res := &StepResult{Crashes: e.crashes, Rejoins: e.rejoins, ReconnectAttempts: e.attempts}
+	res := &StepResult{Slots: e.outcomes, ReconnectAttempts: e.attempts}
 	received := e.received[:0]
-	lossSum, lossN := 0.0, 0
+	lossSum, lossN, live := 0.0, 0, len(e.slots)
 	for id := range e.slots {
 		s := &e.slots[id]
-		if s.state == slotOpen {
+		switch e.outcomes[id] {
+		case SlotOpen:
 			r.recoup(id)
+		case SlotCrashed, SlotDown:
+			live--
 		}
-		switch s.state {
-		case slotGot:
-			// Only a slot carrying the worker's own stale-tagged
-			// submission counts as stale — a stand-in contains no worker
-			// gradient at all. The two staleness regimes are mutually
-			// exclusive: the slow schedule's admissions, or torn
-			// broadcasts answered on a stale model.
-			if s.plan.Tag != e.step && cfg.Async.Enabled() {
-				res.AdmittedStale++
-			} else if s.plan.Tag != e.step {
-				res.Stale++
-			}
-			received = append(received, s.grad)
-			// Mean honest loss (diagnostic only): Byzantine losses are excluded,
-			// and a loss travels with its gradient — no submission, no loss.
-			if cfg.Byzantine == nil || !cfg.Byzantine[id] {
-				lossSum += s.loss
-				lossN++
-			}
-		case slotRecouped:
-			received = append(received, s.grad)
-		case slotEmpty:
-			if cfg.Async.Enabled() && s.plan.Tag < 0 {
-				res.DroppedStale++ // the slow schedule sat the worker out
-			}
+		if s.rejoined {
+			res.Rejoins++
+		}
+		if s.grad == nil {
+			continue
+		}
+		received = append(received, s.grad)
+		// Mean honest loss (diagnostic only): Byzantine losses are excluded,
+		// and a loss travels with its gradient — a stand-in has none.
+		if e.outcomes[id] != SlotRecouped && (cfg.Byzantine == nil || !cfg.Byzantine[id]) {
+			lossSum += s.loss
+			lossN++
 		}
 	}
 	res.Received = len(received)
 	if lossN > 0 {
 		res.Loss = lossSum / float64(lossN)
 	}
-	agg, err := r.aggregate(res, received)
+	agg, err := r.aggregate(res, received, live)
 	if err != nil {
 		return nil, err
 	}
@@ -544,18 +551,19 @@ func (r *Round) Finish() (*StepResult, error) {
 // round (marked on res): skipped rounds are never waited on or retried. The
 // workspace-backed kernels reuse the engine's scratch arena; the result
 // aliases it and is consumed before the next round touches it.
-func (r *Round) aggregate(res *StepResult, received []tensor.Vector) (tensor.Vector, error) {
+func (r *Round) aggregate(res *StepResult, received []tensor.Vector, live int) (tensor.Vector, error) {
 	e, cfg := r.e, &r.e.cfg
 	// Quorum gate: stragglers never gate an asynchronous round.
 	if cfg.Async.Enabled() && len(received) < cfg.Async.EffectiveQuorum(cfg.Workers) {
 		res.Skipped = true
 		return nil, nil
 	}
-	// Below-bound gate: when churn shrinks live membership under the GAR's
-	// Byzantine safety bound (e.g. 2f+3 for the Krum family) the rule's
-	// resilience proof no longer holds for the configured f, so the round
-	// is skipped explicitly, without calling the GAR, and counted.
-	if info, ok := cfg.GAR.(gar.ByzantineInfo); ok && cfg.Churn.Enabled() && e.live < info.MinWorkers() {
+	// Below-bound gate: when churn shrinks live membership (the slots neither
+	// crashed nor down) under the GAR's Byzantine safety bound (2f+3 for the
+	// Krum family) the rule's resilience proof no longer holds for the
+	// configured f, so the round is skipped explicitly, without calling the
+	// GAR, and counted.
+	if info, ok := cfg.GAR.(gar.ByzantineInfo); ok && cfg.Churn.Enabled() && live < info.MinWorkers() {
 		res.BelowBound, res.Skipped = true, true
 		return nil, nil
 	}

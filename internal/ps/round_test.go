@@ -47,6 +47,13 @@ func roundTestEngine(rc RoundConfig, rule gar.GAR) *Engine {
 	return e
 }
 
+// fold is one round's Totals: the counters a test reads off StepResult.Slots.
+func fold(res *StepResult) Totals {
+	var t Totals
+	t.Add(res)
+	return t
+}
+
 func randomGrads(rng *rand.Rand, n, dim int) []tensor.Vector {
 	grads := make([]tensor.Vector, n)
 	for i := range grads {
@@ -87,6 +94,8 @@ func TestRoundOfferOrderInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Slots is the engine's and the next Begin rewrites it: keep a copy.
+				res.Slots = slices.Clone(res.Slots)
 				results = append(results, res)
 			}
 			return results, e.Params()
@@ -185,8 +194,8 @@ func TestSlotRowIsTheOneBuffer(t *testing.T) {
 			round.recoup(0)
 		}
 		s := &e.slots[0]
-		if s.state == slotOpen || &s.grad[0] != &s.row[0] || row != nil && &s.row[0] != row {
-			t.Fatalf("step %d (%d packets): slot settled as %v outside its row", step, arrive, s.state)
+		if out := e.outcomes[0]; out == SlotOpen || &s.grad[0] != &s.row[0] || row != nil && &s.row[0] != row {
+			t.Fatalf("step %d (%d packets): slot settled as %v outside its row", step, arrive, out)
 		}
 		row = &s.row[0]
 		for i := range pkts[:arrive] {
@@ -223,8 +232,8 @@ func TestOfferPacketWrongDimCannotEvict(t *testing.T) {
 	for i := range pkts[1:] {
 		round.OfferPacket(&pkts[1+i])
 	}
-	if s := &e.slots[1]; s.state != slotGot || !slices.Equal(s.grad, grad) || s.loss != 0.5 {
-		t.Fatalf("the honest gradient settled as %v with loss %v", s.state, s.loss)
+	if s := &e.slots[1]; e.outcomes[1] != SlotFresh || !slices.Equal(s.grad, grad) || s.loss != 0.5 {
+		t.Fatalf("the honest gradient settled as %v with loss %v", e.outcomes[1], s.loss)
 	}
 }
 
@@ -318,7 +327,7 @@ func TestLossCountsWithoutGradientInProcessOnly(t *testing.T) {
 // slots print their rows and partials too — coordinates, arrival bitmap,
 // missing count, pinned loss.
 func roundSnapshot(r *Round) string {
-	return fmt.Sprint(r.e.slots, r.e.evictions, r.e.rejoins, r.e.attempts)
+	return fmt.Sprint(r.e.slots, r.e.outcomes, r.e.evictions, r.e.attempts)
 }
 
 // FuzzRound drives arbitrary arrival sequences — whole gradients, single
@@ -327,9 +336,9 @@ func roundSnapshot(r *Round) string {
 // invariants: the incremental plan equals the pure replay of the schedules,
 // rejections never mutate the round, Outstanding only shrinks (but for a
 // readmitted worker's slot), no worker is admitted back twice in a round or
-// before its downtime elapses, every slot
-// ends settled in a way the schedules allow, and the counters equal an
-// independent evaluation of the seeded schedules and the verdicts issued.
+// before its downtime elapses, every slot's outcome is the one an
+// independent evaluation of the seeded schedules and the verdicts issued
+// allows, and the counters are the same evaluation's.
 func FuzzRound(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 9, 3, 0, 1, 0, 1, 1, 0, 2, 2, 0, 0, 9, 0})
 	f.Add([]byte{5, 1, 2, 7, 3, 0, 0, 1, 1, 0, 9, 2, 1, 0, 3, 3, 2, 4, 0, 1})
@@ -337,6 +346,11 @@ func FuzzRound(f *testing.F) {
 	f.Add([]byte{4, 3, 2, 5, 3, 1, 1, 0, 1, 0, 2, 1, 1, 1, 3, 0, 2, 2, 1, 3})
 	f.Add([]byte{7, 2, 0, 9, 3, 4, 1, 21, 4, 3, 39, 0xff, 4, 2, 21, 4, 5, 3, 0xff, 4, 1, 39, 4, 6, 21})
 	f.Add([]byte("72022\xff\xff1\x04!")) // a suspected worker readmitted mid-round is outstanding again
+	// A stale gradient admitted in each regime: the slow schedule's (worker 3
+	// lags to tag 0 at step 1 under seed 1) and a torn broadcast answered on
+	// the last complete model (worker 0 at step 1 under seed 0).
+	f.Add([]byte{6, 1, 1, 1, 1, 0xff, 0, 4, 2})
+	f.Add([]byte{6, 3, 4, 0, 1, 0xff, 0, 1, 2})
 	// Link.Slots set (bit 3 of the second byte): lockstep, slow schedule and churn over a link some slots are off.
 	f.Add([]byte{6, 12, 1, 9, 3, 1, 1, 0, 1, 2, 1, 1, 6, 2, 0, 4, 0, 0xff, 1, 5, 2, 0, 6, 0})
 	f.Add([]byte{5, 13, 2, 7, 3, 1, 1, 1, 1, 5, 0, 0, 2, 1, 3, 3, 2, 0xff, 1, 1, 3})
@@ -422,7 +436,9 @@ func FuzzRound(f *testing.F) {
 						step, id, p.Phase, p.Gone(), phases[id], cfg.Churn.Permanent(cfg.Seed, step, id))
 				}
 			}
-			admitted := make([]bool, n)
+			// admitted: a rejoin hello; offered, whole: a gradient or any
+			// packet of one, a whole gradient.
+			admitted, offered, whole := make([]bool, n), make([]bool, n), make([]bool, n)
 			outstanding := round.Outstanding()
 			for ; len(in) >= 3 && in[0] != 0xff; in = in[3:] {
 				id := int(in[1]) - 1 // exercise out-of-range ids on both sides
@@ -469,6 +485,7 @@ func FuzzRound(f *testing.F) {
 					if !inRange || tag != wantTag[id] || (v == AdmitFresh) != (tag == step) {
 						t.Fatalf("step %d: %v for (%d, %d), scheduled tags %v", step, v, id, tag, wantTag)
 					}
+					offered[id], whole[id] = true, whole[id] || in[0]%5 == 0
 				case v == RejectUnknownWorker:
 					if inRange {
 						t.Fatalf("step %d: in-range worker %d rejected as unknown", step, id)
@@ -516,33 +533,54 @@ func FuzzRound(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.DroppedStale != wantDropped || res.Crashes != wantCrashes ||
+			if tot := fold(res); tot.DroppedTooStale != wantDropped || tot.Crashes != wantCrashes ||
 				res.Rejoins != wantRejoins || res.ReconnectAttempts != wantAttempts {
 				t.Fatalf("step %d: counters %+v, schedules and verdicts say dropped=%d crashes=%d rejoins=%d attempts=%d",
 					step, res, wantDropped, wantCrashes, wantRejoins, wantAttempts)
 			}
-			filled, stale := 0, 0
-			for id := range e.slots {
-				s := e.slots[id].state
-				scheduledOut := wantTag[id] < 0 && link.ModelLoss == 0
-				switch {
-				case s == slotOpen:
-					t.Fatalf("step %d: slot %d still open after Finish", step, id)
-				case scheduledOut && s != slotEmpty:
-					t.Fatalf("step %d: slot %d is scheduled out but ended in state %d", step, id, s)
-				case !scheduledOut && s == slotEmpty && cfg.Recoup != transport.DropGradient:
-					t.Fatalf("step %d: slot %d ended empty under recoup policy %v", step, id, cfg.Recoup)
-				case s == slotRecouped && cfg.Recoup == transport.DropGradient:
-					t.Fatalf("step %d: slot %d recouped under DropGradient", step, id)
-				case s == slotGot && wantTag[id] != step:
-					stale++
+			// Every slot's outcome, from the schedules and the verdicts: a
+			// slot the schedules take out says why; otherwise a whole
+			// gradient admitted settles it as the worker's own, stale by
+			// regime when the tag is old; a partial does too, but when
+			// DropGradient may drop it; a slot with nothing admitted, or
+			// nothing that can arrive, is stood in for — recouped, or
+			// dropped under DropGradient and only under it.
+			received := 0
+			for id, got := range res.Slots {
+				own, stand := SlotFresh, SlotRecouped
+				if wantTag[id] != step && cfg.Async.Enabled() {
+					own = SlotAdmittedStale
+				} else if wantTag[id] != step {
+					own = SlotStale
 				}
-				if s == slotGot || s == slotRecouped {
-					filled++
+				if cfg.Recoup == transport.DropGradient {
+					stand = SlotDropped
+				}
+				var want []Outcome
+				switch {
+				case phases[id] == ChurnCrash:
+					want = []Outcome{SlotCrashed}
+				case phases[id] == ChurnDown:
+					want = []Outcome{SlotDown}
+				case cfg.Async.Enabled() && wantTag[id] < 0:
+					want = []Outcome{SlotTooStale}
+				case wantTag[id] < 0 || !offered[id]:
+					want = []Outcome{stand}
+				case whole[id] || cfg.Recoup != transport.DropGradient:
+					want = []Outcome{own}
+				default:
+					want = []Outcome{own, stand}
+				}
+				if !slices.Contains(want, got) {
+					t.Fatalf("step %d: slot %d settled %v, want one of %v (tag %d, phase %v, offered %v, whole %v, recoup %v)",
+						step, id, got, want, wantTag[id], phases[id], offered[id], whole[id], cfg.Recoup)
+				}
+				if got == SlotFresh || got == SlotStale || got == SlotAdmittedStale || got == SlotRecouped {
+					received++
 				}
 			}
-			if res.Received != filled || res.AdmittedStale+res.Stale != stale {
-				t.Fatalf("step %d: result %+v, slots say received=%d stale=%d", step, res, filled, stale)
+			if len(res.Slots) != n || res.Received != received {
+				t.Fatalf("step %d: %d gradients received, %d of the %d slots settled with one", step, res.Received, received, len(res.Slots))
 			}
 		}
 	})
@@ -611,7 +649,7 @@ func TestRoundAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Received != 2 || res.AdmittedStale != 1 || res.DroppedStale == 0 {
+	if tot := fold(res); res.Received != 2 || tot.AdmittedStale != 1 || tot.DroppedTooStale == 0 {
 		t.Fatalf("result %+v, want 2 received, 1 admitted stale, >= 1 dropped", res)
 	}
 	for a := AdmitFresh; a <= RejectMalformed+1; a++ {
