@@ -108,7 +108,7 @@ endif
 	bash benchmark/run.sh -compare $(BENCH_CMP_DIR)/A/results.json $(BENCH_CMP_DIR)/B/results.json $(if $(WORKLOAD),\
 		| { tee $(BENCH_CMP_DIR)/table; ! grep -q regressed $(BENCH_CMP_DIR)/table; })
 
-# The size trend ROADMAP items 8 and 2(e) track: non-test Go and assembly
+# The size trend ROADMAP item 2(e) tracks: non-test Go and assembly
 # lines per package directory, committed files only, then the module total
 # outside benchmark/.
 loc:

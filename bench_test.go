@@ -1,7 +1,8 @@
-// Benchmarks regenerating the paper's tables and figures, the one place they
-// are produced. Each benchmark exercises the real kernel behind one exhibit
-// and reports the figure's headline quantity via b.ReportMetric; Table 1's
-// layer table is Example_table1:
+// Benchmarks regenerating the paper's tables and figures. Each benchmark
+// exercises the real kernel behind one exhibit and reports the figure's
+// headline quantity via b.ReportMetric; Figures 3, 6, 7 and 8 are the rows of
+// claims_test.go (BenchmarkFigures), and Table 1's layer table is
+// Example_table1:
 //
 //	go test -run Example_table1 -v .
 //	go test -run=NONE -bench 'Table1|Fig|Cost' -benchtime=1x .
@@ -21,7 +22,6 @@ import (
 	"aggregathor/internal/attack"
 	"aggregathor/internal/core"
 	"aggregathor/internal/gar"
-	"aggregathor/internal/metrics"
 	"aggregathor/internal/nn"
 	"aggregathor/internal/simnet"
 	"aggregathor/internal/tensor"
@@ -73,81 +73,6 @@ func Example_table1() {
 	// relu                   1x1x192                 0
 	// dense(192->10)         1x1x10               1930
 	// total                                    1756426
-}
-
-// fig3Curve executes the Figure-3 configuration for one aggregator at one
-// mini-batch size: 250 is Figure 3(a), the paper's headline setting, and 20
-// is Figure 3(b).
-func fig3Curve(b *testing.B, aggregator string, f, batch int) *core.Result {
-	b.Helper()
-	res, err := core.Run(core.Config{
-		Workers: 19, F: f, Aggregator: aggregator,
-		Optimizer: "momentum", LR: 0.1, Batch: batch,
-		Steps: 80, EvalEvery: 2, Seed: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// fig3Run returns (simulated seconds to half of vanilla TF's final accuracy
-// — the paper's common target — and this config's final accuracy).
-func fig3Run(b *testing.B, aggregator string, f, batch int) (float64, float64) {
-	b.Helper()
-	tf := fig3Curve(b, "tf", 0, batch)
-	target := maxValue(tf.Accuracy) / 2
-	res := fig3Curve(b, aggregator, f, batch)
-	t, ok := res.Accuracy.TimeToValue(target)
-	if !ok {
-		b.Fatalf("%s never reached TF's half accuracy at mini-batch %d", aggregator, batch)
-	}
-	return t.Seconds(), res.FinalAccuracy
-}
-
-// maxValue returns the largest value of s, or 0 for an empty series.
-func maxValue(s metrics.Series) float64 {
-	var m float64
-	for i, p := range s.Points {
-		if i == 0 || p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
-
-// BenchmarkFig3_Overhead reproduces the Figure-3 overhead measurement at
-// mini-batch 250 (Figure 3(a)) and 20 (Figure 3(b)): time to half of final
-// accuracy per aggregator (paper, at 250: MULTI-KRUM +19%, BULYAN +43% over
-// vanilla TF).
-func BenchmarkFig3_Overhead(b *testing.B) {
-	configs := []struct {
-		name string
-		f    int
-	}{
-		{"tf", 0}, {"average", 0}, {"median", 0}, {"multi-krum", 4}, {"bulyan", 4}, {"draco", 4},
-	}
-	for _, batch := range []int{250, 20} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			var baseline float64
-			for _, cfg := range configs {
-				b.Run(cfg.name, func(b *testing.B) {
-					var tHalf, acc float64
-					for i := 0; i < b.N; i++ {
-						tHalf, acc = fig3Run(b, cfg.name, cfg.f, batch)
-					}
-					if cfg.name == "tf" {
-						baseline = tHalf
-					}
-					b.ReportMetric(tHalf, "sim_s_to_half_acc")
-					b.ReportMetric(acc, "final_accuracy")
-					if baseline > 0 {
-						b.ReportMetric(tHalf/baseline, "slowdown_vs_tf")
-					}
-				})
-			}
-		})
-	}
 }
 
 // BenchmarkFig4_LatencyBreakdown measures real GAR aggregation time (n=19,
@@ -297,137 +222,6 @@ func TestResNet50Constants(t *testing.T) {
 	if resNet50FlopsPerSample <= nn.CIFARCNNFlopsPerSample {
 		t.Fatal("ResNet50 must cost more than the CIFAR CNN")
 	}
-}
-
-// BenchmarkFig6_ImpactOfF reproduces Figure 6: convergence with f=1 vs f=4.
-func BenchmarkFig6_ImpactOfF(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		f    int
-	}{
-		{"multi-krum", 1}, {"multi-krum", 4}, {"bulyan", 1}, {"bulyan", 4},
-	} {
-		cfg := cfg
-		b.Run(fmt.Sprintf("%s_f%d", cfg.name, cfg.f), func(b *testing.B) {
-			var acc, simT float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(core.Config{
-					Workers: 19, F: cfg.f, Aggregator: cfg.name,
-					Optimizer: "momentum", LR: 0.1, Batch: 32,
-					Steps: 80, EvalEvery: 20, Seed: 5,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc = res.FinalAccuracy
-				last, _ := res.Accuracy.Last()
-				simT = last.Time.Seconds()
-			}
-			b.ReportMetric(acc, "final_accuracy")
-			b.ReportMetric(simT, "sim_s_total")
-		})
-	}
-}
-
-// BenchmarkFig7_CorruptedData reproduces Figure 7: one corrupted-data worker
-// under averaging vs AggregaThor(f=1).
-func BenchmarkFig7_CorruptedData(b *testing.B) {
-	for _, cfg := range []struct {
-		label, agg string
-		f          int
-	}{
-		{"tf_averaging", "average", 0},
-		{"aggregathor_f1", "multi-krum", 1},
-	} {
-		cfg := cfg
-		b.Run(cfg.label, func(b *testing.B) {
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(core.Config{
-					Workers: 19, F: cfg.f, Aggregator: cfg.agg,
-					Optimizer: "momentum", LR: 0.1, Batch: 32,
-					Steps: 80, EvalEvery: 20, Seed: 6,
-					CorruptData: []int{2},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc = res.FinalAccuracy
-			}
-			b.ReportMetric(acc, "final_accuracy")
-		})
-	}
-}
-
-// BenchmarkFig8a_UDPNoDrop reproduces Figure 8(a): the three §3.3 recoup
-// strategies at 0% artificial drop all behave alike.
-func BenchmarkFig8a_UDPNoDrop(b *testing.B) {
-	for _, cfg := range []struct {
-		label  string
-		agg    string
-		f      int
-		recoup transport.RecoupPolicy
-	}{
-		{"tf_drop_gradient", "average", 0, transport.DropGradient},
-		{"selective_average", "selective-average", 0, transport.FillNaN},
-		{"aggregathor_f8", "multi-krum", 8, transport.FillRandom},
-	} {
-		cfg := cfg
-		b.Run(cfg.label, func(b *testing.B) {
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(core.Config{
-					Workers: 19, F: cfg.f, Aggregator: cfg.agg,
-					Optimizer: "momentum", LR: 0.1, Batch: 32,
-					Steps: 80, EvalEvery: 20, Seed: 7,
-					UDPLinks: 8, DropRate: 0, Recoup: cfg.recoup,
-					Protocol: simnet.UDP,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc = res.FinalAccuracy
-			}
-			b.ReportMetric(acc, "final_accuracy")
-		})
-	}
-}
-
-// BenchmarkFig8b_UDPDrop10 reproduces Figure 8(b): at a 10% drop rate the
-// lossy UDP clock beats the congestion-collapsed TCP clock (paper: ≥6×
-// faster to 30% accuracy).
-func BenchmarkFig8b_UDPDrop10(b *testing.B) {
-	run := func(proto simnet.Protocol, udpLinks int, recoup transport.RecoupPolicy) *core.Result {
-		res, err := core.Run(core.Config{
-			Workers: 19, F: 8, Aggregator: "multi-krum",
-			Optimizer: "momentum", LR: 0.1, Batch: 32,
-			Steps: 80, EvalEvery: 20, Seed: 8,
-			UDPLinks: udpLinks, DropRate: 0.10, Recoup: recoup,
-			Protocol: proto,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	b.Run("aggregathor_lossyMPI", func(b *testing.B) {
-		var simT float64
-		for i := 0; i < b.N; i++ {
-			res := run(simnet.UDP, 8, transport.FillRandom)
-			last, _ := res.Accuracy.Last()
-			simT = last.Time.Seconds()
-		}
-		b.ReportMetric(simT, "sim_s_total")
-	})
-	b.Run("tf_gRPC", func(b *testing.B) {
-		var simT float64
-		for i := 0; i < b.N; i++ {
-			res := run(simnet.TCP, 0, transport.DropGradient)
-			last, _ := res.Accuracy.Last()
-			simT = last.Time.Seconds()
-		}
-		b.ReportMetric(simT, "sim_s_total")
-	})
 }
 
 // BenchmarkCost_GARComplexity measures the real O(n²d) aggregation kernels

@@ -70,37 +70,6 @@ func TestRunUnknownNames(t *testing.T) {
 	}
 }
 
-// Figure 7 shape: corrupted-data worker destroys averaging but not
-// AggregaThor.
-func TestRunCorruptedDataFig7(t *testing.T) {
-	base := Config{
-		Workers: 7, Batch: 32, Optimizer: "momentum", LR: 0.1,
-		Steps: 300, EvalEvery: 50, Seed: 2,
-		CorruptData: []int{3},
-	}
-	avg := base
-	avg.Aggregator = "average"
-	avgRes, err := Run(avg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	robust := base
-	robust.Aggregator = "multi-krum"
-	robust.F = 1
-	robRes, err := Run(robust)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chance is 0.1 on the 10-class task.
-	if robRes.FinalAccuracy < 0.35 {
-		t.Fatalf("multi-krum accuracy %v under corrupted data", robRes.FinalAccuracy)
-	}
-	if avgRes.FinalAccuracy >= robRes.FinalAccuracy {
-		t.Fatalf("averaging (%v) should underperform multi-krum (%v) under corruption",
-			avgRes.FinalAccuracy, robRes.FinalAccuracy)
-	}
-}
-
 // Vanilla server + hijacking worker: the §3.2 vulnerability.
 func TestRunVanillaHijack(t *testing.T) {
 	res, err := Run(Config{
@@ -207,29 +176,6 @@ func TestRunDracoUnsupportedOptions(t *testing.T) {
 	_, err := Run(Config{Aggregator: "draco", Workers: 9, F: 1, UDPLinks: 1, Steps: 1})
 	if !errors.Is(err, ErrDracoUnsupported) {
 		t.Fatalf("want ErrDracoUnsupported, got %v", err)
-	}
-}
-
-// The paper's headline overheads: multi-krum and bulyan cost more wall-clock
-// per step than plain averaging, bulyan most of all.
-func TestRunOverheadOrdering(t *testing.T) {
-	timeOf := func(agg string, f int) float64 {
-		res, err := Run(Config{
-			Workers: 19, F: f, Aggregator: agg,
-			Optimizer: "sgd", LR: 0.2, Batch: 16,
-			Steps: 10, EvalEvery: 5, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		last, _ := res.Accuracy.Last()
-		return last.Time.Seconds()
-	}
-	avg := timeOf("average", 0)
-	mk := timeOf("multi-krum", 4)
-	bl := timeOf("bulyan", 4)
-	if !(avg < mk && mk < bl) {
-		t.Fatalf("overhead ordering violated: avg=%v mk=%v bulyan=%v", avg, mk, bl)
 	}
 }
 

@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func TestRunReplicatedServer(t *testing.T) {
-	res, err := Run(Config{
-		Workers: 7, F: 1, Aggregator: "multi-krum",
-		Optimizer: "momentum", LR: 0.1, Batch: 32,
-		Steps: 150, EvalEvery: 50, Seed: 20,
-		ServerReplicas:    4,
-		ByzantineReplicas: []int{1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAccuracy < 0.35 {
-		t.Fatalf("replicated-server accuracy %v", res.FinalAccuracy)
-	}
-}
-
 func TestRunReplicatedValidation(t *testing.T) {
 	// Too many Byzantine replicas for the replication degree.
 	_, err := Run(Config{

@@ -377,7 +377,11 @@ func FuzzRound(f *testing.F) {
 			link.Slots = 1 + int(in[2])%n
 		}
 		cfg.Link = link
-		rounds := int(in[4]%4) + 1
+		// The low bits of the fifth byte give the number of rounds, the high
+		// nibble an offer budget: a round ends after that many operations
+		// or at a 0xff byte, whichever comes first (0: only at 0xff), so a
+		// mutated input reaches the later steps where stale tags live.
+		rounds, budget := int(in[4]%4)+1, int(in[4]>>4)
 		in = in[5:]
 
 		e := roundTestEngine(cfg, nil)
@@ -440,8 +444,8 @@ func FuzzRound(f *testing.F) {
 			// packet of one, a whole gradient.
 			admitted, offered, whole := make([]bool, n), make([]bool, n), make([]bool, n)
 			outstanding := round.Outstanding()
-			for ; len(in) >= 3 && in[0] != 0xff; in = in[3:] {
-				id := int(in[1]) - 1 // exercise out-of-range ids on both sides
+			for ops := 0; len(in) >= 3 && in[0] != 0xff && (budget == 0 || ops < budget); ops, in = ops+1, in[3:] {
+				id := int(in[1]%16) - 1 // -1 to 14: mostly in range, out of range on both sides
 				tag := step - 3 + int(in[2]%6)
 				before := roundSnapshot(round)
 				var v Admission
@@ -511,7 +515,7 @@ func FuzzRound(f *testing.F) {
 					outstanding = now
 				}
 			}
-			if len(in) > 0 {
+			if len(in) > 0 && in[0] == 0xff {
 				in = in[1:] // the round separator
 			}
 			// The scheduled rejoins no scripted handshake brought back come

@@ -484,75 +484,6 @@ func TestModelCollectorRejectsConflictingMetadata(t *testing.T) {
 	}
 }
 
-// TestModelBurstShortReadBuffer is the kernel-overflow regression at
-// paper-ish scale: an unpaced burst larger than the receive buffer is
-// silently truncated by the kernel (the "loss-free" channel genuinely
-// drops, and pre-fix the worker wedged on the torn broadcast), while a
-// paced sender with a concurrently draining receiver delivers the same
-// burst intact through the same short buffer.
-func TestModelBurstShortReadBuffer(t *testing.T) {
-	const dim = 20000 // 160 KB of float64 coordinates: >> a 4 KB socket buffer
-	const mtu = DefaultMTU
-
-	// Unpaced: the burst overflows the buffer, the broadcast is torn, and
-	// the collector recovers within the bounded wait instead of pinning
-	// the partial for the idle timeout.
-	recv, send, codec := modelFixture(t, dim, mtu)
-	if err := recv.conn.SetReadBuffer(4 << 10); err != nil {
-		t.Fatal(err)
-	}
-	sendModelPackets(t, send, codec, 0, mtu, modelParams(dim), nil)
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 300 * time.Millisecond})
-	ev, err := col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Lost {
-		t.Fatalf("unpaced 160KB burst into a 4KB buffer delivered %+v, want genuine loss", ev)
-	}
-	if len(recv.asm.pending) != 0 {
-		t.Fatalf("torn partial still pinned after eviction: %d pending", len(recv.asm.pending))
-	}
-
-	// Paced: same short buffer, sender rate-limited, receiver draining
-	// concurrently — the broadcast must complete.
-	recv2, send2, _ := modelFixture(t, dim, mtu)
-	if err := recv2.conn.SetReadBuffer(4 << 10); err != nil {
-		t.Fatal(err)
-	}
-	send2.SetPacing(2048, time.Millisecond)
-	params := modelParams(dim)
-	done := make(chan error, 1)
-	go func() {
-		pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: params}, mtu)
-		for i := range pkts {
-			if err := send2.SendPackets([]Packet{pkts[i]}, nil); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	col2 := NewModelCollector(recv2, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 10 * time.Second})
-	ev, err = col2.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sendErr := <-done; sendErr != nil {
-		t.Fatal(sendErr)
-	}
-	if !ev.Complete || ev.Step != 0 {
-		t.Fatalf("paced burst through a short buffer settled as %+v, want complete step 0", ev)
-	}
-	for i := range params {
-		if ev.Params[i] != params[i] {
-			t.Fatalf("paced delivery corrupted coordinate %d", i)
-		}
-	}
-}
-
 // TestModelCollectorHostileFutureStepsBounded is the worker-side
 // reassembler-growth regression: spoofed datagrams claiming distinct future
 // steps used to each pin a maxDim-sized partial indefinitely (the model
