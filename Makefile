@@ -36,8 +36,8 @@ race:
 	$(GO) test -race ./...
 
 # Short coverage of the one wire header (datagrams and TCP frames), the TCP
-# stream reader, the reassembler and coalesced-message segment walk,
-# round-engine (plan, settlement, rejoin admission), column-pass and
+# stream reader, the reassembler and coalesced-message segment walk, the
+# worker's model collector against its oracle, round-engine (plan, settlement, rejoin admission), column-pass and
 # blocked-matmul fuzz targets beyond the seed corpus, of the three assembly
 # kernels against their Go oracles, and of a network trained on a caller's
 # vector against one loaded by copy. CI's fuzz job runs this target.
@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzTCPFrameStream -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzReassembler -fuzztime=20s
+	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzModelCollector -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzSegments -fuzztime=20s
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzRound -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzColumnPass -fuzztime=20s

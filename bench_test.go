@@ -591,9 +591,9 @@ func datagramSendFixture(tb testing.TB, codec transport.Codec) allocFixture {
 // sender on its own goroutine, as a cluster worker is, writes one transfer
 // per op, and the receive path takes it with zero steady-state allocations.
 // Without modelInto it is a RecvPacket loop — recvmmsg, the segment walk,
-// decode into the receiver's one packet; with it, a ModelCollector
-// assembling the transfer as a model broadcast in a replica-sized vector, as
-// a UDP worker does.
+// decode into the receiver's one packet; with it, the same loop offering
+// every packet to a ModelCollector, which assembles the transfer as a model
+// broadcast in a replica-sized vector, as a UDP worker does.
 func datagramRecvFixture(tb testing.TB, codec transport.Codec, modelInto bool) allocFixture {
 	grad := randGrads(20, 1, gateDim)[0]
 	pkts := codec.PacketsPerTransfer(len(grad), transport.DefaultMTU)
@@ -619,15 +619,22 @@ func datagramRecvFixture(tb testing.TB, codec transport.Codec, modelInto bool) a
 	}
 	if modelInto {
 		msg.Worker = transport.ModelWorkerID
-		col := transport.NewModelCollector(recv, transport.ModelCollectorConfig{Dim: len(grad), Codec: codec,
-			BroadcastTimeout: 10 * time.Second})
+		col := transport.NewModelCollector(transport.ModelCollectorConfig{Dim: len(grad), Codec: codec})
 		store := tensor.NewVector(len(grad))
 		take = func(step int) error {
-			ev, err := col.Next(store)
-			if err == nil && (!ev.Complete || ev.Step != step || &ev.Params[0] != &store[0]) {
-				err = fmt.Errorf("broadcast %d settled as step %d (complete %v) outside the store", step, ev.Step, ev.Complete)
+			for {
+				if ev := col.Settled(); ev != nil {
+					if !ev.Complete || ev.Step != step || &ev.Params[0] != &store[0] {
+						return fmt.Errorf("broadcast %d settled as step %d (complete %v) outside the store", step, ev.Step, ev.Complete)
+					}
+					return nil
+				}
+				pkt, err := recv.RecvPacket(10 * time.Second)
+				if err != nil {
+					return err
+				}
+				col.Offer(pkt, store)
 			}
-			return err
 		}
 	}
 	steps, sendErr := make(chan int), make(chan error, 1)

@@ -301,7 +301,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"aggregathor/internal/attack.Context.Step: no reader":                   "the step-keyed shortAt attack of internal/cluster/tcpbyz_test.go",
 		"aggregathor/internal/cluster.UDPClusterConfig.Unresponsive: no writer": "the straggler tests of internal/cluster (tcpcluster_test.go, udpcluster_test.go)",
 		"aggregathor/internal/transport.ModelEvent.Lost: no reader":             "the collector tests of internal/transport/model_test.go",
-		"aggregathor/internal/transport.ModelEvent.Torn: no reader":             "the collector tests of internal/transport/model_test.go",
 	}
 	pkgs, err := Load("../..", "./...")
 	if err != nil {

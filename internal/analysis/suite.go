@@ -30,13 +30,13 @@ var goroutinePackages = []string{
 
 // wallclockAllowFiles is the explicit allowlist of deadline/pacing files —
 // the only places in the critical packages permitted to read the wall
-// clock. Keep this list a handful of files: new wall-clock needs should
-// thread through internal/cluster/clock.go (the cluster seam) rather than
-// grow it.
+// clock: the cluster's deadline seam and the socket layer under it. Every
+// state machine above the sockets (ps.Round, transport.ModelCollector) is
+// clock-free and is told when a deadline passed. New wall-clock needs
+// should thread through internal/cluster/clock.go rather than grow the list.
 var wallclockAllowFiles = []string{
-	"internal/cluster/clock.go",   // the cluster deadline/timer seam
-	"internal/transport/udp.go",   // socket deadlines + send pacing
-	"internal/transport/model.go", // bounded per-broadcast genuine-loss wait
+	"internal/cluster/clock.go", // round and broadcast deadlines, reconnect pauses
+	"internal/transport/udp.go", // socket deadlines + send pacing
 }
 
 // A ScopedAnalyzer pairs an analyzer with the package set it polices and

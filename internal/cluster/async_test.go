@@ -292,7 +292,7 @@ func TestUDPAsyncByzantineStalenessMatrix(t *testing.T) {
 							}
 							if tag < s {
 								mask := ps.UplinkDrops(rand.New(rand.NewSource(seed)), make([]bool, pktCount), seed, s, id, dropRate)
-								if transport.CountSurvivors(mask, pktCount) > 0 {
+								if transport.LostCoords(mask, dim, transport.Codec{}.CoordsPerPacket(mtu)) < dim {
 									wantStale++
 								}
 							}

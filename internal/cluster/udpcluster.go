@@ -26,6 +26,11 @@ const (
 	udpPaceDelay = time.Millisecond
 )
 
+// idleBackstop bounds a worker's wait for a broadcast while none is in
+// flight: the backstop against a server that vanished without closing the
+// worker's model endpoint.
+const idleBackstop = time.Hour
+
 // UDPCluster is a running lossy-datagram deployment: a training driver calls
 // Step and Model on it. It is the round engine's datagram adapter: it owns
 // the server's sockets, the packet split and the pacing; every received
@@ -110,22 +115,24 @@ func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver) e
 		schedule = func(step int) []bool { return w.plan.Downlink(step, w.id) }
 	}
 	return w.run(&udpLink{
-		col: transport.NewModelCollector(mrecv, transport.ModelCollectorConfig{
-			Dim:              w.replica.NumParams(),
-			MTU:              c.cfg.MTU,
-			Codec:            c.cfg.Codec,
-			Schedule:         schedule,
-			BroadcastTimeout: c.cfg.RoundTimeout,
+		recv: mrecv,
+		col: transport.NewModelCollector(transport.ModelCollectorConfig{
+			Dim:      w.replica.NumParams(),
+			MTU:      c.cfg.MTU,
+			Codec:    c.cfg.Codec,
+			Schedule: schedule,
 		}),
 		server: c.recv.Addr(),
 		cfg:    &c.cfg,
 	})
 }
 
-// udpLink is a datagram worker's link: broadcasts assembled by its collector,
-// gradients split into datagrams on an uplink the worker dials itself — when
-// it first submits, and again after every crash.
+// udpLink is a datagram worker's link: broadcasts received on its model
+// endpoint and assembled by its collector, gradients split into datagrams on
+// an uplink the worker dials itself — when it first submits, and again after
+// every crash.
 type udpLink struct {
+	recv   *transport.UDPReceiver // the worker's model endpoint
 	col    *transport.ModelCollector
 	server string // the server's gradient endpoint
 	cfg    *UDPClusterConfig
@@ -133,19 +140,48 @@ type udpLink struct {
 	pkts   []transport.Packet   // split scratch, reused every round
 }
 
+// next is the worker's receive loop, the mirror of Step's: it offers every
+// datagram to the collector until a broadcast settles. While one is in
+// flight the wait is bounded by a round timeout from the moment it was
+// first seen in flight — a deadline, not a quiet period, so later
+// broadcasts and spoofed or gradient-tagged datagrams, which keep arriving
+// in a live cluster, cannot postpone it — and when it passes the collector
+// gives the broadcast up as lost. With none in flight the wait is the idle
+// backstop, and its timeout is an error like a closed endpoint.
 func (l *udpLink) next(params tensor.Vector) (int, tensor.Vector, error) {
-	ev, err := l.col.Next(params)
-	if err != nil {
-		return 0, nil, err // model endpoint closed by the server (or idle timeout)
+	var deadline time.Time
+	for {
+		if ev := l.col.Settled(); ev != nil {
+			return ev.Step, ev.Params, nil
+		}
+		timeout := idleBackstop
+		if l.col.InFlight() {
+			if deadline.IsZero() {
+				deadline = roundDeadline(l.cfg.RoundTimeout)
+			}
+			timeout = untilDeadline(deadline)
+		}
+		var pkt *transport.Packet
+		err := transport.ErrTimeout
+		if timeout > 0 {
+			pkt, err = l.recv.RecvPacket(timeout)
+		}
+		switch {
+		case err == nil:
+			l.col.Offer(pkt, params)
+		case errors.Is(err, transport.ErrTimeout) && l.col.InFlight():
+			l.col.Expire()
+		default:
+			return 0, nil, err // model endpoint closed by the server (or idle timeout)
+		}
 	}
-	return ev.Step, ev.Params, nil
 }
 
 // crash closes the uplink, submitting nothing. The model endpoint stays
 // bound — it is the worker's stable address — and the server, reading the
 // same plan, broadcasts nothing to it while down, so the collector moves
-// straight on to the rejoin round instead of waiting out the
-// BroadcastTimeout on down-step broadcasts that by construction never come.
+// straight on to the rejoin round instead of waiting out a round timeout on
+// down-step broadcasts that by construction never come.
 func (l *udpLink) crash(rejoin int) error {
 	l.close()
 	l.col.SkipTo(rejoin)

@@ -4,11 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"aggregathor/internal/data"
 	"aggregathor/internal/gar"
 	"aggregathor/internal/nn"
 	"aggregathor/internal/opt"
+	"aggregathor/internal/tensor"
 	"aggregathor/internal/transport"
 )
 
@@ -336,5 +338,61 @@ func TestUDPClusterModelEndpointHostileSpam(t *testing.T) {
 	}
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUDPLinkDeadlineSurvivesTraffic pins that a worker's wait on an
+// in-flight broadcast is a deadline, not a per-read quiet period: in a live
+// cluster, unrelated datagrams (later broadcasts, gradient-tagged spoofs)
+// keep arriving, and they must not postpone the genuine-loss eviction
+// forever. It is the one test of broadcast collection that waits in real
+// time; a wait the traffic postpones is cut at 5 s by closing the endpoint.
+func TestUDPLinkDeadlineSurvivesTraffic(t *testing.T) {
+	const dim, mtu = 100, 128
+	codec := transport.Codec{}
+	recv, err := transport.ListenUDP("127.0.0.1:0", codec, transport.DropGradient, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	send, err := transport.DialUDP(recv.Addr(), codec, mtu, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	link := &udpLink{
+		recv: recv,
+		col:  transport.NewModelCollector(transport.ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec}),
+		cfg:  &UDPClusterConfig{RoundTimeout: 300 * time.Millisecond},
+	}
+	// Genuine loss: only the first packet of step 0 arrives.
+	model := codec.Split(&transport.GradientMsg{Worker: transport.ModelWorkerID, Step: 0, Grad: tensor.NewVector(dim)}, mtu)
+	if err := send.SendPackets(model[:1], nil); err != nil {
+		t.Fatal(err)
+	}
+	// A background stream of ignorable gradient-tagged datagrams, spaced
+	// well under the round timeout.
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		spam := codec.Split(&transport.GradientMsg{Worker: 3, Step: 0, Grad: tensor.NewVector(dim)}, mtu)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Millisecond):
+				send.SendPackets(spam[:1], nil)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	cut := time.AfterFunc(5*time.Second, func() { recv.Close() })
+	defer cut.Stop()
+	step, params, err := link.next(tensor.NewVector(dim))
+	if err != nil {
+		t.Fatalf("continuous ignorable traffic postponed the eviction past 5 s: %v", err)
+	}
+	if step != 0 || params != nil {
+		t.Fatalf("settled step %d (complete %v), want step 0 lost", step, params != nil)
 	}
 }

@@ -41,7 +41,8 @@ func sameBits(a, b tensor.Vector) bool {
 
 // TestRecvPacketReuseDoesNotAliasReassembly: RecvPacket hands out the
 // receiver's one packet, decoded over at the next receive. Its three
-// consumers — Reassembler.Offer, Round.OfferPacket, ModelCollector.Next —
+// consumers — Reassembler.Offer, Round.OfferPacket, ModelCollector.Offer
+// (through a worker's receive loop, udpLink.next) —
 // must have copied what they keep: overwriting the packet after each hand-off
 // leaves every assembled vector bit-unchanged.
 func TestRecvPacketReuseDoesNotAliasReassembly(t *testing.T) {
@@ -143,21 +144,24 @@ func TestRecvPacketReuseDoesNotAliasReassembly(t *testing.T) {
 		}
 	})
 
-	t.Run("ModelCollector.Next", func(t *testing.T) {
+	t.Run("ModelCollector.Offer", func(t *testing.T) {
 		const dim = 300
-		col := transport.NewModelCollector(recv, transport.ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-			BroadcastTimeout: 2 * time.Second})
+		link := &udpLink{
+			recv: recv,
+			col:  transport.NewModelCollector(transport.ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec}),
+			cfg:  &UDPClusterConfig{RoundTimeout: 2 * time.Second},
+		}
 		models := []tensor.Vector{randomVec(dim), randomVec(dim)}
 		var got []tensor.Vector
 		for step, m := range models {
 			if err := send.SendGradient(&transport.GradientMsg{Worker: transport.ModelWorkerID, Step: step, Grad: m}); err != nil {
 				t.Fatal(err)
 			}
-			ev, err := col.Next(tensor.NewVector(dim))
-			if err != nil || !ev.Complete || ev.Step != step {
-				t.Fatalf("broadcast %d settled as %+v (error %v)", step, ev, err)
+			s, model, err := link.next(tensor.NewVector(dim))
+			if err != nil || model == nil || s != step {
+				t.Fatalf("broadcast %d settled as step %d, complete %v (error %v)", step, s, model != nil, err)
 			}
-			got = append(got, ev.Params)
+			got = append(got, model)
 			// One more datagram brings the receiver's packet back into reach.
 			transfer(&transport.GradientMsg{Worker: 1, Step: step, Grad: randomVec(5)}, func(*transport.Packet) {})
 		}

@@ -234,7 +234,7 @@ func (p *Planner) carry(t *timeline, id int) {
 	}
 	t.Downlink = DownlinkDrops(p.rng, t.downBuf, cfg.Seed, step, id, cfg.Link.ModelLoss)
 	if t.Phase.Participates() && !cfg.Async.Enabled() && t.Downlink != nil &&
-		transport.CountSurvivors(t.Downlink, p.pkts) == p.pkts {
+		transport.LostCoords(t.Downlink, p.dim, p.per) == 0 {
 		t.lastComplete = step
 	}
 }
@@ -259,22 +259,18 @@ func (p *Planner) advance(t *timeline, id int) {
 		// worker cannot submit (skip policy, no complete model yet, or no
 		// surviving packet — a broadcast the worker never even learns of).
 		t.Tag = -1
-		if cfg.Link.StaleModels && t.lastComplete >= 0 && transport.CountSurvivors(t.Downlink, p.pkts) > 0 {
+		if cfg.Link.StaleModels && t.lastComplete >= 0 && transport.LostCoords(t.Downlink, p.dim, p.per) < p.dim {
 			t.Tag = t.lastComplete
 		}
 	}
 	// The uplink schedule is always keyed on the round, not the stale tag,
 	// so two stale submissions off the same model never reuse a mask; a slot
 	// off the link (Link.Slots) has none.
-	t.Uplink, t.Lost = nil, 0
+	t.Uplink = nil
 	if t.Tag >= 0 && cfg.Link.carries(id) {
 		t.Uplink = UplinkDrops(p.rng, t.upBuf, cfg.Seed, step, id, cfg.Link.GradLoss)
-		for pkt, dropped := range t.Uplink {
-			if dropped {
-				t.Lost += min(p.per, p.dim-pkt*p.per)
-			}
-		}
 	}
+	t.Lost = transport.LostCoords(t.Uplink, p.dim, p.per)
 }
 
 // Models retains the broadcast models a later step's plan can still tag: the

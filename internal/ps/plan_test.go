@@ -59,6 +59,7 @@ func TestWorkerPlanMatchesEnginePlan(t *testing.T) {
 		e := roundTestEngine(rc, nil)
 		dim := e.params.Dim()
 		pkts := rc.Link.Codec.PacketsPerTransfer(dim, rc.Link.MTU)
+		per := rc.Link.Codec.CoordsPerPacket(rc.Link.MTU)
 		workers, jumpers := make([]*Planner, rc.Workers), make([]*Planner, rc.Workers)
 		for id := range workers {
 			workers[id], jumpers[id] = NewPlanner(&rc, dim, id, 1), NewPlanner(&rc, dim, id, 1)
@@ -90,15 +91,15 @@ func TestWorkerPlanMatchesEnginePlan(t *testing.T) {
 				// The reference tag, derived the long way round.
 				tag := step
 				down := DownlinkDrops(rng, make([]bool, pkts), rc.Seed, step, id, rc.Link.ModelLoss)
-				switch surv := transport.CountSurvivors(down, pkts); {
+				switch lost := transport.LostCoords(down, dim, per); {
 				case !got.Phase.Participates():
 					tag = -1
 				case rc.Async.Enabled():
 					tag = rc.Async.ExpectedTag(rc.Seed, step, id)
 				case down == nil:
-				case surv == pkts:
+				case lost == 0:
 					lastComplete[id] = step
-				case surv > 0 && rc.Link.StaleModels && lastComplete[id] >= 0:
+				case lost < dim && rc.Link.StaleModels && lastComplete[id] >= 0:
 					tag = lastComplete[id]
 				default:
 					tag = -1

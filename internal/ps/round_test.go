@@ -417,10 +417,10 @@ func FuzzRound(f *testing.F) {
 					}
 				}
 				if mask := DownlinkDrops(rng, make([]bool, pkts), cfg.Seed, step, id, link.ModelLoss); mask != nil {
-					switch surv := transport.CountSurvivors(mask, pkts); {
-					case surv == pkts:
+					switch lost := transport.LostCoords(mask, dim, link.Codec.CoordsPerPacket(link.MTU)); {
+					case lost == 0:
 						lastComplete[id] = step
-					case surv > 0 && link.StaleModels && lastComplete[id] >= 0:
+					case lost < dim && link.StaleModels && lastComplete[id] >= 0:
 						wantTag[id] = lastComplete[id]
 					default:
 						wantTag[id] = -1

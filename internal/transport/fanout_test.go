@@ -36,10 +36,9 @@ func TestFanOutShortReadBuffers(t *testing.T) {
 		if err := fan.Dial(recv.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-			BroadcastTimeout: 10 * time.Second})
+		col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec})
 		go func() {
-			ev, err := col.Next(tensor.NewVector(dim))
+			ev, err := recvModel(recv, col, tensor.NewVector(dim), 10*time.Second)
 			if err != nil {
 				ev = nil
 			}

@@ -31,17 +31,16 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendModelPackets(t, send, codec, 0, mtu, modelParams(dim), nil)
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 300 * time.Millisecond})
-	ev, err := col.Next(tensor.NewVector(dim))
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec})
+	ev, err := recvModel(recv, col, tensor.NewVector(dim), 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ev.Lost {
 		t.Fatalf("unpaced 160KB burst into a 4KB buffer delivered %+v, want genuine loss", ev)
 	}
-	if len(recv.asm.pending) != 0 {
-		t.Fatalf("torn partial still pinned after eviction: %d pending", len(recv.asm.pending))
+	if col.InFlight() {
+		t.Fatalf("torn partial still pinned after eviction: %d pending", len(col.pending))
 	}
 
 	// Paced: same short buffer, sender rate-limited, receiver draining
@@ -67,9 +66,8 @@ func TestModelBurstShortReadBuffer(t *testing.T) {
 		}
 		done <- nil
 	}()
-	col2 := NewModelCollector(recv2, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 10 * time.Second})
-	ev, err = col2.Next(tensor.NewVector(dim))
+	col2 := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec})
+	ev, err = recvModel(recv2, col2, tensor.NewVector(dim), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"errors"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -48,42 +51,71 @@ func sendModelPackets(t *testing.T, send *UDPSender, codec Codec, step, mtu int,
 	}
 }
 
+// offerModel is sendModelPackets without the socket: it offers the
+// collector the packets of one broadcast whose index is not masked out,
+// assembling the expected broadcast in into.
+func offerModel(col *ModelCollector, step int, params, into tensor.Vector, drop []bool) {
+	pkts := col.cfg.Codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: step, Grad: params}, col.cfg.MTU)
+	for i := range pkts {
+		if i >= len(drop) || !drop[i] {
+			col.Offer(&pkts[i], into)
+		}
+	}
+}
+
+// recvModel is a worker's receive loop for the socket tests: it offers col
+// every datagram recv delivers, assembling into into, until a broadcast
+// settles, and gives the in-flight broadcast up when a read waits longer
+// than quiet.
+func recvModel(recv *UDPReceiver, col *ModelCollector, into tensor.Vector, quiet time.Duration) (*ModelEvent, error) {
+	for {
+		if ev := col.Settled(); ev != nil {
+			return ev, nil
+		}
+		pkt, err := recv.RecvPacket(quiet)
+		switch {
+		case err == nil:
+			col.Offer(pkt, into)
+		case errors.Is(err, ErrTimeout) && col.InFlight():
+			col.Expire()
+		default:
+			return nil, err
+		}
+	}
+}
+
 // TestModelCollectorCompleteBroadcasts pins the loss-free fast path: every
 // broadcast arrives whole and is delivered in step order with intact
 // parameters.
 func TestModelCollectorCompleteBroadcasts(t *testing.T) {
 	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: time.Second})
-	params := modelParams(dim)
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu})
+	params, into := modelParams(dim), tensor.NewVector(dim)
 	for step := 0; step < 3; step++ {
-		sendModelPackets(t, send, codec, step, mtu, params, nil)
+		offerModel(col, step, params, into, nil)
 	}
 	for step := 0; step < 3; step++ {
-		ev, err := col.Next(tensor.NewVector(dim))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ev.Complete || ev.Step != step {
+		ev := col.Settled()
+		if ev == nil || !ev.Complete || ev.Step != step {
 			t.Fatalf("event %+v, want complete step %d", ev, step)
 		}
-		for i := range params {
-			if ev.Params[i] != params[i] {
-				t.Fatalf("step %d coordinate %d corrupted", step, i)
-			}
+		if !sameBits(ev.Params, params) {
+			t.Fatalf("step %d corrupted", step)
 		}
+	}
+	if ev := col.Settled(); ev != nil {
+		t.Fatalf("event %+v with nothing more offered", ev)
 	}
 }
 
 // TestModelCollectorReceivesIntoTheCallersVector pins where coordinates land.
-// The broadcast Next waits for is assembled in the vector it was given and
+// The expected broadcast is assembled in the vector Offer was given and
 // comes back aliasing it; a later broadcast buffered while that one is still
 // in flight gets a vector of its own and never writes the caller's; a torn
 // broadcast comes back with no Params.
 func TestModelCollectorReceivesIntoTheCallersVector(t *testing.T) {
 	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
+	codec := Codec{}
 	pktCount := codec.PacketsPerTransfer(dim, mtu)
 	if pktCount < 3 {
 		t.Fatalf("fixture needs >= 3 packets per broadcast, got %d", pktCount)
@@ -96,8 +128,7 @@ func TestModelCollectorReceivesIntoTheCallersVector(t *testing.T) {
 		}
 		return make([]bool, pktCount)
 	}
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		Schedule: schedule, BroadcastTimeout: 5 * time.Second})
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec, Schedule: schedule})
 	sentinel := func() tensor.Vector {
 		v := tensor.NewVector(dim)
 		for i := range v {
@@ -118,47 +149,46 @@ func TestModelCollectorReceivesIntoTheCallersVector(t *testing.T) {
 	for i := range rest {
 		rest[i] = !first[i]
 	}
-	sendModelPackets(t, send, codec, 0, mtu, p0, first)
-	sendModelPackets(t, send, codec, 1, mtu, p1, nil)
-	sendModelPackets(t, send, codec, 0, mtu, p0, rest)
-
 	into := sentinel()
-	ev, err := col.Next(into)
-	if err != nil || !ev.Complete || ev.Step != 0 {
-		t.Fatalf("event %+v err %v, want complete step 0", ev, err)
+	offerModel(col, 0, p0, into, first)
+	offerModel(col, 1, p1, into, nil)
+	offerModel(col, 0, p0, into, rest)
+
+	ev := col.Settled()
+	if ev == nil || !ev.Complete || ev.Step != 0 {
+		t.Fatalf("event %+v, want complete step 0", ev)
 	}
 	if &ev.Params[0] != &into[0] {
-		t.Fatal("the awaited broadcast was not received into the caller's vector")
+		t.Fatal("the expected broadcast was not received into the caller's vector")
 	}
 	if !sameBits(into, p0) {
 		t.Fatal("step 0 landed wrong in the caller's vector")
 	}
-	into2 := sentinel()
-	ev, err = col.Next(into2)
-	if err != nil || !ev.Complete || ev.Step != 1 {
-		t.Fatalf("event %+v err %v, want complete step 1 from the buffer", ev, err)
+	ev = col.Settled()
+	if ev == nil || !ev.Complete || ev.Step != 1 {
+		t.Fatalf("event %+v, want complete step 1 from the buffer", ev)
 	}
-	if &ev.Params[0] == &into[0] || &ev.Params[0] == &into2[0] || !sameBits(ev.Params, p1) {
+	if &ev.Params[0] == &into[0] || !sameBits(ev.Params, p1) {
 		t.Fatal("the buffered broadcast did not arrive whole in a vector of its own")
 	}
-	if !sameBits(into, p0) || !sameBits(into2, sentinel()) {
-		t.Fatal("the buffered broadcast wrote into a caller's vector")
+	if !sameBits(into, p0) {
+		t.Fatal("the buffered broadcast wrote into the caller's vector")
 	}
-	sendModelPackets(t, send, codec, 2, mtu, p1, tornMask)
-	if ev, err = col.Next(into2); err != nil || !ev.Torn || ev.Step != 2 || ev.Params != nil {
-		t.Fatalf("event %+v err %v, want torn step 2 with no Params", ev, err)
+	into2 := sentinel()
+	offerModel(col, 2, p1, into2, tornMask)
+	if ev = col.Settled(); ev == nil || !ev.Torn || ev.Step != 2 || ev.Params != nil {
+		t.Fatalf("event %+v, want torn step 2 with no Params", ev)
 	}
 }
 
 // TestModelCollectorTornSettlesWithoutDeadline: when the shared schedule
 // says a packet was dropped at the server, the collector settles the torn
-// broadcast the moment the scheduled survivors are in — it must NOT sit out
-// the broadcast timeout waiting for a datagram it knows can never arrive.
+// broadcast the moment the scheduled survivors are in — it must NOT need an
+// Expire for a datagram it knows can never arrive.
 func TestModelCollectorTornSettlesWithoutDeadline(t *testing.T) {
 	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
-	per := codec.CoordsPerPacket(mtu)
-	pktCount := (dim + per - 1) / per
+	codec := Codec{}
+	pktCount := codec.PacketsPerTransfer(dim, mtu)
 	if pktCount < 3 {
 		t.Fatalf("fixture needs >= 3 packets per broadcast, got %d", pktCount)
 	}
@@ -170,31 +200,18 @@ func TestModelCollectorTornSettlesWithoutDeadline(t *testing.T) {
 		}
 		return make([]bool, pktCount)
 	}
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		Schedule: schedule, BroadcastTimeout: 10 * time.Second})
-	params := modelParams(dim)
-	sendModelPackets(t, send, codec, 0, mtu, params, drops[0])
-	sendModelPackets(t, send, codec, 1, mtu, params, nil)
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec, Schedule: schedule})
+	params, into := modelParams(dim), tensor.NewVector(dim)
+	offerModel(col, 0, params, into, drops[0])
+	offerModel(col, 1, params, into, nil)
 
-	start := time.Now()
-	ev, err := col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
+	if ev := col.Settled(); ev == nil || !ev.Torn || ev.Step != 0 {
+		t.Fatalf("event %+v, want torn step 0 with no Expire", ev)
 	}
-	if !ev.Torn || ev.Step != 0 {
-		t.Fatalf("event %+v, want torn step 0", ev)
+	if col.pending[0] != nil {
+		t.Fatal("torn partial not released")
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("torn broadcast took %v to settle: the collector waited on a deadline", elapsed)
-	}
-	if len(recv.asm.pending) != 0 {
-		t.Fatalf("torn partial not evicted: %d pending", len(recv.asm.pending))
-	}
-	ev, err = col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Complete || ev.Step != 1 {
+	if ev := col.Settled(); ev == nil || !ev.Complete || ev.Step != 1 {
 		t.Fatalf("event %+v, want complete step 1", ev)
 	}
 }
@@ -205,9 +222,7 @@ func TestModelCollectorTornSettlesWithoutDeadline(t *testing.T) {
 // step with survivors.
 func TestModelCollectorSkipsFullyDroppedSteps(t *testing.T) {
 	const dim, mtu = 60, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
-	per := codec.CoordsPerPacket(mtu)
-	pktCount := (dim + per - 1) / per
+	pktCount := Codec{}.PacketsPerTransfer(dim, mtu)
 	schedule := func(step int) []bool {
 		mask := make([]bool, pktCount)
 		if step == 0 {
@@ -217,14 +232,9 @@ func TestModelCollectorSkipsFullyDroppedSteps(t *testing.T) {
 		}
 		return mask
 	}
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		Schedule: schedule, BroadcastTimeout: time.Second})
-	sendModelPackets(t, send, codec, 1, mtu, modelParams(dim), nil)
-	ev, err := col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Complete || ev.Step != 1 {
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu, Schedule: schedule})
+	offerModel(col, 1, modelParams(dim), tensor.NewVector(dim), nil)
+	if ev := col.Settled(); ev == nil || !ev.Complete || ev.Step != 1 {
 		t.Fatalf("event %+v, want complete step 1 (step 0 skipped silently)", ev)
 	}
 }
@@ -234,31 +244,30 @@ func TestModelCollectorSkipsFullyDroppedSteps(t *testing.T) {
 // on: the skipped steps' partials are released, their datagrams become late
 // duplicates, and the broadcast at the target — here one that had already
 // arrived whole and was stashed — is delivered at once, with no further
-// datagram and no timeout. Moving backwards is a no-op.
+// datagram and no Expire. Moving backwards is a no-op.
 func TestModelCollectorSkipTo(t *testing.T) {
 	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 5 * time.Second})
-	params := modelParams(dim)
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu})
+	params, into := modelParams(dim), tensor.NewVector(dim)
 	// A partial for a step about to be skipped and the whole target broadcast,
 	// both stashed before step 0 settles.
-	sendModelPackets(t, send, codec, 2, mtu, params, []bool{false, true})
-	sendModelPackets(t, send, codec, 4, mtu, params, nil)
-	sendModelPackets(t, send, codec, 0, mtu, params, nil)
-	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || len(col.pending) != 2 {
-		t.Fatalf("event %+v err %v pending %d, want complete step 0 with steps 2 and 4 stashed", ev, err, len(col.pending))
+	offerModel(col, 2, params, into, []bool{false, true})
+	offerModel(col, 4, params, into, nil)
+	offerModel(col, 0, params, into, nil)
+	if ev := col.Settled(); ev == nil || !ev.Complete || ev.Step != 0 || len(col.pending) != 2 {
+		t.Fatalf("event %+v pending %d, want complete step 0 with steps 2 and 4 stashed", ev, len(col.pending))
 	}
 	col.SkipTo(4)
 	col.SkipTo(1)
-	begin := time.Now()
-	ev, err := col.Next(tensor.NewVector(dim))
-	if err != nil || !ev.Complete || ev.Step != 4 {
-		t.Fatalf("event %+v err %v after SkipTo(4), want complete step 4", ev, err)
+	if ev := col.Settled(); ev == nil || !ev.Complete || ev.Step != 4 {
+		t.Fatalf("event %+v after SkipTo(4), want complete step 4", ev)
 	}
-	if time.Since(begin) > 2*time.Second || len(col.pending) != 0 || len(recv.asm.pending) != 0 {
-		t.Fatalf("step 4 took %v with %d broadcasts (%d partials) pending: the skipped steps were waited for",
-			time.Since(begin), len(col.pending), len(recv.asm.pending))
+	if len(col.pending) != 0 {
+		t.Fatalf("%d broadcasts pending after step 4: the skipped steps were kept", len(col.pending))
+	}
+	offerModel(col, 2, params, into, nil)
+	if ev := col.Settled(); ev != nil || col.InFlight() {
+		t.Fatalf("event %+v in flight %v from a skipped step's datagrams", ev, col.InFlight())
 	}
 }
 
@@ -271,157 +280,86 @@ func TestModelCollectorSkipTo(t *testing.T) {
 // rounds up to it.
 func TestModelCollectorHorizon(t *testing.T) {
 	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 300 * time.Millisecond})
-	params := modelParams(dim)
-	sendModelPackets(t, send, codec, 1<<40, mtu, params, nil)
-	sendModelPackets(t, send, codec, modelHorizon+1, mtu, params, nil)
-	sendModelPackets(t, send, codec, 0, mtu, params, nil)
-	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 0 || len(col.pending) != 0 || len(recv.asm.pending) != 0 {
-		t.Fatalf("event %+v err %v with %d broadcasts pending, want complete step 0 and the forged ones refused", ev, err, len(col.pending))
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu})
+	params, into := modelParams(dim), tensor.NewVector(dim)
+	offerModel(col, 1<<40, params, into, nil)
+	offerModel(col, modelHorizon+1, params, into, nil)
+	offerModel(col, 0, params, into, nil)
+	if ev := col.Settled(); ev == nil || !ev.Complete || ev.Step != 0 || len(col.pending) != 0 {
+		t.Fatalf("event %+v with %d broadcasts pending, want complete step 0 and the forged ones refused", ev, len(col.pending))
 	}
-	// Exactly at the horizon of step 1 a whole broadcast is stashed, and the
-	// bounded wait for step 1 ends in the jump to it.
-	sendModelPackets(t, send, codec, 1+modelHorizon, mtu, params, nil)
-	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Lost || ev.Step != 1 {
-		t.Fatalf("event %+v err %v, want step 1 lost after the broadcast timeout", ev, err)
+	// Exactly at the horizon of step 1 a whole broadcast is stashed, and
+	// giving up on step 1 ends in the jump to it.
+	offerModel(col, 1+modelHorizon, params, into, nil)
+	if ev := col.Settled(); ev != nil {
+		t.Fatalf("event %+v before step 1 was given up", ev)
 	}
-	if ev, err := col.Next(tensor.NewVector(dim)); err != nil || !ev.Complete || ev.Step != 1+modelHorizon {
-		t.Fatalf("event %+v err %v, want the jump to complete step %d", ev, err, 1+modelHorizon)
+	col.Expire()
+	if ev := col.Settled(); ev == nil || !ev.Lost || ev.Step != 1 {
+		t.Fatalf("event %+v, want step 1 lost at Expire", ev)
+	}
+	if ev := col.Settled(); ev == nil || !ev.Complete || ev.Step != 1+modelHorizon {
+		t.Fatalf("event %+v, want the jump to complete step %d", ev, 1+modelHorizon)
 	}
 }
 
 // TestModelCollectorGenuineLossBoundedWait is the endpoint-wedge regression
 // (a genuinely dropped model datagram used to leave the worker blocked in
 // RecvModel for the full one-hour idle timeout with the partial pinned
-// forever): packets the schedule cannot account for trigger a bounded
-// per-broadcast wait, after which the torn partial is evicted and the
-// broadcast reported lost.
+// forever): when the caller's deadline passes on packets the schedule
+// cannot account for, the torn partial is evicted and the broadcast
+// reported lost.
 func TestModelCollectorGenuineLossBoundedWait(t *testing.T) {
 	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 200 * time.Millisecond})
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu})
+	into := tensor.NewVector(dim)
 	// Simulate a kernel drop: only the first packet of step 0 is delivered.
-	pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: modelParams(dim)}, mtu)
+	pkts := col.cfg.Codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: modelParams(dim)}, mtu)
 	if len(pkts) < 2 {
 		t.Fatal("fixture needs a multi-packet broadcast")
 	}
-	if err := send.SendPackets([]Packet{pkts[0]}, nil); err != nil {
-		t.Fatal(err)
+	col.Offer(&pkts[0], into)
+	if ev := col.Settled(); ev != nil || !col.InFlight() {
+		t.Fatalf("event %+v in flight %v, want step 0 in flight and unsettled", ev, col.InFlight())
 	}
-	start := time.Now()
-	ev, err := col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Lost || ev.Step != 0 {
+	col.Expire()
+	if ev := col.Settled(); ev == nil || !ev.Lost || ev.Step != 0 {
 		t.Fatalf("event %+v, want lost step 0", ev)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("lost broadcast took %v to settle, want roughly the broadcast timeout", elapsed)
-	}
-	if len(recv.asm.pending) != 0 {
-		t.Fatalf("lost broadcast's partial still pinned: %d pending", len(recv.asm.pending))
+	if col.pending[0] != nil || col.InFlight() {
+		t.Fatalf("lost broadcast's partial still held: %d pending", len(col.pending))
 	}
 	// The next complete broadcast is delivered normally afterwards.
-	sendModelPackets(t, send, codec, 1, mtu, modelParams(dim), nil)
-	ev, err = col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Complete || ev.Step != 1 {
+	offerModel(col, 1, modelParams(dim), into, nil)
+	if ev := col.Settled(); ev == nil || !ev.Complete || ev.Step != 1 {
 		t.Fatalf("event %+v, want complete step 1 after recovery", ev)
 	}
 }
 
-// TestModelCollectorDeadlineSurvivesTraffic pins that the per-broadcast
-// bound is a wall-clock deadline, not a per-read quiet period: in a live
-// cluster, unrelated datagrams (later broadcasts, gradient-tagged spoofs)
-// keep arriving, and they must not postpone the genuine-loss eviction
-// forever.
-func TestModelCollectorDeadlineSurvivesTraffic(t *testing.T) {
-	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 300 * time.Millisecond})
-	// Genuine loss: only the first packet of step 0 arrives.
-	pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: modelParams(dim)}, mtu)
-	if err := send.SendPackets([]Packet{pkts[0]}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// A background stream of ignorable gradient-tagged datagrams, spaced
-	// well under the broadcast timeout.
-	stop := make(chan struct{})
-	go func() {
-		spam := codec.Split(&GradientMsg{Worker: 3, Step: 0, Grad: modelParams(dim)}, mtu)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(50 * time.Millisecond):
-				send.SendPackets([]Packet{spam[0]}, nil)
-			}
-		}
-	}()
-	defer close(stop)
-	start := time.Now()
-	ev, err := col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Lost || ev.Step != 0 {
-		t.Fatalf("event %+v, want lost step 0", ev)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("continuous ignorable traffic postponed the eviction for %v", elapsed)
-	}
-}
-
 // TestModelCollectorCatchUpJump pins the fall-behind recovery rate: when a
-// buffered later broadcast has already fully resolved, one broadcast
-// timeout must carry the collector over the whole unrecoverable range — a
-// suspected worker that could only advance one step per timeout while the
+// buffered later broadcast has already fully resolved, one Expire must
+// carry the collector over the whole unrecoverable range — a suspected
+// worker that could only advance one step per round timeout while the
 // server keeps stepping would fall behind forever.
 func TestModelCollectorCatchUpJump(t *testing.T) {
 	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 300 * time.Millisecond})
-	params := modelParams(dim)
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu})
+	params, into := modelParams(dim), tensor.NewVector(dim)
 	// Step 0 is genuinely torn (one packet only); steps 1-4 are genuinely
 	// lost outright; steps 5 and 6 arrive whole and buffer in the window.
-	pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: params}, mtu)
-	if err := send.SendPackets([]Packet{pkts[0]}, nil); err != nil {
-		t.Fatal(err)
-	}
-	sendModelPackets(t, send, codec, 5, mtu, params, nil)
-	sendModelPackets(t, send, codec, 6, mtu, params, nil)
+	pkts := col.cfg.Codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: params}, mtu)
+	col.Offer(&pkts[0], into)
+	offerModel(col, 5, params, into, nil)
+	offerModel(col, 6, params, into, nil)
 
-	start := time.Now()
-	ev, err := col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
+	col.Expire()
+	if ev := col.Settled(); ev == nil || !ev.Lost || ev.Step != 0 {
+		t.Fatalf("first event %+v, want step 0 lost", ev)
 	}
-	if !ev.Lost {
-		t.Fatalf("first event %+v, want lost", ev)
+	if ev := col.Settled(); ev == nil || !ev.Complete || ev.Step != 5 {
+		t.Fatalf("event after catch-up %+v, want complete step 5: one Expire per step instead of a jump", ev)
 	}
-	ev, err = col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Complete || ev.Step != 5 {
-		t.Fatalf("event after catch-up %+v, want complete step 5", ev)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("catch-up over 5 lost broadcasts took %v — one timeout per step instead of a jump", elapsed)
-	}
-	ev, err = col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Complete || ev.Step != 6 {
+	if ev := col.Settled(); ev == nil || !ev.Complete || ev.Step != 6 {
 		t.Fatalf("event %+v, want complete step 6 from the buffer", ev)
 	}
 }
@@ -433,17 +371,14 @@ func TestModelCollectorCatchUpJump(t *testing.T) {
 // lands first.
 func TestModelCollectorRejectsConflictingMetadata(t *testing.T) {
 	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
+	codec := Codec{}
 	per := codec.CoordsPerPacket(mtu)
 	pktCount := codec.PacketsPerTransfer(dim, mtu)
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 5 * time.Second})
-	params := modelParams(dim)
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec})
+	params, into := modelParams(dim), tensor.NewVector(dim)
 	real := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: 0, Grad: params}, mtu)
 	// The genuine first packet pins the broadcast's metadata...
-	if err := send.SendPackets([]Packet{real[0]}, nil); err != nil {
-		t.Fatal(err)
-	}
+	col.Offer(&real[0], into)
 	// ...then a conflicting-Loss spoof for every remaining survivor index
 	// (each rejected by the reassembler — pre-fix they still counted
 	// toward torn-resolution and destroyed the in-flight broadcast) plus a
@@ -453,34 +388,24 @@ func TestModelCollectorRejectsConflictingMetadata(t *testing.T) {
 		if idx == pktCount-1 {
 			n = dim - idx*per
 		}
-		spoof := &Packet{Worker: ModelWorkerID, Step: 0, Loss: 99.5, Dim: dim,
-			Offset: idx * per, Coords: make([]float64, n)}
-		if err := send.SendPackets([]Packet{*spoof}, nil); err != nil {
-			t.Fatal(err)
-		}
+		col.Offer(&Packet{Worker: ModelWorkerID, Step: 0, Loss: 99.5, Dim: dim,
+			Offset: idx * per, Coords: make([]float64, n)}, into)
 	}
-	wrongDim := &Packet{Worker: ModelWorkerID, Step: 0, Dim: dim + 1, Offset: 0,
-		Coords: make([]float64, 1)}
-	if err := send.SendPackets([]Packet{*wrongDim}, nil); err != nil {
-		t.Fatal(err)
+	col.Offer(&Packet{Worker: ModelWorkerID, Step: 0, Dim: dim + 1, Offset: 0,
+		Coords: make([]float64, 1)}, into)
+	if ev := col.Settled(); ev != nil {
+		t.Fatalf("event %+v from spoofed metadata", ev)
 	}
 	// The genuine remainder lands last and must still complete the model.
 	for i := 1; i < len(real); i++ {
-		if err := send.SendPackets([]Packet{real[i]}, nil); err != nil {
-			t.Fatal(err)
-		}
+		col.Offer(&real[i], into)
 	}
-	ev, err := col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Complete || ev.Step != 0 {
+	ev := col.Settled()
+	if ev == nil || !ev.Complete || ev.Step != 0 {
 		t.Fatalf("event %+v, want complete step 0 (spoofed metadata faked a torn broadcast)", ev)
 	}
-	for i := range params {
-		if ev.Params[i] != params[i] {
-			t.Fatalf("coordinate %d corrupted by spoofed packets", i)
-		}
+	if !sameBits(ev.Params, params) {
+		t.Fatal("coordinates corrupted by spoofed packets")
 	}
 }
 
@@ -488,50 +413,33 @@ func TestModelCollectorRejectsConflictingMetadata(t *testing.T) {
 // reassembler-growth regression: spoofed datagrams claiming distinct future
 // steps used to each pin a maxDim-sized partial indefinitely (the model
 // endpoint never evicted anything). The collector caps buffered future
-// broadcasts, filters gradient-tagged spoofs before they reach the
-// reassembler, and the legitimate broadcast still assembles through the
-// spam.
+// broadcasts, refuses gradient-tagged spoofs before their coordinates land,
+// and the legitimate broadcast still assembles through the spam.
 func TestModelCollectorHostileFutureStepsBounded(t *testing.T) {
 	const dim, mtu = 100, 128
-	recv, send, codec := modelFixture(t, dim, mtu)
-	hostile, err := DialUDP(recv.Addr(), codec, mtu, 0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hostile.Close()
-
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu})
+	codec, into := col.cfg.Codec, tensor.NewVector(dim)
 	// 40 distinct future steps, one packet each, plus gradient-tagged spam.
 	for step := 5; step < 45; step++ {
 		pkts := codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: step, Grad: modelParams(dim)}, mtu)
-		if err := hostile.SendPackets([]Packet{pkts[0]}, nil); err != nil {
-			t.Fatal(err)
-		}
+		col.Offer(&pkts[0], into)
 	}
 	for step := 0; step < 10; step++ {
 		pkts := codec.Split(&GradientMsg{Worker: 3, Step: step, Grad: modelParams(dim)}, mtu)
-		if err := hostile.SendPackets([]Packet{pkts[0]}, nil); err != nil {
-			t.Fatal(err)
-		}
+		col.Offer(&pkts[0], into)
+	}
+	if len(col.pending) > DefaultModelWindow {
+		t.Fatalf("collector holds %d partials after spam, cap is %d", len(col.pending), DefaultModelWindow)
 	}
 	// The legitimate broadcast lands after the spam.
 	params := modelParams(dim)
-	sendModelPackets(t, send, codec, 0, mtu, params, nil)
-
-	col := NewModelCollector(recv, ModelCollectorConfig{Dim: dim, MTU: mtu, Codec: codec,
-		BroadcastTimeout: 2 * time.Second})
-	ev, err := col.Next(tensor.NewVector(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Complete || ev.Step != 0 {
+	offerModel(col, 0, params, into, nil)
+	ev := col.Settled()
+	if ev == nil || !ev.Complete || ev.Step != 0 || !sameBits(ev.Params, params) {
 		t.Fatalf("event %+v, want the legitimate complete step 0 despite hostile spam", ev)
 	}
 	if len(col.pending) > DefaultModelWindow {
 		t.Fatalf("collector tracks %d pending broadcasts, cap is %d", len(col.pending), DefaultModelWindow)
-	}
-	if len(recv.asm.pending) > DefaultModelWindow+1 {
-		t.Fatalf("reassembler pins %d partials after spam, want <= window+current (%d)",
-			len(recv.asm.pending), DefaultModelWindow+1)
 	}
 }
 
@@ -562,4 +470,262 @@ func TestDialUDPRejectsSubMinimumMTU(t *testing.T) {
 		}
 		send.Close()
 	}
+}
+
+// modelOracle is FuzzModelCollector's independent account of what a
+// collector must do: which genuine packets it admitted, per step, and which
+// step it waits for. It shares no code with the collector but the shared
+// schedule, and reads none of its state.
+type modelOracle struct {
+	pkts     int
+	schedule func(step int) []bool
+	expected int
+	admitted map[int]map[int]bool // step → packet indexes in
+	surv     map[int][]int        // survivors, memoised
+}
+
+// survivors returns the packet indexes of step s the schedule lets through.
+func (o *modelOracle) survivors(s int) []int {
+	if idx, ok := o.surv[s]; ok {
+		return idx
+	}
+	idx := []int{}
+	mask := []bool(nil)
+	if o.schedule != nil {
+		mask = o.schedule(s)
+	}
+	for i := 0; i < o.pkts; i++ {
+		if i >= len(mask) || !mask[i] {
+			idx = append(idx, i)
+		}
+	}
+	o.surv[s] = idx
+	return idx
+}
+
+func (o *modelOracle) resolved(s int) bool {
+	surv := o.survivors(s)
+	if len(surv) == 0 || len(o.admitted[s]) == 0 {
+		return false
+	}
+	for _, i := range surv {
+		if !o.admitted[s][i] {
+			return false
+		}
+	}
+	return true
+}
+
+// advance skips fully dropped steps.
+func (o *modelOracle) advance() {
+	for len(o.survivors(o.expected)) == 0 {
+		o.expected++
+	}
+}
+
+// skipTo releases every step below s and waits for s.
+func (o *modelOracle) skipTo(s int) {
+	if s <= o.expected {
+		return
+	}
+	for t := range o.admitted {
+		if t < s {
+			delete(o.admitted, t)
+		}
+	}
+	o.expected = s
+}
+
+// offer admits genuine, unmasked packet idx of step s when the collector
+// must: current or future within the horizon, inside the window, not
+// resolved yet.
+func (o *modelOracle) offer(s, idx int) {
+	o.advance()
+	if s < o.expected || s-o.expected > modelHorizon || !slices.Contains(o.survivors(s), idx) || o.resolved(s) {
+		return
+	}
+	if o.admitted[s] == nil {
+		if s != o.expected && len(o.admitted) >= DefaultModelWindow {
+			return
+		}
+		o.admitted[s] = map[int]bool{}
+	}
+	o.admitted[s][idx] = true
+}
+
+// expire gives the expected step up when anything is in flight: Lost for
+// it, then the jump to the earliest resolved buffered step, else one step.
+func (o *modelOracle) expire() (lost int, ok bool) {
+	o.advance()
+	if len(o.admitted) == 0 {
+		return 0, false
+	}
+	lost, target, found := o.expected, o.expected+1, false
+	for s := range o.admitted {
+		if s > lost && o.resolved(s) && (!found || s < target) {
+			target, found = s, true
+		}
+	}
+	o.skipTo(target)
+	return lost, true
+}
+
+// settle pops every settled step in order, as Settled must report them.
+func (o *modelOracle) settle() (events []ModelEvent) {
+	for o.advance(); o.resolved(o.expected); o.advance() {
+		torn := len(o.survivors(o.expected)) < o.pkts
+		events = append(events, ModelEvent{Step: o.expected, Complete: !torn, Torn: torn})
+		delete(o.admitted, o.expected)
+		o.expected++
+	}
+	return events
+}
+
+// FuzzModelCollector drives a collector with no socket through hostile
+// streams — steps behind, inside the window, at and past the horizon;
+// off-grid and negative offsets; wrong tail lengths; masked indexes;
+// duplicates; gradient-tagged, loss-carrying and wrong-dimension headers —
+// with Expire and SkipTo interleaved, and checks every event against
+// modelOracle: strictly increasing steps, none for a fully dropped step,
+// Complete iff nothing scheduled dropped and Torn iff something did with
+// every survivor in, a complete broadcast bit-equal to what was sent, at
+// most DefaultModelWindow future partials held, and an Expire reporting the
+// expected step Lost before its jump.
+func FuzzModelCollector(f *testing.F) {
+	f.Add([]byte{40, 3, 0, 7, 0, 0, 7, 1, 0, 5, 0, 0})
+	f.Add([]byte{99, 0, 1, 7, 0, 0, 0, 1, 2, 5, 0, 0, 7, 2, 0, 6, 3, 0})
+	f.Add([]byte{17, 5, 2, 2, 2, 0, 2, 2, 1, 7, 0, 0, 5, 0, 0, 7, 1, 0})
+	f.Add([]byte{200, 1, 1, 24, 1, 0, 32, 1, 1, 40, 1, 2, 48, 1, 0, 56, 1, 0, 7, 3, 0, 5, 0, 0})
+	f.Add([]byte{64, 7, 2, 0, 3, 0, 7, 1, 0, 7, 2, 0, 7, 3, 0, 7, 4, 0, 5, 0, 0, 6, 2, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 3 {
+			return
+		}
+		dim, per, mode := 1+int(in[0]), 2+int(in[1]%9), in[2]%3
+		in = in[3:]
+		pkts := (dim + per - 1) / per
+		var schedule func(step int) []bool
+		if mode > 0 {
+			schedule = func(step int) []bool {
+				mask := make([]bool, pkts)
+				h := uint64(step)*0x9e3779b97f4a7c15 + uint64(mode)
+				all := h>>60 < 3 // a fully dropped step, 3 in 16
+				for i := range mask {
+					h ^= h >> 29
+					h *= 0xbf58476d1ce4e5b9
+					mask[i] = all || h>>62 == 0
+				}
+				return mask
+			}
+		}
+		col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: packetHeaderLen + 8*per, Schedule: schedule})
+		o := &modelOracle{pkts: pkts, schedule: schedule, admitted: map[int]map[int]bool{}, surv: map[int][]int{}}
+		if col.per != per || col.pktCount != pkts {
+			t.Fatalf("%d packets of %d coordinates, want %d of %d", col.pktCount, col.per, pkts, per)
+		}
+		coords := func(s, lo, hi int) tensor.Vector {
+			v := tensor.NewVector(hi - lo)
+			for i := range v {
+				v[i] = float64(s%4096)*1024 + float64(lo+i)
+			}
+			return v
+		}
+		genuine := func(s, idx int) Packet {
+			off := idx * per
+			return Packet{Worker: ModelWorkerID, Step: s, Dim: dim, Offset: off, Coords: coords(s, off, min(off+per, dim))}
+		}
+		into, last := tensor.NewVector(dim), -1
+		check := func(op string) {
+			want := o.settle()
+			for i := 0; ; i++ {
+				ev := col.Settled()
+				if ev == nil {
+					if i != len(want) {
+						t.Fatalf("%s: %d events, the oracle settles %v", op, i, want)
+					}
+					break
+				}
+				if i >= len(want) || ev.Step != want[i].Step || ev.Complete != want[i].Complete || ev.Torn != want[i].Torn || ev.Lost != want[i].Lost {
+					t.Fatalf("%s: event %d is %+v, the oracle settles %v", op, i, ev, want)
+				}
+				if ev.Step <= last || len(o.survivors(ev.Step)) == 0 {
+					t.Fatalf("%s: event for step %d after step %d (survivors %v)", op, ev.Step, last, o.survivors(ev.Step))
+				}
+				if ev.Complete != (ev.Params != nil) || ev.Complete && !sameBits(ev.Params, coords(ev.Step, 0, dim)) {
+					t.Fatalf("%s: step %d complete %v with Params %v", op, ev.Step, ev.Complete, ev.Params)
+				}
+				last = ev.Step
+			}
+			future := 0
+			for s := range col.pending {
+				if s != o.expected {
+					future++
+				}
+			}
+			if future > DefaultModelWindow || len(col.pending) != len(o.admitted) {
+				t.Fatalf("%s: collector holds %d partials (%d future), the oracle %d", op, len(col.pending), future, len(o.admitted))
+			}
+		}
+		for ; len(in) >= 3; in = in[3:] {
+			op, a, b := in[0], int(in[1]), int(in[2])
+			o.advance()
+			s := o.expected + a%5 // inside the window
+			switch a % 4 {
+			case 0:
+				s = o.expected - 1 - b%3 // behind
+			case 1:
+				s = o.expected + modelHorizon - 1 + b%3 // at the horizon and past it
+			}
+			idx := b % o.pkts
+			switch op % 8 {
+			case 5:
+				lost, ok := o.expire()
+				col.Expire()
+				if ok {
+					ev := col.Settled()
+					if ev == nil || !ev.Lost || ev.Step != lost || ev.Step <= last {
+						t.Fatalf("Expire: event %+v, want step %d lost (after step %d)", ev, lost, last)
+					}
+					last = ev.Step
+				}
+				check("Expire")
+				continue
+			case 6:
+				to := o.expected + a%4 - 1
+				o.skipTo(to)
+				col.SkipTo(to)
+				check("SkipTo")
+				continue
+			case 7:
+				for i := 0; i < o.pkts; i++ {
+					pkt := genuine(o.expected+a%3, i)
+					o.offer(pkt.Step, i)
+					col.Offer(&pkt, into)
+				}
+				check("whole broadcast")
+				continue
+			}
+			pkt := genuine(s, idx)
+			garbage := make([]float64, per+1)
+			for i := range garbage {
+				garbage[i] = math.NaN()
+			}
+			switch op >> 3 % 8 {
+			case 3: // off the grid, or negative
+				pkt.Offset, pkt.Coords = pkt.Offset+1-b%2*(pkt.Offset+1+per), garbage[:1]
+			case 4: // the wrong length for its index
+				pkt.Coords = garbage[:len(pkt.Coords)+1-b%2*2]
+			case 5:
+				pkt.Worker, pkt.Coords = b%3, garbage[:len(pkt.Coords)]
+			case 6:
+				pkt.Loss, pkt.Coords = []float64{1, math.NaN(), math.Copysign(0, -1)}[b%3], garbage[:len(pkt.Coords)]
+			case 7:
+				pkt.Dim, pkt.Coords = dim+1, garbage[:len(pkt.Coords)]
+			default: // genuine: refused when masked, behind, past the horizon or over the window
+				o.offer(s, idx)
+			}
+			col.Offer(&pkt, into)
+			check("Offer")
+		}
+	})
 }

@@ -70,17 +70,18 @@ func (c Codec) PacketsPerTransfer(dim, mtu int) int {
 	return count
 }
 
-// CountSurvivors returns how many of the pktCount packets of one transfer
-// are not masked out by the scheduled-drop mask (indexes beyond the mask
-// survive).
-func CountSurvivors(mask []bool, pktCount int) int {
-	surv := 0
-	for i := 0; i < pktCount; i++ {
-		if i >= len(mask) || !mask[i] {
-			surv++
+// LostCoords returns how many coordinates of a dim-coordinate transfer, per
+// to a packet, the scheduled-drop mask drops (indexes beyond the mask, or
+// past the transfer's last packet, drop nothing). A transfer is complete
+// when it is 0, and anything of it arrives when it is below dim.
+func LostCoords(mask []bool, dim, per int) int {
+	lost := 0
+	for pkt, dropped := range mask {
+		if dropped && pkt*per < dim {
+			lost += min(per, dim-pkt*per)
 		}
 	}
-	return surv
+	return lost
 }
 
 // Split chunks a gradient message into MTU-sized packets.
