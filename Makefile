@@ -38,9 +38,10 @@ race:
 # Short coverage of the one wire header (datagrams and TCP frames), the TCP
 # stream reader, the reassembler and coalesced-message segment walk, the
 # worker's model collector against its oracle, round-engine (plan, settlement, rejoin admission), column-pass and
-# blocked-matmul fuzz targets beyond the seed corpus, of the three assembly
-# kernels against their Go oracles, and of a network trained on a caller's
-# vector against one loaded by copy. CI's fuzz job runs this target.
+# blocked-matmul fuzz targets beyond the seed corpus, of the four GAR assembly
+# kernels against their Go oracles (FuzzFillKeys, FuzzCompareExchange,
+# FuzzMeanAroundWalk, FuzzBlockDistance), and of a network trained on a
+# caller's vector against one loaded by copy. CI's fuzz job runs this target.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzRound -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzColumnPass -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzMatMul -fuzztime=20s
+	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzFillKeys -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzCompareExchange -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzMeanAroundWalk -fuzztime=20s
 	$(GO) test ./internal/gar/ -run=NONE -fuzz=FuzzBlockDistance -fuzztime=20s

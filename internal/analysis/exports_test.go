@@ -291,6 +291,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"aggregathor/internal/ps.(*ReplicatedCluster).CorrectReplicasAgree": "the replication invariant in internal/core/deployments_test.go",
 		"aggregathor/internal/ps.(*Engine).Evictions":                       "the spoof test in internal/cluster/udpcluster_test.go",
 		"aggregathor/internal/tensor.(Vector).SquaredNorm":                  "the root variance exhibit, bench_test.go",
+		"aggregathor/internal/tensor.GoKernels":                             "gar.TestRulesMatchOnGoKernels, internal/gar/kernels_test.go",
 		"aggregathor/internal/transport.(*UDPFanOut).Stats":                 "fanout_test.go; the broadcast twin of the sender Stats bench_test.go reads",
 		"aggregathor/internal/transport.(*UDPReceiver).Stats":               "the root datagrams-per-syscall exhibits, bench_test.go",
 		"aggregathor/internal/transport.(*UDPSender).Stats":                 "the root datagrams-per-syscall exhibits, bench_test.go",

@@ -221,10 +221,11 @@ func FuzzBlockDistance(f *testing.F) {
 }
 
 // TestRulesMatchOnGoKernels reruns every registry rule on
-// TestWorkspaceRulesGOMAXPROCSParity's inputs with the distance dispatch
-// pointed at the Go function: no aggregate — so no trajectory — may depend on
-// which kernel ran. (tensor.TestColumnPassMatchesOnGoSort is its twin for the
-// tile sort; the two dispatch variables live in two packages.)
+// TestWorkspaceRulesGOMAXPROCSParity's inputs with the distance dispatch and
+// the column pass's fill, sort and walk (tensor.GoKernels) pointed at the Go
+// functions: no aggregate — so no trajectory — may depend on which kernels
+// ran. (tensor.TestColumnPassMatchesOnGoSort is its twin for the column pass
+// alone.)
 func TestRulesMatchOnGoKernels(t *testing.T) {
 	const d = 2*distParallelMin + 13
 	for _, grads := range [][]tensor.Vector{
@@ -240,10 +241,11 @@ func TestRulesMatchOnGoKernels(t *testing.T) {
 				return out.Clone(), err
 			}
 			got, gotErr := run()
-			dispatched := blockDistance
+			dispatched, restore := blockDistance, tensor.GoKernels()
 			blockDistance = blockDistance8
 			want, wantErr := run()
 			blockDistance = dispatched
+			restore()
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%s n=%d: error %v, %v on the Go kernel", name, len(grads), gotErr, wantErr)
 			}

@@ -37,6 +37,26 @@ func TestChurnConfigValidate(t *testing.T) {
 // exactly DownSteps rounds, rejoin budgets enforced, and — the dead-fixture
 // guard — that the chosen rate actually exercises crashes, rejoins and a
 // permanent departure.
+// TestChurnPhaseString names every phase, and an out-of-range value by its
+// number.
+func TestChurnPhaseString(t *testing.T) {
+	for _, c := range []struct {
+		phase ChurnPhase
+		want  string
+	}{
+		{ChurnLive, "live"},
+		{ChurnCrash, "crash"},
+		{ChurnDown, "down"},
+		{ChurnRejoin, "rejoin"},
+		{ChurnRejoin + 1, "ChurnPhase(4)"},
+		{-1, "ChurnPhase(-1)"},
+	} {
+		if got := c.phase.String(); got != c.want {
+			t.Errorf("ChurnPhase(%d).String() = %q, want %q", int(c.phase), got, c.want)
+		}
+	}
+}
+
 func TestChurnSchedulePureFunction(t *testing.T) {
 	cfg := ChurnConfig{Rate: 0.15, DownSteps: 3, MaxRejoins: 2}
 	const seed, workers, steps = 29, 7, 300

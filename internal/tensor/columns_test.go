@@ -215,6 +215,16 @@ func FuzzColumnPass(f *testing.F) {
 	f.Add(uint8(4), uint16(129), uint8(1), seed(1e-20, 2e-20, 1, 3, 4, math.MaxFloat64, -math.MaxFloat64))
 	f.Add(uint8(18), uint16(199), uint8(14), seed(1, -1, 0.5, -0.5, math.NaN(), math.Inf(1), 2, 2))
 	f.Add(uint8(69), uint16(1), uint8(30), seed(3, 1, 2))
+	// Non-finite values in the last one to three lanes of a tile only,
+	// which the fill's Go tail flags: 7 columns, +Inf and NaN in lanes 5
+	// and 6; 130 columns, -Inf in the second tile's lane 1.
+	f.Add(uint8(10), uint16(6), uint8(4), seed(1, -2, 3, 0.5, 4, math.Inf(1), math.NaN()))
+	wide := make([]float64, 130)
+	for j := range wide {
+		wide[j] = float64(j%7) - 3
+	}
+	wide[129] = math.Inf(-1)
+	f.Add(uint8(4), uint16(129), uint8(2), seed(wide...))
 	f.Fuzz(func(t *testing.T, n uint8, d uint16, arg uint8, raw []byte) {
 		words := len(raw) / 8
 		if words == 0 {

@@ -17,6 +17,17 @@ func pickSortRows() func(tile []int64, w int, net [][2]int) {
 	return sortRowsGo
 }
 
+// fillKeys is the tile fill runTile runs: four keys a step in AVX2 where the
+// probe found it, the Go loop otherwise.
+var fillKeys = pickFillKeys()
+
+func pickFillKeys() func(dst []int64, src []float64) bool {
+	if hasAVX2 {
+		return fillKeysAVX2
+	}
+	return fillKeysGo
+}
+
 // meanAroundWalk is the walk runTile's mean-around-median pass starts with:
 // four columns a register in AVX2 where the probe found it, the Go walk's
 // decline-everything otherwise.
@@ -35,10 +46,10 @@ func pickMeanAroundWalk() func(tile []int64, w, n, keep int, out []float64, decl
 func HasAVX2() bool { return hasAVX2 }
 
 // Kernels names the kernel set this process computes with — the GAR's
-// distance sweep, tile sort and mean-around-median walk and the workers'
-// MatMul and MatMulTransA blocks, in AVX2 assembly where the CPU and OS have
-// it and the Go kernels ("portable") otherwise — for benchmark reports.
-// Every set produces the same bits.
+// distance sweep, tile fill, tile sort and mean-around-median walk and the
+// workers' MatMul and MatMulTransA blocks, in AVX2 assembly where the CPU
+// and OS have it and the Go kernels ("portable") otherwise — for benchmark
+// reports. Every set produces the same bits.
 func Kernels() string {
 	if hasAVX2 {
 		return "amd64 avx2"
@@ -77,6 +88,18 @@ func sortRowsAVX2(tile []int64, w int, net [][2]int) {
 
 //go:noescape
 func compareExchangeAVX2(a, b []int64)
+
+// fillKeysAVX2 is fillKeysGo with a row's whole groups of four values in
+// assembly; the Go loop fills the last one to three.
+func fillKeysAVX2(dst []int64, src []float64) bool {
+	quads := len(src) &^ 3
+	dst = dst[:len(src)]
+	finite := fillKeys4AVX2(dst[:quads], src[:quads])
+	return fillKeysGo(dst[quads:], src[quads:]) && finite
+}
+
+//go:noescape
+func fillKeys4AVX2(dst []int64, src []float64) (finite bool)
 
 // meanAroundAVX2 runs the assembly walk over the tile's whole groups of four
 // columns and declines a last group of one to three to meanAroundSorted. The

@@ -89,6 +89,44 @@ singles:
 	JLT  loop1
 	RET
 
+// func fillKeys4AVX2(dst []int64, src []float64) (finite bool)
+//
+// dst[k] = sortKey(bits of src[k]) for k < len(src), four values a step:
+// VPCMPGTQ against zero marks the negative lanes with all ones, and that
+// mask shifted right by one is MaxInt64 exactly there, which the XOR turns
+// into the key. A lane whose exponent bits are all ones (VPAND, VPCMPEQQ) is
+// a NaN or ±Inf; the marks are ORed over the row and finite reports none.
+// The caller has checked len(dst) >= len(src) and that len(src) is a
+// multiple of four.
+TEXT ·fillKeys4AVX2(SB), NOSPLIT, $0-49
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   src_base+24(FP), SI
+	MOVQ   src_len+32(FP), CX
+	XORQ   AX, AX                // k
+	VPXOR  Y5, Y5, Y5            // zero
+	VPXOR  Y6, Y6, Y6            // the non-finite marks
+	VMOVDQU inf<>(SB), Y7        // the exponent field
+	JMP    fillquads
+
+fill4:
+	VMOVDQU  (SI)(AX*8), Y0
+	VPCMPGTQ Y0, Y5, Y1          // 0 > bits
+	VPSRLQ   $1, Y1, Y1          // MaxInt64 where negative
+	VPXOR    Y1, Y0, Y1
+	VMOVDQU  Y1, (DI)(AX*8)
+	VPAND    Y7, Y0, Y2
+	VPCMPEQQ Y7, Y2, Y2          // exponent all ones
+	VPOR     Y2, Y6, Y6
+	ADDQ     $4, AX
+
+fillquads:
+	CMPQ AX, CX
+	JLT  fill4
+	VPTEST Y6, Y6
+	SETEQ  finite+48(FP)
+	VZEROUPPER
+	RET
+
 // func meanAround4AVX2(tile []int64, w, n, keep int, out []float64, declined []uint8)
 //
 // meanAroundSorted (columns.go) over the sorted tile's columns four at a
@@ -108,12 +146,12 @@ singles:
 // by keep once, as in the Go walk. A rank off either end of the column reads
 // as ∓Inf at distance +Inf, which a walk of keep <= n steps never takes.
 //
-// Declines: a distinct value as far out as the one taken last, and a
-// candidate as far out as the one taken last when the walk ends (the Go walk
-// would look further, past equal values). Two distinct values at one
-// distance as a step's candidates always end in one of the two: the lower
-// is taken, and the upper is either taken next at that distance or left
-// behind at it.
+// Declines: a distinct value as far out as the one taken last, during the
+// walk and, once it ends, anywhere in the column — one pass over its rows,
+// so runs of equal values at the last distance settle as in the Go walk,
+// however long. Two distinct values at one distance as a step's candidates
+// always end in one of the two: the lower is taken, and the upper is either
+// taken next at that distance or left behind at it.
 //
 // Frame: 0(SP) keep as a float64 ×4, 32(SP) the end of declined, 40(SP) and
 // 48(SP) how many ranks below and above fit in the column (at most keep),
@@ -285,14 +323,40 @@ shifted:
 	DECQ CX
 	JNZ  step
 
-	// A candidate as far out as the last value taken: the Go walk looks
-	// further, and the worker order may decide. (A last distance of +Inf
-	// always lands here: both candidates are at least that far.)
+	// The candidates are at least as far out as the last value taken, and
+	// distances only grow outward: with both further out in every lane,
+	// nothing left behind is at the last distance.
 	VCMPPD $0, Y9, Y2, Y11
-	VORPD  Y11, Y10, Y10
-	VCMPPD $0, Y9, Y4, Y11
-	VORPD  Y11, Y10, Y10
+	VCMPPD $0, Y9, Y4, Y12
+	VPOR   Y12, Y11, Y11
+	VPTEST Y11, Y11
+	JZ     ended
 
+	// Otherwise look for a distinct value as far out as the last one
+	// taken, anywhere in the column: the Go walk steps past the runs of
+	// values equal to it at that distance and declines at the first that
+	// differs. Every value taken that far out equals the last (a step
+	// would have declined otherwise), so this is its check. The Go walk
+	// also declines a last distance of +Inf: it runs off the column's end.
+	VCMPPD $0, inf<>(SB), Y9, Y11
+	VORPD  Y11, Y10, Y10
+	MOVQ   SI, BX
+	MOVQ   n+32(FP), R9
+
+ends:
+	VMOVDQU (BX), Y12
+	KEYF(Y12, Y11)
+	VCMPPD  $4, Y8, Y12, Y13   // x != lastX
+	VSUBPD  Y0, Y12, Y12
+	VANDPD  maxi<>(SB), Y12, Y12
+	VCMPPD  $0, Y9, Y12, Y12   // d == lastD
+	VANDPD  Y13, Y12, Y12
+	VORPD   Y12, Y10, Y10
+	ADDQ    R8, BX
+	DECQ    R9
+	JNZ     ends
+
+ended:
 	VDIVPD    0(SP), Y7, Y7
 	VMOVUPD   Y7, (DI)
 	VMOVMSKPD Y10, AX

@@ -6,6 +6,10 @@ package tensor
 // sort_amd64.s does not build.
 var sortRows = sortRowsGo
 
+// fillKeys is the tile fill runTile runs: the Go loop wherever sort_amd64.s
+// does not build.
+var fillKeys = fillKeysGo
+
 // meanAroundWalk is the walk runTile's mean-around-median pass starts with:
 // the Go walk's decline-everything wherever sort_amd64.s does not build.
 var meanAroundWalk = meanAroundWalkGo

@@ -7,7 +7,9 @@ const (
 	// DefaultModelWindow caps how many distinct future broadcasts a
 	// collector buffers while the current one is unsettled. Datagrams are
 	// unauthenticated: without a cap, spoofed packets claiming distinct
-	// future steps would each pin a maxDim-sized partial indefinitely.
+	// future steps would each pin a maxDim-sized partial indefinitely. A
+	// full window gives way to a nearer step, so far spoofs hold it only
+	// until genuine broadcasts arrive ahead of the expected one.
 	DefaultModelWindow = 3
 	// modelHorizon caps how far past the step it is waiting for a collector
 	// admits a broadcast. The window above bounds how many future broadcasts
@@ -84,8 +86,8 @@ type ModelCollectorConfig struct {
 // It bounds every resource a hostile datagram stream could grow: only
 // packets on the broadcast's own grid are admitted, partials older than the
 // settled step are evicted, and at most DefaultModelWindow future-step
-// partials are buffered (the expected step is always admitted, so spam
-// cannot wedge a legitimate broadcast).
+// partials are buffered, the nearest steps first (the expected step is
+// always admitted, so spam cannot wedge a legitimate broadcast).
 type ModelCollector struct {
 	cfg      ModelCollectorConfig
 	per      int
@@ -187,7 +189,8 @@ func (mc *ModelCollector) release(s int) {
 // cannot have sent is ignored: a gradient-tagged or loss-carrying header,
 // another dimension, a step already settled or past the horizon, a range off
 // the broadcast's packet grid, an index the schedule dropped, a new future
-// step beyond the window.
+// step past the farthest one a full window holds (a nearer one evicts that
+// farthest partial).
 func (mc *ModelCollector) Offer(pkt *Packet, into tensor.Vector) {
 	if len(into) != mc.cfg.Dim {
 		panic("transport: ModelCollector.Offer into a vector of the wrong dimension")
@@ -214,12 +217,18 @@ func (mc *ModelCollector) Offer(pkt *Packet, into tensor.Vector) {
 	switch {
 	case p != nil && (p.resolved() || masked(p.mask)):
 		return // a duplicate after resolution, or a masked index
-	case p == nil && s != mc.expected && len(mc.pending) >= DefaultModelWindow:
+	case p == nil && mc.windowFull(s) && s > mc.farthest():
 		return // future-broadcast cap; the expected step always admits
 	case p == nil:
 		mask, lost := mc.dropMask(s)
 		if lost == mc.cfg.Dim || masked(mask) {
 			return // nothing of step s can arrive, or not this index: spoofed
+		}
+		if mc.windowFull(s) {
+			// A nearer step evicts the farthest: spoofs claiming far
+			// steps cannot lock out the genuine broadcasts that arrive
+			// ahead of the expected one.
+			mc.release(mc.farthest())
 		}
 		if n := len(mc.free); n > 0 {
 			p, mc.free = mc.free[n-1], mc.free[:n-1]
@@ -233,6 +242,22 @@ func (mc *ModelCollector) Offer(pkt *Packet, into tensor.Vector) {
 		into = nil // a buffered broadcast never writes the caller's vector
 	}
 	p.part.Offer(pkt, into)
+}
+
+// windowFull reports whether admitting a new partial for step s would pass
+// the future-broadcast cap.
+func (mc *ModelCollector) windowFull(s int) bool {
+	return s != mc.expected && len(mc.pending) >= DefaultModelWindow
+}
+
+// farthest is the latest step under reassembly.
+func (mc *ModelCollector) farthest() int {
+	far := mc.expected
+	//aggrevet:ordered computes the maximum pending step, an order-independent reduction
+	for s := range mc.pending {
+		far = max(far, s)
+	}
+	return far
 }
 
 // Settled returns the next settled broadcast, in step order, or nil while

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -443,6 +444,45 @@ func TestModelCollectorHostileFutureStepsBounded(t *testing.T) {
 	}
 }
 
+// TestModelCollectorFarSpoofsGiveWay: one spoofed packet each for three far
+// steps inside the horizon fills the window, and the genuine broadcasts of
+// steps 1 to 4, arriving interleaved — 2 to 4 ahead of the expected one —
+// evict them and settle complete, in order, with no Expire.
+func TestModelCollectorFarSpoofsGiveWay(t *testing.T) {
+	const dim, mtu = 100, 128
+	col := NewModelCollector(ModelCollectorConfig{Dim: dim, MTU: mtu})
+	col.SkipTo(1)
+	into := tensor.NewVector(dim)
+	for step := 50; step <= 52; step++ {
+		pkts := col.cfg.Codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: step, Grad: modelParams(dim)}, mtu)
+		col.Offer(&pkts[1], into)
+	}
+	if len(col.pending) != DefaultModelWindow {
+		t.Fatalf("%d partials after the spoofs, want the window of %d full", len(col.pending), DefaultModelWindow)
+	}
+	params := make([]tensor.Vector, 5)
+	split := make([][]Packet, 5)
+	for step := 1; step <= 4; step++ {
+		params[step] = modelParams(dim)
+		params[step][0] = float64(step)
+		split[step] = col.cfg.Codec.Split(&GradientMsg{Worker: ModelWorkerID, Step: step, Grad: params[step]}, mtu)
+	}
+	for i := range split[1] {
+		for step := 1; step <= 4; step++ {
+			col.Offer(&split[step][i], into)
+		}
+	}
+	for step := 1; step <= 4; step++ {
+		ev := col.Settled()
+		if ev == nil || !ev.Complete || ev.Step != step || !sameBits(ev.Params, params[step]) {
+			t.Fatalf("event %+v, want complete step %d", ev, step)
+		}
+	}
+	if ev := col.Settled(); ev != nil || col.InFlight() {
+		t.Fatalf("event %+v, in flight %v: the spoofs outlived the genuine steps", ev, col.InFlight())
+	}
+}
+
 // TestDialUDPRejectsSubMinimumMTU is the MTU lower-bound regression: an MTU
 // smaller than the packet header plus one coordinate (e.g. 16) used to pass
 // validation, after which CoordsPerPacket clamped to 1 and every datagram
@@ -537,8 +577,8 @@ func (o *modelOracle) skipTo(s int) {
 }
 
 // offer admits genuine, unmasked packet idx of step s when the collector
-// must: current or future within the horizon, inside the window, not
-// resolved yet.
+// must: current or future within the horizon, inside the window or nearer
+// than its farthest step, not resolved yet.
 func (o *modelOracle) offer(s, idx int) {
 	o.advance()
 	if s < o.expected || s-o.expected > modelHorizon || !slices.Contains(o.survivors(s), idx) || o.resolved(s) {
@@ -546,7 +586,12 @@ func (o *modelOracle) offer(s, idx int) {
 	}
 	if o.admitted[s] == nil {
 		if s != o.expected && len(o.admitted) >= DefaultModelWindow {
-			return
+			// Full: the farthest step admitted gives way to a nearer one.
+			far := slices.Max(slices.Collect(maps.Keys(o.admitted)))
+			if s > far {
+				return
+			}
+			delete(o.admitted, far)
 		}
 		o.admitted[s] = map[int]bool{}
 	}
@@ -597,6 +642,9 @@ func FuzzModelCollector(f *testing.F) {
 	f.Add([]byte{17, 5, 2, 2, 2, 0, 2, 2, 1, 7, 0, 0, 5, 0, 0, 7, 1, 0})
 	f.Add([]byte{200, 1, 1, 24, 1, 0, 32, 1, 1, 40, 1, 2, 48, 1, 0, 56, 1, 0, 7, 3, 0, 5, 0, 0})
 	f.Add([]byte{64, 7, 2, 0, 3, 0, 7, 1, 0, 7, 2, 0, 7, 3, 0, 7, 4, 0, 5, 0, 0, 6, 2, 0})
+	// Steps 4, 3 and 2 ahead fill the window; step 1 ahead evicts step 4,
+	// arrives whole, and Expire jumps to it.
+	f.Add([]byte{40, 3, 0, 0, 14, 0, 0, 3, 0, 0, 2, 0, 0, 6, 0, 7, 1, 0, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
