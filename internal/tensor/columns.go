@@ -375,13 +375,15 @@ func meanAroundSorted(col []int64, w, n, keep int) (mean float64, ok bool) {
 	}
 	// Values as far out as the last one taken but left behind: which of
 	// them is kept is again the worker order's call, unless all are equal.
-	for ; dl == lastD; xl, dl = rankAt(col, w, n, l, med) {
+	// The walks stop at the column's ends, where rankAt's (0, +Inf) would
+	// otherwise match a last value 0 taken at distance +Inf for ever.
+	for ; l >= 0 && dl == lastD; xl, dl = rankAt(col, w, n, l, med) {
 		if xl != lastX {
 			return 0, false
 		}
 		l--
 	}
-	for ; dr == lastD; xr, dr = rankAt(col, w, n, r, med) {
+	for ; r < n && dr == lastD; xr, dr = rankAt(col, w, n, r, med) {
 		if xr != lastX {
 			return 0, false
 		}

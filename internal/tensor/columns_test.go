@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // columnOracle runs the exact per-column kernel on every coordinate: the
@@ -171,6 +172,37 @@ func TestMeanAroundSortedCoversEvenHeights(t *testing.T) {
 	// Distinct values left of the median that round to one distance.
 	if _, ok := meanAroundSorted(sortKeys(1e-20, 2e-20, 1, 3, 4), 1, 5, 2); ok {
 		t.Error("two distinct values at one rounded distance were told apart")
+	}
+}
+
+// TestMeanAroundSortedReturnsOnInfiniteColumns: a column holding ±Inf, or
+// whose median is ±Inf, returns at every keep. Past either end of a column
+// rankAt reads (0, +Inf), which once matched the last value and distance
+// taken on [0, +Inf] for ever; a hang fails the test instead of stalling it.
+func TestMeanAroundSortedReturnsOnInfiniteColumns(t *testing.T) {
+	inf := math.Inf(1)
+	for _, xs := range [][]float64{
+		{0, inf},
+		{-inf, 0},
+		{-inf, inf},
+		{1, inf, inf},
+		{-inf, -inf, 1},
+		{0, 0, inf, inf},
+		{-inf, 0, 0, inf},
+		{-inf, -inf, -inf, 0, 2},
+	} {
+		for keep := 1; keep <= len(xs); keep++ {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				meanAroundSorted(sortKeys(xs...), 1, len(xs), keep)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("meanAroundSorted(%v, keep=%d) did not return", xs, keep)
+			}
+		}
 	}
 }
 

@@ -35,10 +35,13 @@ func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Col
 // is streamed once per four output rows instead of once per row, and k goes
 // two at a time, so an output element is loaded and stored once per two
 // products. A (four rows × two k) block of a holding a zero, and the rows
-// left over, take the row-at-a-time loop. Where the CPU has AVX2 and out
-// has four columns or more, matMulAVX2 (matmul_amd64.go) runs these blocks
-// with the dense block's whole groups of four columns in matmul_amd64.s;
-// elsewhere matMulGo runs them: the same bits either way.
+// left over, take the row-at-a-time loop. Where the CPU has AVX2,
+// matmul_amd64.go runs the product in matmul_amd64.s, chosen once by out's
+// width: four columns or more go blockwise (matMulAVX2), a block holding a
+// zero as a masked product, each a·b ANDed with its a ≠ 0 mask, which adds
+// +0 where the Go loop skips — the same bits, since a sum from +0 never
+// becomes −0 — and one to three columns four rows at a time, a row a lane
+// (matMulNarrow). Elsewhere matMulGo runs them: the same bits either way.
 func MatMul(out, a, b *Matrix) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
@@ -47,8 +50,8 @@ func MatMul(out, a, b *Matrix) {
 	matMul(out, a, b)
 }
 
-// matMulGo is MatMul's Go loop: the portable path, the path of a product
-// narrower than one AVX2 register, and the assembly's oracle.
+// matMulGo is MatMul's Go loop: the portable path, the path of the rows
+// the assembly leaves over, and its oracle.
 func matMulGo(out, a, b *Matrix) {
 	for i := range out.Data {
 		out.Data[i] = 0
@@ -119,10 +122,12 @@ func axpyNonZero(o Vector, av float64, b Vector) {
 // to four rows of a (a small mini-batch), nothing is read back; each later
 // four add in the same order. A (four k × two rows) block of a holding a
 // zero, the odd output row and the rows of a left over go a row at a time.
-// Where the CPU has AVX2, out has four columns or more and a four rows or
-// more, matMulTransAAVX2 (matmul_amd64.go) runs these blocks with the dense
-// block's whole groups of four columns, in both forms, in matmul_amd64.s;
-// elsewhere matMulTransAGo runs them: the same bits either way.
+// Where the CPU has AVX2, matmul_amd64.go runs the product in
+// matmul_amd64.s, chosen once by out's width: four columns or more, with a
+// four rows or more, go blockwise in both forms (matMulTransAAVX2), a block
+// holding a zero masked as in MatMul, and one to three columns four output
+// rows at a time, a row a lane (matMulTransANarrow). Elsewhere
+// matMulTransAGo runs them: the same bits either way.
 func MatMulTransA(out, a, b *Matrix) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
@@ -132,7 +137,7 @@ func MatMulTransA(out, a, b *Matrix) {
 }
 
 // matMulTransAGo is MatMulTransA's Go loop: the portable path, the path of
-// a product narrower than one AVX2 register, and the assembly's oracle.
+// a product over fewer than four rows of a, and the assembly's oracle.
 func matMulTransAGo(out, a, b *Matrix) {
 	if a.Rows < 4 {
 		for i := range out.Data {

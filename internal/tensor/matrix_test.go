@@ -213,8 +213,7 @@ func sameBits(t *testing.T, got, want *Matrix, label string) {
 }
 
 // matMulKernels are the kernel sets every matmul check runs: the dispatched
-// one (AVX2 assembly where Kernels says so and the product is four columns
-// wide or more) and the Go loops.
+// one (AVX2 assembly where Kernels says so) and the Go loops.
 var matMulKernels = []struct {
 	name                 string
 	matMul, matMulTransA func(out, a, b *Matrix)
@@ -253,7 +252,7 @@ func TestMatMulKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, share := range []float64{0, 0.1, 0.5} {
 		for _, rows := range []int{1, 2, 3, 4, 5, 8, 11} {
-			for _, inner := range []int{1, 2, 36, 37} {
+			for _, inner := range []int{1, 2, 3, 36, 37} {
 				for _, cols := range []int{1, 2, 3, 4, 7, 13, 128, 130} {
 					checkMatMulKernels(t, rng, rows, inner, cols, share)
 				}
@@ -265,19 +264,28 @@ func TestMatMulKernelsMatchReference(t *testing.T) {
 
 // TestMatMulTransAKeepsPositiveZero: products that are all −0 sum to +0, as
 // they did into a zero-filled accumulator, in the first block and in the
-// accumulate form after it, on every kernel set; five columns put four in
-// the assembly and one in Go.
+// accumulate form after it, on every kernel set: one to three columns take
+// the narrow kernels, five put four in the assembly and one in Go. A zero
+// coefficient in the first block sends it to the masked form.
 func TestMatMulTransAKeepsPositiveZero(t *testing.T) {
-	a, b := NewMatrix(8, 2), NewMatrix(8, 5)
-	for i := range a.Data {
-		a.Data[i] = -1
-	}
-	for _, k := range matMulKernels {
-		out := NewMatrix(2, 5)
-		k.matMulTransA(out, a, b) // every product is −1·0 = −0
-		for i, v := range out.Data {
-			if math.Float64bits(v) != 0 {
-				t.Fatalf("%s: element %d = %v (%#x), want +0", k.name, i, v, math.Float64bits(v))
+	for _, cols := range []int{1, 2, 3, 5} {
+		for _, zero := range []bool{false, true} {
+			a, b := NewMatrix(8, 6), NewMatrix(8, cols)
+			for i := range a.Data {
+				a.Data[i] = -1
+			}
+			if zero {
+				a.Data[0] = 0
+			}
+			for _, k := range matMulKernels {
+				out := NewMatrix(6, cols)
+				k.matMulTransA(out, a, b) // every product is −1·0 = −0
+				for i, v := range out.Data {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("%s, %d columns, zero %v: element %d = %v (%#x), want +0",
+							k.name, cols, zero, i, v, math.Float64bits(v))
+					}
+				}
 			}
 		}
 	}
@@ -287,24 +295,35 @@ func FuzzMatMul(f *testing.F) {
 	f.Add(uint8(4), uint8(36), uint8(13), uint8(0), int64(1))
 	f.Add(uint8(5), uint8(37), uint8(128), uint8(1), int64(2))
 	f.Add(uint8(11), uint8(1), uint8(1), uint8(5), int64(3))
+	// One to three columns, the narrow kernels, at special shares of 0.5
+	// and above: most blocks hold a zero.
+	f.Add(uint8(4), uint8(39), uint8(0), uint8(5), int64(4))
+	f.Add(uint8(9), uint8(7), uint8(1), uint8(7), int64(5))
+	f.Add(uint8(14), uint8(42), uint8(2), uint8(9), int64(6))
+	f.Add(uint8(8), uint8(36), uint8(9), uint8(6), int64(7))
 	f.Fuzz(func(t *testing.T, rows, inner, cols, tenths uint8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		checkMatMulKernels(t, rng, 1+int(rows)%24, 1+int(inner)%80, 1+int(cols)%140, float64(tenths%10)/10)
 	})
 }
 
-// BenchmarkMatMul times the two blocked kernels of every kernel set on one
-// worker's first-layer products at batch 4 and on the convolution shape,
-// cycling operand sets so the weights come from memory as they do in a
-// round.
+// BenchmarkMatMul times the two blocked kernels of every kernel set on
+// workers' products at batch 4 and on the convolution shape, cycling operand
+// sets so the weights come from memory as they do in a round: the first
+// layer of the 100k MLP (dense4x784x128) and of tcp-small-2k's (two hidden
+// units, dense4x784x2), and the 100k MLP's second layer, whose inputs are
+// ReLU outputs, about half of them zero (dense4x128x10).
 func BenchmarkMatMul(b *testing.B) {
 	for _, shape := range []struct {
 		name              string
 		rows, inner, cols int
 		sets              int
+		relu              bool
 	}{
-		{"dense4x784x128", 4, 784, 128, 19},
-		{"conv1024x75x64", convRows, convInner, convCols, 4},
+		{"dense4x784x128", 4, 784, 128, 19, false},
+		{"dense4x784x2", 4, 784, 2, 19, false},
+		{"dense4x128x10", 4, 128, 10, 19, true},
+		{"conv1024x75x64", convRows, convInner, convCols, 4, false},
 	} {
 		rng := rand.New(rand.NewSource(15))
 		as, ws, gs := make([]*Matrix, shape.sets), make([]*Matrix, shape.sets), make([]*Matrix, shape.sets)
@@ -312,6 +331,11 @@ func BenchmarkMatMul(b *testing.B) {
 		for i := range as {
 			as[i], ws[i], gs[i] = randMatrix(rng, shape.rows, shape.inner), randMatrix(rng, shape.inner, shape.cols), randMatrix(rng, shape.rows, shape.cols)
 			outs[i], gws[i] = NewMatrix(shape.rows, shape.cols), NewMatrix(shape.inner, shape.cols)
+			if shape.relu {
+				for j, v := range as[i].Data {
+					as[i].Data[j] = max(v, 0)
+				}
+			}
 		}
 		for _, k := range matMulKernels {
 			b.Run("MatMul/"+shape.name+"/"+k.name, func(b *testing.B) {

@@ -47,9 +47,10 @@ func HasAVX2() bool { return hasAVX2 }
 
 // Kernels names the kernel set this process computes with — the GAR's
 // distance sweep, tile fill, tile sort and mean-around-median walk and the
-// workers' MatMul and MatMulTransA blocks, in AVX2 assembly where the CPU
-// and OS have it and the Go kernels ("portable") otherwise — for benchmark
-// reports. Every set produces the same bits.
+// workers' MatMul and MatMulTransA (dense, zero-holding and one to three
+// columns wide), in AVX2 assembly where the CPU and OS have it and the Go
+// kernels ("portable") otherwise — for benchmark reports. Every set
+// produces the same bits.
 func Kernels() string {
 	if hasAVX2 {
 		return "amd64 avx2"

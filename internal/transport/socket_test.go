@@ -252,6 +252,41 @@ func TestUDPIgnoresGarbageDatagrams(t *testing.T) {
 	}
 }
 
+// TestUDPCountsWireMismatches: a well-formed datagram framed under the
+// other codec is skipped and counted, and the valid datagram behind it is
+// the one RecvPacket returns.
+func TestUDPCountsWireMismatches(t *testing.T) {
+	codec := Codec{}
+	recv, err := ListenUDP("127.0.0.1:0", codec, DropGradient, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	send, err := DialUDP(recv.Addr(), codec, DefaultMTU, 0, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	pkt := Packet{Worker: 3, Step: 7, Dim: 4, Offset: 0, Coords: []float64{1, 2, 3, 4}}
+	if _, err := send.batcher.conn.Write(Codec{Float32: true}.AppendPacket(nil, &pkt)); err != nil {
+		t.Fatal(err)
+	}
+	pkt.Worker = 5
+	if err := send.SendPackets([]Packet{pkt}, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := recv.RecvPacket(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePacket(got, &pkt) {
+		t.Fatalf("got %+v, want the valid packet %+v", *got, pkt)
+	}
+	if n := recv.WireMismatches(); n != 1 {
+		t.Fatalf("WireMismatches() = %d, want 1", n)
+	}
+}
+
 // TestUDPDeadlineFlushOrderDeterministic is the regression test for the
 // determinism bug in the deadline path: with several partial gradients
 // pending when the timeout fires, the old code recouped whichever one Go's
