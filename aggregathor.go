@@ -20,15 +20,16 @@
 //     NewUDPCluster builds the paper's lossyMPI deployment instead:
 //     gradients travel real UDP datagrams with seeded per-packet drop
 //     injection, and the coordinates lost in flight are recouped by a §3.3
-//     policy for the Byzantine-resilient GAR to absorb. Experiment configs
-//     and campaign network cells select them with Backend/backend "tcp" or
-//     "udp"; socket rounds reproduce the in-process trajectories
-//     bit-for-bit under identical seeds — at any drop rate: an in-process
-//     run with UDPLinks = Workers and a udp run with the same loss axes are
-//     one trajectory, because both run the one round engine on drop
-//     schedules (uplink gradients and, per footnote 12 on udp, downlink
-//     model broadcasts) and recoup values that are pure functions of (seed,
-//     step, worker).
+//     policy for the Byzantine-resilient GAR to absorb. A Network — an
+//     experiment's Config.Network, and as it is a campaign cell's network
+//     beside its name — selects them with Backend "tcp" or "udp"; socket
+//     rounds reproduce the in-process trajectories bit-for-bit under
+//     identical seeds — at any drop rate: an in-process run with UDPLinks
+//     -1 (every worker) and a udp run with the same loss axes are one
+//     trajectory, because both run the one round engine on drop schedules
+//     (uplink gradients and, per footnote 12 on udp, downlink model
+//     broadcasts) and recoup values that are pure functions of (seed, step,
+//     worker).
 //
 // The examples are checked by go test (go test -run Example -v .):
 // ExampleRun is the quickstart on the paper's 19-worker cluster,
@@ -54,6 +55,12 @@ import (
 // Config describes one training experiment (mirrors the original runner.py
 // command line). See core.Config for field documentation.
 type Config = core.Config
+
+// Network is one network condition — the deployment backend, the lossy
+// links and their loss axes, the async and churn schedules, the clock's
+// protocol — in the JSON form a campaign cell embeds. See core.Network for
+// field documentation.
+type Network = core.Network
 
 // Result holds an experiment's metric series.
 type Result = core.Result

@@ -426,7 +426,7 @@ func BenchmarkAblation_RecoupPolicy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := core.Run(core.Config{
 					Aggregator: "median", Workers: n, Batch: 16, Steps: 20, EvalEvery: 20,
-					Seed: 12, UDPLinks: n, DropRate: 0.10, Recoup: policy, WireFormat: transport.WireFloat32,
+					Seed: 12, Network: core.Network{UDPLinks: n, DropRate: 0.10, Recoup: policy.String(), WireFormat: transport.WireFloat32},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"aggregathor/internal/core"
-	"aggregathor/internal/simnet"
 	"aggregathor/internal/transport"
 )
 
@@ -121,7 +120,7 @@ var claims = []claim{
 			var out []run
 			for _, p := range []transport.RecoupPolicy{transport.DropGradient, transport.FillNaN, transport.FillRandom} {
 				c := paperRun(seed, "multi-krum", 8)
-				c.UDPLinks, c.Recoup, c.Protocol = 8, p, simnet.UDP
+				c.Network = core.Network{UDPLinks: 8, Recoup: p.String(), Protocol: "udp"}
 				out = append(out, run{p.String(), c})
 			}
 			return out
@@ -144,8 +143,8 @@ var claims = []claim{
 			// 300 steps, the length the 0.4 floor is set for.
 			udp, tcp := paperRun(seed, "multi-krum", 8), paperRun(seed, "multi-krum", 8)
 			udp.Steps, tcp.Steps = 300, 300
-			udp.UDPLinks, udp.DropRate, udp.Recoup, udp.Protocol = 8, 0.10, transport.FillRandom, simnet.UDP
-			tcp.DropRate, tcp.Protocol = 0.10, simnet.TCP
+			udp.Network = core.Network{UDPLinks: 8, DropRate: 0.10, Recoup: "fill-random", Protocol: "udp"}
+			tcp.Network = core.Network{DropRate: 0.10, Protocol: "tcp"}
 			return []run{{"lossyMPI", udp}, {"tcp", tcp}}
 		},
 		unit: "sim_s", read: simSeconds,

@@ -30,8 +30,6 @@ import (
 	"aggregathor/internal/core"
 	"aggregathor/internal/gar"
 	"aggregathor/internal/opt"
-	"aggregathor/internal/simnet"
-	"aggregathor/internal/transport"
 )
 
 func main() {
@@ -49,7 +47,7 @@ func main() {
 func flags(cfg *core.Config, listAttacks *bool) *flag.FlagSet {
 	fs := flag.NewFlagSet("runner", flag.ContinueOnError)
 	fs.StringVar(&cfg.Experiment, "experiment", "features-mlp", "model+dataset preset (empty to list)")
-	fs.StringVar(&cfg.Backend, "backend", core.BackendInProcess, "deployment: in-process|tcp|udp")
+	fs.StringVar(&cfg.Network.Backend, "backend", core.BackendInProcess, "deployment: in-process|tcp|udp")
 	fs.StringVar(&cfg.Aggregator, "aggregator", "multi-krum", "gradient aggregation rule (empty to list; 'draco' and 'tf' also accepted)")
 	fs.IntVar(&cfg.Workers, "nb-workers", 19, "number of workers n")
 	fs.IntVar(&cfg.F, "f", 4, "declared Byzantine tolerance f")
@@ -70,18 +68,19 @@ func flags(cfg *core.Config, listAttacks *bool) *flag.FlagSet {
 	fs.Func("corrupt-data", "comma-separated worker ids with poisoned samplers", idsInto(&cfg.CorruptData))
 	fs.BoolVar(&cfg.Vanilla, "vanilla", false, "run the unpatched (vulnerable) server")
 	fs.Func("hijack", "comma-separated worker ids attempting remote parameter writes", idsInto(&cfg.HijackWorkers))
-	fs.IntVar(&cfg.UDPLinks, "udp-links", 0, "number of worker links over lossy UDP")
-	fs.Float64Var(&cfg.DropRate, "drop-rate", 0, "artificial packet drop probability on UDP links")
-	cfg.Recoup = transport.FillRandom
-	fs.Func("recoup", "lost-coordinate policy: drop-gradient|fill-nan|fill-random (default fill-random)", func(name string) (err error) {
-		cfg.Recoup, err = transport.ParseRecoupPolicy(name)
-		return err
+	fs.IntVar(&cfg.Network.UDPLinks, "udp-links", 0, "number of worker links over lossy UDP (-1 = every worker)")
+	fs.Float64Var(&cfg.Network.DropRate, "drop-rate", 0, "artificial packet drop probability on UDP links")
+	fs.Func("recoup", "lost-coordinate policy: drop-gradient|fill-nan|fill-random (default fill-random)", func(name string) error {
+		// core parses the name: a default experiment with it is valid exactly
+		// when the name is.
+		cfg.Network.Recoup = name
+		return core.Config{Network: core.Network{Recoup: name}}.Validate()
 	})
 	fs.BoolFunc("udp-clock", "cost the network as UDP instead of TCP", func(v string) error {
 		udp, err := strconv.ParseBool(v)
-		cfg.Protocol = simnet.TCP
+		cfg.Network.Protocol = ""
 		if udp {
-			cfg.Protocol = simnet.UDP
+			cfg.Network.Protocol = "udp"
 		}
 		return err
 	})
@@ -121,7 +120,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "experiment=%s backend=%s aggregator=%s n=%d f=%d optimizer=%s lr=%g batch=%d steps=%d\n",
-		cfg.Experiment, cfg.Backend, cfg.Aggregator, cfg.Workers, cfg.F, cfg.Optimizer, cfg.LR, cfg.Batch, cfg.Steps)
+		cfg.Experiment, cfg.Network.Backend, cfg.Aggregator, cfg.Workers, cfg.F, cfg.Optimizer, cfg.LR, cfg.Batch, cfg.Steps)
 	res, err := core.Run(cfg)
 	if err != nil {
 		return err

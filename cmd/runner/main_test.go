@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"aggregathor/internal/core"
-	"aggregathor/internal/simnet"
-	"aggregathor/internal/transport"
 )
 
 func TestParseAttacks(t *testing.T) {
@@ -53,7 +51,7 @@ func TestParseIDs(t *testing.T) {
 func TestFlagsMapOntoConfig(t *testing.T) {
 	defaults := core.Config{
 		Experiment:     "features-mlp",
-		Backend:        core.BackendInProcess,
+		Network:        core.Network{Backend: core.BackendInProcess},
 		Aggregator:     "multi-krum",
 		Workers:        19,
 		F:              4,
@@ -62,8 +60,6 @@ func TestFlagsMapOntoConfig(t *testing.T) {
 		Batch:          100,
 		Steps:          200,
 		EvalEvery:      20,
-		Recoup:         transport.FillRandom,
-		Protocol:       simnet.TCP,
 		Seed:           1,
 		ServerReplicas: 1,
 	}
@@ -73,7 +69,7 @@ func TestFlagsMapOntoConfig(t *testing.T) {
 	}{
 		{nil, func(*core.Config) {}},
 		{[]string{"-experiment", "cifar-cnn"}, func(c *core.Config) { c.Experiment = "cifar-cnn" }},
-		{[]string{"-backend", "udp"}, func(c *core.Config) { c.Backend = "udp" }},
+		{[]string{"-backend", "udp"}, func(c *core.Config) { c.Network.Backend = "udp" }},
 		{[]string{"-aggregator", "bulyan"}, func(c *core.Config) { c.Aggregator = "bulyan" }},
 		{[]string{"-nb-workers", "7"}, func(c *core.Config) { c.Workers = 7 }},
 		{[]string{"-f", "2"}, func(c *core.Config) { c.F = 2 }},
@@ -88,11 +84,11 @@ func TestFlagsMapOntoConfig(t *testing.T) {
 		{[]string{"-corrupt-data", "3,4"}, func(c *core.Config) { c.CorruptData = []int{3, 4} }},
 		{[]string{"-vanilla"}, func(c *core.Config) { c.Vanilla = true }},
 		{[]string{"-hijack", "5"}, func(c *core.Config) { c.HijackWorkers = []int{5} }},
-		{[]string{"-udp-links", "6"}, func(c *core.Config) { c.UDPLinks = 6 }},
-		{[]string{"-drop-rate", "0.1"}, func(c *core.Config) { c.DropRate = 0.1 }},
-		{[]string{"-recoup", "drop-gradient"}, func(c *core.Config) { c.Recoup = transport.DropGradient }},
-		{[]string{"-recoup", "fill-nan"}, func(c *core.Config) { c.Recoup = transport.FillNaN }},
-		{[]string{"-udp-clock"}, func(c *core.Config) { c.Protocol = simnet.UDP }},
+		{[]string{"-udp-links", "6"}, func(c *core.Config) { c.Network.UDPLinks = 6 }},
+		{[]string{"-drop-rate", "0.1"}, func(c *core.Config) { c.Network.DropRate = 0.1 }},
+		{[]string{"-recoup", "drop-gradient"}, func(c *core.Config) { c.Network.Recoup = "drop-gradient" }},
+		{[]string{"-recoup", "fill-nan"}, func(c *core.Config) { c.Network.Recoup = "fill-nan" }},
+		{[]string{"-udp-clock"}, func(c *core.Config) { c.Network.Protocol = "udp" }},
 		{[]string{"-udp-clock=false"}, func(*core.Config) {}},
 		{[]string{"-seed", "42"}, func(c *core.Config) { c.Seed = 42 }},
 		{[]string{"-measure-agg"}, func(c *core.Config) { c.MeasureAgg = true }},

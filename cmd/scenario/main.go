@@ -8,7 +8,7 @@
 //	go run ./cmd/scenario -builtin churn-smoke # worker crash/rejoin sweep
 //	go run ./cmd/scenario -spec sweep.json \
 //	  -out results.json                        # spec file in, JSON out
-//	go run ./cmd/scenario -dump-spec           # print the smoke spec as JSON
+//	go run ./cmd/scenario -dump-spec           # print the resolved spec as JSON
 //	go run ./cmd/scenario -list                # print the available axes
 //
 // The run is deterministic: the same spec produces byte-identical JSON, so
@@ -37,7 +37,7 @@ func main() {
 		summary  = flag.Bool("summary", true, "print the per-attack GAR ranking summary")
 		parallel = flag.Int("parallel", 0, "override the spec's worker-pool size (0 = spec/NumCPU)")
 		list     = flag.Bool("list", false, "list available GARs, attacks and experiments, then exit")
-		dumpSpec = flag.Bool("dump-spec", false, "print the built-in smoke spec as JSON, then exit")
+		dumpSpec = flag.Bool("dump-spec", false, "print the resolved spec (-spec, else -builtin) as JSON with defaults applied, then exit")
 	)
 	flag.Parse()
 

@@ -18,7 +18,7 @@ func TestAsyncLockstepMatchesPlainAcrossBackends(t *testing.T) {
 			t.Parallel()
 			base := Config{
 				Experiment: "features-mlp",
-				Backend:    backend,
+				Network:    Network{Backend: backend},
 				Aggregator: "median",
 				F:          1,
 				Workers:    7,
@@ -33,7 +33,7 @@ func TestAsyncLockstepMatchesPlainAcrossBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			asyncCfg := base
-			asyncCfg.Async.Quorum = 7
+			asyncCfg.Network.Quorum = 7
 			async, err := Run(asyncCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -74,24 +74,24 @@ func TestAsyncConfigGating(t *testing.T) {
 		want string
 	}{
 		{"lossy model broadcasts", func(c *Config) {
-			c.Backend = BackendUDP
-			c.Async.Quorum = 6
-			c.ModelDropRate = 0.1
+			c.Network.Backend = BackendUDP
+			c.Network.Quorum = 6
+			c.Network.ModelDropRate = 0.1
 		}, "incompatible"},
 		{"draco deployment", func(c *Config) {
 			c.Aggregator = "draco"
-			c.Async.Quorum = 6
+			c.Network.Quorum = 6
 		}, "not supported"},
 		{"replicated server", func(c *Config) {
 			c.ServerReplicas = 3
-			c.Async.Quorum = 6
+			c.Network.Quorum = 6
 		}, "not supported"},
 		{"slow workers without staleness", func(c *Config) {
-			c.Async.Quorum = 6
-			c.Async.SlowRate = 0.3
+			c.Network.Quorum = 6
+			c.Network.SlowRate = 0.3
 		}, "staleness"},
 		{"quorum above n", func(c *Config) {
-			c.Async.Quorum = 8
+			c.Network.Quorum = 8
 		}, "quorum"},
 	}
 	for _, tc := range cases {
@@ -127,13 +127,13 @@ func TestAsyncSlowRunSurfacesExactCounters(t *testing.T) {
 		EvalEvery:  10,
 		LR:         5e-3,
 		Seed:       seed,
-		Async:      ps.AsyncConfig{Quorum: 5, Staleness: 2, SlowRate: 0.4},
+		Network:    Network{AsyncConfig: ps.AsyncConfig{Quorum: 5, Staleness: 2, SlowRate: 0.4}},
 	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, _ := cfg.round()
+	rc, _, _ := cfg.round()
 	async := rc.Async
 	wantStale, wantDropped, wantSkipped := 0, 0, 0
 	for s := 0; s < steps; s++ {
@@ -148,7 +148,7 @@ func TestAsyncSlowRunSurfacesExactCounters(t *testing.T) {
 				wantStale++
 			}
 		}
-		if received < cfg.Async.Quorum {
+		if received < cfg.Network.Quorum {
 			wantSkipped++
 		}
 	}

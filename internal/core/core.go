@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"math/rand"
 	"slices"
@@ -129,7 +130,7 @@ func LookupExperiment(name string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("core: unknown experiment %q (available: %v)", name, names)
 }
 
-// Backend names for Config.Backend.
+// Backend names for Network.Backend.
 const (
 	// BackendInProcess is the default simulated deployment: workers are
 	// method calls on in-process replicas, UDPLinks of them over a lossy link.
@@ -145,15 +146,63 @@ const (
 	BackendUDP = "udp"
 )
 
+// Network is one network condition, written as its JSON reads: a campaign
+// cell is a name and a Network, and a Config holds one. Every string form is
+// parsed by Config.round, the one mapping onto ps.RoundConfig; the zero value
+// is the in-process perfect transport.
+type Network struct {
+	// Backend selects the deployment substrate: "" or "in-process" runs the
+	// simulated cluster, "tcp" a socket-distributed cluster.TCPCluster on
+	// localhost (every model broadcast and gradient travels the wire), "udp"
+	// a lossy datagram-distributed cluster.UDPCluster — gradients chunked
+	// into UDP packets with seeded drop injection at DropRate and §3.3 recoup
+	// of the lost coordinates. The socket backends refuse UDPLinks.
+	Backend string `json:"backend,omitempty"`
+	// UDPLinks is how many in-process workers (the first ones) submit over
+	// the engine's datagram link; -1 means every worker, and then the run is
+	// the trajectory of the same network on backend "udp". 0 (the default)
+	// is the in-process perfect transport.
+	UDPLinks int `json:"udpLinks,omitempty"`
+	// DropRate is the per-packet loss probability in [0, 1), applied on the
+	// in-process datagram link and on the udp backend's real datagrams.
+	DropRate float64 `json:"dropRate,omitempty"`
+	// Recoup selects the lost-coordinate policy on lossy links:
+	// drop-gradient | fill-nan | fill-random ("", the default).
+	Recoup string `json:"recoup,omitempty"`
+	// ModelDropRate is the per-packet loss probability in [0, 1) on
+	// server→worker model broadcasts (footnote 12's unreliable model
+	// channel). Requires backend "udp"; which packets drop is a pure function
+	// of (seed, step, worker) via ps.ModelDropSeed.
+	ModelDropRate float64 `json:"modelDropRate,omitempty"`
+	// WireFormat selects the coordinate width on lossy links — the udp
+	// backend's datagrams, the in-process link of UDPLinks: "" or "float64"
+	// (the default, lossless) or "float32" (half the bytes; the paper's
+	// TensorFlow deployments ship float32 tensors). Reliable deployments
+	// always carry float64 and refuse "float32".
+	WireFormat string `json:"wireFormat,omitempty"`
+	// ModelRecoup selects the worker policy for torn model broadcasts:
+	// "skip" (the default — sit the round out) or "stale" (train on the last
+	// complete model and submit a stale-tagged gradient, ps.Link's
+	// StaleModels). Requires backend "udp".
+	ModelRecoup string `json:"modelRecoup,omitempty"`
+	// AsyncConfig, when enabled, runs asynchronous bounded-staleness rounds
+	// (quorum, staleness bound τ, the seeded slow-worker schedule), evaluated
+	// at both endpoints of every backend.
+	ps.AsyncConfig
+	// Churn, when present with a positive rate, runs the deterministic
+	// worker crash/rejoin schedule. Requires backend "tcp" or "udp": only
+	// real sockets can be torn down.
+	Churn *ps.ChurnConfig `json:"churn,omitempty"`
+	// Protocol costs the simulated clock as "tcp" (the default) or "udp".
+	Protocol string `json:"protocol,omitempty"`
+}
+
 // Config is a full experiment description (the runner.py command line).
 type Config struct {
 	// Experiment is the model+dataset preset name.
 	Experiment string
-	// Backend selects the deployment substrate: "" or "in-process" for the
-	// simulated cluster, "tcp" for the socket-distributed cluster, "udp" for
-	// the lossy datagram-distributed one (DropRate and Recoup then apply to
-	// every worker's real datagrams, not to the first UDPLinks workers').
-	Backend string
+	// Network is the deployment and its network condition.
+	Network Network
 	// Aggregator is the GAR name ("average", "median", "multi-krum",
 	// "bulyan", ... or "draco" for the comparison baseline).
 	Aggregator string
@@ -182,39 +231,6 @@ type Config struct {
 	Vanilla bool
 	// HijackWorkers lists worker ids attempting remote parameter writes.
 	HijackWorkers []int
-	// UDPLinks is how many in-process workers (the first ones, at most
-	// Workers) submit over the engine's datagram link. UDPLinks = Workers and
-	// Backend "udp" with the same loss axes are one trajectory.
-	UDPLinks int
-	// WireFormat selects the coordinate width on lossy links — the udp
-	// backend's datagrams, the in-process link of UDPLinks: "" or "float64"
-	// (the default, lossless) or "float32" (half the bytes; the paper's
-	// TensorFlow deployments ship float32 tensors). Reliable deployments
-	// always carry float64 and reject a "float32" request.
-	WireFormat string
-	// DropRate is the artificial packet drop probability on UDP links.
-	DropRate float64
-	// Recoup selects the lost-coordinate policy on UDP links.
-	Recoup transport.RecoupPolicy
-	// ModelDropRate is the artificial per-packet drop probability on
-	// server→worker model broadcasts (footnote 12's unreliable model
-	// channel). Only the udp backend implements a lossy model channel;
-	// every other deployment rejects a non-zero value.
-	ModelDropRate float64
-	// StaleModels selects the worker-side policy for torn model broadcasts
-	// on the udp backend: false skips the round, true trains on the last
-	// complete model and submits a stale-tagged gradient (ps.Link).
-	StaleModels bool
-	// Async, when enabled, runs asynchronous bounded-staleness rounds
-	// (ps.AsyncConfig: quorum, staleness bound τ, the seeded slow-worker
-	// schedule), evaluated at both endpoints of every backend.
-	Async ps.AsyncConfig
-	// Churn, when enabled, runs the deterministic worker crash/rejoin
-	// schedule (ps.ChurnConfig). Requires backend "tcp" or "udp": only real
-	// sockets can be torn down.
-	Churn ps.ChurnConfig
-	// Protocol switches the time model between TCP and UDP costing.
-	Protocol simnet.Protocol
 	// Seed drives all randomness.
 	Seed int64
 	// MeasureAgg measures real GAR wall time for the clock (one
@@ -260,24 +276,43 @@ type Result struct {
 }
 
 // round maps the experiment description onto the round description every
-// backend plans from: the schedules pass through as they are, the link axes
-// gather into a ps.Link. The socket cluster configs are filled from it
-// (clusterConfig), and so is the in-process ps.Config. Only the wire format's
-// name can fail to map.
-func (c *Config) round() (ps.RoundConfig, error) {
-	wire, err := transport.ParseWireFormat(c.WireFormat)
-	if err != nil {
-		return ps.RoundConfig{}, fmt.Errorf("core: %w", err)
+// backend plans from, and names the protocol its clock is costed as: the
+// schedules pass through as they are, the link axes gather into a ps.Link.
+// It is the one parser of the Network's string forms — recoup, model recoup,
+// wire format, protocol — and resolves UDPLinks = -1 to every worker. The
+// socket cluster configs are filled from it (clusterConfig), and so is the
+// in-process ps.Config.
+func (c *Config) round() (rc ps.RoundConfig, proto simnet.Protocol, err error) {
+	n := c.Network
+	rc.Recoup = transport.FillRandom
+	if n.Recoup != "" {
+		rc.Recoup, err = transport.ParseRecoupPolicy(n.Recoup)
 	}
-	return ps.RoundConfig{
-		Workers: c.Workers, Seed: c.Seed, Recoup: c.Recoup,
-		Async: c.Async, Churn: c.Churn, Informed: attack.FirstInformed(c.Attacks),
-		Link: ps.Link{
-			Codec: wire, MTU: transport.DefaultMTU, GradLoss: c.DropRate, ModelLoss: c.ModelDropRate,
-			StaleModels: c.StaleModels,
-			Slots:       c.UDPLinks, // 0 on a socket backend: every worker sends datagrams
-		},
-	}, nil
+	if err == nil {
+		rc.Link.Codec, err = transport.ParseWireFormat(n.WireFormat)
+	}
+	switch {
+	case err != nil:
+		return rc, proto, fmt.Errorf("core: %w", err)
+	case n.ModelRecoup != "" && n.ModelRecoup != "skip" && n.ModelRecoup != "stale":
+		return rc, proto, fmt.Errorf("core: unknown model recoup policy %q (want skip|stale)", n.ModelRecoup)
+	case n.Protocol != "" && n.Protocol != "tcp" && n.Protocol != "udp":
+		return rc, proto, fmt.Errorf("core: unknown protocol %q (want tcp|udp)", n.Protocol)
+	}
+	if n.Protocol == "udp" {
+		proto = simnet.UDP
+	}
+	rc.Workers, rc.Seed, rc.Async, rc.Informed = c.Workers, c.Seed, n.AsyncConfig, attack.FirstInformed(c.Attacks)
+	if n.Churn != nil {
+		rc.Churn = *n.Churn
+	}
+	rc.Link.MTU, rc.Link.GradLoss, rc.Link.ModelLoss = transport.DefaultMTU, n.DropRate, n.ModelDropRate
+	rc.Link.StaleModels = n.ModelRecoup == "stale"
+	rc.Link.Slots = n.UDPLinks // 0 on a socket backend: every worker sends datagrams
+	if n.UDPLinks == -1 {
+		rc.Link.Slots = c.Workers
+	}
+	return rc, proto, nil
 }
 
 // clusterConfig fills the one socket cluster description both socket backends
@@ -301,14 +336,25 @@ func (c *Config) clusterConfig(rc ps.RoundConfig, factory func() *nn.Network,
 // once. Run starts with it; the scenario engine asks it of every cell before
 // a campaign runs.
 func (c Config) Validate() error {
-	_, err := c.validated()
+	_, _, err := c.validated()
 	return err
 }
 
-// validated is Validate, returning the round description the checks were made
-// on for Run to build the deployment from.
-func (c Config) validated() (ps.RoundConfig, error) {
+// validated is Validate on a Config it fills with the defaults, returning the
+// round description and clock protocol the checks were made on for Run to
+// build the deployment from.
+func (c *Config) validated() (ps.RoundConfig, simnet.Protocol, error) {
 	c.applyDefaults()
+	rc, proto, err := c.round()
+	if err == nil {
+		err = c.check(rc)
+	}
+	return rc, proto, err
+}
+
+// check holds the defaulted experiment to what its deployment can express,
+// given the round description it maps onto.
+func (c *Config) check(rc ps.RoundConfig) error {
 	// Every backend fails on a negative size or silently runs without it, and
 	// Byzantine replicas exist only on a replicated server.
 	for _, size := range []struct {
@@ -316,71 +362,68 @@ func (c Config) validated() (ps.RoundConfig, error) {
 		n    int
 	}{{"Batch", c.Batch}, {"Steps", c.Steps}, {"EvalEvery", c.EvalEvery}, {"ServerReplicas", c.ServerReplicas}} {
 		if size.n < 0 {
-			return ps.RoundConfig{}, fmt.Errorf("core: %s %d is negative", size.name, size.n)
+			return fmt.Errorf("core: %s %d is negative", size.name, size.n)
 		}
 	}
 	if len(c.ByzantineReplicas) > 0 && c.ServerReplicas <= 1 {
-		return ps.RoundConfig{}, fmt.Errorf("core: ByzantineReplicas %v needs ServerReplicas > 1, got %d", c.ByzantineReplicas, c.ServerReplicas)
-	}
-	rc, err := c.round()
-	if err != nil {
-		return rc, err
+		return fmt.Errorf("core: ByzantineReplicas %v needs ServerReplicas > 1, got %d", c.ByzantineReplicas, c.ServerReplicas)
 	}
 	if err := c.checkWorkers(); err != nil {
-		return rc, err
+		return err
 	}
-	switch c.Backend {
+	backend, links := c.Network.Backend, rc.Link.Slots
+	switch backend {
 	case "", BackendInProcess:
 		// Worker churn exists only where there are real sockets to tear down.
 		if rc.Churn.Enabled() {
-			return rc, fmt.Errorf("core: worker churn needs backend %q or %q, got %q",
-				BackendTCP, BackendUDP, c.Backend)
+			return fmt.Errorf("core: worker churn needs backend %q or %q, got %q",
+				BackendTCP, BackendUDP, backend)
 		}
 	case BackendTCP, BackendUDP:
 		unsupported := ErrUDPUnsupported
-		if c.Backend == BackendTCP {
+		if backend == BackendTCP {
 			unsupported = ErrTCPUnsupported
 		}
 		// Simulator-only options, and loss on a reliable stream.
-		if c.UDPLinks > 0 || c.Vanilla || len(c.HijackWorkers) > 0 || len(c.CorruptData) > 0 ||
+		if links > 0 || c.Vanilla || len(c.HijackWorkers) > 0 || len(c.CorruptData) > 0 ||
 			c.CheckpointPath != "" || c.ServerReplicas > 1 || c.Aggregator == "draco" ||
-			c.Backend == BackendTCP && c.DropRate != 0 {
-			return rc, unsupported
+			backend == BackendTCP && rc.Link.GradLoss != 0 {
+			return unsupported
 		}
 	default:
-		return rc, fmt.Errorf("core: unknown backend %q (want %s|%s|%s)", c.Backend, BackendInProcess, BackendTCP, BackendUDP)
+		return fmt.Errorf("core: unknown backend %q (want %s|%s|%s)", backend, BackendInProcess, BackendTCP, BackendUDP)
 	}
 	// Lossy model broadcasts exist only on the udp backend: the in-process
 	// simulator and the tcp backend deliver models reliably.
-	if c.Backend != BackendUDP && rc.Link.ModelLossEnabled() {
-		return rc, fmt.Errorf("core: lossy model broadcasts (ModelDropRate/StaleModels) need backend %q, got %q", BackendUDP, c.Backend)
+	if backend != BackendUDP && rc.Link.ModelLossEnabled() {
+		return fmt.Errorf("core: lossy model broadcasts (modelDropRate, modelRecoup stale) need backend %q, got %q", BackendUDP, backend)
 	}
 	// The wire format is a lossy-link property: only the udp backend and
 	// the in-process datagram link have a wire at all.
-	if rc.Link.Codec.Float32 && c.Backend != BackendUDP && c.UDPLinks == 0 {
-		return rc, fmt.Errorf("core: wire format %q needs backend %q or UDPLinks > 0, got backend %q",
-			transport.WireFloat32, BackendUDP, c.Backend)
+	if rc.Link.Codec.Float32 && backend != BackendUDP && links == 0 {
+		return fmt.Errorf("core: wire format %q needs backend %q or UDPLinks > 0, got backend %q",
+			transport.WireFloat32, BackendUDP, backend)
 	}
 	// The replicated server and the Draco baseline run lockstep rounds over
 	// perfect links to patched servers, and nothing else.
-	beyond := c.UDPLinks > 0 || c.Vanilla || len(c.HijackWorkers) > 0 || rc.Async.Enabled()
+	beyond := links > 0 || c.Vanilla || len(c.HijackWorkers) > 0 || rc.Async.Enabled()
 	if c.ServerReplicas > 1 {
 		if beyond {
-			return rc, errors.New("core: option not supported with a replicated server")
+			return errors.New("core: option not supported with a replicated server")
 		}
 		if _, err := ps.ByzantineReplicas(c.ServerReplicas, c.ByzantineReplicas); err != nil {
-			return rc, fmt.Errorf("core: %w", err)
+			return fmt.Errorf("core: %w", err)
 		}
 	}
 	if c.Aggregator == "draco" {
 		if err := c.validateDraco(beyond); err != nil {
-			return rc, err
+			return err
 		}
 	}
 	if err := rc.Validate(); err != nil {
-		return rc, fmt.Errorf("core: %w", err)
+		return fmt.Errorf("core: %w", err)
 	}
-	return rc, nil
+	return nil
 }
 
 // checkWorkers holds every worker id the config names — attacked, corrupted
@@ -522,12 +565,12 @@ type deployment interface {
 // trajectory on every backend that accepts it: tcp reproduces in-process bit
 // for bit, and udp at any drop rate the in-process run with UDPLinks = Workers.
 func Run(cfg Config) (*Result, error) {
-	cfg.applyDefaults()
-	rc, err := cfg.validated()
+	rc, proto, err := cfg.validated()
 	if err != nil {
 		return nil, err
 	}
-	socket := cfg.Backend == BackendTCP || cfg.Backend == BackendUDP
+	backend := cfg.Network.Backend
+	socket := backend == BackendTCP || backend == BackendUDP
 	exp, err := LookupExperiment(cfg.Experiment)
 	if err != nil {
 		return nil, err
@@ -569,7 +612,7 @@ func Run(cfg Config) (*Result, error) {
 			Start() error
 			Close() error
 		}
-		if cfg.Backend == BackendTCP {
+		if backend == BackendTCP {
 			sock, err = cluster.NewTCPCluster(sc)
 		} else {
 			sock, err = cluster.NewUDPCluster(sc)
@@ -607,7 +650,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			// Without UDPLinks every worker has a message link, whatever
 			// DropRate says to the simulated clock.
-			if cfg.UDPLinks > 0 {
+			if rc.Link.Slots > 0 {
 				pc.Link, pc.Recoup = rc.Link, rc.Recoup
 			}
 			cl, err = ps.New(pc)
@@ -617,29 +660,40 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	round, err := simulatedRound(cfg, exp, rule, aggName)
+	round, err := simulatedRound(cfg, proto, exp, rule, aggName)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{Breakdown: metrics.Breakdown{ComputeComm: round.Compute + round.Transfer, Aggregation: round.Aggregate}}
-	// Checkpoint restore (warm start) when a checkpoint file exists.
+	// Checkpoint restore (warm start) when a checkpoint file exists; one
+	// that exists and does not load fails the run before it can be
+	// overwritten.
 	if cfg.CheckpointPath != "" {
-		if step, params, err := nn.LoadCheckpointFile(cfg.CheckpointPath); err == nil {
-			if err := cl.SetParams(params); err != nil {
-				return nil, fmt.Errorf("core: restoring checkpoint: %w", err)
-			}
+		step, params, err := nn.LoadCheckpointFile(cfg.CheckpointPath)
+		if err == nil {
+			err = cl.SetParams(params)
+		}
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+		case err != nil:
+			return nil, fmt.Errorf("core: restoring checkpoint: %w", err)
+		default:
 			res.ResumedFromStep = step
 		}
 	}
 	if err := runTraining(cfg, cl, test, round, res); err != nil {
 		if socket {
-			err = fmt.Errorf("core: %s backend: %w", cfg.Backend, err)
+			err = fmt.Errorf("core: %s backend: %w", backend, err)
 		}
 		return nil, err
 	}
-	if err := cfg.checkpoint(cl, res.ResumedFromStep+cfg.Steps); err != nil {
-		return nil, err
+	// A diverged run's parameters are non-finite: the last checkpoint it
+	// wrote, at the step its parameters were at, stands.
+	if !res.Diverged {
+		if err := cfg.checkpoint(cl, res.ResumedFromStep+cfg.Steps); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
@@ -658,11 +712,11 @@ func (c *Config) checkpoint(cl deployment, step int) error {
 // time measured on real GAR execution or taken from the analytic model — and
 // simulates one round. Every deployment costs its simulated clock through
 // this one function, so identical configurations get identical time series.
-func simulatedRound(cfg Config, exp Experiment, rule gar.GAR, aggName string) (simnet.Round, error) {
+func simulatedRound(cfg Config, proto simnet.Protocol, exp Experiment, rule gar.GAR, aggName string) (simnet.Round, error) {
 	sim := simnet.Grid5000(cfg.Workers, exp.CostDim)
 	sim.FlopsPerSample = exp.FlopsPerSample
-	sim.Protocol = cfg.Protocol
-	sim.DropRate = cfg.DropRate
+	sim.Protocol = proto
+	sim.DropRate = cfg.Network.DropRate
 	switch {
 	case cfg.Aggregator == "tf":
 		sim.AggTime = 0

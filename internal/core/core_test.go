@@ -3,9 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-
-	"aggregathor/internal/simnet"
-	"aggregathor/internal/transport"
 )
 
 func TestExperimentsListed(t *testing.T) {
@@ -116,8 +113,7 @@ func TestRunUDPLossyLinks(t *testing.T) {
 		Workers: 9, Aggregator: "multi-krum", F: 2,
 		Optimizer: "momentum", LR: 0.1, Batch: 32,
 		Steps: 300, EvalEvery: 50, Seed: 4,
-		UDPLinks: 2, DropRate: 0.10, Recoup: transport.FillRandom,
-		Protocol: simnet.UDP,
+		Network: Network{UDPLinks: 2, DropRate: 0.10, Recoup: "fill-random", Protocol: "udp"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,18 +130,18 @@ func TestRunProtocolAffectsClockUnderLoss(t *testing.T) {
 		Workers: 5, Aggregator: "average",
 		Optimizer: "sgd", LR: 0.1, Batch: 16,
 		Steps: 20, EvalEvery: 10, Seed: 5,
-		DropRate: 0.10,
+		Network: Network{DropRate: 0.10},
 	}
 	tcp := base
-	tcp.Protocol = simnet.TCP
+	tcp.Network.Protocol = "tcp"
 	tcpRes, err := Run(tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	udp := base
-	udp.Protocol = simnet.UDP
-	udp.UDPLinks = 1
-	udp.Recoup = transport.FillRandom
+	udp.Network.Protocol = "udp"
+	udp.Network.UDPLinks = 1
+	udp.Network.Recoup = "fill-random"
 	udpRes, err := Run(udp)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +169,7 @@ func TestRunDracoBaseline(t *testing.T) {
 }
 
 func TestRunDracoUnsupportedOptions(t *testing.T) {
-	_, err := Run(Config{Aggregator: "draco", Workers: 9, F: 1, UDPLinks: 1, Steps: 1})
+	_, err := Run(Config{Aggregator: "draco", Workers: 9, F: 1, Network: Network{UDPLinks: 1}, Steps: 1})
 	if !errors.Is(err, ErrDracoUnsupported) {
 		t.Fatalf("want ErrDracoUnsupported, got %v", err)
 	}

@@ -226,19 +226,19 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		cfg  Config
 		is   error // a sentinel the refusal must wrap, if it has one
 	}{
-		{"UDPLinks below 0", with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas, c.UDPLinks = 0, nil, -3 }), nil},
-		{"more UDPLinks than workers", with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas, c.UDPLinks = 0, nil, 40 }), nil},
-		{"replicated + UDPLinks", with(replicated, func(c *Config) { c.UDPLinks = 1 }), nil},
+		{"UDPLinks below 0", with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas, c.Network.UDPLinks = 0, nil, -3 }), nil},
+		{"more UDPLinks than workers", with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas, c.Network.UDPLinks = 0, nil, 40 }), nil},
+		{"replicated + UDPLinks", with(replicated, func(c *Config) { c.Network.UDPLinks = 1 }), nil},
 		{"replicated + Vanilla", with(replicated, func(c *Config) { c.Vanilla = true }), nil},
 		{"replicated + HijackWorkers", with(replicated, func(c *Config) { c.HijackWorkers = []int{0} }), nil},
-		{"replicated + async", with(replicated, func(c *Config) { c.Async.Quorum = 5 }), nil},
+		{"replicated + async", with(replicated, func(c *Config) { c.Network.Quorum = 5 }), nil},
 		{"a third of the replicas Byzantine", with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas = 3, []int{0} }), nil},
 		{"replica id out of range", with(replicated, func(c *Config) { c.ByzantineReplicas = []int{4} }), nil},
 		{"negative replica id", with(replicated, func(c *Config) { c.ByzantineReplicas = []int{-1} }), nil},
-		{"draco + UDPLinks", with(dracoCfg, func(c *Config) { c.UDPLinks = 1 }), ErrDracoUnsupported},
+		{"draco + UDPLinks", with(dracoCfg, func(c *Config) { c.Network.UDPLinks = 1 }), ErrDracoUnsupported},
 		{"draco + Vanilla", with(dracoCfg, func(c *Config) { c.Vanilla = true }), ErrDracoUnsupported},
 		{"draco + HijackWorkers", with(dracoCfg, func(c *Config) { c.HijackWorkers = []int{0} }), ErrDracoUnsupported},
-		{"draco + async", with(dracoCfg, func(c *Config) { c.Async.Quorum = 5 }), ErrDracoUnsupported},
+		{"draco + async", with(dracoCfg, func(c *Config) { c.Network.Quorum = 5 }), ErrDracoUnsupported},
 		{"draco + replicated server", with(dracoCfg, func(c *Config) { c.ServerReplicas = 4 }), ErrDracoUnsupported},
 		{"draco n < 2f+1", with(dracoCfg, func(c *Config) { c.Workers, c.F, c.Attacks = 4, 2, nil }), ErrDracoUnsupported},
 		{"draco with more Byzantine workers than f", with(dracoCfg, func(c *Config) { c.Attacks = map[int]string{1: "reversed", 4: "reversed"} }), ErrDracoUnsupported},
@@ -257,6 +257,7 @@ func TestValidateAgreesWithRun(t *testing.T) {
 	}
 	for name, cfg := range map[string]Config{
 		"plain":      with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas = 0, nil }),
+		"every link": with(replicated, func(c *Config) { c.ServerReplicas, c.ByzantineReplicas, c.Network.UDPLinks = 0, nil, -1 }),
 		"replicated": replicated,
 		"draco":      dracoCfg,
 	} {
@@ -299,7 +300,7 @@ func TestValidateChecksWorkerIDs(t *testing.T) {
 	} {
 		for _, backend := range []string{BackendInProcess, BackendTCP, BackendUDP} {
 			t.Run(tc.name+"/"+backend, func(t *testing.T) {
-				cfg := with(base, func(c *Config) { c.Backend = backend; tc.mutate(c) })
+				cfg := with(base, func(c *Config) { c.Network.Backend = backend; tc.mutate(c) })
 				verr := cfg.Validate()
 				if verr == nil || !strings.Contains(verr.Error(), tc.want) {
 					t.Fatalf("Validate: %v, want an error containing %q", verr, tc.want)

@@ -7,20 +7,20 @@ import (
 
 	"aggregathor/internal/gar"
 	"aggregathor/internal/ps"
-	"aggregathor/internal/transport"
 )
 
 // generatedConfig draws one small legal-looking experiment: 1 to 7 workers, a
-// rule the worker count fits, at most one attacker, and at most one of the
-// slow and churn schedules, over a lossy or clean link, either recoup policy
-// and either wire width. Validate decides per backend what it accepts.
+// rule the worker count fits, at most one attacker, and a network in the
+// campaign's string forms — at most one of the slow and churn schedules, a
+// lossy or clean link, any recoup policy name or none (fill-random) and
+// either wire width. Validate decides per backend what it accepts.
 func generatedConfig(rng *rand.Rand) Config {
 	rules := []string{"average", "median", "trimmed-mean", "mean-around-median", "multi-krum", "bulyan"}
 	attacks := []string{"random", "reversed", "negative-sum", "non-finite", "mimic", "little-is-enough", "omniscient"}
-	policies := []transport.RecoupPolicy{transport.DropGradient, transport.FillNaN, transport.FillRandom}
+	policies := []string{"", "drop-gradient", "fill-nan", "fill-random"}
 	cfg := Config{
 		Workers: 1 + rng.Intn(7), Batch: 4, Steps: 12, EvalEvery: 12, LR: 5e-3,
-		Seed: rng.Int63n(1000), Recoup: policies[rng.Intn(len(policies))],
+		Seed: rng.Int63n(1000), Network: Network{Recoup: policies[rng.Intn(len(policies))]},
 	}
 	for {
 		cfg.Aggregator, cfg.F = rules[rng.Intn(len(rules))], rng.Intn(3)
@@ -37,22 +37,22 @@ func generatedConfig(rng *rand.Rand) Config {
 	}
 	switch rng.Intn(4) {
 	case 1:
-		cfg.Async = ps.AsyncConfig{Quorum: rng.Intn(cfg.Workers + 1), Staleness: rng.Intn(3), SlowRate: 0.3 * float64(rng.Intn(2))}
+		cfg.Network.AsyncConfig = ps.AsyncConfig{Quorum: rng.Intn(cfg.Workers + 1), Staleness: rng.Intn(3), SlowRate: 0.3 * float64(rng.Intn(2))}
 	case 2, 3:
-		cfg.Churn = ps.ChurnConfig{Rate: 0.2 + 0.4*rng.Float64(), DownSteps: 1 + rng.Intn(6), MaxRejoins: rng.Intn(11)}
+		cfg.Network.Churn = &ps.ChurnConfig{Rate: 0.2 + 0.4*rng.Float64(), DownSteps: 1 + rng.Intn(6), MaxRejoins: rng.Intn(11)}
 	}
 	if rng.Intn(3) == 0 {
-		cfg.DropRate = 0.2
+		cfg.Network.DropRate = 0.2
 	}
 	if rng.Intn(3) == 0 {
-		cfg.WireFormat = transport.WireFloat32
+		cfg.Network.WireFormat = "float32"
 	}
 	return cfg
 }
 
 // TestGeneratedConfigsAgreeAcrossBackends runs seeded generated configs on
 // every backend whose Validate accepts them — the in-process one with every
-// worker on its datagram link, which is the udp backend's trajectory at any
+// worker on its datagram link (udpLinks -1), which is the udp backend's trajectory at any
 // drop rate — and requires each run to succeed with the same run totals,
 // the same outcome for every slot of every round, and the same final
 // accuracy and final parameters, bit for bit.
@@ -65,9 +65,9 @@ func TestGeneratedConfigsAgreeAcrossBackends(t *testing.T) {
 		var firstBackend string
 		for _, backend := range []string{BackendInProcess, BackendTCP, BackendUDP} {
 			run := cfg
-			run.Backend = backend
+			run.Network.Backend = backend
 			if backend == BackendInProcess {
-				run.UDPLinks = run.Workers
+				run.Network.UDPLinks = -1
 			}
 			if run.Validate() != nil {
 				continue
@@ -114,7 +114,7 @@ func TestInfeasibleRuleSameErrorOnEveryBackend(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, backend := range []string{BackendInProcess, BackendTCP, BackendUDP} {
-			_, err := Run(Config{Backend: backend, Aggregator: tc.aggregator, F: tc.f, Workers: tc.workers, Batch: 4, Steps: 1})
+			_, err := Run(Config{Network: Network{Backend: backend}, Aggregator: tc.aggregator, F: tc.f, Workers: tc.workers, Batch: 4, Steps: 1})
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("%s(f=%d) on %d workers, %s backend: error %v, want %q", tc.aggregator, tc.f, tc.workers, backend, err, tc.want)
 			}

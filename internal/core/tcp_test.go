@@ -57,7 +57,7 @@ func TestTCPBackendMatchesInProcessTrajectories(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Backend = BackendTCP
+			cfg.Network.Backend = BackendTCP
 			dist, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -81,16 +81,16 @@ func TestTCPBackendMatchesInProcessTrajectories(t *testing.T) {
 // surface: simulator-only features must fail loudly instead of silently
 // running in-process.
 func TestTCPBackendRejectsSimulatorOnlyOptions(t *testing.T) {
-	base := Config{Backend: BackendTCP, Workers: 3, Steps: 2, Batch: 4, Aggregator: "average"}
+	base := Config{Network: Network{Backend: BackendTCP}, Workers: 3, Steps: 2, Batch: 4, Aggregator: "average"}
 	mutate := []func(*Config){
-		func(c *Config) { c.UDPLinks = 1 },
+		func(c *Config) { c.Network.UDPLinks = 1 },
 		func(c *Config) { c.Vanilla = true },
 		func(c *Config) { c.HijackWorkers = []int{0} },
 		func(c *Config) { c.CorruptData = []int{0} },
 		func(c *Config) { c.CheckpointPath = "x.ckpt" },
 		func(c *Config) { c.ServerReplicas = 3 },
 		func(c *Config) { c.Aggregator = "draco" },
-		func(c *Config) { c.DropRate = 0.1 },
+		func(c *Config) { c.Network.DropRate = 0.1 },
 	}
 	for i, m := range mutate {
 		cfg := base
@@ -99,7 +99,7 @@ func TestTCPBackendRejectsSimulatorOnlyOptions(t *testing.T) {
 			t.Fatalf("case %d: want ErrTCPUnsupported, got %v", i, err)
 		}
 	}
-	if _, err := Run(Config{Backend: "grpc"}); err == nil {
+	if _, err := Run(Config{Network: Network{Backend: "grpc"}}); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 }

@@ -43,7 +43,7 @@ func TestUDPBackendMatchesInProcessTrajectories(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Backend = BackendUDP
+			cfg.Network.Backend = BackendUDP
 			dist, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -70,7 +70,7 @@ func TestUDPBackendMatchesInProcessTrajectories(t *testing.T) {
 func TestUDPBackendLossyDeterministic(t *testing.T) {
 	cfg := Config{
 		Experiment: "features-mlp",
-		Backend:    BackendUDP,
+		Network:    Network{Backend: BackendUDP, DropRate: 0.10, Recoup: "fill-random"},
 		Aggregator: "multi-krum",
 		F:          1,
 		Workers:    7,
@@ -79,8 +79,6 @@ func TestUDPBackendLossyDeterministic(t *testing.T) {
 		EvalEvery:  5,
 		LR:         5e-3,
 		Seed:       11,
-		DropRate:   0.10,
-		Recoup:     transport.FillRandom,
 	}
 	a, err := Run(cfg)
 	if err != nil {
@@ -105,9 +103,9 @@ func TestUDPBackendLossyDeterministic(t *testing.T) {
 // surface: simulator-only features must fail loudly instead of silently
 // running in-process.
 func TestUDPBackendRejectsSimulatorOnlyOptions(t *testing.T) {
-	base := Config{Backend: BackendUDP, Workers: 3, Steps: 2, Batch: 4, Aggregator: "average"}
+	base := Config{Network: Network{Backend: BackendUDP}, Workers: 3, Steps: 2, Batch: 4, Aggregator: "average"}
 	mutate := []func(*Config){
-		func(c *Config) { c.UDPLinks = 1 },
+		func(c *Config) { c.Network.UDPLinks = 1 },
 		func(c *Config) { c.Vanilla = true },
 		func(c *Config) { c.HijackWorkers = []int{0} },
 		func(c *Config) { c.CorruptData = []int{0} },
@@ -130,15 +128,15 @@ func TestUDPBackendRejectsSimulatorOnlyOptions(t *testing.T) {
 // channel loss-free.
 func TestModelLossRejectedOffUDPBackend(t *testing.T) {
 	for i, backend := range []string{"", BackendInProcess, BackendTCP} {
-		cfg := Config{Backend: backend, Workers: 3, Steps: 2, Batch: 4,
-			Aggregator: "average", ModelDropRate: 0.1}
+		cfg := Config{Network: Network{Backend: backend, ModelDropRate: 0.1}, Workers: 3, Steps: 2, Batch: 4,
+			Aggregator: "average"}
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("case %d: backend %q accepted ModelDropRate", i, backend)
 		}
-		cfg = Config{Backend: backend, Workers: 3, Steps: 2, Batch: 4,
-			Aggregator: "average", StaleModels: true}
+		cfg = Config{Network: Network{Backend: backend, ModelRecoup: "stale"}, Workers: 3, Steps: 2, Batch: 4,
+			Aggregator: "average"}
 		if _, err := Run(cfg); err == nil {
-			t.Fatalf("case %d: backend %q accepted StaleModels", i, backend)
+			t.Fatalf("case %d: backend %q accepted ModelRecoup stale", i, backend)
 		}
 	}
 }
@@ -149,20 +147,16 @@ func TestModelLossRejectedOffUDPBackend(t *testing.T) {
 // produce identical series, and stale gradients are actually reported.
 func TestUDPBackendModelLossDeterministic(t *testing.T) {
 	cfg := Config{
-		Experiment:    "features-mlp",
-		Backend:       BackendUDP,
-		Aggregator:    "multi-krum",
-		F:             1,
-		Workers:       7,
-		Batch:         16,
-		Steps:         10,
-		EvalEvery:     5,
-		LR:            5e-3,
-		Seed:          11,
-		DropRate:      0.10,
-		Recoup:        transport.FillRandom,
-		ModelDropRate: 0.10,
-		StaleModels:   true,
+		Experiment: "features-mlp",
+		Network:    Network{Backend: BackendUDP, DropRate: 0.10, Recoup: "fill-random", ModelDropRate: 0.10, ModelRecoup: "stale"},
+		Aggregator: "multi-krum",
+		F:          1,
+		Workers:    7,
+		Batch:      16,
+		Steps:      10,
+		EvalEvery:  5,
+		LR:         5e-3,
+		Seed:       11,
 	}
 	a, err := Run(cfg)
 	if err != nil {
@@ -194,23 +188,23 @@ func TestUDPBackendModelLossDeterministic(t *testing.T) {
 // recoup; the in-process cluster only skips the sockets.
 func TestInProcessLossyMatchesUDPBackend(t *testing.T) {
 	const n = 7
-	for _, recoup := range []transport.RecoupPolicy{transport.DropGradient, transport.FillNaN, transport.FillRandom} {
+	for _, recoup := range []string{"drop-gradient", "fill-nan", "fill-random"} {
 		for _, wire := range []string{transport.WireFloat64, transport.WireFloat32} {
 			for _, atk := range []string{"none", "reversed", "little-is-enough"} {
 				t.Run(fmt.Sprintf("%v/%s/%s", recoup, wire, atk), func(t *testing.T) {
 					cfg := Config{
 						Experiment: "features-mlp", Aggregator: "median", F: 1, Workers: n,
 						Batch: 16, Steps: 12, EvalEvery: 1, LR: 5e-3, Seed: 17,
-						DropRate: 0.10, Recoup: recoup, WireFormat: wire,
+						Network: Network{DropRate: 0.10, Recoup: recoup, WireFormat: wire},
 					}
 					if atk != "none" {
 						cfg.Attacks = map[int]string{n - 1: atk}
 					}
-					inproc, err := Run(with(cfg, func(c *Config) { c.UDPLinks = n }))
+					inproc, err := Run(with(cfg, func(c *Config) { c.Network.UDPLinks = n }))
 					if err != nil {
 						t.Fatal(err)
 					}
-					udp, err := Run(with(cfg, func(c *Config) { c.Backend = BackendUDP }))
+					udp, err := Run(with(cfg, func(c *Config) { c.Network.Backend = BackendUDP }))
 					if err != nil {
 						t.Fatal(err)
 					}

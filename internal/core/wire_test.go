@@ -13,15 +13,15 @@ import (
 // than silently training on float64 tensors. Unknown names fail everywhere.
 func TestWireFormatRejectedOffLossyLinks(t *testing.T) {
 	for i, backend := range []string{"", BackendInProcess, BackendTCP} {
-		cfg := Config{Backend: backend, Workers: 3, Steps: 2, Batch: 4,
-			Aggregator: "average", WireFormat: transport.WireFloat32}
+		cfg := Config{Network: Network{Backend: backend, WireFormat: transport.WireFloat32}, Workers: 3, Steps: 2, Batch: 4,
+			Aggregator: "average"}
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("case %d: backend %q accepted wire format float32 without lossy links", i, backend)
 		}
 	}
 	for i, backend := range []string{"", BackendInProcess, BackendTCP, BackendUDP} {
-		cfg := Config{Backend: backend, Workers: 3, Steps: 2, Batch: 4,
-			Aggregator: "average", WireFormat: "float16"}
+		cfg := Config{Network: Network{Backend: backend, WireFormat: "float16"}, Workers: 3, Steps: 2, Batch: 4,
+			Aggregator: "average"}
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("case %d: backend %q accepted unknown wire format", i, backend)
 		}
@@ -34,7 +34,7 @@ func TestWireFormatRejectedOffLossyLinks(t *testing.T) {
 func TestWireFormatFloat64IsExplicitDefault(t *testing.T) {
 	cfg := Config{
 		Experiment: "features-mlp",
-		Backend:    BackendUDP,
+		Network:    Network{Backend: BackendUDP, DropRate: 0.10, Recoup: "fill-random"},
 		Aggregator: "median",
 		Workers:    5,
 		Batch:      16,
@@ -42,14 +42,12 @@ func TestWireFormatFloat64IsExplicitDefault(t *testing.T) {
 		EvalEvery:  3,
 		LR:         5e-3,
 		Seed:       7,
-		DropRate:   0.10,
-		Recoup:     transport.FillRandom,
 	}
 	implicit, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.WireFormat = transport.WireFloat64
+	cfg.Network.WireFormat = transport.WireFloat64
 	explicit, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +71,7 @@ func TestUDPBackendFloat32ByzantineSmoke(t *testing.T) {
 			t.Run(agg+"/"+atk, func(t *testing.T) {
 				cfg := Config{
 					Experiment: "features-mlp",
-					Backend:    BackendUDP,
+					Network:    Network{Backend: BackendUDP, DropRate: 0.10, Recoup: "fill-random", WireFormat: transport.WireFloat32},
 					Aggregator: agg,
 					F:          1,
 					Workers:    7,
@@ -82,9 +80,6 @@ func TestUDPBackendFloat32ByzantineSmoke(t *testing.T) {
 					EvalEvery:  4,
 					LR:         5e-3,
 					Seed:       13,
-					DropRate:   0.10,
-					Recoup:     transport.FillRandom,
-					WireFormat: transport.WireFloat32,
 					Attacks:    map[int]string{6: atk},
 				}
 				a, err := Run(cfg)
@@ -124,9 +119,7 @@ func TestInProcessLossyPipeFollowsWireFormat(t *testing.T) {
 		EvalEvery:  4,
 		LR:         5e-3,
 		Seed:       9,
-		UDPLinks:   5,
-		DropRate:   0.10,
-		Recoup:     transport.FillRandom,
+		Network:    Network{UDPLinks: 5, DropRate: 0.10, Recoup: "fill-random"},
 	}
 	run := func(cfg Config) *Result {
 		t.Helper()
@@ -141,19 +134,19 @@ func TestInProcessLossyPipeFollowsWireFormat(t *testing.T) {
 	if again := run(cfg); differ(f64, again) {
 		t.Fatal("two float64 runs over the lossy link ended on different parameters")
 	}
-	f32 := run(with(cfg, func(c *Config) { c.WireFormat = transport.WireFloat32 }))
+	f32 := run(with(cfg, func(c *Config) { c.Network.WireFormat = transport.WireFloat32 }))
 	if !differ(f64, f32) {
 		t.Fatal("the float32 link produced the exact float64 trajectory: the wire-format knob is dead")
 	}
-	if again := run(with(cfg, func(c *Config) { c.WireFormat = transport.WireFloat32 })); differ(f32, again) {
+	if again := run(with(cfg, func(c *Config) { c.Network.WireFormat = transport.WireFloat32 })); differ(f32, again) {
 		t.Fatal("two float32 runs over the lossy link ended on different parameters")
 	}
-	clean, direct := run(with(cfg, func(c *Config) { c.DropRate = 0 })), run(with(cfg, func(c *Config) { c.DropRate, c.UDPLinks = 0, 0 }))
+	clean, direct := run(with(cfg, func(c *Config) { c.Network.DropRate = 0 })), run(with(cfg, func(c *Config) { c.Network.DropRate, c.Network.UDPLinks = 0, 0 }))
 	assertSeriesEqual(t, "loss-vs-step", clean.LossVsStep, direct.LossVsStep)
 	if differ(clean, direct) {
 		t.Fatal("the float64 link at drop rate 0 moved the trajectory: the wire round trip is not lossless")
 	}
-	if rounded := run(with(cfg, func(c *Config) { c.DropRate, c.WireFormat = 0, transport.WireFloat32 })); !differ(rounded, direct) {
+	if rounded := run(with(cfg, func(c *Config) { c.Network.DropRate, c.Network.WireFormat = 0, transport.WireFloat32 })); !differ(rounded, direct) {
 		t.Fatal("the float32 link at drop rate 0 reproduced the float64 trajectory: no coordinate crossed the wire encoding")
 	}
 }

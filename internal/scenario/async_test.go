@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"aggregathor/internal/core"
 	"aggregathor/internal/ps"
 )
 
@@ -96,31 +97,31 @@ func TestNetworkValidationAsync(t *testing.T) {
 		s.ApplyDefaults()
 		return &s
 	}
-	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}}).Validate(); err != nil {
+	if err := base(Network{Name: "a", Network: core.Network{AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}}}).Validate(); err != nil {
 		t.Fatalf("valid async network rejected: %v", err)
 	}
-	if err := base(Network{Name: "a", Backend: "udp", AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}, DropRate: 0.1, Recoup: "fill-random"}).Validate(); err != nil {
+	if err := base(Network{Name: "a", Network: core.Network{Backend: "udp", AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}, DropRate: 0.1, Recoup: "fill-random"}}).Validate(); err != nil {
 		t.Fatalf("valid lossy-uplink async network rejected: %v", err)
 	}
-	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: -1}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{AsyncConfig: ps.AsyncConfig{Quorum: -1}}}).Validate(); err == nil {
 		t.Fatal("negative quorum accepted")
 	}
-	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Staleness: -1}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{AsyncConfig: ps.AsyncConfig{Staleness: -1}}}).Validate(); err == nil {
 		t.Fatal("negative staleness accepted")
 	}
-	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: 1.0}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: 1.0}}}).Validate(); err == nil {
 		t.Fatal("slowWorkers 1.0 accepted")
 	}
-	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: -0.1}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: -0.1}}}).Validate(); err == nil {
 		t.Fatal("negative slowWorkers accepted")
 	}
-	if err := base(Network{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: 6, SlowRate: 0.25}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{AsyncConfig: ps.AsyncConfig{Quorum: 6, SlowRate: 0.25}}}).Validate(); err == nil {
 		t.Fatal("slowWorkers without a staleness window accepted")
 	}
-	if err := base(Network{Name: "a", Backend: "udp", AsyncConfig: ps.AsyncConfig{Quorum: 6}, ModelDropRate: 0.1}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{Backend: "udp", AsyncConfig: ps.AsyncConfig{Quorum: 6}, ModelDropRate: 0.1}}).Validate(); err == nil {
 		t.Fatal("async composed with lossy model broadcasts accepted")
 	}
-	if err := base(Network{Name: "a", Backend: "udp", AsyncConfig: ps.AsyncConfig{Quorum: 6}, ModelRecoup: "stale"}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{Backend: "udp", AsyncConfig: ps.AsyncConfig{Quorum: 6}, ModelRecoup: "stale"}}).Validate(); err == nil {
 		t.Fatal("async composed with the stale model recoup accepted")
 	}
 }

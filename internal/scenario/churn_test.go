@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"aggregathor/internal/core"
 	"aggregathor/internal/ps"
 )
 
@@ -178,41 +179,41 @@ func TestNetworkValidationChurn(t *testing.T) {
 		return &s
 	}
 	valid := ps.ChurnConfig{Rate: 0.05, DownSteps: 2, MaxRejoins: 2}
-	if err := base(Network{Name: "a", Backend: "tcp", Churn: &valid}).Validate(); err != nil {
+	if err := base(Network{Name: "a", Network: core.Network{Backend: "tcp", Churn: &valid}}).Validate(); err != nil {
 		t.Fatalf("valid tcp churn network rejected: %v", err)
 	}
-	if err := base(Network{Name: "a", Backend: "udp", Churn: &valid, DropRate: 0.1, Recoup: "fill-random"}).Validate(); err != nil {
+	if err := base(Network{Name: "a", Network: core.Network{Backend: "udp", Churn: &valid, DropRate: 0.1, Recoup: "fill-random"}}).Validate(); err != nil {
 		t.Fatalf("valid lossy-uplink churn network rejected: %v", err)
 	}
-	if err := base(Network{Name: "a", Churn: &valid}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{Churn: &valid}}).Validate(); err == nil {
 		t.Fatal("churn on the in-process backend accepted")
 	}
-	err := base(Network{Name: "a", Backend: "tcp", Churn: &valid, AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2}}).Validate()
+	err := base(Network{Name: "a", Network: core.Network{Backend: "tcp", Churn: &valid, AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2}}}).Validate()
 	if !errors.Is(err, ps.ErrChurnAsync) {
 		t.Fatalf("churn composed with async rounds: got %v, want ErrChurnAsync", err)
 	}
-	err = base(Network{Name: "a", Backend: "udp", Churn: &valid, ModelDropRate: 0.1}).Validate()
+	err = base(Network{Name: "a", Network: core.Network{Backend: "udp", Churn: &valid, ModelDropRate: 0.1}}).Validate()
 	if !errors.Is(err, ps.ErrChurnModelLoss) {
 		t.Fatalf("churn composed with lossy model broadcasts: got %v, want ErrChurnModelLoss", err)
 	}
-	err = base(Network{Name: "a", Backend: "udp", Churn: &valid, ModelRecoup: "stale"}).Validate()
+	err = base(Network{Name: "a", Network: core.Network{Backend: "udp", Churn: &valid, ModelRecoup: "stale"}}).Validate()
 	if !errors.Is(err, ps.ErrChurnModelLoss) {
 		t.Fatalf("churn composed with the stale model recoup: got %v, want ErrChurnModelLoss", err)
 	}
-	if err := base(Network{Name: "a", Backend: "tcp", Churn: &ps.ChurnConfig{Rate: 1.0, DownSteps: 2, MaxRejoins: 2}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{Backend: "tcp", Churn: &ps.ChurnConfig{Rate: 1.0, DownSteps: 2, MaxRejoins: 2}}}).Validate(); err == nil {
 		t.Fatal("churn rate 1.0 accepted")
 	}
-	if err := base(Network{Name: "a", Backend: "tcp", Churn: &ps.ChurnConfig{Rate: 0.05}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{Backend: "tcp", Churn: &ps.ChurnConfig{Rate: 0.05}}}).Validate(); err == nil {
 		t.Fatal("churn without downSteps accepted")
 	}
-	if err := base(Network{Name: "a", Backend: "tcp", Churn: &ps.ChurnConfig{DownSteps: 2}}).Validate(); err == nil {
+	if err := base(Network{Name: "a", Network: core.Network{Backend: "tcp", Churn: &ps.ChurnConfig{DownSteps: 2}}}).Validate(); err == nil {
 		t.Fatal("half-disabled churn block (downSteps without rate) accepted")
 	}
 	// Informed attacks recompute honest gradients from the seed; the churn
 	// schedule breaks that oracle, so the sweep combination is rejected at
 	// the spec level before any cell runs.
 	s := Spec{
-		Networks: []Network{{Name: "a", Backend: "tcp", Churn: &valid}},
+		Networks: []Network{{Name: "a", Network: core.Network{Backend: "tcp", Churn: &valid}}},
 		Attacks:  []string{AttackNone, "omniscient"},
 	}
 	s.ApplyDefaults()
@@ -220,7 +221,7 @@ func TestNetworkValidationChurn(t *testing.T) {
 		t.Fatal("informed attack swept against a churn network accepted")
 	}
 	blind := Spec{
-		Networks: []Network{{Name: "a", Backend: "tcp", Churn: &valid}},
+		Networks: []Network{{Name: "a", Network: core.Network{Backend: "tcp", Churn: &valid}}},
 		Attacks:  []string{AttackNone, "reversed"},
 	}
 	blind.ApplyDefaults()

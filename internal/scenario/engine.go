@@ -101,12 +101,7 @@ func Execute(s Spec) (*Campaign, error) {
 func executeRun(s *Spec, r Run) Result {
 	out := Result{Run: r, StepsToThreshold: -1, SimTimeToThresholdNS: -1}
 
-	cfg, err := s.cellConfig(r)
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	res, err := core.Run(cfg)
+	res, err := core.Run(s.cellConfig(r))
 	if err != nil {
 		out.Error = err.Error()
 		return out

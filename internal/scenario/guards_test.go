@@ -76,10 +76,10 @@ func (f forbidden) attackName() string {
 	return "reversed"
 }
 
-// viaSpec and viaCore build the configuration on the named backend at the
-// two layers that take one; viaCluster and viaPS at the constructors.
-func (f forbidden) viaSpec(backend string) error {
-	n := Network{Name: "cell", Backend: backend, AsyncConfig: f.async, ModelDropRate: f.modelDrop, UDPLinks: f.udpLinks}
+// network is the forbidden configuration's network on the named backend, in
+// the one description a campaign cell and a core.Config share.
+func (f forbidden) network(backend string) core.Network {
+	n := core.Network{Backend: backend, AsyncConfig: f.async, ModelDropRate: f.modelDrop, UDPLinks: f.udpLinks}
 	if f.churn.Enabled() {
 		n.Churn = &f.churn
 	}
@@ -89,7 +89,13 @@ func (f forbidden) viaSpec(backend string) error {
 	if f.float32 {
 		n.WireFormat = "float32"
 	}
-	raw, err := json.Marshal(Spec{Networks: []Network{n}, GARs: []string{"median"},
+	return n
+}
+
+// viaSpec and viaCore build the configuration on the named backend at the
+// two layers that take one; viaCluster and viaPS at the constructors.
+func (f forbidden) viaSpec(backend string) error {
+	raw, err := json.Marshal(Spec{Networks: []Network{{Name: "cell", Network: f.network(backend)}}, GARs: []string{"median"},
 		Attacks: []string{AttackNone, f.attackName()}, Clusters: []Cluster{{Workers: guardWorkers, F: guardF}}})
 	if err != nil {
 		return err
@@ -99,13 +105,8 @@ func (f forbidden) viaSpec(backend string) error {
 }
 
 func (f forbidden) viaCore(backend string) error {
-	cfg := core.Config{Backend: backend, Aggregator: "median", Workers: guardWorkers, F: guardF, Steps: 1,
-		Attacks: map[int]string{guardWorkers - 1: f.attackName()},
-		Async:   f.async, Churn: f.churn, StaleModels: f.stale, ModelDropRate: f.modelDrop, UDPLinks: f.udpLinks}
-	if f.float32 {
-		cfg.WireFormat = "float32"
-	}
-	_, err := core.Run(cfg)
+	_, err := core.Run(core.Config{Network: f.network(backend), Aggregator: "median", Workers: guardWorkers, F: guardF, Steps: 1,
+		Attacks: map[int]string{guardWorkers - 1: f.attackName()}})
 	return err
 }
 

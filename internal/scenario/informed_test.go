@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"aggregathor/internal/core"
 	"aggregathor/internal/ps"
 )
 
@@ -16,7 +17,7 @@ import (
 // before any cell ran.
 func TestInformedAttackSlowNetworkRejected(t *testing.T) {
 	s := Spec{
-		Networks: []Network{{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}}},
+		Networks: []Network{{Name: "a", Network: core.Network{AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}}}},
 		Attacks:  []string{AttackNone, "omniscient"},
 	}
 	s.ApplyDefaults()
@@ -25,7 +26,7 @@ func TestInformedAttackSlowNetworkRejected(t *testing.T) {
 		t.Fatalf("informed attack swept against a slow-schedule network: got %v, want ErrInformedSlow", err)
 	}
 	blind := Spec{
-		Networks: []Network{{Name: "a", AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}}},
+		Networks: []Network{{Name: "a", Network: core.Network{AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25}}}},
 		Attacks:  []string{AttackNone, "reversed"},
 	}
 	blind.ApplyDefaults()
@@ -40,7 +41,7 @@ func TestInformedAttackSlowNetworkRejected(t *testing.T) {
 // constructor.
 func TestInformedAttackModelLossNetworkRejected(t *testing.T) {
 	s := Spec{
-		Networks: []Network{{Name: "a", Backend: "udp", ModelDropRate: 0.1}},
+		Networks: []Network{{Name: "a", Network: core.Network{Backend: "udp", ModelDropRate: 0.1}}},
 		Attacks:  []string{AttackNone, "omniscient"},
 	}
 	s.ApplyDefaults()
@@ -49,7 +50,7 @@ func TestInformedAttackModelLossNetworkRejected(t *testing.T) {
 		t.Fatalf("informed attack swept against a lossy-model network: got %v, want ErrInformedModelLoss", err)
 	}
 	blind := Spec{
-		Networks: []Network{{Name: "a", Backend: "udp", ModelDropRate: 0.1}},
+		Networks: []Network{{Name: "a", Network: core.Network{Backend: "udp", ModelDropRate: 0.1}}},
 		Attacks:  []string{AttackNone, "reversed"},
 	}
 	blind.ApplyDefaults()

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"testing"
+
+	"aggregathor/internal/core"
 )
 
 // TestModelLossCampaignJSONDeterministic extends the campaign acceptance
@@ -100,28 +102,28 @@ func TestNetworkValidationModelLoss(t *testing.T) {
 		s.ApplyDefaults()
 		return &s
 	}
-	if err := base(Network{Name: "m", Backend: "udp", ModelDropRate: 0.2, ModelRecoup: "stale"}).Validate(); err != nil {
+	if err := base(Network{Name: "m", Network: core.Network{Backend: "udp", ModelDropRate: 0.2, ModelRecoup: "stale"}}).Validate(); err != nil {
 		t.Fatalf("valid lossy-model network rejected: %v", err)
 	}
-	if err := base(Network{Name: "m", Backend: "udp", ModelDropRate: 0.2}).Validate(); err != nil {
+	if err := base(Network{Name: "m", Network: core.Network{Backend: "udp", ModelDropRate: 0.2}}).Validate(); err != nil {
 		t.Fatalf("lossy-model network with default (skip) recoup rejected: %v", err)
 	}
-	if err := base(Network{Name: "m", Backend: "tcp", ModelDropRate: 0.2}).Validate(); err == nil {
+	if err := base(Network{Name: "m", Network: core.Network{Backend: "tcp", ModelDropRate: 0.2}}).Validate(); err == nil {
 		t.Fatal("tcp backend with modelDropRate accepted")
 	}
-	if err := base(Network{Name: "m", ModelDropRate: 0.2}).Validate(); err == nil {
+	if err := base(Network{Name: "m", Network: core.Network{ModelDropRate: 0.2}}).Validate(); err == nil {
 		t.Fatal("in-process network with modelDropRate accepted")
 	}
-	if err := base(Network{Name: "m", ModelRecoup: "stale"}).Validate(); err == nil {
+	if err := base(Network{Name: "m", Network: core.Network{ModelRecoup: "stale"}}).Validate(); err == nil {
 		t.Fatal("in-process network with modelRecoup accepted")
 	}
-	if err := base(Network{Name: "m", Backend: "udp", ModelDropRate: 1.0}).Validate(); err == nil {
+	if err := base(Network{Name: "m", Network: core.Network{Backend: "udp", ModelDropRate: 1.0}}).Validate(); err == nil {
 		t.Fatal("modelDropRate 1.0 accepted")
 	}
-	if err := base(Network{Name: "m", Backend: "udp", ModelDropRate: -0.1}).Validate(); err == nil {
+	if err := base(Network{Name: "m", Network: core.Network{Backend: "udp", ModelDropRate: -0.1}}).Validate(); err == nil {
 		t.Fatal("negative modelDropRate accepted")
 	}
-	if err := base(Network{Name: "m", Backend: "udp", ModelRecoup: "retransmit"}).Validate(); err == nil {
+	if err := base(Network{Name: "m", Network: core.Network{Backend: "udp", ModelRecoup: "retransmit"}}).Validate(); err == nil {
 		t.Fatal("unknown modelRecoup policy accepted")
 	}
 }

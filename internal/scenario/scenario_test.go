@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"aggregathor/internal/attack"
+	"aggregathor/internal/core"
 	"aggregathor/internal/gar"
 	"aggregathor/internal/ps"
 )
@@ -81,9 +82,9 @@ func TestValidateRejections(t *testing.T) {
 		"duplicate attack":  func(s *Spec) { s.Attacks = []string{"none", "none"} },
 		"duplicate cluster": func(s *Spec) { s.Clusters = []Cluster{{Workers: 5, F: 1}, {Workers: 5, F: 1}} },
 		"duplicate seed":    func(s *Spec) { s.Seeds = []int64{1, 1} },
-		"drop rate 1":       func(s *Spec) { s.Networks = []Network{{Name: "x", DropRate: 1}} },
-		"bad recoup":        func(s *Spec) { s.Networks = []Network{{Name: "x", Recoup: "nope"}} },
-		"bad protocol":      func(s *Spec) { s.Networks = []Network{{Name: "x", Protocol: "quic"}} },
+		"drop rate 1":       func(s *Spec) { s.Networks = []Network{{Name: "x", Network: core.Network{DropRate: 1}}} },
+		"bad recoup":        func(s *Spec) { s.Networks = []Network{{Name: "x", Network: core.Network{Recoup: "nope"}}} },
+		"bad protocol":      func(s *Spec) { s.Networks = []Network{{Name: "x", Network: core.Network{Protocol: "quic"}}} },
 		"bad experiment":    func(s *Spec) { s.Experiment = "nope" },
 		"bad optimizer":     func(s *Spec) { s.Optimizer = "nope" },
 	}
@@ -122,22 +123,22 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 // does, so the smoke sha256s cannot see a key that moves) and for an empty
 // churn block, whose rate is written even at zero. The literals are the bytes
 // a Network produced when the async and churn axes were flat scenario fields;
-// embedding the ps types must reproduce them, and strict decoding — the
-// unknown-field rejection ParseSpec applies — must read them back to the same
-// value.
+// embedding core.Network and the ps types must reproduce them, and strict
+// decoding — the unknown-field rejection ParseSpec applies — must read them
+// back to the same value.
 func TestNetworkSchemaPinned(t *testing.T) {
 	cases := []struct {
 		n    Network
 		want string
 	}{
-		{Network{Name: "every-field", Backend: "udp", UDPLinks: 3, DropRate: 0.1, Recoup: "fill-nan",
+		{Network{Name: "every-field", Network: core.Network{Backend: "udp", UDPLinks: 3, DropRate: 0.1, Recoup: "fill-nan",
 			ModelDropRate: 0.2, WireFormat: "float32", ModelRecoup: "stale",
 			AsyncConfig: ps.AsyncConfig{Quorum: 6, Staleness: 2, SlowRate: 0.25},
-			Churn:       &ps.ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: 3}, Protocol: "udp"},
+			Churn:       &ps.ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: 3}, Protocol: "udp"}},
 			`{"name":"every-field","backend":"udp","udpLinks":3,"dropRate":0.1,"recoup":"fill-nan",` +
 				`"modelDropRate":0.2,"wireFormat":"float32","modelRecoup":"stale","quorum":6,"staleness":2,` +
 				`"slowWorkers":0.25,"churn":{"rate":0.08,"downSteps":2,"maxRejoins":3},"protocol":"udp"}`},
-		{Network{Name: "z", Churn: &ps.ChurnConfig{}}, `{"name":"z","churn":{"rate":0}}`},
+		{Network{Name: "z", Network: core.Network{Churn: &ps.ChurnConfig{}}}, `{"name":"z","churn":{"rate":0}}`},
 	}
 	for _, tc := range cases {
 		raw, err := json.Marshal(tc.n)

@@ -26,8 +26,6 @@ import (
 	"aggregathor/internal/gar"
 	"aggregathor/internal/opt"
 	"aggregathor/internal/ps"
-	"aggregathor/internal/simnet"
-	"aggregathor/internal/transport"
 )
 
 // AttackNone is the baseline "attack" name: no Byzantine workers.
@@ -40,63 +38,15 @@ type Cluster struct {
 	F       int `json:"f"`
 }
 
-// Network is one point on the network-condition axis.
+// Network is one point on the network-condition axis: a named core.Network,
+// embedded so its keys sit beside the name in the spec's JSON and the cell
+// runs on it as it is.
 type Network struct {
 	// Name labels the condition in run IDs and reports ("in-process",
 	// "lossy-udp", "tcp-distributed", ...). Required and unique within a
 	// spec.
 	Name string `json:"name"`
-	// Backend selects the deployment substrate for this cell: "" or
-	// "in-process" runs the simulated cluster, "tcp" runs a real
-	// socket-distributed cluster.TCPCluster on localhost (every model
-	// broadcast and gradient travels the wire), "udp" runs a real
-	// lossy datagram-distributed cluster.UDPCluster — gradients chunked
-	// into UDP packets with seeded drop injection at dropRate and §3.3
-	// recoup of the lost coordinates. The socket backends are incompatible
-	// with udpLinks (the in-process link knob).
-	Backend string `json:"backend,omitempty"`
-	// UDPLinks is how many in-process workers (the first ones) submit over
-	// the lossy datagram link; -1 means every worker, and then the cell is
-	// the trajectory of the same cell on backend "udp". 0 (the default) is
-	// the in-process perfect transport.
-	UDPLinks int `json:"udpLinks,omitempty"`
-	// DropRate is the per-packet loss probability in [0, 1), applied on
-	// the in-process datagram link and on the udp backend's real datagrams.
-	DropRate float64 `json:"dropRate,omitempty"`
-	// Recoup selects the lost-coordinate policy on lossy links:
-	// drop-gradient | fill-nan | fill-random (default).
-	Recoup string `json:"recoup,omitempty"`
-	// ModelDropRate is the per-packet loss probability in [0, 1) on
-	// server→worker model broadcasts (footnote 12's unreliable model
-	// channel). Requires backend "udp"; which packets drop is a pure
-	// function of (seed, step, worker) via ps.ModelDropSeed, so
-	// lossy-model campaigns stay byte-reproducible.
-	ModelDropRate float64 `json:"modelDropRate,omitempty"`
-	// WireFormat selects the coordinate width on this cell's lossy links:
-	// "" or "float64" (default, lossless) or "float32" (half the gradient
-	// bytes, deterministic rounding). Applies to the udp backend's real
-	// datagrams and to the in-process datagram link (udpLinks); reliable cells
-	// reject "float32" instead of silently training on float64.
-	WireFormat string `json:"wireFormat,omitempty"`
-	// ModelRecoup selects the worker policy for torn model broadcasts:
-	// "skip" (default — consume and sit the round out) or "stale" (train
-	// on the last complete model and submit a stale-tagged gradient,
-	// opening the staleness axis). Requires backend "udp".
-	ModelRecoup string `json:"modelRecoup,omitempty"`
-	// AsyncConfig, when enabled, runs this cell's rounds asynchronously:
-	// quorum, staleness bound τ and the seeded slow-worker rate, inline under
-	// their own keys. Asynchronous cells stay byte-reproducible because the
-	// slow schedule (ps.SlowSeed) is evaluated at both endpoints.
-	ps.AsyncConfig
-	// Churn, when present with a positive rate, enables the deterministic
-	// worker crash/rejoin schedule on this cell. Requires backend "tcp" or
-	// "udp"; incompatible with asynchronous rounds, lossy model broadcasts
-	// and informed attacks. A churn cell's crash/rejoin/belowBound counters
-	// are exact pure functions of the seed, so churn campaigns stay
-	// byte-reproducible.
-	Churn *ps.ChurnConfig `json:"churn,omitempty"`
-	// Protocol costs the simulated clock as "tcp" (default) or "udp".
-	Protocol string `json:"protocol,omitempty"`
+	core.Network
 }
 
 // Spec is a declarative campaign: the axes of the sweep plus the shared
@@ -260,11 +210,7 @@ func (s *Spec) Validate() error {
 				// The rule and the seed do not bear on a cell's validity (an
 				// n too small for a rule is an infeasible run, recorded per
 				// cell), so the cell is built without them.
-				cfg, err := s.cellConfig(Run{Attack: a, Cluster: c, Network: n})
-				if err == nil {
-					err = cfg.Validate()
-				}
-				if err != nil {
+				if err := s.cellConfig(Run{Attack: a, Cluster: c, Network: n}).Validate(); err != nil {
 					return fmt.Errorf("scenario: network %q (attack %q, n=%d): %w", n.Name, a, c.Workers, err)
 				}
 			}
@@ -284,46 +230,21 @@ func unique[T comparable](axis string, values []T) error {
 	return nil
 }
 
-// cellConfig maps one campaign cell onto the core experiment that runs it —
-// the scenario layer's one translation of the network axes; Validate and
-// executeRun both go through it.
-func (s *Spec) cellConfig(r Run) (core.Config, error) {
-	n := r.Network
-	policy, err := n.recoupPolicy()
-	if err != nil {
-		return core.Config{}, err
-	}
-	stale, err := n.staleModels()
-	if err != nil {
-		return core.Config{}, err
-	}
-	proto, err := n.protocol()
-	if err != nil {
-		return core.Config{}, err
-	}
+// cellConfig maps one campaign cell onto the core experiment that runs it;
+// Validate and executeRun both go through it.
+func (s *Spec) cellConfig(r Run) core.Config {
 	cfg := core.Config{
-		Experiment:    s.Experiment,
-		Backend:       n.Backend,
-		Aggregator:    r.GAR,
-		F:             r.Cluster.F,
-		Workers:       r.Cluster.Workers,
-		Batch:         s.Batch,
-		Optimizer:     s.Optimizer,
-		LR:            s.LR,
-		Steps:         s.Steps,
-		EvalEvery:     s.EvalEvery,
-		UDPLinks:      n.udpLinks(r.Cluster.Workers),
-		WireFormat:    n.WireFormat,
-		DropRate:      n.DropRate,
-		Recoup:        policy,
-		ModelDropRate: n.ModelDropRate,
-		StaleModels:   stale,
-		Protocol:      proto,
-		Async:         n.AsyncConfig,
-		Seed:          r.Seed,
-	}
-	if n.Churn != nil {
-		cfg.Churn = *n.Churn
+		Experiment: s.Experiment,
+		Network:    r.Network.Network,
+		Aggregator: r.GAR,
+		F:          r.Cluster.F,
+		Workers:    r.Cluster.Workers,
+		Batch:      s.Batch,
+		Optimizer:  s.Optimizer,
+		LR:         s.LR,
+		Steps:      s.Steps,
+		EvalEvery:  s.EvalEvery,
+		Seed:       r.Seed,
 	}
 	// The last F workers are the Byzantine ones (UDP links are assigned
 	// from the front, so lossy-link and Byzantine roles overlap only when
@@ -334,7 +255,7 @@ func (s *Spec) cellConfig(r Run) (core.Config, error) {
 			cfg.Attacks[w] = r.Attack
 		}
 	}
-	return cfg, nil
+	return cfg
 }
 
 // Expand enumerates the campaign cross-product in deterministic order:
@@ -361,52 +282,6 @@ func (s *Spec) Expand() []Run {
 		}
 	}
 	return runs
-}
-
-// recoupPolicy parses the network's recoup policy name (default fill-random).
-func (n Network) recoupPolicy() (transport.RecoupPolicy, error) {
-	if n.Recoup == "" {
-		return transport.FillRandom, nil
-	}
-	p, err := transport.ParseRecoupPolicy(n.Recoup)
-	if err != nil {
-		return 0, fmt.Errorf("scenario: network %q: %w", n.Name, err)
-	}
-	return p, nil
-}
-
-// staleModels parses the network's torn-model-broadcast policy name: "skip"
-// (the default) or "stale".
-func (n Network) staleModels() (bool, error) {
-	switch n.ModelRecoup {
-	case "", "skip":
-		return false, nil
-	case "stale":
-		return true, nil
-	default:
-		return false, fmt.Errorf("scenario: network %q unknown model recoup policy %q (want skip|stale)", n.Name, n.ModelRecoup)
-	}
-}
-
-// protocol parses the network's clock-costing protocol (default tcp).
-func (n Network) protocol() (simnet.Protocol, error) {
-	switch n.Protocol {
-	case "", "tcp":
-		return simnet.TCP, nil
-	case "udp":
-		return simnet.UDP, nil
-	default:
-		return 0, fmt.Errorf("scenario: network %q unknown protocol %q (want tcp|udp)", n.Name, n.Protocol)
-	}
-}
-
-// udpLinks resolves the -1 = "all workers" convention; the range is core's
-// to check.
-func (n Network) udpLinks(workers int) int {
-	if n.UDPLinks == -1 {
-		return workers
-	}
-	return n.UDPLinks
 }
 
 // ParseSpec decodes a JSON spec, applies defaults and validates. Unknown
@@ -448,7 +323,7 @@ func SmokeSpec() Spec {
 		Clusters:   []Cluster{{Workers: 11, F: 2}},
 		Networks: []Network{
 			{Name: "in-process"},
-			{Name: "lossy-udp", UDPLinks: -1, DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+			{Name: "lossy-udp", Network: core.Network{UDPLinks: -1, DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"}},
 		},
 		Seeds:     []int64{1},
 		Steps:     60,
@@ -476,47 +351,52 @@ func UDPSmokeSpec() Spec {
 var builtins = []builtin{
 	{"smoke", nil}, // SmokeSpec
 	// In-process against localhost TCP: perfect-network cells agree number for number.
-	{"tcp-smoke", []Network{{Name: "in-process"}, {Name: "tcp-distributed", Backend: "tcp"}}},
+	{"tcp-smoke", []Network{
+		{Name: "in-process"},
+		{Name: "tcp-distributed", Network: core.Network{Backend: "tcp"}},
+	}},
 	// UDP on a perfect link (bit-equal to in-process) and at 10% loss with fill-random (§3.3).
 	{"udp-smoke", []Network{
 		{Name: "in-process"},
-		{Name: "udp-distributed", Backend: "udp"},
-		{Name: "udp-lossy", Backend: "udp", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+		{Name: "udp-distributed", Network: core.Network{Backend: "udp"}},
+		{Name: "udp-lossy", Network: core.Network{Backend: "udp", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"}},
 	}},
 	// 10% model-broadcast loss under both torn-broadcast policies, skip and stale.
 	{"model-loss-smoke", []Network{
 		{Name: "in-process"},
-		{Name: "udp-model-perfect", Backend: "udp", ModelRecoup: "stale"},
-		{Name: "udp-model-lossy-skip", Backend: "udp", ModelDropRate: 0.1, Protocol: "udp"},
-		{Name: "udp-model-lossy-stale", Backend: "udp", ModelDropRate: 0.1, ModelRecoup: "stale", Protocol: "udp"},
-		{Name: "udp-both-lossy-stale", Backend: "udp", DropRate: 0.1, Recoup: "fill-random",
-			ModelDropRate: 0.1, ModelRecoup: "stale", Protocol: "udp"},
+		{Name: "udp-model-perfect", Network: core.Network{Backend: "udp", ModelRecoup: "stale"}},
+		{Name: "udp-model-lossy-skip", Network: core.Network{Backend: "udp", ModelDropRate: 0.1, Protocol: "udp"}},
+		{Name: "udp-model-lossy-stale", Network: core.Network{Backend: "udp", ModelDropRate: 0.1, ModelRecoup: "stale",
+			Protocol: "udp"}},
+		{Name: "udp-both-lossy-stale", Network: core.Network{Backend: "udp", DropRate: 0.1, Recoup: "fill-random",
+			ModelDropRate: 0.1, ModelRecoup: "stale", Protocol: "udp"}},
 	}},
 	// float64 against float32 coordinates: the accuracy cost of halving the gradient bytes.
 	{"wire-smoke", []Network{
 		{Name: "in-process"},
-		{Name: "udp-f64", Backend: "udp"},
-		{Name: "udp-f32", Backend: "udp", WireFormat: "float32"},
-		{Name: "udp-f64-lossy", Backend: "udp", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
-		{Name: "udp-f32-lossy", Backend: "udp", WireFormat: "float32", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+		{Name: "udp-f64", Network: core.Network{Backend: "udp"}},
+		{Name: "udp-f32", Network: core.Network{Backend: "udp", WireFormat: "float32"}},
+		{Name: "udp-f64-lossy", Network: core.Network{Backend: "udp", DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"}},
+		{Name: "udp-f32-lossy", Network: core.Network{Backend: "udp", WireFormat: "float32", DropRate: 0.1,
+			Recoup: "fill-random", Protocol: "udp"}},
 	}},
 	// Lockstep against quorum 6 of 7 with staleness τ = 2 on every backend: the straggler contrast.
 	{"async-smoke", []Network{
 		{Name: "lockstep-in-process"},
-		{Name: "lockstep-slow", AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: 0.25}},
-		{Name: "async-in-process", AsyncConfig: smokeAsync},
-		{Name: "async-tcp", Backend: "tcp", AsyncConfig: smokeAsync},
-		{Name: "async-udp", Backend: "udp", AsyncConfig: smokeAsync},
-		{Name: "async-udp-lossy", Backend: "udp", AsyncConfig: smokeAsync,
-			DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+		{Name: "lockstep-slow", Network: core.Network{AsyncConfig: ps.AsyncConfig{Staleness: 2, SlowRate: 0.25}}},
+		{Name: "async-in-process", Network: core.Network{AsyncConfig: smokeAsync}},
+		{Name: "async-tcp", Network: core.Network{Backend: "tcp", AsyncConfig: smokeAsync}},
+		{Name: "async-udp", Network: core.Network{Backend: "udp", AsyncConfig: smokeAsync}},
+		{Name: "async-udp-lossy", Network: core.Network{Backend: "udp", AsyncConfig: smokeAsync,
+			DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"}},
 	}},
 	// Crash/rejoin on both socket backends, dragging some multi-krum rounds below n ≥ 2f+3.
 	{"churn-smoke", []Network{
 		{Name: "steady-in-process"},
-		{Name: "churn-tcp", Backend: "tcp", Churn: &smokeChurn},
-		{Name: "churn-udp", Backend: "udp", Churn: &smokeChurn},
-		{Name: "churn-udp-lossy", Backend: "udp", Churn: &smokeChurn,
-			DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"},
+		{Name: "churn-tcp", Network: core.Network{Backend: "tcp", Churn: &smokeChurn}},
+		{Name: "churn-udp", Network: core.Network{Backend: "udp", Churn: &smokeChurn}},
+		{Name: "churn-udp-lossy", Network: core.Network{Backend: "udp", Churn: &smokeChurn,
+			DropRate: 0.1, Recoup: "fill-random", Protocol: "udp"}},
 	}},
 }
 

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"testing"
+
+	"aggregathor/internal/core"
 )
 
 // TestUDPCampaignJSONDeterministic extends the engine's acceptance gate to
@@ -138,16 +140,16 @@ func TestNetworkValidationUDP(t *testing.T) {
 		s.ApplyDefaults()
 		return &s
 	}
-	if err := base(Network{Name: "u", Backend: "udp", DropRate: 0.2, Recoup: "fill-nan"}).Validate(); err != nil {
+	if err := base(Network{Name: "u", Network: core.Network{Backend: "udp", DropRate: 0.2, Recoup: "fill-nan"}}).Validate(); err != nil {
 		t.Fatalf("valid udp network rejected: %v", err)
 	}
-	if err := base(Network{Name: "u", Backend: "udp", UDPLinks: 2}).Validate(); err == nil {
+	if err := base(Network{Name: "u", Network: core.Network{Backend: "udp", UDPLinks: 2}}).Validate(); err == nil {
 		t.Fatal("udp backend with udpLinks accepted")
 	}
-	if err := base(Network{Name: "t", Backend: "tcp", DropRate: 0.1}).Validate(); err == nil {
+	if err := base(Network{Name: "t", Network: core.Network{Backend: "tcp", DropRate: 0.1}}).Validate(); err == nil {
 		t.Fatal("tcp backend with dropRate accepted")
 	}
-	if err := base(Network{Name: "x", Backend: "grpc"}).Validate(); err == nil {
+	if err := base(Network{Name: "x", Network: core.Network{Backend: "grpc"}}).Validate(); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 }

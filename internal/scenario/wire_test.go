@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"aggregathor/internal/core"
 )
 
 // TestWireCampaignJSONDeterministic extends the byte-reproducibility gate to
@@ -70,22 +72,22 @@ func TestNetworkValidationWireFormat(t *testing.T) {
 		s.ApplyDefaults()
 		return &s
 	}
-	if err := base(Network{Name: "u", Backend: "udp", WireFormat: "float32"}).Validate(); err != nil {
+	if err := base(Network{Name: "u", Network: core.Network{Backend: "udp", WireFormat: "float32"}}).Validate(); err != nil {
 		t.Fatalf("float32 on the udp backend rejected: %v", err)
 	}
-	if err := base(Network{Name: "p", UDPLinks: -1, WireFormat: "float32"}).Validate(); err != nil {
+	if err := base(Network{Name: "p", Network: core.Network{UDPLinks: -1, WireFormat: "float32"}}).Validate(); err != nil {
 		t.Fatalf("float32 on the in-process datagram link rejected: %v", err)
 	}
-	if err := base(Network{Name: "i", WireFormat: "float64"}).Validate(); err != nil {
+	if err := base(Network{Name: "i", Network: core.Network{WireFormat: "float64"}}).Validate(); err != nil {
 		t.Fatalf("explicit float64 default rejected: %v", err)
 	}
-	if err := base(Network{Name: "i", WireFormat: "float32"}).Validate(); err == nil {
+	if err := base(Network{Name: "i", Network: core.Network{WireFormat: "float32"}}).Validate(); err == nil {
 		t.Fatal("float32 without a lossy wire accepted")
 	}
-	if err := base(Network{Name: "t", Backend: "tcp", WireFormat: "float32"}).Validate(); err == nil {
+	if err := base(Network{Name: "t", Network: core.Network{Backend: "tcp", WireFormat: "float32"}}).Validate(); err == nil {
 		t.Fatal("float32 on the tcp backend accepted")
 	}
-	if err := base(Network{Name: "x", Backend: "udp", WireFormat: "float16"}).Validate(); err == nil {
+	if err := base(Network{Name: "x", Network: core.Network{Backend: "udp", WireFormat: "float16"}}).Validate(); err == nil {
 		t.Fatal("unknown wire format accepted")
 	}
 }
