@@ -39,8 +39,9 @@ race:
 # stream reader, the reassembler and coalesced-message segment walk, the
 # worker's model collector against its oracle, round-engine (plan, settlement, rejoin admission), column-pass and
 # blocked-matmul fuzz targets beyond the seed corpus, of the four GAR assembly
-# kernels against their Go oracles (FuzzFillKeys, FuzzCompareExchange,
-# FuzzMeanAroundWalk, FuzzBlockDistance), and of a network trained on a
+# kernels and the float32 wire's conversions against their Go oracles
+# (FuzzFillKeys, FuzzCompareExchange, FuzzMeanAroundWalk, FuzzBlockDistance,
+# FuzzConvertFloat32), and of a network trained on a
 # caller's vector against one loaded by copy. CI's fuzz job runs this target.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzFillKeys -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzCompareExchange -fuzztime=20s
 	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzMeanAroundWalk -fuzztime=20s
+	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzConvertFloat32 -fuzztime=20s
 	$(GO) test ./internal/gar/ -run=NONE -fuzz=FuzzBlockDistance -fuzztime=20s
 	$(GO) test ./internal/nn/ -run=NONE -fuzz=FuzzTrainOn -fuzztime=20s
 

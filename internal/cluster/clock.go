@@ -18,11 +18,6 @@ func roundDeadline(timeout time.Duration) time.Time {
 	return time.Now().Add(timeout)
 }
 
-// untilDeadline returns how long remains before a roundDeadline instant.
-func untilDeadline(deadline time.Time) time.Duration {
-	return time.Until(deadline)
-}
-
 // newRoundTimer arms the round-timeout timer for a collection loop.
 func newRoundTimer(timeout time.Duration) *time.Timer {
 	return time.NewTimer(timeout)

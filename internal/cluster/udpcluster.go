@@ -148,24 +148,25 @@ type udpLink struct {
 // in a live cluster, cannot postpone it — and when it passes the collector
 // gives the broadcast up as lost. With none in flight the wait is the idle
 // backstop, and its timeout is an error like a closed endpoint.
+//
+// The clock is read when a broadcast is first seen in flight and for each
+// datagram that arrives while none is, never for the datagrams of one in
+// flight: the receiver arms the deadline it is passed once a recvmmsg batch.
 func (l *udpLink) next(params tensor.Vector) (int, tensor.Vector, error) {
 	var deadline time.Time
 	for {
 		if ev := l.col.Settled(); ev != nil {
 			return ev.Step, ev.Params, nil
 		}
-		timeout := idleBackstop
-		if l.col.InFlight() {
-			if deadline.IsZero() {
-				deadline = roundDeadline(l.cfg.RoundTimeout)
-			}
-			timeout = untilDeadline(deadline)
+		until := deadline
+		switch {
+		case !l.col.InFlight():
+			until = roundDeadline(idleBackstop)
+		case deadline.IsZero():
+			deadline = roundDeadline(l.cfg.RoundTimeout)
+			until = deadline
 		}
-		var pkt *transport.Packet
-		err := transport.ErrTimeout
-		if timeout > 0 {
-			pkt, err = l.recv.RecvPacket(timeout)
-		}
+		pkt, err := l.recv.RecvPacketUntil(until)
 		switch {
 		case err == nil:
 			l.col.Offer(pkt, params)
@@ -247,13 +248,12 @@ func (c *UDPCluster) Step() (*ps.StepResult, error) {
 	// rejects (out-of-range ids, wrong dimension, stale or future steps,
 	// duplicates after settlement) is ignored, never fatal: a single hostile
 	// datagram must not take the round down.
+	//
+	// The deadline is read from the clock once a round; the receiver arms it
+	// once a recvmmsg batch, so the round ends at most one batch past it.
 	deadline := roundDeadline(c.cfg.RoundTimeout)
 	for round.Outstanding() > 0 {
-		remaining := untilDeadline(deadline)
-		if remaining <= 0 {
-			break
-		}
-		pkt, err := c.recv.RecvPacket(remaining)
+		pkt, err := c.recv.RecvPacketUntil(deadline)
 		if errors.Is(err, transport.ErrTimeout) {
 			break
 		}

@@ -239,6 +239,59 @@ func TestUDPClusterStragglerRoundTimeout(t *testing.T) {
 	}
 }
 
+// TestUDPClusterDeadlineSurvivesTraffic is TestUDPLinkDeadlineSurvivesTraffic
+// on the server's side: Step passes one deadline to every receive, which the
+// receiver arms once a recvmmsg batch, so a spoofer keeping the gradient
+// socket busy with datagrams the round rejects cannot postpone the round past
+// its timeout plus the batch in hand. Before the first round's deadline one
+// worker is held unresponsive; a wait the traffic postpones is cut at 5 s by
+// closing the endpoint.
+func TestUDPClusterDeadlineSurvivesTraffic(t *testing.T) {
+	defer releaseCheck(t)("over a spoofed straggler round")
+	const timeout = 250 * time.Millisecond
+	cl, _, _ := udpFixture(t, UDPClusterConfig{
+		Workers:      5,
+		Unresponsive: map[int]bool{2: true},
+		RoundTimeout: timeout,
+		Seed:         7,
+	})
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	spoof, err := transport.DialUDP(cl.recv.Addr(), transport.Codec{}, transport.DefaultMTU, 0, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spoof.Close()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+				spoof.SendGradient(&transport.GradientMsg{Worker: 1 << 20, Step: 0, Grad: make([]float64, 3)})
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	cut := time.AfterFunc(5*time.Second, func() { cl.recv.Close() })
+	defer cut.Stop()
+	start := time.Now()
+	sr, err := cl.Step()
+	if err != nil {
+		t.Fatalf("continuous rejected traffic postponed the round deadline past 5 s: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < timeout || elapsed > timeout+time.Second {
+		t.Fatalf("the straggler round returned after %v, want its %v deadline plus at most one batch", elapsed, timeout)
+	}
+	if sr.Received != 4 {
+		t.Fatalf("the round received %d gradients, want 4 (the spoofed datagrams rejected, the straggler timed out)", sr.Received)
+	}
+}
+
 // TestUDPClusterSurvivesHostileDatagrams is the server-side robustness cell:
 // raw garbage, out-of-range worker ids, wrong dimensions and the
 // conflicting-Dim crasher packets are sprayed at the gradient endpoint

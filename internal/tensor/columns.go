@@ -284,13 +284,14 @@ func fillKeysGo(dst []int64, src []float64) (finite bool) {
 }
 
 // GoKernels points the column pass's tile fill, tile sort and
-// mean-around-median walk at their Go loops until restore is called, so a
-// test in another package can hold the dispatched kernels to the Go ones.
-// No pass may run meanwhile.
+// mean-around-median walk, and the float32 wire's widen and narrow, at their
+// Go loops until restore is called, so a test in another package can hold
+// the dispatched kernels to the Go ones. No pass or conversion may run
+// meanwhile.
 func GoKernels() (restore func()) {
-	fill, sorter, walk := fillKeys, sortRows, meanAroundWalk
-	fillKeys, sortRows, meanAroundWalk = fillKeysGo, sortRowsGo, meanAroundWalkGo
-	return func() { fillKeys, sortRows, meanAroundWalk = fill, sorter, walk }
+	fill, sorter, walk, wide, narrowed := fillKeys, sortRows, meanAroundWalk, widen, narrow
+	fillKeys, sortRows, meanAroundWalk, widen, narrow = fillKeysGo, sortRowsGo, meanAroundWalkGo, widenGo, narrowGo
+	return func() { fillKeys, sortRows, meanAroundWalk, widen, narrow = fill, sorter, walk, wide, narrowed }
 }
 
 // sortRowsGo sorts every column of the row-major tile (rows of w keys)

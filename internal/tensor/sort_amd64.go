@@ -41,14 +41,14 @@ func pickMeanAroundWalk() func(tile []int64, w, n, keep int, out []float64, decl
 }
 
 // HasAVX2 reports the probe's answer: the one place the kernels — the GAR's,
-// here and in package gar, and the dense matmuls' — learn whether their
-// AVX2 assembly may run.
+// here and in package gar, the dense matmuls' and the float32 wire's —
+// learn whether their AVX2 assembly may run.
 func HasAVX2() bool { return hasAVX2 }
 
 // Kernels names the kernel set this process computes with — the GAR's
-// distance sweep, tile fill, tile sort and mean-around-median walk and the
+// distance sweep, tile fill, tile sort and mean-around-median walk, the
 // workers' MatMul and MatMulTransA (dense, zero-holding and one to three
-// columns wide), in AVX2 assembly where the CPU and OS have it and the Go
+// columns wide) and the float32 wire's widen and narrow, in AVX2 assembly where the CPU and OS have it and the Go
 // kernels ("portable") otherwise — for benchmark reports. Every set
 // produces the same bits.
 func Kernels() string {

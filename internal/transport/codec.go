@@ -116,8 +116,8 @@ func (c Codec) BytesPerCoord() int {
 	return 8
 }
 
-// hostLittleEndian is the package's only platform branch: whether a float64
-// in memory is already its wire encoding (little-endian IEEE-754).
+// hostLittleEndian is the package's only platform branch: whether a
+// coordinate in memory is already its wire encoding (little-endian IEEE-754).
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // native returns v's own memory when that is its wire encoding — the float64
@@ -127,6 +127,17 @@ func (c Codec) native(v tensor.Vector) ([]byte, bool) {
 		return nil, false
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8), true
+}
+
+// float32s views the first n float32 wire coordinates of b in place — their
+// memory is their encoding on a little-endian host — at whatever alignment b
+// has: float32 holds no pointers, so an unaligned view is sound. An empty
+// view is nil: b may then point past the end of its allocation.
+func float32s(b []byte, n int) []float32 {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&b[:4*n][0])), n)
 }
 
 // WireCoords returns v's coordinates in wire encoding: v's own memory where
@@ -142,21 +153,27 @@ func (c Codec) WireCoords(v tensor.Vector, scratch *[]byte) []byte {
 		*scratch = make([]byte, n)
 	}
 	b := (*scratch)[:n]
-	c.putCoordsPortable(b, v)
+	c.putCoords(b, v)
 	return b
 }
 
 // putCoords encodes v into dst: one copy where the wire encoding is v's
-// memory, coordinate by coordinate otherwise.
+// memory, one tensor.NarrowFloat64 into dst's float32 view on the float32
+// wire of a little-endian host, coordinate by coordinate on a big-endian one.
 func (c Codec) putCoords(dst []byte, v tensor.Vector) {
-	if b, ok := c.native(v); ok {
+	switch b, ok := c.native(v); {
+	case ok:
 		copy(dst[:len(b)], b)
-		return
+	case c.Float32 && hostLittleEndian:
+		tensor.NarrowFloat64(float32s(dst, len(v)), v)
+	default:
+		c.putCoordsBytes(dst, v)
 	}
-	c.putCoordsPortable(dst, v)
 }
 
-func (c Codec) putCoordsPortable(dst []byte, v tensor.Vector) {
+// putCoordsBytes is the big-endian host's encode, and the oracle the views
+// are tested against.
+func (c Codec) putCoordsBytes(dst []byte, v tensor.Vector) {
 	if c.Float32 {
 		for i, x := range v {
 			binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(float32(x)))
@@ -168,21 +185,30 @@ func (c Codec) putCoordsPortable(dst []byte, v tensor.Vector) {
 	}
 }
 
-// getCoords decodes len(v) wire coordinates. A float32 coordinate widens to
-// float64, which carries every bit pattern through a later putCoords but
-// one: the widening quiets a signalling NaN (sets its top mantissa bit), so
+// getCoords decodes len(v) wire coordinates: one copy where the wire
+// encoding is v's memory, one tensor.WidenFloat32 from src's float32 view on
+// the float32 wire of a little-endian host — AVX2 where the CPU has it, four
+// coordinates a step, bit-identical to Go's float64(x) — and coordinate by
+// coordinate on a big-endian one. A float32 coordinate widens to float64,
+// which carries every bit pattern through a later putCoords but one: the
+// widening quiets a signalling NaN (sets its top mantissa bit), so
 // encode(decode(x)) is x unless x holds a float32 signalling NaN, and
 // decode(encode(decode(x))) is decode(x) always. The float64 wire carries
 // every bit pattern, NaN payloads included, on both paths.
 func (c Codec) getCoords(src []byte, v tensor.Vector) {
-	if b, ok := c.native(v); ok {
+	switch b, ok := c.native(v); {
+	case ok:
 		copy(b, src[:len(b)])
-		return
+	case c.Float32 && hostLittleEndian:
+		tensor.WidenFloat32(v, float32s(src, len(v)))
+	default:
+		c.getCoordsBytes(src, v)
 	}
-	c.getCoordsPortable(src, v)
 }
 
-func (c Codec) getCoordsPortable(src []byte, v tensor.Vector) {
+// getCoordsBytes is the big-endian host's decode, and the oracle the views
+// are tested against.
+func (c Codec) getCoordsBytes(src []byte, v tensor.Vector) {
 	if c.Float32 {
 		for i := range v {
 			v[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:])))

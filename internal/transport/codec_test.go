@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -224,5 +226,92 @@ func TestParseRecoupPolicy(t *testing.T) {
 		if _, err := ParseRecoupPolicy(bad); err == nil {
 			t.Fatalf("unknown policy %q accepted", bad)
 		}
+	}
+}
+
+// TestCoordsMatchByteLoop holds the codec's in-place coordinate paths — one
+// copy on the float64 wire, a float32 view through tensor's widen and narrow
+// on the float32 one — to the per-coordinate byte loop a big-endian host
+// runs, which spells the wire contract out: at every length from 0 to 67 and
+// every byte offset from 0 to 7 (a datagram's coordinates start 38 bytes in),
+// with the dispatched kernels and with tensor.GoKernels, on vectors and wire
+// bytes that hold NaN payloads, infinities, zeros, subnormals and values
+// float32 overflows on or rounds at a tie.
+func TestCoordsMatchByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	vec := tensor.NewVector(67)
+	wire := make([]byte, 8*67)
+	for k := range vec {
+		switch k % 4 {
+		case 0:
+			vec[k] = rng.NormFloat64()
+		case 1:
+			vec[k] = math.Float64frombits(rng.Uint64())
+		default:
+			vec[k] = math.Float64frombits([]uint64{
+				0x7ff0_0000_0000_0001, 0xfff4_0000_2000_0000, 0x7ff8_0000_0000_0001, 0x47ef_ffff_f000_0000,
+				0x3ff0_0000_1000_0000, 0x3690_0000_0000_0000, 1, 1 << 63, 0x7ff0_0000_0000_0000,
+			}[k%9])
+		}
+	}
+	for k := 0; k < len(wire); k += 4 {
+		binary.LittleEndian.PutUint32(wire[k:], []uint32{0x7f800001, 0xffbfffff, 0x7fc00001, 1, 0x80000000, rng.Uint32()}[k/4%6])
+	}
+	for _, kernels := range []string{tensor.Kernels(), "go"} {
+		restore := func() {}
+		if kernels == "go" {
+			restore = tensor.GoKernels()
+		}
+		for _, c := range []Codec{{}, {Float32: true}} {
+			w := c.BytesPerCoord()
+			for n := 0; n <= 67; n++ {
+				for off := 0; off < 8; off++ {
+					got, want := make([]byte, off+n*w+8), make([]byte, off+n*w+8)
+					c.putCoords(got[off:], vec[:n])
+					c.putCoordsBytes(want[off:], vec[:n])
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: %d-byte wire, n=%d off=%d: putCoords wrote % x, the byte loop % x", kernels, w, n, off, got, want)
+					}
+					src := append(make([]byte, off), wire[:n*w]...)
+					gotV, wantV := tensor.NewVector(n), tensor.NewVector(n)
+					c.getCoords(src[off:], gotV)
+					c.getCoordsBytes(src[off:], wantV)
+					for k := range wantV {
+						if math.Float64bits(gotV[k]) != math.Float64bits(wantV[k]) {
+							t.Fatalf("%s: %d-byte wire, n=%d off=%d: getCoords coordinate %d = %#x, the byte loop %#x",
+								kernels, w, n, off, k, math.Float64bits(gotV[k]), math.Float64bits(wantV[k]))
+						}
+					}
+				}
+			}
+		}
+		restore()
+	}
+}
+
+// BenchmarkFloat32Coords times one conversion of a udp-lossy-25k gradient
+// (d = 25,450) each way on the float32 wire: through the codec's float32
+// view (tensor's kernels, AVX2 where Kernels says so) and through the
+// per-coordinate byte loop.
+func BenchmarkFloat32Coords(b *testing.B) {
+	const d = 25_450
+	c := Codec{Float32: true}
+	v := randVec(rand.New(rand.NewSource(50)), d)
+	wire := make([]byte, packetHeaderLen+4*d)[packetHeaderLen:] // a datagram's alignment
+	for _, bc := range []struct {
+		name string
+		run  func()
+	}{
+		{"narrow/view", func() { c.putCoords(wire, v) }},
+		{"narrow/bytes", func() { c.putCoordsBytes(wire, v) }},
+		{"widen/view", func() { c.getCoords(wire, v) }},
+		{"widen/bytes", func() { c.getCoordsBytes(wire, v) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(4 * d)
+			for i := 0; i < b.N; i++ {
+				bc.run()
+			}
+		})
 	}
 }

@@ -110,7 +110,8 @@ func (c *TCPConn) send(open []byte, v tensor.Vector) error {
 	return c.sendChunked(open, v)
 }
 
-// sendChunked is the portable send: coordinates are rendered through
+// sendChunked is the send of a vector whose memory is not its wire encoding
+// (the float32 wire, a big-endian host): coordinates are rendered through
 // c.wchunk, the first chunk riding the vectored write that carries the
 // opening.
 func (c *TCPConn) sendChunked(open []byte, v tensor.Vector) error {
@@ -121,7 +122,7 @@ func (c *TCPConn) sendChunked(open []byte, v tensor.Vector) error {
 	for {
 		k := min(len(v), chunkBytes/w)
 		chunk := c.wchunk[:k*w]
-		c.codec.putCoordsPortable(chunk, v[:k])
+		c.codec.putCoords(chunk, v[:k])
 		if err := c.writev(open, chunk); err != nil {
 			return err
 		}
@@ -205,7 +206,7 @@ func (c *TCPConn) recvCoords(v tensor.Vector) error {
 	return c.recvChunked(v)
 }
 
-// recvChunked is the portable receive.
+// recvChunked is sendChunked's receive: chunk by chunk through c.rchunk.
 func (c *TCPConn) recvChunked(v tensor.Vector) error {
 	w := c.codec.BytesPerCoord()
 	if need := min(len(v)*w, chunkBytes); cap(c.rchunk) < need {
@@ -217,7 +218,7 @@ func (c *TCPConn) recvChunked(v tensor.Vector) error {
 		if _, err := io.ReadFull(c.conn, chunk); err != nil {
 			return fmt.Errorf("transport: read frame body: %w", err)
 		}
-		c.codec.getCoordsPortable(chunk, v[:k])
+		c.codec.getCoords(chunk, v[:k])
 		v = v[k:]
 	}
 	return nil

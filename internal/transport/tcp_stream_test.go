@@ -241,9 +241,10 @@ func portableCases(c Codec) map[string]tensor.Vector {
 // TestTCPPortablePathMatchesCodec drives the chunked send and receive — the
 // path a big-endian host or the float32 wire takes — directly, on this
 // little-endian host, for both widths: frames must be byte-identical to
-// Codec.EncodeGradient / EncodeModel (which take the bulk float64 path
-// here, so this is also bulk ≡ per-coordinate), and what comes back must be
-// the whole-frame decoder's vector bit for bit, NaN payloads included.
+// Codec.EncodeGradient / EncodeModel (the codec's own in-place paths are
+// held to the byte loop by TestCoordsMatchByteLoop), and what comes back
+// must be the whole-frame decoder's vector bit for bit, NaN payloads
+// included.
 func TestTCPPortablePathMatchesCodec(t *testing.T) {
 	for _, c := range []Codec{{}, {Float32: true}} {
 		for name, v := range portableCases(c) {

@@ -515,18 +515,28 @@ func (r *UDPReceiver) flushAny() (*GradientMsg, error) {
 	return nil, ErrTimeout
 }
 
-// RecvPacket reads datagrams until one decodes as a valid packet or the
-// timeout passes (malformed datagrams are skipped — a Byzantine peer can
+// RecvPacket is RecvPacketUntil with a deadline timeout from now.
+func (r *UDPReceiver) RecvPacket(timeout time.Duration) (*Packet, error) {
+	return r.RecvPacketUntil(time.Now().Add(timeout))
+}
+
+// RecvPacketUntil reads datagrams until one decodes as a valid packet or the
+// deadline passes (malformed datagrams are skipped — a Byzantine peer can
 // send anything). The packet is NOT offered to the reassembler: callers that
 // drive reassembly explicitly (cluster.UDPCluster slots gradients by worker
-// id and recoups scheduled losses deterministically) pair RecvPacket with
-// their own Reassembler's Offer.
+// id and recoups scheduled losses deterministically) pair it with their own
+// Reassembler's Offer.
+//
+// The deadline is armed on the socket only when a recvmmsg batch is
+// refilled, so the datagrams of a batch already drained from the kernel are
+// handed out even past it, and the wait ends at most one batch after the
+// deadline — a loop that passes one deadline to every call reads the clock
+// once a batch, not once a datagram.
 //
 // The returned packet is the receiver's own and is valid until the next
-// RecvPacket or RecvGradient call, which decodes over it; a caller
-// that keeps coordinates beyond that copies them (Reassembler.Offer does).
-func (r *UDPReceiver) RecvPacket(timeout time.Duration) (*Packet, error) {
-	deadline := time.Now().Add(timeout)
+// receive call, which decodes over it; a caller that keeps coordinates
+// beyond that copies them (Reassembler.Offer does).
+func (r *UDPReceiver) RecvPacketUntil(deadline time.Time) (*Packet, error) {
 	for {
 		buf, err := r.readDatagram(deadline)
 		if err != nil {
